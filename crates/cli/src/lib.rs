@@ -274,7 +274,7 @@ fn cmd_index(flags: &Flags) -> Result<String, CliError> {
         )));
     }
     let container = IndexContainer::build(&catalog, partitions, ranked);
-    std::fs::write(&out, container.to_bytes())?;
+    container.save(Path::new(&out))?;
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -368,9 +368,7 @@ fn cmd_ingest(flags: &Flags) -> Result<String, CliError> {
     let report = container.compact_index();
 
     // Atomic rewrite, then retire the folded delta log.
-    let tmp = format!("{index_path}.tmp");
-    std::fs::write(&tmp, container.to_bytes())?;
-    std::fs::rename(&tmp, &index_path)?;
+    container.save(Path::new(&index_path))?;
     log.clear()?;
 
     let mut out = String::new();
@@ -657,7 +655,7 @@ fn cmd_split(flags: &Flags) -> Result<String, CliError> {
         if pack {
             part.pack_v2(Path::new(&path)).map_err(CliError::Index)?;
         } else {
-            std::fs::write(&path, part.to_bytes())?;
+            part.save(Path::new(&path))?;
         }
         let _ = writeln!(report, "shard {s}: {} domain(s) → {path}", part.len());
     }

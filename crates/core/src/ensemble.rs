@@ -12,7 +12,7 @@ use crate::api::{
     outcome_from_ids, CommitReport, DomainIndex, MutableIndex, MutationError, ProbeCounts, Query,
     QueryError, QueryMode, SearchOutcome,
 };
-use crate::partition::PartitionStrategy;
+use crate::partition::{Partition, PartitionStrategy};
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest};
 use lshe_minhash::hash::{FastHashMap, FastHashSet};
@@ -62,10 +62,10 @@ impl EnsembleConfig {
 /// Staged input for ensemble construction.
 #[derive(Debug, Clone)]
 pub struct LshEnsembleBuilder {
-    config: EnsembleConfig,
-    ids: Vec<DomainId>,
-    sizes: Vec<u64>,
-    signatures: Vec<Signature>,
+    pub(crate) config: EnsembleConfig,
+    pub(crate) ids: Vec<DomainId>,
+    pub(crate) sizes: Vec<u64>,
+    pub(crate) signatures: Vec<Signature>,
 }
 
 impl LshEnsembleBuilder {
@@ -115,7 +115,7 @@ impl LshEnsembleBuilder {
     }
 
     /// Partitions the staged domains and builds one committed LSH Forest per
-    /// partition, in parallel (one thread per partition).
+    /// partition, in parallel (at most one lane per core).
     ///
     /// # Panics
     /// Panics if the builder is empty.
@@ -200,6 +200,20 @@ impl StagedDelta {
     }
 }
 
+/// One partition with its committed forest over `row(member)` per member.
+fn build_partition<'a>(
+    config: &EnsembleConfig,
+    part: &Partition,
+    row: impl Fn(usize) -> (DomainId, &'a Signature),
+) -> EnsemblePartition {
+    let rows: Vec<_> = part.members.iter().map(|&m| row(m as usize)).collect();
+    EnsemblePartition {
+        lower: part.lower,
+        upper: part.upper,
+        forest: LshForest::from_rows(config.b_max, config.r_max, &rows),
+    }
+}
+
 /// Builds one sealed segment from a committed delta: partition the entry
 /// sizes with the configured strategy, then build each partition's forest.
 /// Deterministic — the persistence decoder replays it to reconstruct a
@@ -214,19 +228,7 @@ pub(crate) fn build_segment(
     let partitions = partitioning
         .parts()
         .iter()
-        .map(|p| {
-            let mut forest = LshForest::new(config.b_max, config.r_max);
-            for &m in &p.members {
-                let (id, _, sig) = &entries[m as usize];
-                forest.insert(*id, sig);
-            }
-            forest.commit();
-            EnsemblePartition {
-                lower: p.lower,
-                upper: p.upper,
-                forest,
-            }
-        })
+        .map(|p| build_partition(config, p, |m| (entries[m].0, &entries[m].2)))
         .collect();
     SealedSegment {
         partitions,
@@ -342,26 +344,10 @@ impl LshEnsemble {
                 );
             }
         }
-        let mut shells: Vec<EnsemblePartition> = partitioning
-            .parts()
-            .iter()
-            .map(|p| EnsemblePartition {
-                lower: p.lower,
-                upper: p.upper,
-                forest: LshForest::new(b_max, r_max),
-            })
-            .collect();
-        std::thread::scope(|scope| {
-            for (shell, part) in shells.iter_mut().zip(partitioning.parts()) {
-                scope.spawn(move || {
-                    for &idx in &part.members {
-                        shell
-                            .forest
-                            .insert(ids[idx as usize], signatures[idx as usize]);
-                    }
-                    shell.forest.commit();
-                });
-            }
+        // One lane per core at most, each taking the next partition when it
+        // is free: a thread per partition only adds stacks and scheduling.
+        let shells = lshe_minhash::lanes::run_each(partitioning.parts(), |p| {
+            build_partition(&config, p, |m| (ids[m], signatures[m]))
         });
         Self {
             tuner: Tuner::new(config.b_max as u32, config.r_max as u32),

@@ -28,13 +28,14 @@ use crate::partition::PartitionStrategy;
 use lshe_lsh::{DomainId, LshForest};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
 use lshe_minhash::Signature;
+use std::io::Write;
 
 /// Envelope tag for ensemble payloads.
 pub const MAGIC: [u8; 4] = *b"LSHE";
 /// Current format version.
 pub const VERSION: u8 = 2;
 
-pub(crate) fn encode_strategy(enc: &mut Encoder, strategy: PartitionStrategy) {
+pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: PartitionStrategy) {
     match strategy {
         PartitionStrategy::Single => enc.put_u8(0),
         PartitionStrategy::EquiDepth { n } => {
@@ -60,8 +61,8 @@ pub(crate) fn encode_strategy(enc: &mut Encoder, strategy: PartitionStrategy) {
 /// Appends the tiered-mutation tail (segment stack + tombstone list) —
 /// shared between v1-style ensemble payloads and the v2 store's
 /// `Segments` section.
-pub(crate) fn encode_segments(
-    enc: &mut Encoder,
+pub(crate) fn encode_segments<W: Write>(
+    enc: &mut Encoder<W>,
     segments: &[crate::ensemble::SealedSegment],
     dead: &[(DomainId, DeadSlot)],
 ) {
@@ -71,9 +72,7 @@ pub(crate) fn encode_segments(
         for (id, size, sig) in &seg.entries {
             enc.put_u32(*id);
             enc.put_u64(*size);
-            for &slot in sig.slots() {
-                enc.put_u64(slot);
-            }
+            enc.put_u64s(sig.slots());
         }
     }
     enc.put_u64(dead.len() as u64);
@@ -126,10 +125,7 @@ pub(crate) fn decode_segments(
             if size == 0 {
                 return Err(CodecError::Corrupt("zero-size segment entry"));
             }
-            let mut slots = Vec::with_capacity(num_perm);
-            for _ in 0..num_perm {
-                slots.push(dec.get_u64("segment entry slot")?);
-            }
+            let slots = dec.get_u64s(num_perm, "segment entry slot")?;
             entries.push((id, size, Signature::from_slots(slots)));
         }
         segment_entries.push(entries);
@@ -193,33 +189,33 @@ impl LshEnsemble {
     /// [`to_bytes`](Self::to_bytes).
     #[must_use]
     pub fn to_bytes_committed(&self) -> Vec<u8> {
+        Encoder::exactly(|enc| self.encode_into(enc))
+    }
+
+    /// [`to_bytes_committed`](Self::to_bytes_committed) (and its panic) into
+    /// `enc`, every forest in place: no buffer per nesting level.
+    pub fn encode_into<W: Write>(&self, enc: &mut Encoder<W>) {
         assert_eq!(
             self.staged_len(),
             0,
             "commit staged inserts before serialising"
         );
         let config = *self.config();
-        let mut enc = Encoder::with_capacity(64 + self.memory_bytes());
         enc.envelope(MAGIC, VERSION);
         enc.put_u32(config.num_perm as u32);
         enc.put_u32(config.b_max as u32);
         enc.put_u32(config.r_max as u32);
-        encode_strategy(&mut enc, config.strategy);
+        encode_strategy(enc, config.strategy);
         enc.put_u64(self.len() as u64);
         let parts = self.raw_partitions();
         enc.put_u64(parts.len() as u64);
         for (lower, upper, forest) in parts {
             enc.put_u64(lower);
             enc.put_u64(upper);
-            let fb = forest.to_bytes();
-            enc.put_u64(fb.len() as u64);
             // Raw append: the forest bytes are themselves an envelope.
-            for b in fb {
-                enc.put_u8(b);
-            }
+            enc.put_nested(|enc| forest.encode_into(enc));
         }
-        encode_segments(&mut enc, self.raw_segments(), self.raw_dead());
-        enc.finish()
+        encode_segments(enc, self.raw_segments(), self.raw_dead());
     }
 
     /// Deserialises an ensemble.
@@ -252,15 +248,7 @@ impl LshEnsemble {
             if lower > upper {
                 return Err(CodecError::Corrupt("inverted partition bounds"));
             }
-            let fb_len = dec.get_u64("forest byte length")? as usize;
-            if fb_len > dec.remaining() {
-                return Err(CodecError::Corrupt("forest payload exceeds input"));
-            }
-            let mut fb = Vec::with_capacity(fb_len);
-            for _ in 0..fb_len {
-                fb.push(dec.get_u8("forest bytes")?);
-            }
-            let forest = LshForest::from_bytes(&fb)?;
+            let forest = LshForest::from_bytes(dec.get_nested("forest bytes")?)?;
             if forest.b_max() != b_max || forest.r_max() != r_max {
                 return Err(CodecError::Corrupt("forest dims disagree with config"));
             }

@@ -22,7 +22,7 @@ use crate::api::{
 };
 use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
 use lshe_lsh::DomainId;
-use lshe_minhash::hash::FastHashMap;
+use lshe_minhash::hash::{FastHashMap, FastHashSet};
 use lshe_minhash::{containment_from_jaccard, Signature};
 
 /// A containment-search index that can rank its answers.
@@ -49,8 +49,9 @@ pub(crate) fn skew_exceeds(stats: &[PartitionStats], len: usize, trigger: f64) -
 /// Builder for [`RankedIndex`].
 #[derive(Debug)]
 pub struct RankedIndexBuilder {
+    /// The one owner of every staged signature until `build` moves them.
     inner: LshEnsembleBuilder,
-    sketches: FastHashMap<DomainId, (u64, Signature)>,
+    seen: FastHashSet<DomainId>,
 }
 
 impl RankedIndexBuilder {
@@ -59,7 +60,7 @@ impl RankedIndexBuilder {
     pub fn new(config: EnsembleConfig) -> Self {
         Self {
             inner: LshEnsembleBuilder::new(config),
-            sketches: FastHashMap::default(),
+            seen: FastHashSet::default(),
         }
     }
 
@@ -69,21 +70,20 @@ impl RankedIndexBuilder {
     /// Panics on zero size, width mismatch, or a duplicate id (ranking
     /// requires ids to be unique).
     pub fn add(&mut self, id: DomainId, size: u64, signature: Signature) {
-        let prev = self.sketches.insert(id, (size, signature.clone()));
-        assert!(prev.is_none(), "duplicate domain id {id}");
+        assert!(self.seen.insert(id), "duplicate domain id {id}");
         self.inner.add(id, size, signature);
     }
 
     /// Number of staged domains.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sketches.len()
+        self.inner.len()
     }
 
     /// True if nothing is staged.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sketches.is_empty()
+        self.inner.is_empty()
     }
 
     /// Builds the index.
@@ -92,9 +92,14 @@ impl RankedIndexBuilder {
     /// Panics if the builder is empty.
     #[must_use]
     pub fn build(self) -> RankedIndex {
+        let staged = self.inner;
+        let sigs: Vec<&Signature> = staged.signatures.iter().collect();
+        let ensemble =
+            LshEnsemble::build_from_parts(staged.config, &staged.ids, &staged.sizes, &sigs);
+        let sizes = staged.sizes.into_iter().zip(staged.signatures);
         RankedIndex {
-            ensemble: self.inner.build(),
-            sketches: self.sketches,
+            ensemble,
+            sketches: staged.ids.into_iter().zip(sizes).collect(),
             rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
         }
     }

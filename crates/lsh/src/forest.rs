@@ -68,20 +68,23 @@ impl PrefixTree {
         }
         self.keys.append(&mut self.staged_keys);
         self.ids.append(&mut self.staged_ids);
-        let n = self.ids.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        let keys = &self.keys;
-        order.sort_unstable_by(|&a, &b| {
-            Self::row(keys, r_max, a as usize).cmp(Self::row(keys, r_max, b as usize))
-        });
-        let mut new_keys = Vec::with_capacity(self.keys.len());
-        let mut new_ids = Vec::with_capacity(n);
+        (self.keys, self.ids) = Self::sorted(&self.keys, &self.ids, r_max);
+    }
+
+    /// The rows of `(keys, ids)` in key order, as exactly sized columns.
+    /// Rows with equal keys stay in the order this sort leaves them, so it
+    /// is part of the canonical byte form: every tree is built through it.
+    fn sorted(keys: &[u32], ids: &[DomainId], r_max: usize) -> (Vec<u32>, Vec<DomainId>) {
+        let row = |i: u32| Self::row(keys, r_max, i as usize);
+        let mut order: Vec<u32> = (0..ids.len() as u32).collect();
+        // The first slot decides nearly every comparison, faster alone.
+        order.sort_unstable_by(|&a, &b| row(a)[0].cmp(&row(b)[0]).then_with(|| row(a).cmp(row(b))));
+        let mut sorted_keys = Vec::with_capacity(keys.len());
         for &i in &order {
-            new_keys.extend_from_slice(Self::row(&self.keys, r_max, i as usize));
-            new_ids.push(self.ids[i as usize]);
+            sorted_keys.extend_from_slice(row(i));
         }
-        self.keys = new_keys;
-        self.ids = new_ids;
+        let sorted_ids = order.iter().map(|&i| ids[i as usize]).collect();
+        (sorted_keys, sorted_ids)
     }
 
     /// Drops every row stored under `id`, committed and staged, keeping
@@ -184,6 +187,26 @@ impl LshForest {
             len: 0,
             staged: 0,
         }
+    }
+
+    /// Builds a committed forest over `rows` with no staged tail, each
+    /// tree's keys sorted into exactly sized columns. Equal byte for byte to
+    /// inserting the rows in order and committing; panics where that would.
+    #[must_use]
+    pub fn from_rows(b_max: usize, r_max: usize, rows: &[(DomainId, &Signature)]) -> Self {
+        let mut forest = Self::new(b_max, r_max);
+        let ids: Vec<DomainId> = rows.iter().map(|&(id, _)| id).collect();
+        let mut column: Vec<u32> = Vec::with_capacity(rows.len() * r_max);
+        for (t, tree) in forest.trees.iter_mut().enumerate() {
+            column.clear();
+            for (_, sig) in rows {
+                let band = &sig.slots()[t * r_max..(t + 1) * r_max];
+                column.extend(band.iter().map(|&v| truncate_slot(v)));
+            }
+            (tree.keys, tree.ids) = PrefixTree::sorted(&column, &ids, r_max);
+        }
+        forest.len = rows.len();
+        forest
     }
 
     /// Maximum number of bands usable at query time.

@@ -34,17 +34,21 @@ impl LshForest {
     /// canonical.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
+        Encoder::exactly(|enc| self.encode_into(enc))
+    }
+
+    /// [`to_bytes`](Self::to_bytes) (and its panic) into `enc`, so an
+    /// enclosing format nests the forest without an intermediate buffer.
+    pub fn encode_into<W: std::io::Write>(&self, enc: &mut Encoder<W>) {
         assert_eq!(self.staged_len(), 0, "commit the forest before serialising");
-        let mut enc = Encoder::with_capacity(32 + self.memory_bytes());
         enc.envelope(MAGIC, VERSION);
         enc.put_u32(self.b_max() as u32);
         enc.put_u32(self.r_max() as u32);
         enc.put_u64(self.len() as u64);
-        for tree in self.raw_trees() {
-            enc.put_u32_slice(tree.0);
-            enc.put_u32_slice(tree.1);
+        for (keys, ids) in self.raw_trees() {
+            enc.put_u32_slice(keys);
+            enc.put_u32_slice(ids);
         }
-        enc.finish()
     }
 
     /// Deserialises a forest.
@@ -115,6 +119,55 @@ mod tests {
             for &(b, r) in &[(32usize, 8usize), (8, 4), (1, 1)] {
                 assert_eq!(forest.query(&sig, b, r), restored.query(&sig, b, r));
             }
+        }
+    }
+
+    #[test]
+    fn bulk_built_forest_equals_insert_and_commit() {
+        // Prefixes of one pool make near-duplicate domains, so trees hold
+        // runs of equal keys whose order the byte form depends on.
+        let h = MinHasher::new(256);
+        let pool = MinHasher::synthetic_values(3, 400);
+        let sigs: Vec<_> = (0..300usize)
+            .map(|i| h.signature(pool[..100 + i].iter().copied()))
+            .collect();
+        for &(b_max, r_max) in &[(32usize, 8usize), (8, 4), (1, 1)] {
+            let mut staged = LshForest::new(b_max, r_max);
+            let rows: Vec<(DomainId, &_)> = (0u32..).zip(&sigs).collect();
+            for &(id, sig) in &rows {
+                staged.insert(id, sig);
+            }
+            staged.commit();
+            let bulk = LshForest::from_rows(b_max, r_max, &rows);
+            assert_eq!(bulk.len(), staged.len());
+            assert_eq!(bulk.to_bytes(), staged.to_bytes(), "({b_max}, {r_max})");
+            for sig in sigs.iter().step_by(17) {
+                for &(b, r) in &[(b_max, r_max), (1, 1), (b_max.div_ceil(2), r_max)] {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    bulk.query_into(sig, b, r, &mut got);
+                    staged.query_into(sig, b, r, &mut want);
+                    assert_eq!(got, want, "({b_max}, {r_max}) queried at ({b}, {r})");
+                }
+            }
+        }
+        let empty = LshForest::from_rows(4, 2, &[]);
+        assert_eq!(empty.to_bytes(), LshForest::new(4, 2).to_bytes());
+    }
+
+    #[test]
+    fn decoded_and_bulk_built_columns_have_no_spare_capacity() {
+        let (h, forest, values) = sample_forest(77);
+        let sigs: Vec<_> = values
+            .iter()
+            .map(|v| h.signature(v.iter().copied()))
+            .collect();
+        let rows: Vec<(DomainId, &_)> = (0u32..).zip(&sigs).collect();
+        let bulk = LshForest::from_rows(32, 8, &rows);
+        let decoded = LshForest::from_bytes(&forest.to_bytes()).expect("decode");
+        for f in [&bulk, &decoded] {
+            let exact: usize = f.raw_trees().map(|(k, i)| 4 * (k.len() + i.len())).sum();
+            assert_eq!(f.memory_bytes(), exact, "capacity() == len() per column");
+            assert_eq!(f.to_bytes().capacity(), f.to_bytes().len());
         }
     }
 

@@ -57,40 +57,95 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Append-only encoder over a byte vector.
+/// Elements the slice writers convert per write: in L1, yet few writes.
+const BLOCK_ELEMS: usize = 512;
+
+/// Append-only encoder over a byte sink: a `Vec<u8>` by default, or any
+/// [`std::io::Write`], so a large index streams to a file unassembled.
+/// `put_*` never fail: an I/O sink's first error sticks (later writes are
+/// dropped) and [`into_sink`](Self::into_sink) reports it.
 #[derive(Debug, Default)]
-pub struct Encoder {
-    buf: Vec<u8>,
+pub struct Encoder<W = Vec<u8>> {
+    sink: W,
+    written: usize,
+    /// While a payload is only measured: lengths add up, no byte moves.
+    measuring: bool,
+    error: Option<std::io::Error>,
 }
 
 impl Encoder {
-    /// Creates an encoder, optionally pre-sized.
+    /// Creates an in-memory encoder, optionally pre-sized.
     #[must_use]
     pub fn with_capacity(cap: usize) -> Self {
+        Self::over(Vec::with_capacity(cap))
+    }
+
+    /// Encodes what `fill` writes into a buffer of exactly its size.
+    #[must_use]
+    pub fn exactly(fill: impl Fn(&mut Self)) -> Vec<u8> {
+        let mut enc = Self {
+            measuring: true,
+            ..Self::default()
+        };
+        fill(&mut enc);
+        let mut enc = Self::with_capacity(enc.written);
+        fill(&mut enc);
+        enc.sink
+    }
+
+    /// Finishes encoding.
+    #[must_use]
+    pub fn finish(self) -> Vec<u8> {
+        self.sink
+    }
+}
+
+impl<W: std::io::Write> Encoder<W> {
+    /// Creates an encoder that appends to `sink`.
+    pub fn over(sink: W) -> Self {
         Self {
-            buf: Vec::with_capacity(cap),
+            sink,
+            written: 0,
+            measuring: false,
+            error: None,
+        }
+    }
+
+    /// Finishes encoding and hands the sink back.
+    ///
+    /// # Errors
+    /// The first error the sink reported, if any.
+    pub fn into_sink(self) -> std::io::Result<W> {
+        self.error.map_or(Ok(self.sink), Err)
+    }
+
+    /// Writes raw bytes, no length prefix.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.written += bytes.len();
+        if !self.measuring && self.error.is_none() {
+            self.error = self.sink.write_all(bytes).err();
         }
     }
 
     /// Writes the 4-byte magic tag and a version byte.
     pub fn envelope(&mut self, magic: [u8; 4], version: u8) {
-        self.buf.extend_from_slice(&magic);
-        self.buf.push(version);
+        self.put_bytes(&magic);
+        self.put_u8(version);
     }
 
     /// Writes a `u8`.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put_bytes(&[v]);
     }
 
     /// Writes a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
 
     /// Writes a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put_bytes(&v.to_le_bytes());
     }
 
     /// Writes an `f64` by bit pattern.
@@ -98,44 +153,65 @@ impl Encoder {
         self.put_u64(v.to_bits());
     }
 
+    /// Writes `vs` little-endian a block at a time, no length prefix.
+    fn put_le<T: Copy, const N: usize>(&mut self, vs: &[T], le: impl Fn(T) -> [u8; N]) {
+        if self.measuring {
+            self.written += N * vs.len();
+            return;
+        }
+        let mut block = [[0u8; N]; BLOCK_ELEMS];
+        for chunk in vs.chunks(BLOCK_ELEMS) {
+            for (dst, &v) in block.iter_mut().zip(chunk) {
+                *dst = le(v);
+            }
+            self.put_bytes(block[..chunk.len()].as_flattened());
+        }
+    }
+
+    /// Writes little-endian `u64`s with no length prefix.
+    pub fn put_u64s(&mut self, vs: &[u64]) {
+        self.put_le(vs, u64::to_le_bytes);
+    }
+
     /// Writes a length-prefixed `u32` slice.
     pub fn put_u32_slice(&mut self, vs: &[u32]) {
         self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.put_u32(v);
-        }
+        self.put_le(vs, u32::to_le_bytes);
     }
 
     /// Writes a length-prefixed `u64` slice.
     pub fn put_u64_slice(&mut self, vs: &[u64]) {
         self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.put_u64(v);
-        }
+        self.put_u64s(vs);
     }
 
     /// Writes a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put_bytes(s.as_bytes());
     }
 
-    /// Finishes encoding.
-    #[must_use]
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
+    /// Writes a nested payload behind its `u64` length: `fill` encodes it
+    /// in place, run once to measure (no byte moves) and once to write.
+    pub fn put_nested(&mut self, fill: impl Fn(&mut Self)) {
+        let (start, outer) = (self.written, std::mem::replace(&mut self.measuring, true));
+        fill(self);
+        let len = self.written - start;
+        (self.written, self.measuring) = (start, outer);
+        self.put_u64(len as u64);
+        fill(self);
     }
 
     /// Bytes written so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.written
     }
 
     /// True if nothing has been written.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.written == 0
     }
 }
 
@@ -154,7 +230,7 @@ impl<'a> Decoder<'a> {
     }
 
     fn take(&mut self, n: usize, reading: &'static str) -> Result<&'a [u8], CodecError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(CodecError::UnexpectedEof { reading });
         }
         let out = &self.buf[self.pos..self.pos + n];
@@ -174,7 +250,7 @@ impl<'a> Decoder<'a> {
                 found: found.try_into().expect("4 bytes"),
             });
         }
-        Ok(self.take(1, "version")?[0])
+        self.get_u8("version")
     }
 
     /// Reads a `u8`.
@@ -213,34 +289,48 @@ impl<'a> Decoder<'a> {
         Ok(f64::from_bits(self.get_u64(reading)?))
     }
 
-    /// Reads a length-prefixed `u32` vector, guarding the announced length
-    /// against the remaining input so corrupt lengths fail fast instead of
-    /// allocating gigabytes.
+    /// Reads a `u64` count of `width`-byte elements and borrows their bytes,
+    /// failing fast on a count that wraps or exceeds the remaining input.
+    fn counted(&mut self, width: usize, reading: &'static str) -> Result<&'a [u8], CodecError> {
+        let bytes = usize::try_from(self.get_u64(reading)?)
+            .ok()
+            .and_then(|n| n.checked_mul(width))
+            .filter(|&bytes| bytes <= self.remaining())
+            .ok_or(CodecError::Corrupt("announced length exceeds input"))?;
+        self.take(bytes, reading)
+    }
+
+    /// Borrows a payload written by [`Encoder::put_nested`], uncopied.
+    ///
+    /// # Errors
+    /// [`CodecError`] variants on truncation or corruption.
+    pub fn get_nested(&mut self, reading: &'static str) -> Result<&'a [u8], CodecError> {
+        self.counted(1, reading)
+    }
+
+    /// Reads `n` little-endian `u64`s, no length prefix (capacity = `n`).
+    ///
+    /// # Errors
+    /// [`CodecError::UnexpectedEof`] when fewer than `8 · n` bytes remain.
+    pub fn get_u64s(&mut self, n: usize, reading: &'static str) -> Result<Vec<u64>, CodecError> {
+        let bytes = self.take(n.saturating_mul(8), reading)?;
+        Ok(le_vec(bytes, u64::from_le_bytes))
+    }
+
+    /// Reads a length-prefixed `u32` vector (capacity = length).
     ///
     /// # Errors
     /// [`CodecError`] variants on truncation or corruption.
     pub fn get_u32_vec(&mut self, reading: &'static str) -> Result<Vec<u32>, CodecError> {
-        let n = self.get_u64(reading)? as usize;
-        if n.checked_mul(4)
-            .is_none_or(|bytes| self.pos + bytes > self.buf.len())
-        {
-            return Err(CodecError::Corrupt("announced u32 array exceeds input"));
-        }
-        (0..n).map(|_| self.get_u32(reading)).collect()
+        Ok(le_vec(self.counted(4, reading)?, u32::from_le_bytes))
     }
 
-    /// Reads a length-prefixed `u64` vector with the same length guard.
+    /// Reads a length-prefixed `u64` vector (capacity = length).
     ///
     /// # Errors
     /// [`CodecError`] variants on truncation or corruption.
     pub fn get_u64_vec(&mut self, reading: &'static str) -> Result<Vec<u64>, CodecError> {
-        let n = self.get_u64(reading)? as usize;
-        if n.checked_mul(8)
-            .is_none_or(|bytes| self.pos + bytes > self.buf.len())
-        {
-            return Err(CodecError::Corrupt("announced u64 array exceeds input"));
-        }
-        (0..n).map(|_| self.get_u64(reading)).collect()
+        Ok(le_vec(self.counted(8, reading)?, u64::from_le_bytes))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -248,12 +338,9 @@ impl<'a> Decoder<'a> {
     /// # Errors
     /// [`CodecError`] variants on truncation or invalid UTF-8.
     pub fn get_str(&mut self, reading: &'static str) -> Result<String, CodecError> {
-        let n = self.get_u64(reading)? as usize;
-        if self.pos + n > self.buf.len() {
-            return Err(CodecError::Corrupt("announced string exceeds input"));
-        }
-        let bytes = self.take(n, reading)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Corrupt("invalid UTF-8"))
+        std::str::from_utf8(self.counted(1, reading)?)
+            .map(str::to_owned)
+            .map_err(|_| CodecError::Corrupt("invalid UTF-8"))
     }
 
     /// True if every input byte has been consumed.
@@ -267,6 +354,14 @@ impl<'a> Decoder<'a> {
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+}
+
+/// The little-endian `N`-byte values of `bytes`, exactly sized.
+fn le_vec<T, const N: usize>(bytes: &[u8], from_le: impl Fn([u8; N]) -> T) -> Vec<T> {
+    let values = bytes.chunks_exact(N);
+    values
+        .map(|c| from_le(c.try_into().expect("N bytes")))
+        .collect()
 }
 
 /// Wire format of a [`crate::Signature`]: the query sketch a client ships
@@ -367,6 +462,137 @@ mod tests {
         let bytes = enc.finish();
         let err = Decoder::new(&bytes).get_u32_vec("field").unwrap_err();
         assert!(matches!(err, CodecError::Corrupt(_)));
+    }
+
+    #[test]
+    fn hostile_lengths_are_typed_errors_in_every_getter() {
+        // Lengths near usize::MAX used to wrap `pos + n` (release) or
+        // overflow-panic (debug); each getter must return an error.
+        for hostile in [u64::MAX, u64::MAX - 7, (usize::MAX / 4) as u64 + 1, 1 << 63] {
+            let mut enc = Encoder::default();
+            enc.put_u64(7); // move the cursor off zero so `pos + n` can wrap
+            enc.put_u64(hostile);
+            enc.put_u64(0);
+            let bytes = enc.finish();
+            let dec = || {
+                let mut dec = Decoder::new(&bytes);
+                dec.get_u64("lead").expect("lead");
+                dec
+            };
+            let corrupt = CodecError::Corrupt("announced length exceeds input");
+            assert_eq!(dec().get_str("s").unwrap_err(), corrupt);
+            assert_eq!(dec().get_u32_vec("v").unwrap_err(), corrupt);
+            assert_eq!(dec().get_u64_vec("v").unwrap_err(), corrupt);
+            assert_eq!(dec().get_nested("n").unwrap_err(), corrupt);
+            let n = hostile as usize;
+            assert_eq!(
+                dec().take(n, "raw").unwrap_err(),
+                CodecError::UnexpectedEof { reading: "raw" }
+            );
+            assert_eq!(
+                dec().get_u64s(n, "raw").unwrap_err(),
+                CodecError::UnexpectedEof { reading: "raw" }
+            );
+        }
+    }
+
+    #[test]
+    fn bulk_slices_match_the_elementwise_form_and_decode_exactly_sized() {
+        // Lengths straddling the conversion block.
+        for n in [
+            0usize,
+            1,
+            BLOCK_ELEMS - 1,
+            BLOCK_ELEMS,
+            BLOCK_ELEMS + 1,
+            3 * BLOCK_ELEMS + 5,
+        ] {
+            let a: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            let b: Vec<u64> = (0..n as u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect();
+            let mut bulk = Encoder::default();
+            bulk.put_u32_slice(&a);
+            bulk.put_u64_slice(&b);
+            bulk.put_u64s(&b);
+            let mut each = Encoder::default();
+            each.put_u64(n as u64);
+            a.iter().for_each(|&v| each.put_u32(v));
+            each.put_u64(n as u64);
+            b.iter().for_each(|&v| each.put_u64(v));
+            b.iter().for_each(|&v| each.put_u64(v));
+            assert_eq!(bulk.len(), each.len());
+            let bytes = bulk.finish();
+            assert_eq!(bytes, each.finish(), "n = {n}");
+
+            let mut dec = Decoder::new(&bytes);
+            let (a2, b2) = (
+                dec.get_u32_vec("a").expect("a"),
+                dec.get_u64_vec("b").expect("b"),
+            );
+            let b3 = dec.get_u64s(n, "raw").expect("raw");
+            assert!(dec.is_exhausted());
+            assert_eq!((&a2, &b2, &b3), (&a, &b, &b));
+            assert_eq!(
+                (a2.capacity(), b2.capacity(), b3.capacity()),
+                (n, n, n),
+                "decoded vectors must not over-allocate"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_payload_is_borrowed_back_without_a_copy() {
+        let mut enc = Encoder::default();
+        enc.put_u8(9);
+        enc.put_nested(|enc| enc.envelope(*b"NEST", 2));
+        enc.put_u8(10);
+        let bytes = enc.finish();
+        let mut dec = Decoder::new(&bytes);
+        assert_eq!(dec.get_u8("a").expect("a"), 9);
+        let inner = dec.get_nested("inner").expect("inner");
+        assert!(std::ptr::eq(inner.as_ptr(), bytes[9..].as_ptr()));
+        assert_eq!(Decoder::new(inner).envelope(*b"NEST").expect("nested"), 2);
+        assert_eq!(dec.get_u8("b").expect("b"), 10);
+    }
+
+    #[test]
+    fn io_sink_streams_the_same_bytes_and_keeps_the_first_error() {
+        fn write<W: std::io::Write>(enc: &mut Encoder<W>) {
+            enc.envelope(*b"SINK", 1);
+            enc.put_u64_slice(&[1, 2, 3]);
+            enc.put_str("tail");
+        }
+        let mut plain = Encoder::default();
+        write(&mut plain);
+        let mut streamed = Encoder::over(std::io::BufWriter::with_capacity(7, Vec::new()));
+        write(&mut streamed);
+        assert_eq!(streamed.len(), plain.len());
+        let sink = streamed.into_sink().expect("no error");
+        assert_eq!(sink.into_inner().expect("flush"), plain.finish());
+
+        /// Accepts `room` bytes, then fails every write.
+        struct Full {
+            room: usize,
+        }
+        impl std::io::Write for Full {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if buf.len() > self.room {
+                    return Err(std::io::Error::other("disk full"));
+                }
+                self.room -= buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut failing = Encoder::over(Full { room: 6 });
+        failing.envelope(*b"SINK", 1);
+        failing.put_u64(1); // fails here …
+        failing.put_u8(2); // … and this would fit, but must not be written
+        let err = failing.into_sink().map(|_| ()).unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
     }
 
     #[test]

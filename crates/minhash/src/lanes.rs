@@ -70,35 +70,42 @@ pub fn ideal_lanes(items: usize) -> usize {
 
 /// Runs `run` over contiguous chunks of `items` across budget-governed
 /// worker lanes — spawned once per batch, not once per item — and
-/// concatenates the per-chunk outputs in item order. The calling thread
-/// IS the first lane (it runs the first chunk itself while the spawned
-/// lanes work the rest), so a batch uses exactly the lanes its
-/// [`LaneGuard`] accounts for. `run` must be a pure function of its
-/// chunk, so the chunking can never change results.
+/// concatenates the per-chunk outputs in item order. `run` must be a pure
+/// function of its chunk, so the chunking can never change results.
 pub fn run_chunked<I: Sync, O: Send>(items: &[I], run: impl Fn(&[I]) -> Vec<O> + Sync) -> Vec<O> {
-    let guard = acquire(ideal_lanes(items.len()) - 1);
-    let lanes = guard.lanes();
+    let lanes = ideal_lanes(items.len());
     if lanes <= 1 {
         return run(items);
     }
-    let chunk = items.len().div_ceil(lanes);
-    let mut chunks = items.chunks(chunk);
-    let first = chunks.next().unwrap_or(&[]);
-    let (first_out, rest): (Vec<O>, Vec<Vec<O>>) = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks.map(|c| scope.spawn(|| run(c))).collect();
-        let first_out = run(first);
-        (
-            first_out,
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("batch lane panicked"))
-                .collect(),
-        )
+    let chunks: Vec<&[I]> = items.chunks(items.len().div_ceil(lanes)).collect();
+    let outs = run_each(&chunks, |chunk| run(chunk));
+    outs.into_iter().flatten().collect()
+}
+
+/// Runs `run` on every item across budget-governed lanes and returns the
+/// outputs in item order. Each lane takes the next item from a shared
+/// counter when it is free, so few, heavy, unequal items (a partition's
+/// forest) never leave lanes idle behind a fixed split. The calling thread
+/// IS the first lane, so a batch uses exactly the lanes its [`LaneGuard`]
+/// accounts for.
+pub fn run_each<I: Sync, O: Send>(items: &[I], run: impl Fn(&I) -> O + Sync) -> Vec<O> {
+    let guard = acquire(items.len().saturating_sub(1));
+    let next = AtomicUsize::new(0);
+    let lane = || -> Vec<(usize, O)> {
+        std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+            .map_while(|i| Some((i, run(items.get(i)?))))
+            .collect()
+    };
+    let mut out = std::thread::scope(|scope| {
+        let extra: Vec<_> = (1..guard.lanes()).map(|_| scope.spawn(lane)).collect();
+        let mut out = lane();
+        for handle in extra {
+            out.extend(handle.join().expect("batch lane panicked"));
+        }
+        out
     });
-    first_out
-        .into_iter()
-        .chain(rest.into_iter().flatten())
-        .collect()
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, o)| o).collect()
 }
 
 /// Takes up to `want_extra` additional lanes from the process budget.
@@ -172,6 +179,19 @@ mod tests {
         for (i, v) in doubled.into_iter().enumerate() {
             assert_eq!(v, 2 * i as u64);
         }
+    }
+
+    #[test]
+    fn run_each_keeps_item_order_whatever_lane_takes_what() {
+        // Unequal items: the early ones are slow, so lanes finish out of order.
+        let items: Vec<u64> = (0..40).collect();
+        let squares = run_each(&items, |&x| {
+            std::thread::sleep(std::time::Duration::from_micros(50 * (40 - x)));
+            x * x
+        });
+        assert_eq!(squares, items.iter().map(|x| x * x).collect::<Vec<_>>());
+        assert_eq!(run_each(&[3u64], |&x| x + 1), vec![4]);
+        assert_eq!(run_each(&[], |x: &u64| *x), Vec::<u64>::new());
     }
 
     #[test]

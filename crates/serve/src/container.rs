@@ -11,13 +11,14 @@
 //! if ranked: per domain (same order): signature slots u64 array
 //! ```
 //!
-//! Two on-disk generations share this module. The v1 format above is
-//! decoded wholesale into heap structures. The v2 format (`lshe-store`,
-//! magic `LSHEIDX2`, see `docs/FORMAT.md`) is packed once from a ranked
-//! container by [`IndexContainer::pack_v2`] and then **served in place**:
-//! [`IndexContainer::load`] memory-maps it and queries run against
-//! borrowed page-cache memory through [`MmapIndex`]. Mapped containers
-//! are read-only — mutations are typed errors, never silent no-ops.
+//! Two on-disk formats share this module. The heap format above (`LSHX`,
+//! currently [`VERSION`]) is decoded wholesale into heap structures. The
+//! packed format (`lshe-store`, magic `LSHEIDX2`, see `docs/FORMAT.md`)
+//! is packed once from a ranked container by [`IndexContainer::pack_v2`]
+//! and then **served in place**: [`IndexContainer::load`] memory-maps it
+//! and queries run against borrowed page-cache memory through
+//! [`MmapIndex`]. Mapped containers are read-only — mutations are typed
+//! errors, never silent no-ops.
 
 use lshe_core::{
     CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MmapIndex, MmapIndexError,
@@ -26,9 +27,10 @@ use lshe_core::{
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
 use lshe_minhash::{MinHasher, Signature};
-use lshe_store::{Packer, SectionKind};
+use lshe_store::{Mmap, Packer, SectionKind, Store};
+use std::borrow::Borrow;
 use std::fmt::Write as _;
-use std::io::Write as _;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -50,6 +52,25 @@ pub struct DomainRecord {
     pub table: String,
     /// Source column.
     pub column: String,
+}
+
+impl DomainRecord {
+    /// The record's one byte form: container, packed file and delta log.
+    fn encode_into<W: Write>(&self, enc: &mut Encoder<W>) {
+        enc.put_u32(self.id);
+        enc.put_u64(self.size);
+        enc.put_str(&self.table);
+        enc.put_str(&self.column);
+    }
+
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
+        Ok(Self {
+            id: dec.get_u32("record id")?,
+            size: dec.get_u64("record size")?,
+            table: dec.get_str("record table")?,
+            column: dec.get_str("record column")?,
+        })
+    }
 }
 
 /// What kind of index a container stores — the tag
@@ -94,6 +115,11 @@ pub struct IndexContainer {
     next_id: u32,
 }
 
+/// [`IndexContainer::from_stream`] sketches this many domains at a time,
+const SKETCH_CHUNK_DOMAINS: usize = 1024;
+/// or fewer once they hold this many values (8 MiB of raw hashes).
+const SKETCH_CHUNK_VALUES: usize = 1 << 20;
+
 impl IndexContainer {
     /// Builds a container from a catalog: sketches every domain, builds the
     /// ensemble (retaining ranked sketches when `ranked`), and records
@@ -104,46 +130,12 @@ impl IndexContainer {
     #[must_use]
     pub fn build(catalog: &Catalog, partitions: usize, ranked: bool) -> Self {
         assert!(!catalog.is_empty(), "catalog must not be empty");
-        assert!(partitions > 0, "partitions must be positive");
-        let hasher = MinHasher::new(lshe_minhash::DEFAULT_NUM_PERM);
-        let config = EnsembleConfig {
-            strategy: PartitionStrategy::EquiDepth { n: partitions },
-            ..EnsembleConfig::default()
-        };
-        let mut records = Vec::with_capacity(catalog.len());
-        let mut plain_builder = (!ranked).then(|| LshEnsemble::builder_with(config));
-        let mut ranked_builder = ranked.then(|| RankedIndex::builder_with(config));
-        // Sketch the whole catalog through the batched constructor: the
-        // hash scratch is shared and the worker lanes are spawned once.
-        let sets: Vec<&[u64]> = catalog.iter().map(|(_, d)| d.hashes()).collect();
-        let signatures = hasher.bulk_signatures(&sets);
-        for ((id, domain), sig) in catalog.iter().zip(signatures) {
-            let meta = catalog.meta(id);
-            records.push(DomainRecord {
-                id,
-                size: domain.len() as u64,
-                table: meta.table.clone(),
-                column: meta.column.clone(),
-            });
-            if let Some(rb) = ranked_builder.as_mut() {
-                rb.add(id, domain.len() as u64, sig);
-            } else if let Some(b) = plain_builder.as_mut() {
-                b.add(id, domain.len() as u64, sig);
-            }
-        }
-        let index = match ranked_builder {
-            Some(rb) => StoredIndex::Ranked(Arc::new(rb.build())),
-            None => StoredIndex::Plain(Arc::new(
-                plain_builder.expect("plain builder present").build(),
-            )),
-        };
-        let next_id = Self::high_water(&records);
-        Self {
-            records,
-            index,
-            num_perm: hasher.num_perm(),
-            next_id,
-        }
+        // Catalog ids are dense, so the stream assigns the same ones; the
+        // domains are sketched where they lie, uncopied.
+        let domains = catalog
+            .iter()
+            .map(|(id, domain)| (domain, catalog.meta(id).clone()));
+        Self::sketch_and_build(domains, partitions, ranked)
     }
 
     /// One past the largest id in `records` (0 when empty) — the floor for
@@ -152,10 +144,11 @@ impl IndexContainer {
         records.iter().map(|r| r.id).max().map_or(0, |id| id + 1)
     }
 
-    /// Builds a container from a stream of domains, sketching and dropping
-    /// each one as it arrives: peak memory is the index under construction
-    /// (signatures and records), never the raw value sets. This is the
-    /// constructor for corpora that do not fit in RAM — e.g. a
+    /// Builds a container from a stream of domains, sketching them a
+    /// bounded chunk at a time through `bulk_signatures`' lanes and
+    /// dropping each chunk once sketched: peak memory is the index under
+    /// construction (signatures and records), never the raw value sets.
+    /// This is the constructor for corpora that do not fit in RAM — e.g. a
     /// `lshe_datagen::CorpusStream` scaled to multiple gigabytes.
     ///
     /// Value-identical to [`build`](Self::build) over a catalog containing
@@ -167,6 +160,15 @@ impl IndexContainer {
     where
         I: IntoIterator<Item = (Domain, DomainMeta)>,
     {
+        Self::sketch_and_build(domains.into_iter(), partitions, ranked)
+    }
+
+    /// [`build`](Self::build) lends its domains, `from_stream` gives them up.
+    fn sketch_and_build<D: Borrow<Domain>>(
+        domains: impl Iterator<Item = (D, DomainMeta)>,
+        partitions: usize,
+        ranked: bool,
+    ) -> Self {
         assert!(partitions > 0, "partitions must be positive");
         let hasher = MinHasher::new(lshe_minhash::DEFAULT_NUM_PERM);
         let config = EnsembleConfig {
@@ -174,28 +176,41 @@ impl IndexContainer {
             ..EnsembleConfig::default()
         };
         let mut records = Vec::new();
-        let mut plain_builder = (!ranked).then(|| LshEnsemble::builder_with(config));
-        let mut ranked_builder = ranked.then(|| RankedIndex::builder_with(config));
+        let mut signatures = Vec::new();
+        let mut chunk: Vec<D> = Vec::new();
+        let mut chunk_values = 0usize;
+        let mut sketch = |chunk: &mut Vec<D>| {
+            let sets: Vec<&[u64]> = chunk.iter().map(|d| d.borrow().hashes()).collect();
+            signatures.extend(hasher.bulk_signatures(&sets));
+            chunk.clear();
+        };
         for (id, (domain, meta)) in (0u32..).zip(domains) {
-            let sig = hasher.signature(domain.hashes().iter().copied());
+            let size = domain.borrow().len();
             records.push(DomainRecord {
                 id,
-                size: domain.len() as u64,
+                size: size as u64,
                 table: meta.table,
                 column: meta.column,
             });
-            if let Some(rb) = ranked_builder.as_mut() {
-                rb.add(id, domain.len() as u64, sig);
-            } else if let Some(b) = plain_builder.as_mut() {
-                b.add(id, domain.len() as u64, sig);
+            chunk_values += size;
+            chunk.push(domain);
+            if chunk.len() == SKETCH_CHUNK_DOMAINS || chunk_values >= SKETCH_CHUNK_VALUES {
+                sketch(&mut chunk);
+                chunk_values = 0;
             }
         }
+        sketch(&mut chunk);
         assert!(!records.is_empty(), "stream must yield at least one domain");
-        let index = match ranked_builder {
-            Some(rb) => StoredIndex::Ranked(Arc::new(rb.build())),
-            None => StoredIndex::Plain(Arc::new(
-                plain_builder.expect("plain builder present").build(),
-            )),
+        // Each signature moves into the index: one owner, no copy.
+        let entries = records.iter().zip(signatures);
+        let index = if ranked {
+            let mut builder = RankedIndex::builder_with(config);
+            entries.for_each(|(rec, sig)| builder.add(rec.id, rec.size, sig));
+            StoredIndex::Ranked(Arc::new(builder.build()))
+        } else {
+            let mut builder = LshEnsemble::builder_with(config);
+            entries.for_each(|(rec, sig)| builder.add(rec.id, rec.size, sig));
+            StoredIndex::Plain(Arc::new(builder.build()))
         };
         let next_id = Self::high_water(&records);
         Self {
@@ -682,33 +697,31 @@ impl IndexContainer {
         out
     }
 
-    /// Serialises the container in the v1 format.
+    /// Serialises the container in the heap format (`LSHX`, [`VERSION`])
+    /// into one exactly sized buffer.
     ///
     /// # Panics
-    /// Panics on a mapped container — a v2 file *is* its serialised form;
-    /// it is produced by [`pack_v2`](Self::pack_v2), never rewritten.
+    /// Panics on a mapped container — a packed file *is* its serialised
+    /// form; it is produced by [`pack_v2`](Self::pack_v2), never rewritten.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
+        Encoder::exactly(|enc| self.encode_into(enc))
+    }
+
+    /// The encoder behind [`to_bytes`](Self::to_bytes) and [`save`](Self::save).
+    fn encode_into<W: Write>(&self, enc: &mut Encoder<W>) {
         assert!(
             !matches!(self.index, StoredIndex::Mapped(_)),
             "mapped containers are not re-serialised; the packed file is canonical"
         );
-        let mut enc = Encoder::with_capacity(64 + self.records.len() * 48);
         enc.envelope(MAGIC, VERSION);
         enc.put_u8(u8::from(self.has_ranked()));
         enc.put_u32(self.num_perm as u32);
         enc.put_u64(self.records.len() as u64);
         for rec in &self.records {
-            enc.put_u32(rec.id);
-            enc.put_u64(rec.size);
-            enc.put_str(&rec.table);
-            enc.put_str(&rec.column);
+            rec.encode_into(enc);
         }
-        let eb = self.ensemble().to_bytes_committed();
-        enc.put_u64(eb.len() as u64);
-        for b in eb {
-            enc.put_u8(b);
-        }
+        enc.put_nested(|enc| self.ensemble().encode_into(enc));
         if let StoredIndex::Ranked(ranked) = &self.index {
             for rec in &self.records {
                 let (_, sig) = ranked
@@ -719,23 +732,36 @@ impl IndexContainer {
         }
         // v2 trailer: the allocator high-water mark survives restarts.
         enc.put_u32(self.next_id);
-        enc.finish()
     }
 
-    /// Deserialises a v1 container.
+    /// Streams the bytes of [`to_bytes`](Self::to_bytes) (and its panic)
+    /// through a buffered writer into `<path>.tmp`, synced and renamed over
+    /// `path`, without holding them all.
+    ///
+    /// # Errors
+    /// Propagates I/O errors; `path` is untouched on failure.
+    pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        replace_file(path, |file| {
+            let mut enc = Encoder::over(std::io::BufWriter::with_capacity(1 << 20, file));
+            self.encode_into(&mut enc);
+            Ok(enc.into_sink()?.into_inner()?)
+        })
+    }
+
+    /// Deserialises a heap-format container.
     ///
     /// # Errors
     /// [`CodecError`] on truncation, tag/version mismatch, or structural
     /// inconsistencies. Prefer [`load`](Self::load) when reading from a
     /// file: it reports the path and failing section, and transparently
-    /// handles packed v2 files.
+    /// handles packed files.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        Self::decode_v1(bytes).map_err(|(_, e)| e)
+        Self::decode(bytes).map_err(|(_, e)| e)
     }
 
-    /// The v1 decoder, reporting which part of the file failed alongside
-    /// the codec error — [`load`](Self::load) surfaces both.
-    fn decode_v1(bytes: &[u8]) -> Result<Self, (&'static str, CodecError)> {
+    /// The heap-format decoder, reporting which part of the file failed
+    /// alongside the codec error — [`load`](Self::load) surfaces both.
+    fn decode(bytes: &[u8]) -> Result<Self, (&'static str, CodecError)> {
         let mut dec = Decoder::new(bytes);
         let hdr = |e| ("header", e);
         let version = dec.envelope(MAGIC).map_err(hdr)?;
@@ -749,60 +775,39 @@ impl IndexContainer {
         let num_perm = dec.get_u32("num_perm").map_err(hdr)? as usize;
         let count = dec.get_u64("meta count").map_err(hdr)? as usize;
         let rcs = |e| ("domain records", e);
-        let mut records = Vec::with_capacity(count.min(1 << 20));
+        let mut records = Vec::with_capacity(count.min(dec.remaining() / 28));
         for _ in 0..count {
-            records.push(DomainRecord {
-                id: dec.get_u32("record id").map_err(rcs)?,
-                size: dec.get_u64("record size").map_err(rcs)?,
-                table: dec.get_str("record table").map_err(rcs)?,
-                column: dec.get_str("record column").map_err(rcs)?,
-            });
+            records.push(DomainRecord::decode(&mut dec).map_err(rcs)?);
         }
         let ens = |e| ("ensemble", e);
-        let eb_len = dec.get_u64("ensemble length").map_err(ens)? as usize;
-        if eb_len > dec.remaining() {
-            return Err(ens(CodecError::Corrupt("ensemble payload exceeds input")));
-        }
-        let mut eb = Vec::with_capacity(eb_len);
-        for _ in 0..eb_len {
-            eb.push(dec.get_u8("ensemble bytes").map_err(ens)?);
-        }
-        let ensemble = LshEnsemble::from_bytes(&eb).map_err(ens)?;
+        let eb = dec.get_nested("ensemble bytes").map_err(ens)?;
+        // Ensemble and sketches are each about half the file: a thread each.
+        let (ensemble, sketches) = std::thread::scope(|scope| {
+            let ensemble = scope.spawn(|| LshEnsemble::from_bytes(eb));
+            let sketches = has_ranked.then(|| Self::decode_sketches(&mut dec, &records, num_perm));
+            (
+                ensemble.join().expect("ensemble decoder panicked"),
+                sketches,
+            )
+        });
+        let ensemble = ensemble.map_err(ens)?;
         if ensemble.len() != records.len() {
             return Err(ens(CodecError::Corrupt(
                 "record count disagrees with ensemble",
             )));
         }
         let sk = |e| ("sketches", e);
-        let index = if has_ranked {
+        let index = match sketches {
             // Reattach the sketches to the already-decoded ensemble
             // instead of rebuilding every partition forest from scratch.
-            let mut sketches = Vec::with_capacity(records.len());
-            for rec in &records {
-                let slots = dec.get_u64_vec("sketch slots").map_err(sk)?;
-                if slots.len() != num_perm {
-                    return Err(sk(CodecError::Corrupt(
-                        "sketch width disagrees with config",
-                    )));
-                }
-                if rec.size == 0 {
-                    return Err(sk(CodecError::Corrupt(
-                        "zero-size record in ranked container",
-                    )));
-                }
-                sketches.push((rec.id, rec.size, Signature::from_slots(slots)));
-            }
-            let mut seen: Vec<u32> = sketches.iter().map(|&(id, _, _)| id).collect();
-            seen.sort_unstable();
-            if seen.windows(2).any(|w| w[0] == w[1]) {
-                return Err(sk(CodecError::Corrupt("duplicate id in ranked container")));
-            }
-            StoredIndex::Ranked(Arc::new(RankedIndex::from_ensemble(ensemble, sketches)))
-        } else {
-            StoredIndex::Plain(Arc::new(ensemble))
+            Some(sketches) => StoredIndex::Ranked(Arc::new(RankedIndex::from_ensemble(
+                ensemble,
+                sketches.map_err(sk)?,
+            ))),
+            None => StoredIndex::Plain(Arc::new(ensemble)),
         };
-        // v1 files predate the persisted allocator mark; recompute the
-        // conservative floor (which is exactly what v1 servers did).
+        // Version-1 files predate the persisted allocator mark; recompute
+        // the conservative floor (which is exactly what v1 servers did).
         let next_id = if version >= 2 {
             dec.get_u32("next id")
                 .map_err(|e| ("allocator mark", e))?
@@ -821,44 +826,43 @@ impl IndexContainer {
         })
     }
 
-    /// Loads an index file of either generation: a v1 `.lshe` container
-    /// is decoded into heap structures, a packed v2 file (magic
-    /// `LSHEIDX2`) is checksum-verified and memory-mapped in place. The
-    /// format is detected from the file's magic, so callers never pass a
-    /// format flag.
+    /// The per-record sketches of a ranked container, in record order.
+    fn decode_sketches(
+        dec: &mut Decoder<'_>,
+        records: &[DomainRecord],
+        num_perm: usize,
+    ) -> Result<Vec<(u32, u64, Signature)>, CodecError> {
+        let mut sketches = Vec::with_capacity(records.len());
+        for rec in records {
+            let slots = dec.get_u64_vec("sketch slots")?;
+            if slots.len() != num_perm {
+                return Err(CodecError::Corrupt("sketch width disagrees with config"));
+            }
+            if rec.size == 0 {
+                return Err(CodecError::Corrupt("zero-size record in ranked container"));
+            }
+            sketches.push((rec.id, rec.size, Signature::from_slots(slots)));
+        }
+        let mut seen: Vec<u32> = records.iter().map(|r| r.id).collect();
+        seen.sort_unstable();
+        if seen.windows(2).any(|w| w[0] == w[1]) {
+            return Err(CodecError::Corrupt("duplicate id in ranked container"));
+        }
+        Ok(sketches)
+    }
+
+    /// Loads an index file of either format: a heap-format `.lshe`
+    /// container is decoded into heap structures (from a mapping released
+    /// before returning), a packed file (magic `LSHEIDX2`) is
+    /// checksum-verified and served in place. The file is opened once and
+    /// its format read from the mapped magic, so callers never pass a format
+    /// flag and a file renamed into place meanwhile is never read as two.
     ///
     /// # Errors
     /// [`LoadError`], carrying the file path and (for decode and checksum
     /// failures) the section that failed.
     pub fn load(path: &Path) -> Result<Self, LoadError> {
-        let io_err = |source| LoadError::Io {
-            path: path.to_owned(),
-            source,
-        };
-        let mut head = [0u8; 8];
-        let filled = {
-            use std::io::Read as _;
-            let mut file = std::fs::File::open(path).map_err(io_err)?;
-            let mut filled = 0;
-            while filled < head.len() {
-                match file.read(&mut head[filled..]) {
-                    Ok(0) => break,
-                    Ok(n) => filled += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(io_err(e)),
-                }
-            }
-            filled
-        };
-        if filled == head.len() && head == lshe_store::MAGIC {
-            return Self::open_mapped(path);
-        }
-        let bytes = std::fs::read(path).map_err(io_err)?;
-        Self::decode_v1(&bytes).map_err(|(section, source)| LoadError::Decode {
-            path: path.to_owned(),
-            section,
-            source,
-        })
+        Self::open(path, false)
     }
 
     /// Opens a packed v2 file as a read-only mapped container: structural
@@ -870,12 +874,36 @@ impl IndexContainer {
     /// [`LoadError::Store`] naming the failing section, or
     /// [`LoadError::Io`] from `open(2)`/`mmap(2)`.
     pub fn open_mapped(path: &Path) -> Result<Self, LoadError> {
-        let store_err = |source| LoadError::Store {
+        Self::open(path, true)
+    }
+
+    /// Maps `path` and reads it as packed if asked to or if its magic says so.
+    fn open(path: &Path, packed: bool) -> Result<Self, LoadError> {
+        let mapping = std::fs::File::open(path)
+            .and_then(|file| Mmap::map_file(&file))
+            .map_err(|source| LoadError::Io {
+                path: path.to_owned(),
+                source,
+            })?;
+        if packed || mapping.as_slice().starts_with(&lshe_store::MAGIC) {
+            return Self::serve_mapped(mapping).map_err(|source| LoadError::Store {
+                path: path.to_owned(),
+                source,
+            });
+        }
+        mapping.advise(lshe_store::Advice::Sequential);
+        Self::decode(mapping.as_slice()).map_err(|(section, source)| LoadError::Decode {
             path: path.to_owned(),
+            section,
             source,
-        };
-        let mapped = MmapIndex::open_verified(path).map_err(store_err)?;
-        let records = Self::decode_packed_records(&mapped).map_err(store_err)?;
+        })
+    }
+
+    fn serve_mapped(mapping: Mmap) -> Result<Self, MmapIndexError> {
+        let store = Store::from_mapping(mapping)?;
+        store.verify()?;
+        let mapped = MmapIndex::from_store(store)?;
+        let records = Self::decode_packed_records(&mapped)?;
         let num_perm = mapped.config().num_perm;
         let next_id = mapped.next_id_hint().max(Self::high_water(&records));
         Ok(Self {
@@ -924,12 +952,7 @@ impl IndexContainer {
         let mut records = Vec::with_capacity(count);
         for pair in offsets.windows(2) {
             let mut dec = Decoder::new(&blob[pair[0] as usize..pair[1] as usize]);
-            records.push(DomainRecord {
-                id: dec.get_u32("record id").map_err(codec)?,
-                size: dec.get_u64("record size").map_err(codec)?,
-                table: dec.get_str("record table").map_err(codec)?,
-                column: dec.get_str("record column").map_err(codec)?,
-            });
+            records.push(DomainRecord::decode(&mut dec).map_err(codec)?);
             if !dec.is_exhausted() {
                 return Err(corrupt(SectionKind::Records, "trailing bytes after record"));
             }
@@ -969,12 +992,7 @@ impl IndexContainer {
         let mut blob: Vec<u8> = Vec::with_capacity(self.records.len() * 48);
         for rec in &self.records {
             offsets.push(blob.len() as u64);
-            let mut enc = Encoder::with_capacity(24 + rec.table.len() + rec.column.len());
-            enc.put_u32(rec.id);
-            enc.put_u64(rec.size);
-            enc.put_str(&rec.table);
-            enc.put_str(&rec.column);
-            blob.extend_from_slice(&enc.finish());
+            rec.encode_into(&mut Encoder::over(&mut blob));
         }
         offsets.push(blob.len() as u64);
         packer
@@ -987,6 +1005,18 @@ impl IndexContainer {
         packer.end_section();
         packer.finish().map_err(io)
     }
+}
+
+/// Replaces `path` atomically: `write` fills `<path>.tmp`, which is synced
+/// and renamed over `path`, so readers and crashes never see a mixture.
+fn replace_file(
+    path: &Path,
+    write: impl FnOnce(std::fs::File) -> std::io::Result<std::fs::File>,
+) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    write(std::fs::File::create(&tmp)?)?.sync_all()?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Why an index file could not be loaded — every variant carries the file
@@ -1002,7 +1032,7 @@ pub enum LoadError {
         /// The underlying I/O error.
         source: std::io::Error,
     },
-    /// A v1 container failed to decode.
+    /// A heap-format (`LSHX`) container failed to decode.
     Decode {
         /// The index file being loaded.
         path: PathBuf,
@@ -1146,15 +1176,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-fn encode_op(op: &DeltaOp) -> Vec<u8> {
-    let mut enc = Encoder::default();
-    match op {
+/// Appends one log entry — `len:u32 payload fnv1a(payload):u64` — to `out`.
+fn encode_entry(out: &mut Vec<u8>, op: &DeltaOp) {
+    let payload = Encoder::exactly(|enc| match op {
         DeltaOp::Insert { record, signature } => {
             enc.put_u8(1);
-            enc.put_u32(record.id);
-            enc.put_u64(record.size);
-            enc.put_str(&record.table);
-            enc.put_str(&record.column);
+            record.encode_into(enc);
             enc.put_u64_slice(signature.slots());
         }
         DeltaOp::Remove { id } => {
@@ -1165,20 +1192,25 @@ fn encode_op(op: &DeltaOp) -> Vec<u8> {
             enc.put_u8(3);
             enc.put_u32(*next_id);
         }
-    }
-    enc.finish()
+    });
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+}
+
+/// The log header: magic, version, allocator high-water mark.
+fn delta_header(next_id: u32) -> Vec<u8> {
+    let mut header = Encoder::with_capacity(9);
+    header.envelope(DELTA_MAGIC, DELTA_VERSION);
+    header.put_u32(next_id);
+    header.finish()
 }
 
 fn decode_op(payload: &[u8]) -> Result<DeltaOp, CodecError> {
     let mut dec = Decoder::new(payload);
     let op = match dec.get_u8("delta op tag")? {
         1 => DeltaOp::Insert {
-            record: DomainRecord {
-                id: dec.get_u32("delta id")?,
-                size: dec.get_u64("delta size")?,
-                table: dec.get_str("delta table")?,
-                column: dec.get_str("delta column")?,
-            },
+            record: DomainRecord::decode(&mut dec)?,
             signature: Signature::from_slots(dec.get_u64_vec("delta signature")?),
         },
         2 => DeltaOp::Remove {
@@ -1254,22 +1286,14 @@ impl DeltaLog {
     /// # Errors
     /// Propagates I/O errors; the op is not recorded on failure.
     pub fn append(&self, op: &DeltaOp, next_id: u32) -> std::io::Result<()> {
-        let payload = encode_op(op);
-        let mut entry = Encoder::with_capacity(payload.len() + 16);
-        entry.put_u32(payload.len() as u32);
-        let check = fnv1a(&payload);
-        let mut bytes = entry.finish();
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&check.to_le_bytes());
+        let mut bytes = Vec::new();
+        encode_entry(&mut bytes, op);
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)?;
         if file.metadata()?.len() == 0 {
-            let mut header = Encoder::with_capacity(9);
-            header.envelope(DELTA_MAGIC, DELTA_VERSION);
-            header.put_u32(next_id);
-            file.write_all(&header.finish())?;
+            file.write_all(&delta_header(next_id))?;
         }
         file.write_all(&bytes)?;
         file.sync_data()
@@ -1354,28 +1378,14 @@ impl DeltaLog {
         if ops.is_empty() {
             return self.clear();
         }
-        let mut bytes = {
-            let mut header = Encoder::with_capacity(9);
-            header.envelope(DELTA_MAGIC, DELTA_VERSION);
-            header.put_u32(next_id);
-            header.finish()
-        };
+        let mut bytes = delta_header(next_id);
         for op in ops {
-            let payload = encode_op(op);
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            let check = fnv1a(&payload);
-            bytes.extend_from_slice(&payload);
-            bytes.extend_from_slice(&check.to_le_bytes());
+            encode_entry(&mut bytes, op);
         }
-        let mut tmp = self.path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        {
-            let mut file = std::fs::File::create(&tmp)?;
+        replace_file(&self.path, |mut file| {
             file.write_all(&bytes)?;
-            file.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)
+            Ok(file)
+        })
     }
 
     /// Deletes the log (after its ops were committed into the base file).
@@ -1461,6 +1471,34 @@ mod tests {
     }
 
     #[test]
+    fn chunked_sketching_is_value_identical_at_every_chunk_boundary() {
+        // Small domains, so only the per-chunk domain count cuts chunks.
+        let values = |k: u64| (k..k + 3 + k % 5).map(|v| v * 7).collect::<Vec<u64>>();
+        let hasher = MinHasher::new(256);
+        let shorter_than_one_lane = lshe_minhash::lanes::MIN_ITEMS_PER_LANE - 1;
+        for n in [
+            1,
+            shorter_than_one_lane,
+            SKETCH_CHUNK_DOMAINS - 1,
+            SKETCH_CHUNK_DOMAINS,
+            SKETCH_CHUNK_DOMAINS + 1,
+        ] {
+            let stream = (0..n as u64).map(|k| {
+                let meta = DomainMeta::new(format!("t{k}"), "c");
+                (Domain::from_hashes(values(k)), meta)
+            });
+            let c = IndexContainer::from_stream(stream, 4, true);
+            assert_eq!(c.len(), n);
+            for k in 0..n as u64 {
+                // The serial path: one `signature` call per domain.
+                let want = hasher.signature(values(k));
+                let (size, got) = c.sketch(k as u32).expect("sketch retained");
+                assert_eq!((size, got), (values(k).len() as u64, &want), "{k} of {n}");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least one domain")]
     fn from_stream_rejects_empty_stream() {
         let _ = IndexContainer::from_stream(std::iter::empty(), 2, true);
@@ -1521,6 +1559,84 @@ mod tests {
         for cut in [0usize, 4, 9, bytes.len() / 3, bytes.len() - 1] {
             assert!(IndexContainer::from_bytes(&bytes[..cut]).is_err());
         }
+    }
+
+    #[test]
+    fn hostile_lengths_in_a_container_are_typed_errors() {
+        let bytes = IndexContainer::build(&catalog(5), 2, true).to_bytes();
+        // The first record's table-name length sits after the envelope (5),
+        // flags (1), num_perm (4), record count (8), id (4) and size (8);
+        // the ensemble length follows the five records.
+        let table_len = 30;
+        let ensemble_len = bytes
+            .windows(4)
+            .position(|w| w == lshe_core::persist::MAGIC)
+            .expect("nested ensemble")
+            - 8;
+        for at in [table_len, ensemble_len] {
+            for hostile in [u64::MAX, u64::MAX - 29, 1 << 63] {
+                let mut bad = bytes.clone();
+                bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
+                assert!(
+                    matches!(
+                        IndexContainer::from_bytes(&bad),
+                        Err(CodecError::Corrupt(_))
+                    ),
+                    "length {hostile:#x} at byte {at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_length_in_a_delta_entry_is_a_typed_error() {
+        // A well-formed entry (valid length and checksum) whose payload
+        // announces a string of nearly usize::MAX bytes.
+        let log = scratch_log("hostile");
+        let mut payload = Encoder::default();
+        payload.put_u8(1);
+        payload.put_u32(4);
+        payload.put_u64(10);
+        payload.put_u64(u64::MAX - 16);
+        let payload = payload.finish();
+        let mut bytes = delta_header(0);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        std::fs::write(log.path(), &bytes).expect("write");
+        match log.read() {
+            Err(DeltaError::Corrupt(msg)) => assert!(msg.contains("exceeds input"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_dir_all(log.path().parent().expect("dir")).ok();
+    }
+
+    #[test]
+    fn save_is_atomic_and_load_reads_what_it_wrote() {
+        let dir = scratch_dir("save");
+        let path = dir.join("idx.lshe");
+        let small = IndexContainer::build(&catalog(4), 2, true);
+        let big = IndexContainer::build(&catalog(9), 3, false);
+        small.save(&path).expect("save");
+        assert_eq!(std::fs::read(&path).expect("read"), small.to_bytes());
+        // Saving over an existing index replaces it whole and leaves no
+        // temporary file behind.
+        big.save(&path).expect("save over");
+        assert_eq!(std::fs::read(&path).expect("read"), big.to_bytes());
+        assert_eq!(std::fs::read_dir(&dir).expect("ls").count(), 1);
+        let loaded = IndexContainer::load(&path).expect("load");
+        assert_eq!(loaded.kind(), IndexKind::Plain);
+        assert_eq!(loaded.records(), big.records());
+        // A failed save (missing directory) leaves the target untouched.
+        assert!(small.save(&dir.join("absent").join("idx.lshe")).is_err());
+        assert_eq!(std::fs::read(&path).expect("read"), big.to_bytes());
+        // An empty file maps to nothing and fails in the header, typed.
+        std::fs::write(&path, b"").expect("truncate");
+        match IndexContainer::load(&path).unwrap_err() {
+            LoadError::Decode { section, .. } => assert_eq!(section, "header"),
+            other => panic!("expected Decode, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn insert_op(id: u32, n_values: usize, num_perm: usize) -> DeltaOp {
@@ -1751,10 +1867,7 @@ mod tests {
         header.envelope(DELTA_MAGIC, 1);
         bytes.extend_from_slice(&header.finish());
         for op in &ops {
-            let payload = encode_op(op);
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-            bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            encode_entry(&mut bytes, op);
         }
         std::fs::write(log.path(), &bytes).expect("write");
         assert_eq!(log.read_with_mark().expect("read v1"), (0, ops));
@@ -1834,6 +1947,16 @@ mod tests {
         }
         // Stats surface works without a heap ensemble.
         assert!(mapped.describe().contains("domains"));
+        // `open_mapped` is the same open for packed files only: a heap
+        // file is refused by its magic, not decoded.
+        let direct = IndexContainer::open_mapped(&path).expect("open packed");
+        assert_eq!(direct.records(), mapped.records());
+        let heap = dir.join("idx.lshe");
+        ranked.save(&heap).expect("save");
+        assert!(matches!(
+            IndexContainer::open_mapped(&heap),
+            Err(LoadError::Store { .. })
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -723,9 +723,7 @@ impl Engine {
         // and the clear is safe — the stale log replays as a no-op.
         let path = self.path.read().expect("engine lock poisoned").clone();
         if let Some(path) = &path {
-            let tmp = path.with_extension("lshe.tmp");
-            std::fs::write(&tmp, container.to_bytes())?;
-            std::fs::rename(&tmp, path)?;
+            container.save(path)?;
             DeltaLog::sidecar(path).clear()?;
         }
 
@@ -798,9 +796,7 @@ impl Engine {
         // a no-op, exactly like the compact() crash window.
         let path = self.path.read().expect("engine lock poisoned").clone();
         if let Some(path) = &path {
-            let tmp = path.with_extension("lshe.tmp");
-            std::fs::write(&tmp, container.to_bytes())?;
-            std::fs::rename(&tmp, path)?;
+            container.save(path)?;
             DeltaLog::sidecar(path).rewrite(&pending.ops, pending.next_id)?;
         }
 

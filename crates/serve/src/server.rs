@@ -434,6 +434,9 @@ fn cache_json(stats: &CacheStats) -> Json {
 }
 
 fn handle_stats(shared: &Shared) -> Outcome {
+    // Counters first: a merge swaps the snapshot before it counts itself, so
+    // a counted merge is never reported beside the stack it replaced.
+    let maintenance = maintenance_json(shared);
     let snap = shared.engine.snapshot();
     let staged = shared.engine.staged_counts();
     let segments = snap.container().segment_stats();
@@ -466,7 +469,7 @@ fn handle_stats(shared: &Shared) -> Outcome {
         ),
         // The background maintenance runtime: effective policy knobs, the
         // live level layout, and what the worker has done / is doing.
-        ("maintenance", maintenance_json(shared)),
+        ("maintenance", maintenance),
         ("threads", Json::uint(shared.threads as u64)),
         (
             "uptime_ms",

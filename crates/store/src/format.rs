@@ -325,12 +325,14 @@ impl Store {
     /// mismatch, out-of-bounds / misaligned / duplicate sections.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
         let file = File::open(path)?;
-        let mmap = Mmap::map_file(&file)?;
-        drop(file);
-        Self::from_mmap(Arc::new(mmap))
+        Self::from_mapping(Mmap::map_file(&file)?)
     }
 
-    fn from_mmap(mmap: Arc<Mmap>) -> Result<Self, StoreError> {
+    /// [`open`](Self::open) (and its errors, less the I/O ones) for callers
+    /// that mapped the file themselves to tell its format from its magic,
+    /// so sniffing and serving see the same file.
+    pub fn from_mapping(mmap: Mmap) -> Result<Self, StoreError> {
+        let mmap = Arc::new(mmap);
         let bytes = mmap.as_slice();
         if bytes.len() < HEADER_LEN {
             return Err(StoreError::Truncated {

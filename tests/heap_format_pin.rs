@@ -1,0 +1,126 @@
+//! Pins the heap (`LSHX`) byte form across encoder rewrites.
+//!
+//! The constants below were recorded from `to_bytes()` at the commit
+//! before the codec moved to slice-at-a-time, in-place encoding. A
+//! deterministic corpus — base partitions, two sealed segments, one
+//! tombstone; ranked and plain — must keep serialising to exactly those
+//! bytes, `save` must write them, and `load(save(x))` must answer like `x`.
+
+use lshe_corpus::{Domain, DomainMeta};
+use lshe_datagen::{CorpusConfig, CorpusStream};
+use lshe_minhash::{MinHasher, Signature};
+use lshe_serve::{DeltaOp, DomainRecord, IndexContainer};
+
+/// `(ranked, to_bytes().len(), fnv1a(to_bytes()))` at the parent commit.
+const PINNED: [(bool, usize, u64); 2] = [
+    (true, 1_996_206, 0x4dfb_33a0_7caa_1e43),
+    (false, 746_158, 0x15e9_fcd0_f293_23ec),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn corpus(n: usize, seed: u64) -> Vec<(Domain, DomainMeta)> {
+    CorpusStream::new(CorpusConfig {
+        seed,
+        ..CorpusConfig::wdc_web_tables_like(n)
+    })
+    .collect()
+}
+
+fn insert(id: u32, (domain, meta): &(Domain, DomainMeta), hasher: &MinHasher) -> DeltaOp {
+    DeltaOp::Insert {
+        record: DomainRecord {
+            id,
+            size: domain.len() as u64,
+            table: meta.table.clone(),
+            column: meta.column.clone(),
+        },
+        signature: hasher.signature(domain.hashes().iter().copied()),
+    }
+}
+
+/// 600 streamed domains in 8 partitions, then two commits: five inserts;
+/// four inserts and the removal of a base domain.
+fn pinned_container(ranked: bool) -> IndexContainer {
+    let mut c = IndexContainer::from_stream(corpus(600, 7), 8, ranked);
+    let hasher = MinHasher::new(c.num_perm());
+    let fresh = corpus(9, 8);
+    let ops: Vec<DeltaOp> = (600u32..)
+        .zip(&fresh)
+        .map(|(id, pair)| insert(id, pair, &hasher))
+        .collect();
+    c.apply(&ops[..5]).expect("first batch");
+    assert!(c.commit_mutations().sealed);
+    c.apply(&ops[5..]).expect("second batch");
+    c.apply(&[DeltaOp::Remove { id: 17 }]).expect("remove");
+    assert!(c.commit_mutations().sealed);
+    let stats = c.segment_stats();
+    assert_eq!((stats.segments, stats.tombstones), (2, 1));
+    c
+}
+
+/// Every tenth base domain and every fresh one, as (sketch, size).
+fn query_sample() -> Vec<(Signature, u64)> {
+    let hasher = MinHasher::new(lshe_minhash::DEFAULT_NUM_PERM);
+    let base = corpus(600, 7);
+    let fresh = corpus(9, 8);
+    base.iter()
+        .step_by(10)
+        .chain(&fresh)
+        .map(|(d, _)| (hasher.signature(d.hashes().iter().copied()), d.len() as u64))
+        .collect()
+}
+
+#[test]
+fn encoder_reproduces_the_recorded_bytes() {
+    for (ranked, len, hash) in PINNED {
+        let bytes = pinned_container(ranked).to_bytes();
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (len, hash),
+            "ranked={ranked}: (len, fnv1a) = ({}, {:#018x})",
+            bytes.len(),
+            fnv1a(&bytes)
+        );
+    }
+}
+
+#[test]
+fn save_writes_the_same_bytes_and_load_answers_identically() {
+    let dir = std::env::temp_dir().join(format!("lshe_heap_pin_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let sample = query_sample();
+    for ranked in [true, false] {
+        let built = pinned_container(ranked);
+        let path = dir.join(format!("ranked_{ranked}.lshe"));
+        built.save(&path).expect("save");
+        assert!(
+            std::fs::read(&path).expect("read") == built.to_bytes(),
+            "ranked={ranked}: save and to_bytes disagree"
+        );
+        let loaded = IndexContainer::load(&path).expect("load");
+        assert_eq!(loaded.records(), built.records());
+        assert_eq!(loaded.next_id(), built.next_id());
+        assert_eq!(loaded.segment_stats(), built.segment_stats());
+        for (sig, size) in &sample {
+            for t in [0.5, 0.9] {
+                // Hits with their estimates (`None` on the plain index).
+                assert_eq!(
+                    loaded.search(sig, *size, t),
+                    built.search(sig, *size, t),
+                    "ranked={ranked} t={t}"
+                );
+            }
+            if ranked {
+                assert_eq!(loaded.top_k(sig, *size, 5), built.top_k(sig, *size, 5));
+            }
+        }
+        // The removed domain stays gone, the inserted ones stay found.
+        assert!(loaded.record(17).is_none() && loaded.record(608).is_some());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
