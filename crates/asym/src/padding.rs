@@ -92,13 +92,13 @@ pub fn pad_signature(
         "domain size {size} exceeds padding target {max_size}"
     );
     let k = max_size - size;
-    let slots: Vec<u64> = sig
-        .slots()
-        .iter()
-        .enumerate()
-        .map(|(i, &orig)| orig.min(sampler.pad_min(domain_key, i, k)))
+    let pads: Vec<u64> = (0..sig.len())
+        .map(|i| sampler.pad_min(domain_key, i, k))
         .collect();
-    Signature::from_slots(slots)
+    // Padding adds `k` fresh values: the union with their minima.
+    let mut padded = Signature::from_wide(&pads);
+    padded.merge(sig);
+    padded
 }
 
 #[cfg(test)]

@@ -1264,12 +1264,14 @@ mod tests {
         }
     }
 
-    /// An address that refuses connections (bound then dropped).
-    fn dead_addr() -> SocketAddr {
-        TcpListener::bind("127.0.0.1:0")
-            .expect("bind")
-            .local_addr()
-            .expect("addr")
+    /// An address that refuses connections for as long as the guard beside
+    /// it lives: the client end of an established connection. Its port is
+    /// taken, so `bind("127.0.0.1:0")` in a concurrently running test is
+    /// never handed it, and nothing listens on it.
+    fn dead_addr() -> (SocketAddr, (TcpListener, TcpStream)) {
+        let peer = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let held = TcpStream::connect(peer.local_addr().expect("addr")).expect("connect");
+        (held.local_addr().expect("addr"), (peer, held))
     }
 
     fn boot(shards: Vec<SocketAddr>) -> ClusterHandle {
@@ -1371,7 +1373,8 @@ mod tests {
     #[test]
     fn dead_shard_degrades_but_queries_survive() {
         let live = fake_shard(0, vec![hit(0, 0.9)]);
-        let handle = boot(vec![live, dead_addr()]);
+        let (dead, _held) = dead_addr();
+        let handle = boot(vec![live, dead]);
         let mut client = HttpClient::connect(handle.addr());
 
         // Startup already counted one failure; this query's failure is
@@ -1483,9 +1486,10 @@ mod tests {
 
     #[test]
     fn all_shards_dead_refuses_to_start() {
+        let ((a, _held_a), (b, _held_b)) = (dead_addr(), dead_addr());
         let err = start(ClusterConfig {
             addr: "127.0.0.1:0".to_owned(),
-            shards: vec![dead_addr(), dead_addr()],
+            shards: vec![a, b],
             connect_timeout: Duration::from_millis(200),
             ..ClusterConfig::default()
         })

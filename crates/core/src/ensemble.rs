@@ -473,7 +473,7 @@ impl LshEnsemble {
     pub fn memory_bytes(&self) -> usize {
         let entry_bytes = |entries: &[(DomainId, u64, Signature)]| {
             std::mem::size_of_val(entries)
-                + entries.len() * self.config.num_perm * std::mem::size_of::<u64>()
+                + entries.len() * self.config.num_perm * Signature::LANE_BYTES
         };
         let base: usize = self
             .partitions

@@ -24,11 +24,10 @@ use crate::ensemble::EnsembleConfig;
 use crate::partition::PartitionStrategy;
 use crate::ranked::{RankedHit, RankedIndex};
 use crate::tuning::Tuner;
-use lshe_lsh::forest::truncate_slot;
 use lshe_lsh::DomainId;
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
 use lshe_minhash::hash::FastHashSet;
-use lshe_minhash::{containment_from_jaccard, Signature};
+use lshe_minhash::{containment_from_jaccard, count_equal, Signature};
 use lshe_store::{Packer, PartitionView, SectionKind, SketchesView, Store, StoreError};
 use std::path::Path;
 
@@ -171,7 +170,7 @@ pub fn pack_ranked_with(
 
     packer.begin_section(SectionKind::SketchSlots)?;
     for &(_, _, sig) in &entries {
-        packer.write_u64s(sig.slots())?;
+        packer.write_u32s(sig.slots())?;
     }
     packer.end_section();
 
@@ -352,7 +351,8 @@ impl MmapIndex {
                 source,
             };
             let (entries, dead) =
-                crate::persist::decode_segments(&mut sdec, num_perm, part_count).map_err(scodec)?;
+                crate::persist::decode_segments(&mut sdec, num_perm, part_count, false)
+                    .map_err(scodec)?;
             let next_id = sdec.get_u32("next id").map_err(scodec)?;
             if !sdec.is_exhausted() {
                 return Err(corrupt("segments", "trailing bytes after segments"));
@@ -399,7 +399,7 @@ impl MmapIndex {
         if sketch_sizes.len() != len {
             return Err(corrupt("sketch sizes", "count disagrees with meta len"));
         }
-        let sketch_slots = store.u64s(SectionKind::SketchSlots)?;
+        let sketch_slots = store.u32s(SectionKind::SketchSlots)?;
         if sketch_slots.len() != len * num_perm {
             return Err(corrupt("sketch slots", "length disagrees with meta len"));
         }
@@ -504,7 +504,7 @@ impl MmapIndex {
             .expect("validated");
         let slots = self
             .store
-            .u64s(SectionKind::SketchSlots)
+            .u32s(SectionKind::SketchSlots)
             .expect("validated");
         SketchesView::new(ids, sizes, slots, self.config.num_perm).expect("validated at open")
     }
@@ -531,7 +531,6 @@ impl MmapIndex {
         pm: &PartMeta,
         tree_keys: &[u32],
         tree_ids: &[u32],
-        prefix: &mut Vec<u32>,
         signature: &Signature,
         query_size: u64,
         t_star: f64,
@@ -554,9 +553,7 @@ impl MmapIndex {
         let slots = signature.slots();
         for t in 0..b {
             let start = t * r_max;
-            prefix.clear();
-            prefix.extend(slots[start..start + r].iter().map(|&v| truncate_slot(v)));
-            view.tree(t).probe_into(prefix, out);
+            view.tree(t).probe_into(&slots[start..start + r], out);
         }
         true
     }
@@ -585,18 +582,10 @@ impl MmapIndex {
             candidates: 0,
         };
         let mut buf: Vec<DomainId> = Vec::new();
-        let mut prefix: Vec<u32> = Vec::with_capacity(self.config.r_max);
         for pm in &self.parts {
             let before = buf.len();
             let probed = self.query_partition(
-                pm,
-                tree_keys,
-                tree_ids,
-                &mut prefix,
-                signature,
-                query_size,
-                t_star,
-                &mut buf,
+                pm, tree_keys, tree_ids, signature, query_size, t_star, &mut buf,
             );
             if probed {
                 self.filter_tombstoned(&sketches, &mut buf, before);
@@ -668,8 +657,7 @@ impl MmapIndex {
             .into_iter()
             .map(|id| {
                 let (x, slots) = sketches.lookup(id).expect("candidate id has no sketch");
-                let equal = q_slots.iter().zip(slots).filter(|(a, b)| a == b).count();
-                let s = equal as f64 / m as f64;
+                let s = count_equal(q_slots, slots) as f64 / m as f64;
                 RankedHit {
                     id,
                     estimated_containment: containment_from_jaccard(s, x as f64, q as f64),
@@ -1016,8 +1004,8 @@ mod tests {
         let mapped = MmapIndex::open(&path).expect("open");
         let heap = DomainIndex::memory_bytes(&mapped);
         assert!(heap > 0);
-        // The heap backend retains ~8·m bytes per domain; the mapped
-        // backend must be orders of magnitude below that.
+        // The heap backend retains a sketch and its forest rows per domain;
+        // the mapped backend must be orders of magnitude below that.
         assert!(
             heap * 10 < RankedIndex::memory_bytes(&ranked),
             "mapped heap {heap} not small vs {}",

@@ -8,13 +8,15 @@
 //! len:u64 partition_count:u64
 //! per partition: lower:u64 upper:u64 forest_len:u64 forest_bytes
 //! segment_count:u64
-//! per segment: entry_count:u64, then per entry id:u32 size:u64 slots:u64×m
+//! per segment: entry_count:u64, then per entry id:u32 size:u64 lanes:u32×m
 //! dead_count:u64
 //! per tombstone: id:u32 tier:u8 (0 = base, 1 = segment) index:u32
 //! ```
 //!
 //! Version 2 added the trailing segment stack and tombstone list (tiered
-//! commits); a version-1 payload decodes as a fully compacted index. Sealed
+//! commits); a version-1 payload decodes as a fully compacted index.
+//! Version 3 holds segment entries' signatures as `u32` lanes; a version-2
+//! payload's `u64` slots are narrowed as they are decoded. Sealed
 //! segments persist as their raw entry triples — partitioning a segment is
 //! deterministic, so the decoder replays [`build_segment`] and reconstructs
 //! bit-identical forests, which keeps the byte form canonical.
@@ -33,7 +35,7 @@ use std::io::Write;
 /// Envelope tag for ensemble payloads.
 pub const MAGIC: [u8; 4] = *b"LSHE";
 /// Current format version.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
 
 pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: PartitionStrategy) {
     match strategy {
@@ -72,7 +74,7 @@ pub(crate) fn encode_segments<W: Write>(
         for (id, size, sig) in &seg.entries {
             enc.put_u32(*id);
             enc.put_u64(*size);
-            enc.put_u64s(sig.slots());
+            enc.put_u32s(sig.slots());
         }
     }
     enc.put_u64(dead.len() as u64);
@@ -92,7 +94,8 @@ pub(crate) fn encode_segments<W: Write>(
 }
 
 /// Decodes [`encode_segments`]' output: per-segment raw entry triples plus
-/// the tombstone list, validated against the owning index's shape.
+/// the tombstone list, validated against the owning index's shape. `wide`
+/// reads the `u64` slots ensemble payloads before version 3 carried.
 ///
 /// # Errors
 /// [`CodecError`] on truncation or structural inconsistency.
@@ -101,6 +104,7 @@ pub(crate) fn decode_segments(
     dec: &mut Decoder<'_>,
     num_perm: usize,
     part_count: usize,
+    wide: bool,
 ) -> Result<
     (
         Vec<Vec<(DomainId, u64, Signature)>>,
@@ -108,6 +112,11 @@ pub(crate) fn decode_segments(
     ),
     CodecError,
 > {
+    let lane_bytes = if wide {
+        std::mem::size_of::<u64>()
+    } else {
+        Signature::LANE_BYTES
+    };
     let seg_count = dec.get_u64("segment count")? as usize;
     let mut segment_entries = Vec::new();
     for _ in 0..seg_count {
@@ -115,7 +124,7 @@ pub(crate) fn decode_segments(
         if entry_count == 0 {
             return Err(CodecError::Corrupt("empty sealed segment"));
         }
-        if entry_count.saturating_mul(12 + 8 * num_perm) > dec.remaining() {
+        if entry_count.saturating_mul(12 + lane_bytes * num_perm) > dec.remaining() {
             return Err(CodecError::Corrupt("segment payload exceeds input"));
         }
         let mut entries = Vec::with_capacity(entry_count);
@@ -125,8 +134,8 @@ pub(crate) fn decode_segments(
             if size == 0 {
                 return Err(CodecError::Corrupt("zero-size segment entry"));
             }
-            let slots = dec.get_u64s(num_perm, "segment entry slot")?;
-            entries.push((id, size, Signature::from_slots(slots)));
+            let sig = dec.get_lanes(num_perm, wide, "segment entry slot")?;
+            entries.push((id, size, sig));
         }
         segment_entries.push(entries);
     }
@@ -257,7 +266,7 @@ impl LshEnsemble {
         // Version 1 predates tiered commits: no segment stack, no
         // tombstones — exactly a compacted index.
         let (segment_entries, dead) = if version >= 2 {
-            decode_segments(&mut dec, num_perm, part_count)?
+            decode_segments(&mut dec, num_perm, part_count, version < 3)?
         } else {
             (Vec::new(), Vec::new())
         };

@@ -169,7 +169,7 @@ impl RankedIndex {
     pub fn sketch_memory_bytes(&self) -> usize {
         self.sketches
             .values()
-            .map(|(_, sig)| sig.len() * 8 + 32)
+            .map(|(_, sig)| sig.len() * Signature::LANE_BYTES + 32)
             .sum()
     }
 

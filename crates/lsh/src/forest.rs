@@ -13,9 +13,9 @@
 //! Each prefix tree is stored as a sorted column of fixed-width keys — the
 //! standard array encoding of a prefix tree (also used by `datasketch`):
 //! a prefix query of depth `r` is a binary-search for the equal range of the
-//! first `r` slots. Keys are the signature slots truncated to 32 bits;
-//! truncation collides with probability 2⁻³² per slot, far below MinHash's
-//! own noise floor, and halves index memory.
+//! first `r` slots. Keys *are* signature lanes: a [`Signature`] already
+//! holds 32-bit lanes (narrowed once, where the fold finishes), so rows and
+//! query prefixes are copied from it verbatim — no truncation step here.
 //!
 //! ## Mutability
 //!
@@ -27,19 +27,6 @@
 
 use crate::DomainId;
 use lshe_minhash::Signature;
-
-/// Truncates a signature slot (61-bit value) to its top 32 bits for compact
-/// key storage.
-///
-/// Public because out-of-crate readers of the committed form (the
-/// memory-mapped store backend) must derive query prefixes with the exact
-/// same truncation the forest used at insert time.
-#[inline]
-#[must_use]
-pub fn truncate_slot(v: u64) -> u32 {
-    // Slots are < 2^61 (or the u64::MAX empty sentinel, which saturates).
-    (v >> 29).min(u64::from(u32::MAX)) as u32
-}
 
 /// One prefix tree: a sorted column of `r_max`-wide keys plus a staged,
 /// unsorted tail.
@@ -200,8 +187,7 @@ impl LshForest {
         for (t, tree) in forest.trees.iter_mut().enumerate() {
             column.clear();
             for (_, sig) in rows {
-                let band = &sig.slots()[t * r_max..(t + 1) * r_max];
-                column.extend(band.iter().map(|&v| truncate_slot(v)));
+                column.extend_from_slice(&sig.slots()[t * r_max..(t + 1) * r_max]);
             }
             (tree.keys, tree.ids) = PrefixTree::sorted(&column, &ids, r_max);
         }
@@ -256,11 +242,8 @@ impl LshForest {
         let slots = sig.slots();
         for (t, tree) in self.trees.iter_mut().enumerate() {
             let start = t * self.r_max;
-            tree.staged_keys.extend(
-                slots[start..start + self.r_max]
-                    .iter()
-                    .map(|&v| truncate_slot(v)),
-            );
+            tree.staged_keys
+                .extend_from_slice(&slots[start..start + self.r_max]);
             tree.staged_ids.push(id);
         }
         self.len += 1;
@@ -335,12 +318,9 @@ impl LshForest {
             self.b_max * self.r_max
         );
         let slots = sig.slots();
-        let mut prefix = Vec::with_capacity(r);
         for (t, tree) in self.trees[..b].iter().enumerate() {
             let start = t * self.r_max;
-            prefix.clear();
-            prefix.extend(slots[start..start + r].iter().map(|&v| truncate_slot(v)));
-            tree.query(self.r_max, &prefix, out);
+            tree.query(self.r_max, &slots[start..start + r], out);
         }
     }
 
@@ -542,8 +522,7 @@ mod tests {
     #[test]
     fn forest_matches_static_lsh_at_full_params() {
         // At (b, r) = (b_max, r_max) the forest answers the same buckets as
-        // a static banded LSH over the same slot layout, modulo the 32-bit
-        // key truncation (which only ever ADDS candidates).
+        // a static banded LSH over the same lanes.
         let h = MinHasher::new(256);
         let domains: Vec<(DomainId, Vec<u64>)> = (0..80)
             .map(|i| (i, MinHasher::synthetic_values(3000 + u64::from(i), 120)))

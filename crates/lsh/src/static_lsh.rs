@@ -89,7 +89,7 @@ impl MinHashLsh {
         self.len == 0
     }
 
-    fn band_hash(band: &[u64]) -> u64 {
+    fn band_hash(band: &[u32]) -> u64 {
         let mut h = FastBuildHasher.build_hasher();
         for v in band {
             v.hash(&mut h);

@@ -8,6 +8,8 @@
 //! magic tag and a version byte per envelope — so it can be re-implemented
 //! in any language in an afternoon and carries no dependency.
 
+use crate::Signature;
+
 /// Errors from decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
@@ -168,21 +170,15 @@ impl<W: std::io::Write> Encoder<W> {
         }
     }
 
-    /// Writes little-endian `u64`s with no length prefix.
-    pub fn put_u64s(&mut self, vs: &[u64]) {
-        self.put_le(vs, u64::to_le_bytes);
+    /// Writes little-endian `u32`s with no length prefix.
+    pub fn put_u32s(&mut self, vs: &[u32]) {
+        self.put_le(vs, u32::to_le_bytes);
     }
 
     /// Writes a length-prefixed `u32` slice.
     pub fn put_u32_slice(&mut self, vs: &[u32]) {
         self.put_u64(vs.len() as u64);
-        self.put_le(vs, u32::to_le_bytes);
-    }
-
-    /// Writes a length-prefixed `u64` slice.
-    pub fn put_u64_slice(&mut self, vs: &[u64]) {
-        self.put_u64(vs.len() as u64);
-        self.put_u64s(vs);
+        self.put_u32s(vs);
     }
 
     /// Writes a length-prefixed UTF-8 string.
@@ -325,12 +321,27 @@ impl<'a> Decoder<'a> {
         Ok(le_vec(self.counted(4, reading)?, u32::from_le_bytes))
     }
 
-    /// Reads a length-prefixed `u64` vector (capacity = length).
+    /// Reads a signature of `n` lanes, no length prefix: `u32`s as every
+    /// current format writes them, or — `wide`, for the formats older than
+    /// 32-bit lanes — `u64` minima, narrowed on the way in.
     ///
     /// # Errors
-    /// [`CodecError`] variants on truncation or corruption.
-    pub fn get_u64_vec(&mut self, reading: &'static str) -> Result<Vec<u64>, CodecError> {
-        Ok(le_vec(self.counted(8, reading)?, u64::from_le_bytes))
+    /// [`CodecError::UnexpectedEof`] when fewer than `n` lanes remain,
+    /// [`CodecError::Corrupt`] when `n` is zero.
+    pub fn get_lanes(
+        &mut self,
+        n: usize,
+        wide: bool,
+        reading: &'static str,
+    ) -> Result<Signature, CodecError> {
+        if n == 0 {
+            return Err(CodecError::Corrupt("signature must have slots"));
+        }
+        if wide {
+            return Ok(Signature::from_wide(&self.get_u64s(n, reading)?));
+        }
+        let bytes = self.take(n.saturating_mul(Signature::LANE_BYTES), reading)?;
+        Ok(Signature::from_slots(le_vec(bytes, u32::from_le_bytes)))
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -366,21 +377,27 @@ fn le_vec<T, const N: usize>(bytes: &[u8], from_le: impl Fn([u8; N]) -> T) -> Ve
 
 /// Wire format of a [`crate::Signature`]: the query sketch a client ships
 /// to a search server.
+///
+/// ```text
+/// "LSIG" version:u8 lane_count:u64 lanes:u32×lane_count
+/// ```
+///
+/// Version 1 carried `u64` slots; it still decodes, narrowed.
 pub mod signature_wire {
     use super::{CodecError, Decoder, Encoder};
     use crate::Signature;
 
     /// Envelope tag.
     pub const MAGIC: [u8; 4] = *b"LSIG";
-    /// Current version.
-    pub const VERSION: u8 = 1;
+    /// Current version: 32-bit lanes.
+    pub const VERSION: u8 = 2;
 
-    /// Encodes a signature (5-byte envelope + 8 bytes per slot + length).
+    /// Encodes a signature (5-byte envelope + length + 4 bytes per lane).
     #[must_use]
     pub fn encode(sig: &Signature) -> Vec<u8> {
-        let mut enc = Encoder::with_capacity(13 + 8 * sig.len());
+        let mut enc = Encoder::with_capacity(13 + Signature::LANE_BYTES * sig.len());
         enc.envelope(MAGIC, VERSION);
-        enc.put_u64_slice(sig.slots());
+        enc.put_u32_slice(sig.slots());
         enc.finish()
     }
 
@@ -398,11 +415,8 @@ pub mod signature_wire {
                 supported: VERSION,
             });
         }
-        let slots = dec.get_u64_vec("signature slots")?;
-        if slots.is_empty() {
-            return Err(CodecError::Corrupt("signature must have slots"));
-        }
-        Ok(Signature::from_slots(slots))
+        let lanes = dec.get_u64("signature lane count")? as usize;
+        dec.get_lanes(lanes, version < 2, "signature slots")
     }
 }
 
@@ -420,7 +434,7 @@ mod tests {
         enc.put_u64(u64::MAX);
         enc.put_f64(0.25);
         enc.put_u32_slice(&[1, 2, 3]);
-        enc.put_u64_slice(&[]);
+        enc.put_u32_slice(&[]);
         enc.put_str("héllo");
         let bytes = enc.finish();
 
@@ -431,7 +445,7 @@ mod tests {
         assert_eq!(dec.get_u64("c").expect("u64"), u64::MAX);
         assert_eq!(dec.get_f64("d").expect("f64"), 0.25);
         assert_eq!(dec.get_u32_vec("e").expect("vec"), vec![1, 2, 3]);
-        assert_eq!(dec.get_u64_vec("f").expect("vec"), Vec::<u64>::new());
+        assert_eq!(dec.get_u32_vec("f").expect("vec"), Vec::<u32>::new());
         assert_eq!(dec.get_str("g").expect("str"), "héllo");
         assert!(dec.is_exhausted());
     }
@@ -482,7 +496,6 @@ mod tests {
             let corrupt = CodecError::Corrupt("announced length exceeds input");
             assert_eq!(dec().get_str("s").unwrap_err(), corrupt);
             assert_eq!(dec().get_u32_vec("v").unwrap_err(), corrupt);
-            assert_eq!(dec().get_u64_vec("v").unwrap_err(), corrupt);
             assert_eq!(dec().get_nested("n").unwrap_err(), corrupt);
             let n = hostile as usize;
             assert_eq!(
@@ -493,6 +506,12 @@ mod tests {
                 dec().get_u64s(n, "raw").unwrap_err(),
                 CodecError::UnexpectedEof { reading: "raw" }
             );
+            for wide in [false, true] {
+                assert_eq!(
+                    dec().get_lanes(n, wide, "raw").unwrap_err(),
+                    CodecError::UnexpectedEof { reading: "raw" }
+                );
+            }
         }
     }
 
@@ -513,29 +532,33 @@ mod tests {
                 .collect();
             let mut bulk = Encoder::default();
             bulk.put_u32_slice(&a);
-            bulk.put_u64_slice(&b);
-            bulk.put_u64s(&b);
+            bulk.put_u32s(&a);
             let mut each = Encoder::default();
             each.put_u64(n as u64);
             a.iter().for_each(|&v| each.put_u32(v));
-            each.put_u64(n as u64);
+            a.iter().for_each(|&v| each.put_u32(v));
             b.iter().for_each(|&v| each.put_u64(v));
-            b.iter().for_each(|&v| each.put_u64(v));
-            assert_eq!(bulk.len(), each.len());
-            let bytes = bulk.finish();
+            assert_eq!(bulk.len() + 8 * n, each.len());
+            let mut bytes = bulk.finish();
+            bytes.extend(b.iter().flat_map(|v| v.to_le_bytes()));
             assert_eq!(bytes, each.finish(), "n = {n}");
 
             let mut dec = Decoder::new(&bytes);
-            let (a2, b2) = (
-                dec.get_u32_vec("a").expect("a"),
-                dec.get_u64_vec("b").expect("b"),
-            );
+            let a2 = dec.get_u32_vec("a").expect("a");
+            if n == 0 {
+                assert!(
+                    dec.get_lanes(n, false, "raw").is_err(),
+                    "no empty signature"
+                );
+                continue;
+            }
+            let a3 = dec.get_lanes(n, false, "raw").expect("raw");
             let b3 = dec.get_u64s(n, "raw").expect("raw");
             assert!(dec.is_exhausted());
-            assert_eq!((&a2, &b2, &b3), (&a, &b, &b));
+            assert_eq!((&a2[..], a3.slots(), &b3), (&a[..], &a[..], &b));
             assert_eq!(
-                (a2.capacity(), b2.capacity(), b3.capacity()),
-                (n, n, n),
+                (a2.capacity(), b3.capacity()),
+                (n, n),
                 "decoded vectors must not over-allocate"
             );
         }
@@ -560,7 +583,7 @@ mod tests {
     fn io_sink_streams_the_same_bytes_and_keeps_the_first_error() {
         fn write<W: std::io::Write>(enc: &mut Encoder<W>) {
             enc.envelope(*b"SINK", 1);
-            enc.put_u64_slice(&[1, 2, 3]);
+            enc.put_u32_slice(&[1, 2, 3]);
             enc.put_str("tail");
         }
         let mut plain = Encoder::default();
@@ -600,10 +623,22 @@ mod tests {
         let h = MinHasher::new(256);
         let sig = h.signature(MinHasher::synthetic_values(5, 500));
         let bytes = signature_wire::encode(&sig);
-        // Envelope (5) + length (8) + 256 slots × 8.
-        assert_eq!(bytes.len(), 5 + 8 + 256 * 8);
+        // Envelope (5) + length (8) + 256 lanes × 4.
+        assert_eq!(bytes.len(), 5 + 8 + 256 * 4);
         let back = signature_wire::decode(&bytes).expect("decode");
         assert_eq!(back, sig);
+    }
+
+    #[test]
+    fn signature_wire_v1_narrows_its_64_bit_slots() {
+        let wide = [0u64, 1 << 29, (1 << 61) - 2, crate::EMPTY_SLOT];
+        let mut enc = Encoder::default();
+        enc.envelope(signature_wire::MAGIC, 1);
+        enc.put_u64(wide.len() as u64);
+        wide.iter().for_each(|&v| enc.put_u64(v));
+        let back = signature_wire::decode(&enc.finish()).expect("v1 decodes");
+        assert_eq!(back, Signature::from_wide(&wide));
+        assert_eq!(back.slots(), [0, 1, u32::MAX, u32::MAX]);
     }
 
     #[test]
@@ -634,7 +669,7 @@ mod tests {
     fn signature_wire_rejects_empty() {
         let mut enc = Encoder::default();
         enc.envelope(signature_wire::MAGIC, signature_wire::VERSION);
-        enc.put_u64_slice(&[]);
+        enc.put_u32_slice(&[]);
         assert_eq!(
             signature_wire::decode(&enc.finish()).unwrap_err(),
             CodecError::Corrupt("signature must have slots")

@@ -18,6 +18,11 @@
 //! persisted and compared across machines, so the kernel must never let
 //! the instruction set leak into the sketch. The equivalence is enforced
 //! by unit tests here and a property test at the workspace root.
+//!
+//! [`count_equal`] is the other inner loop: the equal-lane count between a
+//! query's signature and a candidate's, behind every Jaccard estimate. It
+//! takes the same two paths (eight 32-bit lanes per AVX2 compare, or the
+//! portable loop) under the same rule — one count on every machine.
 
 use crate::perm::{mersenne_mod, AffinePermutation, MERSENNE_PRIME};
 
@@ -108,6 +113,35 @@ impl FoldKernel {
     }
 }
 
+/// Number of positions at which two lane slices agree: the match count
+/// behind every Jaccard estimate and every verified candidate. Eight lanes
+/// per AVX2 compare where the CPU has it, [`count_equal_portable`]
+/// everywhere else — the same count either way.
+///
+/// # Panics
+/// Panics if the slices differ in length.
+#[must_use]
+pub fn count_equal(a: &[u32], b: &[u32]) -> usize {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "signatures must share a permutation family"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just detected at runtime.
+        return unsafe { avx2::count_equal(a, b) };
+    }
+    count_equal_portable(a, b)
+}
+
+/// The scalar loop [`count_equal`] falls back to, and the reference the
+/// vector path is tested against. Compares up to the shorter length.
+#[must_use]
+pub fn count_equal_portable(a: &[u32], b: &[u32]) -> usize {
+    a.iter().zip(b).filter(|(x, y)| x == y).count()
+}
+
 /// One `(a·vr + b) mod p` lane in full-width scalar arithmetic.
 /// `vr` must already be reduced into the field.
 #[inline(always)]
@@ -170,10 +204,10 @@ mod avx2 {
 
     use super::MERSENNE_PRIME;
     use core::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_blendv_epi8, _mm256_cmpeq_epi64,
-        _mm256_cmpgt_epi64, _mm256_loadu_si256, _mm256_mul_epu32, _mm256_set1_epi64x,
-        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi64,
-        _mm256_xor_si256,
+        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_blendv_epi8, _mm256_cmpeq_epi32,
+        _mm256_cmpeq_epi64, _mm256_cmpgt_epi64, _mm256_loadu_si256, _mm256_mul_epu32,
+        _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srli_epi64,
+        _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_epi64, _mm256_xor_si256,
     };
 
     #[inline]
@@ -240,6 +274,28 @@ mod avx2 {
             let h = super::lane(a[i], b[i], vr);
             slots[i] = slots[i].min(h);
         }
+    }
+
+    /// [`count_equal`](super::count_equal), eight lanes per compare; the
+    /// tail shorter than a vector goes through the portable loop.
+    ///
+    /// # Safety
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn count_equal(a: &[u32], b: &[u32]) -> usize {
+        // `zip` stops at the shorter side, so every load stays inside both.
+        let (a8, b8) = (a.chunks_exact(8), b.chunks_exact(8));
+        let tail = super::count_equal_portable(a8.remainder(), b8.remainder());
+        // An equal lane compares to −1: subtracting counts it. A counter
+        // lane would wrap after 2³² vectors, beyond any slice.
+        let mut counts = _mm256_setzero_si256();
+        for (x, y) in a8.zip(b8) {
+            let eq = _mm256_cmpeq_epi32(load(x.as_ptr().cast()), load(y.as_ptr().cast()));
+            counts = _mm256_sub_epi32(counts, eq);
+        }
+        let mut lanes = [0u32; 8];
+        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), counts);
+        tail + lanes.iter().map(|&c| c as usize).sum::<usize>()
     }
 }
 

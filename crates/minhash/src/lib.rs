@@ -10,11 +10,14 @@
 //!   universe, plus the fast internal hasher used by indexes.
 //! * [`perm`] — the pairwise-independent affine permutation family over the
 //!   Mersenne prime `2^61 − 1`.
-//! * [`kernel`] — the [`FoldKernel`] min-fold inner loop (runtime-detected
-//!   AVX2 lanes with a portable unrolled fallback, bit-identical results).
-//! * [`signature`] — [`MinHasher`] / [`Signature`]: signature generation,
-//!   Jaccard estimation (Eq. 4 of the paper), union merging, cardinality
-//!   estimation (`approx(|Q|)`, §5.1), and containment estimation.
+//! * [`kernel`] — the [`FoldKernel`] min-fold inner loop and the
+//!   [`count_equal`] match count (runtime-detected AVX2 lanes with a
+//!   portable fallback, bit-identical results).
+//! * [`signature`] — [`MinHasher`] / [`Signature`]: signature generation
+//!   (the 64-bit fold narrowed once to 32-bit lanes, the only width any
+//!   layer keeps), Jaccard estimation (Eq. 4 of the paper), union merging,
+//!   cardinality estimation (`approx(|Q|)`, §5.1), and containment
+//!   estimation.
 //! * the inclusion–exclusion conversions between Jaccard similarity and set
 //!   containment (Eq. 6) as free functions, re-used by the core crate's
 //!   threshold machinery.
@@ -46,10 +49,10 @@ pub mod perm;
 pub mod signature;
 
 pub use codec::CodecError;
-pub use kernel::FoldKernel;
+pub use kernel::{count_equal, FoldKernel};
 pub use oneperm::OnePermHasher;
 pub use perm::{AffinePermutation, PermutationFamily, EMPTY_SLOT, MERSENNE_PRIME};
-pub use signature::{MinHasher, Signature, DEFAULT_NUM_PERM};
+pub use signature::{truncate_slot, MinHasher, Signature, DEFAULT_NUM_PERM, EMPTY_LANE};
 
 /// Converts a containment score to the corresponding Jaccard similarity for
 /// domain sizes `x = |X|` and `q = |Q|` (Eq. 6, left):

@@ -10,41 +10,70 @@
 //! * containment estimation via the inclusion–exclusion conversion (Eq. 6).
 
 use crate::hash::SeedStream;
-use crate::kernel::FoldKernel;
-use crate::perm::{PermutationFamily, EMPTY_SLOT, MERSENNE_PRIME};
+use crate::kernel::{count_equal, FoldKernel};
+use crate::perm::{PermutationFamily, EMPTY_SLOT};
 
 /// Default number of minwise hash functions, matching Table 3 of the paper.
 pub const DEFAULT_NUM_PERM: usize = 256;
 
-/// A MinHash signature: one minimum per permutation slot.
+/// The lane of an empty domain: what [`EMPTY_SLOT`] narrows to.
+pub const EMPTY_LANE: u32 = u32::MAX;
+
+/// Narrows a 64-bit minimum (a value in `[0, p)`, `p = 2^61 − 1`, or
+/// [`EMPTY_SLOT`], which saturates to [`EMPTY_LANE`]) to the top 32 bits of
+/// the field — the only width signatures are kept, compared and stored in.
 ///
-/// Slots hold values in `[0, p)` (`p = 2^61 − 1`) for non-empty domains, or
-/// [`EMPTY_SLOT`] for the signature of the empty set.
+/// Monotone, so the narrowed minimum is the minimum of the narrowed values
+/// and slot-wise `min` merging stays exact. Two different minima narrow to
+/// the same lane only when they lie within 2²⁹ of each other: at most
+/// `|X|·2⁻³²` per lane, far below MinHash's own `1/√m` noise.
+#[inline]
+#[must_use]
+pub fn truncate_slot(v: u64) -> u32 {
+    (v >> 29).min(u64::from(u32::MAX)) as u32
+}
+
+/// A MinHash signature: one minimum per permutation slot, as a 32-bit lane
+/// ([`truncate_slot`] of the 64-bit fold). The signature of the empty set
+/// is all [`EMPTY_LANE`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Signature {
-    slots: Box<[u64]>,
+    slots: Box<[u32]>,
 }
 
 impl Signature {
-    /// The signature of the empty domain at width `m` (all sentinel slots).
+    /// Bytes per lane: what every stored or resident sketch is sized by.
+    pub const LANE_BYTES: usize = std::mem::size_of::<u32>();
+
+    /// The signature of the empty domain at width `m` (all sentinel lanes).
     #[must_use]
     pub fn empty(m: usize) -> Self {
         Self {
-            slots: vec![EMPTY_SLOT; m].into_boxed_slice(),
+            slots: vec![EMPTY_LANE; m].into_boxed_slice(),
         }
     }
 
-    /// Wraps raw slot values. Intended for deserialisation and tests.
+    /// Wraps lanes as they are. Intended for deserialisation and tests.
     ///
     /// # Panics
     /// Panics if `slots` is empty.
     #[must_use]
-    pub fn from_slots(slots: Vec<u64>) -> Self {
+    pub fn from_slots(slots: Vec<u32>) -> Self {
         assert!(!slots.is_empty(), "signature must have at least one slot");
         Self {
             slots: slots.into_boxed_slice(),
         }
+    }
+
+    /// Narrows 64-bit minima — a finished fold, or the slots of a format
+    /// written before lanes were 32-bit — through [`truncate_slot`].
+    ///
+    /// # Panics
+    /// Panics if `wide` is empty.
+    #[must_use]
+    pub fn from_wide(wide: &[u64]) -> Self {
+        Self::from_slots(wide.iter().map(|&v| truncate_slot(v)).collect())
     }
 
     /// Signature width `m`.
@@ -59,15 +88,17 @@ impl Signature {
         self.slots.is_empty()
     }
 
-    /// True if this is the signature of an empty domain.
+    /// True if this is the signature of an empty domain: every lane at the
+    /// sentinel. One lane is not enough — a live minimum in the top 2²⁹ of
+    /// the field narrows to [`EMPTY_LANE`] too.
     #[must_use]
     pub fn is_empty_domain(&self) -> bool {
-        self.slots.first() == Some(&EMPTY_SLOT)
+        self.slots.iter().all(|&s| s == EMPTY_LANE)
     }
 
-    /// Raw slot access.
+    /// Raw lane access.
     #[must_use]
-    pub fn slots(&self) -> &[u64] {
+    pub fn slots(&self) -> &[u32] {
         &self.slots
     }
 
@@ -78,18 +109,7 @@ impl Signature {
     /// Panics if the signatures have different widths.
     #[must_use]
     pub fn jaccard(&self, other: &Self) -> f64 {
-        assert_eq!(
-            self.len(),
-            other.len(),
-            "signatures must share a permutation family"
-        );
-        let hits = self
-            .slots
-            .iter()
-            .zip(other.slots.iter())
-            .filter(|(a, b)| a == b)
-            .count();
-        hits as f64 / self.len() as f64
+        count_equal(&self.slots, &other.slots) as f64 / self.len() as f64
     }
 
     /// Merges `other` into `self` by slot-wise minimum.
@@ -121,25 +141,22 @@ impl Signature {
     ///
     /// Each slot is the minimum of `n` i.i.d. uniform draws on `[0, p)`;
     /// the normalised minimum has expectation `1/(n+1)`, so
-    /// `n̂ = m / Σ vᵢ − 1` with `vᵢ = slotᵢ / p`. The estimate is clamped
-    /// below at 0 and rounds to the nearest integer for `estimate ≥ 1`.
+    /// `n̂ = m / Σ vᵢ − 1` with `vᵢ = (laneᵢ + ½) / 2³²` (the midpoint of the
+    /// 2²⁹ minima a lane stands for, so the sum is never zero). The estimate
+    /// is clamped below at 0 and rounds to the nearest integer for
+    /// `estimate ≥ 1`.
     #[must_use]
     pub fn cardinality(&self) -> f64 {
         if self.is_empty_domain() {
             return 0.0;
         }
+        const LANE_RANGE: f64 = (1u64 << 32) as f64;
         let m = self.len() as f64;
         let sum: f64 = self
             .slots
             .iter()
-            .map(|&s| s as f64 / MERSENNE_PRIME as f64)
+            .map(|&s| (f64::from(s) + 0.5) / LANE_RANGE)
             .sum();
-        if sum <= 0.0 {
-            // All minima collapsed to 0 — astronomically unlikely unless the
-            // domain is enormous; report the largest finite guess instead of
-            // dividing by zero.
-            return f64::MAX;
-        }
         (m / sum - 1.0).max(0.0)
     }
 
@@ -250,9 +267,7 @@ impl MinHasher {
     {
         let mut slots = vec![EMPTY_SLOT; self.family.len()];
         self.fold_into(values, &mut slots);
-        Signature {
-            slots: slots.into_boxed_slice(),
-        }
+        Signature::from_wide(&slots)
     }
 
     /// Convenience: hash raw string values into the universe, then sign.
@@ -287,9 +302,7 @@ impl MinHasher {
                 .map(|values| {
                     scratch.fill(EMPTY_SLOT);
                     self.fold_into(values.iter().copied(), &mut scratch);
-                    Signature {
-                        slots: scratch.clone().into_boxed_slice(),
-                    }
+                    Signature::from_wide(&scratch)
                 })
                 .collect()
         })
@@ -301,7 +314,7 @@ impl MinHasher {
     /// Panics if the signature width differs from the hasher's `m`.
     pub fn update(&self, sig: &mut Signature, value: u64) {
         assert_eq!(sig.len(), self.family.len(), "signature width mismatch");
-        self.fold_into(std::iter::once(value), &mut sig.slots);
+        sig.merge(&self.signature(std::iter::once(value)));
     }
 
     /// Generates a set of `n` distinct synthetic universe values, useful in
@@ -350,6 +363,45 @@ mod tests {
         assert!(e.is_empty_domain());
         assert_eq!(e, Signature::empty(16));
         assert_eq!(e.cardinality(), 0.0);
+    }
+
+    #[test]
+    fn maximal_first_lane_is_not_an_empty_domain() {
+        // A live minimum in the top 2^29 of the field narrows to the
+        // sentinel's lane; emptiness is all lanes, not the first.
+        let top = crate::MERSENNE_PRIME - 1;
+        assert_eq!(truncate_slot(top), EMPTY_LANE);
+        let sig = Signature::from_wide(&[top, 5 << 29, 9 << 29]);
+        assert_eq!(sig.slots(), [EMPTY_LANE, 5, 9]);
+        assert!(!sig.is_empty_domain());
+        assert!(sig.cardinality() > 0.0);
+        assert!(Signature::from_wide(&[EMPTY_SLOT; 3]).is_empty_domain());
+    }
+
+    #[test]
+    fn narrowing_is_monotone_so_merging_stays_exact() {
+        let mut stream = SeedStream::new(9);
+        let field = |s: &mut SeedStream| s.next_u64() % crate::MERSENNE_PRIME;
+        let a: Vec<u64> = (0..512).map(|_| field(&mut stream)).collect();
+        // Half the pairs differ only below the 29 bits narrowing drops.
+        let b: Vec<u64> = (0..512)
+            .map(|i| {
+                if i % 2 == 0 {
+                    a[i] ^ 1
+                } else {
+                    field(&mut stream)
+                }
+            })
+            .collect();
+        let min: Vec<u64> = a.iter().zip(&b).map(|(&x, &y)| x.min(y)).collect();
+        for (&x, &y) in a.iter().zip(&b) {
+            let (lo, hi) = (x.min(y), x.max(y));
+            assert!(truncate_slot(lo) <= truncate_slot(hi));
+        }
+        assert_eq!(
+            Signature::from_wide(&a).union(&Signature::from_wide(&b)),
+            Signature::from_wide(&min)
+        );
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //!
 //! Signatures are persisted in index files and compared across machines,
 //! so the vectorised kernel must never change a single slot relative to
-//! [`AffinePermutation::apply`] folded lane by lane.
+//! [`AffinePermutation::apply`] folded lane by lane. Likewise
+//! [`count_equal`] (AVX2 where this host has it) against its portable loop.
 
-use lshe_minhash::kernel::FoldKernel;
+use lshe_minhash::kernel::{count_equal, count_equal_portable, FoldKernel};
 use lshe_minhash::perm::{AffinePermutation, PermutationFamily, EMPTY_SLOT, MERSENNE_PRIME};
-use lshe_minhash::MinHasher;
+use lshe_minhash::{truncate_slot, MinHasher, EMPTY_LANE};
 use proptest::prelude::*;
 
 /// Scalar reference fold: per-lane `apply` + min.
@@ -71,6 +72,49 @@ proptest! {
         let mut expect = vec![EMPTY_SLOT; m];
         reference_fold(hasher.family().permutations(), &values, &mut expect);
         let sig = hasher.signature(values.iter().copied());
-        prop_assert_eq!(sig.slots(), expect.as_slice());
+        let narrowed: Vec<u32> = expect.iter().map(|&v| truncate_slot(v)).collect();
+        prop_assert_eq!(sig.slots(), narrowed.as_slice());
     }
+
+    #[test]
+    fn count_equal_matches_the_portable_loop(
+        a in prop::collection::vec(any::<u32>(), 0..300),
+        flips in prop::collection::vec(any::<bool>(), 300),
+    ) {
+        // `b` agrees with `a` exactly where `flips` is false.
+        let b: Vec<u32> = a.iter().zip(&flips).map(|(&v, &f)| v ^ u32::from(f)).collect();
+        let expect = flips[..a.len()].iter().filter(|&&f| !f).count();
+        prop_assert_eq!(count_equal_portable(&a, &b), expect);
+        prop_assert_eq!(count_equal(&a, &b), expect);
+    }
+}
+
+#[test]
+fn count_equal_edge_shapes() {
+    // Lengths around the 8-lane vector, with all, no and sentinel lanes equal.
+    for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 255, 256, 257] {
+        let a: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let none: Vec<u32> = a.iter().map(|v| !v).collect();
+        let sentinel = vec![EMPTY_LANE; n];
+        assert_eq!(count_equal(&a, &a), n, "all equal, n = {n}");
+        assert_eq!(count_equal(&a, &none), 0, "none equal, n = {n}");
+        assert_eq!(count_equal(&sentinel, &sentinel), n, "sentinels, n = {n}");
+        assert_eq!(
+            count_equal(&a, &sentinel),
+            count_equal_portable(&a, &sentinel),
+            "mixed, n = {n}"
+        );
+        // Only the last lane (in the scalar tail unless 8 | n) agrees.
+        if let Some(last) = n.checked_sub(1) {
+            let mut tail = none.clone();
+            tail[last] = a[last];
+            assert_eq!(count_equal(&a, &tail), 1, "tail lane, n = {n}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "share a permutation family")]
+fn count_equal_rejects_mismatched_lengths() {
+    let _ = count_equal(&[1, 2, 3], &[1, 2]);
 }

@@ -8,8 +8,13 @@
 //! meta_count:u64
 //! per domain: id:u32 size:u64 table:str column:str
 //! ensemble: u64 length + LshEnsemble bytes
-//! if ranked: per domain (same order): signature slots u64 array
+//! if ranked: per domain (same order): lane_count:u64 lanes:u32×lane_count
+//! next_id:u32                   (v2+)
 //! ```
+//!
+//! Version 3 holds signatures as 32-bit lanes. Files up to version 2 hold
+//! `u64` slots; they still load, narrowed as they are decoded, and are
+//! written back as version 3 by the next save — nothing writes them again.
 //!
 //! Two on-disk formats share this module. The heap format above (`LSHX`,
 //! currently [`VERSION`]) is decoded wholesale into heap structures. The
@@ -38,8 +43,9 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"LSHX";
 /// Current container version. v2 appends the id allocator's high-water
 /// mark so a restart never re-issues a removed domain's id; v1 files load
-/// with the mark recomputed as `max(id) + 1`.
-pub const VERSION: u8 = 2;
+/// with the mark recomputed as `max(id) + 1`. v3 narrows the ranked
+/// sketches to `u32` lanes; older files' `u64` slots narrow on load.
+pub const VERSION: u8 = 3;
 
 /// Provenance of one indexed domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -727,7 +733,7 @@ impl IndexContainer {
                 let (_, sig) = ranked
                     .sketch(rec.id)
                     .expect("ranked index holds every record");
-                enc.put_u64_slice(sig.slots());
+                enc.put_u32_slice(sig.slots());
             }
         }
         // v2 trailer: the allocator high-water mark survives restarts.
@@ -784,7 +790,8 @@ impl IndexContainer {
         // Ensemble and sketches are each about half the file: a thread each.
         let (ensemble, sketches) = std::thread::scope(|scope| {
             let ensemble = scope.spawn(|| LshEnsemble::from_bytes(eb));
-            let sketches = has_ranked.then(|| Self::decode_sketches(&mut dec, &records, num_perm));
+            let sketches = has_ranked
+                .then(|| Self::decode_sketches(&mut dec, &records, num_perm, version < 3));
             (
                 ensemble.join().expect("ensemble decoder panicked"),
                 sketches,
@@ -826,22 +833,24 @@ impl IndexContainer {
         })
     }
 
-    /// The per-record sketches of a ranked container, in record order.
+    /// The per-record sketches of a ranked container, in record order;
+    /// `wide` reads the `u64` slots of files older than version 3.
     fn decode_sketches(
         dec: &mut Decoder<'_>,
         records: &[DomainRecord],
         num_perm: usize,
+        wide: bool,
     ) -> Result<Vec<(u32, u64, Signature)>, CodecError> {
         let mut sketches = Vec::with_capacity(records.len());
         for rec in records {
-            let slots = dec.get_u64_vec("sketch slots")?;
-            if slots.len() != num_perm {
+            if dec.get_u64("sketch width")? != num_perm as u64 {
                 return Err(CodecError::Corrupt("sketch width disagrees with config"));
             }
             if rec.size == 0 {
                 return Err(CodecError::Corrupt("zero-size record in ranked container"));
             }
-            sketches.push((rec.id, rec.size, Signature::from_slots(slots)));
+            let sig = dec.get_lanes(num_perm, wide, "sketch slots")?;
+            sketches.push((rec.id, rec.size, sig));
         }
         let mut seen: Vec<u32> = records.iter().map(|r| r.id).collect();
         seen.sort_unstable();
@@ -1101,8 +1110,10 @@ pub const DELTA_MAGIC: [u8; 4] = *b"LSHD";
 /// Current delta-log format version. v2 widens the header with the id
 /// allocator's high-water mark at log creation (4 bytes) and adds the
 /// [`DeltaOp::Commit`] marker; v1 logs (5-byte header, no markers) still
-/// read back as one all-staged tail.
-pub const DELTA_VERSION: u8 = 2;
+/// read back as one all-staged tail. v3 logs an insert's signature as
+/// `u32` lanes under a new op tag; the old tag's `u64` slots narrow as
+/// they are read, so a log an older build began can be appended to.
+pub const DELTA_VERSION: u8 = 3;
 
 /// One staged mutation, as recorded in the append-only delta log.
 #[derive(Debug, Clone, PartialEq)]
@@ -1180,9 +1191,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn encode_entry(out: &mut Vec<u8>, op: &DeltaOp) {
     let payload = Encoder::exactly(|enc| match op {
         DeltaOp::Insert { record, signature } => {
-            enc.put_u8(1);
+            enc.put_u8(4);
             record.encode_into(enc);
-            enc.put_u64_slice(signature.slots());
+            enc.put_u32_slice(signature.slots());
         }
         DeltaOp::Remove { id } => {
             enc.put_u8(2);
@@ -1206,12 +1217,17 @@ fn delta_header(next_id: u32) -> Vec<u8> {
     header.finish()
 }
 
+/// Decodes one entry's payload. Tag 1 is the insert of logs before
+/// version 3, its signature in `u64` slots; tag 4 replaced it.
 fn decode_op(payload: &[u8]) -> Result<DeltaOp, CodecError> {
     let mut dec = Decoder::new(payload);
     let op = match dec.get_u8("delta op tag")? {
-        1 => DeltaOp::Insert {
+        tag @ (1 | 4) => DeltaOp::Insert {
             record: DomainRecord::decode(&mut dec)?,
-            signature: Signature::from_slots(dec.get_u64_vec("delta signature")?),
+            signature: {
+                let lanes = dec.get_u64("delta signature width")? as usize;
+                dec.get_lanes(lanes, tag == 1, "delta signature")?
+            },
         },
         2 => DeltaOp::Remove {
             id: dec.get_u32("delta id")?,
@@ -1238,6 +1254,10 @@ fn decode_op(payload: &[u8]) -> Result<DeltaOp, CodecError> {
 /// ```text
 /// "LSHD" version:u8 next_id:u32        (v1 headers omit next_id)
 /// per entry: len:u32  payload[len]  fnv1a(payload):u64
+/// payload: 4 record lane_count:u64 lanes:u32×lane_count   (insert)
+///        | 2 id:u32                                       (remove)
+///        | 3 next_id:u32                                  (commit marker)
+///        | 1 record slot_count:u64 slots:u64×slot_count   (insert, read only)
 /// ```
 ///
 /// A crash mid-append leaves a truncated final entry; [`read`](Self::read)
@@ -1859,17 +1879,32 @@ mod tests {
     #[test]
     fn v1_delta_log_reads_back_without_a_mark() {
         // A log written by a pre-segment server: 5-byte header, no
-        // allocator mark, no commit markers — reads as one staged tail.
+        // allocator mark, no commit markers, 64-bit signature slots — reads
+        // as one staged tail, the slots narrowed.
         let log = scratch_log("v1compat");
-        let ops = vec![insert_op(4, 10, 256), DeltaOp::Remove { id: 2 }];
-        let mut bytes = Vec::new();
+        let wide: Vec<u64> = (1..=8u64).map(|v| v << 40 | v).collect();
+        let DeltaOp::Insert { record, .. } = insert_op(4, 10, 8) else {
+            unreachable!()
+        };
+        let payload = Encoder::exactly(|enc| {
+            enc.put_u8(1);
+            record.encode_into(enc);
+            enc.put_u64(wide.len() as u64);
+            wide.iter().for_each(|&v| enc.put_u64(v));
+        });
         let mut header = Encoder::with_capacity(5);
         header.envelope(DELTA_MAGIC, 1);
-        bytes.extend_from_slice(&header.finish());
-        for op in &ops {
-            encode_entry(&mut bytes, op);
-        }
+        let mut bytes = header.finish();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        encode_entry(&mut bytes, &DeltaOp::Remove { id: 2 });
         std::fs::write(log.path(), &bytes).expect("write");
+        let signature = Signature::from_wide(&wide);
+        let ops = vec![
+            DeltaOp::Insert { record, signature },
+            DeltaOp::Remove { id: 2 },
+        ];
         assert_eq!(log.read_with_mark().expect("read v1"), (0, ops));
         std::fs::remove_dir_all(log.path().parent().expect("dir")).ok();
     }

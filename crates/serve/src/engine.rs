@@ -609,7 +609,7 @@ impl Engine {
             .iter()
             .map(|op| match op {
                 DeltaOp::Insert { record, signature } => {
-                    signature.len() * 8
+                    signature.len() * Signature::LANE_BYTES
                         + record.table.capacity()
                         + record.column.capacity()
                         + std::mem::size_of::<crate::container::DomainRecord>()

@@ -1723,7 +1723,7 @@ mod tests {
         assert_eq!(staged_bytes, 0);
 
         // Staging an insert grows the backlog accounting (the signature
-        // alone is num_perm × 8 bytes).
+        // alone is num_perm lanes).
         let values: Vec<String> = (0..24).map(|i| format!("\"m{i}\"")).collect();
         let (status, body) = post(
             addr,
@@ -1733,7 +1733,7 @@ mod tests {
         assert_eq!(status, 200, "{body}");
         let (_, staged_after_insert) = memory(addr);
         assert!(
-            staged_after_insert >= 256 * 8,
+            staged_after_insert >= 256 * Signature::LANE_BYTES as u64,
             "staged backlog under-reported: {staged_after_insert}"
         );
 

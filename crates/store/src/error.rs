@@ -16,11 +16,12 @@ pub enum StoreError {
         /// The eight bytes actually found.
         found: [u8; 8],
     },
-    /// The file's format version is newer than this build understands.
+    /// The file's format version is not the one this build reads: newer,
+    /// or an older layout (a packed file is derived — re-pack it).
     UnsupportedVersion {
         /// Version found in the header.
         found: u32,
-        /// Highest version this build supports.
+        /// The version this build supports.
         supported: u32,
     },
     /// The file is shorter than a structure it claims to contain.
@@ -97,7 +98,8 @@ impl fmt::Display for StoreError {
             }
             Self::UnsupportedVersion { found, supported } => write!(
                 f,
-                "store format version {found} is newer than supported {supported}"
+                "store format version {found} is not the supported {supported}; \
+                 re-pack the index with this build"
             ),
             Self::Truncated {
                 reading,

@@ -29,8 +29,11 @@ use std::sync::Arc;
 
 /// File magic: the first eight bytes of every v2 store.
 pub const MAGIC: [u8; 8] = *b"LSHEIDX2";
-/// Current (and only) v2 format version.
-pub const VERSION: u32 = 2;
+/// The one format version this build writes and reads. Version 3 holds
+/// signature lanes as `u32` ([`SectionKind::SketchSlots`] and the segment
+/// entries); a version-2 file (`u64` slots) is refused, not migrated — a
+/// packed file is derived from a `.lshe` index, so it is packed again.
+pub const VERSION: u32 = 3;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 64;
 /// Section payload alignment, in bytes.
@@ -62,7 +65,7 @@ pub enum SectionKind {
     SketchIds = 6,
     /// `u64` per domain: its cardinality, in sketch-id order.
     SketchSizes = 7,
-    /// `u64` array: `num_perm` signature slots per domain, in sketch-id
+    /// `u32` array: `num_perm` signature lanes per domain, in sketch-id
     /// order.
     SketchSlots = 8,
     /// `u64` per record plus one terminator: byte offsets into

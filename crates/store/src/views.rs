@@ -18,7 +18,7 @@
 pub struct SketchesView<'a> {
     ids: &'a [u32],
     sizes: &'a [u64],
-    slots: &'a [u64],
+    slots: &'a [u32],
     num_perm: usize,
 }
 
@@ -33,7 +33,7 @@ impl<'a> SketchesView<'a> {
     pub fn new(
         ids: &'a [u32],
         sizes: &'a [u64],
-        slots: &'a [u64],
+        slots: &'a [u32],
         num_perm: usize,
     ) -> Option<Self> {
         if num_perm == 0 || sizes.len() != ids.len() {
@@ -79,7 +79,7 @@ impl<'a> SketchesView<'a> {
     /// The domain's `(cardinality, signature slots)`, or `None` if the id
     /// is not sketched.
     #[must_use]
-    pub fn lookup(&self, id: u32) -> Option<(u64, &'a [u64])> {
+    pub fn lookup(&self, id: u32) -> Option<(u64, &'a [u32])> {
         let i = self.ids.binary_search(&id).ok()?;
         Some((
             self.sizes[i],
@@ -88,7 +88,7 @@ impl<'a> SketchesView<'a> {
     }
 
     /// Iterates `(id, cardinality, slots)` in ascending-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64, &'a [u64])> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u64, &'a [u32])> + '_ {
         self.ids.iter().enumerate().map(move |(i, &id)| {
             (
                 id,
@@ -183,7 +183,7 @@ impl<'a> PartitionView<'a> {
     }
 }
 
-/// One borrowed prefix tree: sorted rows of `r_max` truncated hash slots,
+/// One borrowed prefix tree: sorted rows of `r_max` signature lanes,
 /// each owning a domain id.
 #[derive(Debug, Clone, Copy)]
 pub struct TreeView<'a> {
@@ -245,12 +245,12 @@ mod tests {
     fn sketches_lookup() {
         let ids = [2u32, 5, 9];
         let sizes = [20u64, 50, 90];
-        let slots = [1u64, 2, 3, 4, 5, 6]; // num_perm = 2
+        let slots = [1u32, 2, 3, 4, 5, 6]; // num_perm = 2
         let v = SketchesView::new(&ids, &sizes, &slots, 2).expect("view");
         assert_eq!(v.len(), 3);
         assert!(v.ids_sorted());
-        assert_eq!(v.lookup(5), Some((50, &[3u64, 4][..])));
-        assert_eq!(v.lookup(9), Some((90, &[5u64, 6][..])));
+        assert_eq!(v.lookup(5), Some((50, &[3u32, 4][..])));
+        assert_eq!(v.lookup(9), Some((90, &[5u32, 6][..])));
         assert_eq!(v.lookup(7), None);
         let collected: Vec<u32> = v.iter().map(|(id, _, _)| id).collect();
         assert_eq!(collected, vec![2, 5, 9]);
@@ -260,7 +260,7 @@ mod tests {
     fn sketches_rejects_mismatched_lengths() {
         let ids = [1u32, 2];
         let sizes = [1u64];
-        let slots = [0u64; 4];
+        let slots = [0u32; 4];
         assert!(SketchesView::new(&ids, &sizes, &slots, 2).is_none());
         let sizes2 = [1u64, 2];
         assert!(SketchesView::new(&ids, &sizes2, &slots[..3], 2).is_none());
@@ -271,7 +271,7 @@ mod tests {
     fn sketches_detects_unsorted_ids() {
         let ids = [5u32, 2];
         let sizes = [1u64, 2];
-        let slots = [0u64; 2];
+        let slots = [0u32; 2];
         let v = SketchesView::new(&ids, &sizes, &slots, 1).expect("view");
         assert!(!v.ids_sorted());
     }

@@ -109,6 +109,35 @@ fn index_query_topk_stats_round_trip() {
 }
 
 #[test]
+fn stats_memory_tracks_the_serialised_size() {
+    // The heap index holds what the file holds — forest rows and one
+    // sketch per domain, both in 32-bit lanes — so an estimate still
+    // sized by 8-byte lanes would read ~45% over.
+    let dir = scratch_dir("stats_memory");
+    let corpus = lshe_datagen::CorpusStream::new(lshe_datagen::CorpusConfig {
+        seed: 5,
+        ..lshe_datagen::CorpusConfig::wdc_web_tables_like(400)
+    });
+    let container = lshe_serve::IndexContainer::from_stream(corpus, 8, true);
+    let index = dir.join("ranked.lshe");
+    container.save(&index).expect("save");
+    let stats = lshe_cli::run(&args(&["stats", "--index", index.to_str().expect("utf8")]))
+        .expect("stats succeeds");
+    let memory: f64 = stats
+        .lines()
+        .find_map(|l| l.strip_prefix("memory: ")?.strip_suffix(" bytes"))
+        .expect("memory line")
+        .parse()
+        .expect("byte count");
+    let file = container.to_bytes().len() as f64;
+    assert!(
+        (memory / file - 1.0).abs() < 0.10,
+        "stats reports {memory} B for an index that serialises to {file} B"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn help_text_and_error_paths() {
     // `help` and the empty invocation print usage.
     assert!(lshe_cli::run(&[]).expect("usage").contains("COMMANDS"));

@@ -8,6 +8,7 @@
 //! produce a *typed* error naming what is wrong (and, through the
 //! container, which file), never a panic and never a clean load.
 
+use lshe_core::MmapIndexError;
 use lshe_datagen::{generate_catalog, CorpusConfig};
 use lshe_serve::container::LoadError;
 use lshe_serve::IndexContainer;
@@ -232,23 +233,38 @@ fn wrong_magic_is_rejected_not_misparsed() {
 }
 
 #[test]
-fn version_from_the_future_is_refused() {
+fn any_other_version_is_refused() {
     let dir = scratch("version");
     let (clean, _) = packed_fixture(&dir);
-    let mut bytes = clean.clone();
-    // Bump the version field and re-seal the header checksum so ONLY the
-    // version differs — the reader must refuse on version, not checksum.
-    bytes[8..12].copy_from_slice(&99u32.to_le_bytes());
-    let reseal = lshe_store::crc32(&bytes[0..36]);
-    bytes[36..40].copy_from_slice(&reseal.to_le_bytes());
-    let path = dir.join("future.lshepk");
-    std::fs::write(&path, &bytes).expect("write");
-    match Store::open(&path) {
-        Err(StoreError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 99);
-            assert_eq!(supported, lshe_store::VERSION);
+    // From the future, and the version before signature lanes narrowed:
+    // a packed file is derived, so an old one is packed again, not read.
+    for other in [99u32, lshe_store::VERSION - 1] {
+        let mut bytes = clean.clone();
+        // Change the version field and re-seal the header checksum so ONLY
+        // the version differs — refused on version, not checksum.
+        bytes[8..12].copy_from_slice(&other.to_le_bytes());
+        let reseal = lshe_store::crc32(&bytes[0..36]);
+        bytes[36..40].copy_from_slice(&reseal.to_le_bytes());
+        let path = dir.join("other.lshepk");
+        std::fs::write(&path, &bytes).expect("write");
+        match Store::open(&path) {
+            Err(StoreError::UnsupportedVersion { found, supported }) => {
+                assert_eq!((found, supported), (other, lshe_store::VERSION));
+            }
+            refused => panic!("expected UnsupportedVersion, got {refused:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
+        // The serving path names the file and keeps the typed cause.
+        let err = load_damaged(&dir, "other2.lshepk", &bytes);
+        assert!(
+            matches!(
+                &err,
+                LoadError::Store {
+                    source: MmapIndexError::Store(StoreError::UnsupportedVersion { found, .. }),
+                    ..
+                } if *found == other
+            ),
+            "version {other}: {err}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
