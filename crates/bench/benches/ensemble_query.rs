@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lshe_bench::workload;
-use lshe_core::PartitionStrategy;
+use lshe_core::{DomainIndex, PartitionStrategy, Query};
 use lshe_minhash::MinHasher;
 
 fn ensemble_query(c: &mut Criterion) {
@@ -56,8 +56,11 @@ fn parallel_vs_sequential(c: &mut Criterion) {
     c.bench_function("query_sequential_32p", |b| {
         b.iter(|| ens.query_with_size(&corpus.signatures[q], corpus.sizes[q], 0.5))
     });
-    c.bench_function("query_parallel_32p", |b| {
-        b.iter(|| ens.query_parallel(&corpus.signatures[q], corpus.sizes[q], 0.5))
+    c.bench_function("query_fanned_32p", |b| {
+        let query = Query::threshold(&corpus.signatures[q], 0.5)
+            .with_size(corpus.sizes[q])
+            .with_parallel(true);
+        b.iter(|| ens.search(&query))
     });
 }
 

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use lshe_minhash::kernel::FoldKernel;
 use lshe_minhash::perm::EMPTY_SLOT;
-use lshe_minhash::{MinHasher, OnePermHasher};
+use lshe_minhash::MinHasher;
 
 fn signature_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("signature_generation");
@@ -18,14 +18,6 @@ fn signature_generation(c: &mut Criterion) {
                 BenchmarkId::new(format!("classic_m{m}"), size),
                 &values,
                 |b, values| b.iter(|| hasher.signature(values.iter().copied())),
-            );
-            // One-Permutation Hashing: the O(n + m) fast path — expect a
-            // speedup approaching m× at large n.
-            let oph = OnePermHasher::new(m);
-            group.bench_with_input(
-                BenchmarkId::new(format!("oneperm_m{m}"), size),
-                &values,
-                |b, values| b.iter(|| oph.signature(values.iter().copied())),
             );
         }
     }

@@ -8,7 +8,7 @@
 //! validating that the paper's constant-time estimation loses nothing.
 
 use lshe_bench::{report, workload, Args};
-use lshe_core::PartitionStrategy;
+use lshe_core::{DomainIndex, PartitionStrategy, Query};
 use lshe_datagen::{aggregate, query_accuracy, sample_queries, QueryAccuracy, SizeBand};
 
 fn main() {
@@ -53,13 +53,15 @@ fn main() {
                 let domain = world.catalog.domain(q);
                 let truth = world.exact.search(domain, t_star);
                 let sig = &world.signatures[q as usize];
-                let answer = if exact_size {
-                    index.query_with_size(sig, domain.len() as u64, t_star)
+                let query = Query::threshold(sig, t_star);
+                let query = if exact_size {
+                    query.with_size(domain.len() as u64)
                 } else {
                     let est = sig.cardinality();
                     rel_err_sum += (est - domain.len() as f64).abs() / domain.len() as f64;
-                    index.query(sig, t_star)
+                    query
                 };
+                let answer = index.search(&query).expect("valid query").ids();
                 per_query.push(query_accuracy(&answer, &truth));
             }
             let acc = aggregate(&per_query);

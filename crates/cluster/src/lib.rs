@@ -9,7 +9,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`placement`] | deterministic domain→shard routing (`id % shards`, the same modulus [`lshe_core::ShardedEnsemble`] inserts route by) |
+//! | [`placement`] | deterministic domain→shard routing |
 //! | [`pool`] | per-shard keep-alive connection pool with connect/read deadlines |
 //! | [`health`] | per-shard consecutive-failure state machine; degraded shards are skipped, probes re-admit them |
 //! | [`scatter`](mod@scatter) | lanes-budgeted parallel fan-out and hedged retries for straggler shards |

@@ -1,10 +1,9 @@
 //! Deterministic domain→shard placement.
 //!
-//! One function, used by every layer that must agree on where a domain
-//! lives: `lshe split` when it partitions a container into shard files,
-//! the coordinator when it routes `/insert` and `/remove`, and (by
-//! construction) `lshe_core::ShardedEnsemble::try_insert`, which routes
-//! live inserts to `id % num_shards` in the single-process topology.
+//! The rule is `id % num_shards`, stated once here and used by every
+//! layer that must agree on where a domain lives: `lshe split` when it
+//! partitions a container into shard files, and the coordinator when it
+//! routes `/insert` and `/remove`.
 //!
 //! For the dense ids a fresh `IndexContainer::build` assigns (0..n), the
 //! modulus also coincides with the positional round-robin

@@ -35,11 +35,11 @@
 //! assert!(outcome.stats.partitions_probed <= outcome.stats.partitions_total);
 //! ```
 
-use crate::ensemble::{EnsembleConfig, LshEnsemble, PartitionStats};
-use crate::ranked::{merge_unique, skew_exceeds, RankedIndex};
+use crate::ensemble::{EnsembleConfig, EnsemblePartition};
+use crate::pipeline::{Fanout, ReadPath};
+use crate::ranked::{merge_unique, RankedIndex, SketchMap};
 use crate::sharded::ShardedEnsemble;
-use crate::tuning::Tuner;
-use lshe_lsh::{DomainId, LshForest};
+use lshe_lsh::DomainId;
 use lshe_minhash::Signature;
 use std::sync::Arc;
 use std::time::Instant;
@@ -197,8 +197,8 @@ impl<'a> Query<'a> {
     }
 }
 
-/// Default equi-depth rebalance trigger: commit rebuilds partitions (and
-/// shards) from retained sketches once the fullest partition holds more
+/// Default equi-depth rebalance trigger: commit rebuilds partitions from
+/// retained sketches once the fullest partition holds more
 /// than this multiple of the mean partition population. §6.2 argues plain
 /// boundary growth stays *correct* indefinitely (upper bounds only grow,
 /// so conversion stays conservative), but precision decays with skew —
@@ -235,7 +235,7 @@ impl std::error::Error for MutationError {}
 pub struct CommitReport {
     /// Staged inserts folded into the sorted runs by this commit.
     pub merged: usize,
-    /// Whether the commit rebuilt partitions/shards from retained sketches
+    /// Whether the commit rebuilt partitions from retained sketches
     /// because equi-depth skew passed the rebalance trigger.
     pub rebalanced: bool,
     /// Whether a non-empty staged delta was sealed into a segment.
@@ -251,9 +251,9 @@ pub struct CommitReport {
 /// its compacted base layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SegmentStats {
-    /// Sealed segments awaiting compaction (summed across shards).
+    /// Sealed segments awaiting compaction.
     pub segments: usize,
-    /// Tombstoned ids awaiting compaction (summed across shards).
+    /// Tombstoned ids awaiting compaction.
     pub tombstones: usize,
 }
 
@@ -282,14 +282,15 @@ pub fn needs_compaction(stats: SegmentStats, len: usize) -> bool {
 /// must stay unique; every mutation is validated and returns a typed
 /// [`MutationError`] rather than panicking.
 ///
-/// Backends that retain per-domain sketches ([`crate::RankedIndex`],
-/// [`ShardedRanked`]) additionally *rebalance* on commit: when the fullest
+/// Two backends mutate. [`crate::RankedIndex`] retains per-domain
+/// sketches and additionally *rebalances* on commit: when the fullest
 /// partition drifts past the configured trigger multiple of the mean
-/// population, the equi-depth partitioning (and shard assignment) is
-/// rebuilt from the sketches, restoring the freshly-built layout. Plain
-/// backends grow their boundary partitions conservatively instead — upper
-/// bounds only grow, so threshold conversion never produces new false
-/// negatives (the paper's dynamic-data argument).
+/// population, the equi-depth partitioning is rebuilt from the sketches,
+/// restoring the freshly-built layout. The plain [`crate::LshEnsemble`]
+/// grows its boundary partitions conservatively instead — upper bounds
+/// only grow, so threshold conversion never produces new false negatives
+/// (the paper's dynamic-data argument). Sharded indexes are read-only
+/// views, rebuilt over the mutated container.
 ///
 /// The trait is object safe: the server's ingestion path holds
 /// `&mut dyn MutableIndex`.
@@ -479,37 +480,18 @@ pub(crate) struct ProbeCounts {
     pub candidates: usize,
 }
 
-/// Builds a [`SearchOutcome`] from finished hits plus probe counters
-/// (crate-internal shorthand over [`SearchOutcome::new`]).
-pub(crate) fn outcome_from_hits(
-    hits: Vec<SearchHit>,
-    probe: ProbeCounts,
-    started: Instant,
-) -> SearchOutcome {
-    SearchOutcome::new(hits, probe.probed, probe.total, probe.candidates, started)
-}
-
-/// Builds a [`SearchOutcome`] from plain (unestimated) candidate ids.
-pub(crate) fn outcome_from_ids(
-    ids: Vec<DomainId>,
-    probe: ProbeCounts,
-    started: Instant,
-) -> SearchOutcome {
-    let hits = ids
-        .into_iter()
+/// Plain (unestimated) candidate ids as hits.
+pub(crate) fn unranked(ids: Vec<DomainId>) -> Vec<SearchHit> {
+    ids.into_iter()
         .map(|id| SearchHit { id, estimate: None })
-        .collect();
-    outcome_from_hits(hits, probe, started)
+        .collect()
 }
 
-/// Builds a [`SearchOutcome`] with an explicit execution time in
-/// nanoseconds — the batched paths accumulate per-query time across the
-/// partition-outer sweep instead of bracketing one `Instant`.
-pub(crate) fn outcome_from_hits_timed(
-    hits: Vec<SearchHit>,
-    probe: ProbeCounts,
-    nanos: u64,
-) -> SearchOutcome {
+/// Builds a [`SearchOutcome`] from finished hits, probe counters, and the
+/// execution time in nanoseconds (the batched paths accumulate per-query
+/// time across the partition-outer sweep instead of bracketing one
+/// `Instant`).
+pub(crate) fn outcome(hits: Vec<SearchHit>, probe: ProbeCounts, nanos: u64) -> SearchOutcome {
     let survivors = hits.len();
     SearchOutcome {
         hits,
@@ -521,19 +503,6 @@ pub(crate) fn outcome_from_hits_timed(
             wall_micros: nanos / 1_000,
         },
     }
-}
-
-/// [`outcome_from_hits_timed`] over plain candidate ids.
-pub(crate) fn outcome_from_ids_timed(
-    ids: Vec<DomainId>,
-    probe: ProbeCounts,
-    nanos: u64,
-) -> SearchOutcome {
-    let hits = ids
-        .into_iter()
-        .map(|id| SearchHit { id, estimate: None })
-        .collect();
-    outcome_from_hits_timed(hits, probe, nanos)
 }
 
 /// The shared top-k strategy: descend through containment thresholds
@@ -633,157 +602,6 @@ impl<T: DomainIndex + ?Sized> DomainIndex for Arc<T> {
     }
 }
 
-// --------------------------------------------------------------- ForestIndex
-
-/// A single LSH Forest behind the unified surface: the dynamic-LSH
-/// building block (§5.5) promoted to a standalone backend, with threshold
-/// conversion through the *global* maximum domain size — i.e. MinHash LSH
-/// over one forest, without partitioning.
-///
-/// Unlike [`baseline_minhash_lsh`](crate::baseline_minhash_lsh) (a
-/// single-partition ensemble), this adapter exposes the forest directly
-/// and stays mutable: [`insert`](Self::insert) then
-/// [`commit`](Self::commit), exactly the forest's own lifecycle.
-#[derive(Debug)]
-pub struct ForestIndex {
-    forest: LshForest,
-    tuner: Tuner,
-    config: EnsembleConfig,
-    max_size: u64,
-}
-
-impl ForestIndex {
-    /// An empty forest-backed index with the given configuration
-    /// (`strategy` is ignored — a forest has one partition).
-    ///
-    /// # Panics
-    /// Panics on an invalid configuration (`b_max·r_max > num_perm`).
-    #[must_use]
-    pub fn new(config: EnsembleConfig) -> Self {
-        // Reuse the ensemble's validation by constructing a builder.
-        let _ = crate::ensemble::LshEnsembleBuilder::new(config);
-        Self {
-            forest: LshForest::new(config.b_max, config.r_max),
-            tuner: Tuner::new(config.b_max as u32, config.r_max as u32),
-            config,
-            max_size: 0,
-        }
-    }
-
-    /// Inserts one domain; immediately queryable (staged-tail scan).
-    ///
-    /// # Panics
-    /// Panics if `size == 0` or the signature width differs from the
-    /// configuration.
-    pub fn insert(&mut self, id: DomainId, size: u64, signature: &Signature) {
-        assert!(size > 0, "domain size must be positive");
-        assert_eq!(
-            signature.len(),
-            self.config.num_perm,
-            "signature width mismatch"
-        );
-        self.max_size = self.max_size.max(size);
-        self.forest.insert(id, signature);
-    }
-
-    /// Folds staged inserts into the sorted runs.
-    pub fn commit(&mut self) {
-        self.forest.commit();
-    }
-
-    /// The global size upper bound used for threshold conversion.
-    #[must_use]
-    pub fn max_size(&self) -> u64 {
-        self.max_size
-    }
-
-    /// One threshold probe against the forest, filling `buf` with the
-    /// sorted-unique candidates — the single shared core of
-    /// [`search`](DomainIndex::search) and
-    /// [`search_batch`](DomainIndex::search_batch), so the two can never
-    /// drift. Outcome assembly stays with the callers: the single path
-    /// moves the buffer out, the batched path clones it so one buffer's
-    /// capacity serves the whole batch.
-    fn probe_threshold(
-        &self,
-        signature: &Signature,
-        size: u64,
-        t_star: f64,
-        buf: &mut Vec<DomainId>,
-    ) -> ProbeCounts {
-        buf.clear();
-        if self.forest.is_empty() {
-            return ProbeCounts::default();
-        }
-        let params = self.tuner.optimize(self.max_size, size, t_star);
-        self.forest
-            .query_into(signature, params.b as usize, params.r as usize, buf);
-        let candidates = buf.len();
-        buf.sort_unstable();
-        buf.dedup();
-        ProbeCounts {
-            probed: 1,
-            total: 1,
-            candidates,
-        }
-    }
-}
-
-impl DomainIndex for ForestIndex {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.config.num_perm)?;
-        let QueryMode::Threshold(t_star) = query.mode() else {
-            return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use a RankedIndex".into(),
-            ));
-        };
-        let started = Instant::now();
-        let mut buf = Vec::new();
-        let probe =
-            self.probe_threshold(query.signature(), query.effective_size(), t_star, &mut buf);
-        Ok(outcome_from_ids(buf, probe, started))
-    }
-
-    fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        crate::batch::split_and_run(
-            queries,
-            self.config.num_perm,
-            |items| {
-                // Single forest: no fan-out to amortize, but the probe
-                // buffer and the tuner's memo table stay hot across the
-                // whole batch.
-                let mut buf: Vec<DomainId> = Vec::new();
-                items
-                    .iter()
-                    .map(|item| {
-                        let started = Instant::now();
-                        let probe =
-                            self.probe_threshold(item.signature, item.size, item.t_star, &mut buf);
-                        outcome_from_ids(buf.clone(), probe, started)
-                    })
-                    .collect()
-            },
-            |_, _| {
-                Err(QueryError::Unsupported(
-                    "top-k needs retained sketches; use a RankedIndex".into(),
-                ))
-            },
-        )
-    }
-
-    fn len(&self) -> usize {
-        self.forest.len()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.forest.memory_bytes()
-    }
-
-    fn describe(&self) -> String {
-        format!("LSH Forest ({}×{})", self.config.b_max, self.config.r_max)
-    }
-}
-
 // ------------------------------------------------------------- ShardedRanked
 
 /// A [`ShardedEnsemble`] paired with the retained sketches of a
@@ -791,14 +609,14 @@ impl DomainIndex for ForestIndex {
 /// containment estimates and top-k — the backend the server uses for
 /// `--shards N`.
 ///
-/// The sketches are shared (`Arc`), not copied: the shards borrow them at
-/// build time and the estimate pass looks them up per candidate.
+/// A build-once, read-only view: the server builds a fresh one over each
+/// snapshot's container. The sketches are shared (`Arc`), not copied: the
+/// shards borrow them at build time and the estimate pass looks them up
+/// per candidate.
 #[derive(Debug)]
 pub struct ShardedRanked {
     shards: ShardedEnsemble,
     ranked: Arc<RankedIndex>,
-    config: EnsembleConfig,
-    rebalance_trigger: f64,
 }
 
 impl ShardedRanked {
@@ -817,12 +635,7 @@ impl ShardedRanked {
         let sigs: Vec<&Signature> = entries.iter().map(|&(_, _, sig)| sig).collect();
         let shards = ShardedEnsemble::build_from_parts(num_shards, config, &ids, &sizes, &sigs);
         drop(entries);
-        Self {
-            shards,
-            ranked,
-            config,
-            rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
-        }
+        Self { shards, ranked }
     }
 
     /// Number of shards.
@@ -837,288 +650,21 @@ impl ShardedRanked {
         &self.shards
     }
 
-    /// True if `id` is currently indexed.
-    #[must_use]
-    pub fn contains(&self, id: DomainId) -> bool {
-        self.ranked.contains(id)
-    }
-
-    /// Sets the equi-depth skew multiple past which a commit rebuilds the
-    /// shard assignment (and the ranked index's partitioning) from the
-    /// retained sketches. Values ≤ 1.0 rebalance on every post-mutation
-    /// commit; the default is [`DEFAULT_REBALANCE_TRIGGER`].
-    pub fn set_rebalance_trigger(&mut self, trigger: f64) {
-        self.rebalance_trigger = trigger;
-        Arc::make_mut(&mut self.ranked).set_rebalance_trigger(trigger);
-    }
-
-    /// Typed insert: retains the sketch (copy-on-write on the shared
-    /// ranked index) and routes the domain to shard `id % num_shards`.
-    ///
-    /// # Errors
-    /// As [`RankedIndex::try_insert`].
-    pub fn try_insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        Arc::make_mut(&mut self.ranked).try_insert(id, size, signature)?;
-        self.shards.try_insert(id, size, signature)
-    }
-
-    /// Typed removal from both the sketch store and the owning shard.
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if the id is not indexed.
-    pub fn try_remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        Arc::make_mut(&mut self.ranked).try_remove(id)?;
-        self.shards.try_remove(id)
-    }
-
-    /// Folds staged inserts on every shard (and in the ranked index), then
-    /// rebuilds the whole shard assignment from the retained sketches when
-    /// partition-population skew passed the trigger — restoring exactly
-    /// the layout a fresh [`build`](Self::build) on the current corpus
-    /// would produce.
-    pub fn commit(&mut self) -> CommitReport {
-        let merged = self.shards.staged_len();
-        let ranked_report = Arc::make_mut(&mut self.ranked).commit();
-        let shard_report = self.shards.commit();
-        let rebalanced = self.maybe_rebalance();
-        let stats = self.segment_stats();
-        CommitReport {
-            merged,
-            rebalanced: rebalanced || ranked_report.rebalanced,
-            sealed: shard_report.sealed,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
+    fn read_path(&self) -> ReadPath<'_, Fanout<'_, &EnsemblePartition>, SketchMap> {
+        ReadPath {
+            source: self.shards.fanout(),
+            sketches: Some(self.ranked.sketches()),
         }
-    }
-
-    /// Forces the O(corpus) merge on every tier: seals any staged delta,
-    /// then rebuilds the shard assignment from the retained sketches (the
-    /// same path a triggered rebalance takes), leaving zero outstanding
-    /// segments and tombstones. Falls back to per-shard in-place folding
-    /// when the corpus is smaller than the shard count.
-    pub fn compact(&mut self) -> CommitReport {
-        let merged = self.shards.staged_len();
-        let ranked_report = Arc::make_mut(&mut self.ranked).compact();
-        let shard_report = self.shards.commit();
-        let rebalanced = if self.ranked.len() < self.shards.num_shards() {
-            self.shards.compact();
-            false
-        } else {
-            let entries = self.ranked.sketch_entries();
-            let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
-            let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-            let sigs: Vec<&Signature> = entries.iter().map(|&(_, _, sig)| sig).collect();
-            let rebuilt = ShardedEnsemble::build_from_parts(
-                self.shards.num_shards(),
-                self.config,
-                &ids,
-                &sizes,
-                &sigs,
-            );
-            drop((entries, ids, sizes, sigs));
-            self.shards = rebuilt;
-            true
-        };
-        let stats = self.segment_stats();
-        CommitReport {
-            merged,
-            rebalanced: rebalanced || ranked_report.rebalanced,
-            sealed: shard_report.sealed,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-
-    /// Outstanding segments/tombstones summed over the query-side shards.
-    #[must_use]
-    pub fn segment_stats(&self) -> SegmentStats {
-        self.shards.segment_stats()
-    }
-
-    /// Number of staged inserts on the query (shard) side.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.shards.staged_len()
-    }
-
-    fn maybe_rebalance(&mut self) -> bool {
-        // Base partitions only: sealed segments are transient and must not
-        // read as drift (see `RankedIndex::maybe_rebalance`).
-        let stats: Vec<PartitionStats> = self
-            .shards
-            .shards()
-            .iter()
-            .flat_map(LshEnsemble::base_partition_stats)
-            .collect();
-        if !skew_exceeds(&stats, self.shards.len(), self.rebalance_trigger) {
-            return false;
-        }
-        if self.ranked.len() < self.shards.num_shards() {
-            return false; // cannot split fewer domains than shards
-        }
-        let entries = self.ranked.sketch_entries();
-        let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
-        let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let sigs: Vec<&Signature> = entries.iter().map(|&(_, _, sig)| sig).collect();
-        let rebuilt = ShardedEnsemble::build_from_parts(
-            self.shards.num_shards(),
-            self.config,
-            &ids,
-            &sizes,
-            &sigs,
-        );
-        drop((entries, ids, sizes, sigs));
-        self.shards = rebuilt;
-        true
-    }
-}
-
-impl MutableIndex for ShardedRanked {
-    fn insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        self.try_insert(id, size, signature)
-    }
-
-    fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.try_remove(id)
-    }
-
-    fn commit(&mut self) -> CommitReport {
-        ShardedRanked::commit(self)
-    }
-
-    fn staged_len(&self) -> usize {
-        ShardedRanked::staged_len(self)
-    }
-
-    fn compact(&mut self) -> CommitReport {
-        ShardedRanked::compact(self)
-    }
-
-    fn segment_stats(&self) -> SegmentStats {
-        ShardedRanked::segment_stats(self)
-    }
-
-    fn segment_layout(&self) -> crate::SegmentLayout {
-        self.shards.segment_layout()
-    }
-
-    fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
-        let entries_folded = match task {
-            crate::MergeTask::Merge(idxs) => {
-                // Both tiers fold: the shards answer queries, the ranked
-                // sketch store keeps its own (positionally parallel)
-                // stack from shrinking without bound.
-                Arc::make_mut(&mut self.ranked).merge_segments(idxs);
-                self.shards.merge_segments(idxs)
-            }
-            crate::MergeTask::Full => {
-                let folded = self.ranked.len();
-                ShardedRanked::compact(self);
-                folded
-            }
-        };
-        let stats = self.segment_stats();
-        crate::MergeOutcome {
-            entries_folded,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-}
-
-impl ShardedRanked {
-    /// Attaches estimates from the retained sketches, prunes below
-    /// `t_star − ESTIMATE_SLACK`, sorts by estimate descending.
-    fn rank_and_prune(
-        &self,
-        ids: Vec<DomainId>,
-        signature: &Signature,
-        q: u64,
-        t_star: f64,
-    ) -> Vec<SearchHit> {
-        let mut hits: Vec<SearchHit> = self
-            .ranked
-            .rank_candidates(ids, signature, q)
-            .into_iter()
-            .filter(|h| h.estimated_containment >= t_star - ESTIMATE_SLACK)
-            .map(|h| SearchHit {
-                id: h.id,
-                estimate: Some(h.estimated_containment),
-            })
-            .collect();
-        // rank_candidates already sorts descending; keep as-is.
-        hits.shrink_to_fit();
-        hits
-    }
-
-    /// The shared top-k descent, fanned out across the shards per pass —
-    /// one code path for [`search`](DomainIndex::search) and
-    /// [`search_batch`](DomainIndex::search_batch) so they can never
-    /// drift.
-    fn top_k_outcome(&self, query: &Query<'_>, k: usize) -> SearchOutcome {
-        let started = Instant::now();
-        let q = query.effective_size();
-        let (seen, probe) =
-            top_k_descend(k, |t| self.shards.query_counted(query.signature(), q, t));
-        let mut hits: Vec<SearchHit> = self
-            .ranked
-            .rank_candidates(seen, query.signature(), q)
-            .into_iter()
-            .map(|h| SearchHit {
-                id: h.id,
-                estimate: Some(h.estimated_containment),
-            })
-            .collect();
-        hits.truncate(k);
-        outcome_from_hits(hits, probe, started)
     }
 }
 
 impl DomainIndex for ShardedRanked {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.ranked.ensemble().config().num_perm)?;
-        let started = Instant::now();
-        let q = query.effective_size();
-        match query.mode() {
-            QueryMode::Threshold(t_star) => {
-                let (ids, probe) = self.shards.query_counted(query.signature(), q, t_star);
-                let hits = self.rank_and_prune(ids, query.signature(), q, t_star);
-                Ok(outcome_from_hits(hits, probe, started))
-            }
-            QueryMode::TopK(k) => Ok(self.top_k_outcome(query, k)),
-        }
+        self.read_path().search(query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        crate::batch::split_and_run(
-            queries,
-            self.ranked.ensemble().config().num_perm,
-            |items| {
-                // One shard fan-out for the whole batch, then per-query
-                // ranking from the shared sketches.
-                items
-                    .iter()
-                    .zip(self.shards.batch_query_counted(items))
-                    .map(|(item, (ids, probe, mut nanos))| {
-                        let started = Instant::now();
-                        let hits = self.rank_and_prune(ids, item.signature, item.size, item.t_star);
-                        nanos += started.elapsed().as_nanos() as u64;
-                        crate::api::outcome_from_hits_timed(hits, probe, nanos)
-                    })
-                    .collect()
-            },
-            |query, k| Ok(self.top_k_outcome(query, k)),
-        )
+        self.read_path().search_batch(queries)
     }
 
     fn len(&self) -> usize {
@@ -1218,17 +764,23 @@ mod tests {
         ));
     }
 
+    /// The single-forest index: MinHash LSH over one partition, threshold
+    /// conversion through the global maximum domain size.
+    fn single_forest(entries: &[(DomainId, u64, Signature)]) -> LshEnsemble {
+        let mut b = crate::baseline_minhash_lsh(&EnsembleConfig::default());
+        for (id, size, sig) in entries {
+            b.add(*id, *size, sig.clone());
+        }
+        b.build()
+    }
+
     #[test]
     fn forest_index_finds_self_and_reports_stats() {
-        let (h, entries) = nested(12);
-        let mut idx = ForestIndex::new(EnsembleConfig::default());
-        for (id, size, sig) in &entries {
-            idx.insert(*id, *size, sig);
-        }
-        idx.commit();
+        let (_, entries) = nested(12);
+        let idx = single_forest(&entries);
         assert_eq!(DomainIndex::len(&idx), 12);
-        assert!(idx.memory_bytes() > 0);
-        assert_eq!(idx.max_size(), 300);
+        assert!(DomainIndex::memory_bytes(&idx) > 0);
+        assert_eq!(idx.partition_stats()[0].upper, 300);
         let (_, size, sig) = &entries[4];
         let out = idx
             .search(&Query::threshold(sig, 0.8).with_size(*size))
@@ -1243,16 +795,18 @@ mod tests {
             idx.search(&Query::top_k(sig, 3).with_size(*size)),
             Err(QueryError::Unsupported(_))
         ));
-        let _ = h;
     }
 
     #[test]
     fn empty_forest_index_returns_nothing() {
-        let idx = ForestIndex::new(EnsembleConfig::default());
-        let h = MinHasher::new(256);
-        let sig = h.signature([1u64, 2, 3]);
+        let (_, entries) = nested(3);
+        let mut idx = single_forest(&entries);
+        for (id, _, _) in &entries {
+            idx.remove(*id).expect("remove");
+        }
+        let (_, size, sig) = &entries[0];
         let out = idx
-            .search(&Query::threshold(&sig, 0.5).with_size(3))
+            .search(&Query::threshold(sig, 0.5).with_size(*size))
             .expect("search");
         assert!(out.hits.is_empty());
         assert!(DomainIndex::is_empty(&idx));
@@ -1289,68 +843,6 @@ mod tests {
             .expect("topk");
         assert_eq!(top.hits.len(), 5);
         assert_eq!(top.hits[0].id, 7, "self match must rank first");
-    }
-
-    #[test]
-    fn sharded_ranked_mutation_is_cow_and_rebalances() {
-        let (h, entries) = nested(24);
-        let mut b = RankedIndexBuilder::new(config(4));
-        for (id, size, sig) in &entries {
-            b.add(*id, *size, sig.clone());
-        }
-        let ranked = Arc::new(b.build());
-        let mut idx = ShardedRanked::build(Arc::clone(&ranked), 3, config(2));
-
-        // Insert + remove through the trait; the shared ranked index must
-        // stay untouched (copy-on-write).
-        let vals = MinHasher::synthetic_values(31, 75);
-        let sig = h.signature(vals.iter().copied());
-        MutableIndex::insert(&mut idx, 400, 75, &sig).expect("insert");
-        assert!(idx.contains(400));
-        assert!(!ranked.contains(400), "shared Arc mutated in place");
-        MutableIndex::remove(&mut idx, 2).expect("remove");
-        assert!(ranked.contains(2), "shared Arc mutated in place");
-        assert_eq!(idx.len(), 24);
-
-        // Staged insert immediately visible with an estimate.
-        let out = idx
-            .search(&Query::threshold(&sig, 0.9).with_size(75))
-            .expect("search");
-        let own = out.hits.iter().find(|hh| hh.id == 400).expect("self hit");
-        assert!(own.estimate.expect("estimate") > 0.9);
-
-        // Typed duplicate/unknown errors.
-        assert_eq!(
-            idx.try_insert(400, 75, &sig),
-            Err(MutationError::DuplicateId(400))
-        );
-        assert_eq!(idx.try_remove(2), Err(MutationError::UnknownId(2)));
-
-        // Forced rebalance reproduces a fresh build on the final corpus.
-        idx.set_rebalance_trigger(0.0);
-        let report = MutableIndex::commit(&mut idx);
-        assert_eq!(report.merged, 1);
-        assert!(report.rebalanced);
-        assert_eq!(MutableIndex::staged_len(&idx), 0);
-        let fresh = {
-            let mut b = RankedIndexBuilder::new(config(4));
-            for (id, size, sig) in &entries {
-                if *id != 2 {
-                    b.add(*id, *size, sig.clone());
-                }
-            }
-            b.add(400, 75, h.signature(vals.iter().copied()));
-            ShardedRanked::build(Arc::new(b.build()), 3, config(2))
-        };
-        for (qid, qsize, qsig) in entries.iter().filter(|(id, _, _)| *id != 2) {
-            let a = idx
-                .search(&Query::threshold(qsig, 0.7).with_size(*qsize))
-                .expect("mutated");
-            let b = fresh
-                .search(&Query::threshold(qsig, 0.7).with_size(*qsize))
-                .expect("fresh");
-            assert_eq!(a.hits, b.hits, "divergence at query {qid}");
-        }
     }
 
     #[test]

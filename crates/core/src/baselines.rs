@@ -15,7 +15,7 @@
 //!   Hashing *inside each partition* (padding to the partition bound).
 
 use crate::api::{
-    outcome_from_ids, DomainIndex, ProbeCounts, Query, QueryError, QueryMode, SearchOutcome,
+    outcome, unranked, DomainIndex, ProbeCounts, Query, QueryError, QueryMode, SearchOutcome,
 };
 use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder};
 use crate::partition::{PartitionStrategy, Partitioning};
@@ -34,43 +34,6 @@ pub fn baseline_minhash_lsh(config: &EnsembleConfig) -> LshEnsembleBuilder {
         strategy: PartitionStrategy::Single,
         ..*config
     })
-}
-
-/// The pre-`DomainIndex` query interface, kept for the experiment harness
-/// and downstream callers. Every [`DomainIndex`] gets it for free via the
-/// blanket bridge below, so the two surfaces can never drift apart.
-///
-/// The bridge can only express signature-driven threshold queries: a
-/// backend needing more (e.g. the exact index, which wants the raw query
-/// values) returns a typed error through [`DomainIndex::search`] and
-/// therefore **panics** here with that error's message — use
-/// [`DomainIndex`] directly for such backends.
-pub trait ContainmentSearch: Sync {
-    /// Candidate ids for a query signature of (estimated or exact) size
-    /// `query_size` at containment threshold `t_star`, sorted ascending.
-    ///
-    /// # Panics
-    /// Via the blanket bridge: panics if the underlying [`DomainIndex`]
-    /// cannot answer a plain threshold query (see the trait docs).
-    fn search(&self, signature: &Signature, query_size: u64, t_star: f64) -> Vec<DomainId>;
-
-    /// Human-readable label for reports.
-    fn label(&self) -> String;
-}
-
-impl<T: DomainIndex + ?Sized> ContainmentSearch for T {
-    fn search(&self, signature: &Signature, query_size: u64, t_star: f64) -> Vec<DomainId> {
-        let query = Query::threshold(signature, t_star).with_size(query_size);
-        let mut ids = DomainIndex::search(self, &query)
-            .unwrap_or_else(|e| panic!("ContainmentSearch bridge: {e}"))
-            .ids();
-        ids.sort_unstable();
-        ids
-    }
-
-    fn label(&self) -> String {
-        self.describe()
-    }
 }
 
 /// Asymmetric Minwise Hashing over one dynamic LSH (padding to the global
@@ -237,7 +200,8 @@ impl DomainIndex for AsymIndex {
         };
         let started = std::time::Instant::now();
         let (ids, probe) = self.query_counted(query.signature(), query.effective_size(), t_star);
-        Ok(outcome_from_ids(ids, probe, started))
+        let nanos = started.elapsed().as_nanos() as u64;
+        Ok(outcome(unranked(ids), probe, nanos))
     }
 
     fn len(&self) -> usize {
@@ -393,7 +357,8 @@ impl DomainIndex for AsymPartitionedIndex {
         };
         let started = std::time::Instant::now();
         let (ids, probe) = self.query_counted(query.signature(), query.effective_size(), t_star);
-        Ok(outcome_from_ids(ids, probe, started))
+        let nanos = started.elapsed().as_nanos() as u64;
+        Ok(outcome(unranked(ids), probe, nanos))
     }
 
     fn len(&self) -> usize {
@@ -444,7 +409,7 @@ mod tests {
         }
         let idx = b.build();
         assert_eq!(idx.num_partitions(), 1);
-        assert_eq!(idx.label(), "MinHash LSH (baseline)");
+        assert_eq!(idx.describe(), "MinHash LSH (baseline)");
     }
 
     #[test]
@@ -532,8 +497,8 @@ mod tests {
         }
         let asym = ab.build();
         let part = AsymPartitionedIndex::build(&EnsembleConfig::default(), 4, &entries);
-        assert_eq!(asym.label(), "Asym");
-        assert!(part.label().starts_with("Asym + partitioning"));
+        assert_eq!(asym.describe(), "Asym");
+        assert!(part.describe().starts_with("Asym + partitioning"));
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! Batched query execution plumbing shared by every backend's
-//! [`DomainIndex::search_batch`](crate::DomainIndex::search_batch)
-//! override.
+//! Batched query execution plumbing under every backend's
+//! [`DomainIndex::search_batch`](crate::DomainIndex::search_batch).
 //!
 //! The paper's deployment (§6.3) answers heavy multi-user traffic, and
 //! the standard lever at that scale is amortization: probe each
 //! partition once per *batch* while its forest is hot, reuse the dedup
 //! scratch across queries, and pay the thread fan-out once per batch
-//! instead of once per query. This module holds the backend-agnostic
-//! pieces — the worker-lane chunking, the per-batch split of valid
+//! instead of once per query. This module holds the pieces around the
+//! sweep itself — the worker-lane chunking, the per-batch split of valid
 //! threshold items from top-k and malformed queries, and the disjoint
-//! sorted-run merge the sharded backends use — so each index only writes
-//! its partition-outer sweep.
+//! sorted-run merge the sharded backends use; the partition-outer sweep
+//! is the `pipeline` module's.
 //!
 //! Everything here is *semantics-preserving*: a batched execution must
 //! return, per query, exactly the hits and deterministic

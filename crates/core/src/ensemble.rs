@@ -9,10 +9,12 @@
 //! candidate sets are unioned (`Partitioned-Containment-Search`, §5.1).
 
 use crate::api::{
-    outcome_from_ids, CommitReport, DomainIndex, MutableIndex, MutationError, ProbeCounts, Query,
-    QueryError, QueryMode, SearchOutcome,
+    CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, SearchOutcome,
+    SegmentStats,
 };
+use crate::batch::ThresholdItem;
 use crate::partition::{Partition, PartitionStrategy};
+use crate::pipeline::{Candidates, Probe, ReadPath, Tiers};
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest};
 use lshe_minhash::hash::{FastHashMap, FastHashSet};
@@ -121,6 +123,12 @@ impl LshEnsembleBuilder {
     /// Panics if the builder is empty.
     #[must_use]
     pub fn build(self) -> LshEnsemble {
+        self.build_borrowed()
+    }
+
+    /// [`build`](Self::build) without consuming the builder (the index
+    /// only ever borrows the staged signatures).
+    pub(crate) fn build_borrowed(&self) -> LshEnsemble {
         let sig_refs: Vec<&Signature> = self.signatures.iter().collect();
         LshEnsemble::build_from_parts(self.config, &self.ids, &self.sizes, &sig_refs)
     }
@@ -132,6 +140,16 @@ pub(crate) struct EnsemblePartition {
     pub(crate) lower: u64,
     pub(crate) upper: u64,
     pub(crate) forest: LshForest,
+}
+
+impl Probe for &EnsemblePartition {
+    fn upper(&self) -> u64 {
+        self.upper
+    }
+
+    fn probe(&self, signature: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
+        self.forest.query_into(signature, b, r, out);
+    }
 }
 
 /// Where a live domain id currently resides.
@@ -148,7 +166,7 @@ enum Slot {
 /// Which tier held a removed id's rows. Removal of committed rows is a
 /// tombstone: the rows stay in their forest until compaction, and queries
 /// filter them out of the candidate union.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum DeadSlot {
     /// The id's rows live in base partition `idx`.
     Base(u32),
@@ -176,6 +194,17 @@ impl DeadSlot {
 pub(crate) struct SealedSegment {
     pub(crate) partitions: Vec<EnsemblePartition>,
     pub(crate) entries: Vec<(DomainId, u64, Signature)>,
+}
+
+/// Every partition of a segment stack, oldest segment first, each with
+/// the tier a tombstone names it by.
+pub(crate) fn segment_units(
+    segments: &[SealedSegment],
+) -> impl Iterator<Item = (Option<DeadSlot>, &EnsemblePartition)> {
+    segments.iter().enumerate().flat_map(|(j, seg)| {
+        let tier = Some(DeadSlot::Seg(j as u32));
+        seg.partitions.iter().map(move |p| (tier, p))
+    })
 }
 
 /// The staged (uncommitted) delta: one forest holding every staged
@@ -267,10 +296,12 @@ pub struct LshEnsemble {
     /// Tombstones, in removal order: ids whose rows are still physically
     /// present in a base or segment forest. Cleared by compaction.
     dead: Vec<(DomainId, DeadSlot)>,
+    /// `dead` as a set: the query sweep's per-tier liveness lookup.
+    dead_set: FastHashSet<(DomainId, DeadSlot)>,
     tuner: Tuner,
     len: usize,
-    /// id → residence, for O(1) duplicate detection, removal routing, and
-    /// tombstone filtering. Rebuilt on decode; never persisted.
+    /// id → residence, for O(1) duplicate detection and removal routing.
+    /// Rebuilt on decode; never persisted.
     ids: FastHashMap<DomainId, Slot>,
 }
 
@@ -284,6 +315,7 @@ impl Clone for LshEnsemble {
             segments: self.segments.clone(),
             staged: self.staged.clone(),
             dead: self.dead.clone(),
+            dead_set: self.dead_set.clone(),
             tuner: Tuner::new(self.config.b_max as u32, self.config.r_max as u32),
             len: self.len,
             ids: self.ids.clone(),
@@ -355,6 +387,7 @@ impl LshEnsemble {
             segments: Vec::new(),
             staged: StagedDelta::new(b_max, r_max),
             dead: Vec::new(),
+            dead_set: FastHashSet::default(),
             config,
             len: ids.len(),
             ids: id_map,
@@ -457,16 +490,6 @@ impl LshEnsemble {
             .collect()
     }
 
-    /// Segment-tier summary: sealed segments outstanding and tombstoned
-    /// ids awaiting compaction.
-    #[must_use]
-    pub fn segment_stats(&self) -> crate::api::SegmentStats {
-        crate::api::SegmentStats {
-            segments: self.segments.len(),
-            tombstones: self.dead.len(),
-        }
-    }
-
     /// Approximate heap memory of all forests and retained segment
     /// entries, in bytes.
     #[must_use]
@@ -494,43 +517,39 @@ impl LshEnsemble {
         base + segs + self.staged.part.forest.memory_bytes() + entry_bytes(&self.staged.entries)
     }
 
-    /// Every sweepable query unit, in stats order: base partitions, each
-    /// sealed segment's partitions, then the staged pseudo-partition when
-    /// inserts are staged.
-    fn sweep_units(&self) -> Vec<&EnsemblePartition> {
-        let mut units: Vec<&EnsemblePartition> = Vec::with_capacity(
-            self.partitions.len()
-                + self
-                    .segments
-                    .iter()
-                    .map(|s| s.partitions.len())
-                    .sum::<usize>()
-                + 1,
-        );
-        units.extend(self.partitions.iter());
-        for seg in &self.segments {
-            units.extend(seg.partitions.iter());
+    /// This index's sweepable partitions for the shared read path, in
+    /// stats order: base partitions, each sealed segment's, then — when
+    /// inserts are staged — the staged pseudo-partition.
+    pub(crate) fn tiers(&self) -> Tiers<'_, &EnsemblePartition> {
+        let base = self
+            .partitions
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (Some(DeadSlot::Base(i as u32)), p));
+        let staged = (!self.staged.entries.is_empty()).then_some((None, &self.staged.part));
+        Tiers {
+            num_perm: self.config.num_perm,
+            tuner: &self.tuner,
+            units: base
+                .chain(segment_units(&self.segments))
+                .chain(staged)
+                .collect(),
+            dead: &self.dead_set,
         }
-        if !self.staged.entries.is_empty() {
-            units.push(&self.staged.part);
-        }
-        units
     }
 
-    /// Containment search (Algorithm 1 + `Partitioned-Containment-Search`):
-    /// returns ids of candidate domains `X` with `t(Q, X) ⪆ t_star`, the
-    /// query size being estimated from the signature (`approx(|Q|)`, §5.1).
-    #[must_use]
-    pub fn query(&self, signature: &Signature, t_star: f64) -> Vec<DomainId> {
-        let q = signature.cardinality().round().max(1.0) as u64;
-        self.query_with_size(signature, q, t_star)
+    fn read_path(&self) -> ReadPath<'_, Tiers<'_, &EnsemblePartition>, ()> {
+        ReadPath {
+            source: self.tiers(),
+            sketches: None,
+        }
     }
 
-    /// Containment search with a caller-supplied exact query size.
-    ///
-    /// Partitions are consulted sequentially; see
-    /// [`query_parallel`](Self::query_parallel) for the threaded variant the
-    /// paper's deployment uses.
+    /// Containment search (Algorithm 1 + `Partitioned-Containment-Search`)
+    /// with a caller-supplied exact query size: the sorted ids of candidate
+    /// domains `X` with `t(Q, X) ⪆ t_star`. The panicking convenience over
+    /// [`DomainIndex::search`], which reports the same conditions as typed
+    /// errors and also returns the probe counters.
     ///
     /// # Panics
     /// Panics if `query_size == 0`, the threshold is out of range, or the
@@ -542,308 +561,12 @@ impl LshEnsemble {
         query_size: u64,
         t_star: f64,
     ) -> Vec<DomainId> {
-        self.query_counted(signature, query_size, t_star, false).0
-    }
-
-    /// Containment search with partitions probed across budget-governed
-    /// worker lanes (`lshe_minhash::lanes`); results are unioned.
-    /// Semantically identical to
-    /// [`query_with_size`](Self::query_with_size) — with no spare cores
-    /// the lane budget yields nothing and the probe runs inline.
-    ///
-    /// # Panics
-    /// As [`query_with_size`](Self::query_with_size).
-    #[must_use]
-    pub fn query_parallel(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> Vec<DomainId> {
-        self.query_counted(signature, query_size, t_star, true).0
-    }
-
-    /// Instrumented containment search: the sorted-unique candidate ids
-    /// plus probe counters (partitions consulted, raw candidates before
-    /// dedup). Every public query path funnels through here.
-    pub(crate) fn query_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-        parallel: bool,
-    ) -> (Vec<DomainId>, ProbeCounts) {
-        self.check_query(signature, query_size, t_star);
-        let units = self.sweep_units();
-        let mut probe = ProbeCounts {
-            probed: 0,
-            total: units.len(),
-            candidates: 0,
+        let item = ThresholdItem {
+            signature,
+            size: query_size,
+            t_star,
         };
-        let mut out = FastHashSet::default();
-        if parallel {
-            // Sweep units are chunked across lanes drawn from the
-            // process-wide budget (`lshe_minhash::lanes`), not one thread
-            // per partition: on a single-core or saturated host the budget
-            // yields zero extras and the probe runs inline, identical to
-            // the sequential path — fan-out cost is only ever paid when
-            // there are cores to absorb it.
-            let buffers: Vec<(Vec<DomainId>, bool)> =
-                lshe_minhash::lanes::run_chunked(&units, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|&p| {
-                            let mut buf = Vec::new();
-                            let probed =
-                                self.query_partition(p, signature, query_size, t_star, &mut buf);
-                            (buf, probed)
-                        })
-                        .collect()
-                });
-            for (buf, probed) in buffers {
-                probe.probed += usize::from(probed);
-                probe.candidates += buf.len();
-                out.extend(buf);
-            }
-        } else {
-            let mut buf = Vec::new();
-            for &p in &units {
-                let before = buf.len();
-                let probed = self.query_partition(p, signature, query_size, t_star, &mut buf);
-                probe.probed += usize::from(probed);
-                probe.candidates += buf.len() - before;
-            }
-            out.extend(buf);
-        }
-        let mut v: Vec<DomainId> = out.into_iter().collect();
-        v.sort_unstable();
-        (v, probe)
-    }
-
-    fn check_query(&self, signature: &Signature, query_size: u64, t_star: f64) {
-        assert!(query_size > 0, "query size must be positive");
-        assert!(
-            (0.0..=1.0).contains(&t_star),
-            "containment threshold must be in [0, 1]"
-        );
-        assert_eq!(
-            signature.len(),
-            self.config.num_perm,
-            "signature width mismatch"
-        );
-    }
-
-    /// Queries one partition into `out`; returns whether the partition was
-    /// actually consulted (false = skip-pruned). Tombstoned ids — rows
-    /// physically present but removed — are filtered out of the appended
-    /// candidates.
-    fn query_partition(
-        &self,
-        p: &EnsemblePartition,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-        out: &mut Vec<DomainId>,
-    ) -> bool {
-        // A domain's containment cannot exceed x/q ≤ upper/q: partitions
-        // that cannot reach the threshold are skipped outright.
-        if (p.upper as f64) < t_star * query_size as f64 {
-            return false;
-        }
-        let params = self.tuner.optimize(p.upper, query_size, t_star);
-        let before = out.len();
-        p.forest
-            .query_into(signature, params.b as usize, params.r as usize, out);
-        if !self.dead.is_empty() {
-            // Live ids are exactly the id-map keys; a candidate absent
-            // from it is a tombstoned row awaiting compaction.
-            let mut w = before;
-            for i in before..out.len() {
-                if self.ids.contains_key(&out[i]) {
-                    out[w] = out[i];
-                    w += 1;
-                }
-            }
-            out.truncate(w);
-        }
-        true
-    }
-
-    /// Queries swept together per partition-outer pass: large enough to
-    /// amortize partition/forest locality, small enough to bound the raw
-    /// candidate memory held at once (see
-    /// [`batch_sweep_chunk`](Self::batch_sweep_chunk)).
-    pub(crate) const SWEEP_GROUP: usize = 32;
-
-    /// Batched instrumented containment search, partition-outer: the
-    /// partition loop runs once per group of queries, every query probes
-    /// a partition while its forest is hot, and one dedup scratch set
-    /// serves the whole chunk. Per query the answer is identical to
-    /// [`query_counted`](Self::query_counted) — same sorted-unique ids,
-    /// same probe counters — only the wall attribution differs.
-    ///
-    /// The chunk is swept in groups of [`Self::SWEEP_GROUP`] queries so
-    /// peak memory holds at most one group's *raw* (pre-dedup) candidate
-    /// unions, never the whole batch's — a low-threshold query can make
-    /// every partition contribute near the full corpus, and thousands of
-    /// such accumulators at once would be an OOM vector on the server.
-    ///
-    /// `post` runs inside the worker lane right after a query's dedup, so
-    /// per-query post-processing (ranking, outcome assembly) shares the
-    /// batch's thread fan-out instead of re-spawning.
-    pub(crate) fn batch_sweep_chunk<R>(
-        &self,
-        chunk: &[crate::batch::ThresholdItem<'_>],
-        post: &(impl Fn(&crate::batch::ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync),
-    ) -> Vec<R> {
-        use std::time::Instant;
-        let units = self.sweep_units();
-        let mut buf: Vec<DomainId> = Vec::new();
-        let mut set: FastHashSet<DomainId> = FastHashSet::default();
-        let mut results = Vec::with_capacity(chunk.len());
-        for group in chunk.chunks(Self::SWEEP_GROUP) {
-            // Per-query accumulators: raw candidates, probes, nanos.
-            let mut acc: Vec<(Vec<DomainId>, ProbeCounts, u64)> = group
-                .iter()
-                .map(|_| {
-                    (
-                        Vec::new(),
-                        ProbeCounts {
-                            probed: 0,
-                            total: units.len(),
-                            candidates: 0,
-                        },
-                        0u64,
-                    )
-                })
-                .collect();
-            for &p in &units {
-                for (item, out) in group.iter().zip(acc.iter_mut()) {
-                    let started = Instant::now();
-                    buf.clear();
-                    let probed =
-                        self.query_partition(p, item.signature, item.size, item.t_star, &mut buf);
-                    out.1.probed += usize::from(probed);
-                    out.1.candidates += buf.len();
-                    out.0.extend_from_slice(&buf);
-                    out.2 += started.elapsed().as_nanos() as u64;
-                }
-            }
-            // Dedup + sort each query's union through the reused scratch.
-            results.extend(
-                group
-                    .iter()
-                    .zip(acc)
-                    .map(|(item, (mut raw, probe, mut nanos))| {
-                        let started = Instant::now();
-                        set.extend(raw.drain(..));
-                        raw.extend(set.drain());
-                        raw.sort_unstable();
-                        nanos += started.elapsed().as_nanos() as u64;
-                        post(item, raw, probe, nanos)
-                    }),
-            );
-        }
-        results
-    }
-
-    /// [`batch_sweep_chunk`](Self::batch_sweep_chunk) fanned across worker
-    /// lanes — the lanes are spawned once for the whole batch.
-    pub(crate) fn batch_threshold_map<R: Send>(
-        &self,
-        items: &[crate::batch::ThresholdItem<'_>],
-        post: impl Fn(&crate::batch::ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
-    ) -> Vec<R> {
-        crate::batch::chunked(items, |chunk| self.batch_sweep_chunk(chunk, &post))
-    }
-
-    /// Inserts a new domain after construction (§6.2 dynamic data): the
-    /// domain is routed to the partition covering its size — growing the
-    /// boundary partitions when the size falls outside every range, which
-    /// keeps threshold conversion conservative (`u` only ever grows).
-    ///
-    /// The insert is immediately queryable; call [`commit`](Self::commit)
-    /// periodically to fold staged inserts into the sorted runs.
-    ///
-    /// # Panics
-    /// Panics if `size == 0`, the signature width differs from the
-    /// configuration, or the id is already indexed. Use
-    /// [`try_insert`](Self::try_insert) for typed errors.
-    pub fn insert(&mut self, id: DomainId, size: u64, signature: &Signature) {
-        self.try_insert(id, size, signature)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Typed [`insert`](Self::insert): stages one new domain.
-    ///
-    /// # Errors
-    /// [`MutationError::DuplicateId`] if the id is already indexed,
-    /// [`MutationError::Invalid`] on a zero size or width mismatch.
-    pub fn try_insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        if size == 0 {
-            return Err(MutationError::Invalid(
-                "domain size must be positive".into(),
-            ));
-        }
-        if signature.len() != self.config.num_perm {
-            return Err(MutationError::Invalid(format!(
-                "signature width mismatch: domain has {}, index expects {}",
-                signature.len(),
-                self.config.num_perm
-            )));
-        }
-        if self.ids.contains_key(&id) {
-            return Err(MutationError::DuplicateId(id));
-        }
-        if self.staged.entries.is_empty() {
-            self.staged.part.lower = size;
-            self.staged.part.upper = size;
-        } else {
-            self.staged.part.lower = self.staged.part.lower.min(size);
-            self.staged.part.upper = self.staged.part.upper.max(size);
-        }
-        self.staged.part.forest.insert(id, signature);
-        self.staged.entries.push((id, size, signature.clone()));
-        self.ids.insert(id, Slot::Staged);
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Removes one domain. Takes effect immediately for queries: a staged
-    /// id is dropped from the delta buffer physically, while an id living
-    /// in the base or in a sealed segment becomes a tombstone that is
-    /// filtered out of every candidate set until
-    /// [`compact`](Self::compact) erases the underlying rows. Partition
-    /// bounds are left as-is — a too-wide upper bound only makes threshold
-    /// conversion *more* conservative, never less correct.
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if the id is not indexed.
-    pub fn try_remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        let Some(slot) = self.ids.get(&id).copied() else {
-            return Err(MutationError::UnknownId(id));
-        };
-        match slot {
-            Slot::Staged => {
-                let removed = self.staged.part.forest.remove(id);
-                debug_assert!(removed, "id map pointed at a staged delta without the id");
-                self.staged.entries.retain(|e| e.0 != id);
-                if self.staged.entries.is_empty() {
-                    // Drop the stale forest + bounds along with the last entry.
-                    self.staged = StagedDelta::new(self.config.b_max, self.config.r_max);
-                }
-            }
-            Slot::Base(p) => self.dead.push((id, DeadSlot::Base(p))),
-            Slot::Seg(s) => self.dead.push((id, DeadSlot::Seg(s))),
-        }
-        self.ids.remove(&id);
-        self.len -= 1;
-        Ok(())
+        self.tiers().sweep(&item, false).0
     }
 
     /// True if `id` is currently indexed.
@@ -852,17 +575,18 @@ impl LshEnsemble {
         self.ids.contains_key(&id)
     }
 
-    /// Number of staged (inserted but not yet sealed) domains.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.staged.entries.len()
+    /// Records a tombstone: the id's rows stay in `slot`'s forest until
+    /// compaction, and queries filter them out of that tier's candidates.
+    fn bury(&mut self, id: DomainId, slot: DeadSlot) {
+        self.dead.push((id, slot));
+        self.dead_set.insert((id, slot));
     }
 
     /// Seals the staged delta into an immutable segment (LSM-style tiering):
     /// the delta is equi-depth-partitioned on its own and pushed onto the
     /// segment stack, so the cost is O(staged delta), never O(corpus).
     /// Returns `true` if a segment was sealed (`false` on an empty delta).
-    pub fn commit(&mut self) -> bool {
+    fn seal(&mut self) -> bool {
         if self.staged.entries.is_empty() {
             return false;
         }
@@ -877,17 +601,6 @@ impl LshEnsemble {
         self.segments
             .push(build_segment(&self.config, staged.entries));
         true
-    }
-
-    /// Per-segment physical entry counts plus tombstone backlog — the
-    /// tier layout a [`crate::MergePolicy`] plans against.
-    #[must_use]
-    pub fn segment_layout(&self) -> crate::SegmentLayout {
-        crate::SegmentLayout {
-            segments: self.segments.iter().map(|s| s.entries.len()).collect(),
-            tombstones: self.dead.len(),
-            len: self.len,
-        }
     }
 
     /// Folds the listed sealed segments (indices into the current stack)
@@ -906,7 +619,7 @@ impl LshEnsemble {
     ///
     /// Out-of-range and duplicate indices are ignored; folding fewer than
     /// one segment is a no-op.
-    pub fn merge_segments(&mut self, segment_indices: &[usize]) -> usize {
+    fn merge_segments(&mut self, segment_indices: &[usize]) -> usize {
         let mut merge: Vec<usize> = segment_indices
             .iter()
             .copied()
@@ -972,6 +685,7 @@ impl LshEnsemble {
             }
             DeadSlot::Base(_) => true,
         });
+        self.dead_set = self.dead.iter().copied().collect();
         self.segments = old
             .into_iter()
             .enumerate()
@@ -991,7 +705,7 @@ impl LshEnsemble {
     /// segment entries are routed to the base partition covering their
     /// size with conservative boundary growth, exactly as a pre-segment
     /// insert was.
-    pub fn compact(&mut self) {
+    fn fold(&mut self) {
         if self.segments.is_empty() && self.dead.is_empty() {
             return;
         }
@@ -1007,6 +721,7 @@ impl LshEnsemble {
             }
         }
         self.dead.clear();
+        self.dead_set.clear();
         let segments = std::mem::take(&mut self.segments);
         for (j, seg) in segments.into_iter().enumerate() {
             for (id, size, sig) in seg.entries {
@@ -1102,6 +817,7 @@ impl LshEnsemble {
             tuner: Tuner::new(config.b_max as u32, config.r_max as u32),
             segments,
             staged: StagedDelta::new(config.b_max, config.r_max),
+            dead_set: dead.iter().copied().collect(),
             dead,
             config,
             partitions: partitions
@@ -1118,6 +834,15 @@ impl LshEnsemble {
     }
 }
 
+/// The mutation surface (§6.2 dynamic data). Inserts stage into the delta
+/// — routed by size only when a later compaction folds them into the base,
+/// growing the boundary partitions conservatively (`u` only ever grows) —
+/// and are immediately queryable. Removing a staged id drops it from the
+/// delta physically; an id living in the base or in a sealed segment
+/// becomes a tombstone, filtered out of its tier's candidates until
+/// compaction erases the rows. Partition bounds are left as-is by a
+/// removal: a too-wide upper bound only makes threshold conversion *more*
+/// conservative, never less correct.
 impl MutableIndex for LshEnsemble {
     fn insert(
         &mut self,
@@ -1125,16 +850,60 @@ impl MutableIndex for LshEnsemble {
         size: u64,
         signature: &Signature,
     ) -> Result<(), MutationError> {
-        self.try_insert(id, size, signature)
+        if size == 0 {
+            return Err(MutationError::Invalid(
+                "domain size must be positive".into(),
+            ));
+        }
+        if signature.len() != self.config.num_perm {
+            return Err(MutationError::Invalid(format!(
+                "signature width mismatch: domain has {}, index expects {}",
+                signature.len(),
+                self.config.num_perm
+            )));
+        }
+        if self.ids.contains_key(&id) {
+            return Err(MutationError::DuplicateId(id));
+        }
+        if self.staged.entries.is_empty() {
+            self.staged.part.lower = size;
+            self.staged.part.upper = size;
+        } else {
+            self.staged.part.lower = self.staged.part.lower.min(size);
+            self.staged.part.upper = self.staged.part.upper.max(size);
+        }
+        self.staged.part.forest.insert(id, signature);
+        self.staged.entries.push((id, size, signature.clone()));
+        self.ids.insert(id, Slot::Staged);
+        self.len += 1;
+        Ok(())
     }
 
     fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.try_remove(id)
+        let Some(slot) = self.ids.get(&id).copied() else {
+            return Err(MutationError::UnknownId(id));
+        };
+        match slot {
+            Slot::Staged => {
+                let removed = self.staged.part.forest.remove(id);
+                debug_assert!(removed, "id map pointed at a staged delta without the id");
+                self.staged.entries.retain(|e| e.0 != id);
+                if self.staged.entries.is_empty() {
+                    // Drop the stale forest + bounds along with the last entry.
+                    self.staged = StagedDelta::new(self.config.b_max, self.config.r_max);
+                }
+            }
+            Slot::Base(p) => self.bury(id, DeadSlot::Base(p)),
+            Slot::Seg(s) => self.bury(id, DeadSlot::Seg(s)),
+        }
+        self.ids.remove(&id);
+        self.len -= 1;
+        Ok(())
     }
 
     fn commit(&mut self) -> CommitReport {
-        let merged = self.staged_len();
-        let sealed = LshEnsemble::commit(self);
+        let merged = self.staged.entries.len();
+        let sealed = self.seal();
         // No retained sketches → no rebalance; boundary growth stays
         // conservative (§6.2) until a caller rebuilds from source data.
         CommitReport {
@@ -1147,28 +916,32 @@ impl MutableIndex for LshEnsemble {
     }
 
     fn compact(&mut self) -> CommitReport {
-        let merged = self.staged_len();
-        let sealed = LshEnsemble::commit(self);
-        LshEnsemble::compact(self);
+        let report = self.commit();
+        self.fold();
         CommitReport {
-            merged,
-            rebalanced: false,
-            sealed,
             segments: 0,
             tombstones: 0,
+            ..report
         }
     }
 
     fn staged_len(&self) -> usize {
-        LshEnsemble::staged_len(self)
+        self.staged.entries.len()
     }
 
-    fn segment_stats(&self) -> crate::api::SegmentStats {
-        LshEnsemble::segment_stats(self)
+    fn segment_stats(&self) -> SegmentStats {
+        SegmentStats {
+            segments: self.segments.len(),
+            tombstones: self.dead.len(),
+        }
     }
 
     fn segment_layout(&self) -> crate::SegmentLayout {
-        LshEnsemble::segment_layout(self)
+        crate::SegmentLayout {
+            segments: self.segments.iter().map(|s| s.entries.len()).collect(),
+            tombstones: self.dead.len(),
+            len: self.len,
+        }
     }
 
     fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
@@ -1177,55 +950,25 @@ impl MutableIndex for LshEnsemble {
             crate::MergeTask::Full => {
                 let folded: usize = self.segments.iter().map(|s| s.entries.len()).sum::<usize>()
                     + self.staged.entries.len();
-                LshEnsemble::commit(self);
-                LshEnsemble::compact(self);
+                self.compact();
                 folded
             }
         };
-        let stats = LshEnsemble::segment_stats(self);
         crate::MergeOutcome {
             entries_folded,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
+            segments: self.segments.len(),
+            tombstones: self.dead.len(),
         }
     }
 }
 
 impl DomainIndex for LshEnsemble {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.config.num_perm)?;
-        let QueryMode::Threshold(t_star) = query.mode() else {
-            return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; build a RankedIndex (or re-index with --ranked)"
-                    .into(),
-            ));
-        };
-        let started = std::time::Instant::now();
-        let (ids, probe) = self.query_counted(
-            query.signature(),
-            query.effective_size(),
-            t_star,
-            query.parallel(),
-        );
-        Ok(outcome_from_ids(ids, probe, started))
+        self.read_path().search(query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        crate::batch::split_and_run(
-            queries,
-            self.config.num_perm,
-            |items| {
-                self.batch_threshold_map(items, |_, ids, probe, nanos| {
-                    crate::api::outcome_from_ids_timed(ids, probe, nanos)
-                })
-            },
-            |_, _| {
-                Err(QueryError::Unsupported(
-                    "top-k needs retained sketches; build a RankedIndex (or re-index with --ranked)"
-                        .into(),
-                ))
-            },
-        )
+        self.read_path().search_batch(queries)
     }
 
     fn len(&self) -> usize {
@@ -1331,11 +1074,9 @@ mod tests {
         for k in [0usize, 7, 20, 39] {
             let (_, size, sig, _) = &entries[k];
             for t in [0.1, 0.5, 0.9] {
-                assert_eq!(
-                    ens.query_with_size(sig, *size, t),
-                    ens.query_parallel(sig, *size, t),
-                    "k={k} t={t}"
-                );
+                let query = Query::threshold(sig, t).with_size(*size);
+                let par = ens.search(&query.with_parallel(true)).expect("search");
+                assert_eq!(ens.query_with_size(sig, *size, t), par.ids(), "k={k} t={t}");
             }
         }
     }
@@ -1345,7 +1086,10 @@ mod tests {
         let (_, entries) = nested_corpus(256, 30);
         let ens = build_default(&entries, 8);
         let (_, size, sig, _) = &entries[10];
-        let est = ens.query(sig, 0.8);
+        let est = ens
+            .search(&Query::threshold(sig, 0.8))
+            .expect("search")
+            .ids();
         let exact = ens.query_with_size(sig, *size, 0.8);
         // The cardinality estimate is within a few % of the truth; the
         // candidate sets should agree on the vast majority of ids.
@@ -1375,7 +1119,7 @@ mod tests {
         let mut ens = build_default(&entries, 4);
         let vals = MinHasher::synthetic_values(99, 64);
         let sig = h.signature(vals.iter().copied());
-        ens.insert(1000, 64, &sig);
+        ens.insert(1000, 64, &sig).expect("insert");
         assert_eq!(ens.len(), 21);
         let got = ens.query_with_size(&sig, 64, 0.9);
         assert!(got.contains(&1000));
@@ -1391,7 +1135,7 @@ mod tests {
         let old_max = ens.partition_stats().last().expect("parts").upper;
         let vals = MinHasher::synthetic_values(5, 4000);
         let sig = h.signature(vals.iter().copied());
-        ens.insert(2000, 4000, &sig);
+        ens.insert(2000, 4000, &sig).expect("insert");
         let new_max = ens.partition_stats().last().expect("parts").upper;
         assert!(new_max > old_max);
         assert_eq!(new_max, 4000);
@@ -1430,33 +1174,33 @@ mod tests {
         let mut ens = build_default(&entries, 4);
         let vals = MinHasher::synthetic_values(123, 64);
         let sig = h.signature(vals.iter().copied());
-        ens.try_insert(500, 64, &sig).expect("insert");
+        ens.insert(500, 64, &sig).expect("insert");
         assert!(ens.contains(500));
         assert_eq!(ens.staged_len(), 1);
         // Duplicate insert is a typed error, not a second copy.
         assert_eq!(
-            ens.try_insert(500, 64, &sig),
+            ens.insert(500, 64, &sig),
             Err(MutationError::DuplicateId(500))
         );
         // Invalid inputs are typed errors.
         assert!(matches!(
-            ens.try_insert(501, 0, &sig),
+            ens.insert(501, 0, &sig),
             Err(MutationError::Invalid(_))
         ));
         let narrow = MinHasher::new(64).signature([1u64, 2]);
         assert!(matches!(
-            ens.try_insert(501, 2, &narrow),
+            ens.insert(501, 2, &narrow),
             Err(MutationError::Invalid(_))
         ));
         // Removal takes effect immediately, pre-commit.
-        ens.try_remove(500).expect("remove staged");
+        ens.remove(500).expect("remove staged");
         assert!(!ens.contains(500));
         assert_eq!(ens.staged_len(), 0);
         assert!(!ens.query_with_size(&sig, 64, 0.9).contains(&500));
-        assert_eq!(ens.try_remove(500), Err(MutationError::UnknownId(500)));
+        assert_eq!(ens.remove(500), Err(MutationError::UnknownId(500)));
         // Removing a committed (built) domain works too.
         let (_, size, sig3, _) = &entries[3];
-        ens.try_remove(3).expect("remove built");
+        ens.remove(3).expect("remove built");
         assert_eq!(ens.len(), 19);
         assert!(!ens.query_with_size(sig3, *size, 1.0).contains(&3));
         // Neighbours survive.
@@ -1466,7 +1210,6 @@ mod tests {
 
     #[test]
     fn mutable_index_trait_reports_commit() {
-        use crate::api::MutableIndex;
         let (h, entries) = nested_corpus(256, 12);
         let mut ens = build_default(&entries, 3);
         let sig = h.signature(MinHasher::synthetic_values(9, 33));
@@ -1485,8 +1228,8 @@ mod tests {
         let ens = build_default(&entries, 2);
         let mut copy = ens.clone();
         let sig = h.signature(MinHasher::synthetic_values(77, 40));
-        copy.try_insert(900, 40, &sig).expect("insert");
-        copy.try_remove(0).expect("remove");
+        copy.insert(900, 40, &sig).expect("insert");
+        copy.remove(0).expect("remove");
         assert_eq!(copy.len(), 10);
         assert_eq!(ens.len(), 10);
         assert!(ens.contains(0), "original mutated through clone");
@@ -1494,12 +1237,66 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate domain id")]
+    #[should_panic(expected = "DuplicateId(2)")]
     fn panicking_insert_rejects_duplicates() {
         let (h, entries) = nested_corpus(256, 8);
         let mut ens = build_default(&entries, 2);
         let sig = h.signature(MinHasher::synthetic_values(5, 30));
-        ens.insert(2, 30, &sig); // id 2 already indexed
+        ens.insert(2, 30, &sig).expect("id 2 is already indexed");
+    }
+
+    #[test]
+    fn reinserted_id_answers_only_for_its_new_content() {
+        let (h, entries) = nested_corpus(256, 12);
+        let mut ens = build_default(&entries, 3);
+        let contents: Vec<(u64, Signature)> = [(777u64, 40usize), (778, 55), (779, 70)]
+            .iter()
+            .map(|&(seed, n)| {
+                let vals = MinHasher::synthetic_values(seed, n);
+                (n as u64, h.signature(vals.iter().copied()))
+            })
+            .collect();
+        // `old` is what id 3 used to hold, `new` what it holds now.
+        let check =
+            |ens: &LshEnsemble, old: (u64, &Signature), new: (u64, &Signature), at: &str| {
+                assert!(
+                    !ens.query_with_size(old.1, old.0, 1.0).contains(&3),
+                    "{at}: stale rows answered for removed content"
+                );
+                assert!(
+                    ens.query_with_size(new.1, new.0, 1.0).contains(&3),
+                    "{at}: re-inserted content lost"
+                );
+            };
+        let built = (entries[3].1, &entries[3].2);
+        let [first, second, third] = [0, 1, 2].map(|i| (contents[i].0, &contents[i].1));
+
+        // Base row → tombstone, new content staged, then sealed.
+        ens.remove(3).expect("remove built");
+        ens.insert(3, first.0, first.1).expect("re-insert");
+        check(&ens, built, first, "staged over base");
+        ens.commit();
+        check(&ens, built, first, "sealed over base");
+
+        // Segment entry → tombstone, newer content in a newer segment.
+        ens.remove(3).expect("remove sealed");
+        ens.insert(3, second.0, second.1).expect("re-insert");
+        check(&ens, first, second, "staged over segment");
+        ens.commit();
+        check(&ens, first, second, "sealed over segment");
+        check(&ens, built, second, "sealed over segment");
+
+        // Folding the stale segment away changes nothing; nor does a
+        // third generation folded together with the second.
+        ens.apply_merge(&crate::MergeTask::Merge(vec![0]));
+        check(&ens, first, second, "after merging the stale segment");
+        ens.remove(3).expect("remove sealed");
+        ens.insert(3, third.0, third.1).expect("re-insert");
+        ens.commit();
+        ens.apply_merge(&crate::MergeTask::Merge(vec![0, 1]));
+        check(&ens, second, third, "after merging both generations");
+        check(&ens, built, third, "after merging both generations");
+        assert_eq!(ens.len(), 12);
     }
 
     #[test]
@@ -1507,7 +1304,7 @@ mod tests {
         let (_, entries) = nested_corpus(256, 6);
         let mut ens = build_default(&entries, 2);
         for k in 0..6u32 {
-            ens.try_remove(k).expect("remove");
+            ens.remove(k).expect("remove");
         }
         assert!(ens.is_empty());
         assert_eq!(ens.len(), 0);

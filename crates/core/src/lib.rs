@@ -55,7 +55,8 @@
 //!   single-partition MinHash LSH and Asymmetric Minwise Hashing (global
 //!   and per-partition padding).
 //! * [`sharded`] — the in-process equivalent of the paper's 5-node cluster:
-//!   independent ensembles queried in parallel, answers unioned.
+//!   independent ensembles queried in parallel, answers unioned (a
+//!   build-once, read-only view).
 //! * [`cost`] — the false-positive cost model (Propositions 1–2) that backs
 //!   the optimal partitioner.
 
@@ -72,18 +73,17 @@ pub mod maintenance;
 pub mod mmap;
 pub mod partition;
 pub mod persist;
+mod pipeline;
 pub mod ranked;
 pub mod sharded;
 pub mod tuning;
 
 pub use api::{
-    needs_compaction, CommitReport, DomainIndex, ForestIndex, MutableIndex, MutationError, Query,
-    QueryError, QueryMode, QueryStats, SearchHit, SearchOutcome, SegmentStats, ShardedRanked,
+    needs_compaction, CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError,
+    QueryMode, QueryStats, SearchHit, SearchOutcome, SegmentStats, ShardedRanked,
     DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK, MAX_SEGMENTS, MAX_TOMBSTONE_RATIO,
 };
-pub use baselines::{
-    baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex, ContainmentSearch,
-};
+pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex};
 pub use ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
 pub use maintenance::{
     CompactionThresholds, Leveled, MaintenancePlanner, MergeOutcome, MergePolicy, MergePolicyKind,

@@ -11,23 +11,21 @@
 //! opening a multi-gigabyte corpus costs milliseconds and no decode-time
 //! heap.
 //!
-//! The backend replicates the heap path bit for bit — same candidate
-//! sets, same probe counters, same estimates, same ordering — which the
-//! conformance suite pins by running it side by side with `RankedIndex`
-//! over identical corpora.
+//! The backend answers through the same `pipeline` module as the heap
+//! indexes — it only supplies the mapped partition and sketch views — so
+//! candidate sets, probe counters, estimates, and ordering match a
+//! `RankedIndex` over the same corpus by construction.
 
-use crate::api::{
-    outcome_from_hits, outcome_from_hits_timed, DomainIndex, ProbeCounts, Query, QueryError,
-    QueryMode, SearchHit, SearchOutcome, ESTIMATE_SLACK,
-};
-use crate::ensemble::EnsembleConfig;
+use crate::api::{DomainIndex, MutableIndex, Query, QueryError, SearchOutcome};
+use crate::ensemble::{segment_units, DeadSlot, EnsembleConfig, EnsemblePartition, SealedSegment};
 use crate::partition::PartitionStrategy;
-use crate::ranked::{RankedHit, RankedIndex};
+use crate::pipeline::{Probe, ReadPath, Tiers};
+use crate::ranked::RankedIndex;
 use crate::tuning::Tuner;
 use lshe_lsh::DomainId;
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
 use lshe_minhash::hash::FastHashSet;
-use lshe_minhash::{containment_from_jaccard, count_equal, Signature};
+use lshe_minhash::Signature;
 use lshe_store::{Packer, PartitionView, SectionKind, SketchesView, Store, StoreError};
 use std::path::Path;
 
@@ -216,13 +214,47 @@ struct PartMeta {
     id_off: usize,
 }
 
+/// One sweepable partition of a mapped index: a base partition's tree
+/// columns in the mapping, or a heap-replayed segment partition.
+enum MappedPart<'a> {
+    Base {
+        upper: u64,
+        r_max: usize,
+        view: PartitionView<'a>,
+    },
+    Segment(&'a EnsemblePartition),
+}
+
+impl Probe for MappedPart<'_> {
+    fn upper(&self) -> u64 {
+        match self {
+            Self::Base { upper, .. } => *upper,
+            Self::Segment(p) => p.upper(),
+        }
+    }
+
+    fn probe(&self, signature: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
+        match self {
+            // `LshForest::query_into` over the mapped columns: tree `t`
+            // is keyed by lanes `t·r_max ..`, probed at prefix length `r`.
+            Self::Base { r_max, view, .. } => {
+                let lanes = signature.slots();
+                for t in 0..b {
+                    view.tree(t)
+                        .probe_into(&lanes[t * r_max..t * r_max + r], out);
+                }
+            }
+            Self::Segment(p) => p.probe(signature, b, r, out),
+        }
+    }
+}
+
 /// A read-only [`DomainIndex`] served directly from a mapped v2 store.
 ///
 /// Holds only metadata on the heap (a few dozen bytes per partition);
-/// every key, id, and sketch slot stays in the mapping. Queries replicate
-/// the [`RankedIndex`] pipeline exactly: partition skip-prune →
-/// per-query tuned `(b, r)` → prefix-tree equal-range probes → hash-set
-/// dedup → containment ranking over the mapped sketches.
+/// every key, id, and sketch slot stays in the mapping. Queries run the
+/// shared read path (see the `pipeline` module) over borrowed views of
+/// the mapped tree columns and sketches.
 #[derive(Debug)]
 pub struct MmapIndex {
     store: Store,
@@ -234,10 +266,10 @@ pub struct MmapIndex {
     /// (deterministic rebuild from the stored entry triples — identical
     /// forests to the heap index that was packed). Small by construction:
     /// segments hold recent deltas, the mapped base holds the corpus.
-    segments: Vec<crate::ensemble::SealedSegment>,
+    segments: Vec<SealedSegment>,
     /// Tombstones: mapped base rows (and segment entries) whose ids are
-    /// dead. Queries filter candidates by sketch liveness while any exist.
-    dead: Vec<(DomainId, crate::ensemble::DeadSlot)>,
+    /// dead in that tier; queries filter them out of its candidates.
+    dead: FastHashSet<(DomainId, DeadSlot)>,
     /// Persisted id-allocator high-water mark.
     next_id: u32,
 }
@@ -364,7 +396,7 @@ impl MmapIndex {
         let seg_entry_total: usize = segment_entries.iter().map(Vec::len).sum();
         let dead_seg = dead
             .iter()
-            .filter(|(_, s)| matches!(s, crate::ensemble::DeadSlot::Seg(_)))
+            .filter(|(_, s)| matches!(s, DeadSlot::Seg(_)))
             .count();
         let dead_base = dead.len() - dead_seg;
         // Base rows are physical: live base domains plus tombstoned rows
@@ -430,7 +462,7 @@ impl MmapIndex {
             len,
             parts,
             segments,
-            dead,
+            dead: dead.into_iter().collect(),
             next_id,
         })
     }
@@ -509,255 +541,54 @@ impl MmapIndex {
         SketchesView::new(ids, sizes, slots, self.config.num_perm).expect("validated at open")
     }
 
-    fn check_query(&self, signature: &Signature, query_size: u64, t_star: f64) {
-        assert!(query_size > 0, "query size must be positive");
-        assert!(
-            (0.0..=1.0).contains(&t_star),
-            "containment threshold must be in [0, 1]"
-        );
-        assert_eq!(
-            signature.len(),
-            self.config.num_perm,
-            "signature width mismatch"
-        );
-    }
-
-    /// Probes one partition into `out`; returns whether it was consulted
-    /// (false = skip-pruned). Mirrors `LshEnsemble::query_partition` +
-    /// `LshForest::query_into` over the mapped columns.
-    #[allow(clippy::too_many_arguments)]
-    fn query_partition(
-        &self,
-        pm: &PartMeta,
-        tree_keys: &[u32],
-        tree_ids: &[u32],
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-        out: &mut Vec<DomainId>,
-    ) -> bool {
-        if (pm.upper as f64) < t_star * query_size as f64 {
-            return false;
-        }
-        let params = self.tuner.optimize(pm.upper, query_size, t_star);
-        let (b, r) = (params.b as usize, params.r as usize);
-        let (b_max, r_max) = (self.config.b_max, self.config.r_max);
-        let view = PartitionView::new(
-            &tree_keys[pm.key_off..pm.key_off + pm.rows * b_max * r_max],
-            &tree_ids[pm.id_off..pm.id_off + pm.rows * b_max],
-            b_max,
-            r_max,
-            pm.rows,
-        )
-        .expect("validated at open");
-        let slots = signature.slots();
-        for t in 0..b {
-            let start = t * r_max;
-            view.tree(t).probe_into(&slots[start..start + r], out);
-        }
-        true
-    }
-
-    /// Instrumented containment sweep: sorted-unique candidate ids plus
-    /// probe counters, identical to `LshEnsemble::query_counted` over the
-    /// same corpus.
-    fn query_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> (Vec<DomainId>, ProbeCounts) {
-        self.check_query(signature, query_size, t_star);
+    /// The shared read path over this file: mapped base partitions, then
+    /// the heap-replayed segment partitions, ranked from `sketches`.
+    fn read_path<'a>(
+        &'a self,
+        sketches: &'a SketchesView<'a>,
+    ) -> ReadPath<'a, Tiers<'a, MappedPart<'a>>, SketchesView<'a>> {
         let tree_keys = self.store.u32s(SectionKind::TreeKeys).expect("validated");
         let tree_ids = self.store.u32s(SectionKind::TreeIds).expect("validated");
-        let sketches = self.sketches();
-        let mut probe = ProbeCounts {
-            probed: 0,
-            total: self.parts.len()
-                + self
-                    .segments
-                    .iter()
-                    .map(|s| s.partitions.len())
-                    .sum::<usize>(),
-            candidates: 0,
-        };
-        let mut buf: Vec<DomainId> = Vec::new();
-        for pm in &self.parts {
-            let before = buf.len();
-            let probed = self.query_partition(
-                pm, tree_keys, tree_ids, signature, query_size, t_star, &mut buf,
-            );
-            if probed {
-                self.filter_tombstoned(&sketches, &mut buf, before);
-            }
-            probe.probed += usize::from(probed);
-            probe.candidates += buf.len() - before;
-        }
-        // Heap-replayed segment partitions: same skip-prune, tuning, and
-        // probing as the heap index's segment sweep.
-        for seg in &self.segments {
-            for p in &seg.partitions {
-                if (p.upper as f64) < t_star * query_size as f64 {
-                    continue;
-                }
-                let before = buf.len();
-                let params = self.tuner.optimize(p.upper, query_size, t_star);
-                p.forest
-                    .query_into(signature, params.b as usize, params.r as usize, &mut buf);
-                self.filter_tombstoned(&sketches, &mut buf, before);
-                probe.probed += 1;
-                probe.candidates += buf.len() - before;
-            }
-        }
-        let mut set: FastHashSet<DomainId> = FastHashSet::default();
-        set.extend(buf);
-        let mut v: Vec<DomainId> = set.into_iter().collect();
-        v.sort_unstable();
-        (v, probe)
-    }
-
-    /// Drops candidates appended past `from` whose ids are tombstoned.
-    /// A sketch exists exactly for the live ids (the heap index filters on
-    /// its id → slot map; the sketch sections are that map's image), so
-    /// liveness is a mapped binary search. No-op while nothing is dead —
-    /// a re-inserted id is live in its new tier even though stale rows for
-    /// it remain in the base, and those rows must NOT be dropped.
-    fn filter_tombstoned(&self, sketches: &SketchesView<'_>, buf: &mut Vec<DomainId>, from: usize) {
-        if self.dead.is_empty() {
-            return;
-        }
-        let mut w = from;
-        for i in from..buf.len() {
-            if sketches.lookup(buf[i]).is_some() {
-                buf[w] = buf[i];
-                w += 1;
-            }
-        }
-        buf.truncate(w);
-    }
-
-    /// Ranks candidates by estimated containment against the mapped
-    /// sketches — same estimator, ordering, and tie-break as
-    /// `RankedIndex::rank`.
-    ///
-    /// # Panics
-    /// Panics if a candidate id has no sketch (impossible in a file that
-    /// passed open-time validation and checksum verification, exactly as
-    /// the heap index panics on an id it never retained).
-    fn rank(
-        &self,
-        sketches: &SketchesView<'_>,
-        candidates: Vec<DomainId>,
-        signature: &Signature,
-        q: u64,
-    ) -> Vec<RankedHit> {
-        let q_slots = signature.slots();
-        let m = self.config.num_perm;
-        let mut hits: Vec<RankedHit> = candidates
-            .into_iter()
-            .map(|id| {
-                let (x, slots) = sketches.lookup(id).expect("candidate id has no sketch");
-                let s = count_equal(q_slots, slots) as f64 / m as f64;
-                RankedHit {
-                    id,
-                    estimated_containment: containment_from_jaccard(s, x as f64, q as f64),
-                }
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.estimated_containment
-                .partial_cmp(&a.estimated_containment)
-                .expect("no NaN")
-                .then(a.id.cmp(&b.id))
+        let (b_max, r_max) = (self.config.b_max, self.config.r_max);
+        let base = self.parts.iter().enumerate().map(|(i, pm)| {
+            let view = PartitionView::new(
+                &tree_keys[pm.key_off..pm.key_off + pm.rows * b_max * r_max],
+                &tree_ids[pm.id_off..pm.id_off + pm.rows * b_max],
+                b_max,
+                r_max,
+                pm.rows,
+            )
+            .expect("validated at open");
+            let part = MappedPart::Base {
+                upper: pm.upper,
+                r_max,
+                view,
+            };
+            (Some(DeadSlot::Base(i as u32)), part)
         });
-        hits
+        let segments =
+            segment_units(&self.segments).map(|(tier, p)| (tier, MappedPart::Segment(p)));
+        ReadPath {
+            source: Tiers {
+                num_perm: self.config.num_perm,
+                tuner: &self.tuner,
+                units: base.chain(segments).collect(),
+                dead: &self.dead,
+            },
+            sketches: Some(sketches),
+        }
     }
-
-    fn query_ranked_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> (Vec<RankedHit>, ProbeCounts) {
-        let (raw, probe) = self.query_counted(signature, query_size, t_star);
-        let sketches = self.sketches();
-        let mut hits = self.rank(&sketches, raw, signature, query_size);
-        hits.retain(|h| h.estimated_containment >= t_star - ESTIMATE_SLACK);
-        (hits, probe)
-    }
-
-    fn query_top_k_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        k: usize,
-    ) -> (Vec<RankedHit>, ProbeCounts) {
-        assert!(k > 0, "k must be positive");
-        let (seen, probe) =
-            crate::api::top_k_descend(k, |t| self.query_counted(signature, query_size, t));
-        let sketches = self.sketches();
-        let mut hits = self.rank(&sketches, seen, signature, query_size);
-        hits.truncate(k);
-        (hits, probe)
-    }
-}
-
-fn to_search_hits(hits: Vec<RankedHit>) -> Vec<SearchHit> {
-    hits.into_iter()
-        .map(|h| SearchHit {
-            id: h.id,
-            estimate: Some(h.estimated_containment),
-        })
-        .collect()
 }
 
 impl DomainIndex for MmapIndex {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.config.num_perm)?;
-        let started = std::time::Instant::now();
-        let q = query.effective_size();
-        // The parallel hint is accepted and ignored: partitions are swept
-        // sequentially over the mapping (hint semantics permit this; the
-        // answer is identical either way).
-        let (hits, probe) = match query.mode() {
-            QueryMode::Threshold(t_star) => self.query_ranked_counted(query.signature(), q, t_star),
-            QueryMode::TopK(k) => self.query_top_k_counted(query.signature(), q, k),
-        };
-        Ok(outcome_from_hits(to_search_hits(hits), probe, started))
+        let sketches = self.sketches();
+        self.read_path(&sketches).search(query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        crate::batch::split_and_run(
-            queries,
-            self.config.num_perm,
-            |items| {
-                // Fan the batch across worker lanes; each lane runs the
-                // exact single-query pipeline, so batch ≡ looped.
-                crate::batch::chunked(items, |chunk| {
-                    chunk
-                        .iter()
-                        .map(|item| {
-                            let started = std::time::Instant::now();
-                            let (raw, probe) =
-                                self.query_counted(item.signature, item.size, item.t_star);
-                            let sketches = self.sketches();
-                            let mut hits = self.rank(&sketches, raw, item.signature, item.size);
-                            hits.retain(|h| {
-                                h.estimated_containment >= item.t_star - ESTIMATE_SLACK
-                            });
-                            let nanos = started.elapsed().as_nanos() as u64;
-                            outcome_from_hits_timed(to_search_hits(hits), probe, nanos)
-                        })
-                        .collect()
-                })
-            },
-            |query, k| {
-                let started = std::time::Instant::now();
-                let (hits, probe) =
-                    self.query_top_k_counted(query.signature(), query.effective_size(), k);
-                Ok(outcome_from_hits(to_search_hits(hits), probe, started))
-            },
-        )
+        let sketches = self.sketches();
+        self.read_path(&sketches).search_batch(queries)
     }
 
     fn len(&self) -> usize {
@@ -787,7 +618,7 @@ impl DomainIndex for MmapIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::QueryStats;
+    use crate::api::{QueryStats, SearchHit};
     use lshe_minhash::MinHasher;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -856,13 +687,13 @@ mod tests {
         let (h, mut ranked, values) = sample(24);
         // Drift the corpus: remove a few built domains, add two batches of
         // fresh ones (two sealed segments), remove one sealed insert.
-        ranked.try_remove(3).expect("remove");
-        ranked.try_remove(17).expect("remove");
+        ranked.remove(3).expect("remove");
+        ranked.remove(17).expect("remove");
         for k in 0..5u32 {
             let vals = MinHasher::synthetic_values(900 + u64::from(k), 120 + 10 * k as usize);
             let sig = h.signature(vals.iter().copied());
             ranked
-                .try_insert(100 + k, vals.len() as u64, &sig)
+                .insert(100 + k, vals.len() as u64, &sig)
                 .expect("insert");
         }
         ranked.commit();
@@ -870,11 +701,11 @@ mod tests {
             let vals = MinHasher::synthetic_values(900 + u64::from(k), 120 + 10 * k as usize);
             let sig = h.signature(vals.iter().copied());
             ranked
-                .try_insert(100 + k, vals.len() as u64, &sig)
+                .insert(100 + k, vals.len() as u64, &sig)
                 .expect("insert");
         }
         ranked.commit();
-        ranked.try_remove(102).expect("remove sealed insert");
+        ranked.remove(102).expect("remove sealed insert");
         let stats = ranked.segment_stats();
         assert_eq!(stats.segments, 2);
         assert_eq!(stats.tombstones, 3);
@@ -912,6 +743,24 @@ mod tests {
             ranked.search(&q).expect("heap"),
         ] {
             assert!(outcome.hits.iter().all(|hit| hit.id != 3 && hit.id != 102));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reinserted_id_round_trips_without_its_stale_rows() {
+        let (mut ranked, fresh, old) = crate::ranked::tests::reinserted();
+        ranked.commit();
+        let path = tmp("reinserted");
+        pack_ranked_to(&ranked, &path).expect("pack");
+        let mapped = MmapIndex::open_verified(&path).expect("open");
+        for t_star in [1.0, 0.5, 0.0] {
+            let q = Query::threshold(&old, t_star).with_size(120);
+            let heap = strip_wall(ranked.search(&q).expect("heap"));
+            assert_eq!(strip_wall(mapped.search(&q).expect("mmap")), heap);
+            let rebuilt = fresh.search(&q).expect("fresh");
+            assert_eq!(heap.0, rebuilt.hits, "t* = {t_star}");
+            assert_eq!(heap.1.candidates, rebuilt.stats.candidates, "t* = {t_star}");
         }
         std::fs::remove_file(&path).ok();
     }

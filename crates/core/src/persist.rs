@@ -25,6 +25,7 @@
 //! rebuilt lazily, and excluding it keeps the byte form canonical.
 //!
 //! [`build_segment`]: crate::ensemble
+use crate::api::MutableIndex;
 use crate::ensemble::{DeadSlot, EnsembleConfig, LshEnsemble};
 use crate::partition::PartitionStrategy;
 use lshe_lsh::{DomainId, LshForest};
@@ -368,7 +369,7 @@ mod tests {
         let (h, mut ens, _) = sample_ensemble(20);
         let vals = MinHasher::synthetic_values(5_000, 64);
         let sig = h.signature(vals.iter().copied());
-        ens.insert(9_999, 64, &sig);
+        ens.insert(9_999, 64, &sig).expect("insert");
         let bytes = ens.to_bytes(); // must not panic; commits internally
         let restored = LshEnsemble::from_bytes(&bytes).expect("decode");
         assert!(restored.query_with_size(&sig, 64, 0.9).contains(&9_999));
@@ -378,11 +379,11 @@ mod tests {
     fn mutated_ensemble_roundtrips_with_id_routing_intact() {
         let (h, mut ens, entries) = sample_ensemble(24);
         // Mutate: remove a few built domains, add a fresh one.
-        ens.try_remove(3).expect("remove");
-        ens.try_remove(17).expect("remove");
+        ens.remove(3).expect("remove");
+        ens.remove(17).expect("remove");
         let vals = MinHasher::synthetic_values(321, 90);
         let sig = h.signature(vals.iter().copied());
-        ens.try_insert(777, 90, &sig).expect("insert");
+        ens.insert(777, 90, &sig).expect("insert");
         let bytes = ens.to_bytes();
         let mut restored = LshEnsemble::from_bytes(&bytes).expect("decode");
         assert_eq!(restored.len(), 23);
@@ -390,10 +391,10 @@ mod tests {
         assert!(!restored.contains(3) && !restored.contains(17));
         assert!(restored.contains(777));
         assert_eq!(
-            restored.try_insert(777, 90, &sig),
+            restored.insert(777, 90, &sig),
             Err(crate::MutationError::DuplicateId(777))
         );
-        restored.try_remove(777).expect("remove decoded insert");
+        restored.remove(777).expect("remove decoded insert");
         assert!(!restored.query_with_size(&sig, 90, 0.9).contains(&777));
         let (_, size5, sig5) = &entries[5];
         assert!(restored.query_with_size(sig5, *size5, 1.0).contains(&5));
@@ -403,7 +404,7 @@ mod tests {
     fn fully_emptied_ensemble_roundtrips() {
         let (_, mut ens, _) = sample_ensemble(6);
         for k in 0..6u32 {
-            ens.try_remove(k).expect("remove");
+            ens.remove(k).expect("remove");
         }
         assert!(ens.is_empty());
         let bytes = ens.to_bytes();

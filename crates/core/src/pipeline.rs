@@ -1,0 +1,438 @@
+//! The one containment read path: `Partitioned-Containment-Search`
+//! (§5.4–§5.5) written once, for every index that answers it.
+//!
+//! precondition check → partition sweep (skip-prune, per-query `(b, r)`
+//! tuning, probe, liveness filter, dedup + sort, [`ProbeCounts`]) →
+//! [`rank`] by estimated containment → `t* − ESTIMATE_SLACK` prune, or the
+//! top-k threshold descent + truncate → [`SearchOutcome`] assembly, for
+//! `search` and `search_batch` alike.
+//!
+//! The pipeline is generic over the two things that genuinely differ
+//! between backends — *a partition that can be probed* ([`Probe`]: a heap
+//! forest or mapped tree columns) and *a sketch lookup* ([`Sketches`]: a
+//! heap map or mapped sketch columns) — and over where candidates come
+//! from ([`Candidates`]: one index's [`Tiers`], or a [`Fanout`] over
+//! shards). Everything is statically dispatched; no backend carries a
+//! second copy of any step, so heap ≡ mapped ≡ sharded holds by
+//! construction.
+
+use crate::api::{
+    outcome, top_k_descend, unranked, ProbeCounts, Query, QueryError, QueryMode, SearchHit,
+    SearchOutcome, ESTIMATE_SLACK,
+};
+use crate::batch::{chunked, merge_sorted_disjoint, split_and_run, ThresholdItem};
+use crate::ensemble::DeadSlot;
+use crate::ranked::RankedHit;
+use crate::tuning::Tuner;
+use lshe_lsh::DomainId;
+use lshe_minhash::hash::{FastHashMap, FastHashSet};
+use lshe_minhash::{containment_from_jaccard, count_equal, lanes, Signature};
+use lshe_store::SketchesView;
+use std::time::Instant;
+
+/// A size partition that can be probed at any `(b ≤ b_max, r ≤ r_max)`.
+pub(crate) trait Probe: Sync {
+    /// The partition's size upper bound `u` (threshold conversion, Eq. 7).
+    fn upper(&self) -> u64;
+
+    /// Appends every domain sharing an `r`-lane prefix with `signature` in
+    /// any of the first `b` trees (duplicates included).
+    fn probe(&self, signature: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>);
+}
+
+/// Retained sketches: id → (cardinality, signature lanes).
+pub(crate) trait Sketches: Sync {
+    /// The domain's sketch, or `None` if the id is not retained.
+    fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])>;
+}
+
+impl Sketches for FastHashMap<DomainId, (u64, Signature)> {
+    fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
+        self.get(&id).map(|(size, sig)| (*size, sig.slots()))
+    }
+}
+
+impl Sketches for SketchesView<'_> {
+    fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
+        self.lookup(id)
+    }
+}
+
+/// The sketch store of an index that retains none.
+impl Sketches for () {
+    fn sketch(&self, _: DomainId) -> Option<(u64, &[u32])> {
+        None
+    }
+}
+
+fn check_query(num_perm: usize, item: &ThresholdItem<'_>) {
+    assert!(item.size > 0, "query size must be positive");
+    assert!(
+        (0.0..=1.0).contains(&item.t_star),
+        "containment threshold must be in [0, 1]"
+    );
+    assert_eq!(item.signature.len(), num_perm, "signature width mismatch");
+}
+
+/// Dedups `raw` through the reusable scratch `set` and sorts it.
+fn sorted_unique(mut raw: Vec<DomainId>, set: &mut FastHashSet<DomainId>) -> Vec<DomainId> {
+    set.extend(raw.drain(..));
+    raw.extend(set.drain());
+    raw.sort_unstable();
+    raw
+}
+
+/// Where a query's candidates come from.
+pub(crate) trait Candidates: Sync {
+    /// The signature width every query must have.
+    fn num_perm(&self) -> usize;
+
+    /// One query: sorted-unique candidate ids plus probe counters.
+    /// `parallel` asks for the partitions to be probed across
+    /// budget-governed lanes; the answer is identical either way.
+    ///
+    /// # Panics
+    /// Panics on a zero size, an out-of-range threshold, or a signature
+    /// width mismatch.
+    fn sweep(&self, item: &ThresholdItem<'_>, parallel: bool) -> (Vec<DomainId>, ProbeCounts);
+
+    /// A batch of pre-validated queries, thread fan-out paid once: per
+    /// query exactly [`sweep`](Self::sweep)'s ids and counters plus the
+    /// execution time attributed to it in nanoseconds, each handed to
+    /// `post` on the worker that finished it.
+    fn sweep_batch<R: Send>(
+        &self,
+        items: &[ThresholdItem<'_>],
+        post: impl Fn(&ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
+    ) -> Vec<R>;
+}
+
+/// One index's sweepable partitions, in stats order: base, each sealed
+/// segment's, then the staged delta.
+pub(crate) struct Tiers<'a, P> {
+    pub num_perm: usize,
+    pub tuner: &'a Tuner,
+    /// Each partition with the tier a tombstone would name it by (`None`
+    /// for the staged delta, whose removals are physical).
+    pub units: Vec<(Option<DeadSlot>, P)>,
+    /// Tombstones: rows still physically present in the named tier.
+    pub dead: &'a FastHashSet<(DomainId, DeadSlot)>,
+}
+
+/// Queries swept together per partition-outer pass: large enough to
+/// amortize partition/forest locality, small enough to bound the raw
+/// candidate memory held at once (see [`Tiers::sweep_chunk`]).
+const SWEEP_GROUP: usize = 32;
+
+impl<P: Probe> Tiers<'_, P> {
+    /// Probes one partition into `out`; returns whether it was actually
+    /// consulted (false = skip-pruned).
+    fn probe_unit(
+        &self,
+        (tier, part): &(Option<DeadSlot>, P),
+        item: &ThresholdItem<'_>,
+        out: &mut Vec<DomainId>,
+    ) -> bool {
+        // A domain's containment cannot exceed x/q ≤ upper/q: partitions
+        // that cannot reach the threshold are skipped outright.
+        if (part.upper() as f64) < item.t_star * item.size as f64 {
+            return false;
+        }
+        let params = self.tuner.optimize(part.upper(), item.size, item.t_star);
+        let before = out.len();
+        part.probe(item.signature, params.b as usize, params.r as usize, out);
+        if let (false, Some(tier)) = (self.dead.is_empty(), *tier) {
+            // Liveness is per tier: a row tombstoned here is dropped even
+            // when its id was re-inserted and lives on in a newer tier —
+            // that tier answers for the new content itself.
+            let mut kept = before;
+            for i in before..out.len() {
+                if !self.dead.contains(&(out[i], tier)) {
+                    out[kept] = out[i];
+                    kept += 1;
+                }
+            }
+            out.truncate(kept);
+        }
+        true
+    }
+
+    fn counts(&self) -> ProbeCounts {
+        ProbeCounts {
+            probed: 0,
+            total: self.units.len(),
+            candidates: 0,
+        }
+    }
+
+    /// Partition-outer sweep of `chunk`: the partition loop runs once per
+    /// group of queries, every query probes a partition while it is hot,
+    /// and one dedup scratch set serves the whole chunk.
+    ///
+    /// The chunk is swept in groups of [`SWEEP_GROUP`] queries so peak
+    /// memory holds at most one group's *raw* (pre-dedup) candidate
+    /// unions, never the whole batch's — a low-threshold query can make
+    /// every partition contribute near the full corpus, and thousands of
+    /// such accumulators at once would be an OOM vector on the server.
+    fn sweep_chunk<R>(
+        &self,
+        chunk: &[ThresholdItem<'_>],
+        post: &impl Fn(&ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R,
+    ) -> Vec<R> {
+        let mut set = FastHashSet::default();
+        let mut results = Vec::with_capacity(chunk.len());
+        for group in chunk.chunks(SWEEP_GROUP) {
+            // Per-query accumulators: raw candidates, probes, nanos.
+            let mut acc: Vec<(Vec<DomainId>, ProbeCounts, u64)> = group
+                .iter()
+                .map(|_| (Vec::new(), self.counts(), 0))
+                .collect();
+            for unit in &self.units {
+                for (item, (raw, probe, nanos)) in group.iter().zip(&mut acc) {
+                    let started = Instant::now();
+                    let before = raw.len();
+                    probe.probed += usize::from(self.probe_unit(unit, item, raw));
+                    probe.candidates += raw.len() - before;
+                    *nanos += started.elapsed().as_nanos() as u64;
+                }
+            }
+            for (item, (raw, probe, nanos)) in group.iter().zip(acc) {
+                let started = Instant::now();
+                let ids = sorted_unique(raw, &mut set);
+                let nanos = nanos + started.elapsed().as_nanos() as u64;
+                results.push(post(item, ids, probe, nanos));
+            }
+        }
+        results
+    }
+}
+
+impl<P: Probe> Candidates for Tiers<'_, P> {
+    fn num_perm(&self) -> usize {
+        self.num_perm
+    }
+
+    fn sweep(&self, item: &ThresholdItem<'_>, parallel: bool) -> (Vec<DomainId>, ProbeCounts) {
+        check_query(self.num_perm, item);
+        let mut probe = self.counts();
+        let mut raw = Vec::new();
+        if parallel {
+            // Partitions are chunked across lanes drawn from the
+            // process-wide budget, not one thread per partition: on a
+            // single-core or saturated host the budget yields zero extras
+            // and the probe runs inline, identical to the sequential path.
+            let buffers: Vec<(Vec<DomainId>, bool)> = lanes::run_chunked(&self.units, |chunk| {
+                chunk
+                    .iter()
+                    .map(|unit| {
+                        let mut buf = Vec::new();
+                        let probed = self.probe_unit(unit, item, &mut buf);
+                        (buf, probed)
+                    })
+                    .collect()
+            });
+            for (buf, probed) in buffers {
+                probe.probed += usize::from(probed);
+                raw.extend(buf);
+            }
+        } else {
+            for unit in &self.units {
+                probe.probed += usize::from(self.probe_unit(unit, item, &mut raw));
+            }
+        }
+        probe.candidates = raw.len();
+        (sorted_unique(raw, &mut FastHashSet::default()), probe)
+    }
+
+    fn sweep_batch<R: Send>(
+        &self,
+        items: &[ThresholdItem<'_>],
+        post: impl Fn(&ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
+    ) -> Vec<R> {
+        chunked(items, |chunk| self.sweep_chunk(chunk, &post))
+    }
+}
+
+/// The §6.3 topology: every shard sweeps the query, answers are unioned.
+/// Shards run on lanes from the process-wide budget (one item per shard),
+/// so concurrent callers degrade toward a sequential shard loop instead
+/// of multiplying `callers × shards` threads.
+pub(crate) struct Fanout<'a, P>(pub Vec<Tiers<'a, P>>);
+
+/// Unions per-shard answers: counters add up, and the sorted id runs merge
+/// without dedup because shards hold disjoint id sets.
+fn merge_shards(
+    parts: impl Iterator<Item = (Vec<DomainId>, ProbeCounts, u64)>,
+) -> (Vec<DomainId>, ProbeCounts, u64) {
+    let mut probe = ProbeCounts::default();
+    let mut nanos = 0;
+    let runs = parts
+        .map(|(ids, p, n)| {
+            probe.probed += p.probed;
+            probe.total += p.total;
+            probe.candidates += p.candidates;
+            nanos += n;
+            ids
+        })
+        .collect();
+    (merge_sorted_disjoint(runs), probe, nanos)
+}
+
+impl<P: Probe> Candidates for Fanout<'_, P> {
+    fn num_perm(&self) -> usize {
+        self.0[0].num_perm
+    }
+
+    fn sweep(&self, item: &ThresholdItem<'_>, _parallel: bool) -> (Vec<DomainId>, ProbeCounts) {
+        let per_shard = lanes::run_each(&self.0, |shard| shard.sweep(item, false));
+        let (ids, probe, _) = merge_shards(per_shard.into_iter().map(|(ids, p)| (ids, p, 0)));
+        (ids, probe)
+    }
+
+    fn sweep_batch<R: Send>(
+        &self,
+        items: &[ThresholdItem<'_>],
+        post: impl Fn(&ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
+    ) -> Vec<R> {
+        // Each shard sweeps the whole batch partition-outer with its own
+        // scratch; the per-shard columns are then merged query by query.
+        let mut columns: Vec<_> = lanes::run_each(&self.0, |shard| {
+            shard.sweep_chunk(items, &|_, ids, probe, nanos| (ids, probe, nanos))
+        })
+        .into_iter()
+        .map(Vec::into_iter)
+        .collect();
+        items
+            .iter()
+            .map(|item| {
+                let answers = columns
+                    .iter_mut()
+                    .map(|column| column.next().expect("each shard answers each query"));
+                let (ids, probe, nanos) = merge_shards(answers);
+                post(item, ids, probe, nanos)
+            })
+            .collect()
+    }
+}
+
+/// Ranks candidate ids by estimated containment (`t̂ = (x/q + 1)·ŝ/(1 + ŝ)`,
+/// Eq. 6), descending, ties by id.
+///
+/// # Panics
+/// Panics if a candidate id has no sketch.
+pub(crate) fn rank(
+    sketches: &impl Sketches,
+    candidates: Vec<DomainId>,
+    signature: &Signature,
+    q: u64,
+) -> Vec<RankedHit> {
+    let lanes = signature.slots();
+    let mut hits: Vec<RankedHit> = candidates
+        .into_iter()
+        .map(|id| {
+            let (x, sketch) = sketches.sketch(id).expect("candidate id has no sketch");
+            let s = count_equal(lanes, sketch) as f64 / lanes.len() as f64;
+            RankedHit {
+                id,
+                estimated_containment: containment_from_jaccard(s, x as f64, q as f64),
+            }
+        })
+        .collect();
+    hits.sort_by(|a, b| {
+        b.estimated_containment
+            .partial_cmp(&a.estimated_containment)
+            .expect("no NaN")
+            .then(a.id.cmp(&b.id))
+    });
+    hits
+}
+
+fn to_search_hits(hits: impl IntoIterator<Item = RankedHit>) -> Vec<SearchHit> {
+    hits.into_iter()
+        .map(|h| SearchHit {
+            id: h.id,
+            estimate: Some(h.estimated_containment),
+        })
+        .collect()
+}
+
+/// A backend's whole answer to [`DomainIndex`](crate::DomainIndex)'s
+/// `search`/`search_batch`: its candidate source plus, when it retains
+/// sketches, the lookup that turns candidates into ranked hits.
+pub(crate) struct ReadPath<'a, C, S> {
+    pub source: C,
+    /// `None`: hits carry no estimate, stay in id order, and top-k is
+    /// unsupported.
+    pub sketches: Option<&'a S>,
+}
+
+impl<C: Candidates, S: Sketches> ReadPath<'_, C, S> {
+    /// Candidates → hits for a threshold query: ranked, with candidates
+    /// whose *estimate* falls below `t* − ESTIMATE_SLACK` pruned (the slack
+    /// keeps borderline true positives; estimates are noisy at ±1/√m).
+    fn finish(&self, item: &ThresholdItem<'_>, ids: Vec<DomainId>) -> Vec<SearchHit> {
+        let Some(sketches) = self.sketches else {
+            return unranked(ids);
+        };
+        let ranked = rank(sketches, ids, item.signature, item.size);
+        to_search_hits(
+            ranked
+                .into_iter()
+                .filter(|h| h.estimated_containment >= item.t_star - ESTIMATE_SLACK),
+        )
+    }
+
+    fn top_k(&self, query: &Query<'_>, k: usize) -> Result<SearchOutcome, QueryError> {
+        let Some(sketches) = self.sketches else {
+            return Err(QueryError::Unsupported(
+                "top-k needs retained sketches; build a RankedIndex (or re-index with --ranked)"
+                    .into(),
+            ));
+        };
+        let started = Instant::now();
+        let (signature, size) = (query.signature(), query.effective_size());
+        let (seen, probe) = top_k_descend(k, |t_star| {
+            let item = ThresholdItem {
+                signature,
+                size,
+                t_star,
+            };
+            self.source.sweep(&item, query.parallel())
+        });
+        let mut hits = to_search_hits(rank(sketches, seen, signature, size));
+        hits.truncate(k);
+        Ok(outcome(hits, probe, started.elapsed().as_nanos() as u64))
+    }
+
+    pub fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
+        query.validate_for(self.source.num_perm())?;
+        let t_star = match query.mode() {
+            QueryMode::Threshold(t_star) => t_star,
+            QueryMode::TopK(k) => return self.top_k(query, k),
+        };
+        let started = Instant::now();
+        let item = ThresholdItem {
+            signature: query.signature(),
+            size: query.effective_size(),
+            t_star,
+        };
+        let (ids, probe) = self.source.sweep(&item, query.parallel());
+        let hits = self.finish(&item, ids);
+        Ok(outcome(hits, probe, started.elapsed().as_nanos() as u64))
+    }
+
+    pub fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
+        split_and_run(
+            queries,
+            self.source.num_perm(),
+            |items| {
+                self.source.sweep_batch(items, |item, ids, probe, nanos| {
+                    let started = Instant::now();
+                    let hits = self.finish(item, ids);
+                    outcome(hits, probe, nanos + started.elapsed().as_nanos() as u64)
+                })
+            },
+            |query, k| self.top_k(query, k),
+        )
+    }
+}

@@ -17,20 +17,26 @@
 //! plain [`LshEnsemble`] when memory is tighter than ranking is valuable.
 
 use crate::api::{
-    CommitReport, DomainIndex, MutableIndex, MutationError, ProbeCounts, Query, QueryError,
-    QueryMode, SearchHit, SearchOutcome, SegmentStats, DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK,
+    CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, SearchOutcome,
+    SegmentStats, DEFAULT_REBALANCE_TRIGGER,
 };
-use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
+use crate::ensemble::{
+    EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder, PartitionStats,
+};
+use crate::pipeline::{ReadPath, Tiers};
 use lshe_lsh::DomainId;
 use lshe_minhash::hash::{FastHashMap, FastHashSet};
-use lshe_minhash::{containment_from_jaccard, Signature};
+use lshe_minhash::Signature;
+
+/// Retained sketches: id → (cardinality, signature).
+pub(crate) type SketchMap = FastHashMap<DomainId, (u64, Signature)>;
 
 /// A containment-search index that can rank its answers.
 #[derive(Debug, Clone)]
 pub struct RankedIndex {
     ensemble: LshEnsemble,
-    /// id → (cardinality, signature); retained for estimation.
-    sketches: FastHashMap<DomainId, (u64, Signature)>,
+    /// Retained for estimation.
+    sketches: SketchMap,
     /// Equi-depth skew multiple past which a commit rebuilds the
     /// partitioning from the retained sketches.
     rebalance_trigger: f64,
@@ -224,105 +230,10 @@ impl RankedIndex {
         self.rebalance_trigger = trigger;
     }
 
-    /// Typed insert: stages the domain in the ensemble and retains its
-    /// sketch. Immediately queryable (including estimates).
-    ///
-    /// # Errors
-    /// As [`LshEnsemble::try_insert`].
-    pub fn try_insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        self.ensemble.try_insert(id, size, signature)?;
-        self.sketches.insert(id, (size, signature.clone()));
-        Ok(())
-    }
-
-    /// Typed removal: drops the domain from the ensemble and its retained
-    /// sketch. Takes effect immediately.
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if the id is not indexed.
-    pub fn try_remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.ensemble.try_remove(id)?;
-        self.sketches.remove(&id);
-        Ok(())
-    }
-
     /// True if `id` is currently indexed.
     #[must_use]
     pub fn contains(&self, id: DomainId) -> bool {
         self.sketches.contains_key(&id)
-    }
-
-    /// Number of staged (uncommitted) inserts.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.ensemble.staged_len()
-    }
-
-    /// Seals the staged delta into an immutable segment (O(staged delta))
-    /// and — because this index retains every sketch — rebuilds the
-    /// equi-depth partitioning from scratch when drift passed the
-    /// configured trigger, restoring the exact freshly-built layout
-    /// (§6.2's remedy, automated). The rebuild also folds outstanding
-    /// segments and erases tombstones, since it starts from the live
-    /// sketch set.
-    pub fn commit(&mut self) -> CommitReport {
-        let merged = self.ensemble.staged_len();
-        let sealed = self.ensemble.commit();
-        let rebalanced = self.maybe_rebalance();
-        let stats = self.ensemble.segment_stats();
-        CommitReport {
-            merged,
-            rebalanced,
-            sealed,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-
-    /// Forces the O(corpus) merge: seals any staged delta, then rebuilds
-    /// the partitioning from the retained sketches (the same path a
-    /// triggered rebalance takes), leaving zero outstanding segments and
-    /// tombstones.
-    pub fn compact(&mut self) -> CommitReport {
-        let merged = self.ensemble.staged_len();
-        let sealed = self.ensemble.commit();
-        if !self.rebuild_from_sketches() {
-            // Degenerate corpus (emptied index): fold in place instead.
-            self.ensemble.compact();
-        }
-        let stats = self.ensemble.segment_stats();
-        CommitReport {
-            merged,
-            rebalanced: true,
-            sealed,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-
-    /// Outstanding segments/tombstones on the inner ensemble.
-    #[must_use]
-    pub fn segment_stats(&self) -> SegmentStats {
-        self.ensemble.segment_stats()
-    }
-
-    /// The inner ensemble's tier layout, for merge planning.
-    #[must_use]
-    pub fn segment_layout(&self) -> crate::SegmentLayout {
-        self.ensemble.segment_layout()
-    }
-
-    /// Folds the listed sealed segments into one new segment on the inner
-    /// ensemble — O(folded entries). The retained sketches track live ids
-    /// and are unaffected (a partial merge neither adds nor removes
-    /// domains). Returns the number of live entries folded.
-    pub fn merge_segments(&mut self, segment_indices: &[usize]) -> usize {
-        self.ensemble.merge_segments(segment_indices)
     }
 
     /// Rebuilds the inner ensemble from the retained sketches when the
@@ -369,7 +280,8 @@ impl RankedIndex {
     }
 
     /// Ranks arbitrary candidate ids by estimated containment (descending,
-    /// ties by id). Candidates must all be indexed.
+    /// ties by id) — the rank step of every ranked search. Candidates must
+    /// all be indexed.
     ///
     /// # Panics
     /// Panics if a candidate id was never indexed.
@@ -380,99 +292,30 @@ impl RankedIndex {
         signature: &Signature,
         query_size: u64,
     ) -> Vec<RankedHit> {
-        self.rank(candidates, signature, query_size)
+        crate::pipeline::rank(&self.sketches, candidates, signature, query_size)
     }
 
-    fn rank(&self, candidates: Vec<DomainId>, signature: &Signature, q: u64) -> Vec<RankedHit> {
-        let mut hits: Vec<RankedHit> = candidates
-            .into_iter()
-            .map(|id| {
-                let (x, sig) = &self.sketches[&id];
-                let s = signature.jaccard(sig);
-                RankedHit {
-                    id,
-                    estimated_containment: containment_from_jaccard(s, *x as f64, q as f64),
-                }
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            b.estimated_containment
-                .partial_cmp(&a.estimated_containment)
-                .expect("no NaN")
-                .then(a.id.cmp(&b.id))
-        });
-        hits
+    /// The retained sketches, for a sharded view's rank step.
+    pub(crate) fn sketches(&self) -> &SketchMap {
+        &self.sketches
     }
 
-    /// Threshold search with ranked output: candidates at `t_star`, sorted
-    /// by estimated containment (descending), with candidates whose
-    /// *estimate* falls below `t_star − slack` pruned. A small slack keeps
-    /// borderline true positives (estimates are noisy at ±1/√m).
-    ///
-    /// # Panics
-    /// As [`LshEnsemble::query_with_size`].
-    #[must_use]
-    pub fn query_ranked(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-        slack: f64,
-    ) -> Vec<RankedHit> {
-        self.query_ranked_counted(signature, query_size, t_star, slack, false)
-            .0
-    }
-
-    /// Instrumented [`query_ranked`](Self::query_ranked): hits plus the
-    /// probe counters of the underlying ensemble sweep.
-    pub(crate) fn query_ranked_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-        slack: f64,
-        parallel: bool,
-    ) -> (Vec<RankedHit>, ProbeCounts) {
-        let (raw, probe) = self
-            .ensemble
-            .query_counted(signature, query_size, t_star, parallel);
-        let mut hits = self.rank(raw, signature, query_size);
-        hits.retain(|h| h.estimated_containment >= t_star - slack);
-        (hits, probe)
-    }
-
-    /// Top-k search: descends through containment thresholds
-    /// (1.0, 0.9, …, 0.1, 0.0) until at least `k` distinct candidates have
-    /// been collected, then returns the best `k` by estimated containment.
-    ///
-    /// # Panics
-    /// Panics if `k == 0`, plus the usual query validation.
-    #[must_use]
-    pub fn query_top_k(&self, signature: &Signature, query_size: u64, k: usize) -> Vec<RankedHit> {
-        self.query_top_k_counted(signature, query_size, k, false).0
-    }
-
-    /// Instrumented [`query_top_k`](Self::query_top_k). Probe counters
-    /// accumulate raw candidates across the descent passes; partitions
-    /// probed is the maximum over passes (so it stays ≤ total).
-    pub(crate) fn query_top_k_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        k: usize,
-        parallel: bool,
-    ) -> (Vec<RankedHit>, ProbeCounts) {
-        assert!(k > 0, "k must be positive");
-        let (seen, probe) = crate::api::top_k_descend(k, |t| {
-            self.ensemble
-                .query_counted(signature, query_size, t, parallel)
-        });
-        let mut hits = self.rank(seen, signature, query_size);
-        hits.truncate(k);
-        (hits, probe)
+    fn read_path(&self) -> ReadPath<'_, Tiers<'_, &EnsemblePartition>, SketchMap> {
+        ReadPath {
+            source: self.ensemble.tiers(),
+            sketches: Some(&self.sketches),
+        }
     }
 }
 
+/// Mutations go to the inner ensemble and keep the sketch map in step, so
+/// a staged insert is immediately queryable *with* an estimate. Because
+/// this index retains every sketch, `commit` additionally rebuilds the
+/// equi-depth partitioning from scratch when base-partition drift passed
+/// the configured trigger (§6.2's remedy, automated), and `compact` always
+/// does — both restore the exact freshly-built layout, folding outstanding
+/// segments and erasing tombstones, since they start from the live sketch
+/// set.
 impl MutableIndex for RankedIndex {
     fn insert(
         &mut self,
@@ -480,119 +323,82 @@ impl MutableIndex for RankedIndex {
         size: u64,
         signature: &Signature,
     ) -> Result<(), MutationError> {
-        self.try_insert(id, size, signature)
+        self.ensemble.insert(id, size, signature)?;
+        self.sketches.insert(id, (size, signature.clone()));
+        Ok(())
     }
 
     fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.try_remove(id)
+        self.ensemble.remove(id)?;
+        self.sketches.remove(&id);
+        Ok(())
     }
 
     fn commit(&mut self) -> CommitReport {
-        RankedIndex::commit(self)
+        let report = self.ensemble.commit();
+        let rebalanced = self.maybe_rebalance();
+        let stats = self.ensemble.segment_stats();
+        CommitReport {
+            rebalanced,
+            segments: stats.segments,
+            tombstones: stats.tombstones,
+            ..report
+        }
     }
 
     fn staged_len(&self) -> usize {
-        RankedIndex::staged_len(self)
+        self.ensemble.staged_len()
     }
 
     fn compact(&mut self) -> CommitReport {
-        RankedIndex::compact(self)
+        let report = self.ensemble.commit();
+        if !self.rebuild_from_sketches() {
+            // Degenerate corpus (emptied index): fold in place instead.
+            self.ensemble.compact();
+        }
+        CommitReport {
+            rebalanced: true,
+            segments: 0,
+            tombstones: 0,
+            ..report
+        }
     }
 
     fn segment_stats(&self) -> SegmentStats {
-        RankedIndex::segment_stats(self)
+        self.ensemble.segment_stats()
     }
 
     fn segment_layout(&self) -> crate::SegmentLayout {
-        RankedIndex::segment_layout(self)
+        self.ensemble.segment_layout()
     }
 
     fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
-        let entries_folded = match task {
-            crate::MergeTask::Merge(idxs) => self.merge_segments(idxs),
+        match task {
+            // A partial merge neither adds nor removes domains, so the
+            // sketches are unaffected.
+            crate::MergeTask::Merge(_) => self.ensemble.apply_merge(task),
             crate::MergeTask::Full => {
                 // The full fold rebuilds from the retained sketches, so
                 // every live entry is rewritten.
-                let folded = self.ensemble.len();
-                RankedIndex::compact(self);
-                folded
+                let entries_folded = self.ensemble.len();
+                self.compact();
+                crate::MergeOutcome {
+                    entries_folded,
+                    segments: 0,
+                    tombstones: 0,
+                }
             }
-        };
-        let stats = self.segment_stats();
-        crate::MergeOutcome {
-            entries_folded,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
         }
     }
 }
 
-/// Converts ranked hits into the unified [`SearchHit`] shape.
-fn to_search_hits(hits: Vec<RankedHit>) -> Vec<SearchHit> {
-    hits.into_iter()
-        .map(|h| SearchHit {
-            id: h.id,
-            estimate: Some(h.estimated_containment),
-        })
-        .collect()
-}
-
 impl DomainIndex for RankedIndex {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.ensemble.config().num_perm)?;
-        let started = std::time::Instant::now();
-        let q = query.effective_size();
-        let (hits, probe) = match query.mode() {
-            QueryMode::Threshold(t_star) => self.query_ranked_counted(
-                query.signature(),
-                q,
-                t_star,
-                ESTIMATE_SLACK,
-                query.parallel(),
-            ),
-            QueryMode::TopK(k) => {
-                self.query_top_k_counted(query.signature(), q, k, query.parallel())
-            }
-        };
-        Ok(crate::api::outcome_from_hits(
-            to_search_hits(hits),
-            probe,
-            started,
-        ))
+        self.read_path().search(query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        crate::batch::split_and_run(
-            queries,
-            self.ensemble.config().num_perm,
-            |items| {
-                // One batched ensemble sweep for every threshold query;
-                // ranking runs in the same worker lane, straight after the
-                // query's dedup.
-                self.ensemble
-                    .batch_threshold_map(items, |item, ids, probe, mut nanos| {
-                        let started = std::time::Instant::now();
-                        let mut hits = self.rank(ids, item.signature, item.size);
-                        hits.retain(|h| h.estimated_containment >= item.t_star - ESTIMATE_SLACK);
-                        nanos += started.elapsed().as_nanos() as u64;
-                        crate::api::outcome_from_hits_timed(to_search_hits(hits), probe, nanos)
-                    })
-            },
-            |query, k| {
-                let started = std::time::Instant::now();
-                let (hits, probe) = self.query_top_k_counted(
-                    query.signature(),
-                    query.effective_size(),
-                    k,
-                    query.parallel(),
-                );
-                Ok(crate::api::outcome_from_hits(
-                    to_search_hits(hits),
-                    probe,
-                    started,
-                ))
-            },
-        )
+        self.read_path().search_batch(queries)
     }
 
     fn len(&self) -> usize {
@@ -635,7 +441,7 @@ pub(crate) fn merge_unique(a: &[DomainId], b: &[DomainId]) -> Vec<DomainId> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::partition::PartitionStrategy;
     use lshe_minhash::MinHasher;
@@ -661,11 +467,24 @@ mod tests {
         (h, b.build(), values)
     }
 
+    /// The ranked hits of one search.
+    fn ranked_hits(idx: &RankedIndex, query: Query<'_>) -> Vec<RankedHit> {
+        let outcome = idx.search(&query).expect("search");
+        let ranked = |h: &crate::SearchHit| RankedHit {
+            id: h.id,
+            estimated_containment: h.estimate.expect("ranked index attaches estimates"),
+        };
+        outcome.hits.iter().map(ranked).collect()
+    }
+
     #[test]
     fn ranked_output_is_descending() {
         let (h, idx, values) = index(20);
         let q = h.signature(values[2].iter().copied());
-        let hits = idx.query_ranked(&q, values[2].len() as u64, 0.3, 0.1);
+        let hits = ranked_hits(
+            &idx,
+            Query::threshold(&q, 0.3).with_size(values[2].len() as u64),
+        );
         assert!(!hits.is_empty());
         for w in hits.windows(2) {
             assert!(w[0].estimated_containment >= w[1].estimated_containment);
@@ -676,7 +495,10 @@ mod tests {
     fn self_match_ranks_first_with_estimate_one() {
         let (h, idx, values) = index(20);
         let q = h.signature(values[5].iter().copied());
-        let hits = idx.query_ranked(&q, values[5].len() as u64, 0.5, 0.1);
+        let hits = ranked_hits(
+            &idx,
+            Query::threshold(&q, 0.5).with_size(values[5].len() as u64),
+        );
         // Domain 5 and every superset have true containment 1.0; the self
         // match has Jaccard exactly 1 so its estimate is exactly 1.
         let self_hit = hits.iter().find(|hh| hh.id == 5).expect("self found");
@@ -688,7 +510,7 @@ mod tests {
     fn top_k_returns_k_best() {
         let (h, idx, values) = index(25);
         let q = h.signature(values[3].iter().copied());
-        let hits = idx.query_top_k(&q, values[3].len() as u64, 5);
+        let hits = ranked_hits(&idx, Query::top_k(&q, 5).with_size(values[3].len() as u64));
         assert_eq!(hits.len(), 5);
         // All returned should be supersets (containment ≈ 1) of domain 3.
         for hh in &hits {
@@ -703,7 +525,10 @@ mod tests {
     fn top_k_larger_than_matches_returns_what_exists() {
         let (h, idx, values) = index(5);
         let q = h.signature(values[0].iter().copied());
-        let hits = idx.query_top_k(&q, values[0].len() as u64, 100);
+        let hits = ranked_hits(
+            &idx,
+            Query::top_k(&q, 100).with_size(values[0].len() as u64),
+        );
         assert!(hits.len() <= 5);
         assert!(!hits.is_empty());
     }
@@ -713,7 +538,10 @@ mod tests {
         let (h, idx, values) = index(20);
         let q_vals = &values[4];
         let q = h.signature(q_vals.iter().copied());
-        let hits = idx.query_ranked(&q, q_vals.len() as u64, 0.2, 0.15);
+        let hits = ranked_hits(
+            &idx,
+            Query::threshold(&q, 0.2).with_size(q_vals.len() as u64),
+        );
         for hh in hits {
             let x_vals = &values[hh.id as usize];
             let inter = q_vals.iter().filter(|v| x_vals.contains(v)).count();
@@ -728,12 +556,13 @@ mod tests {
     }
 
     #[test]
-    fn slack_zero_prunes_harder_than_slack_wide() {
+    fn prune_keeps_estimates_within_slack_of_threshold() {
         let (h, idx, values) = index(20);
         let q = h.signature(values[2].iter().copied());
-        let strict = idx.query_ranked(&q, values[2].len() as u64, 0.6, 0.0);
-        let loose = idx.query_ranked(&q, values[2].len() as u64, 0.6, 0.3);
-        assert!(strict.len() <= loose.len());
+        let query = Query::threshold(&q, 0.6).with_size(values[2].len() as u64);
+        for hit in ranked_hits(&idx, query) {
+            assert!(hit.estimated_containment >= 0.6 - crate::ESTIMATE_SLACK);
+        }
     }
 
     #[test]
@@ -741,30 +570,74 @@ mod tests {
         let (h, mut idx, values) = index(15);
         let vals = MinHasher::synthetic_values(444, 120);
         let sig = h.signature(vals.iter().copied());
-        idx.try_insert(600, 120, &sig).expect("insert");
+        idx.insert(600, 120, &sig).expect("insert");
         assert!(idx.contains(600));
         assert_eq!(idx.staged_len(), 1);
         // Staged insert is queryable WITH an estimate (self t̂ = 1).
-        let hits = idx.query_ranked(&sig, 120, 0.9, 0.1);
+        let hits = ranked_hits(&idx, Query::threshold(&sig, 0.9).with_size(120));
         let own = hits.iter().find(|hh| hh.id == 600).expect("self hit");
         assert!((own.estimated_containment - 1.0).abs() < 1e-9);
         // Duplicate → typed error; sketch map untouched.
         assert_eq!(
-            idx.try_insert(600, 120, &sig),
+            idx.insert(600, 120, &sig),
             Err(MutationError::DuplicateId(600))
         );
         assert_eq!(idx.len(), 16);
         // Removal drops the sketch too.
-        idx.try_remove(600).expect("remove");
+        idx.remove(600).expect("remove");
         assert!(!idx.contains(600));
         assert!(idx.sketch(600).is_none());
-        assert_eq!(idx.try_remove(600), Err(MutationError::UnknownId(600)));
+        assert_eq!(idx.remove(600), Err(MutationError::UnknownId(600)));
         // Existing domains unaffected.
         let q = h.signature(values[4].iter().copied());
-        assert!(idx
-            .query_ranked(&q, values[4].len() as u64, 0.9, 0.1)
-            .iter()
-            .any(|hh| hh.id == 4));
+        assert!(ranked_hits(
+            &idx,
+            Query::threshold(&q, 0.9).with_size(values[4].len() as u64)
+        )
+        .iter()
+        .any(|hh| hh.id == 4));
+    }
+
+    /// Removes id 3 from `index(12)` and re-inserts it with disjoint
+    /// content of the same size (so a fresh build of the final corpus
+    /// partitions identically). Returns the mutated index, that fresh
+    /// build, and id 3's old sketch.
+    pub(crate) fn reinserted() -> (RankedIndex, RankedIndex, Signature) {
+        let (h, mut idx, values) = index(12);
+        idx.set_rebalance_trigger(f64::MAX);
+        let size = values[3].len() as u64;
+        let old = h.signature(values[3].iter().copied());
+        let new = h.signature(MinHasher::synthetic_values(777, values[3].len()));
+        idx.remove(3).expect("remove");
+        idx.insert(3, size, &new).expect("re-insert");
+        let mut fresh = RankedIndex::builder_with(*idx.ensemble().config());
+        for (k, vals) in values.iter().enumerate() {
+            let sig = if k == 3 {
+                new.clone()
+            } else {
+                h.signature(vals.iter().copied())
+            };
+            fresh.add(k as u32, vals.len() as u64, sig);
+        }
+        (idx, fresh.build(), old)
+    }
+
+    #[test]
+    fn reinserted_id_is_swept_and_scored_like_a_fresh_build() {
+        let (mut idx, fresh, old) = reinserted();
+        for at in ["staged", "sealed"] {
+            for t_star in [1.0, 0.5, 0.0] {
+                let query = Query::threshold(&old, t_star).with_size(120);
+                let mutated = idx.search(&query).expect("search");
+                let rebuilt = fresh.search(&query).expect("search");
+                assert_eq!(mutated.hits, rebuilt.hits, "{at}, t* = {t_star}");
+                assert_eq!(
+                    mutated.stats.candidates, rebuilt.stats.candidates,
+                    "{at}, t* = {t_star}: stale rows reached the rank step"
+                );
+            }
+            idx.commit();
+        }
     }
 
     #[test]
@@ -776,7 +649,7 @@ mod tests {
         // flood. Only compaction pays the rebuild.
         for i in 0..64u32 {
             let vals = MinHasher::synthetic_values(9_000 + u64::from(i), 10);
-            idx.try_insert(1_000 + i, 10, &h.signature(vals.iter().copied()))
+            idx.insert(1_000 + i, 10, &h.signature(vals.iter().copied()))
                 .expect("insert");
         }
         idx.set_rebalance_trigger(1.0);
@@ -806,7 +679,7 @@ mod tests {
             let vals = MinHasher::synthetic_values(9_000 + u64::from(i - 1_000), 10);
             let sig = h.signature(vals.iter().copied());
             assert!(
-                idx.query_ranked(&sig, 10, 0.9, 0.1)
+                ranked_hits(&idx, Query::threshold(&sig, 0.9).with_size(10))
                     .iter()
                     .any(|hh| hh.id == i),
                 "domain {i} lost in compaction"
@@ -818,7 +691,7 @@ mod tests {
     fn commit_below_trigger_keeps_layout() {
         let (h, mut idx, _) = index(16);
         let sig = h.signature(MinHasher::synthetic_values(1, 50));
-        idx.try_insert(999, 50, &sig).expect("insert");
+        idx.insert(999, 50, &sig).expect("insert");
         idx.set_rebalance_trigger(1_000.0);
         let before = idx.ensemble().partition_stats();
         let report = idx.commit();
@@ -841,7 +714,7 @@ mod tests {
     fn zero_k_rejected() {
         let (h, idx, values) = index(5);
         let q = h.signature(values[0].iter().copied());
-        let _ = idx.query_top_k(&q, values[0].len() as u64, 0);
+        let _ = ranked_hits(&idx, Query::top_k(&q, 0).with_size(values[0].len() as u64));
     }
 
     #[test]

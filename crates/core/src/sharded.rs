@@ -3,17 +3,16 @@
 //!
 //! The paper splits the 262M-domain corpus into equal chunks, builds an
 //! independent LSH Ensemble per node, fans a query out to all nodes, and
-//! unions the answers. [`ShardedEnsemble`] reproduces that topology with
-//! one shard per thread: the exact same partition → shard → union code
-//! path, minus the network.
+//! unions the answers. [`ShardedEnsemble`] reproduces that topology: the
+//! exact same partition → shard → union code path, minus the network.
+//! Like the paper's per-node indexes it is built once and only read — a
+//! server rebuilds it over each new snapshot of the mutable container.
 
-use crate::api::{
-    outcome_from_ids, CommitReport, DomainIndex, MutableIndex, MutationError, ProbeCounts, Query,
-    QueryError, QueryMode, SearchOutcome, SegmentStats,
-};
-use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder};
+use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
+use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder};
+use crate::pipeline::{Fanout, ReadPath};
 use lshe_lsh::DomainId;
-use lshe_minhash::Signature;
+use lshe_minhash::{lanes, Signature};
 
 /// A set of independently built LSH Ensembles queried in parallel.
 #[derive(Debug, Clone)]
@@ -63,25 +62,16 @@ impl ShardedEnsembleBuilder {
         self.len() == 0
     }
 
-    /// Builds every shard concurrently.
+    /// Builds the shards on budget-governed lanes.
     ///
     /// # Panics
     /// Panics if any shard received no domains (add more domains or fewer
     /// shards).
     #[must_use]
     pub fn build(self) -> ShardedEnsemble {
-        let shards: Vec<LshEnsemble> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .builders
-                .into_iter()
-                .map(|b| scope.spawn(move || b.build()))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard build panicked"))
-                .collect()
-        });
-        ShardedEnsemble { shards }
+        ShardedEnsemble {
+            shards: lanes::run_each(&self.builders, LshEnsembleBuilder::build_borrowed),
+        }
     }
 }
 
@@ -93,8 +83,8 @@ impl ShardedEnsemble {
     }
 
     /// Zero-copy bulk load: round-robins the parallel arrays across
-    /// `num_shards` shards and builds all shards concurrently, without
-    /// cloning any signature (the cluster-scale path).
+    /// `num_shards` shards and builds them on budget-governed lanes,
+    /// without cloning any signature (the cluster-scale path).
     ///
     /// # Panics
     /// Panics if `num_shards == 0`, fewer domains than shards are supplied,
@@ -116,36 +106,21 @@ impl ShardedEnsemble {
             ids.len() == sizes.len() && ids.len() == signatures.len(),
             "parallel arrays must have equal lengths"
         );
-        let shards: Vec<LshEnsemble> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..num_shards)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let shard_ids: Vec<DomainId> = ids
-                            .iter()
-                            .skip(shard)
-                            .step_by(num_shards)
-                            .copied()
-                            .collect();
-                        let shard_sizes: Vec<u64> = sizes
-                            .iter()
-                            .skip(shard)
-                            .step_by(num_shards)
-                            .copied()
-                            .collect();
-                        let shard_sigs: Vec<&Signature> = signatures
-                            .iter()
-                            .skip(shard)
-                            .step_by(num_shards)
-                            .copied()
-                            .collect();
-                        LshEnsemble::build_from_parts(config, &shard_ids, &shard_sizes, &shard_sigs)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard build panicked"))
+        fn stride<T: Copy>(all: &[T], shard: usize, num_shards: usize) -> Vec<T> {
+            all.iter()
+                .skip(shard)
+                .step_by(num_shards)
+                .copied()
                 .collect()
+        }
+        let shard_numbers: Vec<usize> = (0..num_shards).collect();
+        let shards = lanes::run_each(&shard_numbers, |&shard| {
+            LshEnsemble::build_from_parts(
+                config,
+                &stride(ids, shard, num_shards),
+                &stride(sizes, shard, num_shards),
+                &stride(signatures, shard, num_shards),
+            )
         });
         Self { shards }
     }
@@ -174,344 +149,34 @@ impl ShardedEnsemble {
         &self.shards
     }
 
-    /// Fans the query out to every shard in parallel and unions the
-    /// answers — `Partitioned-Containment-Search` at cluster granularity.
-    ///
-    /// # Panics
-    /// Propagates the per-shard query panics (invalid size/threshold).
-    #[must_use]
-    pub fn query_with_size(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> Vec<DomainId> {
-        self.query_counted(signature, query_size, t_star).0
-    }
-
     /// Approximate heap memory across all shards, in bytes.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.shards.iter().map(LshEnsemble::memory_bytes).sum()
     }
 
-    /// True if `id` is indexed on any shard.
-    #[must_use]
-    pub fn contains(&self, id: DomainId) -> bool {
-        self.shards.iter().any(|s| s.contains(id))
+    /// The shards as the shared read path's candidate source: every shard
+    /// sweeps the query, the answers are unioned —
+    /// `Partitioned-Containment-Search` at cluster granularity.
+    pub(crate) fn fanout(&self) -> Fanout<'_, &EnsemblePartition> {
+        Fanout(self.shards.iter().map(LshEnsemble::tiers).collect())
     }
 
-    /// Number of staged inserts across all shards.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.shards.iter().map(LshEnsemble::staged_len).sum()
-    }
-
-    /// Typed insert, routed by id: new domains land on shard
-    /// `id % num_shards`, so routing is deterministic regardless of
-    /// arrival order. Immediately queryable via the fan-out path.
-    ///
-    /// # Errors
-    /// [`MutationError::DuplicateId`] if *any* shard holds the id;
-    /// [`MutationError::Invalid`] on bad inputs.
-    pub fn try_insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        if self.contains(id) {
-            return Err(MutationError::DuplicateId(id));
-        }
-        let shard = id as usize % self.shards.len();
-        self.shards[shard].try_insert(id, size, signature)
-    }
-
-    /// Typed removal: the owning shard is located (builder assignment is
-    /// round-robin by arrival, so routing by id alone would miss
-    /// bulk-built domains) and the id dropped from it.
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if no shard holds the id.
-    pub fn try_remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        let Some(shard) = self.shards.iter().position(|s| s.contains(id)) else {
-            return Err(MutationError::UnknownId(id));
-        };
-        self.shards[shard].try_remove(id)
-    }
-
-    /// Seals each shard's staged delta into a per-shard segment.
-    pub fn commit(&mut self) -> CommitReport {
-        let merged = self.staged_len();
-        let mut sealed = false;
-        for shard in &mut self.shards {
-            sealed |= LshEnsemble::commit(shard);
-        }
-        // Shards retain no sketches: domains cannot migrate between shards
-        // or partitions, so boundary growth stays conservative instead.
-        let stats = self.segment_stats();
-        CommitReport {
-            merged,
-            rebalanced: false,
-            sealed,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-        }
-    }
-
-    /// Seals and then folds every shard's segment stack back into its
-    /// base, erasing tombstones — the O(corpus) step, off the commit path.
-    pub fn compact(&mut self) -> CommitReport {
-        let merged = self.staged_len();
-        let mut sealed = false;
-        for shard in &mut self.shards {
-            sealed |= LshEnsemble::commit(shard);
-            shard.compact();
-        }
-        CommitReport {
-            merged,
-            rebalanced: false,
-            sealed,
-            segments: 0,
-            tombstones: 0,
-        }
-    }
-
-    /// Outstanding segments/tombstones summed over the shards.
-    #[must_use]
-    pub fn segment_stats(&self) -> SegmentStats {
-        let mut out = SegmentStats::default();
-        for shard in &self.shards {
-            let s = shard.segment_stats();
-            out.segments += s.segments;
-            out.tombstones += s.tombstones;
-        }
-        out
-    }
-
-    /// The tier layout for merge planning: per-shard stacks are aligned
-    /// by position (each commit seals at most one segment on every shard,
-    /// so position `i` across shards came from the same commit epoch) and
-    /// summed elementwise into one cluster-wide stack.
-    #[must_use]
-    pub fn segment_layout(&self) -> crate::SegmentLayout {
-        let mut segments: Vec<usize> = Vec::new();
-        let mut tombstones = 0;
-        for shard in &self.shards {
-            let layout = shard.segment_layout();
-            if segments.len() < layout.segments.len() {
-                segments.resize(layout.segments.len(), 0);
-            }
-            for (slot, entries) in segments.iter_mut().zip(&layout.segments) {
-                *slot += entries;
-            }
-            tombstones += layout.tombstones;
-        }
-        crate::SegmentLayout {
-            segments,
-            tombstones,
-            len: self.len(),
-        }
-    }
-
-    /// Folds the listed segment positions on every shard (positions past
-    /// a shard's own stack are skipped there). Returns total live entries
-    /// folded across the shards.
-    pub fn merge_segments(&mut self, segment_indices: &[usize]) -> usize {
-        self.shards
-            .iter_mut()
-            .map(|s| s.merge_segments(segment_indices))
-            .sum()
-    }
-
-    /// Instrumented fan-out query: sorted-unique ids plus probe counters
-    /// summed across shards (each shard's query is already parallel over
-    /// one thread here, matching the paper's one-ensemble-per-node model).
-    pub(crate) fn query_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> (Vec<DomainId>, ProbeCounts) {
-        let results: Vec<(Vec<DomainId>, ProbeCounts)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| {
-                    scope.spawn(move || shard.query_counted(signature, query_size, t_star, false))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard query panicked"))
-                .collect()
-        });
-        let mut probe = ProbeCounts::default();
-        let results: Vec<Vec<DomainId>> = results
-            .into_iter()
-            .map(|(ids, p)| {
-                probe.probed += p.probed;
-                probe.total += p.total;
-                probe.candidates += p.candidates;
-                ids
-            })
-            .collect();
-        // Shards hold disjoint id sets (round-robin assignment), so a
-        // k-way merge of sorted vectors suffices; ids stay sorted.
-        (crate::batch::merge_sorted_disjoint(results), probe)
-    }
-
-    /// Batched instrumented fan-out: the shard threads are spawned ONCE
-    /// for the whole batch — drawn from the process-wide
-    /// [`lshe_minhash::lanes`] budget, so concurrent batches degrade to
-    /// fewer lanes (down to a sequential shard loop on the calling
-    /// thread) instead of multiplying `callers × shards` threads. Each
-    /// shard sweeps every query partition-outer with its own scratch, and
-    /// the per-shard answers are merged per query. Identical per-query
-    /// results to looping [`query_counted`](Self::query_counted) — the
-    /// fan-out cost is simply paid once per batch instead of once per
-    /// query.
-    pub(crate) fn batch_query_counted(
-        &self,
-        items: &[crate::batch::ThresholdItem<'_>],
-    ) -> Vec<(Vec<DomainId>, ProbeCounts, u64)> {
-        let sweep = |shard: &LshEnsemble| {
-            shard.batch_sweep_chunk(items, &|_, ids, probe, nanos| (ids, probe, nanos))
-        };
-        let guard = lshe_minhash::lanes::acquire(self.shards.len().saturating_sub(1));
-        let lanes = guard.lanes().min(self.shards.len());
-        // Shard order must be preserved for the per-query merge; lanes
-        // each take a contiguous run of shards (the calling thread works
-        // the first run itself).
-        let per_shard: Vec<Vec<(Vec<DomainId>, ProbeCounts, u64)>> = if lanes <= 1 {
-            self.shards.iter().map(&sweep).collect()
-        } else {
-            let group = self.shards.len().div_ceil(lanes);
-            let mut shard_groups = self.shards.chunks(group);
-            let first = shard_groups.next().unwrap_or(&[]);
-            let (first_out, rest): (Vec<_>, Vec<Vec<_>>) = std::thread::scope(|scope| {
-                let handles: Vec<_> = shard_groups
-                    .map(|shards| scope.spawn(|| shards.iter().map(&sweep).collect::<Vec<_>>()))
-                    .collect();
-                let first_out: Vec<_> = first.iter().map(sweep).collect();
-                (
-                    first_out,
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard batch panicked"))
-                        .collect(),
-                )
-            });
-            first_out
-                .into_iter()
-                .chain(rest.into_iter().flatten())
-                .collect()
-        };
-        let mut columns: Vec<_> = per_shard.into_iter().map(Vec::into_iter).collect();
-        (0..items.len())
-            .map(|_| {
-                let mut probe = ProbeCounts::default();
-                let mut nanos = 0u64;
-                let mut runs = Vec::with_capacity(columns.len());
-                for column in &mut columns {
-                    let (ids, p, n) = column.next().expect("each shard answers each query");
-                    probe.probed += p.probed;
-                    probe.total += p.total;
-                    probe.candidates += p.candidates;
-                    nanos += n;
-                    runs.push(ids);
-                }
-                (crate::batch::merge_sorted_disjoint(runs), probe, nanos)
-            })
-            .collect()
-    }
-}
-
-impl MutableIndex for ShardedEnsemble {
-    fn insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        self.try_insert(id, size, signature)
-    }
-
-    fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.try_remove(id)
-    }
-
-    fn commit(&mut self) -> CommitReport {
-        ShardedEnsemble::commit(self)
-    }
-
-    fn staged_len(&self) -> usize {
-        ShardedEnsemble::staged_len(self)
-    }
-
-    fn compact(&mut self) -> CommitReport {
-        ShardedEnsemble::compact(self)
-    }
-
-    fn segment_stats(&self) -> SegmentStats {
-        ShardedEnsemble::segment_stats(self)
-    }
-
-    fn segment_layout(&self) -> crate::SegmentLayout {
-        ShardedEnsemble::segment_layout(self)
-    }
-
-    fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
-        let entries_folded = match task {
-            crate::MergeTask::Merge(idxs) => self.merge_segments(idxs),
-            crate::MergeTask::Full => {
-                let folded = self.len();
-                ShardedEnsemble::compact(self);
-                folded
-            }
-        };
-        let stats = self.segment_stats();
-        crate::MergeOutcome {
-            entries_folded,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
+    fn read_path(&self) -> ReadPath<'_, Fanout<'_, &EnsemblePartition>, ()> {
+        ReadPath {
+            source: self.fanout(),
+            sketches: None,
         }
     }
 }
 
 impl DomainIndex for ShardedEnsemble {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        let num_perm = self.shards[0].config().num_perm;
-        query.validate_for(num_perm)?;
-        let QueryMode::Threshold(t_star) = query.mode() else {
-            return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use ShardedRanked".into(),
-            ));
-        };
-        let started = std::time::Instant::now();
-        let (ids, probe) = self.query_counted(query.signature(), query.effective_size(), t_star);
-        Ok(outcome_from_ids(ids, probe, started))
+        self.read_path().search(query)
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        let num_perm = self.shards[0].config().num_perm;
-        crate::batch::split_and_run(
-            queries,
-            num_perm,
-            |items| {
-                self.batch_query_counted(items)
-                    .into_iter()
-                    .map(|(ids, probe, nanos)| {
-                        crate::api::outcome_from_ids_timed(ids, probe, nanos)
-                    })
-                    .collect()
-            },
-            |_, _| {
-                Err(QueryError::Unsupported(
-                    "top-k needs retained sketches; use ShardedRanked".into(),
-                ))
-            },
-        )
+        self.read_path().search_batch(queries)
     }
 
     fn len(&self) -> usize {
@@ -570,7 +235,8 @@ mod tests {
         for k in [0usize, 15, 42, 59] {
             let (_, size, sig, _) = &es[k];
             for t in [0.3, 0.8, 1.0] {
-                let a = sharded.query_with_size(sig, *size, t);
+                let query = Query::threshold(sig, t).with_size(*size);
+                let a = sharded.search(&query).expect("search").ids();
                 let b = single.query_with_size(sig, *size, t);
                 // Same algorithm, but shard-local partitioning differs from
                 // global partitioning, so upper bounds — and therefore
@@ -592,7 +258,8 @@ mod tests {
         }
         let sharded = sharded.build();
         let (_, size, sig, _) = &es[10];
-        let got = sharded.query_with_size(sig, *size, 0.5);
+        let query = Query::threshold(sig, 0.5).with_size(*size);
+        let got = sharded.search(&query).expect("search").ids();
         for w in got.windows(2) {
             assert!(w[0] < w[1], "not sorted/unique: {got:?}");
         }
@@ -615,44 +282,5 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let _ = ShardedEnsemble::builder(0, config());
-    }
-
-    #[test]
-    fn mutations_route_by_id_and_stay_queryable() {
-        let (h, es) = entries(30);
-        let mut sharded = ShardedEnsemble::builder(3, config());
-        for (id, size, sig, _) in &es {
-            sharded.add(*id, *size, sig.clone());
-        }
-        let mut sharded = sharded.build();
-
-        // Insert routes to id % num_shards.
-        let vals = MinHasher::synthetic_values(999, 55);
-        let sig = h.signature(vals.iter().copied());
-        sharded.try_insert(100, 55, &sig).expect("insert");
-        assert_eq!(sharded.len(), 31);
-        assert!(sharded.shards()[100 % 3].contains(100));
-        assert!(sharded.query_with_size(&sig, 55, 0.9).contains(&100));
-        assert_eq!(
-            sharded.try_insert(100, 55, &sig),
-            Err(MutationError::DuplicateId(100))
-        );
-
-        // Remove finds domains wherever the builder placed them (arrival
-        // round-robin, not id % shards): id 7 was the 8th add → shard 1.
-        sharded.try_remove(7).expect("remove built domain");
-        let (_, size7, sig7, _) = &es[7];
-        assert!(!sharded.query_with_size(sig7, *size7, 1.0).contains(&7));
-        assert_eq!(sharded.try_remove(7), Err(MutationError::UnknownId(7)));
-
-        // Commit folds the staged insert; everything stays answerable.
-        assert_eq!(sharded.staged_len(), 1);
-        let report = sharded.commit();
-        assert_eq!(report.merged, 1);
-        assert!(!report.rebalanced);
-        assert_eq!(sharded.staged_len(), 0);
-        assert!(sharded.query_with_size(&sig, 55, 0.9).contains(&100));
-        let (_, size8, sig8, _) = &es[8];
-        assert!(sharded.query_with_size(sig8, *size8, 1.0).contains(&8));
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`minhash`] | `lshe-minhash` | hashing, permutations, MinHash/OPH signatures |
+//! | [`minhash`] | `lshe-minhash` | hashing, permutations, MinHash signatures |
 //! | [`lsh`] | `lshe-lsh` | static banded LSH and dynamic LSH Forest |
 //! | [`asym`] | `lshe-asym` | asymmetric minwise-hashing baseline (§6.1) |
 //! | [`core`] | `lshe-core` | the ensemble: partitioning, tuning, querying |
@@ -66,12 +66,11 @@ pub use lshe_minhash as minhash;
 pub use lshe_serve as serve;
 
 pub use lshe_core::{
-    CommitReport, DomainIndex, EnsembleConfig, ForestIndex, LshEnsemble, MutableIndex,
-    MutationError, PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit,
-    RankedIndex, SearchHit, SearchOutcome, ShardedEnsemble, ShardedRanked,
-    DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK,
+    CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MutableIndex, MutationError,
+    PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit,
+    SearchOutcome, ShardedEnsemble, ShardedRanked, DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK,
 };
 pub use lshe_corpus::{Catalog, Domain, ExactIndex};
 pub use lshe_lsh::{DomainId, LshForest};
-pub use lshe_minhash::{MinHasher, OnePermHasher, Signature};
+pub use lshe_minhash::{MinHasher, Signature};
 pub use lshe_serve::{DeltaLog, DeltaOp, IndexContainer, IndexKind, ServerConfig};

@@ -44,13 +44,11 @@ pub mod codec;
 pub mod hash;
 pub mod kernel;
 pub mod lanes;
-pub mod oneperm;
 pub mod perm;
 pub mod signature;
 
 pub use codec::CodecError;
 pub use kernel::{count_equal, FoldKernel};
-pub use oneperm::OnePermHasher;
 pub use perm::{AffinePermutation, PermutationFamily, EMPTY_SLOT, MERSENNE_PRIME};
 pub use signature::{truncate_slot, MinHasher, Signature, DEFAULT_NUM_PERM, EMPTY_LANE};
 

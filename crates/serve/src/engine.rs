@@ -9,9 +9,10 @@
 //!
 //! Every snapshot holds its backend as a `Box<dyn DomainIndex>` opened by
 //! [`IndexContainer::open_index_sharded`]: unsharded ranked, unsharded
-//! plain, and sharded (`--shards N`, the paper's §6.3 cluster topology)
-//! all answer through the same trait — the engine never matches on a
-//! concrete index type.
+//! plain, and sharded (`--shards N`, the paper's §6.3 cluster topology —
+//! a read-only fan-out built afresh over each snapshot's container) all
+//! answer through the same trait — the engine never matches on a concrete
+//! index type. Mutations only ever reach the container's own index.
 
 use crate::container::{DeltaLog, DeltaOp, IndexContainer, IndexKind, LoadError};
 use lshe_core::{CommitReport, DomainIndex, Query, QueryError, SearchOutcome};

@@ -5,7 +5,7 @@
 //! Run with:
 //! `cargo run --release -p lshe --example web_tables_at_scale -- [domains]`
 
-use lshe_core::{EnsembleConfig, PartitionStrategy, ShardedEnsemble};
+use lshe_core::{DomainIndex, EnsembleConfig, PartitionStrategy, Query, ShardedEnsemble};
 use lshe_datagen::{generate_catalog, sample_queries, CorpusConfig, SizeBand};
 use lshe_minhash::MinHasher;
 use std::time::Instant;
@@ -55,11 +55,14 @@ fn main() {
     // 3. Run a query workload at t* = 0.5 and report latency.
     let queries = sample_queries(&catalog, 200, SizeBand::All, 7);
     let started = Instant::now();
+    let search = |q: u32, t_star: f64| {
+        let query = Query::threshold(&signatures[q as usize], t_star)
+            .with_size(catalog.domain(q).len() as u64);
+        index.search(&query).expect("valid query").hits
+    };
     let mut total_candidates = 0usize;
     for &q in &queries {
-        let hits =
-            index.query_with_size(&signatures[q as usize], catalog.domain(q).len() as u64, 0.5);
-        total_candidates += hits.len();
+        total_candidates += search(q, 0.5).len();
     }
     let elapsed = started.elapsed().as_secs_f64();
     println!(
@@ -72,11 +75,7 @@ fn main() {
     // 4. Every query must at least find itself (exact duplicate).
     let self_found = queries
         .iter()
-        .filter(|&&q| {
-            index
-                .query_with_size(&signatures[q as usize], catalog.domain(q).len() as u64, 0.9)
-                .contains(&q)
-        })
+        .filter(|&&q| search(q, 0.9).iter().any(|hit| hit.id == q))
         .count();
     println!(
         "self-match check at t* = 0.9: {}/{} queries found themselves",

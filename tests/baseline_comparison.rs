@@ -2,7 +2,7 @@
 //! the MinHash LSH baseline on precision and Asymmetric Minwise Hashing on
 //! recall — the paper's central experimental claim (§6.1).
 
-use lshe_core::{AsymIndex, ContainmentSearch, EnsembleConfig, LshEnsemble, PartitionStrategy};
+use lshe_core::{AsymIndex, DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
 use lshe_corpus::{Catalog, ExactIndex};
 use lshe_datagen::{
     aggregate, generate_catalog, query_accuracy, sample_queries, CorpusConfig, SizeBand,
@@ -23,7 +23,7 @@ fn skewed_world() -> (Catalog, Vec<Signature>, ExactIndex, Vec<u32>) {
 }
 
 fn accuracy(
-    index: &dyn ContainmentSearch,
+    index: &dyn DomainIndex,
     catalog: &Catalog,
     signatures: &[Signature],
     exact: &ExactIndex,
@@ -34,11 +34,9 @@ fn accuracy(
         .iter()
         .map(|&q| {
             let truth = exact.search(catalog.domain(q), t_star);
-            let answer = index.search(
-                &signatures[q as usize],
-                catalog.domain(q).len() as u64,
-                t_star,
-            );
+            let query = Query::threshold(&signatures[q as usize], t_star)
+                .with_size(catalog.domain(q).len() as u64);
+            let answer = index.search(&query).expect("valid query").ids();
             query_accuracy(&answer, &truth)
         })
         .collect();
@@ -138,11 +136,11 @@ fn all_indexes_agree_on_exact_duplicates() {
     );
     for q in [0u32, 500, 1500, 3999] {
         for index in [&ensemble, &baseline] {
-            let hits = index.search(&signatures[q as usize], sizes[q as usize], 1.0);
+            let hits = index.query_with_size(&signatures[q as usize], sizes[q as usize], 1.0);
             assert!(
                 hits.contains(&q),
                 "{} lost exact duplicate {q}",
-                index.label()
+                index.describe()
             );
         }
     }

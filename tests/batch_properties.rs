@@ -7,12 +7,12 @@
 //! errors in identical positions. `wall_micros` is the one field allowed
 //! to differ (it reports timing, not the answer).
 //!
-//! The corpus and the seven sketch backends are built once (`OnceLock`)
+//! The corpus and the six sketch backends are built once (`OnceLock`)
 //! and shared across cases: the property is about query execution, not
 //! index construction.
 
 use lshe_core::{
-    AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, ForestIndex, LshEnsemble,
+    AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, LshEnsemble,
     PartitionStrategy, Query, QueryError, RankedIndex, SearchOutcome, ShardedEnsemble,
     ShardedRanked,
 };
@@ -57,16 +57,13 @@ fn world() -> &'static World {
         let mut ensemble = LshEnsemble::builder_with(config());
         let mut ranked = RankedIndex::builder_with(config());
         let mut sharded = ShardedEnsemble::builder(3, config());
-        let mut forest = ForestIndex::new(config());
         let mut asym = AsymIndexBuilder::new(config());
         for (id, size, sig) in &entries {
             ensemble.add(*id, *size, sig.clone());
             ranked.add(*id, *size, sig.clone());
             sharded.add(*id, *size, sig.clone());
-            forest.insert(*id, *size, sig);
             asym.add(*id, *size, sig.clone());
         }
-        forest.commit();
         let ranked = Arc::new(ranked.build());
         let sharded_ranked = ShardedRanked::build(Arc::clone(&ranked), 3, config());
         let backends: Vec<(&'static str, Box<dyn DomainIndex>)> = vec![
@@ -74,7 +71,6 @@ fn world() -> &'static World {
             ("ranked", Box::new(ranked)),
             ("sharded", Box::new(sharded.build())),
             ("sharded_ranked", Box::new(sharded_ranked)),
-            ("forest", Box::new(forest)),
             ("asym", Box::new(asym.build())),
             (
                 "asym_partitioned",

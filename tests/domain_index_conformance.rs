@@ -1,8 +1,8 @@
 //! Cross-backend conformance suite for the unified `DomainIndex` surface.
 //!
-//! Every index in the workspace — the LSH Ensemble, its ranked and
-//! sharded variants, the LSH Forest adapter, and the paper's §6.1
-//! baselines (MinHash LSH, Asym, Asym + partitioning) — is driven over
+//! Every index in the workspace — the LSH Ensemble, its ranked, sharded
+//! and memory-mapped variants, and the paper's §6.1 baselines (MinHash
+//! LSH, Asym, Asym + partitioning) — is driven over
 //! ONE shared generated corpus through `Box<dyn DomainIndex>`, and the
 //! answers are checked against the exact (inverted-index) ground truth:
 //!
@@ -16,9 +16,9 @@
 //!   panics.
 
 use lshe_core::{
-    pack_ranked, AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, ForestIndex,
-    LshEnsemble, MmapIndex, MutableIndex, PartitionStrategy, Query, QueryError, RankedIndex,
-    ShardedEnsemble, ShardedRanked,
+    pack_ranked, AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, LshEnsemble,
+    MmapIndex, MutableIndex, PartitionStrategy, Query, QueryError, RankedIndex, ShardedEnsemble,
+    ShardedRanked,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta, ExactIndex};
 use lshe_lsh::DomainId;
@@ -102,16 +102,13 @@ fn backends(w: &World) -> Vec<(&'static str, Box<dyn DomainIndex>)> {
     let mut ensemble = LshEnsemble::builder_with(config());
     let mut ranked = RankedIndex::builder_with(config());
     let mut sharded = ShardedEnsemble::builder(3, config());
-    let mut forest = ForestIndex::new(config());
     let mut asym = AsymIndexBuilder::new(config());
     for (id, size, sig) in &w.entries {
         ensemble.add(*id, *size, sig.clone());
         ranked.add(*id, *size, sig.clone());
         sharded.add(*id, *size, sig.clone());
-        forest.insert(*id, *size, sig);
         asym.add(*id, *size, sig.clone());
     }
-    forest.commit();
     let ranked = Arc::new(ranked.build());
     let sharded_ranked = ShardedRanked::build(Arc::clone(&ranked), 3, config());
     let mapped = mmap_backend(&ranked);
@@ -121,7 +118,6 @@ fn backends(w: &World) -> Vec<(&'static str, Box<dyn DomainIndex>)> {
         ("sharded", Box::new(sharded.build())),
         ("sharded_ranked", Box::new(sharded_ranked)),
         ("mmap", Box::new(mapped)),
-        ("forest", Box::new(forest)),
         ("asym", Box::new(asym.build())),
         (
             "asym_partitioned",
@@ -475,8 +471,8 @@ fn malformed_queries_are_typed_errors_everywhere() {
 
 // ---------------------------------------------------------- mutation phase
 
-/// The four mutable backends, built over arbitrary entries behind the one
-/// mutation trait. Sketch-retaining backends get a zero rebalance trigger
+/// The two mutable backends, built over arbitrary entries behind the one
+/// mutation trait. The sketch-retaining one gets a zero rebalance trigger
 /// so every commit rebuilds from sketches — which must reproduce a fresh
 /// build on the final corpus exactly.
 fn mutable_backends(
@@ -484,30 +480,22 @@ fn mutable_backends(
 ) -> Vec<(&'static str, Box<dyn MutableIndex>)> {
     let mut ensemble = LshEnsemble::builder_with(config());
     let mut ranked = RankedIndex::builder_with(config());
-    let mut sharded = ShardedEnsemble::builder(3, config());
-    let mut ranked_for_shards = RankedIndex::builder_with(config());
     for (id, size, sig) in entries {
         ensemble.add(*id, *size, sig.clone());
         ranked.add(*id, *size, sig.clone());
-        sharded.add(*id, *size, sig.clone());
-        ranked_for_shards.add(*id, *size, sig.clone());
     }
     let mut ranked = ranked.build();
     ranked.set_rebalance_trigger(0.0);
-    let mut sharded_ranked = ShardedRanked::build(Arc::new(ranked_for_shards.build()), 3, config());
-    sharded_ranked.set_rebalance_trigger(0.0);
     vec![
         ("ensemble", Box::new(ensemble.build())),
         ("ranked", Box::new(ranked)),
-        ("sharded", Box::new(sharded.build())),
-        ("sharded_ranked", Box::new(sharded_ranked)),
     ]
 }
 
-/// Whether the backend retains sketches — those rebalance on commit, so
-/// after mutation they must equal a from-scratch rebuild bit-for-bit.
+/// Whether the backend retains sketches — it rebalances on commit, so
+/// after mutation it must equal a from-scratch rebuild bit-for-bit.
 fn rebalances(name: &str) -> bool {
-    matches!(name, "ranked" | "sharded_ranked")
+    name == "ranked"
 }
 
 /// The mutation plan: 8 new domains (nested among themselves, disjoint
@@ -687,7 +675,7 @@ fn mutation_equals_rebuild_for_every_mutable_backend() {
     }
 }
 
-/// The four mutable backends with rebalancing disabled (trigger = ∞), so
+/// The two mutable backends with rebalancing disabled (trigger = ∞), so
 /// a commit is guaranteed to SEAL — segments and tombstones persist until
 /// an explicit `compact()` — exercising the tiered lifecycle end to end.
 fn segmented_backends(
@@ -695,23 +683,15 @@ fn segmented_backends(
 ) -> Vec<(&'static str, Box<dyn MutableIndex>)> {
     let mut ensemble = LshEnsemble::builder_with(config());
     let mut ranked = RankedIndex::builder_with(config());
-    let mut sharded = ShardedEnsemble::builder(3, config());
-    let mut ranked_for_shards = RankedIndex::builder_with(config());
     for (id, size, sig) in entries {
         ensemble.add(*id, *size, sig.clone());
         ranked.add(*id, *size, sig.clone());
-        sharded.add(*id, *size, sig.clone());
-        ranked_for_shards.add(*id, *size, sig.clone());
     }
     let mut ranked = ranked.build();
     ranked.set_rebalance_trigger(f64::MAX);
-    let mut sharded_ranked = ShardedRanked::build(Arc::new(ranked_for_shards.build()), 3, config());
-    sharded_ranked.set_rebalance_trigger(f64::MAX);
     vec![
         ("ensemble", Box::new(ensemble.build())),
         ("ranked", Box::new(ranked)),
-        ("sharded", Box::new(sharded.build())),
-        ("sharded_ranked", Box::new(sharded_ranked)),
     ]
 }
 

@@ -3,7 +3,7 @@
 //! drifted corpus must keep answering correctly (if less precisely) until
 //! rebuilt.
 
-use lshe_core::{EnsembleConfig, LshEnsemble, PartitionStrategy};
+use lshe_core::{EnsembleConfig, LshEnsemble, MutableIndex, PartitionStrategy};
 use lshe_datagen::{generate_catalog, CorpusConfig};
 use lshe_minhash::{MinHasher, Signature};
 
@@ -34,7 +34,8 @@ fn inserts_visible_before_and_after_commit() {
     for i in 0..50u32 {
         let vals = MinHasher::synthetic_values(9_000 + u64::from(i), 40 + i as usize);
         let sig = hasher.signature(vals.iter().copied());
-        ens.insert(10_000 + i, vals.len() as u64, &sig);
+        ens.insert(10_000 + i, vals.len() as u64, &sig)
+            .expect("fresh insert");
         new_sigs.push((10_000 + i, vals.len() as u64, sig));
     }
     assert_eq!(ens.len(), base_len + 50);
@@ -60,7 +61,8 @@ fn original_domains_survive_heavy_insertion() {
     let (mut ens, signatures, sizes, hasher) = build_world(500, 2);
     for i in 0..500u32 {
         let vals = MinHasher::synthetic_values(50_000 + u64::from(i), 30);
-        ens.insert(20_000 + i, 30, &hasher.signature(vals.iter().copied()));
+        ens.insert(20_000 + i, 30, &hasher.signature(vals.iter().copied()))
+            .expect("fresh insert");
     }
     ens.commit();
     for q in (0..500u32).step_by(61) {
@@ -77,7 +79,8 @@ fn oversized_insert_grows_boundary_conservatively() {
     // Insert a domain 10× larger than anything indexed.
     let huge = MinHasher::synthetic_values(777, (old_max * 10) as usize);
     let sig = hasher.signature(huge.iter().copied());
-    ens.insert(99_999, old_max * 10, &sig);
+    ens.insert(99_999, old_max * 10, &sig)
+        .expect("fresh insert");
     let after = ens.partition_stats();
     assert_eq!(after.last().expect("partitions").upper, old_max * 10);
     // Conservative conversion: the enlarged bound must still find the new
@@ -94,7 +97,7 @@ fn undersized_insert_extends_first_partition() {
     assert!(before_lower > 1);
     let tiny = MinHasher::synthetic_values(88, 1);
     let sig = hasher.signature(tiny.iter().copied());
-    ens.insert(88_888, 1, &sig);
+    ens.insert(88_888, 1, &sig).expect("fresh insert");
     // While staged/sealed, the tiny domain is covered by its own tier…
     assert_eq!(
         ens.partition_stats()
@@ -126,7 +129,8 @@ fn rebuild_restores_balanced_partitions_after_drift() {
     for i in 0..400u32 {
         let vals = MinHasher::synthetic_values(70_000 + u64::from(i), 500 + i as usize);
         let sig = hasher.signature(vals.iter().copied());
-        ens.insert(30_000 + i, vals.len() as u64, &sig);
+        ens.insert(30_000 + i, vals.len() as u64, &sig)
+            .expect("fresh insert");
         all.push((30_000 + i, vals.len() as u64, sig));
     }
     ens.commit();

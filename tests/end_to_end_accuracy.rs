@@ -3,7 +3,7 @@
 //! claims at test scale: partitioning buys precision, recall stays high,
 //! and the effect strengthens with the partition count.
 
-use lshe_core::{ContainmentSearch, EnsembleConfig, LshEnsemble, PartitionStrategy};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
 use lshe_corpus::{Catalog, ExactIndex};
 use lshe_datagen::{
     aggregate, generate_catalog, query_accuracy, sample_queries, CorpusConfig, QueryAccuracy,
@@ -47,17 +47,15 @@ fn build(world: &World, strategy: PartitionStrategy) -> LshEnsemble {
     )
 }
 
-fn measure(world: &World, index: &dyn ContainmentSearch, t_star: f64) -> (f64, f64) {
+fn measure(world: &World, index: &dyn DomainIndex, t_star: f64) -> (f64, f64) {
     let per_query: Vec<QueryAccuracy> = world
         .queries
         .iter()
         .map(|&q| {
             let truth = world.exact.search(world.catalog.domain(q), t_star);
-            let answer = index.search(
-                &world.signatures[q as usize],
-                world.catalog.domain(q).len() as u64,
-                t_star,
-            );
+            let query = Query::threshold(&world.signatures[q as usize], t_star)
+                .with_size(world.catalog.domain(q).len() as u64);
+            let answer = index.search(&query).expect("valid query").ids();
             query_accuracy(&answer, &truth)
         })
         .collect();
@@ -101,7 +99,7 @@ fn high_threshold_keeps_perfect_matches() {
     let ens = build(&w, PartitionStrategy::EquiDepth { n: 16 });
     // Every query must find itself at t* = 1.0 (identical signature).
     for &q in &w.queries {
-        let hits = ens.search(
+        let hits = ens.query_with_size(
             &w.signatures[q as usize],
             w.catalog.domain(q).len() as u64,
             1.0,
@@ -135,7 +133,7 @@ fn answers_are_sorted_and_unique() {
     let w = world();
     let ens = build(&w, PartitionStrategy::EquiDepth { n: 8 });
     for &q in w.queries.iter().take(20) {
-        let hits = ens.search(
+        let hits = ens.query_with_size(
             &w.signatures[q as usize],
             w.catalog.domain(q).len() as u64,
             0.4,

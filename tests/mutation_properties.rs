@@ -18,13 +18,12 @@
 
 use lshe_core::{
     CompactionThresholds, EnsembleConfig, Leveled, LshEnsemble, MaintenancePlanner, MutableIndex,
-    MutationError, PartitionStrategy, Query, RankedIndex, ShardedEnsemble, ShardedRanked,
+    MutationError, PartitionStrategy, Query, RankedIndex,
 };
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 const NUM_PERM: usize = 64;
 
@@ -166,14 +165,14 @@ proptest! {
                     next_id += 1;
                     let size = 1 + u64::from(word / 3) % 3_000;
                     let sig = signature_for(id, size);
-                    ens.try_insert(id, size, &sig).expect("fresh insert");
-                    ranked.try_insert(id, size, &sig).expect("fresh insert");
+                    ens.insert(id, size, &sig).expect("fresh insert");
+                    ranked.insert(id, size, &sig).expect("fresh insert");
                     prop_assert_eq!(
-                        ens.try_insert(id, size, &sig),
+                        ens.insert(id, size, &sig),
                         Err(MutationError::DuplicateId(id))
                     );
                     prop_assert_eq!(
-                        ranked.try_insert(id, size, &sig),
+                        ranked.insert(id, size, &sig),
                         Err(MutationError::DuplicateId(id))
                     );
                     model.insert(id, size);
@@ -189,11 +188,11 @@ proptest! {
                     let id = live[(word as usize / 3) % live.len()];
                     // Removing a still-staged insert shrinks the backlog.
                     let was_staged = ens.staged_len();
-                    ens.try_remove(id).expect("live remove");
-                    ranked.try_remove(id).expect("live remove");
+                    ens.remove(id).expect("live remove");
+                    ranked.remove(id).expect("live remove");
                     staged -= was_staged - ens.staged_len();
-                    prop_assert_eq!(ens.try_remove(id), Err(MutationError::UnknownId(id)));
-                    prop_assert_eq!(ranked.try_remove(id), Err(MutationError::UnknownId(id)));
+                    prop_assert_eq!(ens.remove(id), Err(MutationError::UnknownId(id)));
+                    prop_assert_eq!(ranked.remove(id), Err(MutationError::UnknownId(id)));
                     let size = model.remove(&id).expect("modelled");
                     dead.push((id, size));
                 }
@@ -246,12 +245,12 @@ proptest! {
                 let id = next_id;
                 next_id += 1;
                 let size = 1 + u64::from(word) % 900;
-                ens.try_insert(id, size, &signature_for(id, size)).expect("insert");
+                ens.insert(id, size, &signature_for(id, size)).expect("insert");
                 model.insert(id, size);
             } else if !model.is_empty() {
                 let live: Vec<DomainId> = model.keys().copied().collect();
                 let id = live[(word as usize) % live.len()];
-                ens.try_remove(id).expect("remove");
+                ens.remove(id).expect("remove");
                 model.remove(&id);
             }
         }
@@ -356,27 +355,20 @@ proptest! {
     }
 }
 
-/// One mutable backend of every kind over the initial corpus, in a fixed
-/// order so merged and fresh instances can be zipped.
+/// Both mutable backends over the initial corpus, in a fixed order so
+/// merged and fresh instances can be zipped.
 fn merge_backends(
     entries: &[(DomainId, u64, Signature)],
 ) -> Vec<(&'static str, Box<dyn MutableIndex>)> {
     let mut ensemble = LshEnsemble::builder_with(config(3));
     let mut ranked = RankedIndex::builder_with(config(3));
-    let mut sharded = ShardedEnsemble::builder(3, config(3));
-    let mut ranked_for_shards = RankedIndex::builder_with(config(3));
     for (id, size, sig) in entries {
         ensemble.add(*id, *size, sig.clone());
         ranked.add(*id, *size, sig.clone());
-        sharded.add(*id, *size, sig.clone());
-        ranked_for_shards.add(*id, *size, sig.clone());
     }
-    let sharded_ranked = ShardedRanked::build(Arc::new(ranked_for_shards.build()), 3, config(3));
     vec![
         ("ensemble", Box::new(ensemble.build())),
         ("ranked", Box::new(ranked.build())),
-        ("sharded", Box::new(sharded.build())),
-        ("sharded_ranked", Box::new(sharded_ranked)),
     ]
 }
 
@@ -393,9 +385,8 @@ fn drain_and_check(
     full: bool,
 ) -> Result<(), TestCaseError> {
     let sample = if full { 16 } else { 6 };
-    // Sharded backends need at least one domain per shard, so the fresh
-    // comparison only runs when the live corpus still covers them.
-    let fresh = if full && model.len() >= 3 {
+    // A fresh build needs at least one domain.
+    let fresh = if full && !model.is_empty() {
         let fresh_entries: Vec<(DomainId, u64, Signature)> = model
             .iter()
             .map(|(&id, &size)| (id, size, sigs[&id].clone()))

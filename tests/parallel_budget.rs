@@ -1,18 +1,41 @@
-//! Lane-budget regression guard for the parallel query path.
+//! Lane-budget regression guard for the parallel query paths.
 //!
-//! History: the original `query_parallel` spawned one thread per
-//! partition on every call, which benchmarked ~12× SLOWER than the
-//! sequential probe on a small host (BENCH_serve.json's
-//! `query_parallel_32p` vs `query_sequential_32p`). The fix routes the
-//! fan-out through the process-wide lane budget
-//! (`lshe_minhash::lanes::run_chunked`): with no spare lanes the probe
-//! must degrade to the inline sequential code path — same results, and
-//! within noise of sequential latency instead of an order of magnitude
-//! behind it.
+//! History: the original parallel probe spawned one thread per partition
+//! on every call, which benchmarked ~12× SLOWER than the sequential probe
+//! on a small host (BENCH_serve.json's `query_parallel_32p` vs
+//! `query_sequential_32p`), and the sharded fan-out spawned one thread per
+//! shard per query outside any budget. Both now go through the
+//! process-wide lane budget (`lshe_minhash::lanes`): with no spare lanes
+//! they must degrade to the inline sequential code path — same results,
+//! no thread spawned, and within noise of sequential latency instead of
+//! an order of magnitude behind it.
 
-use lshe_core::{EnsembleConfig, LshEnsemble, PartitionStrategy};
-use lshe_minhash::MinHasher;
+use lshe_core::{
+    DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, RankedIndex, SearchOutcome,
+    ShardedEnsemble, ShardedRanked,
+};
+use lshe_minhash::{MinHasher, Signature};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+/// Every test here either drains the process-wide lane budget or counts
+/// the process's threads, so they take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// The probe with the parallel hint set: partitions fan out across
+/// whatever lanes the budget yields.
+fn parallel_probe(ens: &LshEnsemble, sig: &Signature, size: u64, t_star: f64) -> Vec<u32> {
+    let query = Query::threshold(sig, t_star)
+        .with_size(size)
+        .with_parallel(true);
+    ens.search(&query).expect("valid query").ids()
+}
 
 fn build_32p(num_domains: usize) -> (LshEnsemble, Vec<lshe_minhash::Signature>, Vec<u64>) {
     let hasher = MinHasher::new(256);
@@ -45,6 +68,7 @@ fn min_time(runs: usize, mut f: impl FnMut()) -> Duration {
 
 #[test]
 fn parallel_path_degrades_inline_when_budget_is_empty() {
+    let _serial = serial();
     let (ens, signatures, sizes) = build_32p(8_000);
     let q = 4_321usize;
 
@@ -54,7 +78,7 @@ fn parallel_path_degrades_inline_when_budget_is_empty() {
 
     // Identical results either way, budget or no budget.
     let seq = ens.query_with_size(&signatures[q], sizes[q], 0.5);
-    let par = ens.query_parallel(&signatures[q], sizes[q], 0.5);
+    let par = parallel_probe(&ens, &signatures[q], sizes[q], 0.5);
     assert_eq!(seq, par, "inline-degraded parallel probe changed results");
 
     // Warm both paths, then compare min-of-N wall times. The old
@@ -69,7 +93,7 @@ fn parallel_path_degrades_inline_when_budget_is_empty() {
     const ATTEMPTS: usize = 6;
     for _ in 0..5 {
         std::hint::black_box(ens.query_with_size(&signatures[q], sizes[q], 0.5));
-        std::hint::black_box(ens.query_parallel(&signatures[q], sizes[q], 0.5));
+        std::hint::black_box(parallel_probe(&ens, &signatures[q], sizes[q], 0.5));
     }
     // Floor the denominator so a sub-microsecond sequential probe can't
     // turn scheduler jitter into a spurious ratio failure.
@@ -80,7 +104,7 @@ fn parallel_path_degrades_inline_when_budget_is_empty() {
             std::hint::black_box(ens.query_with_size(&signatures[q], sizes[q], 0.5));
         });
         let t_par = min_time(RUNS, || {
-            std::hint::black_box(ens.query_parallel(&signatures[q], sizes[q], 0.5));
+            std::hint::black_box(parallel_probe(&ens, &signatures[q], sizes[q], 0.5));
         });
         if t_par <= t_seq.max(floor) * 3 / 2 {
             return;
@@ -95,6 +119,7 @@ fn parallel_path_degrades_inline_when_budget_is_empty() {
 
 #[test]
 fn parallel_path_matches_sequential_results_with_budget() {
+    let _serial = serial();
     // With the budget intact (whatever this host offers), chunked
     // fan-out must never change the answer — for several queries and
     // thresholds, including ones with zero hits.
@@ -103,9 +128,111 @@ fn parallel_path_matches_sequential_results_with_budget() {
         for t in [0.3, 0.5, 0.9, 1.0] {
             assert_eq!(
                 ens.query_with_size(&signatures[q], sizes[q], t),
-                ens.query_parallel(&signatures[q], sizes[q], t),
+                parallel_probe(&ens, &signatures[q], sizes[q], t),
                 "q={q} t={t}"
             );
         }
     }
+}
+
+/// Threads alive in this process right now.
+fn live_threads() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status.lines().find(|l| l.starts_with("Threads:"));
+    let count = line.and_then(|l| l.split_whitespace().nth(1));
+    count.and_then(|n| n.parse().ok()).expect("Threads: line")
+}
+
+fn answer(outcome: SearchOutcome) -> (Vec<(u32, Option<f64>)>, [usize; 4]) {
+    let s = outcome.stats;
+    let counters = [
+        s.partitions_probed,
+        s.partitions_total,
+        s.candidates,
+        s.survivors,
+    ];
+    (outcome.into_pairs(), counters)
+}
+
+#[test]
+fn sharded_fan_out_spawns_nothing_when_budget_is_empty() {
+    const SHARDS: usize = 8;
+    let _serial = serial();
+    let hasher = MinHasher::new(256);
+    let corpus = lshe_bench::workload::build_perf_corpus(2_000, 9, &hasher);
+    let config = EnsembleConfig {
+        strategy: PartitionStrategy::EquiDepth { n: 4 },
+        ..EnsembleConfig::default()
+    };
+    let mut builder = RankedIndex::builder_with(config);
+    for (id, (size, sig)) in corpus.sizes.iter().zip(&corpus.signatures).enumerate() {
+        builder.add(id as u32, *size, sig.clone());
+    }
+    let ids: Vec<u32> = (0..corpus.sizes.len() as u32).collect();
+    let sig_refs: Vec<&Signature> = corpus.signatures.iter().collect();
+    let backends: [Box<dyn DomainIndex>; 2] = [
+        Box::new(ShardedRanked::build(
+            Arc::new(builder.build()),
+            SHARDS,
+            config,
+        )),
+        Box::new(ShardedEnsemble::build_from_parts(
+            SHARDS,
+            config,
+            &ids,
+            &corpus.sizes,
+            &sig_refs,
+        )),
+    ];
+    let queries: Vec<Query<'_>> = (0..40)
+        .map(|i| {
+            let q = i * 47;
+            Query::threshold(&corpus.signatures[q], 0.5).with_size(corpus.sizes[q])
+        })
+        .collect();
+    let run = |index: &dyn DomainIndex| -> Vec<_> {
+        let single = queries.iter().map(|q| index.search(q));
+        let batched = index.search_batch(&queries);
+        single
+            .chain(batched)
+            .map(|outcome| answer(outcome.expect("valid query")))
+            .collect()
+    };
+    // Whatever lanes this host offers.
+    let reference: Vec<_> = backends.iter().map(|index| run(index.as_ref())).collect();
+
+    let _hog = lshe_minhash::lanes::acquire(usize::MAX);
+    assert_eq!(
+        lshe_minhash::lanes::acquire(SHARDS).lanes(),
+        1,
+        "the budget must be exhausted for this test to mean anything"
+    );
+    let before = live_threads();
+    let done = AtomicBool::new(false);
+    let peak = std::thread::scope(|scope| {
+        let census = scope.spawn(|| {
+            let mut peak = 0;
+            while !done.load(Ordering::Relaxed) {
+                peak = peak.max(live_threads());
+            }
+            peak
+        });
+        for _ in 0..20 {
+            for (index, expected) in backends.iter().zip(&reference) {
+                assert_eq!(
+                    &run(index.as_ref()),
+                    expected,
+                    "starved fan-out changed answers"
+                );
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+        census.join().expect("census thread")
+    });
+    // The census thread itself, plus one for a test-harness thread that
+    // may be starting or exiting; a thread per shard would add `SHARDS`.
+    assert!(
+        peak <= before + 2,
+        "{peak} threads alive during starved sharded queries, {before} before"
+    );
 }

@@ -2,10 +2,10 @@
 //! index without changing any answer, and ranked / top-k search agrees
 //! with exact ground truth.
 
-use lshe_core::{EnsembleConfig, LshEnsemble, PartitionStrategy, RankedIndex};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, RankedIndex};
 use lshe_corpus::ExactIndex;
 use lshe_datagen::{generate_catalog, sample_queries, CorpusConfig, SizeBand};
-use lshe_minhash::{codec::signature_wire, MinHasher, OnePermHasher, Signature};
+use lshe_minhash::{codec::signature_wire, MinHasher, Signature};
 
 fn world(n: usize, seed: u64) -> (lshe_corpus::Catalog, Vec<Signature>, ExactIndex, Vec<u32>) {
     let catalog = generate_catalog(&CorpusConfig::tiny(n, seed));
@@ -85,7 +85,8 @@ fn top_k_hits_are_the_exact_top_k_within_estimation_noise() {
 
     for &q in queries.iter().take(15) {
         let query = catalog.domain(q);
-        let hits = ranked.query_top_k(&signatures[q as usize], query.len() as u64, 5);
+        let top5 = Query::top_k(&signatures[q as usize], 5).with_size(query.len() as u64);
+        let hits = ranked.search(&top5).expect("valid query").hits;
         assert!(!hits.is_empty());
         // The self-match (exact containment 1.0) must appear.
         assert!(
@@ -102,11 +103,11 @@ fn top_k_hits_are_the_exact_top_k_within_estimation_noise() {
                 .iter()
                 .find(|&&(id, _)| id == h.id)
                 .map_or(0.0, |&(_, s)| s);
+            let estimate = h.estimate.expect("ranked index attaches estimates");
             assert!(
-                truth > 0.05 || h.estimated_containment < 0.3,
-                "query {q}: hit {} has true containment {truth} but estimate {}",
-                h.id,
-                h.estimated_containment
+                truth > 0.05 || estimate < 0.3,
+                "query {q}: hit {} has true containment {truth} but estimate {estimate}",
+                h.id
             );
         }
     }
@@ -125,7 +126,11 @@ fn ranked_estimates_close_to_exact_scores() {
     for &q in queries.iter().take(15) {
         let query = catalog.domain(q);
         let scores = exact.scores(query);
-        for h in ranked.query_ranked(&signatures[q as usize], query.len() as u64, 0.4, 0.2) {
+        // Every candidate at t* = 0.3 whose estimate clears 0.3 − ESTIMATE_SLACK.
+        let threshold =
+            Query::threshold(&signatures[q as usize], 0.3).with_size(query.len() as u64);
+        for h in ranked.search(&threshold).expect("valid query").hits {
+            let estimate = h.estimate.expect("ranked index attaches estimates");
             let truth = scores
                 .iter()
                 .find(|&&(id, _)| id == h.id)
@@ -142,13 +147,12 @@ fn ranked_estimates_close_to_exact_scores() {
             let sigma_s = (s_true.max(1.0 / m) * (1.0 - s_true) / m).sqrt();
             let slope = (x as f64 / query.len() as f64 + 1.0) / (1.0 + s_true).powi(2);
             let sigma_t = slope * sigma_s;
-            let err = (truth - h.estimated_containment).abs();
+            let err = (truth - estimate).abs();
             let envelope = 6.0 * sigma_t + 0.02;
             assert!(
                 err <= envelope,
-                "query {q}, hit {}: est {} vs truth {truth} (err {err}, σ_t {sigma_t})",
-                h.id,
-                h.estimated_containment
+                "query {q}, hit {}: est {estimate} vs truth {truth} (err {err}, σ_t {sigma_t})",
+                h.id
             );
             worst = worst.max(err / envelope);
         }
@@ -158,30 +162,4 @@ fn ranked_estimates_close_to_exact_scores() {
     // example a wrong conversion constant) would blow through this
     // immediately.
     assert!(worst <= 1.0, "worst envelope-relative error {worst}");
-}
-
-#[test]
-fn oneperm_signatures_drive_the_same_index_machinery() {
-    // OPH sketches slot into the ensemble unchanged: exact duplicates are
-    // always found, and high-overlap domains are found with high
-    // probability.
-    let oph = OnePermHasher::new(256);
-    let pool = MinHasher::synthetic_values(7, 4000);
-    let mut builder = LshEnsemble::builder_with(EnsembleConfig {
-        strategy: PartitionStrategy::EquiDepth { n: 4 },
-        ..EnsembleConfig::default()
-    });
-    let mut sigs = Vec::new();
-    for k in 0..40usize {
-        let vals: Vec<u64> = pool[..100 * (k + 1)].to_vec();
-        let sig = oph.signature(vals.iter().copied());
-        builder.add(k as u32, vals.len() as u64, sig.clone());
-        sigs.push((vals.len() as u64, sig));
-    }
-    let index = builder.build();
-    for k in [0usize, 10, 39] {
-        let (size, sig) = &sigs[k];
-        let hits = index.query_with_size(sig, *size, 1.0);
-        assert!(hits.contains(&(k as u32)), "OPH self-match lost for {k}");
-    }
 }

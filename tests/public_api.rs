@@ -6,10 +6,10 @@
 
 use lshe::{
     Catalog, CommitReport, DeltaLog, DeltaOp, Domain, DomainId, DomainIndex, EnsembleConfig,
-    ExactIndex, ForestIndex, IndexContainer, IndexKind, LshEnsemble, LshForest, MinHasher,
-    MutableIndex, MutationError, OnePermHasher, PartitionStrategy, Query, QueryError, QueryMode,
-    QueryStats, RankedHit, RankedIndex, SearchHit, SearchOutcome, ServerConfig, ShardedEnsemble,
-    ShardedRanked, Signature, DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK,
+    ExactIndex, IndexContainer, IndexKind, LshEnsemble, LshForest, MinHasher, MutableIndex,
+    MutationError, PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit,
+    RankedIndex, SearchHit, SearchOutcome, ServerConfig, ShardedEnsemble, ShardedRanked, Signature,
+    DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK,
 };
 
 /// Compile-time assertions: the traits are object safe and the key types
@@ -71,7 +71,7 @@ fn facade_exposes_the_unified_query_surface() {
     assert_eq!(results[0].as_ref().expect("valid").hits, outcome.hits);
     assert!(matches!(results[1], Err(QueryError::Invalid(_))));
 
-    // RankedHit is still exported for the inherent query paths.
+    // RankedHit is what `RankedIndex::rank_candidates` returns.
     let _: Vec<RankedHit>;
 }
 
@@ -118,9 +118,7 @@ fn facade_keeps_the_existing_types_reachable() {
     // Core index types.
     let _ = LshEnsemble::builder();
     let _ = ShardedEnsemble::builder(2, EnsembleConfig::default());
-    let _ = ForestIndex::new(EnsembleConfig::default());
     let _ = LshForest::new(4, 4);
-    let _ = OnePermHasher::new(128);
     fn takes_sharded_ranked(_: Option<ShardedRanked>) {}
     takes_sharded_ranked(None);
 

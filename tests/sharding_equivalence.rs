@@ -2,7 +2,9 @@
 //! ensemble: the union of per-shard candidate sets, sorted and unique, with
 //! no domain lost to shard assignment.
 
-use lshe_core::{EnsembleConfig, LshEnsemble, PartitionStrategy, ShardedEnsemble};
+use lshe_core::{
+    DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, ShardedEnsemble,
+};
 use lshe_datagen::{generate_catalog, sample_queries, CorpusConfig, SizeBand};
 use lshe_minhash::{MinHasher, Signature};
 
@@ -14,6 +16,12 @@ fn world() -> (Vec<u32>, Vec<u64>, Vec<Signature>, Vec<u32>) {
     let sizes: Vec<u64> = catalog.iter().map(|(_, d)| d.len() as u64).collect();
     let queries = sample_queries(&catalog, 50, SizeBand::All, 9);
     (ids, sizes, signatures, queries)
+}
+
+/// The fan-out's answer to one sized threshold query, as sorted ids.
+fn fan_out(sharded: &ShardedEnsemble, signature: &Signature, size: u64, t_star: f64) -> Vec<u32> {
+    let query = Query::threshold(signature, t_star).with_size(size);
+    sharded.search(&query).expect("valid query").ids()
 }
 
 fn config() -> EnsembleConfig {
@@ -32,7 +40,7 @@ fn sharded_union_equals_shard_by_shard_queries() {
     assert_eq!(sharded.len(), ids.len());
 
     for &q in queries.iter().take(20) {
-        let combined = sharded.query_with_size(&signatures[q as usize], sizes[q as usize], 0.5);
+        let combined = fan_out(&sharded, &signatures[q as usize], sizes[q as usize], 0.5);
         let mut manual: Vec<u32> = sharded
             .shards()
             .iter()
@@ -51,7 +59,7 @@ fn no_domain_lost_to_sharding() {
     let sharded = ShardedEnsemble::build_from_parts(7, config(), &ids, &sizes, &refs);
     // Every domain must find itself at t* = 1.0 regardless of its shard.
     for &id in ids.iter().step_by(37) {
-        let hits = sharded.query_with_size(&signatures[id as usize], sizes[id as usize], 1.0);
+        let hits = fan_out(&sharded, &signatures[id as usize], sizes[id as usize], 1.0);
         assert!(hits.contains(&id), "domain {id} lost");
     }
 }
@@ -67,9 +75,7 @@ fn sharded_recall_matches_single_index() {
     // sets may differ slightly — but aggregate result sizes must be close.
     let (mut total_sharded, mut total_single) = (0usize, 0usize);
     for &q in &queries {
-        total_sharded += sharded
-            .query_with_size(&signatures[q as usize], sizes[q as usize], 0.5)
-            .len();
+        total_sharded += fan_out(&sharded, &signatures[q as usize], sizes[q as usize], 0.5).len();
         total_single += single
             .query_with_size(&signatures[q as usize], sizes[q as usize], 0.5)
             .len();
@@ -90,7 +96,7 @@ fn single_shard_is_identical_to_unsharded() {
     for &q in queries.iter().take(10) {
         for t in [0.3, 0.7, 1.0] {
             assert_eq!(
-                sharded.query_with_size(&signatures[q as usize], sizes[q as usize], t),
+                fan_out(&sharded, &signatures[q as usize], sizes[q as usize], t),
                 single.query_with_size(&signatures[q as usize], sizes[q as usize], t),
                 "query {q} at t = {t}"
             );
