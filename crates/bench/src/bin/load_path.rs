@@ -90,7 +90,7 @@ fn main() {
         .take(num_queries)
         .map(|id| {
             let (size, sig) = container.sketch(id).expect("ranked container");
-            (size, sig.clone())
+            (size, Signature::from_slots(sig.to_vec()))
         })
         .collect();
 

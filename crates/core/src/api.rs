@@ -35,9 +35,9 @@
 //! assert!(outcome.stats.partitions_probed <= outcome.stats.partitions_total);
 //! ```
 
-use crate::ensemble::{EnsembleConfig, EnsemblePartition};
+use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble};
 use crate::pipeline::{Fanout, ReadPath};
-use crate::ranked::{merge_unique, RankedIndex, SketchMap};
+use crate::ranked::{merge_unique, RankedIndex};
 use crate::sharded::ShardedEnsemble;
 use lshe_lsh::DomainId;
 use lshe_minhash::Signature;
@@ -610,9 +610,9 @@ impl<T: DomainIndex + ?Sized> DomainIndex for Arc<T> {
 /// `--shards N`.
 ///
 /// A build-once, read-only view: the server builds a fresh one over each
-/// snapshot's container. The sketches are shared (`Arc`), not copied: the
-/// shards borrow them at build time and the estimate pass looks them up
-/// per candidate.
+/// snapshot's container. The ranked index is shared (`Arc`): the shards'
+/// forests copy their rows out of it at build time and the estimate pass
+/// looks each candidate up in it.
 #[derive(Debug)]
 pub struct ShardedRanked {
     shards: ShardedEnsemble,
@@ -621,8 +621,8 @@ pub struct ShardedRanked {
 
 impl ShardedRanked {
     /// Splits the ranked index's domains round-robin across `num_shards`
-    /// freshly built shards (zero-copy: signatures are borrowed from the
-    /// retained sketches).
+    /// freshly built shards (each row is read straight out of the ranked
+    /// index's forests into its shard's).
     ///
     /// # Panics
     /// Panics if `num_shards == 0` or the ranked index holds fewer domains
@@ -632,9 +632,8 @@ impl ShardedRanked {
         let entries = ranked.sketch_entries();
         let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
         let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let sigs: Vec<&Signature> = entries.iter().map(|&(_, _, sig)| sig).collect();
-        let shards = ShardedEnsemble::build_from_parts(num_shards, config, &ids, &sizes, &sigs);
-        drop(entries);
+        let rows: Vec<&[u32]> = entries.iter().map(|&(_, _, lanes)| lanes).collect();
+        let shards = ShardedEnsemble::build_from_parts(num_shards, config, &ids, &sizes, &rows);
         Self { shards, ranked }
     }
 
@@ -650,10 +649,10 @@ impl ShardedRanked {
         &self.shards
     }
 
-    fn read_path(&self) -> ReadPath<'_, Fanout<'_, &EnsemblePartition>, SketchMap> {
+    fn read_path(&self) -> ReadPath<'_, Fanout<'_, &EnsemblePartition>, LshEnsemble> {
         ReadPath {
             source: self.shards.fanout(),
-            sketches: Some(self.ranked.sketches()),
+            sketches: Some(self.ranked.ensemble()),
         }
     }
 }
@@ -688,7 +687,6 @@ impl DomainIndex for ShardedRanked {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ensemble::LshEnsemble;
     use crate::partition::PartitionStrategy;
     use crate::ranked::RankedIndexBuilder;
     use lshe_minhash::MinHasher;

@@ -14,7 +14,7 @@ use crate::api::{
 };
 use crate::batch::ThresholdItem;
 use crate::partition::{Partition, PartitionStrategy};
-use crate::pipeline::{Candidates, Probe, ReadPath, Tiers};
+use crate::pipeline::{Candidates, Probe, ReadPath, Sketches, Tiers};
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest};
 use lshe_minhash::hash::{FastHashMap, FastHashSet};
@@ -129,18 +129,53 @@ impl LshEnsembleBuilder {
     /// [`build`](Self::build) without consuming the builder (the index
     /// only ever borrows the staged signatures).
     pub(crate) fn build_borrowed(&self) -> LshEnsemble {
-        let sig_refs: Vec<&Signature> = self.signatures.iter().collect();
-        LshEnsemble::build_from_parts(self.config, &self.ids, &self.sizes, &sig_refs)
+        LshEnsemble::build_from_parts(self.config, &self.ids, &self.sizes, &self.signatures)
     }
 }
 
-/// One size class and its dynamic LSH.
+/// One size class and its dynamic LSH. The forest's row table is the one
+/// resident copy of each member's signature.
 #[derive(Debug, Clone)]
 pub(crate) struct EnsemblePartition {
     pub(crate) lower: u64,
     pub(crate) upper: u64,
     pub(crate) forest: LshForest,
+    /// The cardinality of each forest row — or empty, for the base
+    /// partitions of a decoded plain index, whose file keeps none (nothing
+    /// in a plain index reads a base row's size).
+    pub(crate) sizes: Vec<u64>,
 }
+
+impl EnsemblePartition {
+    fn empty(config: &EnsembleConfig) -> Self {
+        Self {
+            lower: 0,
+            upper: 0,
+            forest: LshForest::with_width(config.b_max, config.r_max, config.num_perm),
+            sizes: Vec::new(),
+        }
+    }
+
+    /// Appends a row; its size too while every earlier row has one.
+    fn push(&mut self, id: DomainId, size: u64, lanes: &[u32]) {
+        if self.sizes.len() == self.forest.len() {
+            self.sizes.push(size);
+        }
+        self.forest.insert(id, lanes);
+    }
+
+    /// Row `i` as an entry triple.
+    fn entry(&self, i: usize) -> Entry<'_> {
+        (self.forest.ids()[i], self.sizes[i], self.forest.row(i))
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.forest.memory_bytes() + self.sizes.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
+/// One domain as the index holds it: id, cardinality, signature lanes.
+pub(crate) type Entry<'a> = (DomainId, u64, &'a [u32]);
 
 impl Probe for &EnsemblePartition {
     fn upper(&self) -> u64 {
@@ -152,13 +187,13 @@ impl Probe for &EnsemblePartition {
     }
 }
 
-/// Where a live domain id currently resides.
+/// The forest a live domain id currently resides in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
     /// Base partition `idx`.
     Base(u32),
-    /// Sealed segment `idx` (partition within is found by size).
-    Seg(u32),
+    /// Sealed segment `idx`, partition `part` within it.
+    Seg(u32, u32),
     /// The staged (uncommitted) delta.
     Staged,
 }
@@ -178,7 +213,7 @@ impl DeadSlot {
     fn matches(self, slot: Slot) -> bool {
         match (self, slot) {
             (Self::Base(a), Slot::Base(b)) => a == b,
-            (Self::Seg(a), Slot::Seg(b)) => a == b,
+            (Self::Seg(a), Slot::Seg(b, _)) => a == b,
             _ => false,
         }
     }
@@ -186,14 +221,38 @@ impl DeadSlot {
 
 /// An immutable sub-index sealed from one committed delta: the delta's
 /// domains, equi-depth-partitioned (by the configured strategy) over just
-/// themselves, each partition carrying its own committed forest. The raw
-/// entry triples are retained verbatim — they are the canonical byte form
-/// (persistence re-encodes them bit for bit) and the compaction input
-/// (folding a segment into the base re-routes each entry by size).
+/// themselves, each partition carrying its own committed forest and its
+/// rows' sizes. `order` keeps the sealing order of the entries — it is the
+/// canonical byte form (persistence writes the entry triples in it, and the
+/// decoder replays [`build_segment`] over them) and the order compaction
+/// re-routes them in.
 #[derive(Debug, Clone)]
 pub(crate) struct SealedSegment {
     pub(crate) partitions: Vec<EnsemblePartition>,
-    pub(crate) entries: Vec<(DomainId, u64, Signature)>,
+    /// Each sealed entry's (partition, row), in sealing order.
+    order: Vec<(u32, u32)>,
+}
+
+impl SealedSegment {
+    /// Number of sealed entries (tombstoned ones included).
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// The sealed entries with where each lives, in sealing order.
+    pub(crate) fn located(&self) -> impl Iterator<Item = ((u32, u32), Entry<'_>)> {
+        self.order.iter().map(|&(part, row)| {
+            (
+                (part, row),
+                self.partitions[part as usize].entry(row as usize),
+            )
+        })
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let parts = self.partitions.iter().map(EnsemblePartition::memory_bytes);
+        parts.sum::<usize>() + self.order.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
 }
 
 /// Every partition of a segment stack, oldest segment first, each with
@@ -207,39 +266,21 @@ pub(crate) fn segment_units(
     })
 }
 
-/// The staged (uncommitted) delta: one forest holding every staged
-/// insert, swept as a pseudo-partition whose bounds track the staged
-/// sizes. `commit` seals it into a [`SealedSegment`] in O(delta).
-#[derive(Debug, Clone)]
-struct StagedDelta {
-    part: EnsemblePartition,
-    entries: Vec<(DomainId, u64, Signature)>,
-}
-
-impl StagedDelta {
-    fn new(b_max: usize, r_max: usize) -> Self {
-        Self {
-            part: EnsemblePartition {
-                lower: 0,
-                upper: 0,
-                forest: LshForest::new(b_max, r_max),
-            },
-            entries: Vec::new(),
-        }
-    }
-}
-
-/// One partition with its committed forest over `row(member)` per member.
+/// One partition with its committed forest over `entry(member)` per
+/// member, in member order.
 fn build_partition<'a>(
     config: &EnsembleConfig,
     part: &Partition,
-    row: impl Fn(usize) -> (DomainId, &'a Signature),
+    entry: impl Fn(usize) -> Entry<'a>,
 ) -> EnsemblePartition {
-    let rows: Vec<_> = part.members.iter().map(|&m| row(m as usize)).collect();
+    let members = part.members.iter().map(|&m| entry(m as usize));
+    let (rows, sizes): (Vec<_>, Vec<_>) =
+        members.map(|(id, size, lanes)| ((id, lanes), size)).unzip();
     EnsemblePartition {
         lower: part.lower,
         upper: part.upper,
-        forest: LshForest::from_rows(config.b_max, config.r_max, &rows),
+        forest: LshForest::from_rows(config.b_max, config.r_max, config.num_perm, &rows),
+        sizes,
     }
 }
 
@@ -247,22 +288,22 @@ fn build_partition<'a>(
 /// sizes with the configured strategy, then build each partition's forest.
 /// Deterministic — the persistence decoder replays it to reconstruct a
 /// segment from its stored entries.
-pub(crate) fn build_segment(
-    config: &EnsembleConfig,
-    entries: Vec<(DomainId, u64, Signature)>,
-) -> SealedSegment {
+pub(crate) fn build_segment(config: &EnsembleConfig, entries: &[Entry<'_>]) -> SealedSegment {
     debug_assert!(!entries.is_empty(), "cannot seal an empty delta");
     let sizes: Vec<u64> = entries.iter().map(|e| e.1).collect();
     let partitioning = config.strategy.partition(&sizes);
+    let mut order = vec![(0, 0); entries.len()];
+    for (k, part) in partitioning.parts().iter().enumerate() {
+        for (row, &member) in part.members.iter().enumerate() {
+            order[member as usize] = (k as u32, row as u32);
+        }
+    }
     let partitions = partitioning
         .parts()
         .iter()
-        .map(|p| build_partition(config, p, |m| (entries[m].0, &entries[m].2)))
+        .map(|p| build_partition(config, p, |m| entries[m]))
         .collect();
-    SealedSegment {
-        partitions,
-        entries,
-    }
+    SealedSegment { partitions, order }
 }
 
 /// Summary of one partition, for diagnostics and the experiment harness.
@@ -278,6 +319,10 @@ pub struct PartitionStats {
 
 /// The LSH Ensemble index.
 ///
+/// Each domain's signature is resident once, as a row of the forest of the
+/// partition it lives in; the id map says which forest and row, so an index
+/// that ranks reads the candidate's lanes — and its size — from there.
+///
 /// Mutation is tiered, LSM-style: inserts stage into a delta buffer,
 /// [`commit`](Self::commit) seals the delta into an immutable
 /// sealed segment in O(delta), removes of committed rows become
@@ -291,8 +336,10 @@ pub struct LshEnsemble {
     partitions: Vec<EnsemblePartition>,
     /// Sealed deltas, oldest first; queries sweep them after the base.
     segments: Vec<SealedSegment>,
-    /// The staged (uncommitted) delta.
-    staged: StagedDelta,
+    /// The staged (uncommitted) delta: one forest holding every staged
+    /// insert, swept as a pseudo-partition whose bounds track the staged
+    /// sizes. `commit` seals it into a [`SealedSegment`] in O(delta).
+    staged: EnsemblePartition,
     /// Tombstones, in removal order: ids whose rows are still physically
     /// present in a base or segment forest. Cleared by compaction.
     dead: Vec<(DomainId, DeadSlot)>,
@@ -300,9 +347,10 @@ pub struct LshEnsemble {
     dead_set: FastHashSet<(DomainId, DeadSlot)>,
     tuner: Tuner,
     len: usize,
-    /// id → residence, for O(1) duplicate detection and removal routing.
-    /// Rebuilt on decode; never persisted.
-    ids: FastHashMap<DomainId, Slot>,
+    /// id → (forest, row) of every live domain: duplicate detection,
+    /// removal routing, and the sketch lookup of a ranked search. Rebuilt
+    /// on decode; never persisted.
+    ids: FastHashMap<DomainId, (Slot, u32)>,
 }
 
 impl Clone for LshEnsemble {
@@ -337,20 +385,22 @@ impl LshEnsemble {
         LshEnsembleBuilder::new(config)
     }
 
-    /// Zero-copy construction from parallel arrays of ids, sizes, and
-    /// *borrowed* signatures. This is the bulk-load path the experiment
-    /// harness uses at corpus scale — signatures stay owned by the caller
-    /// (typically one shared `Vec<Signature>`) and are never cloned.
+    /// Construction from parallel arrays of ids, sizes, and *borrowed*
+    /// signatures — `&Signature`s (the bulk-load path the experiment
+    /// harness uses at corpus scale: they stay owned by the caller,
+    /// typically one shared `Vec<Signature>`) or bare `&[u32]` lanes (what
+    /// rebuilds and shard splits read straight out of another index's
+    /// rows). Each is copied once, into its forest's row table.
     ///
     /// # Panics
     /// Panics if the arrays are empty or their lengths differ, on invalid
     /// configuration, or on zero sizes / width mismatches.
     #[must_use]
-    pub fn build_from_parts(
+    pub fn build_from_parts<S: AsRef<[u32]> + Sync>(
         config: EnsembleConfig,
         ids: &[DomainId],
         sizes: &[u64],
-        signatures: &[&Signature],
+        signatures: &[S],
     ) -> Self {
         config.validate();
         assert!(!ids.is_empty(), "cannot build an empty ensemble");
@@ -360,15 +410,19 @@ impl LshEnsemble {
         );
         for (size, sig) in sizes.iter().zip(signatures) {
             assert!(*size > 0, "domain size must be positive");
-            assert_eq!(sig.len(), config.num_perm, "signature width mismatch");
+            assert_eq!(
+                sig.as_ref().len(),
+                config.num_perm,
+                "signature width mismatch"
+            );
         }
         let partitioning = config.strategy.partition(sizes);
-        let (b_max, r_max) = (config.b_max, config.r_max);
-        let mut id_map: FastHashMap<DomainId, Slot> = FastHashMap::default();
+        let mut id_map: FastHashMap<DomainId, (Slot, u32)> = FastHashMap::default();
         id_map.reserve(ids.len());
         for (pidx, part) in partitioning.parts().iter().enumerate() {
-            for &member in &part.members {
-                let prev = id_map.insert(ids[member as usize], Slot::Base(pidx as u32));
+            for (row, &member) in part.members.iter().enumerate() {
+                let at = (Slot::Base(pidx as u32), row as u32);
+                let prev = id_map.insert(ids[member as usize], at);
                 assert!(
                     prev.is_none(),
                     "duplicate domain id {}",
@@ -379,13 +433,13 @@ impl LshEnsemble {
         // One lane per core at most, each taking the next partition when it
         // is free: a thread per partition only adds stacks and scheduling.
         let shells = lshe_minhash::lanes::run_each(partitioning.parts(), |p| {
-            build_partition(&config, p, |m| (ids[m], signatures[m]))
+            build_partition(&config, p, |m| (ids[m], sizes[m], signatures[m].as_ref()))
         });
         Self {
             tuner: Tuner::new(config.b_max as u32, config.r_max as u32),
             partitions: shells,
             segments: Vec::new(),
-            staged: StagedDelta::new(b_max, r_max),
+            staged: EnsemblePartition::empty(&config),
             dead: Vec::new(),
             dead_set: FastHashSet::default(),
             config,
@@ -463,12 +517,8 @@ impl LshEnsemble {
         for seg in &self.segments {
             stats.extend(seg.partitions.iter().map(part));
         }
-        if !self.staged.entries.is_empty() {
-            stats.push(PartitionStats {
-                lower: self.staged.part.lower,
-                upper: self.staged.part.upper,
-                count: self.staged.entries.len(),
-            });
+        if !self.staged.forest.is_empty() {
+            stats.push(part(&self.staged));
         }
         stats
     }
@@ -490,31 +540,54 @@ impl LshEnsemble {
             .collect()
     }
 
-    /// Approximate heap memory of all forests and retained segment
-    /// entries, in bytes.
+    /// Approximate heap memory of every tier's forest — each row table
+    /// counted once — and retained sizes, in bytes.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        let entry_bytes = |entries: &[(DomainId, u64, Signature)]| {
-            std::mem::size_of_val(entries)
-                + entries.len() * self.config.num_perm * Signature::LANE_BYTES
-        };
         let base: usize = self
             .partitions
             .iter()
-            .map(|p| p.forest.memory_bytes())
+            .map(EnsemblePartition::memory_bytes)
             .sum();
-        let segs: usize = self
-            .segments
-            .iter()
-            .map(|s| {
-                s.partitions
-                    .iter()
-                    .map(|p| p.forest.memory_bytes())
-                    .sum::<usize>()
-                    + entry_bytes(&s.entries)
+        let segs: usize = self.segments.iter().map(SealedSegment::memory_bytes).sum();
+        base + segs + self.staged.memory_bytes()
+    }
+
+    /// The part of [`memory_bytes`](Self::memory_bytes) that is retained
+    /// sketches: every row's id, lanes and size, without the tree columns.
+    pub(crate) fn sketch_memory_bytes(&self) -> usize {
+        let segs = self.segments.iter().flat_map(|s| &s.partitions);
+        let parts = self.partitions.iter().chain(segs).chain([&self.staged]);
+        parts
+            .map(|p| {
+                let row =
+                    std::mem::size_of::<DomainId>() + p.forest.width() * Signature::LANE_BYTES;
+                p.forest.len() * row + std::mem::size_of_val(&p.sizes[..])
             })
-            .sum();
-        base + segs + self.staged.part.forest.memory_bytes() + entry_bytes(&self.staged.entries)
+            .sum()
+    }
+
+    fn partition_at(&self, slot: Slot) -> &EnsemblePartition {
+        match slot {
+            Slot::Base(p) => &self.partitions[p as usize],
+            Slot::Seg(s, part) => &self.segments[s as usize].partitions[part as usize],
+            Slot::Staged => &self.staged,
+        }
+    }
+
+    /// Every live domain as an entry triple, sorted by id — the
+    /// deterministic bulk view rebuilds and shard splits start from.
+    ///
+    /// # Panics
+    /// Panics if a live base row has no size (a decoded plain index).
+    pub(crate) fn live_entries(&self) -> Vec<Entry<'_>> {
+        let mut out: Vec<Entry<'_>> = self
+            .ids
+            .values()
+            .map(|&(slot, row)| self.partition_at(slot).entry(row as usize))
+            .collect();
+        out.sort_unstable_by_key(|&(id, _, _)| id);
+        out
     }
 
     /// This index's sweepable partitions for the shared read path, in
@@ -526,7 +599,7 @@ impl LshEnsemble {
             .iter()
             .enumerate()
             .map(|(i, p)| (Some(DeadSlot::Base(i as u32)), p));
-        let staged = (!self.staged.entries.is_empty()).then_some((None, &self.staged.part));
+        let staged = (!self.staged.forest.is_empty()).then_some((None, &self.staged));
         Tiers {
             num_perm: self.config.num_perm,
             tuner: &self.tuner,
@@ -534,7 +607,7 @@ impl LshEnsemble {
                 .chain(segment_units(&self.segments))
                 .chain(staged)
                 .collect(),
-            dead: &self.dead_set,
+            dead: self.dead_set(),
         }
     }
 
@@ -587,20 +660,23 @@ impl LshEnsemble {
     /// segment stack, so the cost is O(staged delta), never O(corpus).
     /// Returns `true` if a segment was sealed (`false` on an empty delta).
     fn seal(&mut self) -> bool {
-        if self.staged.entries.is_empty() {
+        if self.staged.forest.is_empty() {
             return false;
         }
-        let staged = std::mem::replace(
-            &mut self.staged,
-            StagedDelta::new(self.config.b_max, self.config.r_max),
-        );
-        let seg = self.segments.len() as u32;
-        for (id, _, _) in &staged.entries {
-            self.ids.insert(*id, Slot::Seg(seg));
-        }
-        self.segments
-            .push(build_segment(&self.config, staged.entries));
+        let staged = std::mem::replace(&mut self.staged, EnsemblePartition::empty(&self.config));
+        let entries: Vec<Entry<'_>> = (0..staged.forest.len()).map(|i| staged.entry(i)).collect();
+        self.push_segment(build_segment(&self.config, &entries));
         true
+    }
+
+    /// Pushes `segment`, whose entries are all live, onto the stack and
+    /// points the id map at its rows.
+    fn push_segment(&mut self, segment: SealedSegment) {
+        let seg = self.segments.len() as u32;
+        for ((part, row), (id, _, _)) in segment.located() {
+            self.ids.insert(id, (Slot::Seg(seg, part), row));
+        }
+        self.segments.push(segment);
     }
 
     /// Folds the listed sealed segments (indices into the current stack)
@@ -640,38 +716,41 @@ impl LshEnsemble {
         // update against the *old* slot value and applying them only at
         // the end — an in-place update could alias a slot another
         // segment's pass is still matching against.
-        let mut live: Vec<(DomainId, u64, Signature)> = Vec::new();
+        let mut live: Vec<Entry<'_>> = Vec::new();
         let mut remap: Vec<u32> = Vec::with_capacity(old.len());
-        let mut moves: Vec<(DomainId, Slot)> = Vec::new();
+        let mut moves: Vec<(DomainId, (Slot, u32))> = Vec::new();
         let mut next_new = 0u32;
         for (j, seg) in old.iter().enumerate() {
-            let old_slot = Slot::Seg(j as u32);
-            if merged[j] {
-                remap.push(new_segment_index);
-                for (id, size, sig) in &seg.entries {
-                    // Retained entries are live only while the id map
-                    // still points here — removed or re-inserted ids
-                    // moved on and their stale rows are dropped now.
-                    if self.ids.get(id) == Some(&old_slot) {
-                        live.push((*id, *size, sig.clone()));
-                        moves.push((*id, Slot::Seg(new_segment_index)));
-                    }
-                }
+            let to = if merged[j] {
+                new_segment_index
             } else {
-                remap.push(next_new);
-                if next_new as usize != j {
-                    for (id, _, _) in &seg.entries {
-                        if self.ids.get(id) == Some(&old_slot) {
-                            moves.push((*id, Slot::Seg(next_new)));
-                        }
-                    }
+                next_new
+            };
+            remap.push(to);
+            next_new += u32::from(!merged[j]);
+            if !merged[j] && to as usize == j {
+                continue; // kept where it is: nothing moves
+            }
+            for ((part, row), entry) in seg.located() {
+                // Sealed entries are live only while the id map still
+                // points here — removed or re-inserted ids moved on, and
+                // their stale rows are dropped when their segment folds.
+                if self.ids.get(&entry.0) != Some(&(Slot::Seg(j as u32, part), row)) {
+                    continue;
                 }
-                next_new += 1;
+                if merged[j] {
+                    live.push(entry);
+                } else {
+                    moves.push((entry.0, (Slot::Seg(to, part), row)));
+                }
             }
         }
-        for (id, slot) in moves {
-            self.ids.insert(id, slot);
+        for (id, at) in moves {
+            self.ids.insert(id, at);
         }
+        let folded = live.len();
+        let merged_segment = (!live.is_empty()).then(|| build_segment(&self.config, &live));
+        drop(live);
         // Tombstones into folded segments are purged with their rows;
         // tombstones into kept segments follow the renumbering.
         self.dead.retain_mut(|(_, slot)| match slot {
@@ -692,9 +771,9 @@ impl LshEnsemble {
             .filter(|(j, _)| !merged[*j])
             .map(|(_, seg)| seg)
             .collect();
-        let folded = live.len();
-        if !live.is_empty() {
-            self.segments.push(build_segment(&self.config, live));
+        debug_assert_eq!(self.segments.len(), new_segment_index as usize);
+        if let Some(segment) = merged_segment {
+            self.push_segment(segment);
         }
         folded
     }
@@ -710,24 +789,37 @@ impl LshEnsemble {
             return;
         }
         let mut touched = vec![false; self.partitions.len()];
+        let mut dead_base = vec![FastHashSet::default(); self.partitions.len()];
         for &(id, slot) in &self.dead {
             if let DeadSlot::Base(p) = slot {
-                let removed = self.partitions[p as usize].forest.remove(id);
-                debug_assert!(
-                    removed,
-                    "tombstone pointed at a base partition without the id"
-                );
-                touched[p as usize] = true;
+                dead_base[p as usize].insert(id);
             }
+        }
+        for (p, dead) in dead_base.iter().enumerate() {
+            if dead.is_empty() {
+                continue;
+            }
+            let EnsemblePartition { forest, sizes, .. } = &mut self.partitions[p];
+            if sizes.len() == forest.len() {
+                let mut ids = forest.ids().iter();
+                sizes.retain(|_| !dead.contains(ids.next().expect("a size per row")));
+            }
+            let removed = forest.retain(|id| !dead.contains(&id));
+            debug_assert_eq!(
+                removed,
+                dead.len(),
+                "tombstone pointed at a base partition without the id"
+            );
+            touched[p] = true;
         }
         self.dead.clear();
         self.dead_set.clear();
         let segments = std::mem::take(&mut self.segments);
-        for (j, seg) in segments.into_iter().enumerate() {
-            for (id, size, sig) in seg.entries {
-                // A retained entry is live only while the id map still points
-                // at this segment — removed or re-inserted ids moved on.
-                if self.ids.get(&id) != Some(&Slot::Seg(j as u32)) {
+        for (j, seg) in segments.iter().enumerate() {
+            for ((part, row), (id, size, lanes)) in seg.located() {
+                // A sealed entry is live only while the id map still points
+                // at it — removed or re-inserted ids moved on.
+                if self.ids.get(&id) != Some(&(Slot::Seg(j as u32, part), row)) {
                     continue;
                 }
                 if self.partitions.is_empty() {
@@ -735,8 +827,7 @@ impl LshEnsemble {
                     // from scratch; min/max below fix the inverted bounds.
                     self.partitions.push(EnsemblePartition {
                         lower: u64::MAX,
-                        upper: 0,
-                        forest: LshForest::new(self.config.b_max, self.config.r_max),
+                        ..EnsemblePartition::empty(&self.config)
                     });
                     touched.push(false);
                 }
@@ -748,28 +839,29 @@ impl LshEnsemble {
                 let p = &mut self.partitions[idx];
                 p.upper = p.upper.max(size);
                 p.lower = p.lower.min(size);
-                p.forest.insert(id, &sig);
+                p.push(id, size, lanes);
                 touched[idx] = true;
-                self.ids.insert(id, Slot::Base(idx as u32));
             }
         }
-        for (idx, t) in touched.into_iter().enumerate() {
-            if t {
-                self.partitions[idx].forest.commit();
+        // Rows moved up past the erased ones and new rows arrived: sort the
+        // touched forests and point the id map at every row's new place.
+        for (idx, _) in touched.iter().enumerate().filter(|(_, &t)| t) {
+            let forest = &mut self.partitions[idx].forest;
+            forest.commit();
+            for (row, &id) in forest.ids().iter().enumerate() {
+                self.ids.insert(id, (Slot::Base(idx as u32), row as u32));
             }
         }
     }
 
-    /// Partition internals for persistence: (lower, upper, forest).
-    pub(crate) fn raw_partitions(&self) -> Vec<(u64, u64, &LshForest)> {
-        self.partitions
-            .iter()
-            .map(|p| (p.lower, p.upper, &p.forest))
-            .collect()
+    /// The base partitions, for persistence.
+    pub(crate) fn base_partitions(&self) -> &[EnsemblePartition] {
+        &self.partitions
     }
 
-    /// Sealed segments, for persistence (the retained entry triples are the
-    /// canonical byte-level form; partitions are replayed from them).
+    /// Sealed segments, for persistence (their entry triples, in sealing
+    /// order, are the canonical byte-level form; partitions are replayed
+    /// from them).
     pub(crate) fn raw_segments(&self) -> &[SealedSegment] {
         &self.segments
     }
@@ -779,11 +871,20 @@ impl LshEnsemble {
         &self.dead
     }
 
+    /// The tombstones as the read path's per-tier liveness set.
+    pub(crate) fn dead_set(&self) -> &FastHashSet<(DomainId, DeadSlot)> {
+        &self.dead_set
+    }
+
     /// Rebuilds an ensemble from persisted parts. The decoder is
-    /// responsible for structural validation; the id → slot map is
+    /// responsible for structural validation; the id → (forest, row) map is
     /// rederived from the base forests, then overridden by segment entries
     /// (later segments win — a re-inserted id lives in the newest one),
     /// and finally tombstones erase the ids whose slot they still match.
+    /// The base partitions come back without sizes (no ensemble payload
+    /// stores them); see [`set_base_sizes`](Self::set_base_sizes). A mapped
+    /// index, whose base stays in its file, passes no partitions and keeps
+    /// the result as its heap tail.
     pub(crate) fn from_raw_partitions(
         config: EnsembleConfig,
         partitions: Vec<(u64, u64, LshForest)>,
@@ -791,32 +892,10 @@ impl LshEnsemble {
         segment_entries: Vec<Vec<(DomainId, u64, Signature)>>,
         dead: Vec<(DomainId, DeadSlot)>,
     ) -> Self {
-        let mut ids: FastHashMap<DomainId, Slot> = FastHashMap::default();
-        ids.reserve(len);
-        for (pidx, (_, _, forest)) in partitions.iter().enumerate() {
-            for id in forest.ids() {
-                ids.insert(id, Slot::Base(pidx as u32));
-            }
-        }
-        let segments: Vec<SealedSegment> = segment_entries
-            .into_iter()
-            .enumerate()
-            .map(|(j, entries)| {
-                for (id, _, _) in &entries {
-                    ids.insert(*id, Slot::Seg(j as u32));
-                }
-                build_segment(&config, entries)
-            })
-            .collect();
-        for &(id, dslot) in &dead {
-            if ids.get(&id).is_some_and(|&slot| dslot.matches(slot)) {
-                ids.remove(&id);
-            }
-        }
-        Self {
+        let mut ensemble = Self {
             tuner: Tuner::new(config.b_max as u32, config.r_max as u32),
-            segments,
-            staged: StagedDelta::new(config.b_max, config.r_max),
+            segments: Vec::new(),
+            staged: EnsemblePartition::empty(&config),
             dead_set: dead.iter().copied().collect(),
             dead,
             config,
@@ -826,11 +905,86 @@ impl LshEnsemble {
                     lower,
                     upper,
                     forest,
+                    sizes: Vec::new(),
                 })
                 .collect(),
             len,
-            ids,
+            ids: FastHashMap::default(),
+        };
+        ensemble.ids.reserve(len);
+        for (pidx, part) in ensemble.partitions.iter().enumerate() {
+            for (row, &id) in part.forest.ids().iter().enumerate() {
+                let at = (Slot::Base(pidx as u32), row as u32);
+                ensemble.ids.insert(id, at);
+            }
         }
+        for entries in segment_entries {
+            let entries: Vec<Entry<'_>> = entries
+                .iter()
+                .map(|(id, size, sig)| (*id, *size, sig.slots()))
+                .collect();
+            ensemble.push_segment(build_segment(&config, &entries));
+        }
+        for &(id, dslot) in &ensemble.dead {
+            if ensemble
+                .ids
+                .get(&id)
+                .is_some_and(|&(slot, _)| dslot.matches(slot))
+            {
+                ensemble.ids.remove(&id);
+            }
+        }
+        ensemble
+    }
+
+    /// Gives every base partition that has none the sizes of its rows —
+    /// what turns a decoded ensemble into the inside of a ranked index. A
+    /// live row's size is `size_of(id)`; a tombstoned row, which nothing
+    /// will read before compaction erases it, gets 0.
+    ///
+    /// # Errors
+    /// A live row without a size, or a forest that did not keep the whole
+    /// signature.
+    pub(crate) fn set_base_sizes(
+        &mut self,
+        size_of: impl Fn(DomainId) -> Option<u64>,
+    ) -> Result<(), &'static str> {
+        for (pidx, part) in self.partitions.iter_mut().enumerate() {
+            if part.forest.width() != self.config.num_perm {
+                return Err("forest rows do not hold the whole signature");
+            }
+            if part.sizes.len() == part.forest.len() {
+                continue;
+            }
+            let slot = Slot::Base(pidx as u32);
+            let size = |(row, &id): (usize, &DomainId)| {
+                if self.ids.get(&id) != Some(&(slot, row as u32)) {
+                    return Ok(0);
+                }
+                size_of(id)
+                    .filter(|&size| size > 0)
+                    .ok_or("live domain has no positive size")
+            };
+            part.sizes = part
+                .forest
+                .ids()
+                .iter()
+                .enumerate()
+                .map(size)
+                .collect::<Result<_, _>>()?;
+        }
+        Ok(())
+    }
+}
+
+impl Sketches for LshEnsemble {
+    fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
+        let &(slot, row) = self.ids.get(&id)?;
+        let part = self.partition_at(slot);
+        Some((
+            *part.sizes.get(row as usize)?,
+            part.forest.row(row as usize),
+        ))
     }
 }
 
@@ -865,36 +1019,41 @@ impl MutableIndex for LshEnsemble {
         if self.ids.contains_key(&id) {
             return Err(MutationError::DuplicateId(id));
         }
-        if self.staged.entries.is_empty() {
-            self.staged.part.lower = size;
-            self.staged.part.upper = size;
+        if self.staged.forest.is_empty() {
+            self.staged.lower = size;
+            self.staged.upper = size;
         } else {
-            self.staged.part.lower = self.staged.part.lower.min(size);
-            self.staged.part.upper = self.staged.part.upper.max(size);
+            self.staged.lower = self.staged.lower.min(size);
+            self.staged.upper = self.staged.upper.max(size);
         }
-        self.staged.part.forest.insert(id, signature);
-        self.staged.entries.push((id, size, signature.clone()));
-        self.ids.insert(id, Slot::Staged);
+        let row = self.staged.forest.len() as u32;
+        self.staged.push(id, size, signature.slots());
+        self.ids.insert(id, (Slot::Staged, row));
         self.len += 1;
         Ok(())
     }
 
     fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        let Some(slot) = self.ids.get(&id).copied() else {
+        let Some((slot, row)) = self.ids.get(&id).copied() else {
             return Err(MutationError::UnknownId(id));
         };
         match slot {
             Slot::Staged => {
-                let removed = self.staged.part.forest.remove(id);
+                let removed = self.staged.forest.remove(id);
                 debug_assert!(removed, "id map pointed at a staged delta without the id");
-                self.staged.entries.retain(|e| e.0 != id);
-                if self.staged.entries.is_empty() {
+                self.staged.sizes.remove(row as usize);
+                if self.staged.forest.is_empty() {
                     // Drop the stale forest + bounds along with the last entry.
-                    self.staged = StagedDelta::new(self.config.b_max, self.config.r_max);
+                    self.staged = EnsemblePartition::empty(&self.config);
+                }
+                // Later staged rows moved up by one.
+                let moved = self.staged.forest.ids().iter().enumerate();
+                for (at, &later) in moved.skip(row as usize) {
+                    self.ids.insert(later, (Slot::Staged, at as u32));
                 }
             }
             Slot::Base(p) => self.bury(id, DeadSlot::Base(p)),
-            Slot::Seg(s) => self.bury(id, DeadSlot::Seg(s)),
+            Slot::Seg(s, _) => self.bury(id, DeadSlot::Seg(s)),
         }
         self.ids.remove(&id);
         self.len -= 1;
@@ -902,7 +1061,7 @@ impl MutableIndex for LshEnsemble {
     }
 
     fn commit(&mut self) -> CommitReport {
-        let merged = self.staged.entries.len();
+        let merged = self.staged.forest.len();
         let sealed = self.seal();
         // No retained sketches → no rebalance; boundary growth stays
         // conservative (§6.2) until a caller rebuilds from source data.
@@ -926,7 +1085,7 @@ impl MutableIndex for LshEnsemble {
     }
 
     fn staged_len(&self) -> usize {
-        self.staged.entries.len()
+        self.staged.forest.len()
     }
 
     fn segment_stats(&self) -> SegmentStats {
@@ -938,7 +1097,7 @@ impl MutableIndex for LshEnsemble {
 
     fn segment_layout(&self) -> crate::SegmentLayout {
         crate::SegmentLayout {
-            segments: self.segments.iter().map(|s| s.entries.len()).collect(),
+            segments: self.segments.iter().map(SealedSegment::len).collect(),
             tombstones: self.dead.len(),
             len: self.len,
         }
@@ -948,8 +1107,8 @@ impl MutableIndex for LshEnsemble {
         let entries_folded = match task {
             crate::MergeTask::Merge(idxs) => self.merge_segments(idxs),
             crate::MergeTask::Full => {
-                let folded: usize = self.segments.iter().map(|s| s.entries.len()).sum::<usize>()
-                    + self.staged.entries.len();
+                let folded: usize = self.segments.iter().map(SealedSegment::len).sum::<usize>()
+                    + self.staged.forest.len();
                 self.compact();
                 folded
             }

@@ -1,9 +1,10 @@
 //! The memory-mapped index backend: `DomainIndex` over a v2 store file.
 //!
 //! [`pack_ranked`] streams a committed [`RankedIndex`] into an
-//! `lshe-store` v2 container — partition bounds, forest tree columns, and
-//! the retained sketches, each in its own checksummed 64-byte-aligned
-//! section. [`MmapIndex`] opens such a file and answers
+//! `lshe-store` v2 container — partition bounds, the base rows' sketches
+//! (one table, ascending id) and the forest tree columns that index it
+//! (lane 0 and table position per entry), each in its own checksummed
+//! 64-byte-aligned section. [`MmapIndex`] opens such a file and answers
 //! [`search`](crate::DomainIndex::search)/
 //! [`search_batch`](crate::DomainIndex::search_batch) *in place*: the
 //! partition skip-prune, per-query `(b, r)` tuning, prefix-tree probing,
@@ -17,14 +18,14 @@
 //! `RankedIndex` over the same corpus by construction.
 
 use crate::api::{DomainIndex, MutableIndex, Query, QueryError, SearchOutcome};
-use crate::ensemble::{segment_units, DeadSlot, EnsembleConfig, EnsemblePartition, SealedSegment};
+use crate::ensemble::{segment_units, DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
 use crate::partition::PartitionStrategy;
-use crate::pipeline::{Probe, ReadPath, Tiers};
+use crate::pipeline::{Probe, ReadPath, Sketches, Tiers};
 use crate::ranked::RankedIndex;
 use crate::tuning::Tuner;
+use lshe_lsh::forest::{check_tree, probe_tree, Rows};
 use lshe_lsh::DomainId;
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
-use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::Signature;
 use lshe_store::{Packer, PartitionView, SectionKind, SketchesView, Store, StoreError};
 use std::path::Path;
@@ -112,7 +113,7 @@ pub fn pack_ranked_with(
         "pack_ranked on an index with staged inserts; commit first"
     );
     let config = *ensemble.config();
-    let parts = ensemble.raw_partitions();
+    let base = ensemble.base_partitions();
 
     let mut enc = Encoder::default();
     enc.put_u32(config.num_perm as u32);
@@ -120,55 +121,76 @@ pub fn pack_ranked_with(
     enc.put_u32(config.r_max as u32);
     crate::persist::encode_strategy(&mut enc, config.strategy);
     enc.put_u64(ensemble.len() as u64);
-    enc.put_u64(parts.len() as u64);
+    enc.put_u64(base.len() as u64);
     packer.begin_section(SectionKind::Meta)?;
     packer.write(&enc.finish())?;
     packer.end_section();
 
     packer.begin_section(SectionKind::PartitionBounds)?;
-    for &(lower, upper, _) in &parts {
-        packer.write_u64s(&[lower, upper])?;
+    for part in base {
+        packer.write_u64s(&[part.lower, part.upper])?;
     }
     packer.end_section();
 
     packer.begin_section(SectionKind::PartitionLens)?;
-    for &(_, _, forest) in &parts {
-        packer.write_u64s(&[forest.len() as u64])?;
+    for part in base {
+        packer.write_u64s(&[part.forest.len() as u64])?;
     }
     packer.end_section();
 
+    // The sketch table: every base row (tombstoned ones too — the trees
+    // index them), in ascending id order so a sketch is found by binary
+    // search. `at[p][row]` is where partition `p`'s row went.
+    let mut table: Vec<(DomainId, usize, usize)> = Vec::new();
+    for (p, part) in base.iter().enumerate() {
+        table.extend(
+            part.forest
+                .ids()
+                .iter()
+                .enumerate()
+                .map(|(row, &id)| (id, p, row)),
+        );
+    }
+    table.sort_unstable();
+    let mut at: Vec<Vec<u32>> = base.iter().map(|p| vec![0; p.forest.len()]).collect();
+    for (position, &(_, p, row)) in table.iter().enumerate() {
+        at[p][row] = position as u32;
+    }
+
     packer.begin_section(SectionKind::TreeKeys)?;
-    for &(_, _, forest) in &parts {
-        for (keys, _) in forest.committed_trees() {
-            packer.write_u32s(keys)?;
+    for part in base {
+        for (lane0, _) in part.forest.committed_trees() {
+            packer.write_u32s(lane0)?;
         }
     }
     packer.end_section();
 
     packer.begin_section(SectionKind::TreeIds)?;
-    for &(_, _, forest) in &parts {
-        for (_, ids) in forest.committed_trees() {
-            packer.write_u32s(ids)?;
+    let mut positions: Vec<u32> = Vec::new();
+    for (part, at) in base.iter().zip(&at) {
+        for (_, rows) in part.forest.committed_trees() {
+            positions.clear();
+            positions.extend(rows.iter().map(|&row| at[row as usize]));
+            packer.write_u32s(&positions)?;
         }
     }
     packer.end_section();
 
-    let entries = index.sketch_entries();
     packer.begin_section(SectionKind::SketchIds)?;
-    for &(id, _, _) in &entries {
+    for &(id, _, _) in &table {
         packer.write_u32s(&[id])?;
     }
     packer.end_section();
 
     packer.begin_section(SectionKind::SketchSizes)?;
-    for &(_, size, _) in &entries {
-        packer.write_u64s(&[size])?;
+    for &(_, p, row) in &table {
+        packer.write_u64s(&[base[p].sizes[row]])?;
     }
     packer.end_section();
 
     packer.begin_section(SectionKind::SketchSlots)?;
-    for &(_, _, sig) in &entries {
-        packer.write_u32s(sig.slots())?;
+    for &(_, p, row) in &table {
+        packer.write_u32s(base[p].forest.row(row))?;
     }
     packer.end_section();
 
@@ -200,18 +222,16 @@ pub fn pack_ranked_to(index: &RankedIndex, path: impl AsRef<Path>) -> std::io::R
 
 // ----------------------------------------------------------------- backend
 
-/// One partition's shape and element offsets into the shared tree
-/// columns.
+/// One partition's shape and element offset into the tree sections.
 #[derive(Debug, Clone, Copy)]
 struct PartMeta {
     lower: u64,
     upper: u64,
     /// Domains in this partition (rows per tree).
     rows: usize,
-    /// Element offset of this partition's keys in the TreeKeys section.
-    key_off: usize,
-    /// Element offset of this partition's ids in the TreeIds section.
-    id_off: usize,
+    /// Element offset of this partition's columns in the TreeKeys and
+    /// TreeIds sections (entry for entry the same shape).
+    off: usize,
 }
 
 /// One sweepable partition of a mapped index: a base partition's tree
@@ -221,6 +241,8 @@ enum MappedPart<'a> {
         upper: u64,
         r_max: usize,
         view: PartitionView<'a>,
+        /// The sketch table the tree entries point into.
+        rows: Rows<'a>,
     },
     Segment(&'a EnsemblePartition),
 }
@@ -236,12 +258,15 @@ impl Probe for MappedPart<'_> {
     fn probe(&self, signature: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
         match self {
             // `LshForest::query_into` over the mapped columns: tree `t`
-            // is keyed by lanes `t·r_max ..`, probed at prefix length `r`.
-            Self::Base { r_max, view, .. } => {
+            // is keyed by lanes `t·r_max ..`, probed at prefix length `r`
+            // by the forest's own kernel.
+            Self::Base {
+                r_max, view, rows, ..
+            } => {
                 let lanes = signature.slots();
                 for t in 0..b {
-                    view.tree(t)
-                        .probe_into(&lanes[t * r_max..t * r_max + r], out);
+                    let (lane0, row, at) = (view.lane0(t), view.rows(t), t * r_max);
+                    probe_tree(*rows, lane0, row, at, &lanes[at..at + r], out);
                 }
             }
             Self::Segment(p) => p.probe(signature, b, r, out),
@@ -252,7 +277,7 @@ impl Probe for MappedPart<'_> {
 /// A read-only [`DomainIndex`] served directly from a mapped v2 store.
 ///
 /// Holds only metadata on the heap (a few dozen bytes per partition);
-/// every key, id, and sketch slot stays in the mapping. Queries run the
+/// every tree column and sketch lane stays in the mapping. Queries run the
 /// shared read path (see the `pipeline` module) over borrowed views of
 /// the mapped tree columns and sketches.
 #[derive(Debug)]
@@ -262,14 +287,13 @@ pub struct MmapIndex {
     tuner: Tuner,
     len: usize,
     parts: Vec<PartMeta>,
-    /// Sealed segments replayed onto the heap from the `Segments` section
-    /// (deterministic rebuild from the stored entry triples — identical
-    /// forests to the heap index that was packed). Small by construction:
+    /// The `Segments` section replayed onto the heap as an ensemble with no
+    /// base partitions: the sealed segments (deterministic rebuild from the
+    /// stored entry triples — identical forests to the heap index that was
+    /// packed), the tombstones of every tier, and the id map that says
+    /// which segment row is a live id's sketch. Small by construction:
     /// segments hold recent deltas, the mapped base holds the corpus.
-    segments: Vec<SealedSegment>,
-    /// Tombstones: mapped base rows (and segment entries) whose ids are
-    /// dead in that tier; queries filter them out of its candidates.
-    dead: FastHashSet<(DomainId, DeadSlot)>,
+    tail: LshEnsemble,
     /// Persisted id-allocator high-water mark.
     next_id: u32,
 }
@@ -284,8 +308,7 @@ impl Clone for MmapIndex {
             tuner: Tuner::new(self.config.b_max as u32, self.config.r_max as u32),
             len: self.len,
             parts: self.parts.clone(),
-            segments: self.segments.clone(),
-            dead: self.dead.clone(),
+            tail: self.tail.clone(),
             next_id: self.next_id,
         }
     }
@@ -315,9 +338,50 @@ impl MmapIndex {
     /// As [`open`](Self::open), plus
     /// [`StoreError::SectionChecksum`] naming any damaged section.
     pub fn open_verified(path: impl AsRef<Path>) -> Result<Self, MmapIndexError> {
-        let store = Store::open(path)?;
+        Self::from_store_verified(Store::open(path)?)
+    }
+
+    /// [`from_store`](Self::from_store) behind every check a server wants
+    /// before it answers from the file: each section's checksum, then each
+    /// prefix tree against the sketch table — a permutation of its
+    /// partition's rows, lane 0 inline as the rows have it, keys in order.
+    /// A checksum only says the bytes are the ones written; a probe's
+    /// binary searches silently drop candidates from a file written wrong.
+    ///
+    /// # Errors
+    /// As [`from_store`](Self::from_store), plus
+    /// [`StoreError::SectionChecksum`] and the tree sections' corruption.
+    pub fn from_store_verified(store: Store) -> Result<Self, MmapIndexError> {
         store.verify()?;
-        Self::from_store(store)
+        let index = Self::from_store(store)?;
+        index.check_trees()?;
+        Ok(index)
+    }
+
+    /// The O(file) structural pass of
+    /// [`from_store_verified`](Self::from_store_verified).
+    fn check_trees(&self) -> Result<(), MmapIndexError> {
+        let sketches = self.sketches();
+        // Every base row is in the trees of exactly one partition: the
+        // partitions' lengths sum to the table's, so none is left over.
+        let mut seen = vec![0; sketches.len()];
+        let mut stamp = 0;
+        for (_, part) in &self.tiers(&sketches).units {
+            let MappedPart::Base {
+                view, rows, r_max, ..
+            } = part
+            else {
+                break;
+            };
+            for t in 0..view.trees() {
+                let turn = (if t == 0 { 0 } else { stamp }, stamp + 1);
+                let columns = (view.lane0(t), view.rows(t));
+                check_tree(*rows, columns, (t * r_max, *r_max), &mut seen, turn)
+                    .map_err(|detail| corrupt("tree ids", detail))?;
+                stamp += 1;
+            }
+        }
+        Ok(())
     }
 
     /// Builds the backend over an already-opened [`Store`], validating
@@ -355,7 +419,7 @@ impl MmapIndex {
             return Err(corrupt("partition lens", "count disagrees with meta"));
         }
         let mut parts = Vec::with_capacity(part_count);
-        let (mut key_off, mut id_off, mut total) = (0usize, 0usize, 0usize);
+        let (mut off, mut total) = (0usize, 0usize);
         for (i, &rows64) in lens.iter().enumerate() {
             let (lower, upper) = (bounds[i * 2], bounds[i * 2 + 1]);
             if lower > upper {
@@ -367,11 +431,12 @@ impl MmapIndex {
                 lower,
                 upper,
                 rows,
-                key_off,
-                id_off,
+                off,
             });
-            key_off += rows * b_max * r_max;
-            id_off += rows * b_max;
+            off = rows
+                .checked_mul(b_max)
+                .and_then(|columns| columns.checked_add(off))
+                .ok_or_else(|| corrupt("partition lens", "partition lengths overflow"))?;
             total += rows;
         }
         // Tiered-mutation tail (absent on pre-segment files → compacted).
@@ -412,28 +477,35 @@ impl MmapIndex {
             ));
         }
         let tree_keys = store.u32s(SectionKind::TreeKeys)?;
-        if tree_keys.len() != key_off {
+        if tree_keys.len() != off {
             return Err(corrupt("tree keys", "length disagrees with partition lens"));
         }
         let tree_ids = store.u32s(SectionKind::TreeIds)?;
-        if tree_ids.len() != id_off {
+        if tree_ids.len() != off {
             return Err(corrupt("tree ids", "length disagrees with partition lens"));
         }
 
+        // One sketch per base row: the table the tree entries point into.
         let sketch_ids = store.u32s(SectionKind::SketchIds)?;
-        if sketch_ids.len() != len {
-            return Err(corrupt("sketch ids", "count disagrees with meta len"));
+        if sketch_ids.len() != total {
+            return Err(corrupt("sketch ids", "count disagrees with partition lens"));
         }
         if !sketch_ids.windows(2).all(|w| w[0] < w[1]) {
             return Err(corrupt("sketch ids", "ids are not strictly ascending"));
         }
         let sketch_sizes = store.u64s(SectionKind::SketchSizes)?;
-        if sketch_sizes.len() != len {
-            return Err(corrupt("sketch sizes", "count disagrees with meta len"));
+        if sketch_sizes.len() != total {
+            return Err(corrupt(
+                "sketch sizes",
+                "count disagrees with partition lens",
+            ));
         }
         let sketch_slots = store.u32s(SectionKind::SketchSlots)?;
-        if sketch_slots.len() != len * num_perm {
-            return Err(corrupt("sketch slots", "length disagrees with meta len"));
+        if Some(sketch_slots.len()) != total.checked_mul(num_perm) {
+            return Err(corrupt(
+                "sketch slots",
+                "length disagrees with partition lens",
+            ));
         }
 
         let config = EnsembleConfig {
@@ -443,11 +515,9 @@ impl MmapIndex {
             strategy,
         };
         // Replay each segment's deterministic seal — identical partitions
-        // and forests to the heap index that was packed.
-        let segments = segment_entries
-            .into_iter()
-            .map(|entries| crate::ensemble::build_segment(&config, entries))
-            .collect();
+        // and forests to the heap index that was packed — and resolve ids
+        // against segments and tombstones as that index does.
+        let tail = LshEnsemble::from_raw_partitions(config, Vec::new(), len, segment_entries, dead);
         // Files without the section predate the allocator mark: the best
         // floor is one past the largest live id.
         let next_id = if store.has(SectionKind::Segments) {
@@ -461,8 +531,7 @@ impl MmapIndex {
             tuner: Tuner::new(b_max as u32, r_max as u32),
             len,
             parts,
-            segments,
-            dead: dead.into_iter().collect(),
+            tail,
             next_id,
         })
     }
@@ -500,23 +569,14 @@ impl MmapIndex {
                 count: p.rows,
             })
             .collect();
-        for seg in &self.segments {
-            stats.extend(seg.partitions.iter().map(|p| crate::PartitionStats {
-                lower: p.lower,
-                upper: p.upper,
-                count: p.forest.len(),
-            }));
-        }
+        stats.extend(self.tail.partition_stats());
         stats
     }
 
     /// Outstanding segments/tombstones carried by the packed file.
     #[must_use]
     pub fn segment_stats(&self) -> crate::SegmentStats {
-        crate::SegmentStats {
-            segments: self.segments.len(),
-            tombstones: self.dead.len(),
-        }
+        self.tail.segment_stats()
     }
 
     /// The id-allocator high-water mark persisted at pack time (one past
@@ -541,21 +601,24 @@ impl MmapIndex {
         SketchesView::new(ids, sizes, slots, self.config.num_perm).expect("validated at open")
     }
 
-    /// The shared read path over this file: mapped base partitions, then
-    /// the heap-replayed segment partitions, ranked from `sketches`.
-    fn read_path<'a>(
-        &'a self,
-        sketches: &'a SketchesView<'a>,
-    ) -> ReadPath<'a, Tiers<'a, MappedPart<'a>>, SketchesView<'a>> {
+    /// This file's sweepable partitions: mapped base partitions, then the
+    /// heap-replayed segment partitions.
+    fn tiers<'a>(&'a self, sketches: &SketchesView<'a>) -> Tiers<'a, MappedPart<'a>> {
         let tree_keys = self.store.u32s(SectionKind::TreeKeys).expect("validated");
         let tree_ids = self.store.u32s(SectionKind::TreeIds).expect("validated");
         let (b_max, r_max) = (self.config.b_max, self.config.r_max);
+        let (ids, lanes) = sketches.columns();
+        let rows = Rows {
+            ids,
+            lanes,
+            width: self.config.num_perm,
+        };
         let base = self.parts.iter().enumerate().map(|(i, pm)| {
+            let columns = pm.off..pm.off + pm.rows * b_max;
             let view = PartitionView::new(
-                &tree_keys[pm.key_off..pm.key_off + pm.rows * b_max * r_max],
-                &tree_ids[pm.id_off..pm.id_off + pm.rows * b_max],
+                &tree_keys[columns.clone()],
+                &tree_ids[columns],
                 b_max,
-                r_max,
                 pm.rows,
             )
             .expect("validated at open");
@@ -563,32 +626,60 @@ impl MmapIndex {
                 upper: pm.upper,
                 r_max,
                 view,
+                rows,
             };
             (Some(DeadSlot::Base(i as u32)), part)
         });
         let segments =
-            segment_units(&self.segments).map(|(tier, p)| (tier, MappedPart::Segment(p)));
-        ReadPath {
-            source: Tiers {
-                num_perm: self.config.num_perm,
-                tuner: &self.tuner,
-                units: base.chain(segments).collect(),
-                dead: &self.dead,
-            },
-            sketches: Some(sketches),
+            segment_units(self.tail.raw_segments()).map(|(tier, p)| (tier, MappedPart::Segment(p)));
+        Tiers {
+            num_perm: self.config.num_perm,
+            tuner: &self.tuner,
+            units: base.chain(segments).collect(),
+            dead: self.tail.dead_set(),
         }
+    }
+}
+
+/// A mapped index's sketch lookup: a live segment entry from its
+/// heap-replayed forest row, any other id from the mapped table (an id in
+/// both is a re-insert over a tombstoned base row).
+struct MappedSketches<'a> {
+    tail: &'a LshEnsemble,
+    base: SketchesView<'a>,
+}
+
+impl Sketches for MappedSketches<'_> {
+    fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
+        self.tail.sketch(id).or_else(|| self.base.lookup(id))
+    }
+}
+
+impl MmapIndex {
+    /// Runs `answer` over the shared read path of this file.
+    fn with_read_path<R>(
+        &self,
+        answer: impl FnOnce(ReadPath<'_, Tiers<'_, MappedPart<'_>>, MappedSketches<'_>>) -> R,
+    ) -> R {
+        let base = self.sketches();
+        let sketches = MappedSketches {
+            tail: &self.tail,
+            base,
+        };
+        answer(ReadPath {
+            source: self.tiers(&base),
+            sketches: Some(&sketches),
+        })
     }
 }
 
 impl DomainIndex for MmapIndex {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        let sketches = self.sketches();
-        self.read_path(&sketches).search(query)
+        self.with_read_path(|path| path.search(query))
     }
 
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        let sketches = self.sketches();
-        self.read_path(&sketches).search_batch(queries)
+        self.with_read_path(|path| path.search_batch(queries))
     }
 
     fn len(&self) -> usize {
@@ -821,6 +912,117 @@ mod tests {
             other => panic!("wrong error: {other}"),
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Re-packs `from` into `to` with the two tree sections rewritten by
+    /// `damage(lane0, rows)` — every checksum valid, so only structure can
+    /// object.
+    fn repack_damaged(from: &Path, to: &Path, damage: impl Fn(&mut [u32], &mut [u32])) {
+        let store = Store::open(from).expect("open store");
+        let mut lane0 = store.u32s(SectionKind::TreeKeys).expect("keys").to_vec();
+        let mut rows = store.u32s(SectionKind::TreeIds).expect("ids").to_vec();
+        damage(&mut lane0, &mut rows);
+        let mut packer = Packer::create(to).expect("create");
+        for section in store.sections() {
+            packer.begin_section(section.kind).expect("begin");
+            match section.kind {
+                SectionKind::TreeKeys => packer.write_u32s(&lane0),
+                SectionKind::TreeIds => packer.write_u32s(&rows),
+                kind => packer.write(store.bytes(kind).expect("bytes")),
+            }
+            .expect("write");
+            packer.end_section();
+        }
+        packer.finish().expect("finish");
+    }
+
+    #[test]
+    fn verified_open_checks_every_tree_and_plain_open_never_panics() {
+        let (h, ranked, values) = sample(24);
+        let clean = tmp("structure_clean");
+        pack_ranked_to(&ranked, &clean).expect("pack");
+        // Partition 0's first tree is entries `0..6`.
+        assert_eq!(ranked.ensemble().partition_stats()[0].count, 6);
+        type Damage = fn(&mut [u32], &mut [u32]);
+        let cases: [(&str, Damage, &str); 3] = [
+            (
+                "two entries with different keys trading places",
+                |lane0, rows| {
+                    let at = (0..5)
+                        .find(|&i| lane0[i] != lane0[i + 1])
+                        .expect("two keys");
+                    lane0.swap(at, at + 1);
+                    rows.swap(at, at + 1);
+                },
+                "tree keys out of order",
+            ),
+            (
+                "an inline lane that is not its row's",
+                |lane0, _| lane0[0] ^= 1,
+                "tree lane 0 disagrees with its row",
+            ),
+            (
+                "a row index outside the table",
+                |_, rows| rows[0] = u32::MAX,
+                "tree row index out of range",
+            ),
+        ];
+        for (what, damage, detail) in cases {
+            let path = tmp("structure_damaged");
+            repack_damaged(&clean, &path, damage);
+            match MmapIndex::open_verified(&path) {
+                Err(MmapIndexError::Store(StoreError::Corrupt { section, detail: d })) => {
+                    assert_eq!((section, d), ("tree ids", detail), "{what}");
+                }
+                other => panic!("{what}: expected a corrupt tree, got {other:?}"),
+            }
+            // The structural open takes the file; probing it may miss
+            // candidates but stays inside the mapping.
+            let mapped = MmapIndex::open(&path).expect("structural open");
+            for k in [0usize, 11, 23] {
+                let sig = h.signature(values[k].iter().copied());
+                let q = Query::threshold(&sig, 0.1).with_size(values[k].len() as u64);
+                let _ = mapped.search(&q).expect("search");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+        std::fs::remove_file(&clean).ok();
+
+        // Four copies of one signature in two partitions: every key is
+        // equal, so only the permutation check can tell the trees from
+        // the rows they should index.
+        let sig = h.signature(values[0].iter().copied());
+        let mut twins = RankedIndex::builder_with(EnsembleConfig {
+            strategy: PartitionStrategy::EquiDepth { n: 2 },
+            ..EnsembleConfig::default()
+        });
+        for (id, size) in [(0, 10), (1, 10), (2, 50), (3, 50)] {
+            twins.add(id, size, sig.clone());
+        }
+        pack_ranked_to(&twins.build(), &clean).expect("pack");
+        assert!(MmapIndex::open_verified(&clean).is_ok());
+        let cases: [(&str, Damage); 2] = [
+            ("a tree that indexes a row twice", |_, rows| {
+                rows[2] = rows[3];
+            }),
+            ("a tree that indexes another partition's row", |_, rows| {
+                let last = rows.len() - 1;
+                rows.swap(2, last);
+            }),
+        ];
+        for (what, damage) in cases {
+            let path = tmp("twins_damaged");
+            repack_damaged(&clean, &path, damage);
+            match MmapIndex::open_verified(&path) {
+                Err(MmapIndexError::Store(StoreError::Corrupt { detail, .. })) => {
+                    let want = "tree is not a permutation of its partition's rows";
+                    assert_eq!(detail, want, "{what}");
+                }
+                other => panic!("{what}: expected a corrupt tree, got {other:?}"),
+            }
+            std::fs::remove_file(&path).ok();
+        }
+        std::fs::remove_file(&clean).ok();
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Format (little-endian, primitives from `lshe_minhash::codec`):
 //!
 //! ```text
-//! "LSHE" version:u8
+//! "LSHE" version:u8 (4)
 //! num_perm:u32 b_max:u32 r_max:u32 strategy_tag:u8 strategy_args…
 //! len:u64 partition_count:u64
-//! per partition: lower:u64 upper:u64 forest_len:u64 forest_bytes
+//! per partition: lower:u64 upper:u64 forest_len:u64 forest_bytes ("LSHF" v2)
 //! segment_count:u64
 //! per segment: entry_count:u64, then per entry id:u32 size:u64 lanes:u32×m
 //! dead_count:u64
@@ -16,10 +16,17 @@
 //! Version 2 added the trailing segment stack and tombstone list (tiered
 //! commits); a version-1 payload decodes as a fully compacted index.
 //! Version 3 holds segment entries' signatures as `u32` lanes; a version-2
-//! payload's `u64` slots are narrowed as they are decoded. Sealed
-//! segments persist as their raw entry triples — partitioning a segment is
-//! deterministic, so the decoder replays [`build_segment`] and reconstructs
-//! bit-identical forests, which keeps the byte form canonical.
+//! payload's `u64` slots are narrowed as they are decoded. Version 4 nests
+//! `LSHF` version-2 forests — each base row's lanes once, `num_perm` wide,
+//! indexed by the trees instead of repeated in them; the forests of older
+//! payloads are reassembled into that shape as they are decoded (see
+//! `lshe_lsh::persist`), and the next save writes version 4. Sealed
+//! segments persist as their entry triples in sealing order — partitioning
+//! a segment is deterministic, so the decoder replays [`build_segment`] and
+//! reconstructs bit-identical forests, which keeps the byte form canonical.
+//!
+//! No cardinality of a base row is stored: a plain index reads none, and a
+//! ranked container's records carry them (`RankedIndex::from_ensemble`).
 //!
 //! The tuner's memo table is deliberately *not* persisted — it is a cache,
 //! rebuilt lazily, and excluding it keeps the byte form canonical.
@@ -36,7 +43,7 @@ use std::io::Write;
 /// Envelope tag for ensemble payloads.
 pub const MAGIC: [u8; 4] = *b"LSHE";
 /// Current format version.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 
 pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: PartitionStrategy) {
     match strategy {
@@ -71,11 +78,11 @@ pub(crate) fn encode_segments<W: Write>(
 ) {
     enc.put_u64(segments.len() as u64);
     for seg in segments {
-        enc.put_u64(seg.entries.len() as u64);
-        for (id, size, sig) in &seg.entries {
-            enc.put_u32(*id);
-            enc.put_u64(*size);
-            enc.put_u32s(sig.slots());
+        enc.put_u64(seg.len() as u64);
+        for (_, (id, size, lanes)) in seg.located() {
+            enc.put_u32(id);
+            enc.put_u64(size);
+            enc.put_u32s(lanes);
         }
     }
     enc.put_u64(dead.len() as u64);
@@ -217,13 +224,13 @@ impl LshEnsemble {
         enc.put_u32(config.r_max as u32);
         encode_strategy(enc, config.strategy);
         enc.put_u64(self.len() as u64);
-        let parts = self.raw_partitions();
+        let parts = self.base_partitions();
         enc.put_u64(parts.len() as u64);
-        for (lower, upper, forest) in parts {
-            enc.put_u64(lower);
-            enc.put_u64(upper);
+        for part in parts {
+            enc.put_u64(part.lower);
+            enc.put_u64(part.upper);
             // Raw append: the forest bytes are themselves an envelope.
-            enc.put_nested(|enc| forest.encode_into(enc));
+            enc.put_nested(|enc| part.forest.encode_into(enc));
         }
         encode_segments(enc, self.raw_segments(), self.raw_dead());
     }
@@ -251,15 +258,28 @@ impl LshEnsemble {
         if num_perm == 0 || b_max == 0 || r_max == 0 || b_max * r_max > num_perm {
             return Err(CodecError::Corrupt("inconsistent configuration"));
         }
-        let mut partitions = Vec::with_capacity(part_count);
+        // A partition is at least its bounds and a length: 24 bytes.
+        let mut shells = Vec::with_capacity(part_count.min(dec.remaining() / 24));
         for _ in 0..part_count {
             let lower = dec.get_u64("partition lower")?;
             let upper = dec.get_u64("partition upper")?;
             if lower > upper {
                 return Err(CodecError::Corrupt("inverted partition bounds"));
             }
-            let forest = LshForest::from_bytes(dec.get_nested("forest bytes")?)?;
-            if forest.b_max() != b_max || forest.r_max() != r_max {
+            shells.push((lower, upper, dec.get_nested("forest bytes")?));
+        }
+        // Each forest is decoded, and its trees checked against its rows,
+        // on a lane of its own — as it was built.
+        let forests =
+            lshe_minhash::lanes::run_each(&shells, |&(_, _, bytes)| LshForest::from_bytes(bytes));
+        let mut partitions = Vec::with_capacity(shells.len());
+        for (&(lower, upper, _), forest) in shells.iter().zip(forests) {
+            let forest = forest?;
+            // A forest from a payload before version 4 keeps only its key
+            // lanes, and stays that narrow when the index is saved again.
+            if (forest.b_max(), forest.r_max()) != (b_max, r_max)
+                || ![b_max * r_max, num_perm].contains(&forest.width())
+            {
                 return Err(CodecError::Corrupt("forest dims disagree with config"));
             }
             partitions.push((lower, upper, forest));

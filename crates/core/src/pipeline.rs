@@ -9,11 +9,11 @@
 //!
 //! The pipeline is generic over the two things that genuinely differ
 //! between backends — *a partition that can be probed* ([`Probe`]: a heap
-//! forest or mapped tree columns) and *a sketch lookup* ([`Sketches`]: a
-//! heap map or mapped sketch columns) — and over where candidates come
-//! from ([`Candidates`]: one index's [`Tiers`], or a [`Fanout`] over
-//! shards). Everything is statically dispatched; no backend carries a
-//! second copy of any step, so heap ≡ mapped ≡ sharded holds by
+//! forest or mapped tree columns) and *a sketch lookup* ([`Sketches`]: the
+//! heap ensemble's rows or mapped sketch columns) — and over where
+//! candidates come from ([`Candidates`]: one index's [`Tiers`], or a
+//! [`Fanout`] over shards). Everything is statically dispatched; no backend
+//! carries a second copy of any step, so heap ≡ mapped ≡ sharded holds by
 //! construction.
 
 use crate::api::{
@@ -25,7 +25,7 @@ use crate::ensemble::DeadSlot;
 use crate::ranked::RankedHit;
 use crate::tuning::Tuner;
 use lshe_lsh::DomainId;
-use lshe_minhash::hash::{FastHashMap, FastHashSet};
+use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::{containment_from_jaccard, count_equal, lanes, Signature};
 use lshe_store::SketchesView;
 use std::time::Instant;
@@ -44,12 +44,6 @@ pub(crate) trait Probe: Sync {
 pub(crate) trait Sketches: Sync {
     /// The domain's sketch, or `None` if the id is not retained.
     fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])>;
-}
-
-impl Sketches for FastHashMap<DomainId, (u64, Signature)> {
-    fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
-        self.get(&id).map(|(size, sig)| (*size, sig.slots()))
-    }
 }
 
 impl Sketches for SketchesView<'_> {

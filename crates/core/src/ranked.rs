@@ -4,7 +4,8 @@
 //! domain search are "closely related and complementary": thresholds suit
 //! join discovery, but exploratory users often want *the k best domains*
 //! regardless of score. [`RankedIndex`] layers both over the ensemble by
-//! retaining each domain's signature and cardinality, which lets it
+//! reading each candidate's signature and cardinality back out of the
+//! forest row that indexes it, which lets it
 //!
 //! * rank candidates by their **estimated containment**
 //!   (`t̂ = (x/q + 1)·ŝ/(1 + ŝ)`, Eq. 6) instead of returning an unordered
@@ -13,8 +14,10 @@
 //!   candidates accumulate — reusing the tuned threshold machinery instead
 //!   of scanning the corpus.
 //!
-//! The cost is one retained signature per domain (`8·m` bytes); use the
-//! plain [`LshEnsemble`] when memory is tighter than ranking is valuable.
+//! The signature is resident once — the forests index a row table of
+//! 32-bit lanes (`4·m` bytes a domain) instead of holding the lanes again —
+//! so ranking costs 8 bytes a domain (its cardinality) over the plain
+//! [`LshEnsemble`].
 
 use crate::api::{
     CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, SearchOutcome,
@@ -23,20 +26,17 @@ use crate::api::{
 use crate::ensemble::{
     EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder, PartitionStats,
 };
-use crate::pipeline::{ReadPath, Tiers};
+use crate::pipeline::{ReadPath, Sketches, Tiers};
 use lshe_lsh::DomainId;
-use lshe_minhash::hash::{FastHashMap, FastHashSet};
+use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::Signature;
 
-/// Retained sketches: id → (cardinality, signature).
-pub(crate) type SketchMap = FastHashMap<DomainId, (u64, Signature)>;
-
-/// A containment-search index that can rank its answers.
+/// A containment-search index that can rank its answers: an
+/// [`LshEnsemble`] whose every partition keeps its rows' cardinalities,
+/// plus the rebalance policy.
 #[derive(Debug, Clone)]
 pub struct RankedIndex {
     ensemble: LshEnsemble,
-    /// Retained for estimation.
-    sketches: SketchMap,
     /// Equi-depth skew multiple past which a commit rebuilds the
     /// partitioning from the retained sketches.
     rebalance_trigger: f64,
@@ -55,7 +55,8 @@ pub(crate) fn skew_exceeds(stats: &[PartitionStats], len: usize, trigger: f64) -
 /// Builder for [`RankedIndex`].
 #[derive(Debug)]
 pub struct RankedIndexBuilder {
-    /// The one owner of every staged signature until `build` moves them.
+    /// The one owner of every staged signature until `build` copies them
+    /// into the forests' rows.
     inner: LshEnsembleBuilder,
     seen: FastHashSet<DomainId>,
 }
@@ -98,14 +99,8 @@ impl RankedIndexBuilder {
     /// Panics if the builder is empty.
     #[must_use]
     pub fn build(self) -> RankedIndex {
-        let staged = self.inner;
-        let sigs: Vec<&Signature> = staged.signatures.iter().collect();
-        let ensemble =
-            LshEnsemble::build_from_parts(staged.config, &staged.ids, &staged.sizes, &sigs);
-        let sizes = staged.sizes.into_iter().zip(staged.signatures);
         RankedIndex {
-            ensemble,
-            sketches: staged.ids.into_iter().zip(sizes).collect(),
+            ensemble: self.inner.build(),
             rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
         }
     }
@@ -136,13 +131,13 @@ impl RankedIndex {
     /// Number of indexed domains.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.sketches.len()
+        self.ensemble.len()
     }
 
     /// True if nothing is indexed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sketches.is_empty()
+        self.ensemble.is_empty()
     }
 
     /// The underlying ensemble (for stats and unranked queries).
@@ -151,68 +146,53 @@ impl RankedIndex {
         &self.ensemble
     }
 
-    /// The retained (cardinality, signature) sketch of a domain, if indexed.
+    /// The retained (cardinality, signature lanes) sketch of a domain, if
+    /// indexed.
     #[must_use]
-    pub fn sketch(&self, id: DomainId) -> Option<(u64, &Signature)> {
-        self.sketches.get(&id).map(|(size, sig)| (*size, sig))
+    pub fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
+        self.ensemble.sketch(id)
     }
 
-    /// Every retained sketch as `(id, size, signature)`, sorted by id —
-    /// the deterministic bulk view sharded rebuilds use.
+    /// Every retained sketch as `(id, size, signature lanes)`, sorted by id
+    /// — the deterministic bulk view sharded rebuilds use.
     #[must_use]
-    pub fn sketch_entries(&self) -> Vec<(DomainId, u64, &Signature)> {
-        let mut out: Vec<(DomainId, u64, &Signature)> = self
-            .sketches
-            .iter()
-            .map(|(&id, (size, sig))| (id, *size, sig))
-            .collect();
-        out.sort_unstable_by_key(|&(id, _, _)| id);
-        out
+    pub fn sketch_entries(&self) -> Vec<(DomainId, u64, &[u32])> {
+        self.ensemble.live_entries()
     }
 
-    /// Approximate heap memory of the retained sketches alone, in bytes.
+    /// Approximate heap memory of the retained sketches alone (each row's
+    /// id, lanes and size), in bytes — a part of
+    /// [`memory_bytes`](Self::memory_bytes), not an addition to it.
     #[must_use]
     pub fn sketch_memory_bytes(&self) -> usize {
-        self.sketches
-            .values()
-            .map(|(_, sig)| sig.len() * Signature::LANE_BYTES + 32)
-            .sum()
+        self.ensemble.sketch_memory_bytes()
     }
 
-    /// Approximate heap memory of the whole index (ensemble + sketches).
+    /// Approximate heap memory of the whole index: the ensemble, whose row
+    /// tables *are* the sketches.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.ensemble.memory_bytes() + self.sketch_memory_bytes()
+        self.ensemble.memory_bytes()
     }
 
-    /// Reassembles a ranked index from an already-built ensemble and its
-    /// retained sketches — the persistence path, which avoids rebuilding
-    /// every partition forest from scratch on load.
+    /// Makes a ranked index of an ensemble — the persistence path (a
+    /// decoded ensemble's base rows have no sizes yet) and the shard-split
+    /// path (a built one's do, and `size_of` is never asked). `size_of`
+    /// gives the cardinality of a live domain.
     ///
-    /// # Panics
-    /// Panics if the sketch count differs from the ensemble's length or an
-    /// id repeats.
-    #[must_use]
+    /// # Errors
+    /// A live base domain `size_of` has no positive size for, or an
+    /// ensemble whose forests kept fewer lanes than the signature has (a
+    /// plain index written before rows held them all).
     pub fn from_ensemble(
-        ensemble: LshEnsemble,
-        sketches: impl IntoIterator<Item = (DomainId, u64, Signature)>,
-    ) -> Self {
-        let mut map: FastHashMap<DomainId, (u64, Signature)> = FastHashMap::default();
-        for (id, size, sig) in sketches {
-            assert!(size > 0, "domain size must be positive");
-            let prev = map.insert(id, (size, sig));
-            assert!(prev.is_none(), "duplicate domain id {id}");
-        }
-        assert_eq!(
-            map.len(),
-            ensemble.len(),
-            "sketch count disagrees with ensemble"
-        );
-        Self {
+        mut ensemble: LshEnsemble,
+        size_of: impl Fn(DomainId) -> Option<u64>,
+    ) -> Result<Self, &'static str> {
+        ensemble.set_base_sizes(size_of)?;
+        Ok(Self {
             ensemble,
-            sketches: map,
             rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
-        }
+        })
     }
 
     /// The configured equi-depth rebalance trigger (see
@@ -233,7 +213,7 @@ impl RankedIndex {
     /// True if `id` is currently indexed.
     #[must_use]
     pub fn contains(&self, id: DomainId) -> bool {
-        self.sketches.contains_key(&id)
+        self.ensemble.contains(id)
     }
 
     /// Rebuilds the inner ensemble from the retained sketches when the
@@ -253,29 +233,20 @@ impl RankedIndex {
         self.rebuild_from_sketches()
     }
 
-    /// Rebuilds the inner ensemble from the retained sketches, restoring
-    /// the exact freshly-built layout. Returns `false` (doing nothing)
-    /// when the index is empty — `build_from_parts` needs at least one
-    /// domain.
+    /// Rebuilds the inner ensemble from its live rows, restoring the exact
+    /// freshly-built layout. Returns `false` (doing nothing) when the index
+    /// is empty — a build needs at least one domain.
     fn rebuild_from_sketches(&mut self) -> bool {
-        if self.sketches.is_empty() {
+        if self.ensemble.is_empty() {
             return false;
         }
-        let config = *self.ensemble.config();
-        // Borrow only the sketches field so the finished ensemble can be
-        // swapped in while the borrowed signatures are still alive.
-        let mut entries: Vec<(DomainId, u64, &Signature)> = self
-            .sketches
-            .iter()
-            .map(|(&id, (size, sig))| (id, *size, sig))
-            .collect();
-        entries.sort_unstable_by_key(|&(id, _, _)| id);
+        let entries = self.ensemble.live_entries();
         let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
         let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let sigs: Vec<&Signature> = entries.iter().map(|&(_, _, sig)| sig).collect();
-        let rebuilt = LshEnsemble::build_from_parts(config, &ids, &sizes, &sigs);
-        drop((entries, ids, sizes, sigs));
-        self.ensemble = rebuilt;
+        let rows: Vec<&[u32]> = entries.iter().map(|&(_, _, lanes)| lanes).collect();
+        // The rows are read out of the old ensemble until the new one is
+        // whole; only then is it swapped in.
+        self.ensemble = LshEnsemble::build_from_parts(*self.ensemble.config(), &ids, &sizes, &rows);
         true
     }
 
@@ -292,30 +263,25 @@ impl RankedIndex {
         signature: &Signature,
         query_size: u64,
     ) -> Vec<RankedHit> {
-        crate::pipeline::rank(&self.sketches, candidates, signature, query_size)
+        crate::pipeline::rank(&self.ensemble, candidates, signature, query_size)
     }
 
-    /// The retained sketches, for a sharded view's rank step.
-    pub(crate) fn sketches(&self) -> &SketchMap {
-        &self.sketches
-    }
-
-    fn read_path(&self) -> ReadPath<'_, Tiers<'_, &EnsemblePartition>, SketchMap> {
+    fn read_path(&self) -> ReadPath<'_, Tiers<'_, &EnsemblePartition>, LshEnsemble> {
         ReadPath {
             source: self.ensemble.tiers(),
-            sketches: Some(&self.sketches),
+            sketches: Some(&self.ensemble),
         }
     }
 }
 
-/// Mutations go to the inner ensemble and keep the sketch map in step, so
-/// a staged insert is immediately queryable *with* an estimate. Because
-/// this index retains every sketch, `commit` additionally rebuilds the
-/// equi-depth partitioning from scratch when base-partition drift passed
-/// the configured trigger (§6.2's remedy, automated), and `compact` always
-/// does — both restore the exact freshly-built layout, folding outstanding
-/// segments and erasing tombstones, since they start from the live sketch
-/// set.
+/// Mutations go to the inner ensemble, whose staged rows carry their size
+/// like every other, so a staged insert is immediately queryable *with* an
+/// estimate. Because this index retains every sketch, `commit` additionally
+/// rebuilds the equi-depth partitioning from scratch when base-partition
+/// drift passed the configured trigger (§6.2's remedy, automated), and
+/// `compact` always does — both restore the exact freshly-built layout,
+/// folding outstanding segments and erasing tombstones, since they start
+/// from the live rows.
 impl MutableIndex for RankedIndex {
     fn insert(
         &mut self,
@@ -323,15 +289,11 @@ impl MutableIndex for RankedIndex {
         size: u64,
         signature: &Signature,
     ) -> Result<(), MutationError> {
-        self.ensemble.insert(id, size, signature)?;
-        self.sketches.insert(id, (size, signature.clone()));
-        Ok(())
+        self.ensemble.insert(id, size, signature)
     }
 
     fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.ensemble.remove(id)?;
-        self.sketches.remove(&id);
-        Ok(())
+        self.ensemble.remove(id)
     }
 
     fn commit(&mut self) -> CommitReport {
@@ -374,12 +336,10 @@ impl MutableIndex for RankedIndex {
 
     fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
         match task {
-            // A partial merge neither adds nor removes domains, so the
-            // sketches are unaffected.
             crate::MergeTask::Merge(_) => self.ensemble.apply_merge(task),
             crate::MergeTask::Full => {
-                // The full fold rebuilds from the retained sketches, so
-                // every live entry is rewritten.
+                // The full fold rebuilds from the live rows, so every live
+                // entry is rewritten.
                 let entries_folded = self.ensemble.len();
                 self.compact();
                 crate::MergeOutcome {
@@ -402,7 +362,7 @@ impl DomainIndex for RankedIndex {
     }
 
     fn len(&self) -> usize {
-        self.sketches.len()
+        self.ensemble.len()
     }
 
     fn memory_bytes(&self) -> usize {

@@ -90,12 +90,12 @@ impl ShardedEnsemble {
     /// Panics if `num_shards == 0`, fewer domains than shards are supplied,
     /// or the array lengths differ.
     #[must_use]
-    pub fn build_from_parts(
+    pub fn build_from_parts<S: AsRef<[u32]> + Copy + Sync>(
         num_shards: usize,
         config: EnsembleConfig,
         ids: &[DomainId],
         sizes: &[u64],
-        signatures: &[&Signature],
+        signatures: &[S],
     ) -> Self {
         assert!(num_shards > 0, "need at least one shard");
         assert!(

@@ -10,153 +10,208 @@
 //!
 //! ## Representation
 //!
-//! Each prefix tree is stored as a sorted column of fixed-width keys — the
-//! standard array encoding of a prefix tree (also used by `datasketch`):
-//! a prefix query of depth `r` is a binary-search for the equal range of the
-//! first `r` slots. Keys *are* signature lanes: a [`Signature`] already
-//! holds 32-bit lanes (narrowed once, where the fold finishes), so rows and
-//! query prefixes are copied from it verbatim — no truncation step here.
+//! The forest owns its members' lanes **once**, as a row table: row `i` is
+//! `ids[i]` with `width` lanes (`width ≥ b_max·r_max`; an index that ranks
+//! its answers keeps the whole signature there). A prefix tree is two
+//! parallel `u32` columns over the committed rows, sorted by (the row's
+//! `r_max` key lanes in that tree, row index): `lane0[i]`, the row's first
+//! key lane, inline so the binary search runs over a dense array, and
+//! `row[i]`, the row's index in the table. A prefix query of depth `r` is a
+//! binary search on `lane0` for the run equal on the first lane, then — for
+//! `r > 1` — a second binary search *inside the run* on lanes `1..r` read
+//! through `row[i]`, then a walk ([`probe_tree`], the one probe kernel: the
+//! mapped backend runs it over a packed file's columns).
 //!
 //! ## Mutability
 //!
-//! Inserts are staged in an unsorted tail per tree. Queries scan the tail
-//! linearly, so correctness never requires a rebuild; [`LshForest::commit`]
-//! merges the tail into the sorted run for query speed. This gives the
-//! "single pass to build, incremental additions afterwards" behaviour the
-//! paper requires of an open-world index.
+//! Inserts append rows to the table; rows past the committed count are the
+//! staged tail, in no tree yet. Queries scan the tail linearly, so
+//! correctness never requires a rebuild; [`LshForest::commit`] sorts the
+//! tail into the trees for query speed. This gives the "single pass to
+//! build, incremental additions afterwards" behaviour the paper requires of
+//! an open-world index.
 
 use crate::DomainId;
 use lshe_minhash::Signature;
 
-/// One prefix tree: a sorted column of `r_max`-wide keys plus a staged,
-/// unsorted tail.
+/// A borrowed row table: row `i` is `ids[i]` with lanes
+/// `lanes[i·width ..][.. width]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    /// Domain id of each row.
+    pub ids: &'a [DomainId],
+    /// Row-major lanes, `width` per row.
+    pub lanes: &'a [u32],
+    /// Lanes per row.
+    pub width: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// Lanes `at .. at + n` of `row`, or `None` when the row (an index read
+    /// from a file, say) lies outside the table.
+    fn key(&self, row: u32, at: usize, n: usize) -> Option<&'a [u32]> {
+        let start = (row as usize).checked_mul(self.width)?.checked_add(at)?;
+        self.lanes.get(start..start.checked_add(n)?)
+    }
+}
+
+/// Probes one prefix tree: appends to `out` the id of every tree entry whose
+/// row has lanes `at .. at + prefix.len()` equal to `prefix`.
+///
+/// `lane0` and `row` are the tree's columns, sorted by (the row's lanes from
+/// `at`, row index). Row access is checked: an entry whose row lies outside
+/// `rows` matches nothing, it never panics.
+pub fn probe_tree(
+    rows: Rows<'_>,
+    lane0: &[u32],
+    row: &[u32],
+    at: usize,
+    prefix: &[u32],
+    out: &mut Vec<DomainId>,
+) {
+    let Some((&first, rest)) = prefix.split_first() else {
+        return;
+    };
+    let lo = lane0.partition_point(|&k| k < first);
+    // The run equal on lane 0 is short unless rows share values: gallop to
+    // its end instead of searching the whole column again.
+    let after = &lane0[lo..];
+    let mut reach = 1;
+    while reach < after.len() && after[reach] == first {
+        reach *= 2;
+    }
+    let len = reach / 2 + after[reach / 2..reach.min(after.len())].partition_point(|&k| k == first);
+    let Some(run) = row.get(lo..lo + len) else {
+        return;
+    };
+    let tail = |i: u32| rows.key(i, at + 1, rest.len());
+    // Inside the run, rows ascend by their remaining key lanes; a run too
+    // short for a search to save a row read is walked whole.
+    let from = if rest.is_empty() || run.len() <= LINEAR_RUN {
+        0
+    } else {
+        run.partition_point(|&i| tail(i).is_some_and(|k| k < rest))
+    };
+    for &i in &run[from..] {
+        if !rest.is_empty() && tail(i) != Some(rest) {
+            if run.len() <= LINEAR_RUN {
+                continue;
+            }
+            break;
+        }
+        out.extend(rows.ids.get(i as usize));
+    }
+}
+
+/// Runs up to this long are compared row by row, not binary-searched.
+const LINEAR_RUN: usize = 4;
+
+/// Checks one tree's columns against the row table it indexes: every
+/// `row[i]` is in range, `lane0[i]` is that row's lane `at`, and the rows'
+/// `r_max` key lanes from `at` never descend. What a decoder verifies
+/// before it trusts [`probe_tree`]'s binary searches to find every match.
+///
+/// `seen` (a mark per table row, zeroed by the caller) makes the trees of
+/// one partition agree on their rows: every row this tree indexes must
+/// carry the mark `after` and leaves with `stamp`. The first tree passes
+/// `after = 0` (no tree has the row yet), each later one its predecessor's
+/// `stamp` — equally long trees then index the same rows, each once, and
+/// partitions sharing a table share no row.
+///
+/// # Errors
+/// What is wrong with the columns.
+pub fn check_tree(
+    rows: Rows<'_>,
+    (lane0, row): (&[u32], &[u32]),
+    (at, r_max): (usize, usize),
+    seen: &mut [u32],
+    (after, stamp): (u32, u32),
+) -> Result<(), &'static str> {
+    if lane0.len() != row.len() {
+        return Err("tree columns differ in length");
+    }
+    let mut prev: Option<&[u32]> = None;
+    for (&first, &i) in lane0.iter().zip(row) {
+        let (Some(key), Some(mark)) = (rows.key(i, at, r_max), seen.get_mut(i as usize)) else {
+            return Err("tree row index out of range");
+        };
+        if key[0] != first {
+            return Err("tree lane 0 disagrees with its row");
+        }
+        if prev.is_some_and(|p| p > key) {
+            return Err("tree keys out of order");
+        }
+        if std::mem::replace(mark, stamp) != after {
+            return Err("tree is not a permutation of its partition's rows");
+        }
+        prev = Some(key);
+    }
+    Ok(())
+}
+
+/// One prefix tree over the committed rows: parallel columns sorted by (the
+/// row's key lanes, row index) — a total order, so the canonical byte form
+/// does not depend on the sort algorithm.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct PrefixTree {
-    /// Row-major keys of committed entries, `r_max` values per row, sorted
-    /// lexicographically by row.
-    keys: Vec<u32>,
-    /// Domain id of each committed row (parallel to `keys` rows).
-    ids: Vec<DomainId>,
-    /// Staged keys, unsorted.
-    staged_keys: Vec<u32>,
-    /// Staged ids.
-    staged_ids: Vec<DomainId>,
+    /// Each entry's first key lane.
+    lane0: Vec<u32>,
+    /// Each entry's row in the table.
+    row: Vec<u32>,
 }
 
 impl PrefixTree {
-    fn row(keys: &[u32], r_max: usize, i: usize) -> &[u32] {
-        &keys[i * r_max..(i + 1) * r_max]
-    }
-
-    fn commit(&mut self, r_max: usize) {
-        if self.staged_ids.is_empty() {
-            return;
-        }
-        self.keys.append(&mut self.staged_keys);
-        self.ids.append(&mut self.staged_ids);
-        (self.keys, self.ids) = Self::sorted(&self.keys, &self.ids, r_max);
-    }
-
-    /// The rows of `(keys, ids)` in key order, as exactly sized columns.
-    /// Rows with equal keys stay in the order this sort leaves them, so it
-    /// is part of the canonical byte form: every tree is built through it.
-    fn sorted(keys: &[u32], ids: &[DomainId], r_max: usize) -> (Vec<u32>, Vec<DomainId>) {
-        let row = |i: u32| Self::row(keys, r_max, i as usize);
-        let mut order: Vec<u32> = (0..ids.len() as u32).collect();
-        // The first slot decides nearly every comparison, faster alone.
-        order.sort_unstable_by(|&a, &b| row(a)[0].cmp(&row(b)[0]).then_with(|| row(a).cmp(row(b))));
-        let mut sorted_keys = Vec::with_capacity(keys.len());
-        for &i in &order {
-            sorted_keys.extend_from_slice(row(i));
-        }
-        let sorted_ids = order.iter().map(|&i| ids[i as usize]).collect();
-        (sorted_keys, sorted_ids)
-    }
-
-    /// Drops every row stored under `id`, committed and staged, keeping
-    /// the committed region sorted. Returns `(committed, staged)` rows
-    /// removed.
-    fn remove(&mut self, r_max: usize, id: DomainId) -> (usize, usize) {
-        let committed = Self::retain_rows(&mut self.keys, &mut self.ids, r_max, id);
-        let staged = Self::retain_rows(&mut self.staged_keys, &mut self.staged_ids, r_max, id);
-        (committed, staged)
-    }
-
-    /// Removes the rows of `id` from one (keys, ids) column pair, keeping
-    /// relative row order. Returns the number of rows removed.
-    fn retain_rows(
-        keys: &mut Vec<u32>,
-        ids: &mut Vec<DomainId>,
-        r_max: usize,
-        id: DomainId,
-    ) -> usize {
-        let before = ids.len();
-        let mut write = 0usize;
-        for read in 0..ids.len() {
-            if ids[read] == id {
-                continue;
+    /// The tree keyed by lanes `at .. at + r_max` over the first `n` rows.
+    fn build(lanes: &[u32], width: usize, at: usize, r_max: usize, n: usize) -> Self {
+        // (lane 0, row) packed into one integer sorts without touching the
+        // table; only rows that tie on lane 0 compare their other lanes.
+        let mut entries: Vec<u64> = (0..n)
+            .map(|i| u64::from(lanes[i * width + at]) << 32 | i as u64)
+            .collect();
+        entries.sort_unstable();
+        let rest = |e: u64| {
+            let start = (e as u32) as usize * width + at + 1;
+            &lanes[start..start + r_max - 1]
+        };
+        let mut run = 0;
+        while run < n {
+            let len = entries[run..]
+                .iter()
+                .take_while(|&&e| e >> 32 == entries[run] >> 32)
+                .count();
+            if len > 1 && r_max > 1 {
+                entries[run..run + len]
+                    .sort_unstable_by(|&a, &b| rest(a).cmp(rest(b)).then(a.cmp(&b)));
             }
-            if write != read {
-                ids[write] = ids[read];
-                let (dst, src) = (write * r_max, read * r_max);
-                keys.copy_within(src..src + r_max, dst);
-            }
-            write += 1;
+            run += len;
         }
-        ids.truncate(write);
-        keys.truncate(write * r_max);
-        before - write
-    }
-
-    /// Appends ids of all rows whose first `r` key slots equal `prefix` to
-    /// `out`. `prefix.len() == r`.
-    fn query(&self, r_max: usize, prefix: &[u32], out: &mut Vec<DomainId>) {
-        let r = prefix.len();
-        let n = self.ids.len();
-        // Binary search over the sorted region.
-        let lower = partition_point(n, |i| &Self::row(&self.keys, r_max, i)[..r] < prefix);
-        let mut i = lower;
-        while i < n && &Self::row(&self.keys, r_max, i)[..r] == prefix {
-            out.push(self.ids[i]);
-            i += 1;
-        }
-        // Linear scan of the staged tail.
-        for (j, &id) in self.staged_ids.iter().enumerate() {
-            if &Self::row(&self.staged_keys, r_max, j)[..r] == prefix {
-                out.push(id);
-            }
+        Self {
+            lane0: entries.iter().map(|&e| (e >> 32) as u32).collect(),
+            row: entries.iter().map(|&e| e as u32).collect(),
         }
     }
-}
-
-/// `partition_point` over an implicit `0..n` sequence.
-fn partition_point(n: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
-    let (mut lo, mut hi) = (0usize, n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 /// A dynamic MinHash LSH index supporting query-time `(b, r)` selection.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LshForest {
     b_max: usize,
     r_max: usize,
+    /// Lanes kept per row, at least `b_max · r_max`.
+    width: usize,
+    /// Domain id of each row, committed rows first.
+    ids: Vec<DomainId>,
+    /// Row-major lanes, `width` per row.
+    lanes: Vec<u32>,
+    /// One tree per band, over rows `..committed`.
     trees: Vec<PrefixTree>,
-    len: usize,
-    staged: usize,
+    /// Rows sorted into the trees; the rest are the staged tail.
+    committed: usize,
 }
 
 impl LshForest {
-    /// Creates a forest of `b_max` prefix trees of depth `r_max`.
+    /// Creates a forest of `b_max` prefix trees of depth `r_max` that keeps
+    /// exactly the `b_max · r_max` lanes its trees are keyed by.
     ///
     /// Signatures must carry at least `b_max · r_max` slots. With the
     /// paper's defaults (`m = 256`), `b_max = 32`, `r_max = 8` exposes the
@@ -166,32 +221,50 @@ impl LshForest {
     /// Panics if either parameter is zero.
     #[must_use]
     pub fn new(b_max: usize, r_max: usize) -> Self {
+        Self::with_width(b_max, r_max, b_max * r_max)
+    }
+
+    /// [`new`](Self::new), keeping the first `width` lanes of every row —
+    /// the whole signature, for an index that also ranks by it.
+    ///
+    /// # Panics
+    /// Panics if a dimension is zero or `width < b_max · r_max`.
+    #[must_use]
+    pub fn with_width(b_max: usize, r_max: usize, width: usize) -> Self {
         assert!(b_max > 0 && r_max > 0, "forest dimensions must be positive");
+        assert!(
+            width >= b_max * r_max,
+            "row width {width} below b_max·r_max = {}",
+            b_max * r_max
+        );
         Self {
             b_max,
             r_max,
+            width,
+            ids: Vec::new(),
+            lanes: Vec::new(),
             trees: vec![PrefixTree::default(); b_max],
-            len: 0,
-            staged: 0,
+            committed: 0,
         }
     }
 
-    /// Builds a committed forest over `rows` with no staged tail, each
-    /// tree's keys sorted into exactly sized columns. Equal byte for byte to
-    /// inserting the rows in order and committing; panics where that would.
+    /// Builds a committed forest over `rows` (id, lanes) with no staged
+    /// tail, every column exactly sized. Equal byte for byte to inserting
+    /// the rows in order and committing; panics where that would.
     #[must_use]
-    pub fn from_rows(b_max: usize, r_max: usize, rows: &[(DomainId, &Signature)]) -> Self {
-        let mut forest = Self::new(b_max, r_max);
-        let ids: Vec<DomainId> = rows.iter().map(|&(id, _)| id).collect();
-        let mut column: Vec<u32> = Vec::with_capacity(rows.len() * r_max);
-        for (t, tree) in forest.trees.iter_mut().enumerate() {
-            column.clear();
-            for (_, sig) in rows {
-                column.extend_from_slice(&sig.slots()[t * r_max..(t + 1) * r_max]);
-            }
-            (tree.keys, tree.ids) = PrefixTree::sorted(&column, &ids, r_max);
+    pub fn from_rows(
+        b_max: usize,
+        r_max: usize,
+        width: usize,
+        rows: &[(DomainId, &[u32])],
+    ) -> Self {
+        let mut forest = Self::with_width(b_max, r_max, width);
+        forest.ids.reserve_exact(rows.len());
+        forest.lanes.reserve_exact(rows.len() * width);
+        for &(id, lanes) in rows {
+            forest.insert(id, lanes);
         }
-        forest.len = rows.len();
+        forest.commit();
         forest
     }
 
@@ -207,98 +280,145 @@ impl LshForest {
         self.r_max
     }
 
+    /// Lanes kept per row.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
     /// Number of indexed domains (committed + staged).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.ids.len()
     }
 
     /// True if no domain has been indexed.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ids.is_empty()
     }
 
-    /// Number of inserts not yet merged into the sorted runs.
+    /// Number of inserts not yet sorted into the trees.
     #[must_use]
     pub fn staged_len(&self) -> usize {
-        self.staged
+        self.ids.len() - self.committed
     }
 
     /// Stages a domain signature for indexing under `id`.
     ///
     /// The entry is immediately visible to queries (via the staged tail);
-    /// call [`commit`](Self::commit) to fold it into the sorted runs.
+    /// call [`commit`](Self::commit) to sort it into the trees.
     ///
     /// # Panics
-    /// Panics if the signature has fewer than `b_max · r_max` slots.
-    pub fn insert(&mut self, id: DomainId, sig: &Signature) {
+    /// Panics if the signature has fewer slots than the forest keeps per
+    /// row.
+    pub fn insert<S: AsRef<[u32]> + ?Sized>(&mut self, id: DomainId, sig: &S) {
+        let lanes = sig.as_ref();
         assert!(
-            sig.len() >= self.b_max * self.r_max,
+            lanes.len() >= self.width,
             "signature too short: {} < {}",
-            sig.len(),
-            self.b_max * self.r_max
+            lanes.len(),
+            self.width
         );
-        let slots = sig.slots();
-        for (t, tree) in self.trees.iter_mut().enumerate() {
-            let start = t * self.r_max;
-            tree.staged_keys
-                .extend_from_slice(&slots[start..start + self.r_max]);
-            tree.staged_ids.push(id);
-        }
-        self.len += 1;
-        self.staged += 1;
+        self.ids.push(id);
+        self.lanes.extend_from_slice(&lanes[..self.width]);
     }
 
-    /// Merges all staged entries into the sorted runs (O(n log n) per tree).
+    /// Sorts all staged rows into the trees (O(n log n) per tree).
     pub fn commit(&mut self) {
-        for tree in &mut self.trees {
-            tree.commit(self.r_max);
+        if self.staged_len() == 0 {
+            return;
         }
-        self.staged = 0;
+        let n = self.ids.len();
+        for (t, tree) in self.trees.iter_mut().enumerate() {
+            *tree = PrefixTree::build(&self.lanes, self.width, t * self.r_max, self.r_max, n);
+        }
+        self.committed = n;
     }
 
-    /// Removes every entry stored under `id` — committed rows and staged
-    /// tail rows alike — from all trees. Returns `true` if the id was
-    /// present. Queries reflect the removal immediately; no commit needed.
+    /// Removes every row stored under `id` — committed and staged alike.
+    /// Returns `true` if the id was present. Queries reflect the removal
+    /// immediately; no commit needed.
     ///
     /// Domains inserted more than once under the same id lose *all* their
     /// rows.
     pub fn remove(&mut self, id: DomainId) -> bool {
-        let mut committed = 0usize;
-        let mut staged = 0usize;
-        for tree in &mut self.trees {
-            let (c, s) = tree.remove(self.r_max, id);
-            committed = committed.max(c);
-            staged = staged.max(s);
+        self.contains(id) && self.retain(|row_id| row_id != id) > 0
+    }
+
+    /// Keeps only the rows whose id satisfies `keep`, preserving row order
+    /// (later rows move up) and the trees' sort. Returns the number of rows
+    /// removed.
+    pub fn retain(&mut self, mut keep: impl FnMut(DomainId) -> bool) -> usize {
+        let n = self.ids.len();
+        // Old row → new row, `u32::MAX` for a dropped one.
+        let mut moved = vec![u32::MAX; n];
+        let (mut kept, mut kept_committed) = (0usize, 0usize);
+        for (i, to) in moved.iter_mut().enumerate() {
+            if !keep(self.ids[i]) {
+                continue;
+            }
+            *to = kept as u32;
+            if kept != i {
+                self.ids[kept] = self.ids[i];
+                self.lanes
+                    .copy_within(i * self.width..(i + 1) * self.width, kept * self.width);
+            }
+            kept += 1;
+            kept_committed += usize::from(i < self.committed);
         }
-        // Every insert writes one row to EVERY tree, so per-tree removal
-        // counts agree; the max is the number of inserts this id had.
-        self.len -= committed + staged;
-        self.staged -= staged;
-        committed + staged > 0
+        if kept == n {
+            return 0;
+        }
+        self.ids.truncate(kept);
+        self.lanes.truncate(kept * self.width);
+        self.committed = kept_committed;
+        for tree in &mut self.trees {
+            let mut write = 0;
+            for read in 0..tree.row.len() {
+                let to = moved[tree.row[read] as usize];
+                if to != u32::MAX {
+                    tree.lane0[write] = tree.lane0[read];
+                    tree.row[write] = to;
+                    write += 1;
+                }
+            }
+            tree.lane0.truncate(write);
+            tree.row.truncate(write);
+        }
+        n - kept
     }
 
     /// True if `id` has at least one row in the forest.
     #[must_use]
     pub fn contains(&self, id: DomainId) -> bool {
-        self.trees
-            .first()
-            .is_some_and(|t| t.ids.contains(&id) || t.staged_ids.contains(&id))
+        self.ids.contains(&id)
     }
 
-    /// Iterates over the ids of every indexed domain (committed then
-    /// staged), in storage order. Ids inserted more than once repeat.
-    pub fn ids(&self) -> impl Iterator<Item = DomainId> + '_ {
-        let tree = self.trees.first();
-        tree.map(|t| t.ids.iter().copied())
-            .into_iter()
-            .flatten()
-            .chain(
-                tree.map(|t| t.staged_ids.iter().copied())
-                    .into_iter()
-                    .flatten(),
-            )
+    /// The id of every row (committed then staged), in row order. Ids
+    /// inserted more than once repeat.
+    #[must_use]
+    pub fn ids(&self) -> &[DomainId] {
+        &self.ids
+    }
+
+    /// The lanes of row `i`.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a row.
+    #[must_use]
+    pub fn row(&self, i: usize) -> &[u32] {
+        &self.lanes[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The whole row table, borrowed.
+    #[must_use]
+    pub fn rows(&self) -> Rows<'_> {
+        Rows {
+            ids: &self.ids,
+            lanes: &self.lanes,
+            width: self.width,
+        }
     }
 
     /// Collects candidates for `sig` using the first `b` trees at prefix
@@ -318,9 +438,17 @@ impl LshForest {
             self.b_max * self.r_max
         );
         let slots = sig.slots();
+        let rows = self.rows();
         for (t, tree) in self.trees[..b].iter().enumerate() {
-            let start = t * self.r_max;
-            tree.query(self.r_max, &slots[start..start + r], out);
+            let at = t * self.r_max;
+            let prefix = &slots[at..at + r];
+            probe_tree(rows, &tree.lane0, &tree.row, at, prefix, out);
+            // Linear scan of the staged tail.
+            for i in self.committed..self.ids.len() {
+                if &self.row(i)[at..at + r] == prefix {
+                    out.push(self.ids[i]);
+                }
+            }
         }
     }
 
@@ -334,64 +462,55 @@ impl LshForest {
         raw
     }
 
-    /// Committed (keys, ids) columns per tree, for persistence.
-    pub(crate) fn raw_trees(&self) -> impl Iterator<Item = (&[u32], &[DomainId])> {
-        self.trees.iter().map(|t| (&t.keys[..], &t.ids[..]))
-    }
-
-    /// The committed (keys, ids) columns of every tree, in tree order —
-    /// the canonical sorted form external serialisers (the v2 store
-    /// packer) copy out verbatim.
+    /// The (lane 0, row) columns of every tree, in tree order — with
+    /// [`rows`](Self::rows), the canonical sorted form serialisers (the
+    /// forest's own and the store packer) copy out.
     ///
     /// # Panics
-    /// Panics if staged inserts exist: the staged tail is not part of the
-    /// canonical form, so callers must [`commit`](Self::commit) first.
-    pub fn committed_trees(&self) -> impl Iterator<Item = (&[u32], &[DomainId])> {
+    /// Panics if staged inserts exist: the staged tail is in no tree, so
+    /// callers must [`commit`](Self::commit) first.
+    pub fn committed_trees(&self) -> impl Iterator<Item = (&[u32], &[u32])> {
         assert_eq!(
-            self.staged, 0,
+            self.staged_len(),
+            0,
             "committed_trees on a forest with staged inserts; commit first"
         );
-        self.raw_trees()
+        self.trees.iter().map(|t| (&t.lane0[..], &t.row[..]))
     }
 
-    /// Rebuilds a forest from persisted tree columns. Callers (the decoder)
-    /// are responsible for structural validation; the columns must be the
-    /// canonical committed form produced by `raw_trees`.
-    pub(crate) fn from_raw_trees(
-        b_max: usize,
-        r_max: usize,
-        len: usize,
-        trees: Vec<(Vec<u32>, Vec<DomainId>)>,
+    /// Reassembles a forest from decoded parts. The decoder has validated
+    /// them: `trees` index exactly the rows of the table, in key order.
+    pub(crate) fn from_raw(
+        (b_max, r_max, width): (usize, usize, usize),
+        ids: Vec<DomainId>,
+        lanes: Vec<u32>,
+        trees: Vec<(Vec<u32>, Vec<u32>)>,
     ) -> Self {
         Self {
             b_max,
             r_max,
+            width,
+            committed: ids.len(),
+            ids,
+            lanes,
             trees: trees
                 .into_iter()
-                .map(|(keys, ids)| PrefixTree {
-                    keys,
-                    ids,
-                    staged_keys: Vec::new(),
-                    staged_ids: Vec::new(),
-                })
+                .map(|(lane0, row)| PrefixTree { lane0, row })
                 .collect(),
-            len,
-            staged: 0,
         }
     }
 
-    /// Approximate heap footprint of the index in bytes (diagnostics).
+    /// Approximate heap footprint of the index in bytes (diagnostics): the
+    /// row table, counted once, plus the tree columns.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.trees
+        let table = self.ids.capacity() + self.lanes.capacity();
+        let trees: usize = self
+            .trees
             .iter()
-            .map(|t| {
-                t.keys.capacity() * 4
-                    + t.ids.capacity() * std::mem::size_of::<DomainId>()
-                    + t.staged_keys.capacity() * 4
-                    + t.staged_ids.capacity() * std::mem::size_of::<DomainId>()
-            })
-            .sum()
+            .map(|t| t.lane0.capacity() + t.row.capacity())
+            .sum();
+        4 * (table + trees)
     }
 }
 
@@ -399,6 +518,7 @@ impl LshForest {
 mod tests {
     use super::*;
     use lshe_minhash::MinHasher;
+    use proptest::prelude::*;
 
     fn forest_with(h: &MinHasher, domains: &[(DomainId, Vec<u64>)], commit: bool) -> LshForest {
         let mut f = LshForest::new(32, 8);
@@ -638,7 +758,7 @@ mod tests {
             true,
         );
         f.insert(7, &h.signature(MinHasher::synthetic_values(3, 30)));
-        let mut ids: Vec<DomainId> = f.ids().collect();
+        let mut ids: Vec<DomainId> = f.ids().to_vec();
         ids.sort_unstable();
         assert_eq!(ids, vec![5, 7, 9]);
     }
@@ -651,5 +771,154 @@ mod tests {
         let f = forest_with(&h, &[(1, vals.clone()), (2, vals.clone())], true);
         let got = f.query(&h.signature(vals), 16, 8);
         assert!(got.contains(&1) && got.contains(&2));
+    }
+
+    /// Every (row, tree) match of `query` at `(b, r)`, by definition.
+    fn brute_force(
+        model: &[(DomainId, Vec<u32>)],
+        query: &[u32],
+        r_max: usize,
+        (b, r): (usize, usize),
+    ) -> Vec<DomainId> {
+        let mut out = Vec::new();
+        for t in 0..b {
+            let at = t * r_max;
+            for (id, lanes) in model {
+                if lanes[at..at + r] == query[at..at + r] {
+                    out.push(*id);
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    fn assert_probes_match(
+        forest: &LshForest,
+        model: &[(DomainId, Vec<u32>)],
+        queries: &[Vec<u32>],
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(forest.len(), model.len());
+        for query in queries {
+            let sig = Signature::from_slots(query.clone());
+            for b in 1..=forest.b_max() {
+                for r in 1..=forest.r_max() {
+                    let mut got = Vec::new();
+                    forest.query_into(&sig, b, r, &mut got);
+                    got.sort_unstable();
+                    let want = brute_force(model, query, forest.r_max(), (b, r));
+                    prop_assert!(got == want, "(b, r) = ({b}, {r}): {got:?} vs {want:?}");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Lanes drawn from a tiny alphabet force long runs on lane 0 that
+        /// differ only deeper in the key, plus exact duplicates; the forest
+        /// must answer every `(b, r)` like a filter over its rows — fresh,
+        /// with a staged tail, and through remove → commit cycles.
+        #[test]
+        fn probe_equals_a_brute_force_filter_over_the_rows(
+            b_max in 1usize..4,
+            r_max in 1usize..5,
+            extra in 0usize..3,
+            committed in 0usize..60,
+            staged in 0usize..12,
+            raw in proptest::collection::vec(0u32..3, 2_000..2_001),
+            removed in proptest::collection::vec(0u32..20, 0..6),
+        ) {
+            let width = b_max * r_max + extra;
+            let lanes_of = |k: usize| -> Vec<u32> {
+                (0..width).map(|l| raw[(k * 31 + l * 7) % raw.len()] + u32::from(l % r_max == 0)).collect()
+            };
+            // Ids from a small range: some rows share an id.
+            let mut model: Vec<(DomainId, Vec<u32>)> = (0..committed + staged)
+                .map(|k| ((k as u32 * 7) % 20, lanes_of(k)))
+                .collect();
+            let queries: Vec<Vec<u32>> = (0..6).map(|k| lanes_of(k * 5)).collect();
+
+            let rows: Vec<(DomainId, &[u32])> =
+                model[..committed].iter().map(|(id, l)| (*id, &l[..])).collect();
+            let mut forest = LshForest::from_rows(b_max, r_max, width, &rows);
+            let mut inserted = LshForest::with_width(b_max, r_max, width);
+            for &(id, lanes) in &rows {
+                inserted.insert(id, lanes);
+            }
+            inserted.commit();
+            prop_assert!(forest.to_bytes() == inserted.to_bytes(), "from_rows ≢ insert-all + commit");
+            assert_probes_match(&forest, &model[..committed], &queries)?;
+
+            for (id, lanes) in &model[committed..] {
+                forest.insert(*id, &lanes[..]);
+            }
+            prop_assert_eq!(forest.staged_len(), staged);
+            assert_probes_match(&forest, &model, &queries)?;
+
+            for (step, id) in removed.into_iter().enumerate() {
+                let present = model.iter().any(|(row_id, _)| *row_id == id);
+                prop_assert_eq!(forest.remove(id), present);
+                model.retain(|(row_id, _)| *row_id != id);
+                assert_probes_match(&forest, &model, &queries)?;
+                if step % 2 == 1 {
+                    forest.commit();
+                    prop_assert_eq!(forest.staged_len(), 0);
+                    assert_probes_match(&forest, &model, &queries)?;
+                }
+            }
+            forest.commit();
+            let rows: Vec<(DomainId, &[u32])> = model.iter().map(|(id, l)| (*id, &l[..])).collect();
+            let rebuilt = LshForest::from_rows(b_max, r_max, width, &rows);
+            prop_assert!(forest.to_bytes() == rebuilt.to_bytes(), "mutated ≢ rebuilt from its rows");
+        }
+    }
+
+    #[test]
+    fn tree_probe_equal_range() {
+        // One tree over lanes 0..2 of four rows, sorted by (key, row).
+        let ids = [12u32, 10, 13, 11];
+        let lanes = [1u32, 2, 1, 1, 2, 0, 1, 2];
+        let rows = Rows {
+            ids: &ids,
+            lanes: &lanes,
+            width: 2,
+        };
+        let (lane0, row) = ([1u32, 1, 1, 2], [1u32, 0, 3, 2]);
+        assert_eq!(
+            check_tree(rows, (&lane0, &row), (0, 2), &mut [0; 4], (0, 1)),
+            Ok(())
+        );
+        let probe = |prefix: &[u32]| {
+            let mut out = Vec::new();
+            probe_tree(rows, &lane0, &row, 0, prefix, &mut out);
+            out
+        };
+        assert_eq!(probe(&[1, 2]), vec![12, 11]);
+        assert_eq!(probe(&[1]), vec![10, 12, 11]); // shorter prefix widens the range
+        assert_eq!(probe(&[2, 0]), vec![13]);
+        assert!(probe(&[1, 3]).is_empty() && probe(&[3]).is_empty() && probe(&[0, 9]).is_empty());
+    }
+
+    #[test]
+    fn an_entry_pointing_outside_the_table_matches_nothing() {
+        let ids = [7u32, 8];
+        let lanes = [1u32, 2, 1, 3];
+        let rows = Rows {
+            ids: &ids,
+            lanes: &lanes,
+            width: 2,
+        };
+        let mut out = Vec::new();
+        // Row 9 does not exist; row 1 does.
+        probe_tree(rows, &[1, 1], &[9, 1], 0, &[1], &mut out);
+        assert_eq!(out, vec![8]);
+        out.clear();
+        probe_tree(rows, &[1, 1], &[9, 1], 0, &[1, 3], &mut out);
+        assert!(out.is_empty() || out == vec![8]);
+        assert_eq!(
+            check_tree(rows, (&[1, 1], &[9, 1]), (0, 2), &mut [0; 2], (0, 1)),
+            Err("tree row index out of range")
+        );
     }
 }

@@ -313,6 +313,15 @@ impl<'a> Decoder<'a> {
         Ok(le_vec(bytes, u64::from_le_bytes))
     }
 
+    /// Reads `n` little-endian `u32`s, no length prefix (capacity = `n`).
+    ///
+    /// # Errors
+    /// [`CodecError::UnexpectedEof`] when fewer than `4 · n` bytes remain.
+    pub fn get_u32s(&mut self, n: usize, reading: &'static str) -> Result<Vec<u32>, CodecError> {
+        let bytes = self.take(n.saturating_mul(4), reading)?;
+        Ok(le_vec(bytes, u32::from_le_bytes))
+    }
+
     /// Reads a length-prefixed `u32` vector (capacity = length).
     ///
     /// # Errors

@@ -176,6 +176,14 @@ impl Signature {
     }
 }
 
+/// A signature is its lanes: what an index keeps of it is a `[u32]` row,
+/// and builds take either.
+impl AsRef<[u32]> for Signature {
+    fn as_ref(&self) -> &[u32] {
+        &self.slots
+    }
+}
+
 /// Deterministic MinHash signature generator over a [`PermutationFamily`].
 ///
 /// The hasher owns the family; all signatures it creates are mutually

@@ -1,20 +1,25 @@
-//! The `.lshe` index-file container: ensemble + provenance + optional
-//! ranked sketches, in one self-describing file.
+//! The `.lshe` index-file container: ensemble + provenance, in one
+//! self-describing file.
 //!
 //! ```text
-//! "LSHX" version:u8
-//! flags:u8                      (bit 0: ranked sketches present)
+//! "LSHX" version:u8 (4)
+//! flags:u8                      (bit 0: the index ranks its answers)
 //! num_perm:u32
 //! meta_count:u64
 //! per domain: id:u32 size:u64 table:str column:str
-//! ensemble: u64 length + LshEnsemble bytes
-//! if ranked: per domain (same order): lane_count:u64 lanes:u32×lane_count
+//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v4)
 //! next_id:u32                   (v2+)
 //! ```
 //!
-//! Version 3 holds signatures as 32-bit lanes. Files up to version 2 hold
-//! `u64` slots; they still load, narrowed as they are decoded, and are
-//! written back as version 3 by the next save — nothing writes them again.
+//! A ranked container needs nothing beyond the flag: every signature is in
+//! the ensemble once, as the forest row that indexes it, and every live
+//! domain's cardinality is in its record. Versions up to 3 followed the
+//! ensemble with a second copy of each signature (`lane_count:u64` + lanes
+//! per record; `u64` slots up to version 2, 32-bit lanes in version 3)
+//! beside forests that held the lanes again as tree keys. Such files still
+//! load — the old forests are reassembled into row tables as they are
+//! decoded, the sketch section is stepped over — and are written back as
+//! version 4 by the next save; nothing writes them again.
 //!
 //! Two on-disk formats share this module. The heap format above (`LSHX`,
 //! currently [`VERSION`]) is decoded wholesale into heap structures. The
@@ -43,9 +48,10 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 4] = *b"LSHX";
 /// Current container version. v2 appends the id allocator's high-water
 /// mark so a restart never re-issues a removed domain's id; v1 files load
-/// with the mark recomputed as `max(id) + 1`. v3 narrows the ranked
-/// sketches to `u32` lanes; older files' `u64` slots narrow on load.
-pub const VERSION: u8 = 3;
+/// with the mark recomputed as `max(id) + 1`. v3 narrowed the ranked
+/// sketches to `u32` lanes; v4 drops them — the nested `LSHE` v4 ensemble
+/// holds each signature once, as a forest row.
+pub const VERSION: u8 = 4;
 
 /// Provenance of one indexed domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -388,32 +394,27 @@ impl IndexContainer {
         let config = self.shard_config(num_shards);
         // Route every sketch entry; entries are sorted by id, so each
         // shard's parallel arrays stay id-sorted like a fresh build's.
-        let mut parts: Vec<(Vec<u32>, Vec<u64>, Vec<&Signature>)> =
-            (0..num_shards).map(|_| Default::default()).collect();
-        for (id, size, sig) in ranked.sketch_entries() {
-            let s = place(id, num_shards);
+        let mut parts: Vec<Vec<(u32, u64, &[u32])>> = vec![Vec::new(); num_shards];
+        for entry in ranked.sketch_entries() {
+            let s = place(entry.0, num_shards);
             if s >= num_shards {
                 return Err(format!(
-                    "placement routed id {id} to shard {s} of {num_shards}"
+                    "placement routed id {} to shard {s} of {num_shards}",
+                    entry.0
                 ));
             }
-            parts[s].0.push(id);
-            parts[s].1.push(size);
-            parts[s].2.push(sig);
+            parts[s].push(entry);
         }
-        if let Some(empty) = parts.iter().position(|(ids, _, _)| ids.is_empty()) {
+        if let Some(empty) = parts.iter().position(Vec::is_empty) {
             return Err(format!("placement leaves shard {empty} empty"));
         }
         Ok(parts
             .iter()
-            .map(|(ids, sizes, sigs)| {
-                let ensemble = LshEnsemble::build_from_parts(config, ids, sizes, sigs);
-                let sketches: Vec<(u32, u64, Signature)> = ids
-                    .iter()
-                    .zip(sizes)
-                    .zip(sigs)
-                    .map(|((&id, &size), &sig)| (id, size, sig.clone()))
-                    .collect();
+            .map(|entries| {
+                let ids: Vec<u32> = entries.iter().map(|e| e.0).collect();
+                let sizes: Vec<u64> = entries.iter().map(|e| e.1).collect();
+                let rows: Vec<&[u32]> = entries.iter().map(|e| e.2).collect();
+                let ensemble = LshEnsemble::build_from_parts(config, &ids, &sizes, &rows);
                 let records: Vec<DomainRecord> = ids
                     .iter()
                     .map(|&id| {
@@ -425,9 +426,10 @@ impl IndexContainer {
                 let next_id = Self::high_water(&records).max(self.next_id);
                 IndexContainer {
                     records,
-                    index: StoredIndex::Ranked(Arc::new(RankedIndex::from_ensemble(
-                        ensemble, sketches,
-                    ))),
+                    index: StoredIndex::Ranked(Arc::new(
+                        RankedIndex::from_ensemble(ensemble, |_| None)
+                            .expect("a built ensemble keeps every row's size"),
+                    )),
                     num_perm: self.num_perm,
                     next_id,
                 }
@@ -616,12 +618,12 @@ impl IndexContainer {
         matches!(self.kind(), IndexKind::Ranked | IndexKind::Mapped)
     }
 
-    /// The stored (size, sketch) for a domain, when heap-resident ranked
-    /// sketches are present. Mapped containers keep sketches on disk and
-    /// return `None` here — query through [`open_index`](Self::open_index)
-    /// instead.
+    /// The stored (size, signature lanes) for a domain, when heap-resident
+    /// ranked sketches are present. Mapped containers keep sketches on disk
+    /// and return `None` here — query through
+    /// [`open_index`](Self::open_index) instead.
     #[must_use]
-    pub fn sketch(&self, id: u32) -> Option<(u64, &Signature)> {
+    pub fn sketch(&self, id: u32) -> Option<(u64, &[u32])> {
         match &self.index {
             StoredIndex::Ranked(r) => r.sketch(id),
             StoredIndex::Plain(_) | StoredIndex::Mapped(_) => None,
@@ -728,14 +730,6 @@ impl IndexContainer {
             rec.encode_into(enc);
         }
         enc.put_nested(|enc| self.ensemble().encode_into(enc));
-        if let StoredIndex::Ranked(ranked) = &self.index {
-            for rec in &self.records {
-                let (_, sig) = ranked
-                    .sketch(rec.id)
-                    .expect("ranked index holds every record");
-                enc.put_u32_slice(sig.slots());
-            }
-        }
         // v2 trailer: the allocator high-water mark survives restarts.
         enc.put_u32(self.next_id);
     }
@@ -787,31 +781,29 @@ impl IndexContainer {
         }
         let ens = |e| ("ensemble", e);
         let eb = dec.get_nested("ensemble bytes").map_err(ens)?;
-        // Ensemble and sketches are each about half the file: a thread each.
-        let (ensemble, sketches) = std::thread::scope(|scope| {
-            let ensemble = scope.spawn(|| LshEnsemble::from_bytes(eb));
-            let sketches = has_ranked
-                .then(|| Self::decode_sketches(&mut dec, &records, num_perm, version < 3));
-            (
-                ensemble.join().expect("ensemble decoder panicked"),
-                sketches,
-            )
-        });
-        let ensemble = ensemble.map_err(ens)?;
+        let ensemble = LshEnsemble::from_bytes(eb).map_err(ens)?;
         if ensemble.len() != records.len() {
             return Err(ens(CodecError::Corrupt(
                 "record count disagrees with ensemble",
             )));
         }
         let sk = |e| ("sketches", e);
-        let index = match sketches {
-            // Reattach the sketches to the already-decoded ensemble
-            // instead of rebuilding every partition forest from scratch.
-            Some(sketches) => StoredIndex::Ranked(Arc::new(RankedIndex::from_ensemble(
-                ensemble,
-                sketches.map_err(sk)?,
-            ))),
-            None => StoredIndex::Plain(Arc::new(ensemble)),
+        if has_ranked && version < 4 {
+            Self::skip_sketches(&mut dec, records.len(), num_perm, version < 3).map_err(sk)?;
+        }
+        let index = if has_ranked {
+            // The rows are in the ensemble; the records say how large each
+            // live domain is.
+            let by_id: lshe_minhash::hash::FastHashMap<u32, u64> =
+                records.iter().map(|r| (r.id, r.size)).collect();
+            if by_id.len() != records.len() {
+                return Err(sk(CodecError::Corrupt("duplicate id in ranked container")));
+            }
+            let ranked = RankedIndex::from_ensemble(ensemble, |id| by_id.get(&id).copied())
+                .map_err(|detail| sk(CodecError::Corrupt(detail)))?;
+            StoredIndex::Ranked(Arc::new(ranked))
+        } else {
+            StoredIndex::Plain(Arc::new(ensemble))
         };
         // Version-1 files predate the persisted allocator mark; recompute
         // the conservative floor (which is exactly what v1 servers did).
@@ -833,31 +825,23 @@ impl IndexContainer {
         })
     }
 
-    /// The per-record sketches of a ranked container, in record order;
-    /// `wide` reads the `u64` slots of files older than version 3.
-    fn decode_sketches(
+    /// Steps over the per-record sketches that followed the ensemble in
+    /// ranked containers older than version 4 (`wide`: the `u64` slots of
+    /// those older than version 3). The same lanes are in the ensemble's
+    /// forests, which is where they are read from now.
+    fn skip_sketches(
         dec: &mut Decoder<'_>,
-        records: &[DomainRecord],
+        records: usize,
         num_perm: usize,
         wide: bool,
-    ) -> Result<Vec<(u32, u64, Signature)>, CodecError> {
-        let mut sketches = Vec::with_capacity(records.len());
-        for rec in records {
+    ) -> Result<(), CodecError> {
+        for _ in 0..records {
             if dec.get_u64("sketch width")? != num_perm as u64 {
                 return Err(CodecError::Corrupt("sketch width disagrees with config"));
             }
-            if rec.size == 0 {
-                return Err(CodecError::Corrupt("zero-size record in ranked container"));
-            }
-            let sig = dec.get_lanes(num_perm, wide, "sketch slots")?;
-            sketches.push((rec.id, rec.size, sig));
+            dec.get_lanes(num_perm, wide, "sketch slots")?;
         }
-        let mut seen: Vec<u32> = records.iter().map(|r| r.id).collect();
-        seen.sort_unstable();
-        if seen.windows(2).any(|w| w[0] == w[1]) {
-            return Err(CodecError::Corrupt("duplicate id in ranked container"));
-        }
-        Ok(sketches)
+        Ok(())
     }
 
     /// Loads an index file of either format: a heap-format `.lshe`
@@ -909,9 +893,7 @@ impl IndexContainer {
     }
 
     fn serve_mapped(mapping: Mmap) -> Result<Self, MmapIndexError> {
-        let store = Store::from_mapping(mapping)?;
-        store.verify()?;
-        let mapped = MmapIndex::from_store(store)?;
+        let mapped = MmapIndex::from_store_verified(Store::from_mapping(mapping)?)?;
         let records = Self::decode_packed_records(&mapped)?;
         let num_perm = mapped.config().num_perm;
         let next_id = mapped.next_id_hint().max(Self::high_water(&records));
@@ -1513,7 +1495,11 @@ mod tests {
                 // The serial path: one `signature` call per domain.
                 let want = hasher.signature(values(k));
                 let (size, got) = c.sketch(k as u32).expect("sketch retained");
-                assert_eq!((size, got), (values(k).len() as u64, &want), "{k} of {n}");
+                assert_eq!(
+                    (size, got),
+                    (values(k).len() as u64, want.slots()),
+                    "{k} of {n}"
+                );
             }
         }
     }

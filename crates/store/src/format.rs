@@ -29,11 +29,14 @@ use std::sync::Arc;
 
 /// File magic: the first eight bytes of every v2 store.
 pub const MAGIC: [u8; 8] = *b"LSHEIDX2";
-/// The one format version this build writes and reads. Version 3 holds
-/// signature lanes as `u32` ([`SectionKind::SketchSlots`] and the segment
-/// entries); a version-2 file (`u64` slots) is refused, not migrated — a
-/// packed file is derived from a `.lshe` index, so it is packed again.
-pub const VERSION: u32 = 3;
+/// The one format version this build writes and reads. Version 4 stores
+/// each base row's lanes once, in [`SectionKind::SketchSlots`]:
+/// [`SectionKind::TreeKeys`] holds one lane per tree entry (its first key
+/// lane) and [`SectionKind::TreeIds`] the entry's position in the sketch
+/// columns, where version 3 held every key lane again and the domain id. An
+/// older file is refused, not migrated — a packed file is derived from a
+/// `.lshe` index, so it is packed again.
+pub const VERSION: u32 = 4;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 64;
 /// Section payload alignment, in bytes.
@@ -57,16 +60,19 @@ pub enum SectionKind {
     PartitionBounds = 2,
     /// `u64` per partition: its domain count.
     PartitionLens = 3,
-    /// `u32` array: every prefix tree's key columns, concatenated.
+    /// `u32` array: every prefix tree's lane-0 column (each entry's first
+    /// key lane, ascending within a tree), concatenated.
     TreeKeys = 4,
-    /// `u32` array: every prefix tree's id columns, concatenated.
+    /// `u32` array: every prefix tree's row column (each entry's position
+    /// in the sketch columns), concatenated.
     TreeIds = 5,
-    /// `u32` array: domain ids, ascending — the sketch id map.
+    /// `u32` array: the domain id of every base row, ascending — the
+    /// sketch id map, and the row table the trees point into.
     SketchIds = 6,
-    /// `u64` per domain: its cardinality, in sketch-id order.
+    /// `u64` per base row: its cardinality, in sketch-id order.
     SketchSizes = 7,
-    /// `u32` array: `num_perm` signature lanes per domain, in sketch-id
-    /// order.
+    /// `u32` array: `num_perm` signature lanes per base row, in sketch-id
+    /// order — the one stored copy of each signature.
     SketchSlots = 8,
     /// `u64` per record plus one terminator: byte offsets into
     /// [`SectionKind::Records`].

@@ -40,4 +40,4 @@ pub use crc::{crc32, Crc32};
 pub use error::StoreError;
 pub use format::{Packer, Section, SectionKind, Store, ALIGN, HEADER_LEN, MAGIC, VERSION};
 pub use mmap::{Advice, Mmap};
-pub use views::{PartitionView, SketchesView, TreeView};
+pub use views::{PartitionView, SketchesView};

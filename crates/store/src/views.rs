@@ -3,7 +3,7 @@
 //! These types carry no data of their own: each borrows plain slices out
 //! of a [`Store`](crate::format::Store) mapping and layers just enough
 //! structure on top to answer queries — sketch lookup by domain id, and
-//! prefix-tree probing inside a partition. The higher layers (the
+//! the prefix-tree columns of a partition. The higher layers (the
 //! `lshe-core` mmap backend) own the index semantics; the views own the
 //! layout.
 
@@ -87,6 +87,14 @@ impl<'a> SketchesView<'a> {
         ))
     }
 
+    /// The id and lane columns whole: the row table a partition's tree
+    /// entries point into (position `i` is `ids[i]` with lanes
+    /// `slots[i * num_perm ..][.. num_perm]`).
+    #[must_use]
+    pub fn columns(&self) -> (&'a [u32], &'a [u32]) {
+        (self.ids, self.slots)
+    }
+
     /// Iterates `(id, cardinality, slots)` in ascending-id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, u64, &'a [u32])> + '_ {
         self.ids.iter().enumerate().map(move |(i, &id)| {
@@ -101,139 +109,60 @@ impl<'a> SketchesView<'a> {
 
 /// Borrowed prefix trees for one partition.
 ///
-/// Layout: `b_max` trees, each `rows` rows. Tree `t` owns
-/// `keys[t * rows * r_max ..][.. rows * r_max]` (row-major, `r_max` key
-/// slots per row, rows sorted lexicographically) and
-/// `ids[t * rows ..][.. rows]` (the row's domain id).
+/// Layout: `b_max` trees, each `rows` entries, in two parallel columns.
+/// Tree `t` owns `lane0[t * rows ..][.. rows]` (each entry's first key
+/// lane, ascending) and `positions[t * rows ..][.. rows]` (the entry's
+/// position in the sketch columns, where the rest of its lanes and its
+/// domain id are). Probing them is the index layer's business — it runs
+/// the forest's own kernel over these slices.
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionView<'a> {
-    keys: &'a [u32],
-    ids: &'a [u32],
-    b_max: usize,
-    r_max: usize,
+    lane0: &'a [u32],
+    positions: &'a [u32],
     rows: usize,
 }
 
 impl<'a> PartitionView<'a> {
-    /// Assembles a partition view from raw key/id slices.
+    /// Assembles a partition view from its slices of the two tree
+    /// sections.
     ///
-    /// Returns `None` when the lengths do not multiply out:
-    /// `keys.len() != b_max * rows * r_max` or
-    /// `ids.len() != b_max * rows`.
+    /// Returns `None` when the lengths do not multiply out: either column
+    /// is not `b_max * rows` long.
     #[must_use]
-    pub fn new(
-        keys: &'a [u32],
-        ids: &'a [u32],
-        b_max: usize,
-        r_max: usize,
-        rows: usize,
-    ) -> Option<Self> {
-        if r_max == 0 || b_max == 0 {
-            return None;
-        }
-        let want_ids = b_max.checked_mul(rows)?;
-        let want_keys = want_ids.checked_mul(r_max)?;
-        if keys.len() != want_keys || ids.len() != want_ids {
+    pub fn new(lane0: &'a [u32], positions: &'a [u32], b_max: usize, rows: usize) -> Option<Self> {
+        let want = b_max.checked_mul(rows)?;
+        if b_max == 0 || lane0.len() != want || positions.len() != want {
             return None;
         }
         Some(Self {
-            keys,
-            ids,
-            b_max,
-            r_max,
+            lane0,
+            positions,
             rows,
         })
-    }
-
-    /// Domains in this partition (rows per tree).
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
     }
 
     /// Number of trees.
     #[must_use]
     pub fn trees(&self) -> usize {
-        self.b_max
+        self.lane0.len().checked_div(self.rows).unwrap_or(0)
     }
 
-    /// The `t`-th tree.
+    /// The `t`-th tree's lane-0 column.
     ///
     /// # Panics
-    /// Panics if `t >= b_max`.
+    /// Panics if `t` is not a tree of a non-empty partition.
     #[must_use]
-    pub fn tree(&self, t: usize) -> TreeView<'a> {
-        assert!(t < self.b_max, "tree index out of range");
-        TreeView {
-            keys: &self.keys[t * self.rows * self.r_max..(t + 1) * self.rows * self.r_max],
-            ids: &self.ids[t * self.rows..(t + 1) * self.rows],
-            r_max: self.r_max,
-        }
+    pub fn lane0(&self, t: usize) -> &'a [u32] {
+        &self.lane0[t * self.rows..(t + 1) * self.rows]
     }
 
-    /// True when every tree's rows are lexicographically sorted — the
-    /// invariant probing depends on. O(total keys); verification-path
-    /// only.
-    #[must_use]
-    pub fn trees_sorted(&self) -> bool {
-        (0..self.b_max).all(|t| {
-            let tree = self.tree(t);
-            (1..tree.rows()).all(|i| tree.row(i - 1) <= tree.row(i))
-        })
-    }
-}
-
-/// One borrowed prefix tree: sorted rows of `r_max` signature lanes,
-/// each owning a domain id.
-#[derive(Debug, Clone, Copy)]
-pub struct TreeView<'a> {
-    keys: &'a [u32],
-    ids: &'a [u32],
-    r_max: usize,
-}
-
-impl<'a> TreeView<'a> {
-    /// Rows in this tree.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.ids.len()
-    }
-
-    fn row(&self, i: usize) -> &'a [u32] {
-        &self.keys[i * self.r_max..i * self.r_max + self.r_max]
-    }
-
-    /// Pushes the id of every row whose first `prefix.len()` key slots
-    /// equal `prefix`: binary search to the equal range's start, then a
-    /// linear walk — the committed forest's probe, verbatim, over
-    /// borrowed memory.
+    /// The `t`-th tree's sketch-position column.
     ///
     /// # Panics
-    /// Panics if `prefix` is empty or longer than `r_max`.
-    pub fn probe_into(&self, prefix: &[u32], out: &mut Vec<u32>) {
-        assert!(
-            !prefix.is_empty() && prefix.len() <= self.r_max,
-            "prefix length out of range"
-        );
-        let r = prefix.len();
-        // partition_point over row indices: first row not `< prefix`.
-        let mut lo = 0usize;
-        let mut hi = self.rows();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if &self.row(mid)[..r] < prefix {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        for i in lo..self.rows() {
-            if &self.row(i)[..r] == prefix {
-                out.push(self.ids[i]);
-            } else {
-                break;
-            }
-        }
+    /// Panics if `t` is not a tree of a non-empty partition.
+    #[must_use]
+    pub fn rows(&self, t: usize) -> &'a [u32] {
+        &self.positions[t * self.rows..(t + 1) * self.rows]
     }
 }
 
@@ -277,60 +206,33 @@ mod tests {
     }
 
     #[test]
-    fn tree_probe_equal_range() {
-        // One partition, 1 tree, r_max = 2, rows sorted lexicographically.
-        let keys = [
-            1u32, 1, //
-            1, 2, //
-            1, 2, //
-            2, 0, //
-        ];
-        let ids = [10u32, 11, 12, 13];
-        let part = PartitionView::new(&keys, &ids, 1, 2, 4).expect("view");
-        assert!(part.trees_sorted());
-        let tree = part.tree(0);
-
-        let mut out = Vec::new();
-        tree.probe_into(&[1, 2], &mut out);
-        assert_eq!(out, vec![11, 12]);
-
-        out.clear();
-        tree.probe_into(&[1], &mut out); // shorter prefix widens the range
-        assert_eq!(out, vec![10, 11, 12]);
-
-        out.clear();
-        tree.probe_into(&[3], &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn multi_tree_partition_slices_correctly() {
-        // 2 trees, 2 rows each, r_max = 1.
-        let keys = [1u32, 2, /* tree 1: */ 7, 8];
-        let ids = [100u32, 101, /* tree 1: */ 200, 201];
-        let part = PartitionView::new(&keys, &ids, 2, 1, 2).expect("view");
-        let mut out = Vec::new();
-        part.tree(1).probe_into(&[8], &mut out);
-        assert_eq!(out, vec![201]);
-        out.clear();
-        part.tree(0).probe_into(&[8], &mut out);
-        assert!(out.is_empty());
+        // 2 trees, 2 rows each.
+        let lane0 = [1u32, 2, /* tree 1: */ 7, 8];
+        let positions = [0u32, 1, /* tree 1: */ 1, 0];
+        let part = PartitionView::new(&lane0, &positions, 2, 2).expect("view");
+        assert_eq!(part.trees(), 2);
+        assert_eq!(
+            (part.lane0(0), part.rows(0)),
+            (&[1u32, 2][..], &[0u32, 1][..])
+        );
+        assert_eq!(
+            (part.lane0(1), part.rows(1)),
+            (&[7u32, 8][..], &[1u32, 0][..])
+        );
     }
 
     #[test]
     fn partition_rejects_mismatched_lengths() {
-        let keys = [0u32; 7];
-        let ids = [0u32; 4];
-        assert!(PartitionView::new(&keys, &ids, 1, 2, 4).is_none());
-        assert!(PartitionView::new(&keys[..6], &ids[..3], 1, 2, 4).is_none());
-        assert!(PartitionView::new(&[], &[], 0, 2, 0).is_none());
+        let column = [0u32; 8];
+        assert!(PartitionView::new(&column[..7], &column, 2, 4).is_none());
+        assert!(PartitionView::new(&column, &column[..6], 2, 4).is_none());
+        assert!(PartitionView::new(&[], &[], 0, 0).is_none());
     }
 
     #[test]
-    fn empty_partition_probes_empty() {
-        let part = PartitionView::new(&[], &[], 2, 3, 0).expect("view");
-        let mut out = Vec::new();
-        part.tree(0).probe_into(&[1], &mut out);
-        assert!(out.is_empty());
+    fn empty_partition_has_no_trees_to_slice() {
+        let part = PartitionView::new(&[], &[], 2, 0).expect("view");
+        assert_eq!(part.trees(), 0);
     }
 }

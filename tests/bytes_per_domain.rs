@@ -1,0 +1,59 @@
+//! Bytes per indexed domain, pinned as a bound.
+//!
+//! A ranked index needs each domain's signature once (`4·m` bytes of 32-bit
+//! lanes) and one `(lane 0, row)` entry per prefix tree (`8·b_max`), plus
+//! its id and cardinality. Both on-disk forms must stay within
+//! `4·m + 8·b_max + 16` bytes per domain beyond the provenance records —
+//! so a later change cannot quietly store the lanes a second time (as tree
+//! keys, or as a sketch section beside the forests) without this failing.
+
+use lshe_datagen::{CorpusConfig, CorpusStream};
+use lshe_serve::IndexContainer;
+use lshe_store::{SectionKind, Store};
+
+const DOMAINS: usize = 2_000;
+/// `EnsembleConfig::default()`'s forest: 32 trees over 256 lanes.
+const B_MAX: usize = 32;
+
+#[test]
+fn ranked_container_and_packed_file_hold_each_signature_once() {
+    let corpus = CorpusStream::new(CorpusConfig::wdc_web_tables_like(DOMAINS));
+    let container = IndexContainer::from_stream(corpus, 32, true);
+    assert_eq!(container.len(), DOMAINS);
+    let bound = 4 * container.num_perm() + 8 * B_MAX + 16;
+
+    // Heap form: a record is id + size + two length-prefixed strings.
+    let records: usize = container
+        .records()
+        .iter()
+        .map(|r| 4 + 8 + 8 + r.table.len() + 8 + r.column.len())
+        .sum();
+    let heap = container.to_bytes().len() - records;
+    assert!(
+        heap <= bound * DOMAINS,
+        "heap container: {} B per domain beyond its records, bound {bound}",
+        heap as f64 / DOMAINS as f64
+    );
+
+    // Packed form: the records ride in two sections of their own.
+    let dir = std::env::temp_dir().join(format!("lshe_bytes_per_domain_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("index.lshepk");
+    container.pack_v2(&path).expect("pack");
+    let store = Store::open(&path).expect("open");
+    let records: u64 = store
+        .sections()
+        .iter()
+        .filter(|s| matches!(s.kind, SectionKind::RecordOffsets | SectionKind::Records))
+        .map(|s| s.len)
+        .sum();
+    let packed = store.file_len() - records as usize;
+    assert!(
+        packed <= bound * DOMAINS,
+        "packed file: {} B per domain beyond its records, bound {bound}",
+        packed as f64 / DOMAINS as f64
+    );
+    // And not by leaving something out: each form still holds every lane.
+    assert!(heap.min(packed) >= 4 * container.num_perm() * DOMAINS);
+    std::fs::remove_dir_all(&dir).ok();
+}

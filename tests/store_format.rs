@@ -101,10 +101,11 @@ fn bit_flip_in_every_section_is_a_typed_checksum_error() {
     // The clean file still answers identically to the source container —
     // the fixture itself is sound.
     let reopened = IndexContainer::load(&clean_path).expect("clean file loads");
-    let (size, sig) = container.sketch(3).expect("ranked fixture");
+    let (size, lanes) = container.sketch(3).expect("ranked fixture");
+    let sig = lshe_minhash::Signature::from_slots(lanes.to_vec());
     assert_eq!(
-        reopened.search(sig, size, 0.6),
-        container.search(sig, size, 0.6),
+        reopened.search(&sig, size, 0.6),
+        container.search(&sig, size, 0.6),
         "clean packed file must answer like its source"
     );
     let _ = std::fs::remove_dir_all(&dir);
@@ -236,9 +237,11 @@ fn wrong_magic_is_rejected_not_misparsed() {
 fn any_other_version_is_refused() {
     let dir = scratch("version");
     let (clean, _) = packed_fixture(&dir);
-    // From the future, and the version before signature lanes narrowed:
-    // a packed file is derived, so an old one is packed again, not read.
-    for other in [99u32, lshe_store::VERSION - 1] {
+    // From the future, and version 3 — the one before the trees indexed the
+    // sketch table instead of holding every lane again: a packed file is
+    // derived, so an old one is packed again, not read.
+    const { assert!(lshe_store::VERSION > 3) };
+    for other in [99u32, 3] {
         let mut bytes = clean.clone();
         // Change the version field and re-seal the header checksum so ONLY
         // the version differs — refused on version, not checksum.
