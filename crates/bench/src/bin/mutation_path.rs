@@ -4,19 +4,23 @@
 //!
 //! Each sweep point streams a WDC-like corpus into a ranked
 //! `IndexContainer`, stages one delta batch (inserts plus removals of
-//! earlier live inserts), and times the two paths that can absorb it:
+//! earlier live inserts), and times the paths that can absorb it:
 //!
 //! * `commit_seal` — `IndexContainer::commit_mutations`: the staged delta
 //!   becomes an immutable sealed segment; the base partitioning is not
-//!   touched. This is what `POST /commit` pays since the tiered rework.
+//!   touched. The index-level step alone, on a container nothing shares.
+//! * `engine_commit` — `Engine::commit_staged`: what `POST /commit` runs.
+//!   The live snapshot's container is cloned (pointers to the base, copies
+//!   of the overlays), the staged ops applied and sealed, and the new
+//!   snapshot swapped in.
 //! * `compact_rebuild` — `IndexContainer::compact_index`: segments and
 //!   tombstones fold into the base, which is rebuilt from the retained
 //!   sketches. This is exactly what every commit used to pay, now run off
 //!   the commit path (background merger, `lshe compact`).
 //!
-//! The CI gates derive from the sweep: seal latency must stay flat (≤2×
-//! from the smallest to the 10× corpus — it only depends on the delta),
-//! while the rebuild must grow with the corpus (≥4× across the sweep,
+//! The CI gates derive from the sweep: seal and engine-commit latency must
+//! stay flat (≤2× from the smallest to the 10× corpus — they only depend
+//! on the delta), while the rebuild must grow with the corpus (≥4× across the sweep,
 //! i.e. visibly linear), proving the O(corpus) work really left the
 //! commit path. The sweep continues to a 20× point so the flatness claim
 //! is also observed past the gated range.
@@ -32,6 +36,7 @@ use lshe_core::{CompactionThresholds, MaintenancePlanner, MergePolicyKind};
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::MinHasher;
 use lshe_serve::container::{DeltaOp, DomainRecord, IndexContainer};
+use lshe_serve::Engine;
 
 /// One staged delta batch: `batch` inserts of fresh synthetic domains and
 /// `batch / 4` removals of live ids from the previous round, so sealing
@@ -139,9 +144,15 @@ fn main() {
         ],
     );
 
-    report::header(&["domains", "commit_seal_us", "compact_rebuild_us"]);
+    report::header(&[
+        "domains",
+        "commit_seal_us",
+        "compact_rebuild_us",
+        "engine_commit_us",
+    ]);
     let mut seal_us = Vec::new();
     let mut rebuild_us = Vec::new();
+    let mut engine_us = Vec::new();
     for mult in [1.0f64, 2.0, 4.0, 10.0, 20.0] {
         let domains = (base as f64 * mult).round() as usize;
         let mut config = CorpusConfig::wdc_web_tables_like(domains);
@@ -182,10 +193,45 @@ fn main() {
         }
         let rebuild = rebuild_total / repeats as f64;
 
+        // Engine phase: the same delta staged on an engine serving the
+        // container, timing the whole commit — clone, apply, seal, swap.
+        let engine = Engine::from_container(container, 1).expect("engine");
+        let mut engine_total = 0.0;
+        for _ in 0..repeats {
+            let (ops, live) = staged_batch(&hasher, engine.next_id(), batch, &previous);
+            for op in ops {
+                match op {
+                    DeltaOp::Insert { record, signature } => {
+                        let DomainRecord { table, column, .. } = record;
+                        let id = Some(record.id);
+                        let staged =
+                            engine.stage_insert_as(table, column, record.size, signature, id);
+                        staged.expect("stage insert");
+                    }
+                    DeltaOp::Remove { id } => {
+                        engine.stage_remove(id).expect("stage remove");
+                    }
+                    DeltaOp::Commit { .. } => unreachable!("staged_batch emits no markers"),
+                }
+            }
+            let ((_, outcome), secs) =
+                workload::timed(|| engine.commit_staged().expect("engine commit"));
+            assert!(outcome.report.sealed, "commit must seal a non-empty delta");
+            engine_total += secs;
+            previous = live;
+        }
+        let engine_commit = engine_total / repeats as f64;
+
         let us = |s: f64| format!("{:.1}", s * 1e6);
-        report::row(&[domains.to_string(), us(seal), us(rebuild)]);
+        report::row(&[
+            domains.to_string(),
+            us(seal),
+            us(rebuild),
+            us(engine_commit),
+        ]);
         seal_us.push(seal * 1e6);
         rebuild_us.push(rebuild * 1e6);
+        engine_us.push(engine_commit * 1e6);
     }
 
     // The gated ratios stay anchored at the 10× point (index 3); the 20×
@@ -195,6 +241,10 @@ fn main() {
     let rebuild_growth = rebuild_us[3] / rebuild_us[0];
     let rebuild_over_seal = rebuild_us[3] / seal_us[3];
     println!("# seal_flatness_10x = {}", report::f2(seal_flatness));
+    println!(
+        "# engine_commit_flatness_10x = {}",
+        report::f2(engine_us[3] / engine_us[0])
+    );
     println!("# rebuild_growth_10x = {}", report::f2(rebuild_growth));
     println!(
         "# rebuild_over_seal_at_10x = {}",

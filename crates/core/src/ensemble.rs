@@ -19,6 +19,7 @@ use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest};
 use lshe_minhash::hash::{FastHashMap, FastHashSet};
 use lshe_minhash::{MinHasher, Signature};
+use std::sync::Arc;
 
 /// Configuration of an [`LshEnsemble`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,6 +173,14 @@ impl EnsemblePartition {
     fn memory_bytes(&self) -> usize {
         self.forest.memory_bytes() + self.sizes.capacity() * std::mem::size_of::<u64>()
     }
+
+    fn stats(&self) -> PartitionStats {
+        PartitionStats {
+            lower: self.lower,
+            upper: self.upper,
+            count: self.forest.len(),
+        }
+    }
 }
 
 /// One domain as the index holds it: id, cardinality, signature lanes.
@@ -219,6 +228,66 @@ impl DeadSlot {
     }
 }
 
+/// id → (forest, row) of every live domain: duplicate detection, removal
+/// routing, and the sketch lookup of a ranked search. Rebuilt on decode;
+/// never persisted. The base rows' part is built once per base and shared
+/// by every clone; what a clone copies is the overlay.
+#[derive(Debug, Clone)]
+struct IdMap {
+    /// id → (partition, row) of every base row, as of the last build or
+    /// fold.
+    base: Arc<FastHashMap<DomainId, (u32, u32)>>,
+    /// What changed since: where a segment or staged id lives, or `None`
+    /// for a base id that was removed.
+    overlay: FastHashMap<DomainId, Option<(Slot, u32)>>,
+}
+
+impl IdMap {
+    fn get(&self, id: DomainId) -> Option<(Slot, u32)> {
+        match self.overlay.get(&id) {
+            Some(&at) => at,
+            None => self.base.get(&id).map(|&(p, row)| (Slot::Base(p), row)),
+        }
+    }
+
+    fn insert(&mut self, id: DomainId, at: (Slot, u32)) {
+        self.overlay.insert(id, Some(at));
+    }
+
+    fn remove(&mut self, id: DomainId) {
+        if self.base.contains_key(&id) {
+            self.overlay.insert(id, None);
+        } else {
+            self.overlay.remove(&id);
+        }
+    }
+
+    /// Every live id with where it lives, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (DomainId, (Slot, u32))> + '_ {
+        let base = self
+            .base
+            .iter()
+            .filter(|(id, _)| !self.overlay.contains_key(id));
+        base.map(|(&id, &(p, row))| (id, (Slot::Base(p), row)))
+            .chain(self.overlay.iter().filter_map(|(&id, &at)| Some((id, at?))))
+    }
+
+    /// The map of an index whose every live row is a row of `partitions`.
+    fn over(partitions: &[Arc<EnsemblePartition>]) -> Self {
+        let rows = partitions.iter().map(|p| p.forest.len()).sum();
+        let mut base = FastHashMap::with_capacity_and_hasher(rows, Default::default());
+        for (p, part) in partitions.iter().enumerate() {
+            for (row, &id) in part.forest.ids().iter().enumerate() {
+                base.insert(id, (p as u32, row as u32));
+            }
+        }
+        Self {
+            base: Arc::new(base),
+            overlay: FastHashMap::default(),
+        }
+    }
+}
+
 /// An immutable sub-index sealed from one committed delta: the delta's
 /// domains, equi-depth-partitioned (by the configured strategy) over just
 /// themselves, each partition carrying its own committed forest and its
@@ -258,7 +327,7 @@ impl SealedSegment {
 /// Every partition of a segment stack, oldest segment first, each with
 /// the tier a tombstone names it by.
 pub(crate) fn segment_units(
-    segments: &[SealedSegment],
+    segments: &[Arc<SealedSegment>],
 ) -> impl Iterator<Item = (Option<DeadSlot>, &EnsemblePartition)> {
     segments.iter().enumerate().flat_map(|(j, seg)| {
         let tier = Some(DeadSlot::Seg(j as u32));
@@ -330,12 +399,17 @@ pub struct PartitionStats {
 /// [`compact`](Self::compact) folds segments and tombstones back into the
 /// base partitions — the only O(corpus) step, and the only one a serving
 /// commit path never runs.
-#[derive(Debug)]
+///
+/// The base partitions, the sealed segments, the base part of the id map
+/// and the tuner are immutable and shared: a clone copies pointers to them
+/// plus the staged delta, the tombstones and the id overlay, and a mutation
+/// of the clone copies only a base partition that gains or loses rows.
+#[derive(Debug, Clone)]
 pub struct LshEnsemble {
     config: EnsembleConfig,
-    partitions: Vec<EnsemblePartition>,
+    partitions: Vec<Arc<EnsemblePartition>>,
     /// Sealed deltas, oldest first; queries sweep them after the base.
-    segments: Vec<SealedSegment>,
+    segments: Vec<Arc<SealedSegment>>,
     /// The staged (uncommitted) delta: one forest holding every staged
     /// insert, swept as a pseudo-partition whose bounds track the staged
     /// sizes. `commit` seals it into a [`SealedSegment`] in O(delta).
@@ -345,30 +419,11 @@ pub struct LshEnsemble {
     dead: Vec<(DomainId, DeadSlot)>,
     /// `dead` as a set: the query sweep's per-tier liveness lookup.
     dead_set: FastHashSet<(DomainId, DeadSlot)>,
-    tuner: Tuner,
+    /// The `(b, r)` memo: keyed by size ratio and threshold alone, so every
+    /// clone keeps filling and reading the same one.
+    tuner: Arc<Tuner>,
     len: usize,
-    /// id → (forest, row) of every live domain: duplicate detection,
-    /// removal routing, and the sketch lookup of a ranked search. Rebuilt
-    /// on decode; never persisted.
-    ids: FastHashMap<DomainId, (Slot, u32)>,
-}
-
-impl Clone for LshEnsemble {
-    /// Clones the index. The tuner's memo table is a cache and starts
-    /// empty in the clone (it refills lazily).
-    fn clone(&self) -> Self {
-        Self {
-            config: self.config,
-            partitions: self.partitions.clone(),
-            segments: self.segments.clone(),
-            staged: self.staged.clone(),
-            dead: self.dead.clone(),
-            dead_set: self.dead_set.clone(),
-            tuner: Tuner::new(self.config.b_max as u32, self.config.r_max as u32),
-            len: self.len,
-            ids: self.ids.clone(),
-        }
-    }
+    ids: IdMap,
 }
 
 impl LshEnsemble {
@@ -417,26 +472,17 @@ impl LshEnsemble {
             );
         }
         let partitioning = config.strategy.partition(sizes);
-        let mut id_map: FastHashMap<DomainId, (Slot, u32)> = FastHashMap::default();
-        id_map.reserve(ids.len());
-        for (pidx, part) in partitioning.parts().iter().enumerate() {
-            for (row, &member) in part.members.iter().enumerate() {
-                let at = (Slot::Base(pidx as u32), row as u32);
-                let prev = id_map.insert(ids[member as usize], at);
-                assert!(
-                    prev.is_none(),
-                    "duplicate domain id {}",
-                    ids[member as usize]
-                );
-            }
-        }
         // One lane per core at most, each taking the next partition when it
         // is free: a thread per partition only adds stacks and scheduling.
         let shells = lshe_minhash::lanes::run_each(partitioning.parts(), |p| {
-            build_partition(&config, p, |m| (ids[m], sizes[m], signatures[m].as_ref()))
+            Arc::new(build_partition(&config, p, |m| {
+                (ids[m], sizes[m], signatures[m].as_ref())
+            }))
         });
+        let id_map = IdMap::over(&shells);
+        assert_eq!(id_map.base.len(), ids.len(), "duplicate domain id");
         Self {
-            tuner: Tuner::new(config.b_max as u32, config.r_max as u32),
+            tuner: Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32)),
             partitions: shells,
             segments: Vec::new(),
             staged: EnsemblePartition::empty(&config),
@@ -475,7 +521,7 @@ impl LshEnsemble {
 
     /// Live entries in the id → slot map (decoder cross-check).
     pub(crate) fn id_count(&self) -> usize {
-        self.ids.len()
+        self.ids.iter().count()
     }
 
     /// Smallest id that is safely allocatable from this ensemble's view:
@@ -486,7 +532,7 @@ impl LshEnsemble {
     /// floor can shrink afterwards.
     #[must_use]
     pub fn min_next_id(&self) -> u32 {
-        let live = self.ids.keys().copied().max();
+        let live = self.ids.iter().map(|(id, _)| id).max();
         let dead = self.dead.iter().map(|&(id, _)| id).max();
         match (live, dead) {
             (Some(a), Some(b)) => a.max(b) + 1,
@@ -501,6 +547,15 @@ impl LshEnsemble {
         self.partitions.len()
     }
 
+    /// One flag per base partition: whether this index and `other` hold it
+    /// as the very same allocation (a clone does, until one of the two
+    /// folds rows into or out of it).
+    #[must_use]
+    pub fn base_shared_with(&self, other: &Self) -> Vec<bool> {
+        let pairs = self.partitions.iter().zip(&other.partitions);
+        pairs.map(|(a, b)| Arc::ptr_eq(a, b)).collect()
+    }
+
     /// Per-partition summaries: base partitions first, then each sealed
     /// segment's partitions (oldest segment first), then — when inserts
     /// are staged — one pseudo-partition covering the staged delta.
@@ -508,17 +563,12 @@ impl LshEnsemble {
     /// compaction.
     #[must_use]
     pub fn partition_stats(&self) -> Vec<PartitionStats> {
-        let part = |p: &EnsemblePartition| PartitionStats {
-            lower: p.lower,
-            upper: p.upper,
-            count: p.forest.len(),
-        };
-        let mut stats: Vec<PartitionStats> = self.partitions.iter().map(part).collect();
+        let mut stats = self.base_partition_stats();
         for seg in &self.segments {
-            stats.extend(seg.partitions.iter().map(part));
+            stats.extend(seg.partitions.iter().map(EnsemblePartition::stats));
         }
         if !self.staged.forest.is_empty() {
-            stats.push(part(&self.staged));
+            stats.push(self.staged.stats());
         }
         stats
     }
@@ -530,26 +580,15 @@ impl LshEnsemble {
     /// drift and drag an O(corpus) rebuild back onto the commit path.
     #[must_use]
     pub fn base_partition_stats(&self) -> Vec<PartitionStats> {
-        self.partitions
-            .iter()
-            .map(|p| PartitionStats {
-                lower: p.lower,
-                upper: p.upper,
-                count: p.forest.len(),
-            })
-            .collect()
+        self.partitions.iter().map(|p| p.stats()).collect()
     }
 
     /// Approximate heap memory of every tier's forest — each row table
     /// counted once — and retained sizes, in bytes.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        let base: usize = self
-            .partitions
-            .iter()
-            .map(EnsemblePartition::memory_bytes)
-            .sum();
-        let segs: usize = self.segments.iter().map(SealedSegment::memory_bytes).sum();
+        let base: usize = self.partitions.iter().map(|p| p.memory_bytes()).sum();
+        let segs: usize = self.segments.iter().map(|s| s.memory_bytes()).sum();
         base + segs + self.staged.memory_bytes()
     }
 
@@ -557,7 +596,8 @@ impl LshEnsemble {
     /// sketches: every row's id, lanes and size, without the tree columns.
     pub(crate) fn sketch_memory_bytes(&self) -> usize {
         let segs = self.segments.iter().flat_map(|s| &s.partitions);
-        let parts = self.partitions.iter().chain(segs).chain([&self.staged]);
+        let base = self.partitions.iter().map(|p| &**p);
+        let parts = base.chain(segs).chain([&self.staged]);
         parts
             .map(|p| {
                 let row =
@@ -583,11 +623,26 @@ impl LshEnsemble {
     pub(crate) fn live_entries(&self) -> Vec<Entry<'_>> {
         let mut out: Vec<Entry<'_>> = self
             .ids
-            .values()
-            .map(|&(slot, row)| self.partition_at(slot).entry(row as usize))
+            .iter()
+            .map(|(_, (slot, row))| self.partition_at(slot).entry(row as usize))
             .collect();
         out.sort_unstable_by_key(|&(id, _, _)| id);
         out
+    }
+
+    /// A fresh build over the live rows, sharing this index's tuner.
+    ///
+    /// # Panics
+    /// Panics if the index is empty, or as [`live_entries`](Self::live_entries).
+    pub(crate) fn rebuilt(&self) -> Self {
+        let entries = self.live_entries();
+        let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
+        let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
+        let rows: Vec<&[u32]> = entries.iter().map(|&(_, _, lanes)| lanes).collect();
+        Self {
+            tuner: Arc::clone(&self.tuner),
+            ..Self::build_from_parts(self.config, &ids, &sizes, &rows)
+        }
     }
 
     /// This index's sweepable partitions for the shared read path, in
@@ -598,7 +653,7 @@ impl LshEnsemble {
             .partitions
             .iter()
             .enumerate()
-            .map(|(i, p)| (Some(DeadSlot::Base(i as u32)), p));
+            .map(|(i, p)| (Some(DeadSlot::Base(i as u32)), &**p));
         let staged = (!self.staged.forest.is_empty()).then_some((None, &self.staged));
         Tiers {
             num_perm: self.config.num_perm,
@@ -645,7 +700,7 @@ impl LshEnsemble {
     /// True if `id` is currently indexed.
     #[must_use]
     pub fn contains(&self, id: DomainId) -> bool {
-        self.ids.contains_key(&id)
+        self.ids.get(id).is_some()
     }
 
     /// Records a tombstone: the id's rows stay in `slot`'s forest until
@@ -676,7 +731,7 @@ impl LshEnsemble {
         for ((part, row), (id, _, _)) in segment.located() {
             self.ids.insert(id, (Slot::Seg(seg, part), row));
         }
-        self.segments.push(segment);
+        self.segments.push(Arc::new(segment));
     }
 
     /// Folds the listed sealed segments (indices into the current stack)
@@ -735,7 +790,7 @@ impl LshEnsemble {
                 // Sealed entries are live only while the id map still
                 // points here — removed or re-inserted ids moved on, and
                 // their stale rows are dropped when their segment folds.
-                if self.ids.get(&entry.0) != Some(&(Slot::Seg(j as u32, part), row)) {
+                if self.ids.get(entry.0) != Some((Slot::Seg(j as u32, part), row)) {
                     continue;
                 }
                 if merged[j] {
@@ -799,7 +854,7 @@ impl LshEnsemble {
             if dead.is_empty() {
                 continue;
             }
-            let EnsemblePartition { forest, sizes, .. } = &mut self.partitions[p];
+            let EnsemblePartition { forest, sizes, .. } = Arc::make_mut(&mut self.partitions[p]);
             if sizes.len() == forest.len() {
                 let mut ids = forest.ids().iter();
                 sizes.retain(|_| !dead.contains(ids.next().expect("a size per row")));
@@ -819,16 +874,16 @@ impl LshEnsemble {
             for ((part, row), (id, size, lanes)) in seg.located() {
                 // A sealed entry is live only while the id map still points
                 // at it — removed or re-inserted ids moved on.
-                if self.ids.get(&id) != Some(&(Slot::Seg(j as u32, part), row)) {
+                if self.ids.get(id) != Some((Slot::Seg(j as u32, part), row)) {
                     continue;
                 }
                 if self.partitions.is_empty() {
                     // Base built from an empty corpus: grow one partition
                     // from scratch; min/max below fix the inverted bounds.
-                    self.partitions.push(EnsemblePartition {
+                    self.partitions.push(Arc::new(EnsemblePartition {
                         lower: u64::MAX,
                         ..EnsemblePartition::empty(&self.config)
-                    });
+                    }));
                     touched.push(false);
                 }
                 let idx = self
@@ -836,7 +891,7 @@ impl LshEnsemble {
                     .iter()
                     .position(|p| size <= p.upper)
                     .unwrap_or(self.partitions.len() - 1);
-                let p = &mut self.partitions[idx];
+                let p = Arc::make_mut(&mut self.partitions[idx]);
                 p.upper = p.upper.max(size);
                 p.lower = p.lower.min(size);
                 p.push(id, size, lanes);
@@ -844,25 +899,22 @@ impl LshEnsemble {
             }
         }
         // Rows moved up past the erased ones and new rows arrived: sort the
-        // touched forests and point the id map at every row's new place.
+        // touched forests, then describe the new base in the id map.
         for (idx, _) in touched.iter().enumerate().filter(|(_, &t)| t) {
-            let forest = &mut self.partitions[idx].forest;
-            forest.commit();
-            for (row, &id) in forest.ids().iter().enumerate() {
-                self.ids.insert(id, (Slot::Base(idx as u32), row as u32));
-            }
+            Arc::make_mut(&mut self.partitions[idx]).forest.commit();
         }
+        self.ids = IdMap::over(&self.partitions);
     }
 
     /// The base partitions, for persistence.
-    pub(crate) fn base_partitions(&self) -> &[EnsemblePartition] {
+    pub(crate) fn base_partitions(&self) -> &[Arc<EnsemblePartition>] {
         &self.partitions
     }
 
     /// Sealed segments, for persistence (their entry triples, in sealing
     /// order, are the canonical byte-level form; partitions are replayed
     /// from them).
-    pub(crate) fn raw_segments(&self) -> &[SealedSegment] {
+    pub(crate) fn raw_segments(&self) -> &[Arc<SealedSegment>] {
         &self.segments
     }
 
@@ -892,32 +944,24 @@ impl LshEnsemble {
         segment_entries: Vec<Vec<(DomainId, u64, Signature)>>,
         dead: Vec<(DomainId, DeadSlot)>,
     ) -> Self {
+        let shell = |(lower, upper, forest)| EnsemblePartition {
+            lower,
+            upper,
+            forest,
+            sizes: Vec::new(),
+        };
+        let partitions: Vec<_> = partitions.into_iter().map(shell).map(Arc::new).collect();
         let mut ensemble = Self {
-            tuner: Tuner::new(config.b_max as u32, config.r_max as u32),
+            tuner: Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32)),
             segments: Vec::new(),
             staged: EnsemblePartition::empty(&config),
             dead_set: dead.iter().copied().collect(),
             dead,
             config,
-            partitions: partitions
-                .into_iter()
-                .map(|(lower, upper, forest)| EnsemblePartition {
-                    lower,
-                    upper,
-                    forest,
-                    sizes: Vec::new(),
-                })
-                .collect(),
             len,
-            ids: FastHashMap::default(),
+            ids: IdMap::over(&partitions),
+            partitions,
         };
-        ensemble.ids.reserve(len);
-        for (pidx, part) in ensemble.partitions.iter().enumerate() {
-            for (row, &id) in part.forest.ids().iter().enumerate() {
-                let at = (Slot::Base(pidx as u32), row as u32);
-                ensemble.ids.insert(id, at);
-            }
-        }
         for entries in segment_entries {
             let entries: Vec<Entry<'_>> = entries
                 .iter()
@@ -928,10 +972,10 @@ impl LshEnsemble {
         for &(id, dslot) in &ensemble.dead {
             if ensemble
                 .ids
-                .get(&id)
-                .is_some_and(|&(slot, _)| dslot.matches(slot))
+                .get(id)
+                .is_some_and(|(slot, _)| dslot.matches(slot))
             {
-                ensemble.ids.remove(&id);
+                ensemble.ids.remove(id);
             }
         }
         ensemble
@@ -950,6 +994,7 @@ impl LshEnsemble {
         size_of: impl Fn(DomainId) -> Option<u64>,
     ) -> Result<(), &'static str> {
         for (pidx, part) in self.partitions.iter_mut().enumerate() {
+            let part = Arc::make_mut(part);
             if part.forest.width() != self.config.num_perm {
                 return Err("forest rows do not hold the whole signature");
             }
@@ -958,7 +1003,7 @@ impl LshEnsemble {
             }
             let slot = Slot::Base(pidx as u32);
             let size = |(row, &id): (usize, &DomainId)| {
-                if self.ids.get(&id) != Some(&(slot, row as u32)) {
+                if self.ids.get(id) != Some((slot, row as u32)) {
                     return Ok(0);
                 }
                 size_of(id)
@@ -979,7 +1024,7 @@ impl LshEnsemble {
 
 impl Sketches for LshEnsemble {
     fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
-        let &(slot, row) = self.ids.get(&id)?;
+        let (slot, row) = self.ids.get(id)?;
         let part = self.partition_at(slot);
         Some((
             *part.sizes.get(row as usize)?,
@@ -1016,7 +1061,7 @@ impl MutableIndex for LshEnsemble {
                 self.config.num_perm
             )));
         }
-        if self.ids.contains_key(&id) {
+        if self.contains(id) {
             return Err(MutationError::DuplicateId(id));
         }
         if self.staged.forest.is_empty() {
@@ -1034,7 +1079,7 @@ impl MutableIndex for LshEnsemble {
     }
 
     fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        let Some((slot, row)) = self.ids.get(&id).copied() else {
+        let Some((slot, row)) = self.ids.get(id) else {
             return Err(MutationError::UnknownId(id));
         };
         match slot {
@@ -1055,7 +1100,7 @@ impl MutableIndex for LshEnsemble {
             Slot::Base(p) => self.bury(id, DeadSlot::Base(p)),
             Slot::Seg(s, _) => self.bury(id, DeadSlot::Seg(s)),
         }
-        self.ids.remove(&id);
+        self.ids.remove(id);
         self.len -= 1;
         Ok(())
     }
@@ -1097,7 +1142,7 @@ impl MutableIndex for LshEnsemble {
 
     fn segment_layout(&self) -> crate::SegmentLayout {
         crate::SegmentLayout {
-            segments: self.segments.iter().map(SealedSegment::len).collect(),
+            segments: self.segments.iter().map(|s| s.len()).collect(),
             tombstones: self.dead.len(),
             len: self.len,
         }
@@ -1107,8 +1152,8 @@ impl MutableIndex for LshEnsemble {
         let entries_folded = match task {
             crate::MergeTask::Merge(idxs) => self.merge_segments(idxs),
             crate::MergeTask::Full => {
-                let folded: usize = self.segments.iter().map(SealedSegment::len).sum::<usize>()
-                    + self.staged.forest.len();
+                let folded: usize =
+                    self.segments.iter().map(|s| s.len()).sum::<usize>() + self.staged.forest.len();
                 self.compact();
                 folded
             }
@@ -1393,6 +1438,46 @@ mod tests {
         assert_eq!(ens.len(), 10);
         assert!(ens.contains(0), "original mutated through clone");
         assert!(!ens.contains(900));
+    }
+
+    #[test]
+    fn clones_share_one_tuner_memo_across_commits_and_merges() {
+        let (h, entries) = nested_corpus(256, 24);
+        let ens = build_default(&entries, 4);
+        let (_, size, sig, _) = &entries[6];
+        let answer = ens.query_with_size(sig, *size, 0.5);
+        let populated = ens.tuner.cache_len();
+        assert!(populated > 0);
+
+        let mut copy = ens.clone();
+        assert!(Arc::ptr_eq(&ens.tuner, &copy.tuner));
+        assert_eq!(copy.tuner.cache_len(), populated);
+        let fresh = h.signature(MinHasher::synthetic_values(31, 45));
+        copy.insert(500, 45, &fresh).expect("insert");
+        copy.commit();
+        copy.insert(501, 45, &fresh).expect("insert");
+        copy.commit();
+        copy.apply_merge(&crate::MergeTask::Merge(vec![0, 1]));
+        assert_eq!(
+            copy.tuner.cache_len(),
+            populated,
+            "a commit emptied the memo"
+        );
+
+        // The same query asks for keys the memo already holds, so nothing
+        // is optimised again; on the copy, the merged segment is one more
+        // partition bound, so at most its own key is new.
+        assert_eq!(ens.query_with_size(sig, *size, 0.5), answer);
+        assert_eq!(ens.tuner.cache_len(), populated, "a known key was redone");
+        let grown = copy.query_with_size(sig, *size, 0.5);
+        assert!(grown.iter().filter(|&&id| id < 500).eq(answer.iter()));
+        let after = ens.tuner.cache_len();
+        assert!((populated..=populated + 1).contains(&after), "{after}");
+        // A full fold and a rebuild keep the memo too.
+        copy.compact();
+        assert!(Arc::ptr_eq(&ens.tuner, &copy.tuner));
+        assert!(Arc::ptr_eq(&ens.tuner, &copy.rebuilt().tuner));
+        assert!(copy.tuner.cache_len() >= after);
     }
 
     #[test]

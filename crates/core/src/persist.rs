@@ -73,7 +73,7 @@ pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: Partitio
 /// `Segments` section.
 pub(crate) fn encode_segments<W: Write>(
     enc: &mut Encoder<W>,
-    segments: &[crate::ensemble::SealedSegment],
+    segments: &[std::sync::Arc<crate::ensemble::SealedSegment>],
     dead: &[(DomainId, DeadSlot)],
 ) {
     enc.put_u64(segments.len() as u64);

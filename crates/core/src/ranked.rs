@@ -240,13 +240,9 @@ impl RankedIndex {
         if self.ensemble.is_empty() {
             return false;
         }
-        let entries = self.ensemble.live_entries();
-        let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
-        let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let rows: Vec<&[u32]> = entries.iter().map(|&(_, _, lanes)| lanes).collect();
         // The rows are read out of the old ensemble until the new one is
         // whole; only then is it swapped in.
-        self.ensemble = LshEnsemble::build_from_parts(*self.ensemble.config(), &ids, &sizes, &rows);
+        self.ensemble = self.ensemble.rebuilt();
         true
     }
 

@@ -353,13 +353,12 @@ impl<'a> Decoder<'a> {
         Ok(Signature::from_slots(le_vec(bytes, u32::from_le_bytes)))
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Borrows a length-prefixed UTF-8 string, uncopied.
     ///
     /// # Errors
     /// [`CodecError`] variants on truncation or invalid UTF-8.
-    pub fn get_str(&mut self, reading: &'static str) -> Result<String, CodecError> {
+    pub fn get_str(&mut self, reading: &'static str) -> Result<&'a str, CodecError> {
         std::str::from_utf8(self.counted(1, reading)?)
-            .map(str::to_owned)
             .map_err(|_| CodecError::Corrupt("invalid UTF-8"))
     }
 

@@ -30,6 +30,8 @@
 //! [`MmapIndex`]. Mapped containers are read-only — mutations are typed
 //! errors, never silent no-ops.
 
+use crate::records::RecordTableBuilder;
+pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
     CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MmapIndex, MmapIndexError,
     MutableIndex, MutationError, PartitionStrategy, Query, RankedIndex, ShardedRanked,
@@ -39,6 +41,7 @@ use lshe_minhash::codec::{CodecError, Decoder, Encoder};
 use lshe_minhash::{MinHasher, Signature};
 use lshe_store::{Mmap, Packer, SectionKind, Store};
 use std::borrow::Borrow;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -52,38 +55,6 @@ pub const MAGIC: [u8; 4] = *b"LSHX";
 /// sketches to `u32` lanes; v4 drops them — the nested `LSHE` v4 ensemble
 /// holds each signature once, as a forest row.
 pub const VERSION: u8 = 4;
-
-/// Provenance of one indexed domain.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DomainRecord {
-    /// Dense id (matches the ensemble's ids).
-    pub id: u32,
-    /// Distinct-value count.
-    pub size: u64,
-    /// Source table (CSV file stem).
-    pub table: String,
-    /// Source column.
-    pub column: String,
-}
-
-impl DomainRecord {
-    /// The record's one byte form: container, packed file and delta log.
-    fn encode_into<W: Write>(&self, enc: &mut Encoder<W>) {
-        enc.put_u32(self.id);
-        enc.put_u64(self.size);
-        enc.put_str(&self.table);
-        enc.put_str(&self.column);
-    }
-
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        Ok(Self {
-            id: dec.get_u32("record id")?,
-            size: dec.get_u64("record size")?,
-            table: dec.get_str("record table")?,
-            column: dec.get_str("record column")?,
-        })
-    }
-}
 
 /// What kind of index a container stores — the tag
 /// [`open_index`](IndexContainer::open_index) dispatches on, so no caller
@@ -112,13 +83,21 @@ enum StoredIndex {
 
 /// A loaded (or freshly built) index file.
 ///
-/// Cloning is cheap (the index is behind an `Arc`); the first mutation on
-/// a clone copies the index (copy-on-write), which is how the server
-/// commits staged mutations into a fresh snapshot while in-flight queries
-/// keep the old one.
+/// A clone shares the base with its original — the index's base
+/// partitions and sealed segments, and the base provenance table — and
+/// copies what changed since that base was built: the overlay here, the
+/// index's tombstones and id overlay. A mutation of the clone seals new
+/// segments beside the shared ones, which is how the server commits staged
+/// mutations into a fresh snapshot in O(delta) while in-flight queries keep
+/// the old one. Only compaction builds a new base.
 #[derive(Debug, Clone)]
 pub struct IndexContainer {
-    records: Vec<DomainRecord>,
+    /// Provenance as of the last build, load or compaction.
+    base: Arc<RecordTable>,
+    /// What changed since, by id: a record applied (`Some`) or a base
+    /// record removed (`None`).
+    overlay: BTreeMap<u32, Option<DomainRecord>>,
+    len: usize,
     index: StoredIndex,
     num_perm: usize,
     /// Id allocator high-water mark: one past the largest id ever issued,
@@ -150,10 +129,16 @@ impl IndexContainer {
         Self::sketch_and_build(domains, partitions, ranked)
     }
 
-    /// One past the largest id in `records` (0 when empty) — the floor for
-    /// a freshly computed allocator mark.
-    fn high_water(records: &[DomainRecord]) -> u32 {
-        records.iter().map(|r| r.id).max().map_or(0, |id| id + 1)
+    /// A container over a new base; `next_id` is raised past the base's ids.
+    fn over_base(base: RecordTable, index: StoredIndex, num_perm: usize, next_id: u32) -> Self {
+        Self {
+            len: base.len(),
+            next_id: next_id.max(base.high_water()),
+            base: Arc::new(base),
+            overlay: BTreeMap::new(),
+            index,
+            num_perm,
+        }
     }
 
     /// Builds a container from a stream of domains, sketching them a
@@ -187,7 +172,7 @@ impl IndexContainer {
             strategy: PartitionStrategy::EquiDepth { n: partitions },
             ..EnsembleConfig::default()
         };
-        let mut records = Vec::new();
+        let mut records = RecordTableBuilder::default();
         let mut signatures = Vec::new();
         let mut chunk: Vec<D> = Vec::new();
         let mut chunk_values = 0usize;
@@ -198,12 +183,13 @@ impl IndexContainer {
         };
         for (id, (domain, meta)) in (0u32..).zip(domains) {
             let size = domain.borrow().len();
-            records.push(DomainRecord {
+            let record = RecordRef {
                 id,
                 size: size as u64,
-                table: meta.table,
-                column: meta.column,
-            });
+                table: &meta.table,
+                column: &meta.column,
+            };
+            records.push(record).expect("the ids ascend");
             chunk_values += size;
             chunk.push(domain);
             if chunk.len() == SKETCH_CHUNK_DOMAINS || chunk_values >= SKETCH_CHUNK_VALUES {
@@ -212,6 +198,7 @@ impl IndexContainer {
             }
         }
         sketch(&mut chunk);
+        let records = records.finish();
         assert!(!records.is_empty(), "stream must yield at least one domain");
         // Each signature moves into the index: one owner, no copy.
         let entries = records.iter().zip(signatures);
@@ -224,13 +211,7 @@ impl IndexContainer {
             entries.for_each(|(rec, sig)| builder.add(rec.id, rec.size, sig));
             StoredIndex::Plain(Arc::new(builder.build()))
         };
-        let next_id = Self::high_water(&records);
-        Self {
-            records,
-            index,
-            num_perm: hasher.num_perm(),
-            next_id,
-        }
+        Self::over_base(records, index, hasher.num_perm(), 0)
     }
 
     /// Signature width the index was built with (clients must sketch
@@ -243,13 +224,13 @@ impl IndexContainer {
     /// Number of indexed domains.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.len
     }
 
     /// True if the container holds no domains (cannot occur via `build`).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len == 0
     }
 
     /// The shared ensemble (either standalone or inside the ranked index).
@@ -415,31 +396,23 @@ impl IndexContainer {
                 let sizes: Vec<u64> = entries.iter().map(|e| e.1).collect();
                 let rows: Vec<&[u32]> = entries.iter().map(|e| e.2).collect();
                 let ensemble = LshEnsemble::build_from_parts(config, &ids, &sizes, &rows);
-                let records: Vec<DomainRecord> = ids
-                    .iter()
-                    .map(|&id| {
-                        self.record(id)
-                            .expect("every sketch id has a provenance record")
-                            .clone()
-                    })
-                    .collect();
-                let next_id = Self::high_water(&records).max(self.next_id);
-                IndexContainer {
-                    records,
-                    index: StoredIndex::Ranked(Arc::new(
-                        RankedIndex::from_ensemble(ensemble, |_| None)
-                            .expect("a built ensemble keeps every row's size"),
-                    )),
-                    num_perm: self.num_perm,
-                    next_id,
+                let mut records = RecordTableBuilder::with_capacity(ids.len());
+                for &id in &ids {
+                    let record = self.record(id);
+                    let record = record.expect("every sketch id has a provenance record");
+                    records.push(record).expect("the sketch ids ascend");
                 }
+                let ranked = RankedIndex::from_ensemble(ensemble, |_| None)
+                    .expect("a built ensemble keeps every row's size");
+                let index = StoredIndex::Ranked(Arc::new(ranked));
+                Self::over_base(records.finish(), index, self.num_perm, self.next_id)
             })
             .collect())
     }
 
-    /// The stored index as its mutation surface (copy-on-write: shared
-    /// `Arc`s are cloned on first mutation). Callers guard the mapped
-    /// variant first ([`apply`](Self::apply) returns a typed error).
+    /// The stored index as its mutation surface (a shared index is cloned
+    /// on first mutation, which copies none of its base). Callers guard the
+    /// mapped variant first ([`apply`](Self::apply) returns a typed error).
     fn index_mut(&mut self) -> &mut dyn MutableIndex {
         match &mut self.index {
             StoredIndex::Plain(e) => Arc::make_mut(e) as &mut dyn MutableIndex,
@@ -495,16 +468,18 @@ impl IndexContainer {
                         )));
                     }
                     self.index_mut().insert(record.id, record.size, signature)?;
-                    let at = self
-                        .records
-                        .binary_search_by_key(&record.id, |r| r.id)
-                        .expect_err("index insert rejects duplicates");
-                    self.records.insert(at, record.clone());
+                    self.overlay.insert(record.id, Some(record.clone()));
+                    self.len += 1;
                     self.next_id = self.next_id.max(record.id + 1);
                 }
                 DeltaOp::Remove { id } => {
                     self.index_mut().remove(*id)?;
-                    self.records.retain(|r| r.id != *id);
+                    if self.base.get(*id).is_some() {
+                        self.overlay.insert(*id, None);
+                    } else {
+                        self.overlay.remove(id);
+                    }
+                    self.len -= 1;
                 }
                 DeltaOp::Commit { next_id } => {
                     // Log-replay bookkeeping, not a mutation: the engine
@@ -535,7 +510,23 @@ impl IndexContainer {
         if matches!(self.index, StoredIndex::Mapped(_)) {
             return CommitReport::default();
         }
-        self.index_mut().compact()
+        let report = self.index_mut().compact();
+        self.rebase_records();
+        report
+    }
+
+    /// Makes the live records the base table — what the overlay is folded
+    /// into when compaction builds a new base.
+    fn rebase_records(&mut self) {
+        if self.overlay.is_empty() {
+            return;
+        }
+        let mut base = RecordTableBuilder::with_capacity(self.len);
+        for record in self.records().iter() {
+            base.push(record).expect("the live records ascend");
+        }
+        self.base = Arc::new(base.finish());
+        self.overlay.clear();
     }
 
     /// Sealed-segment and tombstone counts of the stored index (mapped
@@ -574,7 +565,11 @@ impl IndexContainer {
         if matches!(self.index, StoredIndex::Mapped(_)) {
             return lshe_core::MergeOutcome::default();
         }
-        self.index_mut().apply_merge(task)
+        let outcome = self.index_mut().apply_merge(task);
+        if matches!(task, lshe_core::MergeTask::Full) {
+            self.rebase_records();
+        }
+        outcome
     }
 
     /// Number of staged (uncommitted) inserts in the stored index.
@@ -593,21 +588,43 @@ impl IndexContainer {
         self.partition_stats().len()
     }
 
-    /// Provenance records for every indexed domain, in build order.
+    /// Provenance records for every indexed domain, in ascending id order.
     #[must_use]
-    pub fn records(&self) -> &[DomainRecord] {
-        &self.records
+    pub fn records(&self) -> Records<'_> {
+        Records(self)
     }
 
-    /// Looks up one provenance record by domain id. Records are stored in
-    /// ascending-id build order, so this is a binary search with a linear
-    /// fallback for containers whose ids arrived unsorted.
+    /// Looks up one provenance record by domain id: the overlay's word if
+    /// it has one, else a binary search of the base table.
     #[must_use]
-    pub fn record(&self, id: u32) -> Option<&DomainRecord> {
-        match self.records.binary_search_by_key(&id, |r| r.id) {
-            Ok(i) => Some(&self.records[i]),
-            Err(_) => self.records.iter().find(|r| r.id == id),
+    pub fn record(&self, id: u32) -> Option<RecordRef<'_>> {
+        match self.overlay.get(&id) {
+            Some(changed) => changed.as_ref().map(DomainRecord::view),
+            None => self.base.get(id),
         }
+    }
+
+    /// Approximate heap bytes of the container: the stored index plus the
+    /// provenance (the base table and the overlay's records).
+    #[must_use]
+    pub fn memory_bytes(&self) -> usize {
+        let overlay = self.overlay.values().flatten();
+        let overlay: usize = overlay
+            .map(|r| std::mem::size_of::<DomainRecord>() + r.table.len() + r.column.len())
+            .sum();
+        self.open_index().memory_bytes() + self.base.memory_bytes() + overlay
+    }
+
+    /// Which parts of its base this container holds as the very allocation
+    /// `other` holds: one flag per base partition of the index, then the
+    /// provenance table.
+    ///
+    /// # Panics
+    /// Panics on a mapped container, whose base is its file.
+    #[must_use]
+    pub fn base_shared_with(&self, other: &Self) -> (Vec<bool>, bool) {
+        let partitions = self.ensemble().base_shared_with(other.ensemble());
+        (partitions, Arc::ptr_eq(&self.base, &other.base))
     }
 
     /// True when the container stores per-domain ranked sketches (built
@@ -637,7 +654,7 @@ impl IndexContainer {
     #[must_use]
     pub fn provenance(&self, id: u32) -> (&str, &str, u64) {
         let rec = self.record(id).expect("id was indexed");
-        (&rec.table, &rec.column, rec.size)
+        (rec.table, rec.column, rec.size)
     }
 
     /// Threshold search; estimates are attached when sketches are stored.
@@ -695,7 +712,7 @@ impl IndexContainer {
             "ranked sketches: {}",
             if self.has_ranked() { "yes" } else { "no" }
         );
-        let _ = writeln!(out, "memory: {} bytes", index.memory_bytes());
+        let _ = writeln!(out, "memory: {} bytes", self.memory_bytes());
         let stats = self.partition_stats();
         let _ = writeln!(out, "partitions: {}", stats.len());
         let _ = writeln!(out, "  #\tsize_range\tdomains");
@@ -725,8 +742,8 @@ impl IndexContainer {
         enc.envelope(MAGIC, VERSION);
         enc.put_u8(u8::from(self.has_ranked()));
         enc.put_u32(self.num_perm as u32);
-        enc.put_u64(self.records.len() as u64);
-        for rec in &self.records {
+        enc.put_u64(self.len as u64);
+        for rec in self.records().iter() {
             rec.encode_into(enc);
         }
         enc.put_nested(|enc| self.ensemble().encode_into(enc));
@@ -775,10 +792,13 @@ impl IndexContainer {
         let num_perm = dec.get_u32("num_perm").map_err(hdr)? as usize;
         let count = dec.get_u64("meta count").map_err(hdr)? as usize;
         let rcs = |e| ("domain records", e);
-        let mut records = Vec::with_capacity(count.min(dec.remaining() / 28));
+        let mut records = RecordTableBuilder::with_capacity(count.min(dec.remaining() / 28));
         for _ in 0..count {
-            records.push(DomainRecord::decode(&mut dec).map_err(rcs)?);
+            let record = RecordRef::decode(&mut dec).map_err(rcs)?;
+            let pushed = records.push(record);
+            pushed.map_err(|detail| rcs(CodecError::Corrupt(detail)))?;
         }
+        let records = records.finish();
         let ens = |e| ("ensemble", e);
         let eb = dec.get_nested("ensemble bytes").map_err(ens)?;
         let ensemble = LshEnsemble::from_bytes(eb).map_err(ens)?;
@@ -794,12 +814,7 @@ impl IndexContainer {
         let index = if has_ranked {
             // The rows are in the ensemble; the records say how large each
             // live domain is.
-            let by_id: lshe_minhash::hash::FastHashMap<u32, u64> =
-                records.iter().map(|r| (r.id, r.size)).collect();
-            if by_id.len() != records.len() {
-                return Err(sk(CodecError::Corrupt("duplicate id in ranked container")));
-            }
-            let ranked = RankedIndex::from_ensemble(ensemble, |id| by_id.get(&id).copied())
+            let ranked = RankedIndex::from_ensemble(ensemble, |id| Some(records.get(id)?.size))
                 .map_err(|detail| sk(CodecError::Corrupt(detail)))?;
             StoredIndex::Ranked(Arc::new(ranked))
         } else {
@@ -807,22 +822,15 @@ impl IndexContainer {
         };
         // Version-1 files predate the persisted allocator mark; recompute
         // the conservative floor (which is exactly what v1 servers did).
-        let next_id = if version >= 2 {
-            dec.get_u32("next id")
-                .map_err(|e| ("allocator mark", e))?
-                .max(Self::high_water(&records))
+        let mark = if version >= 2 {
+            dec.get_u32("next id").map_err(|e| ("allocator mark", e))?
         } else {
-            Self::high_water(&records)
+            0
         };
         if !dec.is_exhausted() {
             return Err(sk(CodecError::Corrupt("trailing bytes after container")));
         }
-        Ok(Self {
-            records,
-            index,
-            num_perm,
-            next_id,
-        })
+        Ok(Self::over_base(records, index, num_perm, mark))
     }
 
     /// Steps over the per-record sketches that followed the ensemble in
@@ -895,19 +903,14 @@ impl IndexContainer {
     fn serve_mapped(mapping: Mmap) -> Result<Self, MmapIndexError> {
         let mapped = MmapIndex::from_store_verified(Store::from_mapping(mapping)?)?;
         let records = Self::decode_packed_records(&mapped)?;
-        let num_perm = mapped.config().num_perm;
-        let next_id = mapped.next_id_hint().max(Self::high_water(&records));
-        Ok(Self {
-            records,
-            index: StoredIndex::Mapped(Arc::new(mapped)),
-            num_perm,
-            next_id,
-        })
+        let (num_perm, mark) = (mapped.config().num_perm, mapped.next_id_hint());
+        let index = StoredIndex::Mapped(Arc::new(mapped));
+        Ok(Self::over_base(records, index, num_perm, mark))
     }
 
     /// Decodes the provenance records packed next to the index sections
     /// by [`pack_v2`](Self::pack_v2).
-    fn decode_packed_records(mapped: &MmapIndex) -> Result<Vec<DomainRecord>, MmapIndexError> {
+    fn decode_packed_records(mapped: &MmapIndex) -> Result<RecordTable, MmapIndexError> {
         let corrupt = |section: SectionKind, detail: &'static str| {
             MmapIndexError::from(lshe_store::StoreError::Corrupt {
                 section: section.name(),
@@ -940,15 +943,17 @@ impl IndexContainer {
             section: SectionKind::Records.name(),
             source,
         };
-        let mut records = Vec::with_capacity(count);
+        let mut records = RecordTableBuilder::with_capacity(count);
         for pair in offsets.windows(2) {
             let mut dec = Decoder::new(&blob[pair[0] as usize..pair[1] as usize]);
-            records.push(DomainRecord::decode(&mut dec).map_err(codec)?);
+            let record = RecordRef::decode(&mut dec).map_err(codec)?;
             if !dec.is_exhausted() {
                 return Err(corrupt(SectionKind::Records, "trailing bytes after record"));
             }
+            let pushed = records.push(record);
+            pushed.map_err(|detail| corrupt(SectionKind::Records, detail))?;
         }
-        Ok(records)
+        Ok(records.finish())
     }
 
     /// Packs this container into a v2 file at `path`: the checksummed,
@@ -979,9 +984,9 @@ impl IndexContainer {
         lshe_core::pack_ranked_with(ranked, &mut packer, self.next_id).map_err(io)?;
         // Provenance: one codec blob per record, sliced by an offsets
         // table of count + 1 entries (the last is the blob length).
-        let mut offsets: Vec<u64> = Vec::with_capacity(self.records.len() + 1);
-        let mut blob: Vec<u8> = Vec::with_capacity(self.records.len() * 48);
-        for rec in &self.records {
+        let mut offsets: Vec<u64> = Vec::with_capacity(self.len + 1);
+        let mut blob: Vec<u8> = Vec::with_capacity(self.len * 48);
+        for rec in self.records().iter() {
             offsets.push(blob.len() as u64);
             rec.encode_into(&mut Encoder::over(&mut blob));
         }
@@ -995,6 +1000,43 @@ impl IndexContainer {
         packer.write(&blob).map_err(io)?;
         packer.end_section();
         packer.finish().map_err(io)
+    }
+}
+
+/// Every provenance record of a container in ascending id order: the base
+/// table's, minus those the overlay removed or replaced, merged with the
+/// overlay's.
+#[derive(Clone, Copy)]
+pub struct Records<'a>(&'a IndexContainer);
+
+impl<'a> Records<'a> {
+    /// The records, in ascending id order.
+    pub fn iter(self) -> impl Iterator<Item = RecordRef<'a>> {
+        let overlay = &self.0.overlay;
+        let kept = |r: &RecordRef<'_>| !overlay.contains_key(&r.id);
+        let mut base = self.0.base.iter().filter(kept).peekable();
+        let mut added = overlay
+            .values()
+            .flatten()
+            .map(DomainRecord::view)
+            .peekable();
+        std::iter::from_fn(move || match (base.peek(), added.peek()) {
+            (Some(b), Some(a)) if a.id < b.id => added.next(),
+            (Some(_), _) => base.next(),
+            (None, _) => added.next(),
+        })
+    }
+}
+
+impl PartialEq for Records<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for Records<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -1753,6 +1795,74 @@ mod tests {
             .search(&sig, cat.domain(0).len() as u64, 1.0)
             .iter()
             .any(|&(id, _)| id == 0));
+    }
+
+    #[test]
+    fn records_that_do_not_ascend_are_a_typed_decode_error() {
+        // Every record of `catalog(5)` is 33 bytes — id (4), size (8), "tK"
+        // (8 + 2), "col" (8 + 3) — from byte 18: envelope (5), flags (1),
+        // num_perm (4), record count (8).
+        let bytes = IndexContainer::build(&catalog(5), 2, true).to_bytes();
+        let at = |k: usize| 18 + 33 * k..18 + 33 * (k + 1);
+        let mut swapped = bytes.clone();
+        swapped[at(1)].copy_from_slice(&bytes[at(2)]);
+        swapped[at(2)].copy_from_slice(&bytes[at(1)]);
+        let mut doubled = bytes.clone();
+        doubled[at(3)].copy_from_slice(&bytes[at(2)]);
+        for bad in [swapped, doubled] {
+            match IndexContainer::from_bytes(&bad) {
+                Err(CodecError::Corrupt(detail)) => assert!(detail.contains("ascending")),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+        assert!(IndexContainer::from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    fn overlay_records_merge_into_the_base_order_and_fold_at_compaction() {
+        for ranked in [false, true] {
+            let built = IndexContainer::build(&catalog(8), 2, ranked);
+            let mut c = built.clone();
+            // Remove a base record, put another under the same id, add two
+            // past the end and take one of those back.
+            let reinserted = insert_op(3, 21, c.num_perm());
+            c.apply(&[
+                DeltaOp::Remove { id: 3 },
+                DeltaOp::Remove { id: 6 },
+                reinserted.clone(),
+                insert_op(20, 30, c.num_perm()),
+                insert_op(21, 31, c.num_perm()),
+                DeltaOp::Remove { id: 21 },
+            ])
+            .expect("apply");
+            c.commit_mutations();
+            let ids = |c: &IndexContainer| c.records().iter().map(|r| r.id).collect::<Vec<_>>();
+            assert_eq!(ids(&c), [0, 1, 2, 3, 4, 5, 7, 20]);
+            assert_eq!(c.len(), 8);
+            let DeltaOp::Insert { record, .. } = &reinserted else {
+                unreachable!()
+            };
+            assert_eq!(c.record(3), Some(record.view()));
+            assert_eq!(c.provenance(3).0, "live3");
+            assert!(c.record(6).is_none() && c.record(21).is_none());
+            // The container it was cloned from still holds what it held.
+            assert_eq!(built.provenance(3).0, "t3");
+            assert_eq!(ids(&built), [0, 1, 2, 3, 4, 5, 6, 7]);
+            assert_eq!(c.base_shared_with(&built), (vec![true; 2], true));
+
+            // Compaction folds the overlay into a table of its own: the
+            // same records, the same bytes as a container decoded from them.
+            let before = c.to_bytes();
+            let restored = IndexContainer::from_bytes(&before).expect("decode");
+            assert_eq!(restored.records(), c.records());
+            c.compact_index();
+            assert!(!c.base_shared_with(&built).1);
+            assert_eq!(c.records(), restored.records());
+            assert_eq!(c.record(3), Some(record.view()));
+            assert!(c.overlay.is_empty());
+            let provenance = c.memory_bytes() - c.open_index().memory_bytes();
+            assert_eq!(provenance, c.base.memory_bytes());
+        }
     }
 
     #[test]

@@ -306,7 +306,7 @@ impl Engine {
                 match &op {
                     DeltaOp::Insert { record, .. } => {
                         if let Some(existing) = container.record(record.id) {
-                            if existing == record {
+                            if existing == record.view() {
                                 continue; // already embodied by a compaction
                             }
                             return Err(EngineError::Index(format!(
@@ -387,7 +387,7 @@ impl Engine {
             match &op {
                 DeltaOp::Insert { record, .. } => {
                     if let Some(existing) = container.record(record.id) {
-                        if existing == record {
+                        if existing == record.view() {
                             // Already committed (crash after rename,
                             // before log clear): ids stay allocated.
                             pending.next_id = pending.next_id.max(record.id + 1);
@@ -638,10 +638,13 @@ impl Engine {
         Ok(())
     }
 
-    /// Commits every staged mutation as one new snapshot generation:
-    /// copy-on-write — the current container is cloned, the ops applied,
-    /// and the staged delta sealed into one immutable segment. The work is
-    /// O(staged delta) and the durability step is a single appended
+    /// Commits every staged mutation as one new snapshot generation: the
+    /// current container is cloned — pointers to its base partitions,
+    /// sealed segments and provenance table, plus copies of the tombstones
+    /// and the id and record overlays — the ops applied, and the staged
+    /// delta sealed into one immutable segment beside the shared ones. The
+    /// work is O(staged delta + changes since the base was built), never
+    /// O(corpus), and the durability step is a single appended
     /// [`DeltaOp::Commit`] marker — the base file is **not** rewritten;
     /// it catches up at the next [`compact`](Self::compact). In-flight
     /// queries keep their pre-commit snapshot; the query cache invalidates
@@ -674,8 +677,9 @@ impl Engine {
 
         // Durability: one marker closes the batch. Replaying the log at
         // boot re-seals the identical segment, so nothing else need touch
-        // disk here — this is what keeps commit latency flat as the
-        // corpus grows.
+        // disk here. With the clone above copying no base row, tree or
+        // record, commit latency stays flat as the corpus grows (the
+        // `engine_commit_*` series of `mutation_path` times this function).
         self.log_op(
             &DeltaOp::Commit {
                 next_id: pending.next_id,

@@ -66,10 +66,13 @@ pub mod maintenance;
 pub mod poller;
 pub mod pool;
 mod reactor;
+mod records;
 pub mod server;
 
 pub use cache::{CacheStats, LruCache, QueryKey};
-pub use container::{DeltaError, DeltaLog, DeltaOp, DomainRecord, IndexContainer, IndexKind};
+pub use container::{
+    DeltaError, DeltaLog, DeltaOp, DomainRecord, IndexContainer, IndexKind, RecordRef, RecordTable,
+};
 pub use engine::{CommitOutcome, Engine, EngineError, Snapshot, StagedCounts};
 pub use maintenance::{FullMergeSummary, Maintainer, MaintenanceConfig, MaintenanceStats};
 pub use server::{start, ServerConfig, ServerHandle};

@@ -930,7 +930,7 @@ fn hits_json(snap: &Snapshot, hits: &[SearchHit]) -> Json {
                 let (table, column, size) = snap
                     .container()
                     .record(id)
-                    .map(|r| (r.table.as_str(), r.column.as_str(), r.size))
+                    .map(|r| (r.table, r.column, r.size))
                     .unwrap_or(("?", "?", 0));
                 Json::obj(vec![
                     ("id", Json::uint(u64::from(id))),

@@ -6,6 +6,11 @@
 //! `4·m + 8·b_max + 16` bytes per domain beyond the provenance records —
 //! so a later change cannot quietly store the lanes a second time (as tree
 //! keys, or as a sketch section beside the forests) without this failing.
+//!
+//! Resident provenance has a bound of its own: a container holds its
+//! records as columns — 24 bytes a record at most, beside the text of each
+//! column name and of each *distinct* table name — not as a struct and two
+//! heap strings a record.
 
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_serve::IndexContainer;
@@ -56,4 +61,30 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     // And not by leaving something out: each form still holds every lane.
     assert!(heap.min(packed) >= 4 * container.num_perm() * DOMAINS);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn resident_provenance_is_columns_and_each_table_name_once() {
+    const RECORDS: usize = 5_000;
+    let corpus = CorpusStream::new(CorpusConfig::wdc_web_tables_like(RECORDS));
+    let container = IndexContainer::from_stream(corpus, 32, false);
+    let records = container.records();
+    let columns: usize = records.iter().map(|r| r.column.len()).sum();
+    let tables: std::collections::HashSet<&str> = records.iter().map(|r| r.table).collect();
+    assert!(tables.len() * 4 < RECORDS, "the corpus repeats its tables");
+    let distinct: usize = tables.iter().map(|t| t.len()).sum();
+    // What the index holds is reported apart; the rest is provenance.
+    let provenance = container.memory_bytes() - container.open_index().memory_bytes();
+    let bound = 24 * RECORDS + columns + distinct;
+    assert!(
+        provenance <= bound,
+        "provenance: {provenance} B resident, bound {bound}"
+    );
+    // And not by leaving something out: every name is there to be read.
+    assert!(provenance >= 20 * RECORDS + columns + distinct);
+    let named: usize = records.iter().map(|r| r.table.len()).sum();
+    assert!(
+        named > 4 * distinct,
+        "a table's name is held once, not per column"
+    );
 }
