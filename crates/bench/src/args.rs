@@ -41,19 +41,21 @@ impl Args {
         Self { values }
     }
 
+    /// The flag's parsed value, or `default` when it is absent.
+    fn get<T: std::str::FromStr>(&self, key: &str, default: T, expects: &str) -> T {
+        self.values.get(key).map_or(default, |v| {
+            v.parse()
+                .unwrap_or_else(|_| panic!("--{key} expects {expects}, got {v}"))
+        })
+    }
+
     /// Integer flag with default.
     ///
     /// # Panics
     /// Panics if the value does not parse.
     #[must_use]
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v}"))
-            })
-            .unwrap_or(default)
+        self.get(key, default, "an integer")
     }
 
     /// `u64` flag with default.
@@ -62,13 +64,7 @@ impl Args {
     /// Panics if the value does not parse.
     #[must_use]
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects an integer, got {v}"))
-            })
-            .unwrap_or(default)
+        self.get(key, default, "an integer")
     }
 
     /// Float flag with default.
@@ -77,19 +73,7 @@ impl Args {
     /// Panics if the value does not parse.
     #[must_use]
     pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.values
-            .get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number, got {v}"))
-            })
-            .unwrap_or(default)
-    }
-
-    /// Raw string flag.
-    #[must_use]
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+        self.get(key, default, "a number")
     }
 }
 
@@ -103,10 +87,9 @@ mod tests {
 
     #[test]
     fn parses_pairs() {
-        let a = args(&["--domains", "1000", "--alpha", "2.5", "--name", "x"]);
+        let a = args(&["--domains", "1000", "--alpha", "2.5"]);
         assert_eq!(a.get_usize("domains", 1), 1000);
         assert!((a.get_f64("alpha", 0.0) - 2.5).abs() < 1e-12);
-        assert_eq!(a.get_str("name"), Some("x"));
     }
 
     #[test]
@@ -114,7 +97,6 @@ mod tests {
         let a = args(&[]);
         assert_eq!(a.get_usize("queries", 500), 500);
         assert_eq!(a.get_u64("seed", 42), 42);
-        assert!(a.get_str("missing").is_none());
     }
 
     #[test]

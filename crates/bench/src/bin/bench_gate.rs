@@ -1,0 +1,217 @@
+//! Checks the bars the repository holds its recorded numbers to, naming
+//! each violated bar and exiting non-zero.
+//!
+//! ```text
+//! cargo run --release -p lshe-bench --bin bench_gate -- BENCH_mutation.json [perfbench.out]
+//! ```
+//!
+//! Each argument is a file. `BENCH_mutation.json` (written from
+//! `mutation_path`'s output) is held to the commit-flatness and
+//! write-amplification bars; the output of a traced `perfbench run` — a
+//! document with a `metrics` object, read from the file's last line — to the
+//! two load-path bars, in perfbench's metric names.
+
+use lshe_serve::json::{Json, JsonError};
+use std::process::ExitCode;
+
+use Cmp::{Ge, Le, Lt};
+
+enum Cmp {
+    Le,
+    Lt,
+    Ge,
+}
+
+/// `(lhs, cmp, factor, rhs)`: the bar `lhs cmp factor × rhs` over two named
+/// numbers of the document, an absent `rhs` standing for 1.
+struct Bar(&'static str, Cmp, f64, Option<&'static str>);
+
+/// Over `speedups` of `BENCH_mutation.json`. A seal — and
+/// `Engine::commit_staged` around it, unless a commit copies the base —
+/// costs O(staged delta), so both stay flat across the 10x corpus sweep,
+/// while the rebuild they replaced grows with the corpus: the O(corpus)
+/// work left the commit path, it did not just get faster. Under the same
+/// churn, leveled merges rewrite fewer entries than tiered full folds.
+const MUTATION_BARS: &[Bar] = &[
+    Bar("seal_flatness_10x", Le, 2.0, None),
+    Bar("engine_commit_flatness_10x", Le, 2.0, None),
+    Bar("rebuild_growth_10x", Ge, 4.0, None),
+    Bar(
+        "leveled_fold_entries_20k",
+        Lt,
+        1.0,
+        Some("tiered_fold_entries_20k"),
+    ),
+];
+
+/// Over `metrics` of a traced perfbench result: serving from the mapping
+/// costs at most 1.2x a heap query, and the structural mmap open (us) is at
+/// least 100x faster than the heap load (s).
+const LOAD_BARS: &[Bar] = &[
+    Bar("store.mmap_query_ratio", Le, 1.2, None),
+    Bar("serve.container.load_s", Ge, 100e-6, Some("store.open_us")),
+];
+
+impl Bar {
+    fn check(&self, number: impl Fn(&str) -> Option<f64>) -> Result<(), String> {
+        let Self(lhs, cmp, factor, rhs) = self;
+        let get = |name: &str| number(name).ok_or(format!("{name}: missing or not a number"));
+        let value = get(lhs)?;
+        let (bound, of) = match rhs {
+            Some(rhs) => (factor * get(rhs)?, format!(" = {factor} x {rhs}")),
+            None => (*factor, String::new()),
+        };
+        let (holds, sign) = match cmp {
+            Le => (value <= bound, "<="),
+            Lt => (value < bound, "<"),
+            Ge => (value >= bound, ">="),
+        };
+        if holds {
+            return Ok(());
+        }
+        Err(format!("{lhs} = {value}, bar is {sign} {bound}{of}"))
+    }
+}
+
+fn broken(bars: &[Bar], number: impl Fn(&str) -> Option<f64>) -> Vec<String> {
+    let failed = bars.iter().filter_map(|bar| bar.check(&number).err());
+    failed.collect()
+}
+
+/// Every bar of its kind the document violates; empty when all hold.
+fn violations(doc: &Json) -> Vec<String> {
+    if let Some(metrics) = doc.get("metrics") {
+        return broken(LOAD_BARS, |name| metrics.get(name)?.get("value")?.as_f64());
+    }
+    let mut out = broken(MUTATION_BARS, |name| {
+        doc.get("speedups")?.get(name)?.as_f64()
+    });
+    for series in ["commit_seal", "compact_rebuild", "engine_commit"] {
+        for point in ["2k", "4k", "8k", "20k", "40k"] {
+            let key = format!("mutation_path/{series}_{point}");
+            if doc.get("benches").and_then(|b| b.get(&key)).is_none() {
+                out.push(format!("benches/{key}: missing"));
+            }
+        }
+    }
+    out
+}
+
+/// Parses `text` — or, perfbench printing its tables first, its last line —
+/// and checks it.
+fn gate(text: &str) -> Result<Vec<String>, JsonError> {
+    let text = text.trim_end();
+    let doc = Json::parse(text).or_else(|whole| {
+        let last = text.lines().last().unwrap_or_default();
+        Json::parse(last).map_err(|_| whole)
+    })?;
+    Ok(violations(&doc))
+}
+
+fn main() -> ExitCode {
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    if paths.is_empty() {
+        eprintln!("usage: bench_gate <BENCH_mutation.json | traced perfbench output>...");
+        return ExitCode::FAILURE;
+    }
+    let mut failed = false;
+    for path in &paths {
+        let checked = std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| gate(&text).map_err(|e| e.to_string()));
+        let broken = checked.unwrap_or_else(|e| vec![e]);
+        if broken.is_empty() {
+            println!("{path}: every bar holds");
+        }
+        failed |= !broken.is_empty();
+        broken.iter().for_each(|b| eprintln!("{path}: {b}"));
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASELINE: &str = include_str!("../../../../BENCH_mutation.json");
+
+    /// The committed baseline with `section[key]` replaced, or removed.
+    fn baseline_with(section: &str, key: &str, value: Option<f64>) -> String {
+        let Ok(Json::Obj(mut root)) = Json::parse(BASELINE) else {
+            panic!("baseline is an object");
+        };
+        let Some((_, Json::Obj(fields))) = root.iter_mut().find(|(k, _)| k == section) else {
+            panic!("baseline has {section}");
+        };
+        fields.retain(|(k, _)| k != key);
+        fields.extend(value.map(|v| (key.to_owned(), Json::Num(v))));
+        Json::Obj(root).render()
+    }
+
+    #[test]
+    fn committed_baseline_holds_every_bar() {
+        assert_eq!(gate(BASELINE), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn each_violated_or_absent_bar_is_named_alone() {
+        for (key, bad) in [
+            ("seal_flatness_10x", Some(2.5)),
+            ("engine_commit_flatness_10x", Some(3.0)),
+            ("rebuild_growth_10x", Some(3.9)),
+            ("leveled_fold_entries_20k", Some(128_160.0)),
+            ("tiered_fold_entries_20k", Some(4_848.0)),
+            ("rebuild_growth_10x", None),
+            ("tiered_fold_entries_20k", None),
+        ] {
+            let broken = gate(&baseline_with("speedups", key, bad)).expect("parses");
+            assert_eq!(broken.len(), 1, "{key}: {broken:?}");
+            assert!(broken[0].contains(key), "{key}: {broken:?}");
+        }
+    }
+
+    #[test]
+    fn a_missing_sweep_point_is_named() {
+        let key = "mutation_path/engine_commit_8k";
+        let broken = gate(&baseline_with("benches", key, None)).expect("parses");
+        assert_eq!(broken, [format!("benches/{key}: missing")]);
+    }
+
+    #[test]
+    fn malformed_documents_are_typed_errors_and_wrong_shapes_fail_every_bar() {
+        for text in ["", "{\"speedups\": {", "not json\nnor this"] {
+            assert!(gate(text).is_err(), "{text:?}");
+        }
+        for text in ["[]", "{\"speedups\": 3, \"benches\": []}"] {
+            assert_eq!(gate(text).expect("parses").len(), 4 + 15, "{text}");
+        }
+    }
+
+    #[test]
+    fn perfbench_result_line_is_held_to_the_load_path_bars() {
+        let run = |ratio: f64, load_s: f64, open_us: f64| {
+            let metric = |v: f64| Json::obj(vec![("value", Json::Num(v)), ("unit", Json::str(""))]);
+            let metrics = Json::obj(vec![
+                ("store.mmap_query_ratio", metric(ratio)),
+                ("serve.container.load_s", metric(load_s)),
+                ("store.open_us", metric(open_us)),
+            ]);
+            let line = Json::obj(vec![("correct", Json::Bool(true)), ("metrics", metrics)]);
+            gate(&format!("metric  value  unit\n{}\n", line.render())).expect("parses")
+        };
+        assert!(run(0.9, 0.05, 4.0).is_empty());
+        let slow_queries = run(1.3, 0.05, 4.0);
+        assert_eq!(slow_queries.len(), 1);
+        assert!(slow_queries[0].contains("store.mmap_query_ratio"));
+        // 0.05 s against 600 us is 83x.
+        let slow_open = run(0.9, 0.05, 600.0);
+        assert_eq!(slow_open.len(), 1);
+        assert!(slow_open[0].contains("serve.container.load_s"));
+        let absent = gate("{\"metrics\": {}}").expect("parses");
+        assert_eq!(absent.len(), 2);
+    }
+}

@@ -18,12 +18,12 @@
 //!   sketches. This is exactly what every commit used to pay, now run off
 //!   the commit path (background merger, `lshe compact`).
 //!
-//! The CI gates derive from the sweep: seal and engine-commit latency must
-//! stay flat (≤2× from the smallest to the 10× corpus — they only depend
-//! on the delta), while the rebuild must grow with the corpus (≥4× across the sweep,
-//! i.e. visibly linear), proving the O(corpus) work really left the
-//! commit path. The sweep continues to a 20× point so the flatness claim
-//! is also observed past the gated range.
+//! The bars `bench_gate` checks derive from the sweep: seal and
+//! engine-commit latency must stay flat (≤2× from the smallest to the 10×
+//! corpus — they only depend on the delta), while the rebuild must grow
+//! with the corpus (≥4× across the sweep, i.e. visibly linear), proving the
+//! O(corpus) work really left the commit path. The sweep continues to a
+//! 20× point so the flatness claim is also observed past the gated range.
 //!
 //! A second section replays an identical churn of sealed deltas through
 //! each [`MergePolicyKind`] and accumulates the entries rewritten by the

@@ -1,8 +1,8 @@
 //! # lshe-bench
 //!
-//! Experiment harness for the LSH Ensemble reproduction. Each binary in
-//! `src/bin/` regenerates one table or figure of the paper's evaluation
-//! section (see DESIGN.md §5 for the full index); this library holds the
+//! Experiment harness for the LSH Ensemble reproduction. Each `fig*`,
+//! `table4` and `ablation_*` binary in `src/bin/` regenerates one table or
+//! figure of the paper's evaluation section; this library holds the
 //! shared machinery so every experiment uses identical corpus handling,
 //! threading, and metric conventions.
 //!
@@ -13,7 +13,11 @@
 //!     --domains 65533 --queries 3000
 //! ```
 //!
-//! Criterion microbenches live in `benches/`.
+//! Two binaries are not figures: `mutation_path` times the commit, seal
+//! and rebuild paths (the numbers in `BENCH_mutation.json`), and
+//! `bench_gate` checks that file's bars — and, given a traced `perfbench`
+//! result, the load-path bars. End-to-end and per-layer serving numbers
+//! are `perfbench/`'s.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

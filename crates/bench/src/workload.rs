@@ -11,34 +11,11 @@ use lshe_datagen::{aggregate, query_accuracy, WorkloadAccuracy};
 use lshe_minhash::{MinHasher, Signature};
 use std::time::Instant;
 
-/// Number of worker threads for signature generation and query sweeps.
-#[must_use]
-pub fn worker_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-}
-
-/// Computes MinHash signatures for every domain of the catalog in parallel.
-#[must_use]
-pub fn compute_signatures(catalog: &Catalog, hasher: &MinHasher) -> Vec<Signature> {
-    let n = catalog.len();
-    let threads = worker_threads().min(n.max(1));
-    let mut out: Vec<Option<Signature>> = vec![None; n];
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, slice) in out.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || {
-                for (i, slot) in slice.iter_mut().enumerate() {
-                    let id = (t * chunk + i) as DomainId;
-                    *slot = Some(catalog.domain(id).signature(hasher));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("signature computed"))
-        .collect()
+/// Computes MinHash signatures for every domain of the catalog, in id
+/// order, through the bulk sketching path index builds use.
+fn compute_signatures(catalog: &Catalog, hasher: &MinHasher) -> Vec<Signature> {
+    let sets: Vec<&[u64]> = catalog.iter().map(|(_, d)| d.hashes()).collect();
+    hasher.bulk_signatures(&sets)
 }
 
 /// Builds an [`LshEnsemble`] over the whole catalog with the given strategy
@@ -65,8 +42,7 @@ pub fn build_ensemble(
 
 /// Ground truth for one query across a set of thresholds: `truth[k]` is the
 /// sorted answer set at `thresholds[k]` (Eq. 2).
-#[must_use]
-pub fn ground_truth_sets(
+fn ground_truth_sets(
     exact: &ExactIndex,
     catalog: &Catalog,
     query: DomainId,
@@ -89,9 +65,9 @@ pub fn ground_truth_sets(
 
 /// Accuracy of one index over a query workload at several thresholds.
 ///
-/// Returns one [`WorkloadAccuracy`] per threshold. Queries run in parallel
-/// across worker threads; ground truth is computed once per query and
-/// reused across thresholds.
+/// Returns one [`WorkloadAccuracy`] per threshold. Queries run across the
+/// process's budgeted worker lanes; ground truth is computed once per query
+/// and reused across thresholds.
 #[must_use]
 pub fn accuracy_sweep(
     index: &dyn DomainIndex,
@@ -101,50 +77,30 @@ pub fn accuracy_sweep(
     queries: &[DomainId],
     thresholds: &[f64],
 ) -> Vec<WorkloadAccuracy> {
-    let threads = worker_threads().min(queries.len().max(1));
-    let chunk = queries.len().div_ceil(threads);
-    // per_thread[t][k] = accuracies of thread t's queries at threshold k.
-    let per_thread: Vec<Vec<Vec<lshe_datagen::QueryAccuracy>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|qs| {
-                scope.spawn(move || {
-                    let mut acc: Vec<Vec<lshe_datagen::QueryAccuracy>> =
-                        vec![Vec::with_capacity(qs.len()); thresholds.len()];
-                    for &q in qs {
-                        let truth = ground_truth_sets(exact, catalog, q, thresholds);
-                        let q_size = catalog.domain(q).len() as u64;
-                        // One batched dispatch per query across the whole
-                        // threshold grid: the index amortizes its
-                        // partition probes over all thresholds at once.
-                        let batch: Vec<Query<'_>> = thresholds
-                            .iter()
-                            .map(|&t| {
-                                Query::threshold(&signatures[q as usize], t).with_size(q_size)
-                            })
-                            .collect();
-                        for (k, result) in index.search_batch(&batch).into_iter().enumerate() {
-                            let answer = result.expect("valid threshold query").ids();
-                            acc[k].push(query_accuracy(&answer, &truth[k]));
-                        }
-                    }
-                    acc
-                })
+    // per_query[i][k] = accuracy of query i at threshold k.
+    let per_query = lshe_minhash::lanes::run_chunked(queries, |qs| {
+        qs.iter()
+            .map(|&q| {
+                let truth = ground_truth_sets(exact, catalog, q, thresholds);
+                let q_size = catalog.domain(q).len() as u64;
+                // One batched dispatch per query across the whole threshold
+                // grid: the index amortizes its partition probes over all
+                // thresholds at once.
+                let batch: Vec<Query<'_>> = thresholds
+                    .iter()
+                    .map(|&t| Query::threshold(&signatures[q as usize], t).with_size(q_size))
+                    .collect();
+                let answers = index.search_batch(&batch).into_iter().zip(&truth);
+                answers
+                    .map(|(result, truth)| {
+                        query_accuracy(&result.expect("valid threshold query").ids(), truth)
+                    })
+                    .collect::<Vec<_>>()
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("accuracy worker panicked"))
             .collect()
     });
     (0..thresholds.len())
-        .map(|k| {
-            let all: Vec<lshe_datagen::QueryAccuracy> = per_thread
-                .iter()
-                .flat_map(|t| t[k].iter().copied())
-                .collect();
-            aggregate(&all)
-        })
+        .map(|k| aggregate(&per_query.iter().map(|acc| acc[k]).collect::<Vec<_>>()))
         .collect()
 }
 
@@ -271,7 +227,7 @@ pub fn build_perf_corpus(num_domains: usize, seed: u64, hasher: &MinHasher) -> P
     const COMMON_POOL: u64 = 2_000;
     const COMMON_FRACTION: f64 = 0.3;
     let dist = lshe_datagen::PowerLawSizes::new(1, MAX_SIZE, 2.0);
-    let threads = worker_threads().min(num_domains.max(1));
+    let threads = lshe_minhash::lanes::ideal_lanes(num_domains);
     let chunk = num_domains.div_ceil(threads);
     let mut sizes: Vec<u64> = vec![0; num_domains];
     let mut signatures: Vec<Option<Signature>> = vec![None; num_domains];

@@ -448,8 +448,7 @@ impl MmapIndex {
                 source,
             };
             let (entries, dead) =
-                crate::persist::decode_segments(&mut sdec, num_perm, part_count, false)
-                    .map_err(scodec)?;
+                crate::persist::decode_segments(&mut sdec, num_perm, part_count).map_err(scodec)?;
             let next_id = sdec.get_u32("next id").map_err(scodec)?;
             if !sdec.is_exhausted() {
                 return Err(corrupt("segments", "trailing bytes after segments"));

@@ -13,14 +13,13 @@
 //! per tombstone: id:u32 tier:u8 (0 = base, 1 = segment) index:u32
 //! ```
 //!
-//! Version 2 added the trailing segment stack and tombstone list (tiered
-//! commits); a version-1 payload decodes as a fully compacted index.
-//! Version 3 holds segment entries' signatures as `u32` lanes; a version-2
-//! payload's `u64` slots are narrowed as they are decoded. Version 4 nests
-//! `LSHF` version-2 forests — each base row's lanes once, `num_perm` wide,
-//! indexed by the trees instead of repeated in them; the forests of older
-//! payloads are reassembled into that shape as they are decoded (see
-//! `lshe_lsh::persist`), and the next save writes version 4. Sealed
+//! Version 4 nests `LSHF` version-2 forests — each base row's lanes once,
+//! `num_perm` wide, indexed by the trees instead of repeated in them.
+//! Version 3, the one generation before, still decodes: it differs only in
+//! nesting `LSHF` version-1 forests, which are reassembled into that shape
+//! as they are decoded (see `lshe_lsh::persist`), and the next save writes
+//! version 4. Anything older — `u64` slots, no segment stack — is refused
+//! with [`CodecError::UnsupportedVersion`]. Sealed
 //! segments persist as their entry triples in sealing order — partitioning
 //! a segment is deterministic, so the decoder replays [`build_segment`] and
 //! reconstructs bit-identical forests, which keeps the byte form canonical.
@@ -44,6 +43,8 @@ use std::io::Write;
 pub const MAGIC: [u8; 4] = *b"LSHE";
 /// Current format version.
 pub const VERSION: u8 = 4;
+/// The oldest version still decoded: the generation before [`VERSION`].
+const OLDEST_READ: u8 = 3;
 
 pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: PartitionStrategy) {
     match strategy {
@@ -69,8 +70,8 @@ pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: Partitio
 }
 
 /// Appends the tiered-mutation tail (segment stack + tombstone list) —
-/// shared between v1-style ensemble payloads and the v2 store's
-/// `Segments` section.
+/// shared between ensemble payloads and the packed store's `Segments`
+/// section.
 pub(crate) fn encode_segments<W: Write>(
     enc: &mut Encoder<W>,
     segments: &[std::sync::Arc<crate::ensemble::SealedSegment>],
@@ -102,8 +103,7 @@ pub(crate) fn encode_segments<W: Write>(
 }
 
 /// Decodes [`encode_segments`]' output: per-segment raw entry triples plus
-/// the tombstone list, validated against the owning index's shape. `wide`
-/// reads the `u64` slots ensemble payloads before version 3 carried.
+/// the tombstone list, validated against the owning index's shape.
 ///
 /// # Errors
 /// [`CodecError`] on truncation or structural inconsistency.
@@ -112,7 +112,6 @@ pub(crate) fn decode_segments(
     dec: &mut Decoder<'_>,
     num_perm: usize,
     part_count: usize,
-    wide: bool,
 ) -> Result<
     (
         Vec<Vec<(DomainId, u64, Signature)>>,
@@ -120,11 +119,6 @@ pub(crate) fn decode_segments(
     ),
     CodecError,
 > {
-    let lane_bytes = if wide {
-        std::mem::size_of::<u64>()
-    } else {
-        Signature::LANE_BYTES
-    };
     let seg_count = dec.get_u64("segment count")? as usize;
     let mut segment_entries = Vec::new();
     for _ in 0..seg_count {
@@ -132,7 +126,7 @@ pub(crate) fn decode_segments(
         if entry_count == 0 {
             return Err(CodecError::Corrupt("empty sealed segment"));
         }
-        if entry_count.saturating_mul(12 + lane_bytes * num_perm) > dec.remaining() {
+        if entry_count.saturating_mul(12 + Signature::LANE_BYTES * num_perm) > dec.remaining() {
             return Err(CodecError::Corrupt("segment payload exceeds input"));
         }
         let mut entries = Vec::with_capacity(entry_count);
@@ -142,7 +136,7 @@ pub(crate) fn decode_segments(
             if size == 0 {
                 return Err(CodecError::Corrupt("zero-size segment entry"));
             }
-            let sig = dec.get_lanes(num_perm, wide, "segment entry slot")?;
+            let sig = dec.get_lanes(num_perm, "segment entry slot")?;
             entries.push((id, size, sig));
         }
         segment_entries.push(entries);
@@ -243,7 +237,7 @@ impl LshEnsemble {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut dec = Decoder::new(bytes);
         let version = dec.envelope(MAGIC)?;
-        if version > VERSION {
+        if !(OLDEST_READ..=VERSION).contains(&version) {
             return Err(CodecError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
@@ -275,8 +269,8 @@ impl LshEnsemble {
         let mut partitions = Vec::with_capacity(shells.len());
         for (&(lower, upper, _), forest) in shells.iter().zip(forests) {
             let forest = forest?;
-            // A forest from a payload before version 4 keeps only its key
-            // lanes, and stays that narrow when the index is saved again.
+            // A forest from a version-3 payload keeps only its key lanes,
+            // and stays that narrow when the index is saved again.
             if (forest.b_max(), forest.r_max()) != (b_max, r_max)
                 || ![b_max * r_max, num_perm].contains(&forest.width())
             {
@@ -284,13 +278,7 @@ impl LshEnsemble {
             }
             partitions.push((lower, upper, forest));
         }
-        // Version 1 predates tiered commits: no segment stack, no
-        // tombstones — exactly a compacted index.
-        let (segment_entries, dead) = if version >= 2 {
-            decode_segments(&mut dec, num_perm, part_count, version < 3)?
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let (segment_entries, dead) = decode_segments(&mut dec, num_perm, part_count)?;
         if !dec.is_exhausted() {
             return Err(CodecError::Corrupt("trailing bytes after ensemble"));
         }
@@ -306,9 +294,9 @@ impl LshEnsemble {
             segment_entries,
             dead,
         );
-        // Subsumes v1's per-partition sum check: live ids (base rows, plus
-        // segment entries, minus tombstones) must agree with the recorded
-        // length — catching duplicate ids and tampered lengths alike.
+        // Live ids (base rows, plus segment entries, minus tombstones) must
+        // agree with the recorded length — catching duplicate ids and
+        // tampered lengths alike.
         if ensemble.id_count() != len {
             return Err(CodecError::Corrupt("partition sizes do not sum to len"));
         }

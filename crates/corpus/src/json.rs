@@ -68,6 +68,10 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Nesting depth cap, the same as `lshe-serve`'s request parser: one line
+/// of `[[[[…` from a file must be a skipped line, not a stack overflow.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -104,11 +108,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
+    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
+        if depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.object(depth),
+            Some(b'[') => self.array(depth),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal(b"true", JsonValue::Bool(true)),
             Some(b'f') => self.literal(b"false", JsonValue::Bool(false)),
@@ -248,7 +255,7 @@ impl<'a> Parser<'a> {
         Ok(cp)
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
+    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect(b'[', "expected '['")?;
         let mut out = Vec::new();
         self.skip_ws();
@@ -257,7 +264,7 @@ impl<'a> Parser<'a> {
             return Ok(JsonValue::Array(out));
         }
         loop {
-            out.push(self.value()?);
+            out.push(self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -272,7 +279,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
+    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
         self.expect(b'{', "expected '{'")?;
         let mut out = BTreeMap::new();
         self.skip_ws();
@@ -285,7 +292,7 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':', "expected ':'")?;
-            let value = self.value()?;
+            let value = self.value(depth + 1)?;
             out.insert(key, value);
             self.skip_ws();
             match self.peek() {
@@ -306,13 +313,13 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 /// [`JsonError`] with a byte offset on malformed input (including trailing
-/// non-whitespace).
+/// non-whitespace, and arrays or objects nested more than 64 deep).
 pub fn parse_json(input: &[u8]) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input,
         pos: 0,
     };
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != input.len() {
         return Err(p.err("trailing characters after value"));
@@ -434,6 +441,27 @@ mod tests {
         assert!(parse_json(b"\"\\u12").is_err());
         assert!(parse_json(b"\"\\ud800x\"").is_err()); // lone high surrogate
         assert!(parse_json(b"01").is_err() || parse_json(b"01").is_ok()); // leading zeros tolerated
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error_and_a_skipped_line() {
+        let nested = |depth: usize| [b"[".repeat(depth), b"]".repeat(depth)].concat();
+        // The outermost value is at depth 0.
+        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 2)).unwrap_err();
+        assert_eq!((err.message, err.at), ("nesting too deep", MAX_DEPTH + 1));
+        // Deep enough to overflow a test thread's stack without the cap.
+        let hostile = b"[".repeat(200_000);
+        assert_eq!(parse_json(&hostile).unwrap_err(), err);
+        let objects = b"{\"k\":".repeat(200_000);
+        assert_eq!(
+            parse_json(&objects).unwrap_err().message,
+            "nesting too deep"
+        );
+        let lines = [b"{\"v\": 1}\n", &hostile[..], b"\n{\"v\": 2}\n"].concat();
+        let mut catalog = Catalog::new();
+        let (ids, skipped) = catalog.ingest_jsonl("t", &lines, 2);
+        assert_eq!((ids.len(), skipped), (1, 1));
     }
 
     #[test]

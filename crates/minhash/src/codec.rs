@@ -25,11 +25,12 @@ pub enum CodecError {
         /// The tag actually found.
         found: [u8; 4],
     },
-    /// The envelope version is not supported by this build.
+    /// The envelope version is not one this build reads: newer than the
+    /// one it writes, or older than the oldest it still migrates.
     UnsupportedVersion {
         /// The version actually found.
         found: u8,
-        /// The newest version this build understands.
+        /// The version this build writes.
         supported: u8,
     },
     /// A structural invariant failed (impossible lengths, inconsistent
@@ -50,7 +51,10 @@ impl std::fmt::Display for CodecError {
                 String::from_utf8_lossy(found)
             ),
             Self::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported version {found} (supported ≤ {supported})")
+                write!(
+                    f,
+                    "unsupported version {found} (this build writes {supported})"
+                )
             }
             Self::Corrupt(what) => write!(f, "corrupt payload: {what}"),
         }
@@ -304,15 +308,6 @@ impl<'a> Decoder<'a> {
         self.counted(1, reading)
     }
 
-    /// Reads `n` little-endian `u64`s, no length prefix (capacity = `n`).
-    ///
-    /// # Errors
-    /// [`CodecError::UnexpectedEof`] when fewer than `8 · n` bytes remain.
-    pub fn get_u64s(&mut self, n: usize, reading: &'static str) -> Result<Vec<u64>, CodecError> {
-        let bytes = self.take(n.saturating_mul(8), reading)?;
-        Ok(le_vec(bytes, u64::from_le_bytes))
-    }
-
     /// Reads `n` little-endian `u32`s, no length prefix (capacity = `n`).
     ///
     /// # Errors
@@ -330,24 +325,14 @@ impl<'a> Decoder<'a> {
         Ok(le_vec(self.counted(4, reading)?, u32::from_le_bytes))
     }
 
-    /// Reads a signature of `n` lanes, no length prefix: `u32`s as every
-    /// current format writes them, or — `wide`, for the formats older than
-    /// 32-bit lanes — `u64` minima, narrowed on the way in.
+    /// Reads a signature of `n` `u32` lanes, no length prefix.
     ///
     /// # Errors
     /// [`CodecError::UnexpectedEof`] when fewer than `n` lanes remain,
     /// [`CodecError::Corrupt`] when `n` is zero.
-    pub fn get_lanes(
-        &mut self,
-        n: usize,
-        wide: bool,
-        reading: &'static str,
-    ) -> Result<Signature, CodecError> {
+    pub fn get_lanes(&mut self, n: usize, reading: &'static str) -> Result<Signature, CodecError> {
         if n == 0 {
             return Err(CodecError::Corrupt("signature must have slots"));
-        }
-        if wide {
-            return Ok(Signature::from_wide(&self.get_u64s(n, reading)?));
         }
         let bytes = self.take(n.saturating_mul(Signature::LANE_BYTES), reading)?;
         Ok(Signature::from_slots(le_vec(bytes, u32::from_le_bytes)))
@@ -390,7 +375,7 @@ fn le_vec<T, const N: usize>(bytes: &[u8], from_le: impl Fn([u8; N]) -> T) -> Ve
 /// "LSIG" version:u8 lane_count:u64 lanes:u32×lane_count
 /// ```
 ///
-/// Version 1 carried `u64` slots; it still decodes, narrowed.
+/// Version 1 carried `u64` slots and is refused.
 pub mod signature_wire {
     use super::{CodecError, Decoder, Encoder};
     use crate::Signature;
@@ -417,14 +402,14 @@ pub mod signature_wire {
     pub fn decode(bytes: &[u8]) -> Result<Signature, CodecError> {
         let mut dec = Decoder::new(bytes);
         let version = dec.envelope(MAGIC)?;
-        if version > VERSION {
+        if version != VERSION {
             return Err(CodecError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
             });
         }
         let lanes = dec.get_u64("signature lane count")? as usize;
-        dec.get_lanes(lanes, version < 2, "signature slots")
+        dec.get_lanes(lanes, "signature slots")
     }
 }
 
@@ -511,15 +496,9 @@ mod tests {
                 CodecError::UnexpectedEof { reading: "raw" }
             );
             assert_eq!(
-                dec().get_u64s(n, "raw").unwrap_err(),
+                dec().get_lanes(n, "raw").unwrap_err(),
                 CodecError::UnexpectedEof { reading: "raw" }
             );
-            for wide in [false, true] {
-                assert_eq!(
-                    dec().get_lanes(n, wide, "raw").unwrap_err(),
-                    CodecError::UnexpectedEof { reading: "raw" }
-                );
-            }
         }
     }
 
@@ -535,9 +514,6 @@ mod tests {
             3 * BLOCK_ELEMS + 5,
         ] {
             let a: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
-            let b: Vec<u64> = (0..n as u64)
-                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .collect();
             let mut bulk = Encoder::default();
             bulk.put_u32_slice(&a);
             bulk.put_u32s(&a);
@@ -545,30 +521,20 @@ mod tests {
             each.put_u64(n as u64);
             a.iter().for_each(|&v| each.put_u32(v));
             a.iter().for_each(|&v| each.put_u32(v));
-            b.iter().for_each(|&v| each.put_u64(v));
-            assert_eq!(bulk.len() + 8 * n, each.len());
-            let mut bytes = bulk.finish();
-            bytes.extend(b.iter().flat_map(|v| v.to_le_bytes()));
+            assert_eq!(bulk.len(), each.len());
+            let bytes = bulk.finish();
             assert_eq!(bytes, each.finish(), "n = {n}");
 
             let mut dec = Decoder::new(&bytes);
             let a2 = dec.get_u32_vec("a").expect("a");
             if n == 0 {
-                assert!(
-                    dec.get_lanes(n, false, "raw").is_err(),
-                    "no empty signature"
-                );
+                assert!(dec.get_lanes(n, "raw").is_err(), "no empty signature");
                 continue;
             }
-            let a3 = dec.get_lanes(n, false, "raw").expect("raw");
-            let b3 = dec.get_u64s(n, "raw").expect("raw");
+            let a3 = dec.get_lanes(n, "raw").expect("raw");
             assert!(dec.is_exhausted());
-            assert_eq!((&a2[..], a3.slots(), &b3), (&a[..], &a[..], &b));
-            assert_eq!(
-                (a2.capacity(), b3.capacity()),
-                (n, n),
-                "decoded vectors must not over-allocate"
-            );
+            assert_eq!((&a2[..], a3.slots()), (&a[..], &a[..]));
+            assert_eq!(a2.capacity(), n, "decoded vectors must not over-allocate");
         }
     }
 
@@ -638,15 +604,20 @@ mod tests {
     }
 
     #[test]
-    fn signature_wire_v1_narrows_its_64_bit_slots() {
-        let wide = [0u64, 1 << 29, (1 << 61) - 2, crate::EMPTY_SLOT];
+    fn signature_wire_refuses_the_64_bit_slot_version() {
         let mut enc = Encoder::default();
         enc.envelope(signature_wire::MAGIC, 1);
-        enc.put_u64(wide.len() as u64);
-        wide.iter().for_each(|&v| enc.put_u64(v));
-        let back = signature_wire::decode(&enc.finish()).expect("v1 decodes");
-        assert_eq!(back, Signature::from_wide(&wide));
-        assert_eq!(back.slots(), [0, 1, u32::MAX, u32::MAX]);
+        enc.put_u64(2);
+        for slot in [1u64 << 29, crate::EMPTY_SLOT] {
+            enc.put_u64(slot);
+        }
+        assert_eq!(
+            signature_wire::decode(&enc.finish()).unwrap_err(),
+            CodecError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            }
+        );
     }
 
     #[test]

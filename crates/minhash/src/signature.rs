@@ -66,8 +66,8 @@ impl Signature {
         }
     }
 
-    /// Narrows 64-bit minima — a finished fold, or the slots of a format
-    /// written before lanes were 32-bit — through [`truncate_slot`].
+    /// Narrows the 64-bit minima of a finished fold through
+    /// [`truncate_slot`].
     ///
     /// # Panics
     /// Panics if `wide` is empty.

@@ -8,18 +8,19 @@
 //! meta_count:u64
 //! per domain: id:u32 size:u64 table:str column:str
 //! ensemble: u64 length + LshEnsemble bytes ("LSHE" v4)
-//! next_id:u32                   (v2+)
+//! next_id:u32
 //! ```
 //!
 //! A ranked container needs nothing beyond the flag: every signature is in
 //! the ensemble once, as the forest row that indexes it, and every live
-//! domain's cardinality is in its record. Versions up to 3 followed the
-//! ensemble with a second copy of each signature (`lane_count:u64` + lanes
-//! per record; `u64` slots up to version 2, 32-bit lanes in version 3)
-//! beside forests that held the lanes again as tree keys. Such files still
-//! load — the old forests are reassembled into row tables as they are
-//! decoded, the sketch section is stepped over — and are written back as
-//! version 4 by the next save; nothing writes them again.
+//! domain's cardinality is in its record. Version 3, the one generation
+//! before, followed the ensemble with a second copy of each signature
+//! (`lane_count:u64` + 32-bit lanes per record) beside forests that held
+//! the lanes again as tree keys. Such files still load — the old forests
+//! are reassembled into row tables as they are decoded, the sketch section
+//! is stepped over — and are written back as version 4 by the next save;
+//! nothing writes them again. Anything older (`u64` slots, no allocator
+//! mark) is refused with [`CodecError::UnsupportedVersion`].
 //!
 //! Two on-disk formats share this module. The heap format above (`LSHX`,
 //! currently [`VERSION`]) is decoded wholesale into heap structures. The
@@ -49,12 +50,14 @@ use std::sync::Arc;
 
 /// Envelope tag for `.lshe` files.
 pub const MAGIC: [u8; 4] = *b"LSHX";
-/// Current container version. v2 appends the id allocator's high-water
-/// mark so a restart never re-issues a removed domain's id; v1 files load
-/// with the mark recomputed as `max(id) + 1`. v3 narrowed the ranked
-/// sketches to `u32` lanes; v4 drops them — the nested `LSHE` v4 ensemble
-/// holds each signature once, as a forest row.
+/// Current container version: the nested `LSHE` v4 ensemble holds each
+/// signature once, as a forest row. The payload ends with the id
+/// allocator's high-water mark, so a restart never re-issues a removed
+/// domain's id.
 pub const VERSION: u8 = 4;
+/// The oldest version still decoded — the generation before [`VERSION`],
+/// whose ranked files carry a sketch section after the ensemble.
+const OLDEST_READ: u8 = 3;
 
 /// What kind of index a container stores — the tag
 /// [`open_index`](IndexContainer::open_index) dispatches on, so no caller
@@ -747,7 +750,7 @@ impl IndexContainer {
             rec.encode_into(enc);
         }
         enc.put_nested(|enc| self.ensemble().encode_into(enc));
-        // v2 trailer: the allocator high-water mark survives restarts.
+        // Trailer: the allocator high-water mark survives restarts.
         enc.put_u32(self.next_id);
     }
 
@@ -782,7 +785,7 @@ impl IndexContainer {
         let mut dec = Decoder::new(bytes);
         let hdr = |e| ("header", e);
         let version = dec.envelope(MAGIC).map_err(hdr)?;
-        if version > VERSION {
+        if !(OLDEST_READ..=VERSION).contains(&version) {
             return Err(hdr(CodecError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
@@ -808,8 +811,8 @@ impl IndexContainer {
             )));
         }
         let sk = |e| ("sketches", e);
-        if has_ranked && version < 4 {
-            Self::skip_sketches(&mut dec, records.len(), num_perm, version < 3).map_err(sk)?;
+        if has_ranked && version < VERSION {
+            Self::skip_sketches(&mut dec, records.len(), num_perm).map_err(sk)?;
         }
         let index = if has_ranked {
             // The rows are in the ensemble; the records say how large each
@@ -820,13 +823,7 @@ impl IndexContainer {
         } else {
             StoredIndex::Plain(Arc::new(ensemble))
         };
-        // Version-1 files predate the persisted allocator mark; recompute
-        // the conservative floor (which is exactly what v1 servers did).
-        let mark = if version >= 2 {
-            dec.get_u32("next id").map_err(|e| ("allocator mark", e))?
-        } else {
-            0
-        };
+        let mark = dec.get_u32("next id").map_err(|e| ("allocator mark", e))?;
         if !dec.is_exhausted() {
             return Err(sk(CodecError::Corrupt("trailing bytes after container")));
         }
@@ -834,20 +831,18 @@ impl IndexContainer {
     }
 
     /// Steps over the per-record sketches that followed the ensemble in
-    /// ranked containers older than version 4 (`wide`: the `u64` slots of
-    /// those older than version 3). The same lanes are in the ensemble's
+    /// version-3 ranked containers. The same lanes are in the ensemble's
     /// forests, which is where they are read from now.
     fn skip_sketches(
         dec: &mut Decoder<'_>,
         records: usize,
         num_perm: usize,
-        wide: bool,
     ) -> Result<(), CodecError> {
         for _ in 0..records {
             if dec.get_u64("sketch width")? != num_perm as u64 {
                 return Err(CodecError::Corrupt("sketch width disagrees with config"));
             }
-            dec.get_lanes(num_perm, wide, "sketch slots")?;
+            dec.get_lanes(num_perm, "sketch slots")?;
         }
         Ok(())
     }
@@ -1131,12 +1126,10 @@ impl std::error::Error for LoadError {
 
 /// Envelope tag for `.delta` sidecar files.
 pub const DELTA_MAGIC: [u8; 4] = *b"LSHD";
-/// Current delta-log format version. v2 widens the header with the id
-/// allocator's high-water mark at log creation (4 bytes) and adds the
-/// [`DeltaOp::Commit`] marker; v1 logs (5-byte header, no markers) still
-/// read back as one all-staged tail. v3 logs an insert's signature as
-/// `u32` lanes under a new op tag; the old tag's `u64` slots narrow as
-/// they are read, so a log an older build began can be appended to.
+/// The delta-log format version, the only one read: a 9-byte header
+/// carrying the id allocator's high-water mark at log creation,
+/// [`DeltaOp::Commit`] markers, and an insert's signature as `u32` lanes.
+/// A log is retired by every merge, so no older one is migrated.
 pub const DELTA_VERSION: u8 = 3;
 
 /// One staged mutation, as recorded in the append-only delta log.
@@ -1241,16 +1234,16 @@ fn delta_header(next_id: u32) -> Vec<u8> {
     header.finish()
 }
 
-/// Decodes one entry's payload. Tag 1 is the insert of logs before
-/// version 3, its signature in `u64` slots; tag 4 replaced it.
+/// Decodes one entry's payload. Tag 1 stays unassigned: logs before
+/// version 3 used it for an insert with `u64` slots.
 fn decode_op(payload: &[u8]) -> Result<DeltaOp, CodecError> {
     let mut dec = Decoder::new(payload);
     let op = match dec.get_u8("delta op tag")? {
-        tag @ (1 | 4) => DeltaOp::Insert {
+        4 => DeltaOp::Insert {
             record: DomainRecord::decode(&mut dec)?,
             signature: {
                 let lanes = dec.get_u64("delta signature width")? as usize;
-                dec.get_lanes(lanes, tag == 1, "delta signature")?
+                dec.get_lanes(lanes, "delta signature")?
             },
         },
         2 => DeltaOp::Remove {
@@ -1276,12 +1269,11 @@ fn decode_op(payload: &[u8]) -> Result<DeltaOp, CodecError> {
 /// folds every batch into the base file.
 ///
 /// ```text
-/// "LSHD" version:u8 next_id:u32        (v1 headers omit next_id)
+/// "LSHD" version:u8 next_id:u32
 /// per entry: len:u32  payload[len]  fnv1a(payload):u64
 /// payload: 4 record lane_count:u64 lanes:u32×lane_count   (insert)
 ///        | 2 id:u32                                       (remove)
 ///        | 3 next_id:u32                                  (commit marker)
-///        | 1 record slot_count:u64 slots:u64×slot_count   (insert, read only)
 /// ```
 ///
 /// A crash mid-append leaves a truncated final entry; [`read`](Self::read)
@@ -1351,13 +1343,13 @@ impl DeltaLog {
         self.read_with_mark().map(|(_, ops)| ops)
     }
 
-    /// Reads the header's allocator high-water mark (0 for v1 logs, which
-    /// predate it) plus every op in append order. A missing file is an
-    /// empty log with mark 0.
+    /// Reads the header's allocator high-water mark plus every op in
+    /// append order. A missing file is an empty log with mark 0.
     ///
     /// # Errors
     /// [`DeltaError::Torn`] when the file ends mid-entry (torn write),
-    /// [`DeltaError::Corrupt`] on a bad header, checksum, or payload, and
+    /// [`DeltaError::Corrupt`] on a bad header — any version but
+    /// [`DELTA_VERSION`] included — checksum, or payload, and
     /// [`DeltaError::Io`] on filesystem failures.
     pub fn read_with_mark(&self) -> Result<(u32, Vec<DeltaOp>), DeltaError> {
         let bytes = match std::fs::read(&self.path) {
@@ -1369,20 +1361,17 @@ impl DeltaLog {
         let version = dec
             .envelope(DELTA_MAGIC)
             .map_err(|e| DeltaError::Corrupt(e.to_string()))?;
-        if version > DELTA_VERSION {
+        if version != DELTA_VERSION {
             return Err(DeltaError::Corrupt(format!(
-                "unsupported delta version {version}"
+                "unsupported delta version {version} (this build reads {DELTA_VERSION})"
             )));
         }
+        let mark = dec
+            .get_u32("next id")
+            .map_err(|e| DeltaError::Corrupt(e.to_string()))?;
         // Entries are parsed straight off validated slices past the fixed
-        // header: magic + version (5 bytes), plus the v2 allocator mark.
-        let mark = if version >= 2 {
-            dec.get_u32("next id")
-                .map_err(|e| DeltaError::Corrupt(e.to_string()))?
-        } else {
-            0
-        };
-        let mut pos = if version >= 2 { 9usize } else { 5usize };
+        // header: magic + version (5 bytes) + allocator mark (4).
+        let mut pos = 9usize;
         let mut ops = Vec::new();
         while pos < bytes.len() {
             if bytes.len() - pos < 4 {
@@ -1642,7 +1631,7 @@ mod tests {
         // announces a string of nearly usize::MAX bytes.
         let log = scratch_log("hostile");
         let mut payload = Encoder::default();
-        payload.put_u8(1);
+        payload.put_u8(4);
         payload.put_u32(4);
         payload.put_u64(10);
         payload.put_u64(u64::MAX - 16);
@@ -1973,35 +1962,42 @@ mod tests {
     }
 
     #[test]
-    fn v1_delta_log_reads_back_without_a_mark() {
-        // A log written by a pre-segment server: 5-byte header, no
-        // allocator mark, no commit markers, 64-bit signature slots — reads
-        // as one staged tail, the slots narrowed.
-        let log = scratch_log("v1compat");
-        let wide: Vec<u64> = (1..=8u64).map(|v| v << 40 | v).collect();
+    fn older_delta_logs_and_their_insert_tag_are_refused() {
+        let log = scratch_log("older");
+        // Version 1 (5-byte header) and version 2 (allocator mark added).
+        for (version, mark) in [(1, None), (2, Some(7u32))] {
+            let mut header = Encoder::with_capacity(9);
+            header.envelope(DELTA_MAGIC, version);
+            mark.into_iter().for_each(|m| header.put_u32(m));
+            let mut bytes = header.finish();
+            encode_entry(&mut bytes, &DeltaOp::Remove { id: 2 });
+            std::fs::write(log.path(), &bytes).expect("write");
+            let err = log.read_with_mark().unwrap_err();
+            assert!(
+                matches!(&err, DeltaError::Corrupt(msg) if msg.contains("unsupported delta version")),
+                "v{version}: {err}"
+            );
+        }
+        // Tag 1, those logs' insert with 64-bit slots, under a current header.
         let DeltaOp::Insert { record, .. } = insert_op(4, 10, 8) else {
             unreachable!()
         };
         let payload = Encoder::exactly(|enc| {
             enc.put_u8(1);
             record.encode_into(enc);
-            enc.put_u64(wide.len() as u64);
-            wide.iter().for_each(|&v| enc.put_u64(v));
+            enc.put_u64(8);
+            (1..=8u64).for_each(|v| enc.put_u64(v << 40));
         });
-        let mut header = Encoder::with_capacity(5);
-        header.envelope(DELTA_MAGIC, 1);
-        let mut bytes = header.finish();
+        let mut bytes = delta_header(7);
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&payload);
         bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        encode_entry(&mut bytes, &DeltaOp::Remove { id: 2 });
         std::fs::write(log.path(), &bytes).expect("write");
-        let signature = Signature::from_wide(&wide);
-        let ops = vec![
-            DeltaOp::Insert { record, signature },
-            DeltaOp::Remove { id: 2 },
-        ];
-        assert_eq!(log.read_with_mark().expect("read v1"), (0, ops));
+        let err = log.read_with_mark().unwrap_err();
+        assert!(
+            matches!(&err, DeltaError::Corrupt(msg) if msg.contains("unknown delta op tag")),
+            "{err}"
+        );
         std::fs::remove_dir_all(log.path().parent().expect("dir")).ok();
     }
 
@@ -2012,7 +2008,7 @@ mod tests {
         log.append(&DeltaOp::Remove { id: 1 }, 2).expect("append");
         let bytes = std::fs::read(log.path()).expect("read");
         // Cut anywhere strictly inside the second entry: one complete
-        // entry must be reported, never a panic. The v2 header is 9 bytes
+        // entry must be reported, never a panic. The header is 9 bytes
         // (magic + version + allocator mark).
         let first_entry_end = {
             let payload_len = u32::from_le_bytes(bytes[9..13].try_into().expect("len")) as usize;
@@ -2155,7 +2151,7 @@ mod tests {
         std::fs::write(&cut, &bytes[..bytes.len() - 1]).expect("write");
         let err = IndexContainer::load(&cut).unwrap_err();
         match &err {
-            // The last bytes of a v2 container are the allocator-mark
+            // The last bytes of a container are the allocator-mark
             // trailer, so a one-byte truncation fails there.
             LoadError::Decode { section, .. } => assert_eq!(*section, "allocator mark"),
             other => panic!("expected Decode, got {other:?}"),

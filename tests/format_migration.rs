@@ -1,22 +1,20 @@
-//! One-way migration from the older heap formats to the current one.
+//! One-way migration from the generation before the current writer.
 //!
-//! `tests/fixtures/v2_ranked.lshe` (`LSHX` v2 around an `LSHE` v2 ensemble
-//! with one sealed segment and a tombstone) and `tests/fixtures/v2.delta`
-//! (`LSHD` v2) were written by the commit before signatures narrowed to
-//! 32-bit lanes, from the domains [`fixture_container`] and [`fixture_log`]
-//! rebuild here. `tests/fixtures/v3_ranked.lshe` and `v3_plain.lshe`
-//! (`LSHX` v3 around `LSHE` v3 / `LSHF` v1: two sealed segments, a base and
-//! a segment tombstone) were written by the commit before forests indexed a
-//! row table — when a ranked file held every lane twice — from the domains
+//! `tests/fixtures/v3_ranked.lshe` and `v3_plain.lshe` (`LSHX` v3 around
+//! `LSHE` v3 / `LSHF` v1: two sealed segments, a base and a segment
+//! tombstone) were written by the commit before forests indexed a row
+//! table — when a ranked file held every lane twice — from the domains
 //! [`v3_container`] rebuilds, with that commit's answers recorded in
-//! `v3_expected.txt`. All must load, answer as they did, equal a fresh
-//! build of their domains, and save as the current version.
+//! `v3_expected.txt`. Both must load, answer as they did, equal a fresh
+//! build of their domains, and save as the current version. Anything older
+//! — the 64-bit-slot generations — is refused on its version byte.
 
 use lshe_core::Query;
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
+use lshe_minhash::codec::{CodecError, Encoder};
 use lshe_minhash::MinHasher;
-use lshe_serve::{DeltaLog, DeltaOp, DomainRecord, IndexContainer};
+use lshe_serve::{DeltaOp, DomainRecord, IndexContainer};
 use std::path::PathBuf;
 
 fn fixture(name: &str) -> PathBuf {
@@ -45,68 +43,46 @@ fn insert(id: u32, (domain, meta): &(Domain, DomainMeta), hasher: &MinHasher) ->
     }
 }
 
-/// Mark and ops of `v2.delta`: a committed batch, then a staged tail.
-fn fixture_log() -> (u32, Vec<DeltaOp>) {
-    let hasher = MinHasher::new(lshe_minhash::DEFAULT_NUM_PERM);
-    let fresh = corpus(3, 22);
-    let ops = vec![
-        insert(4, &fresh[0], &hasher),
-        insert(5, &fresh[1], &hasher),
-        DeltaOp::Commit { next_id: 6 },
-        DeltaOp::Remove { id: 1 },
-        insert(6, &fresh[2], &hasher),
-    ];
-    (4, ops)
-}
-
-/// `v2_ranked.lshe`: four base domains in two partitions, then the log's
-/// committed batch and its remove sealed into one segment and a tombstone.
-fn fixture_container() -> IndexContainer {
-    let mut c = IndexContainer::from_stream(corpus(4, 21), 2, true);
-    let (_, ops) = fixture_log();
-    c.apply(&ops[..2]).expect("inserts");
-    c.apply(&ops[3..4]).expect("remove");
-    assert!(c.commit_mutations().sealed);
-    let stats = c.segment_stats();
-    assert_eq!((stats.segments, stats.tombstones), (1, 1));
-    c
+/// Where the ensemble nested in a container starts.
+fn nested_at(bytes: &[u8]) -> usize {
+    let at = bytes
+        .windows(4)
+        .position(|w| w == lshe_core::persist::MAGIC);
+    at.expect("nested ensemble")
 }
 
 /// The `LSHE` version byte of the ensemble nested in a container.
 fn nested_version(bytes: &[u8]) -> u8 {
-    let at = bytes
-        .windows(4)
-        .position(|w| w == lshe_core::persist::MAGIC);
-    bytes[at.expect("nested ensemble") + 4]
+    bytes[nested_at(bytes) + 4]
 }
 
 #[test]
-fn v2_container_loads_like_a_fresh_build_and_saves_as_v4() {
-    let old = std::fs::read(fixture("v2_ranked.lshe")).expect("fixture");
-    assert_eq!((&old[..4], old[4]), (&b"LSHX"[..], 2), "fixture is LSHX v2");
-    let loaded = IndexContainer::load(&fixture("v2_ranked.lshe")).expect("v2 loads");
-    let fresh = fixture_container();
-    assert_eq!(loaded.records(), fresh.records());
-    assert_eq!(loaded.next_id(), fresh.next_id());
-    assert_eq!(loaded.segment_stats(), fresh.segment_stats());
-    let hasher = MinHasher::new(loaded.num_perm());
-    for (domain, _) in corpus(4, 21).iter().chain(&corpus(3, 22)) {
-        let sig = hasher.signature(domain.hashes().iter().copied());
-        let size = domain.len() as u64;
-        for t in [0.1, 0.5, 0.9] {
-            assert_eq!(loaded.search(&sig, size, t), fresh.search(&sig, size, t));
-        }
-        assert_eq!(loaded.top_k(&sig, size, 3), fresh.top_k(&sig, size, 3));
+fn older_generations_are_refused_on_their_version_byte() {
+    let refused = |found| CodecError::UnsupportedVersion {
+        found,
+        supported: 4,
+    };
+    let current = v3_container(true).to_bytes();
+    let nested = nested_at(&current);
+    for old in [1u8, 2] {
+        // The container's own version byte, then its ensemble's.
+        let mut bytes = current.clone();
+        bytes[4] = old;
+        assert_eq!(IndexContainer::from_bytes(&bytes).err(), Some(refused(old)));
+        let mut bytes = current.clone();
+        bytes[nested + 4] = old;
+        assert_eq!(IndexContainer::from_bytes(&bytes).err(), Some(refused(old)));
+        // The ensemble runs up to the container's 4-byte allocator mark.
+        let ensemble = lshe_core::LshEnsemble::from_bytes(&bytes[nested..bytes.len() - 4]);
+        assert_eq!(ensemble.err(), Some(refused(old)));
     }
-    // Narrowing at decode is narrowing at the fold, and the old trees'
-    // lanes land in the rows a fresh build gives them: the same v4 bytes.
-    let resaved = loaded.to_bytes();
-    assert_eq!(resaved[4], 4, "saved as LSHX v4");
-    assert!(
-        resaved == fresh.to_bytes(),
-        "migrated and fresh bytes differ"
+    // Refused before anything behind the version is read: a bare envelope.
+    let mut v1 = Encoder::default();
+    v1.envelope(lshe_serve::container::MAGIC, 1);
+    assert_eq!(
+        IndexContainer::from_bytes(&v1.finish()).err(),
+        Some(refused(1))
     );
-    assert_eq!((nested_version(&old), nested_version(&resaved)), (2, 4));
 }
 
 /// `(base domains, partitions)` of the v3 fixtures.
@@ -229,37 +205,4 @@ fn v3_containers_answer_as_recorded_and_save_as_a_fresh_v4_build() {
         let reloaded = IndexContainer::from_bytes(&resaved).expect("v4 loads");
         assert_eq!(v3_answers(&reloaded, ranked), want, "{name} after a save");
     }
-}
-
-#[test]
-fn v2_delta_log_reads_like_fresh_ops_grows_and_rewrites_as_v3() {
-    let old = std::fs::read(fixture("v2.delta")).expect("fixture");
-    assert_eq!((&old[..4], old[4]), (&b"LSHD"[..], 2), "fixture is LSHD v2");
-    let (mark, ops) = DeltaLog::at(fixture("v2.delta"))
-        .read_with_mark()
-        .expect("v2 reads");
-    assert_eq!((mark, &ops), (fixture_log().0, &fixture_log().1));
-
-    let dir = std::env::temp_dir().join(format!("lshe_migration_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let log = DeltaLog::at(dir.join("v3.delta"));
-    log.rewrite(&ops, mark).expect("rewrite");
-    let new = std::fs::read(log.path()).expect("read");
-    assert_eq!(new[4], 3, "rewritten as LSHD v3");
-    assert_eq!(
-        old.len() - new.len(),
-        3 * 4 * lshe_minhash::DEFAULT_NUM_PERM
-    );
-    assert_eq!(log.read_with_mark().expect("v3 reads"), (mark, ops.clone()));
-
-    // A server restarted on the old log appends to it: entries of both
-    // widths in one file, each read by its own tag.
-    let grown = DeltaLog::at(dir.join("v2.delta"));
-    std::fs::write(grown.path(), &old).expect("copy");
-    let late = ops[4].clone();
-    grown.append(&late, mark).expect("append");
-    let mut all = ops;
-    all.push(late);
-    assert_eq!(grown.read_with_mark().expect("mixed reads"), (mark, all));
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,9 +2,8 @@
 //!
 //! History: the original parallel probe spawned one thread per partition
 //! on every call, which benchmarked ~12× SLOWER than the sequential probe
-//! on a small host (BENCH_serve.json's `query_parallel_32p` vs
-//! `query_sequential_32p`), and the sharded fan-out spawned one thread per
-//! shard per query outside any budget. Both now go through the
+//! on a small host, and the sharded fan-out spawned one thread per shard
+//! per query outside any budget. Both now go through the
 //! process-wide lane budget (`lshe_minhash::lanes`): with no spare lanes
 //! they must degrade to the inline sequential code path — same results,
 //! no thread spawned, and within noise of sequential latency instead of

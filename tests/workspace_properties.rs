@@ -163,11 +163,14 @@ proptest! {
     #[test]
     fn decoders_reject_garbage_without_panicking(
         bytes in prop::collection::vec(any::<u8>(), 0..512),
+        nesting in 0usize..300_000,
     ) {
         let _ = lshe_minhash::codec::signature_wire::decode(&bytes);
         let _ = lshe_lsh::LshForest::from_bytes(&bytes);
         let _ = lshe_core::LshEnsemble::from_bytes(&bytes);
         let _ = lshe_corpus::parse_json(&bytes);
+        // Nesting that would overrun the stack of a parser recursing freely.
+        let _ = lshe_corpus::parse_json(&[b"[".repeat(nesting), bytes].concat());
     }
 
     /// Single-byte corruption of a valid index either still decodes (the
