@@ -39,7 +39,7 @@ use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble};
 use crate::pipeline::{Fanout, ReadPath};
 use crate::ranked::{merge_unique, RankedIndex};
 use crate::sharded::ShardedEnsemble;
-use lshe_lsh::DomainId;
+use lshe_lsh::{DomainId, Row};
 use lshe_minhash::Signature;
 use std::sync::Arc;
 use std::time::Instant;
@@ -622,17 +622,19 @@ pub struct ShardedRanked {
 impl ShardedRanked {
     /// Splits the ranked index's domains round-robin across `num_shards`
     /// freshly built shards (each row is read straight out of the ranked
-    /// index's forests into its shard's).
+    /// index's forests into its shard's, as it is stored).
     ///
     /// # Panics
-    /// Panics if `num_shards == 0` or the ranked index holds fewer domains
-    /// than shards.
+    /// Panics if `num_shards == 0`, the ranked index holds fewer domains
+    /// than shards, or `config` has other forest dimensions (`num_perm`,
+    /// `b_max`, `r_max`) than the ranked index — a stored row is laid out
+    /// for them.
     #[must_use]
     pub fn build(ranked: Arc<RankedIndex>, num_shards: usize, config: EnsembleConfig) -> Self {
         let entries = ranked.sketch_entries();
         let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
         let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let rows: Vec<&[u32]> = entries.iter().map(|&(_, _, lanes)| lanes).collect();
+        let rows: Vec<Row<'_>> = entries.iter().map(|&(_, _, row)| row).collect();
         let shards = ShardedEnsemble::build_from_parts(num_shards, config, &ids, &sizes, &rows);
         Self { shards, ranked }
     }

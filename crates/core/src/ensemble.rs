@@ -16,7 +16,7 @@ use crate::batch::ThresholdItem;
 use crate::partition::{Partition, PartitionStrategy};
 use crate::pipeline::{Candidates, Probe, ReadPath, Sketches, Tiers};
 use crate::tuning::Tuner;
-use lshe_lsh::{DomainId, LshForest};
+use lshe_lsh::{DomainId, LshForest, Row, RowBuf, RowLanes};
 use lshe_minhash::hash::{FastHashMap, FastHashSet};
 use lshe_minhash::{MinHasher, Signature};
 use std::sync::Arc;
@@ -158,7 +158,7 @@ impl EnsemblePartition {
     }
 
     /// Appends a row; its size too while every earlier row has one.
-    fn push(&mut self, id: DomainId, size: u64, lanes: &[u32]) {
+    fn push<L: RowLanes + ?Sized>(&mut self, id: DomainId, size: u64, lanes: &L) {
         if self.sizes.len() == self.forest.len() {
             self.sizes.push(size);
         }
@@ -183,8 +183,8 @@ impl EnsemblePartition {
     }
 }
 
-/// One domain as the index holds it: id, cardinality, signature lanes.
-pub(crate) type Entry<'a> = (DomainId, u64, &'a [u32]);
+/// One domain as the index holds it: id, cardinality, the stored row.
+pub(crate) type Entry<'a> = (DomainId, u64, Row<'a>);
 
 impl Probe for &EnsemblePartition {
     fn upper(&self) -> u64 {
@@ -337,10 +337,10 @@ pub(crate) fn segment_units(
 
 /// One partition with its committed forest over `entry(member)` per
 /// member, in member order.
-fn build_partition<'a>(
+fn build_partition<'a, L: RowLanes + ?Sized + 'a>(
     config: &EnsembleConfig,
     part: &Partition,
-    entry: impl Fn(usize) -> Entry<'a>,
+    entry: impl Fn(usize) -> (DomainId, u64, &'a L),
 ) -> EnsemblePartition {
     let members = part.members.iter().map(|&m| entry(m as usize));
     let (rows, sizes): (Vec<_>, Vec<_>) =
@@ -358,6 +358,10 @@ fn build_partition<'a>(
 /// Deterministic — the persistence decoder replays it to reconstruct a
 /// segment from its stored entries.
 pub(crate) fn build_segment(config: &EnsembleConfig, entries: &[Entry<'_>]) -> SealedSegment {
+    let entry = |m: usize| {
+        let (id, size, row) = &entries[m];
+        (*id, *size, row)
+    };
     debug_assert!(!entries.is_empty(), "cannot seal an empty delta");
     let sizes: Vec<u64> = entries.iter().map(|e| e.1).collect();
     let partitioning = config.strategy.partition(&sizes);
@@ -370,7 +374,7 @@ pub(crate) fn build_segment(config: &EnsembleConfig, entries: &[Entry<'_>]) -> S
     let partitions = partitioning
         .parts()
         .iter()
-        .map(|p| build_partition(config, p, |m| entries[m]))
+        .map(|p| build_partition(config, p, entry))
         .collect();
     SealedSegment { partitions, order }
 }
@@ -443,15 +447,17 @@ impl LshEnsemble {
     /// Construction from parallel arrays of ids, sizes, and *borrowed*
     /// signatures — `&Signature`s (the bulk-load path the experiment
     /// harness uses at corpus scale: they stay owned by the caller,
-    /// typically one shared `Vec<Signature>`) or bare `&[u32]` lanes (what
-    /// rebuilds and shard splits read straight out of another index's
-    /// rows). Each is copied once, into its forest's row table.
+    /// typically one shared `Vec<Signature>`), bare `&[u32]` lanes, or the
+    /// stored [`Row`]s rebuilds and shard splits read straight out of
+    /// another index of the same forest dimensions. Each is copied once,
+    /// into its forest's row table: 32-bit lanes are narrowed there, stored
+    /// rows go in as they are.
     ///
     /// # Panics
     /// Panics if the arrays are empty or their lengths differ, on invalid
     /// configuration, or on zero sizes / width mismatches.
     #[must_use]
-    pub fn build_from_parts<S: AsRef<[u32]> + Sync>(
+    pub fn build_from_parts<S: RowLanes + Sync>(
         config: EnsembleConfig,
         ids: &[DomainId],
         sizes: &[u64],
@@ -465,18 +471,14 @@ impl LshEnsemble {
         );
         for (size, sig) in sizes.iter().zip(signatures) {
             assert!(*size > 0, "domain size must be positive");
-            assert_eq!(
-                sig.as_ref().len(),
-                config.num_perm,
-                "signature width mismatch"
-            );
+            assert_eq!(sig.lanes(), config.num_perm, "signature width mismatch");
         }
         let partitioning = config.strategy.partition(sizes);
         // One lane per core at most, each taking the next partition when it
         // is free: a thread per partition only adds stacks and scheduling.
         let shells = lshe_minhash::lanes::run_each(partitioning.parts(), |p| {
             Arc::new(build_partition(&config, p, |m| {
-                (ids[m], sizes[m], signatures[m].as_ref())
+                (ids[m], sizes[m], &signatures[m])
             }))
         });
         let id_map = IdMap::over(&shells);
@@ -592,16 +594,16 @@ impl LshEnsemble {
         base + segs + self.staged.memory_bytes()
     }
 
-    /// The part of [`memory_bytes`](Self::memory_bytes) that is retained
-    /// sketches: every row's id, lanes and size, without the tree columns.
-    pub(crate) fn sketch_memory_bytes(&self) -> usize {
+    /// The part of [`memory_bytes`](Self::memory_bytes) that is rows: every
+    /// row's id, lanes and size, without the tree columns.
+    #[must_use]
+    pub fn sketch_memory_bytes(&self) -> usize {
         let segs = self.segments.iter().flat_map(|s| &s.partitions);
         let base = self.partitions.iter().map(|p| &**p);
         let parts = base.chain(segs).chain([&self.staged]);
         parts
             .map(|p| {
-                let row =
-                    std::mem::size_of::<DomainId>() + p.forest.width() * Signature::LANE_BYTES;
+                let row = std::mem::size_of::<DomainId>() + p.forest.layout().row_bytes();
                 p.forest.len() * row + std::mem::size_of_val(&p.sizes[..])
             })
             .sum()
@@ -638,7 +640,7 @@ impl LshEnsemble {
         let entries = self.live_entries();
         let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
         let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let rows: Vec<&[u32]> = entries.iter().map(|&(_, _, lanes)| lanes).collect();
+        let rows: Vec<Row<'_>> = entries.iter().map(|&(_, _, row)| row).collect();
         Self {
             tuner: Arc::clone(&self.tuner),
             ..Self::build_from_parts(self.config, &ids, &sizes, &rows)
@@ -894,7 +896,7 @@ impl LshEnsemble {
                 let p = Arc::make_mut(&mut self.partitions[idx]);
                 p.upper = p.upper.max(size);
                 p.lower = p.lower.min(size);
-                p.push(id, size, lanes);
+                p.push(id, size, &lanes);
                 touched[idx] = true;
             }
         }
@@ -941,7 +943,7 @@ impl LshEnsemble {
         config: EnsembleConfig,
         partitions: Vec<(u64, u64, LshForest)>,
         len: usize,
-        segment_entries: Vec<Vec<(DomainId, u64, Signature)>>,
+        segment_entries: Vec<Vec<(DomainId, u64, RowBuf)>>,
         dead: Vec<(DomainId, DeadSlot)>,
     ) -> Self {
         let shell = |(lower, upper, forest)| EnsemblePartition {
@@ -965,7 +967,7 @@ impl LshEnsemble {
         for entries in segment_entries {
             let entries: Vec<Entry<'_>> = entries
                 .iter()
-                .map(|(id, size, sig)| (*id, *size, sig.slots()))
+                .map(|(id, size, row)| (*id, *size, row.as_row()))
                 .collect();
             ensemble.push_segment(build_segment(&config, &entries));
         }
@@ -1023,7 +1025,7 @@ impl LshEnsemble {
 }
 
 impl Sketches for LshEnsemble {
-    fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
+    fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)> {
         let (slot, row) = self.ids.get(id)?;
         let part = self.partition_at(slot);
         Some((
@@ -1072,7 +1074,7 @@ impl MutableIndex for LshEnsemble {
             self.staged.upper = self.staged.upper.max(size);
         }
         let row = self.staged.forest.len() as u32;
-        self.staged.push(id, size, signature.slots());
+        self.staged.push(id, size, signature);
         self.ids.insert(id, (Slot::Staged, row));
         self.len += 1;
         Ok(())

@@ -85,6 +85,7 @@ pub use api::{
 };
 pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex};
 pub use ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
+pub use lshe_lsh::{Layout, Row, RowBuf};
 pub use maintenance::{
     CompactionThresholds, Leveled, MaintenancePlanner, MergeOutcome, MergePolicy, MergePolicyKind,
     MergeTask, SegmentLayout, Tiered,

@@ -2,7 +2,8 @@
 //!
 //! [`pack_ranked`] streams a committed [`RankedIndex`] into an
 //! `lshe-store` v2 container — partition bounds, the base rows' sketches
-//! (one table, ascending id) and the forest tree columns that index it
+//! (one table, ascending id: 32-bit heads and 16-bit tails as the forests
+//! hold them) and the forest tree columns that index it
 //! (lane 0 and table position per entry), each in its own checksummed
 //! 64-byte-aligned section. [`MmapIndex`] opens such a file and answers
 //! [`search`](crate::DomainIndex::search)/
@@ -24,7 +25,7 @@ use crate::pipeline::{Probe, ReadPath, Sketches, Tiers};
 use crate::ranked::RankedIndex;
 use crate::tuning::Tuner;
 use lshe_lsh::forest::{check_tree, probe_tree, Rows};
-use lshe_lsh::DomainId;
+use lshe_lsh::{DomainId, Layout, Row};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
 use lshe_minhash::Signature;
 use lshe_store::{Packer, PartitionView, SectionKind, SketchesView, Store, StoreError};
@@ -190,7 +191,7 @@ pub fn pack_ranked_with(
 
     packer.begin_section(SectionKind::SketchSlots)?;
     for &(_, p, row) in &table {
-        packer.write_u32s(base[p].forest.row(row))?;
+        packer.write_u16s(base[p].forest.row(row).words())?;
     }
     packer.end_section();
 
@@ -239,7 +240,6 @@ struct PartMeta {
 enum MappedPart<'a> {
     Base {
         upper: u64,
-        r_max: usize,
         view: PartitionView<'a>,
         /// The sketch table the tree entries point into.
         rows: Rows<'a>,
@@ -260,13 +260,18 @@ impl Probe for MappedPart<'_> {
             // `LshForest::query_into` over the mapped columns: tree `t`
             // is keyed by lanes `t·r_max ..`, probed at prefix length `r`
             // by the forest's own kernel.
-            Self::Base {
-                r_max, view, rows, ..
-            } => {
+            Self::Base { view, rows, .. } => {
                 let lanes = signature.slots();
                 for t in 0..b {
-                    let (lane0, row, at) = (view.lane0(t), view.rows(t), t * r_max);
-                    probe_tree(*rows, lane0, row, at, &lanes[at..at + r], out);
+                    let at = t * rows.layout.r_max;
+                    probe_tree(
+                        *rows,
+                        view.lane0(t),
+                        view.rows(t),
+                        t,
+                        &lanes[at..at + r],
+                        out,
+                    );
                 }
             }
             Self::Segment(p) => p.probe(signature, b, r, out),
@@ -367,16 +372,13 @@ impl MmapIndex {
         let mut seen = vec![0; sketches.len()];
         let mut stamp = 0;
         for (_, part) in &self.tiers(&sketches).units {
-            let MappedPart::Base {
-                view, rows, r_max, ..
-            } = part
-            else {
+            let MappedPart::Base { view, rows, .. } = part else {
                 break;
             };
             for t in 0..view.trees() {
                 let turn = (if t == 0 { 0 } else { stamp }, stamp + 1);
                 let columns = (view.lane0(t), view.rows(t));
-                check_tree(*rows, columns, (t * r_max, *r_max), &mut seen, turn)
+                check_tree(*rows, columns, t, &mut seen, turn)
                     .map_err(|detail| corrupt("tree ids", detail))?;
                 stamp += 1;
             }
@@ -447,8 +449,10 @@ impl MmapIndex {
                 section: "segments",
                 source,
             };
+            let layout = Layout::new(b_max, r_max, num_perm);
             let (entries, dead) =
-                crate::persist::decode_segments(&mut sdec, num_perm, part_count).map_err(scodec)?;
+                crate::persist::decode_segments(&mut sdec, layout, false, part_count)
+                    .map_err(scodec)?;
             let next_id = sdec.get_u32("next id").map_err(scodec)?;
             if !sdec.is_exhausted() {
                 return Err(corrupt("segments", "trailing bytes after segments"));
@@ -499,8 +503,8 @@ impl MmapIndex {
                 "count disagrees with partition lens",
             ));
         }
-        let sketch_slots = store.u32s(SectionKind::SketchSlots)?;
-        if Some(sketch_slots.len()) != total.checked_mul(num_perm) {
+        let sketch_slots = store.u16s(SectionKind::SketchSlots)?;
+        if Some(sketch_slots.len()) != total.checked_mul(b_max + num_perm) {
             return Err(corrupt(
                 "sketch slots",
                 "length disagrees with partition lens",
@@ -593,11 +597,16 @@ impl MmapIndex {
             .store
             .u64s(SectionKind::SketchSizes)
             .expect("validated");
-        let slots = self
+        let rows = self
             .store
-            .u32s(SectionKind::SketchSlots)
+            .u16s(SectionKind::SketchSlots)
             .expect("validated");
-        SketchesView::new(ids, sizes, slots, self.config.num_perm).expect("validated at open")
+        SketchesView::new(ids, sizes, rows, self.layout().words()).expect("validated at open")
+    }
+
+    /// How the file's rows are laid out.
+    fn layout(&self) -> Layout {
+        Layout::new(self.config.b_max, self.config.r_max, self.config.num_perm)
     }
 
     /// This file's sweepable partitions: mapped base partitions, then the
@@ -605,12 +614,12 @@ impl MmapIndex {
     fn tiers<'a>(&'a self, sketches: &SketchesView<'a>) -> Tiers<'a, MappedPart<'a>> {
         let tree_keys = self.store.u32s(SectionKind::TreeKeys).expect("validated");
         let tree_ids = self.store.u32s(SectionKind::TreeIds).expect("validated");
-        let (b_max, r_max) = (self.config.b_max, self.config.r_max);
-        let (ids, lanes) = sketches.columns();
+        let b_max = self.config.b_max;
+        let (ids, words) = sketches.columns();
         let rows = Rows {
             ids,
-            lanes,
-            width: self.config.num_perm,
+            words,
+            layout: self.layout(),
         };
         let base = self.parts.iter().enumerate().map(|(i, pm)| {
             let columns = pm.off..pm.off + pm.rows * b_max;
@@ -623,7 +632,6 @@ impl MmapIndex {
             .expect("validated at open");
             let part = MappedPart::Base {
                 upper: pm.upper,
-                r_max,
                 view,
                 rows,
             };
@@ -646,11 +654,15 @@ impl MmapIndex {
 struct MappedSketches<'a> {
     tail: &'a LshEnsemble,
     base: SketchesView<'a>,
+    layout: Layout,
 }
 
 impl Sketches for MappedSketches<'_> {
-    fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
-        self.tail.sketch(id).or_else(|| self.base.lookup(id))
+    fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)> {
+        self.tail.sketch(id).or_else(|| {
+            let (size, words) = self.base.lookup(id)?;
+            Some((size, Row::new(self.layout, words)?))
+        })
     }
 }
 
@@ -664,6 +676,7 @@ impl MmapIndex {
         let sketches = MappedSketches {
             tail: &self.tail,
             base,
+            layout: self.layout(),
         };
         answer(ReadPath {
             source: self.tiers(&base),

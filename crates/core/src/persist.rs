@@ -3,23 +3,26 @@
 //! Format (little-endian, primitives from `lshe_minhash::codec`):
 //!
 //! ```text
-//! "LSHE" version:u8 (4)
+//! "LSHE" version:u8 (5)
 //! num_perm:u32 b_max:u32 r_max:u32 strategy_tag:u8 strategy_args…
 //! len:u64 partition_count:u64
-//! per partition: lower:u64 upper:u64 forest_len:u64 forest_bytes ("LSHF" v2)
+//! per partition: lower:u64 upper:u64 forest_len:u64 forest_bytes ("LSHF" v3)
 //! segment_count:u64
-//! per segment: entry_count:u64, then per entry id:u32 size:u64 lanes:u32×m
+//! per segment: entry_count:u64, then per entry
+//!     id:u32 size:u64 heads:u32×b_max tails:u16×(m − b_max)
 //! dead_count:u64
 //! per tombstone: id:u32 tier:u8 (0 = base, 1 = segment) index:u32
 //! ```
 //!
-//! Version 4 nests `LSHF` version-2 forests — each base row's lanes once,
-//! `num_perm` wide, indexed by the trees instead of repeated in them.
-//! Version 3, the one generation before, still decodes: it differs only in
-//! nesting `LSHF` version-1 forests, which are reassembled into that shape
-//! as they are decoded (see `lshe_lsh::persist`), and the next save writes
-//! version 4. Anything older — `u64` slots, no segment stack — is refused
-//! with [`CodecError::UnsupportedVersion`]. Sealed
+//! Version 5 holds every row as the forests keep it (`lshe_lsh::Layout`):
+//! each tree's first key lane at 32 bits, every other lane as its low 16 —
+//! in the nested `LSHF` version-3 forests and in the segment entries alike.
+//! Version 4, the one generation before, still decodes: it held all `m`
+//! lanes of a row 32 bits wide (nested `LSHF` version-2 forests,
+//! `lanes:u32×m` per segment entry), which are narrowed as they are read,
+//! and the next save writes version 5. Anything older — forests that held
+//! the lanes as tree keys, `u64` slots, no segment stack — is refused with
+//! [`CodecError::UnsupportedVersion`]. Sealed
 //! segments persist as their entry triples in sealing order — partitioning
 //! a segment is deterministic, so the decoder replays [`build_segment`] and
 //! reconstructs bit-identical forests, which keeps the byte form canonical.
@@ -34,17 +37,17 @@
 use crate::api::MutableIndex;
 use crate::ensemble::{DeadSlot, EnsembleConfig, LshEnsemble};
 use crate::partition::PartitionStrategy;
-use lshe_lsh::{DomainId, LshForest};
+use lshe_lsh::{DomainId, Layout, LshForest, RowBuf};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
-use lshe_minhash::Signature;
 use std::io::Write;
 
 /// Envelope tag for ensemble payloads.
 pub const MAGIC: [u8; 4] = *b"LSHE";
 /// Current format version.
-pub const VERSION: u8 = 4;
-/// The oldest version still decoded: the generation before [`VERSION`].
-const OLDEST_READ: u8 = 3;
+pub const VERSION: u8 = 5;
+/// The oldest version still decoded: the generation before [`VERSION`],
+/// whose rows are 32-bit lanes throughout.
+const OLDEST_READ: u8 = 4;
 
 pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: PartitionStrategy) {
     match strategy {
@@ -80,10 +83,10 @@ pub(crate) fn encode_segments<W: Write>(
     enc.put_u64(segments.len() as u64);
     for seg in segments {
         enc.put_u64(seg.len() as u64);
-        for (_, (id, size, lanes)) in seg.located() {
+        for (_, (id, size, row)) in seg.located() {
             enc.put_u32(id);
             enc.put_u64(size);
-            enc.put_u32s(lanes);
+            enc.put_u16s(row.words());
         }
     }
     enc.put_u64(dead.len() as u64);
@@ -103,22 +106,24 @@ pub(crate) fn encode_segments<W: Write>(
 }
 
 /// Decodes [`encode_segments`]' output: per-segment raw entry triples plus
-/// the tombstone list, validated against the owning index's shape.
+/// the tombstone list, validated against the owning index's shape. `wide`
+/// reads the generation before, whose entries hold `layout.width` 32-bit
+/// lanes, and narrows them.
 ///
 /// # Errors
 /// [`CodecError`] on truncation or structural inconsistency.
 #[allow(clippy::type_complexity)]
 pub(crate) fn decode_segments(
     dec: &mut Decoder<'_>,
-    num_perm: usize,
+    layout: Layout,
+    wide: bool,
     part_count: usize,
-) -> Result<
-    (
-        Vec<Vec<(DomainId, u64, Signature)>>,
-        Vec<(DomainId, DeadSlot)>,
-    ),
-    CodecError,
-> {
+) -> Result<(Vec<Vec<(DomainId, u64, RowBuf)>>, Vec<(DomainId, DeadSlot)>), CodecError> {
+    let row_bytes = if wide {
+        4 * layout.width
+    } else {
+        layout.row_bytes()
+    };
     let seg_count = dec.get_u64("segment count")? as usize;
     let mut segment_entries = Vec::new();
     for _ in 0..seg_count {
@@ -126,7 +131,7 @@ pub(crate) fn decode_segments(
         if entry_count == 0 {
             return Err(CodecError::Corrupt("empty sealed segment"));
         }
-        if entry_count.saturating_mul(12 + Signature::LANE_BYTES * num_perm) > dec.remaining() {
+        if entry_count.saturating_mul(12 + row_bytes) > dec.remaining() {
             return Err(CodecError::Corrupt("segment payload exceeds input"));
         }
         let mut entries = Vec::with_capacity(entry_count);
@@ -136,8 +141,14 @@ pub(crate) fn decode_segments(
             if size == 0 {
                 return Err(CodecError::Corrupt("zero-size segment entry"));
             }
-            let sig = dec.get_lanes(num_perm, "segment entry slot")?;
-            entries.push((id, size, sig));
+            let row = if wide {
+                let lanes = dec.get_u32s(layout.width, "segment entry slot")?;
+                RowBuf::narrow(layout, &lanes)
+            } else {
+                let words = dec.get_u16s(layout.words(), "segment entry row")?;
+                RowBuf::from_words(layout, words).expect("read to the layout's length")
+            };
+            entries.push((id, size, row));
         }
         segment_entries.push(entries);
     }
@@ -269,8 +280,8 @@ impl LshEnsemble {
         let mut partitions = Vec::with_capacity(shells.len());
         for (&(lower, upper, _), forest) in shells.iter().zip(forests) {
             let forest = forest?;
-            // A forest from a version-3 payload keeps only its key lanes,
-            // and stays that narrow when the index is saved again.
+            // A plain index that began before rows held every lane keeps
+            // only its key lanes, and stays that narrow when saved again.
             if (forest.b_max(), forest.r_max()) != (b_max, r_max)
                 || ![b_max * r_max, num_perm].contains(&forest.width())
             {
@@ -278,7 +289,9 @@ impl LshEnsemble {
             }
             partitions.push((lower, upper, forest));
         }
-        let (segment_entries, dead) = decode_segments(&mut dec, num_perm, part_count)?;
+        let layout = Layout::new(b_max, r_max, num_perm);
+        let (segment_entries, dead) =
+            decode_segments(&mut dec, layout, version < VERSION, part_count)?;
         if !dec.is_exhausted() {
             return Err(CodecError::Corrupt("trailing bytes after ensemble"));
         }

@@ -24,10 +24,9 @@ use crate::batch::{chunked, merge_sorted_disjoint, split_and_run, ThresholdItem}
 use crate::ensemble::DeadSlot;
 use crate::ranked::RankedHit;
 use crate::tuning::Tuner;
-use lshe_lsh::DomainId;
+use lshe_lsh::{DomainId, Row, RowBuf};
 use lshe_minhash::hash::FastHashSet;
-use lshe_minhash::{containment_from_jaccard, count_equal, lanes, Signature};
-use lshe_store::SketchesView;
+use lshe_minhash::{containment_from_jaccard, lanes, Signature};
 use std::time::Instant;
 
 /// A size partition that can be probed at any `(b ≤ b_max, r ≤ r_max)`.
@@ -40,21 +39,16 @@ pub(crate) trait Probe: Sync {
     fn probe(&self, signature: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>);
 }
 
-/// Retained sketches: id → (cardinality, signature lanes).
+/// Retained sketches: id → (cardinality, the stored row). Every row of one
+/// index has the same layout.
 pub(crate) trait Sketches: Sync {
     /// The domain's sketch, or `None` if the id is not retained.
-    fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])>;
-}
-
-impl Sketches for SketchesView<'_> {
-    fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
-        self.lookup(id)
-    }
+    fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)>;
 }
 
 /// The sketch store of an index that retains none.
 impl Sketches for () {
-    fn sketch(&self, _: DomainId) -> Option<(u64, &[u32])> {
+    fn sketch(&self, _: DomainId) -> Option<(u64, Row<'_>)> {
         None
     }
 }
@@ -320,12 +314,20 @@ pub(crate) fn rank(
     signature: &Signature,
     q: u64,
 ) -> Vec<RankedHit> {
-    let lanes = signature.slots();
+    // The query, narrowed once for the search to the layout its candidates
+    // are stored in — before the loop: an `Option` filled on first use
+    // costs the loop a third of its speed.
+    let Some(&first) = candidates.first() else {
+        return Vec::new();
+    };
+    let (_, stored) = sketches.sketch(first).expect("candidate id has no sketch");
+    let query = RowBuf::narrow(stored.layout(), signature.slots());
+    let query = query.as_row();
     let mut hits: Vec<RankedHit> = candidates
         .into_iter()
         .map(|id| {
             let (x, sketch) = sketches.sketch(id).expect("candidate id has no sketch");
-            let s = count_equal(lanes, sketch) as f64 / lanes.len() as f64;
+            let s = query.count_equal(&sketch) as f64 / signature.len() as f64;
             RankedHit {
                 id,
                 estimated_containment: containment_from_jaccard(s, x as f64, q as f64),

@@ -14,9 +14,10 @@
 //!   candidates accumulate — reusing the tuned threshold machinery instead
 //!   of scanning the corpus.
 //!
-//! The signature is resident once — the forests index a row table of
-//! 32-bit lanes (`4·m` bytes a domain) instead of holding the lanes again —
-//! so ranking costs 8 bytes a domain (its cardinality) over the plain
+//! The signature is resident once — the forests index a row table (each
+//! tree's first key lane at 32 bits, the others at 16: `4·b_max +
+//! 2·(m − b_max)` bytes a domain) instead of holding the lanes again — so
+//! ranking costs 8 bytes a domain (its cardinality) over the plain
 //! [`LshEnsemble`].
 
 use crate::api::{
@@ -27,7 +28,7 @@ use crate::ensemble::{
     EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder, PartitionStats,
 };
 use crate::pipeline::{ReadPath, Sketches, Tiers};
-use lshe_lsh::DomainId;
+use lshe_lsh::{DomainId, Row};
 use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::Signature;
 
@@ -146,17 +147,17 @@ impl RankedIndex {
         &self.ensemble
     }
 
-    /// The retained (cardinality, signature lanes) sketch of a domain, if
-    /// indexed.
+    /// The retained sketch of a domain, if indexed: its cardinality and
+    /// its signature as the forest row that indexes it.
     #[must_use]
-    pub fn sketch(&self, id: DomainId) -> Option<(u64, &[u32])> {
+    pub fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)> {
         self.ensemble.sketch(id)
     }
 
-    /// Every retained sketch as `(id, size, signature lanes)`, sorted by id
-    /// — the deterministic bulk view sharded rebuilds use.
+    /// Every retained sketch as `(id, size, stored row)`, sorted by id —
+    /// the deterministic bulk view sharded rebuilds use.
     #[must_use]
-    pub fn sketch_entries(&self) -> Vec<(DomainId, u64, &[u32])> {
+    pub fn sketch_entries(&self) -> Vec<(DomainId, u64, Row<'_>)> {
         self.ensemble.live_entries()
     }
 

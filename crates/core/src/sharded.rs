@@ -11,7 +11,7 @@
 use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
 use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder};
 use crate::pipeline::{Fanout, ReadPath};
-use lshe_lsh::DomainId;
+use lshe_lsh::{DomainId, RowLanes};
 use lshe_minhash::{lanes, Signature};
 
 /// A set of independently built LSH Ensembles queried in parallel.
@@ -90,7 +90,7 @@ impl ShardedEnsemble {
     /// Panics if `num_shards == 0`, fewer domains than shards are supplied,
     /// or the array lengths differ.
     #[must_use]
-    pub fn build_from_parts<S: AsRef<[u32]> + Copy + Sync>(
+    pub fn build_from_parts<S: RowLanes + Copy + Sync>(
         num_shards: usize,
         config: EnsembleConfig,
         ids: &[DomainId],

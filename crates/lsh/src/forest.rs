@@ -12,15 +12,25 @@
 //!
 //! The forest owns its members' lanes **once**, as a row table: row `i` is
 //! `ids[i]` with `width` lanes (`width ≥ b_max·r_max`; an index that ranks
-//! its answers keeps the whole signature there). A prefix tree is two
-//! parallel `u32` columns over the committed rows, sorted by (the row's
-//! `r_max` key lanes in that tree, row index): `lane0[i]`, the row's first
-//! key lane, inline so the binary search runs over a dense array, and
-//! `row[i]`, the row's index in the table. A prefix query of depth `r` is a
-//! binary search on `lane0` for the run equal on the first lane, then — for
-//! `r > 1` — a second binary search *inside the run* on lanes `1..r` read
+//! its answers keeps the whole signature there), laid out by [`Layout`] as
+//! one run of `u16` words: `b_max` 32-bit **heads** — lane `t·r_max`, the
+//! first key lane of tree `t`, two words each — then `width − b_max` 16-bit
+//! **tails**, every other lane through [`narrow_lane`]. Lanes arrive 32
+//! bits wide and are narrowed exactly once, where a row enters the table
+//! ([`RowLanes`]); a row read back out ([`Row`]) moves between forests as
+//! it is.
+//!
+//! A prefix tree is two parallel `u32` columns over the committed rows,
+//! sorted by (the row's key in that tree — its head, then its `r_max − 1`
+//! tail lanes — row index): `lane0[i]`, the row's head, inline so the
+//! binary search runs over a dense 32-bit array, and `row[i]`, the row's
+//! index in the table. A prefix query of depth `r` is a binary search on
+//! `lane0` for the run equal on the first lane, then — for `r > 1` — a
+//! second binary search *inside the run* on the `r − 1` tail lanes read
 //! through `row[i]`, then a walk ([`probe_tree`], the one probe kernel: the
-//! mapped backend runs it over a packed file's columns).
+//! mapped backend runs it over a packed file's columns). The head carries
+//! the entropy the search needs; inside a run lanes are only told apart,
+//! for which 16 bits do (the bound is [`narrow_lane`]'s).
 //!
 //! ## Mutability
 //!
@@ -32,40 +42,292 @@
 //! an open-world index.
 
 use crate::DomainId;
-use lshe_minhash::Signature;
+use lshe_minhash::{count_equal_row, narrow_lane, Signature};
+use std::cmp::Ordering;
 
-/// A borrowed row table: row `i` is `ids[i]` with lanes
-/// `lanes[i·width ..][.. width]`.
+/// How a forest of `b_max` trees of depth `r_max` lays out a row of `width`
+/// lanes, as `u16` words: `b_max` 32-bit heads (lane `t·r_max` for each tree
+/// `t`; low half first, so a row's bytes are the heads then the tails,
+/// little-endian), then the other `width − b_max` lanes as 16-bit tails —
+/// tree 0's `r_max − 1`, tree 1's, …, then the lanes past `b_max·r_max` no
+/// tree is keyed by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Layout {
+    /// Trees, and heads a row.
+    pub b_max: usize,
+    /// Key lanes a tree: one head and `r_max − 1` tails.
+    pub r_max: usize,
+    /// Lanes a row, at least `b_max · r_max`.
+    pub width: usize,
+}
+
+impl Layout {
+    /// # Panics
+    /// Panics if a dimension is zero or `width < b_max · r_max`.
+    #[must_use]
+    pub fn new(b_max: usize, r_max: usize, width: usize) -> Self {
+        assert!(b_max > 0 && r_max > 0, "forest dimensions must be positive");
+        assert!(
+            width >= b_max * r_max,
+            "row width {width} below b_max·r_max = {}",
+            b_max * r_max
+        );
+        Self {
+            b_max,
+            r_max,
+            width,
+        }
+    }
+
+    /// `u16` words a row: two a head, one a tail.
+    #[must_use]
+    pub fn words(self) -> usize {
+        self.b_max + self.width
+    }
+
+    /// Bytes a row's lanes take, resident or stored: 576 for the default
+    /// 32 trees over 256 lanes, where 32-bit lanes throughout took 1 024.
+    #[must_use]
+    pub fn row_bytes(self) -> usize {
+        2 * self.words()
+    }
+
+    /// Where tree `t`'s tail key lanes start among a row's words.
+    fn tail_at(self, t: usize) -> usize {
+        2 * self.b_max + t * (self.r_max - 1)
+    }
+
+    /// Writes `lanes` (`width` of them) into `row` (`words()` long): the
+    /// narrowing.
+    fn narrow_into(self, lanes: &[u32], row: &mut [u16]) {
+        let (heads, tails) = row.split_at_mut(2 * self.b_max);
+        let (keyed, unkeyed) = lanes.split_at(self.b_max * self.r_max);
+        let depth = self.r_max - 1;
+        let (key_tails, other_tails) = tails.split_at_mut(self.b_max * depth);
+        for (t, key) in keyed.chunks_exact(self.r_max).enumerate() {
+            heads[2 * t] = key[0] as u16;
+            heads[2 * t + 1] = (key[0] >> 16) as u16;
+            let tail = &mut key_tails[t * depth..(t + 1) * depth];
+            for (narrow, &lane) in tail.iter_mut().zip(&key[1..]) {
+                *narrow = narrow_lane(lane);
+            }
+        }
+        for (narrow, &lane) in other_tails.iter_mut().zip(unkeyed) {
+            *narrow = narrow_lane(lane);
+        }
+    }
+}
+
+/// One row as a forest keeps it, borrowed: what ranks a candidate, and what
+/// moves from one forest's table to another's untouched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row<'a> {
+    /// `layout.words()` of them.
+    words: &'a [u16],
+    layout: Layout,
+}
+
+impl<'a> Row<'a> {
+    /// `words` as a row of `layout`, or `None` if they are not one.
+    #[must_use]
+    pub fn new(layout: Layout, words: &'a [u16]) -> Option<Self> {
+        (words.len() == layout.words()).then_some(Self { words, layout })
+    }
+
+    /// The layout this row has.
+    #[must_use]
+    pub fn layout(&self) -> Layout {
+        self.layout
+    }
+
+    /// The row as stored: heads (two words each, low half first), then
+    /// tails.
+    #[must_use]
+    pub fn words(&self) -> &'a [u16] {
+        self.words
+    }
+
+    /// The 32-bit head of tree `t`'s key.
+    ///
+    /// # Panics
+    /// Panics if `t ≥ b_max`.
+    #[must_use]
+    pub fn head(&self, t: usize) -> u32 {
+        assert!(t < self.layout.b_max, "tree {t} out of range");
+        u32::from(self.words[2 * t]) | u32::from(self.words[2 * t + 1]) << 16
+    }
+
+    /// Every lane that is no head, narrowed; see [`Layout`] for the order.
+    #[must_use]
+    pub fn tails(&self) -> &'a [u16] {
+        &self.words[2 * self.layout.b_max..]
+    }
+
+    /// Lanes on which two rows agree — the match count behind a Jaccard
+    /// estimate, over `width` lanes.
+    ///
+    /// # Panics
+    /// Panics if the rows are laid out differently.
+    #[inline]
+    #[must_use]
+    pub fn count_equal(&self, other: &Row<'_>) -> usize {
+        // `assert!`, not `assert_eq!`: the latter's borrowed operands cost
+        // a ranked search a third of its verify time.
+        assert!(self.layout == other.layout, "rows of different layouts");
+        count_equal_row(self.words, other.words, self.layout.b_max)
+    }
+}
+
+/// An owned [`Row`]: a query's signature narrowed once for a whole search,
+/// or a row decoded from a file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RowBuf {
+    words: Vec<u16>,
+    layout: Layout,
+}
+
+impl RowBuf {
+    /// The first `layout.width` of `lanes`, laid out as a forest would
+    /// store them.
+    ///
+    /// # Panics
+    /// Panics if there are fewer lanes than that.
+    #[must_use]
+    pub fn narrow(layout: Layout, lanes: &[u32]) -> Self {
+        let mut words = Vec::with_capacity(layout.words());
+        lanes.append_to(layout, &mut words);
+        Self { words, layout }
+    }
+
+    /// A row from its stored words, or `None` if they are not one row of
+    /// `layout`.
+    #[must_use]
+    pub fn from_words(layout: Layout, words: Vec<u16>) -> Option<Self> {
+        (words.len() == layout.words()).then_some(Self { words, layout })
+    }
+
+    /// The row, borrowed.
+    #[inline]
+    #[must_use]
+    pub fn as_row(&self) -> Row<'_> {
+        Row {
+            words: &self.words,
+            layout: self.layout,
+        }
+    }
+}
+
+/// What a forest takes for a row: 32-bit lanes — a [`Signature`], a
+/// `[u32]` — which are narrowed here, the one place that happens; or a
+/// [`Row`] another forest of the same layout already holds, copied as it
+/// is.
+pub trait RowLanes {
+    /// Lanes this row carries, at whichever width.
+    fn lanes(&self) -> usize;
+
+    /// Appends this row's words, as `layout` orders them.
+    ///
+    /// # Panics
+    /// Panics if there are fewer than `layout.width` lanes, or a stored
+    /// row was laid out for another forest.
+    fn append_to(&self, layout: Layout, table: &mut Vec<u16>);
+}
+
+impl<S: AsRef<[u32]> + ?Sized> RowLanes for S {
+    fn lanes(&self) -> usize {
+        self.as_ref().len()
+    }
+
+    fn append_to(&self, layout: Layout, table: &mut Vec<u16>) {
+        let lanes = self.as_ref();
+        assert!(
+            lanes.len() >= layout.width,
+            "signature too short: {} < {}",
+            lanes.len(),
+            layout.width
+        );
+        let start = table.len();
+        table.resize(start + layout.words(), 0);
+        layout.narrow_into(&lanes[..layout.width], &mut table[start..]);
+    }
+}
+
+impl RowLanes for Row<'_> {
+    fn lanes(&self) -> usize {
+        self.layout.width
+    }
+
+    fn append_to(&self, layout: Layout, table: &mut Vec<u16>) {
+        assert_eq!(self.layout, layout, "row laid out for another forest");
+        table.extend_from_slice(self.words);
+    }
+}
+
+/// A borrowed row table: row `i` is `ids[i]` with words
+/// `words[i·layout.words() ..][.. layout.words()]`.
 #[derive(Debug, Clone, Copy)]
 pub struct Rows<'a> {
     /// Domain id of each row.
     pub ids: &'a [DomainId],
-    /// Row-major lanes, `width` per row.
-    pub lanes: &'a [u32],
-    /// Lanes per row.
-    pub width: usize,
+    /// Row-major rows, `layout.words()` words each.
+    pub words: &'a [u16],
+    /// How each row is laid out.
+    pub layout: Layout,
 }
 
 impl<'a> Rows<'a> {
-    /// Lanes `at .. at + n` of `row`, or `None` when the row (an index read
-    /// from a file, say) lies outside the table.
-    fn key(&self, row: u32, at: usize, n: usize) -> Option<&'a [u32]> {
-        let start = (row as usize).checked_mul(self.width)?.checked_add(at)?;
-        self.lanes.get(start..start.checked_add(n)?)
+    /// Row `i`, or `None` when it lies outside the table.
+    #[inline]
+    #[must_use]
+    pub fn row(&self, i: usize) -> Option<Row<'a>> {
+        let n = self.layout.words();
+        Some(Row {
+            words: self.words.get(i.checked_mul(n)?..)?.get(..n)?,
+            layout: self.layout,
+        })
+    }
+
+    /// The first `n` tail lanes of `row`'s key in tree `t`, or `None` when
+    /// the row (an index read from a file, say) lies outside the table.
+    fn tail_key(&self, row: u32, t: usize, n: usize) -> Option<&'a [u16]> {
+        let start = (row as usize)
+            .checked_mul(self.layout.words())?
+            .checked_add(self.layout.tail_at(t))?;
+        self.words.get(start..start.checked_add(n)?)
+    }
+
+    /// `row`'s head in tree `t`, checked like [`tail_key`](Self::tail_key).
+    fn head(&self, row: u32, t: usize) -> Option<u32> {
+        let at = (row as usize)
+            .checked_mul(self.layout.words())?
+            .checked_add(2 * t)?;
+        let halves = self.words.get(at..at.checked_add(2)?)?;
+        Some(u32::from(halves[0]) | u32::from(halves[1]) << 16)
     }
 }
 
-/// Probes one prefix tree: appends to `out` the id of every tree entry whose
-/// row has lanes `at .. at + prefix.len()` equal to `prefix`.
+/// Stored tail lanes against a query's 32-bit ones, narrowed as they are
+/// compared.
+fn cmp_tails(stored: &[u16], query: &[u32]) -> Ordering {
+    stored
+        .iter()
+        .copied()
+        .cmp(query.iter().map(|&lane| narrow_lane(lane)))
+}
+
+/// Probes prefix tree `t`: appends to `out` the id of every tree entry whose
+/// row's key starts with `prefix` — the query's lanes `t·r_max ..`, 32 bits
+/// wide; the first is matched whole against the head, the others through
+/// [`narrow_lane`] against the stored tails.
 ///
-/// `lane0` and `row` are the tree's columns, sorted by (the row's lanes from
-/// `at`, row index). Row access is checked: an entry whose row lies outside
-/// `rows` matches nothing, it never panics.
+/// `lane0` and `row` are the tree's columns, sorted by (the row's key in
+/// tree `t`, row index). Row access is checked: an entry whose row lies
+/// outside `rows` matches nothing, it never panics.
 pub fn probe_tree(
     rows: Rows<'_>,
     lane0: &[u32],
     row: &[u32],
-    at: usize,
+    t: usize,
     prefix: &[u32],
     out: &mut Vec<DomainId>,
 ) {
@@ -84,16 +346,16 @@ pub fn probe_tree(
     let Some(run) = row.get(lo..lo + len) else {
         return;
     };
-    let tail = |i: u32| rows.key(i, at + 1, rest.len());
+    let tail = |i: u32| Some(cmp_tails(rows.tail_key(i, t, rest.len())?, rest));
     // Inside the run, rows ascend by their remaining key lanes; a run too
     // short for a search to save a row read is walked whole.
     let from = if rest.is_empty() || run.len() <= LINEAR_RUN {
         0
     } else {
-        run.partition_point(|&i| tail(i).is_some_and(|k| k < rest))
+        run.partition_point(|&i| tail(i) == Some(Ordering::Less))
     };
     for &i in &run[from..] {
-        if !rest.is_empty() && tail(i) != Some(rest) {
+        if !rest.is_empty() && tail(i) != Some(Ordering::Equal) {
             if run.len() <= LINEAR_RUN {
                 continue;
             }
@@ -106,10 +368,11 @@ pub fn probe_tree(
 /// Runs up to this long are compared row by row, not binary-searched.
 const LINEAR_RUN: usize = 4;
 
-/// Checks one tree's columns against the row table it indexes: every
-/// `row[i]` is in range, `lane0[i]` is that row's lane `at`, and the rows'
-/// `r_max` key lanes from `at` never descend. What a decoder verifies
-/// before it trusts [`probe_tree`]'s binary searches to find every match.
+/// Checks tree `t`'s columns against the row table it indexes: every
+/// `row[i]` is in range, `lane0[i]` is that row's head in the tree, and the
+/// rows' keys (head, then `r_max − 1` tails) never descend. What a decoder
+/// verifies before it trusts [`probe_tree`]'s binary searches to find every
+/// match.
 ///
 /// `seen` (a mark per table row, zeroed by the caller) makes the trees of
 /// one partition agree on their rows: every row this tree indexes must
@@ -123,55 +386,63 @@ const LINEAR_RUN: usize = 4;
 pub fn check_tree(
     rows: Rows<'_>,
     (lane0, row): (&[u32], &[u32]),
-    (at, r_max): (usize, usize),
+    t: usize,
     seen: &mut [u32],
     (after, stamp): (u32, u32),
 ) -> Result<(), &'static str> {
     if lane0.len() != row.len() {
         return Err("tree columns differ in length");
     }
-    let mut prev: Option<&[u32]> = None;
+    let depth = rows.layout.r_max - 1;
+    let mut prev: Option<(u32, &[u16])> = None;
     for (&first, &i) in lane0.iter().zip(row) {
-        let (Some(key), Some(mark)) = (rows.key(i, at, r_max), seen.get_mut(i as usize)) else {
+        let (Some(head), Some(tails), Some(mark)) = (
+            rows.head(i, t),
+            rows.tail_key(i, t, depth),
+            seen.get_mut(i as usize),
+        ) else {
             return Err("tree row index out of range");
         };
-        if key[0] != first {
+        if head != first {
             return Err("tree lane 0 disagrees with its row");
         }
-        if prev.is_some_and(|p| p > key) {
+        if prev.is_some_and(|p| p > (head, tails)) {
             return Err("tree keys out of order");
         }
         if std::mem::replace(mark, stamp) != after {
             return Err("tree is not a permutation of its partition's rows");
         }
-        prev = Some(key);
+        prev = Some((head, tails));
     }
     Ok(())
 }
 
 /// One prefix tree over the committed rows: parallel columns sorted by (the
-/// row's key lanes, row index) — a total order, so the canonical byte form
-/// does not depend on the sort algorithm.
+/// row's key, row index) — a total order, so the canonical byte form does
+/// not depend on the sort algorithm.
 #[derive(Debug, Clone, Default)]
 struct PrefixTree {
-    /// Each entry's first key lane.
+    /// Each entry's head: its first key lane, 32 bits wide.
     lane0: Vec<u32>,
     /// Each entry's row in the table.
     row: Vec<u32>,
 }
 
 impl PrefixTree {
-    /// The tree keyed by lanes `at .. at + r_max` over the first `n` rows.
-    fn build(lanes: &[u32], width: usize, at: usize, r_max: usize, n: usize) -> Self {
-        // (lane 0, row) packed into one integer sorts without touching the
-        // table; only rows that tie on lane 0 compare their other lanes.
+    /// Tree `t` over the rows of `rows`.
+    fn build(rows: Rows<'_>, t: usize) -> Self {
+        let n = rows.ids.len();
+        // (head, row) packed into one integer sorts without touching the
+        // tails; only rows that tie on the head compare their other lanes.
+        let head = |i: usize| rows.head(i as u32, t).expect("a row of the table");
         let mut entries: Vec<u64> = (0..n)
-            .map(|i| u64::from(lanes[i * width + at]) << 32 | i as u64)
+            .map(|i| u64::from(head(i)) << 32 | i as u64)
             .collect();
         entries.sort_unstable();
+        let depth = rows.layout.r_max - 1;
         let rest = |e: u64| {
-            let start = (e as u32) as usize * width + at + 1;
-            &lanes[start..start + r_max - 1]
+            rows.tail_key(e as u32, t, depth)
+                .expect("a row of the table")
         };
         let mut run = 0;
         while run < n {
@@ -179,7 +450,7 @@ impl PrefixTree {
                 .iter()
                 .take_while(|&&e| e >> 32 == entries[run] >> 32)
                 .count();
-            if len > 1 && r_max > 1 {
+            if len > 1 && depth > 0 {
                 entries[run..run + len]
                     .sort_unstable_by(|&a, &b| rest(a).cmp(rest(b)).then(a.cmp(&b)));
             }
@@ -195,14 +466,11 @@ impl PrefixTree {
 /// A dynamic MinHash LSH index supporting query-time `(b, r)` selection.
 #[derive(Debug, Clone)]
 pub struct LshForest {
-    b_max: usize,
-    r_max: usize,
-    /// Lanes kept per row, at least `b_max · r_max`.
-    width: usize,
+    layout: Layout,
     /// Domain id of each row, committed rows first.
     ids: Vec<DomainId>,
-    /// Row-major lanes, `width` per row.
-    lanes: Vec<u32>,
+    /// Row-major rows, `layout.words()` words each.
+    words: Vec<u16>,
     /// One tree per band, over rows `..committed`.
     trees: Vec<PrefixTree>,
     /// Rows sorted into the trees; the rest are the staged tail.
@@ -231,18 +499,10 @@ impl LshForest {
     /// Panics if a dimension is zero or `width < b_max · r_max`.
     #[must_use]
     pub fn with_width(b_max: usize, r_max: usize, width: usize) -> Self {
-        assert!(b_max > 0 && r_max > 0, "forest dimensions must be positive");
-        assert!(
-            width >= b_max * r_max,
-            "row width {width} below b_max·r_max = {}",
-            b_max * r_max
-        );
         Self {
-            b_max,
-            r_max,
-            width,
+            layout: Layout::new(b_max, r_max, width),
             ids: Vec::new(),
-            lanes: Vec::new(),
+            words: Vec::new(),
             trees: vec![PrefixTree::default(); b_max],
             committed: 0,
         }
@@ -252,15 +512,17 @@ impl LshForest {
     /// tail, every column exactly sized. Equal byte for byte to inserting
     /// the rows in order and committing; panics where that would.
     #[must_use]
-    pub fn from_rows(
+    pub fn from_rows<L: RowLanes + ?Sized>(
         b_max: usize,
         r_max: usize,
         width: usize,
-        rows: &[(DomainId, &[u32])],
+        rows: &[(DomainId, &L)],
     ) -> Self {
         let mut forest = Self::with_width(b_max, r_max, width);
         forest.ids.reserve_exact(rows.len());
-        forest.lanes.reserve_exact(rows.len() * width);
+        forest
+            .words
+            .reserve_exact(rows.len() * forest.layout.words());
         for &(id, lanes) in rows {
             forest.insert(id, lanes);
         }
@@ -271,19 +533,25 @@ impl LshForest {
     /// Maximum number of bands usable at query time.
     #[must_use]
     pub fn b_max(&self) -> usize {
-        self.b_max
+        self.layout.b_max
     }
 
     /// Maximum prefix depth usable at query time.
     #[must_use]
     pub fn r_max(&self) -> usize {
-        self.r_max
+        self.layout.r_max
     }
 
     /// Lanes kept per row.
     #[must_use]
     pub fn width(&self) -> usize {
-        self.width
+        self.layout.width
+    }
+
+    /// How every row is laid out.
+    #[must_use]
+    pub fn layout(&self) -> Layout {
+        self.layout
     }
 
     /// Number of indexed domains (committed + staged).
@@ -304,24 +572,19 @@ impl LshForest {
         self.ids.len() - self.committed
     }
 
-    /// Stages a domain signature for indexing under `id`.
+    /// Stages a domain for indexing under `id`: a signature (or bare
+    /// 32-bit lanes), narrowed into the row table here, or a [`Row`] read
+    /// out of a forest of the same layout.
     ///
     /// The entry is immediately visible to queries (via the staged tail);
     /// call [`commit`](Self::commit) to sort it into the trees.
     ///
     /// # Panics
     /// Panics if the signature has fewer slots than the forest keeps per
-    /// row.
-    pub fn insert<S: AsRef<[u32]> + ?Sized>(&mut self, id: DomainId, sig: &S) {
-        let lanes = sig.as_ref();
-        assert!(
-            lanes.len() >= self.width,
-            "signature too short: {} < {}",
-            lanes.len(),
-            self.width
-        );
+    /// row, or the row was laid out for another forest.
+    pub fn insert<S: RowLanes + ?Sized>(&mut self, id: DomainId, sig: &S) {
+        sig.append_to(self.layout, &mut self.words);
         self.ids.push(id);
-        self.lanes.extend_from_slice(&lanes[..self.width]);
     }
 
     /// Sorts all staged rows into the trees (O(n log n) per tree).
@@ -329,11 +592,15 @@ impl LshForest {
         if self.staged_len() == 0 {
             return;
         }
-        let n = self.ids.len();
+        let rows = Rows {
+            ids: &self.ids,
+            words: &self.words,
+            layout: self.layout,
+        };
         for (t, tree) in self.trees.iter_mut().enumerate() {
-            *tree = PrefixTree::build(&self.lanes, self.width, t * self.r_max, self.r_max, n);
+            *tree = PrefixTree::build(rows, t);
         }
-        self.committed = n;
+        self.committed = self.ids.len();
     }
 
     /// Removes every row stored under `id` — committed and staged alike.
@@ -351,6 +618,7 @@ impl LshForest {
     /// removed.
     pub fn retain(&mut self, mut keep: impl FnMut(DomainId) -> bool) -> usize {
         let n = self.ids.len();
+        let words = self.layout.words();
         // Old row → new row, `u32::MAX` for a dropped one.
         let mut moved = vec![u32::MAX; n];
         let (mut kept, mut kept_committed) = (0usize, 0usize);
@@ -361,8 +629,8 @@ impl LshForest {
             *to = kept as u32;
             if kept != i {
                 self.ids[kept] = self.ids[i];
-                self.lanes
-                    .copy_within(i * self.width..(i + 1) * self.width, kept * self.width);
+                self.words
+                    .copy_within(i * words..(i + 1) * words, kept * words);
             }
             kept += 1;
             kept_committed += usize::from(i < self.committed);
@@ -371,7 +639,7 @@ impl LshForest {
             return 0;
         }
         self.ids.truncate(kept);
-        self.lanes.truncate(kept * self.width);
+        self.words.truncate(kept * words);
         self.committed = kept_committed;
         for tree in &mut self.trees {
             let mut write = 0;
@@ -402,22 +670,24 @@ impl LshForest {
         &self.ids
     }
 
-    /// The lanes of row `i`.
+    /// Row `i` as the table holds it.
     ///
     /// # Panics
     /// Panics if `i` is not a row.
+    #[inline]
     #[must_use]
-    pub fn row(&self, i: usize) -> &[u32] {
-        &self.lanes[i * self.width..(i + 1) * self.width]
+    pub fn row(&self, i: usize) -> Row<'_> {
+        self.rows().row(i).expect("row index in range")
     }
 
     /// The whole row table, borrowed.
+    #[inline]
     #[must_use]
     pub fn rows(&self) -> Rows<'_> {
         Rows {
             ids: &self.ids,
-            lanes: &self.lanes,
-            width: self.width,
+            words: &self.words,
+            layout: self.layout,
         }
     }
 
@@ -429,23 +699,27 @@ impl LshForest {
     /// Panics if `b`/`r` are zero or exceed the forest dimensions, or the
     /// signature is too short.
     pub fn query_into(&self, sig: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
-        assert!(b >= 1 && b <= self.b_max, "b = {b} out of range");
-        assert!(r >= 1 && r <= self.r_max, "r = {r} out of range");
+        let Layout { b_max, r_max, .. } = self.layout;
+        assert!(b >= 1 && b <= b_max, "b = {b} out of range");
+        assert!(r >= 1 && r <= r_max, "r = {r} out of range");
         assert!(
-            sig.len() >= self.b_max * self.r_max,
+            sig.len() >= b_max * r_max,
             "signature too short: {} < {}",
             sig.len(),
-            self.b_max * self.r_max
+            b_max * r_max
         );
         let slots = sig.slots();
         let rows = self.rows();
         for (t, tree) in self.trees[..b].iter().enumerate() {
-            let at = t * self.r_max;
-            let prefix = &slots[at..at + r];
-            probe_tree(rows, &tree.lane0, &tree.row, at, prefix, out);
+            let prefix = &slots[t * r_max..t * r_max + r];
+            probe_tree(rows, &tree.lane0, &tree.row, t, prefix, out);
             // Linear scan of the staged tail.
             for i in self.committed..self.ids.len() {
-                if &self.row(i)[at..at + r] == prefix {
+                let row = i as u32;
+                let tails = rows.tail_key(row, t, r - 1).expect("a staged row");
+                if rows.head(row, t) == Some(prefix[0])
+                    && cmp_tails(tails, &prefix[1..]) == Ordering::Equal
+                {
                     out.push(self.ids[i]);
                 }
             }
@@ -481,18 +755,16 @@ impl LshForest {
     /// Reassembles a forest from decoded parts. The decoder has validated
     /// them: `trees` index exactly the rows of the table, in key order.
     pub(crate) fn from_raw(
-        (b_max, r_max, width): (usize, usize, usize),
+        layout: Layout,
         ids: Vec<DomainId>,
-        lanes: Vec<u32>,
+        words: Vec<u16>,
         trees: Vec<(Vec<u32>, Vec<u32>)>,
     ) -> Self {
         Self {
-            b_max,
-            r_max,
-            width,
+            layout,
             committed: ids.len(),
             ids,
-            lanes,
+            words,
             trees: trees
                 .into_iter()
                 .map(|(lane0, row)| PrefixTree { lane0, row })
@@ -504,13 +776,12 @@ impl LshForest {
     /// row table, counted once, plus the tree columns.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        let table = self.ids.capacity() + self.lanes.capacity();
-        let trees: usize = self
-            .trees
-            .iter()
-            .map(|t| t.lane0.capacity() + t.row.capacity())
-            .sum();
-        4 * (table + trees)
+        let table = 4 * self.ids.capacity() + 2 * self.words.capacity();
+        let trees = self.trees.iter();
+        table
+            + 4 * trees
+                .map(|t| t.lane0.capacity() + t.row.capacity())
+                .sum::<usize>()
     }
 }
 
@@ -773,18 +1044,23 @@ mod tests {
         assert!(got.contains(&1) && got.contains(&2));
     }
 
-    /// Every (row, tree) match of `query` at `(b, r)`, by definition.
+    /// Every (row, tree) match of `query` at `(b, r)`, by definition: the
+    /// head whole, the other key lanes as their low 16 bits.
     fn brute_force(
         model: &[(DomainId, Vec<u32>)],
         query: &[u32],
         r_max: usize,
         (b, r): (usize, usize),
     ) -> Vec<DomainId> {
+        let key = |lanes: &[u32], at: usize| -> (u32, Vec<u16>) {
+            let tails = lanes[at + 1..at + r].iter().map(|&l| narrow_lane(l));
+            (lanes[at], tails.collect())
+        };
         let mut out = Vec::new();
         for t in 0..b {
             let at = t * r_max;
             for (id, lanes) in model {
-                if lanes[at..at + r] == query[at..at + r] {
+                if key(lanes, at) == key(query, at) {
                     out.push(*id);
                 }
             }
@@ -816,9 +1092,11 @@ mod tests {
 
     proptest! {
         /// Lanes drawn from a tiny alphabet force long runs on lane 0 that
-        /// differ only deeper in the key, plus exact duplicates; the forest
-        /// must answer every `(b, r)` like a filter over its rows — fresh,
-        /// with a staged tail, and through remove → commit cycles.
+        /// differ only deeper in the key, plus exact duplicates; a quarter
+        /// of them also carry a bit above the 16 a tail keeps, which tells
+        /// heads apart and tails not. The forest must answer every `(b, r)`
+        /// like a filter over its rows — fresh, with a staged tail, and
+        /// through remove → commit cycles.
         #[test]
         fn probe_equals_a_brute_force_filter_over_the_rows(
             b_max in 1usize..4,
@@ -831,7 +1109,12 @@ mod tests {
         ) {
             let width = b_max * r_max + extra;
             let lanes_of = |k: usize| -> Vec<u32> {
-                (0..width).map(|l| raw[(k * 31 + l * 7) % raw.len()] + u32::from(l % r_max == 0)).collect()
+                (0..width)
+                    .map(|l| {
+                        let high = u32::from((k * 13 + l * 5).is_multiple_of(4)) << 16;
+                        raw[(k * 31 + l * 7) % raw.len()] + u32::from(l % r_max == 0) + high
+                    })
+                    .collect()
             };
             // Ids from a small range: some rows share an id.
             let mut model: Vec<(DomainId, Vec<u32>)> = (0..committed + staged)
@@ -876,17 +1159,18 @@ mod tests {
 
     #[test]
     fn tree_probe_equal_range() {
-        // One tree over lanes 0..2 of four rows, sorted by (key, row).
+        // One tree of depth 2 over four rows, sorted by (key, row): a row
+        // is its head's two halves, then its tail.
         let ids = [12u32, 10, 13, 11];
-        let lanes = [1u32, 2, 1, 1, 2, 0, 1, 2];
+        let words = [1u16, 0, 2, 1, 0, 1, 2, 0, 0, 1, 0, 2];
         let rows = Rows {
             ids: &ids,
-            lanes: &lanes,
-            width: 2,
+            words: &words,
+            layout: Layout::new(1, 2, 2),
         };
         let (lane0, row) = ([1u32, 1, 1, 2], [1u32, 0, 3, 2]);
         assert_eq!(
-            check_tree(rows, (&lane0, &row), (0, 2), &mut [0; 4], (0, 1)),
+            check_tree(rows, (&lane0, &row), 0, &mut [0; 4], (0, 1)),
             Ok(())
         );
         let probe = |prefix: &[u32]| {
@@ -898,16 +1182,40 @@ mod tests {
         assert_eq!(probe(&[1]), vec![10, 12, 11]); // shorter prefix widens the range
         assert_eq!(probe(&[2, 0]), vec![13]);
         assert!(probe(&[1, 3]).is_empty() && probe(&[3]).is_empty() && probe(&[0, 9]).is_empty());
+        // A tail lane is its low 16 bits; a head is all 32.
+        assert_eq!(probe(&[1, 2 | 7 << 16]), vec![12, 11]);
+        assert!(probe(&[1 | 7 << 16, 2]).is_empty());
+    }
+
+    #[test]
+    fn a_stored_row_moves_between_forests_as_it_is_and_only_between_like_forests() {
+        let h = MinHasher::new(256);
+        let sig = h.signature(MinHasher::synthetic_values(6, 90));
+        let mut from = LshForest::with_width(32, 8, 256);
+        from.insert(4, &sig);
+        let mut to = LshForest::with_width(32, 8, 256);
+        to.insert(4, &from.row(0));
+        assert_eq!(to.row(0), from.row(0));
+        assert_eq!(to.row(0), RowBuf::narrow(to.layout(), sig.slots()).as_row());
+        assert_eq!(to.query(&sig, 32, 8), vec![4]);
+        let other = std::panic::catch_unwind(|| {
+            let mut shallow = LshForest::with_width(32, 4, 256);
+            shallow.insert(4, &from.row(0));
+        });
+        assert!(
+            other.is_err(),
+            "a row laid out for depth 8 entered a depth-4 forest"
+        );
     }
 
     #[test]
     fn an_entry_pointing_outside_the_table_matches_nothing() {
         let ids = [7u32, 8];
-        let lanes = [1u32, 2, 1, 3];
+        let words = [1u16, 0, 2, 1, 0, 3];
         let rows = Rows {
             ids: &ids,
-            lanes: &lanes,
-            width: 2,
+            words: &words,
+            layout: Layout::new(1, 2, 2),
         };
         let mut out = Vec::new();
         // Row 9 does not exist; row 1 does.
@@ -917,7 +1225,7 @@ mod tests {
         probe_tree(rows, &[1, 1], &[9, 1], 0, &[1, 3], &mut out);
         assert!(out.is_empty() || out == vec![8]);
         assert_eq!(
-            check_tree(rows, (&[1, 1], &[9, 1]), (0, 2), &mut [0; 2], (0, 1)),
+            check_tree(rows, (&[1, 1], &[9, 1]), 0, &mut [0; 2], (0, 1)),
             Err("tree row index out of range")
         );
     }

@@ -23,7 +23,7 @@ pub mod forest;
 pub mod persist;
 pub mod static_lsh;
 
-pub use forest::LshForest;
+pub use forest::{Layout, LshForest, Row, RowBuf, RowLanes};
 pub use static_lsh::MinHashLsh;
 
 /// Identifier of an indexed domain.

@@ -5,42 +5,47 @@
 //! (little-endian, see `lshe_minhash::codec` for primitives):
 //!
 //! ```text
-//! "LSHF" version:u8 (2)
+//! "LSHF" version:u8 (3)
 //! b_max:u32 r_max:u32 width:u32 len:u64
-//! ids:   len × u32                 the row table: each row's domain id
-//! lanes: len·width × u32           … and its lanes, row-major
+//! ids:  len × u32                    the row table: each row's domain id
+//! rows: len × (                      … and its lanes, row-major:
+//!     heads: b_max × u32                 each tree's first key lane,
+//!     tails: (width − b_max) × u16 )     every other lane's low 16 bits
 //! per tree (b_max times):
-//!     lane0: len × u32             each entry's first key lane
-//!     row:   len × u32             each entry's row in the table
+//!     lane0: len × u32               each entry's first key lane
+//!     row:   len × u32               each entry's row in the table
 //! ```
 //!
 //! Every column's length follows from `len`, so none carries a prefix. A
-//! row's lanes are stored once; tree `t` is keyed by lanes
-//! `t·r_max .. (t+1)·r_max` of the rows it points at and sorted by (key,
-//! row). The decoder checks every tree — `row` is a permutation of
-//! `0..len`, `lane0[i]` is that row's lane, keys never descend — because a
-//! forest file carries no checksum and a probe trusts the order.
+//! row's lanes are stored once, laid out as [`Layout`] says; tree `t` is
+//! keyed by head `t` and tails `t·(r_max − 1) ..` of the rows it points at
+//! and sorted by (key, row). The decoder checks every tree — `row` is a
+//! permutation of `0..len`, `lane0[i]` is that row's head, keys never
+//! descend — because a forest file carries no checksum and a probe trusts
+//! the order.
 //!
-//! Version 1 stored, per tree, the sorted keys themselves (`u64` count +
-//! `r_max` lanes per row) and the ids (`u64` count + ids) — every lane a
-//! second time in a ranked index. It still decodes: the rows are
-//! reassembled from the trees in ascending id order (the order a fresh
-//! build over ascending ids gives them) with `width = b_max·r_max`, and the
-//! trees are sorted again. Nothing writes version 1.
+//! Version 2, the one generation before, stored every lane 32 bits wide
+//! (`lanes: len·width × u32` where the rows are now) under trees sorted on
+//! those. It still decodes: the rows are narrowed as they are
+//! read and the trees sorted again on the narrowed keys — the forest a
+//! fresh build over the same rows gives. Nothing writes version 2, and
+//! version 1 (keys held per tree) is refused.
 //!
 //! Only *committed* state is stored: [`LshForest::to_bytes`] requires the
 //! staged tail to be empty (call [`LshForest::commit`] first), which keeps
 //! the format canonical — two forests with the same contents serialise to
 //! identical bytes.
 
-use crate::forest::{check_tree, LshForest, Rows};
+use crate::forest::{check_tree, Layout, LshForest, Rows};
 use crate::DomainId;
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
 
 /// Envelope tag for forest payloads.
 pub const MAGIC: [u8; 4] = *b"LSHF";
 /// Current format version.
-pub const VERSION: u8 = 2;
+pub const VERSION: u8 = 3;
+/// The oldest version still decoded: the generation before [`VERSION`].
+const OLDEST_READ: u8 = 2;
 /// Largest `b_max`/`r_max` a decoder accepts: an empty forest's trees take
 /// no bytes, so nothing else bounds what it allocates for them.
 const MAX_DIM: usize = 1 << 16;
@@ -67,7 +72,7 @@ impl LshForest {
         enc.put_u64(self.len() as u64);
         let rows = self.rows();
         enc.put_u32s(rows.ids);
-        enc.put_u32s(rows.lanes);
+        enc.put_u16s(rows.words);
         for (lane0, row) in self.committed_trees() {
             enc.put_u32s(lane0);
             enc.put_u32s(row);
@@ -83,7 +88,7 @@ impl LshForest {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut dec = Decoder::new(bytes);
         let version = dec.envelope(MAGIC)?;
-        if version > VERSION {
+        if !(OLDEST_READ..=VERSION).contains(&version) {
             return Err(CodecError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
@@ -97,10 +102,30 @@ impl LshForest {
         if b_max > MAX_DIM || r_max > MAX_DIM {
             return Err(CodecError::Corrupt("forest dimensions out of range"));
         }
-        let forest = if version < 2 {
-            Self::decode_v1(&mut dec, b_max, r_max)?
+        let width = dec.get_u32("row width")? as usize;
+        let len = usize::try_from(dec.get_u64("len")?)
+            .map_err(|_| CodecError::Corrupt("forest len exceeds address space"))?;
+        if width < b_max * r_max {
+            return Err(CodecError::Corrupt("row width below b_max·r_max"));
+        }
+        let layout = Layout {
+            b_max,
+            r_max,
+            width,
+        };
+        // Bound the table by the input before anything is allocated: a row
+        // is at least `row_bytes` in either version.
+        if len
+            .checked_mul(layout.row_bytes())
+            .is_none_or(|bytes| bytes > dec.remaining())
+        {
+            return Err(CodecError::Corrupt("announced length exceeds input"));
+        }
+        let ids: Vec<DomainId> = dec.get_u32s(len, "row ids")?;
+        let forest = if version < VERSION {
+            Self::migrate_v2(&mut dec, layout, &ids)?
         } else {
-            Self::decode_v2(&mut dec, b_max, r_max)?
+            Self::decode_rows(&mut dec, layout, ids)?
         };
         if !dec.is_exhausted() {
             return Err(CodecError::Corrupt("trailing bytes after forest"));
@@ -108,85 +133,55 @@ impl LshForest {
         Ok(forest)
     }
 
-    fn decode_v2(dec: &mut Decoder<'_>, b_max: usize, r_max: usize) -> Result<Self, CodecError> {
-        let width = dec.get_u32("row width")? as usize;
-        let len = usize::try_from(dec.get_u64("len")?)
-            .map_err(|_| CodecError::Corrupt("forest len exceeds address space"))?;
-        if width < b_max * r_max {
-            return Err(CodecError::Corrupt("row width below b_max·r_max"));
-        }
-        // Bound the table by the input before anything is allocated.
-        let cells = len
-            .checked_mul(width)
-            .filter(|&cells| cells <= dec.remaining() / 4)
-            .ok_or(CodecError::Corrupt("announced length exceeds input"))?;
-        let ids: Vec<DomainId> = dec.get_u32s(len, "row ids")?;
-        let lanes = dec.get_u32s(cells, "row lanes")?;
+    fn decode_rows(
+        dec: &mut Decoder<'_>,
+        layout: Layout,
+        ids: Vec<DomainId>,
+    ) -> Result<Self, CodecError> {
+        let len = ids.len();
+        let words = dec.get_u16s(len * layout.words(), "rows")?;
         let rows = Rows {
             ids: &ids,
-            lanes: &lanes,
-            width,
+            words: &words,
+            layout,
         };
-        let mut trees = Vec::with_capacity(b_max);
+        let mut trees = Vec::with_capacity(layout.b_max);
         let mut seen = vec![0; len];
-        for t in 0..b_max {
+        for t in 0..layout.b_max {
             let lane0 = dec.get_u32s(len, "tree lane 0")?;
             let row = dec.get_u32s(len, "tree rows")?;
             let turn = (t as u32, t as u32 + 1);
-            check_tree(rows, (&lane0, &row), (t * r_max, r_max), &mut seen, turn)
-                .map_err(CodecError::Corrupt)?;
+            check_tree(rows, (&lane0, &row), t, &mut seen, turn).map_err(CodecError::Corrupt)?;
             trees.push((lane0, row));
         }
-        Ok(Self::from_raw((b_max, r_max, width), ids, lanes, trees))
+        Ok(Self::from_raw(layout, ids, words, trees))
     }
 
-    /// The version-1 reader: per tree a `(keys, ids)` column pair holding
-    /// the lanes themselves. The row table is reassembled from them.
-    fn decode_v1(dec: &mut Decoder<'_>, b_max: usize, r_max: usize) -> Result<Self, CodecError> {
-        let width = b_max * r_max;
-        // Every lane is in the input once: bounded before it is allocated.
-        let len = usize::try_from(dec.get_u64("len")?)
-            .ok()
-            .filter(|len| len.saturating_mul(width) <= dec.remaining() / 4)
-            .ok_or(CodecError::Corrupt("announced length exceeds input"))?;
-        // Rows in ascending id order, ties in tree 0's order.
-        let mut ids: Vec<DomainId> = Vec::new();
-        let mut lanes: Vec<u32> = Vec::new();
-        for t in 0..b_max {
-            let keys = dec.get_u32_vec("tree keys")?;
-            let tree_ids: Vec<DomainId> = dec.get_u32_vec("tree ids")?;
-            if keys.len() != tree_ids.len().saturating_mul(r_max) {
-                return Err(CodecError::Corrupt("key rows do not match id count"));
-            }
-            if tree_ids.len() != len {
-                return Err(CodecError::Corrupt("tree size does not match forest len"));
-            }
-            // This tree's entries in the same (id, position) order give
-            // the entry ↔ row pairing: the k-th entry of an id is its
-            // k-th row.
-            let mut entries: Vec<u32> = (0..len as u32).collect();
-            entries.sort_by_key(|&i| tree_ids[i as usize]);
-            if t == 0 {
-                ids = entries.iter().map(|&i| tree_ids[i as usize]).collect();
-                lanes = vec![0; len * width];
-            } else if !entries
-                .iter()
-                .zip(&ids)
-                .all(|(&i, &id)| tree_ids[i as usize] == id)
-            {
-                return Err(CodecError::Corrupt("trees disagree on the id set"));
-            }
-            for (row, &i) in entries.iter().enumerate() {
-                let key = &keys[i as usize * r_max..(i as usize + 1) * r_max];
-                lanes[row * width + t * r_max..][..r_max].copy_from_slice(key);
-            }
-        }
+    /// The version-2 reader: rows of 32-bit lanes, narrowed as they enter
+    /// the table; the stored trees, sorted on the wide lanes, are stepped
+    /// over and built again.
+    fn migrate_v2(
+        dec: &mut Decoder<'_>,
+        layout: Layout,
+        ids: &[DomainId],
+    ) -> Result<Self, CodecError> {
+        // A count too large for the input fails the read, before it
+        // allocates.
+        let cells = ids.len().saturating_mul(layout.width);
+        let lanes = dec.get_u32s(cells, "row lanes")?;
+        let columns = ids.len().saturating_mul(8 * layout.b_max);
+        dec.skip(columns, "tree columns")?;
         let rows: Vec<(DomainId, &[u32])> = ids
             .iter()
-            .zip(lanes.chunks_exact(width))
-            .map(|(&id, row)| (id, row))
+            .copied()
+            .zip(lanes.chunks_exact(layout.width))
             .collect();
-        Ok(Self::from_rows(b_max, r_max, width, &rows))
+        Ok(Self::from_rows(
+            layout.b_max,
+            layout.r_max,
+            layout.width,
+            &rows,
+        ))
     }
 }
 
@@ -251,7 +246,7 @@ mod tests {
                 }
             }
         }
-        let empty = LshForest::from_rows(4, 2, 8, &[]);
+        let empty = LshForest::from_rows::<[u32]>(4, 2, 8, &[]);
         assert_eq!(empty.to_bytes(), LshForest::new(4, 2).to_bytes());
     }
 
@@ -267,8 +262,9 @@ mod tests {
         let bulk = LshForest::from_rows(32, 8, 256, &rows);
         let decoded = LshForest::from_bytes(&forest.to_bytes()).expect("decode");
         for f in [&bulk, &decoded] {
-            // The row table once (id + 256 lanes a row), two columns a tree.
-            let exact = 4 * f.len() * (1 + 256 + 2 * 32);
+            // The row table once (id + 32 heads + 224 16-bit tails a row),
+            // two columns a tree.
+            let exact = f.len() * (4 + 576 + 8 * 32);
             assert_eq!(f.memory_bytes(), exact, "capacity() == len() per column");
             assert_eq!(f.to_bytes().capacity(), f.to_bytes().len());
         }
@@ -338,12 +334,13 @@ mod tests {
     }
 
     /// A two-tree forest (`r_max` 2, three rows, one spare lane a row) as
-    /// the fields of its version-2 payload.
+    /// the fields of its payload: rows `(7 2 | 4 4 | 99)`, `(7 1 | 3 9 |
+    /// 98)`, `(5 8 | 4 1 | 97)`.
     struct Payload {
         dims: [u32; 3],
         len: u64,
         ids: Vec<u32>,
-        lanes: Vec<u32>,
+        rows: Vec<u16>,
         trees: Vec<(Vec<u32>, Vec<u32>)>,
     }
 
@@ -353,11 +350,12 @@ mod tests {
                 dims: [2, 2, 5],
                 len: 3,
                 ids: vec![10, 11, 12],
+                // Two heads (low half, high half), then three tails.
                 #[rustfmt::skip]
-                lanes: vec![
-                    7, 2, 4, 4, 99,
-                    7, 1, 3, 9, 98,
-                    5, 8, 4, 1, 97,
+                rows: vec![
+                    7, 0, 4, 0,   2, 4, 99,
+                    7, 0, 3, 0,   1, 9, 98,
+                    5, 0, 4, 0,   8, 1, 97,
                 ],
                 // Tree 0 by lanes 0..2: (5,8) (7,1) (7,2); tree 1 by lanes
                 // 2..4: (3,9) (4,1) (4,4).
@@ -374,7 +372,7 @@ mod tests {
             self.dims.iter().for_each(|&d| enc.put_u32(d));
             enc.put_u64(self.len);
             enc.put_u32s(&self.ids);
-            enc.put_u32s(&self.lanes);
+            enc.put_u16s(&self.rows);
             for (lane0, row) in &self.trees {
                 enc.put_u32s(lane0);
                 enc.put_u32s(row);
@@ -449,74 +447,71 @@ mod tests {
         }
     }
 
-    #[test]
-    fn version_1_payload_decodes_into_the_row_table() {
-        // Two trees of depth 1; ids 9 and 4, inserted in that order.
+    /// `Payload::valid()`'s rows as version 2 held them: every lane 32
+    /// bits wide, `high` or-ed into each, under trees in `order`.
+    fn v2_bytes(high: u32, order: [[u32; 3]; 2]) -> Vec<u8> {
+        #[rustfmt::skip]
+        let lanes = [
+            7, 2, 4, 4, 99,
+            7, 1, 3, 9, 98,
+            5, 8, 4, 1, 97,
+        ].map(|lane: u32| lane | high);
         let mut enc = Encoder::default();
-        enc.envelope(MAGIC, 1);
-        enc.put_u32(2); // b_max
-        enc.put_u32(1); // r_max
-        enc.put_u64(2); // len
-        enc.put_u32_slice(&[5, 6]); // tree 0 keys, sorted
-        enc.put_u32_slice(&[9, 4]);
-        enc.put_u32_slice(&[1, 3]); // tree 1 keys, sorted
-        enc.put_u32_slice(&[4, 9]);
-        let old = LshForest::from_bytes(&enc.finish()).expect("v1 decodes");
-        let fresh = LshForest::from_rows(2, 1, 2, &[(4, &[6, 1]), (9, &[5, 3])]);
-        assert_eq!(
-            old.to_bytes(),
-            fresh.to_bytes(),
-            "rows in ascending id order"
-        );
-        assert_eq!(old.to_bytes()[4], VERSION);
-
-        // A version-1 column out of key order — which the version-1 reader
-        // took as it came, and then missed key 7 in — loses nothing: the
-        // trees are sorted again from the reassembled rows.
-        let mut enc = Encoder::default();
-        enc.envelope(MAGIC, 1);
-        enc.put_u32(1);
-        enc.put_u32(1);
+        enc.envelope(MAGIC, 2);
+        [2, 2, 5].iter().for_each(|&d| enc.put_u32(d));
         enc.put_u64(3);
-        enc.put_u32_slice(&[5, 9, 7]);
-        enc.put_u32_slice(&[10, 11, 12]);
-        let healed = LshForest::from_bytes(&enc.finish()).expect("v1 decodes");
-        for (key, id) in [(5, 10), (9, 11), (7, 12)] {
-            assert_eq!(
-                healed.query(&Signature::from_slots(vec![key]), 1, 1),
-                vec![id]
+        enc.put_u32s(&[10, 11, 12]);
+        enc.put_u32s(&lanes);
+        for (t, rows) in order.iter().enumerate() {
+            let lane0 = rows.map(|row| lanes[row as usize * 5 + 2 * t]);
+            enc.put_u32s(&lane0);
+            enc.put_u32s(rows);
+        }
+        enc.finish()
+    }
+
+    #[test]
+    fn version_2_payload_is_narrowed_and_its_trees_sorted_again() {
+        let migrated = LshForest::from_bytes(&v2_bytes(0, [[2, 1, 0], [1, 2, 0]])).expect("v2");
+        assert_eq!(migrated.to_bytes(), Payload::valid().bytes());
+        // Lanes that differ above bit 16 sort otherwise once narrowed: a
+        // version-2 order is not trusted, the trees are built from the rows.
+        let high = 1 << 16;
+        let wide = LshForest::from_bytes(&v2_bytes(high, [[0, 2, 1], [0, 1, 2]])).expect("v2");
+        let fresh = LshForest::from_rows(
+            2,
+            2,
+            5,
+            &[
+                (10, &[7 | high, 2, 4 | high, 4, 99][..]),
+                (11, &[7 | high, 1, 3 | high, 9, 98]),
+                (12, &[5 | high, 8, 4 | high, 1, 97]),
+            ],
+        );
+        assert_eq!(wide.to_bytes(), fresh.to_bytes());
+        assert_eq!(wide.to_bytes()[4], VERSION);
+        let sig = Signature::from_slots(vec![7 | high, 2 | high, 4 | high, 1, 0]);
+        assert_eq!(wide.query(&sig, 1, 2), vec![10]);
+        // Truncated anywhere, a version-2 payload is an error, not a panic.
+        let bytes = v2_bytes(0, [[2, 1, 0], [1, 2, 0]]);
+        for cut in 0..bytes.len() {
+            assert!(
+                LshForest::from_bytes(&bytes[..cut]).is_err(),
+                "cut at {cut}"
             );
         }
     }
 
     #[test]
-    fn inconsistent_tree_size_rejected() {
-        // Version 1 payloads, whose trees each carry their own counts.
+    fn version_1_is_refused_on_its_version_byte() {
         let mut enc = Encoder::default();
         enc.envelope(MAGIC, 1);
-        enc.put_u32(2);
-        enc.put_u32(1);
-        enc.put_u64(1);
-        enc.put_u32_slice(&[5]);
-        enc.put_u32_slice(&[9]);
-        enc.put_u32_slice(&[5, 6]); // tree 1: 2 rows — wrong
-        enc.put_u32_slice(&[9, 10]);
-        assert!(matches!(
-            LshForest::from_bytes(&enc.finish()).unwrap_err(),
-            CodecError::Corrupt(_)
-        ));
-        let mut enc = Encoder::default();
-        enc.envelope(MAGIC, 1);
-        enc.put_u32(2);
-        enc.put_u32(1);
-        enc.put_u64(1);
-        enc.put_u32_slice(&[5]);
-        enc.put_u32_slice(&[9]);
-        enc.put_u32_slice(&[6]);
-        enc.put_u32_slice(&[8]); // tree 1 holds another id
         assert_eq!(
             LshForest::from_bytes(&enc.finish()).unwrap_err(),
-            CodecError::Corrupt("trees disagree on the id set")
+            CodecError::UnsupportedVersion {
+                found: 1,
+                supported: VERSION
+            }
         );
     }
 }

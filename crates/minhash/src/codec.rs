@@ -179,6 +179,11 @@ impl<W: std::io::Write> Encoder<W> {
         self.put_le(vs, u32::to_le_bytes);
     }
 
+    /// Writes little-endian `u16`s with no length prefix.
+    pub fn put_u16s(&mut self, vs: &[u16]) {
+        self.put_le(vs, u16::to_le_bytes);
+    }
+
     /// Writes a length-prefixed `u32` slice.
     pub fn put_u32_slice(&mut self, vs: &[u32]) {
         self.put_u64(vs.len() as u64);
@@ -236,6 +241,14 @@ impl<'a> Decoder<'a> {
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(out)
+    }
+
+    /// Steps over `n` bytes a migrating reader has no use for.
+    ///
+    /// # Errors
+    /// [`CodecError::UnexpectedEof`] when fewer remain.
+    pub fn skip(&mut self, n: usize, reading: &'static str) -> Result<(), CodecError> {
+        self.take(n, reading).map(drop)
     }
 
     /// Checks the magic tag and returns the version byte.
@@ -315,6 +328,15 @@ impl<'a> Decoder<'a> {
     pub fn get_u32s(&mut self, n: usize, reading: &'static str) -> Result<Vec<u32>, CodecError> {
         let bytes = self.take(n.saturating_mul(4), reading)?;
         Ok(le_vec(bytes, u32::from_le_bytes))
+    }
+
+    /// Reads `n` little-endian `u16`s, no length prefix (capacity = `n`).
+    ///
+    /// # Errors
+    /// [`CodecError::UnexpectedEof`] when fewer than `2 · n` bytes remain.
+    pub fn get_u16s(&mut self, n: usize, reading: &'static str) -> Result<Vec<u16>, CodecError> {
+        let bytes = self.take(n.saturating_mul(2), reading)?;
+        Ok(le_vec(bytes, u16::from_le_bytes))
     }
 
     /// Reads a length-prefixed `u32` vector (capacity = length).

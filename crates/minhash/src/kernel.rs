@@ -23,6 +23,9 @@
 //! query's signature and a candidate's, behind every Jaccard estimate. It
 //! takes the same two paths (eight 32-bit lanes per AVX2 compare, or the
 //! portable loop) under the same rule — one count on every machine.
+//! [`count_equal_row`] is the same count between two rows as an index
+//! stores them — a few 32-bit lanes, then 16-bit ones, in one `u16` array —
+//! eight and sixteen lanes to a compare.
 
 use crate::perm::{mersenne_mod, AffinePermutation, MERSENNE_PRIME};
 
@@ -142,6 +145,45 @@ pub fn count_equal_portable(a: &[u32], b: &[u32]) -> usize {
     a.iter().zip(b).filter(|(x, y)| x == y).count()
 }
 
+/// [`count_equal`] between two rows as an index stores them: `wide` 32-bit
+/// lanes, each as two `u16` words (low half first — its little-endian
+/// bytes), then 16-bit lanes ([`narrow_lane`](crate::narrow_lane)) to the
+/// end. A wide lane counts once, when both its halves agree. Eight wide or
+/// sixteen narrow lanes per AVX2 compare, [`count_equal_row_portable`]
+/// elsewhere; the same count either way.
+///
+/// # Panics
+/// Panics if the slices differ in length or hold fewer than `2 · wide`
+/// words.
+#[must_use]
+pub fn count_equal_row(a: &[u16], b: &[u16], wide: usize) -> usize {
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "signatures must share a permutation family"
+    );
+    assert!(2 * wide <= a.len(), "row shorter than its wide lanes");
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just detected at runtime.
+        return unsafe { avx2::count_equal_row(a, b, wide) };
+    }
+    count_equal_row_portable(a, b, wide)
+}
+
+/// The scalar loop [`count_equal_row`] falls back to, and the reference the
+/// vector path is tested against. Compares up to the shorter length.
+///
+/// # Panics
+/// Panics if either slice holds fewer than `2 · wide` words.
+#[must_use]
+pub fn count_equal_row_portable(a: &[u16], b: &[u16], wide: usize) -> usize {
+    let ((a32, a16), (b32, b16)) = (a.split_at(2 * wide), b.split_at(2 * wide));
+    let wide = a32.chunks_exact(2).zip(b32.chunks_exact(2));
+    let narrow = a16.iter().zip(b16);
+    wide.filter(|(x, y)| x == y).count() + narrow.filter(|(x, y)| x == y).count()
+}
+
 /// One `(a·vr + b) mod p` lane in full-width scalar arithmetic.
 /// `vr` must already be reduced into the field.
 #[inline(always)]
@@ -204,10 +246,11 @@ mod avx2 {
 
     use super::MERSENNE_PRIME;
     use core::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_blendv_epi8, _mm256_cmpeq_epi32,
-        _mm256_cmpeq_epi64, _mm256_cmpgt_epi64, _mm256_loadu_si256, _mm256_mul_epu32,
-        _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srli_epi64,
-        _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_epi64, _mm256_xor_si256,
+        __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256, _mm256_blendv_epi8,
+        _mm256_cmpeq_epi16, _mm256_cmpeq_epi32, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64,
+        _mm256_loadu_si256, _mm256_madd_epi16, _mm256_mul_epu32, _mm256_set1_epi64x,
+        _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
+        _mm256_sub_epi32, _mm256_sub_epi64, _mm256_xor_si256,
     };
 
     #[inline]
@@ -296,6 +339,55 @@ mod avx2 {
         let mut lanes = [0u32; 8];
         _mm256_storeu_si256(lanes.as_mut_ptr().cast(), counts);
         tail + lanes.iter().map(|&c| c as usize).sum::<usize>()
+    }
+
+    /// [`count_equal_row`](super::count_equal_row): the wide lanes eight
+    /// per compare, the narrow ones sixteen; what is left of either part
+    /// below a vector goes through the portable loop.
+    ///
+    /// # Safety
+    /// The caller must have verified AVX2 support at runtime, and that both
+    /// slices hold at least `2 · wide` words.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn count_equal_row(a: &[u16], b: &[u16], wide: usize) -> usize {
+        let ((a32, a16), (b32, b16)) = (a.split_at(2 * wide), b.split_at(2 * wide));
+        // `zip` stops at the shorter side, so every load stays inside both.
+        let (wide_a, wide_b) = (a32.chunks_exact(16), b32.chunks_exact(16));
+        let (narrow_a, narrow_b) = (a16.chunks_exact(16), b16.chunks_exact(16));
+        // The sub-vector rest of the wide part is whole lanes (an even
+        // number of words), so the portable loop pairs it up as the vector
+        // path does. A row of whole vectors — the default 64 + 224 words —
+        // has no rest to visit.
+        let (wide_rest, narrow_rest) = (wide_a.remainder(), narrow_a.remainder());
+        let mut rest = 0;
+        if !wide_rest.is_empty() {
+            rest +=
+                super::count_equal_row_portable(wide_rest, wide_b.remainder(), wide_rest.len() / 2);
+        }
+        if !narrow_rest.is_empty() {
+            rest += super::count_equal_row_portable(narrow_rest, narrow_b.remainder(), 0);
+        }
+        // An equal 32-bit lane compares to −1: subtracting counts it. An
+        // equal 16-bit lane compares to −1 too; `madd` against itself
+        // squares each and adds neighbours, so a 32-bit counter lane gains
+        // 0, 1 or 2 a vector. Either would wrap after 2³¹ vectors, beyond
+        // any slice.
+        let mut counts = _mm256_setzero_si256();
+        for (x, y) in wide_a.zip(wide_b) {
+            // SAFETY: each chunk is exactly 16 `u16`s — 32 readable bytes —
+            // and the loads are unaligned ones.
+            let eq = _mm256_cmpeq_epi32(load(x.as_ptr().cast()), load(y.as_ptr().cast()));
+            counts = _mm256_sub_epi32(counts, eq);
+        }
+        for (x, y) in narrow_a.zip(narrow_b) {
+            // SAFETY: as above — 16 `u16`s a chunk, unaligned loads.
+            let eq = _mm256_cmpeq_epi16(load(x.as_ptr().cast()), load(y.as_ptr().cast()));
+            counts = _mm256_add_epi32(counts, _mm256_madd_epi16(eq, eq));
+        }
+        let mut lanes = [0u32; 8];
+        // SAFETY: `lanes` is 32 writable bytes; the store is unaligned.
+        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), counts);
+        rest + lanes.iter().map(|&c| c as usize).sum::<usize>()
     }
 }
 

@@ -11,11 +11,12 @@
 //! * [`perm`] — the pairwise-independent affine permutation family over the
 //!   Mersenne prime `2^61 − 1`.
 //! * [`kernel`] — the [`FoldKernel`] min-fold inner loop and the
-//!   [`count_equal`] match count (runtime-detected AVX2 lanes with a
-//!   portable fallback, bit-identical results).
+//!   [`count_equal`] / [`count_equal_row`] match counts (runtime-detected
+//!   AVX2 lanes with a portable fallback, bit-identical results).
 //! * [`signature`] — [`MinHasher`] / [`Signature`]: signature generation
-//!   (the 64-bit fold narrowed once to 32-bit lanes, the only width any
-//!   layer keeps), Jaccard estimation (Eq. 4 of the paper), union merging,
+//!   (the 64-bit fold narrowed once to 32-bit lanes; an index stores the
+//!   lanes it only compares for equality through [`narrow_lane`], at 16),
+//!   Jaccard estimation (Eq. 4 of the paper), union merging,
 //!   cardinality estimation (`approx(|Q|)`, §5.1), and containment
 //!   estimation.
 //! * the inclusion–exclusion conversions between Jaccard similarity and set
@@ -48,9 +49,11 @@ pub mod perm;
 pub mod signature;
 
 pub use codec::CodecError;
-pub use kernel::{count_equal, FoldKernel};
+pub use kernel::{count_equal, count_equal_row, FoldKernel};
 pub use perm::{AffinePermutation, PermutationFamily, EMPTY_SLOT, MERSENNE_PRIME};
-pub use signature::{truncate_slot, MinHasher, Signature, DEFAULT_NUM_PERM, EMPTY_LANE};
+pub use signature::{
+    narrow_lane, truncate_slot, MinHasher, Signature, DEFAULT_NUM_PERM, EMPTY_LANE,
+};
 
 /// Converts a containment score to the corresponding Jaccard similarity for
 /// domain sizes `x = |X|` and `q = |Q|` (Eq. 6, left):

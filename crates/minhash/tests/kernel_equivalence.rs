@@ -4,9 +4,12 @@
 //! Signatures are persisted in index files and compared across machines,
 //! so the vectorised kernel must never change a single slot relative to
 //! [`AffinePermutation::apply`] folded lane by lane. Likewise
-//! [`count_equal`] (AVX2 where this host has it) against its portable loop.
+//! [`count_equal`] and [`count_equal_row`] (AVX2 where this host has it)
+//! against their portable loops.
 
-use lshe_minhash::kernel::{count_equal, count_equal_portable, FoldKernel};
+use lshe_minhash::kernel::{
+    count_equal, count_equal_portable, count_equal_row, count_equal_row_portable, FoldKernel,
+};
 use lshe_minhash::perm::{AffinePermutation, PermutationFamily, EMPTY_SLOT, MERSENNE_PRIME};
 use lshe_minhash::{truncate_slot, MinHasher, EMPTY_LANE};
 use proptest::prelude::*;
@@ -117,4 +120,74 @@ fn count_equal_edge_shapes() {
 #[should_panic(expected = "share a permutation family")]
 fn count_equal_rejects_mismatched_lengths() {
     let _ = count_equal(&[1, 2, 3], &[1, 2]);
+}
+
+/// Differential test of the stored-row kernel: every length 0…600 at every
+/// offset 0…3 into its buffers — so the unaligned loads start at odd
+/// `u16`s, not only where an allocation does — with no, a few, 32 and as
+/// many wide lanes as fit, against the portable loop and the count the
+/// input was built to have.
+#[test]
+fn count_equal_row_matches_the_portable_loop_at_every_length_and_offset() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1);
+        (state >> 33) as u32
+    };
+    let a: Vec<u16> = (0..604).map(|_| next() as u16).collect();
+    // `b` agrees with `a` on about two words in three, in no pattern a
+    // 16-word vector could line up with.
+    let agree: Vec<bool> = (0..604).map(|_| next() % 3 != 0).collect();
+    let b: Vec<u16> = a
+        .iter()
+        .zip(&agree)
+        .map(|(&v, &eq)| v ^ u16::from(!eq))
+        .collect();
+    for offset in 0..4 {
+        for n in 0..=600 {
+            let (x, y) = (&a[offset..offset + n], &b[offset..offset + n]);
+            let agree = &agree[offset..offset + n];
+            for wide in [0, 3, 32, n / 2] {
+                if 2 * wide > n {
+                    continue;
+                }
+                // A wide lane agrees when both its words do.
+                let (wide_words, narrow_words) = agree.split_at(2 * wide);
+                let expect = wide_words.chunks(2).filter(|w| w[0] && w[1]).count()
+                    + narrow_words.iter().filter(|&&eq| eq).count();
+                let at = format!("n = {n}, wide = {wide} at {offset}");
+                assert_eq!(count_equal_row_portable(x, y, wide), expect, "{at}");
+                assert_eq!(count_equal_row(x, y, wide), expect, "{at}");
+                // Differently aligned sides (the copy starts where an
+                // allocation does), all equal and none equal.
+                let copy = x.to_vec();
+                assert_eq!(count_equal_row(x, &copy, wide), n - wide, "{at}");
+                let none: Vec<u16> = x.iter().map(|v| !v).collect();
+                assert_eq!(count_equal_row(x, &none, wide), 0, "{at}");
+            }
+        }
+    }
+    // Saturated lanes: 0xffff compares equal like any other value, and a
+    // full vector of matches counts eight wide lanes or sixteen narrow.
+    let ones = vec![u16::MAX; 600];
+    assert_eq!(count_equal_row(&ones, &ones, 0), 600);
+    assert_eq!(count_equal_row(&ones, &ones, 300), 300);
+    // One differing half is a differing wide lane.
+    let mut half = ones.clone();
+    half[1] = 0;
+    assert_eq!(count_equal_row(&ones, &half, 32), 600 - 32 - 1);
+}
+
+#[test]
+#[should_panic(expected = "share a permutation family")]
+fn count_equal_row_rejects_mismatched_lengths() {
+    let _ = count_equal_row(&[1, 2, 3], &[1, 2], 0);
+}
+
+#[test]
+#[should_panic(expected = "shorter than its wide lanes")]
+fn count_equal_row_rejects_more_wide_lanes_than_words() {
+    let _ = count_equal_row(&[1, 2, 3], &[1, 2, 3], 2);
 }

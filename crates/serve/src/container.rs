@@ -2,25 +2,25 @@
 //! self-describing file.
 //!
 //! ```text
-//! "LSHX" version:u8 (4)
+//! "LSHX" version:u8 (5)
 //! flags:u8                      (bit 0: the index ranks its answers)
 //! num_perm:u32
 //! meta_count:u64
 //! per domain: id:u32 size:u64 table:str column:str
-//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v4)
+//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v5)
 //! next_id:u32
 //! ```
 //!
 //! A ranked container needs nothing beyond the flag: every signature is in
-//! the ensemble once, as the forest row that indexes it, and every live
-//! domain's cardinality is in its record. Version 3, the one generation
-//! before, followed the ensemble with a second copy of each signature
-//! (`lane_count:u64` + 32-bit lanes per record) beside forests that held
-//! the lanes again as tree keys. Such files still load — the old forests
-//! are reassembled into row tables as they are decoded, the sketch section
-//! is stepped over — and are written back as version 4 by the next save;
-//! nothing writes them again. Anything older (`u64` slots, no allocator
-//! mark) is refused with [`CodecError::UnsupportedVersion`].
+//! the ensemble once, as the forest row that indexes it — each tree's first
+//! key lane at 32 bits, the other lanes at 16 — and every live domain's
+//! cardinality is in its record. Version 4, the one generation before, has
+//! the same shape around an `LSHE` v4 ensemble whose rows are 32-bit lanes
+//! throughout. Such files still load — the rows are narrowed as they are
+//! decoded — and are written back as version 5 by the next save; nothing
+//! writes them again. Anything older (a sketch section after the ensemble,
+//! `u64` slots, no allocator mark) is refused with
+//! [`CodecError::UnsupportedVersion`].
 //!
 //! Two on-disk formats share this module. The heap format above (`LSHX`,
 //! currently [`VERSION`]) is decoded wholesale into heap structures. The
@@ -35,7 +35,7 @@ use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
     CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MmapIndex, MmapIndexError,
-    MutableIndex, MutationError, PartitionStrategy, Query, RankedIndex, ShardedRanked,
+    MutableIndex, MutationError, PartitionStrategy, Query, RankedIndex, Row, ShardedRanked,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
@@ -50,14 +50,14 @@ use std::sync::Arc;
 
 /// Envelope tag for `.lshe` files.
 pub const MAGIC: [u8; 4] = *b"LSHX";
-/// Current container version: the nested `LSHE` v4 ensemble holds each
-/// signature once, as a forest row. The payload ends with the id
-/// allocator's high-water mark, so a restart never re-issues a removed
-/// domain's id.
-pub const VERSION: u8 = 4;
+/// Current container version: the nested `LSHE` v5 ensemble holds each
+/// signature once, as a forest row of 32-bit heads and 16-bit tails. The
+/// payload ends with the id allocator's high-water mark, so a restart never
+/// re-issues a removed domain's id.
+pub const VERSION: u8 = 5;
 /// The oldest version still decoded — the generation before [`VERSION`],
-/// whose ranked files carry a sketch section after the ensemble.
-const OLDEST_READ: u8 = 3;
+/// whose nested ensemble holds 32-bit lanes throughout.
+const OLDEST_READ: u8 = 4;
 
 /// What kind of index a container stores — the tag
 /// [`open_index`](IndexContainer::open_index) dispatches on, so no caller
@@ -331,7 +331,9 @@ impl IndexContainer {
             strategy: PartitionStrategy::EquiDepth {
                 n: self.partition_count().div_ceil(shards).max(1),
             },
-            ..EnsembleConfig::default()
+            // A shard's forests take the stored rows as they are, so they
+            // keep the dimensions the rows were laid out for.
+            ..self.config()
         }
     }
 
@@ -378,7 +380,7 @@ impl IndexContainer {
         let config = self.shard_config(num_shards);
         // Route every sketch entry; entries are sorted by id, so each
         // shard's parallel arrays stay id-sorted like a fresh build's.
-        let mut parts: Vec<Vec<(u32, u64, &[u32])>> = vec![Vec::new(); num_shards];
+        let mut parts: Vec<Vec<(u32, u64, Row<'_>)>> = vec![Vec::new(); num_shards];
         for entry in ranked.sketch_entries() {
             let s = place(entry.0, num_shards);
             if s >= num_shards {
@@ -397,7 +399,7 @@ impl IndexContainer {
             .map(|entries| {
                 let ids: Vec<u32> = entries.iter().map(|e| e.0).collect();
                 let sizes: Vec<u64> = entries.iter().map(|e| e.1).collect();
-                let rows: Vec<&[u32]> = entries.iter().map(|e| e.2).collect();
+                let rows: Vec<Row<'_>> = entries.iter().map(|e| e.2).collect();
                 let ensemble = LshEnsemble::build_from_parts(config, &ids, &sizes, &rows);
                 let mut records = RecordTableBuilder::with_capacity(ids.len());
                 for &id in &ids {
@@ -607,15 +609,23 @@ impl IndexContainer {
         }
     }
 
-    /// Approximate heap bytes of the container: the stored index plus the
-    /// provenance (the base table and the overlay's records).
+    /// Approximate heap bytes of the container: the stored index
+    /// (`index_bytes` in `/stats` and `lshe stats`) plus
+    /// [`provenance_bytes`](Self::provenance_bytes).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
+        self.open_index().memory_bytes() + self.provenance_bytes()
+    }
+
+    /// Approximate heap bytes of the provenance: the base record table and
+    /// the overlay's records.
+    #[must_use]
+    pub fn provenance_bytes(&self) -> usize {
         let overlay = self.overlay.values().flatten();
         let overlay: usize = overlay
             .map(|r| std::mem::size_of::<DomainRecord>() + r.table.len() + r.column.len())
             .sum();
-        self.open_index().memory_bytes() + self.base.memory_bytes() + overlay
+        self.base.memory_bytes() + overlay
     }
 
     /// Which parts of its base this container holds as the very allocation
@@ -638,12 +648,12 @@ impl IndexContainer {
         matches!(self.kind(), IndexKind::Ranked | IndexKind::Mapped)
     }
 
-    /// The stored (size, signature lanes) for a domain, when heap-resident
+    /// The stored (size, signature row) for a domain, when heap-resident
     /// ranked sketches are present. Mapped containers keep sketches on disk
     /// and return `None` here — query through
     /// [`open_index`](Self::open_index) instead.
     #[must_use]
-    pub fn sketch(&self, id: u32) -> Option<(u64, &[u32])> {
+    pub fn sketch(&self, id: u32) -> Option<(u64, Row<'_>)> {
         match &self.index {
             StoredIndex::Ranked(r) => r.sketch(id),
             StoredIndex::Plain(_) | StoredIndex::Mapped(_) => None,
@@ -716,6 +726,26 @@ impl IndexContainer {
             if self.has_ranked() { "yes" } else { "no" }
         );
         let _ = writeln!(out, "memory: {} bytes", self.memory_bytes());
+        let index_bytes = index.memory_bytes();
+        match &self.index {
+            StoredIndex::Mapped(_) => {
+                let _ = writeln!(
+                    out,
+                    "  index_bytes: {index_bytes} (metadata; rows and trees stay mapped)"
+                );
+            }
+            _ => {
+                // Rows: each domain's id, lanes and size; the rest is the
+                // tree columns (and any spare capacity).
+                let rows = self.ensemble().sketch_memory_bytes();
+                let trees = index_bytes.saturating_sub(rows);
+                let _ = writeln!(
+                    out,
+                    "  index_bytes: {index_bytes} (rows {rows}, trees {trees})"
+                );
+            }
+        }
+        let _ = writeln!(out, "  provenance_bytes: {}", self.provenance_bytes());
         let stats = self.partition_stats();
         let _ = writeln!(out, "partitions: {}", stats.len());
         let _ = writeln!(out, "  #\tsize_range\tdomains");
@@ -811,9 +841,6 @@ impl IndexContainer {
             )));
         }
         let sk = |e| ("sketches", e);
-        if has_ranked && version < VERSION {
-            Self::skip_sketches(&mut dec, records.len(), num_perm).map_err(sk)?;
-        }
         let index = if has_ranked {
             // The rows are in the ensemble; the records say how large each
             // live domain is.
@@ -828,23 +855,6 @@ impl IndexContainer {
             return Err(sk(CodecError::Corrupt("trailing bytes after container")));
         }
         Ok(Self::over_base(records, index, num_perm, mark))
-    }
-
-    /// Steps over the per-record sketches that followed the ensemble in
-    /// version-3 ranked containers. The same lanes are in the ensemble's
-    /// forests, which is where they are read from now.
-    fn skip_sketches(
-        dec: &mut Decoder<'_>,
-        records: usize,
-        num_perm: usize,
-    ) -> Result<(), CodecError> {
-        for _ in 0..records {
-            if dec.get_u64("sketch width")? != num_perm as u64 {
-                return Err(CodecError::Corrupt("sketch width disagrees with config"));
-            }
-            dec.get_lanes(num_perm, "sketch slots")?;
-        }
-        Ok(())
     }
 
     /// Loads an index file of either format: a heap-format `.lshe`
@@ -1437,6 +1447,7 @@ impl DeltaLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lshe_core::RowBuf;
     use lshe_corpus::{Domain, DomainMeta};
 
     fn catalog(n: usize) -> Catalog {
@@ -1526,9 +1537,10 @@ mod tests {
                 // The serial path: one `signature` call per domain.
                 let want = hasher.signature(values(k));
                 let (size, got) = c.sketch(k as u32).expect("sketch retained");
+                let want = RowBuf::narrow(got.layout(), want.slots());
                 assert_eq!(
                     (size, got),
-                    (values(k).len() as u64, want.slots()),
+                    (values(k).len() as u64, want.as_row()),
                     "{k} of {n}"
                 );
             }

@@ -542,6 +542,10 @@ fn handle_stats(shared: &Shared) -> Outcome {
                     Json::uint(snap.index().memory_bytes() as u64),
                 ),
                 (
+                    "provenance_bytes",
+                    Json::uint(snap.container().provenance_bytes() as u64),
+                ),
+                (
                     "staged_bytes",
                     Json::uint(shared.engine.staged_memory_bytes() as u64),
                 ),
@@ -1705,7 +1709,8 @@ mod tests {
 
     #[test]
     fn stats_memory_covers_staged_backlog() {
-        let server = boot(test_engine(6, true));
+        let engine = test_engine(6, true);
+        let server = boot(Arc::clone(&engine));
         let addr = server.addr();
         let memory = |addr| {
             let (_, body) = get(addr, "/stats");
@@ -1744,6 +1749,25 @@ mod tests {
         let (index_after, staged_after_commit) = memory(addr);
         assert_eq!(staged_after_commit, 0);
         assert!(index_after > 0);
+
+        // The index and its provenance are reported under the names, and
+        // with the values, `lshe stats` prints.
+        let (_, body) = get(addr, "/stats");
+        let stats = Json::parse(&body).expect("json");
+        let memory = stats.get("memory").expect("memory object");
+        let container = engine.snapshot().container().clone();
+        assert_eq!(
+            memory.get("provenance_bytes").and_then(Json::as_u64),
+            Some(container.provenance_bytes() as u64)
+        );
+        let described = container.describe();
+        for name in ["index_bytes", "provenance_bytes"] {
+            let reported = memory.get(name).and_then(Json::as_u64).expect(name);
+            assert!(
+                described.contains(&format!("  {name}: {reported}")),
+                "{name} = {reported} not in:\n{described}"
+            );
+        }
         server.shutdown();
     }
 

@@ -14,7 +14,7 @@
 //!             section table 32 bytes per entry, checksummed from the header
 //! ```
 //!
-//! All integers little-endian. Array sections (`u32`/`u64` payloads) are
+//! All integers little-endian. Array sections (`u16`/`u32`/`u64` payloads) are
 //! viewed in place, which is why offsets carry a 64-byte alignment
 //! guarantee: an mmap base is page-aligned, so file-offset alignment is
 //! memory alignment.
@@ -29,14 +29,13 @@ use std::sync::Arc;
 
 /// File magic: the first eight bytes of every v2 store.
 pub const MAGIC: [u8; 8] = *b"LSHEIDX2";
-/// The one format version this build writes and reads. Version 4 stores
-/// each base row's lanes once, in [`SectionKind::SketchSlots`]:
-/// [`SectionKind::TreeKeys`] holds one lane per tree entry (its first key
-/// lane) and [`SectionKind::TreeIds`] the entry's position in the sketch
-/// columns, where version 3 held every key lane again and the domain id. An
-/// older file is refused, not migrated — a packed file is derived from a
-/// `.lshe` index, so it is packed again.
-pub const VERSION: u32 = 4;
+/// The one format version this build writes and reads. Version 5 stores
+/// each base row in [`SectionKind::SketchSlots`] as the forest lays it out —
+/// its `b_max` 32-bit heads (each prefix tree's first key lane), then its
+/// other lanes' low 16 bits — where version 4 held all `num_perm` lanes 32
+/// bits wide. An older file is refused, not migrated — a packed file is
+/// derived from a `.lshe` index, so it is packed again.
+pub const VERSION: u32 = 5;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 64;
 /// Section payload alignment, in bytes.
@@ -71,8 +70,10 @@ pub enum SectionKind {
     SketchIds = 6,
     /// `u64` per base row: its cardinality, in sketch-id order.
     SketchSizes = 7,
-    /// `u32` array: `num_perm` signature lanes per base row, in sketch-id
-    /// order — the one stored copy of each signature.
+    /// `u16` array: `b_max + num_perm` words per base row, in sketch-id
+    /// order — the one stored copy of each signature: lane `t·r_max` for
+    /// each tree `t` at 32 bits (two words, low half first), then the low
+    /// 16 bits of every other lane.
     SketchSlots = 8,
     /// `u64` per record plus one terminator: byte offsets into
     /// [`SectionKind::Records`].
@@ -228,6 +229,21 @@ impl Packer {
                 buf[i * 4..i * 4 + 4].copy_from_slice(&v.to_le_bytes());
             }
             self.write(&buf[..chunk.len() * 4])?;
+        }
+        Ok(())
+    }
+
+    /// Appends a `u16` slice (little-endian) to the open section.
+    ///
+    /// # Errors
+    /// Propagates write failure.
+    pub fn write_u16s(&mut self, values: &[u16]) -> std::io::Result<()> {
+        let mut buf = [0u8; 4096];
+        for chunk in values.chunks(2048) {
+            for (i, v) in chunk.iter().enumerate() {
+                buf[i * 2..i * 2 + 2].copy_from_slice(&v.to_le_bytes());
+            }
+            self.write(&buf[..chunk.len() * 2])?;
         }
         Ok(())
     }
@@ -501,6 +517,16 @@ impl Store {
         Ok(&self.mmap.as_slice()[s.offset as usize..(s.offset + s.len) as usize])
     }
 
+    /// Views a section's payload as a `u16` array, in place.
+    ///
+    /// # Errors
+    /// [`StoreError::MissingSection`], or [`StoreError::Corrupt`] if the
+    /// payload length is odd.
+    pub fn u16s(&self, kind: SectionKind) -> Result<&[u16], StoreError> {
+        let bytes = self.bytes(kind)?;
+        view_as(bytes, kind)
+    }
+
     /// Views a section's payload as a `u32` array, in place.
     ///
     /// # Errors
@@ -552,6 +578,7 @@ fn view_as<T: Pod>(bytes: &[u8], kind: SectionKind) -> Result<&[T], StoreError> 
 
 /// Marker for the plain-old-data types [`view_as`] may produce.
 trait Pod: Copy {}
+impl Pod for u16 {}
 impl Pod for u32 {}
 impl Pod for u64 {}
 
@@ -574,6 +601,9 @@ mod tests {
         p.begin_section(SectionKind::SketchSizes).expect("begin");
         p.write_u64s(&[10, 20, 30, 50, 80]).expect("write");
         p.end_section();
+        p.begin_section(SectionKind::SketchSlots).expect("begin");
+        p.write_u16s(&[7, 0xffff, 9]).expect("write");
+        p.end_section();
         p.finish().expect("finish");
     }
 
@@ -595,6 +625,18 @@ mod tests {
             store.u64s(SectionKind::SketchSizes).expect("sizes"),
             &[10, 20, 30, 50, 80]
         );
+        assert_eq!(
+            store.u16s(SectionKind::SketchSlots).expect("rows"),
+            &[7, 0xffff, 9]
+        );
+        // Three `u16`s are no whole number of `u32`s.
+        assert!(matches!(
+            store.u32s(SectionKind::SketchSlots),
+            Err(StoreError::Corrupt {
+                section: "sketch slots",
+                ..
+            })
+        ));
         assert!(store.has(SectionKind::Meta));
         assert!(!store.has(SectionKind::Records));
         assert!(matches!(

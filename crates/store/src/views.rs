@@ -8,18 +8,19 @@
 //! layout.
 
 /// Borrowed sketch columns: sorted domain ids with parallel size and
-/// signature-slot arrays.
+/// stored-row arrays.
 ///
 /// Layout: `ids[i]` owns `sizes[i]` and
-/// `slots[i * num_perm .. (i + 1) * num_perm]`. Ids are strictly
+/// `rows[i * row_words .. (i + 1) * row_words]` — the domain's signature as
+/// `u16` words, laid out as the index layer stores a row. Ids are strictly
 /// ascending, which is what makes [`lookup`](SketchesView::lookup) a
 /// binary search.
 #[derive(Debug, Clone, Copy)]
 pub struct SketchesView<'a> {
     ids: &'a [u32],
     sizes: &'a [u64],
-    slots: &'a [u32],
-    num_perm: usize,
+    rows: &'a [u16],
+    row_words: usize,
 }
 
 impl<'a> SketchesView<'a> {
@@ -27,26 +28,26 @@ impl<'a> SketchesView<'a> {
     ///
     /// Returns `None` when the lengths do not multiply out
     /// (`sizes.len() != ids.len()` or
-    /// `slots.len() != ids.len() * num_perm`) — the caller turns that
+    /// `rows.len() != ids.len() * row_words`) — the caller turns that
     /// into its section-named corruption error.
     #[must_use]
     pub fn new(
         ids: &'a [u32],
         sizes: &'a [u64],
-        slots: &'a [u32],
-        num_perm: usize,
+        rows: &'a [u16],
+        row_words: usize,
     ) -> Option<Self> {
-        if num_perm == 0 || sizes.len() != ids.len() {
+        if row_words == 0 || sizes.len() != ids.len() {
             return None;
         }
-        if slots.len() != ids.len().checked_mul(num_perm)? {
+        if rows.len() != ids.len().checked_mul(row_words)? {
             return None;
         }
         Some(Self {
             ids,
             sizes,
-            slots,
-            num_perm,
+            rows,
+            row_words,
         })
     }
 
@@ -62,10 +63,10 @@ impl<'a> SketchesView<'a> {
         self.ids.is_empty()
     }
 
-    /// Signature width.
+    /// `u16` words a stored row.
     #[must_use]
-    pub fn num_perm(&self) -> usize {
-        self.num_perm
+    pub fn row_words(&self) -> usize {
+        self.row_words
     }
 
     /// True when the id column is strictly ascending — the invariant
@@ -76,32 +77,32 @@ impl<'a> SketchesView<'a> {
         self.ids.windows(2).all(|w| w[0] < w[1])
     }
 
-    /// The domain's `(cardinality, signature slots)`, or `None` if the id
-    /// is not sketched.
+    /// The domain's `(cardinality, stored row)`, or `None` if the id is
+    /// not sketched.
     #[must_use]
-    pub fn lookup(&self, id: u32) -> Option<(u64, &'a [u32])> {
+    pub fn lookup(&self, id: u32) -> Option<(u64, &'a [u16])> {
         let i = self.ids.binary_search(&id).ok()?;
         Some((
             self.sizes[i],
-            &self.slots[i * self.num_perm..(i + 1) * self.num_perm],
+            &self.rows[i * self.row_words..(i + 1) * self.row_words],
         ))
     }
 
-    /// The id and lane columns whole: the row table a partition's tree
-    /// entries point into (position `i` is `ids[i]` with lanes
-    /// `slots[i * num_perm ..][.. num_perm]`).
+    /// The id and row columns whole: the row table a partition's tree
+    /// entries point into (position `i` is `ids[i]` with words
+    /// `rows[i * row_words ..][.. row_words]`).
     #[must_use]
-    pub fn columns(&self) -> (&'a [u32], &'a [u32]) {
-        (self.ids, self.slots)
+    pub fn columns(&self) -> (&'a [u32], &'a [u16]) {
+        (self.ids, self.rows)
     }
 
-    /// Iterates `(id, cardinality, slots)` in ascending-id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, u64, &'a [u32])> + '_ {
+    /// Iterates `(id, cardinality, stored row)` in ascending-id order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, u64, &'a [u16])> + '_ {
         self.ids.iter().enumerate().map(move |(i, &id)| {
             (
                 id,
                 self.sizes[i],
-                &self.slots[i * self.num_perm..(i + 1) * self.num_perm],
+                &self.rows[i * self.row_words..(i + 1) * self.row_words],
             )
         })
     }
@@ -174,12 +175,12 @@ mod tests {
     fn sketches_lookup() {
         let ids = [2u32, 5, 9];
         let sizes = [20u64, 50, 90];
-        let slots = [1u32, 2, 3, 4, 5, 6]; // num_perm = 2
-        let v = SketchesView::new(&ids, &sizes, &slots, 2).expect("view");
-        assert_eq!(v.len(), 3);
+        let rows = [1u16, 2, 3, 4, 5, 6]; // two words a row
+        let v = SketchesView::new(&ids, &sizes, &rows, 2).expect("view");
+        assert_eq!((v.len(), v.row_words()), (3, 2));
         assert!(v.ids_sorted());
-        assert_eq!(v.lookup(5), Some((50, &[3u32, 4][..])));
-        assert_eq!(v.lookup(9), Some((90, &[5u32, 6][..])));
+        assert_eq!(v.lookup(5), Some((50, &[3u16, 4][..])));
+        assert_eq!(v.lookup(9), Some((90, &[5u16, 6][..])));
         assert_eq!(v.lookup(7), None);
         let collected: Vec<u32> = v.iter().map(|(id, _, _)| id).collect();
         assert_eq!(collected, vec![2, 5, 9]);
@@ -189,7 +190,7 @@ mod tests {
     fn sketches_rejects_mismatched_lengths() {
         let ids = [1u32, 2];
         let sizes = [1u64];
-        let slots = [0u32; 4];
+        let slots = [0u16; 4];
         assert!(SketchesView::new(&ids, &sizes, &slots, 2).is_none());
         let sizes2 = [1u64, 2];
         assert!(SketchesView::new(&ids, &sizes2, &slots[..3], 2).is_none());
@@ -200,7 +201,7 @@ mod tests {
     fn sketches_detects_unsorted_ids() {
         let ids = [5u32, 2];
         let sizes = [1u64, 2];
-        let slots = [0u32; 2];
+        let slots = [0u16; 2];
         let v = SketchesView::new(&ids, &sizes, &slots, 1).expect("view");
         assert!(!v.ids_sorted());
     }

@@ -1,11 +1,14 @@
 //! Bytes per indexed domain, pinned as a bound.
 //!
-//! A ranked index needs each domain's signature once (`4·m` bytes of 32-bit
-//! lanes) and one `(lane 0, row)` entry per prefix tree (`8·b_max`), plus
-//! its id and cardinality. Both on-disk forms must stay within
-//! `4·m + 8·b_max + 16` bytes per domain beyond the provenance records —
-//! so a later change cannot quietly store the lanes a second time (as tree
-//! keys, or as a sketch section beside the forests) without this failing.
+//! A ranked index needs each domain's signature once — each prefix tree's
+//! first key lane at 32 bits, the other lanes at 16: `4·b_max +
+//! 2·(m − b_max)` bytes, 576 by default — and one `(lane 0, row)` entry per
+//! prefix tree (`8·b_max`), plus its id and cardinality. Both on-disk forms,
+//! and the resident index `/stats` reports as `index_bytes`, must stay
+//! within `4·b_max + 2·(m − b_max) + 8·b_max + 16` bytes per domain beyond
+//! the provenance records — so a later change cannot quietly store the
+//! lanes a second time (as tree keys, or as a sketch section beside the
+//! forests), or wider, without this failing.
 //!
 //! Resident provenance has a bound of its own: a container holds its
 //! records as columns — 24 bytes a record at most, beside the text of each
@@ -25,7 +28,9 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     let corpus = CorpusStream::new(CorpusConfig::wdc_web_tables_like(DOMAINS));
     let container = IndexContainer::from_stream(corpus, 32, true);
     assert_eq!(container.len(), DOMAINS);
-    let bound = 4 * container.num_perm() + 8 * B_MAX + 16;
+    let row = 4 * B_MAX + 2 * (container.num_perm() - B_MAX);
+    assert_eq!(row, 576);
+    let bound = row + 8 * B_MAX + 16;
 
     // Heap form: a record is id + size + two length-prefixed strings.
     let records: usize = container
@@ -58,8 +63,21 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
         "packed file: {} B per domain beyond its records, bound {bound}",
         packed as f64 / DOMAINS as f64
     );
+    // Resident: what `/stats` and `lshe stats` call `index_bytes` — rows,
+    // trees and sizes (the id → row map is not part of it).
+    let index_bytes = container.open_index().memory_bytes();
+    assert!(
+        index_bytes <= bound * DOMAINS,
+        "resident index: {} B per domain, bound {bound}",
+        index_bytes as f64 / DOMAINS as f64
+    );
+    assert_eq!(
+        container.memory_bytes(),
+        index_bytes + container.provenance_bytes(),
+        "the two reported parts are the whole"
+    );
     // And not by leaving something out: each form still holds every lane.
-    assert!(heap.min(packed) >= 4 * container.num_perm() * DOMAINS);
+    assert!(heap.min(packed).min(index_bytes) >= row * DOMAINS);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,13 +1,14 @@
 //! One-way migration from the generation before the current writer.
 //!
-//! `tests/fixtures/v3_ranked.lshe` and `v3_plain.lshe` (`LSHX` v3 around
-//! `LSHE` v3 / `LSHF` v1: two sealed segments, a base and a segment
-//! tombstone) were written by the commit before forests indexed a row
-//! table — when a ranked file held every lane twice — from the domains
-//! [`v3_container`] rebuilds, with that commit's answers recorded in
-//! `v3_expected.txt`. Both must load, answer as they did, equal a fresh
-//! build of their domains, and save as the current version. Anything older
-//! — the 64-bit-slot generations — is refused on its version byte.
+//! `tests/fixtures/v4_ranked.lshe` and `v4_plain.lshe` (`LSHX` v4 around
+//! `LSHE` v4 / `LSHF` v2: two sealed segments, a base and a segment
+//! tombstone) were written by the commit before rows went to 16-bit tail
+//! lanes — when every stored lane was 32 bits wide — from the domains
+//! [`v4_container`] rebuilds, with that commit's answers recorded in
+//! `v4_expected.txt`. Both must load — narrowed as they are decoded —
+//! answer as they did, equal a fresh build of their domains, and save as
+//! the current version. Anything older — forests that held their lanes as
+//! tree keys, the 64-bit-slot generations — is refused on its version byte.
 
 use lshe_core::Query;
 use lshe_corpus::{Domain, DomainMeta};
@@ -58,35 +59,61 @@ fn nested_version(bytes: &[u8]) -> u8 {
 
 #[test]
 fn older_generations_are_refused_on_their_version_byte() {
-    let refused = |found| CodecError::UnsupportedVersion {
-        found,
-        supported: 4,
-    };
-    let current = v3_container(true).to_bytes();
+    let refused = |found, supported| CodecError::UnsupportedVersion { found, supported };
+    let current = v4_container(true).to_bytes();
     let nested = nested_at(&current);
-    for old in [1u8, 2] {
+    // The first forest of the nested ensemble.
+    let forest = nested
+        + current[nested..]
+            .windows(4)
+            .position(|w| w == lshe_lsh::persist::MAGIC)
+            .expect("nested forest");
+    for old in [1u8, 2, 3] {
         // The container's own version byte, then its ensemble's.
         let mut bytes = current.clone();
         bytes[4] = old;
-        assert_eq!(IndexContainer::from_bytes(&bytes).err(), Some(refused(old)));
+        assert_eq!(
+            IndexContainer::from_bytes(&bytes).err(),
+            Some(refused(old, 5))
+        );
         let mut bytes = current.clone();
         bytes[nested + 4] = old;
-        assert_eq!(IndexContainer::from_bytes(&bytes).err(), Some(refused(old)));
+        assert_eq!(
+            IndexContainer::from_bytes(&bytes).err(),
+            Some(refused(old, 5))
+        );
         // The ensemble runs up to the container's 4-byte allocator mark.
         let ensemble = lshe_core::LshEnsemble::from_bytes(&bytes[nested..bytes.len() - 4]);
-        assert_eq!(ensemble.err(), Some(refused(old)));
+        assert_eq!(ensemble.err(), Some(refused(old, 5)));
     }
-    // Refused before anything behind the version is read: a bare envelope.
-    let mut v1 = Encoder::default();
-    v1.envelope(lshe_serve::container::MAGIC, 1);
+    // A version-3 ensemble header, built in memory: refused before anything
+    // behind the version byte is read.
+    let mut v3 = Encoder::default();
+    v3.envelope(lshe_core::persist::MAGIC, 3);
     assert_eq!(
-        IndexContainer::from_bytes(&v1.finish()).err(),
-        Some(refused(1))
+        lshe_core::LshEnsemble::from_bytes(&v3.finish()).err(),
+        Some(refused(3, 5))
     );
+    // A forest that holds its lanes as tree keys (`LSHF` version 1).
+    let mut bytes = current.clone();
+    bytes[forest + 4] = 1;
+    assert_eq!(
+        IndexContainer::from_bytes(&bytes).err(),
+        Some(refused(1, 3))
+    );
+    // Refused before anything behind the version is read: a bare envelope.
+    for old in [1u8, 3] {
+        let mut bare = Encoder::default();
+        bare.envelope(lshe_serve::container::MAGIC, old);
+        assert_eq!(
+            IndexContainer::from_bytes(&bare.finish()).err(),
+            Some(refused(old, 5))
+        );
+    }
 }
 
-/// `(base domains, partitions)` of the v3 fixtures.
-fn v3_shape(ranked: bool) -> (usize, usize) {
+/// `(base domains, partitions)` of the v4 fixtures.
+fn v4_shape(ranked: bool) -> (usize, usize) {
     if ranked {
         (8, 2)
     } else {
@@ -94,11 +121,11 @@ fn v3_shape(ranked: bool) -> (usize, usize) {
     }
 }
 
-/// The v3 fixtures' corpus: base domains, then two commits — two inserts
+/// The v4 fixtures' corpus: base domains, then two commits — two inserts
 /// and the removal of base domain 1; one insert and the removal of the
 /// first sealed insert.
-fn v3_container(ranked: bool) -> IndexContainer {
-    let (n, parts) = v3_shape(ranked);
+fn v4_container(ranked: bool) -> IndexContainer {
+    let (n, parts) = v4_shape(ranked);
     let mut c = IndexContainer::from_stream(corpus(n, 31), parts, ranked);
     let hasher = MinHasher::new(c.num_perm());
     let fresh = corpus(3, 32);
@@ -122,11 +149,11 @@ fn v3_container(ranked: bool) -> IndexContainer {
 }
 
 /// One line per fixture query — every base and fresh domain at three
-/// thresholds (and top-3 when ranked) — in `v3_expected.txt`'s form: the
+/// thresholds (and top-3 when ranked) — in `v4_expected.txt`'s form: the
 /// probe counters, then each hit with its estimate's bits.
-fn v3_answers(c: &IndexContainer, ranked: bool) -> String {
+fn v4_answers(c: &IndexContainer, ranked: bool) -> String {
     use std::fmt::Write as _;
-    let (n, _) = v3_shape(ranked);
+    let (n, _) = v4_shape(ranked);
     let hasher = MinHasher::new(c.num_perm());
     let index = c.open_index();
     let mut out = String::new();
@@ -161,21 +188,31 @@ fn v3_answers(c: &IndexContainer, ranked: bool) -> String {
     out
 }
 
+/// The lines of `got` that differ from `want`'s, paired; both have a line
+/// per query, in the same order.
+fn moved<'a>(got: &'a str, want: &'a str) -> Vec<(&'a str, &'a str)> {
+    assert_eq!(got.lines().count(), want.lines().count());
+    let pairs = got.lines().zip(want.lines());
+    pairs.filter(|(g, w)| g != w).collect()
+}
+
 #[test]
-fn v3_containers_answer_as_recorded_and_save_as_a_fresh_v4_build() {
-    let recorded = std::fs::read_to_string(fixture("v3_expected.txt")).expect("fixture");
-    for (ranked, name) in [(true, "v3_ranked.lshe"), (false, "v3_plain.lshe")] {
+fn v4_containers_answer_as_recorded_and_save_as_a_fresh_v5_build() {
+    let recorded = std::fs::read_to_string(fixture("v4_expected.txt")).expect("fixture");
+    for (ranked, name) in [(true, "v4_ranked.lshe"), (false, "v4_plain.lshe")] {
         let old = std::fs::read(fixture(name)).expect("fixture");
-        assert_eq!((&old[..4], old[4]), (&b"LSHX"[..], 3), "{name} is LSHX v3");
+        assert_eq!((&old[..4], old[4]), (&b"LSHX"[..], 4), "{name} is LSHX v4");
         assert!(old.len() <= 30 * 1024, "{name} is small");
-        let loaded = IndexContainer::load(&fixture(name)).expect("v3 loads");
-        let fresh = v3_container(ranked);
+        let loaded = IndexContainer::load(&fixture(name)).expect("v4 loads");
+        let fresh = v4_container(ranked);
         assert_eq!(loaded.records(), fresh.records(), "{name}");
         assert_eq!(loaded.next_id(), fresh.next_id(), "{name}");
         assert_eq!(loaded.segment_stats(), fresh.segment_stats(), "{name}");
 
         // Hits, estimates bit for bit, and probe counters: as the commit
-        // that wrote the file answered them, and as a fresh build does.
+        // that wrote the file answered them with 32-bit lanes throughout —
+        // any line a 16-bit tail lane moved is listed by the failure — and
+        // as a fresh build does.
         let kind = if ranked { "ranked " } else { "plain " };
         let want: String = recorded
             .lines()
@@ -183,26 +220,34 @@ fn v3_containers_answer_as_recorded_and_save_as_a_fresh_v4_build() {
             .flat_map(|line| [line, "\n"])
             .collect();
         assert!(!want.is_empty());
-        assert_eq!(v3_answers(&loaded, ranked), want, "{name} vs its writer");
+        let migrated = v4_answers(&loaded, ranked);
+        let differing = moved(&migrated, &want);
+        assert!(
+            differing.is_empty(),
+            "{name}: (migrated, as its writer answered) {differing:#?}"
+        );
         assert_eq!(
-            v3_answers(&fresh, ranked),
-            want,
-            "fresh build vs {name}'s writer"
+            v4_answers(&fresh, ranked),
+            migrated,
+            "fresh build vs migrated {name}"
         );
 
         let resaved = loaded.to_bytes();
-        assert_eq!(resaved[4], 4, "saved as LSHX v4");
-        assert_eq!((nested_version(&old), nested_version(&resaved)), (3, 4));
+        assert_eq!(resaved[4], 5, "saved as LSHX v5");
+        assert_eq!((nested_version(&old), nested_version(&resaved)), (4, 5));
         assert!(
             resaved == fresh.to_bytes(),
             "{name}: migrated and fresh bytes differ"
         );
-        // What the row table removed: a ranked file held every base lane
-        // twice more than once (tree keys, sketch section).
-        if ranked {
-            assert!(resaved.len() * 5 < old.len() * 4, "{name} did not shrink");
-        }
-        let reloaded = IndexContainer::from_bytes(&resaved).expect("v4 loads");
-        assert_eq!(v3_answers(&reloaded, ranked), want, "{name} after a save");
+        // What narrowing removed: 448 of each row's 1 024 lane bytes, in
+        // base rows and segment entries alike.
+        let (base, _) = v4_shape(ranked);
+        assert_eq!(old.len() - resaved.len(), 448 * (base + 3), "{name}");
+        let reloaded = IndexContainer::from_bytes(&resaved).expect("v5 loads");
+        assert_eq!(
+            v4_answers(&reloaded, ranked),
+            migrated,
+            "{name} after a save"
+        );
     }
 }

@@ -3,23 +3,18 @@
 //! A deterministic corpus — base partitions, two sealed segments, one
 //! tombstone; ranked and plain — must keep serialising to exactly the
 //! recorded bytes, `save` must write them, and `load(save(x))` must answer
-//! like `x`. The constants were recorded when `LSHX` v4 made the forests
-//! index a row table (`LSHE` v4 around `LSHF` v2). From the v3 pins (ranked
-//! 1 364 398 B, plain 736 942 B), with 600 base rows in 8 forests and 608
-//! live domains:
+//! like `x`. The constants were recorded when `LSHX` v5 took rows to 16-bit
+//! tail lanes (`LSHE` v5 around `LSHF` v3). From the v4 pins (ranked and
+//! plain both 812 078 B), with 600 base rows in 8 forests and 9 sealed
+//! segment entries:
 //!
-//! * each base row: − 1 024 B (its lanes as 32 trees' keys) + 1 024 B (its
-//!   lanes, once) + 4 B (its id in the row table) + 128 B (32 lane-0
-//!   entries; the 32 tree entries that were its id are now its row index)
-//!   = **+ 132 B × 600 = + 79 200 B**;
-//! * each forest: − 512 B (64 column length prefixes) + 4 B (the row
-//!   width) = − 508 B × 8 = − 4 064 B;
-//! * ranked only: − 1 032 B (8 B length prefix + 1 024 B lanes) for each of
-//!   the 608 sketches that followed the ensemble = **− 627 456 B**.
+//! * each base row: − 1 024 B (256 lanes × 4 B) + 128 B (32 heads × 4 B)
+//!   + 448 B (224 tails × 2 B) = **− 448 B × 600 = − 268 800 B**;
+//! * each segment entry, likewise: − 448 B × 9 = − 4 032 B;
+//! * nothing else moves: ids, tree columns, records, headers.
 //!
-//! Plain grows by 75 136 B (+ 10 %: it never held a lane twice, and now
-//! carries the lane-0 columns and row ids); ranked shrinks by 552 320 B
-//! (− 40 %) to the very same length — the two differ in the flag byte only.
+//! 812 078 − 272 832 = 539 246 B (− 34 %) for both; the two still differ in
+//! the flag byte only.
 
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
@@ -28,8 +23,8 @@ use lshe_serve::{DeltaOp, DomainRecord, IndexContainer};
 
 /// `(ranked, to_bytes().len(), fnv1a(to_bytes()))` as recorded.
 const PINNED: [(bool, usize, u64); 2] = [
-    (true, 812_078, 0xc7ff_6b04_31a9_d416),
-    (false, 812_078, 0x46ff_8a09_5241_6a4d),
+    (true, 539_246, 0x5498_b33a_b3ca_c97b),
+    (false, 539_246, 0xe43f_2d86_47ea_635c),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

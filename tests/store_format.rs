@@ -63,6 +63,11 @@ fn bit_flip_in_every_section_is_a_typed_checksum_error() {
         sections.len() >= 9,
         "fixture should populate every section kind, got {sections:?}"
     );
+    // The `u16` section — every base row, 576 bytes each — is swept like
+    // the rest.
+    assert!(sections
+        .iter()
+        .any(|&(name, _, len)| name == "sketch slots" && len == 576 * container.len() as u64));
 
     for (name, offset, len) in sections {
         assert!(len > 0, "section {name} is empty");
@@ -101,8 +106,10 @@ fn bit_flip_in_every_section_is_a_typed_checksum_error() {
     // The clean file still answers identically to the source container —
     // the fixture itself is sound.
     let reopened = IndexContainer::load(&clean_path).expect("clean file loads");
-    let (size, lanes) = container.sketch(3).expect("ranked fixture");
-    let sig = lshe_minhash::Signature::from_slots(lanes.to_vec());
+    let (size, _) = container.sketch(3).expect("ranked fixture");
+    let catalog = generate_catalog(&CorpusConfig::tiny(60, 77));
+    let hasher = lshe_minhash::MinHasher::new(container.num_perm());
+    let sig = catalog.domain(3).signature(&hasher);
     assert_eq!(
         reopened.search(&sig, size, 0.6),
         container.search(&sig, size, 0.6),
@@ -237,11 +244,11 @@ fn wrong_magic_is_rejected_not_misparsed() {
 fn any_other_version_is_refused() {
     let dir = scratch("version");
     let (clean, _) = packed_fixture(&dir);
-    // From the future, and version 3 — the one before the trees indexed the
-    // sketch table instead of holding every lane again: a packed file is
-    // derived, so an old one is packed again, not read.
-    const { assert!(lshe_store::VERSION > 3) };
-    for other in [99u32, 3] {
+    // From the future, and version 4 — the one before, whose sketch table
+    // held every lane 32 bits wide: a packed file is derived, so an old one
+    // is packed again, not read.
+    const { assert!(lshe_store::VERSION > 4) };
+    for other in [99u32, 4] {
         let mut bytes = clean.clone();
         // Change the version field and re-seal the header checksum so ONLY
         // the version differs — refused on version, not checksum.
