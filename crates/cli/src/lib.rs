@@ -94,8 +94,9 @@ COMMANDS
       Ingest every *.csv and *.jsonl under DIR (one domain per column/field
       with ≥ M distinct values, default 10), build an N-way equi-depth LSH
       Ensemble (default 32), and write it to FILE. --ranked additionally
-      stores domain sketches so `query --top-k`, containment estimates,
-      and sharded serving work (costs ~2 KB per domain).
+      keeps each domain's cardinality beside the row that indexes it, so
+      `query --top-k`, containment estimates, and sharded serving work
+      (costs 8 bytes per domain; the rows are the sketches).
 
   lshe query --index FILE --csv FILE --column NAME [--threshold T] [--top-k K]
       Search the index with the named column of the given CSV as the query
@@ -129,11 +130,15 @@ COMMANDS
       LRU query cache of C entries (default 1024, 0 disables), and S
       query shards fanned out per request (default 1; S > 1 needs a
       ranked index). --shard-id marks this process as cluster shard K
-      (surfaced on /stats; the coordinator verifies it). A packed v2
-      file (from `lshe pack`) is detected by magic, checksum-verified,
-      and served straight from the memory-mapped file — read-only, with
-      open time independent of index size; --mmap asserts this path was
-      taken. Background maintenance: a dedicated thread folds sealed
+      (surfaced on /stats; the coordinator verifies it). The index file
+      is mapped, not copied: a .lshe file's base partitions are served
+      from it, resident where queries reach, and still take mutations
+      (replace a served file by rename only, never by writing into
+      it). A packed v2 file (from `lshe pack`) is detected by magic,
+      checksum-verified, and served straight from the memory-mapped
+      file — read-only, with open time independent of index size;
+      --mmap asserts this path was taken. Background maintenance: a
+      dedicated thread folds sealed
       segments off the request path, scheduled by --merge-policy
       (default leveled: size-exponential levels, only the overflowing
       level merges); --compact-segments (default 8) and
@@ -143,7 +148,7 @@ COMMANDS
       /reload /shutdown — see docs/API.md.
 
   lshe pack --index FILE [--out FILE.lshepk]
-      Pack a ranked v1 index into the checksummed, memory-mappable v2
+      Pack a ranked index into the checksummed, memory-mappable v2
       format (magic LSHEIDX2, see docs/FORMAT.md). Default output: FILE
       minus .lshe, plus .lshepk. The packed file is read-only; keep the
       source container for future mutations and re-pack.
@@ -554,8 +559,8 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
 
     let engine = Engine::load(Path::new(&index_path), shards).map_err(engine_error)?;
     // The file's magic decides how it is served; --mmap asserts the
-    // operator got the zero-copy path they asked for instead of silently
-    // heap-decoding a v1 file.
+    // operator got the packed, read-only path they asked for, not a
+    // `.lshe` (mapped too, but decoded and mutable).
     let mapped = engine.snapshot().container().kind() == IndexKind::Mapped;
     if want_mmap && !mapped {
         return Err(CliError::Usage(format!(
@@ -596,7 +601,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     Ok("server stopped\n".to_owned())
 }
 
-/// Packs a ranked v1 container into the checksummed, memory-mappable v2
+/// Packs a ranked container into the checksummed, memory-mappable v2
 /// format (`lshe-store`, magic `LSHEIDX2`, see `docs/FORMAT.md`). The
 /// packed file is read-only and served in place: `lshe serve` detects the
 /// magic and maps it instead of decoding, so open time is independent of

@@ -572,8 +572,15 @@ pub trait DomainIndex: std::fmt::Debug + Send + Sync {
         self.len() == 0
     }
 
-    /// Approximate heap memory of the index, in bytes.
+    /// Approximate memory of the index, in bytes.
     fn memory_bytes(&self) -> usize;
+
+    /// The part of [`memory_bytes`](Self::memory_bytes) that is not heap
+    /// but views into a mapped index file, resident only where queries
+    /// reach: 0 for a backend that holds all it counts.
+    fn mapped_bytes(&self) -> usize {
+        0
+    }
 
     /// One-line human-readable description (used as the series label by
     /// the experiment harness).
@@ -595,6 +602,10 @@ impl<T: DomainIndex + ?Sized> DomainIndex for Arc<T> {
 
     fn memory_bytes(&self) -> usize {
         (**self).memory_bytes()
+    }
+
+    fn mapped_bytes(&self) -> usize {
+        (**self).mapped_bytes()
     }
 
     fn describe(&self) -> String {
@@ -676,6 +687,11 @@ impl DomainIndex for ShardedRanked {
         // The sketches are shared with the ranked index, but this backend
         // keeps them alive, so count both the shards and the sketch heap.
         self.shards.memory_bytes() + self.ranked.sketch_memory_bytes()
+    }
+
+    fn mapped_bytes(&self) -> usize {
+        // The shards were built; of the ranked index, the rows are counted.
+        self.ranked.ensemble().sketch_mapped_bytes()
     }
 
     fn describe(&self) -> String {

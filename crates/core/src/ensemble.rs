@@ -407,7 +407,10 @@ pub struct PartitionStats {
 /// The base partitions, the sealed segments, the base part of the id map
 /// and the tuner are immutable and shared: a clone copies pointers to them
 /// plus the staged delta, the tombstones and the id overlay, and a mutation
-/// of the clone copies only a base partition that gains or loses rows.
+/// of the clone copies only a base partition that gains or loses rows. A
+/// base partition decoded over a mapped index file ([`decode`](Self::decode))
+/// is views into that file until then: the same copy-on-write, one level
+/// down.
 #[derive(Debug, Clone)]
 pub struct LshEnsemble {
     config: EnsembleConfig,
@@ -558,6 +561,16 @@ impl LshEnsemble {
         pairs.map(|(a, b)| Arc::ptr_eq(a, b)).collect()
     }
 
+    /// One flag per base partition: whether every bulk column of its forest
+    /// — ids, rows, both of each tree — is a view lying inside `bytes` (the
+    /// mapped file the index was decoded over), copied nowhere. A partition
+    /// that was built, or that a fold has edited since, is not.
+    #[must_use]
+    pub fn base_borrowed_from(&self, bytes: &[u8]) -> Vec<bool> {
+        let forests = self.partitions.iter().map(|p| &p.forest);
+        forests.map(|f| f.borrows_from(bytes)).collect()
+    }
+
     /// Per-partition summaries: base partitions first, then each sealed
     /// segment's partitions (oldest segment first), then — when inserts
     /// are staged — one pseudo-partition covering the staged delta.
@@ -585,13 +598,32 @@ impl LshEnsemble {
         self.partitions.iter().map(|p| p.stats()).collect()
     }
 
-    /// Approximate heap memory of every tier's forest — each row table
-    /// counted once — and retained sizes, in bytes.
+    /// Approximate memory of every tier's forest — each row table counted
+    /// once — and retained sizes, in bytes: heap, except the
+    /// [`mapped_bytes`](Self::mapped_bytes).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         let base: usize = self.partitions.iter().map(|p| p.memory_bytes()).sum();
         let segs: usize = self.segments.iter().map(|s| s.memory_bytes()).sum();
         base + segs + self.staged.memory_bytes()
+    }
+
+    /// The part of [`memory_bytes`](Self::memory_bytes) that is no heap:
+    /// the columns of base partitions that are views into the mapped file
+    /// the index was decoded over. Segments, the staged delta and sizes are
+    /// always heap.
+    #[must_use]
+    pub fn mapped_bytes(&self) -> usize {
+        let forests = self.partitions.iter().map(|p| &p.forest);
+        forests.map(LshForest::mapped_bytes).sum()
+    }
+
+    /// The rows' share of [`mapped_bytes`](Self::mapped_bytes) — of
+    /// [`sketch_memory_bytes`](Self::sketch_memory_bytes), that is.
+    #[must_use]
+    pub fn sketch_mapped_bytes(&self) -> usize {
+        let forests = self.partitions.iter().map(|p| &p.forest);
+        forests.map(LshForest::mapped_table_bytes).sum()
     }
 
     /// The part of [`memory_bytes`](Self::memory_bytes) that is rows: every
@@ -1183,6 +1215,10 @@ impl DomainIndex for LshEnsemble {
 
     fn memory_bytes(&self) -> usize {
         LshEnsemble::memory_bytes(self)
+    }
+
+    fn mapped_bytes(&self) -> usize {
+        LshEnsemble::mapped_bytes(self)
     }
 
     fn describe(&self) -> String {

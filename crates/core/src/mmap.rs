@@ -451,8 +451,7 @@ impl MmapIndex {
             };
             let layout = Layout::new(b_max, r_max, num_perm);
             let (entries, dead) =
-                crate::persist::decode_segments(&mut sdec, layout, false, part_count)
-                    .map_err(scodec)?;
+                crate::persist::decode_segments(&mut sdec, layout, part_count).map_err(scodec)?;
             let next_id = sdec.get_u32("next id").map_err(scodec)?;
             if !sdec.is_exhausted() {
                 return Err(corrupt("segments", "trailing bytes after segments"));

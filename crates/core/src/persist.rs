@@ -3,10 +3,10 @@
 //! Format (little-endian, primitives from `lshe_minhash::codec`):
 //!
 //! ```text
-//! "LSHE" version:u8 (5)
+//! "LSHE" version:u8 (6)
 //! num_perm:u32 b_max:u32 r_max:u32 strategy_tag:u8 strategy_args…
 //! len:u64 partition_count:u64
-//! per partition: lower:u64 upper:u64 forest_len:u64 forest_bytes ("LSHF" v3)
+//! per partition: lower:u64 upper:u64 forest_len:u64 forest_bytes ("LSHF" v4)
 //! segment_count:u64
 //! per segment: entry_count:u64, then per entry
 //!     id:u32 size:u64 heads:u32×b_max tails:u16×(m − b_max)
@@ -14,15 +14,18 @@
 //! per tombstone: id:u32 tier:u8 (0 = base, 1 = segment) index:u32
 //! ```
 //!
-//! Version 5 holds every row as the forests keep it (`lshe_lsh::Layout`):
-//! each tree's first key lane at 32 bits, every other lane as its low 16 —
-//! in the nested `LSHF` version-3 forests and in the segment entries alike.
-//! Version 4, the one generation before, still decodes: it held all `m`
-//! lanes of a row 32 bits wide (nested `LSHF` version-2 forests,
-//! `lanes:u32×m` per segment entry), which are narrowed as they are read,
-//! and the next save writes version 5. Anything older — forests that held
-//! the lanes as tree keys, `u64` slots, no segment stack — is refused with
-//! [`CodecError::UnsupportedVersion`]. Sealed
+//! Every row is held as the forests keep it (`lshe_lsh::Layout`): each
+//! tree's first key lane at 32 bits, every other lane as its low 16 — in the
+//! nested forests and in the segment entries alike. Version 6 nests `LSHF`
+//! version-4 forests, whose columns start on a 4-byte boundary of the file,
+//! so [`LshEnsemble::decode`] over a mapped file leaves each base partition
+//! a set of views into it: a loaded base is not copied. Version 5, the one
+//! generation before, is the same shape around unpadded `LSHF` version-3
+//! forests; it still decodes, through the same code — columns that happen
+//! to be aligned are viewed, the rest copied — and the next save writes
+//! version 6. Anything older — rows of 32-bit lanes throughout, forests that
+//! held the lanes as tree keys, `u64` slots, no segment stack — is refused
+//! with [`CodecError::UnsupportedVersion`]. Sealed
 //! segments persist as their entry triples in sealing order — partitioning
 //! a segment is deterministic, so the decoder replays [`build_segment`] and
 //! reconstructs bit-identical forests, which keeps the byte form canonical.
@@ -44,10 +47,10 @@ use std::io::Write;
 /// Envelope tag for ensemble payloads.
 pub const MAGIC: [u8; 4] = *b"LSHE";
 /// Current format version.
-pub const VERSION: u8 = 5;
+pub const VERSION: u8 = 6;
 /// The oldest version still decoded: the generation before [`VERSION`],
-/// whose rows are 32-bit lanes throughout.
-const OLDEST_READ: u8 = 4;
+/// whose nested forests have no column pad.
+const OLDEST_READ: u8 = 5;
 
 pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: PartitionStrategy) {
     match strategy {
@@ -106,9 +109,7 @@ pub(crate) fn encode_segments<W: Write>(
 }
 
 /// Decodes [`encode_segments`]' output: per-segment raw entry triples plus
-/// the tombstone list, validated against the owning index's shape. `wide`
-/// reads the generation before, whose entries hold `layout.width` 32-bit
-/// lanes, and narrows them.
+/// the tombstone list, validated against the owning index's shape.
 ///
 /// # Errors
 /// [`CodecError`] on truncation or structural inconsistency.
@@ -116,14 +117,8 @@ pub(crate) fn encode_segments<W: Write>(
 pub(crate) fn decode_segments(
     dec: &mut Decoder<'_>,
     layout: Layout,
-    wide: bool,
     part_count: usize,
 ) -> Result<(Vec<Vec<(DomainId, u64, RowBuf)>>, Vec<(DomainId, DeadSlot)>), CodecError> {
-    let row_bytes = if wide {
-        4 * layout.width
-    } else {
-        layout.row_bytes()
-    };
     let seg_count = dec.get_u64("segment count")? as usize;
     let mut segment_entries = Vec::new();
     for _ in 0..seg_count {
@@ -131,7 +126,7 @@ pub(crate) fn decode_segments(
         if entry_count == 0 {
             return Err(CodecError::Corrupt("empty sealed segment"));
         }
-        if entry_count.saturating_mul(12 + row_bytes) > dec.remaining() {
+        if entry_count.saturating_mul(12 + layout.row_bytes()) > dec.remaining() {
             return Err(CodecError::Corrupt("segment payload exceeds input"));
         }
         let mut entries = Vec::with_capacity(entry_count);
@@ -141,13 +136,8 @@ pub(crate) fn decode_segments(
             if size == 0 {
                 return Err(CodecError::Corrupt("zero-size segment entry"));
             }
-            let row = if wide {
-                let lanes = dec.get_u32s(layout.width, "segment entry slot")?;
-                RowBuf::narrow(layout, &lanes)
-            } else {
-                let words = dec.get_u16s(layout.words(), "segment entry row")?;
-                RowBuf::from_words(layout, words).expect("read to the layout's length")
-            };
+            let words = dec.get_u16s(layout.words(), "segment entry row")?;
+            let row = RowBuf::from_words(layout, words).expect("read to the layout's length");
             entries.push((id, size, row));
         }
         segment_entries.push(entries);
@@ -240,13 +230,23 @@ impl LshEnsemble {
         encode_segments(enc, self.raw_segments(), self.raw_dead());
     }
 
-    /// Deserialises an ensemble.
+    /// Deserialises an ensemble, copying everything out of `bytes`.
+    ///
+    /// # Errors
+    /// As [`decode`](Self::decode).
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        Self::decode(Decoder::new(bytes))
+    }
+
+    /// Deserialises an ensemble from all that is left of `dec`. Over a
+    /// decoder that runs on a shared owner (a mapped index file) the base
+    /// partitions' columns are views into it (`LshForest::decode`);
+    /// segments, tombstones and the id map are rebuilt on the heap.
     ///
     /// # Errors
     /// [`CodecError`] on truncation, tag/version mismatch, or structural
     /// inconsistencies.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Decoder::new(bytes);
+    pub fn decode(mut dec: Decoder<'_>) -> Result<Self, CodecError> {
         let version = dec.envelope(MAGIC)?;
         if !(OLDEST_READ..=VERSION).contains(&version) {
             return Err(CodecError::UnsupportedVersion {
@@ -271,12 +271,13 @@ impl LshEnsemble {
             if lower > upper {
                 return Err(CodecError::Corrupt("inverted partition bounds"));
             }
-            shells.push((lower, upper, dec.get_nested("forest bytes")?));
+            shells.push((lower, upper, dec.nested("forest bytes")?));
         }
         // Each forest is decoded, and its trees checked against its rows,
         // on a lane of its own — as it was built.
-        let forests =
-            lshe_minhash::lanes::run_each(&shells, |&(_, _, bytes)| LshForest::from_bytes(bytes));
+        let forests = lshe_minhash::lanes::run_each(&shells, |(_, _, forest)| {
+            LshForest::decode(forest.clone())
+        });
         let mut partitions = Vec::with_capacity(shells.len());
         for (&(lower, upper, _), forest) in shells.iter().zip(forests) {
             let forest = forest?;
@@ -290,8 +291,7 @@ impl LshEnsemble {
             partitions.push((lower, upper, forest));
         }
         let layout = Layout::new(b_max, r_max, num_perm);
-        let (segment_entries, dead) =
-            decode_segments(&mut dec, layout, version < VERSION, part_count)?;
+        let (segment_entries, dead) = decode_segments(&mut dec, layout, part_count)?;
         if !dec.is_exhausted() {
             return Err(CodecError::Corrupt("trailing bytes after ensemble"));
         }

@@ -366,6 +366,10 @@ impl DomainIndex for RankedIndex {
         RankedIndex::memory_bytes(self)
     }
 
+    fn mapped_bytes(&self) -> usize {
+        self.ensemble.mapped_bytes()
+    }
+
     fn describe(&self) -> String {
         format!("Ranked {}", DomainIndex::describe(&self.ensemble))
     }

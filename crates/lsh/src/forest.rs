@@ -20,17 +20,23 @@
 //! ([`RowLanes`]); a row read back out ([`Row`]) moves between forests as
 //! it is.
 //!
-//! A prefix tree is two parallel `u32` columns over the committed rows,
-//! sorted by (the row's key in that tree — its head, then its `r_max − 1`
-//! tail lanes — row index): `lane0[i]`, the row's head, inline so the
-//! binary search runs over a dense 32-bit array, and `row[i]`, the row's
-//! index in the table. A prefix query of depth `r` is a binary search on
+//! A prefix tree is two parallel `u32` columns over the committed rows —
+//! the halves of one allocation — sorted by (the row's key in that tree:
+//! its head, then its `r_max − 1` tail lanes; row index): `lane0[i]`, the
+//! row's head, inline so the binary search runs over a dense 32-bit array,
+//! and `row[i]`, the row's index in the table. A prefix query of depth `r`
+//! is a binary search on
 //! `lane0` for the run equal on the first lane, then — for `r > 1` — a
 //! second binary search *inside the run* on the `r − 1` tail lanes read
 //! through `row[i]`, then a walk ([`probe_tree`], the one probe kernel: the
 //! mapped backend runs it over a packed file's columns). The head carries
 //! the entropy the search needs; inside a run lanes are only told apart,
 //! for which 16 bits do (the bound is [`narrow_lane`]'s).
+//!
+//! The bulk columns — `ids`, the row words, each tree's `lane0` and `row` —
+//! are [`Column`]s: vectors in a forest that was built, views into the file
+//! in one decoded over a mapping. A probe reads slices either way; the
+//! first write to a viewed column copies it out.
 //!
 //! ## Mutability
 //!
@@ -42,6 +48,7 @@
 //! an open-world index.
 
 use crate::DomainId;
+use lshe_minhash::codec::Column;
 use lshe_minhash::{count_equal_row, narrow_lane, Signature};
 use std::cmp::Ordering;
 
@@ -422,10 +429,10 @@ pub fn check_tree(
 /// not depend on the sort algorithm.
 #[derive(Debug, Clone, Default)]
 struct PrefixTree {
-    /// Each entry's head: its first key lane, 32 bits wide.
-    lane0: Vec<u32>,
-    /// Each entry's row in the table.
-    row: Vec<u32>,
+    /// `lane0` — each entry's head, its first key lane, 32 bits wide — then
+    /// `row`, each entry's row in the table: the halves of one column, as
+    /// a file holds them, so a probe asks once whether it is a view.
+    entries: Column<u32>,
 }
 
 impl PrefixTree {
@@ -456,10 +463,17 @@ impl PrefixTree {
             }
             run += len;
         }
+        let lane0 = entries.iter().map(|&e| (e >> 32) as u32);
+        let row = entries.iter().map(|&e| e as u32);
         Self {
-            lane0: entries.iter().map(|&e| (e >> 32) as u32).collect(),
-            row: entries.iter().map(|&e| e as u32).collect(),
+            entries: lane0.chain(row).collect::<Vec<_>>().into(),
         }
+    }
+
+    /// The `(lane0, row)` columns.
+    #[inline]
+    fn columns(&self) -> (&[u32], &[u32]) {
+        self.entries.split_at(self.entries.len() / 2)
     }
 }
 
@@ -468,9 +482,9 @@ impl PrefixTree {
 pub struct LshForest {
     layout: Layout,
     /// Domain id of each row, committed rows first.
-    ids: Vec<DomainId>,
+    ids: Column<DomainId>,
     /// Row-major rows, `layout.words()` words each.
-    words: Vec<u16>,
+    words: Column<u16>,
     /// One tree per band, over rows `..committed`.
     trees: Vec<PrefixTree>,
     /// Rows sorted into the trees; the rest are the staged tail.
@@ -501,8 +515,8 @@ impl LshForest {
     pub fn with_width(b_max: usize, r_max: usize, width: usize) -> Self {
         Self {
             layout: Layout::new(b_max, r_max, width),
-            ids: Vec::new(),
-            words: Vec::new(),
+            ids: Column::default(),
+            words: Column::default(),
             trees: vec![PrefixTree::default(); b_max],
             committed: 0,
         }
@@ -519,10 +533,9 @@ impl LshForest {
         rows: &[(DomainId, &L)],
     ) -> Self {
         let mut forest = Self::with_width(b_max, r_max, width);
-        forest.ids.reserve_exact(rows.len());
-        forest
-            .words
-            .reserve_exact(rows.len() * forest.layout.words());
+        forest.ids.to_mut().reserve_exact(rows.len());
+        let words = rows.len() * forest.layout.words();
+        forest.words.to_mut().reserve_exact(words);
         for &(id, lanes) in rows {
             forest.insert(id, lanes);
         }
@@ -583,8 +596,8 @@ impl LshForest {
     /// Panics if the signature has fewer slots than the forest keeps per
     /// row, or the row was laid out for another forest.
     pub fn insert<S: RowLanes + ?Sized>(&mut self, id: DomainId, sig: &S) {
-        sig.append_to(self.layout, &mut self.words);
-        self.ids.push(id);
+        sig.append_to(self.layout, self.words.to_mut());
+        self.ids.to_mut().push(id);
     }
 
     /// Sorts all staged rows into the trees (O(n log n) per tree).
@@ -617,20 +630,20 @@ impl LshForest {
     /// (later rows move up) and the trees' sort. Returns the number of rows
     /// removed.
     pub fn retain(&mut self, mut keep: impl FnMut(DomainId) -> bool) -> usize {
-        let n = self.ids.len();
+        let (ids, table) = (self.ids.to_mut(), self.words.to_mut());
+        let n = ids.len();
         let words = self.layout.words();
         // Old row → new row, `u32::MAX` for a dropped one.
         let mut moved = vec![u32::MAX; n];
         let (mut kept, mut kept_committed) = (0usize, 0usize);
         for (i, to) in moved.iter_mut().enumerate() {
-            if !keep(self.ids[i]) {
+            if !keep(ids[i]) {
                 continue;
             }
             *to = kept as u32;
             if kept != i {
-                self.ids[kept] = self.ids[i];
-                self.words
-                    .copy_within(i * words..(i + 1) * words, kept * words);
+                ids[kept] = ids[i];
+                table.copy_within(i * words..(i + 1) * words, kept * words);
             }
             kept += 1;
             kept_committed += usize::from(i < self.committed);
@@ -638,21 +651,29 @@ impl LshForest {
         if kept == n {
             return 0;
         }
-        self.ids.truncate(kept);
-        self.words.truncate(kept * words);
+        ids.truncate(kept);
+        table.truncate(kept * words);
         self.committed = kept_committed;
         for tree in &mut self.trees {
+            let entries = tree.entries.to_mut();
+            let len = entries.len() / 2;
+            // The kept heads move up first, then the kept rows behind
+            // them: neither write passes its read.
             let mut write = 0;
-            for read in 0..tree.row.len() {
-                let to = moved[tree.row[read] as usize];
-                if to != u32::MAX {
-                    tree.lane0[write] = tree.lane0[read];
-                    tree.row[write] = to;
+            for read in 0..len {
+                if moved[entries[len + read] as usize] != u32::MAX {
+                    entries[write] = entries[read];
                     write += 1;
                 }
             }
-            tree.lane0.truncate(write);
-            tree.row.truncate(write);
+            for read in 0..len {
+                let to = moved[entries[len + read] as usize];
+                if to != u32::MAX {
+                    entries[write] = to;
+                    write += 1;
+                }
+            }
+            entries.truncate(write);
         }
         n - kept
     }
@@ -709,18 +730,22 @@ impl LshForest {
             b_max * r_max
         );
         let slots = sig.slots();
+        // The columns are looked at once, not per tree: a `Column` is a
+        // vector or a view, and telling which is a branch.
         let rows = self.rows();
+        let staged = self.committed..rows.ids.len();
         for (t, tree) in self.trees[..b].iter().enumerate() {
             let prefix = &slots[t * r_max..t * r_max + r];
-            probe_tree(rows, &tree.lane0, &tree.row, t, prefix, out);
+            let (lane0, row) = tree.columns();
+            probe_tree(rows, lane0, row, t, prefix, out);
             // Linear scan of the staged tail.
-            for i in self.committed..self.ids.len() {
+            for i in staged.clone() {
                 let row = i as u32;
                 let tails = rows.tail_key(row, t, r - 1).expect("a staged row");
                 if rows.head(row, t) == Some(prefix[0])
                     && cmp_tails(tails, &prefix[1..]) == Ordering::Equal
                 {
-                    out.push(self.ids[i]);
+                    out.push(rows.ids[i]);
                 }
             }
         }
@@ -749,16 +774,17 @@ impl LshForest {
             0,
             "committed_trees on a forest with staged inserts; commit first"
         );
-        self.trees.iter().map(|t| (&t.lane0[..], &t.row[..]))
+        self.trees.iter().map(PrefixTree::columns)
     }
 
     /// Reassembles a forest from decoded parts. The decoder has validated
-    /// them: `trees` index exactly the rows of the table, in key order.
+    /// them: `trees` — each a `lane0` column, then a `row` column —
+    /// index exactly the rows of the table, in key order.
     pub(crate) fn from_raw(
         layout: Layout,
-        ids: Vec<DomainId>,
-        words: Vec<u16>,
-        trees: Vec<(Vec<u32>, Vec<u32>)>,
+        ids: Column<DomainId>,
+        words: Column<u16>,
+        trees: Vec<Column<u32>>,
     ) -> Self {
         Self {
             layout,
@@ -767,21 +793,47 @@ impl LshForest {
             words,
             trees: trees
                 .into_iter()
-                .map(|(lane0, row)| PrefixTree { lane0, row })
+                .map(|entries| PrefixTree { entries })
                 .collect(),
         }
     }
 
-    /// Approximate heap footprint of the index in bytes (diagnostics): the
-    /// row table, counted once, plus the tree columns.
+    /// Approximate footprint of the index in bytes (diagnostics): the row
+    /// table, counted once, plus the tree columns — on the heap or viewed
+    /// in a mapped file, [`mapped_bytes`](Self::mapped_bytes) says which.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        let table = 4 * self.ids.capacity() + 2 * self.words.capacity();
+        let table = self.ids.heap_bytes() + self.words.heap_bytes();
         let trees = self.trees.iter();
-        table
-            + 4 * trees
-                .map(|t| t.lane0.capacity() + t.row.capacity())
-                .sum::<usize>()
+        let trees = trees.map(|t| t.entries.heap_bytes());
+        table + trees.sum::<usize>() + self.mapped_bytes()
+    }
+
+    /// The part of [`memory_bytes`](Self::memory_bytes) that is not heap:
+    /// the columns a decoder lent this forest out of a shared owner (a
+    /// mapped index file), none of which has been written since.
+    #[must_use]
+    pub fn mapped_bytes(&self) -> usize {
+        let trees = self.trees.iter();
+        let trees = trees.map(|t| t.entries.mapped_bytes());
+        self.mapped_table_bytes() + trees.sum::<usize>()
+    }
+
+    /// The row table's share of [`mapped_bytes`](Self::mapped_bytes): ids
+    /// and lanes, without the tree columns.
+    #[must_use]
+    pub fn mapped_table_bytes(&self) -> usize {
+        self.ids.mapped_bytes() + self.words.mapped_bytes()
+    }
+
+    /// True if every bulk column — ids, rows, both of each tree — is a view
+    /// lying inside `bytes`.
+    #[must_use]
+    pub fn borrows_from(&self, bytes: &[u8]) -> bool {
+        let mut trees = self.trees.iter();
+        self.ids.is_view_into(bytes)
+            && self.words.is_view_into(bytes)
+            && trees.all(|t| t.entries.is_view_into(bytes))
     }
 }
 

@@ -5,8 +5,10 @@
 //! (little-endian, see `lshe_minhash::codec` for primitives):
 //!
 //! ```text
-//! "LSHF" version:u8 (3)
+//! "LSHF" version:u8 (4)
 //! b_max:u32 r_max:u32 width:u32 len:u64
+//! pad: n:u8 (0..=3), then n zero bytes   so that `ids` starts on a multiple
+//!                                        of 4 bytes from the start of the file
 //! ids:  len × u32                    the row table: each row's domain id
 //! rows: len × (                      … and its lanes, row-major:
 //!     heads: b_max × u32                 each tree's first key lane,
@@ -24,28 +26,35 @@
 //! descend — because a forest file carries no checksum and a probe trusts
 //! the order.
 //!
-//! Version 2, the one generation before, stored every lane 32 bits wide
-//! (`lanes: len·width × u32` where the rows are now) under trees sorted on
-//! those. It still decodes: the rows are narrowed as they are
-//! read and the trees sorted again on the narrowed keys — the forest a
-//! fresh build over the same rows gives. Nothing writes version 2, and
-//! version 1 (keys held per tree) is refused.
+//! The pad exists for [`LshForest::decode`] over a decoder that runs on a
+//! shared owner (a mapped index file): every column that starts on a
+//! boundary of its element type there is handed out as a view into the
+//! file, not copied — with the pad, all of them whenever a row is a whole
+//! number of `u32`s (`b_max + width` even, as with the defaults). The
+//! encoder counts the pad from the start of its sink, the decoder reads its
+//! length from the pad itself, so a forest decodes the same wherever it is
+//! nested; only whether it can be viewed in place depends on where it lies.
+//!
+//! Version 3, the one generation before, is the same columns with no pad.
+//! It still decodes, through the same getters: whatever happens to be
+//! aligned is viewed, the rest copied. Nothing writes it, and versions 1
+//! and 2 (keys held per tree; every lane 32 bits wide) are refused.
 //!
 //! Only *committed* state is stored: [`LshForest::to_bytes`] requires the
 //! staged tail to be empty (call [`LshForest::commit`] first), which keeps
 //! the format canonical — two forests with the same contents serialise to
-//! identical bytes.
+//! identical bytes at the same place in a file.
 
 use crate::forest::{check_tree, Layout, LshForest, Rows};
 use crate::DomainId;
-use lshe_minhash::codec::{CodecError, Decoder, Encoder};
+use lshe_minhash::codec::{CodecError, Column, Decoder, Encoder};
 
 /// Envelope tag for forest payloads.
 pub const MAGIC: [u8; 4] = *b"LSHF";
 /// Current format version.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 /// The oldest version still decoded: the generation before [`VERSION`].
-const OLDEST_READ: u8 = 2;
+const OLDEST_READ: u8 = 3;
 /// Largest `b_max`/`r_max` a decoder accepts: an empty forest's trees take
 /// no bytes, so nothing else bounds what it allocates for them.
 const MAX_DIM: usize = 1 << 16;
@@ -70,6 +79,7 @@ impl LshForest {
         enc.put_u32(self.r_max() as u32);
         enc.put_u32(self.width() as u32);
         enc.put_u64(self.len() as u64);
+        enc.pad_to(4);
         let rows = self.rows();
         enc.put_u32s(rows.ids);
         enc.put_u16s(rows.words);
@@ -79,14 +89,24 @@ impl LshForest {
         }
     }
 
-    /// Deserialises a forest.
+    /// Deserialises a forest, copying every column out of `bytes`.
+    ///
+    /// # Errors
+    /// As [`decode`](Self::decode).
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
+        Self::decode(Decoder::new(bytes))
+    }
+
+    /// Deserialises a forest from all that is left of `dec`. Over a decoder
+    /// that runs on a shared owner, each column that starts on a boundary
+    /// of its element type is a view into the owner; every check below runs
+    /// on the views as it does on copies.
     ///
     /// # Errors
     /// [`CodecError`] on truncation, tag/version mismatch, or structural
     /// inconsistencies: impossible dimensions or counts, a tree that is not
-    /// a sorted index of exactly the table's rows.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut dec = Decoder::new(bytes);
+    /// a sorted index of exactly the table's rows, trailing bytes.
+    pub fn decode(mut dec: Decoder<'_>) -> Result<Self, CodecError> {
         let version = dec.envelope(MAGIC)?;
         if !(OLDEST_READ..=VERSION).contains(&version) {
             return Err(CodecError::UnsupportedVersion {
@@ -113,33 +133,18 @@ impl LshForest {
             r_max,
             width,
         };
-        // Bound the table by the input before anything is allocated: a row
-        // is at least `row_bytes` in either version.
+        // Bound the table by the input before anything is allocated.
         if len
             .checked_mul(layout.row_bytes())
             .is_none_or(|bytes| bytes > dec.remaining())
         {
             return Err(CodecError::Corrupt("announced length exceeds input"));
         }
-        let ids: Vec<DomainId> = dec.get_u32s(len, "row ids")?;
-        let forest = if version < VERSION {
-            Self::migrate_v2(&mut dec, layout, &ids)?
-        } else {
-            Self::decode_rows(&mut dec, layout, ids)?
-        };
-        if !dec.is_exhausted() {
-            return Err(CodecError::Corrupt("trailing bytes after forest"));
+        if version == VERSION {
+            dec.get_pad("column pad")?;
         }
-        Ok(forest)
-    }
-
-    fn decode_rows(
-        dec: &mut Decoder<'_>,
-        layout: Layout,
-        ids: Vec<DomainId>,
-    ) -> Result<Self, CodecError> {
-        let len = ids.len();
-        let words = dec.get_u16s(len * layout.words(), "rows")?;
+        let ids: Column<DomainId> = dec.get_column(len, "row ids")?;
+        let words: Column<u16> = dec.get_column(len * layout.words(), "rows")?;
         let rows = Rows {
             ids: &ids,
             words: &words,
@@ -148,40 +153,17 @@ impl LshForest {
         let mut trees = Vec::with_capacity(layout.b_max);
         let mut seen = vec![0; len];
         for t in 0..layout.b_max {
-            let lane0 = dec.get_u32s(len, "tree lane 0")?;
-            let row = dec.get_u32s(len, "tree rows")?;
+            // `lane0`, then `row`.
+            let entries: Column<u32> = dec.get_column(len.saturating_mul(2), "tree columns")?;
             let turn = (t as u32, t as u32 + 1);
-            check_tree(rows, (&lane0, &row), t, &mut seen, turn).map_err(CodecError::Corrupt)?;
-            trees.push((lane0, row));
+            check_tree(rows, entries.split_at(len), t, &mut seen, turn)
+                .map_err(CodecError::Corrupt)?;
+            trees.push(entries);
+        }
+        if !dec.is_exhausted() {
+            return Err(CodecError::Corrupt("trailing bytes after forest"));
         }
         Ok(Self::from_raw(layout, ids, words, trees))
-    }
-
-    /// The version-2 reader: rows of 32-bit lanes, narrowed as they enter
-    /// the table; the stored trees, sorted on the wide lanes, are stepped
-    /// over and built again.
-    fn migrate_v2(
-        dec: &mut Decoder<'_>,
-        layout: Layout,
-        ids: &[DomainId],
-    ) -> Result<Self, CodecError> {
-        // A count too large for the input fails the read, before it
-        // allocates.
-        let cells = ids.len().saturating_mul(layout.width);
-        let lanes = dec.get_u32s(cells, "row lanes")?;
-        let columns = ids.len().saturating_mul(8 * layout.b_max);
-        dec.skip(columns, "tree columns")?;
-        let rows: Vec<(DomainId, &[u32])> = ids
-            .iter()
-            .copied()
-            .zip(lanes.chunks_exact(layout.width))
-            .collect();
-        Ok(Self::from_rows(
-            layout.b_max,
-            layout.r_max,
-            layout.width,
-            &rows,
-        ))
     }
 }
 
@@ -337,6 +319,7 @@ mod tests {
     /// the fields of its payload: rows `(7 2 | 4 4 | 99)`, `(7 1 | 3 9 |
     /// 98)`, `(5 8 | 4 1 | 97)`.
     struct Payload {
+        version: u8,
         dims: [u32; 3],
         len: u64,
         ids: Vec<u32>,
@@ -347,6 +330,7 @@ mod tests {
     impl Payload {
         fn valid() -> Self {
             Self {
+                version: VERSION,
                 dims: [2, 2, 5],
                 len: 3,
                 ids: vec![10, 11, 12],
@@ -368,9 +352,12 @@ mod tests {
 
         fn bytes(&self) -> Vec<u8> {
             let mut enc = Encoder::default();
-            enc.envelope(MAGIC, VERSION);
+            enc.envelope(MAGIC, self.version);
             self.dims.iter().for_each(|&d| enc.put_u32(d));
             enc.put_u64(self.len);
+            if self.version == VERSION {
+                enc.pad_to(4);
+            }
             enc.put_u32s(&self.ids);
             enc.put_u16s(&self.rows);
             for (lane0, row) in &self.trees {
@@ -447,71 +434,104 @@ mod tests {
         }
     }
 
-    /// `Payload::valid()`'s rows as version 2 held them: every lane 32
-    /// bits wide, `high` or-ed into each, under trees in `order`.
-    fn v2_bytes(high: u32, order: [[u32; 3]; 2]) -> Vec<u8> {
-        #[rustfmt::skip]
-        let lanes = [
-            7, 2, 4, 4, 99,
-            7, 1, 3, 9, 98,
-            5, 8, 4, 1, 97,
-        ].map(|lane: u32| lane | high);
-        let mut enc = Encoder::default();
-        enc.envelope(MAGIC, 2);
-        [2, 2, 5].iter().for_each(|&d| enc.put_u32(d));
-        enc.put_u64(3);
-        enc.put_u32s(&[10, 11, 12]);
-        enc.put_u32s(&lanes);
-        for (t, rows) in order.iter().enumerate() {
-            let lane0 = rows.map(|row| lanes[row as usize * 5 + 2 * t]);
-            enc.put_u32s(&lane0);
-            enc.put_u32s(rows);
+    #[test]
+    fn version_3_payload_is_the_same_columns_without_the_pad() {
+        let old = Payload {
+            version: 3,
+            ..Payload::valid()
+        };
+        let current = Payload::valid().bytes();
+        // 25 header bytes: the pad is its length byte and two zeros.
+        assert_eq!(current.len(), old.bytes().len() + 3);
+        assert_eq!(current[25..28], [2, 0, 0]);
+        let migrated = LshForest::from_bytes(&old.bytes()).expect("v3");
+        assert_eq!(migrated.to_bytes(), current);
+        // Truncated anywhere — inside the pad too — either is an error.
+        for bytes in [old.bytes(), current] {
+            for cut in 0..bytes.len() {
+                assert!(
+                    LshForest::from_bytes(&bytes[..cut]).is_err(),
+                    "cut at {cut}"
+                );
+            }
         }
-        enc.finish()
+        let mut dirty = Payload::valid().bytes();
+        dirty[27] = 1;
+        assert_eq!(
+            LshForest::from_bytes(&dirty).unwrap_err(),
+            CodecError::Corrupt("non-zero pad byte")
+        );
     }
 
     #[test]
-    fn version_2_payload_is_narrowed_and_its_trees_sorted_again() {
-        let migrated = LshForest::from_bytes(&v2_bytes(0, [[2, 1, 0], [1, 2, 0]])).expect("v2");
-        assert_eq!(migrated.to_bytes(), Payload::valid().bytes());
-        // Lanes that differ above bit 16 sort otherwise once narrowed: a
-        // version-2 order is not trusted, the trees are built from the rows.
-        let high = 1 << 16;
-        let wide = LshForest::from_bytes(&v2_bytes(high, [[0, 2, 1], [0, 1, 2]])).expect("v2");
-        let fresh = LshForest::from_rows(
-            2,
-            2,
-            5,
-            &[
-                (10, &[7 | high, 2, 4 | high, 4, 99][..]),
-                (11, &[7 | high, 1, 3 | high, 9, 98]),
-                (12, &[5 | high, 8, 4 | high, 1, 97]),
-            ],
+    fn over_a_shared_owner_aligned_columns_are_views_until_written() {
+        use lshe_minhash::codec::Owner;
+        use std::sync::Arc;
+        let (h, forest, values) = sample_forest(40);
+        let owner: Owner = Arc::new(forest.to_bytes());
+        let bytes: &[u8] = (*owner).as_ref();
+        let mut viewed = LshForest::decode(Decoder::shared(&owner)).expect("decode");
+        assert!(viewed.borrows_from(bytes));
+        // The row table, and two columns a tree.
+        let (table, trees) = (40 * (4 + 576), 40 * 8 * 32);
+        assert_eq!(viewed.mapped_bytes(), table + trees);
+        assert_eq!(viewed.memory_bytes(), table + trees);
+        assert_eq!(forest.mapped_bytes(), 0);
+        assert!(!forest.borrows_from(bytes));
+        // A clone is another view; a copy decoded from a slice is not one.
+        assert!(viewed.clone().borrows_from(bytes));
+        assert_eq!(
+            LshForest::from_bytes(bytes).expect("copy").mapped_bytes(),
+            0
         );
-        assert_eq!(wide.to_bytes(), fresh.to_bytes());
-        assert_eq!(wide.to_bytes()[4], VERSION);
-        let sig = Signature::from_slots(vec![7 | high, 2 | high, 4 | high, 1, 0]);
-        assert_eq!(wide.query(&sig, 1, 2), vec![10]);
-        // Truncated anywhere, a version-2 payload is an error, not a panic.
-        let bytes = v2_bytes(0, [[2, 1, 0], [1, 2, 0]]);
-        for cut in 0..bytes.len() {
-            assert!(
-                LshForest::from_bytes(&bytes[..cut]).is_err(),
-                "cut at {cut}"
-            );
+        let sigs: Vec<_> = values
+            .iter()
+            .map(|v| h.signature(v.iter().copied()))
+            .collect();
+        for sig in &sigs {
+            assert_eq!(viewed.query(sig, 32, 4), forest.query(sig, 32, 4));
         }
+        assert_eq!(viewed.to_bytes(), bytes);
+        // One byte further into a file nothing is aligned: all copied, and
+        // re-encoded there the pad realigns it.
+        let shifted: Owner = Arc::new([&[0u8][..], bytes].concat());
+        let mut dec = Decoder::shared(&shifted);
+        dec.skip(1, "shift").expect("skip");
+        let copied = LshForest::decode(dec).expect("decode shifted");
+        assert_eq!(copied.mapped_bytes(), 0);
+        assert_eq!(copied.to_bytes(), bytes);
+        // Writes copy out what they touch: an insert the row table, a
+        // commit (new trees) or a removal the rest.
+        viewed.insert(900, &sigs[0]);
+        assert_eq!(viewed.mapped_bytes(), trees);
+        assert!(!viewed.borrows_from(bytes));
+        viewed.commit();
+        assert_eq!(viewed.mapped_bytes(), 0);
+        let mut pruned = LshForest::decode(Decoder::shared(&owner)).expect("decode");
+        assert!(pruned.remove(3));
+        assert_eq!(pruned.mapped_bytes(), 0);
+        let mut expect = forest.clone();
+        assert!(expect.remove(3));
+        assert_eq!(pruned.to_bytes(), expect.to_bytes());
+        // The views outlive every other handle to the owner.
+        let kept = LshForest::decode(Decoder::shared(&owner)).expect("decode");
+        drop(owner);
+        assert_eq!(kept.query(&sigs[7], 32, 8), forest.query(&sigs[7], 32, 8));
     }
 
     #[test]
     fn version_1_is_refused_on_its_version_byte() {
-        let mut enc = Encoder::default();
-        enc.envelope(MAGIC, 1);
-        assert_eq!(
-            LshForest::from_bytes(&enc.finish()).unwrap_err(),
-            CodecError::UnsupportedVersion {
-                found: 1,
-                supported: VERSION
-            }
-        );
+        // So is version 2, whose rows were 32-bit lanes throughout.
+        for old in [1, 2] {
+            let mut enc = Encoder::default();
+            enc.envelope(MAGIC, old);
+            assert_eq!(
+                LshForest::from_bytes(&enc.finish()).unwrap_err(),
+                CodecError::UnsupportedVersion {
+                    found: old,
+                    supported: VERSION
+                }
+            );
+        }
     }
 }

@@ -9,6 +9,8 @@
 //! in any language in an afternoon and carries no dependency.
 
 use crate::Signature;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 /// Errors from decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,11 +202,29 @@ impl<W: std::io::Write> Encoder<W> {
     /// in place, run once to measure (no byte moves) and once to write.
     pub fn put_nested(&mut self, fill: impl Fn(&mut Self)) {
         let (start, outer) = (self.written, std::mem::replace(&mut self.measuring, true));
+        // Measured from where the payload will lie, behind its length, so a
+        // pad inside it comes out the same both times.
+        self.written += 8;
         fill(self);
-        let len = self.written - start;
+        let len = self.written - start - 8;
         (self.written, self.measuring) = (start, outer);
         self.put_u64(len as u64);
         fill(self);
+    }
+
+    /// Pads to the next multiple of `align` bytes from the start of the
+    /// sink — of the file, for a sink that is one, so a column written next
+    /// can be viewed in place by a reader that maps it. One byte says how
+    /// many zero bytes follow (`0..align`): the pad describes itself, and a
+    /// payload decodes the same wherever it is nested.
+    ///
+    /// # Panics
+    /// Panics if `align` is zero or the pad would not fit its length byte.
+    pub fn pad_to(&mut self, align: usize) {
+        assert!((1..=256).contains(&align), "pad_to({align})");
+        let zeros = (align - (self.written + 1) % align) % align;
+        self.put_u8(zeros as u8);
+        self.put_bytes(&[0; 256][..zeros]);
     }
 
     /// Bytes written so far.
@@ -220,18 +240,202 @@ impl<W: std::io::Write> Encoder<W> {
     }
 }
 
-/// Cursor-based decoder over a byte slice.
-#[derive(Debug)]
+/// Bytes a [`Decoder`] may lend [`Column`]s out of instead of copying
+/// them: a file mapping, or any buffer behind an `Arc`. Every column
+/// borrowed from an owner holds a clone of it.
+pub type Owner = Arc<dyn AsRef<[u8]> + Send + Sync>;
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// The element types of a [`Column`]: fixed-width unsigned integers, of
+/// which every bit pattern is a value — so little-endian file bytes can be
+/// viewed as them in place. Sealed.
+pub trait Word: Copy + sealed::Sealed + 'static {
+    /// `bytes` as little-endian values, exactly sized.
+    #[doc(hidden)]
+    fn vec_from_le(bytes: &[u8]) -> Vec<Self>;
+}
+
+macro_rules! word {
+    ($($int:ty),*) => {$(
+        impl sealed::Sealed for $int {}
+        impl Word for $int {
+            fn vec_from_le(bytes: &[u8]) -> Vec<Self> {
+                le_vec(bytes, <$int>::from_le_bytes)
+            }
+        }
+    )*};
+}
+word!(u16, u32, u64);
+
+/// One bulk column of an index — row ids, row words, a tree's sorted lanes
+/// — either held (a `Vec<T>`) or viewed in place inside a shared [`Owner`],
+/// which the column keeps alive. Reads go through `Deref<Target = [T]>` and
+/// cannot tell the two apart; [`to_mut`](Self::to_mut) copies a borrowed
+/// column out before its first write. A clone of a borrowed column is
+/// another view of the same bytes.
+#[derive(Clone)]
+pub struct Column<T: Word>(Repr<T>);
+
+#[derive(Clone)]
+enum Repr<T: Word> {
+    Owned(Vec<T>),
+    /// `view` lies inside `_owner`'s bytes, which `_owner` is held to keep
+    /// alive, and is lent no longer than `&self`.
+    Borrowed {
+        view: &'static [T],
+        _owner: Owner,
+    },
+}
+
+impl<T: Word> Column<T> {
+    /// The bytes `bytes` of `owner` viewed in place as `T`s, or `None` —
+    /// the caller copies instead — when the range is not inside the owner,
+    /// is not a whole number of `T`s, does not start on a `T` boundary, or
+    /// the target is not little-endian like the bytes.
+    #[must_use]
+    pub fn borrowed(owner: Owner, bytes: Range<usize>) -> Option<Self> {
+        let part = (*owner).as_ref().get(bytes)?;
+        let size = std::mem::size_of::<T>();
+        if cfg!(target_endian = "big")
+            || !part.len().is_multiple_of(size)
+            || !(part.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>())
+        {
+            return None;
+        }
+        // SAFETY: `part` is `size · n` initialised bytes inside `owner`'s
+        // buffer that start on a `T` boundary (both checked above), and
+        // every bit pattern is a `T` (`Word` is sealed over the unsigned
+        // integers): they are `n` valid `T`s. The `'static` never leaves
+        // this type — `Deref` lends the view for `&self` only — and `self`
+        // holds `owner`, whose bytes an `Arc` neither moves nor frees nor
+        // lends mutably while this clone of it lives. Nothing writes them:
+        // the owners are buffers nobody holds `&mut` to, or `PROT_READ` /
+        // `MAP_PRIVATE` file mappings (what such a mapping cannot survive —
+        // a writer truncating the file in place — is in `docs/FORMAT.md`).
+        let view =
+            unsafe { std::slice::from_raw_parts(part.as_ptr().cast::<T>(), part.len() / size) };
+        Some(Self(Repr::Borrowed {
+            view,
+            _owner: owner,
+        }))
+    }
+
+    /// True while the column is a view into an [`Owner`].
+    #[must_use]
+    pub fn is_borrowed(&self) -> bool {
+        matches!(self.0, Repr::Borrowed { .. })
+    }
+
+    /// True if the column is a view and lies inside `bytes`.
+    #[must_use]
+    pub fn is_view_into(&self, bytes: &[u8]) -> bool {
+        let (view, bytes) = (self.as_ptr_range(), bytes.as_ptr_range());
+        self.is_borrowed()
+            && bytes.start <= view.start.cast::<u8>()
+            && view.end.cast::<u8>() <= bytes.end
+    }
+
+    /// The column as a vector to change: a borrowed one is copied out
+    /// first, and is owned from then on.
+    pub fn to_mut(&mut self) -> &mut Vec<T> {
+        if let Repr::Borrowed { view, .. } = self.0 {
+            self.0 = Repr::Owned(view.to_vec());
+        }
+        match &mut self.0 {
+            Repr::Owned(values) => values,
+            Repr::Borrowed { .. } => unreachable!("copied out above"),
+        }
+    }
+
+    /// Heap bytes held: the vector's capacity, nothing for a view.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        match &self.0 {
+            Repr::Owned(values) => values.capacity() * std::mem::size_of::<T>(),
+            Repr::Borrowed { .. } => 0,
+        }
+    }
+
+    /// Bytes viewed inside an owner: nothing for a vector.
+    #[must_use]
+    pub fn mapped_bytes(&self) -> usize {
+        match self.0 {
+            Repr::Owned(_) => 0,
+            Repr::Borrowed { view, .. } => std::mem::size_of_val(view),
+        }
+    }
+}
+
+// A view is read-only and a vector has no interior mutability: a panic
+// cannot leave either half-written behind a shared reference, whatever the
+// owner's type says of itself. (Without these, holding an `Owner` would
+// take the auto traits away from every index type.)
+impl<T: Word> std::panic::UnwindSafe for Column<T> {}
+impl<T: Word> std::panic::RefUnwindSafe for Column<T> {}
+
+impl<T: Word> Deref for Column<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::Owned(values) => values,
+            Repr::Borrowed { view, .. } => view,
+        }
+    }
+}
+
+impl<T: Word> Default for Column<T> {
+    fn default() -> Self {
+        Self(Repr::Owned(Vec::new()))
+    }
+}
+
+impl<T: Word> From<Vec<T>> for Column<T> {
+    fn from(values: Vec<T>) -> Self {
+        Self(Repr::Owned(values))
+    }
+}
+
+impl<T: Word + std::fmt::Debug> std::fmt::Debug for Column<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(&**self, f)
+    }
+}
+
+/// Cursor-based decoder over a byte slice — one it was handed, from which
+/// everything decoded is copied, or the bytes of a shared [`Owner`], from
+/// which [`get_column`](Self::get_column) borrows.
+#[derive(Clone)]
 pub struct Decoder<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The owner `buf` lies in, and where in its bytes `buf` starts.
+    shared: Option<(&'a Owner, usize)>,
 }
 
 impl<'a> Decoder<'a> {
     /// Creates a decoder at offset 0.
     #[must_use]
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            shared: None,
+        }
+    }
+
+    /// A decoder over all of `owner`'s bytes whose columns borrow from it.
+    #[must_use]
+    pub fn shared(owner: &'a Owner) -> Self {
+        Self {
+            buf: (**owner).as_ref(),
+            pos: 0,
+            shared: Some((owner, 0)),
+        }
     }
 
     fn take(&mut self, n: usize, reading: &'static str) -> Result<&'a [u8], CodecError> {
@@ -321,13 +525,52 @@ impl<'a> Decoder<'a> {
         self.counted(1, reading)
     }
 
-    /// Reads `n` little-endian `u32`s, no length prefix (capacity = `n`).
+    /// [`get_nested`](Self::get_nested) as a decoder of its own, over the
+    /// same owner if this one has one.
     ///
     /// # Errors
-    /// [`CodecError::UnexpectedEof`] when fewer than `4 · n` bytes remain.
-    pub fn get_u32s(&mut self, n: usize, reading: &'static str) -> Result<Vec<u32>, CodecError> {
-        let bytes = self.take(n.saturating_mul(4), reading)?;
-        Ok(le_vec(bytes, u32::from_le_bytes))
+    /// [`CodecError`] variants on truncation or corruption.
+    pub fn nested(&mut self, reading: &'static str) -> Result<Decoder<'a>, CodecError> {
+        let buf = self.get_nested(reading)?;
+        let start = self.pos - buf.len();
+        Ok(Decoder {
+            buf,
+            pos: 0,
+            shared: self.shared.map(|(owner, base)| (owner, base + start)),
+        })
+    }
+
+    /// Steps over a pad written by [`Encoder::pad_to`].
+    ///
+    /// # Errors
+    /// [`CodecError::UnexpectedEof`] inside the pad, [`CodecError::Corrupt`]
+    /// when a pad byte is not zero.
+    pub fn get_pad(&mut self, reading: &'static str) -> Result<(), CodecError> {
+        let zeros = usize::from(self.get_u8(reading)?);
+        if self.take(zeros, reading)?.iter().any(|&b| b != 0) {
+            return Err(CodecError::Corrupt("non-zero pad byte"));
+        }
+        Ok(())
+    }
+
+    /// Reads a column of `n` little-endian `T`s, no length prefix: viewed
+    /// in place when this decoder runs over a shared [`Owner`] and the
+    /// bytes start on a `T` boundary there, copied (capacity = `n`)
+    /// otherwise.
+    ///
+    /// # Errors
+    /// [`CodecError::UnexpectedEof`] when fewer than `n` values remain.
+    pub fn get_column<T: Word>(
+        &mut self,
+        n: usize,
+        reading: &'static str,
+    ) -> Result<Column<T>, CodecError> {
+        let start = self.pos;
+        let bytes = self.take(n.saturating_mul(std::mem::size_of::<T>()), reading)?;
+        let view = self.shared.and_then(|(owner, base)| {
+            Column::borrowed(Arc::clone(owner), base + start..base + self.pos)
+        });
+        Ok(view.unwrap_or_else(|| T::vec_from_le(bytes).into()))
     }
 
     /// Reads `n` little-endian `u16`s, no length prefix (capacity = `n`).
@@ -573,6 +816,178 @@ mod tests {
         assert!(std::ptr::eq(inner.as_ptr(), bytes[9..].as_ptr()));
         assert_eq!(Decoder::new(inner).envelope(*b"NEST").expect("nested"), 2);
         assert_eq!(dec.get_u8("b").expect("b"), 10);
+    }
+
+    #[test]
+    fn a_pad_aligns_the_sink_describes_itself_and_measures_as_it_writes() {
+        for lead in 0..9 {
+            let mut enc = Encoder::default();
+            enc.put_bytes(&[7; 9][..lead]);
+            enc.pad_to(4);
+            assert_eq!(enc.len() % 4, 0, "lead {lead}");
+            assert!((1..=4).contains(&(enc.len() - lead)), "lead {lead}");
+            enc.put_u32(0xDEAD_BEEF);
+            let bytes = enc.finish();
+            let mut dec = Decoder::new(&bytes);
+            dec.skip(lead, "lead").expect("lead");
+            dec.get_pad("pad").expect("pad");
+            assert_eq!(dec.get_u32("after").expect("after"), 0xDEAD_BEEF);
+            // Cut inside the pad, or a pad byte set: typed errors.
+            for cut in lead..bytes.len() - 4 {
+                let mut dec = Decoder::new(&bytes[..cut]);
+                dec.skip(lead, "lead").expect("lead");
+                assert_eq!(
+                    dec.get_pad("pad").unwrap_err(),
+                    CodecError::UnexpectedEof { reading: "pad" }
+                );
+            }
+            if bytes.len() - 4 > lead + 1 {
+                let mut dirty = bytes.clone();
+                dirty[lead + 1] = 9;
+                let mut dec = Decoder::new(&dirty);
+                dec.skip(lead, "lead").expect("lead");
+                assert_eq!(
+                    dec.get_pad("pad").unwrap_err(),
+                    CodecError::Corrupt("non-zero pad byte")
+                );
+            }
+        }
+        // A pad inside nested payloads counts from the start of the sink
+        // both times `put_nested` runs its closure, whatever lies before.
+        for lead in 0..5 {
+            let fill = |enc: &mut Encoder| {
+                enc.put_bytes(&[1; 5][..lead]);
+                enc.put_nested(|enc| {
+                    enc.put_u8(2);
+                    enc.put_nested(|enc| {
+                        enc.pad_to(4);
+                        enc.put_u32s(&[3, 4]);
+                    });
+                });
+            };
+            let bytes = Encoder::exactly(fill);
+            assert_eq!(bytes.capacity(), bytes.len());
+            let mut dec = Decoder::new(&bytes);
+            dec.skip(lead, "lead").expect("lead");
+            let mut outer = dec.nested("outer").expect("outer");
+            assert!(dec.is_exhausted());
+            assert_eq!(outer.get_u8("tag").expect("tag"), 2);
+            let mut inner = outer.nested("inner").expect("inner");
+            inner.get_pad("pad").expect("pad");
+            assert_eq!((bytes.len() - inner.remaining()) % 4, 0, "lead {lead}");
+            assert_eq!(
+                *inner.get_column::<u32>(2, "column").expect("column"),
+                [3, 4]
+            );
+            assert!(inner.is_exhausted() && outer.is_exhausted());
+        }
+    }
+
+    /// 64 bytes that start on an 8-byte boundary, behind an `Arc`.
+    fn aligned_owner() -> (Owner, usize) {
+        let bytes: Vec<u8> = (0u8..72).collect();
+        let owner: Owner = Arc::new(bytes);
+        let at = (*owner).as_ref().as_ptr().align_offset(8);
+        (owner, at)
+    }
+
+    #[test]
+    fn a_column_is_a_view_only_of_a_whole_aligned_range_inside_its_owner() {
+        let (owner, at) = aligned_owner();
+        let bytes: &[u8] = (*owner).as_ref();
+        let view = |range: Range<usize>| (Arc::clone(&owner), at + range.start..at + range.end);
+        let le = |range: Range<usize>| &bytes[at + range.start..at + range.end];
+
+        let (o, r) = view(0..16);
+        let c16 = Column::<u16>::borrowed(o, r).expect("u16");
+        assert_eq!(c16.to_vec(), u16::vec_from_le(le(0..16)));
+        let (o, r) = view(4..16);
+        let c32 = Column::<u32>::borrowed(o, r).expect("u32");
+        assert_eq!(c32.to_vec(), u32::vec_from_le(le(4..16)));
+        let (o, r) = view(8..24);
+        let c64 = Column::<u64>::borrowed(o, r).expect("u64");
+        assert_eq!(c64.to_vec(), u64::vec_from_le(le(8..24)));
+        assert!(c16.is_view_into(bytes) && c32.is_view_into(bytes) && c64.is_view_into(bytes));
+        assert!(!c32.is_view_into(&bytes[..at + 8]), "ends past those");
+        assert_eq!((c32.mapped_bytes(), c32.heap_bytes()), (12, 0));
+
+        // Misaligned starts, for each width.
+        let (o, r) = view(1..17);
+        assert!(Column::<u16>::borrowed(o, r).is_none());
+        let (o, r) = view(2..18);
+        assert!(Column::<u32>::borrowed(o, r).is_none());
+        let (o, r) = view(4..20);
+        assert!(Column::<u64>::borrowed(o, r).is_none());
+        // Not a whole number of elements.
+        let (o, r) = view(0..6);
+        assert!(Column::<u32>::borrowed(o, r).is_none());
+        // Past the owner, inverted, and wrapping ranges.
+        let len = bytes.len();
+        assert!(Column::<u32>::borrowed(Arc::clone(&owner), at..len + 4).is_none());
+        assert!(Column::<u16>::borrowed(Arc::clone(&owner), len..len + 2).is_none());
+        let (from, to) = (8, 4);
+        assert!(Column::<u16>::borrowed(Arc::clone(&owner), from..to).is_none());
+        assert!(Column::<u16>::borrowed(Arc::clone(&owner), usize::MAX - 1..usize::MAX).is_none());
+        // Zero length: a view where aligned, nothing where not.
+        let (o, r) = view(8..8);
+        let empty = Column::<u64>::borrowed(o, r).expect("empty");
+        assert!(empty.is_empty() && empty.is_borrowed());
+        let (o, r) = view(3..3);
+        assert!(Column::<u32>::borrowed(o, r).is_none());
+        let nothing: Owner = Arc::new(Vec::new());
+        assert!(Column::<u32>::borrowed(nothing, 0..0).is_none_or(|c| c.is_empty()));
+    }
+
+    #[test]
+    fn a_view_outlives_every_other_handle_and_is_copied_out_by_its_first_write() {
+        let (owner, at) = aligned_owner();
+        let want = u32::vec_from_le(&(*owner).as_ref()[at..at + 16]);
+        let mut column = Column::<u32>::borrowed(Arc::clone(&owner), at..at + 16).expect("view");
+        let twin = column.clone();
+        assert_eq!(Arc::strong_count(&owner), 3);
+        drop(owner);
+        assert_eq!((&*column, &*twin), (&want[..], &want[..]));
+        assert!(std::ptr::eq(column.as_ptr(), twin.as_ptr()));
+
+        column.to_mut().push(77);
+        assert!(!column.is_borrowed() && twin.is_borrowed());
+        assert_eq!(column[..4], want[..]);
+        assert_eq!((column.len(), twin.len()), (5, 4));
+        assert_eq!(column.mapped_bytes(), 0);
+        assert!(column.heap_bytes() >= 20);
+        drop(twin);
+        assert_eq!(column[4], 77);
+        // An owned column is changed where it is.
+        let at = column.as_ptr();
+        column.to_mut()[0] = 1;
+        assert!(std::ptr::eq(at, column.as_ptr()));
+        assert_eq!(format!("{:?}", Column::from(vec![1u16, 2])), "[1, 2]");
+    }
+
+    #[test]
+    fn a_shared_decoder_lends_aligned_columns_and_copies_the_rest() {
+        let (owner, at) = aligned_owner();
+        let bytes: &[u8] = (*owner).as_ref();
+        let mut dec = Decoder::shared(&owner);
+        dec.skip(at, "lead").expect("lead");
+        let first: Column<u32> = dec.get_column(2, "first").expect("first");
+        assert!(first.is_view_into(bytes));
+        dec.skip(1, "shift").expect("shift");
+        let odd: Column<u32> = dec.get_column(2, "odd").expect("odd");
+        assert!(!odd.is_borrowed());
+        assert_eq!(odd.to_vec(), u32::vec_from_le(&bytes[at + 9..at + 17]));
+        assert_eq!(odd.heap_bytes(), 8, "copied exactly sized");
+        // The same reads over a plain slice copy both.
+        let mut plain = Decoder::new(bytes);
+        plain.skip(at, "lead").expect("lead");
+        let copy: Column<u32> = plain.get_column(2, "first").expect("first");
+        assert!(!copy.is_borrowed());
+        assert_eq!(*copy, *first);
+        // A count the input cannot hold is an error before any allocation.
+        assert_eq!(
+            dec.get_column::<u64>(usize::MAX / 2, "huge").unwrap_err(),
+            CodecError::UnexpectedEof { reading: "huge" }
+        );
     }
 
     #[test]

@@ -2,33 +2,37 @@
 //! self-describing file.
 //!
 //! ```text
-//! "LSHX" version:u8 (5)
+//! "LSHX" version:u8 (6)
 //! flags:u8                      (bit 0: the index ranks its answers)
 //! num_perm:u32
 //! meta_count:u64
 //! per domain: id:u32 size:u64 table:str column:str
-//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v5)
+//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v6)
 //! next_id:u32
 //! ```
 //!
 //! A ranked container needs nothing beyond the flag: every signature is in
 //! the ensemble once, as the forest row that indexes it — each tree's first
 //! key lane at 32 bits, the other lanes at 16 — and every live domain's
-//! cardinality is in its record. Version 4, the one generation before, has
-//! the same shape around an `LSHE` v4 ensemble whose rows are 32-bit lanes
-//! throughout. Such files still load — the rows are narrowed as they are
-//! decoded — and are written back as version 5 by the next save; nothing
-//! writes them again. Anything older (a sketch section after the ensemble,
-//! `u64` slots, no allocator mark) is refused with
+//! cardinality is in its record. Version 5, the one generation before, has
+//! the same shape around an `LSHE` v5 ensemble whose forests carry no
+//! column pad. Such files still load, through the same decoder, and are
+//! written back as version 6 by the next save; nothing writes them again.
+//! Anything older (rows of 32-bit lanes throughout, a sketch section after
+//! the ensemble, `u64` slots, no allocator mark) is refused with
 //! [`CodecError::UnsupportedVersion`].
 //!
-//! Two on-disk formats share this module. The heap format above (`LSHX`,
-//! currently [`VERSION`]) is decoded wholesale into heap structures. The
-//! packed format (`lshe-store`, magic `LSHEIDX2`, see `docs/FORMAT.md`)
-//! is packed once from a ranked container by [`IndexContainer::pack_v2`]
-//! and then **served in place**: [`IndexContainer::load`] memory-maps it
-//! and queries run against borrowed page-cache memory through
-//! [`MmapIndex`]. Mapped containers are read-only — mutations are typed
+//! Two on-disk formats share this module, and both are **served in place**
+//! by [`IndexContainer::load`], which maps the file and keeps the mapping.
+//! Of the heap format above (`LSHX`, currently [`VERSION`]) the records,
+//! sizes, id map, segments and tombstones are decoded onto the heap, and
+//! the bulk — every base partition's ids, rows and tree columns — stays in
+//! the file as views (`lshe_minhash::codec::Column`): resident where
+//! queries reach, copied out only by a fold that edits the partition. Such
+//! a container mutates like a built one. The packed format (`lshe-store`,
+//! magic `LSHEIDX2`, see `docs/FORMAT.md`) is packed once from a ranked
+//! container by [`IndexContainer::pack_v2`] and queried through
+//! [`MmapIndex`]; those containers are read-only — mutations are typed
 //! errors, never silent no-ops.
 
 use crate::records::RecordTableBuilder;
@@ -38,7 +42,7 @@ use lshe_core::{
     MutableIndex, MutationError, PartitionStrategy, Query, RankedIndex, Row, ShardedRanked,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
-use lshe_minhash::codec::{CodecError, Decoder, Encoder};
+use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
 use lshe_minhash::{MinHasher, Signature};
 use lshe_store::{Mmap, Packer, SectionKind, Store};
 use std::borrow::Borrow;
@@ -50,14 +54,15 @@ use std::sync::Arc;
 
 /// Envelope tag for `.lshe` files.
 pub const MAGIC: [u8; 4] = *b"LSHX";
-/// Current container version: the nested `LSHE` v5 ensemble holds each
-/// signature once, as a forest row of 32-bit heads and 16-bit tails. The
-/// payload ends with the id allocator's high-water mark, so a restart never
+/// Current container version: the nested `LSHE` v6 ensemble holds each
+/// signature once, as a forest row of 32-bit heads and 16-bit tails, in
+/// columns padded so that a mapped file serves them in place. The payload
+/// ends with the id allocator's high-water mark, so a restart never
 /// re-issues a removed domain's id.
-pub const VERSION: u8 = 5;
+pub const VERSION: u8 = 6;
 /// The oldest version still decoded — the generation before [`VERSION`],
-/// whose nested ensemble holds 32-bit lanes throughout.
-const OLDEST_READ: u8 = 4;
+/// whose nested forests are not padded.
+const OLDEST_READ: u8 = 5;
 
 /// What kind of index a container stores — the tag
 /// [`open_index`](IndexContainer::open_index) dispatches on, so no caller
@@ -107,6 +112,9 @@ pub struct IndexContainer {
     /// monotone across removals (a removed id is never re-issued, so a
     /// stale reference can never silently resolve to a new domain).
     next_id: u32,
+    /// The heap-format file the base partitions' columns are views into,
+    /// while any still is: [`save`](Self::save) reads them through it.
+    mapping: Option<Arc<Mmap>>,
 }
 
 /// [`IndexContainer::from_stream`] sketches this many domains at a time,
@@ -141,6 +149,7 @@ impl IndexContainer {
             overlay: BTreeMap::new(),
             index,
             num_perm,
+            mapping: None,
         }
     }
 
@@ -516,13 +525,17 @@ impl IndexContainer {
             return CommitReport::default();
         }
         let report = self.index_mut().compact();
-        self.rebase_records();
+        self.rebase();
         report
     }
 
-    /// Makes the live records the base table — what the overlay is folded
-    /// into when compaction builds a new base.
-    fn rebase_records(&mut self) {
+    /// After compaction built a new base: makes the live records the base
+    /// table, folding the overlay in, and lets go of the mapped file once
+    /// no partition is a view into it any more.
+    fn rebase(&mut self) {
+        if self.mapped_bytes() == 0 {
+            self.mapping = None;
+        }
         if self.overlay.is_empty() {
             return;
         }
@@ -572,7 +585,7 @@ impl IndexContainer {
         }
         let outcome = self.index_mut().apply_merge(task);
         if matches!(task, lshe_core::MergeTask::Full) {
-            self.rebase_records();
+            self.rebase();
         }
         outcome
     }
@@ -609,12 +622,42 @@ impl IndexContainer {
         }
     }
 
-    /// Approximate heap bytes of the container: the stored index
-    /// (`index_bytes` in `/stats` and `lshe stats`) plus
-    /// [`provenance_bytes`](Self::provenance_bytes).
+    /// Approximate bytes of the container: the stored index (`index_bytes`
+    /// in `/stats` and `lshe stats`) plus
+    /// [`provenance_bytes`](Self::provenance_bytes). All heap, except the
+    /// index's [`mapped_bytes`](Self::mapped_bytes).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         self.open_index().memory_bytes() + self.provenance_bytes()
+    }
+
+    /// The part of the stored index that is views into the mapped heap-
+    /// format file it was loaded from (`mapped_bytes` in `/stats` and `lshe
+    /// stats`; `heap_bytes` there is the rest of `index_bytes`): 0 for a
+    /// container that was built, and for a packed one, whose `index_bytes`
+    /// never counted the file.
+    #[must_use]
+    pub fn mapped_bytes(&self) -> usize {
+        self.open_index().mapped_bytes()
+    }
+
+    /// The bytes of the heap-format file this container's base is served
+    /// from, while any base partition still is a view into it.
+    #[must_use]
+    pub fn mapping(&self) -> Option<&[u8]> {
+        self.mapping.as_deref().map(Mmap::as_slice)
+    }
+
+    /// One flag per base partition of the index: whether it is served in
+    /// place — every bulk column a view into [`mapping`](Self::mapping),
+    /// none copied.
+    ///
+    /// # Panics
+    /// Panics on a packed container, whose base is not partitions of views.
+    #[must_use]
+    pub fn base_in_place(&self) -> Vec<bool> {
+        self.ensemble()
+            .base_borrowed_from(self.mapping().unwrap_or_default())
     }
 
     /// Approximate heap bytes of the provenance: the base record table and
@@ -726,7 +769,7 @@ impl IndexContainer {
             if self.has_ranked() { "yes" } else { "no" }
         );
         let _ = writeln!(out, "memory: {} bytes", self.memory_bytes());
-        let index_bytes = index.memory_bytes();
+        let (index_bytes, mapped) = (index.memory_bytes(), index.mapped_bytes());
         match &self.index {
             StoredIndex::Mapped(_) => {
                 let _ = writeln!(
@@ -745,6 +788,8 @@ impl IndexContainer {
                 );
             }
         }
+        let _ = writeln!(out, "    mapped_bytes: {mapped}");
+        let _ = writeln!(out, "    heap_bytes: {}", index_bytes - mapped);
         let _ = writeln!(out, "  provenance_bytes: {}", self.provenance_bytes());
         let stats = self.partition_stats();
         let _ = writeln!(out, "partitions: {}", stats.len());
@@ -791,28 +836,33 @@ impl IndexContainer {
     /// # Errors
     /// Propagates I/O errors; `path` is untouched on failure.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        replace_file(path, |file| {
+        let saved = replace_file(path, |file| {
             let mut enc = Encoder::over(std::io::BufWriter::with_capacity(1 << 20, file));
             self.encode_into(&mut enc);
             Ok(enc.into_sink()?.into_inner()?)
-        })
+        });
+        if let Some(mapping) = &self.mapping {
+            // Writing read every mapped partition: give the pages back.
+            release(mapping);
+        }
+        saved
     }
 
-    /// Deserialises a heap-format container.
+    /// Deserialises a heap-format container, copying everything out of
+    /// `bytes`.
     ///
     /// # Errors
     /// [`CodecError`] on truncation, tag/version mismatch, or structural
     /// inconsistencies. Prefer [`load`](Self::load) when reading from a
-    /// file: it reports the path and failing section, and transparently
-    /// handles packed files.
+    /// file: it reports the path and failing section, transparently
+    /// handles packed files, and serves the file in place.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
-        Self::decode(bytes).map_err(|(_, e)| e)
+        Self::decode(Decoder::new(bytes)).map_err(|(_, e)| e)
     }
 
     /// The heap-format decoder, reporting which part of the file failed
     /// alongside the codec error — [`load`](Self::load) surfaces both.
-    fn decode(bytes: &[u8]) -> Result<Self, (&'static str, CodecError)> {
-        let mut dec = Decoder::new(bytes);
+    fn decode(mut dec: Decoder<'_>) -> Result<Self, (&'static str, CodecError)> {
         let hdr = |e| ("header", e);
         let version = dec.envelope(MAGIC).map_err(hdr)?;
         if !(OLDEST_READ..=VERSION).contains(&version) {
@@ -833,8 +883,8 @@ impl IndexContainer {
         }
         let records = records.finish();
         let ens = |e| ("ensemble", e);
-        let eb = dec.get_nested("ensemble bytes").map_err(ens)?;
-        let ensemble = LshEnsemble::from_bytes(eb).map_err(ens)?;
+        let nested = dec.nested("ensemble bytes").map_err(ens)?;
+        let ensemble = LshEnsemble::decode(nested).map_err(ens)?;
         if ensemble.len() != records.len() {
             return Err(ens(CodecError::Corrupt(
                 "record count disagrees with ensemble",
@@ -857,12 +907,18 @@ impl IndexContainer {
         Ok(Self::over_base(records, index, num_perm, mark))
     }
 
-    /// Loads an index file of either format: a heap-format `.lshe`
-    /// container is decoded into heap structures (from a mapping released
-    /// before returning), a packed file (magic `LSHEIDX2`) is
-    /// checksum-verified and served in place. The file is opened once and
-    /// its format read from the mapped magic, so callers never pass a format
-    /// flag and a file renamed into place meanwhile is never read as two.
+    /// Loads an index file of either format, mapped and served in place. Of
+    /// a heap-format `.lshe` container the records, sizes, id map and
+    /// segments are decoded onto the heap and every check of the decoder is
+    /// run; the base partitions' columns stay views into the mapping, which
+    /// the container keeps, and the pages the checks touched are released
+    /// before returning — afterwards the file is resident where queries
+    /// reach. A packed file (magic `LSHEIDX2`) is checksum-verified and
+    /// queried through [`MmapIndex`]. The file is opened once and its format
+    /// read from the mapped magic, so callers never pass a format flag and
+    /// a file renamed into place meanwhile is never read as two. Replace a
+    /// loaded file by rename ([`save`](Self::save) does), never by writing
+    /// into it: the mapping follows the old file, not a truncated one.
     ///
     /// # Errors
     /// [`LoadError`], carrying the file path and (for decode and checksum
@@ -898,11 +954,18 @@ impl IndexContainer {
             });
         }
         mapping.advise(lshe_store::Advice::Sequential);
-        Self::decode(mapping.as_slice()).map_err(|(section, source)| LoadError::Decode {
+        let mapping = Arc::new(mapping);
+        let owner: Owner = mapping.clone();
+        let decoded = Self::decode(Decoder::shared(&owner));
+        let mut container = decoded.map_err(|(section, source)| LoadError::Decode {
             path: path.to_owned(),
             section,
             source,
-        })
+        })?;
+        // Last step: every check has run and the heap parts are built.
+        release(&mapping);
+        container.mapping = (container.mapped_bytes() > 0).then_some(mapping);
+        Ok(container)
     }
 
     fn serve_mapped(mapping: Mmap) -> Result<Self, MmapIndexError> {
@@ -1043,6 +1106,14 @@ impl std::fmt::Debug for Records<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
+}
+
+/// Drops the pages of `mapping` this process has touched from its resident
+/// set and turns read-ahead off: what a loader does once it has walked the
+/// file, so that the pages resident afterwards are the ones queries fault.
+fn release(mapping: &Mmap) {
+    mapping.advise(lshe_store::Advice::DontNeed);
+    mapping.advise(lshe_store::Advice::Random);
 }
 
 /// Replaces `path` atomically: `write` fills `<path>.tmp`, which is synced

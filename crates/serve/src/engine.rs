@@ -699,7 +699,8 @@ impl Engine {
 
     /// Compacts the index: seals anything still staged, folds every
     /// segment and tombstone into the base partitioning, persists the
-    /// folded base (atomic tmp + rename), and retires the delta log. This
+    /// folded base (atomic tmp + rename), retires the delta log, and swaps
+    /// in the file it wrote, re-opened and served in place. This
     /// is the only O(corpus) step in the mutation lifecycle, and it runs
     /// here — off the commit path — either on demand (`POST /compact`,
     /// `lshe compact`) or from the background merger once
@@ -730,6 +731,12 @@ impl Engine {
         if let Some(path) = &path {
             container.save(path)?;
             DeltaLog::sidecar(path).clear()?;
+            // Serve the folded base from the file just written, as a restart
+            // would, not from the heap copy the fold built. The compaction
+            // is durable by now, so a failed re-open keeps that copy.
+            if let Ok(reopened) = IndexContainer::load(path) {
+                container = reopened;
+            }
         }
 
         let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
@@ -985,17 +992,23 @@ mod tests {
         assert_eq!(old.generation(), 1);
         assert_eq!(old.container().len(), 6);
 
+        // Replaced by rename, as a served file must be: `old` is views into
+        // the file it was loaded from.
         let big = IndexContainer::build(&catalog(9), 2, true);
-        std::fs::write(&path, big.to_bytes()).expect("write");
+        big.save(&path).expect("save over");
         let new = engine.reload(None).expect("reload");
         assert_eq!(new.generation(), 2);
         assert_eq!(new.container().len(), 9);
         // The old snapshot is still fully usable (in-flight queries).
         assert_eq!(old.container().len(), 6);
+        let (sig, size) = sig_for(&catalog(6), 2, old.container().num_perm());
+        assert!(old.search(&sig, size, 0.9).iter().any(|h| h.0 == 2));
         assert_eq!(engine.snapshot().generation(), 2);
 
         // A failed reload leaves the current snapshot untouched.
-        std::fs::write(&path, b"garbage").expect("write");
+        let garbage = dir.join("garbage");
+        std::fs::write(&garbage, b"garbage").expect("write");
+        std::fs::rename(&garbage, &path).expect("rename over");
         assert!(engine.reload(None).is_err());
         assert_eq!(engine.snapshot().generation(), 2);
         std::fs::remove_dir_all(&dir).ok();

@@ -440,6 +440,8 @@ fn handle_stats(shared: &Shared) -> Outcome {
     let snap = shared.engine.snapshot();
     let staged = shared.engine.staged_counts();
     let segments = snap.container().segment_stats();
+    let index_bytes = snap.index().memory_bytes() as u64;
+    let mapped_bytes = snap.index().mapped_bytes() as u64;
     let c = &shared.counters;
     let q = &shared.query_totals;
     let s = &shared.server_stats;
@@ -537,10 +539,11 @@ fn handle_stats(shared: &Shared) -> Outcome {
         (
             "memory",
             Json::obj(vec![
-                (
-                    "index_bytes",
-                    Json::uint(snap.index().memory_bytes() as u64),
-                ),
+                ("index_bytes", Json::uint(index_bytes)),
+                // index_bytes, split: views into the mapped index file
+                // (resident where queries reach) and heap.
+                ("mapped_bytes", Json::uint(mapped_bytes)),
+                ("heap_bytes", Json::uint(index_bytes - mapped_bytes)),
                 (
                     "provenance_bytes",
                     Json::uint(snap.container().provenance_bytes() as u64),
@@ -1761,13 +1764,23 @@ mod tests {
             Some(container.provenance_bytes() as u64)
         );
         let described = container.describe();
-        for name in ["index_bytes", "provenance_bytes"] {
-            let reported = memory.get(name).and_then(Json::as_u64).expect(name);
+        let reported = |name: &str| memory.get(name).and_then(Json::as_u64).expect("reported");
+        for name in [
+            "index_bytes",
+            "mapped_bytes",
+            "heap_bytes",
+            "provenance_bytes",
+        ] {
             assert!(
-                described.contains(&format!("  {name}: {reported}")),
-                "{name} = {reported} not in:\n{described}"
+                described.contains(&format!("  {name}: {}", reported(name))),
+                "{name} = {} not in:\n{described}",
+                reported(name)
             );
         }
+        assert_eq!(
+            reported("mapped_bytes") + reported("heap_bytes"),
+            reported("index_bytes")
+        );
         server.shutdown();
     }
 

@@ -1,12 +1,13 @@
 //! `lshe-store`: the memory-mapped, checksummed on-disk container format
 //! (v2) for LSH Ensemble indexes.
 //!
-//! The v1 persistence layer decodes a container into heap structures —
-//! fine for small corpora, but boot time and resident memory both scale
-//! with corpus size. This crate defines a format that is *served in
-//! place*: a packed file is `mmap(2)`-ed, structurally validated in
-//! microseconds, and queried through zero-copy views while the kernel's
-//! page cache holds the hot set.
+//! The heap (`.lshe`) format is decoded on every load: its bulk stays in
+//! the mapped file, but the walk that checks it, and the records and id
+//! map it rebuilds, scale with corpus size. This crate defines a format
+//! that is *opened* in place: a packed file is `mmap(2)`-ed, structurally
+//! validated in microseconds, and queried through zero-copy views while
+//! the kernel's page cache holds the hot set. Its [`mmap`] shim is what
+//! `.lshe` loading maps files with, too.
 //!
 //! Pieces, bottom up:
 //!

@@ -26,12 +26,18 @@ pub enum Advice {
     /// Populate the page cache soon — warmup before a latency-sensitive
     /// benchmark or cutover.
     WillNeed,
+    /// Drop the pages this process has touched from its resident set. The
+    /// mapping is read-only and file-backed, so nothing is lost: a later
+    /// read faults the page back in from the page cache — what a loader
+    /// does once it has walked a whole file to check it, so that what stays
+    /// resident afterwards is what queries reach.
+    DontNeed,
 }
 
 #[cfg(unix)]
 mod sys {
     //! POSIX `mmap` backend. The constants used here (`PROT_READ = 1`,
-    //! `MAP_PRIVATE = 2`, and the three `MADV_*` values) have the same
+    //! `MAP_PRIVATE = 2`, and the four `MADV_*` values) have the same
     //! numeric values on Linux and the BSD family, so one module covers
     //! every Unix this workspace builds on.
 
@@ -46,6 +52,7 @@ mod sys {
     const MADV_RANDOM: c_int = 1;
     const MADV_SEQUENTIAL: c_int = 2;
     const MADV_WILLNEED: c_int = 3;
+    const MADV_DONTNEED: c_int = 4;
 
     extern "C" {
         fn mmap(
@@ -145,9 +152,16 @@ mod sys {
                 Advice::Sequential => MADV_SEQUENTIAL,
                 Advice::Random => MADV_RANDOM,
                 Advice::WillNeed => MADV_WILLNEED,
+                Advice::DontNeed => MADV_DONTNEED,
             };
             // SAFETY: ptr/len describe a live mapping owned by self.
             unsafe { madvise(self.ptr, self.len, flag) };
+        }
+    }
+
+    impl AsRef<[u8]> for Mmap {
+        fn as_ref(&self) -> &[u8] {
+            self.as_slice()
         }
     }
 
@@ -192,6 +206,9 @@ mod tests {
         map.advise(Advice::Sequential);
         map.advise(Advice::Random);
         map.advise(Advice::WillNeed);
+        // Released pages read back the same.
+        map.advise(Advice::DontNeed);
+        assert_eq!(map.as_ref(), b"hello mapped world");
         std::fs::remove_file(&path).ok();
     }
 

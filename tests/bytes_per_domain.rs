@@ -8,7 +8,9 @@
 //! within `4·b_max + 2·(m − b_max) + 8·b_max + 16` bytes per domain beyond
 //! the provenance records — so a later change cannot quietly store the
 //! lanes a second time (as tree keys, or as a sketch section beside the
-//! forests), or wider, without this failing.
+//! forests), or wider, without this failing. Loaded from its file, the
+//! index keeps at most 64 of those bytes a domain on the heap: the rest is
+//! views into the mapping (`mapped_bytes`).
 //!
 //! Resident provenance has a bound of its own: a container holds its
 //! records as columns — 24 bytes a record at most, beside the text of each
@@ -78,6 +80,23 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     );
     // And not by leaving something out: each form still holds every lane.
     assert!(heap.min(packed).min(index_bytes) >= row * DOMAINS);
+
+    // `index_bytes` is `mapped_bytes + heap_bytes`. A built container holds
+    // all of it on the heap; loaded from its file, what is left there is
+    // each domain's cardinality — the rows and trees are views into the
+    // mapping, and the same `index_bytes` is reported over them.
+    assert_eq!(container.mapped_bytes(), 0);
+    let saved = dir.join("index.lshe");
+    container.save(&saved).expect("save");
+    let loaded = IndexContainer::load(&saved).expect("load");
+    let loaded_bytes = loaded.open_index().memory_bytes();
+    assert!(loaded_bytes >= row * DOMAINS && loaded_bytes <= bound * DOMAINS);
+    let heap_bytes = loaded_bytes - loaded.mapped_bytes();
+    assert!(
+        heap_bytes <= 64 * DOMAINS,
+        "loaded index: {} B of heap per domain, bound 64",
+        heap_bytes as f64 / DOMAINS as f64
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,20 +1,24 @@
 //! One-way migration from the generation before the current writer.
 //!
-//! `tests/fixtures/v4_ranked.lshe` and `v4_plain.lshe` (`LSHX` v4 around
-//! `LSHE` v4 / `LSHF` v2: two sealed segments, a base and a segment
-//! tombstone) were written by the commit before rows went to 16-bit tail
-//! lanes — when every stored lane was 32 bits wide — from the domains
-//! [`v4_container`] rebuilds, with that commit's answers recorded in
-//! `v4_expected.txt`. Both must load — narrowed as they are decoded —
+//! `tests/fixtures/v5_ranked.lshe` and `v5_plain.lshe` (`LSHX` v5 around
+//! `LSHE` v5 / `LSHF` v3: two sealed segments, a base and a segment
+//! tombstone) were written by the commit before forests padded their
+//! columns to a 4-byte boundary of the file — the same columns, wherever
+//! they fell — from the domains [`v5_container`] rebuilds, with that
+//! commit's answers recorded in `v5_expected.txt`. Both must load, through
+//! the decoder the current version uses — from a slice, and mapped, where
+//! whatever happens to be aligned is viewed in place and the rest copied —
 //! answer as they did, equal a fresh build of their domains, and save as
-//! the current version. Anything older — forests that held their lanes as
-//! tree keys, the 64-bit-slot generations — is refused on its version byte.
+//! the current version. Anything older — rows of 32-bit lanes throughout,
+//! forests that held their lanes as tree keys, the 64-bit-slot generations
+//! — is refused on its version byte.
 
 use lshe_core::Query;
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::codec::{CodecError, Encoder};
 use lshe_minhash::MinHasher;
+use lshe_serve::container::LoadError;
 use lshe_serve::{DeltaOp, DomainRecord, IndexContainer};
 use std::path::PathBuf;
 
@@ -60,7 +64,7 @@ fn nested_version(bytes: &[u8]) -> u8 {
 #[test]
 fn older_generations_are_refused_on_their_version_byte() {
     let refused = |found, supported| CodecError::UnsupportedVersion { found, supported };
-    let current = v4_container(true).to_bytes();
+    let current = v5_container(true).to_bytes();
     let nested = nested_at(&current);
     // The first forest of the nested ensemble.
     let forest = nested
@@ -68,52 +72,68 @@ fn older_generations_are_refused_on_their_version_byte() {
             .windows(4)
             .position(|w| w == lshe_lsh::persist::MAGIC)
             .expect("nested forest");
-    for old in [1u8, 2, 3] {
+    for old in [1u8, 2, 3, 4] {
         // The container's own version byte, then its ensemble's.
         let mut bytes = current.clone();
         bytes[4] = old;
         assert_eq!(
             IndexContainer::from_bytes(&bytes).err(),
-            Some(refused(old, 5))
+            Some(refused(old, 6))
         );
         let mut bytes = current.clone();
         bytes[nested + 4] = old;
         assert_eq!(
             IndexContainer::from_bytes(&bytes).err(),
-            Some(refused(old, 5))
+            Some(refused(old, 6))
         );
         // The ensemble runs up to the container's 4-byte allocator mark.
         let ensemble = lshe_core::LshEnsemble::from_bytes(&bytes[nested..bytes.len() - 4]);
-        assert_eq!(ensemble.err(), Some(refused(old, 5)));
+        assert_eq!(ensemble.err(), Some(refused(old, 6)));
     }
-    // A version-3 ensemble header, built in memory: refused before anything
-    // behind the version byte is read.
-    let mut v3 = Encoder::default();
-    v3.envelope(lshe_core::persist::MAGIC, 3);
+    // A version-4 ensemble header (rows of 32-bit lanes), built in memory:
+    // refused before anything behind the version byte is read.
+    let mut v4 = Encoder::default();
+    v4.envelope(lshe_core::persist::MAGIC, 4);
     assert_eq!(
-        lshe_core::LshEnsemble::from_bytes(&v3.finish()).err(),
-        Some(refused(3, 5))
+        lshe_core::LshEnsemble::from_bytes(&v4.finish()).err(),
+        Some(refused(4, 6))
     );
-    // A forest that holds its lanes as tree keys (`LSHF` version 1).
-    let mut bytes = current.clone();
-    bytes[forest + 4] = 1;
-    assert_eq!(
-        IndexContainer::from_bytes(&bytes).err(),
-        Some(refused(1, 3))
-    );
-    // Refused before anything behind the version is read: a bare envelope.
-    for old in [1u8, 3] {
-        let mut bare = Encoder::default();
-        bare.envelope(lshe_serve::container::MAGIC, old);
+    // Forests that hold their lanes as tree keys (`LSHF` version 1), or 32
+    // bits wide throughout (version 2).
+    for old in [1u8, 2] {
+        let mut bytes = current.clone();
+        bytes[forest + 4] = old;
         assert_eq!(
-            IndexContainer::from_bytes(&bare.finish()).err(),
-            Some(refused(old, 5))
+            IndexContainer::from_bytes(&bytes).err(),
+            Some(refused(old, 4))
         );
     }
+    // Refused before anything behind the version is read: a bare envelope,
+    // decoded from a slice and loaded from a file alike.
+    let dir = std::env::temp_dir().join(format!("lshe_migration_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for old in [1u8, 4] {
+        let mut bare = Encoder::default();
+        bare.envelope(lshe_serve::container::MAGIC, old);
+        let bare = bare.finish();
+        assert_eq!(
+            IndexContainer::from_bytes(&bare).err(),
+            Some(refused(old, 6))
+        );
+        let path = dir.join(format!("v{old}.lshe"));
+        std::fs::write(&path, &bare).expect("write");
+        match IndexContainer::load(&path) {
+            Err(LoadError::Decode {
+                section, source, ..
+            }) => assert_eq!((section, source), ("header", refused(old, 6))),
+            other => panic!("version {old}: {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `(base domains, partitions)` of the v4 fixtures.
-fn v4_shape(ranked: bool) -> (usize, usize) {
+/// `(base domains, partitions)` of the v5 fixtures.
+fn v5_shape(ranked: bool) -> (usize, usize) {
     if ranked {
         (8, 2)
     } else {
@@ -121,11 +141,11 @@ fn v4_shape(ranked: bool) -> (usize, usize) {
     }
 }
 
-/// The v4 fixtures' corpus: base domains, then two commits — two inserts
+/// The v5 fixtures' corpus: base domains, then two commits — two inserts
 /// and the removal of base domain 1; one insert and the removal of the
 /// first sealed insert.
-fn v4_container(ranked: bool) -> IndexContainer {
-    let (n, parts) = v4_shape(ranked);
+fn v5_container(ranked: bool) -> IndexContainer {
+    let (n, parts) = v5_shape(ranked);
     let mut c = IndexContainer::from_stream(corpus(n, 31), parts, ranked);
     let hasher = MinHasher::new(c.num_perm());
     let fresh = corpus(3, 32);
@@ -149,11 +169,11 @@ fn v4_container(ranked: bool) -> IndexContainer {
 }
 
 /// One line per fixture query — every base and fresh domain at three
-/// thresholds (and top-3 when ranked) — in `v4_expected.txt`'s form: the
+/// thresholds (and top-3 when ranked) — in `v5_expected.txt`'s form: the
 /// probe counters, then each hit with its estimate's bits.
-fn v4_answers(c: &IndexContainer, ranked: bool) -> String {
+fn v5_answers(c: &IndexContainer, ranked: bool) -> String {
     use std::fmt::Write as _;
-    let (n, _) = v4_shape(ranked);
+    let (n, _) = v5_shape(ranked);
     let hasher = MinHasher::new(c.num_perm());
     let index = c.open_index();
     let mut out = String::new();
@@ -197,22 +217,25 @@ fn moved<'a>(got: &'a str, want: &'a str) -> Vec<(&'a str, &'a str)> {
 }
 
 #[test]
-fn v4_containers_answer_as_recorded_and_save_as_a_fresh_v5_build() {
-    let recorded = std::fs::read_to_string(fixture("v4_expected.txt")).expect("fixture");
-    for (ranked, name) in [(true, "v4_ranked.lshe"), (false, "v4_plain.lshe")] {
+fn v5_containers_answer_as_recorded_and_save_as_a_fresh_v6_build() {
+    let recorded = std::fs::read_to_string(fixture("v5_expected.txt")).expect("fixture");
+    for (ranked, name) in [(true, "v5_ranked.lshe"), (false, "v5_plain.lshe")] {
         let old = std::fs::read(fixture(name)).expect("fixture");
-        assert_eq!((&old[..4], old[4]), (&b"LSHX"[..], 4), "{name} is LSHX v4");
+        assert_eq!((&old[..4], old[4]), (&b"LSHX"[..], 5), "{name} is LSHX v5");
         assert!(old.len() <= 30 * 1024, "{name} is small");
-        let loaded = IndexContainer::load(&fixture(name)).expect("v4 loads");
-        let fresh = v4_container(ranked);
+        // Mapped (columns viewed where they happen to be aligned) and
+        // copied out of a slice: one decoder, one answer.
+        let loaded = IndexContainer::load(&fixture(name)).expect("v5 loads");
+        let copied = IndexContainer::from_bytes(&old).expect("v5 decodes");
+        assert_eq!(copied.mapped_bytes(), 0);
+        let fresh = v5_container(ranked);
         assert_eq!(loaded.records(), fresh.records(), "{name}");
         assert_eq!(loaded.next_id(), fresh.next_id(), "{name}");
         assert_eq!(loaded.segment_stats(), fresh.segment_stats(), "{name}");
 
         // Hits, estimates bit for bit, and probe counters: as the commit
-        // that wrote the file answered them with 32-bit lanes throughout —
-        // any line a 16-bit tail lane moved is listed by the failure — and
-        // as a fresh build does.
+        // that wrote the file answered them — any line that moved is listed
+        // by the failure — and as a fresh build does.
         let kind = if ranked { "ranked " } else { "plain " };
         let want: String = recorded
             .lines()
@@ -220,34 +243,41 @@ fn v4_containers_answer_as_recorded_and_save_as_a_fresh_v5_build() {
             .flat_map(|line| [line, "\n"])
             .collect();
         assert!(!want.is_empty());
-        let migrated = v4_answers(&loaded, ranked);
+        let migrated = v5_answers(&loaded, ranked);
         let differing = moved(&migrated, &want);
         assert!(
             differing.is_empty(),
             "{name}: (migrated, as its writer answered) {differing:#?}"
         );
+        assert_eq!(v5_answers(&copied, ranked), migrated, "{name} from a slice");
         assert_eq!(
-            v4_answers(&fresh, ranked),
+            v5_answers(&fresh, ranked),
             migrated,
             "fresh build vs migrated {name}"
         );
 
         let resaved = loaded.to_bytes();
-        assert_eq!(resaved[4], 5, "saved as LSHX v5");
-        assert_eq!((nested_version(&old), nested_version(&resaved)), (4, 5));
+        assert_eq!(resaved[4], 6, "saved as LSHX v6");
+        assert_eq!((nested_version(&old), nested_version(&resaved)), (5, 6));
         assert!(
-            resaved == fresh.to_bytes(),
+            resaved == fresh.to_bytes() && resaved == copied.to_bytes(),
             "{name}: migrated and fresh bytes differ"
         );
-        // What narrowing removed: 448 of each row's 1 024 lane bytes, in
-        // base rows and segment entries alike.
-        let (base, _) = v4_shape(ranked);
-        assert_eq!(old.len() - resaved.len(), 448 * (base + 3), "{name}");
-        let reloaded = IndexContainer::from_bytes(&resaved).expect("v5 loads");
+        // What version 6 adds: one pad a base forest, 1 to 4 bytes each.
+        let (_, forests) = v5_shape(ranked);
+        let pads = resaved.len() - old.len();
+        assert!((forests..=4 * forests).contains(&pads), "{name}: {pads}");
+        // And what the pads are for: the saved file, loaded, is all views.
+        let dir = std::env::temp_dir().join(format!("lshe_migrated_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        loaded.save(&dir.join(name)).expect("save");
+        let reloaded = IndexContainer::load(&dir.join(name)).expect("v6 loads");
+        assert!(reloaded.base_in_place().iter().all(|&part| part), "{name}");
         assert_eq!(
-            v4_answers(&reloaded, ranked),
+            v5_answers(&reloaded, ranked),
             migrated,
             "{name} after a save"
         );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

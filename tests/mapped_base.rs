@@ -1,0 +1,358 @@
+//! Where a loaded index keeps its base — asserted by pointer facts, not by
+//! timing, like `commit_sharing.rs`.
+//!
+//! `IndexContainer::load` maps a heap `.lshe` file and keeps the mapping:
+//! every bulk column of every base partition (ids, rows, two per tree) is
+//! a view into it, nothing is copied, and a container that was built
+//! holds none. The views answer bit for bit like the vectors they came
+//! from; a commit and a segment merge leave them alone; a fold copies out
+//! exactly the partitions it edits; a full fold through the engine ends on
+//! the file it wrote; and a server keeps answering from the file it
+//! loaded once another is renamed over its path, or the path is gone.
+
+use lshe_core::{DomainIndex, MergeTask, Query, QueryStats, SearchOutcome};
+use lshe_corpus::{Domain, DomainMeta};
+use lshe_datagen::{CorpusConfig, CorpusStream};
+use lshe_minhash::{MinHasher, Signature};
+use lshe_serve::container::LoadError;
+use lshe_serve::{DeltaOp, DomainRecord, Engine, IndexContainer, Snapshot};
+use std::path::{Path, PathBuf};
+
+const BASE: usize = 400;
+const PARTITIONS: usize = 8;
+
+fn corpus(n: usize, seed: u64) -> Vec<(Domain, DomainMeta)> {
+    CorpusStream::new(CorpusConfig {
+        seed,
+        ..CorpusConfig::wdc_web_tables_like(n)
+    })
+    .collect()
+}
+
+fn sketch(domain: &Domain) -> (Signature, u64) {
+    let hasher = MinHasher::new(lshe_minhash::DEFAULT_NUM_PERM);
+    let sig = hasher.signature(domain.hashes().iter().copied());
+    (sig, domain.len() as u64)
+}
+
+fn insert(id: u32, (domain, meta): &(Domain, DomainMeta)) -> DeltaOp {
+    let (signature, size) = sketch(domain);
+    DeltaOp::Insert {
+        record: DomainRecord {
+            id,
+            size,
+            table: meta.table.clone(),
+            column: meta.column.clone(),
+        },
+        signature,
+    }
+}
+
+fn stage(engine: &Engine, (domain, meta): &(Domain, DomainMeta)) -> u32 {
+    let (sig, size) = sketch(domain);
+    let staged = engine.stage_insert(meta.table.clone(), meta.column.clone(), size, sig);
+    staged.expect("stage insert").0
+}
+
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(name: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!("lshe_mapped_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        Self(dir)
+    }
+
+    fn index(&self) -> PathBuf {
+        self.0.join("idx.lshe")
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn saved(name: &str, ranked: bool) -> (Scratch, IndexContainer) {
+    let dir = Scratch::new(name);
+    let built = IndexContainer::from_stream(corpus(BASE, 7), PARTITIONS, ranked);
+    built.save(&dir.index()).expect("save");
+    (dir, built)
+}
+
+/// An answer without its wall time: each hit's id and its estimate's bits,
+/// and the probe counters.
+type Answer = (Vec<(u32, Option<u64>)>, QueryStats);
+
+fn answer(outcome: SearchOutcome) -> Answer {
+    let hits = outcome.hits.iter();
+    let hits = hits.map(|h| (h.id, h.estimate.map(f64::to_bits)));
+    let stats = QueryStats {
+        wall_micros: 0,
+        ..outcome.stats
+    };
+    (hits.collect(), stats)
+}
+
+/// Threshold, top-k (where ranked) and one batch of both over a sample of
+/// the corpus, every answer without its wall time.
+fn answers(index: &dyn DomainIndex, ranked: bool) -> Vec<Answer> {
+    let sample: Vec<(Signature, u64)> = corpus(BASE, 7)
+        .iter()
+        .step_by(7)
+        .chain(&corpus(6, 8))
+        .map(|(domain, _)| sketch(domain))
+        .collect();
+    let mut queries = Vec::new();
+    for (sig, size) in &sample {
+        for t in [0.2, 0.5, 0.9] {
+            queries.push(Query::threshold(sig, t).with_size(*size));
+        }
+        if ranked {
+            queries.push(Query::top_k(sig, 4).with_size(*size));
+        }
+    }
+    let singly = queries.iter().map(|q| index.search(q).expect("search"));
+    let mut out: Vec<_> = singly.map(answer).collect();
+    let batch = index.search_batch(&queries).into_iter();
+    out.extend(batch.map(|found| answer(found.expect("batch search"))));
+    out
+}
+
+fn all(flag: bool) -> Vec<bool> {
+    vec![flag; PARTITIONS]
+}
+
+#[test]
+fn a_loaded_base_is_views_into_the_file_and_a_built_one_is_heap() {
+    for ranked in [true, false] {
+        let (dir, built) = saved("views", ranked);
+        assert_eq!(built.base_in_place(), all(false), "ranked={ranked}");
+        assert_eq!(built.mapped_bytes(), 0);
+        assert!(built.mapping().is_none());
+
+        let loaded = IndexContainer::load(&dir.index()).expect("load");
+        assert_eq!(loaded.base_in_place(), all(true), "ranked={ranked}");
+        let file = std::fs::read(dir.index()).expect("read");
+        assert!(
+            loaded.mapping() == Some(&file[..]),
+            "the mapping is the file"
+        );
+        // What is mapped is every row (id and lanes) and tree column; what
+        // is left on the heap is the sizes a ranked index keeps.
+        assert_eq!(loaded.mapped_bytes(), BASE * (4 + 576 + 8 * 32));
+        let heap = loaded.open_index().memory_bytes() - loaded.mapped_bytes();
+        let sizes = if ranked { 8 * BASE } else { 0 };
+        assert!((sizes..=2 * sizes).contains(&heap), "{heap} B of heap");
+        // A clone is more views, not a copy; the bytes decoded from a slice
+        // are one.
+        assert_eq!(loaded.clone().base_in_place(), all(true));
+        let copied = IndexContainer::from_bytes(&file).expect("decode");
+        assert_eq!(copied.mapped_bytes(), 0);
+        assert_eq!(copied.base_in_place(), all(false));
+
+        let want = answers(&*built.open_index(), ranked);
+        assert!(answers(&*loaded.open_index(), ranked) == want, "loaded");
+        assert!(answers(&*copied.open_index(), ranked) == want, "copied");
+        assert!(loaded.to_bytes() == file, "re-encoded through the views");
+    }
+}
+
+#[test]
+fn a_commit_and_a_segment_merge_leave_every_base_column_a_view() {
+    let (dir, _) = saved("merge", true);
+    let engine = Engine::load(&dir.index(), 1).expect("engine");
+    let loaded = engine.snapshot();
+    let fresh = corpus(6, 8);
+    for (k, batch) in fresh.chunks(3).enumerate() {
+        batch.iter().for_each(|pair| {
+            stage(&engine, pair);
+        });
+        engine.stage_remove(20 + k as u32).expect("stage remove");
+        assert!(engine.commit_staged().expect("commit").1.report.sealed);
+    }
+    let committed = engine.snapshot();
+    assert_eq!(committed.container().segment_stats().segments, 2);
+    let (merged, outcome) = engine
+        .apply_merge(&MergeTask::Merge(vec![0, 1]))
+        .expect("merge");
+    assert_eq!(outcome.entries_folded, 6);
+    for snap in [&committed, &merged] {
+        assert_eq!(snap.container().base_in_place(), all(true));
+        let shared = snap.container().base_shared_with(loaded.container());
+        assert_eq!(shared, (all(true), true));
+        assert_eq!(
+            snap.container().mapping().map(<[u8]>::as_ptr),
+            loaded.container().mapping().map(<[u8]>::as_ptr),
+            "still the mapping it was loaded over"
+        );
+    }
+    // The merge saved the file by rename; what it wrote loads to the same
+    // answers as the snapshot that is being served from the old one.
+    let reloaded = Engine::load(&dir.index(), 1).expect("reload");
+    assert_ne!(
+        reloaded
+            .snapshot()
+            .container()
+            .mapping()
+            .map(<[u8]>::as_ptr),
+        merged.container().mapping().map(<[u8]>::as_ptr)
+    );
+    assert!(answers(reloaded.snapshot().index(), true) == answers(merged.index(), true));
+}
+
+#[test]
+fn a_fold_copies_out_exactly_the_partitions_it_edits() {
+    // A plain index folds in place (a ranked one rebuilds from its rows).
+    let (dir, built) = saved("fold", false);
+    let mut loaded = IndexContainer::load(&dir.index()).expect("load");
+    let untouched = loaded.clone();
+    loaded.apply(&[DeltaOp::Remove { id: 33 }]).expect("remove");
+    loaded.commit_mutations();
+    assert_eq!(
+        loaded.base_in_place(),
+        all(true),
+        "a tombstone edits nothing"
+    );
+    loaded.compact_index();
+    let in_place = loaded.base_in_place();
+    assert_eq!(in_place.iter().filter(|&&p| !p).count(), 1, "{in_place:?}");
+    assert_eq!(loaded.base_shared_with(&untouched).0, in_place);
+    let row = 4 + 576 + 8 * 32;
+    assert!(loaded.mapped_bytes() < (BASE - 1) * row && loaded.mapped_bytes() > BASE / 2 * row);
+    assert!(loaded.mapping().is_some());
+    assert_eq!(untouched.base_in_place(), all(true));
+
+    // An insert folded into another partition copies that one too; the
+    // edited index equals the same edits on the built one, byte for byte.
+    let fresh = corpus(40, 8);
+    let elsewhere = fresh.iter().enumerate().find_map(|(k, pair)| {
+        let mut probe = loaded.clone();
+        probe
+            .apply(&[insert(1_000 + k as u32, pair)])
+            .expect("apply");
+        probe.compact_index();
+        let copied = probe.base_in_place().iter().filter(|&&p| !p).count();
+        (copied == 2).then_some((insert(1_000 + k as u32, pair), probe))
+    });
+    let (op, twice) = elsewhere.expect("a domain sized for another partition");
+    let mut expect = built.clone();
+    expect
+        .apply(&[DeltaOp::Remove { id: 33 }, op])
+        .expect("apply");
+    expect.compact_index();
+    assert!(twice.to_bytes() == expect.to_bytes());
+    assert!(answers(&*twice.open_index(), false) == answers(&*expect.open_index(), false));
+}
+
+fn mapped_at(snap: &Snapshot) -> *const u8 {
+    snap.container()
+        .mapping()
+        .expect("served in place")
+        .as_ptr()
+}
+
+#[test]
+fn a_full_fold_through_the_engine_ends_on_the_file_it_wrote() {
+    for ranked in [true, false] {
+        let (dir, _) = saved("compact", ranked);
+        let engine = Engine::load(&dir.index(), 1).expect("engine");
+        let loaded = engine.snapshot();
+        let before = answers(loaded.index(), ranked);
+        let fresh = corpus(4, 8);
+        let ids: Vec<u32> = fresh.iter().map(|pair| stage(&engine, pair)).collect();
+        engine.stage_remove(5).expect("stage remove");
+        engine.commit_staged().expect("commit");
+
+        let (compacted, _) = engine.compact().expect("compact");
+        let container = compacted.container();
+        let parts = container.base_in_place();
+        assert!(parts.iter().all(|&p| p), "ranked={ranked}: {parts:?}");
+        let file = std::fs::read(dir.index()).expect("read");
+        assert!(container.mapping() == Some(&file[..]), "the new file");
+        assert_ne!(mapped_at(&compacted), mapped_at(&loaded));
+        assert_eq!(container.segment_stats().segments, 0);
+        assert_eq!(container.len(), BASE + 3);
+        assert!(ids.iter().all(|&id| container.record(id).is_some()));
+        assert!(container.record(5).is_none());
+        // The snapshot a reader still holds is served from the old file.
+        assert!(answers(loaded.index(), ranked) == before);
+        // And a restart finds what the engine is serving.
+        let restarted = Engine::load(&dir.index(), 1).expect("restart");
+        let served = answers(compacted.index(), ranked);
+        assert!(answers(restarted.snapshot().index(), ranked) == served);
+    }
+}
+
+fn unlink(path: &Path) {
+    std::fs::remove_file(path).expect("unlink");
+    assert!(!path.exists());
+}
+
+#[test]
+fn a_loaded_index_outlives_its_path_being_replaced_and_unlinked() {
+    let (dir, _) = saved("replaced", true);
+    let engine = Engine::load(&dir.index(), 1).expect("engine");
+    let snap = engine.snapshot();
+    let want = answers(snap.index(), true);
+    let file = std::fs::read(dir.index()).expect("read");
+
+    // Another index saved over the path: tmp + rename, so the mapping
+    // still is the file that was loaded.
+    let other = IndexContainer::from_stream(corpus(BASE / 2, 11), PARTITIONS, true);
+    other.save(&dir.index()).expect("save over");
+    assert_ne!(std::fs::read(dir.index()).expect("read").len(), file.len());
+    assert!(snap.container().mapping() == Some(&file[..]));
+    assert!(answers(snap.index(), true) == want, "after a rename");
+
+    unlink(&dir.index());
+    assert!(answers(snap.index(), true) == want, "after an unlink");
+    assert_eq!(snap.container().base_in_place(), all(true));
+    // Mutations still land, beside the views, with nowhere to persist.
+    stage(&engine, &corpus(1, 12)[0]);
+    let (committed, _) = engine.commit_staged().expect("commit");
+    assert_eq!(committed.container().len(), BASE + 1);
+    assert_eq!(committed.container().base_in_place(), all(true));
+}
+
+#[test]
+fn a_file_cut_at_any_page_or_inside_any_pad_is_a_typed_decode_error() {
+    let (dir, built) = saved("cut", true);
+    let file = built.to_bytes();
+    // Every 4 KiB boundary, and every byte of every forest's pad: the pad
+    // is `n` and `n` zeros behind the forest's 25-byte header.
+    let mut cuts: Vec<usize> = (0..file.len()).step_by(4096).collect();
+    let forests = file.windows(4).enumerate();
+    let forests: Vec<usize> = forests
+        .filter(|(_, tag)| tag == &lshe_lsh::persist::MAGIC)
+        .map(|(at, _)| at)
+        .collect();
+    assert_eq!(forests.len(), PARTITIONS);
+    for &at in &forests {
+        let pad = at + 25;
+        assert!(file[pad] <= 3 && (pad + 1 + file[pad] as usize).is_multiple_of(4));
+        cuts.extend(pad..=pad + file[pad] as usize);
+    }
+    let path = dir.0.join("cut.lshe");
+    for cut in cuts {
+        std::fs::write(&path, &file[..cut]).expect("write");
+        match IndexContainer::load(&path) {
+            Err(LoadError::Decode { .. }) => {}
+            other => panic!("cut at {cut} of {}: {other:?}", file.len()),
+        }
+    }
+    // A pad byte that is not zero is one too (every forest behind the
+    // first starts on a multiple of 4, so pads 1 + 2).
+    let mut dirty = file.clone();
+    dirty[forests[PARTITIONS - 1] + 26] = 1;
+    std::fs::write(&path, &dirty).expect("write");
+    assert!(matches!(
+        IndexContainer::load(&path),
+        Err(LoadError::Decode {
+            section: "ensemble",
+            ..
+        })
+    ));
+}
