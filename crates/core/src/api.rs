@@ -582,6 +582,14 @@ pub trait DomainIndex: std::fmt::Debug + Send + Sync {
         0
     }
 
+    /// Approximate heap bytes of the id → row map the index resolves a
+    /// removal, a duplicate insert or a candidate's sketch through — beside
+    /// [`memory_bytes`](Self::memory_bytes), not part of it: 0 for a backend
+    /// that keeps none.
+    fn id_map_bytes(&self) -> usize {
+        0
+    }
+
     /// One-line human-readable description (used as the series label by
     /// the experiment harness).
     fn describe(&self) -> String;
@@ -606,6 +614,10 @@ impl<T: DomainIndex + ?Sized> DomainIndex for Arc<T> {
 
     fn mapped_bytes(&self) -> usize {
         (**self).mapped_bytes()
+    }
+
+    fn id_map_bytes(&self) -> usize {
+        (**self).id_map_bytes()
     }
 
     fn describe(&self) -> String {
@@ -692,6 +704,10 @@ impl DomainIndex for ShardedRanked {
     fn mapped_bytes(&self) -> usize {
         // The shards were built; of the ranked index, the rows are counted.
         self.ranked.ensemble().sketch_mapped_bytes()
+    }
+
+    fn id_map_bytes(&self) -> usize {
+        self.shards.id_map_bytes() + self.ranked.ensemble().id_map_bytes()
     }
 
     fn describe(&self) -> String {

@@ -272,6 +272,15 @@ impl IdMap {
             .chain(self.overlay.iter().filter_map(|(&id, &at)| Some((id, at?))))
     }
 
+    /// Approximate heap bytes of both tables: a slot and a control byte per
+    /// entry each can hold. The shared base is counted by every holder.
+    fn memory_bytes(&self) -> usize {
+        fn table<V>(map: &FastHashMap<DomainId, V>) -> usize {
+            map.capacity() * (std::mem::size_of::<(DomainId, V)>() + 1)
+        }
+        table(&self.base) + table(&self.overlay)
+    }
+
     /// The map of an index whose every live row is a row of `partitions`.
     fn over(partitions: &[Arc<EnsemblePartition>]) -> Self {
         let rows = partitions.iter().map(|p| p.forest.len()).sum();
@@ -630,15 +639,33 @@ impl LshEnsemble {
     /// row's id, lanes and size, without the tree columns.
     #[must_use]
     pub fn sketch_memory_bytes(&self) -> usize {
+        let row = |p: &EnsemblePartition| {
+            let row = std::mem::size_of::<DomainId>() + p.forest.layout().row_bytes();
+            p.forest.len() * row + std::mem::size_of_val(&p.sizes[..])
+        };
+        self.every_partition().map(row).sum()
+    }
+
+    /// The part of [`memory_bytes`](Self::memory_bytes) that is tree
+    /// columns, summed from them: 4 bytes an entry, a tree per band.
+    #[must_use]
+    pub fn tree_memory_bytes(&self) -> usize {
+        let trees = self.every_partition().map(|p| p.forest.tree_bytes());
+        trees.sum()
+    }
+
+    /// Approximate heap bytes of the id → (forest, row) map, beside
+    /// [`memory_bytes`](Self::memory_bytes) and not part of it.
+    #[must_use]
+    pub fn id_map_bytes(&self) -> usize {
+        self.ids.memory_bytes()
+    }
+
+    /// Base partitions, every sealed segment's, then the staged delta.
+    fn every_partition(&self) -> impl Iterator<Item = &EnsemblePartition> {
         let segs = self.segments.iter().flat_map(|s| &s.partitions);
         let base = self.partitions.iter().map(|p| &**p);
-        let parts = base.chain(segs).chain([&self.staged]);
-        parts
-            .map(|p| {
-                let row = std::mem::size_of::<DomainId>() + p.forest.layout().row_bytes();
-                p.forest.len() * row + std::mem::size_of_val(&p.sizes[..])
-            })
-            .sum()
+        base.chain(segs).chain([&self.staged])
     }
 
     fn partition_at(&self, slot: Slot) -> &EnsemblePartition {
@@ -1036,21 +1063,19 @@ impl LshEnsemble {
                 continue;
             }
             let slot = Slot::Base(pidx as u32);
-            let size = |(row, &id): (usize, &DomainId)| {
-                if self.ids.get(id) != Some((slot, row as u32)) {
-                    return Ok(0);
-                }
-                size_of(id)
-                    .filter(|&size| size > 0)
-                    .ok_or("live domain has no positive size")
-            };
-            part.sizes = part
-                .forest
-                .ids()
-                .iter()
-                .enumerate()
-                .map(size)
-                .collect::<Result<_, _>>()?;
+            // Sized exactly: collecting through `Result` would start from a
+            // size hint of 0 and leave up to half the vector spare.
+            let mut sizes = Vec::with_capacity(part.forest.len());
+            for (row, &id) in part.forest.ids().iter().enumerate() {
+                let size = if self.ids.get(id) == Some((slot, row as u32)) {
+                    let size = size_of(id).filter(|&size| size > 0);
+                    size.ok_or("live domain has no positive size")?
+                } else {
+                    0
+                };
+                sizes.push(size);
+            }
+            part.sizes = sizes;
         }
         Ok(())
     }
@@ -1219,6 +1244,10 @@ impl DomainIndex for LshEnsemble {
 
     fn mapped_bytes(&self) -> usize {
         LshEnsemble::mapped_bytes(self)
+    }
+
+    fn id_map_bytes(&self) -> usize {
+        LshEnsemble::id_map_bytes(self)
     }
 
     fn describe(&self) -> String {

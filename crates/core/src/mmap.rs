@@ -3,10 +3,10 @@
 //! [`pack_ranked`] streams a committed [`RankedIndex`] into an
 //! `lshe-store` v2 container — partition bounds, the base rows' sketches
 //! (one table, ascending id: 32-bit heads and 16-bit tails as the forests
-//! hold them) and the forest tree columns that index it
-//! (lane 0 and table position per entry), each in its own checksummed
-//! 64-byte-aligned section. [`MmapIndex`] opens such a file and answers
-//! [`search`](crate::DomainIndex::search)/
+//! hold them) and the forest tree columns that index it (the low 16 bits
+//! of each entry's head, and its position in the table), each in its own
+//! checksummed 64-byte-aligned section. [`MmapIndex`] opens such a file
+//! and answers [`search`](crate::DomainIndex::search)/
 //! [`search_batch`](crate::DomainIndex::search_batch) *in place*: the
 //! partition skip-prune, per-query `(b, r)` tuning, prefix-tree probing,
 //! and containment ranking all run against borrowed mapped memory, so
@@ -24,7 +24,7 @@ use crate::partition::PartitionStrategy;
 use crate::pipeline::{Probe, ReadPath, Sketches, Tiers};
 use crate::ranked::RankedIndex;
 use crate::tuning::Tuner;
-use lshe_lsh::forest::{check_tree, probe_tree, Rows};
+use lshe_lsh::forest::{check_tree, probe_trees, Rows, BLOCK};
 use lshe_lsh::{DomainId, Layout, Row};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder};
 use lshe_minhash::Signature;
@@ -160,18 +160,24 @@ pub fn pack_ranked_with(
 
     packer.begin_section(SectionKind::TreeKeys)?;
     for part in base {
-        for (lane0, _) in part.forest.committed_trees() {
-            packer.write_u32s(lane0)?;
+        for (lo, _) in part.forest.committed_trees() {
+            packer.write_u16s(lo)?;
         }
     }
     packer.end_section();
 
+    // A forest's tree names a row within its block; the file, the row's
+    // position in the table. The entries stay where they are, so each
+    // block of a tree is still a sorted run of its own.
     packer.begin_section(SectionKind::TreeIds)?;
     let mut positions: Vec<u32> = Vec::new();
     for (part, at) in base.iter().zip(&at) {
         for (_, rows) in part.forest.committed_trees() {
             positions.clear();
-            positions.extend(rows.iter().map(|&row| at[row as usize]));
+            for (block, rows) in rows.chunks(BLOCK).enumerate() {
+                let at = &at[block * BLOCK..];
+                positions.extend(rows.iter().map(|&row| at[usize::from(row)]));
+            }
             packer.write_u32s(&positions)?;
         }
     }
@@ -261,18 +267,8 @@ impl Probe for MappedPart<'_> {
             // is keyed by lanes `t·r_max ..`, probed at prefix length `r`
             // by the forest's own kernel.
             Self::Base { view, rows, .. } => {
-                let lanes = signature.slots();
-                for t in 0..b {
-                    let at = t * rows.layout.r_max;
-                    probe_tree(
-                        *rows,
-                        view.lane0(t),
-                        view.rows(t),
-                        t,
-                        &lanes[at..at + r],
-                        out,
-                    );
-                }
+                let trees = (0..b).map(|t| (view.lo(t), view.rows(t)));
+                probe_trees(*rows, trees, signature.slots(), r, out);
             }
             Self::Segment(p) => p.probe(signature, b, r, out),
         }
@@ -349,7 +345,8 @@ impl MmapIndex {
     /// [`from_store`](Self::from_store) behind every check a server wants
     /// before it answers from the file: each section's checksum, then each
     /// prefix tree against the sketch table — a permutation of its
-    /// partition's rows, lane 0 inline as the rows have it, keys in order.
+    /// partition's rows, each head's low half as the rows have it, keys in
+    /// order inside each block.
     /// A checksum only says the bytes are the ones written; a probe's
     /// binary searches silently drop candidates from a file written wrong.
     ///
@@ -377,7 +374,7 @@ impl MmapIndex {
             };
             for t in 0..view.trees() {
                 let turn = (if t == 0 { 0 } else { stamp }, stamp + 1);
-                let columns = (view.lane0(t), view.rows(t));
+                let columns = (view.lo(t), view.rows(t));
                 check_tree(*rows, columns, t, &mut seen, turn)
                     .map_err(|detail| corrupt("tree ids", detail))?;
                 stamp += 1;
@@ -478,7 +475,7 @@ impl MmapIndex {
                 "partition sizes do not sum to len",
             ));
         }
-        let tree_keys = store.u32s(SectionKind::TreeKeys)?;
+        let tree_keys = store.u16s(SectionKind::TreeKeys)?;
         if tree_keys.len() != off {
             return Err(corrupt("tree keys", "length disagrees with partition lens"));
         }
@@ -611,7 +608,7 @@ impl MmapIndex {
     /// This file's sweepable partitions: mapped base partitions, then the
     /// heap-replayed segment partitions.
     fn tiers<'a>(&'a self, sketches: &SketchesView<'a>) -> Tiers<'a, MappedPart<'a>> {
-        let tree_keys = self.store.u32s(SectionKind::TreeKeys).expect("validated");
+        let tree_keys = self.store.u16s(SectionKind::TreeKeys).expect("validated");
         let tree_ids = self.store.u32s(SectionKind::TreeIds).expect("validated");
         let b_max = self.config.b_max;
         let (ids, words) = sketches.columns();
@@ -701,6 +698,12 @@ impl DomainIndex for MmapIndex {
         // Heap footprint is metadata only — the corpus lives in the
         // mapping (page cache), which is the whole point.
         std::mem::size_of::<Self>() + self.parts.len() * std::mem::size_of::<PartMeta>()
+    }
+
+    fn id_map_bytes(&self) -> usize {
+        // The base is found by binary search of the mapped sketch ids; the
+        // heap map covers the segments replayed from the file.
+        self.tail.id_map_bytes()
     }
 
     fn describe(&self) -> String {
@@ -926,18 +929,18 @@ mod tests {
     }
 
     /// Re-packs `from` into `to` with the two tree sections rewritten by
-    /// `damage(lane0, rows)` — every checksum valid, so only structure can
+    /// `damage(lo, rows)` — every checksum valid, so only structure can
     /// object.
-    fn repack_damaged(from: &Path, to: &Path, damage: impl Fn(&mut [u32], &mut [u32])) {
+    fn repack_damaged(from: &Path, to: &Path, damage: impl Fn(&mut [u16], &mut [u32])) {
         let store = Store::open(from).expect("open store");
-        let mut lane0 = store.u32s(SectionKind::TreeKeys).expect("keys").to_vec();
+        let mut lo = store.u16s(SectionKind::TreeKeys).expect("keys").to_vec();
         let mut rows = store.u32s(SectionKind::TreeIds).expect("ids").to_vec();
-        damage(&mut lane0, &mut rows);
+        damage(&mut lo, &mut rows);
         let mut packer = Packer::create(to).expect("create");
         for section in store.sections() {
             packer.begin_section(section.kind).expect("begin");
             match section.kind {
-                SectionKind::TreeKeys => packer.write_u32s(&lane0),
+                SectionKind::TreeKeys => packer.write_u16s(&lo),
                 SectionKind::TreeIds => packer.write_u32s(&rows),
                 kind => packer.write(store.bytes(kind).expect("bytes")),
             }
@@ -954,23 +957,21 @@ mod tests {
         pack_ranked_to(&ranked, &clean).expect("pack");
         // Partition 0's first tree is entries `0..6`.
         assert_eq!(ranked.ensemble().partition_stats()[0].count, 6);
-        type Damage = fn(&mut [u32], &mut [u32]);
+        type Damage = fn(&mut [u16], &mut [u32]);
         let cases: [(&str, Damage, &str); 3] = [
             (
                 "two entries with different keys trading places",
-                |lane0, rows| {
-                    let at = (0..5)
-                        .find(|&i| lane0[i] != lane0[i + 1])
-                        .expect("two keys");
-                    lane0.swap(at, at + 1);
+                |lo, rows| {
+                    let at = (0..5).find(|&i| lo[i] != lo[i + 1]).expect("two keys");
+                    lo.swap(at, at + 1);
                     rows.swap(at, at + 1);
                 },
                 "tree keys out of order",
             ),
             (
-                "an inline lane that is not its row's",
-                |lane0, _| lane0[0] ^= 1,
-                "tree lane 0 disagrees with its row",
+                "head bits that are not its row's",
+                |lo, _| lo[0] ^= 1,
+                "tree head bits disagree with its row",
             ),
             (
                 "a row index outside the table",

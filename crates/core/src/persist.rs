@@ -3,10 +3,10 @@
 //! Format (little-endian, primitives from `lshe_minhash::codec`):
 //!
 //! ```text
-//! "LSHE" version:u8 (6)
+//! "LSHE" version:u8 (7)
 //! num_perm:u32 b_max:u32 r_max:u32 strategy_tag:u8 strategy_args…
 //! len:u64 partition_count:u64
-//! per partition: lower:u64 upper:u64 forest_len:u64 forest_bytes ("LSHF" v4)
+//! per partition: lower:u64 upper:u64 forest_len:u64 forest_bytes ("LSHF" v5)
 //! segment_count:u64
 //! per segment: entry_count:u64, then per entry
 //!     id:u32 size:u64 heads:u32×b_max tails:u16×(m − b_max)
@@ -16,16 +16,20 @@
 //!
 //! Every row is held as the forests keep it (`lshe_lsh::Layout`): each
 //! tree's first key lane at 32 bits, every other lane as its low 16 — in the
-//! nested forests and in the segment entries alike. Version 6 nests `LSHF`
-//! version-4 forests, whose columns start on a 4-byte boundary of the file,
-//! so [`LshEnsemble::decode`] over a mapped file leaves each base partition
-//! a set of views into it: a loaded base is not copied. Version 5, the one
-//! generation before, is the same shape around unpadded `LSHF` version-3
-//! forests; it still decodes, through the same code — columns that happen
-//! to be aligned are viewed, the rest copied — and the next save writes
-//! version 6. Anything older — rows of 32-bit lanes throughout, forests that
-//! held the lanes as tree keys, `u64` slots, no segment stack — is refused
-//! with [`CodecError::UnsupportedVersion`]. Sealed
+//! nested forests and in the segment entries alike. Version 7 nests `LSHF`
+//! version-5 forests, whose tree entries are 4 bytes (the head's low 16
+//! bits and a block-local `u16` row) and whose columns start on a 4-byte
+//! boundary of the file, so [`LshEnsemble::decode`] over a mapped file
+//! leaves each base partition a set of views into it: a loaded base is not
+//! copied. Version 6, the one generation before, is the same shape around
+//! `LSHF` version-4 forests (8-byte tree entries); it still decodes through
+//! the same code — each forest keeps its ids and rows, views where a
+//! mapping lends them, and sorts its trees again from them — and the next
+//! save writes version 7, `4·b_max` bytes a base row smaller (128 at the
+//! defaults).
+//! Anything older — unpadded forests, rows of 32-bit lanes throughout,
+//! forests that held the lanes as tree keys, `u64` slots, no segment stack
+//! — is refused with [`CodecError::UnsupportedVersion`]. Sealed
 //! segments persist as their entry triples in sealing order — partitioning
 //! a segment is deterministic, so the decoder replays [`build_segment`] and
 //! reconstructs bit-identical forests, which keeps the byte form canonical.
@@ -47,10 +51,10 @@ use std::io::Write;
 /// Envelope tag for ensemble payloads.
 pub const MAGIC: [u8; 4] = *b"LSHE";
 /// Current format version.
-pub const VERSION: u8 = 6;
+pub const VERSION: u8 = 7;
 /// The oldest version still decoded: the generation before [`VERSION`],
-/// whose nested forests have no column pad.
-const OLDEST_READ: u8 = 5;
+/// whose nested forests have 8-byte tree entries.
+const OLDEST_READ: u8 = 6;
 
 pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: PartitionStrategy) {
     match strategy {

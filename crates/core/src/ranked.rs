@@ -370,6 +370,10 @@ impl DomainIndex for RankedIndex {
         self.ensemble.mapped_bytes()
     }
 
+    fn id_map_bytes(&self) -> usize {
+        self.ensemble.id_map_bytes()
+    }
+
     fn describe(&self) -> String {
         format!("Ranked {}", DomainIndex::describe(&self.ensemble))
     }

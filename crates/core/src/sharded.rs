@@ -187,6 +187,10 @@ impl DomainIndex for ShardedEnsemble {
         ShardedEnsemble::memory_bytes(self)
     }
 
+    fn id_map_bytes(&self) -> usize {
+        self.shards.iter().map(LshEnsemble::id_map_bytes).sum()
+    }
+
     fn describe(&self) -> String {
         format!("Sharded LSH Ensemble ({} shards)", self.shards.len())
     }

@@ -20,20 +20,31 @@
 //! ([`RowLanes`]); a row read back out ([`Row`]) moves between forests as
 //! it is.
 //!
-//! A prefix tree is two parallel `u32` columns over the committed rows —
-//! the halves of one allocation — sorted by (the row's key in that tree:
-//! its head, then its `r_max − 1` tail lanes; row index): `lane0[i]`, the
-//! row's head, inline so the binary search runs over a dense 32-bit array,
-//! and `row[i]`, the row's index in the table. A prefix query of depth `r`
-//! is a binary search on
-//! `lane0` for the run equal on the first lane, then — for `r > 1` — a
-//! second binary search *inside the run* on the `r − 1` tail lanes read
-//! through `row[i]`, then a walk ([`probe_tree`], the one probe kernel: the
-//! mapped backend runs it over a packed file's columns). The head carries
-//! the entropy the search needs; inside a run lanes are only told apart,
-//! for which 16 bits do (the bound is [`narrow_lane`]'s).
+//! A prefix tree is two parallel `u16` columns over the committed rows —
+//! the halves of one allocation, 4 bytes an entry: `lo[i]`, the low 16
+//! bits of the row's head in that tree, inline so the binary search runs
+//! over a dense 16-bit array, and `row[i]`, the row's index within its
+//! **block**. A block is [`BLOCK`] = 65 536 consecutive rows, as many as a
+//! `u16` names; a tree is one run per block, in block order, each sorted by
+//! (the row's key in that tree: its head — low half first — then its
+//! `r_max − 1` tail lanes; row index). A forest of up to 65 536 rows is one
+//! block. A prefix query of depth `r` is, in each block, a binary search on
+//! `lo` for the run sharing the head's low half, then a second binary
+//! search *inside the run* on the rest of the key — the head's high half,
+//! then `r − 1` tail lanes — read through `row[i]`, then a walk
+//! ([`probe_trees`], the one probe kernel: the mapped backend runs it over a
+//! packed file's columns, whose `row` column holds global `u32` positions
+//! instead). The row keeps the head at 32 bits, so the tree need not:
+//! entries sharing `lo` but not the head are rare — about n/2¹⁶ extra row
+//! reads a probe — and the row tells them apart. The low half is the one
+//! kept because a lane is the top of a MinHash minimum: over a large domain
+//! the minimum is small, its high half mostly zero, and high halves of a
+//! partition's heads share values several times as often as whole heads do
+//! (on the benchmark's widest partition, a probe would meet 0.9 extra
+//! entries a tree). Inside a run tail lanes are only told apart, for which
+//! 16 bits do (the bound is [`narrow_lane`]'s).
 //!
-//! The bulk columns — `ids`, the row words, each tree's `lane0` and `row` —
+//! The bulk columns — `ids`, the row words, each tree's `lo` and `row` —
 //! are [`Column`]s: vectors in a forest that was built, views into the file
 //! in one decoded over a mapping. A probe reads slices either way; the
 //! first write to a viewed column copies it out.
@@ -45,7 +56,9 @@
 //! correctness never requires a rebuild; [`LshForest::commit`] sorts the
 //! tail into the trees for query speed. This gives the "single pass to
 //! build, incremental additions afterwards" behaviour the paper requires of
-//! an open-world index.
+//! an open-world index. A removal moves later rows up and sorts the trees
+//! again the same way, so kept rows that cross a block boundary land in
+//! the right run.
 
 use crate::DomainId;
 use lshe_minhash::codec::Column;
@@ -296,18 +309,16 @@ impl<'a> Rows<'a> {
 
     /// The first `n` tail lanes of `row`'s key in tree `t`, or `None` when
     /// the row (an index read from a file, say) lies outside the table.
-    fn tail_key(&self, row: u32, t: usize, n: usize) -> Option<&'a [u16]> {
-        let start = (row as usize)
+    fn tail_key(&self, row: usize, t: usize, n: usize) -> Option<&'a [u16]> {
+        let start = row
             .checked_mul(self.layout.words())?
             .checked_add(self.layout.tail_at(t))?;
         self.words.get(start..start.checked_add(n)?)
     }
 
     /// `row`'s head in tree `t`, checked like [`tail_key`](Self::tail_key).
-    fn head(&self, row: u32, t: usize) -> Option<u32> {
-        let at = (row as usize)
-            .checked_mul(self.layout.words())?
-            .checked_add(2 * t)?;
+    fn head(&self, row: usize, t: usize) -> Option<u32> {
+        let at = row.checked_mul(self.layout.words())?.checked_add(2 * t)?;
         let halves = self.words.get(at..at.checked_add(2)?)?;
         Some(u32::from(halves[0]) | u32::from(halves[1]) << 16)
     }
@@ -322,53 +333,167 @@ fn cmp_tails(stored: &[u16], query: &[u32]) -> Ordering {
         .cmp(query.iter().map(|&lane| narrow_lane(lane)))
 }
 
-/// Probes prefix tree `t`: appends to `out` the id of every tree entry whose
-/// row's key starts with `prefix` — the query's lanes `t·r_max ..`, 32 bits
-/// wide; the first is matched whole against the head, the others through
-/// [`narrow_lane`] against the stored tails.
+/// Rows a tree names with one `u16` — the run a tree sorts at a time. Not
+/// a setting: the width of the `row` column fixes it.
+pub const BLOCK: usize = 1 << 16;
+
+/// The half of a head a tree entry keeps inline: its low 16 bits. A lane
+/// is the top of a MinHash minimum, and the minimum over a large domain is
+/// a small number, so high halves crowd together; low halves are spread
+/// whatever the domain's size.
+#[inline]
+fn head_lo(head: u32) -> u16 {
+    head as u16
+}
+
+/// A head in the order a tree sorts it: the half the entry keeps first,
+/// then the half only its row holds.
+#[inline]
+fn tree_order(head: u32) -> u32 {
+    head.rotate_right(16)
+}
+
+/// What a tree's `row` column holds: a row's index within its block
+/// (`u16`, a forest's own trees), or a position in the whole table (`u32`,
+/// a packed file's, where every partition's rows share one table).
+pub trait TreeRow: Copy {
+    /// The table row this entry of block `block` names, or `None` when it
+    /// lies outside the block, which is `len` entries long.
+    fn row_in(self, block: usize, len: usize) -> Option<usize>;
+}
+
+impl TreeRow for u16 {
+    #[inline]
+    fn row_in(self, block: usize, len: usize) -> Option<usize> {
+        let local = usize::from(self);
+        (local < len).then_some(block * BLOCK + local)
+    }
+}
+
+impl TreeRow for u32 {
+    #[inline]
+    fn row_in(self, _: usize, _: usize) -> Option<usize> {
+        Some(self as usize)
+    }
+}
+
+/// A tree's columns cut into its blocks' runs: `(block, lo, row)`.
+fn blocks<'a, R>(lo: &'a [u16], row: &'a [R]) -> impl Iterator<Item = (usize, &'a [u16], &'a [R])> {
+    lo.chunks(BLOCK)
+        .zip(row.chunks(BLOCK))
+        .enumerate()
+        .map(|(block, (lo, row))| (block, lo, row))
+}
+
+/// Probes prefix trees `0, 1, …` of one table at depth `r`: appends to
+/// `out`, tree by tree, the id of every tree entry whose row's key starts
+/// with the tree's prefix — `query`'s lanes `t·r_max .. t·r_max + r`, 32
+/// bits wide; the first is matched whole against the head, the others
+/// through [`narrow_lane`] against the stored tails.
 ///
-/// `lane0` and `row` are the tree's columns, sorted by (the row's key in
-/// tree `t`, row index). Row access is checked: an entry whose row lies
-/// outside `rows` matches nothing, it never panics.
-pub fn probe_tree(
+/// Each of `trees` is a tree's `(lo, row)` columns: one run per [`BLOCK`]
+/// of entries, each sorted by (the row's key in that tree — its head low
+/// half first, then its tails — row index). A probe finds the run sharing
+/// the head's low half by binary search, then reads rows only inside it;
+/// the runs of a few trees are found before any of their rows is read, so
+/// the row reads of neighbouring trees overlap instead of queueing behind
+/// one another's searches. Row access is checked: an entry whose row lies
+/// outside its block or `rows` matches nothing, it never panics.
+pub fn probe_trees<'a, R: TreeRow + 'a>(
     rows: Rows<'_>,
-    lane0: &[u32],
-    row: &[u32],
+    trees: impl IntoIterator<Item = (&'a [u16], &'a [R])>,
+    query: &[u32],
+    r: usize,
+    out: &mut Vec<DomainId>,
+) {
+    let r_max = rows.layout.r_max;
+    let mut units = trees.into_iter().enumerate().flat_map(|(t, (lo, row))| {
+        blocks(lo, row).map(move |(block, lo, row)| (t, block, lo, row))
+    });
+    let mut runs: [(usize, usize, &[R], usize); AHEAD] = [(0, 0, &[], 0); AHEAD];
+    loop {
+        let (mut taken, mut found) = (0, 0);
+        for (t, block, lo, row) in units.by_ref().take(AHEAD) {
+            taken += 1;
+            let Some(&first) = query.get(t * r_max).filter(|_| r > 0) else {
+                continue;
+            };
+            let (from, len) = equal_run(lo, head_lo(first));
+            if let Some(run) = row.get(from..from + len) {
+                runs[found] = (t, block, run, row.len());
+                found += 1;
+            }
+        }
+        for &(t, block, run, len) in &runs[..found] {
+            if let Some(prefix) = query.get(t * r_max..t * r_max + r) {
+                walk_run(rows, t, prefix, (block, len), run, out);
+            }
+        }
+        if taken < AHEAD {
+            return;
+        }
+    }
+}
+
+/// Tree blocks whose runs [`probe_trees`] finds before reading rows.
+const AHEAD: usize = 8;
+
+/// Where the entries equal to `want` lie in the sorted column `lo`.
+fn equal_run(lo: &[u16], want: u16) -> (usize, usize) {
+    let from = lo.partition_point(|&k| k < want);
+    // The run is short unless rows share values: gallop to its end instead
+    // of searching the whole column again.
+    let after = &lo[from..];
+    let mut reach = 1;
+    while reach < after.len() && after[reach] == want {
+        reach *= 2;
+    }
+    let len = reach / 2 + after[reach / 2..reach.min(after.len())].partition_point(|&k| k == want);
+    (from, len)
+}
+
+/// Appends the ids of the entries of `run` — tree `t`'s entries in block
+/// `block`, `len` entries long, sharing the low half of `prefix[0]` — whose
+/// rows' keys start with `prefix`.
+fn walk_run<R: TreeRow>(
+    rows: Rows<'_>,
     t: usize,
     prefix: &[u32],
+    (block, len): (usize, usize),
+    run: &[R],
     out: &mut Vec<DomainId>,
 ) {
     let Some((&first, rest)) = prefix.split_first() else {
         return;
     };
-    let lo = lane0.partition_point(|&k| k < first);
-    // The run equal on lane 0 is short unless rows share values: gallop to
-    // its end instead of searching the whole column again.
-    let after = &lane0[lo..];
-    let mut reach = 1;
-    while reach < after.len() && after[reach] == first {
-        reach *= 2;
-    }
-    let len = reach / 2 + after[reach / 2..reach.min(after.len())].partition_point(|&k| k == first);
-    let Some(run) = row.get(lo..lo + len) else {
-        return;
+    let high = (first >> 16) as u16;
+    let (words, tails_at) = (rows.layout.words(), rows.layout.tail_at(t));
+    // Inside the run the heads' low halves are equal, so rows ascend by the
+    // high half (the head's second word in the row), then the tails: one
+    // checked slice of the row, and the entry's table row.
+    let key = |i: R| {
+        let i = i.row_in(block, len)?;
+        let start = i.checked_mul(words)?;
+        let stored = rows.words.get(start..start.checked_add(words)?)?;
+        let (head, tails) = (
+            stored.get(2 * t + 1)?,
+            stored.get(tails_at..tails_at + rest.len())?,
+        );
+        Some((i, head.cmp(&high).then_with(|| cmp_tails(tails, rest))))
     };
-    let tail = |i: u32| Some(cmp_tails(rows.tail_key(i, t, rest.len())?, rest));
-    // Inside the run, rows ascend by their remaining key lanes; a run too
-    // short for a search to save a row read is walked whole.
-    let from = if rest.is_empty() || run.len() <= LINEAR_RUN {
+    // A run too short for a search to save a row read is walked whole.
+    let linear = run.len() <= LINEAR_RUN;
+    let skip = if linear {
         0
     } else {
-        run.partition_point(|&i| tail(i) == Some(Ordering::Less))
+        run.partition_point(|&i| matches!(key(i), Some((_, Ordering::Less))))
     };
-    for &i in &run[from..] {
-        if !rest.is_empty() && tail(i) != Some(Ordering::Equal) {
-            if run.len() <= LINEAR_RUN {
-                continue;
-            }
-            break;
+    for &i in &run[skip..] {
+        match key(i) {
+            Some((i, Ordering::Equal)) => out.extend(rows.ids.get(i)),
+            _ if linear => {}
+            _ => break,
         }
-        out.extend(rows.ids.get(i as usize));
     }
 }
 
@@ -376,10 +501,11 @@ pub fn probe_tree(
 const LINEAR_RUN: usize = 4;
 
 /// Checks tree `t`'s columns against the row table it indexes: every
-/// `row[i]` is in range, `lane0[i]` is that row's head in the tree, and the
-/// rows' keys (head, then `r_max − 1` tails) never descend. What a decoder
-/// verifies before it trusts [`probe_tree`]'s binary searches to find every
-/// match.
+/// `row[i]` is in range — inside its block, inside the table — `lo[i]` is
+/// the low half of that row's head in the tree, and inside each block the
+/// rows' keys (head in tree order, then `r_max − 1` tails) never descend.
+/// What a decoder verifies before it trusts [`probe_trees`]' binary
+/// searches to find every match.
 ///
 /// `seen` (a mark per table row, zeroed by the caller) makes the trees of
 /// one partition agree on their rows: every row this tree indexes must
@@ -390,89 +516,98 @@ const LINEAR_RUN: usize = 4;
 ///
 /// # Errors
 /// What is wrong with the columns.
-pub fn check_tree(
+pub fn check_tree<R: TreeRow>(
     rows: Rows<'_>,
-    (lane0, row): (&[u32], &[u32]),
+    (lo, row): (&[u16], &[R]),
     t: usize,
     seen: &mut [u32],
     (after, stamp): (u32, u32),
 ) -> Result<(), &'static str> {
-    if lane0.len() != row.len() {
+    if lo.len() != row.len() {
         return Err("tree columns differ in length");
     }
     let depth = rows.layout.r_max - 1;
-    let mut prev: Option<(u32, &[u16])> = None;
-    for (&first, &i) in lane0.iter().zip(row) {
-        let (Some(head), Some(tails), Some(mark)) = (
-            rows.head(i, t),
-            rows.tail_key(i, t, depth),
-            seen.get_mut(i as usize),
-        ) else {
-            return Err("tree row index out of range");
-        };
-        if head != first {
-            return Err("tree lane 0 disagrees with its row");
+    for (block, lo, row) in blocks(lo, row) {
+        let mut prev: Option<(u32, &[u16])> = None;
+        for (&low, &i) in lo.iter().zip(row) {
+            let i = i.row_in(block, row.len());
+            let (Some(head), Some(tails), Some(mark)) = (
+                i.and_then(|i| rows.head(i, t)),
+                i.and_then(|i| rows.tail_key(i, t, depth)),
+                i.and_then(|i| seen.get_mut(i)),
+            ) else {
+                return Err("tree row index out of range");
+            };
+            if head_lo(head) != low {
+                return Err("tree head bits disagree with its row");
+            }
+            let key = (tree_order(head), tails);
+            if prev.is_some_and(|p| p > key) {
+                return Err("tree keys out of order");
+            }
+            if std::mem::replace(mark, stamp) != after {
+                return Err("tree is not a permutation of its partition's rows");
+            }
+            prev = Some(key);
         }
-        if prev.is_some_and(|p| p > (head, tails)) {
-            return Err("tree keys out of order");
-        }
-        if std::mem::replace(mark, stamp) != after {
-            return Err("tree is not a permutation of its partition's rows");
-        }
-        prev = Some((head, tails));
     }
     Ok(())
 }
 
-/// One prefix tree over the committed rows: parallel columns sorted by (the
-/// row's key, row index) — a total order, so the canonical byte form does
-/// not depend on the sort algorithm.
+/// One prefix tree over the committed rows: parallel columns, one run per
+/// block sorted by (the row's key, row index) — a total order, so the
+/// canonical byte form does not depend on the sort algorithm.
 #[derive(Debug, Clone, Default)]
 struct PrefixTree {
-    /// `lane0` — each entry's head, its first key lane, 32 bits wide — then
-    /// `row`, each entry's row in the table: the halves of one column, as
-    /// a file holds them, so a probe asks once whether it is a view.
-    entries: Column<u32>,
+    /// `lo` — the low half of each entry's head, its first key lane — then
+    /// `row`, each entry's row within its block: the halves of one column,
+    /// as a file holds them, so a probe asks once whether it is a view.
+    entries: Column<u16>,
 }
 
 impl PrefixTree {
-    /// Tree `t` over the rows of `rows`.
-    fn build(rows: Rows<'_>, t: usize) -> Self {
-        let n = rows.ids.len();
-        // (head, row) packed into one integer sorts without touching the
-        // tails; only rows that tie on the head compare their other lanes.
-        let head = |i: usize| rows.head(i as u32, t).expect("a row of the table");
-        let mut entries: Vec<u64> = (0..n)
-            .map(|i| u64::from(head(i)) << 32 | i as u64)
-            .collect();
-        entries.sort_unstable();
+    /// Tree `t` over the first `n` rows of `rows`.
+    fn build(rows: Rows<'_>, t: usize, n: usize) -> Self {
+        let head = |i: usize| rows.head(i, t).expect("a row of the table");
         let depth = rows.layout.r_max - 1;
-        let rest = |e: u64| {
-            rows.tail_key(e as u32, t, depth)
-                .expect("a row of the table")
-        };
-        let mut run = 0;
-        while run < n {
-            let len = entries[run..]
-                .iter()
-                .take_while(|&&e| e >> 32 == entries[run] >> 32)
-                .count();
-            if len > 1 && depth > 0 {
-                entries[run..run + len]
-                    .sort_unstable_by(|&a, &b| rest(a).cmp(rest(b)).then(a.cmp(&b)));
+        let mut lo = Vec::with_capacity(2 * n);
+        let mut local = Vec::with_capacity(n);
+        let mut entries: Vec<u64> = Vec::with_capacity(n.min(BLOCK));
+        for start in (0..n).step_by(BLOCK) {
+            // (head in tree order, row) packed into one integer sorts
+            // without touching the tails; only rows that tie on the head
+            // compare the rest.
+            let block = start..n.min(start + BLOCK);
+            entries.clear();
+            let order = |i: usize| u64::from(tree_order(head(i))) << 32 | (i - start) as u64;
+            entries.extend(block.map(order));
+            entries.sort_unstable();
+            let rest = |e: u64| {
+                let row = start + (e as u32 as usize);
+                rows.tail_key(row, t, depth).expect("a row of the table")
+            };
+            let mut run = 0;
+            while run < entries.len() {
+                let len = entries[run..]
+                    .iter()
+                    .take_while(|&&e| e >> 32 == entries[run] >> 32)
+                    .count();
+                if len > 1 && depth > 0 {
+                    entries[run..run + len]
+                        .sort_unstable_by(|&a, &b| rest(a).cmp(rest(b)).then(a.cmp(&b)));
+                }
+                run += len;
             }
-            run += len;
+            lo.extend(entries.iter().map(|&e| (e >> 48) as u16));
+            local.extend(entries.iter().map(|&e| e as u16));
         }
-        let lane0 = entries.iter().map(|&e| (e >> 32) as u32);
-        let row = entries.iter().map(|&e| e as u32);
-        Self {
-            entries: lane0.chain(row).collect::<Vec<_>>().into(),
-        }
+        lo.append(&mut local);
+        Self { entries: lo.into() }
     }
 
-    /// The `(lane0, row)` columns.
+    /// The `(lo, row)` columns.
     #[inline]
-    fn columns(&self) -> (&[u32], &[u32]) {
+    fn columns(&self) -> (&[u16], &[u16]) {
         self.entries.split_at(self.entries.len() / 2)
     }
 }
@@ -605,15 +740,20 @@ impl LshForest {
         if self.staged_len() == 0 {
             return;
         }
+        self.committed = self.ids.len();
+        self.sort_trees();
+    }
+
+    /// Builds every tree afresh over the committed rows.
+    fn sort_trees(&mut self) {
         let rows = Rows {
             ids: &self.ids,
             words: &self.words,
             layout: self.layout,
         };
         for (t, tree) in self.trees.iter_mut().enumerate() {
-            *tree = PrefixTree::build(rows, t);
+            *tree = PrefixTree::build(rows, t, self.committed);
         }
-        self.committed = self.ids.len();
     }
 
     /// Removes every row stored under `id` — committed and staged alike.
@@ -627,20 +767,19 @@ impl LshForest {
     }
 
     /// Keeps only the rows whose id satisfies `keep`, preserving row order
-    /// (later rows move up) and the trees' sort. Returns the number of rows
-    /// removed.
+    /// (later rows move up). Returns the number of rows removed. When a
+    /// committed row goes, the trees are sorted again over the kept ones,
+    /// as [`commit`](Self::commit) sorts them: a kept row may have moved
+    /// into another block.
     pub fn retain(&mut self, mut keep: impl FnMut(DomainId) -> bool) -> usize {
         let (ids, table) = (self.ids.to_mut(), self.words.to_mut());
         let n = ids.len();
         let words = self.layout.words();
-        // Old row → new row, `u32::MAX` for a dropped one.
-        let mut moved = vec![u32::MAX; n];
         let (mut kept, mut kept_committed) = (0usize, 0usize);
-        for (i, to) in moved.iter_mut().enumerate() {
+        for i in 0..n {
             if !keep(ids[i]) {
                 continue;
             }
-            *to = kept as u32;
             if kept != i {
                 ids[kept] = ids[i];
                 table.copy_within(i * words..(i + 1) * words, kept * words);
@@ -653,27 +792,9 @@ impl LshForest {
         }
         ids.truncate(kept);
         table.truncate(kept * words);
-        self.committed = kept_committed;
-        for tree in &mut self.trees {
-            let entries = tree.entries.to_mut();
-            let len = entries.len() / 2;
-            // The kept heads move up first, then the kept rows behind
-            // them: neither write passes its read.
-            let mut write = 0;
-            for read in 0..len {
-                if moved[entries[len + read] as usize] != u32::MAX {
-                    entries[write] = entries[read];
-                    write += 1;
-                }
-            }
-            for read in 0..len {
-                let to = moved[entries[len + read] as usize];
-                if to != u32::MAX {
-                    entries[write] = to;
-                    write += 1;
-                }
-            }
-            entries.truncate(write);
+        if kept_committed < self.committed {
+            self.committed = kept_committed;
+            self.sort_trees();
         }
         n - kept
     }
@@ -733,16 +854,15 @@ impl LshForest {
         // The columns are looked at once, not per tree: a `Column` is a
         // vector or a view, and telling which is a branch.
         let rows = self.rows();
+        let trees = self.trees[..b].iter().map(PrefixTree::columns);
+        probe_trees(rows, trees, slots, r, out);
+        // Linear scan of the staged tail.
         let staged = self.committed..rows.ids.len();
-        for (t, tree) in self.trees[..b].iter().enumerate() {
+        for t in 0..b {
             let prefix = &slots[t * r_max..t * r_max + r];
-            let (lane0, row) = tree.columns();
-            probe_tree(rows, lane0, row, t, prefix, out);
-            // Linear scan of the staged tail.
             for i in staged.clone() {
-                let row = i as u32;
-                let tails = rows.tail_key(row, t, r - 1).expect("a staged row");
-                if rows.head(row, t) == Some(prefix[0])
+                let tails = rows.tail_key(i, t, r - 1).expect("a staged row");
+                if rows.head(i, t) == Some(prefix[0])
                     && cmp_tails(tails, &prefix[1..]) == Ordering::Equal
                 {
                     out.push(rows.ids[i]);
@@ -761,14 +881,15 @@ impl LshForest {
         raw
     }
 
-    /// The (lane 0, row) columns of every tree, in tree order — with
+    /// The (lo, row) columns of every tree, in tree order: one run per
+    /// [`BLOCK`] of entries, `row` naming a row of that block. With
     /// [`rows`](Self::rows), the canonical sorted form serialisers (the
     /// forest's own and the store packer) copy out.
     ///
     /// # Panics
     /// Panics if staged inserts exist: the staged tail is in no tree, so
     /// callers must [`commit`](Self::commit) first.
-    pub fn committed_trees(&self) -> impl Iterator<Item = (&[u32], &[u32])> {
+    pub fn committed_trees(&self) -> impl Iterator<Item = (&[u16], &[u16])> {
         assert_eq!(
             self.staged_len(),
             0,
@@ -778,14 +899,26 @@ impl LshForest {
     }
 
     /// Reassembles a forest from decoded parts. The decoder has validated
-    /// them: `trees` — each a `lane0` column, then a `row` column —
-    /// index exactly the rows of the table, in key order.
+    /// them: `trees` — each a `lo` column, then a `row` column — index
+    /// exactly the rows of the table, in key order. `None` sorts them from
+    /// the rows instead, through [`commit`](Self::commit).
     pub(crate) fn from_raw(
         layout: Layout,
         ids: Column<DomainId>,
         words: Column<u16>,
-        trees: Vec<Column<u32>>,
+        trees: Option<Vec<Column<u16>>>,
     ) -> Self {
+        let Some(trees) = trees else {
+            let mut forest = Self {
+                trees: vec![PrefixTree::default(); layout.b_max],
+                committed: 0,
+                layout,
+                ids,
+                words,
+            };
+            forest.commit();
+            return forest;
+        };
         Self {
             layout,
             committed: ids.len(),
@@ -807,6 +940,16 @@ impl LshForest {
         let trees = self.trees.iter();
         let trees = trees.map(|t| t.entries.heap_bytes());
         table + trees.sum::<usize>() + self.mapped_bytes()
+    }
+
+    /// The tree columns' share of [`memory_bytes`](Self::memory_bytes),
+    /// heap or mapped: 4 bytes an entry, `4·b_max` a committed row.
+    #[must_use]
+    pub fn tree_bytes(&self) -> usize {
+        let trees = self.trees.iter();
+        trees
+            .map(|t| t.entries.heap_bytes() + t.entries.mapped_bytes())
+            .sum()
     }
 
     /// The part of [`memory_bytes`](Self::memory_bytes) that is not heap:
@@ -1211,23 +1354,32 @@ mod tests {
 
     #[test]
     fn tree_probe_equal_range() {
-        // One tree of depth 2 over four rows, sorted by (key, row): a row
-        // is its head's two halves, then its tail.
-        let ids = [12u32, 10, 13, 11];
-        let words = [1u16, 0, 2, 1, 0, 1, 2, 0, 0, 1, 0, 2];
+        // One tree of depth 2 over five rows, sorted by (key, row): a row
+        // is its head's two halves, then its tail. Row 4's head, 7 << 16,
+        // shares its low half (0) with none but differs from row 0's (1)
+        // only there; rows 0, 1 and 3 share their whole head (1).
+        let ids = [12u32, 10, 13, 11, 14];
+        #[rustfmt::skip]
+        let words = [
+            1u16, 0, 2,
+            1, 0, 1,
+            2, 0, 0,
+            1, 0, 2,
+            0, 7, 2,
+        ];
         let rows = Rows {
             ids: &ids,
             words: &words,
             layout: Layout::new(1, 2, 2),
         };
-        let (lane0, row) = ([1u32, 1, 1, 2], [1u32, 0, 3, 2]);
+        let (lo, row) = ([0u16, 1, 1, 1, 2], [4u16, 1, 0, 3, 2]);
         assert_eq!(
-            check_tree(rows, (&lane0, &row), 0, &mut [0; 4], (0, 1)),
+            check_tree(rows, (&lo, &row), 0, &mut [0; 5], (0, 1)),
             Ok(())
         );
         let probe = |prefix: &[u32]| {
             let mut out = Vec::new();
-            probe_tree(rows, &lane0, &row, 0, prefix, &mut out);
+            probe_trees(rows, [(&lo[..], &row[..])], prefix, prefix.len(), &mut out);
             out
         };
         assert_eq!(probe(&[1, 2]), vec![12, 11]);
@@ -1237,6 +1389,8 @@ mod tests {
         // A tail lane is its low 16 bits; a head is all 32.
         assert_eq!(probe(&[1, 2 | 7 << 16]), vec![12, 11]);
         assert!(probe(&[1 | 7 << 16, 2]).is_empty());
+        assert_eq!(probe(&[7 << 16, 2]), vec![14]);
+        assert!(probe(&[7 << 16 | 1]).is_empty() && probe(&[7]).is_empty());
     }
 
     #[test]
@@ -1270,15 +1424,253 @@ mod tests {
             layout: Layout::new(1, 2, 2),
         };
         let mut out = Vec::new();
-        // Row 9 does not exist; row 1 does.
-        probe_tree(rows, &[1, 1], &[9, 1], 0, &[1], &mut out);
+        // Row 9 lies outside the block (and the table); row 1 does not.
+        let lo = [1u16, 1];
+        probe_trees(rows, [(&lo[..], &[9u16, 1][..])], &[1], 1, &mut out);
         assert_eq!(out, vec![8]);
         out.clear();
-        probe_tree(rows, &[1, 1], &[9, 1], 0, &[1, 3], &mut out);
+        probe_trees(rows, [(&lo[..], &[9u16, 1][..])], &[1, 3], 2, &mut out);
         assert!(out.is_empty() || out == vec![8]);
+        // A packed file's global positions, checked against the table.
+        out.clear();
+        probe_trees(rows, [(&lo[..], &[9u32, 1][..])], &[1], 1, &mut out);
+        assert_eq!(out, vec![8]);
+        for err in [
+            check_tree(rows, (&[1, 1], &[9u16, 1]), 0, &mut [0; 2], (0, 1)),
+            check_tree(rows, (&[1, 1], &[9u32, 1]), 0, &mut [0; 2], (0, 1)),
+        ] {
+            assert_eq!(err, Err("tree row index out of range"));
+        }
+    }
+
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Lanes of row `k` of a forest of 2 trees of depth 2 over 4 lanes,
+    /// drawn to collide: a head is one of 5 high halves and 7 low ones, so
+    /// heads share `lo` and differ above it; a tail is one of 3 values, so
+    /// heads tie and tails decide; bit 16 of a tail only sometimes set.
+    fn colliding_lanes(k: u64) -> Vec<u32> {
+        (0..4)
+            .map(|l| {
+                let v = mix(k * 4 + l);
+                if l % 2 == 0 {
+                    (((v % 5) << 16) | ((v >> 8) % 7)) as u32
+                } else {
+                    ((v % 3) | (((v >> 20) % 2) << 16)) as u32
+                }
+            })
+            .collect()
+    }
+
+    /// Rows past one block — two blocks, at the tiny 2 × 2 layout.
+    const TWO_BLOCKS: usize = 70_000;
+
+    fn two_block_model() -> Vec<(DomainId, Vec<u32>)> {
+        (0..TWO_BLOCKS as u32)
+            .map(|k| (k, colliding_lanes(u64::from(k))))
+            .collect()
+    }
+
+    fn forest_of(model: &[(DomainId, Vec<u32>)]) -> LshForest {
+        let rows: Vec<(DomainId, &[u32])> = model.iter().map(|(id, l)| (*id, &l[..])).collect();
+        LshForest::from_rows(2, 2, 4, &rows)
+    }
+
+    #[test]
+    fn a_forest_past_one_block_answers_like_a_filter_and_round_trips_as_views() {
+        use lshe_minhash::codec::{Decoder, Owner};
+        use std::sync::Arc;
+        let model = two_block_model();
+        let forest = forest_of(&model);
+        assert_eq!(forest.trees[0].columns().0.len(), TWO_BLOCKS);
+        // Rows from both blocks, and lanes no row has.
+        let queries: Vec<Vec<u32>> = [3u64, 40_000, 65_535, 65_536, 69_999]
+            .iter()
+            .map(|&k| model[k as usize].1.clone())
+            .chain((0..3).map(|k| colliding_lanes(1 << 40 | k)))
+            .collect();
+        for query in &queries {
+            let sig = Signature::from_slots(query.clone());
+            for (b, r) in [(1, 1), (1, 2), (2, 1), (2, 2)] {
+                let mut got = Vec::new();
+                forest.query_into(&sig, b, r, &mut got);
+                got.sort_unstable();
+                assert!(
+                    got == brute_force(&model, query, 2, (b, r)),
+                    "(b, r) = ({b}, {r})"
+                );
+            }
+        }
+        // Encoded and decoded over a shared owner: every column a view of
+        // it, the same bytes again, the same answers.
+        let owner: Owner = Arc::new(forest.to_bytes());
+        let bytes: &[u8] = (*owner).as_ref();
+        let viewed = LshForest::decode(Decoder::shared(&owner)).expect("decode");
+        assert!(viewed.borrows_from(bytes));
+        assert_eq!(viewed.mapped_bytes(), forest.memory_bytes());
+        assert_eq!(viewed.tree_bytes(), TWO_BLOCKS * 4 * 2);
+        assert!(viewed.to_bytes() == bytes);
+        let sig = Signature::from_slots(queries[3].clone());
+        assert_eq!(viewed.query(&sig, 2, 2), forest.query(&sig, 2, 2));
+    }
+
+    #[test]
+    fn check_tree_refuses_what_a_block_cannot_hold() {
+        let model = two_block_model();
+        let forest = forest_of(&model);
+        let rows = forest.rows();
+        let (lo, row) = forest.trees[1].columns();
+        let check = |lo: &[u16], row: &[u16]| {
+            check_tree(rows, (lo, row), 1, &mut vec![0; TWO_BLOCKS], (0, 1))
+        };
+        assert_eq!(check(lo, row), Ok(()));
+        // The first block's last key is above the second's first: blocks
+        // are sorted apart, not together.
+        let key = |at: usize| {
+            let i = usize::from(row[at]) + if at < BLOCK { 0 } else { BLOCK };
+            (rows.head(i, 1).map(tree_order), rows.tail_key(i, 1, 1))
+        };
+        assert!(key(BLOCK - 1) > key(BLOCK));
+        type Damage = fn(&mut [u16], &mut [u16]);
+        let cases: [(&str, Damage, &str); 3] = [
+            (
+                "a block-local row at the last block's length",
+                |_, row| row[BLOCK] = (TWO_BLOCKS - BLOCK) as u16,
+                "tree row index out of range",
+            ),
+            (
+                "a lo that is not its row's",
+                |lo, _| lo[BLOCK + 7] ^= 8,
+                "tree head bits disagree with its row",
+            ),
+            (
+                "two entries of a block trading places",
+                |lo, row| {
+                    lo.swap(BLOCK, TWO_BLOCKS - 1);
+                    row.swap(BLOCK, TWO_BLOCKS - 1);
+                },
+                "tree keys out of order",
+            ),
+        ];
+        for (what, damage, detail) in cases {
+            let (mut lo, mut row) = (lo.to_vec(), row.to_vec());
+            damage(&mut lo, &mut row);
+            assert_eq!(check(&lo, &row), Err(detail), "{what}");
+        }
+        // A row named twice where its neighbour shares its key: only the
+        // permutation check can tell.
+        let mut twice = row.to_vec();
+        let twin = (BLOCK..TWO_BLOCKS - 1)
+            .find(|&at| key(at) == key(at + 1))
+            .expect("two entries sharing a key");
+        twice[twin + 1] = twice[twin];
         assert_eq!(
-            check_tree(rows, (&[1, 1], &[9, 1]), 0, &mut [0; 2], (0, 1)),
-            Err("tree row index out of range")
+            check(lo, &twice),
+            Err("tree is not a permutation of its partition's rows")
         );
+    }
+
+    #[test]
+    fn retain_across_the_block_boundary_equals_a_build_of_the_kept_rows() {
+        let mut model = two_block_model();
+        let mut forest = forest_of(&model);
+        // Drop rows of the first block: a few thousand of the second's rows
+        // move into it.
+        let gone = |id: DomainId| id % 17 == 3 && id < 60_000;
+        let removed = forest.retain(|id| !gone(id));
+        model.retain(|(id, _)| !gone(*id));
+        assert_eq!(removed, TWO_BLOCKS - model.len());
+        assert_eq!(forest.staged_len(), 0);
+        assert!(forest.to_bytes() == forest_of(&model).to_bytes());
+        let sig = Signature::from_slots(model[BLOCK - 1].1.clone());
+        let mut got = Vec::new();
+        forest.query_into(&sig, 2, 2, &mut got);
+        got.sort_unstable();
+        assert!(got == brute_force(&model, sig.slots(), 2, (2, 2)));
+    }
+
+    /// The kernel before tree entries were 4 bytes: the full 32-bit head
+    /// inline, a global row — by definition, every entry of the sorted
+    /// tree whose whole head and first tails equal the prefix, in tree
+    /// order.
+    fn full_head_probe(forest: &LshForest, t: usize, prefix: &[u32]) -> Vec<DomainId> {
+        let rows = forest.rows();
+        let depth = forest.r_max() - 1;
+        let mut tree: Vec<(u32, &[u16], usize)> = (0..forest.len())
+            .map(|i| {
+                (
+                    rows.head(i, t).expect("row"),
+                    rows.tail_key(i, t, depth).expect("row"),
+                    i,
+                )
+            })
+            .collect();
+        tree.sort_unstable();
+        let rest = &prefix[1..];
+        tree.iter()
+            .filter(|(head, tails, _)| {
+                *head == prefix[0] && cmp_tails(&tails[..rest.len()], rest) == Ordering::Equal
+            })
+            .map(|&(_, _, i)| rows.ids[i])
+            .collect()
+    }
+
+    proptest! {
+        /// Heads from 2 high halves × 3 low ones, tails from 3 values with
+        /// bit 16 sometimes set: rows share `lo` but not the head, or the
+        /// head but not the tails. The 16-bit-key probe must return exactly
+        /// what the full-head probe returned, in the same order.
+        #[test]
+        fn low_half_probe_equals_the_full_head_probe(
+            r_max in 1usize..4,
+            n in 1usize..80,
+            draws in proptest::collection::vec(0u32..6, 1_024..1_025),
+            tail_bits in proptest::collection::vec(any::<bool>(), 64..65),
+        ) {
+            let b_max = 2;
+            let width = b_max * r_max;
+            let lanes_of = |k: usize| -> Vec<u32> {
+                (0..width)
+                    .map(|l| {
+                        let d = draws[(k * 13 + l * 7) % draws.len()];
+                        if l % r_max == 0 {
+                            ((d % 2) << 16) | (d % 3)
+                        } else {
+                            (d % 3) | (u32::from(tail_bits[(k + l) % tail_bits.len()]) << 16)
+                        }
+                    })
+                    .collect()
+            };
+            let model: Vec<(DomainId, Vec<u32>)> = (0..n).map(|k| (k as u32, lanes_of(k))).collect();
+            let forest = forest_of_dims(&model, b_max, r_max, width);
+            for q in 0..8 {
+                let query = lanes_of(n + q);
+                let query = if q % 2 == 0 { model[q % n].1.clone() } else { query };
+                for r in 1..=r_max {
+                    let mut got = Vec::new();
+                    let trees = forest.trees.iter().map(PrefixTree::columns);
+                    probe_trees(forest.rows(), trees, &query, r, &mut got);
+                    let want = (0..b_max).flat_map(|t| {
+                        full_head_probe(&forest, t, &query[t * r_max..t * r_max + r])
+                    });
+                    prop_assert_eq!(got, want.collect::<Vec<_>>());
+                }
+            }
+        }
+    }
+
+    fn forest_of_dims(
+        model: &[(DomainId, Vec<u32>)],
+        b_max: usize,
+        r_max: usize,
+        width: usize,
+    ) -> LshForest {
+        let rows: Vec<(DomainId, &[u32])> = model.iter().map(|(id, l)| (*id, &l[..])).collect();
+        LshForest::from_rows(b_max, r_max, width, &rows)
     }
 }

@@ -5,7 +5,7 @@
 //! (little-endian, see `lshe_minhash::codec` for primitives):
 //!
 //! ```text
-//! "LSHF" version:u8 (4)
+//! "LSHF" version:u8 (5)
 //! b_max:u32 r_max:u32 width:u32 len:u64
 //! pad: n:u8 (0..=3), then n zero bytes   so that `ids` starts on a multiple
 //!                                        of 4 bytes from the start of the file
@@ -14,31 +14,39 @@
 //!     heads: b_max × u32                 each tree's first key lane,
 //!     tails: (width − b_max) × u16 )     every other lane's low 16 bits
 //! per tree (b_max times):
-//!     lane0: len × u32               each entry's first key lane
-//!     row:   len × u32               each entry's row in the table
+//!     lo:  len × u16                 each entry's head, its low 16 bits
+//!     row: len × u16                 each entry's row within its block
 //! ```
 //!
 //! Every column's length follows from `len`, so none carries a prefix. A
 //! row's lanes are stored once, laid out as [`Layout`] says; tree `t` is
-//! keyed by head `t` and tails `t·(r_max − 1) ..` of the rows it points at
-//! and sorted by (key, row). The decoder checks every tree — `row` is a
-//! permutation of `0..len`, `lane0[i]` is that row's head, keys never
-//! descend — because a forest file carries no checksum and a probe trusts
-//! the order.
+//! keyed by head `t` and tails `t·(r_max − 1) ..` of the rows it points at.
+//! Rows go in blocks of [`BLOCK`](crate::forest::BLOCK) = 65 536: entry
+//! `k·65 536 + j` of a tree belongs to block `k`, names row `k·65 536 +
+//! row[…]`, and each block's entries are sorted by (key, row) on their own
+//! — a forest of up to 65 536 rows is one sorted run. A key is the row's
+//! head, low half first, then its tails. The decoder checks every tree —
+//! each block's `row` names rows of that block, every row exactly once,
+//! `lo[i]` is the low half of that row's head, keys never descend inside a
+//! block — because a forest file carries no checksum and
+//! a probe trusts the order. A domain costs `4 + 2·(b_max + width) +
+//! 4·b_max` bytes: 708 at the defaults (32 trees, 256 lanes).
 //!
 //! The pad exists for [`LshForest::decode`] over a decoder that runs on a
 //! shared owner (a mapped index file): every column that starts on a
 //! boundary of its element type there is handed out as a view into the
-//! file, not copied — with the pad, all of them whenever a row is a whole
-//! number of `u32`s (`b_max + width` even, as with the defaults). The
-//! encoder counts the pad from the start of its sink, the decoder reads its
-//! length from the pad itself, so a forest decodes the same wherever it is
-//! nested; only whether it can be viewed in place depends on where it lies.
+//! file, not copied — with the pad, all of them, since the `u16` columns
+//! after the ids start on an even byte whatever the row width. The encoder
+//! counts the pad from the start of its sink, the decoder reads its length
+//! from the pad itself, so a forest decodes the same wherever it is nested;
+//! only whether it can be viewed in place depends on where it lies.
 //!
-//! Version 3, the one generation before, is the same columns with no pad.
-//! It still decodes, through the same getters: whatever happens to be
-//! aligned is viewed, the rest copied. Nothing writes it, and versions 1
-//! and 2 (keys held per tree; every lane 32 bits wide) are refused.
+//! Version 4, the one generation before, is the same header, pad and row
+//! table, with trees of 8 bytes an entry (`lane0`, the whole head, then a
+//! `u32` row, `len` of each). It still decodes: its ids and rows as
+//! version 5's are, its trees skipped and sorted again from the rows, as a
+//! commit sorts them — the result is the forest a fresh build of those rows
+//! is. Nothing writes it; version 3 (no pad) and older are refused.
 //!
 //! Only *committed* state is stored: [`LshForest::to_bytes`] requires the
 //! staged tail to be empty (call [`LshForest::commit`] first), which keeps
@@ -52,9 +60,10 @@ use lshe_minhash::codec::{CodecError, Column, Decoder, Encoder};
 /// Envelope tag for forest payloads.
 pub const MAGIC: [u8; 4] = *b"LSHF";
 /// Current format version.
-pub const VERSION: u8 = 4;
-/// The oldest version still decoded: the generation before [`VERSION`].
-const OLDEST_READ: u8 = 3;
+pub const VERSION: u8 = 5;
+/// The oldest version still decoded: the generation before [`VERSION`],
+/// whose trees are sorted again on decode.
+const OLDEST_READ: u8 = 4;
 /// Largest `b_max`/`r_max` a decoder accepts: an empty forest's trees take
 /// no bytes, so nothing else bounds what it allocates for them.
 const MAX_DIM: usize = 1 << 16;
@@ -83,9 +92,9 @@ impl LshForest {
         let rows = self.rows();
         enc.put_u32s(rows.ids);
         enc.put_u16s(rows.words);
-        for (lane0, row) in self.committed_trees() {
-            enc.put_u32s(lane0);
-            enc.put_u32s(row);
+        for (lo, row) in self.committed_trees() {
+            enc.put_u16s(lo);
+            enc.put_u16s(row);
         }
     }
 
@@ -140,11 +149,20 @@ impl LshForest {
         {
             return Err(CodecError::Corrupt("announced length exceeds input"));
         }
-        if version == VERSION {
-            dec.get_pad("column pad")?;
-        }
+        dec.get_pad("column pad")?;
         let ids: Column<DomainId> = dec.get_column(len, "row ids")?;
         let words: Column<u16> = dec.get_column(len * layout.words(), "rows")?;
+        if version == OLDEST_READ {
+            // 8 bytes an entry, the rows' own heads and indices: what they
+            // say follows from the rows, which are sorted again.
+            let old = len.checked_mul(8 * b_max);
+            let old = old.ok_or(CodecError::Corrupt("announced length exceeds input"))?;
+            dec.skip(old, "version-4 trees")?;
+            if !dec.is_exhausted() {
+                return Err(CodecError::Corrupt("trailing bytes after forest"));
+            }
+            return Ok(Self::from_raw(layout, ids, words, None));
+        }
         let rows = Rows {
             ids: &ids,
             words: &words,
@@ -153,8 +171,8 @@ impl LshForest {
         let mut trees = Vec::with_capacity(layout.b_max);
         let mut seen = vec![0; len];
         for t in 0..layout.b_max {
-            // `lane0`, then `row`.
-            let entries: Column<u32> = dec.get_column(len.saturating_mul(2), "tree columns")?;
+            // `lo`, then `row`.
+            let entries: Column<u16> = dec.get_column(len.saturating_mul(2), "tree columns")?;
             let turn = (t as u32, t as u32 + 1);
             check_tree(rows, entries.split_at(len), t, &mut seen, turn)
                 .map_err(CodecError::Corrupt)?;
@@ -163,7 +181,7 @@ impl LshForest {
         if !dec.is_exhausted() {
             return Err(CodecError::Corrupt("trailing bytes after forest"));
         }
-        Ok(Self::from_raw(layout, ids, words, trees))
+        Ok(Self::from_raw(layout, ids, words, Some(trees)))
     }
 }
 
@@ -245,8 +263,8 @@ mod tests {
         let decoded = LshForest::from_bytes(&forest.to_bytes()).expect("decode");
         for f in [&bulk, &decoded] {
             // The row table once (id + 32 heads + 224 16-bit tails a row),
-            // two columns a tree.
-            let exact = f.len() * (4 + 576 + 8 * 32);
+            // two `u16` columns a tree.
+            let exact = f.len() * (4 + 576 + 4 * 32);
             assert_eq!(f.memory_bytes(), exact, "capacity() == len() per column");
             assert_eq!(f.to_bytes().capacity(), f.to_bytes().len());
         }
@@ -316,15 +334,15 @@ mod tests {
     }
 
     /// A two-tree forest (`r_max` 2, three rows, one spare lane a row) as
-    /// the fields of its payload: rows `(7 2 | 4 4 | 99)`, `(7 1 | 3 9 |
-    /// 98)`, `(5 8 | 4 1 | 97)`.
+    /// the fields of its payload: rows `(7 2 | 65 540 4 | 99)`, `(7 1 | 3
+    /// 9 | 98)`, `(5 8 | 4 1 | 97)`.
     struct Payload {
         version: u8,
         dims: [u32; 3],
         len: u64,
         ids: Vec<u32>,
         rows: Vec<u16>,
-        trees: Vec<(Vec<u32>, Vec<u32>)>,
+        trees: Vec<(Vec<u16>, Vec<u16>)>,
     }
 
     impl Payload {
@@ -337,12 +355,13 @@ mod tests {
                 // Two heads (low half, high half), then three tails.
                 #[rustfmt::skip]
                 rows: vec![
-                    7, 0, 4, 0,   2, 4, 99,
+                    7, 0, 4, 1,   2, 4, 99,
                     7, 0, 3, 0,   1, 9, 98,
                     5, 0, 4, 0,   8, 1, 97,
                 ],
                 // Tree 0 by lanes 0..2: (5,8) (7,1) (7,2); tree 1 by lanes
-                // 2..4: (3,9) (4,1) (4,4).
+                // 2..4: (3,9) (4,1) (65 540,4) — the last head's low half
+                // is 4, like the one before it, and its high half 1.
                 trees: vec![
                     (vec![5, 7, 7], vec![2, 1, 0]),
                     (vec![3, 4, 4], vec![1, 2, 0]),
@@ -350,19 +369,23 @@ mod tests {
             }
         }
 
-        fn bytes(&self) -> Vec<u8> {
+        /// Everything before the trees.
+        fn head(&self) -> Encoder {
             let mut enc = Encoder::default();
             enc.envelope(MAGIC, self.version);
             self.dims.iter().for_each(|&d| enc.put_u32(d));
             enc.put_u64(self.len);
-            if self.version == VERSION {
-                enc.pad_to(4);
-            }
+            enc.pad_to(4);
             enc.put_u32s(&self.ids);
             enc.put_u16s(&self.rows);
-            for (lane0, row) in &self.trees {
-                enc.put_u32s(lane0);
-                enc.put_u32s(row);
+            enc
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            let mut enc = self.head();
+            for (lo, row) in &self.trees {
+                enc.put_u16s(lo);
+                enc.put_u16s(row);
             }
             enc.finish()
         }
@@ -376,6 +399,11 @@ mod tests {
         let sig = Signature::from_slots(vec![7, 2, 4, 1, 0]);
         assert_eq!(forest.query(&sig, 1, 1), vec![10, 11]);
         assert_eq!(forest.query(&sig, 2, 2), vec![10, 12]);
+        // Heads are matched whole, not by the low half the tree keeps.
+        let sig = Signature::from_slots(vec![0, 0, 65_540, 4, 0]);
+        assert_eq!(forest.query(&sig, 2, 1), vec![10]);
+        let sig = Signature::from_slots(vec![0, 0, 4 | 2 << 16, 4, 0]);
+        assert!(forest.query(&sig, 2, 1).is_empty());
     }
 
     #[test]
@@ -388,28 +416,28 @@ mod tests {
                 "tree keys out of order",
             ),
             (
-                "a run out of order past lane 0",
+                "a run out of order past the head",
                 |p| p.trees[0].1 = vec![2, 0, 1],
                 "tree keys out of order",
             ),
             (
-                "lane 0 disagreeing with its row",
-                |p| p.trees[1].0[0] = 4,
-                "tree lane 0 disagrees with its row",
+                "a lo disagreeing with its row",
+                |p| p.trees[1].0[2] = 5,
+                "tree head bits disagree with its row",
             ),
             (
-                "a row index outside the table",
+                "a block-local row at the block's length",
                 |p| p.trees[1].1[2] = 3,
                 "tree row index out of range",
             ),
             (
                 "a huge row index",
-                |p| p.trees[0].1[0] = u32::MAX,
+                |p| p.trees[0].1[0] = u16::MAX,
                 "tree row index out of range",
             ),
             (
                 "trees disagreeing on the row set",
-                |p| p.trees[1] = (vec![4, 4, 4], vec![2, 0, 0]),
+                |p| p.trees[1] = (vec![3, 4, 4], vec![1, 2, 2]),
                 "tree is not a permutation of its partition's rows",
             ),
             (
@@ -434,28 +462,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn version_3_payload_is_the_same_columns_without_the_pad() {
+    /// [`Payload::valid`] as version 4 wrote it: the same header, pad and
+    /// rows, then trees of the whole head and a `u32` row an entry.
+    fn version_4_bytes() -> Vec<u8> {
         let old = Payload {
-            version: 3,
+            version: 4,
             ..Payload::valid()
         };
-        let current = Payload::valid().bytes();
+        let mut enc = old.head();
+        for (lane0, row) in [([5u32, 7, 7], [2u32, 1, 0]), ([3, 4, 65_540], [1, 2, 0])] {
+            enc.put_u32s(&lane0);
+            enc.put_u32s(&row);
+        }
+        enc.finish()
+    }
+
+    #[test]
+    fn version_4_payload_keeps_its_rows_and_sorts_its_trees_again() {
+        let (old, current) = (version_4_bytes(), Payload::valid().bytes());
         // 25 header bytes: the pad is its length byte and two zeros.
-        assert_eq!(current.len(), old.bytes().len() + 3);
         assert_eq!(current[25..28], [2, 0, 0]);
-        let migrated = LshForest::from_bytes(&old.bytes()).expect("v3");
+        // Past the version byte, all is the same up to the trees.
+        let trees = current.len() - 3 * 4 * 2;
+        assert_eq!((old[4], current[4]), (4, 5));
+        assert_eq!(old[5..trees], current[5..trees]);
+        // Four bytes an entry fewer: 4 · b_max a row.
+        assert_eq!(old.len(), current.len() + 3 * 4 * 2);
+        let migrated = LshForest::from_bytes(&old).expect("v4");
         assert_eq!(migrated.to_bytes(), current);
-        // Truncated anywhere — inside the pad too — either is an error.
-        for bytes in [old.bytes(), current] {
+        // Over a shared owner the rows stay views; the trees are new.
+        use lshe_minhash::codec::Owner;
+        use std::sync::Arc;
+        let owner: Owner = Arc::new(old.clone());
+        let viewed = LshForest::decode(Decoder::shared(&owner)).expect("v4 viewed");
+        assert_eq!(viewed.mapped_bytes(), viewed.mapped_table_bytes());
+        assert_eq!(viewed.mapped_table_bytes(), 3 * (4 + 2 * 7));
+        assert_eq!(viewed.to_bytes(), current);
+        // Truncated anywhere — inside the pad or the old trees too — or
+        // one byte long, either is an error.
+        for bytes in [old.clone(), current] {
             for cut in 0..bytes.len() {
                 assert!(
                     LshForest::from_bytes(&bytes[..cut]).is_err(),
                     "cut at {cut}"
                 );
             }
+            let mut long = bytes;
+            long.push(0);
+            assert_eq!(
+                LshForest::from_bytes(&long).unwrap_err(),
+                CodecError::Corrupt("trailing bytes after forest")
+            );
         }
-        let mut dirty = Payload::valid().bytes();
+        let mut dirty = old;
         dirty[27] = 1;
         assert_eq!(
             LshForest::from_bytes(&dirty).unwrap_err(),
@@ -473,7 +532,7 @@ mod tests {
         let mut viewed = LshForest::decode(Decoder::shared(&owner)).expect("decode");
         assert!(viewed.borrows_from(bytes));
         // The row table, and two columns a tree.
-        let (table, trees) = (40 * (4 + 576), 40 * 8 * 32);
+        let (table, trees) = (40 * (4 + 576), 40 * 4 * 32);
         assert_eq!(viewed.mapped_bytes(), table + trees);
         assert_eq!(viewed.memory_bytes(), table + trees);
         assert_eq!(forest.mapped_bytes(), 0);
@@ -521,8 +580,9 @@ mod tests {
 
     #[test]
     fn version_1_is_refused_on_its_version_byte() {
-        // So is version 2, whose rows were 32-bit lanes throughout.
-        for old in [1, 2] {
+        // So are version 2, whose rows were 32-bit lanes throughout, and
+        // version 3, whose columns had no pad.
+        for old in [1, 2, 3] {
             let mut enc = Encoder::default();
             enc.envelope(MAGIC, old);
             assert_eq!(

@@ -2,25 +2,26 @@
 //! self-describing file.
 //!
 //! ```text
-//! "LSHX" version:u8 (6)
+//! "LSHX" version:u8 (7)
 //! flags:u8                      (bit 0: the index ranks its answers)
 //! num_perm:u32
 //! meta_count:u64
 //! per domain: id:u32 size:u64 table:str column:str
-//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v6)
+//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v7)
 //! next_id:u32
 //! ```
 //!
 //! A ranked container needs nothing beyond the flag: every signature is in
 //! the ensemble once, as the forest row that indexes it — each tree's first
 //! key lane at 32 bits, the other lanes at 16 — and every live domain's
-//! cardinality is in its record. Version 5, the one generation before, has
-//! the same shape around an `LSHE` v5 ensemble whose forests carry no
-//! column pad. Such files still load, through the same decoder, and are
-//! written back as version 6 by the next save; nothing writes them again.
-//! Anything older (rows of 32-bit lanes throughout, a sketch section after
-//! the ensemble, `u64` slots, no allocator mark) is refused with
-//! [`CodecError::UnsupportedVersion`].
+//! cardinality is in its record. Version 6, the one generation before, has
+//! the same shape around an `LSHE` v6 ensemble whose forests' tree entries
+//! are 8 bytes, not 4. Such files still load, through the same decoder —
+//! the rows are kept, the trees sorted again from them — and are written
+//! back as version 7 by the next save; nothing writes them again. Anything
+//! older (unpadded forests, rows of 32-bit lanes throughout, a sketch
+//! section after the ensemble, `u64` slots, no allocator mark) is refused
+//! with [`CodecError::UnsupportedVersion`].
 //!
 //! Two on-disk formats share this module, and both are **served in place**
 //! by [`IndexContainer::load`], which maps the file and keeps the mapping.
@@ -54,15 +55,16 @@ use std::sync::Arc;
 
 /// Envelope tag for `.lshe` files.
 pub const MAGIC: [u8; 4] = *b"LSHX";
-/// Current container version: the nested `LSHE` v6 ensemble holds each
-/// signature once, as a forest row of 32-bit heads and 16-bit tails, in
-/// columns padded so that a mapped file serves them in place. The payload
-/// ends with the id allocator's high-water mark, so a restart never
-/// re-issues a removed domain's id.
-pub const VERSION: u8 = 6;
+/// Current container version: the nested `LSHE` v7 ensemble holds each
+/// signature once, as a forest row of 32-bit heads and 16-bit tails, and
+/// trees of 4-byte entries over the rows, in columns padded so that a
+/// mapped file serves them in place. The payload ends with the id
+/// allocator's high-water mark, so a restart never re-issues a removed
+/// domain's id.
+pub const VERSION: u8 = 7;
 /// The oldest version still decoded — the generation before [`VERSION`],
-/// whose nested forests are not padded.
-const OLDEST_READ: u8 = 5;
+/// whose nested forests' tree entries are 8 bytes.
+const OLDEST_READ: u8 = 6;
 
 /// What kind of index a container stores — the tag
 /// [`open_index`](IndexContainer::open_index) dispatches on, so no caller
@@ -324,11 +326,12 @@ impl IndexContainer {
                 self.len()
             ));
         }
-        Ok(Box::new(ShardedRanked::build(
-            Arc::clone(ranked),
-            shards,
-            self.shard_config(shards),
-        )))
+        let sharded = ShardedRanked::build(Arc::clone(ranked), shards, self.shard_config(shards));
+        if let Some(mapping) = &self.mapping {
+            // The shards copied every mapped row out: give the pages back.
+            release(mapping);
+        }
+        Ok(Box::new(sharded))
     }
 
     /// The per-shard ensemble configuration for an `N`-way split — shared
@@ -661,14 +664,14 @@ impl IndexContainer {
     }
 
     /// Approximate heap bytes of the provenance: the base record table and
-    /// the overlay's records.
+    /// the record overlay — an entry for every id applied or removed since,
+    /// and the text of each applied record.
     #[must_use]
     pub fn provenance_bytes(&self) -> usize {
-        let overlay = self.overlay.values().flatten();
-        let overlay: usize = overlay
-            .map(|r| std::mem::size_of::<DomainRecord>() + r.table.len() + r.column.len())
-            .sum();
-        self.base.memory_bytes() + overlay
+        let entry = std::mem::size_of::<(u32, Option<DomainRecord>)>();
+        let text = self.overlay.values().flatten();
+        let text: usize = text.map(|r| r.table.len() + r.column.len()).sum();
+        self.base.memory_bytes() + self.overlay.len() * entry + text
     }
 
     /// Which parts of its base this container holds as the very allocation
@@ -778,10 +781,11 @@ impl IndexContainer {
                 );
             }
             _ => {
-                // Rows: each domain's id, lanes and size; the rest is the
-                // tree columns (and any spare capacity).
-                let rows = self.ensemble().sketch_memory_bytes();
-                let trees = index_bytes.saturating_sub(rows);
+                // Rows: each domain's id, lanes and size; trees: their
+                // columns, 4 bytes an entry.
+                let ensemble = self.ensemble();
+                let rows = ensemble.sketch_memory_bytes();
+                let trees = ensemble.tree_memory_bytes();
                 let _ = writeln!(
                     out,
                     "  index_bytes: {index_bytes} (rows {rows}, trees {trees})"
@@ -791,6 +795,7 @@ impl IndexContainer {
         let _ = writeln!(out, "    mapped_bytes: {mapped}");
         let _ = writeln!(out, "    heap_bytes: {}", index_bytes - mapped);
         let _ = writeln!(out, "  provenance_bytes: {}", self.provenance_bytes());
+        let _ = writeln!(out, "  id_map_bytes: {}", index.id_map_bytes());
         let stats = self.partition_stats();
         let _ = writeln!(out, "partitions: {}", stats.len());
         let _ = writeln!(out, "  #\tsize_range\tdomains");

@@ -548,6 +548,11 @@ fn handle_stats(shared: &Shared) -> Outcome {
                     "provenance_bytes",
                     Json::uint(snap.container().provenance_bytes() as u64),
                 ),
+                // Beside index_bytes: the id → row map.
+                (
+                    "id_map_bytes",
+                    Json::uint(snap.index().id_map_bytes() as u64),
+                ),
                 (
                     "staged_bytes",
                     Json::uint(shared.engine.staged_memory_bytes() as u64),
@@ -1770,6 +1775,7 @@ mod tests {
             "mapped_bytes",
             "heap_bytes",
             "provenance_bytes",
+            "id_map_bytes",
         ] {
             assert!(
                 described.contains(&format!("  {name}: {}", reported(name))),
@@ -1781,6 +1787,7 @@ mod tests {
             reported("mapped_bytes") + reported("heap_bytes"),
             reported("index_bytes")
         );
+        assert!(reported("id_map_bytes") > 0);
         server.shutdown();
     }
 

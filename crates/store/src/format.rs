@@ -29,13 +29,15 @@ use std::sync::Arc;
 
 /// File magic: the first eight bytes of every v2 store.
 pub const MAGIC: [u8; 8] = *b"LSHEIDX2";
-/// The one format version this build writes and reads. Version 5 stores
-/// each base row in [`SectionKind::SketchSlots`] as the forest lays it out —
-/// its `b_max` 32-bit heads (each prefix tree's first key lane), then its
-/// other lanes' low 16 bits — where version 4 held all `num_perm` lanes 32
-/// bits wide. An older file is refused, not migrated — a packed file is
+/// The one format version this build writes and reads. Version 6 keeps
+/// [`SectionKind::TreeKeys`] as `u16`s — the low 16 bits of each tree
+/// entry's head, the whole head being in its row — where version 5 held
+/// the head there at 32 bits. Since version 5 each base row is stored in
+/// [`SectionKind::SketchSlots`] as the forest lays it out: its `b_max`
+/// 32-bit heads (each prefix tree's first key lane), then its other lanes'
+/// low 16 bits. An older file is refused, not migrated — a packed file is
 /// derived from a `.lshe` index, so it is packed again.
-pub const VERSION: u32 = 5;
+pub const VERSION: u32 = 6;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 64;
 /// Section payload alignment, in bytes.
@@ -59,8 +61,9 @@ pub enum SectionKind {
     PartitionBounds = 2,
     /// `u64` per partition: its domain count.
     PartitionLens = 3,
-    /// `u32` array: every prefix tree's lane-0 column (each entry's first
-    /// key lane, ascending within a tree), concatenated.
+    /// `u16` array: every prefix tree's head-bits column (the low 16 bits
+    /// of each entry's first key lane, ascending within each block of
+    /// 65 536 entries of a tree), concatenated.
     TreeKeys = 4,
     /// `u32` array: every prefix tree's row column (each entry's position
     /// in the sketch columns), concatenated.

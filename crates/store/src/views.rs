@@ -111,14 +111,15 @@ impl<'a> SketchesView<'a> {
 /// Borrowed prefix trees for one partition.
 ///
 /// Layout: `b_max` trees, each `rows` entries, in two parallel columns.
-/// Tree `t` owns `lane0[t * rows ..][.. rows]` (each entry's first key
-/// lane, ascending) and `positions[t * rows ..][.. rows]` (the entry's
-/// position in the sketch columns, where the rest of its lanes and its
-/// domain id are). Probing them is the index layer's business — it runs
-/// the forest's own kernel over these slices.
+/// Tree `t` owns `lo[t * rows ..][.. rows]` (the low 16 bits of each
+/// entry's first key lane) and `positions[t * rows ..][.. rows]` (the
+/// entry's position in the sketch columns, where its whole key lanes and
+/// its domain id are). How the entries are ordered, and probing them, is
+/// the index layer's business — it runs the forest's own kernel over these
+/// slices.
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionView<'a> {
-    lane0: &'a [u32],
+    lo: &'a [u16],
     positions: &'a [u32],
     rows: usize,
 }
@@ -130,13 +131,13 @@ impl<'a> PartitionView<'a> {
     /// Returns `None` when the lengths do not multiply out: either column
     /// is not `b_max * rows` long.
     #[must_use]
-    pub fn new(lane0: &'a [u32], positions: &'a [u32], b_max: usize, rows: usize) -> Option<Self> {
+    pub fn new(lo: &'a [u16], positions: &'a [u32], b_max: usize, rows: usize) -> Option<Self> {
         let want = b_max.checked_mul(rows)?;
-        if b_max == 0 || lane0.len() != want || positions.len() != want {
+        if b_max == 0 || lo.len() != want || positions.len() != want {
             return None;
         }
         Some(Self {
-            lane0,
+            lo,
             positions,
             rows,
         })
@@ -145,16 +146,16 @@ impl<'a> PartitionView<'a> {
     /// Number of trees.
     #[must_use]
     pub fn trees(&self) -> usize {
-        self.lane0.len().checked_div(self.rows).unwrap_or(0)
+        self.lo.len().checked_div(self.rows).unwrap_or(0)
     }
 
-    /// The `t`-th tree's lane-0 column.
+    /// The `t`-th tree's head-bits column.
     ///
     /// # Panics
     /// Panics if `t` is not a tree of a non-empty partition.
     #[must_use]
-    pub fn lane0(&self, t: usize) -> &'a [u32] {
-        &self.lane0[t * self.rows..(t + 1) * self.rows]
+    pub fn lo(&self, t: usize) -> &'a [u16] {
+        &self.lo[t * self.rows..(t + 1) * self.rows]
     }
 
     /// The `t`-th tree's sketch-position column.
@@ -209,25 +210,19 @@ mod tests {
     #[test]
     fn multi_tree_partition_slices_correctly() {
         // 2 trees, 2 rows each.
-        let lane0 = [1u32, 2, /* tree 1: */ 7, 8];
+        let lo = [1u16, 2, /* tree 1: */ 7, 8];
         let positions = [0u32, 1, /* tree 1: */ 1, 0];
-        let part = PartitionView::new(&lane0, &positions, 2, 2).expect("view");
+        let part = PartitionView::new(&lo, &positions, 2, 2).expect("view");
         assert_eq!(part.trees(), 2);
-        assert_eq!(
-            (part.lane0(0), part.rows(0)),
-            (&[1u32, 2][..], &[0u32, 1][..])
-        );
-        assert_eq!(
-            (part.lane0(1), part.rows(1)),
-            (&[7u32, 8][..], &[1u32, 0][..])
-        );
+        assert_eq!((part.lo(0), part.rows(0)), (&[1u16, 2][..], &[0u32, 1][..]));
+        assert_eq!((part.lo(1), part.rows(1)), (&[7u16, 8][..], &[1u32, 0][..]));
     }
 
     #[test]
     fn partition_rejects_mismatched_lengths() {
-        let column = [0u32; 8];
-        assert!(PartitionView::new(&column[..7], &column, 2, 4).is_none());
-        assert!(PartitionView::new(&column, &column[..6], 2, 4).is_none());
+        let (lo, column) = ([0u16; 8], [0u32; 8]);
+        assert!(PartitionView::new(&lo[..7], &column, 2, 4).is_none());
+        assert!(PartitionView::new(&lo, &column[..6], 2, 4).is_none());
         assert!(PartitionView::new(&[], &[], 0, 0).is_none());
     }
 

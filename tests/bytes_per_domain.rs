@@ -2,15 +2,20 @@
 //!
 //! A ranked index needs each domain's signature once — each prefix tree's
 //! first key lane at 32 bits, the other lanes at 16: `4·b_max +
-//! 2·(m − b_max)` bytes, 576 by default — and one `(lane 0, row)` entry per
-//! prefix tree (`8·b_max`), plus its id and cardinality. Both on-disk forms,
-//! and the resident index `/stats` reports as `index_bytes`, must stay
-//! within `4·b_max + 2·(m − b_max) + 8·b_max + 16` bytes per domain beyond
-//! the provenance records — so a later change cannot quietly store the
-//! lanes a second time (as tree keys, or as a sketch section beside the
-//! forests), or wider, without this failing. Loaded from its file, the
-//! index keeps at most 64 of those bytes a domain on the heap: the rest is
-//! views into the mapping (`mapped_bytes`).
+//! 2·(m − b_max)` bytes, 576 by default — and one 4-byte `(lo, row)` entry
+//! per prefix tree (`4·b_max`: the head's low 16 bits and a block-local
+//! `u16` row), plus its id and cardinality. Both on-disk forms, and the
+//! resident index `/stats` reports as `index_bytes`, must stay within
+//! `4·b_max + 2·(m − b_max) + 4·b_max + 16` bytes per domain (720 by
+//! default; the packed file's trees keep a `u32` table position, not a
+//! `u16` row, so it gets `2·b_max` more) beyond the provenance records —
+//! so a later change cannot
+//! quietly store the lanes a second time (as tree keys, or as a sketch
+//! section beside the forests), or wider, without this failing. Loaded from
+//! its file, the index keeps at most 64 of those bytes a domain on the
+//! heap: the rest is views into the mapping (`mapped_bytes`). What `lshe
+//! stats` reports as `trees` is those entries exactly, and the id → row
+//! map it reports beside them (`id_map_bytes`) is there to be counted.
 //!
 //! Resident provenance has a bound of its own: a container holds its
 //! records as columns — 24 bytes a record at most, beside the text of each
@@ -32,7 +37,8 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     assert_eq!(container.len(), DOMAINS);
     let row = 4 * B_MAX + 2 * (container.num_perm() - B_MAX);
     assert_eq!(row, 576);
-    let bound = row + 8 * B_MAX + 16;
+    let bound = row + 4 * B_MAX + 16;
+    assert_eq!(bound, 720);
 
     // Heap form: a record is id + size + two length-prefixed strings.
     let records: usize = container
@@ -47,7 +53,10 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
         heap as f64 / DOMAINS as f64
     );
 
-    // Packed form: the records ride in two sections of their own.
+    // Packed form: the records ride in two sections of their own, and a
+    // tree entry keeps a global `u32` position in the one sketch table of
+    // the file, not a block-local `u16` row — 2 more bytes an entry.
+    let packed_bound = bound + 2 * B_MAX;
     let dir = std::env::temp_dir().join(format!("lshe_bytes_per_domain_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("index.lshepk");
@@ -61,8 +70,8 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
         .sum();
     let packed = store.file_len() - records as usize;
     assert!(
-        packed <= bound * DOMAINS,
-        "packed file: {} B per domain beyond its records, bound {bound}",
+        packed <= packed_bound * DOMAINS,
+        "packed file: {} B per domain beyond its records, bound {packed_bound}",
         packed as f64 / DOMAINS as f64
     );
     // Resident: what `/stats` and `lshe stats` call `index_bytes` — rows,
@@ -97,6 +106,25 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
         "loaded index: {} B of heap per domain, bound 64",
         heap_bytes as f64 / DOMAINS as f64
     );
+    // That heap is each domain's cardinality, sized exactly.
+    assert_eq!(heap_bytes, 8 * DOMAINS);
+
+    // `lshe stats` sums the trees from their columns — 4 bytes an entry,
+    // a tree per band — and reports the id map beside them.
+    let described = loaded.describe();
+    let reported = |name: &str| -> usize {
+        let at = described.find(name).expect(name) + name.len();
+        let digits = described[at..].trim_start_matches([' ', ':']);
+        let end = digits
+            .find(|c: char| !c.is_ascii_digit())
+            .expect("a number");
+        digits[..end].parse().expect("a number")
+    };
+    assert_eq!(reported(", trees"), 4 * B_MAX * DOMAINS, "{described}");
+    assert_eq!(reported("(rows"), (4 + row + 8) * DOMAINS, "{described}");
+    let id_map_bytes = loaded.open_index().id_map_bytes();
+    assert!(id_map_bytes > 0);
+    assert_eq!(reported("id_map_bytes"), id_map_bytes, "{described}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

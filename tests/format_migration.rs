@@ -1,17 +1,17 @@
 //! One-way migration from the generation before the current writer.
 //!
-//! `tests/fixtures/v5_ranked.lshe` and `v5_plain.lshe` (`LSHX` v5 around
-//! `LSHE` v5 / `LSHF` v3: two sealed segments, a base and a segment
-//! tombstone) were written by the commit before forests padded their
-//! columns to a 4-byte boundary of the file — the same columns, wherever
-//! they fell — from the domains [`v5_container`] rebuilds, with that
-//! commit's answers recorded in `v5_expected.txt`. Both must load, through
-//! the decoder the current version uses — from a slice, and mapped, where
-//! whatever happens to be aligned is viewed in place and the rest copied —
-//! answer as they did, equal a fresh build of their domains, and save as
-//! the current version. Anything older — rows of 32-bit lanes throughout,
-//! forests that held their lanes as tree keys, the 64-bit-slot generations
-//! — is refused on its version byte.
+//! `tests/fixtures/v6_ranked.lshe` and `v6_plain.lshe` (`LSHX` v6 around
+//! `LSHE` v6 / `LSHF` v4: two sealed segments, a base and a segment
+//! tombstone) were written by the commit before tree entries shrank from 8
+//! bytes (a 32-bit head and a 32-bit row) to 4 (the head's low 16 bits and
+//! a block-local `u16` row), from the domains [`v6_container`] rebuilds,
+//! with that commit's answers recorded in `v6_expected.txt`. Both must load
+//! — from a slice, and mapped, where the ids and rows are views into the
+//! file and the trees are sorted again from them — answer as they did,
+//! equal a fresh build of their domains, and save as the current version,
+//! `4·b_max` bytes a base row smaller. Anything older — unpadded forests,
+//! rows of 32-bit lanes throughout, forests that held their lanes as tree
+//! keys, the 64-bit-slot generations — is refused on its version byte.
 
 use lshe_core::Query;
 use lshe_corpus::{Domain, DomainMeta};
@@ -64,7 +64,7 @@ fn nested_version(bytes: &[u8]) -> u8 {
 #[test]
 fn older_generations_are_refused_on_their_version_byte() {
     let refused = |found, supported| CodecError::UnsupportedVersion { found, supported };
-    let current = v5_container(true).to_bytes();
+    let current = v6_container(true).to_bytes();
     let nested = nested_at(&current);
     // The first forest of the nested ensemble.
     let forest = nested
@@ -72,68 +72,75 @@ fn older_generations_are_refused_on_their_version_byte() {
             .windows(4)
             .position(|w| w == lshe_lsh::persist::MAGIC)
             .expect("nested forest");
-    for old in [1u8, 2, 3, 4] {
+    for old in 1u8..=5 {
         // The container's own version byte, then its ensemble's.
         let mut bytes = current.clone();
         bytes[4] = old;
         assert_eq!(
             IndexContainer::from_bytes(&bytes).err(),
-            Some(refused(old, 6))
+            Some(refused(old, 7))
         );
         let mut bytes = current.clone();
         bytes[nested + 4] = old;
         assert_eq!(
             IndexContainer::from_bytes(&bytes).err(),
-            Some(refused(old, 6))
+            Some(refused(old, 7))
         );
         // The ensemble runs up to the container's 4-byte allocator mark.
         let ensemble = lshe_core::LshEnsemble::from_bytes(&bytes[nested..bytes.len() - 4]);
-        assert_eq!(ensemble.err(), Some(refused(old, 6)));
+        assert_eq!(ensemble.err(), Some(refused(old, 7)));
     }
-    // A version-4 ensemble header (rows of 32-bit lanes), built in memory:
-    // refused before anything behind the version byte is read.
-    let mut v4 = Encoder::default();
-    v4.envelope(lshe_core::persist::MAGIC, 4);
+    // Version-5 ensemble and version-3 forest headers (unpadded forests),
+    // built in memory: refused before anything behind the version byte is
+    // read.
+    let mut v5 = Encoder::default();
+    v5.envelope(lshe_core::persist::MAGIC, 5);
     assert_eq!(
-        lshe_core::LshEnsemble::from_bytes(&v4.finish()).err(),
-        Some(refused(4, 6))
+        lshe_core::LshEnsemble::from_bytes(&v5.finish()).err(),
+        Some(refused(5, 7))
     );
-    // Forests that hold their lanes as tree keys (`LSHF` version 1), or 32
-    // bits wide throughout (version 2).
-    for old in [1u8, 2] {
+    let mut v3 = Encoder::default();
+    v3.envelope(lshe_lsh::persist::MAGIC, 3);
+    assert_eq!(
+        lshe_lsh::LshForest::from_bytes(&v3.finish()).err(),
+        Some(refused(3, 5))
+    );
+    // Forests that hold their lanes as tree keys (`LSHF` version 1), 32
+    // bits wide throughout (version 2), or unpadded (version 3).
+    for old in [1u8, 2, 3] {
         let mut bytes = current.clone();
         bytes[forest + 4] = old;
         assert_eq!(
             IndexContainer::from_bytes(&bytes).err(),
-            Some(refused(old, 4))
+            Some(refused(old, 5))
         );
     }
     // Refused before anything behind the version is read: a bare envelope,
     // decoded from a slice and loaded from a file alike.
     let dir = std::env::temp_dir().join(format!("lshe_migration_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    for old in [1u8, 4] {
+    for old in [1u8, 5] {
         let mut bare = Encoder::default();
         bare.envelope(lshe_serve::container::MAGIC, old);
         let bare = bare.finish();
         assert_eq!(
             IndexContainer::from_bytes(&bare).err(),
-            Some(refused(old, 6))
+            Some(refused(old, 7))
         );
         let path = dir.join(format!("v{old}.lshe"));
         std::fs::write(&path, &bare).expect("write");
         match IndexContainer::load(&path) {
             Err(LoadError::Decode {
                 section, source, ..
-            }) => assert_eq!((section, source), ("header", refused(old, 6))),
+            }) => assert_eq!((section, source), ("header", refused(old, 7))),
             other => panic!("version {old}: {other:?}"),
         }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `(base domains, partitions)` of the v5 fixtures.
-fn v5_shape(ranked: bool) -> (usize, usize) {
+/// `(base domains, partitions)` of the v6 fixtures.
+fn v6_shape(ranked: bool) -> (usize, usize) {
     if ranked {
         (8, 2)
     } else {
@@ -141,11 +148,11 @@ fn v5_shape(ranked: bool) -> (usize, usize) {
     }
 }
 
-/// The v5 fixtures' corpus: base domains, then two commits — two inserts
+/// The v6 fixtures' corpus: base domains, then two commits — two inserts
 /// and the removal of base domain 1; one insert and the removal of the
 /// first sealed insert.
-fn v5_container(ranked: bool) -> IndexContainer {
-    let (n, parts) = v5_shape(ranked);
+fn v6_container(ranked: bool) -> IndexContainer {
+    let (n, parts) = v6_shape(ranked);
     let mut c = IndexContainer::from_stream(corpus(n, 31), parts, ranked);
     let hasher = MinHasher::new(c.num_perm());
     let fresh = corpus(3, 32);
@@ -169,11 +176,11 @@ fn v5_container(ranked: bool) -> IndexContainer {
 }
 
 /// One line per fixture query — every base and fresh domain at three
-/// thresholds (and top-3 when ranked) — in `v5_expected.txt`'s form: the
+/// thresholds (and top-3 when ranked) — in `v6_expected.txt`'s form: the
 /// probe counters, then each hit with its estimate's bits.
-fn v5_answers(c: &IndexContainer, ranked: bool) -> String {
+fn v6_answers(c: &IndexContainer, ranked: bool) -> String {
     use std::fmt::Write as _;
-    let (n, _) = v5_shape(ranked);
+    let (n, _) = v6_shape(ranked);
     let hasher = MinHasher::new(c.num_perm());
     let index = c.open_index();
     let mut out = String::new();
@@ -217,18 +224,20 @@ fn moved<'a>(got: &'a str, want: &'a str) -> Vec<(&'a str, &'a str)> {
 }
 
 #[test]
-fn v5_containers_answer_as_recorded_and_save_as_a_fresh_v6_build() {
-    let recorded = std::fs::read_to_string(fixture("v5_expected.txt")).expect("fixture");
-    for (ranked, name) in [(true, "v5_ranked.lshe"), (false, "v5_plain.lshe")] {
+fn v6_containers_answer_as_recorded_and_save_as_a_fresh_v7_build() {
+    let recorded = std::fs::read_to_string(fixture("v6_expected.txt")).expect("fixture");
+    for (ranked, name) in [(true, "v6_ranked.lshe"), (false, "v6_plain.lshe")] {
         let old = std::fs::read(fixture(name)).expect("fixture");
-        assert_eq!((&old[..4], old[4]), (&b"LSHX"[..], 5), "{name} is LSHX v5");
+        assert_eq!((&old[..4], old[4]), (&b"LSHX"[..], 6), "{name} is LSHX v6");
         assert!(old.len() <= 30 * 1024, "{name} is small");
-        // Mapped (columns viewed where they happen to be aligned) and
+        // Mapped (ids and rows viewed in place, trees sorted again) and
         // copied out of a slice: one decoder, one answer.
-        let loaded = IndexContainer::load(&fixture(name)).expect("v5 loads");
-        let copied = IndexContainer::from_bytes(&old).expect("v5 decodes");
+        let loaded = IndexContainer::load(&fixture(name)).expect("v6 loads");
+        let copied = IndexContainer::from_bytes(&old).expect("v6 decodes");
         assert_eq!(copied.mapped_bytes(), 0);
-        let fresh = v5_container(ranked);
+        let (base_rows, _) = v6_shape(ranked);
+        assert_eq!(loaded.mapped_bytes(), base_rows * (4 + 576), "{name}");
+        let fresh = v6_container(ranked);
         assert_eq!(loaded.records(), fresh.records(), "{name}");
         assert_eq!(loaded.next_id(), fresh.next_id(), "{name}");
         assert_eq!(loaded.segment_stats(), fresh.segment_stats(), "{name}");
@@ -243,38 +252,38 @@ fn v5_containers_answer_as_recorded_and_save_as_a_fresh_v6_build() {
             .flat_map(|line| [line, "\n"])
             .collect();
         assert!(!want.is_empty());
-        let migrated = v5_answers(&loaded, ranked);
+        let migrated = v6_answers(&loaded, ranked);
         let differing = moved(&migrated, &want);
         assert!(
             differing.is_empty(),
             "{name}: (migrated, as its writer answered) {differing:#?}"
         );
-        assert_eq!(v5_answers(&copied, ranked), migrated, "{name} from a slice");
+        assert_eq!(v6_answers(&copied, ranked), migrated, "{name} from a slice");
         assert_eq!(
-            v5_answers(&fresh, ranked),
+            v6_answers(&fresh, ranked),
             migrated,
             "fresh build vs migrated {name}"
         );
 
         let resaved = loaded.to_bytes();
-        assert_eq!(resaved[4], 6, "saved as LSHX v6");
-        assert_eq!((nested_version(&old), nested_version(&resaved)), (5, 6));
+        assert_eq!(resaved[4], 7, "saved as LSHX v7");
+        assert_eq!((nested_version(&old), nested_version(&resaved)), (6, 7));
         assert!(
             resaved == fresh.to_bytes() && resaved == copied.to_bytes(),
             "{name}: migrated and fresh bytes differ"
         );
-        // What version 6 adds: one pad a base forest, 1 to 4 bytes each.
-        let (_, forests) = v5_shape(ranked);
-        let pads = resaved.len() - old.len();
-        assert!((forests..=4 * forests).contains(&pads), "{name}: {pads}");
-        // And what the pads are for: the saved file, loaded, is all views.
+        // What version 7 takes away: 4 bytes a tree entry, 32 trees a base
+        // row (the tombstoned one too); each forest shrinks by a multiple
+        // of 4, so no pad moves.
+        assert_eq!(old.len() - resaved.len(), 128 * base_rows, "{name}");
+        // And saved again, the file loads all views.
         let dir = std::env::temp_dir().join(format!("lshe_migrated_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         loaded.save(&dir.join(name)).expect("save");
-        let reloaded = IndexContainer::load(&dir.join(name)).expect("v6 loads");
+        let reloaded = IndexContainer::load(&dir.join(name)).expect("v7 loads");
         assert!(reloaded.base_in_place().iter().all(|&part| part), "{name}");
         assert_eq!(
-            v5_answers(&reloaded, ranked),
+            v6_answers(&reloaded, ranked),
             migrated,
             "{name} after a save"
         );

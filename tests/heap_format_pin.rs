@@ -3,21 +3,21 @@
 //! A deterministic corpus — base partitions, two sealed segments, one
 //! tombstone; ranked and plain — must keep serialising to exactly the
 //! recorded bytes, `save` must write them, and `load(save(x))` must answer
-//! like `x`. The constants were recorded when `LSHX` v6 padded every
-//! forest's columns to a 4-byte boundary of the file (`LSHE` v6 around
-//! `LSHF` v4). From the v5 pins (ranked and plain both 539 246 B), with 600
-//! base rows in 8 forests of 75:
+//! like `x`. The constants were recorded when `LSHX` v7 shrank every tree
+//! entry from 8 bytes (a 32-bit head, a 32-bit row) to 4 (the head's low 16
+//! bits, a block-local `u16` row), each tree sorted by its heads' low half
+//! first — `LSHE` v7 around `LSHF` v5. From the v6 pins (ranked and plain
+//! both 539 269 B), with 600 base rows in 8 forests of 75:
 //!
-//! * each forest gains one pad between its 25-byte header and its ids: a
-//!   length byte `n` and `n` zeros, ending on a multiple of 4. The first
-//!   forest starts at byte 31 941, its header ends at 31 966, so its pad is
-//!   1 + 1 (ids at 31 968); its columns are 75 × (4 + 576 + 256) = 62 700 B
-//!   and each later forest follows 24 B of bounds and length, so starts on
-//!   a multiple of 4 and pads 1 + 2, to its byte 28: **2 + 7 × 3 = + 23 B**;
-//! * nothing else moves: rows, tree columns, segment entries, records.
+//! * each forest's 32 trees lose 4 bytes an entry: 75 × 32 × 4 = 9 600 B a
+//!   forest, **600 × 128 = − 76 800 B** in all;
+//! * nothing else moves. 9 600 is a multiple of 4, so every later forest
+//!   starts where it did modulo 4 and keeps its pad (1 + 1 for the first,
+//!   1 + 2 for the others); rows, segment entries and records are as they
+//!   were.
 //!
-//! 539 246 + 23 = 539 269 B for both; the two still differ in the flag byte
-//! only.
+//! 539 269 − 76 800 = 462 469 B for both; the two still differ in the flag
+//! byte only.
 
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
@@ -26,8 +26,8 @@ use lshe_serve::{DeltaOp, DomainRecord, IndexContainer};
 
 /// `(ranked, to_bytes().len(), fnv1a(to_bytes()))` as recorded.
 const PINNED: [(bool, usize, u64); 2] = [
-    (true, 539_269, 0xf0f1_7e11_9f8b_53ea),
-    (false, 539_269, 0x12d2_d020_03b3_f5db),
+    (true, 462_469, 0x167f_3b74_b7ad_733a),
+    (false, 462_469, 0x52c5_b186_953d_5703),
 ];
 
 fn fnv1a(bytes: &[u8]) -> u64 {

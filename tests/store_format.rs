@@ -63,11 +63,19 @@ fn bit_flip_in_every_section_is_a_typed_checksum_error() {
         sections.len() >= 9,
         "fixture should populate every section kind, got {sections:?}"
     );
-    // The `u16` section — every base row, 576 bytes each — is swept like
+    // The `u16` sections — every base row, 576 bytes each; every tree
+    // entry's head bits, 2 bytes each, 32 trees a row — are swept like
     // the rest.
-    assert!(sections
-        .iter()
-        .any(|&(name, _, len)| name == "sketch slots" && len == 576 * container.len() as u64));
+    let len = |want: &str| {
+        sections
+            .iter()
+            .find(|&&(name, _, _)| name == want)
+            .map(|s| s.2)
+    };
+    let rows = container.len() as u64;
+    assert_eq!(len("sketch slots"), Some(576 * rows));
+    assert_eq!(len("tree keys"), Some(2 * 32 * rows));
+    assert_eq!(len("tree ids"), Some(4 * 32 * rows));
 
     for (name, offset, len) in sections {
         assert!(len > 0, "section {name} is empty");
@@ -244,11 +252,11 @@ fn wrong_magic_is_rejected_not_misparsed() {
 fn any_other_version_is_refused() {
     let dir = scratch("version");
     let (clean, _) = packed_fixture(&dir);
-    // From the future, and version 4 — the one before, whose sketch table
-    // held every lane 32 bits wide: a packed file is derived, so an old one
-    // is packed again, not read.
-    const { assert!(lshe_store::VERSION > 4) };
-    for other in [99u32, 4] {
+    // From the future, and version 5 — the one before, whose tree keys held
+    // each head at 32 bits: a packed file is derived, so an old one is
+    // packed again, not read.
+    const { assert!(lshe_store::VERSION > 5) };
+    for other in [99u32, 5] {
         let mut bytes = clean.clone();
         // Change the version field and re-seal the header checksum so ONLY
         // the version differs — refused on version, not checksum.
