@@ -25,14 +25,13 @@
 //! O(corpus) work really left the commit path. The sweep continues to a
 //! 20× point so the flatness claim is also observed past the gated range.
 //!
-//! A second section replays an identical churn of sealed deltas through
-//! each [`MergePolicyKind`] and accumulates the entries rewritten by the
-//! merges each policy schedules — the write-amplification numbers behind
-//! the leveled-vs-tiered CI gate: leveled folds O(delta · log corpus)
-//! per commit, while tiered periodically rewrites the whole corpus.
+//! A second section replays a churn of sealed deltas, drains the
+//! [`Leveled`] plans after each commit, and accumulates the entries the
+//! merges rewrite — the write amplification `bench_gate` bounds: leveled
+//! folds rewrite each entry about once per level it climbs.
 
 use lshe_bench::{report, workload, Args};
-use lshe_core::{CompactionThresholds, MaintenancePlanner, MergePolicyKind};
+use lshe_core::Leveled;
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::MinHasher;
 use lshe_serve::container::{DeltaOp, DomainRecord, IndexContainer};
@@ -70,13 +69,11 @@ fn staged_batch(
 }
 
 /// Replays `commits` rounds of staged-delta churn against a fresh
-/// `domains`-sized corpus, draining `kind`'s merge plans after every
+/// `domains`-sized corpus, draining the leveled merge plans after every
 /// commit exactly like the maintenance thread does (re-plan after each
 /// executed round until quiescent). Returns the total entries rewritten
-/// by those merges and the merge count — the policy's write
-/// amplification for an identical ingest.
+/// by those merges and the merge count.
 fn churn_fold_entries(
-    kind: MergePolicyKind,
     domains: usize,
     partitions: usize,
     seed: u64,
@@ -87,7 +84,7 @@ fn churn_fold_entries(
     config.seed = seed;
     let mut container = IndexContainer::from_stream(CorpusStream::new(config), partitions, true);
     let hasher = MinHasher::new(container.num_perm());
-    let planner = MaintenancePlanner::for_kind(kind, CompactionThresholds::default());
+    let planner = Leveled::default();
 
     let mut folded = 0usize;
     let mut merges = 0usize;
@@ -116,7 +113,7 @@ fn churn_fold_entries(
         let layout = container.segment_layout();
         assert!(
             layout.segments.len() <= planner.segment_bound(layout.len + layout.tombstones),
-            "drained layout must respect the policy's segment bound"
+            "drained layout must respect the planner's segment bound"
         );
     }
     (folded, merges)
@@ -259,26 +256,18 @@ fn main() {
         report::f2(rebuild_us.last().expect("sweep") / rebuild_us[0])
     );
 
-    // Write-amplification: identical churn, one policy at a time, at the
-    // 10× (20k-domain) sweep point. The CI gate requires leveled to fold
-    // strictly fewer entries than tiered here.
+    // Write amplification at the 10× (20k-domain) sweep point: entries the
+    // leveled merges rewrite per entry the churn inserted.
     let churn_commits = args.get_usize("churn_commits", 48);
     let churn_domains = (base as f64 * 10.0).round() as usize;
     println!();
-    report::header(&["policy", "merges", "entries_folded"]);
-    let mut per_policy = Vec::new();
-    for kind in [MergePolicyKind::Leveled, MergePolicyKind::Tiered] {
-        let (folded, merges) =
-            churn_fold_entries(kind, churn_domains, partitions, seed, batch, churn_commits);
-        report::row(&[kind.to_string(), merges.to_string(), folded.to_string()]);
-        per_policy.push((kind, folded));
-    }
-    let (_, leveled_folded) = per_policy[0];
-    let (_, tiered_folded) = per_policy[1];
-    println!("# leveled_fold_entries_20k = {leveled_folded}");
-    println!("# tiered_fold_entries_20k = {tiered_folded}");
+    report::header(&["merges", "entries_folded"]);
+    let (folded, merges) =
+        churn_fold_entries(churn_domains, partitions, seed, batch, churn_commits);
+    report::row(&[merges.to_string(), folded.to_string()]);
+    println!("# leveled_fold_entries_20k = {folded}");
     println!(
-        "# tiered_over_leveled_fold_20k = {}",
-        report::f2(tiered_folded as f64 / leveled_folded.max(1) as f64)
+        "# leveled_write_amp_20k = {}",
+        report::f2(folded as f64 / (churn_commits * batch) as f64)
     );
 }

@@ -15,8 +15,6 @@
 //! lshe stats --index tables.lshe
 //! lshe serve --index tables.lshe [--addr 127.0.0.1:7878] [--threads N]
 //!            [--cache 1024] [--shards 1] [--shard-id K] [--mmap]
-//!            [--merge-policy leveled] [--compact-segments 8]
-//!            [--compact-tombstone-pct 25]
 //! lshe pack --index tables.lshe [--out tables.lshepk]
 //! lshe split --index tables.lshe --shards 4 [--out prefix] [--pack]
 //! lshe cluster --shards 127.0.0.1:7878,127.0.0.1:7879 [--addr 127.0.0.1:7979]
@@ -33,7 +31,7 @@ pub use lshe_serve::container;
 
 use bytes::Bytes;
 use container::{IndexContainer, IndexKind, LoadError};
-use lshe_core::{MergePolicyKind, Query, QueryError};
+use lshe_core::{Query, QueryError};
 use lshe_corpus::{Catalog, CsvDocument, Domain};
 use lshe_minhash::MinHasher;
 use lshe_serve::engine::{Engine, EngineError};
@@ -123,8 +121,7 @@ COMMANDS
       Print configuration and per-partition statistics.
 
   lshe serve --index FILE [--addr HOST:PORT] [--threads N] [--cache C] [--shards S]
-             [--shard-id K] [--mmap] [--merge-policy tiered|leveled]
-             [--compact-segments N] [--compact-tombstone-pct P]
+             [--shard-id K] [--mmap]
       Serve the index over HTTP (default 127.0.0.1:7878) until /shutdown
       or SIGKILL. N worker threads (default: available parallelism), an
       LRU query cache of C entries (default 1024, 0 disables), and S
@@ -138,12 +135,10 @@ COMMANDS
       checksum-verified, and served straight from the memory-mapped
       file — read-only, with open time independent of index size;
       --mmap asserts this path was taken. Background maintenance: a
-      dedicated thread folds sealed
-      segments off the request path, scheduled by --merge-policy
-      (default leveled: size-exponential levels, only the overflowing
-      level merges); --compact-segments (default 8) and
-      --compact-tombstone-pct (default 25) set the trigger thresholds,
-      surfaced on /stats.maintenance. Endpoints: GET /health /stats,
+      dedicated thread folds sealed segments off the request path in
+      size-exponential levels (only an overflowing level merges), and
+      runs a full fold once tombstones pass 25% of the live corpus;
+      its state is on /stats.maintenance. Endpoints: GET /health /stats,
       POST /query /topk /batch /insert /remove /commit /compact
       /reload /shutdown — see docs/API.md.
 
@@ -538,24 +533,6 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         })?),
     };
     let want_mmap: bool = flags.get_bool("mmap")?;
-    // Maintenance knobs: which policy schedules background folds and the
-    // thresholds it plans against (defaults match ServerConfig).
-    let defaults = ServerConfig::default();
-    let merge_policy: MergePolicyKind = flags.get_parsed("merge-policy", defaults.merge_policy)?;
-    let compact_segments: usize =
-        flags.get_parsed("compact-segments", defaults.compact_segments)?;
-    if compact_segments == 0 {
-        return Err(CliError::Usage(
-            "--compact-segments must be positive".into(),
-        ));
-    }
-    let compact_tombstone_pct: f64 =
-        flags.get_parsed("compact-tombstone-pct", defaults.compact_tombstone_pct)?;
-    if !(0.0..=100.0).contains(&compact_tombstone_pct) {
-        return Err(CliError::Usage(
-            "--compact-tombstone-pct must be between 0 and 100".into(),
-        ));
-    }
 
     let engine = Engine::load(Path::new(&index_path), shards).map_err(engine_error)?;
     // The file's magic decides how it is served; --mmap asserts the
@@ -577,14 +554,11 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         threads,
         cache_capacity,
         shard_id,
-        merge_policy,
-        compact_segments,
-        compact_tombstone_pct,
         ..ServerConfig::default()
     };
     let handle = start(Arc::new(engine), &config)?;
     println!(
-        "lshe-serve listening on http://{} ({} domains, {} shard(s), cache {}, {} maintenance{}{})",
+        "lshe-serve listening on http://{} ({} domains, {} shard(s), cache {}{}{})",
         handle.addr(),
         domains,
         shards,
@@ -593,7 +567,6 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         } else {
             format!("{cache_capacity} entries")
         },
-        merge_policy,
         if mapped { ", mmap-served" } else { "" },
         shard_id.map_or(String::new(), |id| format!(", cluster shard {id}"))
     );
@@ -1176,31 +1149,21 @@ mod tests {
 
     #[test]
     fn serve_maintenance_flag_validation() {
-        // All three maintenance knobs are validated before any file I/O.
-        for bad in [
-            &["serve", "--index", "x.lshe", "--merge-policy", "sorted"][..],
-            &["serve", "--index", "x.lshe", "--compact-segments", "0"],
-            &["serve", "--index", "x.lshe", "--compact-segments", "-3"],
-            &[
-                "serve",
-                "--index",
-                "x.lshe",
-                "--compact-tombstone-pct",
-                "120",
-            ],
-            &[
-                "serve",
-                "--index",
-                "x.lshe",
-                "--compact-tombstone-pct",
-                "-1",
-            ],
-        ] {
-            assert!(
-                matches!(run(&s(bad)).unwrap_err(), CliError::Usage(_)),
-                "expected usage error for {bad:?}"
-            );
-        }
+        // Maintenance takes no flags. `--merge-policy leveled`, which the
+        // benchmark harness still passes, is read by no one: serve gets
+        // past flag parsing to the index load.
+        let dir = tmp_dir("serve_flags");
+        let missing = dir.join("missing.lshe");
+        let args = [
+            "serve",
+            "--index",
+            missing.to_str().expect("utf8"),
+            "--merge-policy",
+            "leveled",
+        ];
+        let err = run(&s(&args)).unwrap_err();
+        assert!(!matches!(err, CliError::Usage(_)), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

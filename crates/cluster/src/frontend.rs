@@ -795,7 +795,7 @@ impl Coordinator {
                 Json::Arr(degraded.into_iter().map(|s| Json::uint(s as u64)).collect()),
             ),
             // Summed/maxed across reachable shards; each shard's full
-            // maintenance object (level layout, policy, thresholds) rides
+            // maintenance object (level layout, segment bound) rides
             // along verbatim under per_shard[].stats.maintenance.
             (
                 "maintenance",

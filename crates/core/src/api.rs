@@ -230,7 +230,7 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// What one [`MutableIndex::commit`] did.
+/// What one [`MutableIndex::commit`] or [`MutableIndex::compact`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommitReport {
     /// Staged inserts folded into the sorted runs by this commit.
@@ -245,6 +245,10 @@ pub struct CommitReport {
     pub segments: usize,
     /// Tombstoned ids outstanding after this commit.
     pub tombstones: usize,
+    /// Entries rewritten into the base: every live entry when partitions
+    /// were rebuilt from sketches, the segment and staged entries when a
+    /// compaction folded them in place, 0 when the commit only sealed.
+    pub entries_folded: usize,
 }
 
 /// Outstanding tiered-mutation state: how far the index has drifted from
@@ -255,23 +259,6 @@ pub struct SegmentStats {
     pub segments: usize,
     /// Tombstoned ids awaiting compaction.
     pub tombstones: usize,
-}
-
-/// Compaction policy: fold segments into the base once the stack is this
-/// deep. Each outstanding segment adds partitions to the query sweep, so
-/// the stack is kept shallow.
-pub const MAX_SEGMENTS: usize = 8;
-
-/// Compaction policy: fold once tombstones exceed this fraction of the
-/// live corpus (dead rows dilute every candidate set until erased).
-pub const MAX_TOMBSTONE_RATIO: f64 = 0.25;
-
-/// True if [`SegmentStats`] has drifted far enough that a compaction is
-/// worth scheduling, per the default thresholds. Deployments with tuned
-/// thresholds use [`crate::CompactionThresholds::exceeded`] directly.
-#[must_use]
-pub fn needs_compaction(stats: SegmentStats, len: usize) -> bool {
-    crate::maintenance::CompactionThresholds::default().exceeded(stats, len)
 }
 
 /// The mutation surface over an index: dynamic data, §6.2.
@@ -326,47 +313,23 @@ pub trait MutableIndex: DomainIndex {
 
     /// Folds every sealed segment back into the base and erases
     /// tombstoned rows — the O(corpus) step, off the commit path. Seals
-    /// any staged delta first so nothing is lost. The default forwards to
-    /// [`commit`](Self::commit) for backends without tiered state.
-    fn compact(&mut self) -> CommitReport {
-        self.commit()
-    }
+    /// any staged delta first so nothing is lost.
+    fn compact(&mut self) -> CommitReport;
 
-    /// Outstanding segment/tombstone counts. Defaults to zero for
-    /// backends without tiered state.
-    fn segment_stats(&self) -> SegmentStats {
-        SegmentStats::default()
-    }
+    /// Outstanding segment/tombstone counts.
+    fn segment_stats(&self) -> SegmentStats;
 
-    /// The tier layout a [`crate::MergePolicy`] plans against:
-    /// per-segment entry counts plus tombstone backlog. The default
-    /// (backends without tiered state) reports segments of unknown (zero)
-    /// size from [`segment_stats`](Self::segment_stats).
-    fn segment_layout(&self) -> crate::SegmentLayout {
-        let stats = self.segment_stats();
-        crate::SegmentLayout {
-            segments: vec![0; stats.segments],
-            tombstones: stats.tombstones,
-            len: self.len(),
-        }
-    }
+    /// The tier layout [`crate::Leveled::plan`] plans against:
+    /// per-segment entry counts plus tombstone backlog.
+    fn segment_layout(&self) -> crate::SegmentLayout;
 
-    /// Executes one planned [`crate::MergeTask`] incrementally:
+    /// Executes one planned [`crate::MergeTask`]:
     /// [`MergeTask::Merge`](crate::MergeTask::Merge) folds only the listed
     /// segments into one new sealed segment (O(folded entries), base
-    /// untouched), [`MergeTask::Full`](crate::MergeTask::Full) behaves
-    /// like [`compact`](Self::compact). The default treats every task as
-    /// a full compaction — tiered backends override the partial path.
-    fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
-        let _ = task;
-        let folded = self.len();
-        let report = self.compact();
-        crate::MergeOutcome {
-            entries_folded: folded,
-            segments: report.segments,
-            tombstones: report.tombstones,
-        }
-    }
+    /// untouched), [`MergeTask::Full`](crate::MergeTask::Full) is
+    /// [`compact`](Self::compact), reporting its
+    /// [`entries_folded`](CommitReport::entries_folded).
+    fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome;
 }
 
 /// Why a query could not be answered.

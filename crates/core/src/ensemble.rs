@@ -1175,15 +1175,18 @@ impl MutableIndex for LshEnsemble {
             sealed,
             segments: self.segments.len(),
             tombstones: self.dead.len(),
+            entries_folded: 0,
         }
     }
 
     fn compact(&mut self) -> CommitReport {
         let report = self.commit();
+        let entries_folded = self.segments.iter().map(|s| s.len()).sum();
         self.fold();
         CommitReport {
             segments: 0,
             tombstones: 0,
+            entries_folded,
             ..report
         }
     }
@@ -1210,12 +1213,7 @@ impl MutableIndex for LshEnsemble {
     fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
         let entries_folded = match task {
             crate::MergeTask::Merge(idxs) => self.merge_segments(idxs),
-            crate::MergeTask::Full => {
-                let folded: usize =
-                    self.segments.iter().map(|s| s.len()).sum::<usize>() + self.staged.forest.len();
-                self.compact();
-                folded
-            }
+            crate::MergeTask::Full => self.compact().entries_folded,
         };
         crate::MergeOutcome {
             entries_folded,

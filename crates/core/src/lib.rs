@@ -79,17 +79,14 @@ pub mod sharded;
 pub mod tuning;
 
 pub use api::{
-    needs_compaction, CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError,
-    QueryMode, QueryStats, SearchHit, SearchOutcome, SegmentStats, ShardedRanked,
-    DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK, MAX_SEGMENTS, MAX_TOMBSTONE_RATIO,
+    CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, QueryMode,
+    QueryStats, SearchHit, SearchOutcome, SegmentStats, ShardedRanked, DEFAULT_REBALANCE_TRIGGER,
+    ESTIMATE_SLACK,
 };
 pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex};
 pub use ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
 pub use lshe_lsh::{Layout, Row, RowBuf};
-pub use maintenance::{
-    CompactionThresholds, Leveled, MaintenancePlanner, MergeOutcome, MergePolicy, MergePolicyKind,
-    MergeTask, SegmentLayout, Tiered,
-};
+pub use maintenance::{Leveled, MergeOutcome, MergeTask, SegmentLayout, MAX_TOMBSTONE_RATIO};
 pub use mmap::{pack_ranked, pack_ranked_to, pack_ranked_with, MmapIndex, MmapIndexError};
 pub use partition::{Partition, PartitionStrategy, Partitioning};
 pub use ranked::{RankedHit, RankedIndex, RankedIndexBuilder};

@@ -1,27 +1,21 @@
-//! Maintenance planning: merge policies that turn segment/tombstone
-//! layout into typed merge tasks, scheduled off the commit path.
+//! Maintenance planning: [`Leveled`] turns the segment/tombstone layout
+//! into typed merge tasks, scheduled off the commit path.
 //!
-//! PR 9 made commits O(staged delta) by sealing deltas into immutable
-//! segments, but deciding *when* (and *what*) to fold back into the base
-//! stayed a hard-coded threshold check that triggered a full O(corpus)
-//! rebuild. This module extracts that decision into a [`MergePolicy`]:
+//! Commits are O(staged delta) because they seal deltas into immutable
+//! segments; deciding *when* (and *what*) to fold back keeps the stack
+//! short. Segments are assigned to size-exponential levels (level `L`
+//! holds segments of up to `level0_entries · fanout^L` entries); when a
+//! level holds `fanout` segments they are folded into one segment of the
+//! next level, so each entry is rewritten O(log corpus) times over its
+//! lifetime. Past [`MAX_TOMBSTONE_RATIO`] the plan is one full fold,
+//! the only way dead base rows are erased. Boundary partitions only grow
+//! (§6.2), so any fold schedule stays correct; this one keeps the stack
+//! short for little rewriting.
 //!
-//! * [`Tiered`] — the original behaviour: once the stack (or tombstone
-//!   backlog) crosses the thresholds, fold *everything* into the base.
-//! * [`Leveled`] — segments are assigned to size-exponential levels
-//!   (level `L` holds segments of up to `level0_entries · fanout^L`
-//!   entries); when a level holds `fanout` segments they are folded into
-//!   one segment of the next level. Each entry is rewritten O(log corpus)
-//!   times over its lifetime instead of being caught in periodic
-//!   O(corpus) full rebuilds.
-//!
-//! A [`MaintenancePlanner`] wraps a policy behind one call the serving
-//! layer's maintenance thread drives: observe the [`SegmentLayout`], plan
-//! [`MergeTask`]s, execute them via
-//! [`MutableIndex::apply_merge`](crate::MutableIndex::apply_merge),
-//! re-plan until quiescent.
-
-use crate::api::SegmentStats;
+//! The serving layer's maintenance thread observes the [`SegmentLayout`],
+//! plans with [`Leveled::plan`], executes each [`MergeTask`] via
+//! [`MutableIndex::apply_merge`](crate::MutableIndex::apply_merge), and
+//! re-plans until quiescent.
 
 /// Hard ceiling on modelled levels — `level0_entries · fanout^32`
 /// overflows any real corpus long before this.
@@ -36,61 +30,21 @@ pub const DEFAULT_FANOUT: usize = 4;
 /// the bottom of the hierarchy.
 pub const DEFAULT_LEVEL0_ENTRIES: usize = 128;
 
-/// Compaction trigger thresholds, previously the hard-coded constants
-/// [`crate::MAX_SEGMENTS`] / [`crate::MAX_TOMBSTONE_RATIO`]. Now carried
-/// explicitly so deployments can tune them (`lshe serve
-/// --compact-segments N --compact-tombstone-pct P`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompactionThresholds {
-    /// Fold once this many sealed segments are outstanding.
-    pub max_segments: usize,
-    /// Fold once tombstones exceed this fraction of the live corpus.
-    pub max_tombstone_ratio: f64,
-}
+/// Plan a full fold once tombstones exceed this fraction of the live
+/// corpus (dead rows dilute every candidate set until erased).
+pub const MAX_TOMBSTONE_RATIO: f64 = 0.25;
 
-impl Default for CompactionThresholds {
-    fn default() -> Self {
-        Self {
-            max_segments: crate::MAX_SEGMENTS,
-            max_tombstone_ratio: crate::MAX_TOMBSTONE_RATIO,
-        }
-    }
-}
-
-impl CompactionThresholds {
-    /// True if the segment stack or tombstone backlog crossed these
-    /// thresholds — the configurable form of
-    /// [`crate::needs_compaction`].
-    #[must_use]
-    pub fn exceeded(&self, stats: SegmentStats, len: usize) -> bool {
-        stats.segments >= self.max_segments
-            || stats.tombstones as f64 > self.max_tombstone_ratio * len.max(1) as f64
-    }
-}
-
-/// The observable tier state a policy plans against: per-segment entry
+/// The observable tier state the planner plans against: per-segment entry
 /// counts (physical, oldest segment first) plus the tombstone backlog
 /// and live corpus size.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SegmentLayout {
-    /// Physical entry count of each sealed segment, oldest first. For
-    /// sharded backends, elementwise sums across the shard stacks.
+    /// Physical entry count of each sealed segment, oldest first.
     pub segments: Vec<usize>,
     /// Tombstoned ids awaiting erasure.
     pub tombstones: usize,
     /// Live corpus size.
     pub len: usize,
-}
-
-impl SegmentLayout {
-    /// The layout's [`SegmentStats`] summary.
-    #[must_use]
-    pub fn stats(&self) -> SegmentStats {
-        SegmentStats {
-            segments: self.segments.len(),
-            tombstones: self.tombstones,
-        }
-    }
 }
 
 /// One unit of background maintenance work.
@@ -118,68 +72,21 @@ pub struct MergeOutcome {
     pub tombstones: usize,
 }
 
-/// A merge-scheduling policy: observes the tier layout, plans tasks.
-///
-/// Policies are stateless with respect to the index — every plan is a
-/// pure function of the observed [`SegmentLayout`], so the planner can
-/// re-plan after each executed task until the layout is quiescent.
-pub trait MergePolicy: Send + Sync {
-    /// The policy's wire name (`/stats.maintenance.policy`).
-    fn name(&self) -> &'static str;
-
-    /// Plans the next round of tasks for `layout`. An empty plan means
-    /// the layout is quiescent under this policy.
-    fn plan(&self, layout: &SegmentLayout) -> Vec<MergeTask>;
-
-    /// The steady-state segment-count bound the policy converges to for
-    /// a corpus of `len` *physical* entries — live domains plus
-    /// tombstoned rows still resident in segments (the `/stats`
-    /// `segment_bound`): once plans drain, the stack holds at most this
-    /// many segments.
-    fn segment_bound(&self, len: usize) -> usize;
-}
-
-/// The original policy: nothing until the thresholds trip, then one full
-/// fold. Simple, but every trigger rewrites the whole corpus.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Tiered {
-    /// Trigger thresholds.
-    pub thresholds: CompactionThresholds,
-}
-
-impl MergePolicy for Tiered {
-    fn name(&self) -> &'static str {
-        "tiered"
-    }
-
-    fn plan(&self, layout: &SegmentLayout) -> Vec<MergeTask> {
-        if self.thresholds.exceeded(layout.stats(), layout.len) {
-            vec![MergeTask::Full]
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn segment_bound(&self, _len: usize) -> usize {
-        self.thresholds.max_segments
-    }
-}
-
 /// Size-exponential leveling: level `L` holds segments of up to
 /// `level0_entries · fanout^L` entries; when a level accumulates
 /// `fanout` segments they fold into one segment of the next level. Write
-/// amplification is O(log corpus) per entry. The tombstone threshold
-/// still forces a full fold — erasing dead base rows needs one.
+/// amplification is O(log corpus) per entry. A tombstone backlog past
+/// [`MAX_TOMBSTONE_RATIO`] forces a full fold — erasing dead base rows
+/// needs one.
+///
+/// Every plan is a pure function of the observed [`SegmentLayout`], so
+/// the caller re-plans after each executed task until the plan is empty.
 #[derive(Debug, Clone, Copy)]
 pub struct Leveled {
     /// Segments per level before the level overflows (≥ 2).
     pub fanout: usize,
     /// Level-0 segment capacity in entries.
     pub level0_entries: usize,
-    /// Trigger thresholds; `max_tombstone_ratio` forces a full fold,
-    /// `max_segments` bounds how deep any single level may grow beyond
-    /// the fanout before an overflow merge is forced regardless.
-    pub thresholds: CompactionThresholds,
 }
 
 impl Default for Leveled {
@@ -187,22 +94,11 @@ impl Default for Leveled {
         Self {
             fanout: DEFAULT_FANOUT,
             level0_entries: DEFAULT_LEVEL0_ENTRIES,
-            thresholds: CompactionThresholds::default(),
         }
     }
 }
 
 impl Leveled {
-    /// A leveled policy with default fanout/level-0 capacity and the
-    /// given trigger thresholds.
-    #[must_use]
-    pub fn with_thresholds(thresholds: CompactionThresholds) -> Self {
-        Self {
-            thresholds,
-            ..Self::default()
-        }
-    }
-
     /// The level a segment of `entries` entries belongs to.
     #[must_use]
     pub fn level_of(&self, entries: usize) -> usize {
@@ -236,18 +132,15 @@ impl Leveled {
         }
         levels
     }
-}
 
-impl MergePolicy for Leveled {
-    fn name(&self) -> &'static str {
-        "leveled"
-    }
-
-    fn plan(&self, layout: &SegmentLayout) -> Vec<MergeTask> {
+    /// Plans the next round of tasks for `layout`. An empty plan means
+    /// the layout is quiescent.
+    #[must_use]
+    pub fn plan(&self, layout: &SegmentLayout) -> Vec<MergeTask> {
         // Dead base rows can only be erased by a full fold; past the
         // tombstone threshold that wins over any level overflow.
         let tombstones = layout.tombstones as f64;
-        if tombstones > self.thresholds.max_tombstone_ratio * layout.len.max(1) as f64 {
+        if tombstones > MAX_TOMBSTONE_RATIO * layout.len.max(1) as f64 {
             return vec![MergeTask::Full];
         }
         // Lowest overflowing level folds first: overflow at level L
@@ -269,101 +162,14 @@ impl MergePolicy for Leveled {
         Vec::new()
     }
 
-    fn segment_bound(&self, len: usize) -> usize {
-        // At most fanout−1 segments rest per level once plans drain.
-        (self.fanout.max(2) - 1) * self.levels_for(len)
-    }
-}
-
-/// Which merge policy to run — the `--merge-policy` CLI surface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergePolicyKind {
-    /// Threshold-triggered full folds (the original behaviour).
-    Tiered,
-    /// Size-exponential leveled merging (the default).
-    #[default]
-    Leveled,
-}
-
-impl MergePolicyKind {
-    /// Builds the policy with the given trigger thresholds.
-    #[must_use]
-    pub fn build(self, thresholds: CompactionThresholds) -> Box<dyn MergePolicy> {
-        match self {
-            Self::Tiered => Box::new(Tiered { thresholds }),
-            Self::Leveled => Box::new(Leveled::with_thresholds(thresholds)),
-        }
-    }
-}
-
-impl std::str::FromStr for MergePolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "tiered" => Ok(Self::Tiered),
-            "leveled" => Ok(Self::Leveled),
-            other => Err(format!(
-                "unknown merge policy {other:?} (expected \"tiered\" or \"leveled\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for MergePolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Tiered => "tiered",
-            Self::Leveled => "leveled",
-        })
-    }
-}
-
-/// Drives a [`MergePolicy`] to quiescence: the serving layer's
-/// maintenance thread holds one of these and calls
-/// [`plan`](Self::plan) after every commit (and after every executed
-/// task) until the plan comes back empty.
-pub struct MaintenancePlanner {
-    policy: Box<dyn MergePolicy>,
-}
-
-impl std::fmt::Debug for MaintenancePlanner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MaintenancePlanner")
-            .field("policy", &self.policy.name())
-            .finish()
-    }
-}
-
-impl MaintenancePlanner {
-    /// A planner over an explicit policy.
-    #[must_use]
-    pub fn new(policy: Box<dyn MergePolicy>) -> Self {
-        Self { policy }
-    }
-
-    /// A planner for `kind` with the given thresholds.
-    #[must_use]
-    pub fn for_kind(kind: MergePolicyKind, thresholds: CompactionThresholds) -> Self {
-        Self::new(kind.build(thresholds))
-    }
-
-    /// The wrapped policy's name.
-    #[must_use]
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
-    /// Plans the next round of tasks (empty = quiescent).
-    #[must_use]
-    pub fn plan(&self, layout: &SegmentLayout) -> Vec<MergeTask> {
-        self.policy.plan(layout)
-    }
-
-    /// The policy's steady-state segment bound for a corpus of `len`.
+    /// The steady-state segment-count bound plans converge to for a
+    /// corpus of `len` *physical* entries — live domains plus tombstoned
+    /// rows still resident in segments (the `/stats` `segment_bound`):
+    /// once plans drain, the stack holds at most this many segments.
     #[must_use]
     pub fn segment_bound(&self, len: usize) -> usize {
-        self.policy.segment_bound(len)
+        // At most fanout−1 segments rest per level once plans drain.
+        (self.fanout.max(2) - 1) * self.levels_for(len)
     }
 }
 
@@ -377,20 +183,6 @@ mod tests {
             tombstones,
             len,
         }
-    }
-
-    #[test]
-    fn tiered_plans_full_only_past_thresholds() {
-        let policy = Tiered::default();
-        assert!(policy.plan(&layout(&[10; 7], 0, 1000)).is_empty());
-        assert_eq!(
-            policy.plan(&layout(&[10; 8], 0, 1000)),
-            vec![MergeTask::Full]
-        );
-        assert_eq!(
-            policy.plan(&layout(&[10], 400, 1000)),
-            vec![MergeTask::Full]
-        );
     }
 
     #[test]
@@ -454,42 +246,8 @@ mod tests {
             policy.plan(&layout(&[10, 20], 500, 1000)),
             vec![MergeTask::Full]
         );
-    }
-
-    #[test]
-    fn thresholds_match_the_legacy_constants() {
-        let t = CompactionThresholds::default();
-        for (segments, tombstones, len) in [
-            (0usize, 0usize, 100usize),
-            (8, 0, 100),
-            (0, 26, 100),
-            (7, 25, 100),
-        ] {
-            let stats = SegmentStats {
-                segments,
-                tombstones,
-            };
-            assert_eq!(
-                t.exceeded(stats, len),
-                crate::needs_compaction(stats, len),
-                "{stats:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn kind_parses_and_builds() {
-        assert_eq!(
-            "tiered".parse::<MergePolicyKind>(),
-            Ok(MergePolicyKind::Tiered)
-        );
-        assert_eq!(
-            "leveled".parse::<MergePolicyKind>(),
-            Ok(MergePolicyKind::Leveled)
-        );
-        assert!("lvl".parse::<MergePolicyKind>().is_err());
-        let planner =
-            MaintenancePlanner::for_kind(MergePolicyKind::Leveled, CompactionThresholds::default());
-        assert_eq!(planner.policy_name(), "leveled");
+        // The trigger is strictly past the ratio: 25 of 100 stays put.
+        assert!(policy.plan(&layout(&[10], 25, 100)).is_empty());
+        assert_eq!(policy.plan(&layout(&[10], 26, 100)), vec![MergeTask::Full]);
     }
 }

@@ -301,6 +301,7 @@ impl MutableIndex for RankedIndex {
             rebalanced,
             segments: stats.segments,
             tombstones: stats.tombstones,
+            entries_folded: if rebalanced { self.ensemble.len() } else { 0 },
             ..report
         }
     }
@@ -309,6 +310,8 @@ impl MutableIndex for RankedIndex {
         self.ensemble.staged_len()
     }
 
+    /// The fold rebuilds from the live rows, so every live entry is
+    /// rewritten.
     fn compact(&mut self) -> CommitReport {
         let report = self.ensemble.commit();
         if !self.rebuild_from_sketches() {
@@ -319,6 +322,7 @@ impl MutableIndex for RankedIndex {
             rebalanced: true,
             segments: 0,
             tombstones: 0,
+            entries_folded: self.ensemble.len(),
             ..report
         }
     }
@@ -334,17 +338,11 @@ impl MutableIndex for RankedIndex {
     fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
         match task {
             crate::MergeTask::Merge(_) => self.ensemble.apply_merge(task),
-            crate::MergeTask::Full => {
-                // The full fold rebuilds from the live rows, so every live
-                // entry is rewritten.
-                let entries_folded = self.ensemble.len();
-                self.compact();
-                crate::MergeOutcome {
-                    entries_folded,
-                    segments: 0,
-                    tombstones: 0,
-                }
-            }
+            crate::MergeTask::Full => crate::MergeOutcome {
+                entries_folded: self.compact().entries_folded,
+                segments: 0,
+                tombstones: 0,
+            },
         }
     }
 }

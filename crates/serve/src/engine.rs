@@ -188,7 +188,7 @@ pub struct StagedCounts {
     pub removes: usize,
 }
 
-/// What one [`Engine::commit_staged`] did.
+/// What one [`Engine::commit_staged`] or [`Engine::compact`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommitOutcome {
     /// Ops applied into the new snapshot (0 = nothing was staged and no
@@ -703,8 +703,8 @@ impl Engine {
     /// in the file it wrote, re-opened and served in place. This
     /// is the only O(corpus) step in the mutation lifecycle, and it runs
     /// here — off the commit path — either on demand (`POST /compact`,
-    /// `lshe compact`) or from the background merger once
-    /// [`needs_compaction`](Self::needs_compaction) trips.
+    /// `lshe compact`) or from the background merger once the tombstone
+    /// backlog passes [`lshe_core::MAX_TOMBSTONE_RATIO`].
     ///
     /// # Errors
     /// [`EngineError::Mutation`] when a staged op no longer applies (ops
@@ -760,7 +760,9 @@ impl Engine {
     /// concurrent with reads and staged mutations.
     ///
     /// [`MergeTask::Full`](lshe_core::MergeTask::Full) is routed to
-    /// [`compact`](Self::compact) (which additionally folds staged ops).
+    /// [`compact`](Self::compact) (which additionally folds staged ops)
+    /// and reports the entries the container's fold rewrote, as
+    /// [`IndexContainer::apply_merge`] counts them.
     /// A task that changes nothing returns the live snapshot unswapped.
     ///
     /// # Errors
@@ -772,14 +774,12 @@ impl Engine {
         task: &lshe_core::MergeTask,
     ) -> Result<(Arc<Snapshot>, lshe_core::MergeOutcome), EngineError> {
         if matches!(task, lshe_core::MergeTask::Full) {
-            let before = self.segment_layout();
-            let folded: usize = before.segments.iter().sum();
-            let (snap, _) = self.compact()?;
+            let (snap, outcome) = self.compact()?;
             let stats = snap.container().segment_stats();
             return Ok((
                 snap,
                 lshe_core::MergeOutcome {
-                    entries_folded: folded,
+                    entries_folded: outcome.report.entries_folded,
                     segments: stats.segments,
                     tombstones: stats.tombstones,
                 },
@@ -828,23 +828,6 @@ impl Engine {
     #[must_use]
     pub fn segment_layout(&self) -> lshe_core::SegmentLayout {
         self.snapshot().container().segment_layout()
-    }
-
-    /// True when the live snapshot's segment stack or tombstone backlog
-    /// crossed the default compaction thresholds
-    /// ([`lshe_core::MAX_SEGMENTS`] / [`lshe_core::MAX_TOMBSTONE_RATIO`]).
-    #[must_use]
-    pub fn needs_compaction(&self) -> bool {
-        self.needs_compaction_with(&lshe_core::CompactionThresholds::default())
-    }
-
-    /// [`needs_compaction`](Self::needs_compaction) against explicit
-    /// (deployment-tuned) thresholds.
-    #[must_use]
-    pub fn needs_compaction_with(&self, thresholds: &lshe_core::CompactionThresholds) -> bool {
-        let snap = self.snapshot();
-        snap.container().kind() != IndexKind::Mapped
-            && thresholds.exceeded(snap.container().segment_stats(), snap.container().len())
     }
 
     /// Generation created by the last [`compact`](Self::compact) in this

@@ -16,7 +16,7 @@
 //! | [`pool`] | fixed thread pool (the reactor's compute lanes) with drain-on-drop graceful shutdown |
 //! | [`http`] | minimal HTTP/1.1 parsing — incremental/resumable over partial reads — and response writing |
 //! | [`json`] | strict-subset JSON reader/writer for the wire protocol, with render-into-buffer reuse |
-//! | [`maintenance`] | the background maintenance runtime: a parked thread executing leveled/tiered merge plans off the request path |
+//! | [`maintenance`] | the background maintenance runtime: a parked thread executing leveled merge plans off the request path |
 //! | [`poller`] | readiness polling (epoll on Linux, `poll(2)` elsewhere) via std-linked libc symbols |
 //! | [`server`] | configuration, routing, endpoints |
 //! | `reactor` (internal) | the event loop: non-blocking listener + connections, pipelined in-order responses |
@@ -74,5 +74,5 @@ pub use container::{
     DeltaError, DeltaLog, DeltaOp, DomainRecord, IndexContainer, IndexKind, RecordRef, RecordTable,
 };
 pub use engine::{CommitOutcome, Engine, EngineError, Snapshot, StagedCounts};
-pub use maintenance::{FullMergeSummary, Maintainer, MaintenanceConfig, MaintenanceStats};
+pub use maintenance::{FullMergeSummary, Maintainer, MaintenanceStats};
 pub use server::{start, ServerConfig, ServerHandle};

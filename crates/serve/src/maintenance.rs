@@ -5,32 +5,23 @@
 //! it must never do is fold the segment stack — that cost is O(folded
 //! entries) and belongs here. The [`Maintainer`] owns one parked thread
 //! (`lshe-maint`) woken by commit markers: on each wake it observes the
-//! live snapshot's [`SegmentLayout`], asks its
-//! [`MergePolicy`](lshe_core::MergePolicy) for tasks, and executes them
-//! through [`Engine::apply_merge`] — copy-on-write folds that swap the
-//! snapshot atomically, persist the merged base, and retire committed
-//! delta-log prefixes, all concurrent with reads and staged mutations.
+//! live snapshot's [`SegmentLayout`](lshe_core::SegmentLayout), plans
+//! with the default [`Leveled`] geometry (partial folds of overflowing
+//! levels, a full fold past
+//! [`MAX_TOMBSTONE_RATIO`](lshe_core::MAX_TOMBSTONE_RATIO) tombstones),
+//! and executes the tasks through [`Engine::apply_merge`] — copy-on-write
+//! folds that swap the snapshot atomically, persist the merged base, and
+//! retire committed delta-log prefixes, all concurrent with reads and
+//! staged mutations. Nothing here is configurable.
 //!
 //! `POST /compact` no longer runs the fold on the caller's thread
 //! either: it enqueues a full-merge epoch here and (unless `?async=1`)
 //! blocks its compute-pool lane until the epoch completes.
 
 use crate::engine::Engine;
-use lshe_core::{
-    CompactionThresholds, Leveled, MaintenancePlanner, MergePolicyKind, MergeTask, SegmentLayout,
-};
+use lshe_core::{Leveled, MergeTask};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// How the maintenance runtime is configured (`lshe serve
-/// --merge-policy/--compact-segments/--compact-tombstone-pct`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MaintenanceConfig {
-    /// Which merge policy schedules background folds.
-    pub policy: MergePolicyKind,
-    /// Trigger thresholds the policy plans against.
-    pub thresholds: CompactionThresholds,
-}
 
 /// Summary of one finished full compaction, rendered by `/compact`.
 #[derive(Debug, Clone)]
@@ -54,14 +45,10 @@ pub struct FullMergeSummary {
 /// Point-in-time maintenance state for `/stats.maintenance`.
 #[derive(Debug, Clone)]
 pub struct MaintenanceStats {
-    /// Policy wire name (`"tiered"` / `"leveled"`).
-    pub policy: &'static str,
-    /// Effective trigger thresholds.
-    pub thresholds: CompactionThresholds,
     /// Per-level (segment count, entry total) occupancy of the live
     /// layout under the leveled geometry, level 0 first.
     pub levels: Vec<(usize, usize)>,
-    /// The policy's steady-state segment bound for the live corpus.
+    /// The planner's steady-state segment bound for the live corpus.
     pub segment_bound: usize,
     /// Tasks outstanding: planned merges plus unserved full requests.
     pub queued: usize,
@@ -69,7 +56,8 @@ pub struct MaintenanceStats {
     pub running: Option<&'static str>,
     /// Background merges executed since boot (partial folds).
     pub merges: u64,
-    /// Full compactions executed since boot.
+    /// Full compactions executed since boot: `/compact` requests and
+    /// tombstone-driven folds.
     pub full_merges: u64,
     /// Total live entries rewritten by maintenance since boot.
     pub entries_folded: u64,
@@ -100,18 +88,14 @@ struct State {
 enum Job {
     /// Serve full-merge requests up to this epoch.
     Full(u64),
-    /// Drain the policy's plan to quiescence.
+    /// Drain the plan to quiescence.
     Drain,
 }
 
 /// The background maintenance runtime. One per server; shared via `Arc`.
 pub struct Maintainer {
     engine: Arc<Engine>,
-    planner: MaintenancePlanner,
-    config: MaintenanceConfig,
-    /// Leveled geometry used to *render* the level layout in stats; for
-    /// a tiered policy it is purely observational.
-    level_view: Leveled,
+    planner: Leveled,
     state: Mutex<State>,
     /// Worker parks here; commits and full requests signal it.
     work: Condvar,
@@ -128,7 +112,7 @@ pub struct Maintainer {
 impl std::fmt::Debug for Maintainer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Maintainer")
-            .field("policy", &self.planner.policy_name())
+            .field("planner", &self.planner)
             .finish()
     }
 }
@@ -136,16 +120,10 @@ impl std::fmt::Debug for Maintainer {
 impl Maintainer {
     /// Spawns the maintenance thread. `on_swap` runs after every
     /// snapshot swap the maintainer performs (cache invalidation).
-    pub fn spawn(
-        engine: Arc<Engine>,
-        config: MaintenanceConfig,
-        on_swap: Box<dyn Fn() + Send + Sync>,
-    ) -> Arc<Self> {
+    pub fn spawn(engine: Arc<Engine>, on_swap: Box<dyn Fn() + Send + Sync>) -> Arc<Self> {
         let maintainer = Arc::new(Self {
             engine,
-            planner: MaintenancePlanner::for_kind(config.policy, config.thresholds),
-            level_view: Leveled::with_thresholds(config.thresholds),
-            config,
+            planner: Leveled::default(),
             state: Mutex::new(State::default()),
             work: Condvar::new(),
             done: Condvar::new(),
@@ -163,7 +141,7 @@ impl Maintainer {
     }
 
     /// Wakes the worker after a commit: it re-plans against the new
-    /// layout and folds until the policy is quiescent. O(1), lock + one
+    /// layout and folds until the plan is empty. O(1), lock + one
     /// notify — safe on every commit.
     pub fn notify_commit(&self) {
         let mut state = self.state.lock().expect("maint state poisoned");
@@ -224,9 +202,7 @@ impl Maintainer {
         let planned = self.planner.plan(&layout).len();
         let state = self.state.lock().expect("maint state poisoned");
         MaintenanceStats {
-            policy: self.planner.policy_name(),
-            thresholds: self.config.thresholds,
-            levels: self.level_view.occupancy(&layout),
+            levels: self.planner.occupancy(&layout),
             segment_bound: self.planner.segment_bound(layout.len + layout.tombstones),
             queued: planned + (state.full_requested - state.full_completed) as usize,
             running: state.running,
@@ -277,7 +253,6 @@ impl Maintainer {
         if !delay.is_zero() {
             std::thread::sleep(delay);
         }
-        let folded: usize = self.engine.segment_layout().segments.iter().sum();
         self.state.lock().expect("maint state poisoned").running = Some("full");
         let started = Instant::now();
         let result = self.engine.compact();
@@ -290,7 +265,7 @@ impl Maintainer {
             match result {
                 Ok((snap, outcome)) => {
                     state.full_merges += 1;
-                    state.entries_folded += folded as u64;
+                    state.entries_folded += outcome.report.entries_folded as u64;
                     state.last_error = None;
                     state.last_full = Some(Ok(FullMergeSummary {
                         applied: outcome.applied,
@@ -316,7 +291,7 @@ impl Maintainer {
         }
     }
 
-    /// Folds until the policy's plan comes back empty. Full requests and
+    /// Folds until the plan comes back empty. Full requests and
     /// shutdown preempt between tasks.
     fn run_drain(&self) {
         loop {
@@ -332,10 +307,8 @@ impl Maintainer {
                 return;
             }
             for task in tasks {
-                let label = match task {
-                    MergeTask::Merge(_) => "merge",
-                    MergeTask::Full => "full",
-                };
+                let full = task == MergeTask::Full;
+                let label = if full { "full" } else { "merge" };
                 self.state.lock().expect("maint state poisoned").running = Some(label);
                 let started = Instant::now();
                 let result = self.engine.apply_merge(&task);
@@ -345,7 +318,11 @@ impl Maintainer {
                 state.last_merge_micros = elapsed;
                 match result {
                     Ok((_, outcome)) => {
-                        state.merges += 1;
+                        if full {
+                            state.full_merges += 1;
+                        } else {
+                            state.merges += 1;
+                        }
                         state.entries_folded += outcome.entries_folded as u64;
                         state.last_error = None;
                         drop(state);
@@ -362,14 +339,4 @@ impl Maintainer {
             }
         }
     }
-}
-
-/// The layout summary helper shared with `/stats`: renders the policy's
-/// view of a layout without needing a running maintainer.
-#[must_use]
-pub fn level_occupancy(
-    thresholds: CompactionThresholds,
-    layout: &SegmentLayout,
-) -> Vec<(usize, usize)> {
-    Leveled::with_thresholds(thresholds).occupancy(layout)
 }

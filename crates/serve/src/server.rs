@@ -27,12 +27,10 @@ use crate::cache::{signature_digest, CacheStats, LruCache, QueryKey};
 use crate::engine::{Engine, EngineError, Snapshot};
 use crate::http::{write_head_with, Request};
 use crate::json::Json;
-use crate::maintenance::{Maintainer, MaintenanceConfig};
+use crate::maintenance::Maintainer;
 use crate::poller::Waker;
 use crate::pool::effective_threads;
-use lshe_core::{
-    CompactionThresholds, MergePolicyKind, Query, QueryStats, SearchHit, SearchOutcome,
-};
+use lshe_core::{Query, QueryStats, SearchHit, SearchOutcome};
 use lshe_corpus::Domain;
 use lshe_minhash::Signature;
 use std::collections::HashMap;
@@ -76,21 +74,10 @@ pub struct ServerConfig {
     /// so a coordinator (or an operator) can verify each process serves
     /// the split it was assigned. `None` for standalone servers.
     pub shard_id: Option<u64>,
-    /// Which merge policy the background maintenance thread schedules:
-    /// `Leveled` folds only the overflowing level (O(log corpus) write
-    /// amplification), `Tiered` full-folds past the thresholds.
-    pub merge_policy: MergePolicyKind,
-    /// Sealed-segment count past which maintenance triggers
-    /// (`--compact-segments`).
-    pub compact_segments: usize,
-    /// Tombstone backlog, as a percentage of live entries, past which
-    /// maintenance schedules a full fold (`--compact-tombstone-pct`).
-    pub compact_tombstone_pct: f64,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let thresholds = CompactionThresholds::default();
         Self {
             addr: "127.0.0.1:7878".to_owned(),
             threads: 0,
@@ -98,23 +85,6 @@ impl Default for ServerConfig {
             request_timeout_ms: 10_000,
             max_connections: 10_240,
             shard_id: None,
-            merge_policy: MergePolicyKind::default(),
-            compact_segments: thresholds.max_segments,
-            compact_tombstone_pct: thresholds.max_tombstone_ratio * 100.0,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// The maintenance-runtime view of this configuration.
-    #[must_use]
-    pub fn maintenance(&self) -> MaintenanceConfig {
-        MaintenanceConfig {
-            policy: self.merge_policy,
-            thresholds: CompactionThresholds {
-                max_segments: self.compact_segments.max(1),
-                max_tombstone_ratio: (self.compact_tombstone_pct / 100.0).max(0.0),
-            },
         }
     }
 }
@@ -193,8 +163,8 @@ pub(crate) struct Shared {
     /// Shard identity (from [`ServerConfig::shard_id`]), echoed on `/stats`.
     shard_id: Option<u64>,
     /// The background maintenance runtime: one parked thread that executes
-    /// merge plans (leveled or tiered) off the request path. Commits wake
-    /// it; `/compact` enqueues full-merge epochs on it.
+    /// leveled merge plans off the request path. Commits wake it;
+    /// `/compact` enqueues full-merge epochs on it.
     pub(crate) maintainer: Arc<Maintainer>,
 }
 
@@ -264,7 +234,7 @@ pub fn start(engine: Arc<Engine>, config: &ServerConfig) -> io::Result<ServerHan
     // The maintainer swaps snapshots from its own thread; its on-swap
     // callback drops the now-unreachable cache generation, exactly as the
     // request-path handlers do after their own swaps.
-    let maintainer = Maintainer::spawn(Arc::clone(&engine), config.maintenance(), {
+    let maintainer = Maintainer::spawn(Arc::clone(&engine), {
         let cache = Arc::clone(&cache);
         Box::new(move || cache.clear())
     });
@@ -469,8 +439,8 @@ fn handle_stats(shared: &Shared) -> Outcome {
             "last_compaction",
             Json::uint(shared.engine.last_compaction()),
         ),
-        // The background maintenance runtime: effective policy knobs, the
-        // live level layout, and what the worker has done / is doing.
+        // The background maintenance runtime: the live level layout and
+        // what the worker has done / is doing.
         ("maintenance", maintenance),
         ("threads", Json::uint(shared.threads as u64)),
         (
@@ -582,18 +552,11 @@ fn handle_stats(shared: &Shared) -> Outcome {
     ]))
 }
 
-/// Renders `/stats.maintenance`: the effective policy + thresholds, the
-/// live segment layout bucketed into leveled geometry, and the worker's
-/// lifetime counters.
+/// Renders `/stats.maintenance`: the live segment layout bucketed into
+/// leveled geometry and the worker's lifetime counters.
 fn maintenance_json(shared: &Shared) -> Json {
     let m = shared.maintainer.stats();
     Json::obj(vec![
-        ("policy", Json::str(m.policy)),
-        ("max_segments", Json::uint(m.thresholds.max_segments as u64)),
-        (
-            "max_tombstone_pct",
-            Json::num(m.thresholds.max_tombstone_ratio * 100.0),
-        ),
         (
             "levels",
             Json::Arr(
@@ -1933,7 +1896,8 @@ mod tests {
 
     #[test]
     fn compact_endpoint_folds_segments_and_stats_track_drift() {
-        let server = boot(test_engine(6, true));
+        let engine = test_engine(6, true);
+        let server = boot(Arc::clone(&engine));
         let addr = server.addr();
         let seg_stats = |addr| {
             let (_, body) = get(addr, "/stats");
@@ -1968,7 +1932,16 @@ mod tests {
         assert_eq!(committed.get("tombstones").and_then(Json::as_u64), Some(1));
         assert_eq!(seg_stats(addr), (1, 1, 0));
 
-        // Compaction erases the drift and records its generation.
+        // Compaction erases the drift and records its generation, and the
+        // maintenance counters report the fold as the container counts it:
+        // the ranked rebuild rewrites every live entry.
+        let folded = engine
+            .snapshot()
+            .container()
+            .clone()
+            .apply_merge(&lshe_core::MergeTask::Full)
+            .entries_folded;
+        assert_eq!(folded, 6);
         let (status, body) = post(addr, "/compact", "");
         assert_eq!(status, 200, "{body}");
         let compacted = Json::parse(&body).expect("json");
@@ -1984,19 +1957,26 @@ mod tests {
             .and_then(Json::as_u64)
             .expect("generation");
         assert_eq!(seg_stats(addr), (0, 0, generation));
+        let (_, body) = get(addr, "/stats");
+        let stats = Json::parse(&body).expect("json");
+        let maint = stats.get("maintenance").expect("maintenance object");
+        assert_eq!(
+            maint.get("entries_folded").and_then(Json::as_u64),
+            Some(folded as u64)
+        );
         assert_eq!(get(addr, "/compact").0, 405);
         server.shutdown();
     }
 
-    /// The background maintenance thread under the default leveled
-    /// policy: every commit wakes it, and it folds only overflowing
-    /// levels — no `/compact` call involved, no full rebuild, and the
-    /// sealed stack stays within the policy's segment bound.
+    /// The background maintenance thread: every commit wakes it, and it
+    /// folds only overflowing levels — no `/compact` call involved, no
+    /// full rebuild, and the sealed stack stays within the planner's
+    /// segment bound.
     #[test]
     fn background_maintenance_bounds_the_segment_stack() {
         let server = boot(test_engine(6, true));
         let addr = server.addr();
-        let commits = 2 * lshe_core::MAX_SEGMENTS;
+        let commits = 16u64;
         for k in 0..commits {
             let values: Vec<String> = (0..20).map(|i| format!("\"b{k}x{i}\"")).collect();
             let (status, _) = post(
@@ -2023,12 +2003,11 @@ mod tests {
                 .expect("bound");
             let queued = maint.get("queued").and_then(Json::as_u64).expect("queued");
             let merges = maint.get("merges").and_then(Json::as_u64).expect("merges");
-            assert_eq!(maint.get("policy").and_then(Json::as_str), Some("leveled"));
             if queued == 0 && merges > 0 && segments <= bound {
                 // Every committed domain survived the background folds.
                 assert_eq!(
                     stats.get("domains").and_then(Json::as_u64),
-                    Some(6 + commits as u64)
+                    Some(6 + commits)
                 );
                 break;
             }
@@ -2041,57 +2020,68 @@ mod tests {
         server.shutdown();
     }
 
-    /// The tiered policy preserves the pre-maintenance behaviour: once
-    /// commits stack up `--compact-segments` sealed segments, the
-    /// maintenance thread full-folds the stack off the request path.
+    /// Past [`lshe_core::MAX_TOMBSTONE_RATIO`] the maintenance thread
+    /// plans a full fold on its own: removing over a quarter of the live
+    /// corpus and committing folds the sealed stack and every tombstone
+    /// into the base off the request path, and every live domain still
+    /// answers its own query.
     #[test]
-    fn tiered_maintenance_full_folds_past_segment_threshold() {
-        let server = boot_with(
-            test_engine(6, true),
-            ServerConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                threads: 2,
-                cache_capacity: 16,
-                merge_policy: MergePolicyKind::Tiered,
-                ..ServerConfig::default()
-            },
-        );
+    fn tombstone_backlog_drives_a_background_full_fold() {
+        let server = boot(test_engine(8, true));
         let addr = server.addr();
-        for k in 0..lshe_core::MAX_SEGMENTS {
-            let values: Vec<String> = (0..20).map(|i| format!("\"b{k}x{i}\"")).collect();
-            let (status, _) = post(
-                addr,
-                "/insert",
-                &format!("{{\"values\": [{}]}}", values.join(",")),
-            );
-            assert_eq!(status, 200);
-            let (status, body) = post(addr, "/commit", "");
+        let inserted: Vec<Vec<String>> = (0..2)
+            .map(|k| (0..20).map(|i| format!("\"b{k}x{i}\"")).collect())
+            .collect();
+        for values in &inserted {
+            let body = format!("{{\"values\": [{}]}}", values.join(","));
+            assert_eq!(post(addr, "/insert", &body).0, 200);
+            assert_eq!(post(addr, "/commit", "").0, 200);
+        }
+        // 4 of the 10 live domains: 4 tombstones against 6 live is past
+        // the 25 % trigger.
+        for id in 0..4 {
+            let (status, body) = post(addr, "/remove", &format!("{{\"id\": {id}}}"));
             assert_eq!(status, 200, "{body}");
         }
-        // The final commit crossed the threshold; poll /stats until the
-        // background full fold lands.
+        let (status, body) = post(addr, "/commit", "");
+        assert_eq!(status, 200, "{body}");
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let (_, body) = get(addr, "/stats");
             let stats = Json::parse(&body).expect("json");
-            let segments = stats.get("segments").and_then(Json::as_u64).expect("segs");
-            let last = stats
-                .get("last_compaction")
+            let field = |key: &str| stats.get(key).and_then(Json::as_u64).expect("stat");
+            let full = stats
+                .get("maintenance")
+                .and_then(|m| m.get("full_merges"))
                 .and_then(Json::as_u64)
-                .expect("last");
-            if segments == 0 && last > 0 {
-                // Every committed domain survived the background fold.
-                assert_eq!(
-                    stats.get("domains").and_then(Json::as_u64),
-                    Some(6 + lshe_core::MAX_SEGMENTS as u64)
-                );
+                .expect("full_merges");
+            if field("segments") == 0 && field("tombstones") == 0 && full >= 1 {
+                assert_eq!(field("domains"), 6);
                 break;
             }
             assert!(
                 Instant::now() < deadline,
-                "maintenance never folded the stack: {stats}"
+                "maintenance never ran the full fold: {stats}"
             );
             std::thread::sleep(Duration::from_millis(20));
+        }
+        let base = (4..8).map(|k| (0..20 + 5 * k).map(|i| format!("\"v{i}\"")).collect());
+        for (id, values) in (4u64..).zip(base.chain(inserted)) {
+            let query = format!("{{\"values\": [{}], \"threshold\": 0.9}}", values.join(","));
+            let (_, body) = post(addr, "/query", &query);
+            let answer = Json::parse(&body).expect("json");
+            let ids: Vec<u64> = answer
+                .get("hits")
+                .and_then(Json::as_array)
+                .expect("hits")
+                .iter()
+                .filter_map(|h| h.get("id").and_then(Json::as_u64))
+                .collect();
+            assert!(ids.contains(&id), "domain {id} lost by the fold: {answer}");
+            assert!(
+                ids.iter().all(|&hit| hit >= 4),
+                "removed id served: {answer}"
+            );
         }
         server.shutdown();
     }

@@ -17,8 +17,8 @@
 //! * `staged_len()` tracks exactly the inserts since the last commit.
 
 use lshe_core::{
-    CompactionThresholds, EnsembleConfig, Leveled, LshEnsemble, MaintenancePlanner, MutableIndex,
-    MutationError, PartitionStrategy, Query, RankedIndex,
+    EnsembleConfig, Leveled, LshEnsemble, MutableIndex, MutationError, PartitionStrategy, Query,
+    RankedIndex,
 };
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
@@ -274,7 +274,7 @@ proptest! {
     /// agree with a fresh build of the live corpus: same `len`, every
     /// live id self-queries to exactly one hit in both (and `contains`
     /// agrees), every removed id to none, and the sealed stack sits
-    /// within the policy's segment bound. (Full hit *sets* can
+    /// within the planner's segment bound. (Full hit *sets* can
     /// legitimately differ — partition geometry depends on physical
     /// layout — so the contract is exact self-recall, not candidate-set
     /// equality.)
@@ -285,11 +285,10 @@ proptest! {
         fanout in 2usize..5,
         level0_choice in 0usize..3,
     ) {
-        let planner = MaintenancePlanner::new(Box::new(Leveled {
+        let planner = Leveled {
             fanout,
             level0_entries: [1, 4, 64][level0_choice],
-            thresholds: CompactionThresholds::default(),
-        }));
+        };
         let entries: Vec<(DomainId, u64, Signature)> = initial_sizes
             .iter()
             .enumerate()
@@ -377,7 +376,7 @@ fn merge_backends(
 /// builds every backend fresh from the live corpus and checks self-recall
 /// agreement (the expensive comparison, run once per case).
 fn drain_and_check(
-    planner: &MaintenancePlanner,
+    planner: &Leveled,
     backends: &mut [(&'static str, Box<dyn MutableIndex>)],
     model: &BTreeMap<DomainId, u64>,
     dead: &[(DomainId, u64)],
@@ -415,7 +414,7 @@ fn drain_and_check(
         let bound = planner.segment_bound(layout.len + layout.tombstones);
         prop_assert!(
             layout.segments.len() <= bound,
-            "{name}: {} segments exceed the policy bound {bound} after drain",
+            "{name}: {} segments exceed the planner bound {bound} after drain",
             layout.segments.len()
         );
         prop_assert!(
