@@ -14,9 +14,8 @@
 //!            [--threshold 0.7] [--top-k 10]
 //! lshe stats --index tables.lshe
 //! lshe serve --index tables.lshe [--addr 127.0.0.1:7878] [--threads N]
-//!            [--cache 1024] [--shards 1] [--shard-id K] [--mmap]
-//! lshe pack --index tables.lshe [--out tables.lshepk]
-//! lshe split --index tables.lshe --shards 4 [--out prefix] [--pack]
+//!            [--cache 1024] [--shards 1] [--shard-id K]
+//! lshe split --index tables.lshe --shards 4 [--out prefix]
 //! lshe cluster --shards 127.0.0.1:7878,127.0.0.1:7879 [--addr 127.0.0.1:7979]
 //! ```
 //!
@@ -30,7 +29,7 @@
 pub use lshe_serve::container;
 
 use bytes::Bytes;
-use container::{IndexContainer, IndexKind, LoadError};
+use container::{IndexContainer, LoadError};
 use lshe_core::{Query, QueryError};
 use lshe_corpus::{Catalog, CsvDocument, Domain};
 use lshe_minhash::MinHasher;
@@ -72,10 +71,9 @@ impl From<std::io::Error> for CliError {
     }
 }
 
-/// Loads an index file of either generation (v1 `.lshe` or packed v2),
-/// keeping plain filesystem failures in the `Io` lane and rendering
-/// decode/checksum failures — which carry the path and failing section —
-/// as `Index` errors.
+/// Loads a `.lshe` index file, keeping plain filesystem failures in the
+/// `Io` lane and rendering decode failures — which carry the path and
+/// failing section — as `Index` errors.
 fn load_container(path: &str) -> Result<IndexContainer, CliError> {
     IndexContainer::load(Path::new(path)).map_err(|e| match e {
         LoadError::Io { source, .. } => CliError::Io(source),
@@ -121,20 +119,17 @@ COMMANDS
       Print configuration and per-partition statistics.
 
   lshe serve --index FILE [--addr HOST:PORT] [--threads N] [--cache C] [--shards S]
-             [--shard-id K] [--mmap]
+             [--shard-id K]
       Serve the index over HTTP (default 127.0.0.1:7878) until /shutdown
       or SIGKILL. N worker threads (default: available parallelism), an
       LRU query cache of C entries (default 1024, 0 disables), and S
       query shards fanned out per request (default 1; S > 1 needs a
       ranked index). --shard-id marks this process as cluster shard K
       (surfaced on /stats; the coordinator verifies it). The index file
-      is mapped, not copied: a .lshe file's base partitions are served
-      from it, resident where queries reach, and still take mutations
-      (replace a served file by rename only, never by writing into
-      it). A packed v2 file (from `lshe pack`) is detected by magic,
-      checksum-verified, and served straight from the memory-mapped
-      file — read-only, with open time independent of index size;
-      --mmap asserts this path was taken. Background maintenance: a
+      is mapped, not copied: its base partitions are served from it,
+      resident where queries reach, and still take mutations (replace
+      a served file by rename only, never by writing into it).
+      Background maintenance: a
       dedicated thread folds sealed segments off the request path in
       size-exponential levels (only an overflowing level merges), and
       runs a full fold once tombstones pass 25% of the live corpus;
@@ -142,20 +137,12 @@ COMMANDS
       POST /query /topk /batch /insert /remove /commit /compact
       /reload /shutdown — see docs/API.md.
 
-  lshe pack --index FILE [--out FILE.lshepk]
-      Pack a ranked index into the checksummed, memory-mappable v2
-      format (magic LSHEIDX2, see docs/FORMAT.md). Default output: FILE
-      minus .lshe, plus .lshepk. The packed file is read-only; keep the
-      source container for future mutations and re-pack.
-
-  lshe split --index FILE --shards N [--out PREFIX] [--pack]
+  lshe split --index FILE --shards N [--out PREFIX]
       Split a ranked index into N shard files PREFIX.shard0.lshe …
       PREFIX.shardN-1.lshe (default PREFIX: FILE minus .lshe), placing
       each domain by id % N — the same routing the coordinator and
       in-process sharding use, so a cluster serving the split answers
-      bit-identically to `lshe serve --shards N` over FILE. With
-      --pack, each shard is written as a packed v2 file (.lshepk) ready
-      for `lshe serve --mmap`.
+      bit-identically to `lshe serve --shards N` over FILE.
 
   lshe cluster --shards ADDR,ADDR,... [--addr HOST:PORT] [--hedge-ms H]
                [--connect-timeout-ms C] [--read-timeout-ms R] [--probe-ms P]
@@ -249,7 +236,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         Some("query") => cmd_query(&Flags::parse(&args[1..])?),
         Some("stats") => cmd_stats(&Flags::parse(&args[1..])?),
         Some("serve") => cmd_serve(&Flags::parse(&args[1..])?),
-        Some("pack") => cmd_pack(&Flags::parse(&args[1..])?),
         Some("split") => cmd_split(&Flags::parse(&args[1..])?),
         Some("cluster") => cmd_cluster(&Flags::parse(&args[1..])?),
         Some("help") | None => Ok(USAGE.to_owned()),
@@ -306,12 +292,6 @@ fn cmd_ingest(flags: &Flags) -> Result<String, CliError> {
     let min_size: usize = flags.get_parsed("min-size", 10)?;
 
     let mut container = load_container(&index_path)?;
-    if container.kind() == IndexKind::Mapped {
-        return Err(CliError::Index(format!(
-            "{index_path} is a packed v2 file and read-only; ingest into the source \
-             .lshe container, then re-run `lshe pack`"
-        )));
-    }
 
     // Fold any staged delta-log ops first. A torn or corrupt log is a
     // typed error — never a panic, never silent data loss. The log
@@ -532,19 +512,8 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
             CliError::Usage(format!("--shard-id: cannot parse {v:?} as an integer"))
         })?),
     };
-    let want_mmap: bool = flags.get_bool("mmap")?;
 
     let engine = Engine::load(Path::new(&index_path), shards).map_err(engine_error)?;
-    // The file's magic decides how it is served; --mmap asserts the
-    // operator got the packed, read-only path they asked for, not a
-    // `.lshe` (mapped too, but decoded and mutable).
-    let mapped = engine.snapshot().container().kind() == IndexKind::Mapped;
-    if want_mmap && !mapped {
-        return Err(CliError::Usage(format!(
-            "--mmap: {index_path} is not a packed v2 index; create one with \
-             `lshe pack --index {index_path}`"
-        )));
-    }
     // Copy out the banner datum rather than holding the snapshot Arc across
     // join(): a retained generation-1 snapshot would keep the whole initial
     // index resident even after hot reloads replace it.
@@ -558,7 +527,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     };
     let handle = start(Arc::new(engine), &config)?;
     println!(
-        "lshe-serve listening on http://{} ({} domains, {} shard(s), cache {}{}{})",
+        "lshe-serve listening on http://{} ({} domains, {} shard(s), cache {}{})",
         handle.addr(),
         domains,
         shards,
@@ -567,38 +536,10 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         } else {
             format!("{cache_capacity} entries")
         },
-        if mapped { ", mmap-served" } else { "" },
         shard_id.map_or(String::new(), |id| format!(", cluster shard {id}"))
     );
     handle.join();
     Ok("server stopped\n".to_owned())
-}
-
-/// Packs a ranked container into the checksummed, memory-mappable v2
-/// format (`lshe-store`, magic `LSHEIDX2`, see `docs/FORMAT.md`). The
-/// packed file is read-only and served in place: `lshe serve` detects the
-/// magic and maps it instead of decoding, so open time is independent of
-/// index size.
-fn cmd_pack(flags: &Flags) -> Result<String, CliError> {
-    let index_path = flags.require("index")?.to_owned();
-    let default_out = format!(
-        "{}.lshepk",
-        index_path.strip_suffix(".lshe").unwrap_or(&index_path)
-    );
-    let out = flags.get("out")?.unwrap_or(&default_out).to_owned();
-    let container = load_container(&index_path)?;
-    container
-        .pack_v2(Path::new(&out))
-        .map_err(CliError::Index)?;
-    let packed_bytes = std::fs::metadata(&out)?.len();
-    let mut report = String::new();
-    let _ = writeln!(
-        report,
-        "packed {} domain(s) from {index_path} into {out} ({packed_bytes} bytes)",
-        container.len()
-    );
-    let _ = writeln!(report, "serve it with `lshe serve --index {out} --mmap`");
-    Ok(report)
 }
 
 /// Splits a ranked index into per-shard container files by `id % N` —
@@ -609,7 +550,6 @@ fn cmd_pack(flags: &Flags) -> Result<String, CliError> {
 fn cmd_split(flags: &Flags) -> Result<String, CliError> {
     let index_path = flags.require("index")?.to_owned();
     let shards: usize = flags.get_parsed("shards", 0)?;
-    let pack: bool = flags.get_bool("pack")?;
     if shards < 2 {
         return Err(CliError::Usage(
             "--shards must be at least 2 (there is nothing to split otherwise)".into(),
@@ -626,22 +566,16 @@ fn cmd_split(flags: &Flags) -> Result<String, CliError> {
         .split_with(shards, lshe_cluster::shard_of)
         .map_err(CliError::Index)?;
 
-    let ext = if pack { "lshepk" } else { "lshe" };
     let mut report = String::new();
     for (s, part) in parts.iter().enumerate() {
-        let path = format!("{prefix}.shard{s}.{ext}");
-        if pack {
-            part.pack_v2(Path::new(&path)).map_err(CliError::Index)?;
-        } else {
-            part.save(Path::new(&path))?;
-        }
+        let path = format!("{prefix}.shard{s}.lshe");
+        part.save(Path::new(&path))?;
         let _ = writeln!(report, "shard {s}: {} domain(s) → {path}", part.len());
     }
     let _ = writeln!(
         report,
-        "serve each file with `lshe serve --index {prefix}.shardS.{ext}{} --shard-id S`,\n\
-         then run `lshe cluster --shards HOST:PORT,...` listing them in shard order",
-        if pack { " --mmap" } else { "" }
+        "serve each file with `lshe serve --index {prefix}.shardS.lshe --shard-id S`,\n\
+         then run `lshe cluster --shards HOST:PORT,...` listing them in shard order"
     );
     Ok(report)
 }
@@ -748,10 +682,14 @@ mod tests {
     fn help_and_unknown_commands() {
         assert!(run(&[]).expect("help").contains("COMMANDS"));
         assert!(run(&s(&["help"])).expect("help").contains("lshe index"));
-        assert!(matches!(
-            run(&s(&["frobnicate"])).unwrap_err(),
-            CliError::Usage(_)
-        ));
+        for gone in ["frobnicate", "pack"] {
+            let err = run(&s(&[gone])).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(msg) if msg.contains("unknown command")),
+                "{err}"
+            );
+        }
+        assert!(!USAGE.contains("lshe pack") && !USAGE.contains("--mmap"));
     }
 
     #[test]
@@ -1260,169 +1198,6 @@ mod tests {
             matches!(&err, CliError::Usage(msg) if msg.contains("host:port")),
             "{err}"
         );
-    }
-
-    #[test]
-    fn pack_query_stats_roundtrip_on_packed_index() {
-        let dir = tmp_dir("pack");
-        write_corpus(&dir);
-        let idx = dir.join("t.lshe");
-        run(&s(&[
-            "index",
-            "--dir",
-            dir.to_str().expect("utf8"),
-            "--out",
-            idx.to_str().expect("utf8"),
-            "--min-size",
-            "5",
-            "--ranked",
-        ]))
-        .expect("index");
-
-        // Pack with the default output name (FILE minus .lshe → .lshepk).
-        let out = run(&s(&["pack", "--index", idx.to_str().expect("utf8")])).expect("pack");
-        assert!(out.contains("packed"), "{out}");
-        let packed = dir.join("t.lshepk");
-        assert!(packed.exists(), "default output path");
-
-        // Queries against the packed file answer exactly like the source.
-        let query = |index: &Path| {
-            run(&s(&[
-                "query",
-                "--index",
-                index.to_str().expect("utf8"),
-                "--csv",
-                dir.join("grants.csv").to_str().expect("utf8"),
-                "--column",
-                "partner",
-                "--top-k",
-                "2",
-            ]))
-            .expect("query")
-        };
-        let from_v1 = query(&idx);
-        let from_v2 = query(&packed);
-        // Everything except the wall-clock trailer line must agree.
-        let strip = |r: &str| {
-            r.lines()
-                .filter(|l| !l.contains("µs"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&from_v1), strip(&from_v2));
-        assert!(from_v2.contains("t̂ ="), "{from_v2}");
-
-        let stats = run(&s(&["stats", "--index", packed.to_str().expect("utf8")])).expect("stats");
-        assert!(stats.contains("ranked sketches: yes"), "{stats}");
-
-        // Read-only: ingest into a packed file is a typed refusal.
-        let err = run(&s(&[
-            "ingest",
-            "--index",
-            packed.to_str().expect("utf8"),
-            "--dir",
-            dir.to_str().expect("utf8"),
-            "--min-size",
-            "5",
-        ]))
-        .unwrap_err();
-        assert!(
-            matches!(&err, CliError::Index(msg) if msg.contains("read-only")),
-            "{err}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn pack_requires_ranked_source() {
-        let dir = tmp_dir("pack_plain");
-        write_corpus(&dir);
-        let idx = dir.join("plain.lshe");
-        run(&s(&[
-            "index",
-            "--dir",
-            dir.to_str().expect("utf8"),
-            "--out",
-            idx.to_str().expect("utf8"),
-            "--min-size",
-            "5",
-        ]))
-        .expect("index");
-        let err = run(&s(&["pack", "--index", idx.to_str().expect("utf8")])).unwrap_err();
-        assert!(
-            matches!(&err, CliError::Index(msg) if msg.contains("--ranked")),
-            "{err}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn serve_mmap_flag_rejects_v1_index() {
-        let dir = tmp_dir("mmap_flag");
-        write_corpus(&dir);
-        let idx = dir.join("t.lshe");
-        run(&s(&[
-            "index",
-            "--dir",
-            dir.to_str().expect("utf8"),
-            "--out",
-            idx.to_str().expect("utf8"),
-            "--min-size",
-            "5",
-            "--ranked",
-        ]))
-        .expect("index");
-        let err = run(&s(&[
-            "serve",
-            "--index",
-            idx.to_str().expect("utf8"),
-            "--mmap",
-        ]))
-        .unwrap_err();
-        assert!(
-            matches!(&err, CliError::Usage(msg) if msg.contains("lshe pack")),
-            "{err}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn split_pack_writes_packed_loadable_shards() {
-        let dir = tmp_dir("split_pack");
-        write_corpus(&dir);
-        let idx = dir.join("t.lshe");
-        run(&s(&[
-            "index",
-            "--dir",
-            dir.to_str().expect("utf8"),
-            "--out",
-            idx.to_str().expect("utf8"),
-            "--min-size",
-            "5",
-            "--ranked",
-        ]))
-        .expect("index");
-        let report = run(&s(&[
-            "split",
-            "--index",
-            idx.to_str().expect("utf8"),
-            "--shards",
-            "2",
-            "--pack",
-        ]))
-        .expect("split --pack");
-        assert!(report.contains("--mmap"), "{report}");
-
-        let mut total = 0;
-        for shard in 0..2u32 {
-            let path = dir.join(format!("t.shard{shard}.lshepk"));
-            let part = IndexContainer::load(&path).expect("packed shard loads");
-            assert_eq!(part.kind(), IndexKind::Mapped);
-            total += part.len();
-            assert!(part.records().iter().all(|r| r.id % 2 == shard));
-        }
-        assert_eq!(total, 3, "every domain lands on exactly one shard");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

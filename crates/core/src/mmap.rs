@@ -17,6 +17,10 @@
 //! indexes — it only supplies the mapped partition and sketch views — so
 //! candidate sets, probe counters, estimates, and ordering match a
 //! `RankedIndex` over the same corpus by construction.
+//!
+//! No server opens this format: `lshe serve` serves the `.lshe` container,
+//! itself mapped in place. The packed file is a library artifact that the
+//! conformance suite and the benchmark's `store.*` metrics open.
 
 use crate::api::{DomainIndex, MutableIndex, Query, QueryError, SearchOutcome};
 use crate::ensemble::{segment_units, DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
@@ -77,8 +81,7 @@ impl From<StoreError> for MmapIndexError {
 
 /// Streams a committed [`RankedIndex`] into `packer` as the index
 /// sections of a v2 store (meta, partition bounds/lens, tree columns,
-/// sketches). The caller owns the packer so it can append further
-/// sections (the serve layer adds domain records) before
+/// sketches, segments). The caller owns the packer and calls
 /// [`Packer::finish`].
 ///
 /// # Errors
@@ -86,16 +89,14 @@ impl From<StoreError> for MmapIndexError {
 ///
 /// # Panics
 /// Panics if the index has staged (uncommitted) inserts — the byte form
-/// is always the canonical committed state, exactly as v1 persistence.
+/// is always the canonical committed state, exactly as `.lshe` persistence.
 pub fn pack_ranked(index: &RankedIndex, packer: &mut Packer) -> std::io::Result<()> {
     pack_ranked_with(index, packer, index.ensemble().min_next_id())
 }
 
 /// [`pack_ranked`] with an explicit id-allocator high-water mark, recorded
-/// in the `Segments` section so `next_id` survives a pack → open
-/// round-trip even when the largest id ever issued was since removed and
-/// compacted away. Serving layers that own an allocator pass their mark;
-/// [`pack_ranked`] falls back to the ensemble's own floor.
+/// at the end of the `Segments` section. Layers that own an allocator
+/// pass their mark; [`pack_ranked`] falls back to the ensemble's own floor.
 ///
 /// # Errors
 /// Propagates write failure.
@@ -275,7 +276,7 @@ impl Probe for MappedPart<'_> {
     }
 }
 
-/// A read-only [`DomainIndex`] served directly from a mapped v2 store.
+/// A read-only [`DomainIndex`] answered directly from a mapped v2 store.
 ///
 /// Holds only metadata on the heap (a few dozen bytes per partition);
 /// every tree column and sketch lane stays in the mapping. Queries run the
@@ -295,24 +296,6 @@ pub struct MmapIndex {
     /// which segment row is a live id's sketch. Small by construction:
     /// segments hold recent deltas, the mapped base holds the corpus.
     tail: LshEnsemble,
-    /// Persisted id-allocator high-water mark.
-    next_id: u32,
-}
-
-impl Clone for MmapIndex {
-    /// Clones the backend. The mapping is shared; the tuner's memo cache
-    /// starts empty in the clone (it refills lazily).
-    fn clone(&self) -> Self {
-        Self {
-            store: self.store.clone(),
-            config: self.config,
-            tuner: Tuner::new(self.config.b_max as u32, self.config.r_max as u32),
-            len: self.len,
-            parts: self.parts.clone(),
-            tail: self.tail.clone(),
-            next_id: self.next_id,
-        }
-    }
 }
 
 fn corrupt(section: &'static str, detail: &'static str) -> MmapIndexError {
@@ -331,37 +314,26 @@ impl MmapIndex {
         Self::from_store(Store::open(path)?)
     }
 
-    /// Opens a packed index file and verifies every section checksum — the
-    /// serving path, where a damaged file must fail loudly at boot instead
-    /// of answering queries from corrupt memory.
+    /// [`open`](Self::open) behind every check a reader wants before it
+    /// answers from the file: each section's checksum, then each prefix
+    /// tree against the sketch table — a permutation of its partition's
+    /// rows, each head's low half as the rows have it, keys in order inside
+    /// each block. A checksum only says the bytes are the ones written; a
+    /// probe's binary searches silently drop candidates from a file written
+    /// wrong.
     ///
     /// # Errors
-    /// As [`open`](Self::open), plus
-    /// [`StoreError::SectionChecksum`] naming any damaged section.
+    /// As [`open`](Self::open), plus [`StoreError::SectionChecksum`]
+    /// naming any damaged section and the tree sections' corruption.
     pub fn open_verified(path: impl AsRef<Path>) -> Result<Self, MmapIndexError> {
-        Self::from_store_verified(Store::open(path)?)
-    }
-
-    /// [`from_store`](Self::from_store) behind every check a server wants
-    /// before it answers from the file: each section's checksum, then each
-    /// prefix tree against the sketch table — a permutation of its
-    /// partition's rows, each head's low half as the rows have it, keys in
-    /// order inside each block.
-    /// A checksum only says the bytes are the ones written; a probe's
-    /// binary searches silently drop candidates from a file written wrong.
-    ///
-    /// # Errors
-    /// As [`from_store`](Self::from_store), plus
-    /// [`StoreError::SectionChecksum`] and the tree sections' corruption.
-    pub fn from_store_verified(store: Store) -> Result<Self, MmapIndexError> {
+        let store = Store::open(path)?;
         store.verify()?;
         let index = Self::from_store(store)?;
         index.check_trees()?;
         Ok(index)
     }
 
-    /// The O(file) structural pass of
-    /// [`from_store_verified`](Self::from_store_verified).
+    /// The O(file) structural pass of [`open_verified`](Self::open_verified).
     fn check_trees(&self) -> Result<(), MmapIndexError> {
         let sketches = self.sketches();
         // Every base row is in the trees of exactly one partition: the
@@ -383,13 +355,10 @@ impl MmapIndex {
         Ok(())
     }
 
-    /// Builds the backend over an already-opened [`Store`], validating
-    /// cross-section consistency.
-    ///
-    /// # Errors
-    /// [`MmapIndexError`] when sections are missing, fail to decode, or
-    /// disagree with each other.
-    pub fn from_store(store: Store) -> Result<Self, MmapIndexError> {
+    /// Builds the backend over an opened [`Store`], validating
+    /// cross-section consistency: sections missing, failing to decode, or
+    /// disagreeing with each other are an [`MmapIndexError`].
+    fn from_store(store: Store) -> Result<Self, MmapIndexError> {
         let meta = store.bytes(SectionKind::Meta)?;
         let mut dec = Decoder::new(meta);
         let codec = |source: CodecError| MmapIndexError::Codec {
@@ -439,7 +408,7 @@ impl MmapIndex {
             total += rows;
         }
         // Tiered-mutation tail (absent on pre-segment files → compacted).
-        let (segment_entries, dead, next_id) = if store.has(SectionKind::Segments) {
+        let (segment_entries, dead) = if store.has(SectionKind::Segments) {
             let blob = store.bytes(SectionKind::Segments)?;
             let mut sdec = Decoder::new(blob);
             let scodec = |source: CodecError| MmapIndexError::Codec {
@@ -449,13 +418,15 @@ impl MmapIndex {
             let layout = Layout::new(b_max, r_max, num_perm);
             let (entries, dead) =
                 crate::persist::decode_segments(&mut sdec, layout, part_count).map_err(scodec)?;
-            let next_id = sdec.get_u32("next id").map_err(scodec)?;
+            // The packing layer's allocator mark ends the section; a
+            // read-only index has no allocator to restore.
+            sdec.get_u32("next id").map_err(scodec)?;
             if !sdec.is_exhausted() {
                 return Err(corrupt("segments", "trailing bytes after segments"));
             }
-            (entries, dead, next_id)
+            (entries, dead)
         } else {
-            (Vec::new(), Vec::new(), 0)
+            (Vec::new(), Vec::new())
         };
         let seg_entry_total: usize = segment_entries.iter().map(Vec::len).sum();
         let dead_seg = dead
@@ -517,13 +488,6 @@ impl MmapIndex {
         // and forests to the heap index that was packed — and resolve ids
         // against segments and tombstones as that index does.
         let tail = LshEnsemble::from_raw_partitions(config, Vec::new(), len, segment_entries, dead);
-        // Files without the section predate the allocator mark: the best
-        // floor is one past the largest live id.
-        let next_id = if store.has(SectionKind::Segments) {
-            next_id
-        } else {
-            sketch_ids.last().map_or(0, |&id| id + 1)
-        };
         Ok(Self {
             store,
             config,
@@ -531,27 +495,7 @@ impl MmapIndex {
             len,
             parts,
             tail,
-            next_id,
         })
-    }
-
-    /// The configuration the packed index was built with.
-    #[must_use]
-    pub fn config(&self) -> &EnsembleConfig {
-        &self.config
-    }
-
-    /// The underlying store (for section-level diagnostics and the serve
-    /// layer's record sections).
-    #[must_use]
-    pub fn store(&self) -> &Store {
-        &self.store
-    }
-
-    /// Number of partitions.
-    #[must_use]
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
     }
 
     /// Per-partition summaries, matching
@@ -576,14 +520,6 @@ impl MmapIndex {
     #[must_use]
     pub fn segment_stats(&self) -> crate::SegmentStats {
         self.tail.segment_stats()
-    }
-
-    /// The id-allocator high-water mark persisted at pack time (one past
-    /// the largest id ever issued — including since-removed ids, so a
-    /// re-issued id can never alias a tombstoned one).
-    #[must_use]
-    pub fn next_id_hint(&self) -> u32 {
-        self.next_id
     }
 
     /// Borrowed sketch columns, assembled fresh from the mapping.
@@ -763,7 +699,6 @@ mod tests {
         pack_ranked_to(&ranked, &path).expect("pack");
         let mapped = MmapIndex::open_verified(&path).expect("open");
         assert_eq!(mapped.len(), ranked.len());
-        assert_eq!(mapped.num_partitions(), ranked.ensemble().num_partitions());
         assert_eq!(
             mapped.partition_stats(),
             ranked.ensemble().partition_stats()
@@ -820,7 +755,6 @@ mod tests {
         let mapped = MmapIndex::open_verified(&path).expect("open");
         assert_eq!(mapped.len(), ranked.len());
         assert_eq!(mapped.segment_stats(), ranked.segment_stats());
-        assert_eq!(mapped.next_id_hint(), 108);
         assert_eq!(
             mapped.partition_stats(),
             ranked.ensemble().partition_stats(),

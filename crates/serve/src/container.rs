@@ -23,29 +23,27 @@
 //! section after the ensemble, `u64` slots, no allocator mark) is refused
 //! with [`CodecError::UnsupportedVersion`].
 //!
-//! Two on-disk formats share this module, and both are **served in place**
-//! by [`IndexContainer::load`], which maps the file and keeps the mapping.
-//! Of the heap format above (`LSHX`, currently [`VERSION`]) the records,
-//! sizes, id map, segments and tombstones are decoded onto the heap, and
-//! the bulk — every base partition's ids, rows and tree columns — stays in
-//! the file as views (`lshe_minhash::codec::Column`): resident where
-//! queries reach, copied out only by a fold that edits the partition. Such
-//! a container mutates like a built one. The packed format (`lshe-store`,
-//! magic `LSHEIDX2`, see `docs/FORMAT.md`) is packed once from a ranked
-//! container by [`IndexContainer::pack_v2`] and queried through
-//! [`MmapIndex`]; those containers are read-only — mutations are typed
-//! errors, never silent no-ops.
+//! The file is **served in place** by [`IndexContainer::load`], which maps
+//! it and keeps the mapping: the records, sizes, id map, segments and
+//! tombstones are decoded onto the heap, and the bulk — every base
+//! partition's ids, rows and tree columns — stays in the file as views
+//! (`lshe_minhash::codec::Column`): resident where queries reach, copied
+//! out only by a fold that edits the partition. A loaded container mutates
+//! like a built one. `LSHX` is the only format `load` reads; the packed
+//! `lshe-store` file that [`IndexContainer::pack_v2`] writes is a library
+//! and benchmark artifact, opened through `lshe_core::MmapIndex`, and is
+//! refused in the header like any other file.
 
 use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
-    CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MmapIndex, MmapIndexError,
-    MutableIndex, MutationError, PartitionStrategy, Query, RankedIndex, Row, ShardedRanked,
+    CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MutableIndex, MutationError,
+    PartitionStrategy, Query, RankedIndex, Row, ShardedRanked,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
 use lshe_minhash::{MinHasher, Signature};
-use lshe_store::{Mmap, Packer, SectionKind, Store};
+use lshe_store::{Mmap, Packer};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -76,9 +74,6 @@ pub enum IndexKind {
     /// Ensemble plus per-domain sketches: estimates, top-k, and sharded
     /// serving are available.
     Ranked,
-    /// A v2 file served in place through `mmap(2)`: estimates and top-k
-    /// work (the sketches are on disk), but the container is read-only.
-    Mapped,
 }
 
 /// The stored index, shared behind `Arc`s so
@@ -88,7 +83,6 @@ pub enum IndexKind {
 enum StoredIndex {
     Plain(Arc<LshEnsemble>),
     Ranked(Arc<RankedIndex>),
-    Mapped(Arc<MmapIndex>),
 }
 
 /// A loaded (or freshly built) index file.
@@ -114,7 +108,7 @@ pub struct IndexContainer {
     /// monotone across removals (a removed id is never re-issued, so a
     /// stale reference can never silently resolve to a new domain).
     next_id: u32,
-    /// The heap-format file the base partitions' columns are views into,
+    /// The file the base partitions' columns are views into,
     /// while any still is: [`save`](Self::save) reads them through it.
     mapping: Option<Arc<Mmap>>,
 }
@@ -248,32 +242,10 @@ impl IndexContainer {
     }
 
     /// The shared ensemble (either standalone or inside the ranked index).
-    ///
-    /// Mapped containers have no heap ensemble; every caller below either
-    /// guards on the variant first or documents the panic.
     fn ensemble(&self) -> &LshEnsemble {
         match &self.index {
             StoredIndex::Plain(e) => e,
             StoredIndex::Ranked(r) => r.ensemble(),
-            StoredIndex::Mapped(_) => panic!("mapped container has no heap ensemble"),
-        }
-    }
-
-    /// The ensemble configuration, whichever variant stores it.
-    fn config(&self) -> EnsembleConfig {
-        match &self.index {
-            StoredIndex::Plain(e) => *e.config(),
-            StoredIndex::Ranked(r) => *r.ensemble().config(),
-            StoredIndex::Mapped(m) => *m.config(),
-        }
-    }
-
-    /// Per-partition statistics, whichever variant computes them.
-    fn partition_stats(&self) -> Vec<lshe_core::PartitionStats> {
-        match &self.index {
-            StoredIndex::Plain(e) => e.partition_stats(),
-            StoredIndex::Ranked(r) => r.ensemble().partition_stats(),
-            StoredIndex::Mapped(m) => m.partition_stats(),
         }
     }
 
@@ -283,19 +255,17 @@ impl IndexContainer {
         match &self.index {
             StoredIndex::Plain(_) => IndexKind::Plain,
             StoredIndex::Ranked(_) => IndexKind::Ranked,
-            StoredIndex::Mapped(_) => IndexKind::Mapped,
         }
     }
 
     /// Opens the stored index behind the unified query surface. Cheap
     /// (clones an `Arc`): the returned handle shares the container's
-    /// forests and sketches (or, for a mapped container, its pages).
+    /// forests and sketches.
     #[must_use]
     pub fn open_index(&self) -> Box<dyn DomainIndex> {
         match &self.index {
             StoredIndex::Plain(e) => Box::new(Arc::clone(e)),
             StoredIndex::Ranked(r) => Box::new(Arc::clone(r)),
-            StoredIndex::Mapped(m) => Box::new(Arc::clone(m)),
         }
     }
 
@@ -312,13 +282,9 @@ impl IndexContainer {
             return Ok(self.open_index());
         }
         let StoredIndex::Ranked(ranked) = &self.index else {
-            return Err(match self.kind() {
-                IndexKind::Mapped => "an mmap-served index cannot be sharded in process; \
-                     `lshe split` the source container, pack each shard, and serve them \
-                     as a cluster"
-                    .into(),
-                _ => "--shards needs per-domain sketches; rebuild the index with --ranked".into(),
-            });
+            return Err(
+                "--shards needs per-domain sketches; rebuild the index with --ranked".into(),
+            );
         };
         if self.len() < shards {
             return Err(format!(
@@ -345,7 +311,7 @@ impl IndexContainer {
             },
             // A shard's forests take the stored rows as they are, so they
             // keep the dimensions the rows were laid out for.
-            ..self.config()
+            ..*self.ensemble().config()
         }
     }
 
@@ -374,14 +340,7 @@ impl IndexContainer {
             return Err("split needs at least 2 shards".into());
         }
         let StoredIndex::Ranked(ranked) = &self.index else {
-            return Err(match self.kind() {
-                IndexKind::Mapped => {
-                    "split works on the source .lshe container, not a packed v2 file; \
-                     split first, then pack each shard"
-                        .into()
-                }
-                _ => "split needs per-domain sketches; rebuild the index with --ranked".into(),
-            });
+            return Err("split needs per-domain sketches; rebuild the index with --ranked".into());
         };
         if self.len() < num_shards {
             return Err(format!(
@@ -428,13 +387,11 @@ impl IndexContainer {
     }
 
     /// The stored index as its mutation surface (a shared index is cloned
-    /// on first mutation, which copies none of its base). Callers guard the
-    /// mapped variant first ([`apply`](Self::apply) returns a typed error).
+    /// on first mutation, which copies none of its base).
     fn index_mut(&mut self) -> &mut dyn MutableIndex {
         match &mut self.index {
             StoredIndex::Plain(e) => Arc::make_mut(e) as &mut dyn MutableIndex,
             StoredIndex::Ranked(r) => Arc::make_mut(r) as &mut dyn MutableIndex,
-            StoredIndex::Mapped(_) => unreachable!("mutation paths reject mapped containers"),
         }
     }
 
@@ -463,17 +420,9 @@ impl IndexContainer {
     /// rebalance.
     ///
     /// # Errors
-    /// [`MutationError`] from the failing op: duplicate id, unknown id, a
-    /// signature whose width disagrees with the container, or any op at
-    /// all against a read-only mapped container.
+    /// [`MutationError`] from the failing op: duplicate id, unknown id, or
+    /// a signature whose width disagrees with the container.
     pub fn apply(&mut self, ops: &[DeltaOp]) -> Result<usize, MutationError> {
-        if matches!(self.index, StoredIndex::Mapped(_)) && !ops.is_empty() {
-            return Err(MutationError::Invalid(
-                "mmap-served index is read-only; mutate the source .lshe container \
-                 and re-pack"
-                    .into(),
-            ));
-        }
         for (applied, op) in ops.iter().enumerate() {
             match op {
                 DeltaOp::Insert { record, signature } => {
@@ -513,10 +462,6 @@ impl IndexContainer {
     /// O(corpus). Must run before [`to_bytes`](Self::to_bytes), whose byte
     /// form is always the canonical committed state (base + segment stack).
     pub fn commit_mutations(&mut self) -> CommitReport {
-        if matches!(self.index, StoredIndex::Mapped(_)) {
-            // Nothing can be staged into a read-only container.
-            return CommitReport::default();
-        }
         self.index_mut().commit()
     }
 
@@ -524,9 +469,6 @@ impl IndexContainer {
     /// base partitioning — the O(corpus) merge that segmented commits keep
     /// off the commit path. Seals any still-staged delta first.
     pub fn compact_index(&mut self) -> CommitReport {
-        if matches!(self.index, StoredIndex::Mapped(_)) {
-            return CommitReport::default();
-        }
         let report = self.index_mut().compact();
         self.rebase();
         report
@@ -550,42 +492,24 @@ impl IndexContainer {
         self.overlay.clear();
     }
 
-    /// Sealed-segment and tombstone counts of the stored index (mapped
-    /// containers report the stack replayed from the packed file).
+    /// Sealed-segment and tombstone counts of the stored index.
     #[must_use]
     pub fn segment_stats(&self) -> lshe_core::SegmentStats {
-        match &self.index {
-            StoredIndex::Plain(e) => e.segment_stats(),
-            StoredIndex::Ranked(r) => r.segment_stats(),
-            StoredIndex::Mapped(m) => m.segment_stats(),
-        }
+        self.ensemble().segment_stats()
     }
 
     /// The stored index's tier layout (per-segment entry counts plus
-    /// tombstone backlog), for merge planning. Mapped containers are
-    /// read-only and report an empty layout — nothing is plannable.
+    /// tombstone backlog), for merge planning.
     #[must_use]
     pub fn segment_layout(&self) -> lshe_core::SegmentLayout {
-        match &self.index {
-            StoredIndex::Plain(e) => e.segment_layout(),
-            StoredIndex::Ranked(r) => r.segment_layout(),
-            StoredIndex::Mapped(_) => lshe_core::SegmentLayout {
-                segments: Vec::new(),
-                tombstones: 0,
-                len: self.len(),
-            },
-        }
+        self.ensemble().segment_layout()
     }
 
     /// Executes one planned merge task on the stored index:
     /// [`lshe_core::MergeTask::Merge`] folds only the listed segments
     /// (O(folded entries)), [`lshe_core::MergeTask::Full`] folds
-    /// everything like [`compact_index`](Self::compact_index). A no-op on
-    /// read-only mapped containers.
+    /// everything like [`compact_index`](Self::compact_index).
     pub fn apply_merge(&mut self, task: &lshe_core::MergeTask) -> lshe_core::MergeOutcome {
-        if matches!(self.index, StoredIndex::Mapped(_)) {
-            return lshe_core::MergeOutcome::default();
-        }
         let outcome = self.index_mut().apply_merge(task);
         if matches!(task, lshe_core::MergeTask::Full) {
             self.rebase();
@@ -596,17 +520,13 @@ impl IndexContainer {
     /// Number of staged (uncommitted) inserts in the stored index.
     #[must_use]
     pub fn staged_len(&self) -> usize {
-        match &self.index {
-            StoredIndex::Plain(e) => e.staged_len(),
-            StoredIndex::Ranked(r) => r.staged_len(),
-            StoredIndex::Mapped(_) => 0,
-        }
+        self.ensemble().staged_len()
     }
 
     /// Number of size partitions in the ensemble.
     #[must_use]
     pub fn partition_count(&self) -> usize {
-        self.partition_stats().len()
+        self.ensemble().partition_stats().len()
     }
 
     /// Provenance records for every indexed domain, in ascending id order.
@@ -634,18 +554,17 @@ impl IndexContainer {
         self.open_index().memory_bytes() + self.provenance_bytes()
     }
 
-    /// The part of the stored index that is views into the mapped heap-
-    /// format file it was loaded from (`mapped_bytes` in `/stats` and `lshe
-    /// stats`; `heap_bytes` there is the rest of `index_bytes`): 0 for a
-    /// container that was built, and for a packed one, whose `index_bytes`
-    /// never counted the file.
+    /// The part of the stored index that is views into the mapped file it
+    /// was loaded from (`mapped_bytes` in `/stats` and `lshe stats`;
+    /// `heap_bytes` there is the rest of `index_bytes`): 0 for a container
+    /// that was built.
     #[must_use]
     pub fn mapped_bytes(&self) -> usize {
         self.open_index().mapped_bytes()
     }
 
-    /// The bytes of the heap-format file this container's base is served
-    /// from, while any base partition still is a view into it.
+    /// The bytes of the file this container's base is served from, while
+    /// any base partition still is a view into it.
     #[must_use]
     pub fn mapping(&self) -> Option<&[u8]> {
         self.mapping.as_deref().map(Mmap::as_slice)
@@ -654,9 +573,6 @@ impl IndexContainer {
     /// One flag per base partition of the index: whether it is served in
     /// place — every bulk column a view into [`mapping`](Self::mapping),
     /// none copied.
-    ///
-    /// # Panics
-    /// Panics on a packed container, whose base is not partitions of views.
     #[must_use]
     pub fn base_in_place(&self) -> Vec<bool> {
         self.ensemble()
@@ -677,9 +593,6 @@ impl IndexContainer {
     /// Which parts of its base this container holds as the very allocation
     /// `other` holds: one flag per base partition of the index, then the
     /// provenance table.
-    ///
-    /// # Panics
-    /// Panics on a mapped container, whose base is its file.
     #[must_use]
     pub fn base_shared_with(&self, other: &Self) -> (Vec<bool>, bool) {
         let partitions = self.ensemble().base_shared_with(other.ensemble());
@@ -687,22 +600,20 @@ impl IndexContainer {
     }
 
     /// True when the container stores per-domain ranked sketches (built
-    /// with `--ranked`, or packed into a v2 file), enabling
-    /// [`Self::top_k`] and containment estimates.
+    /// with `--ranked`), enabling [`Self::top_k`] and containment
+    /// estimates.
     #[must_use]
     pub fn has_ranked(&self) -> bool {
-        matches!(self.kind(), IndexKind::Ranked | IndexKind::Mapped)
+        self.kind() == IndexKind::Ranked
     }
 
-    /// The stored (size, signature row) for a domain, when heap-resident
-    /// ranked sketches are present. Mapped containers keep sketches on disk
-    /// and return `None` here — query through
-    /// [`open_index`](Self::open_index) instead.
+    /// The stored (size, signature row) for a domain, when ranked sketches
+    /// are present.
     #[must_use]
     pub fn sketch(&self, id: u32) -> Option<(u64, Row<'_>)> {
         match &self.index {
             StoredIndex::Ranked(r) => r.sketch(id),
-            StoredIndex::Plain(_) | StoredIndex::Mapped(_) => None,
+            StoredIndex::Plain(_) => None,
         }
     }
 
@@ -757,7 +668,7 @@ impl IndexContainer {
     pub fn describe(&self) -> String {
         let index = self.open_index();
         let mut out = String::new();
-        let config = self.config();
+        let config = *self.ensemble().config();
         let _ = writeln!(out, "index: {}", index.describe());
         let _ = writeln!(out, "domains: {}", self.len());
         let _ = writeln!(out, "num_perm: {}", config.num_perm);
@@ -773,30 +684,20 @@ impl IndexContainer {
         );
         let _ = writeln!(out, "memory: {} bytes", self.memory_bytes());
         let (index_bytes, mapped) = (index.memory_bytes(), index.mapped_bytes());
-        match &self.index {
-            StoredIndex::Mapped(_) => {
-                let _ = writeln!(
-                    out,
-                    "  index_bytes: {index_bytes} (metadata; rows and trees stay mapped)"
-                );
-            }
-            _ => {
-                // Rows: each domain's id, lanes and size; trees: their
-                // columns, 4 bytes an entry.
-                let ensemble = self.ensemble();
-                let rows = ensemble.sketch_memory_bytes();
-                let trees = ensemble.tree_memory_bytes();
-                let _ = writeln!(
-                    out,
-                    "  index_bytes: {index_bytes} (rows {rows}, trees {trees})"
-                );
-            }
-        }
+        // Rows: each domain's id, lanes and size; trees: their columns, 4
+        // bytes an entry.
+        let ensemble = self.ensemble();
+        let rows = ensemble.sketch_memory_bytes();
+        let trees = ensemble.tree_memory_bytes();
+        let _ = writeln!(
+            out,
+            "  index_bytes: {index_bytes} (rows {rows}, trees {trees})"
+        );
         let _ = writeln!(out, "    mapped_bytes: {mapped}");
         let _ = writeln!(out, "    heap_bytes: {}", index_bytes - mapped);
         let _ = writeln!(out, "  provenance_bytes: {}", self.provenance_bytes());
         let _ = writeln!(out, "  id_map_bytes: {}", index.id_map_bytes());
-        let stats = self.partition_stats();
+        let stats = self.ensemble().partition_stats();
         let _ = writeln!(out, "partitions: {}", stats.len());
         let _ = writeln!(out, "  #\tsize_range\tdomains");
         for (i, p) in stats.iter().enumerate() {
@@ -805,12 +706,8 @@ impl IndexContainer {
         out
     }
 
-    /// Serialises the container in the heap format (`LSHX`, [`VERSION`])
-    /// into one exactly sized buffer.
-    ///
-    /// # Panics
-    /// Panics on a mapped container — a packed file *is* its serialised
-    /// form; it is produced by [`pack_v2`](Self::pack_v2), never rewritten.
+    /// Serialises the container (`LSHX`, [`VERSION`]) into one exactly
+    /// sized buffer.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         Encoder::exactly(|enc| self.encode_into(enc))
@@ -818,10 +715,6 @@ impl IndexContainer {
 
     /// The encoder behind [`to_bytes`](Self::to_bytes) and [`save`](Self::save).
     fn encode_into<W: Write>(&self, enc: &mut Encoder<W>) {
-        assert!(
-            !matches!(self.index, StoredIndex::Mapped(_)),
-            "mapped containers are not re-serialised; the packed file is canonical"
-        );
         enc.envelope(MAGIC, VERSION);
         enc.put_u8(u8::from(self.has_ranked()));
         enc.put_u32(self.num_perm as u32);
@@ -853,19 +746,18 @@ impl IndexContainer {
         saved
     }
 
-    /// Deserialises a heap-format container, copying everything out of
-    /// `bytes`.
+    /// Deserialises a container, copying everything out of `bytes`.
     ///
     /// # Errors
     /// [`CodecError`] on truncation, tag/version mismatch, or structural
     /// inconsistencies. Prefer [`load`](Self::load) when reading from a
-    /// file: it reports the path and failing section, transparently
-    /// handles packed files, and serves the file in place.
+    /// file: it reports the path and failing section, and serves the file
+    /// in place.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, CodecError> {
         Self::decode(Decoder::new(bytes)).map_err(|(_, e)| e)
     }
 
-    /// The heap-format decoder, reporting which part of the file failed
+    /// The decoder, reporting which part of the file failed
     /// alongside the codec error — [`load`](Self::load) surfaces both.
     fn decode(mut dec: Decoder<'_>) -> Result<Self, (&'static str, CodecError)> {
         let hdr = |e| ("header", e);
@@ -912,52 +804,26 @@ impl IndexContainer {
         Ok(Self::over_base(records, index, num_perm, mark))
     }
 
-    /// Loads an index file of either format, mapped and served in place. Of
-    /// a heap-format `.lshe` container the records, sizes, id map and
-    /// segments are decoded onto the heap and every check of the decoder is
-    /// run; the base partitions' columns stay views into the mapping, which
-    /// the container keeps, and the pages the checks touched are released
-    /// before returning — afterwards the file is resident where queries
-    /// reach. A packed file (magic `LSHEIDX2`) is checksum-verified and
-    /// queried through [`MmapIndex`]. The file is opened once and its format
-    /// read from the mapped magic, so callers never pass a format flag and
-    /// a file renamed into place meanwhile is never read as two. Replace a
-    /// loaded file by rename ([`save`](Self::save) does), never by writing
-    /// into it: the mapping follows the old file, not a truncated one.
+    /// Loads a `.lshe` file, mapped and served in place. The records,
+    /// sizes, id map and segments are decoded onto the heap and every check
+    /// of the decoder is run; the base partitions' columns stay views into
+    /// the mapping, which the container keeps, and the pages the checks
+    /// touched are released before returning — afterwards the file is
+    /// resident where queries reach. Any other file, a packed one included,
+    /// fails in the header. Replace a loaded file by rename
+    /// ([`save`](Self::save) does), never by writing into it: the mapping
+    /// follows the old file, not a truncated one.
     ///
     /// # Errors
-    /// [`LoadError`], carrying the file path and (for decode and checksum
-    /// failures) the section that failed.
+    /// [`LoadError`], carrying the file path and (for decode failures) the
+    /// section that failed.
     pub fn load(path: &Path) -> Result<Self, LoadError> {
-        Self::open(path, false)
-    }
-
-    /// Opens a packed v2 file as a read-only mapped container: structural
-    /// validation plus a full checksum pass over every section (the
-    /// serving path never trusts unverified bytes), then the provenance
-    /// records are decoded from their sections.
-    ///
-    /// # Errors
-    /// [`LoadError::Store`] naming the failing section, or
-    /// [`LoadError::Io`] from `open(2)`/`mmap(2)`.
-    pub fn open_mapped(path: &Path) -> Result<Self, LoadError> {
-        Self::open(path, true)
-    }
-
-    /// Maps `path` and reads it as packed if asked to or if its magic says so.
-    fn open(path: &Path, packed: bool) -> Result<Self, LoadError> {
         let mapping = std::fs::File::open(path)
             .and_then(|file| Mmap::map_file(&file))
             .map_err(|source| LoadError::Io {
                 path: path.to_owned(),
                 source,
             })?;
-        if packed || mapping.as_slice().starts_with(&lshe_store::MAGIC) {
-            return Self::serve_mapped(mapping).map_err(|source| LoadError::Store {
-                path: path.to_owned(),
-                source,
-            });
-        }
         mapping.advise(lshe_store::Advice::Sequential);
         let mapping = Arc::new(mapping);
         let owner: Owner = mapping.clone();
@@ -973,81 +839,19 @@ impl IndexContainer {
         Ok(container)
     }
 
-    fn serve_mapped(mapping: Mmap) -> Result<Self, MmapIndexError> {
-        let mapped = MmapIndex::from_store_verified(Store::from_mapping(mapping)?)?;
-        let records = Self::decode_packed_records(&mapped)?;
-        let (num_perm, mark) = (mapped.config().num_perm, mapped.next_id_hint());
-        let index = StoredIndex::Mapped(Arc::new(mapped));
-        Ok(Self::over_base(records, index, num_perm, mark))
-    }
-
-    /// Decodes the provenance records packed next to the index sections
-    /// by [`pack_v2`](Self::pack_v2).
-    fn decode_packed_records(mapped: &MmapIndex) -> Result<RecordTable, MmapIndexError> {
-        let corrupt = |section: SectionKind, detail: &'static str| {
-            MmapIndexError::from(lshe_store::StoreError::Corrupt {
-                section: section.name(),
-                detail,
-            })
-        };
-        let store = mapped.store();
-        let offsets = store.u64s(SectionKind::RecordOffsets)?;
-        let blob = store.bytes(SectionKind::Records)?;
-        let count = offsets
-            .len()
-            .checked_sub(1)
-            .ok_or_else(|| corrupt(SectionKind::RecordOffsets, "offsets table is empty"))?;
-        if count != mapped.len() {
-            return Err(corrupt(
-                SectionKind::RecordOffsets,
-                "record count disagrees with index length",
-            ));
-        }
-        if offsets[0] != 0
-            || offsets.windows(2).any(|w| w[0] > w[1])
-            || offsets[count] != blob.len() as u64
-        {
-            return Err(corrupt(
-                SectionKind::RecordOffsets,
-                "offsets are not a monotone cover of the records blob",
-            ));
-        }
-        let codec = |source| MmapIndexError::Codec {
-            section: SectionKind::Records.name(),
-            source,
-        };
-        let mut records = RecordTableBuilder::with_capacity(count);
-        for pair in offsets.windows(2) {
-            let mut dec = Decoder::new(&blob[pair[0] as usize..pair[1] as usize]);
-            let record = RecordRef::decode(&mut dec).map_err(codec)?;
-            if !dec.is_exhausted() {
-                return Err(corrupt(SectionKind::Records, "trailing bytes after record"));
-            }
-            let pushed = records.push(record);
-            pushed.map_err(|detail| corrupt(SectionKind::Records, detail))?;
-        }
-        Ok(records.finish())
-    }
-
-    /// Packs this container into a v2 file at `path`: the checksummed,
-    /// 64-byte-aligned `lshe-store` format that [`load`](Self::load)
-    /// serves in place (see `docs/FORMAT.md`). The index sections are
-    /// written by [`lshe_core::pack_ranked`]; the provenance records ride
-    /// along as two extra sections (an offsets table plus a blob of codec
-    /// records) so a mapped server answers hit provenance and `/stats`
-    /// without the source file.
+    /// Packs this container's index into a file at `path` in the
+    /// checksummed, 64-byte-aligned `lshe-store` format (see
+    /// `docs/FORMAT.md`), written by [`lshe_core::pack_ranked_with`] and
+    /// opened by `lshe_core::MmapIndex`. It holds no provenance records and
+    /// is not served: [`load`](Self::load) refuses it.
     ///
     /// # Errors
     /// A message when the container stores no sketches (plain indexes
-    /// have nothing to rank from disk; rebuild with `--ranked`), when it
-    /// is already mapped, when mutations are staged (commit first), or on
-    /// I/O failure.
+    /// have nothing to rank from disk; rebuild with `--ranked`), when
+    /// mutations are staged (commit first), or on I/O failure.
     pub fn pack_v2(&self, path: &Path) -> Result<(), String> {
         let StoredIndex::Ranked(ranked) = &self.index else {
-            return Err(match self.kind() {
-                IndexKind::Mapped => "index is already a packed v2 file".into(),
-                _ => "pack needs per-domain sketches; rebuild the index with --ranked".into(),
-            });
+            return Err("pack needs per-domain sketches; rebuild the index with --ranked".into());
         };
         if self.staged_len() > 0 {
             return Err("commit staged mutations before packing".into());
@@ -1055,23 +859,6 @@ impl IndexContainer {
         let io = |e: std::io::Error| format!("{}: {e}", path.display());
         let mut packer = Packer::create(path).map_err(io)?;
         lshe_core::pack_ranked_with(ranked, &mut packer, self.next_id).map_err(io)?;
-        // Provenance: one codec blob per record, sliced by an offsets
-        // table of count + 1 entries (the last is the blob length).
-        let mut offsets: Vec<u64> = Vec::with_capacity(self.len + 1);
-        let mut blob: Vec<u8> = Vec::with_capacity(self.len * 48);
-        for rec in self.records().iter() {
-            offsets.push(blob.len() as u64);
-            rec.encode_into(&mut Encoder::over(&mut blob));
-        }
-        offsets.push(blob.len() as u64);
-        packer
-            .begin_section(SectionKind::RecordOffsets)
-            .map_err(io)?;
-        packer.write_u64s(&offsets).map_err(io)?;
-        packer.end_section();
-        packer.begin_section(SectionKind::Records).map_err(io)?;
-        packer.write(&blob).map_err(io)?;
-        packer.end_section();
         packer.finish().map_err(io)
     }
 }
@@ -1134,9 +921,9 @@ fn replace_file(
 }
 
 /// Why an index file could not be loaded — every variant carries the file
-/// path, and decode/verification failures name the failing section, so a
-/// bad index never reports a bare codec error (the operator knows *which
-/// file* and *which part* without re-running under a debugger).
+/// path, and decode failures name the failing section, so a bad index
+/// never reports a bare codec error (the operator knows *which file* and
+/// *which part* without re-running under a debugger).
 #[derive(Debug)]
 pub enum LoadError {
     /// Filesystem problem (open, read, or mmap).
@@ -1146,7 +933,7 @@ pub enum LoadError {
         /// The underlying I/O error.
         source: std::io::Error,
     },
-    /// A heap-format (`LSHX`) container failed to decode.
+    /// The file is not a readable `LSHX` container.
     Decode {
         /// The index file being loaded.
         path: PathBuf,
@@ -1156,14 +943,6 @@ pub enum LoadError {
         /// The underlying codec error.
         source: CodecError,
     },
-    /// A packed v2 file failed structural validation, a checksum, or
-    /// cross-section consistency (the inner error names the section).
-    Store {
-        /// The index file being loaded.
-        path: PathBuf,
-        /// The underlying store/index error.
-        source: MmapIndexError,
-    },
 }
 
 impl LoadError {
@@ -1171,7 +950,7 @@ impl LoadError {
     #[must_use]
     pub fn path(&self) -> &Path {
         match self {
-            Self::Io { path, .. } | Self::Decode { path, .. } | Self::Store { path, .. } => path,
+            Self::Io { path, .. } | Self::Decode { path, .. } => path,
         }
     }
 }
@@ -1191,9 +970,6 @@ impl std::fmt::Display for LoadError {
                 "index file {}: {section} section: {source}",
                 path.display()
             ),
-            Self::Store { path, source } => {
-                write!(f, "index file {}: {source}", path.display())
-            }
         }
     }
 }
@@ -1203,7 +979,6 @@ impl std::error::Error for LoadError {
         match self {
             Self::Io { source, .. } => Some(source),
             Self::Decode { source, .. } => Some(source),
-            Self::Store { source, .. } => Some(source),
         }
     }
 }
@@ -2134,49 +1909,42 @@ mod tests {
         let cat = catalog(12);
         let ranked = IndexContainer::build(&cat, 3, true);
         ranked.pack_v2(&path).expect("pack");
-
-        let mapped = IndexContainer::load(&path).expect("load packed");
-        assert_eq!(mapped.kind(), IndexKind::Mapped);
-        assert!(mapped.has_ranked());
+        let mapped = lshe_core::MmapIndex::open_verified(&path).expect("open packed");
         assert_eq!(mapped.len(), ranked.len());
-        assert_eq!(mapped.num_perm(), ranked.num_perm());
-        assert_eq!(mapped.records(), ranked.records());
-        assert_eq!(mapped.partition_count(), ranked.partition_count());
-        assert_eq!(mapped.staged_len(), 0);
+        assert_eq!(
+            mapped.partition_stats(),
+            ranked.ensemble().partition_stats()
+        );
 
-        // Every query answers identically to the heap-served original.
+        // Every query answers identically to the container it was packed from.
         let hasher = MinHasher::new(256);
         for probe in 0..cat.len() as u32 {
             let sig = cat.domain(probe).signature(&hasher);
             let q = 20 * (u64::from(probe) + 1);
-            assert_eq!(
-                mapped.search(&sig, q, 0.7),
-                ranked.search(&sig, q, 0.7),
-                "probe {probe}"
-            );
-            assert_eq!(
-                mapped.top_k(&sig, q, 3).expect("top-k"),
-                ranked.top_k(&sig, q, 3).expect("top-k"),
-                "probe {probe}"
-            );
+            for query in [Query::threshold(&sig, 0.7), Query::top_k(&sig, 3)] {
+                let query = query.with_size(q);
+                let answer = |index: &dyn DomainIndex| index.search(&query).expect("search");
+                assert_eq!(
+                    answer(&mapped).into_pairs(),
+                    answer(&*ranked.open_index()).into_pairs(),
+                    "probe {probe}"
+                );
+            }
         }
-        // Stats surface works without a heap ensemble.
-        assert!(mapped.describe().contains("domains"));
-        // `open_mapped` is the same open for packed files only: a heap
-        // file is refused by its magic, not decoded.
-        let direct = IndexContainer::open_mapped(&path).expect("open packed");
-        assert_eq!(direct.records(), mapped.records());
+        // A container served from its `.lshe` packs the same file as the
+        // one it was built as.
         let heap = dir.join("idx.lshe");
         ranked.save(&heap).expect("save");
-        assert!(matches!(
-            IndexContainer::open_mapped(&heap),
-            Err(LoadError::Store { .. })
-        ));
+        let repacked = dir.join("loaded.lshepk");
+        let loaded = IndexContainer::load(&heap).expect("load");
+        assert!(loaded.mapped_bytes() > 0);
+        loaded.pack_v2(&repacked).expect("pack loaded");
+        assert_eq!(std::fs::read(&repacked).ok(), std::fs::read(&path).ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn pack_v2_guards_plain_staged_and_mapped() {
+    fn pack_v2_guards_plain_and_staged() {
         let dir = scratch_dir("guards");
         let path = dir.join("idx.lshepk");
         let cat = catalog(6);
@@ -2189,35 +1957,6 @@ mod tests {
         assert!(staged.pack_v2(&path).unwrap_err().contains("commit staged"));
         staged.commit_mutations();
         staged.pack_v2(&path).expect("pack after commit");
-
-        let mapped = IndexContainer::load(&path).expect("load");
-        assert!(mapped.pack_v2(&path).unwrap_err().contains("already"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mapped_container_is_read_only() {
-        let dir = scratch_dir("readonly");
-        let path = dir.join("idx.lshepk");
-        let cat = catalog(8);
-        IndexContainer::build(&cat, 2, true)
-            .pack_v2(&path)
-            .expect("pack");
-        let mut mapped = IndexContainer::load(&path).expect("load");
-
-        // Mutations are a typed refusal, never a silent no-op.
-        let err = mapped.apply(&[insert_op(50, 10, 256)]).unwrap_err();
-        assert!(err.to_string().contains("read-only"), "got {err}");
-        // An empty batch is harmless either way.
-        assert_eq!(mapped.apply(&[]).expect("empty batch"), 0);
-        assert_eq!(mapped.commit_mutations().merged, 0);
-
-        // In-process sharding and splitting point at the v1 workflow.
-        assert!(mapped
-            .open_index_sharded(2)
-            .unwrap_err()
-            .contains("cluster"));
-        assert!(mapped.split_with(2, |id, n| id as usize % n).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2232,7 +1971,7 @@ mod tests {
         assert_eq!(err.path(), missing.as_path());
         assert!(err.to_string().contains("absent.lshe"));
 
-        // Truncated v1 container: the failing section is named.
+        // Truncated container: the failing section is named.
         let cat = catalog(5);
         let bytes = IndexContainer::build(&cat, 2, true).to_bytes();
         let cut = dir.join("cut.lshe");
@@ -2250,7 +1989,7 @@ mod tests {
             "got {err}"
         );
 
-        // Garbage magic decodes as v1 and fails in the header.
+        // Garbage fails in the header.
         let junk = dir.join("junk.lshe");
         std::fs::write(&junk, b"not an index at all").expect("write");
         match IndexContainer::load(&junk).unwrap_err() {
@@ -2258,19 +1997,6 @@ mod tests {
             other => panic!("expected Decode, got {other:?}"),
         }
 
-        // A flipped byte in a packed v2 section is a checksum error
-        // that names the damaged section.
-        let packed = dir.join("idx.lshepk");
-        IndexContainer::build(&cat, 2, true)
-            .pack_v2(&packed)
-            .expect("pack");
-        let mut v2 = std::fs::read(&packed).expect("read");
-        let last = v2.len() - 1;
-        v2[last] ^= 0x01;
-        std::fs::write(&packed, &v2).expect("write");
-        let err = IndexContainer::load(&packed).unwrap_err();
-        assert!(matches!(err, LoadError::Store { .. }), "got {err:?}");
-        assert!(err.to_string().contains("idx.lshepk"), "got {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,7 +14,7 @@
 //! answer through the same trait — the engine never matches on a concrete
 //! index type. Mutations only ever reach the container's own index.
 
-use crate::container::{DeltaLog, DeltaOp, IndexContainer, IndexKind, LoadError};
+use crate::container::{DeltaLog, DeltaOp, IndexContainer, LoadError};
 use lshe_core::{CommitReport, DomainIndex, Query, QueryError, SearchOutcome};
 use lshe_minhash::{MinHasher, Signature};
 use std::collections::HashSet;
@@ -62,8 +62,8 @@ impl From<LoadError> for EngineError {
     fn from(e: LoadError) -> Self {
         match e {
             // Keep plain filesystem failures in the Io lane (callers map
-            // it to exit codes); decode and checksum failures carry the
-            // path and failing section in their rendered message.
+            // it to exit codes); decode failures carry the path and
+            // failing section in their rendered message.
             LoadError::Io { source, .. } => Self::Io(source),
             other => Self::Index(other.to_string()),
         }
@@ -235,18 +235,6 @@ impl Engine {
             .read_with_mark()
             .map_err(|e| EngineError::Index(format!("{}: {e}", log.path().display())))?;
         let had_ops = !ops.is_empty();
-        if had_ops && container.kind() == IndexKind::Mapped {
-            // A packed file can never embody logged mutations, so a
-            // non-empty sidecar means ops staged against some other
-            // generation landed next to it — refuse loudly rather than
-            // silently dropping them.
-            return Err(EngineError::Index(format!(
-                "{}: packed index has a non-empty delta sidecar ({}); packed files are \
-                 read-only — re-pack from the mutated source container and remove the log",
-                path.display(),
-                log.path().display(),
-            )));
-        }
         container.reserve_next_id(mark);
         let (batches, tail) = Self::split_batches(ops);
         let fresh = Self::replay_committed(&mut container, batches)?;
@@ -469,20 +457,6 @@ impl Engine {
         self.stage_insert_as(table, column, size, signature, None)
     }
 
-    /// Mutation guard for mapped snapshots: a packed v2 file is served in
-    /// place and read-only, so staging against it is a typed refusal —
-    /// before anything reaches the delta log.
-    fn reject_mapped(snap: &Snapshot) -> Result<(), EngineError> {
-        if snap.container().kind() == IndexKind::Mapped {
-            return Err(EngineError::Mutation(
-                "index is mmap-served and read-only; mutate the source .lshe container \
-                 and re-pack"
-                    .into(),
-            ));
-        }
-        Ok(())
-    }
-
     /// [`stage_insert`](Self::stage_insert) with an optional explicit id —
     /// the cluster path: the coordinator allocates cluster-wide ids (so
     /// shards cannot collide) and routes each insert to the shard the id
@@ -511,7 +485,6 @@ impl Engine {
         // concurrent commit already replaced.
         let mut pending = self.pending.lock().expect("pending lock poisoned");
         let snap = self.snapshot();
-        Self::reject_mapped(&snap)?;
         let num_perm = snap.container().num_perm();
         if signature.len() != num_perm {
             return Err(EngineError::Mutation(format!(
@@ -569,7 +542,6 @@ impl Engine {
         // (which could log an op that can never apply).
         let mut pending = self.pending.lock().expect("pending lock poisoned");
         let snap = self.snapshot();
-        Self::reject_mapped(&snap)?;
         let committed = snap.container().record(id).is_some();
         let staged = pending.staged_inserts.contains(&id);
         if pending.staged_removes.contains(&id) {
@@ -715,7 +687,6 @@ impl Engine {
         let _guard = self.reload_lock.lock().expect("reload lock poisoned");
         let mut pending = self.pending.lock().expect("pending lock poisoned");
         let snap = self.snapshot();
-        Self::reject_mapped(&snap)?;
         let mut container = snap.container().clone();
         container
             .apply(&pending.ops)
@@ -766,7 +737,6 @@ impl Engine {
     /// A task that changes nothing returns the live snapshot unswapped.
     ///
     /// # Errors
-    /// [`EngineError::Mutation`] on a mapped (read-only) index;
     /// [`EngineError::Io`] when the folded base cannot be persisted — the
     /// merge is abandoned whole: no snapshot swap, delta log untouched.
     pub fn apply_merge(
@@ -792,7 +762,6 @@ impl Engine {
         // keep staged tail" atomic against new appends.
         let pending = self.pending.lock().expect("pending lock poisoned");
         let snap = self.snapshot();
-        Self::reject_mapped(&snap)?;
         let mut container = snap.container().clone();
         let outcome = container.apply_merge(task);
         if outcome.entries_folded == 0
@@ -868,15 +837,13 @@ impl Engine {
         // reload would silently roll back acknowledged commits. The tail
         // after the last marker stays in the log — the in-memory staging
         // area (which survives the reload below) is authoritative for it.
-        if container.kind() != IndexKind::Mapped {
-            let log = DeltaLog::sidecar(&target);
-            let (mark, ops) = log
-                .read_with_mark()
-                .map_err(|e| EngineError::Index(format!("{}: {e}", log.path().display())))?;
-            container.reserve_next_id(mark);
-            let (batches, _tail) = Self::split_batches(ops);
-            Self::replay_committed(&mut container, batches)?;
-        }
+        let log = DeltaLog::sidecar(&target);
+        let (mark, ops) = log
+            .read_with_mark()
+            .map_err(|e| EngineError::Index(format!("{}: {e}", log.path().display())))?;
+        container.reserve_next_id(mark);
+        let (batches, _tail) = Self::split_batches(ops);
+        Self::replay_committed(&mut container, batches)?;
         let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
         let snapshot = Arc::new(Snapshot::new(container, self.shards, generation)?);
         *self.path.write().expect("engine lock poisoned") = Some(target);
@@ -1386,7 +1353,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_index_serves_in_place_and_rejects_mutation() {
+    fn a_packed_file_is_refused_at_load_and_at_reload() {
         let dir = std::env::temp_dir().join(format!("lshe_engine_packed_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
@@ -1394,46 +1361,31 @@ mod tests {
         let cat = catalog(8);
         let source = IndexContainer::build(&cat, 2, true);
         source.pack_v2(&packed).expect("pack");
+        let named = |err: &EngineError| {
+            let msg = err.to_string();
+            matches!(err, EngineError::Index(_))
+                && msg.contains("idx.lshepk")
+                && msg.contains("header")
+        };
 
-        let engine = Engine::load(&packed, 1).expect("load packed");
-        let snap = engine.snapshot();
-        assert_eq!(snap.container().kind(), crate::container::IndexKind::Mapped);
-
-        // Served answers match the heap container it was packed from.
-        let hasher = MinHasher::new(snap.container().num_perm());
-        let sig = cat.domain(3).signature(&hasher);
-        let hits = snap.search(&sig, 80, 0.7);
-        assert_eq!(hits, source.search(&sig, 80, 0.7));
-        assert!(hits.iter().any(|&(id, _)| id == 3));
-
-        // Mutations are typed refusals before anything reaches a log.
-        let err = engine
-            .stage_insert("t".into(), "col".into(), 25, sig.clone())
-            .unwrap_err();
-        assert!(matches!(err, EngineError::Mutation(_)), "got {err}");
-        assert!(err.to_string().contains("read-only"), "got {err}");
-        let err = engine.stage_remove(0).unwrap_err();
-        assert!(err.to_string().contains("read-only"), "got {err}");
-        assert!(!DeltaLog::sidecar(&packed).exists(), "nothing was logged");
-        drop(engine);
-
-        // A stale non-empty delta sidecar next to a packed file is a
-        // typed load failure, never silently dropped ops.
-        let log = DeltaLog::sidecar(&packed);
-        log.append(&DeltaOp::Remove { id: 0 }, 8).expect("append");
         let err = Engine::load(&packed, 1).unwrap_err();
-        assert!(matches!(err, EngineError::Index(_)), "got {err}");
-        assert!(err.to_string().contains("delta sidecar"), "got {err}");
-        log.clear().expect("clear");
+        assert!(named(&err), "got {err}");
 
-        // Hot reload crosses generations: v1 file in, packed file in.
-        let v1 = dir.join("idx.lshe");
-        std::fs::write(&v1, source.to_bytes()).expect("write v1");
-        let engine = Engine::load(&v1, 1).expect("load v1");
-        let new = engine.reload(Some(&packed)).expect("reload onto packed");
-        assert_eq!(new.generation(), 2);
-        assert_eq!(new.container().kind(), crate::container::IndexKind::Mapped);
-        assert_eq!(new.search(&sig, 80, 0.7), source.search(&sig, 80, 0.7));
+        // A reload onto it fails the same way, and the live snapshot keeps
+        // answering at its generation.
+        let path = dir.join("idx.lshe");
+        source.save(&path).expect("save");
+        let engine = Engine::load(&path, 1).expect("load");
+        let sig = cat.domain(3).signature(&MinHasher::new(source.num_perm()));
+        let before = engine.snapshot().search(&sig, 80, 0.7);
+        assert!(before.iter().any(|&(id, _)| id == 3));
+        let err = engine.reload(Some(&packed)).unwrap_err();
+        assert!(named(&err), "got {err}");
+        let snap = engine.snapshot();
+        assert_eq!(snap.generation(), 1);
+        assert_eq!(snap.search(&sig, 80, 0.7), before);
+        // The path on record is still the `.lshe`: a bare reload takes it.
+        assert_eq!(engine.reload(None).expect("reload").generation(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -329,8 +329,8 @@ impl Maintainer {
                         (self.on_swap)();
                     }
                     Err(e) => {
-                        // A failed fold (e.g. a racing reload swapped in
-                        // a mapped index) leaves the stack for the next
+                        // A failed fold (e.g. the folded base could not
+                        // be persisted) leaves the stack for the next
                         // trigger instead of hot-looping on the error.
                         state.last_error = Some(e.to_string());
                         return;

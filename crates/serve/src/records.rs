@@ -31,7 +31,7 @@ impl DomainRecord {
         }
     }
 
-    /// The record's one byte form: container, packed file and delta log.
+    /// The record's one byte form: container and delta log.
     pub(crate) fn encode_into<W: Write>(&self, enc: &mut Encoder<W>) {
         self.view().encode_into(enc);
     }

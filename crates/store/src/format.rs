@@ -78,12 +78,8 @@ pub enum SectionKind {
     /// each tree `t` at 32 bits (two words, low half first), then the low
     /// 16 bits of every other lane.
     SketchSlots = 8,
-    /// `u64` per record plus one terminator: byte offsets into
-    /// [`SectionKind::Records`].
-    RecordOffsets = 9,
-    /// Opaque per-domain record blobs (provenance strings), sliced by
-    /// [`SectionKind::RecordOffsets`].
-    Records = 10,
+    // Kinds 9 and 10 are retired, never to be reused: files written before
+    // may hold them (provenance records), and readers skip them.
     /// Opaque tiered-mutation state, codec-encoded by the packing layer:
     /// sealed segment entry triples, the tombstone list, and the id
     /// allocator's high-water mark. Absent on a fully compacted index;
@@ -104,8 +100,6 @@ impl SectionKind {
             Self::SketchIds => "sketch ids",
             Self::SketchSizes => "sketch sizes",
             Self::SketchSlots => "sketch slots",
-            Self::RecordOffsets => "record offsets",
-            Self::Records => "records",
             Self::Segments => "segments",
         }
     }
@@ -120,8 +114,6 @@ impl SectionKind {
             6 => Self::SketchIds,
             7 => Self::SketchSizes,
             8 => Self::SketchSlots,
-            9 => Self::RecordOffsets,
-            10 => Self::Records,
             11 => Self::Segments,
             _ => return None,
         })
@@ -280,12 +272,6 @@ impl Packer {
         });
     }
 
-    /// Bytes written so far (header + sections + padding).
-    #[must_use]
-    pub fn bytes_written(&self) -> u64 {
-        self.pos
-    }
-
     /// Writes the section table, patches the header, and syncs the file.
     ///
     /// # Errors
@@ -352,15 +338,7 @@ impl Store {
     /// magic, unsupported version, truncation, header/table checksum
     /// mismatch, out-of-bounds / misaligned / duplicate sections.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let file = File::open(path)?;
-        Self::from_mapping(Mmap::map_file(&file)?)
-    }
-
-    /// [`open`](Self::open) (and its errors, less the I/O ones) for callers
-    /// that mapped the file themselves to tell its format from its magic,
-    /// so sniffing and serving see the same file.
-    pub fn from_mapping(mmap: Mmap) -> Result<Self, StoreError> {
-        let mmap = Arc::new(mmap);
+        let mmap = Arc::new(Mmap::map_file(&File::open(path)?)?);
         let bytes = mmap.as_slice();
         if bytes.len() < HEADER_LEN {
             return Err(StoreError::Truncated {
@@ -486,17 +464,6 @@ impl Store {
     #[must_use]
     pub fn sections(&self) -> &[Section] {
         &self.sections
-    }
-
-    /// Total file size in bytes.
-    #[must_use]
-    pub fn file_len(&self) -> usize {
-        self.mmap.len()
-    }
-
-    /// Forwards paging advice for the whole mapping.
-    pub fn advise(&self, advice: Advice) {
-        self.mmap.advise(advice);
     }
 
     fn section(&self, kind: SectionKind) -> Option<&Section> {
@@ -641,10 +608,12 @@ mod tests {
             })
         ));
         assert!(store.has(SectionKind::Meta));
-        assert!(!store.has(SectionKind::Records));
+        assert!(!store.has(SectionKind::Segments));
         assert!(matches!(
-            store.bytes(SectionKind::Records),
-            Err(StoreError::MissingSection { section: "records" })
+            store.bytes(SectionKind::Segments),
+            Err(StoreError::MissingSection {
+                section: "segments"
+            })
         ));
         // Every section lands on the alignment grid.
         for s in store.sections() {

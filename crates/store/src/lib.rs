@@ -1,13 +1,14 @@
 //! `lshe-store`: the memory-mapped, checksummed on-disk container format
 //! (v2) for LSH Ensemble indexes.
 //!
-//! The heap (`.lshe`) format is decoded on every load: its bulk stays in
-//! the mapped file, but the walk that checks it, and the records and id
-//! map it rebuilds, scale with corpus size. This crate defines a format
-//! that is *opened* in place: a packed file is `mmap(2)`-ed, structurally
+//! The `.lshe` format is decoded on every load: its bulk stays in the
+//! mapped file, but the walk that checks it, and the records and id map it
+//! rebuilds, scale with corpus size. This crate defines a format that is
+//! *opened* in place: a packed file is `mmap(2)`-ed, structurally
 //! validated in microseconds, and queried through zero-copy views while
-//! the kernel's page cache holds the hot set. Its [`mmap`] shim is what
-//! `.lshe` loading maps files with, too.
+//! the kernel's page cache holds the hot set. No server opens it — the
+//! `.lshe` is the served file — but the benchmark measures it. Its
+//! [`mmap`] shim is what `.lshe` loading maps files with.
 //!
 //! Pieces, bottom up:
 //!
@@ -21,8 +22,7 @@
 //!   every corruption it reports.
 //!
 //! This crate knows bytes, not index semantics: what the sections *mean*
-//! (partitions, tuning, ranking) lives in `lshe-core`'s mmap backend and
-//! the serve layer's packing code.
+//! (partitions, tuning, ranking) lives in `lshe-core`'s mmap backend.
 
 // The format is little-endian on disk and views integers in place, so a
 // big-endian build would silently read garbage. Fail loudly instead.

@@ -4,12 +4,12 @@
 //! first key lane at 32 bits, the other lanes at 16: `4·b_max +
 //! 2·(m − b_max)` bytes, 576 by default — and one 4-byte `(lo, row)` entry
 //! per prefix tree (`4·b_max`: the head's low 16 bits and a block-local
-//! `u16` row), plus its id and cardinality. Both on-disk forms, and the
-//! resident index `/stats` reports as `index_bytes`, must stay within
-//! `4·b_max + 2·(m − b_max) + 4·b_max + 16` bytes per domain (720 by
-//! default; the packed file's trees keep a `u32` table position, not a
-//! `u16` row, so it gets `2·b_max` more) beyond the provenance records —
-//! so a later change cannot
+//! `u16` row), plus its id and cardinality. The `.lshe` beyond its
+//! provenance records, and the resident index `/stats` reports as
+//! `index_bytes`, must stay within `4·b_max + 2·(m − b_max) + 4·b_max + 16`
+//! bytes per domain (720 by default); the packed file, which holds no
+//! records and whose trees keep a `u32` table position, not a `u16` row,
+//! gets `2·b_max` more for the whole file — so a later change cannot
 //! quietly store the lanes a second time (as tree keys, or as a sketch
 //! section beside the forests), or wider, without this failing. Loaded from
 //! its file, the index keeps at most 64 of those bytes a domain on the
@@ -24,7 +24,6 @@
 
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_serve::IndexContainer;
-use lshe_store::{SectionKind, Store};
 
 const DOMAINS: usize = 2_000;
 /// `EnsembleConfig::default()`'s forest: 32 trees over 256 lanes.
@@ -53,25 +52,18 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
         heap as f64 / DOMAINS as f64
     );
 
-    // Packed form: the records ride in two sections of their own, and a
-    // tree entry keeps a global `u32` position in the one sketch table of
-    // the file, not a block-local `u16` row — 2 more bytes an entry.
+    // Packed form, the whole file: no records, and a tree entry keeps a
+    // global `u32` position in the one sketch table of the file, not a
+    // block-local `u16` row — 2 more bytes an entry.
     let packed_bound = bound + 2 * B_MAX;
     let dir = std::env::temp_dir().join(format!("lshe_bytes_per_domain_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("index.lshepk");
     container.pack_v2(&path).expect("pack");
-    let store = Store::open(&path).expect("open");
-    let records: u64 = store
-        .sections()
-        .iter()
-        .filter(|s| matches!(s.kind, SectionKind::RecordOffsets | SectionKind::Records))
-        .map(|s| s.len)
-        .sum();
-    let packed = store.file_len() - records as usize;
+    let packed = std::fs::metadata(&path).expect("stat").len() as usize;
     assert!(
         packed <= packed_bound * DOMAINS,
-        "packed file: {} B per domain beyond its records, bound {packed_bound}",
+        "packed file: {} B per domain, bound {packed_bound}",
         packed as f64 / DOMAINS as f64
     );
     // Resident: what `/stats` and `lshe stats` call `index_bytes` — rows,

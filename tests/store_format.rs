@@ -1,14 +1,16 @@
 //! Corruption robustness of the packed v2 store format.
 //!
-//! A serving node must never crash on — or silently answer from — a
-//! damaged index file. This suite packs a real container, then damages
-//! the file every way the format can detect: a bit flipped in every
-//! section payload, in the header, and in the section table; truncation
-//! at every structural boundary; and a wrong magic. Every case must
-//! produce a *typed* error naming what is wrong (and, through the
-//! container, which file), never a panic and never a clean load.
+//! A reader must never crash on — or silently answer from — a damaged
+//! index file. This suite packs a real container, then damages the file
+//! every way the format can detect: a bit flipped in every section
+//! payload, in the header, and in the section table; truncation at every
+//! structural boundary; and a wrong magic. Every case must produce a
+//! *typed* error naming what is wrong, at the store layer and through
+//! `MmapIndex::open_verified`, never a panic and never a clean open. The
+//! container refuses even a clean packed file, in its header: `.lshe` is
+//! the only format it serves.
 
-use lshe_core::MmapIndexError;
+use lshe_core::{DomainIndex, MmapIndex, MmapIndexError, Query};
 use lshe_datagen::{generate_catalog, CorpusConfig};
 use lshe_serve::container::LoadError;
 use lshe_serve::IndexContainer;
@@ -34,15 +36,13 @@ fn packed_fixture(dir: &std::path::Path) -> (Vec<u8>, IndexContainer) {
     (bytes, container)
 }
 
-/// Writes `bytes` to a file and runs both load paths, asserting neither
-/// panics and both fail; returns the container-load error for inspection.
-fn load_damaged(dir: &std::path::Path, name: &str, bytes: &[u8]) -> LoadError {
+/// Writes `bytes` to a file and opens it as an index, checksums and trees
+/// verified, asserting no panic and a failure; returns the error for
+/// inspection.
+fn open_damaged(dir: &std::path::Path, name: &str, bytes: &[u8]) -> MmapIndexError {
     let path = dir.join(name);
     std::fs::write(&path, bytes).expect("write damaged");
-    let err = IndexContainer::load(&path).expect_err("damaged file must not load");
-    // The error must say which file is bad.
-    assert_eq!(err.path(), path, "error must carry the file path");
-    err
+    MmapIndex::open_verified(&path).expect_err("damaged file must not open")
 }
 
 #[test]
@@ -59,8 +59,9 @@ fn bit_flip_in_every_section_is_a_typed_checksum_error() {
         .map(|s| (s.kind.name(), s.offset, s.len))
         .collect();
     drop(store);
-    assert!(
-        sections.len() >= 9,
+    assert_eq!(
+        sections.len(),
+        9,
         "fixture should populate every section kind, got {sections:?}"
     );
     // The `u16` sections — every base row, 576 bytes each; every tree
@@ -100,26 +101,27 @@ fn bit_flip_in_every_section_is_a_typed_checksum_error() {
             }
             drop(store);
 
-            // Serving layer: the container refuses the file outright —
+            // Index layer: the verified open refuses the file outright —
             // corruption can never reach query execution.
-            let err = load_damaged(&dir, &file, &bytes);
-            let msg = err.to_string();
-            assert!(
-                msg.contains(name),
-                "container error must name section {name:?}, got: {msg}"
-            );
+            match open_damaged(&dir, &file, &bytes) {
+                MmapIndexError::Store(StoreError::SectionChecksum { section, .. }) => {
+                    assert_eq!(section, name, "index open blamed the wrong section");
+                }
+                other => panic!("section {name} byte {probe}: expected checksum, got {other}"),
+            }
         }
     }
 
     // The clean file still answers identically to the source container —
     // the fixture itself is sound.
-    let reopened = IndexContainer::load(&clean_path).expect("clean file loads");
+    let reopened = MmapIndex::open_verified(&clean_path).expect("clean file opens");
     let (size, _) = container.sketch(3).expect("ranked fixture");
     let catalog = generate_catalog(&CorpusConfig::tiny(60, 77));
     let hasher = lshe_minhash::MinHasher::new(container.num_perm());
     let sig = catalog.domain(3).signature(&hasher);
+    let query = Query::threshold(&sig, 0.6).with_size(size);
     assert_eq!(
-        reopened.search(&sig, size, 0.6),
+        reopened.search(&query).expect("search").into_pairs(),
         container.search(&sig, size, 0.6),
         "clean packed file must answer like its source"
     );
@@ -132,16 +134,16 @@ fn header_and_table_damage_is_detected() {
     let (clean, _) = packed_fixture(&dir);
 
     // Every byte of the checksummed header prefix (magic, version,
-    // lengths, table pointer, checksums) must be load-bearing.
+    // lengths, table pointer, checksums) must be load-bearing: damage
+    // anywhere in it is a store-layer refusal, never a clean parse.
     for probe in 0..40usize {
         let mut bytes = clean.clone();
         bytes[probe] ^= 0x04;
-        let err = load_damaged(&dir, &format!("hdr_{probe}.lshepk"), &bytes);
-        // v1 fallback must not kick in either: damage inside the magic
-        // makes the file *neither* format, and the error still points at
-        // a structural problem rather than a clean parse.
-        let msg = err.to_string();
-        assert!(!msg.is_empty());
+        let err = open_damaged(&dir, &format!("hdr_{probe}.lshepk"), &bytes);
+        assert!(
+            matches!(err, MmapIndexError::Store(_)),
+            "byte {probe}: {err}"
+        );
     }
 
     // The section table is checksummed independently of the header. Its
@@ -165,7 +167,10 @@ fn header_and_table_damage_is_detected() {
             Err(StoreError::TableChecksum { .. }) => {}
             other => panic!("table entry {entry}: expected TableChecksum, got {other:?}"),
         }
-        let _ = load_damaged(&dir, &format!("table_c_{entry}.lshepk"), &bytes);
+        match open_damaged(&dir, &format!("table_c_{entry}.lshepk"), &bytes) {
+            MmapIndexError::Store(StoreError::TableChecksum { .. }) => {}
+            other => panic!("table entry {entry}: expected TableChecksum, got {other}"),
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -184,10 +189,9 @@ fn truncation_at_every_boundary_is_typed() {
             Err(StoreError::Truncated { .. } | StoreError::BadMagic { .. }) => {}
             other => panic!("cut at {cut}: expected truncation/magic error, got {other:?}"),
         }
-        // The container layer sees a too-short head as a v1 candidate or
-        // a store failure; either way it must error with the path.
-        if cut >= 8 {
-            let _ = load_damaged(&dir, &format!("cut_c_{cut}.lshepk"), &bytes);
+        match open_damaged(&dir, &format!("cut_c_{cut}.lshepk"), &bytes) {
+            MmapIndexError::Store(StoreError::Truncated { .. } | StoreError::BadMagic { .. }) => {}
+            other => panic!("cut at {cut}: expected truncation/magic error, got {other}"),
         }
     }
 
@@ -197,16 +201,23 @@ fn truncation_at_every_boundary_is_typed() {
         let bytes = clean[..cut].to_vec();
         let path = dir.join(format!("cut_mid_{frac}.lshepk"));
         std::fs::write(&path, &bytes).expect("write");
-        match Store::open(&path) {
-            Err(
+        let runs_off = |err: &StoreError| {
+            matches!(
+                err,
                 StoreError::Truncated { .. }
-                | StoreError::SectionBounds { .. }
-                | StoreError::TableChecksum { .. },
-            ) => {}
+                    | StoreError::SectionBounds { .. }
+                    | StoreError::TableChecksum { .. }
+            )
+        };
+        match Store::open(&path) {
+            Err(err) if runs_off(&err) => {}
             Ok(_) => panic!("cut at {cut} of {} must not open", clean.len()),
             Err(other) => panic!("cut at {cut}: unexpected error class {other:?}"),
         }
-        let _ = load_damaged(&dir, &format!("cut_midc_{frac}.lshepk"), &bytes);
+        match open_damaged(&dir, &format!("cut_midc_{frac}.lshepk"), &bytes) {
+            MmapIndexError::Store(err) if runs_off(&err) => {}
+            other => panic!("cut at {cut}: unexpected error class {other}"),
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -228,9 +239,8 @@ fn wrong_magic_is_rejected_not_misparsed() {
         other => panic!("expected BadMagic, got {other:?}"),
     }
 
-    // Arbitrary garbage of plausible size: the store must reject it, and
-    // the container must fail its v1 fallback with a typed decode error
-    // rather than panic.
+    // Arbitrary garbage of plausible size: both layers reject it on its
+    // magic rather than panic.
     let garbage: Vec<u8> = (0..4096u32).map(|i| (i * 31 % 251) as u8).collect();
     assert!(matches!(
         Store::open({
@@ -240,11 +250,70 @@ fn wrong_magic_is_rejected_not_misparsed() {
         }),
         Err(StoreError::BadMagic { .. })
     ));
-    let err = load_damaged(&dir, "garbage2.lshepk", &garbage);
+    let err = open_damaged(&dir, "garbage2.lshepk", &garbage);
     assert!(
-        matches!(err, LoadError::Decode { .. }),
-        "garbage falls through to the v1 decoder and fails typed: {err}"
+        matches!(err, MmapIndexError::Store(StoreError::BadMagic { .. })),
+        "garbage is refused on its magic: {err}"
     );
+
+    // The other way round: the container reads `LSHX` only, so a clean
+    // packed file fails in its header, and the error names the file.
+    let path = dir.join("clean.lshepk");
+    let err = IndexContainer::load(&path).expect_err("a packed file is not served");
+    assert!(
+        matches!(
+            err,
+            LoadError::Decode {
+                section: "header",
+                ..
+            }
+        ),
+        "{err:?}"
+    );
+    assert_eq!(err.path(), path, "error must carry the file path");
+    assert!(err.to_string().contains("clean.lshepk"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_section_of_unknown_kind_is_skipped() {
+    let dir = scratch("unknown_kind");
+    let (clean, container) = packed_fixture(&dir);
+    // Append one more section after the table — kind 10, which held
+    // provenance records in files written before, and a kind no build
+    // has used — with a table that lists it, every checksum re-sealed.
+    let count = u32::from_le_bytes(clean[16..20].try_into().expect("4 bytes"));
+    let table = u64::from_le_bytes(clean[24..32].try_into().expect("8 bytes")) as usize;
+    let mut bytes = clean.clone();
+    let mut entries = clean[table..table + 32 * count as usize].to_vec();
+    for kind in [10u32, 999] {
+        bytes.resize(bytes.len().next_multiple_of(64), 0);
+        let payload = format!("a section of kind {kind}").into_bytes();
+        let mut entry = [0u8; 32];
+        entry[0..4].copy_from_slice(&kind.to_le_bytes());
+        entry[8..16].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+        entry[16..24].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        entry[24..28].copy_from_slice(&lshe_store::crc32(&payload).to_le_bytes());
+        entries.extend_from_slice(&entry);
+        bytes.extend_from_slice(&payload);
+    }
+    bytes.resize(bytes.len().next_multiple_of(64), 0);
+    let new_table = bytes.len() as u64;
+    bytes.extend_from_slice(&entries);
+    bytes[16..20].copy_from_slice(&(count + 2).to_le_bytes());
+    bytes[24..32].copy_from_slice(&new_table.to_le_bytes());
+    bytes[32..36].copy_from_slice(&lshe_store::crc32(&entries).to_le_bytes());
+    let reseal = lshe_store::crc32(&bytes[0..36]);
+    bytes[36..40].copy_from_slice(&reseal.to_le_bytes());
+    let path = dir.join("unknown.lshepk");
+    std::fs::write(&path, &bytes).expect("write");
+
+    let store = Store::open(&path).expect("unknown kinds are skipped");
+    store.verify().expect("the known sections verify");
+    assert_eq!(store.sections().len(), count as usize);
+    drop(store);
+    let index = MmapIndex::open_verified(&path).expect("the index opens");
+    assert_eq!(index.len(), container.len());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -271,15 +340,13 @@ fn any_other_version_is_refused() {
             }
             refused => panic!("expected UnsupportedVersion, got {refused:?}"),
         }
-        // The serving path names the file and keeps the typed cause.
-        let err = load_damaged(&dir, "other2.lshepk", &bytes);
+        // The index open keeps the typed cause.
+        let err = open_damaged(&dir, "other2.lshepk", &bytes);
         assert!(
             matches!(
                 &err,
-                LoadError::Store {
-                    source: MmapIndexError::Store(StoreError::UnsupportedVersion { found, .. }),
-                    ..
-                } if *found == other
+                MmapIndexError::Store(StoreError::UnsupportedVersion { found, .. })
+                    if *found == other
             ),
             "version {other}: {err}"
         );
