@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! lshe index --dir ./opendata --out tables.lshe [--partitions 32]
-//!            [--min-size 10] [--ranked true]
+//!            [--min-size 10]
 //! lshe ingest --index tables.lshe --dir ./newdata [--min-size 10]
 //! lshe compact --index tables.lshe
 //! lshe query --index tables.lshe --csv mine.csv --column Partner
@@ -30,7 +30,7 @@ pub use lshe_serve::container;
 
 use bytes::Bytes;
 use container::{IndexContainer, LoadError};
-use lshe_core::{Query, QueryError};
+use lshe_core::Query;
 use lshe_corpus::{Catalog, CsvDocument, Domain};
 use lshe_minhash::MinHasher;
 use lshe_serve::engine::{Engine, EngineError};
@@ -86,18 +86,17 @@ pub const USAGE: &str = "\
 lshe — domain search over CSV files (LSH Ensemble, VLDB 2016)
 
 COMMANDS
-  lshe index --dir DIR --out FILE [--partitions N] [--min-size M] [--ranked]
+  lshe index --dir DIR --out FILE [--partitions N] [--min-size M]
       Ingest every *.csv and *.jsonl under DIR (one domain per column/field
       with ≥ M distinct values, default 10), build an N-way equi-depth LSH
-      Ensemble (default 32), and write it to FILE. --ranked additionally
-      keeps each domain's cardinality beside the row that indexes it, so
-      `query --top-k`, containment estimates, and sharded serving work
-      (costs 8 bytes per domain; the rows are the sketches).
+      Ensemble (default 32), and write it to FILE. Each domain's row is
+      its sketch and its cardinality is kept beside it, so every index
+      ranks its hits by estimated containment.
 
   lshe query --index FILE --csv FILE --column NAME [--threshold T] [--top-k K]
       Search the index with the named column of the given CSV as the query
       domain. Default: threshold search at T = 0.7. With --top-k, return
-      the K best domains by estimated containment (requires a ranked index).
+      the K best domains by estimated containment.
 
   lshe ingest --index FILE --dir DIR [--min-size M]
       Bulk-append every *.csv / *.jsonl domain under DIR (≥ M distinct
@@ -123,8 +122,8 @@ COMMANDS
       Serve the index over HTTP (default 127.0.0.1:7878) until /shutdown
       or SIGKILL. N worker threads (default: available parallelism), an
       LRU query cache of C entries (default 1024, 0 disables), and S
-      query shards fanned out per request (default 1; S > 1 needs a
-      ranked index). --shard-id marks this process as cluster shard K
+      query shards fanned out per request (default 1; at most one per
+      domain). --shard-id marks this process as cluster shard K
       (surfaced on /stats; the coordinator verifies it). The index file
       is mapped, not copied: its base partitions are served from it,
       resident where queries reach, and still take mutations (replace
@@ -138,7 +137,7 @@ COMMANDS
       /reload /shutdown — see docs/API.md.
 
   lshe split --index FILE --shards N [--out PREFIX]
-      Split a ranked index into N shard files PREFIX.shard0.lshe …
+      Split the index into N shard files PREFIX.shard0.lshe …
       PREFIX.shardN-1.lshe (default PREFIX: FILE minus .lshe), placing
       each domain by id % N — the same routing the coordinator and
       in-process sharding use, so a cluster serving the split answers
@@ -157,8 +156,9 @@ COMMANDS
 /// Simple `--key [value]` parser for one subcommand.
 ///
 /// A flag immediately followed by another `--flag` (or by the end of the
-/// argument list) is a *bare* boolean flag: `--ranked` and
-/// `--ranked true` are equivalent. Repeating a flag is an error.
+/// argument list) is *bare*: it takes no value, and a command that needs
+/// one reports it. A flag no command reads is ignored. Repeating a flag
+/// is an error.
 #[derive(Debug)]
 struct Flags {
     pairs: Vec<(String, Option<String>)>,
@@ -210,17 +210,6 @@ impl Flags {
                 .map_err(|_| CliError::Usage(format!("--{key}: cannot parse {v:?}"))),
         }
     }
-
-    /// Boolean flag: absent → `false`, bare → `true`, valued → parsed.
-    fn get_bool(&self, key: &str) -> Result<bool, CliError> {
-        match self.pairs.iter().find(|(k, _)| k == key) {
-            None => Ok(false),
-            Some((_, None)) => Ok(true),
-            Some((_, Some(v))) => v
-                .parse()
-                .map_err(|_| CliError::Usage(format!("--{key}: cannot parse {v:?} as bool"))),
-        }
-    }
 }
 
 /// Entry point: dispatches a full argument vector (without `argv[0]`) and
@@ -248,7 +237,6 @@ fn cmd_index(flags: &Flags) -> Result<String, CliError> {
     let out = flags.require("out")?.to_owned();
     let partitions: usize = flags.get_parsed("partitions", 32)?;
     let min_size: usize = flags.get_parsed("min-size", 10)?;
-    let ranked: bool = flags.get_bool("ranked")?;
     if partitions == 0 {
         return Err(CliError::Usage("--partitions must be positive".into()));
     }
@@ -259,7 +247,7 @@ fn cmd_index(flags: &Flags) -> Result<String, CliError> {
             "no domains with ≥ {min_size} distinct values found under {dir}"
         )));
     }
-    let container = IndexContainer::build(&catalog, partitions, ranked);
+    let container = IndexContainer::build(&catalog, partitions);
     container.save(Path::new(&out))?;
     let mut report = String::new();
     let _ = writeln!(
@@ -268,11 +256,7 @@ fn cmd_index(flags: &Flags) -> Result<String, CliError> {
         catalog.len(),
         dir
     );
-    let _ = writeln!(
-        report,
-        "partitions: {partitions}, ranked sketches: {}",
-        if ranked { "yes" } else { "no" }
-    );
+    let _ = writeln!(report, "partitions: {partitions}");
     Ok(report)
 }
 
@@ -406,8 +390,6 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
 
     let hasher = MinHasher::new(container.num_perm());
     let sig = query.signature(&hasher);
-    // One dispatch path for every index kind: open the container's backend
-    // behind `dyn DomainIndex` and hand it a typed query.
     let index = container.open_index();
     let typed = if top_k > 0 {
         Query::top_k(&sig, top_k)
@@ -415,10 +397,9 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
         Query::threshold(&sig, threshold)
     }
     .with_size(query.len() as u64);
-    let outcome = index.search(&typed).map_err(|e| match e {
-        QueryError::Unsupported(msg) => CliError::Index(msg),
-        QueryError::Invalid(msg) => CliError::Query(msg),
-    })?;
+    let outcome = index
+        .search(&typed)
+        .map_err(|e| CliError::Query(e.to_string()))?;
 
     let mut report = String::new();
     let _ = writeln!(
@@ -429,14 +410,10 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
     );
     for hit in &outcome.hits {
         let (table, col, size) = container.provenance(hit.id);
-        match hit.estimate {
-            Some(e) => {
-                let _ = writeln!(report, "  t̂ = {e:.2}  {table}.{col} ({size} values)");
-            }
-            None => {
-                let _ = writeln!(report, "  {table}.{col} ({size} values)");
-            }
-        }
+        let estimate = hit
+            .estimate
+            .map_or(String::new(), |e| format!("t̂ = {e:.2}  "));
+        let _ = writeln!(report, "  {estimate}{table}.{col} ({size} values)");
     }
     let s = &outcome.stats;
     let _ = writeln!(
@@ -542,7 +519,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     Ok("server stopped\n".to_owned())
 }
 
-/// Splits a ranked index into per-shard container files by `id % N` —
+/// Splits an index into per-shard container files by `id % N` —
 /// the exact placement the cluster coordinator routes by, and (for the
 /// dense ids a fresh build assigns) the exact distribution the
 /// in-process `--shards N` server uses, so the resulting cluster answers
@@ -706,22 +683,11 @@ mod tests {
 
     #[test]
     fn bare_boolean_flags_accepted() {
-        // `--ranked` with no value, mid-list and at the end.
+        // A bare flag, mid-list and at the end, swallows no value.
         let flags = Flags::parse(&s(&["--ranked", "--out", "x"])).expect("parse");
-        assert!(flags.get_bool("ranked").expect("bool"));
         assert_eq!(flags.get("out").expect("ok"), Some("x"));
         let flags = Flags::parse(&s(&["--out", "x", "--ranked"])).expect("parse");
-        assert!(flags.get_bool("ranked").expect("bool"));
-        // Explicit values still work, including `false`.
-        let flags = Flags::parse(&s(&["--ranked", "true"])).expect("parse");
-        assert!(flags.get_bool("ranked").expect("bool"));
-        let flags = Flags::parse(&s(&["--ranked", "false"])).expect("parse");
-        assert!(!flags.get_bool("ranked").expect("bool"));
-        // Absent → false; junk value → usage error.
-        let flags = Flags::parse(&[]).expect("parse");
-        assert!(!flags.get_bool("ranked").expect("bool"));
-        let flags = Flags::parse(&s(&["--ranked", "maybe"])).expect("parse");
-        assert!(matches!(flags.get_bool("ranked"), Err(CliError::Usage(_))));
+        assert_eq!(flags.get("out").expect("ok"), Some("x"));
     }
 
     #[test]
@@ -828,60 +794,27 @@ mod tests {
     }
 
     #[test]
-    fn top_k_requires_ranked_index() {
-        let dir = tmp_dir("topk");
+    fn ranked_is_ignored_like_any_unknown_flag() {
+        // Every index ranks: `--ranked`, bare or valued, changes no byte.
+        let dir = tmp_dir("ranked_flag");
         write_corpus(&dir);
-        let plain = dir.join("plain.lshe");
-        run(&s(&[
-            "index",
-            "--dir",
-            dir.to_str().expect("utf8"),
-            "--out",
-            plain.to_str().expect("utf8"),
-            "--min-size",
-            "5",
-        ]))
-        .expect("index");
-        let err = run(&s(&[
-            "query",
-            "--index",
-            plain.to_str().expect("utf8"),
-            "--csv",
-            dir.join("grants.csv").to_str().expect("utf8"),
-            "--column",
-            "partner",
-            "--top-k",
-            "3",
-        ]))
-        .unwrap_err();
-        assert!(matches!(err, CliError::Index(_)), "{err}");
-
-        let ranked = dir.join("ranked.lshe");
-        run(&s(&[
-            "index",
-            "--dir",
-            dir.to_str().expect("utf8"),
-            "--out",
-            ranked.to_str().expect("utf8"),
-            "--min-size",
-            "5",
-            "--ranked",
-            "true",
-        ]))
-        .expect("index ranked");
-        let hits = run(&s(&[
-            "query",
-            "--index",
-            ranked.to_str().expect("utf8"),
-            "--csv",
-            dir.join("grants.csv").to_str().expect("utf8"),
-            "--column",
-            "partner",
-            "--top-k",
-            "3",
-        ]))
-        .expect("topk query");
-        assert!(hits.contains("t̂ ="), "{hits}");
+        let index = |name: &str, extra: &[&str]| {
+            let out = dir.join(name);
+            let mut args = s(&[
+                "index",
+                "--dir",
+                dir.to_str().expect("utf8"),
+                "--min-size",
+                "5",
+            ]);
+            args.extend(s(&["--out", out.to_str().expect("utf8")]));
+            args.extend(s(extra));
+            run(&args).expect("index");
+            std::fs::read(out).expect("read")
+        };
+        let plain = index("plain.lshe", &[]);
+        assert_eq!(index("bare.lshe", &["--ranked"]), plain);
+        assert_eq!(index("valued.lshe", &["--ranked", "true"]), plain);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -939,7 +872,6 @@ mod tests {
             idx.to_str().expect("utf8"),
             "--min-size",
             "5",
-            "--ranked",
         ]))
         .expect("index");
 
@@ -1063,7 +995,6 @@ mod tests {
             idx.to_str().expect("utf8"),
             "--min-size",
             "5",
-            "--ranked",
         ]))
         .expect("index");
 
@@ -1113,33 +1044,6 @@ mod tests {
         ] {
             assert!(matches!(run(&s(bad)).unwrap_err(), CliError::Usage(_)));
         }
-        // A plain (unranked) index cannot be split.
-        let dir = tmp_dir("split_plain");
-        write_corpus(&dir);
-        let idx = dir.join("plain.lshe");
-        run(&s(&[
-            "index",
-            "--dir",
-            dir.to_str().expect("utf8"),
-            "--out",
-            idx.to_str().expect("utf8"),
-            "--min-size",
-            "5",
-        ]))
-        .expect("index");
-        let err = run(&s(&[
-            "split",
-            "--index",
-            idx.to_str().expect("utf8"),
-            "--shards",
-            "2",
-        ]))
-        .unwrap_err();
-        assert!(
-            matches!(&err, CliError::Index(msg) if msg.contains("--ranked")),
-            "{err}"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1155,7 +1059,6 @@ mod tests {
             idx.to_str().expect("utf8"),
             "--min-size",
             "5",
-            "--ranked",
         ]))
         .expect("index");
         let report = run(&s(&[

@@ -35,7 +35,7 @@
 //! reconstructs bit-identical forests, which keeps the byte form canonical.
 //!
 //! No cardinality of a base row is stored: a plain index reads none, and a
-//! ranked container's records carry them (`RankedIndex::from_ensemble`).
+//! container's records carry them (`RankedIndex::from_ensemble`).
 //!
 //! The tuner's memo table is deliberately *not* persisted — it is a cache,
 //! rebuilt lazily, and excluding it keeps the byte form canonical.

@@ -381,8 +381,7 @@ impl<C: Candidates, S: Sketches> ReadPath<'_, C, S> {
     fn top_k(&self, query: &Query<'_>, k: usize) -> Result<SearchOutcome, QueryError> {
         let Some(sketches) = self.sketches else {
             return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; build a RankedIndex (or re-index with --ranked)"
-                    .into(),
+                "top-k needs retained sketches; use a RankedIndex".into(),
             ));
         };
         let started = Instant::now();

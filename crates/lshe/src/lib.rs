@@ -73,4 +73,4 @@ pub use lshe_core::{
 pub use lshe_corpus::{Catalog, Domain, ExactIndex};
 pub use lshe_lsh::{DomainId, LshForest};
 pub use lshe_minhash::{MinHasher, Signature};
-pub use lshe_serve::{DeltaLog, DeltaOp, IndexContainer, IndexKind, ServerConfig};
+pub use lshe_serve::{DeltaLog, DeltaOp, IndexContainer, ServerConfig};

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! "LSHX" version:u8 (7)
-//! flags:u8                      (bit 0: the index ranks its answers)
+//! flags:u8                      (written 1; ignored on read)
 //! num_perm:u32
 //! meta_count:u64
 //! per domain: id:u32 size:u64 table:str column:str
@@ -11,10 +11,13 @@
 //! next_id:u32
 //! ```
 //!
-//! A ranked container needs nothing beyond the flag: every signature is in
-//! the ensemble once, as the forest row that indexes it — each tree's first
-//! key lane at 32 bits, the other lanes at 16 — and every live domain's
-//! cardinality is in its record. Version 6, the one generation before, has
+//! Every container stores and serves a [`RankedIndex`], which needs nothing
+//! beyond the ensemble and the records: every signature is in the ensemble
+//! once, as the forest row that indexes it — each tree's first key lane at
+//! 32 bits, the other lanes at 16 — and every live domain's cardinality is
+//! in its record. The flag byte once told a ranked file from a plain one,
+//! whose bytes are otherwise the same; a file with either flag loads
+//! ranked. Version 6, the one generation before, has
 //! the same shape around an `LSHE` v6 ensemble whose forests' tree entries
 //! are 8 bytes, not 4. Such files still load, through the same decoder —
 //! the rows are kept, the trees sorted again from them — and are written
@@ -64,27 +67,6 @@ pub const VERSION: u8 = 7;
 /// whose nested forests' tree entries are 8 bytes.
 const OLDEST_READ: u8 = 6;
 
-/// What kind of index a container stores — the tag
-/// [`open_index`](IndexContainer::open_index) dispatches on, so no caller
-/// ever matches on a concrete index type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexKind {
-    /// Ensemble only: threshold search, no estimates, no top-k.
-    Plain,
-    /// Ensemble plus per-domain sketches: estimates, top-k, and sharded
-    /// serving are available.
-    Ranked,
-}
-
-/// The stored index, shared behind `Arc`s so
-/// [`open_index`](IndexContainer::open_index) can hand out trait objects
-/// without cloning forests or sketches.
-#[derive(Debug, Clone)]
-enum StoredIndex {
-    Plain(Arc<LshEnsemble>),
-    Ranked(Arc<RankedIndex>),
-}
-
 /// A loaded (or freshly built) index file.
 ///
 /// A clone shares the base with its original — the index's base
@@ -102,7 +84,9 @@ pub struct IndexContainer {
     /// record removed (`None`).
     overlay: BTreeMap<u32, Option<DomainRecord>>,
     len: usize,
-    index: StoredIndex,
+    /// Shared behind an `Arc`, so [`open_index`](Self::open_index) hands
+    /// out trait objects without cloning forests or sketches.
+    index: Arc<RankedIndex>,
     num_perm: usize,
     /// Id allocator high-water mark: one past the largest id ever issued,
     /// monotone across removals (a removed id is never re-issued, so a
@@ -120,30 +104,29 @@ const SKETCH_CHUNK_VALUES: usize = 1 << 20;
 
 impl IndexContainer {
     /// Builds a container from a catalog: sketches every domain, builds the
-    /// ensemble (retaining ranked sketches when `ranked`), and records
-    /// provenance.
+    /// ranked index, and records provenance.
     ///
     /// # Panics
     /// Panics if the catalog is empty or `partitions == 0`.
     #[must_use]
-    pub fn build(catalog: &Catalog, partitions: usize, ranked: bool) -> Self {
+    pub fn build(catalog: &Catalog, partitions: usize) -> Self {
         assert!(!catalog.is_empty(), "catalog must not be empty");
         // Catalog ids are dense, so the stream assigns the same ones; the
         // domains are sketched where they lie, uncopied.
         let domains = catalog
             .iter()
             .map(|(id, domain)| (domain, catalog.meta(id).clone()));
-        Self::sketch_and_build(domains, partitions, ranked)
+        Self::sketch_and_build(domains, partitions)
     }
 
     /// A container over a new base; `next_id` is raised past the base's ids.
-    fn over_base(base: RecordTable, index: StoredIndex, num_perm: usize, next_id: u32) -> Self {
+    fn over_base(base: RecordTable, index: RankedIndex, num_perm: usize, next_id: u32) -> Self {
         Self {
             len: base.len(),
             next_id: next_id.max(base.high_water()),
             base: Arc::new(base),
             overlay: BTreeMap::new(),
-            index,
+            index: Arc::new(index),
             num_perm,
             mapping: None,
         }
@@ -157,22 +140,22 @@ impl IndexContainer {
     /// `lshe_datagen::CorpusStream` scaled to multiple gigabytes.
     ///
     /// Value-identical to [`build`](Self::build) over a catalog containing
-    /// the same domains in the same order.
+    /// the same domains in the same order. `_ranked` is ignored — every
+    /// container ranks — and stays only so existing callers compile.
     ///
     /// # Panics
     /// Panics if the stream is empty or `partitions == 0`.
-    pub fn from_stream<I>(domains: I, partitions: usize, ranked: bool) -> Self
+    pub fn from_stream<I>(domains: I, partitions: usize, _ranked: bool) -> Self
     where
         I: IntoIterator<Item = (Domain, DomainMeta)>,
     {
-        Self::sketch_and_build(domains.into_iter(), partitions, ranked)
+        Self::sketch_and_build(domains.into_iter(), partitions)
     }
 
     /// [`build`](Self::build) lends its domains, `from_stream` gives them up.
     fn sketch_and_build<D: Borrow<Domain>>(
         domains: impl Iterator<Item = (D, DomainMeta)>,
         partitions: usize,
-        ranked: bool,
     ) -> Self {
         assert!(partitions > 0, "partitions must be positive");
         let hasher = MinHasher::new(lshe_minhash::DEFAULT_NUM_PERM);
@@ -209,17 +192,11 @@ impl IndexContainer {
         let records = records.finish();
         assert!(!records.is_empty(), "stream must yield at least one domain");
         // Each signature moves into the index: one owner, no copy.
-        let entries = records.iter().zip(signatures);
-        let index = if ranked {
-            let mut builder = RankedIndex::builder_with(config);
-            entries.for_each(|(rec, sig)| builder.add(rec.id, rec.size, sig));
-            StoredIndex::Ranked(Arc::new(builder.build()))
-        } else {
-            let mut builder = LshEnsemble::builder_with(config);
-            entries.for_each(|(rec, sig)| builder.add(rec.id, rec.size, sig));
-            StoredIndex::Plain(Arc::new(builder.build()))
-        };
-        Self::over_base(records, index, hasher.num_perm(), 0)
+        let mut builder = RankedIndex::builder_with(config);
+        for (rec, sig) in records.iter().zip(signatures) {
+            builder.add(rec.id, rec.size, sig);
+        }
+        Self::over_base(records, builder.build(), hasher.num_perm(), 0)
     }
 
     /// Signature width the index was built with (clients must sketch
@@ -241,21 +218,9 @@ impl IndexContainer {
         self.len == 0
     }
 
-    /// The shared ensemble (either standalone or inside the ranked index).
+    /// The ensemble inside the ranked index.
     fn ensemble(&self) -> &LshEnsemble {
-        match &self.index {
-            StoredIndex::Plain(e) => e,
-            StoredIndex::Ranked(r) => r.ensemble(),
-        }
-    }
-
-    /// The kind of index this container stores.
-    #[must_use]
-    pub fn kind(&self) -> IndexKind {
-        match &self.index {
-            StoredIndex::Plain(_) => IndexKind::Plain,
-            StoredIndex::Ranked(_) => IndexKind::Ranked,
-        }
+        self.index.ensemble()
     }
 
     /// Opens the stored index behind the unified query surface. Cheap
@@ -263,10 +228,24 @@ impl IndexContainer {
     /// forests and sketches.
     #[must_use]
     pub fn open_index(&self) -> Box<dyn DomainIndex> {
-        match &self.index {
-            StoredIndex::Plain(e) => Box::new(Arc::clone(e)),
-            StoredIndex::Ranked(r) => Box::new(Arc::clone(r)),
+        Box::new(Arc::clone(&self.index))
+    }
+
+    /// Whether this container's domains can be served across `shards`
+    /// query shards: `shards <= 1` always, more only with a domain for
+    /// each — what [`open_index_sharded`](Self::open_index_sharded) and
+    /// [`split_with`](Self::split_with) refuse otherwise.
+    ///
+    /// # Errors
+    /// A message when the container holds fewer domains than shards.
+    pub fn fits_shards(&self, shards: usize) -> Result<(), String> {
+        if shards > 1 && self.len() < shards {
+            return Err(format!(
+                "cannot split {} domains across {shards} shards",
+                self.len()
+            ));
         }
+        Ok(())
     }
 
     /// Opens the stored index fanned out across `shards` query shards
@@ -274,25 +253,14 @@ impl IndexContainer {
     /// [`open_index`](Self::open_index).
     ///
     /// # Errors
-    /// A message when the container stores no sketches (sharded serving
-    /// re-sharpens per-shard partitions from them) or holds fewer domains
-    /// than shards.
+    /// As [`fits_shards`](Self::fits_shards).
     pub fn open_index_sharded(&self, shards: usize) -> Result<Box<dyn DomainIndex>, String> {
         if shards <= 1 {
             return Ok(self.open_index());
         }
-        let StoredIndex::Ranked(ranked) = &self.index else {
-            return Err(
-                "--shards needs per-domain sketches; rebuild the index with --ranked".into(),
-            );
-        };
-        if self.len() < shards {
-            return Err(format!(
-                "cannot split {} domains across {shards} shards",
-                self.len()
-            ));
-        }
-        let sharded = ShardedRanked::build(Arc::clone(ranked), shards, self.shard_config(shards));
+        self.fits_shards(shards)?;
+        let config = self.shard_config(shards);
+        let sharded = ShardedRanked::build(Arc::clone(&self.index), shards, config);
         if let Some(mapping) = &self.mapping {
             // The shards copied every mapped row out: give the pages back.
             release(mapping);
@@ -315,7 +283,7 @@ impl IndexContainer {
         }
     }
 
-    /// Partitions a ranked container into `num_shards` standalone shard
+    /// Partitions the container into `num_shards` standalone shard
     /// containers, routing each domain with `place(id, num_shards)`.
     ///
     /// Each output holds the routed subset of records and sketches plus a
@@ -328,9 +296,9 @@ impl IndexContainer {
     /// the single sharded process.
     ///
     /// # Errors
-    /// A message when the container stores no sketches, holds fewer
-    /// domains than shards, `num_shards < 2`, or the placement leaves a
-    /// shard empty / routes out of range.
+    /// A message when the container holds fewer domains than shards,
+    /// `num_shards < 2`, or the placement leaves a shard empty / routes out
+    /// of range.
     pub fn split_with(
         &self,
         num_shards: usize,
@@ -339,20 +307,12 @@ impl IndexContainer {
         if num_shards < 2 {
             return Err("split needs at least 2 shards".into());
         }
-        let StoredIndex::Ranked(ranked) = &self.index else {
-            return Err("split needs per-domain sketches; rebuild the index with --ranked".into());
-        };
-        if self.len() < num_shards {
-            return Err(format!(
-                "cannot split {} domains across {num_shards} shards",
-                self.len()
-            ));
-        }
+        self.fits_shards(num_shards)?;
         let config = self.shard_config(num_shards);
         // Route every sketch entry; entries are sorted by id, so each
         // shard's parallel arrays stay id-sorted like a fresh build's.
         let mut parts: Vec<Vec<(u32, u64, Row<'_>)>> = vec![Vec::new(); num_shards];
-        for entry in ranked.sketch_entries() {
+        for entry in self.index.sketch_entries() {
             let s = place(entry.0, num_shards);
             if s >= num_shards {
                 return Err(format!(
@@ -380,19 +340,15 @@ impl IndexContainer {
                 }
                 let ranked = RankedIndex::from_ensemble(ensemble, |_| None)
                     .expect("a built ensemble keeps every row's size");
-                let index = StoredIndex::Ranked(Arc::new(ranked));
-                Self::over_base(records.finish(), index, self.num_perm, self.next_id)
+                Self::over_base(records.finish(), ranked, self.num_perm, self.next_id)
             })
             .collect())
     }
 
     /// The stored index as its mutation surface (a shared index is cloned
     /// on first mutation, which copies none of its base).
-    fn index_mut(&mut self) -> &mut dyn MutableIndex {
-        match &mut self.index {
-            StoredIndex::Plain(e) => Arc::make_mut(e) as &mut dyn MutableIndex,
-            StoredIndex::Ranked(r) => Arc::make_mut(r) as &mut dyn MutableIndex,
-        }
+    fn index_mut(&mut self) -> &mut RankedIndex {
+        Arc::make_mut(&mut self.index)
     }
 
     /// The smallest id safely assignable to a new domain: the persisted
@@ -599,22 +555,10 @@ impl IndexContainer {
         (partitions, Arc::ptr_eq(&self.base, &other.base))
     }
 
-    /// True when the container stores per-domain ranked sketches (built
-    /// with `--ranked`), enabling [`Self::top_k`] and containment
-    /// estimates.
-    #[must_use]
-    pub fn has_ranked(&self) -> bool {
-        self.kind() == IndexKind::Ranked
-    }
-
-    /// The stored (size, signature row) for a domain, when ranked sketches
-    /// are present.
+    /// The stored (size, signature row) of a domain, if indexed.
     #[must_use]
     pub fn sketch(&self, id: u32) -> Option<(u64, Row<'_>)> {
-        match &self.index {
-            StoredIndex::Ranked(r) => r.sketch(id),
-            StoredIndex::Plain(_) => None,
-        }
+        self.index.sketch(id)
     }
 
     /// Provenance lookup: (table, column, size).
@@ -627,8 +571,8 @@ impl IndexContainer {
         (rec.table, rec.column, rec.size)
     }
 
-    /// Threshold search; estimates are attached when sketches are stored.
-    /// Thin wrapper over the [`DomainIndex`] surface.
+    /// Threshold search, each hit with its estimate. Thin wrapper over the
+    /// [`DomainIndex`] surface.
     ///
     /// # Panics
     /// Panics on malformed query inputs (width mismatch, zero size,
@@ -643,11 +587,11 @@ impl IndexContainer {
             .into_pairs()
     }
 
-    /// Top-k search (requires ranked sketches). Thin wrapper over the
-    /// [`DomainIndex`] surface.
+    /// Top-k search. Thin wrapper over the [`DomainIndex`] surface.
     ///
     /// # Errors
-    /// Returns a message when the container was built without `--ranked`.
+    /// Returns a message for a malformed query (`k == 0`, zero size, width
+    /// mismatch).
     pub fn top_k(
         &self,
         sig: &Signature,
@@ -676,11 +620,6 @@ impl IndexContainer {
             out,
             "forest: {} trees × depth {}",
             config.b_max, config.r_max
-        );
-        let _ = writeln!(
-            out,
-            "ranked sketches: {}",
-            if self.has_ranked() { "yes" } else { "no" }
         );
         let _ = writeln!(out, "memory: {} bytes", self.memory_bytes());
         let (index_bytes, mapped) = (index.memory_bytes(), index.mapped_bytes());
@@ -716,7 +655,7 @@ impl IndexContainer {
     /// The encoder behind [`to_bytes`](Self::to_bytes) and [`save`](Self::save).
     fn encode_into<W: Write>(&self, enc: &mut Encoder<W>) {
         enc.envelope(MAGIC, VERSION);
-        enc.put_u8(u8::from(self.has_ranked()));
+        enc.put_u8(1);
         enc.put_u32(self.num_perm as u32);
         enc.put_u64(self.len as u64);
         for rec in self.records().iter() {
@@ -768,7 +707,8 @@ impl IndexContainer {
                 supported: VERSION,
             }));
         }
-        let has_ranked = dec.get_u8("flags").map_err(hdr)? != 0;
+        // The flag byte is read and ignored: a plain file loads ranked.
+        dec.get_u8("flags").map_err(hdr)?;
         let num_perm = dec.get_u32("num_perm").map_err(hdr)? as usize;
         let count = dec.get_u64("meta count").map_err(hdr)? as usize;
         let rcs = |e| ("domain records", e);
@@ -788,15 +728,10 @@ impl IndexContainer {
             )));
         }
         let sk = |e| ("sketches", e);
-        let index = if has_ranked {
-            // The rows are in the ensemble; the records say how large each
-            // live domain is.
-            let ranked = RankedIndex::from_ensemble(ensemble, |id| Some(records.get(id)?.size))
-                .map_err(|detail| sk(CodecError::Corrupt(detail)))?;
-            StoredIndex::Ranked(Arc::new(ranked))
-        } else {
-            StoredIndex::Plain(Arc::new(ensemble))
-        };
+        // The rows are in the ensemble; the records say how large each live
+        // domain is.
+        let index = RankedIndex::from_ensemble(ensemble, |id| Some(records.get(id)?.size))
+            .map_err(|detail| sk(CodecError::Corrupt(detail)))?;
         let mark = dec.get_u32("next id").map_err(|e| ("allocator mark", e))?;
         if !dec.is_exhausted() {
             return Err(sk(CodecError::Corrupt("trailing bytes after container")));
@@ -846,19 +781,15 @@ impl IndexContainer {
     /// is not served: [`load`](Self::load) refuses it.
     ///
     /// # Errors
-    /// A message when the container stores no sketches (plain indexes
-    /// have nothing to rank from disk; rebuild with `--ranked`), when
-    /// mutations are staged (commit first), or on I/O failure.
+    /// A message when mutations are staged (commit first), or on I/O
+    /// failure.
     pub fn pack_v2(&self, path: &Path) -> Result<(), String> {
-        let StoredIndex::Ranked(ranked) = &self.index else {
-            return Err("pack needs per-domain sketches; rebuild the index with --ranked".into());
-        };
         if self.staged_len() > 0 {
             return Err("commit staged mutations before packing".into());
         }
         let io = |e: std::io::Error| format!("{}: {e}", path.display());
         let mut packer = Packer::create(path).map_err(io)?;
-        lshe_core::pack_ranked_with(ranked, &mut packer, self.next_id).map_err(io)?;
+        lshe_core::pack_ranked_with(&self.index, &mut packer, self.next_id).map_err(io)?;
         packer.finish().map_err(io)
     }
 }
@@ -1314,30 +1245,20 @@ mod tests {
     }
 
     #[test]
-    fn container_roundtrip_plain() {
+    fn container_roundtrip_ranked() {
         let cat = catalog(10);
-        let built = IndexContainer::build(&cat, 2, false);
+        let built = IndexContainer::build(&cat, 2);
         let bytes = built.to_bytes();
         let restored = IndexContainer::from_bytes(&bytes).expect("decode");
         assert_eq!(restored.len(), 10);
         assert_eq!(restored.num_perm(), 256);
         assert_eq!(restored.provenance(3), ("t3", "col", 80));
-        // Query equivalence.
         let hasher = MinHasher::new(256);
+        // Query equivalence, estimates included.
         let q = cat.domain(2).signature(&hasher);
         let a = built.search(&q, 60, 0.8);
-        let b = restored.search(&q, 60, 0.8);
-        assert_eq!(a, b);
-        assert!(a.iter().any(|&(id, _)| id == 2));
-    }
-
-    #[test]
-    fn container_roundtrip_ranked() {
-        let cat = catalog(8);
-        let built = IndexContainer::build(&cat, 2, true);
-        let bytes = built.to_bytes();
-        let restored = IndexContainer::from_bytes(&bytes).expect("decode");
-        let hasher = MinHasher::new(256);
+        assert_eq!(a, restored.search(&q, 60, 0.8));
+        assert!(a.iter().any(|&(id, est)| id == 2 && est.is_some()));
         let q = cat.domain(1).signature(&hasher);
         let top = restored.top_k(&q, 40, 3).expect("ranked");
         assert_eq!(top.len(), 3);
@@ -1349,20 +1270,17 @@ mod tests {
         // The streaming constructor must be value-identical to the batch
         // one: same records, same index, byte-identical serialisation.
         let cat = catalog(12);
-        for ranked in [false, true] {
-            let batch = IndexContainer::build(&cat, 3, ranked);
-            let streamed = IndexContainer::from_stream(
-                cat.iter().map(|(id, d)| {
-                    let meta = cat.meta(id);
-                    (d.clone(), DomainMeta::new(&meta.table, &meta.column))
-                }),
-                3,
-                ranked,
-            );
-            assert_eq!(streamed.len(), batch.len());
-            assert_eq!(streamed.kind(), batch.kind());
-            assert_eq!(streamed.to_bytes(), batch.to_bytes(), "ranked={ranked}");
-        }
+        let batch = IndexContainer::build(&cat, 3);
+        let streamed = IndexContainer::from_stream(
+            cat.iter().map(|(id, d)| {
+                let meta = cat.meta(id);
+                (d.clone(), DomainMeta::new(&meta.table, &meta.column))
+            }),
+            3,
+            true,
+        );
+        assert_eq!(streamed.len(), batch.len());
+        assert_eq!(streamed.to_bytes(), batch.to_bytes());
     }
 
     #[test]
@@ -1405,44 +1323,25 @@ mod tests {
     }
 
     #[test]
-    fn plain_container_rejects_top_k() {
-        let cat = catalog(5);
-        let built = IndexContainer::build(&cat, 2, false);
-        let hasher = MinHasher::new(256);
-        let q = cat.domain(0).signature(&hasher);
-        assert!(built.top_k(&q, 20, 2).is_err());
-    }
-
-    #[test]
-    fn kind_tag_and_open_index_dispatch() {
+    fn open_index_shares_and_open_index_sharded_fans_out() {
         let cat = catalog(10);
-        let plain = IndexContainer::build(&cat, 2, false);
-        let ranked = IndexContainer::build(&cat, 2, true);
-        assert_eq!(plain.kind(), IndexKind::Plain);
-        assert_eq!(ranked.kind(), IndexKind::Ranked);
-
+        let ranked = IndexContainer::build(&cat, 2);
         let hasher = MinHasher::new(256);
         let sig = cat.domain(2).signature(&hasher);
-        for c in [&plain, &ranked] {
-            let idx = c.open_index();
-            assert_eq!(idx.len(), 10);
-            assert!(idx.memory_bytes() > 0);
-            let out = idx
-                .search(&Query::threshold(&sig, 0.8).with_size(60))
-                .expect("search");
-            assert!(out.ids().contains(&2));
-            assert!(out.stats.partitions_probed <= out.stats.partitions_total);
-        }
+        let idx = ranked.open_index();
+        assert_eq!(idx.len(), 10);
+        assert!(idx.memory_bytes() > 0);
         // open_index shares (not clones) the stored index.
-        assert!(matches!(
-            plain
-                .open_index()
-                .search(&Query::top_k(&sig, 2).with_size(60)),
-            Err(lshe_core::QueryError::Unsupported(_))
-        ));
+        assert_eq!(Arc::strong_count(&ranked.index), 2);
+        let out = idx
+            .search(&Query::threshold(&sig, 0.8).with_size(60))
+            .expect("search");
+        assert!(out.ids().contains(&2));
+        assert!(out.stats.partitions_probed <= out.stats.partitions_total);
+        let top = idx.search(&Query::top_k(&sig, 2).with_size(60));
+        assert_eq!(top.expect("top-k").hits.len(), 2);
 
-        // Sharded opening: refused without sketches, works with them.
-        assert!(plain.open_index_sharded(2).is_err());
+        // Sharded opening: refused with too few domains, works otherwise.
         assert!(ranked.open_index_sharded(100).is_err(), "too few domains");
         let sharded = ranked.open_index_sharded(2).expect("sharded");
         let out = sharded
@@ -1455,7 +1354,7 @@ mod tests {
     #[test]
     fn truncation_rejected() {
         let cat = catalog(5);
-        let bytes = IndexContainer::build(&cat, 2, true).to_bytes();
+        let bytes = IndexContainer::build(&cat, 2).to_bytes();
         for cut in [0usize, 4, 9, bytes.len() / 3, bytes.len() - 1] {
             assert!(IndexContainer::from_bytes(&bytes[..cut]).is_err());
         }
@@ -1463,7 +1362,7 @@ mod tests {
 
     #[test]
     fn hostile_lengths_in_a_container_are_typed_errors() {
-        let bytes = IndexContainer::build(&catalog(5), 2, true).to_bytes();
+        let bytes = IndexContainer::build(&catalog(5), 2).to_bytes();
         // The first record's table-name length sits after the envelope (5),
         // flags (1), num_perm (4), record count (8), id (4) and size (8);
         // the ensemble length follows the five records.
@@ -1515,8 +1414,8 @@ mod tests {
     fn save_is_atomic_and_load_reads_what_it_wrote() {
         let dir = scratch_dir("save");
         let path = dir.join("idx.lshe");
-        let small = IndexContainer::build(&catalog(4), 2, true);
-        let big = IndexContainer::build(&catalog(9), 3, false);
+        let small = IndexContainer::build(&catalog(4), 2);
+        let big = IndexContainer::build(&catalog(9), 3);
         small.save(&path).expect("save");
         assert_eq!(std::fs::read(&path).expect("read"), small.to_bytes());
         // Saving over an existing index replaces it whole and leaves no
@@ -1525,7 +1424,6 @@ mod tests {
         assert_eq!(std::fs::read(&path).expect("read"), big.to_bytes());
         assert_eq!(std::fs::read_dir(&dir).expect("ls").count(), 1);
         let loaded = IndexContainer::load(&path).expect("load");
-        assert_eq!(loaded.kind(), IndexKind::Plain);
         assert_eq!(loaded.records(), big.records());
         // A failed save (missing directory) leaves the target untouched.
         assert!(small.save(&dir.join("absent").join("idx.lshe")).is_err());
@@ -1555,47 +1453,45 @@ mod tests {
 
     #[test]
     fn apply_commit_persist_roundtrip() {
-        for ranked in [false, true] {
-            let cat = catalog(10);
-            let mut c = IndexContainer::build(&cat, 2, ranked);
-            assert_eq!(c.next_id(), 10);
-            let ops = vec![
-                insert_op(10, 25, c.num_perm()),
-                DeltaOp::Remove { id: 4 },
-                insert_op(11, 33, c.num_perm()),
-            ];
-            assert_eq!(c.apply(&ops).expect("apply"), 3);
-            assert_eq!(c.len(), 11);
-            assert_eq!(c.staged_len(), 2);
-            assert_eq!(c.next_id(), 12);
-            assert!(c.record(4).is_none());
-            assert_eq!(c.record(10).expect("record").table, "live10");
+        let cat = catalog(10);
+        let mut c = IndexContainer::build(&cat, 2);
+        assert_eq!(c.next_id(), 10);
+        let ops = vec![
+            insert_op(10, 25, c.num_perm()),
+            DeltaOp::Remove { id: 4 },
+            insert_op(11, 33, c.num_perm()),
+        ];
+        assert_eq!(c.apply(&ops).expect("apply"), 3);
+        assert_eq!(c.len(), 11);
+        assert_eq!(c.staged_len(), 2);
+        assert_eq!(c.next_id(), 12);
+        assert!(c.record(4).is_none());
+        assert_eq!(c.record(10).expect("record").table, "live10");
 
-            // Staged inserts answer queries immediately.
-            let hasher = MinHasher::new(c.num_perm());
-            let sig = hasher.signature((9_000..9_025).map(|v| v as u64));
-            let hits = c.search(&sig, 25, 0.9);
-            assert!(hits.iter().any(|&(id, _)| id == 10), "{ranked}: {hits:?}");
+        // Staged inserts answer queries immediately.
+        let hasher = MinHasher::new(c.num_perm());
+        let sig = hasher.signature((9_000..9_025).map(|v| v as u64));
+        let hits = c.search(&sig, 25, 0.9);
+        assert!(hits.iter().any(|&(id, _)| id == 10), "{hits:?}");
 
-            // Commit, persist, reload: everything survives.
-            let report = c.commit_mutations();
-            assert_eq!(report.merged, 2);
-            assert_eq!(c.staged_len(), 0);
-            let restored = IndexContainer::from_bytes(&c.to_bytes()).expect("decode");
-            assert_eq!(restored.len(), 11);
-            assert!(restored.record(4).is_none());
-            assert!(restored
-                .search(&sig, 25, 0.9)
-                .iter()
-                .any(|&(id, _)| id == 10));
-            assert_eq!(restored.provenance(11).0, "live11");
-        }
+        // Commit, persist, reload: everything survives.
+        let report = c.commit_mutations();
+        assert_eq!(report.merged, 2);
+        assert_eq!(c.staged_len(), 0);
+        let restored = IndexContainer::from_bytes(&c.to_bytes()).expect("decode");
+        assert_eq!(restored.len(), 11);
+        assert!(restored.record(4).is_none());
+        assert!(restored
+            .search(&sig, 25, 0.9)
+            .iter()
+            .any(|&(id, _)| id == 10));
+        assert_eq!(restored.provenance(11).0, "live11");
     }
 
     #[test]
     fn apply_rejects_bad_ops_with_typed_errors() {
         let cat = catalog(6);
-        let mut c = IndexContainer::build(&cat, 2, true);
+        let mut c = IndexContainer::build(&cat, 2);
         // Duplicate id.
         assert!(matches!(
             c.apply(&[insert_op(3, 20, c.num_perm())]),
@@ -1630,7 +1526,7 @@ mod tests {
     #[test]
     fn container_clone_is_copy_on_write() {
         let cat = catalog(8);
-        let original = IndexContainer::build(&cat, 2, true);
+        let original = IndexContainer::build(&cat, 2);
         let mut copy = original.clone();
         copy.apply(&[
             DeltaOp::Remove { id: 0 },
@@ -1654,7 +1550,7 @@ mod tests {
         // Every record of `catalog(5)` is 33 bytes — id (4), size (8), "tK"
         // (8 + 2), "col" (8 + 3) — from byte 18: envelope (5), flags (1),
         // num_perm (4), record count (8).
-        let bytes = IndexContainer::build(&catalog(5), 2, true).to_bytes();
+        let bytes = IndexContainer::build(&catalog(5), 2).to_bytes();
         let at = |k: usize| 18 + 33 * k..18 + 33 * (k + 1);
         let mut swapped = bytes.clone();
         swapped[at(1)].copy_from_slice(&bytes[at(2)]);
@@ -1672,55 +1568,53 @@ mod tests {
 
     #[test]
     fn overlay_records_merge_into_the_base_order_and_fold_at_compaction() {
-        for ranked in [false, true] {
-            let built = IndexContainer::build(&catalog(8), 2, ranked);
-            let mut c = built.clone();
-            // Remove a base record, put another under the same id, add two
-            // past the end and take one of those back.
-            let reinserted = insert_op(3, 21, c.num_perm());
-            c.apply(&[
-                DeltaOp::Remove { id: 3 },
-                DeltaOp::Remove { id: 6 },
-                reinserted.clone(),
-                insert_op(20, 30, c.num_perm()),
-                insert_op(21, 31, c.num_perm()),
-                DeltaOp::Remove { id: 21 },
-            ])
-            .expect("apply");
-            c.commit_mutations();
-            let ids = |c: &IndexContainer| c.records().iter().map(|r| r.id).collect::<Vec<_>>();
-            assert_eq!(ids(&c), [0, 1, 2, 3, 4, 5, 7, 20]);
-            assert_eq!(c.len(), 8);
-            let DeltaOp::Insert { record, .. } = &reinserted else {
-                unreachable!()
-            };
-            assert_eq!(c.record(3), Some(record.view()));
-            assert_eq!(c.provenance(3).0, "live3");
-            assert!(c.record(6).is_none() && c.record(21).is_none());
-            // The container it was cloned from still holds what it held.
-            assert_eq!(built.provenance(3).0, "t3");
-            assert_eq!(ids(&built), [0, 1, 2, 3, 4, 5, 6, 7]);
-            assert_eq!(c.base_shared_with(&built), (vec![true; 2], true));
+        let built = IndexContainer::build(&catalog(8), 2);
+        let mut c = built.clone();
+        // Remove a base record, put another under the same id, add two past
+        // the end and take one of those back.
+        let reinserted = insert_op(3, 21, c.num_perm());
+        c.apply(&[
+            DeltaOp::Remove { id: 3 },
+            DeltaOp::Remove { id: 6 },
+            reinserted.clone(),
+            insert_op(20, 30, c.num_perm()),
+            insert_op(21, 31, c.num_perm()),
+            DeltaOp::Remove { id: 21 },
+        ])
+        .expect("apply");
+        c.commit_mutations();
+        let ids = |c: &IndexContainer| c.records().iter().map(|r| r.id).collect::<Vec<_>>();
+        assert_eq!(ids(&c), [0, 1, 2, 3, 4, 5, 7, 20]);
+        assert_eq!(c.len(), 8);
+        let DeltaOp::Insert { record, .. } = &reinserted else {
+            unreachable!()
+        };
+        assert_eq!(c.record(3), Some(record.view()));
+        assert_eq!(c.provenance(3).0, "live3");
+        assert!(c.record(6).is_none() && c.record(21).is_none());
+        // The container it was cloned from still holds what it held.
+        assert_eq!(built.provenance(3).0, "t3");
+        assert_eq!(ids(&built), [0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(c.base_shared_with(&built), (vec![true; 2], true));
 
-            // Compaction folds the overlay into a table of its own: the
-            // same records, the same bytes as a container decoded from them.
-            let before = c.to_bytes();
-            let restored = IndexContainer::from_bytes(&before).expect("decode");
-            assert_eq!(restored.records(), c.records());
-            c.compact_index();
-            assert!(!c.base_shared_with(&built).1);
-            assert_eq!(c.records(), restored.records());
-            assert_eq!(c.record(3), Some(record.view()));
-            assert!(c.overlay.is_empty());
-            let provenance = c.memory_bytes() - c.open_index().memory_bytes();
-            assert_eq!(provenance, c.base.memory_bytes());
-        }
+        // Compaction folds the overlay into a table of its own: the same
+        // records, the same bytes as a container decoded from them.
+        let before = c.to_bytes();
+        let restored = IndexContainer::from_bytes(&before).expect("decode");
+        assert_eq!(restored.records(), c.records());
+        c.compact_index();
+        assert!(!c.base_shared_with(&built).1);
+        assert_eq!(c.records(), restored.records());
+        assert_eq!(c.record(3), Some(record.view()));
+        assert!(c.overlay.is_empty());
+        let provenance = c.memory_bytes() - c.open_index().memory_bytes();
+        assert_eq!(provenance, c.base.memory_bytes());
     }
 
     #[test]
     fn split_shards_are_bit_identical_to_in_process_shards() {
         let cat = catalog(12);
-        let c = IndexContainer::build(&cat, 4, true);
+        let c = IndexContainer::build(&cat, 4);
         let n = 3;
         let shards = c.split_with(n, |id, n| id as usize % n).expect("split");
         assert_eq!(shards.len(), n);
@@ -1730,12 +1624,8 @@ mod tests {
         // in-process shard of open_index_sharded(n): with dense ids the
         // modular placement coincides with the round-robin the sharded
         // build uses.
-        let StoredIndex::Ranked(ranked) = &c.index else {
-            unreachable!("built ranked");
-        };
-        let inproc = ShardedRanked::build(Arc::clone(ranked), n, c.shard_config(n));
+        let inproc = ShardedRanked::build(Arc::clone(&c.index), n, c.shard_config(n));
         for (s, sc) in shards.iter().enumerate() {
-            assert!(sc.has_ranked());
             assert_eq!(sc.num_perm(), c.num_perm());
             assert!(sc.records().iter().all(|r| r.id as usize % n == s));
             assert_eq!(
@@ -1777,10 +1667,7 @@ mod tests {
 
     #[test]
     fn split_rejects_bad_inputs() {
-        let cat = catalog(6);
-        let plain = IndexContainer::build(&cat, 2, false);
-        assert!(plain.split_with(2, |id, n| id as usize % n).is_err());
-        let ranked = IndexContainer::build(&cat, 2, true);
+        let ranked = IndexContainer::build(&catalog(6), 2);
         assert!(ranked.split_with(1, |id, n| id as usize % n).is_err());
         assert!(ranked.split_with(7, |id, n| id as usize % n).is_err());
         // A placement that starves a shard is refused, not built empty.
@@ -1907,7 +1794,7 @@ mod tests {
         let dir = scratch_dir("roundtrip");
         let path = dir.join("idx.lshepk");
         let cat = catalog(12);
-        let ranked = IndexContainer::build(&cat, 3, true);
+        let ranked = IndexContainer::build(&cat, 3);
         ranked.pack_v2(&path).expect("pack");
         let mapped = lshe_core::MmapIndex::open_verified(&path).expect("open packed");
         assert_eq!(mapped.len(), ranked.len());
@@ -1944,15 +1831,10 @@ mod tests {
     }
 
     #[test]
-    fn pack_v2_guards_plain_and_staged() {
+    fn pack_v2_guards_staged() {
         let dir = scratch_dir("guards");
         let path = dir.join("idx.lshepk");
-        let cat = catalog(6);
-
-        let plain = IndexContainer::build(&cat, 2, false);
-        assert!(plain.pack_v2(&path).unwrap_err().contains("--ranked"));
-
-        let mut staged = IndexContainer::build(&cat, 2, true);
+        let mut staged = IndexContainer::build(&catalog(6), 2);
         staged.apply(&[insert_op(99, 15, 256)]).expect("stage");
         assert!(staged.pack_v2(&path).unwrap_err().contains("commit staged"));
         staged.commit_mutations();
@@ -1973,7 +1855,7 @@ mod tests {
 
         // Truncated container: the failing section is named.
         let cat = catalog(5);
-        let bytes = IndexContainer::build(&cat, 2, true).to_bytes();
+        let bytes = IndexContainer::build(&cat, 2).to_bytes();
         let cut = dir.join("cut.lshe");
         std::fs::write(&cut, &bytes[..bytes.len() - 1]).expect("write");
         let err = IndexContainer::load(&cut).unwrap_err();

@@ -8,11 +8,11 @@
 //! semantics a serving system wants.
 //!
 //! Every snapshot holds its backend as a `Box<dyn DomainIndex>` opened by
-//! [`IndexContainer::open_index_sharded`]: unsharded ranked, unsharded
-//! plain, and sharded (`--shards N`, the paper's §6.3 cluster topology —
-//! a read-only fan-out built afresh over each snapshot's container) all
-//! answer through the same trait — the engine never matches on a concrete
-//! index type. Mutations only ever reach the container's own index.
+//! [`IndexContainer::open_index_sharded`]: the container's ranked index,
+//! or a sharded fan-out over it (`--shards N`, the paper's §6.3 cluster
+//! topology — read-only, built afresh over each snapshot's container),
+//! both answering through the same trait. Mutations only ever reach the
+//! container's own index.
 
 use crate::container::{DeltaLog, DeltaOp, IndexContainer, LoadError};
 use lshe_core::{CommitReport, DomainIndex, Query, QueryError, SearchOutcome};
@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// One hit: domain id plus estimated containment when sketches are stored.
+/// One hit: domain id plus its estimated containment.
 pub type Hit = (u32, Option<f64>);
 
 /// Engine failures.
@@ -32,7 +32,7 @@ pub enum EngineError {
     Io(std::io::Error),
     /// Corrupt or incompatible index file.
     Index(String),
-    /// Invalid engine configuration (e.g. sharding an unranked index).
+    /// Invalid engine configuration (e.g. more shards than domains).
     Config(String),
     /// A staged mutation was rejected (duplicate insert, unknown or
     /// double removal, width mismatch).
@@ -82,8 +82,8 @@ pub struct Snapshot {
 
 impl Snapshot {
     fn new(container: IndexContainer, shards: usize, generation: u64) -> Result<Self, EngineError> {
-        // The container owns backend selection: plain, ranked, or sharded
-        // fan-out all come back as one trait object. Invalid shard
+        // The container owns backend selection: its index or a sharded
+        // fan-out come back as one trait object. Invalid shard
         // configurations are rejected here, at load time, with a typed
         // error — never a panic on the query path.
         let index = container
@@ -152,11 +152,11 @@ impl Snapshot {
             .into_pairs()
     }
 
-    /// Top-k search (requires a ranked container); thin wrapper over
-    /// [`query`](Self::query).
+    /// Top-k search; thin wrapper over [`query`](Self::query).
     ///
     /// # Errors
-    /// A message when the index stores no sketches.
+    /// A message for a malformed query (`k == 0`, zero size, width
+    /// mismatch).
     pub fn top_k(&self, sig: &Signature, query_size: u64, k: usize) -> Result<Vec<Hit>, String> {
         self.query(&Query::top_k(sig, k).with_size(query_size))
             .map(SearchOutcome::into_pairs)
@@ -203,12 +203,12 @@ pub struct CommitOutcome {
 pub struct Engine {
     current: RwLock<Arc<Snapshot>>,
     path: RwLock<Option<PathBuf>>,
-    /// Serialises whole reloads (read → build → swap); without it two
-    /// concurrent reloads could commit out of generation order and leave
-    /// the older snapshot live.
+    /// Serialises every snapshot swap (read → build → swap: reloads,
+    /// commits, merges); without it two concurrent swaps could commit out
+    /// of generation order and leave the older snapshot live. Under it,
+    /// the next generation is the live one's plus one.
     reload_lock: std::sync::Mutex<()>,
     shards: usize,
-    generation: AtomicU64,
     /// Generation produced by the last [`compact`](Self::compact) in this
     /// process (0 = no compaction since boot) — surfaced on `/stats`.
     last_compaction: AtomicU64,
@@ -253,7 +253,6 @@ impl Engine {
             path: RwLock::new(Some(path.to_owned())),
             reload_lock: std::sync::Mutex::new(()),
             shards,
-            generation: AtomicU64::new(1),
             last_compaction: AtomicU64::new(0),
             pending: Mutex::new(pending),
         })
@@ -343,7 +342,6 @@ impl Engine {
             path: RwLock::new(None),
             reload_lock: std::sync::Mutex::new(()),
             shards,
-            generation: AtomicU64::new(1),
             last_compaction: AtomicU64::new(0),
             pending: Mutex::new(Pending {
                 next_id,
@@ -631,7 +629,11 @@ impl Engine {
     /// and retry; [`EngineError::Io`] when the marker cannot be appended —
     /// the commit is then abandoned whole: no snapshot swap, staged ops
     /// kept, retry on the next `/commit` (the marker append is the commit
-    /// point, so a re-issued commit is idempotent).
+    /// point, so a re-issued commit is idempotent); [`EngineError::Config`]
+    /// when the engine could not serve the result (fewer domains than
+    /// shards) — refused before the marker, with staged ops kept and the
+    /// generation unchanged, so the log never holds a commit a restart
+    /// cannot load.
     pub fn commit_staged(&self) -> Result<(Arc<Snapshot>, CommitOutcome), EngineError> {
         let _guard = self.reload_lock.lock().expect("reload lock poisoned");
         let mut pending = self.pending.lock().expect("pending lock poisoned");
@@ -646,6 +648,7 @@ impl Engine {
         let report = container.commit_mutations();
         container.reserve_next_id(pending.next_id);
         let applied = pending.ops.len();
+        let snapshot = Snapshot::new(container, self.shards, snap.generation() + 1)?;
 
         // Durability: one marker closes the batch. Replaying the log at
         // boot re-seals the identical segment, so nothing else need touch
@@ -659,9 +662,7 @@ impl Engine {
             pending.next_id,
         )?;
 
-        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let snapshot = Arc::new(Snapshot::new(container, self.shards, generation)?);
-        *self.current.write().expect("engine lock poisoned") = Arc::clone(&snapshot);
+        let snapshot = self.swap_in(snapshot);
         *pending = Pending {
             next_id: pending.next_id,
             ..Pending::default()
@@ -680,9 +681,11 @@ impl Engine {
     ///
     /// # Errors
     /// [`EngineError::Mutation`] when a staged op no longer applies (ops
-    /// kept, nothing swapped); [`EngineError::Io`] when the folded base
-    /// cannot be persisted — the compaction is abandoned whole: no
-    /// snapshot swap, delta log untouched, segments still queryable.
+    /// kept, nothing swapped); [`EngineError::Config`] when the engine
+    /// could not serve the result, and [`EngineError::Io`] when the folded
+    /// base cannot be persisted — either way the compaction is abandoned
+    /// whole: no snapshot swap, delta log untouched, segments still
+    /// queryable.
     pub fn compact(&self) -> Result<(Arc<Snapshot>, CommitOutcome), EngineError> {
         let _guard = self.reload_lock.lock().expect("reload lock poisoned");
         let mut pending = self.pending.lock().expect("pending lock poisoned");
@@ -694,6 +697,11 @@ impl Engine {
         let applied = pending.ops.len();
         let report = container.compact_index();
         container.reserve_next_id(pending.next_id);
+        // Checked before anything is durable; the snapshot itself is built
+        // over the file the fold writes.
+        container
+            .fits_shards(self.shards)
+            .map_err(EngineError::Config)?;
 
         // Persist the folded base, then retire the delta log: the base
         // file now embodies every logged batch. Crash between the rename
@@ -710,9 +718,8 @@ impl Engine {
             }
         }
 
-        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let snapshot = Arc::new(Snapshot::new(container, self.shards, generation)?);
-        *self.current.write().expect("engine lock poisoned") = Arc::clone(&snapshot);
+        let generation = snap.generation() + 1;
+        let snapshot = self.swap_in(Snapshot::new(container, self.shards, generation)?);
         *pending = Pending {
             next_id: pending.next_id,
             ..Pending::default()
@@ -737,8 +744,10 @@ impl Engine {
     /// A task that changes nothing returns the live snapshot unswapped.
     ///
     /// # Errors
-    /// [`EngineError::Io`] when the folded base cannot be persisted — the
-    /// merge is abandoned whole: no snapshot swap, delta log untouched.
+    /// [`EngineError::Io`] when the folded base cannot be persisted, and
+    /// [`EngineError::Config`] when the engine could not serve the result
+    /// (checked first) — the merge is abandoned whole: no snapshot swap,
+    /// delta log untouched.
     pub fn apply_merge(
         &self,
         task: &lshe_core::MergeTask,
@@ -770,6 +779,7 @@ impl Engine {
             return Ok((snap, outcome));
         }
         container.reserve_next_id(pending.next_id);
+        let snapshot = Snapshot::new(container, self.shards, snap.generation() + 1)?;
 
         // Persist the merged base, then retire the committed log prefix.
         // Crash between the rename and the rewrite is safe: committed
@@ -777,14 +787,18 @@ impl Engine {
         // a no-op, exactly like the compact() crash window.
         let path = self.path.read().expect("engine lock poisoned").clone();
         if let Some(path) = &path {
-            container.save(path)?;
+            snapshot.container.save(path)?;
             DeltaLog::sidecar(path).rewrite(&pending.ops, pending.next_id)?;
         }
+        Ok((self.swap_in(snapshot), outcome))
+    }
 
-        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let snapshot = Arc::new(Snapshot::new(container, self.shards, generation)?);
+    /// Makes `snapshot` the live one. Callers hold `reload_lock`, and build
+    /// it at the live generation plus one.
+    fn swap_in(&self, snapshot: Snapshot) -> Arc<Snapshot> {
+        let snapshot = Arc::new(snapshot);
         *self.current.write().expect("engine lock poisoned") = Arc::clone(&snapshot);
-        Ok((snapshot, outcome))
+        snapshot
     }
 
     /// Sealed-segment and tombstone counts of the live snapshot.
@@ -844,10 +858,10 @@ impl Engine {
         container.reserve_next_id(mark);
         let (batches, _tail) = Self::split_batches(ops);
         Self::replay_committed(&mut container, batches)?;
-        let generation = self.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        let snapshot = Arc::new(Snapshot::new(container, self.shards, generation)?);
+        let generation = self.snapshot().generation() + 1;
+        let snapshot = Snapshot::new(container, self.shards, generation)?;
         *self.path.write().expect("engine lock poisoned") = Some(target);
-        *self.current.write().expect("engine lock poisoned") = Arc::clone(&snapshot);
+        let snapshot = self.swap_in(snapshot);
         // Staged mutations survive a reload; keep the id allocator ahead
         // of whatever the reloaded file uses so staged inserts can only
         // conflict if the new file already claimed their exact ids (a
@@ -884,8 +898,8 @@ mod tests {
     #[test]
     fn unsharded_matches_container() {
         let cat = catalog(12);
-        let container = IndexContainer::build(&cat, 4, true);
-        let reference = IndexContainer::build(&cat, 4, true);
+        let container = IndexContainer::build(&cat, 4);
+        let reference = IndexContainer::build(&cat, 4);
         let engine = Engine::from_container(container, 1).expect("engine");
         let snap = engine.snapshot();
         let (sig, q) = sig_for(&cat, 5, snap.container().num_perm());
@@ -896,7 +910,7 @@ mod tests {
     #[test]
     fn sharded_finds_self_and_estimates() {
         let cat = catalog(24);
-        let container = IndexContainer::build(&cat, 4, true);
+        let container = IndexContainer::build(&cat, 4);
         let engine = Engine::from_container(container, 3).expect("engine");
         let snap = engine.snapshot();
         assert_eq!(snap.num_shards(), 3);
@@ -914,19 +928,56 @@ mod tests {
     }
 
     #[test]
-    fn sharding_requires_ranked_container() {
-        let cat = catalog(10);
-        let container = IndexContainer::build(&cat, 4, false);
-        let err = Engine::from_container(container, 2).unwrap_err();
+    fn sharding_requires_enough_domains() {
+        let cat = catalog(3);
+        let container = IndexContainer::build(&cat, 2);
+        let err = Engine::from_container(container, 8).unwrap_err();
         assert!(matches!(err, EngineError::Config(_)), "{err}");
     }
 
     #[test]
-    fn sharding_requires_enough_domains() {
-        let cat = catalog(3);
-        let container = IndexContainer::build(&cat, 2, true);
-        let err = Engine::from_container(container, 8).unwrap_err();
-        assert!(matches!(err, EngineError::Config(_)), "{err}");
+    fn a_commit_the_engine_cannot_serve_leaves_nothing_durable() {
+        // Five domains over four shards: removing two would leave fewer
+        // domains than shards. Commit and compaction are refused before
+        // anything reaches the disk, so the file still boots at 4 shards.
+        let dir = std::env::temp_dir().join(format!("lshe_engine_refused_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("idx.lshe");
+        IndexContainer::build(&catalog(5), 2)
+            .save(&path)
+            .expect("save");
+        let base = std::fs::read(&path).expect("base bytes");
+        let engine = Engine::load(&path, 4).expect("load");
+        engine.stage_remove(0).expect("stage");
+        engine.stage_remove(1).expect("stage");
+        let refused = [engine.commit_staged().err(), engine.compact().err()];
+        for err in refused {
+            assert!(matches!(err, Some(EngineError::Config(_))), "{err:?}");
+        }
+        let (_, ops) = DeltaLog::sidecar(&path).read_with_mark().expect("log");
+        assert_eq!(ops, [DeltaOp::Remove { id: 0 }, DeltaOp::Remove { id: 1 }]);
+        assert_eq!(std::fs::read(&path).expect("base bytes"), base);
+        assert_eq!(engine.snapshot().generation(), 1);
+        let staged = StagedCounts {
+            inserts: 0,
+            removes: 2,
+        };
+        assert_eq!(engine.staged_counts(), staged);
+        let rebooted = Engine::load(&path, 4).expect("boots at 4 shards");
+        assert_eq!(rebooted.staged_counts(), staged);
+        drop(rebooted);
+
+        // No generation was burned: the next commit it can serve takes 2.
+        let (sig, q) = sig_of(30_000..30_020, 256);
+        let insert = engine.stage_insert("back".into(), "col".into(), q, sig);
+        insert.expect("stage");
+        let (snap, _) = engine.commit_staged().expect("four domains, four shards");
+        assert_eq!((snap.generation(), snap.container().len()), (2, 4));
+        drop(engine);
+        let restarted = Engine::load(&path, 4).expect("boots after the commit");
+        assert_eq!(restarted.snapshot().container().len(), 4);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -935,7 +986,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("idx.lshe");
 
-        let small = IndexContainer::build(&catalog(6), 2, true);
+        let small = IndexContainer::build(&catalog(6), 2);
         std::fs::write(&path, small.to_bytes()).expect("write");
         let engine = Engine::load(&path, 1).expect("load");
         let old = engine.snapshot();
@@ -944,7 +995,7 @@ mod tests {
 
         // Replaced by rename, as a served file must be: `old` is views into
         // the file it was loaded from.
-        let big = IndexContainer::build(&catalog(9), 2, true);
+        let big = IndexContainer::build(&catalog(9), 2);
         big.save(&path).expect("save over");
         let new = engine.reload(None).expect("reload");
         assert_eq!(new.generation(), 2);
@@ -972,8 +1023,7 @@ mod tests {
 
     #[test]
     fn staged_mutations_commit_into_a_new_generation() {
-        let engine =
-            Engine::from_container(IndexContainer::build(&catalog(10), 2, true), 1).expect("ok");
+        let engine = Engine::from_container(IndexContainer::build(&catalog(10), 2), 1).expect("ok");
         let old = engine.snapshot();
         let (sig, q) = sig_of(50_000..50_040, old.container().num_perm());
 
@@ -1049,11 +1099,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("idx.lshe");
-        std::fs::write(
-            &path,
-            IndexContainer::build(&catalog(8), 2, true).to_bytes(),
-        )
-        .expect("write");
+        std::fs::write(&path, IndexContainer::build(&catalog(8), 2).to_bytes()).expect("write");
 
         let (sig, q) = {
             let engine = Engine::load(&path, 1).expect("load");
@@ -1133,11 +1179,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("idx.lshe");
-        std::fs::write(
-            &path,
-            IndexContainer::build(&catalog(7), 2, true).to_bytes(),
-        )
-        .expect("write");
+        std::fs::write(&path, IndexContainer::build(&catalog(7), 2).to_bytes()).expect("write");
 
         let engine = Engine::load(&path, 1).expect("load");
         let (sig, q) = sig_of(60_000..60_030, engine.snapshot().container().num_perm());
@@ -1186,11 +1228,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("idx.lshe");
-        std::fs::write(
-            &path,
-            IndexContainer::build(&catalog(6), 2, true).to_bytes(),
-        )
-        .expect("write");
+        std::fs::write(&path, IndexContainer::build(&catalog(6), 2).to_bytes()).expect("write");
 
         let engine = Engine::load(&path, 1).expect("load");
         assert_eq!(engine.next_id(), 6);
@@ -1226,11 +1264,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("idx.lshe");
-        std::fs::write(
-            &path,
-            IndexContainer::build(&catalog(6), 2, true).to_bytes(),
-        )
-        .expect("write");
+        std::fs::write(&path, IndexContainer::build(&catalog(6), 2).to_bytes()).expect("write");
 
         let engine = Engine::load(&path, 1).expect("load");
         let (sig, q) = sig_of(45_000..45_030, engine.snapshot().container().num_perm());
@@ -1294,11 +1328,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("idx.lshe");
-        std::fs::write(
-            &path,
-            IndexContainer::build(&catalog(6), 2, true).to_bytes(),
-        )
-        .expect("write");
+        std::fs::write(&path, IndexContainer::build(&catalog(6), 2).to_bytes()).expect("write");
         let engine = Engine::load(&path, 1).expect("load");
         let (sig, q) = sig_of(80_000..80_020, engine.snapshot().container().num_perm());
         engine
@@ -1321,11 +1351,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("idx.lshe");
-        std::fs::write(
-            &path,
-            IndexContainer::build(&catalog(9), 2, true).to_bytes(),
-        )
-        .expect("write");
+        std::fs::write(&path, IndexContainer::build(&catalog(9), 2).to_bytes()).expect("write");
         let engine = Engine::load(&path, 1).expect("load");
         let (sig, q) = sig_of(90_000..90_025, engine.snapshot().container().num_perm());
         let (id, _) = engine
@@ -1344,8 +1370,7 @@ mod tests {
 
     #[test]
     fn reload_without_path_on_memory_engine_errors() {
-        let engine =
-            Engine::from_container(IndexContainer::build(&catalog(5), 2, false), 1).expect("ok");
+        let engine = Engine::from_container(IndexContainer::build(&catalog(5), 2), 1).expect("ok");
         assert!(matches!(
             engine.reload(None).unwrap_err(),
             EngineError::Config(_)
@@ -1359,7 +1384,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let packed = dir.join("idx.lshepk");
         let cat = catalog(8);
-        let source = IndexContainer::build(&cat, 2, true);
+        let source = IndexContainer::build(&cat, 2);
         source.pack_v2(&packed).expect("pack");
         let named = |err: &EngineError| {
             let msg = err.to_string();

@@ -39,7 +39,7 @@
 //!         DomainMeta::new(format!("table{k}"), "col"),
 //!     );
 //! }
-//! let engine = Engine::from_container(IndexContainer::build(&catalog, 2, true), 1).unwrap();
+//! let engine = Engine::from_container(IndexContainer::build(&catalog, 2), 1).unwrap();
 //!
 //! // …serve it on an ephemeral port, then shut down gracefully.
 //! let config = ServerConfig {
@@ -71,7 +71,7 @@ pub mod server;
 
 pub use cache::{CacheStats, LruCache, QueryKey};
 pub use container::{
-    DeltaError, DeltaLog, DeltaOp, DomainRecord, IndexContainer, IndexKind, RecordRef, RecordTable,
+    DeltaError, DeltaLog, DeltaOp, DomainRecord, IndexContainer, RecordRef, RecordTable,
 };
 pub use engine::{CommitOutcome, Engine, EngineError, Snapshot, StagedCounts};
 pub use maintenance::{FullMergeSummary, Maintainer, MaintenanceStats};

@@ -7,7 +7,7 @@
 //! | GET    | `/health`   | liveness + index summary                        |
 //! | GET    | `/stats`    | index, cache, traffic, server, staging stats    |
 //! | POST   | `/query`    | one containment query                           |
-//! | POST   | `/topk`     | one top-k query (needs a ranked index)          |
+//! | POST   | `/topk`     | one top-k query                                 |
 //! | POST   | `/batch`    | many queries, answered in one batched dispatch  |
 //! | POST   | `/insert`   | stage one new domain (delta-logged)             |
 //! | POST   | `/remove`   | stage the removal of a domain by id             |
@@ -388,7 +388,6 @@ fn handle_health(shared: &Shared) -> Outcome {
         ("domains", Json::uint(snap.container().len() as u64)),
         ("generation", Json::uint(snap.generation())),
         ("shards", Json::uint(snap.num_shards() as u64)),
-        ("ranked", Json::Bool(snap.container().has_ranked())),
         ("cache_enabled", Json::Bool(shared.cache.capacity() > 0)),
     ]))
 }
@@ -1037,8 +1036,8 @@ fn handle_batch(shared: &Shared, request: &Request) -> Outcome {
     {
         match result {
             Ok((outcome, _)) => slots[i] = Some((outcome, false)),
-            // Per-item query errors (e.g. top-k against an unranked
-            // index) stay in position, exactly like parse errors.
+            // Per-item query errors stay in position, exactly like parse
+            // errors.
             Err(e) => errors[i] = Some(e),
         }
     }
@@ -1322,7 +1321,7 @@ mod tests {
     use std::io::{BufRead, BufReader, Read as _, Write as _};
     use std::net::TcpStream;
 
-    fn test_engine(n: usize, ranked: bool) -> Arc<Engine> {
+    fn test_engine(n: usize) -> Arc<Engine> {
         let mut cat = Catalog::new();
         for k in 0..n {
             let values: Vec<String> = (0..20 + 5 * k).map(|i| format!("v{i}")).collect();
@@ -1331,7 +1330,7 @@ mod tests {
                 DomainMeta::new(format!("t{k}"), "col"),
             );
         }
-        Arc::new(Engine::from_container(IndexContainer::build(&cat, 2, ranked), 1).expect("engine"))
+        Arc::new(Engine::from_container(IndexContainer::build(&cat, 2), 1).expect("engine"))
     }
 
     fn boot_with(engine: Arc<Engine>, config: ServerConfig) -> ServerHandle {
@@ -1385,7 +1384,7 @@ mod tests {
 
     #[test]
     fn health_and_stats_shape() {
-        let server = boot(test_engine(6, true));
+        let server = boot(test_engine(6));
         let (status, body) = get(server.addr(), "/health");
         assert_eq!(status, 200, "{body}");
         let health = Json::parse(&body).expect("json");
@@ -1427,7 +1426,7 @@ mod tests {
 
     #[test]
     fn query_topk_and_cache_flow() {
-        let server = boot(test_engine(6, true));
+        let server = boot(test_engine(6));
         let q = r#"{"values": ["v0","v1","v2","v3","v4","v5","v6","v7","v8","v9","v10","v11","v12","v13","v14","v15","v16","v17","v18","v19"], "threshold": 0.6}"#;
         let (status, body) = post(server.addr(), "/query", q);
         assert_eq!(status, 200, "{body}");
@@ -1466,7 +1465,7 @@ mod tests {
 
     #[test]
     fn bad_requests_are_4xx_not_disconnects() {
-        let server = boot(test_engine(4, false));
+        let server = boot(test_engine(4));
         let addr = server.addr();
         for (path, body) in [
             ("/query", "not json"),
@@ -1482,9 +1481,6 @@ mod tests {
             let (status, response) = post(addr, path, body);
             assert_eq!(status, 400, "{path} {body} -> {response}");
         }
-        // Top-k against an unranked index is a client error, not a crash.
-        let (status, response) = post(addr, "/topk", r#"{"values": ["a","b"], "k": 2}"#);
-        assert_eq!(status, 400, "{response}");
         // Unknown path / wrong method.
         assert_eq!(get(addr, "/nope").0, 404);
         assert_eq!(get(addr, "/query").0, 405);
@@ -1493,7 +1489,7 @@ mod tests {
 
     #[test]
     fn debug_field_and_query_stat_aggregation() {
-        let server = boot(test_engine(6, true));
+        let server = boot(test_engine(6));
         let addr = server.addr();
         let q = r#"{"values": ["v0","v1","v2","v3","v4","v5","v6","v7","v8","v9"], "threshold": 0.5, "debug": true}"#;
         let (status, body) = post(addr, "/query", q);
@@ -1557,7 +1553,7 @@ mod tests {
 
     #[test]
     fn batch_fans_out_and_keeps_order() {
-        let server = boot(test_engine(8, true));
+        let server = boot(test_engine(8));
         let queries: Vec<String> = (0..8)
             .map(|k| {
                 let values: Vec<String> = (0..20 + 5 * k).map(|i| format!("\"v{i}\"")).collect();
@@ -1589,7 +1585,7 @@ mod tests {
         // Hostile input: one malformed item must neither fail the batch
         // nor shift its neighbours — every item answers (or errors) in
         // its own position, with a typed message.
-        let server = boot(test_engine(6, false)); // unranked: top-k items must error too
+        let server = boot(test_engine(6));
         let body = r#"{"queries": [
             {"values": ["v0","v1","v2","v3","v4"], "threshold": 0.5},
             {"values": []},
@@ -1624,12 +1620,20 @@ mod tests {
         // the first occurrence's answer and reports it as cached.
         assert_eq!(results[0].get("cached"), Some(&Json::Bool(false)));
         assert_eq!(results[8].get("cached"), Some(&Json::Bool(true)));
+        // The top-k item between the hostile ones answers in its slot.
+        let top = results[4]
+            .get("hits")
+            .and_then(Json::as_array)
+            .expect("top-k");
+        assert_eq!(top.len(), 2, "{}", results[4]);
+        assert!(top
+            .iter()
+            .all(|h| h.get("estimate").and_then(Json::as_f64).is_some()));
         // Every hostile item carries its own typed error, in position.
         for (i, needle) in [
             (1usize, "must not be empty"),
             (2, "strings"),
             (3, "threshold"),
-            (4, "top-k"),
             (5, "\"k\""),
             (6, "debug"),
             (7, "values"),
@@ -1648,7 +1652,7 @@ mod tests {
     fn cache_key_includes_debug_flag() {
         // A cached non-debug response must never answer a debug request,
         // and vice versa — the flag is part of the cache key.
-        let server = boot(test_engine(6, true));
+        let server = boot(test_engine(6));
         let addr = server.addr();
         let plain = r#"{"values": ["v0","v1","v2","v3","v4","v5"], "threshold": 0.5}"#;
         let debug =
@@ -1680,7 +1684,7 @@ mod tests {
 
     #[test]
     fn stats_memory_covers_staged_backlog() {
-        let engine = test_engine(6, true);
+        let engine = test_engine(6);
         let server = boot(Arc::clone(&engine));
         let addr = server.addr();
         let memory = |addr| {
@@ -1756,7 +1760,7 @@ mod tests {
 
     #[test]
     fn insert_remove_commit_endpoints() {
-        let server = boot(test_engine(6, true));
+        let server = boot(test_engine(6));
         let addr = server.addr();
 
         // Stage an insert; not yet visible.
@@ -1840,7 +1844,7 @@ mod tests {
     /// record, and the post-compaction replay must still answer fresh.
     #[test]
     fn cache_never_serves_pre_commit_hits_after_commit_or_compaction() {
-        let server = boot(test_engine(6, true));
+        let server = boot(test_engine(6));
         let addr = server.addr();
         let values: Vec<String> = (0..25).map(|i| format!("\"g{i}\"")).collect();
         let query_body = format!("{{\"values\": [{}], \"threshold\": 0.9}}", values.join(","));
@@ -1896,7 +1900,7 @@ mod tests {
 
     #[test]
     fn compact_endpoint_folds_segments_and_stats_track_drift() {
-        let engine = test_engine(6, true);
+        let engine = test_engine(6);
         let server = boot(Arc::clone(&engine));
         let addr = server.addr();
         let seg_stats = |addr| {
@@ -1974,7 +1978,7 @@ mod tests {
     /// segment bound.
     #[test]
     fn background_maintenance_bounds_the_segment_stack() {
-        let server = boot(test_engine(6, true));
+        let server = boot(test_engine(6));
         let addr = server.addr();
         let commits = 16u64;
         for k in 0..commits {
@@ -2027,7 +2031,7 @@ mod tests {
     /// answers its own query.
     #[test]
     fn tombstone_backlog_drives_a_background_full_fold() {
-        let server = boot(test_engine(8, true));
+        let server = boot(test_engine(8));
         let addr = server.addr();
         let inserted: Vec<Vec<String>> = (0..2)
             .map(|k| (0..20).map(|i| format!("\"b{k}x{i}\"")).collect())
@@ -2092,7 +2096,7 @@ mod tests {
     /// and `?async=1` acknowledges without waiting for the fold at all.
     #[test]
     fn queries_stay_fast_while_compaction_runs() {
-        let server = boot(test_engine(8, true));
+        let server = boot(test_engine(8));
         let addr = server.addr();
         // Seal one segment so the fold has work to do.
         let (status, _) = post(
@@ -2202,7 +2206,7 @@ mod tests {
 
     #[test]
     fn drain_answers_pipelined_successors_with_503_retry_after() {
-        let server = boot(test_engine(4, false));
+        let server = boot(test_engine(4));
         let addr = server.addr();
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
@@ -2233,7 +2237,7 @@ mod tests {
 
     #[test]
     fn shutdown_endpoint_stops_server() {
-        let server = boot(test_engine(4, false));
+        let server = boot(test_engine(4));
         let addr = server.addr();
         let (status, body) = post(addr, "/shutdown", "");
         assert_eq!(status, 200, "{body}");
@@ -2246,7 +2250,7 @@ mod tests {
 
     #[test]
     fn pipelined_requests_answer_in_order() {
-        let server = boot(test_engine(6, true));
+        let server = boot(test_engine(6));
         let addr = server.addr();
         // Mixed pipelined burst on one connection, sent before any
         // response is read: a cache-missing query (slow, goes through the
@@ -2294,7 +2298,7 @@ mod tests {
 
     #[test]
     fn malformed_mid_pipeline_answers_valid_prefix_then_closes() {
-        let server = boot(test_engine(4, false));
+        let server = boot(test_engine(4));
         let addr = server.addr();
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
@@ -2321,7 +2325,7 @@ mod tests {
     #[test]
     fn slow_drip_body_hits_request_deadline() {
         let server = boot_with(
-            test_engine(4, false),
+            test_engine(4),
             ServerConfig {
                 addr: "127.0.0.1:0".to_owned(),
                 threads: 2,
@@ -2363,7 +2367,7 @@ mod tests {
     #[test]
     fn connection_cap_closes_excess_connections() {
         let server = boot_with(
-            test_engine(4, false),
+            test_engine(4),
             ServerConfig {
                 addr: "127.0.0.1:0".to_owned(),
                 threads: 2,
@@ -2411,7 +2415,7 @@ mod tests {
     fn byte_dripped_request_head_still_parses() {
         // The resumable parser must assemble a request that arrives one
         // byte at a time (within the deadline) exactly like one burst.
-        let server = boot(test_engine(4, false));
+        let server = boot(test_engine(4));
         let addr = server.addr();
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream

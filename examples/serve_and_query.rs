@@ -58,7 +58,7 @@ fn main() {
             DomainMeta::new(format!("cities_{k}"), "name"),
         );
     }
-    let container = IndexContainer::build(&catalog, 4, true);
+    let container = IndexContainer::build(&catalog, 4);
     println!("indexed {} domains", container.len());
 
     // Boot the server: snapshot engine, 2 workers, a 64-entry query cache.

@@ -124,7 +124,7 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
 fn resident_provenance_is_columns_and_each_table_name_once() {
     const RECORDS: usize = 5_000;
     let corpus = CorpusStream::new(CorpusConfig::wdc_web_tables_like(RECORDS));
-    let container = IndexContainer::from_stream(corpus, 32, false);
+    let container = IndexContainer::from_stream(corpus, 32, true);
     let records = container.records();
     let columns: usize = records.iter().map(|r| r.column.len()).sum();
     let tables: std::collections::HashSet<&str> = records.iter().map(|r| r.table).collect();

@@ -49,7 +49,7 @@ fn index_query_topk_stats_round_trip() {
     let dir_s = dir.to_str().expect("utf8 path");
     let index_s = index.to_str().expect("utf8 path");
 
-    // Index the directory with ranked sketches so top-k works too.
+    // Every index ranks, so top-k works on the default build.
     let report = lshe_cli::run(&args(&[
         "index",
         "--dir",
@@ -60,8 +60,6 @@ fn index_query_topk_stats_round_trip() {
         "4",
         "--min-size",
         "5",
-        "--ranked",
-        "true",
     ]))
     .expect("index succeeds");
     assert!(report.contains("indexed"), "index report: {report}");
@@ -90,7 +88,7 @@ fn index_query_topk_stats_round_trip() {
         "containment join missing from:\n{hits}"
     );
 
-    // Top-k query on the ranked index must produce containment estimates.
+    // Top-k query must produce containment estimates.
     let top = lshe_cli::run(&args(&[
         "query",
         "--index",

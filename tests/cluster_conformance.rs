@@ -85,7 +85,7 @@ struct Topology {
 fn boot(name: &str) -> Topology {
     let dir = scratch(name);
     let whole_path = dir.join("whole.lshe");
-    let container = IndexContainer::build(&build_catalog(DOMAINS), SHARDS, true);
+    let container = IndexContainer::build(&build_catalog(DOMAINS), SHARDS);
     std::fs::write(&whole_path, container.to_bytes()).expect("write whole");
 
     // The reference: ONE process, in-process sharding — the ground truth

@@ -43,10 +43,9 @@ fn stage(engine: &Engine, (domain, meta): &(Domain, DomainMeta), id: Option<u32>
 fn finds(snap: &Snapshot, domain: &Domain, id: u32) -> bool {
     let (sig, size) = sketch(domain);
     let by_threshold = snap.search(&sig, size, 1.0).iter().any(|h| h.0 == id);
-    // A ranked index must agree with itself through the top-k path.
-    if let Ok(top) = snap.top_k(&sig, size, 3) {
-        assert_eq!(top.iter().any(|h| h.0 == id), by_threshold, "id {id}");
-    }
+    // The index must agree with itself through the top-k path.
+    let top = snap.top_k(&sig, size, 3).expect("top-k");
+    assert_eq!(top.iter().any(|h| h.0 == id), by_threshold, "id {id}");
     by_threshold
 }
 
@@ -58,40 +57,38 @@ fn all_shared() -> (Vec<bool>, bool) {
 fn a_commit_shares_the_whole_base_and_the_old_snapshot_answers_as_before() {
     let base = corpus(BASE, 7);
     let fresh = corpus(5, 8);
-    for ranked in [true, false] {
-        let container = IndexContainer::from_stream(base.iter().cloned(), PARTITIONS, ranked);
-        let engine = Engine::from_container(container, 1).expect("engine");
-        let old = engine.snapshot();
-        let ids: Vec<u32> = fresh.iter().map(|d| stage(&engine, d, None)).collect();
-        engine.stage_remove(17).expect("stage remove");
-        let (new, outcome) = engine.commit_staged().expect("commit");
-        assert!(outcome.report.sealed);
-        assert_eq!(
-            new.container().base_shared_with(old.container()),
-            all_shared()
-        );
+    let container = IndexContainer::from_stream(base.iter().cloned(), PARTITIONS, true);
+    let engine = Engine::from_container(container, 1).expect("engine");
+    let old = engine.snapshot();
+    let ids: Vec<u32> = fresh.iter().map(|d| stage(&engine, d, None)).collect();
+    engine.stage_remove(17).expect("stage remove");
+    let (new, outcome) = engine.commit_staged().expect("commit");
+    assert!(outcome.report.sealed);
+    assert_eq!(
+        new.container().base_shared_with(old.container()),
+        all_shared()
+    );
 
-        // The new snapshot serves the inserts and hides the remove …
-        for (&id, pair) in ids.iter().zip(&fresh) {
-            assert!(finds(&new, &pair.0, id), "ranked={ranked}: insert {id}");
-            let record = new.container().record(id).expect("record");
-            assert_eq!(
-                (record.table, record.column),
-                (&*pair.1.table, &*pair.1.column)
-            );
-        }
-        assert!(!finds(&new, &base[17].0, 17) && new.container().record(17).is_none());
-        assert_eq!(new.container().len(), BASE + 4);
-        // … and the one a reader still holds does neither.
-        for (&id, pair) in ids.iter().zip(&fresh) {
-            assert!(!finds(&old, &pair.0, id) && old.container().record(id).is_none());
-        }
-        assert!(finds(&old, &base[17].0, 17));
-        let (table, column, size) = old.container().provenance(17);
-        assert_eq!((table, column), (&*base[17].1.table, &*base[17].1.column));
-        assert_eq!(size, base[17].0.len() as u64);
-        assert_eq!(old.container().len(), BASE);
+    // The new snapshot serves the inserts and hides the remove …
+    for (&id, pair) in ids.iter().zip(&fresh) {
+        assert!(finds(&new, &pair.0, id), "insert {id}");
+        let record = new.container().record(id).expect("record");
+        assert_eq!(
+            (record.table, record.column),
+            (&*pair.1.table, &*pair.1.column)
+        );
     }
+    assert!(!finds(&new, &base[17].0, 17) && new.container().record(17).is_none());
+    assert_eq!(new.container().len(), BASE + 4);
+    // … and the one a reader still holds does neither.
+    for (&id, pair) in ids.iter().zip(&fresh) {
+        assert!(!finds(&old, &pair.0, id) && old.container().record(id).is_none());
+    }
+    assert!(finds(&old, &base[17].0, 17));
+    let (table, column, size) = old.container().provenance(17);
+    assert_eq!((table, column), (&*base[17].1.table, &*base[17].1.column));
+    assert_eq!(size, base[17].0.len() as u64);
+    assert_eq!(old.container().len(), BASE);
 }
 
 #[test]

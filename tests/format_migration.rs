@@ -5,13 +5,16 @@
 //! tombstone) were written by the commit before tree entries shrank from 8
 //! bytes (a 32-bit head and a 32-bit row) to 4 (the head's low 16 bits and
 //! a block-local `u16` row), from the domains [`v6_container`] rebuilds,
-//! with that commit's answers recorded in `v6_expected.txt`. Both must load
-//! — from a slice, and mapped, where the ids and rows are views into the
-//! file and the trees are sorted again from them — answer as they did,
-//! equal a fresh build of their domains, and save as the current version,
-//! `4·b_max` bytes a base row smaller. Anything older — unpadded forests,
-//! rows of 32-bit lanes throughout, forests that held their lanes as tree
-//! keys, the 64-bit-slot generations — is refused on its version byte.
+//! with the ranked file's answers recorded in `v6_expected.txt`. Both must
+//! load — from a slice, and mapped, where the ids and rows are views into
+//! the file and the trees are sorted again from them — equal a fresh build
+//! of their domains, answer like it, and save as the current version,
+//! `4·b_max` bytes a base row smaller. The plain file carries the flag byte
+//! 0, which no writer sets any more: it loads ranked, estimates and top-k
+//! included, and saves with the flag every container now has. Anything
+//! older — unpadded forests, rows of 32-bit lanes throughout, forests that
+//! held their lanes as tree keys, the 64-bit-slot generations — is refused
+//! on its version byte.
 
 use lshe_core::Query;
 use lshe_corpus::{Domain, DomainMeta};
@@ -64,7 +67,7 @@ fn nested_version(bytes: &[u8]) -> u8 {
 #[test]
 fn older_generations_are_refused_on_their_version_byte() {
     let refused = |found, supported| CodecError::UnsupportedVersion { found, supported };
-    let current = v6_container(true).to_bytes();
+    let current = v6_container(8, 2).to_bytes();
     let nested = nested_at(&current);
     // The first forest of the nested ensemble.
     let forest = nested
@@ -139,21 +142,15 @@ fn older_generations_are_refused_on_their_version_byte() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `(base domains, partitions)` of the v6 fixtures.
-fn v6_shape(ranked: bool) -> (usize, usize) {
-    if ranked {
-        (8, 2)
-    } else {
-        (18, 3)
-    }
-}
+/// Each v6 fixture: its name, flag byte, base domains and partitions.
+const V6_FIXTURES: [(&str, u8, usize, usize); 2] =
+    [("v6_ranked.lshe", 1, 8, 2), ("v6_plain.lshe", 0, 18, 3)];
 
-/// The v6 fixtures' corpus: base domains, then two commits — two inserts
-/// and the removal of base domain 1; one insert and the removal of the
-/// first sealed insert.
-fn v6_container(ranked: bool) -> IndexContainer {
-    let (n, parts) = v6_shape(ranked);
-    let mut c = IndexContainer::from_stream(corpus(n, 31), parts, ranked);
+/// The v6 fixtures' corpus: `n` base domains in `parts` partitions, then
+/// two commits — two inserts and the removal of base domain 1; one insert
+/// and the removal of the first sealed insert.
+fn v6_container(n: usize, parts: usize) -> IndexContainer {
+    let mut c = IndexContainer::from_stream(corpus(n, 31), parts, true);
     let hasher = MinHasher::new(c.num_perm());
     let fresh = corpus(3, 32);
     let base = n as u32;
@@ -175,35 +172,29 @@ fn v6_container(ranked: bool) -> IndexContainer {
     c
 }
 
-/// One line per fixture query — every base and fresh domain at three
-/// thresholds (and top-3 when ranked) — in `v6_expected.txt`'s form: the
+/// One line per fixture query — every one of the `n` base and the fresh
+/// domains at three thresholds and top-3 — in `v6_expected.txt`'s form: the
 /// probe counters, then each hit with its estimate's bits.
-fn v6_answers(c: &IndexContainer, ranked: bool) -> String {
+fn v6_answers(c: &IndexContainer, n: usize) -> String {
     use std::fmt::Write as _;
-    let (n, _) = v6_shape(ranked);
     let hasher = MinHasher::new(c.num_perm());
     let index = c.open_index();
     let mut out = String::new();
     for (q, (domain, _)) in corpus(n, 31).iter().chain(&corpus(3, 32)).enumerate() {
         let sig = hasher.signature(domain.hashes().iter().copied());
         let size = domain.len() as u64;
-        let mut queries = vec![
+        let queries = [
             ("t=0.1", Query::threshold(&sig, 0.1).with_size(size)),
             ("t=0.5", Query::threshold(&sig, 0.5).with_size(size)),
             ("t=0.9", Query::threshold(&sig, 0.9).with_size(size)),
+            ("k=3", Query::top_k(&sig, 3).with_size(size)),
         ];
-        if ranked {
-            queries.push(("k=3", Query::top_k(&sig, 3).with_size(size)));
-        }
         for (mode, query) in queries {
             let found = index.search(&query).expect("search");
             let _ = write!(
                 out,
-                "{} q{q} {mode} candidates={} probed={}/{} hits=",
-                if ranked { "ranked" } else { "plain" },
-                found.stats.candidates,
-                found.stats.partitions_probed,
-                found.stats.partitions_total
+                "ranked q{q} {mode} candidates={} probed={}/{} hits=",
+                found.stats.candidates, found.stats.partitions_probed, found.stats.partitions_total
             );
             for hit in &found.hits {
                 let bits = hit.estimate.map_or(0, f64::to_bits);
@@ -226,47 +217,47 @@ fn moved<'a>(got: &'a str, want: &'a str) -> Vec<(&'a str, &'a str)> {
 #[test]
 fn v6_containers_answer_as_recorded_and_save_as_a_fresh_v7_build() {
     let recorded = std::fs::read_to_string(fixture("v6_expected.txt")).expect("fixture");
-    for (ranked, name) in [(true, "v6_ranked.lshe"), (false, "v6_plain.lshe")] {
+    for (name, flag, base_rows, parts) in V6_FIXTURES {
         let old = std::fs::read(fixture(name)).expect("fixture");
         assert_eq!((&old[..4], old[4]), (&b"LSHX"[..], 6), "{name} is LSHX v6");
+        assert_eq!(old[5], flag, "{name}'s flag byte");
         assert!(old.len() <= 30 * 1024, "{name} is small");
         // Mapped (ids and rows viewed in place, trees sorted again) and
         // copied out of a slice: one decoder, one answer.
         let loaded = IndexContainer::load(&fixture(name)).expect("v6 loads");
         let copied = IndexContainer::from_bytes(&old).expect("v6 decodes");
         assert_eq!(copied.mapped_bytes(), 0);
-        let (base_rows, _) = v6_shape(ranked);
         assert_eq!(loaded.mapped_bytes(), base_rows * (4 + 576), "{name}");
-        let fresh = v6_container(ranked);
+        let fresh = v6_container(base_rows, parts);
         assert_eq!(loaded.records(), fresh.records(), "{name}");
         assert_eq!(loaded.next_id(), fresh.next_id(), "{name}");
         assert_eq!(loaded.segment_stats(), fresh.segment_stats(), "{name}");
 
-        // Hits, estimates bit for bit, and probe counters: as the commit
-        // that wrote the file answered them — any line that moved is listed
-        // by the failure — and as a fresh build does.
-        let kind = if ranked { "ranked " } else { "plain " };
-        let want: String = recorded
-            .lines()
-            .filter(|line| line.starts_with(kind))
-            .flat_map(|line| [line, "\n"])
-            .collect();
-        assert!(!want.is_empty());
-        let migrated = v6_answers(&loaded, ranked);
-        let differing = moved(&migrated, &want);
-        assert!(
-            differing.is_empty(),
-            "{name}: (migrated, as its writer answered) {differing:#?}"
-        );
-        assert_eq!(v6_answers(&copied, ranked), migrated, "{name} from a slice");
+        // Hits, estimates bit for bit, and probe counters: as a fresh build
+        // does and — for the ranked file — as the commit that wrote it
+        // answered them; any line that moved is listed by the failure.
+        let migrated = v6_answers(&loaded, base_rows);
+        if flag == 1 {
+            let want: String = recorded.lines().flat_map(|line| [line, "\n"]).collect();
+            let differing = moved(&migrated, &want);
+            assert!(
+                differing.is_empty(),
+                "{name}: (migrated, as its writer answered) {differing:#?}"
+            );
+        }
         assert_eq!(
-            v6_answers(&fresh, ranked),
+            v6_answers(&copied, base_rows),
+            migrated,
+            "{name} from a slice"
+        );
+        assert_eq!(
+            v6_answers(&fresh, base_rows),
             migrated,
             "fresh build vs migrated {name}"
         );
 
         let resaved = loaded.to_bytes();
-        assert_eq!(resaved[4], 7, "saved as LSHX v7");
+        assert_eq!((resaved[4], resaved[5]), (7, 1), "saved as LSHX v7, flag 1");
         assert_eq!((nested_version(&old), nested_version(&resaved)), (6, 7));
         assert!(
             resaved == fresh.to_bytes() && resaved == copied.to_bytes(),
@@ -283,7 +274,7 @@ fn v6_containers_answer_as_recorded_and_save_as_a_fresh_v7_build() {
         let reloaded = IndexContainer::load(&dir.join(name)).expect("v7 loads");
         assert!(reloaded.base_in_place().iter().all(|&part| part), "{name}");
         assert_eq!(
-            v6_answers(&reloaded, ranked),
+            v6_answers(&reloaded, base_rows),
             migrated,
             "{name} after a save"
         );

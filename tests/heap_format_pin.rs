@@ -1,9 +1,9 @@
 //! Pins the heap (`LSHX`) byte form across encoder rewrites.
 //!
 //! A deterministic corpus — base partitions, two sealed segments, one
-//! tombstone; ranked and plain — must keep serialising to exactly the
-//! recorded bytes, `save` must write them, and `load(save(x))` must answer
-//! like `x`. The constants were recorded when `LSHX` v7 shrank every tree
+//! tombstone — must keep serialising to exactly the recorded bytes, `save`
+//! must write them, and `load(save(x))` must answer like `x`. The
+//! constants were recorded when `LSHX` v7 shrank every tree
 //! entry from 8 bytes (a 32-bit head, a 32-bit row) to 4 (the head's low 16
 //! bits, a block-local `u16` row), each tree sorted by its heads' low half
 //! first — `LSHE` v7 around `LSHF` v5. From the v6 pins (ranked and plain
@@ -16,19 +16,18 @@
 //!   1 + 2 for the others); rows, segment entries and records are as they
 //!   were.
 //!
-//! 539 269 − 76 800 = 462 469 B for both; the two still differ in the flag
-//! byte only.
+//! 539 269 − 76 800 = 462 469 B for both; the two differed in the flag
+//! byte only. Since every container ranks, nothing writes the plain flag
+//! (0) any more, so the plain pin (`0x52c5_b186_953d_5703`) went with it;
+//! a flag-0 file still loads, ranked (`tests/format_migration.rs`).
 
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::{MinHasher, Signature};
 use lshe_serve::{DeltaOp, DomainRecord, IndexContainer};
 
-/// `(ranked, to_bytes().len(), fnv1a(to_bytes()))` as recorded.
-const PINNED: [(bool, usize, u64); 2] = [
-    (true, 462_469, 0x167f_3b74_b7ad_733a),
-    (false, 462_469, 0x52c5_b186_953d_5703),
-];
+/// `(to_bytes().len(), fnv1a(to_bytes()))` as recorded.
+const PINNED: (usize, u64) = (462_469, 0x167f_3b74_b7ad_733a);
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -58,8 +57,8 @@ fn insert(id: u32, (domain, meta): &(Domain, DomainMeta), hasher: &MinHasher) ->
 
 /// 600 streamed domains in 8 partitions, then two commits: five inserts;
 /// four inserts and the removal of a base domain.
-fn pinned_container(ranked: bool) -> IndexContainer {
-    let mut c = IndexContainer::from_stream(corpus(600, 7), 8, ranked);
+fn pinned_container() -> IndexContainer {
+    let mut c = IndexContainer::from_stream(corpus(600, 7), 8, true);
     let hasher = MinHasher::new(c.num_perm());
     let fresh = corpus(9, 8);
     let ops: Vec<DeltaOp> = (600u32..)
@@ -90,50 +89,40 @@ fn query_sample() -> Vec<(Signature, u64)> {
 
 #[test]
 fn encoder_reproduces_the_recorded_bytes() {
-    for (ranked, len, hash) in PINNED {
-        let bytes = pinned_container(ranked).to_bytes();
-        assert_eq!(
-            (bytes.len(), fnv1a(&bytes)),
-            (len, hash),
-            "ranked={ranked}: (len, fnv1a) = ({}, {:#018x})",
-            bytes.len(),
-            fnv1a(&bytes)
-        );
-    }
+    let bytes = pinned_container().to_bytes();
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        PINNED,
+        "(len, fnv1a) = ({}, {:#018x})",
+        bytes.len(),
+        fnv1a(&bytes)
+    );
 }
 
 #[test]
 fn save_writes_the_same_bytes_and_load_answers_identically() {
     let dir = std::env::temp_dir().join(format!("lshe_heap_pin_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    let sample = query_sample();
-    for ranked in [true, false] {
-        let built = pinned_container(ranked);
-        let path = dir.join(format!("ranked_{ranked}.lshe"));
-        built.save(&path).expect("save");
-        assert!(
-            std::fs::read(&path).expect("read") == built.to_bytes(),
-            "ranked={ranked}: save and to_bytes disagree"
-        );
-        let loaded = IndexContainer::load(&path).expect("load");
-        assert_eq!(loaded.records(), built.records());
-        assert_eq!(loaded.next_id(), built.next_id());
-        assert_eq!(loaded.segment_stats(), built.segment_stats());
-        for (sig, size) in &sample {
-            for t in [0.5, 0.9] {
-                // Hits with their estimates (`None` on the plain index).
-                assert_eq!(
-                    loaded.search(sig, *size, t),
-                    built.search(sig, *size, t),
-                    "ranked={ranked} t={t}"
-                );
-            }
-            if ranked {
-                assert_eq!(loaded.top_k(sig, *size, 5), built.top_k(sig, *size, 5));
-            }
+    let built = pinned_container();
+    let path = dir.join("pinned.lshe");
+    built.save(&path).expect("save");
+    assert!(
+        std::fs::read(&path).expect("read") == built.to_bytes(),
+        "save and to_bytes disagree"
+    );
+    let loaded = IndexContainer::load(&path).expect("load");
+    assert_eq!(loaded.records(), built.records());
+    assert_eq!(loaded.next_id(), built.next_id());
+    assert_eq!(loaded.segment_stats(), built.segment_stats());
+    for (sig, size) in &query_sample() {
+        for t in [0.5, 0.9] {
+            // Hits with their estimates.
+            let hits = loaded.search(sig, *size, t);
+            assert_eq!(hits, built.search(sig, *size, t), "t={t}");
         }
-        // The removed domain stays gone, the inserted ones stay found.
-        assert!(loaded.record(17).is_none() && loaded.record(608).is_some());
+        assert_eq!(loaded.top_k(sig, *size, 5), built.top_k(sig, *size, 5));
     }
+    // The removed domain stays gone, the inserted ones stay found.
+    assert!(loaded.record(17).is_none() && loaded.record(608).is_some());
     std::fs::remove_dir_all(&dir).ok();
 }

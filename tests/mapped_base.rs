@@ -5,18 +5,24 @@
 //! every bulk column of every base partition (ids, rows, two per tree) is
 //! a view into it, nothing is copied, and a container that was built
 //! holds none. The views answer bit for bit like the vectors they came
-//! from; a commit and a segment merge leave them alone; a fold copies out
-//! exactly the partitions it edits; a full fold through the engine ends on
-//! the file it wrote; and a server keeps answering from the file it
-//! loaded once another is renamed over its path, or the path is gone.
+//! from; a commit and a segment merge leave them alone; an ensemble's fold
+//! copies out exactly the partitions it edits; a full fold through the
+//! engine ends on the file it wrote; and a server keeps answering from the
+//! file it loaded once another is renamed over its path, or the path is
+//! gone.
 
-use lshe_core::{DomainIndex, MergeTask, Query, QueryStats, SearchOutcome};
+use lshe_core::{
+    DomainIndex, EnsembleConfig, LshEnsemble, MergeTask, MutableIndex, PartitionStrategy, Query,
+    QueryStats, SearchOutcome,
+};
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
+use lshe_minhash::codec::{Decoder, Owner};
 use lshe_minhash::{MinHasher, Signature};
 use lshe_serve::container::LoadError;
-use lshe_serve::{DeltaOp, DomainRecord, Engine, IndexContainer, Snapshot};
+use lshe_serve::{Engine, IndexContainer, Snapshot};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const BASE: usize = 400;
 const PARTITIONS: usize = 8;
@@ -33,19 +39,6 @@ fn sketch(domain: &Domain) -> (Signature, u64) {
     let hasher = MinHasher::new(lshe_minhash::DEFAULT_NUM_PERM);
     let sig = hasher.signature(domain.hashes().iter().copied());
     (sig, domain.len() as u64)
-}
-
-fn insert(id: u32, (domain, meta): &(Domain, DomainMeta)) -> DeltaOp {
-    let (signature, size) = sketch(domain);
-    DeltaOp::Insert {
-        record: DomainRecord {
-            id,
-            size,
-            table: meta.table.clone(),
-            column: meta.column.clone(),
-        },
-        signature,
-    }
 }
 
 fn stage(engine: &Engine, (domain, meta): &(Domain, DomainMeta)) -> u32 {
@@ -75,9 +68,9 @@ impl Drop for Scratch {
     }
 }
 
-fn saved(name: &str, ranked: bool) -> (Scratch, IndexContainer) {
+fn saved(name: &str) -> (Scratch, IndexContainer) {
     let dir = Scratch::new(name);
-    let built = IndexContainer::from_stream(corpus(BASE, 7), PARTITIONS, ranked);
+    let built = IndexContainer::from_stream(corpus(BASE, 7), PARTITIONS, true);
     built.save(&dir.index()).expect("save");
     (dir, built)
 }
@@ -127,42 +120,39 @@ fn all(flag: bool) -> Vec<bool> {
 
 #[test]
 fn a_loaded_base_is_views_into_the_file_and_a_built_one_is_heap() {
-    for ranked in [true, false] {
-        let (dir, built) = saved("views", ranked);
-        assert_eq!(built.base_in_place(), all(false), "ranked={ranked}");
-        assert_eq!(built.mapped_bytes(), 0);
-        assert!(built.mapping().is_none());
+    let (dir, built) = saved("views");
+    assert_eq!(built.base_in_place(), all(false));
+    assert_eq!(built.mapped_bytes(), 0);
+    assert!(built.mapping().is_none());
 
-        let loaded = IndexContainer::load(&dir.index()).expect("load");
-        assert_eq!(loaded.base_in_place(), all(true), "ranked={ranked}");
-        let file = std::fs::read(dir.index()).expect("read");
-        assert!(
-            loaded.mapping() == Some(&file[..]),
-            "the mapping is the file"
-        );
-        // What is mapped is every row (id and lanes) and tree column; what
-        // is left on the heap is the sizes a ranked index keeps.
-        assert_eq!(loaded.mapped_bytes(), BASE * (4 + 576 + 4 * 32));
-        let heap = loaded.open_index().memory_bytes() - loaded.mapped_bytes();
-        let sizes = if ranked { 8 * BASE } else { 0 };
-        assert_eq!(heap, sizes, "{heap} B of heap");
-        // A clone is more views, not a copy; the bytes decoded from a slice
-        // are one.
-        assert_eq!(loaded.clone().base_in_place(), all(true));
-        let copied = IndexContainer::from_bytes(&file).expect("decode");
-        assert_eq!(copied.mapped_bytes(), 0);
-        assert_eq!(copied.base_in_place(), all(false));
+    let loaded = IndexContainer::load(&dir.index()).expect("load");
+    assert_eq!(loaded.base_in_place(), all(true));
+    let file = std::fs::read(dir.index()).expect("read");
+    assert!(
+        loaded.mapping() == Some(&file[..]),
+        "the mapping is the file"
+    );
+    // What is mapped is every row (id and lanes) and tree column; what is
+    // left on the heap is the sizes the ranked index keeps.
+    assert_eq!(loaded.mapped_bytes(), BASE * (4 + 576 + 4 * 32));
+    let heap = loaded.open_index().memory_bytes() - loaded.mapped_bytes();
+    assert_eq!(heap, 8 * BASE, "{heap} B of heap");
+    // A clone is more views, not a copy; the bytes decoded from a slice are
+    // one.
+    assert_eq!(loaded.clone().base_in_place(), all(true));
+    let copied = IndexContainer::from_bytes(&file).expect("decode");
+    assert_eq!(copied.mapped_bytes(), 0);
+    assert_eq!(copied.base_in_place(), all(false));
 
-        let want = answers(&*built.open_index(), ranked);
-        assert!(answers(&*loaded.open_index(), ranked) == want, "loaded");
-        assert!(answers(&*copied.open_index(), ranked) == want, "copied");
-        assert!(loaded.to_bytes() == file, "re-encoded through the views");
-    }
+    let want = answers(&*built.open_index(), true);
+    assert!(answers(&*loaded.open_index(), true) == want, "loaded");
+    assert!(answers(&*copied.open_index(), true) == want, "copied");
+    assert!(loaded.to_bytes() == file, "re-encoded through the views");
 }
 
 #[test]
 fn a_commit_and_a_segment_merge_leave_every_base_column_a_view() {
-    let (dir, _) = saved("merge", true);
+    let (dir, _) = saved("merge");
     let engine = Engine::load(&dir.index(), 1).expect("engine");
     let loaded = engine.snapshot();
     let fresh = corpus(6, 8);
@@ -205,46 +195,56 @@ fn a_commit_and_a_segment_merge_leave_every_base_column_a_view() {
 
 #[test]
 fn a_fold_copies_out_exactly_the_partitions_it_edits() {
-    // A plain index folds in place (a ranked one rebuilds from its rows).
-    let (dir, built) = saved("fold", false);
-    let mut loaded = IndexContainer::load(&dir.index()).expect("load");
+    // A container's fold rebuilds its index from the rows; the ensemble's
+    // own fold edits in place. It is held here on an ensemble decoded the
+    // way `load` decodes one, its columns views into a shared buffer.
+    let mut builder = LshEnsemble::builder_with(EnsembleConfig {
+        strategy: PartitionStrategy::EquiDepth { n: PARTITIONS },
+        ..EnsembleConfig::default()
+    });
+    for (id, (domain, _)) in (0u32..).zip(&corpus(BASE, 7)) {
+        let (sig, size) = sketch(domain);
+        builder.add(id, size, sig);
+    }
+    let built = builder.build();
+    let owner: Owner = Arc::new(built.to_bytes_committed());
+    let file: &[u8] = (*owner).as_ref();
+    let mut loaded = LshEnsemble::decode(Decoder::shared(&owner)).expect("decode");
+    assert_eq!(loaded.base_borrowed_from(file), all(true));
     let untouched = loaded.clone();
-    loaded.apply(&[DeltaOp::Remove { id: 33 }]).expect("remove");
-    loaded.commit_mutations();
+    loaded.remove(33).expect("remove");
+    loaded.commit();
     assert_eq!(
-        loaded.base_in_place(),
+        loaded.base_borrowed_from(file),
         all(true),
         "a tombstone edits nothing"
     );
-    loaded.compact_index();
-    let in_place = loaded.base_in_place();
+    loaded.compact();
+    let in_place = loaded.base_borrowed_from(file);
     assert_eq!(in_place.iter().filter(|&&p| !p).count(), 1, "{in_place:?}");
-    assert_eq!(loaded.base_shared_with(&untouched).0, in_place);
+    assert_eq!(loaded.base_shared_with(&untouched), in_place);
     let row = 4 + 576 + 4 * 32;
     assert!(loaded.mapped_bytes() < (BASE - 1) * row && loaded.mapped_bytes() > BASE / 2 * row);
-    assert!(loaded.mapping().is_some());
-    assert_eq!(untouched.base_in_place(), all(true));
+    assert_eq!(untouched.base_borrowed_from(file), all(true));
 
     // An insert folded into another partition copies that one too; the
     // edited index equals the same edits on the built one, byte for byte.
     let fresh = corpus(40, 8);
-    let elsewhere = fresh.iter().enumerate().find_map(|(k, pair)| {
+    let elsewhere = (1_000u32..).zip(&fresh).find_map(|(id, (domain, _))| {
+        let (sig, size) = sketch(domain);
         let mut probe = loaded.clone();
-        probe
-            .apply(&[insert(1_000 + k as u32, pair)])
-            .expect("apply");
-        probe.compact_index();
-        let copied = probe.base_in_place().iter().filter(|&&p| !p).count();
-        (copied == 2).then_some((insert(1_000 + k as u32, pair), probe))
+        probe.insert(id, size, &sig).expect("insert");
+        probe.compact();
+        let copied = probe.base_borrowed_from(file).into_iter().filter(|&p| !p);
+        (copied.count() == 2).then_some((id, sig, size, probe))
     });
-    let (op, twice) = elsewhere.expect("a domain sized for another partition");
+    let (id, sig, size, twice) = elsewhere.expect("a domain sized for another partition");
     let mut expect = built.clone();
-    expect
-        .apply(&[DeltaOp::Remove { id: 33 }, op])
-        .expect("apply");
-    expect.compact_index();
-    assert!(twice.to_bytes() == expect.to_bytes());
-    assert!(answers(&*twice.open_index(), false) == answers(&*expect.open_index(), false));
+    expect.remove(33).expect("remove");
+    expect.insert(id, size, &sig).expect("insert");
+    expect.compact();
+    assert!(twice.to_bytes_committed() == expect.to_bytes_committed());
+    assert!(answers(&twice, false) == answers(&expect, false));
 }
 
 fn mapped_at(snap: &Snapshot) -> *const u8 {
@@ -256,34 +256,32 @@ fn mapped_at(snap: &Snapshot) -> *const u8 {
 
 #[test]
 fn a_full_fold_through_the_engine_ends_on_the_file_it_wrote() {
-    for ranked in [true, false] {
-        let (dir, _) = saved("compact", ranked);
-        let engine = Engine::load(&dir.index(), 1).expect("engine");
-        let loaded = engine.snapshot();
-        let before = answers(loaded.index(), ranked);
-        let fresh = corpus(4, 8);
-        let ids: Vec<u32> = fresh.iter().map(|pair| stage(&engine, pair)).collect();
-        engine.stage_remove(5).expect("stage remove");
-        engine.commit_staged().expect("commit");
+    let (dir, _) = saved("compact");
+    let engine = Engine::load(&dir.index(), 1).expect("engine");
+    let loaded = engine.snapshot();
+    let before = answers(loaded.index(), true);
+    let fresh = corpus(4, 8);
+    let ids: Vec<u32> = fresh.iter().map(|pair| stage(&engine, pair)).collect();
+    engine.stage_remove(5).expect("stage remove");
+    engine.commit_staged().expect("commit");
 
-        let (compacted, _) = engine.compact().expect("compact");
-        let container = compacted.container();
-        let parts = container.base_in_place();
-        assert!(parts.iter().all(|&p| p), "ranked={ranked}: {parts:?}");
-        let file = std::fs::read(dir.index()).expect("read");
-        assert!(container.mapping() == Some(&file[..]), "the new file");
-        assert_ne!(mapped_at(&compacted), mapped_at(&loaded));
-        assert_eq!(container.segment_stats().segments, 0);
-        assert_eq!(container.len(), BASE + 3);
-        assert!(ids.iter().all(|&id| container.record(id).is_some()));
-        assert!(container.record(5).is_none());
-        // The snapshot a reader still holds is served from the old file.
-        assert!(answers(loaded.index(), ranked) == before);
-        // And a restart finds what the engine is serving.
-        let restarted = Engine::load(&dir.index(), 1).expect("restart");
-        let served = answers(compacted.index(), ranked);
-        assert!(answers(restarted.snapshot().index(), ranked) == served);
-    }
+    let (compacted, _) = engine.compact().expect("compact");
+    let container = compacted.container();
+    let parts = container.base_in_place();
+    assert!(parts.iter().all(|&p| p), "{parts:?}");
+    let file = std::fs::read(dir.index()).expect("read");
+    assert!(container.mapping() == Some(&file[..]), "the new file");
+    assert_ne!(mapped_at(&compacted), mapped_at(&loaded));
+    assert_eq!(container.segment_stats().segments, 0);
+    assert_eq!(container.len(), BASE + 3);
+    assert!(ids.iter().all(|&id| container.record(id).is_some()));
+    assert!(container.record(5).is_none());
+    // The snapshot a reader still holds is served from the old file.
+    assert!(answers(loaded.index(), true) == before);
+    // And a restart finds what the engine is serving.
+    let restarted = Engine::load(&dir.index(), 1).expect("restart");
+    let served = answers(compacted.index(), true);
+    assert!(answers(restarted.snapshot().index(), true) == served);
 }
 
 fn unlink(path: &Path) {
@@ -293,7 +291,7 @@ fn unlink(path: &Path) {
 
 #[test]
 fn a_loaded_index_outlives_its_path_being_replaced_and_unlinked() {
-    let (dir, _) = saved("replaced", true);
+    let (dir, _) = saved("replaced");
     let engine = Engine::load(&dir.index(), 1).expect("engine");
     let snap = engine.snapshot();
     let want = answers(snap.index(), true);
@@ -319,7 +317,7 @@ fn a_loaded_index_outlives_its_path_being_replaced_and_unlinked() {
 
 #[test]
 fn a_file_cut_at_any_page_or_inside_any_pad_is_a_typed_decode_error() {
-    let (dir, built) = saved("cut", true);
+    let (dir, built) = saved("cut");
     let file = built.to_bytes();
     // Every 4 KiB boundary, and every byte of every forest's pad: the pad
     // is `n` and `n` zeros behind the forest's 25-byte header.

@@ -6,9 +6,9 @@
 
 use lshe::{
     Catalog, CommitReport, DeltaLog, DeltaOp, Domain, DomainId, DomainIndex, EnsembleConfig,
-    ExactIndex, IndexContainer, IndexKind, LshEnsemble, LshForest, MinHasher, MutableIndex,
-    MutationError, PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit,
-    RankedIndex, SearchHit, SearchOutcome, ServerConfig, ShardedEnsemble, ShardedRanked, Signature,
+    ExactIndex, IndexContainer, LshEnsemble, LshForest, MinHasher, MutableIndex, MutationError,
+    PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit,
+    SearchOutcome, ServerConfig, ShardedEnsemble, ShardedRanked, Signature,
     DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK,
 };
 
@@ -132,8 +132,7 @@ fn facade_keeps_the_existing_types_reachable() {
     }
     let exact = ExactIndex::build(&catalog);
     assert_eq!(DomainIndex::len(&exact), 4);
-    let container = IndexContainer::build(&catalog, 2, true);
-    assert_eq!(container.kind(), IndexKind::Ranked);
+    let container = IndexContainer::build(&catalog, 2);
     assert_eq!(container.open_index().len(), 4);
     let _ = ServerConfig::default();
 

@@ -12,7 +12,7 @@ use lshe_serve::engine::Engine;
 use lshe_serve::json::Json;
 use lshe_serve::server::{start, ServerConfig};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,7 +85,7 @@ fn expected_ids(container: &IndexContainer, k: usize, threshold: f64) -> Vec<u64
 fn every_endpoint_roundtrips() {
     let dir = scratch("endpoints");
     let index_path = dir.join("idx.lshe");
-    let container = IndexContainer::build(&build_catalog(12), 4, true);
+    let container = IndexContainer::build(&build_catalog(12), 4);
     std::fs::write(&index_path, container.to_bytes()).expect("write index");
 
     let engine = Engine::load(&index_path, 1).expect("engine");
@@ -184,7 +184,7 @@ fn every_endpoint_roundtrips() {
     let bigger = dir.join("bigger.lshe");
     std::fs::write(
         &bigger,
-        IndexContainer::build(&build_catalog(16), 4, true).to_bytes(),
+        IndexContainer::build(&build_catalog(16), 4).to_bytes(),
     )
     .expect("write");
     let (status, reloaded) = client.post(
@@ -293,7 +293,7 @@ fn sustained_concurrent_load_with_hot_reload() {
 
     let dir = scratch("load");
     let index_path = dir.join("idx.lshe");
-    let container = IndexContainer::build(&build_catalog(20), 4, true);
+    let container = IndexContainer::build(&build_catalog(20), 4);
     std::fs::write(&index_path, container.to_bytes()).expect("write index");
 
     // Reference answers from the direct search path (same bytes).
@@ -395,7 +395,7 @@ fn live_ingestion_under_concurrent_query_load() {
 
     let dir = scratch("ingest");
     let index_path = dir.join("idx.lshe");
-    let container = IndexContainer::build(&build_catalog(16), 4, true);
+    let container = IndexContainer::build(&build_catalog(16), 4);
     std::fs::write(&index_path, container.to_bytes()).expect("write index");
 
     // Reference answers for the original corpus: inserted domains use a
@@ -550,7 +550,7 @@ fn sharded_engine_serves_fanout_queries() {
     let index_path = dir.join("idx.lshe");
     std::fs::write(
         &index_path,
-        IndexContainer::build(&build_catalog(24), 4, true).to_bytes(),
+        IndexContainer::build(&build_catalog(24), 4).to_bytes(),
     )
     .expect("write index");
 
@@ -585,21 +585,12 @@ fn sharded_engine_serves_fanout_queries() {
         }
     }
 
-    // An unranked index cannot be sharded — the engine refuses up front.
-    let plain = dir.join("plain.lshe");
-    std::fs::write(
-        &plain,
-        IndexContainer::build(&build_catalog(8), 2, false).to_bytes(),
-    )
-    .expect("write");
-    assert!(Engine::load(Path::new(&plain), 2).is_err());
-
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The CLI path: `lshe index` with the new bare `--ranked` flag produces a
-/// file the serve engine loads directly.
+/// The CLI path: a default `lshe index` produces a file the serve engine
+/// loads directly, and its hits carry estimates.
 #[test]
 fn cli_built_index_is_servable() {
     let dir = scratch("cli_index");
@@ -626,7 +617,6 @@ fn cli_built_index_is_servable() {
         "4".to_owned(),
         "--min-size".to_owned(),
         "5".to_owned(),
-        "--ranked".to_owned(), // bare boolean flag
     ])
     .expect("cli index");
 
@@ -661,10 +651,8 @@ fn cli_built_index_is_servable() {
         &format!("{{\"values\": [{}], \"threshold\": 0.9}}", quoted.join(",")),
     );
     assert_eq!(status, 200, "{response}");
-    let tables: Vec<&str> = response
-        .get("hits")
-        .and_then(Json::as_array)
-        .expect("hits")
+    let hits = response.get("hits").and_then(Json::as_array).expect("hits");
+    let tables: Vec<&str> = hits
         .iter()
         .filter_map(|h| h.get("table").and_then(Json::as_str))
         .collect();
@@ -672,6 +660,9 @@ fn cli_built_index_is_servable() {
         tables.contains(&"registry"),
         "join not found over HTTP: {response}"
     );
+    assert!(hits
+        .iter()
+        .all(|h| h.get("estimate").and_then(Json::as_f64).is_some()));
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -686,7 +677,7 @@ fn cli_built_index_is_servable() {
 fn pipelined_responses_arrive_in_request_order() {
     let dir = scratch("pipeline");
     let index_path = dir.join("idx.lshe");
-    let container = IndexContainer::build(&build_catalog(12), 4, true);
+    let container = IndexContainer::build(&build_catalog(12), 4);
     std::fs::write(&index_path, container.to_bytes()).expect("write index");
 
     let engine = Engine::load(&index_path, 1).expect("engine");
@@ -778,7 +769,7 @@ fn high_concurrency_keepalive_connections() {
 
     let dir = scratch("highconc");
     let index_path = dir.join("idx.lshe");
-    let container = IndexContainer::build(&build_catalog(12), 4, true);
+    let container = IndexContainer::build(&build_catalog(12), 4);
     std::fs::write(&index_path, container.to_bytes()).expect("write index");
 
     let expected: Arc<Vec<Vec<u64>>> = Arc::new(

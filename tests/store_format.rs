@@ -29,7 +29,7 @@ fn scratch(name: &str) -> PathBuf {
 /// the container (for answer comparison).
 fn packed_fixture(dir: &std::path::Path) -> (Vec<u8>, IndexContainer) {
     let catalog = generate_catalog(&CorpusConfig::tiny(60, 77));
-    let container = IndexContainer::build(&catalog, 4, true);
+    let container = IndexContainer::build(&catalog, 4);
     let path = dir.join("clean.lshepk");
     container.pack_v2(&path).expect("pack");
     let bytes = std::fs::read(&path).expect("read packed");
