@@ -13,10 +13,12 @@ use crate::api::{
     SegmentStats,
 };
 use crate::batch::ThresholdItem;
+use crate::directory::Directory;
 use crate::partition::{Partition, PartitionStrategy};
 use crate::pipeline::{Candidates, Probe, ReadPath, Sketches, Tiers};
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest, Row, RowBuf, RowLanes};
+use lshe_minhash::codec::Column;
 use lshe_minhash::hash::{FastHashMap, FastHashSet};
 use lshe_minhash::{MinHasher, Signature};
 use std::sync::Arc;
@@ -141,10 +143,9 @@ pub(crate) struct EnsemblePartition {
     pub(crate) lower: u64,
     pub(crate) upper: u64,
     pub(crate) forest: LshForest,
-    /// The cardinality of each forest row — or empty, for the base
-    /// partitions of a decoded plain index, whose file keeps none (nothing
-    /// in a plain index reads a base row's size).
-    pub(crate) sizes: Vec<u64>,
+    /// The cardinality of each forest row: a vector, or a view into the
+    /// file a base partition was decoded from, like the forest's columns.
+    pub(crate) sizes: Column<u64>,
 }
 
 impl EnsemblePartition {
@@ -153,15 +154,13 @@ impl EnsemblePartition {
             lower: 0,
             upper: 0,
             forest: LshForest::with_width(config.b_max, config.r_max, config.num_perm),
-            sizes: Vec::new(),
+            sizes: Column::default(),
         }
     }
 
-    /// Appends a row; its size too while every earlier row has one.
+    /// Appends a row and its size.
     fn push<L: RowLanes + ?Sized>(&mut self, id: DomainId, size: u64, lanes: &L) {
-        if self.sizes.len() == self.forest.len() {
-            self.sizes.push(size);
-        }
+        self.sizes.to_mut().push(size);
         self.forest.insert(id, lanes);
     }
 
@@ -170,8 +169,14 @@ impl EnsemblePartition {
         (self.forest.ids()[i], self.sizes[i], self.forest.row(i))
     }
 
+    /// The forest's bytes and the sizes', heap or mapped.
     fn memory_bytes(&self) -> usize {
-        self.forest.memory_bytes() + self.sizes.capacity() * std::mem::size_of::<u64>()
+        self.forest.memory_bytes() + self.sizes.heap_bytes() + self.sizes.mapped_bytes()
+    }
+
+    /// The part of [`memory_bytes`](Self::memory_bytes) viewed in a file.
+    fn mapped_bytes(&self) -> usize {
+        self.forest.mapped_bytes() + self.sizes.mapped_bytes()
     }
 
     fn stats(&self) -> PartitionStats {
@@ -229,25 +234,38 @@ impl DeadSlot {
 }
 
 /// id → (forest, row) of every live domain: duplicate detection, removal
-/// routing, and the sketch lookup of a ranked search. Rebuilt on decode;
-/// never persisted. The base rows' part is built once per base and shared
-/// by every clone; what a clone copies is the overlay.
+/// routing, and the sketch lookup of a ranked search. The base rows' part
+/// is the base's [`Directory`] — columns of the file in a loaded index,
+/// shared by every clone either way; what a clone copies is the overlay.
 #[derive(Debug, Clone)]
 struct IdMap {
-    /// id → (partition, row) of every base row, as of the last build or
-    /// fold.
-    base: Arc<FastHashMap<DomainId, (u32, u32)>>,
+    /// Every base row, as of the last build, load or fold.
+    base: Arc<Directory>,
     /// What changed since: where a segment or staged id lives, or `None`
     /// for a base id that was removed.
     overlay: FastHashMap<DomainId, Option<(Slot, u32)>>,
 }
 
 impl IdMap {
-    fn get(&self, id: DomainId) -> Option<(Slot, u32)> {
-        match self.overlay.get(&id) {
-            Some(&at) => at,
-            None => self.base.get(&id).map(|&(p, row)| (Slot::Base(p), row)),
+    /// The map of an index whose every live row is a row of the base
+    /// `base` describes.
+    fn over(base: Directory) -> Self {
+        Self {
+            base: Arc::new(base),
+            overlay: FastHashMap::default(),
         }
+    }
+
+    #[inline]
+    fn get(&self, id: DomainId) -> Option<(Slot, u32)> {
+        // An empty overlay — a base nobody has changed — is not hashed.
+        if !self.overlay.is_empty() {
+            if let Some(&at) = self.overlay.get(&id) {
+                return at;
+            }
+        }
+        let (p, row) = self.base.get(id)?;
+        Some((Slot::Base(p), row))
     }
 
     fn insert(&mut self, id: DomainId, at: (Slot, u32)) {
@@ -255,45 +273,39 @@ impl IdMap {
     }
 
     fn remove(&mut self, id: DomainId) {
-        if self.base.contains_key(&id) {
+        if self.base.get(id).is_some() {
             self.overlay.insert(id, None);
         } else {
             self.overlay.remove(&id);
         }
     }
 
-    /// Every live id with where it lives, in no particular order.
+    /// Every live id with where it lives: base rows in id order, then the
+    /// overlay's in no particular order.
     fn iter(&self) -> impl Iterator<Item = (DomainId, (Slot, u32))> + '_ {
-        let base = self
-            .base
-            .iter()
-            .filter(|(id, _)| !self.overlay.contains_key(id));
-        base.map(|(&id, &(p, row))| (id, (Slot::Base(p), row)))
+        let base = self.base.iter();
+        let base = base.filter(|(id, _)| !self.overlay.contains_key(id));
+        base.map(|(id, (p, row))| (id, (Slot::Base(p), row)))
             .chain(self.overlay.iter().filter_map(|(&id, &at)| Some((id, at?))))
     }
 
-    /// Approximate heap bytes of both tables: a slot and a control byte per
-    /// entry each can hold. The shared base is counted by every holder.
-    fn memory_bytes(&self) -> usize {
-        fn table<V>(map: &FastHashMap<DomainId, V>) -> usize {
-            map.capacity() * (std::mem::size_of::<(DomainId, V)>() + 1)
+    /// Number of live ids, counted in O(overlay): the base rows, less
+    /// those the overlay names, plus the overlay's live ones.
+    fn len(&self) -> usize {
+        let (mut replaced, mut live) = (0, 0);
+        for (&id, at) in &self.overlay {
+            replaced += usize::from(self.base.get(id).is_some());
+            live += usize::from(at.is_some());
         }
-        table(&self.base) + table(&self.overlay)
+        self.base.len() - replaced + live
     }
 
-    /// The map of an index whose every live row is a row of `partitions`.
-    fn over(partitions: &[Arc<EnsemblePartition>]) -> Self {
-        let rows = partitions.iter().map(|p| p.forest.len()).sum();
-        let mut base = FastHashMap::with_capacity_and_hasher(rows, Default::default());
-        for (p, part) in partitions.iter().enumerate() {
-            for (row, &id) in part.forest.ids().iter().enumerate() {
-                base.insert(id, (p as u32, row as u32));
-            }
-        }
-        Self {
-            base: Arc::new(base),
-            overlay: FastHashMap::default(),
-        }
+    /// Approximate heap bytes: the directory's, and a slot and a control
+    /// byte per entry the overlay can hold. The shared base is counted by
+    /// every holder.
+    fn memory_bytes(&self) -> usize {
+        let entry = std::mem::size_of::<(DomainId, Option<(Slot, u32)>)>() + 1;
+        self.base.heap_bytes() + self.overlay.capacity() * entry
     }
 }
 
@@ -358,7 +370,7 @@ fn build_partition<'a, L: RowLanes + ?Sized + 'a>(
         lower: part.lower,
         upper: part.upper,
         forest: LshForest::from_rows(config.b_max, config.r_max, config.num_perm, &rows),
-        sizes,
+        sizes: sizes.into(),
     }
 }
 
@@ -493,8 +505,7 @@ impl LshEnsemble {
                 (ids[m], sizes[m], &signatures[m])
             }))
         });
-        let id_map = IdMap::over(&shells);
-        assert_eq!(id_map.base.len(), ids.len(), "duplicate domain id");
+        let directory = Directory::over(&shells).unwrap_or_else(|e| panic!("{e}"));
         Self {
             tuner: Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32)),
             partitions: shells,
@@ -504,7 +515,7 @@ impl LshEnsemble {
             dead_set: FastHashSet::default(),
             config,
             len: ids.len(),
-            ids: id_map,
+            ids: IdMap::over(directory),
         }
     }
 
@@ -535,7 +546,7 @@ impl LshEnsemble {
 
     /// Live entries in the id → slot map (decoder cross-check).
     pub(crate) fn id_count(&self) -> usize {
-        self.ids.iter().count()
+        self.ids.len()
     }
 
     /// Smallest id that is safely allocatable from this ensemble's view:
@@ -571,13 +582,23 @@ impl LshEnsemble {
     }
 
     /// One flag per base partition: whether every bulk column of its forest
-    /// — ids, rows, both of each tree — is a view lying inside `bytes` (the
-    /// mapped file the index was decoded over), copied nowhere. A partition
-    /// that was built, or that a fold has edited since, is not.
+    /// — ids, rows, each tree — and its sizes are views lying inside `bytes`
+    /// (the mapped file the index was decoded over), copied nowhere. A
+    /// partition that was built, or that a fold has edited since, is not.
     #[must_use]
     pub fn base_borrowed_from(&self, bytes: &[u8]) -> Vec<bool> {
-        let forests = self.partitions.iter().map(|p| &p.forest);
-        forests.map(|f| f.borrows_from(bytes)).collect()
+        let parts = self.partitions.iter();
+        parts
+            .map(|p| p.forest.borrows_from(bytes) && p.sizes.is_view_into(bytes))
+            .collect()
+    }
+
+    /// Whether both columns of the base's id → row directory are views
+    /// lying inside `bytes`: true for an index decoded over that file until
+    /// a fold builds its base anew.
+    #[must_use]
+    pub fn directory_borrowed_from(&self, bytes: &[u8]) -> bool {
+        self.ids.base.borrows_from(bytes)
     }
 
     /// Per-partition summaries: base partitions first, then each sealed
@@ -618,21 +639,23 @@ impl LshEnsemble {
     }
 
     /// The part of [`memory_bytes`](Self::memory_bytes) that is no heap:
-    /// the columns of base partitions that are views into the mapped file
-    /// the index was decoded over. Segments, the staged delta and sizes are
-    /// always heap.
+    /// the columns of base partitions — forests and sizes — that are views
+    /// into the mapped file the index was decoded over. Segments and the
+    /// staged delta are always heap.
     #[must_use]
     pub fn mapped_bytes(&self) -> usize {
-        let forests = self.partitions.iter().map(|p| &p.forest);
-        forests.map(LshForest::mapped_bytes).sum()
+        self.partitions.iter().map(|p| p.mapped_bytes()).sum()
     }
 
     /// The rows' share of [`mapped_bytes`](Self::mapped_bytes) — of
-    /// [`sketch_memory_bytes`](Self::sketch_memory_bytes), that is.
+    /// [`sketch_memory_bytes`](Self::sketch_memory_bytes), that is: ids,
+    /// lanes and sizes.
     #[must_use]
     pub fn sketch_mapped_bytes(&self) -> usize {
-        let forests = self.partitions.iter().map(|p| &p.forest);
-        forests.map(LshForest::mapped_table_bytes).sum()
+        let parts = self.partitions.iter();
+        parts
+            .map(|p| p.forest.mapped_table_bytes() + p.sizes.mapped_bytes())
+            .sum()
     }
 
     /// The part of [`memory_bytes`](Self::memory_bytes) that is rows: every
@@ -655,7 +678,9 @@ impl LshEnsemble {
     }
 
     /// Approximate heap bytes of the id → (forest, row) map, beside
-    /// [`memory_bytes`](Self::memory_bytes) and not part of it.
+    /// [`memory_bytes`](Self::memory_bytes) and not part of it: the base's
+    /// directory (nothing but the partition starts once it is views into a
+    /// file) and the overlay of what changed since.
     #[must_use]
     pub fn id_map_bytes(&self) -> usize {
         self.ids.memory_bytes()
@@ -678,9 +703,6 @@ impl LshEnsemble {
 
     /// Every live domain as an entry triple, sorted by id — the
     /// deterministic bulk view rebuilds and shard splits start from.
-    ///
-    /// # Panics
-    /// Panics if a live base row has no size (a decoded plain index).
     pub(crate) fn live_entries(&self) -> Vec<Entry<'_>> {
         let mut out: Vec<Entry<'_>> = self
             .ids
@@ -694,7 +716,7 @@ impl LshEnsemble {
     /// A fresh build over the live rows, sharing this index's tuner.
     ///
     /// # Panics
-    /// Panics if the index is empty, or as [`live_entries`](Self::live_entries).
+    /// Panics if the index is empty.
     pub(crate) fn rebuilt(&self) -> Self {
         let entries = self.live_entries();
         let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
@@ -916,10 +938,10 @@ impl LshEnsemble {
                 continue;
             }
             let EnsemblePartition { forest, sizes, .. } = Arc::make_mut(&mut self.partitions[p]);
-            if sizes.len() == forest.len() {
-                let mut ids = forest.ids().iter();
-                sizes.retain(|_| !dead.contains(ids.next().expect("a size per row")));
-            }
+            let mut ids = forest.ids().iter();
+            sizes
+                .to_mut()
+                .retain(|_| !dead.contains(ids.next().expect("a size per row")));
             let removed = forest.retain(|id| !dead.contains(&id));
             debug_assert_eq!(
                 removed,
@@ -964,12 +986,18 @@ impl LshEnsemble {
         for (idx, _) in touched.iter().enumerate().filter(|(_, &t)| t) {
             Arc::make_mut(&mut self.partitions[idx]).forest.commit();
         }
-        self.ids = IdMap::over(&self.partitions);
+        let directory = Directory::over(&self.partitions);
+        self.ids = IdMap::over(directory.expect("a fold keeps every id in one row"));
     }
 
     /// The base partitions, for persistence.
     pub(crate) fn base_partitions(&self) -> &[Arc<EnsemblePartition>] {
         &self.partitions
+    }
+
+    /// The base partitions' id → row directory, for persistence.
+    pub(crate) fn directory(&self) -> &Directory {
+        &self.ids.base
     }
 
     /// Sealed segments, for persistence (their entry triples, in sealing
@@ -990,28 +1018,21 @@ impl LshEnsemble {
     }
 
     /// Rebuilds an ensemble from persisted parts. The decoder is
-    /// responsible for structural validation; the id → (forest, row) map is
-    /// rederived from the base forests, then overridden by segment entries
-    /// (later segments win — a re-inserted id lives in the newest one),
-    /// and finally tombstones erase the ids whose slot they still match.
-    /// The base partitions come back without sizes (no ensemble payload
-    /// stores them); see [`set_base_sizes`](Self::set_base_sizes). A mapped
-    /// index, whose base stays in its file, passes no partitions and keeps
-    /// the result as its heap tail.
+    /// responsible for structural validation, `directory` naming every row
+    /// of `partitions` included; the id → (forest, row) map is that
+    /// directory, overridden by segment entries (later segments win — a
+    /// re-inserted id lives in the newest one), and finally tombstones
+    /// erase the ids whose slot they still match. A mapped index, whose
+    /// base stays in its file, passes no partitions and keeps the result as
+    /// its heap tail.
     pub(crate) fn from_raw_partitions(
         config: EnsembleConfig,
-        partitions: Vec<(u64, u64, LshForest)>,
+        partitions: Vec<Arc<EnsemblePartition>>,
+        directory: Directory,
         len: usize,
         segment_entries: Vec<Vec<(DomainId, u64, RowBuf)>>,
         dead: Vec<(DomainId, DeadSlot)>,
     ) -> Self {
-        let shell = |(lower, upper, forest)| EnsemblePartition {
-            lower,
-            upper,
-            forest,
-            sizes: Vec::new(),
-        };
-        let partitions: Vec<_> = partitions.into_iter().map(shell).map(Arc::new).collect();
         let mut ensemble = Self {
             tuner: Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32)),
             segments: Vec::new(),
@@ -1020,7 +1041,7 @@ impl LshEnsemble {
             dead,
             config,
             len,
-            ids: IdMap::over(&partitions),
+            ids: IdMap::over(directory),
             partitions,
         };
         for entries in segment_entries {
@@ -1041,54 +1062,13 @@ impl LshEnsemble {
         }
         ensemble
     }
-
-    /// Gives every base partition that has none the sizes of its rows —
-    /// what turns a decoded ensemble into the inside of a ranked index. A
-    /// live row's size is `size_of(id)`; a tombstoned row, which nothing
-    /// will read before compaction erases it, gets 0.
-    ///
-    /// # Errors
-    /// A live row without a size, or a forest that did not keep the whole
-    /// signature.
-    pub(crate) fn set_base_sizes(
-        &mut self,
-        size_of: impl Fn(DomainId) -> Option<u64>,
-    ) -> Result<(), &'static str> {
-        for (pidx, part) in self.partitions.iter_mut().enumerate() {
-            let part = Arc::make_mut(part);
-            if part.forest.width() != self.config.num_perm {
-                return Err("forest rows do not hold the whole signature");
-            }
-            if part.sizes.len() == part.forest.len() {
-                continue;
-            }
-            let slot = Slot::Base(pidx as u32);
-            // Sized exactly: collecting through `Result` would start from a
-            // size hint of 0 and leave up to half the vector spare.
-            let mut sizes = Vec::with_capacity(part.forest.len());
-            for (row, &id) in part.forest.ids().iter().enumerate() {
-                let size = if self.ids.get(id) == Some((slot, row as u32)) {
-                    let size = size_of(id).filter(|&size| size > 0);
-                    size.ok_or("live domain has no positive size")?
-                } else {
-                    0
-                };
-                sizes.push(size);
-            }
-            part.sizes = sizes;
-        }
-        Ok(())
-    }
 }
 
 impl Sketches for LshEnsemble {
     fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)> {
         let (slot, row) = self.ids.get(id)?;
         let part = self.partition_at(slot);
-        Some((
-            *part.sizes.get(row as usize)?,
-            part.forest.row(row as usize),
-        ))
+        Some((part.sizes[row as usize], part.forest.row(row as usize)))
     }
 }
 
@@ -1145,7 +1125,7 @@ impl MutableIndex for LshEnsemble {
             Slot::Staged => {
                 let removed = self.staged.forest.remove(id);
                 debug_assert!(removed, "id map pointed at a staged delta without the id");
-                self.staged.sizes.remove(row as usize);
+                self.staged.sizes.to_mut().remove(row as usize);
                 if self.staged.forest.is_empty() {
                     // Drop the stale forest + bounds along with the last entry.
                     self.staged = EnsemblePartition::empty(&self.config);

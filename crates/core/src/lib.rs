@@ -68,6 +68,7 @@ pub mod baselines;
 pub mod batch;
 pub mod convert;
 pub mod cost;
+pub mod directory;
 pub mod ensemble;
 pub mod maintenance;
 pub mod mmap;
@@ -84,6 +85,7 @@ pub use api::{
     ESTIMATE_SLACK,
 };
 pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex};
+pub use directory::position_of;
 pub use ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
 pub use lshe_lsh::{Layout, Row, RowBuf};
 pub use maintenance::{Leveled, MergeOutcome, MergeTask, SegmentLayout, MAX_TOMBSTONE_RATIO};

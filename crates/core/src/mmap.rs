@@ -23,6 +23,7 @@
 //! conformance suite and the benchmark's `store.*` metrics open.
 
 use crate::api::{DomainIndex, MutableIndex, Query, QueryError, SearchOutcome};
+use crate::directory::Directory;
 use crate::ensemble::{segment_units, DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
 use crate::partition::PartitionStrategy;
 use crate::pipeline::{Probe, ReadPath, Sketches, Tiers};
@@ -487,7 +488,14 @@ impl MmapIndex {
         // Replay each segment's deterministic seal — identical partitions
         // and forests to the heap index that was packed — and resolve ids
         // against segments and tombstones as that index does.
-        let tail = LshEnsemble::from_raw_partitions(config, Vec::new(), len, segment_entries, dead);
+        let tail = LshEnsemble::from_raw_partitions(
+            config,
+            Vec::new(),
+            Directory::default(),
+            len,
+            segment_entries,
+            dead,
+        );
         Ok(Self {
             store,
             config,

@@ -3,10 +3,13 @@
 //! Format (little-endian, primitives from `lshe_minhash::codec`):
 //!
 //! ```text
-//! "LSHE" version:u8 (7)
+//! "LSHE" version:u8 (8)
 //! num_perm:u32 b_max:u32 r_max:u32 strategy_tag:u8 strategy_args…
 //! len:u64 partition_count:u64
-//! per partition: lower:u64 upper:u64 forest_len:u64 forest_bytes ("LSHF" v5)
+//! directory: rows:u64 pad (to 4) ids:u32×rows at:u32×rows
+//! per partition, largest first:
+//!     lower:u64 upper:u64 forest_len:u64 forest_bytes ("LSHF" v5)
+//!     rows:u64 pad (to 8) sizes:u64×rows   each row's cardinality
 //! segment_count:u64
 //! per segment: entry_count:u64, then per entry
 //!     id:u32 size:u64 heads:u32×b_max tails:u16×(m − b_max)
@@ -16,45 +19,66 @@
 //!
 //! Every row is held as the forests keep it (`lshe_lsh::Layout`): each
 //! tree's first key lane at 32 bits, every other lane as its low 16 — in the
-//! nested forests and in the segment entries alike. Version 7 nests `LSHF`
-//! version-5 forests, whose tree entries are 4 bytes (the head's low 16
-//! bits and a block-local `u16` row) and whose columns start on a 4-byte
-//! boundary of the file, so [`LshEnsemble::decode`] over a mapped file
-//! leaves each base partition a set of views into it: a loaded base is not
-//! copied. Version 6, the one generation before, is the same shape around
-//! `LSHF` version-4 forests (8-byte tree entries); it still decodes through
-//! the same code — each forest keeps its ids and rows, views where a
-//! mapping lends them, and sorts its trees again from them — and the next
-//! save writes version 7, `4·b_max` bytes a base row smaller (128 at the
-//! defaults).
-//! Anything older — unpadded forests, rows of 32-bit lanes throughout,
-//! forests that held the lanes as tree keys, `u64` slots, no segment stack
-//! — is refused with [`CodecError::UnsupportedVersion`]. Sealed
-//! segments persist as their entry triples in sealing order — partitioning
-//! a segment is deterministic, so the decoder replays [`build_segment`] and
-//! reconstructs bit-identical forests, which keeps the byte form canonical.
+//! nested forests and in the segment entries alike. The nested forests'
+//! tree entries are 4 bytes (the head's low 16 bits and a block-local `u16`
+//! row).
 //!
-//! No cardinality of a base row is stored: a plain index reads none, and a
-//! container's records carry them (`RankedIndex::from_ensemble`).
+//! Everything a base holds per domain is a column that starts on a boundary
+//! of its element type in the file — the forests' by their own pad, the
+//! sizes and the directory by the pads above (a pad is one byte saying how
+//! many zeros follow, counted from the start of the file) — so
+//! [`LshEnsemble::decode`] over a mapped file leaves each base partition,
+//! its sizes and the id → row directory views into it: a loaded base keeps
+//! nothing per domain on the heap. The directory names every physical base
+//! row — tombstoned ones too — once: `ids` strictly ascend, and `at[i]` is
+//! the global row of `ids[i]` (its partition's first row, counting the
+//! partitions smallest first, plus its row there). The decoder checks all
+//! of that, and that every size is positive.
+//!
+//! The file is laid out in the order queries read it: the directory, which
+//! every ranked candidate is looked up in, then the partitions from the
+//! largest domains down — a query probes every partition whose largest
+//! domain can reach `t*·q`, so the partitions of the largest domains are
+//! probed by every query and those of the smallest by few. A mapped file
+//! is resident by whole page-cache folios (up to 2 MiB for a file written
+//! in one go), so what is read together is stored together. In memory, and
+//! in every index a tombstone or `at` uses, the partitions stay smallest
+//! first.
+//!
+//! Version 7, the one generation before, has no directory and no
+//! `rows`/sizes behind a forest, and its partitions run smallest first: its
+//! sizes lived in the records of the container around it, which
+//! [`LshEnsemble::decode_with`] reads them from, and its directory is built
+//! on the heap. The next save writes version 8. Anything older — 8-byte
+//! tree entries, unpadded forests, rows of 32-bit lanes throughout, forests
+//! that held the lanes as tree keys, `u64` slots, no segment stack — is
+//! refused with [`CodecError::UnsupportedVersion`]. Sealed segments persist
+//! as their entry triples in sealing order — partitioning a segment is
+//! deterministic, so the decoder replays [`build_segment`] and reconstructs
+//! bit-identical forests, which keeps the byte form canonical.
 //!
 //! The tuner's memo table is deliberately *not* persisted — it is a cache,
 //! rebuilt lazily, and excluding it keeps the byte form canonical.
 //!
 //! [`build_segment`]: crate::ensemble
 use crate::api::MutableIndex;
-use crate::ensemble::{DeadSlot, EnsembleConfig, LshEnsemble};
+use crate::directory::Directory;
+use crate::ensemble::{DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
 use crate::partition::PartitionStrategy;
 use lshe_lsh::{DomainId, Layout, LshForest, RowBuf};
-use lshe_minhash::codec::{CodecError, Decoder, Encoder};
+use lshe_minhash::codec::{CodecError, Column, Decoder, Encoder};
+use lshe_minhash::hash::FastHashSet;
 use std::io::Write;
+use std::sync::Arc;
 
 /// Envelope tag for ensemble payloads.
 pub const MAGIC: [u8; 4] = *b"LSHE";
-/// Current format version.
-pub const VERSION: u8 = 7;
+/// Current format version: base sizes and the id → row directory are
+/// columns of the payload.
+pub const VERSION: u8 = 8;
 /// The oldest version still decoded: the generation before [`VERSION`],
-/// whose nested forests have 8-byte tree entries.
-const OLDEST_READ: u8 = 6;
+/// whose sizes the container's records carried.
+const OLDEST_READ: u8 = 7;
 
 pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: PartitionStrategy) {
     match strategy {
@@ -166,6 +190,16 @@ pub(crate) fn decode_segments(
     Ok((segment_entries, dead))
 }
 
+/// Reads a partition's `rows:u64`, pad and sizes column.
+fn decode_sizes(dec: &mut Decoder<'_>) -> Result<Column<u64>, CodecError> {
+    let rows = usize::try_from(dec.get_u64("size count")?)
+        .ok()
+        .filter(|&rows| rows.checked_mul(8).is_some_and(|b| b <= dec.remaining()))
+        .ok_or(CodecError::Corrupt("announced length exceeds input"))?;
+    dec.get_pad("sizes pad")?;
+    dec.get_column(rows, "sizes")
+}
+
 pub(crate) fn decode_strategy(dec: &mut Decoder<'_>) -> Result<PartitionStrategy, CodecError> {
     let tag = dec.get_u8("strategy tag")?;
     Ok(match tag {
@@ -225,11 +259,16 @@ impl LshEnsemble {
         enc.put_u64(self.len() as u64);
         let parts = self.base_partitions();
         enc.put_u64(parts.len() as u64);
-        for part in parts {
+        self.directory().encode_into(enc);
+        // Largest first: the partitions every query probes lead the file.
+        for part in parts.iter().rev() {
             enc.put_u64(part.lower);
             enc.put_u64(part.upper);
             // Raw append: the forest bytes are themselves an envelope.
             enc.put_nested(|enc| part.forest.encode_into(enc));
+            enc.put_u64(part.sizes.len() as u64);
+            enc.pad_to(8);
+            enc.put_u64s(&part.sizes);
         }
         encode_segments(enc, self.raw_segments(), self.raw_dead());
     }
@@ -244,13 +283,31 @@ impl LshEnsemble {
 
     /// Deserialises an ensemble from all that is left of `dec`. Over a
     /// decoder that runs on a shared owner (a mapped index file) the base
-    /// partitions' columns are views into it (`LshForest::decode`);
-    /// segments, tombstones and the id map are rebuilt on the heap.
+    /// partitions' columns, their sizes and the directory are views into
+    /// it (`LshForest::decode`); segments and tombstones are rebuilt on the
+    /// heap. A version-7 payload, which keeps no sizes, decodes only through
+    /// [`decode_with`](Self::decode_with).
     ///
     /// # Errors
     /// [`CodecError`] on truncation, tag/version mismatch, or structural
     /// inconsistencies.
-    pub fn decode(mut dec: Decoder<'_>) -> Result<Self, CodecError> {
+    pub fn decode(dec: Decoder<'_>) -> Result<Self, CodecError> {
+        Self::decode_with(dec, |_| None)
+    }
+
+    /// [`decode`](Self::decode), reading each live base row's size of a
+    /// version-7 payload from `size_of` — what its container's records say.
+    /// A tombstoned row's size went with its record; it is written as 1,
+    /// and nothing reads it before a fold erases the row. A current payload
+    /// carries its sizes and never asks.
+    ///
+    /// # Errors
+    /// As [`decode`](Self::decode), and a live version-7 base row
+    /// `size_of` has no positive size for.
+    pub fn decode_with(
+        mut dec: Decoder<'_>,
+        size_of: impl Fn(DomainId) -> Option<u64>,
+    ) -> Result<Self, CodecError> {
         let version = dec.envelope(MAGIC)?;
         if !(OLDEST_READ..=VERSION).contains(&version) {
             return Err(CodecError::UnsupportedVersion {
@@ -267,6 +324,8 @@ impl LshEnsemble {
         if num_perm == 0 || b_max == 0 || r_max == 0 || b_max * r_max > num_perm {
             return Err(CodecError::Corrupt("inconsistent configuration"));
         }
+        let sized = version == VERSION;
+        let directory = sized.then(|| Directory::read(&mut dec)).transpose()?;
         // A partition is at least its bounds and a length: 24 bytes.
         let mut shells = Vec::with_capacity(part_count.min(dec.remaining() / 24));
         for _ in 0..part_count {
@@ -275,45 +334,80 @@ impl LshEnsemble {
             if lower > upper {
                 return Err(CodecError::Corrupt("inverted partition bounds"));
             }
-            shells.push((lower, upper, dec.nested("forest bytes")?));
+            let forest = dec.nested("forest bytes")?;
+            let sizes = sized.then(|| decode_sizes(&mut dec)).transpose()?;
+            shells.push((lower, upper, forest, sizes));
+        }
+        if sized {
+            // Written largest first; held smallest first.
+            shells.reverse();
         }
         // Each forest is decoded, and its trees checked against its rows,
         // on a lane of its own — as it was built.
-        let forests = lshe_minhash::lanes::run_each(&shells, |(_, _, forest)| {
+        let forests = lshe_minhash::lanes::run_each(&shells, |(_, _, forest, _)| {
             LshForest::decode(forest.clone())
         });
-        let mut partitions = Vec::with_capacity(shells.len());
-        for (&(lower, upper, _), forest) in shells.iter().zip(forests) {
-            let forest = forest?;
-            // A plain index that began before rows held every lane keeps
-            // only its key lanes, and stays that narrow when saved again.
-            if (forest.b_max(), forest.r_max()) != (b_max, r_max)
-                || ![b_max * r_max, num_perm].contains(&forest.width())
-            {
-                return Err(CodecError::Corrupt("forest dims disagree with config"));
-            }
-            partitions.push((lower, upper, forest));
-        }
         let layout = Layout::new(b_max, r_max, num_perm);
         let (segment_entries, dead) = decode_segments(&mut dec, layout, part_count)?;
         if !dec.is_exhausted() {
             return Err(CodecError::Corrupt("trailing bytes after ensemble"));
         }
-        let ensemble = Self::from_raw_partitions(
-            EnsembleConfig {
-                num_perm,
-                b_max,
-                r_max,
-                strategy,
-            },
-            partitions,
-            len,
-            segment_entries,
-            dead,
-        );
+        // A version-7 base row is live unless a tombstone names it.
+        let buried: FastHashSet<(DomainId, u32)> = dead
+            .iter()
+            .filter_map(|&(id, slot)| match slot {
+                DeadSlot::Base(p) => Some((id, p)),
+                DeadSlot::Seg(_) => None,
+            })
+            .collect();
+        let mut partitions = Vec::with_capacity(shells.len());
+        for (p, ((lower, upper, _, sizes), forest)) in shells.into_iter().zip(forests).enumerate() {
+            let forest = forest?;
+            if forest.layout() != layout {
+                return Err(CodecError::Corrupt("forest dims disagree with config"));
+            }
+            let sizes = match sizes {
+                Some(sizes) if sizes.len() != forest.len() => {
+                    return Err(CodecError::Corrupt("sizes disagree with forest rows"));
+                }
+                Some(sizes) if sizes.contains(&0) => {
+                    return Err(CodecError::Corrupt("zero base size"));
+                }
+                Some(sizes) => sizes,
+                None => {
+                    let size = |&id: &DomainId| {
+                        if buried.contains(&(id, p as u32)) {
+                            return Ok(1);
+                        }
+                        let size = size_of(id).filter(|&size| size > 0);
+                        size.ok_or(CodecError::Corrupt("live domain has no positive size"))
+                    };
+                    let sizes: Result<Vec<u64>, _> = forest.ids().iter().map(size).collect();
+                    sizes?.into()
+                }
+            };
+            partitions.push(Arc::new(EnsemblePartition {
+                lower,
+                upper,
+                forest,
+                sizes,
+            }));
+        }
+        let directory = match directory {
+            Some(read) => read.check(&partitions),
+            None => Directory::over(&partitions),
+        };
+        let directory = directory.map_err(CodecError::Corrupt)?;
+        let config = EnsembleConfig {
+            num_perm,
+            b_max,
+            r_max,
+            strategy,
+        };
+        let ensemble =
+            Self::from_raw_partitions(config, partitions, directory, len, segment_entries, dead);
         // Live ids (base rows, plus segment entries, minus tombstones) must
-        // agree with the recorded length — catching duplicate ids and
-        // tampered lengths alike.
+        // agree with the recorded length.
         if ensemble.id_count() != len {
             return Err(CodecError::Corrupt("partition sizes do not sum to len"));
         }

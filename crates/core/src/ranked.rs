@@ -16,9 +16,9 @@
 //!
 //! The signature is resident once — the forests index a row table (each
 //! tree's first key lane at 32 bits, the others at 16: `4·b_max +
-//! 2·(m − b_max)` bytes a domain) instead of holding the lanes again — so
-//! ranking costs 8 bytes a domain (its cardinality) over the plain
-//! [`LshEnsemble`].
+//! 2·(m − b_max)` bytes a domain) instead of holding the lanes again — and
+//! every partition of the [`LshEnsemble`] keeps its rows' cardinalities
+//! beside it, so ranking stores nothing of its own.
 
 use crate::api::{
     CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, SearchOutcome,
@@ -33,7 +33,7 @@ use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::Signature;
 
 /// A containment-search index that can rank its answers: an
-/// [`LshEnsemble`] whose every partition keeps its rows' cardinalities,
+/// [`LshEnsemble`] (whose every partition keeps its rows' cardinalities)
 /// plus the rebalance policy.
 #[derive(Debug, Clone)]
 pub struct RankedIndex {
@@ -176,24 +176,14 @@ impl RankedIndex {
         self.ensemble.memory_bytes()
     }
 
-    /// Makes a ranked index of an ensemble — the persistence path (a
-    /// decoded ensemble's base rows have no sizes yet) and the shard-split
-    /// path (a built one's do, and `size_of` is never asked). `size_of`
-    /// gives the cardinality of a live domain.
-    ///
-    /// # Errors
-    /// A live base domain `size_of` has no positive size for, or an
-    /// ensemble whose forests kept fewer lanes than the signature has (a
-    /// plain index written before rows held them all).
-    pub fn from_ensemble(
-        mut ensemble: LshEnsemble,
-        size_of: impl Fn(DomainId) -> Option<u64>,
-    ) -> Result<Self, &'static str> {
-        ensemble.set_base_sizes(size_of)?;
-        Ok(Self {
+    /// Makes a ranked index of an ensemble, decoded or built — the
+    /// persistence and shard-split paths.
+    #[must_use]
+    pub fn from_ensemble(ensemble: LshEnsemble) -> Self {
+        Self {
             ensemble,
             rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
-        })
+        }
     }
 
     /// The configured equi-depth rebalance trigger (see

@@ -900,25 +900,13 @@ impl LshForest {
 
     /// Reassembles a forest from decoded parts. The decoder has validated
     /// them: `trees` — each a `lo` column, then a `row` column — index
-    /// exactly the rows of the table, in key order. `None` sorts them from
-    /// the rows instead, through [`commit`](Self::commit).
+    /// exactly the rows of the table, in key order.
     pub(crate) fn from_raw(
         layout: Layout,
         ids: Column<DomainId>,
         words: Column<u16>,
-        trees: Option<Vec<Column<u16>>>,
+        trees: Vec<Column<u16>>,
     ) -> Self {
-        let Some(trees) = trees else {
-            let mut forest = Self {
-                trees: vec![PrefixTree::default(); layout.b_max],
-                committed: 0,
-                layout,
-                ids,
-                words,
-            };
-            forest.commit();
-            return forest;
-        };
         Self {
             layout,
             committed: ids.len(),

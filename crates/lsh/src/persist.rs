@@ -41,12 +41,11 @@
 //! from the pad itself, so a forest decodes the same wherever it is nested;
 //! only whether it can be viewed in place depends on where it lies.
 //!
-//! Version 4, the one generation before, is the same header, pad and row
-//! table, with trees of 8 bytes an entry (`lane0`, the whole head, then a
-//! `u32` row, `len` of each). It still decodes: its ids and rows as
-//! version 5's are, its trees skipped and sorted again from the rows, as a
-//! commit sorts them — the result is the forest a fresh build of those rows
-//! is. Nothing writes it; version 3 (no pad) and older are refused.
+//! Version 5 is the only version read. Version 4 (the same header, pad
+//! and row table, with trees of 8 bytes an entry) was read, its trees
+//! sorted again, for one generation of the files that nest forests; those
+//! have moved on twice since, so it is refused with version 3 (no pad) and
+//! older.
 //!
 //! Only *committed* state is stored: [`LshForest::to_bytes`] requires the
 //! staged tail to be empty (call [`LshForest::commit`] first), which keeps
@@ -59,11 +58,8 @@ use lshe_minhash::codec::{CodecError, Column, Decoder, Encoder};
 
 /// Envelope tag for forest payloads.
 pub const MAGIC: [u8; 4] = *b"LSHF";
-/// Current format version.
+/// Current format version, and the only one read.
 pub const VERSION: u8 = 5;
-/// The oldest version still decoded: the generation before [`VERSION`],
-/// whose trees are sorted again on decode.
-const OLDEST_READ: u8 = 4;
 /// Largest `b_max`/`r_max` a decoder accepts: an empty forest's trees take
 /// no bytes, so nothing else bounds what it allocates for them.
 const MAX_DIM: usize = 1 << 16;
@@ -117,7 +113,7 @@ impl LshForest {
     /// a sorted index of exactly the table's rows, trailing bytes.
     pub fn decode(mut dec: Decoder<'_>) -> Result<Self, CodecError> {
         let version = dec.envelope(MAGIC)?;
-        if !(OLDEST_READ..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(CodecError::UnsupportedVersion {
                 found: version,
                 supported: VERSION,
@@ -152,17 +148,6 @@ impl LshForest {
         dec.get_pad("column pad")?;
         let ids: Column<DomainId> = dec.get_column(len, "row ids")?;
         let words: Column<u16> = dec.get_column(len * layout.words(), "rows")?;
-        if version == OLDEST_READ {
-            // 8 bytes an entry, the rows' own heads and indices: what they
-            // say follows from the rows, which are sorted again.
-            let old = len.checked_mul(8 * b_max);
-            let old = old.ok_or(CodecError::Corrupt("announced length exceeds input"))?;
-            dec.skip(old, "version-4 trees")?;
-            if !dec.is_exhausted() {
-                return Err(CodecError::Corrupt("trailing bytes after forest"));
-            }
-            return Ok(Self::from_raw(layout, ids, words, None));
-        }
         let rows = Rows {
             ids: &ids,
             words: &words,
@@ -181,7 +166,7 @@ impl LshForest {
         if !dec.is_exhausted() {
             return Err(CodecError::Corrupt("trailing bytes after forest"));
         }
-        Ok(Self::from_raw(layout, ids, words, Some(trees)))
+        Ok(Self::from_raw(layout, ids, words, trees))
     }
 }
 
@@ -462,66 +447,6 @@ mod tests {
         }
     }
 
-    /// [`Payload::valid`] as version 4 wrote it: the same header, pad and
-    /// rows, then trees of the whole head and a `u32` row an entry.
-    fn version_4_bytes() -> Vec<u8> {
-        let old = Payload {
-            version: 4,
-            ..Payload::valid()
-        };
-        let mut enc = old.head();
-        for (lane0, row) in [([5u32, 7, 7], [2u32, 1, 0]), ([3, 4, 65_540], [1, 2, 0])] {
-            enc.put_u32s(&lane0);
-            enc.put_u32s(&row);
-        }
-        enc.finish()
-    }
-
-    #[test]
-    fn version_4_payload_keeps_its_rows_and_sorts_its_trees_again() {
-        let (old, current) = (version_4_bytes(), Payload::valid().bytes());
-        // 25 header bytes: the pad is its length byte and two zeros.
-        assert_eq!(current[25..28], [2, 0, 0]);
-        // Past the version byte, all is the same up to the trees.
-        let trees = current.len() - 3 * 4 * 2;
-        assert_eq!((old[4], current[4]), (4, 5));
-        assert_eq!(old[5..trees], current[5..trees]);
-        // Four bytes an entry fewer: 4 · b_max a row.
-        assert_eq!(old.len(), current.len() + 3 * 4 * 2);
-        let migrated = LshForest::from_bytes(&old).expect("v4");
-        assert_eq!(migrated.to_bytes(), current);
-        // Over a shared owner the rows stay views; the trees are new.
-        use lshe_minhash::codec::Owner;
-        use std::sync::Arc;
-        let owner: Owner = Arc::new(old.clone());
-        let viewed = LshForest::decode(Decoder::shared(&owner)).expect("v4 viewed");
-        assert_eq!(viewed.mapped_bytes(), viewed.mapped_table_bytes());
-        assert_eq!(viewed.mapped_table_bytes(), 3 * (4 + 2 * 7));
-        assert_eq!(viewed.to_bytes(), current);
-        // Truncated anywhere — inside the pad or the old trees too — or
-        // one byte long, either is an error.
-        for bytes in [old.clone(), current] {
-            for cut in 0..bytes.len() {
-                assert!(
-                    LshForest::from_bytes(&bytes[..cut]).is_err(),
-                    "cut at {cut}"
-                );
-            }
-            let mut long = bytes;
-            long.push(0);
-            assert_eq!(
-                LshForest::from_bytes(&long).unwrap_err(),
-                CodecError::Corrupt("trailing bytes after forest")
-            );
-        }
-        let mut dirty = old;
-        dirty[27] = 1;
-        assert_eq!(
-            LshForest::from_bytes(&dirty).unwrap_err(),
-            CodecError::Corrupt("non-zero pad byte")
-        );
-    }
-
     #[test]
     fn over_a_shared_owner_aligned_columns_are_views_until_written() {
         use lshe_minhash::codec::Owner;
@@ -580,9 +505,10 @@ mod tests {
 
     #[test]
     fn version_1_is_refused_on_its_version_byte() {
-        // So are version 2, whose rows were 32-bit lanes throughout, and
-        // version 3, whose columns had no pad.
-        for old in [1, 2, 3] {
+        // So are version 2, whose rows were 32-bit lanes throughout,
+        // version 3, whose columns had no pad, and version 4, whose tree
+        // entries were 8 bytes.
+        for old in [1, 2, 3, 4] {
             let mut enc = Encoder::default();
             enc.envelope(MAGIC, old);
             assert_eq!(

@@ -186,6 +186,11 @@ impl<W: std::io::Write> Encoder<W> {
         self.put_le(vs, u16::to_le_bytes);
     }
 
+    /// Writes little-endian `u64`s with no length prefix.
+    pub fn put_u64s(&mut self, vs: &[u64]) {
+        self.put_le(vs, u64::to_le_bytes);
+    }
+
     /// Writes a length-prefixed `u32` slice.
     pub fn put_u32_slice(&mut self, vs: &[u32]) {
         self.put_u64(vs.len() as u64);
@@ -251,7 +256,7 @@ mod sealed {
 
 /// The element types of a [`Column`]: fixed-width unsigned integers, of
 /// which every bit pattern is a value — so little-endian file bytes can be
-/// viewed as them in place. Sealed.
+/// viewed as them in place (`u8` for a text arena). Sealed.
 pub trait Word: Copy + sealed::Sealed + 'static {
     /// `bytes` as little-endian values, exactly sized.
     #[doc(hidden)]
@@ -268,10 +273,10 @@ macro_rules! word {
         }
     )*};
 }
-word!(u16, u32, u64);
+word!(u8, u16, u32, u64);
 
-/// One bulk column of an index — row ids, row words, a tree's sorted lanes
-/// — either held (a `Vec<T>`) or viewed in place inside a shared [`Owner`],
+/// One bulk column of an index — row ids, row words, a tree's sorted lanes,
+/// row sizes, the bytes of a name arena — either held (a `Vec<T>`) or viewed in place inside a shared [`Owner`],
 /// which the column keeps alive. Reads go through `Deref<Target = [T]>` and
 /// cannot tell the two apart; [`to_mut`](Self::to_mut) copies a borrowed
 /// column out before its first write. A clone of a borrowed column is
@@ -447,7 +452,7 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
-    /// Steps over `n` bytes a migrating reader has no use for.
+    /// Steps over `n` bytes the reader has no use for.
     ///
     /// # Errors
     /// [`CodecError::UnexpectedEof`] when fewer remain.
@@ -779,13 +784,16 @@ mod tests {
             3 * BLOCK_ELEMS + 5,
         ] {
             let a: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+            let wide: Vec<u64> = a.iter().map(|&v| u64::from(v) << 29 | 7).collect();
             let mut bulk = Encoder::default();
             bulk.put_u32_slice(&a);
             bulk.put_u32s(&a);
+            bulk.put_u64s(&wide);
             let mut each = Encoder::default();
             each.put_u64(n as u64);
             a.iter().for_each(|&v| each.put_u32(v));
             a.iter().for_each(|&v| each.put_u32(v));
+            wide.iter().for_each(|&v| each.put_u64(v));
             assert_eq!(bulk.len(), each.len());
             let bytes = bulk.finish();
             assert_eq!(bytes, each.finish(), "n = {n}");
@@ -797,8 +805,10 @@ mod tests {
                 continue;
             }
             let a3 = dec.get_lanes(n, "raw").expect("raw");
+            let w: Column<u64> = dec.get_column(n, "wide").expect("wide");
             assert!(dec.is_exhausted());
             assert_eq!((&a2[..], a3.slots()), (&a[..], &a[..]));
+            assert_eq!(*w, wide[..]);
             assert_eq!(a2.capacity(), n, "decoded vectors must not over-allocate");
         }
     }
@@ -908,6 +918,10 @@ mod tests {
         let c64 = Column::<u64>::borrowed(o, r).expect("u64");
         assert_eq!(c64.to_vec(), u64::vec_from_le(le(8..24)));
         assert!(c16.is_view_into(bytes) && c32.is_view_into(bytes) && c64.is_view_into(bytes));
+        // Bytes are viewed wherever they start.
+        let (o, r) = view(3..10);
+        let c8 = Column::<u8>::borrowed(o, r).expect("u8");
+        assert_eq!((&*c8, c8.mapped_bytes()), (le(3..10), 7));
         assert!(!c32.is_view_into(&bytes[..at + 8]), "ends past those");
         assert_eq!((c32.mapped_bytes(), c32.heap_bytes()), (12, 0));
 

@@ -2,46 +2,65 @@
 //! self-describing file.
 //!
 //! ```text
-//! "LSHX" version:u8 (7)
+//! "LSHX" version:u8 (8)
 //! flags:u8                      (written 1; ignored on read)
 //! num_perm:u32
-//! meta_count:u64
-//! per domain: id:u32 size:u64 table:str column:str
-//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v7)
+//! records: record_count:u64 table_count:u64 column_text:u64 table_text:u64
+//!          pad (to 4)
+//!          ids:u32×record_count          ascending
+//!          tables:u32×record_count       each record's index into the table names
+//!          column_ends:u32×record_count  where each column name ends in its text
+//!          table_ends:u32×table_count    where each table name ends in its text
+//!          column names:u8×column_text   UTF-8, end to end
+//!          table names:u8×table_text     each distinct table name once
+//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v8)
 //! next_id:u32
 //! ```
+//!
+//! The file leads with what every query with a hit reads: the records,
+//! then — the ensemble's first columns — the id → row directory and the
+//! partitions of the largest domains, which every query probes. A mapped
+//! file is resident by whole page-cache folios, up to 2 MiB each for a
+//! file written in one go, so the columns read together are stored
+//! together, in front of the partitions few queries reach.
 //!
 //! Every container stores and serves a [`RankedIndex`], which needs nothing
 //! beyond the ensemble and the records: every signature is in the ensemble
 //! once, as the forest row that indexes it — each tree's first key lane at
-//! 32 bits, the other lanes at 16 — and every live domain's cardinality is
-//! in its record. The flag byte once told a ranked file from a plain one,
-//! whose bytes are otherwise the same; a file with either flag loads
-//! ranked. Version 6, the one generation before, has
-//! the same shape around an `LSHE` v6 ensemble whose forests' tree entries
-//! are 8 bytes, not 4. Such files still load, through the same decoder —
-//! the rows are kept, the trees sorted again from them — and are written
-//! back as version 7 by the next save; nothing writes them again. Anything
-//! older (unpadded forests, rows of 32-bit lanes throughout, a sketch
-//! section after the ensemble, `u64` slots, no allocator mark) is refused
-//! with [`CodecError::UnsupportedVersion`].
+//! 32 bits, the other lanes at 16 — with its cardinality beside it in its
+//! partition's sizes, and the ensemble's directory says which row an id
+//! is. The records carry names only. The flag byte once told a ranked file
+//! from a plain one; a file with either flag loads ranked.
 //!
 //! The file is **served in place** by [`IndexContainer::load`], which maps
-//! it and keeps the mapping: the records, sizes, id map, segments and
-//! tombstones are decoded onto the heap, and the bulk — every base
-//! partition's ids, rows and tree columns — stays in the file as views
-//! (`lshe_minhash::codec::Column`): resident where queries reach, copied
-//! out only by a fold that edits the partition. A loaded container mutates
-//! like a built one. `LSHX` is the only format `load` reads; the packed
-//! `lshe-store` file that [`IndexContainer::pack_v2`] writes is a library
-//! and benchmark artifact, opened through `lshe_core::MmapIndex`, and is
-//! refused in the header like any other file.
+//! it and keeps the mapping: every base partition's ids, rows, trees and
+//! sizes, the id → row directory and every record column stay in the file
+//! as views (`lshe_minhash::codec::Column`) — resident where queries
+//! reach, copied out only by a fold that edits a partition. What `load`
+//! builds on the heap is O(partitions + segments + tombstones), never
+//! O(domains); it still walks every column once to check it, then releases
+//! the pages it touched. A loaded container mutates like a built one: what
+//! changes lands in the heap overlays (records here, ids in the index)
+//! until a compaction writes a new base. `LSHX` is the only format `load`
+//! reads; the packed `lshe-store` file that [`IndexContainer::pack_v2`]
+//! writes is a library and benchmark artifact, opened through
+//! `lshe_core::MmapIndex`, and is refused in the header like any other
+//! file.
+//!
+//! Version 7, the one generation before, held a record a domain — `id:u32
+//! size:u64 table:str column:str` with `u64` length prefixes — around an
+//! `LSHE` v7 ensemble that keeps no sizes and no directory. It still loads:
+//! its records are decoded onto the heap, their sizes handed to the
+//! ensemble, and its directory built; the next save writes version 8.
+//! Anything older (8-byte tree entries, unpadded forests, rows of 32-bit
+//! lanes throughout, a sketch section after the ensemble, `u64` slots, no
+//! allocator mark) is refused with [`CodecError::UnsupportedVersion`].
 
 use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
-    CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MutableIndex, MutationError,
-    PartitionStrategy, Query, RankedIndex, Row, ShardedRanked,
+    position_of, CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MutableIndex,
+    MutationError, PartitionStrategy, Query, RankedIndex, Row, ShardedRanked,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
@@ -56,16 +75,17 @@ use std::sync::Arc;
 
 /// Envelope tag for `.lshe` files.
 pub const MAGIC: [u8; 4] = *b"LSHX";
-/// Current container version: the nested `LSHE` v7 ensemble holds each
-/// signature once, as a forest row of 32-bit heads and 16-bit tails, and
-/// trees of 4-byte entries over the rows, in columns padded so that a
-/// mapped file serves them in place. The payload ends with the id
+/// Current container version: the records are columns, and the nested
+/// `LSHE` v8 ensemble holds each signature once, as a forest row of 32-bit
+/// heads and 16-bit tails, trees of 4-byte entries over the rows, each
+/// row's size, and the id → row directory — all in columns padded so that
+/// a mapped file serves them in place. The payload ends with the id
 /// allocator's high-water mark, so a restart never re-issues a removed
 /// domain's id.
-pub const VERSION: u8 = 7;
+pub const VERSION: u8 = 8;
 /// The oldest version still decoded — the generation before [`VERSION`],
-/// whose nested forests' tree entries are 8 bytes.
-const OLDEST_READ: u8 = 6;
+/// a record a domain with its size among its fields.
+const OLDEST_READ: u8 = 7;
 
 /// A loaded (or freshly built) index file.
 ///
@@ -92,8 +112,9 @@ pub struct IndexContainer {
     /// monotone across removals (a removed id is never re-issued, so a
     /// stale reference can never silently resolve to a new domain).
     next_id: u32,
-    /// The file the base partitions' columns are views into,
-    /// while any still is: [`save`](Self::save) reads them through it.
+    /// The file the container was loaded from, whose columns its base
+    /// views, until a compaction builds a base of its own:
+    /// [`save`](Self::save) reads them through it.
     mapping: Option<Arc<Mmap>>,
 }
 
@@ -107,7 +128,9 @@ impl IndexContainer {
     /// ranked index, and records provenance.
     ///
     /// # Panics
-    /// Panics if the catalog is empty or `partitions == 0`.
+    /// Panics if the catalog is empty or `partitions == 0`, and with
+    /// "record names exceed 4 GiB" once the column names — or the distinct
+    /// table names — pass the 4 GiB their arena's `u32` ends address.
     #[must_use]
     pub fn build(catalog: &Catalog, partitions: usize) -> Self {
         assert!(!catalog.is_empty(), "catalog must not be empty");
@@ -116,7 +139,7 @@ impl IndexContainer {
         let domains = catalog
             .iter()
             .map(|(id, domain)| (domain, catalog.meta(id).clone()));
-        Self::sketch_and_build(domains, partitions)
+        Self::sketch_and_build(domains, partitions, RecordTableBuilder::default())
     }
 
     /// A container over a new base; `next_id` is raised past the base's ids.
@@ -144,18 +167,25 @@ impl IndexContainer {
     /// container ranks — and stays only so existing callers compile.
     ///
     /// # Panics
-    /// Panics if the stream is empty or `partitions == 0`.
+    /// As [`build`](Self::build): on an empty stream, `partitions == 0`,
+    /// or names past their arenas' 4 GiB.
     pub fn from_stream<I>(domains: I, partitions: usize, _ranked: bool) -> Self
     where
         I: IntoIterator<Item = (Domain, DomainMeta)>,
     {
-        Self::sketch_and_build(domains.into_iter(), partitions)
+        Self::sketch_and_build(
+            domains.into_iter(),
+            partitions,
+            RecordTableBuilder::default(),
+        )
     }
 
-    /// [`build`](Self::build) lends its domains, `from_stream` gives them up.
+    /// [`build`](Self::build) lends its domains, `from_stream` gives them up;
+    /// both record them into `records`.
     fn sketch_and_build<D: Borrow<Domain>>(
         domains: impl Iterator<Item = (D, DomainMeta)>,
         partitions: usize,
+        mut records: RecordTableBuilder,
     ) -> Self {
         assert!(partitions > 0, "partitions must be positive");
         let hasher = MinHasher::new(lshe_minhash::DEFAULT_NUM_PERM);
@@ -163,7 +193,7 @@ impl IndexContainer {
             strategy: PartitionStrategy::EquiDepth { n: partitions },
             ..EnsembleConfig::default()
         };
-        let mut records = RecordTableBuilder::default();
+        let mut sizes = Vec::new();
         let mut signatures = Vec::new();
         let mut chunk: Vec<D> = Vec::new();
         let mut chunk_values = 0usize;
@@ -174,13 +204,11 @@ impl IndexContainer {
         };
         for (id, (domain, meta)) in (0u32..).zip(domains) {
             let size = domain.borrow().len();
-            let record = RecordRef {
-                id,
-                size: size as u64,
-                table: &meta.table,
-                column: &meta.column,
-            };
-            records.push(record).expect("the ids ascend");
+            // The ids ascend, so what can go wrong is the names' 4 GiB.
+            if let Err(detail) = records.push(id, &meta.table, &meta.column) {
+                panic!("{detail}");
+            }
+            sizes.push(size as u64);
             chunk_values += size;
             chunk.push(domain);
             if chunk.len() == SKETCH_CHUNK_DOMAINS || chunk_values >= SKETCH_CHUNK_VALUES {
@@ -193,8 +221,8 @@ impl IndexContainer {
         assert!(!records.is_empty(), "stream must yield at least one domain");
         // Each signature moves into the index: one owner, no copy.
         let mut builder = RankedIndex::builder_with(config);
-        for (rec, sig) in records.iter().zip(signatures) {
-            builder.add(rec.id, rec.size, sig);
+        for ((id, size), sig) in (0u32..).zip(sizes).zip(signatures) {
+            builder.add(id, size, sig);
         }
         Self::over_base(records, builder.build(), hasher.num_perm(), 0)
     }
@@ -336,10 +364,10 @@ impl IndexContainer {
                 for &id in &ids {
                     let record = self.record(id);
                     let record = record.expect("every sketch id has a provenance record");
-                    records.push(record).expect("the sketch ids ascend");
+                    let pushed = records.push(id, record.table, record.column);
+                    pushed.expect("the sketch ids ascend, their names fit the parent's");
                 }
-                let ranked = RankedIndex::from_ensemble(ensemble, |_| None)
-                    .expect("a built ensemble keeps every row's size");
+                let ranked = RankedIndex::from_ensemble(ensemble);
                 Self::over_base(records.finish(), ranked, self.num_perm, self.next_id)
             })
             .collect())
@@ -432,20 +460,26 @@ impl IndexContainer {
 
     /// After compaction built a new base: makes the live records the base
     /// table, folding the overlay in, and lets go of the mapped file once
-    /// no partition is a view into it any more.
+    /// no column is a view into it any more.
     fn rebase(&mut self) {
-        if self.mapped_bytes() == 0 {
+        if !self.overlay.is_empty() {
+            self.base = Arc::new(self.live_records());
+            self.overlay.clear();
+        }
+        if self.mapped_bytes() == 0 && !self.base.is_borrowed() {
             self.mapping = None;
         }
-        if self.overlay.is_empty() {
-            return;
-        }
-        let mut base = RecordTableBuilder::with_capacity(self.len);
+    }
+
+    /// The live records — the base table's, less those the overlay removed
+    /// or replaced, merged with the overlay's — as a table of their own.
+    fn live_records(&self) -> RecordTable {
+        let mut table = RecordTableBuilder::with_capacity(self.len);
         for record in self.records().iter() {
-            base.push(record).expect("the live records ascend");
+            let pushed = table.push(record.id, record.table, record.column);
+            pushed.expect("the live records ascend, and fitted their tables");
         }
-        self.base = Arc::new(base.finish());
-        self.overlay.clear();
+        table.finish()
     }
 
     /// Sealed-segment and tombstone counts of the stored index.
@@ -492,17 +526,35 @@ impl IndexContainer {
     }
 
     /// Looks up one provenance record by domain id: the overlay's word if
-    /// it has one, else a binary search of the base table.
+    /// it has one, else the base table's names and the index's size.
     #[must_use]
     pub fn record(&self, id: u32) -> Option<RecordRef<'_>> {
         match self.overlay.get(&id) {
             Some(changed) => changed.as_ref().map(DomainRecord::view),
-            None => self.base.get(id),
+            None => {
+                let (table, column) = self.base.get(id)?;
+                Some(self.base_record(id, table, column))
+            }
+        }
+    }
+
+    /// A base record, its size read from the index: every base record
+    /// the overlay leaves alone names a live domain.
+    fn base_record<'a>(&'a self, id: u32, table: &'a str, column: &'a str) -> RecordRef<'a> {
+        let (size, _) = self
+            .index
+            .sketch(id)
+            .expect("a base record names a live domain");
+        RecordRef {
+            id,
+            size,
+            table,
+            column,
         }
     }
 
     /// Approximate bytes of the container: the stored index (`index_bytes`
-    /// in `/stats` and `lshe stats`) plus
+    /// in `/stats` and `lshe stats`) plus the heap the provenance holds,
     /// [`provenance_bytes`](Self::provenance_bytes). All heap, except the
     /// index's [`mapped_bytes`](Self::mapped_bytes).
     #[must_use]
@@ -519,31 +571,59 @@ impl IndexContainer {
         self.open_index().mapped_bytes()
     }
 
-    /// The bytes of the file this container's base is served from, while
-    /// any base partition still is a view into it.
+    /// The bytes of the file this container's base is served from, until a
+    /// compaction builds a base of its own.
     #[must_use]
     pub fn mapping(&self) -> Option<&[u8]> {
         self.mapping.as_deref().map(Mmap::as_slice)
     }
 
     /// One flag per base partition of the index: whether it is served in
-    /// place — every bulk column a view into [`mapping`](Self::mapping),
-    /// none copied.
+    /// place — every bulk column of its forest, and its sizes, a view into
+    /// [`mapping`](Self::mapping), none copied.
     #[must_use]
     pub fn base_in_place(&self) -> Vec<bool> {
         self.ensemble()
             .base_borrowed_from(self.mapping().unwrap_or_default())
     }
 
-    /// Approximate heap bytes of the provenance: the base record table and
-    /// the record overlay — an entry for every id applied or removed since,
-    /// and the text of each applied record.
+    /// Whether the index's id → row directory is served in place: both its
+    /// columns views into [`mapping`](Self::mapping).
+    #[must_use]
+    pub fn directory_in_place(&self) -> bool {
+        self.ensemble()
+            .directory_borrowed_from(self.mapping().unwrap_or_default())
+    }
+
+    /// Whether the base record table is served in place: every column of
+    /// it a view into [`mapping`](Self::mapping).
+    #[must_use]
+    pub fn records_in_place(&self) -> bool {
+        self.base.borrows_from(self.mapping().unwrap_or_default())
+    }
+
+    /// The resident bytes of the mapping the base is served from, as the
+    /// kernel counts them (`Rss` of its `/proc/self/smaps` entry): the file
+    /// pages queries have touched since load released them. 0 with no
+    /// mapping; `None` where the kernel does not say (off Linux).
+    #[must_use]
+    pub fn mapped_resident_bytes(&self) -> Option<usize> {
+        match &self.mapping {
+            Some(mapping) => mapping.resident_bytes(),
+            None => cfg!(target_os = "linux").then_some(0),
+        }
+    }
+
+    /// Approximate heap bytes of the provenance: the base record table (0
+    /// once loaded — its columns are views into the file) and the record
+    /// overlay — an entry for every id applied or removed since, and the
+    /// text of each applied record.
     #[must_use]
     pub fn provenance_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(u32, Option<DomainRecord>)>();
         let text = self.overlay.values().flatten();
         let text: usize = text.map(|r| r.table.len() + r.column.len()).sum();
-        self.base.memory_bytes() + self.overlay.len() * entry + text
+        self.base.heap_bytes() + self.overlay.len() * entry + text
     }
 
     /// Which parts of its base this container holds as the very allocation
@@ -649,18 +729,24 @@ impl IndexContainer {
     /// sized buffer.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        Encoder::exactly(|enc| self.encode_into(enc))
+        let merged = self.merged_records();
+        let records = merged.as_ref().unwrap_or(&self.base);
+        Encoder::exactly(|enc| self.encode_into(enc, records))
     }
 
-    /// The encoder behind [`to_bytes`](Self::to_bytes) and [`save`](Self::save).
-    fn encode_into<W: Write>(&self, enc: &mut Encoder<W>) {
+    /// The live records as a table of their own when the overlay holds
+    /// any; the base table is them otherwise.
+    fn merged_records(&self) -> Option<RecordTable> {
+        (!self.overlay.is_empty()).then(|| self.live_records())
+    }
+
+    /// The encoder behind [`to_bytes`](Self::to_bytes) and [`save`](Self::save),
+    /// over the live `records`.
+    fn encode_into<W: Write>(&self, enc: &mut Encoder<W>, records: &RecordTable) {
         enc.envelope(MAGIC, VERSION);
         enc.put_u8(1);
         enc.put_u32(self.num_perm as u32);
-        enc.put_u64(self.len as u64);
-        for rec in self.records().iter() {
-            rec.encode_into(enc);
-        }
+        records.encode_into(enc);
         enc.put_nested(|enc| self.ensemble().encode_into(enc));
         // Trailer: the allocator high-water mark survives restarts.
         enc.put_u32(self.next_id);
@@ -673,13 +759,15 @@ impl IndexContainer {
     /// # Errors
     /// Propagates I/O errors; `path` is untouched on failure.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        let merged = self.merged_records();
+        let records = merged.as_ref().unwrap_or(&self.base);
         let saved = replace_file(path, |file| {
             let mut enc = Encoder::over(std::io::BufWriter::with_capacity(1 << 20, file));
-            self.encode_into(&mut enc);
+            self.encode_into(&mut enc, records);
             Ok(enc.into_sink()?.into_inner()?)
         });
         if let Some(mapping) = &self.mapping {
-            // Writing read every mapped partition: give the pages back.
+            // Writing read every mapped column: give the pages back.
             release(mapping);
         }
         saved
@@ -710,44 +798,46 @@ impl IndexContainer {
         // The flag byte is read and ignored: a plain file loads ranked.
         dec.get_u8("flags").map_err(hdr)?;
         let num_perm = dec.get_u32("num_perm").map_err(hdr)? as usize;
-        let count = dec.get_u64("meta count").map_err(hdr)? as usize;
         let rcs = |e| ("domain records", e);
-        let mut records = RecordTableBuilder::with_capacity(count.min(dec.remaining() / 28));
-        for _ in 0..count {
-            let record = RecordRef::decode(&mut dec).map_err(rcs)?;
-            let pushed = records.push(record);
-            pushed.map_err(|detail| rcs(CodecError::Corrupt(detail)))?;
-        }
-        let records = records.finish();
         let ens = |e| ("ensemble", e);
-        let nested = dec.nested("ensemble bytes").map_err(ens)?;
-        let ensemble = LshEnsemble::decode(nested).map_err(ens)?;
+        let (records, ensemble) = if version == VERSION {
+            let records = RecordTable::decode(&mut dec).map_err(rcs)?;
+            let nested = dec.nested("ensemble bytes").map_err(ens)?;
+            (records, LshEnsemble::decode(nested).map_err(ens)?)
+        } else {
+            let (records, sizes) = decode_v7_records(&mut dec).map_err(rcs)?;
+            let nested = dec.nested("ensemble bytes").map_err(ens)?;
+            let size_of = |id| Some(sizes[position_of(records.ids(), id)?]);
+            let ensemble = LshEnsemble::decode_with(nested, size_of).map_err(ens)?;
+            (records, ensemble)
+        };
         if ensemble.len() != records.len() {
             return Err(ens(CodecError::Corrupt(
                 "record count disagrees with ensemble",
             )));
         }
-        let sk = |e| ("sketches", e);
-        // The rows are in the ensemble; the records say how large each live
-        // domain is.
-        let index = RankedIndex::from_ensemble(ensemble, |id| Some(records.get(id)?.size))
-            .map_err(|detail| sk(CodecError::Corrupt(detail)))?;
-        let mark = dec.get_u32("next id").map_err(|e| ("allocator mark", e))?;
-        if !dec.is_exhausted() {
-            return Err(sk(CodecError::Corrupt("trailing bytes after container")));
+        // As many records as live domains, so this is one record a domain.
+        if !records.ids().iter().all(|&id| ensemble.contains(id)) {
+            return Err(rcs(CodecError::Corrupt("a record names no live domain")));
         }
-        Ok(Self::over_base(records, index, num_perm, mark))
+        let mark = |e| ("allocator mark", e);
+        let next_id = dec.get_u32("next id").map_err(mark)?;
+        if !dec.is_exhausted() {
+            return Err(mark(CodecError::Corrupt("trailing bytes after container")));
+        }
+        let index = RankedIndex::from_ensemble(ensemble);
+        Ok(Self::over_base(records, index, num_perm, next_id))
     }
 
-    /// Loads a `.lshe` file, mapped and served in place. The records,
-    /// sizes, id map and segments are decoded onto the heap and every check
-    /// of the decoder is run; the base partitions' columns stay views into
-    /// the mapping, which the container keeps, and the pages the checks
-    /// touched are released before returning — afterwards the file is
-    /// resident where queries reach. Any other file, a packed one included,
-    /// fails in the header. Replace a loaded file by rename
-    /// ([`save`](Self::save) does), never by writing into it: the mapping
-    /// follows the old file, not a truncated one.
+    /// Loads a `.lshe` file, mapped and served in place. Every check of the
+    /// decoder runs over the mapping; the base partitions' columns and
+    /// sizes, the directory and the record columns stay views into it,
+    /// which the container keeps; the segments and tombstones are decoded
+    /// onto the heap; and the pages the checks touched are released before
+    /// returning — afterwards the file is resident where queries reach. Any
+    /// other file, a packed one included, fails in the header. Replace a
+    /// loaded file by rename ([`save`](Self::save) does), never by writing
+    /// into it: the mapping follows the old file, not a truncated one.
     ///
     /// # Errors
     /// [`LoadError`], carrying the file path and (for decode failures) the
@@ -768,9 +858,9 @@ impl IndexContainer {
             section,
             source,
         })?;
-        // Last step: every check has run and the heap parts are built.
+        // Last step: every check has run.
         release(&mapping);
-        container.mapping = (container.mapped_bytes() > 0).then_some(mapping);
+        container.mapping = Some(mapping);
         Ok(container)
     }
 
@@ -803,9 +893,13 @@ pub struct Records<'a>(&'a IndexContainer);
 impl<'a> Records<'a> {
     /// The records, in ascending id order.
     pub fn iter(self) -> impl Iterator<Item = RecordRef<'a>> {
-        let overlay = &self.0.overlay;
-        let kept = |r: &RecordRef<'_>| !overlay.contains_key(&r.id);
-        let mut base = self.0.base.iter().filter(kept).peekable();
+        let container = self.0;
+        let overlay = &container.overlay;
+        let base = container.base.iter();
+        let base = base.filter(|(id, _, _)| !overlay.contains_key(id));
+        let mut base = base
+            .map(|(id, table, column)| container.base_record(id, table, column))
+            .peekable();
         let mut added = overlay
             .values()
             .flatten()
@@ -829,6 +923,23 @@ impl std::fmt::Debug for Records<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
+}
+
+/// A version-7 container's records, a record a domain — `id:u32 size:u64
+/// table:str column:str` — as a table, and their sizes in the same order.
+fn decode_v7_records(dec: &mut Decoder<'_>) -> Result<(RecordTable, Vec<u64>), CodecError> {
+    let count = dec.get_u64("meta count")? as usize;
+    // A record is at least 28 bytes: its id, its size and two lengths.
+    let capacity = count.min(dec.remaining() / 28);
+    let (mut records, mut sizes) = (RecordTableBuilder::with_capacity(capacity), Vec::new());
+    sizes.reserve_exact(capacity);
+    for _ in 0..count {
+        let record = RecordRef::decode(dec)?;
+        let pushed = records.push(record.id, record.table, record.column);
+        pushed.map_err(CodecError::Corrupt)?;
+        sizes.push(record.size);
+    }
+    Ok((records.finish(), sizes))
 }
 
 /// Drops the pages of `mapping` this process has touched from its resident
@@ -869,7 +980,7 @@ pub enum LoadError {
         /// The index file being loaded.
         path: PathBuf,
         /// Which part of the container was being decoded ("header",
-        /// "domain records", "ensemble", or "sketches").
+        /// "domain records", "ensemble", or "allocator mark").
         section: &'static str,
         /// The underlying codec error.
         source: CodecError,
@@ -1363,16 +1474,15 @@ mod tests {
     #[test]
     fn hostile_lengths_in_a_container_are_typed_errors() {
         let bytes = IndexContainer::build(&catalog(5), 2).to_bytes();
-        // The first record's table-name length sits after the envelope (5),
-        // flags (1), num_perm (4), record count (8), id (4) and size (8);
-        // the ensemble length follows the five records.
-        let table_len = 30;
+        // The record counts — records, tables, the two texts — sit after
+        // the envelope (5), flags (1) and num_perm (4); the ensemble length
+        // follows the record columns.
         let ensemble_len = bytes
             .windows(4)
             .position(|w| w == lshe_core::persist::MAGIC)
             .expect("nested ensemble")
             - 8;
-        for at in [table_len, ensemble_len] {
+        for at in [10, 18, 26, 34, ensemble_len] {
             for hostile in [u64::MAX, u64::MAX - 29, 1 << 63] {
                 let mut bad = bytes.clone();
                 bad[at..at + 8].copy_from_slice(&hostile.to_le_bytes());
@@ -1547,11 +1657,11 @@ mod tests {
 
     #[test]
     fn records_that_do_not_ascend_are_a_typed_decode_error() {
-        // Every record of `catalog(5)` is 33 bytes — id (4), size (8), "tK"
-        // (8 + 2), "col" (8 + 3) — from byte 18: envelope (5), flags (1),
-        // num_perm (4), record count (8).
+        // The record ids of `catalog(5)` start at byte 44: envelope (5),
+        // flags (1), num_perm (4), four counts (32), a pad of 1 + 1.
         let bytes = IndexContainer::build(&catalog(5), 2).to_bytes();
-        let at = |k: usize| 18 + 33 * k..18 + 33 * (k + 1);
+        let at = |k: usize| 44 + 4 * k..44 + 4 * (k + 1);
+        assert_eq!(bytes[at(3)], 3u32.to_le_bytes());
         let mut swapped = bytes.clone();
         swapped[at(1)].copy_from_slice(&bytes[at(2)]);
         swapped[at(2)].copy_from_slice(&bytes[at(1)]);
@@ -1563,7 +1673,24 @@ mod tests {
                 other => panic!("expected Corrupt, got {other:?}"),
             }
         }
+        // Ascending, but naming a domain the index does not hold.
+        let mut stranger = bytes.clone();
+        stranger[at(4)].copy_from_slice(&9u32.to_le_bytes());
+        assert_eq!(
+            IndexContainer::from_bytes(&stranger).err(),
+            Some(CodecError::Corrupt("a record names no live domain"))
+        );
         assert!(IndexContainer::from_bytes(&bytes).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "record names exceed 4 GiB")]
+    fn names_past_the_arena_panic_with_what_push_says() {
+        // The arenas' limit lowered to 8 bytes: the third "col" passes it.
+        let cat = catalog(3);
+        let domains = cat.iter().map(|(id, d)| (d, cat.meta(id).clone()));
+        let records = RecordTableBuilder::with_text_limit(8);
+        let _ = IndexContainer::sketch_and_build(domains, 2, records);
     }
 
     #[test]
@@ -1608,7 +1735,7 @@ mod tests {
         assert_eq!(c.record(3), Some(record.view()));
         assert!(c.overlay.is_empty());
         let provenance = c.memory_bytes() - c.open_index().memory_bytes();
-        assert_eq!(provenance, c.base.memory_bytes());
+        assert_eq!(provenance, c.base.heap_bytes());
     }
 
     #[test]

@@ -409,8 +409,6 @@ fn handle_stats(shared: &Shared) -> Outcome {
     let snap = shared.engine.snapshot();
     let staged = shared.engine.staged_counts();
     let segments = snap.container().segment_stats();
-    let index_bytes = snap.index().memory_bytes() as u64;
-    let mapped_bytes = snap.index().mapped_bytes() as u64;
     let c = &shared.counters;
     let q = &shared.query_totals;
     let s = &shared.server_stats;
@@ -505,29 +503,7 @@ fn handle_stats(shared: &Shared) -> Outcome {
         // Heap accounting must cover the staged backlog too: uncommitted
         // inserts live outside every snapshot index, and a report that
         // only asked the index would under-count under live ingestion.
-        (
-            "memory",
-            Json::obj(vec![
-                ("index_bytes", Json::uint(index_bytes)),
-                // index_bytes, split: views into the mapped index file
-                // (resident where queries reach) and heap.
-                ("mapped_bytes", Json::uint(mapped_bytes)),
-                ("heap_bytes", Json::uint(index_bytes - mapped_bytes)),
-                (
-                    "provenance_bytes",
-                    Json::uint(snap.container().provenance_bytes() as u64),
-                ),
-                // Beside index_bytes: the id → row map.
-                (
-                    "id_map_bytes",
-                    Json::uint(snap.index().id_map_bytes() as u64),
-                ),
-                (
-                    "staged_bytes",
-                    Json::uint(shared.engine.staged_memory_bytes() as u64),
-                ),
-            ]),
-        ),
+        ("memory", memory_json(shared, &snap)),
         ("cache", cache_json(&shared.cache.stats())),
         (
             "query_stats",
@@ -549,6 +525,39 @@ fn handle_stats(shared: &Shared) -> Outcome {
             ]),
         ),
     ]))
+}
+
+/// Renders `/stats.memory`. `index_bytes` is the index, split into views
+/// into the mapped file (`mapped_bytes`, resident where queries reach) and
+/// heap; beside it, the heap the provenance records and the id → row map
+/// hold — each only what changed since the base when that base is served
+/// from its file — and the staged backlog; and, on Linux, how much of the
+/// mapping is resident.
+fn memory_json(shared: &Shared, snap: &Snapshot) -> Json {
+    let index_bytes = snap.index().memory_bytes() as u64;
+    let mapped_bytes = snap.index().mapped_bytes() as u64;
+    let container = snap.container();
+    let mut memory = vec![
+        ("index_bytes", Json::uint(index_bytes)),
+        ("mapped_bytes", Json::uint(mapped_bytes)),
+        ("heap_bytes", Json::uint(index_bytes - mapped_bytes)),
+        (
+            "provenance_bytes",
+            Json::uint(container.provenance_bytes() as u64),
+        ),
+        (
+            "id_map_bytes",
+            Json::uint(snap.index().id_map_bytes() as u64),
+        ),
+        (
+            "staged_bytes",
+            Json::uint(shared.engine.staged_memory_bytes() as u64),
+        ),
+    ];
+    if let Some(resident) = container.mapped_resident_bytes() {
+        memory.push(("mapped_resident_bytes", Json::uint(resident as u64)));
+    }
+    Json::obj(memory)
 }
 
 /// Renders `/stats.maintenance`: the live segment layout bucketed into
@@ -1755,6 +1764,10 @@ mod tests {
             reported("index_bytes")
         );
         assert!(reported("id_map_bytes") > 0);
+        // A built index maps no file: nothing of one is resident, on the
+        // one kernel that says.
+        let resident = memory.get("mapped_resident_bytes").and_then(Json::as_u64);
+        assert_eq!(resident, cfg!(target_os = "linux").then_some(0));
         server.shutdown();
     }
 

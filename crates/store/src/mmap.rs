@@ -157,6 +157,21 @@ mod sys {
             // SAFETY: ptr/len describe a live mapping owned by self.
             unsafe { madvise(self.ptr, self.len, flag) };
         }
+
+        /// The bytes of this mapping resident in this process, as the
+        /// kernel counts them: the `Rss` of every `/proc/self/smaps` entry
+        /// inside it. Page-cache state (`mincore`) would count a file just
+        /// written as all resident; this counts only the pages the process
+        /// has mapped in. `None` off Linux, or when `smaps` cannot be read.
+        #[must_use]
+        pub fn resident_bytes(&self) -> Option<usize> {
+            if !cfg!(target_os = "linux") {
+                return None;
+            }
+            let smaps = File::open("/proc/self/smaps").ok()?;
+            let start = self.ptr as usize;
+            super::rss_within(io::BufReader::new(smaps), start..start + self.len)
+        }
     }
 
     impl AsRef<[u8]> for Mmap {
@@ -174,6 +189,33 @@ mod sys {
             }
         }
     }
+}
+
+/// The summed `Rss` of the `smaps` entries lying inside `range`, in bytes.
+/// Streams the lines (one entry's header, then its fields): a process's
+/// whole `smaps` is never held.
+fn rss_within(smaps: impl std::io::BufRead, range: std::ops::Range<usize>) -> Option<usize> {
+    let (mut inside, mut kb) = (false, 0usize);
+    for line in smaps.lines() {
+        let line = line.ok()?;
+        // A header: `start-end perms offset dev inode [path]`, in hex.
+        let header = line.split(' ').next().and_then(|span| span.split_once('-'));
+        let start = header.and_then(|(lo, hi)| {
+            usize::from_str_radix(hi, 16).ok()?;
+            usize::from_str_radix(lo, 16).ok()
+        });
+        if let Some(start) = start {
+            inside = range.contains(&start);
+        } else if let Some(rss) = line.strip_prefix("Rss:").filter(|_| inside) {
+            kb += rss
+                .trim()
+                .strip_suffix("kB")?
+                .trim()
+                .parse::<usize>()
+                .ok()?;
+        }
+    }
+    Some(kb * 1024)
 }
 
 #[cfg(not(unix))]
@@ -210,6 +252,58 @@ mod tests {
         map.advise(Advice::DontNeed);
         assert_eq!(map.as_ref(), b"hello mapped world");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resident_bytes_count_the_pages_touched_since_a_release() {
+        let body = vec![7u8; 64 << 12];
+        let path = tmp("resident", &body);
+        let map = Mmap::map_file(&std::fs::File::open(&path).expect("open")).expect("map");
+        map.advise(Advice::Random);
+        map.advise(Advice::DontNeed);
+        let resident = map.resident_bytes();
+        assert_eq!(
+            resident.is_some(),
+            cfg!(target_os = "linux"),
+            "Linux has smaps"
+        );
+        let Some(released) = resident else {
+            return;
+        };
+        assert_eq!(released, 0);
+        let touched: u64 = map
+            .as_slice()
+            .iter()
+            .step_by(4096)
+            .map(|&b| u64::from(b))
+            .sum();
+        assert_eq!(touched, 7 * 64);
+        assert_eq!(map.resident_bytes(), Some(body.len()));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn rss_is_summed_over_the_entries_inside_the_range() {
+        let smaps = "\
+7f0000000000-7f0000002000 r--p 00000000 08:01 12 /x.lshe
+Size:                  8 kB
+Rss:                   4 kB
+7f0000002000-7f0000003000 r--p 00002000 08:01 12 /x.lshe
+Rss:                   4 kB
+7f0000003000-7f0000004000 rw-p 00000000 00:00 0
+Rss:                   4 kB
+";
+        let at = 0x7f00_0000_0000;
+        assert_eq!(rss_within(smaps.as_bytes(), at..at + 0x3000), Some(8 << 10));
+        assert_eq!(
+            rss_within(smaps.as_bytes(), at + 0x2000..at + 0x3000),
+            Some(4 << 10)
+        );
+        assert_eq!(rss_within(smaps.as_bytes(), 0..0x1000), Some(0));
+        assert_eq!(
+            rss_within("7f0-7f1 r\nRss: lots".as_bytes(), 0x7f0..0x7f1),
+            None
+        );
     }
 
     #[test]

@@ -4,26 +4,31 @@
 //! first key lane at 32 bits, the other lanes at 16: `4·b_max +
 //! 2·(m − b_max)` bytes, 576 by default — and one 4-byte `(lo, row)` entry
 //! per prefix tree (`4·b_max`: the head's low 16 bits and a block-local
-//! `u16` row), plus its id and cardinality. The `.lshe` beyond its
-//! provenance records, and the resident index `/stats` reports as
-//! `index_bytes`, must stay within `4·b_max + 2·(m − b_max) + 4·b_max + 16`
-//! bytes per domain (720 by default); the packed file, which holds no
-//! records and whose trees keep a `u32` table position, not a `u16` row,
-//! gets `2·b_max` more for the whole file — so a later change cannot
-//! quietly store the lanes a second time (as tree keys, or as a sketch
-//! section beside the forests), or wider, without this failing. Loaded from
-//! its file, the index keeps at most 64 of those bytes a domain on the
-//! heap: the rest is views into the mapping (`mapped_bytes`). What `lshe
-//! stats` reports as `trees` is those entries exactly, and the id → row
-//! map it reports beside them (`id_map_bytes`) is there to be counted.
+//! `u16` row), plus its id, its cardinality (8) and its directory entry (an
+//! id and a global row, 8). The `.lshe` beyond its provenance records, and
+//! the resident index `/stats` reports as `index_bytes`, must stay within
+//! `4·b_max + 2·(m − b_max) + 4·b_max + 24` bytes per domain (728 by
+//! default); the packed file, which holds no records and whose trees keep
+//! a `u32` table position, not a `u16` row, gets `2·b_max` more for the
+//! whole file — so a later change cannot quietly store the lanes a second
+//! time (as tree keys, or as a sketch section beside the forests), or
+//! wider, without this failing. What `lshe stats` reports as `trees` is
+//! those entries exactly.
 //!
-//! Resident provenance has a bound of its own: a container holds its
-//! records as columns — 24 bytes a record at most, beside the text of each
-//! column name and of each *distinct* table name — not as a struct and two
-//! heap strings a record.
+//! Loaded from its file, a container keeps nothing per domain on the heap:
+//! rows, trees, sizes, the id → row directory and the record columns are
+//! all views into the mapping, so `heap_bytes + id_map_bytes +
+//! provenance_bytes` is a few bytes a partition, under 64 KiB whatever the
+//! domain count — and after an insert and a commit, it is what they
+//! changed.
+//!
+//! Resident provenance of a built container has a bound of its own: it is
+//! columns — 12 bytes a record, beside the text of each column name and of
+//! each *distinct* table name — not a struct and two heap strings a record.
 
 use lshe_datagen::{CorpusConfig, CorpusStream};
-use lshe_serve::IndexContainer;
+use lshe_minhash::MinHasher;
+use lshe_serve::{DeltaOp, DomainRecord, IndexContainer};
 
 const DOMAINS: usize = 2_000;
 /// `EnsembleConfig::default()`'s forest: 32 trees over 256 lanes.
@@ -36,16 +41,18 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     assert_eq!(container.len(), DOMAINS);
     let row = 4 * B_MAX + 2 * (container.num_perm() - B_MAX);
     assert_eq!(row, 576);
-    let bound = row + 4 * B_MAX + 16;
-    assert_eq!(bound, 720);
+    let bound = row + 4 * B_MAX + 24;
+    assert_eq!(bound, 728);
 
-    // Heap form: a record is id + size + two length-prefixed strings.
-    let records: usize = container
-        .records()
-        .iter()
-        .map(|r| 4 + 8 + 8 + r.table.len() + 8 + r.column.len())
-        .sum();
-    let heap = container.to_bytes().len() - records;
+    // Heap form, less the record columns: they run from behind the
+    // header (envelope, flags, num_perm: 10 bytes) to the ensemble's
+    // length prefix.
+    let file = container.to_bytes();
+    let ensemble_at = file
+        .windows(4)
+        .position(|w| w == lshe_core::persist::MAGIC)
+        .expect("nested ensemble");
+    let heap = file.len() - (ensemble_at - 8 - 10);
     assert!(
         heap <= bound * DOMAINS,
         "heap container: {} B per domain beyond its records, bound {bound}",
@@ -67,7 +74,7 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
         packed as f64 / DOMAINS as f64
     );
     // Resident: what `/stats` and `lshe stats` call `index_bytes` — rows,
-    // trees and sizes (the id → row map is not part of it).
+    // trees and sizes (the id → row directory is not part of it).
     let index_bytes = container.open_index().memory_bytes();
     assert!(
         index_bytes <= bound * DOMAINS,
@@ -83,23 +90,23 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     assert!(heap.min(packed).min(index_bytes) >= row * DOMAINS);
 
     // `index_bytes` is `mapped_bytes + heap_bytes`. A built container holds
-    // all of it on the heap; loaded from its file, what is left there is
-    // each domain's cardinality — the rows and trees are views into the
-    // mapping, and the same `index_bytes` is reported over them.
+    // all of it on the heap; loaded from its file, none of it — the rows,
+    // trees and sizes are views into the mapping, and the same
+    // `index_bytes` is reported over them. Nor are the directory or the
+    // records heap: what is left is each partition's first row.
     assert_eq!(container.mapped_bytes(), 0);
     let saved = dir.join("index.lshe");
     container.save(&saved).expect("save");
-    let loaded = IndexContainer::load(&saved).expect("load");
+    let mut loaded = IndexContainer::load(&saved).expect("load");
     let loaded_bytes = loaded.open_index().memory_bytes();
     assert!(loaded_bytes >= row * DOMAINS && loaded_bytes <= bound * DOMAINS);
     let heap_bytes = loaded_bytes - loaded.mapped_bytes();
-    assert!(
-        heap_bytes <= 64 * DOMAINS,
-        "loaded index: {} B of heap per domain, bound 64",
-        heap_bytes as f64 / DOMAINS as f64
-    );
-    // That heap is each domain's cardinality, sized exactly.
-    assert_eq!(heap_bytes, 8 * DOMAINS);
+    let id_map_bytes = loaded.open_index().id_map_bytes();
+    assert_eq!(heap_bytes, 0);
+    assert_eq!(loaded.provenance_bytes(), 0);
+    assert_eq!(id_map_bytes, 4 * loaded.partition_count());
+    assert!(heap_bytes + id_map_bytes + loaded.provenance_bytes() <= 64 << 10);
+    assert!(loaded.directory_in_place() && loaded.records_in_place());
 
     // `lshe stats` sums the trees from their columns — 4 bytes an entry,
     // a tree per band — and reports the id map beside them.
@@ -114,9 +121,49 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     };
     assert_eq!(reported(", trees"), 4 * B_MAX * DOMAINS, "{described}");
     assert_eq!(reported("(rows"), (4 + row + 8) * DOMAINS, "{described}");
-    let id_map_bytes = loaded.open_index().id_map_bytes();
-    assert!(id_map_bytes > 0);
     assert_eq!(reported("id_map_bytes"), id_map_bytes, "{described}");
+
+    // Load released every page its checks touched; a query faults some of
+    // the file back in, as file pages — here the largest domain at t* = 1,
+    // which probes only the top partitions: far less than the index.
+    let hasher = MinHasher::new(loaded.num_perm());
+    if let Some(released) = loaded.mapped_resident_bytes() {
+        assert_eq!(released, 0);
+        let corpus = CorpusStream::new(CorpusConfig::wdc_web_tables_like(DOMAINS));
+        let (largest, _) = corpus.max_by_key(|(d, _)| d.len()).expect("a domain");
+        let sig = hasher.signature(largest.hashes().iter().copied());
+        assert!(!loaded.search(&sig, largest.len() as u64, 1.0).is_empty());
+        let resident = loaded.mapped_resident_bytes().expect("still readable");
+        assert!(
+            resident > 0 && resident <= loaded.mapped_bytes(),
+            "{resident} B resident of {} B mapped",
+            loaded.mapped_bytes()
+        );
+    }
+
+    // An insert and a commit land beside the views: what the three report
+    // then is the overlay — the sealed segment, the id map's entry for
+    // it, the record with its names.
+    let values: Vec<u64> = (1..=40).collect();
+    let record = DomainRecord {
+        id: loaded.next_id(),
+        size: values.len() as u64,
+        table: "fresh".into(),
+        column: "values".into(),
+    };
+    let entry = std::mem::size_of::<(u32, Option<DomainRecord>)>();
+    let names = record.table.len() + record.column.len();
+    let signature = hasher.signature(values);
+    loaded
+        .apply(&[DeltaOp::Insert { record, signature }])
+        .expect("insert");
+    loaded.commit_mutations();
+    let index = loaded.open_index();
+    assert!(index.memory_bytes() - index.mapped_bytes() > 0);
+    assert!(index.id_map_bytes() > id_map_bytes);
+    assert_eq!(loaded.provenance_bytes(), entry + names);
+    assert!(loaded.base_in_place().iter().all(|&p| p));
+    assert!(loaded.directory_in_place() && loaded.records_in_place());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -132,13 +179,13 @@ fn resident_provenance_is_columns_and_each_table_name_once() {
     let distinct: usize = tables.iter().map(|t| t.len()).sum();
     // What the index holds is reported apart; the rest is provenance.
     let provenance = container.memory_bytes() - container.open_index().memory_bytes();
-    let bound = 24 * RECORDS + columns + distinct;
+    let bound = 16 * RECORDS + columns + distinct;
     assert!(
         provenance <= bound,
         "provenance: {provenance} B resident, bound {bound}"
     );
     // And not by leaving something out: every name is there to be read.
-    assert!(provenance >= 20 * RECORDS + columns + distinct);
+    assert!(provenance >= 12 * RECORDS + columns + distinct);
     let named: usize = records.iter().map(|r| r.table.len()).sum();
     assert!(
         named > 4 * distinct,

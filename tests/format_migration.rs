@@ -1,18 +1,20 @@
 //! One-way migration from the generation before the current writer.
 //!
-//! `tests/fixtures/v6_ranked.lshe` and `v6_plain.lshe` (`LSHX` v6 around
-//! `LSHE` v6 / `LSHF` v4: two sealed segments, a base and a segment
-//! tombstone) were written by the commit before tree entries shrank from 8
-//! bytes (a 32-bit head and a 32-bit row) to 4 (the head's low 16 bits and
-//! a block-local `u16` row), from the domains [`v6_container`] rebuilds,
-//! with the ranked file's answers recorded in `v6_expected.txt`. Both must
-//! load — from a slice, and mapped, where the ids and rows are views into
-//! the file and the trees are sorted again from them — equal a fresh build
-//! of their domains, answer like it, and save as the current version,
-//! `4·b_max` bytes a base row smaller. The plain file carries the flag byte
-//! 0, which no writer sets any more: it loads ranked, estimates and top-k
-//! included, and saves with the flag every container now has. Anything
-//! older — unpadded forests, rows of 32-bit lanes throughout, forests that
+//! `tests/fixtures/v7_two_partitions.lshe` and `v7_three_partitions.lshe`
+//! (`LSHX` v7 around `LSHE` v7: a record a domain with its size among its
+//! fields, an ensemble without sizes or a directory; two sealed segments, a
+//! base and a segment tombstone) were written by the commit before records,
+//! sizes and the id → row directory became columns of the file, from the
+//! domains [`v7_container`] rebuilds, with their answers recorded in
+//! `v7_expected.txt`. Both must load — from a slice, and mapped, where the
+//! forests are views into the file and the records, sizes and directory
+//! are built on the heap — equal a fresh build of their domains, answer as
+//! recorded and like it, and save as the current version: the bytes of a
+//! fresh build, but for the size of the one tombstoned base row, which a
+//! version-7 file lost with its record and which is written as 1 — until a
+//! compaction erases the row, after which the two are the same bytes.
+//! Saved again, the file loads all views. Anything older — 8-byte tree
+//! entries, unpadded forests, rows of 32-bit lanes throughout, forests that
 //! held their lanes as tree keys, the 64-bit-slot generations — is refused
 //! on its version byte.
 
@@ -67,7 +69,7 @@ fn nested_version(bytes: &[u8]) -> u8 {
 #[test]
 fn older_generations_are_refused_on_their_version_byte() {
     let refused = |found, supported| CodecError::UnsupportedVersion { found, supported };
-    let current = v6_container(8, 2).to_bytes();
+    let current = v7_container(8, 2).to_bytes();
     let nested = nested_at(&current);
     // The first forest of the nested ensemble.
     let forest = nested
@@ -75,42 +77,43 @@ fn older_generations_are_refused_on_their_version_byte() {
             .windows(4)
             .position(|w| w == lshe_lsh::persist::MAGIC)
             .expect("nested forest");
-    for old in 1u8..=5 {
+    for old in 1u8..=6 {
         // The container's own version byte, then its ensemble's.
         let mut bytes = current.clone();
         bytes[4] = old;
         assert_eq!(
             IndexContainer::from_bytes(&bytes).err(),
-            Some(refused(old, 7))
+            Some(refused(old, 8))
         );
         let mut bytes = current.clone();
         bytes[nested + 4] = old;
         assert_eq!(
             IndexContainer::from_bytes(&bytes).err(),
-            Some(refused(old, 7))
+            Some(refused(old, 8))
         );
         // The ensemble runs up to the container's 4-byte allocator mark.
         let ensemble = lshe_core::LshEnsemble::from_bytes(&bytes[nested..bytes.len() - 4]);
-        assert_eq!(ensemble.err(), Some(refused(old, 7)));
+        assert_eq!(ensemble.err(), Some(refused(old, 8)));
     }
-    // Version-5 ensemble and version-3 forest headers (unpadded forests),
-    // built in memory: refused before anything behind the version byte is
-    // read.
-    let mut v5 = Encoder::default();
-    v5.envelope(lshe_core::persist::MAGIC, 5);
+    // Version-6 ensemble and version-4 forest headers (8-byte tree
+    // entries), built in memory: refused before anything behind the
+    // version byte is read.
+    let mut v6 = Encoder::default();
+    v6.envelope(lshe_core::persist::MAGIC, 6);
     assert_eq!(
-        lshe_core::LshEnsemble::from_bytes(&v5.finish()).err(),
-        Some(refused(5, 7))
+        lshe_core::LshEnsemble::from_bytes(&v6.finish()).err(),
+        Some(refused(6, 8))
     );
-    let mut v3 = Encoder::default();
-    v3.envelope(lshe_lsh::persist::MAGIC, 3);
+    let mut v4 = Encoder::default();
+    v4.envelope(lshe_lsh::persist::MAGIC, 4);
     assert_eq!(
-        lshe_lsh::LshForest::from_bytes(&v3.finish()).err(),
-        Some(refused(3, 5))
+        lshe_lsh::LshForest::from_bytes(&v4.finish()).err(),
+        Some(refused(4, 5))
     );
     // Forests that hold their lanes as tree keys (`LSHF` version 1), 32
-    // bits wide throughout (version 2), or unpadded (version 3).
-    for old in [1u8, 2, 3] {
+    // bits wide throughout (version 2), unpadded (version 3), or with
+    // 8-byte tree entries (version 4).
+    for old in [1u8, 2, 3, 4] {
         let mut bytes = current.clone();
         bytes[forest + 4] = old;
         assert_eq!(
@@ -122,34 +125,34 @@ fn older_generations_are_refused_on_their_version_byte() {
     // decoded from a slice and loaded from a file alike.
     let dir = std::env::temp_dir().join(format!("lshe_migration_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    for old in [1u8, 5] {
+    for old in [1u8, 6] {
         let mut bare = Encoder::default();
         bare.envelope(lshe_serve::container::MAGIC, old);
         let bare = bare.finish();
         assert_eq!(
             IndexContainer::from_bytes(&bare).err(),
-            Some(refused(old, 7))
+            Some(refused(old, 8))
         );
         let path = dir.join(format!("v{old}.lshe"));
         std::fs::write(&path, &bare).expect("write");
         match IndexContainer::load(&path) {
             Err(LoadError::Decode {
                 section, source, ..
-            }) => assert_eq!((section, source), ("header", refused(old, 7))),
+            }) => assert_eq!((section, source), ("header", refused(old, 8))),
             other => panic!("version {old}: {other:?}"),
         }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Each v6 fixture: its name, flag byte, base domains and partitions.
-const V6_FIXTURES: [(&str, u8, usize, usize); 2] =
-    [("v6_ranked.lshe", 1, 8, 2), ("v6_plain.lshe", 0, 18, 3)];
+/// Each v7 fixture: its name, base domains and partitions.
+const V7_FIXTURES: [(&str, usize, usize); 2] =
+    [("v7_two_partitions", 8, 2), ("v7_three_partitions", 18, 3)];
 
-/// The v6 fixtures' corpus: `n` base domains in `parts` partitions, then
+/// The v7 fixtures' corpus: `n` base domains in `parts` partitions, then
 /// two commits — two inserts and the removal of base domain 1; one insert
 /// and the removal of the first sealed insert.
-fn v6_container(n: usize, parts: usize) -> IndexContainer {
+fn v7_container(n: usize, parts: usize) -> IndexContainer {
     let mut c = IndexContainer::from_stream(corpus(n, 31), parts, true);
     let hasher = MinHasher::new(c.num_perm());
     let fresh = corpus(3, 32);
@@ -173,9 +176,10 @@ fn v6_container(n: usize, parts: usize) -> IndexContainer {
 }
 
 /// One line per fixture query — every one of the `n` base and the fresh
-/// domains at three thresholds and top-3 — in `v6_expected.txt`'s form: the
-/// probe counters, then each hit with its estimate's bits.
-fn v6_answers(c: &IndexContainer, n: usize) -> String {
+/// domains at three thresholds and top-3 — in `v7_expected.txt`'s form: the
+/// fixture's name, the probe counters, then each hit with its estimate's
+/// bits.
+fn v7_answers(c: &IndexContainer, name: &str, n: usize) -> String {
     use std::fmt::Write as _;
     let hasher = MinHasher::new(c.num_perm());
     let index = c.open_index();
@@ -193,7 +197,7 @@ fn v6_answers(c: &IndexContainer, n: usize) -> String {
             let found = index.search(&query).expect("search");
             let _ = write!(
                 out,
-                "ranked q{q} {mode} candidates={} probed={}/{} hits=",
+                "{name} q{q} {mode} candidates={} probed={}/{} hits=",
                 found.stats.candidates, found.stats.partitions_probed, found.stats.partitions_total
             );
             for hit in &found.hits {
@@ -215,69 +219,93 @@ fn moved<'a>(got: &'a str, want: &'a str) -> Vec<(&'a str, &'a str)> {
 }
 
 #[test]
-fn v6_containers_answer_as_recorded_and_save_as_a_fresh_v7_build() {
-    let recorded = std::fs::read_to_string(fixture("v6_expected.txt")).expect("fixture");
-    for (name, flag, base_rows, parts) in V6_FIXTURES {
-        let old = std::fs::read(fixture(name)).expect("fixture");
-        assert_eq!((&old[..4], old[4]), (&b"LSHX"[..], 6), "{name} is LSHX v6");
-        assert_eq!(old[5], flag, "{name}'s flag byte");
+fn v7_containers_answer_as_recorded_and_save_as_a_fresh_v8_build() {
+    let recorded = std::fs::read_to_string(fixture("v7_expected.txt")).expect("fixture");
+    for (name, base_rows, parts) in V7_FIXTURES {
+        let file = fixture(&format!("{name}.lshe"));
+        let old = std::fs::read(&file).expect("fixture");
+        assert_eq!(
+            (&old[..4], old[4], old[5]),
+            (&b"LSHX"[..], 7, 1),
+            "{name} is LSHX v7"
+        );
         assert!(old.len() <= 30 * 1024, "{name} is small");
-        // Mapped (ids and rows viewed in place, trees sorted again) and
-        // copied out of a slice: one decoder, one answer.
-        let loaded = IndexContainer::load(&fixture(name)).expect("v6 loads");
-        let copied = IndexContainer::from_bytes(&old).expect("v6 decodes");
+        // Mapped (forests viewed in place; records, sizes and directory
+        // built) and copied out of a slice: one decoder, one answer.
+        let loaded = IndexContainer::load(&file).expect("v7 loads");
+        let copied = IndexContainer::from_bytes(&old).expect("v7 decodes");
         assert_eq!(copied.mapped_bytes(), 0);
-        assert_eq!(loaded.mapped_bytes(), base_rows * (4 + 576), "{name}");
-        let fresh = v6_container(base_rows, parts);
+        assert_eq!(loaded.mapped_bytes(), base_rows * (4 + 576 + 128), "{name}");
+        assert!(!loaded.directory_in_place() && !loaded.records_in_place());
+        let fresh = v7_container(base_rows, parts);
         assert_eq!(loaded.records(), fresh.records(), "{name}");
         assert_eq!(loaded.next_id(), fresh.next_id(), "{name}");
         assert_eq!(loaded.segment_stats(), fresh.segment_stats(), "{name}");
 
-        // Hits, estimates bit for bit, and probe counters: as a fresh build
-        // does and — for the ranked file — as the commit that wrote it
-        // answered them; any line that moved is listed by the failure.
-        let migrated = v6_answers(&loaded, base_rows);
-        if flag == 1 {
-            let want: String = recorded.lines().flat_map(|line| [line, "\n"]).collect();
-            let differing = moved(&migrated, &want);
-            assert!(
-                differing.is_empty(),
-                "{name}: (migrated, as its writer answered) {differing:#?}"
-            );
-        }
-        assert_eq!(
-            v6_answers(&copied, base_rows),
-            migrated,
-            "{name} from a slice"
+        // Hits, estimates bit for bit, and probe counters: as the commit
+        // that wrote the file answered them and as a fresh build does; any
+        // line that moved is listed by the failure.
+        let migrated = v7_answers(&loaded, name, base_rows);
+        let want: String = recorded
+            .lines()
+            .filter(|line| line.split(' ').next() == Some(name))
+            .flat_map(|line| [line, "\n"])
+            .collect();
+        let differing = moved(&migrated, &want);
+        assert!(
+            differing.is_empty(),
+            "{name}: (migrated, as its writer answered) {differing:#?}"
         );
+        let copied_answers = v7_answers(&copied, name, base_rows);
+        assert_eq!(copied_answers, migrated, "{name} from a slice");
+        let fresh_answers = v7_answers(&fresh, name, base_rows);
+        assert_eq!(fresh_answers, migrated, "fresh build vs migrated {name}");
+
+        // Saved as version 8: a fresh build's bytes but for the removed
+        // base domain 1's size, an 8-byte-aligned `u64` in its partition's
+        // sizes — 1 where the fresh build keeps the domain's cardinality.
+        let resaved = loaded.to_bytes();
+        assert_eq!((resaved[4], resaved[5]), (8, 1), "saved as LSHX v8, flag 1");
+        assert_eq!((nested_version(&old), nested_version(&resaved)), (7, 8));
+        assert!(
+            resaved == copied.to_bytes(),
+            "{name}: mapped and copied differ"
+        );
+        let built = fresh.to_bytes();
+        assert_eq!(resaved.len(), built.len(), "{name}");
+        let differ: Vec<usize> = (0..built.len())
+            .filter(|&i| built[i] != resaved[i])
+            .collect();
+        let at = differ[0] & !7;
+        assert!(differ.iter().all(|&i| i < at + 8), "{name}: {differ:?}");
+        let size = |bytes: &[u8]| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8"));
+        assert_eq!(size(&resaved), 1, "{name}");
         assert_eq!(
-            v6_answers(&fresh, base_rows),
-            migrated,
-            "fresh build vs migrated {name}"
+            size(&built),
+            corpus(base_rows, 31)[1].0.len() as u64,
+            "{name}"
+        );
+        let (mut compacted, mut rebuilt) = (loaded.clone(), fresh.clone());
+        compacted.compact_index();
+        rebuilt.compact_index();
+        assert!(
+            compacted.to_bytes() == rebuilt.to_bytes(),
+            "{name} compacted"
         );
 
-        let resaved = loaded.to_bytes();
-        assert_eq!((resaved[4], resaved[5]), (7, 1), "saved as LSHX v7, flag 1");
-        assert_eq!((nested_version(&old), nested_version(&resaved)), (6, 7));
-        assert!(
-            resaved == fresh.to_bytes() && resaved == copied.to_bytes(),
-            "{name}: migrated and fresh bytes differ"
-        );
-        // What version 7 takes away: 4 bytes a tree entry, 32 trees a base
-        // row (the tombstoned one too); each forest shrinks by a multiple
-        // of 4, so no pad moves.
-        assert_eq!(old.len() - resaved.len(), 128 * base_rows, "{name}");
         // And saved again, the file loads all views.
         let dir = std::env::temp_dir().join(format!("lshe_migrated_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
-        loaded.save(&dir.join(name)).expect("save");
-        let reloaded = IndexContainer::load(&dir.join(name)).expect("v7 loads");
+        let path = dir.join(format!("{name}.lshe"));
+        loaded.save(&path).expect("save");
+        let reloaded = IndexContainer::load(&path).expect("v8 loads");
         assert!(reloaded.base_in_place().iter().all(|&part| part), "{name}");
-        assert_eq!(
-            v6_answers(&reloaded, base_rows),
-            migrated,
-            "{name} after a save"
+        assert!(
+            reloaded.directory_in_place() && reloaded.records_in_place(),
+            "{name}"
         );
+        let reloaded_answers = v7_answers(&reloaded, name, base_rows);
+        assert_eq!(reloaded_answers, migrated, "{name} after a save");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,23 +3,27 @@
 //! A deterministic corpus — base partitions, two sealed segments, one
 //! tombstone — must keep serialising to exactly the recorded bytes, `save`
 //! must write them, and `load(save(x))` must answer like `x`. The
-//! constants were recorded when `LSHX` v7 shrank every tree
-//! entry from 8 bytes (a 32-bit head, a 32-bit row) to 4 (the head's low 16
-//! bits, a block-local `u16` row), each tree sorted by its heads' low half
-//! first — `LSHE` v7 around `LSHF` v5. From the v6 pins (ranked and plain
-//! both 539 269 B), with 600 base rows in 8 forests of 75:
+//! constant was recorded when `LSHX` v8 made the records columns and moved
+//! every base row's size and the id → row directory into `LSHE` v8. From
+//! the v7 pin (462 469 B), with 608 live records over 25 distinct tables
+//! and 600 base rows in 8 forests of 75:
 //!
-//! * each forest's 32 trees lose 4 bytes an entry: 75 × 32 × 4 = 9 600 B a
-//!   forest, **600 × 128 = − 76 800 B** in all;
-//! * nothing else moves. 9 600 is a multiple of 4, so every later forest
-//!   starts where it did modulo 4 and keeps its pad (1 + 1 for the first,
-//!   1 + 2 for the others); rows, segment entries and records are as they
-//!   were.
+//! * records, − 20 441 B: a record was `id:u32 size:u64` and two strings
+//!   behind `u64` lengths (28 B + 11 304 B of table names, repeated per
+//!   column, + 3 521 B of column names, after an 8-byte count: 31 857 B);
+//!   now four counts (32), a pad (1 + 1), 12 B a record (id, table index,
+//!   column end: 7 296), 4 B a distinct table (100), the column names
+//!   (3 521) and each table name once (465): 11 416 B;
+//! * the directory, + 4 812 B: a count (8), a pad (1 + 3) and 8 B a base
+//!   row (600 × 8), in front of the partitions;
+//! * sizes, + 4 928 B: behind each forest a count (8), a pad to 8 (1 + 7)
+//!   and 8 B a row (600);
+//! * forest pads, + 1 B: the forests now run largest first, and every one
+//!   starts on a multiple of 4 — behind the directory, or behind sizes
+//!   that end on a multiple of 8 — so each pads 1 + 2, where the first
+//!   padded 1 + 1.
 //!
-//! 539 269 − 76 800 = 462 469 B for both; the two differed in the flag
-//! byte only. Since every container ranks, nothing writes the plain flag
-//! (0) any more, so the plain pin (`0x52c5_b186_953d_5703`) went with it;
-//! a flag-0 file still loads, ranked (`tests/format_migration.rs`).
+//! 462 469 − 20 441 + 4 812 + 4 928 + 1 = 451 769 B.
 
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
@@ -27,7 +31,7 @@ use lshe_minhash::{MinHasher, Signature};
 use lshe_serve::{DeltaOp, DomainRecord, IndexContainer};
 
 /// `(to_bytes().len(), fnv1a(to_bytes()))` as recorded.
-const PINNED: (usize, u64) = (462_469, 0x167f_3b74_b7ad_733a);
+const PINNED: (usize, u64) = (451_769, 0xa552_f3c7_09d4_31c5);
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {

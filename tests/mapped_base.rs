@@ -2,14 +2,17 @@
 //! timing, like `commit_sharing.rs`.
 //!
 //! `IndexContainer::load` maps a heap `.lshe` file and keeps the mapping:
-//! every bulk column of every base partition (ids, rows, two per tree) is
-//! a view into it, nothing is copied, and a container that was built
-//! holds none. The views answer bit for bit like the vectors they came
-//! from; a commit and a segment merge leave them alone; an ensemble's fold
-//! copies out exactly the partitions it edits; a full fold through the
-//! engine ends on the file it wrote; and a server keeps answering from the
-//! file it loaded once another is renamed over its path, or the path is
-//! gone.
+//! every bulk column of every base partition (ids, rows, each tree, the
+//! rows' sizes), the id → row directory and every record column is a view
+//! into it, nothing is copied, and a container that was built holds none.
+//! The views answer bit for bit like the vectors they came from; a commit
+//! and a segment merge leave them alone; an ensemble's fold copies out
+//! exactly the partitions it edits, sizes included, and builds a directory
+//! of its own; a full fold through the engine ends on the file it wrote; a
+//! server keeps answering from the file it loaded once another is renamed
+//! over its path, or the path is gone; and every column, cut at either end
+//! or damaged where its check looks, is a typed decode error naming its
+//! section.
 
 use lshe_core::{
     DomainIndex, EnsembleConfig, LshEnsemble, MergeTask, MutableIndex, PartitionStrategy, Query,
@@ -21,6 +24,7 @@ use lshe_minhash::codec::{Decoder, Owner};
 use lshe_minhash::{MinHasher, Signature};
 use lshe_serve::container::LoadError;
 use lshe_serve::{Engine, IndexContainer, Snapshot};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -125,24 +129,33 @@ fn a_loaded_base_is_views_into_the_file_and_a_built_one_is_heap() {
     assert_eq!(built.mapped_bytes(), 0);
     assert!(built.mapping().is_none());
 
+    assert!(!built.directory_in_place() && !built.records_in_place());
+
     let loaded = IndexContainer::load(&dir.index()).expect("load");
     assert_eq!(loaded.base_in_place(), all(true));
+    assert!(loaded.directory_in_place() && loaded.records_in_place());
     let file = std::fs::read(dir.index()).expect("read");
     assert!(
         loaded.mapping() == Some(&file[..]),
         "the mapping is the file"
     );
-    // What is mapped is every row (id and lanes) and tree column; what is
-    // left on the heap is the sizes the ranked index keeps.
-    assert_eq!(loaded.mapped_bytes(), BASE * (4 + 576 + 4 * 32));
+    // What is mapped is every row (id, lanes and size) and tree column;
+    // nothing of the index is left on the heap, nor of the directory but
+    // each partition's first row, nor of the records.
+    assert_eq!(loaded.mapped_bytes(), BASE * (4 + 576 + 4 * 32 + 8));
     let heap = loaded.open_index().memory_bytes() - loaded.mapped_bytes();
-    assert_eq!(heap, 8 * BASE, "{heap} B of heap");
+    assert_eq!(heap, 0, "{heap} B of heap");
+    assert_eq!(loaded.open_index().id_map_bytes(), 4 * PARTITIONS);
+    assert_eq!(loaded.provenance_bytes(), 0);
     // A clone is more views, not a copy; the bytes decoded from a slice are
     // one.
-    assert_eq!(loaded.clone().base_in_place(), all(true));
+    let clone = loaded.clone();
+    assert_eq!(clone.base_in_place(), all(true));
+    assert!(clone.directory_in_place() && clone.records_in_place());
     let copied = IndexContainer::from_bytes(&file).expect("decode");
     assert_eq!(copied.mapped_bytes(), 0);
     assert_eq!(copied.base_in_place(), all(false));
+    assert!(!copied.directory_in_place() && !copied.records_in_place());
 
     let want = answers(&*built.open_index(), true);
     assert!(answers(&*loaded.open_index(), true) == want, "loaded");
@@ -171,6 +184,7 @@ fn a_commit_and_a_segment_merge_leave_every_base_column_a_view() {
     assert_eq!(outcome.entries_folded, 6);
     for snap in [&committed, &merged] {
         assert_eq!(snap.container().base_in_place(), all(true));
+        assert!(snap.container().directory_in_place() && snap.container().records_in_place());
         let shared = snap.container().base_shared_with(loaded.container());
         assert_eq!(shared, (all(true), true));
         assert_eq!(
@@ -211,6 +225,7 @@ fn a_fold_copies_out_exactly_the_partitions_it_edits() {
     let file: &[u8] = (*owner).as_ref();
     let mut loaded = LshEnsemble::decode(Decoder::shared(&owner)).expect("decode");
     assert_eq!(loaded.base_borrowed_from(file), all(true));
+    assert!(loaded.directory_borrowed_from(file));
     let untouched = loaded.clone();
     loaded.remove(33).expect("remove");
     loaded.commit();
@@ -219,11 +234,17 @@ fn a_fold_copies_out_exactly_the_partitions_it_edits() {
         all(true),
         "a tombstone edits nothing"
     );
+    assert!(loaded.directory_borrowed_from(file));
     loaded.compact();
+    // The partition that lost a row — its forest and its sizes — is
+    // copied out; the others stay views. The new base's directory is the
+    // fold's own.
     let in_place = loaded.base_borrowed_from(file);
     assert_eq!(in_place.iter().filter(|&&p| !p).count(), 1, "{in_place:?}");
     assert_eq!(loaded.base_shared_with(&untouched), in_place);
-    let row = 4 + 576 + 4 * 32;
+    assert!(!loaded.directory_borrowed_from(file));
+    assert!(untouched.directory_borrowed_from(file));
+    let row = 4 + 576 + 4 * 32 + 8;
     assert!(loaded.mapped_bytes() < (BASE - 1) * row && loaded.mapped_bytes() > BASE / 2 * row);
     assert_eq!(untouched.base_borrowed_from(file), all(true));
 
@@ -315,12 +336,78 @@ fn a_loaded_index_outlives_its_path_being_replaced_and_unlinked() {
     assert_eq!(committed.container().base_in_place(), all(true));
 }
 
+/// Where a `.lshe` keeps what it serves in place beyond the forests: each
+/// column by the section its decode errors name and what it is, and the
+/// offset of each pad in front of them.
+struct Columns {
+    columns: Vec<(&'static str, &'static str, Range<usize>)>,
+    pads: Vec<usize>,
+}
+
+fn u64_at(file: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(file[at..at + 8].try_into().expect("8 bytes")) as usize
+}
+
+/// Reads the layout `IndexContainer::to_bytes` writes (`docs/FORMAT.md`).
+fn columns(file: &[u8]) -> Columns {
+    let (mut columns, mut pads) = (Vec::new(), Vec::new());
+    // Behind the envelope (5), flags (1) and num_perm (4): four counts, a
+    // pad, the record columns.
+    let [records, tables, column_text, table_text] = [10, 18, 26, 34].map(|at| u64_at(file, at));
+    pads.push(42);
+    let mut at = 43 + usize::from(file[42]);
+    for (name, len) in [
+        ("record ids", 4 * records),
+        ("record tables", 4 * records),
+        ("column name ends", 4 * records),
+        ("table name ends", 4 * tables),
+        ("column names", column_text),
+        ("table names", table_text),
+    ] {
+        columns.push(("domain records", name, at..at + len));
+        at += len;
+    }
+    // The ensemble's length, envelope (5), dims (12), strategy (a tag and
+    // an equi-depth count), `len`, then the partition count, the
+    // directory, and the partitions, each with its sizes.
+    at += 8 + 5 + 12 + 9 + 8;
+    let parts = u64_at(file, at);
+    at += 8;
+    let rows = u64_at(file, at);
+    at += 8;
+    pads.push(at);
+    at += 1 + usize::from(file[at]);
+    columns.push(("ensemble", "directory ids", at..at + 4 * rows));
+    columns.push(("ensemble", "directory rows", at + 4 * rows..at + 8 * rows));
+    at += 8 * rows;
+    for _ in 0..parts {
+        at += 24 + u64_at(file, at + 16);
+        let rows = u64_at(file, at);
+        at += 8;
+        pads.push(at);
+        at += 1 + usize::from(file[at]);
+        columns.push(("ensemble", "sizes", at..at + 8 * rows));
+        at += 8 * rows;
+    }
+    Columns { columns, pads }
+}
+
+fn load_error_section(path: &Path, bytes: &[u8]) -> Option<&'static str> {
+    std::fs::write(path, bytes).expect("write");
+    match IndexContainer::load(path) {
+        Err(LoadError::Decode { section, .. }) => Some(section),
+        Err(LoadError::Io { .. }) | Ok(_) => None,
+    }
+}
+
 #[test]
 fn a_file_cut_at_any_page_or_inside_any_pad_is_a_typed_decode_error() {
     let (dir, built) = saved("cut");
     let file = built.to_bytes();
-    // Every 4 KiB boundary, and every byte of every forest's pad: the pad
-    // is `n` and `n` zeros behind the forest's 25-byte header.
+    // Every 4 KiB boundary; both ends of every record column, every
+    // partition's sizes and both directory columns; and every byte of
+    // every pad: a forest's is `n` and `n` zeros behind its 25-byte
+    // header, and so are the others.
     let mut cuts: Vec<usize> = (0..file.len()).step_by(4096).collect();
     let forests = file.windows(4).enumerate();
     let forests: Vec<usize> = forests
@@ -333,24 +420,78 @@ fn a_file_cut_at_any_page_or_inside_any_pad_is_a_typed_decode_error() {
         assert!(file[pad] <= 3 && (pad + 1 + file[pad] as usize).is_multiple_of(4));
         cuts.extend(pad..=pad + file[pad] as usize);
     }
+    let layout = columns(&file);
+    assert_eq!(layout.columns.len(), 6 + PARTITIONS + 2);
+    for (_, _, range) in &layout.columns {
+        cuts.extend([range.start, range.end]);
+    }
+    for &pad in &layout.pads {
+        cuts.extend(pad..=pad + usize::from(file[pad]));
+    }
     let path = dir.0.join("cut.lshe");
     for cut in cuts {
-        std::fs::write(&path, &file[..cut]).expect("write");
-        match IndexContainer::load(&path) {
-            Err(LoadError::Decode { .. }) => {}
-            other => panic!("cut at {cut} of {}: {other:?}", file.len()),
-        }
+        assert!(
+            load_error_section(&path, &file[..cut]).is_some(),
+            "cut at {cut} of {}",
+            file.len()
+        );
     }
-    // A pad byte that is not zero is one too (every forest behind the
-    // first starts on a multiple of 4, so pads 1 + 2).
+    // A pad byte that is not zero is one too (every forest starts on a
+    // multiple of 4, so pads 1 + 2).
     let mut dirty = file.clone();
     dirty[forests[PARTITIONS - 1] + 26] = 1;
-    std::fs::write(&path, &dirty).expect("write");
-    assert!(matches!(
-        IndexContainer::load(&path),
-        Err(LoadError::Decode {
-            section: "ensemble",
-            ..
-        })
-    ));
+    assert_eq!(load_error_section(&path, &dirty), Some("ensemble"));
+    for &pad in &layout.pads {
+        if file[pad] > 0 {
+            let mut dirty = file.clone();
+            dirty[pad + 1] = 1;
+            assert!(load_error_section(&path, &dirty).is_some(), "pad at {pad}");
+        }
+    }
+}
+
+#[test]
+fn each_column_served_in_place_refuses_damage_its_check_covers() {
+    let (dir, built) = saved("damage");
+    let file = built.to_bytes();
+    let path = dir.0.join("damaged.lshe");
+    assert!(load_error_section(&path, &file).is_none(), "the file loads");
+    // The top bit of a column's first value flipped: an id above the next
+    // one in either ids column, a table index, a name end or a global row
+    // past what there is, a text byte no longer UTF-8 where it was ASCII
+    // (or a lead byte turned ASCII before its continuation).
+    let flip_top = |range: &Range<usize>, width: usize| {
+        let mut bad = file.clone();
+        bad[range.start + width - 1] ^= 0x80;
+        bad
+    };
+    let layout = columns(&file);
+    // Each partition's sizes: its count, then its pad.
+    let mut size_pads = layout.pads[2..].iter();
+    for (section, name, range) in layout.columns {
+        let damaged = match name {
+            "column names" | "table names" => flip_top(&range, 1),
+            // A size must be positive: the partition's first one zeroed,
+            // and, apart, its count made one more.
+            "sizes" => {
+                let mut zero = file.clone();
+                zero[range.start..range.start + 8].fill(0);
+                assert_eq!(
+                    load_error_section(&path, &zero),
+                    Some(section),
+                    "{name} zeroed"
+                );
+                let count = size_pads.next().expect("a pad a partition") - 8;
+                let mut bad = file.clone();
+                bad[count] += 1;
+                bad
+            }
+            _ => flip_top(&range, 4),
+        };
+        assert_eq!(
+            load_error_section(&path, &damaged),
+            Some(section),
+            "{name} at {range:?}"
+        );
+    }
 }

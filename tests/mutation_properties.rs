@@ -15,13 +15,23 @@
 //! * `len()` / `is_empty()` / `contains()` never disagree with the model,
 //!   and `memory_bytes()` stays positive while anything is indexed,
 //! * `staged_len()` tracks exactly the inserts since the last commit.
+//!
+//! A container driven through insert / remove / commit / compact / save →
+//! load resolves, after every step, each live id through the index's
+//! directory (or its overlay) to the size and row a reference map holds,
+//! and each removed id to none; the container loaded from its file answers
+//! like the one it was saved from, and the script goes on over the mapped
+//! base. Ids are inserted with holes, and the top id is removed, so the
+//! directory is searched off its dense path.
 
 use lshe_core::{
     EnsembleConfig, Leveled, LshEnsemble, MutableIndex, MutationError, PartitionStrategy, Query,
-    RankedIndex,
+    RankedIndex, RowBuf,
 };
+use lshe_corpus::{Domain, DomainMeta};
 use lshe_lsh::DomainId;
-use lshe_minhash::{MinHasher, Signature};
+use lshe_minhash::{MinHasher, Signature, DEFAULT_NUM_PERM};
+use lshe_serve::{DeltaOp, DomainRecord, IndexContainer};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -351,6 +361,172 @@ proptest! {
             let _ = index.commit();
         }
         drain_and_check(&planner, &mut backends, &model, &dead, &sigs, true)?;
+    }
+
+    /// The container's id → row directory under arbitrary mutation, saved
+    /// and loaded mapped at arbitrary points (see the module doc).
+    #[test]
+    fn container_ids_resolve_like_a_reference_map_through_save_and_load(
+        initial_sizes in prop::collection::vec(1u64..300, 3..10),
+        script in prop::collection::vec(0u32..6_000_000, 1..24),
+    ) {
+        let hasher = MinHasher::new(DEFAULT_NUM_PERM);
+        let mut model: BTreeMap<DomainId, (u64, Signature)> = BTreeMap::new();
+        let domains: Vec<(Domain, DomainMeta)> = (0u32..)
+            .zip(&initial_sizes)
+            .map(|(id, &size)| {
+                let domain = Domain::from_hashes(values_for(id, size));
+                model.insert(id, (size, hasher.signature(domain.hashes().iter().copied())));
+                let meta = DomainMeta::new(format!("t{}", id % 3), format!("c{id}"));
+                (domain, meta)
+            })
+            .collect();
+        let mut container = IndexContainer::from_stream(domains, 2, true);
+        let mut removed: Vec<DomainId> = Vec::new();
+        let scratch = Scratch::new();
+        check_directory("built", &container, &model, &removed)?;
+        for (step, word) in script.into_iter().enumerate() {
+            let (op, word) = (word % 6, word / 6);
+            let label = format!("step {step}: op {op}");
+            match op {
+                // An insert, one or two ids past the mark now and then: ids
+                // with holes.
+                0 | 1 => {
+                    let id = container.next_id() + word % 3;
+                    let size = 1 + u64::from(word) % 200;
+                    let signature = hasher.signature(values_for(id, size));
+                    let record = DomainRecord {
+                        id,
+                        size,
+                        table: format!("t{}", id % 3),
+                        column: format!("c{id}"),
+                    };
+                    let insert = DeltaOp::Insert { record, signature: signature.clone() };
+                    container.apply(&[insert]).expect("fresh insert");
+                    model.insert(id, (size, signature));
+                }
+                // A removal: every fourth time the top id, else any.
+                2 if !model.is_empty() => {
+                    let live: Vec<DomainId> = model.keys().copied().collect();
+                    let id = if word % 4 == 0 {
+                        live[live.len() - 1]
+                    } else {
+                        live[word as usize % live.len()]
+                    };
+                    container.apply(&[DeltaOp::Remove { id }]).expect("live remove");
+                    model.remove(&id);
+                    removed.push(id);
+                }
+                2 => continue,
+                3 => {
+                    container.commit_mutations();
+                }
+                4 if !model.is_empty() => {
+                    container.compact_index();
+                }
+                4 => continue,
+                // Saved and loaded: the mapped container answers like the
+                // one it was saved from, and the script goes on over it.
+                _ => {
+                    container.commit_mutations();
+                    let path = scratch.next();
+                    container.save(&path).expect("save");
+                    let loaded = IndexContainer::load(&path).expect("load");
+                    prop_assert!(loaded.base_in_place().iter().all(|&p| p), "{label}");
+                    prop_assert!(loaded.directory_in_place() && loaded.records_in_place());
+                    prop_assert!(loaded.records() == container.records(), "{label}");
+                    for (&id, (size, sig)) in model.iter().take(6) {
+                        for t in [0.5, 1.0] {
+                            let (want, got) = (container.search(sig, *size, t), loaded.search(sig, *size, t));
+                            prop_assert!(want == got, "{label}: id {id} at t* = {t}");
+                        }
+                        let top = (container.top_k(sig, *size, 3), loaded.top_k(sig, *size, 3));
+                        prop_assert!(top.0 == top.1, "{label}: id {id} top-3");
+                    }
+                    container = loaded;
+                }
+            }
+            check_directory(&label, &container, &model, &removed)?;
+        }
+    }
+}
+
+/// The values of inserted or built domain `id` of `size` values.
+fn values_for(id: DomainId, size: u64) -> Vec<u64> {
+    MinHasher::synthetic_values(u64::from(id) * 7 + 3, size as usize)
+}
+
+/// Every live id resolves to the model's size and (narrowed) signature, in
+/// the index and in its record; every removed one that did not come back
+/// resolves to nothing.
+fn check_directory(
+    label: &str,
+    container: &IndexContainer,
+    model: &BTreeMap<DomainId, (u64, Signature)>,
+    removed: &[DomainId],
+) -> Result<(), TestCaseError> {
+    prop_assert!(container.len() == model.len(), "{label}: len");
+    for (&id, (size, sig)) in model {
+        let (got_size, row) = container.sketch(id).ok_or_else(|| {
+            TestCaseError::fail(format!("{label}: live id {id} resolves to nothing"))
+        })?;
+        let want = RowBuf::narrow(row.layout(), sig.slots());
+        prop_assert!(
+            (got_size, row) == (*size, want.as_row()),
+            "{}: id {} resolves to another row or size",
+            label,
+            id
+        );
+        let record = container.record(id).map(|r| r.size);
+        prop_assert!(record == Some(*size), "{label}: record of {id}");
+    }
+    for id in removed.iter().filter(|id| !model.contains_key(id)) {
+        prop_assert!(
+            container.sketch(*id).is_none(),
+            "{}: removed {} resolves",
+            label,
+            id
+        );
+        prop_assert!(
+            container.record(*id).is_none(),
+            "{}: removed {} has a record",
+            label,
+            id
+        );
+    }
+    Ok(())
+}
+
+/// A directory for one case's files, removed with it.
+struct Scratch {
+    dir: std::path::PathBuf,
+    files: std::cell::Cell<usize>,
+}
+
+impl Scratch {
+    fn new() -> Self {
+        static CASES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let name = format!("lshe_mutation_{}_{case}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        Self {
+            dir,
+            files: std::cell::Cell::new(0),
+        }
+    }
+
+    /// A path not used before in this case: an earlier file may still be
+    /// the mapping a container serves from.
+    fn next(&self) -> std::path::PathBuf {
+        self.files.set(self.files.get() + 1);
+        self.dir.join(format!("{}.lshe", self.files.get()))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
