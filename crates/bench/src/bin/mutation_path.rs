@@ -179,9 +179,9 @@ fn main() {
             let (ops, live) = staged_batch(&hasher, container.next_id(), batch, &previous);
             container.apply(&ops).expect("stage delta");
             let (_, secs) = workload::timed(|| container.compact_index());
-            let stats = container.segment_stats();
+            let layout = container.segment_layout();
             assert_eq!(
-                (stats.segments, stats.tombstones),
+                (layout.segments.len(), layout.tombstones),
                 (0, 0),
                 "compaction must drain segments and tombstones"
             );

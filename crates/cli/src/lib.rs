@@ -102,8 +102,8 @@ COMMANDS
       Bulk-append every *.csv / *.jsonl domain under DIR (≥ M distinct
       values, default 10) to an existing index: new domains get fresh ids,
       staged mutations from a stopped server's delta log (FILE.delta) are
-      folded in first, the index is committed (rebalancing past the skew
-      trigger) and rewritten in place. Do NOT run against an index a live
+      folded in first, the index is compacted (its base rebuilt from the
+      live domains) and rewritten in place. Do NOT run against an index a live
       server is serving — they do not coordinate; use POST /insert there.
 
   lshe compact --index FILE
@@ -261,7 +261,7 @@ fn cmd_index(flags: &Flags) -> Result<String, CliError> {
 }
 
 /// Bulk-appends a directory of CSV/JSONL domains to a stored index — the
-/// mutation lifecycle (stage → commit → rebalance) driven from the CLI.
+/// mutation lifecycle (stage → compact) driven from the CLI.
 /// Any staged server mutations sitting in the `FILE.delta` sidecar are
 /// folded in first (append order preserved), so an offline ingest never
 /// discards a stopped server's uncommitted work.
@@ -346,13 +346,8 @@ fn cmd_ingest(flags: &Flags) -> Result<String, CliError> {
     }
     let _ = writeln!(
         out,
-        "committed: {} staged insert(s) merged, partitions {}",
-        report.merged,
-        if report.rebalanced {
-            "rebalanced"
-        } else {
-            "unchanged"
-        }
+        "compacted: {} staged insert(s) merged, {} entr(y/ies) rebuilt",
+        report.merged, report.entries_folded
     );
     Ok(out)
 }
@@ -448,24 +443,22 @@ fn engine_error(e: EngineError) -> CliError {
 fn cmd_compact(flags: &Flags) -> Result<String, CliError> {
     let index_path = flags.require("index")?.to_owned();
     let engine = Engine::load(Path::new(&index_path), 1).map_err(engine_error)?;
-    let before = engine.segment_stats();
+    let before = engine.segment_layout();
     let (snap, outcome) = engine.compact().map_err(engine_error)?;
     let mut report = String::new();
     let _ = writeln!(
         report,
         "compacted {index_path}: folded {} segment(s), {} tombstone(s), {} staged op(s)",
-        before.segments, before.tombstones, outcome.applied
+        before.segments.len(),
+        before.tombstones,
+        outcome.applied
     );
     let _ = writeln!(
         report,
-        "{} domain(s), {} entr(y/ies) merged, partitions {}",
+        "{} domain(s), {} entr(y/ies) merged, {} rebuilt",
         snap.container().len(),
         outcome.report.merged,
-        if outcome.report.rebalanced {
-            "rebalanced"
-        } else {
-            "unchanged"
-        }
+        outcome.report.entries_folded
     );
     Ok(report)
 }

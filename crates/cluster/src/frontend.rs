@@ -618,15 +618,12 @@ impl Coordinator {
                 ("shards", Json::uint(self.n() as u64)),
             ]));
         }
-        let rebalanced = parsed
-            .iter()
-            .any(|j| j.get("rebalanced").and_then(Json::as_bool) == Some(true));
         if path == "/compact" {
             return Response::ok(Json::obj(vec![
                 ("status", Json::str("compacted")),
                 ("applied", Json::uint(sum("applied"))),
                 ("merged", Json::uint(sum("merged"))),
-                ("rebalanced", Json::Bool(rebalanced)),
+                ("entries_folded", Json::uint(sum("entries_folded"))),
                 ("segments", Json::uint(sum("segments"))),
                 ("tombstones", Json::uint(sum("tombstones"))),
                 ("generation", Json::uint(max("generation"))),
@@ -648,7 +645,7 @@ impl Coordinator {
             ),
             ("applied", Json::uint(applied)),
             ("merged", Json::uint(sum("merged"))),
-            ("rebalanced", Json::Bool(rebalanced)),
+            ("entries_folded", Json::uint(sum("entries_folded"))),
             ("sealed", Json::Bool(sealed)),
             ("segments", Json::uint(sum("segments"))),
             ("tombstones", Json::uint(sum("tombstones"))),
@@ -1231,7 +1228,7 @@ mod tests {
                             ("status", Json::str("committed")),
                             ("applied", Json::uint(1)),
                             ("merged", Json::uint(1)),
-                            ("rebalanced", Json::Bool(false)),
+                            ("entries_folded", Json::uint(0)),
                             ("sealed", Json::Bool(true)),
                             ("segments", Json::uint(1)),
                             ("tombstones", Json::uint(0)),

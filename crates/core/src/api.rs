@@ -197,14 +197,6 @@ impl<'a> Query<'a> {
     }
 }
 
-/// Default equi-depth rebalance trigger: commit rebuilds partitions from
-/// retained sketches once the fullest partition holds more
-/// than this multiple of the mean partition population. §6.2 argues plain
-/// boundary growth stays *correct* indefinitely (upper bounds only grow,
-/// so conversion stays conservative), but precision decays with skew —
-/// this is the point where a sketch-retaining index pays for a rebuild.
-pub const DEFAULT_REBALANCE_TRIGGER: f64 = 4.0;
-
 /// Why a mutation could not be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MutationError {
@@ -230,106 +222,21 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// What one [`MutableIndex::commit`] or [`MutableIndex::compact`] did.
+/// What one [`RankedIndex::commit`] or [`RankedIndex::compact`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommitReport {
-    /// Staged inserts folded into the sorted runs by this commit.
+    /// Staged inserts sealed into a segment by this commit.
     pub merged: usize,
-    /// Whether the commit rebuilt partitions from retained sketches
-    /// because equi-depth skew passed the rebalance trigger.
-    pub rebalanced: bool,
     /// Whether a non-empty staged delta was sealed into a segment.
     pub sealed: bool,
-    /// Sealed segments outstanding after this commit (0 right after a
-    /// rebalance or [`MutableIndex::compact`]).
+    /// Sealed segments outstanding afterwards (0 right after
+    /// [`RankedIndex::compact`]).
     pub segments: usize,
-    /// Tombstoned ids outstanding after this commit.
+    /// Tombstoned ids outstanding afterwards.
     pub tombstones: usize,
-    /// Entries rewritten into the base: every live entry when partitions
-    /// were rebuilt from sketches, the segment and staged entries when a
-    /// compaction folded them in place, 0 when the commit only sealed.
+    /// Entries rewritten into the base: every live entry when a compaction
+    /// rebuilt it, 0 when a commit only sealed.
     pub entries_folded: usize,
-}
-
-/// Outstanding tiered-mutation state: how far the index has drifted from
-/// its compacted base layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SegmentStats {
-    /// Sealed segments awaiting compaction.
-    pub segments: usize,
-    /// Tombstoned ids awaiting compaction.
-    pub tombstones: usize,
-}
-
-/// The mutation surface over an index: dynamic data, §6.2.
-///
-/// Inserts are *staged* — immediately queryable through each forest's
-/// unsorted tail, folded into the sorted runs by [`commit`](Self::commit).
-/// Removes apply eagerly (the id disappears from queries at once). Ids
-/// must stay unique; every mutation is validated and returns a typed
-/// [`MutationError`] rather than panicking.
-///
-/// Two backends mutate. [`crate::RankedIndex`] retains per-domain
-/// sketches and additionally *rebalances* on commit: when the fullest
-/// partition drifts past the configured trigger multiple of the mean
-/// population, the equi-depth partitioning is rebuilt from the sketches,
-/// restoring the freshly-built layout. The plain [`crate::LshEnsemble`]
-/// grows its boundary partitions conservatively instead — upper bounds
-/// only grow, so threshold conversion never produces new false negatives
-/// (the paper's dynamic-data argument). Sharded indexes are read-only
-/// views, rebuilt over the mutated container.
-///
-/// The trait is object safe: the server's ingestion path holds
-/// `&mut dyn MutableIndex`.
-pub trait MutableIndex: DomainIndex {
-    /// Stages one new domain. Immediately queryable.
-    ///
-    /// # Errors
-    /// [`MutationError::DuplicateId`] if the id is already indexed,
-    /// [`MutationError::Invalid`] on a zero size or a signature width
-    /// mismatch.
-    fn insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError>;
-
-    /// Removes one domain. Takes effect immediately (no commit needed).
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if the id is not indexed.
-    fn remove(&mut self, id: DomainId) -> Result<(), MutationError>;
-
-    /// Seals the staged delta into an immutable segment — O(staged delta),
-    /// never O(corpus). Sketch-retaining backends additionally rebalance
-    /// (a full rebuild from sketches) when equi-depth skew passed their
-    /// trigger; with the default trigger that stays the rare escape hatch,
-    /// not the steady-state commit cost.
-    fn commit(&mut self) -> CommitReport;
-
-    /// Number of staged (not yet committed) inserts.
-    fn staged_len(&self) -> usize;
-
-    /// Folds every sealed segment back into the base and erases
-    /// tombstoned rows — the O(corpus) step, off the commit path. Seals
-    /// any staged delta first so nothing is lost.
-    fn compact(&mut self) -> CommitReport;
-
-    /// Outstanding segment/tombstone counts.
-    fn segment_stats(&self) -> SegmentStats;
-
-    /// The tier layout [`crate::Leveled::plan`] plans against:
-    /// per-segment entry counts plus tombstone backlog.
-    fn segment_layout(&self) -> crate::SegmentLayout;
-
-    /// Executes one planned [`crate::MergeTask`]:
-    /// [`MergeTask::Merge`](crate::MergeTask::Merge) folds only the listed
-    /// segments into one new sealed segment (O(folded entries), base
-    /// untouched), [`MergeTask::Full`](crate::MergeTask::Full) is
-    /// [`compact`](Self::compact), reporting its
-    /// [`entries_folded`](CommitReport::entries_folded).
-    fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome;
 }
 
 /// Why a query could not be answered.

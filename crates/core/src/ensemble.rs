@@ -8,10 +8,7 @@
 //! FP+FN mass for the partition's upper bound — and the per-partition
 //! candidate sets are unioned (`Partitioned-Containment-Search`, §5.1).
 
-use crate::api::{
-    CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, SearchOutcome,
-    SegmentStats,
-};
+use crate::api::{CommitReport, DomainIndex, MutationError, Query, QueryError, SearchOutcome};
 use crate::batch::ThresholdItem;
 use crate::directory::Directory;
 use crate::partition::{Partition, PartitionStrategy};
@@ -20,7 +17,7 @@ use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest, Row, RowBuf, RowLanes};
 use lshe_minhash::codec::Column;
 use lshe_minhash::hash::{FastHashMap, FastHashSet};
-use lshe_minhash::{MinHasher, Signature};
+use lshe_minhash::Signature;
 use std::sync::Arc;
 
 /// Configuration of an [`LshEnsemble`].
@@ -417,21 +414,19 @@ pub struct PartitionStats {
 /// partition it lives in; the id map says which forest and row, so an index
 /// that ranks reads the candidate's lanes — and its size — from there.
 ///
-/// Mutation is tiered, LSM-style: inserts stage into a delta buffer,
-/// [`commit`](Self::commit) seals the delta into an immutable
-/// sealed segment in O(delta), removes of committed rows become
-/// tombstones filtered out of every candidate union, and
-/// [`compact`](Self::compact) folds segments and tombstones back into the
-/// base partitions — the only O(corpus) step, and the only one a serving
-/// commit path never runs.
+/// The tiers a [`crate::RankedIndex`] mutates through — LSM-style: inserts
+/// stage into a delta buffer, a commit seals the delta into an immutable
+/// sealed segment in O(delta), removes of committed rows become tombstones
+/// filtered out of every candidate union, and a compaction builds a new
+/// base from the live rows ([`rebuilt`](Self::rebuilt)). Those steps are
+/// crate-private: a plain ensemble is built, queried and persisted.
 ///
 /// The base partitions, the sealed segments, the base part of the id map
 /// and the tuner are immutable and shared: a clone copies pointers to them
-/// plus the staged delta, the tombstones and the id overlay, and a mutation
-/// of the clone copies only a base partition that gains or loses rows. A
-/// base partition decoded over a mapped index file ([`decode`](Self::decode))
-/// is views into that file until then: the same copy-on-write, one level
-/// down.
+/// plus the staged delta, the tombstones and the id overlay, so a commit
+/// or a segment merge on the clone copies nothing of the base. A base
+/// partition decoded over a mapped index file ([`decode`](Self::decode)) is
+/// views into that file until a compaction replaces it.
 #[derive(Debug, Clone)]
 pub struct LshEnsemble {
     config: EnsembleConfig,
@@ -505,25 +500,32 @@ impl LshEnsemble {
                 (ids[m], sizes[m], &signatures[m])
             }))
         });
-        let directory = Directory::over(&shells).unwrap_or_else(|e| panic!("{e}"));
+        let tuner = Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32));
+        Self::over_base(config, tuner, shells)
+    }
+
+    /// An index whose every row is a row of `partitions`: no segment,
+    /// nothing staged, no tombstone.
+    ///
+    /// # Panics
+    /// Panics if an id names two rows.
+    fn over_base(
+        config: EnsembleConfig,
+        tuner: Arc<Tuner>,
+        partitions: Vec<Arc<EnsemblePartition>>,
+    ) -> Self {
+        let directory = Directory::over(&partitions).unwrap_or_else(|e| panic!("{e}"));
         Self {
-            tuner: Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32)),
-            partitions: shells,
+            tuner,
+            len: directory.len(),
+            partitions,
             segments: Vec::new(),
             staged: EnsemblePartition::empty(&config),
             dead: Vec::new(),
             dead_set: FastHashSet::default(),
             config,
-            len: ids.len(),
             ids: IdMap::over(directory),
         }
-    }
-
-    /// Convenience: the matching [`MinHasher`] for this ensemble's
-    /// signature width, using the workspace default seed.
-    #[must_use]
-    pub fn default_hasher(&self) -> MinHasher {
-        MinHasher::new(self.config.num_perm)
     }
 
     /// The configuration the ensemble was built with.
@@ -573,8 +575,8 @@ impl LshEnsemble {
     }
 
     /// One flag per base partition: whether this index and `other` hold it
-    /// as the very same allocation (a clone does, until one of the two
-    /// folds rows into or out of it).
+    /// as the very same allocation (a clone does, until a compaction builds
+    /// a new base).
     #[must_use]
     pub fn base_shared_with(&self, other: &Self) -> Vec<bool> {
         let pairs = self.partitions.iter().zip(&other.partitions);
@@ -584,7 +586,7 @@ impl LshEnsemble {
     /// One flag per base partition: whether every bulk column of its forest
     /// — ids, rows, each tree — and its sizes are views lying inside `bytes`
     /// (the mapped file the index was decoded over), copied nowhere. A
-    /// partition that was built, or that a fold has edited since, is not.
+    /// partition that was built is not.
     #[must_use]
     pub fn base_borrowed_from(&self, bytes: &[u8]) -> Vec<bool> {
         let parts = self.partitions.iter();
@@ -595,7 +597,7 @@ impl LshEnsemble {
 
     /// Whether both columns of the base's id → row directory are views
     /// lying inside `bytes`: true for an index decoded over that file until
-    /// a fold builds its base anew.
+    /// a compaction builds its base anew.
     #[must_use]
     pub fn directory_borrowed_from(&self, bytes: &[u8]) -> bool {
         self.ids.base.borrows_from(bytes)
@@ -608,24 +610,13 @@ impl LshEnsemble {
     /// compaction.
     #[must_use]
     pub fn partition_stats(&self) -> Vec<PartitionStats> {
-        let mut stats = self.base_partition_stats();
-        for seg in &self.segments {
-            stats.extend(seg.partitions.iter().map(EnsemblePartition::stats));
-        }
-        if !self.staged.forest.is_empty() {
-            stats.push(self.staged.stats());
-        }
-        stats
-    }
-
-    /// Stats for the BASE partitions only — the population a drift check
-    /// must judge. Segment and staged tiers are transient by design
-    /// (compaction folds them), so counting their small partitions into a
-    /// skew metric would let a stack of sealed segments masquerade as
-    /// drift and drag an O(corpus) rebuild back onto the commit path.
-    #[must_use]
-    pub fn base_partition_stats(&self) -> Vec<PartitionStats> {
-        self.partitions.iter().map(|p| p.stats()).collect()
+        let base = self.partitions.iter().map(|p| &**p);
+        let segs = self.segments.iter().flat_map(|s| &s.partitions);
+        let staged = (!self.staged.forest.is_empty()).then_some(&self.staged);
+        base.chain(segs)
+            .chain(staged)
+            .map(EnsemblePartition::stats)
+            .collect()
     }
 
     /// Approximate memory of every tier's forest — each row table counted
@@ -713,17 +704,21 @@ impl LshEnsemble {
         out
     }
 
-    /// A fresh build over the live rows, sharing this index's tuner.
-    ///
-    /// # Panics
-    /// Panics if the index is empty.
+    /// A fresh build over the live rows, sharing this index's tuner — the
+    /// one compaction: segments folded in, tombstoned rows gone, the
+    /// equi-depth layout of a build of the live corpus. An empty index
+    /// rebuilds to a base of no partitions.
     pub(crate) fn rebuilt(&self) -> Self {
         let entries = self.live_entries();
+        let tuner = Arc::clone(&self.tuner);
+        if entries.is_empty() {
+            return Self::over_base(self.config, tuner, Vec::new());
+        }
         let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
         let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
         let rows: Vec<Row<'_>> = entries.iter().map(|&(_, _, row)| row).collect();
         Self {
-            tuner: Arc::clone(&self.tuner),
+            tuner,
             ..Self::build_from_parts(self.config, &ids, &sizes, &rows)
         }
     }
@@ -786,25 +781,121 @@ impl LshEnsemble {
         self.ids.get(id).is_some()
     }
 
-    /// Records a tombstone: the id's rows stay in `slot`'s forest until
-    /// compaction, and queries filter them out of that tier's candidates.
-    fn bury(&mut self, id: DomainId, slot: DeadSlot) {
-        self.dead.push((id, slot));
-        self.dead_set.insert((id, slot));
+    /// Stages one new domain, queryable at once: routed by size only when
+    /// a compaction rebuilds the base.
+    ///
+    /// # Errors
+    /// [`MutationError::DuplicateId`] if the id is already indexed,
+    /// [`MutationError::Invalid`] on a zero size or a signature width
+    /// mismatch.
+    pub(crate) fn insert(
+        &mut self,
+        id: DomainId,
+        size: u64,
+        signature: &Signature,
+    ) -> Result<(), MutationError> {
+        if size == 0 {
+            return Err(MutationError::Invalid(
+                "domain size must be positive".into(),
+            ));
+        }
+        if signature.len() != self.config.num_perm {
+            return Err(MutationError::Invalid(format!(
+                "signature width mismatch: domain has {}, index expects {}",
+                signature.len(),
+                self.config.num_perm
+            )));
+        }
+        if self.contains(id) {
+            return Err(MutationError::DuplicateId(id));
+        }
+        if self.staged.forest.is_empty() {
+            self.staged.lower = size;
+            self.staged.upper = size;
+        } else {
+            self.staged.lower = self.staged.lower.min(size);
+            self.staged.upper = self.staged.upper.max(size);
+        }
+        let row = self.staged.forest.len() as u32;
+        self.staged.push(id, size, signature);
+        self.ids.insert(id, (Slot::Staged, row));
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Removes one domain at once. A staged id leaves the delta physically;
+    /// an id living in the base or in a sealed segment becomes a tombstone:
+    /// its rows stay in their forest until a compaction, and queries filter
+    /// them out of that tier's candidates. Partition bounds stay as they
+    /// are: a too-wide upper bound only makes threshold conversion more
+    /// conservative, never less correct.
+    ///
+    /// # Errors
+    /// [`MutationError::UnknownId`] if the id is not indexed.
+    pub(crate) fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
+        let Some((slot, row)) = self.ids.get(id) else {
+            return Err(MutationError::UnknownId(id));
+        };
+        let tomb = match slot {
+            Slot::Staged => {
+                let removed = self.staged.forest.remove(id);
+                debug_assert!(removed, "id map pointed at a staged delta without the id");
+                self.staged.sizes.to_mut().remove(row as usize);
+                if self.staged.forest.is_empty() {
+                    // Drop the stale forest + bounds along with the last entry.
+                    self.staged = EnsemblePartition::empty(&self.config);
+                }
+                // Later staged rows moved up by one.
+                let moved = self.staged.forest.ids().iter().enumerate();
+                for (at, &later) in moved.skip(row as usize) {
+                    self.ids.insert(later, (Slot::Staged, at as u32));
+                }
+                None
+            }
+            Slot::Base(p) => Some(DeadSlot::Base(p)),
+            Slot::Seg(s, _) => Some(DeadSlot::Seg(s)),
+        };
+        if let Some(tomb) = tomb {
+            self.dead.push((id, tomb));
+            self.dead_set.insert((id, tomb));
+        }
+        self.ids.remove(id);
+        self.len -= 1;
+        Ok(())
     }
 
     /// Seals the staged delta into an immutable segment (LSM-style tiering):
     /// the delta is equi-depth-partitioned on its own and pushed onto the
     /// segment stack, so the cost is O(staged delta), never O(corpus).
-    /// Returns `true` if a segment was sealed (`false` on an empty delta).
-    fn seal(&mut self) -> bool {
-        if self.staged.forest.is_empty() {
-            return false;
+    pub(crate) fn commit(&mut self) -> CommitReport {
+        let merged = self.staged.forest.len();
+        if merged > 0 {
+            let empty = EnsemblePartition::empty(&self.config);
+            let staged = std::mem::replace(&mut self.staged, empty);
+            let entries: Vec<Entry<'_>> = (0..merged).map(|i| staged.entry(i)).collect();
+            self.push_segment(build_segment(&self.config, &entries));
         }
-        let staged = std::mem::replace(&mut self.staged, EnsemblePartition::empty(&self.config));
-        let entries: Vec<Entry<'_>> = (0..staged.forest.len()).map(|i| staged.entry(i)).collect();
-        self.push_segment(build_segment(&self.config, &entries));
-        true
+        CommitReport {
+            merged,
+            sealed: merged > 0,
+            segments: self.segments.len(),
+            tombstones: self.dead.len(),
+            entries_folded: 0,
+        }
+    }
+
+    /// Number of staged (not yet committed) inserts.
+    pub(crate) fn staged_len(&self) -> usize {
+        self.staged.forest.len()
+    }
+
+    /// The tier layout [`crate::Leveled::plan`] plans against.
+    pub(crate) fn segment_layout(&self) -> crate::SegmentLayout {
+        crate::SegmentLayout {
+            segments: self.segments.iter().map(|s| s.len()).collect(),
+            tombstones: self.dead.len(),
+            len: self.len,
+        }
     }
 
     /// Pushes `segment`, whose entries are all live, onto the stack and
@@ -833,7 +924,7 @@ impl LshEnsemble {
     ///
     /// Out-of-range and duplicate indices are ignored; folding fewer than
     /// one segment is a no-op.
-    fn merge_segments(&mut self, segment_indices: &[usize]) -> usize {
+    pub(crate) fn merge_segments(&mut self, segment_indices: &[usize]) -> usize {
         let mut merge: Vec<usize> = segment_indices
             .iter()
             .copied()
@@ -916,80 +1007,6 @@ impl LshEnsemble {
         folded
     }
 
-    /// Folds every sealed segment back into the base and erases tombstoned
-    /// rows — the only O(corpus) mutation step, intended to run off the
-    /// commit path (background maintenance thread, `lshe compact`). Live
-    /// segment entries are routed to the base partition covering their
-    /// size with conservative boundary growth, exactly as a pre-segment
-    /// insert was.
-    fn fold(&mut self) {
-        if self.segments.is_empty() && self.dead.is_empty() {
-            return;
-        }
-        let mut touched = vec![false; self.partitions.len()];
-        let mut dead_base = vec![FastHashSet::default(); self.partitions.len()];
-        for &(id, slot) in &self.dead {
-            if let DeadSlot::Base(p) = slot {
-                dead_base[p as usize].insert(id);
-            }
-        }
-        for (p, dead) in dead_base.iter().enumerate() {
-            if dead.is_empty() {
-                continue;
-            }
-            let EnsemblePartition { forest, sizes, .. } = Arc::make_mut(&mut self.partitions[p]);
-            let mut ids = forest.ids().iter();
-            sizes
-                .to_mut()
-                .retain(|_| !dead.contains(ids.next().expect("a size per row")));
-            let removed = forest.retain(|id| !dead.contains(&id));
-            debug_assert_eq!(
-                removed,
-                dead.len(),
-                "tombstone pointed at a base partition without the id"
-            );
-            touched[p] = true;
-        }
-        self.dead.clear();
-        self.dead_set.clear();
-        let segments = std::mem::take(&mut self.segments);
-        for (j, seg) in segments.iter().enumerate() {
-            for ((part, row), (id, size, lanes)) in seg.located() {
-                // A sealed entry is live only while the id map still points
-                // at it — removed or re-inserted ids moved on.
-                if self.ids.get(id) != Some((Slot::Seg(j as u32, part), row)) {
-                    continue;
-                }
-                if self.partitions.is_empty() {
-                    // Base built from an empty corpus: grow one partition
-                    // from scratch; min/max below fix the inverted bounds.
-                    self.partitions.push(Arc::new(EnsemblePartition {
-                        lower: u64::MAX,
-                        ..EnsemblePartition::empty(&self.config)
-                    }));
-                    touched.push(false);
-                }
-                let idx = self
-                    .partitions
-                    .iter()
-                    .position(|p| size <= p.upper)
-                    .unwrap_or(self.partitions.len() - 1);
-                let p = Arc::make_mut(&mut self.partitions[idx]);
-                p.upper = p.upper.max(size);
-                p.lower = p.lower.min(size);
-                p.push(id, size, &lanes);
-                touched[idx] = true;
-            }
-        }
-        // Rows moved up past the erased ones and new rows arrived: sort the
-        // touched forests, then describe the new base in the id map.
-        for (idx, _) in touched.iter().enumerate().filter(|(_, &t)| t) {
-            Arc::make_mut(&mut self.partitions[idx]).forest.commit();
-        }
-        let directory = Directory::over(&self.partitions);
-        self.ids = IdMap::over(directory.expect("a fold keeps every id in one row"));
-    }
-
     /// The base partitions, for persistence.
     pub(crate) fn base_partitions(&self) -> &[Arc<EnsemblePartition>] {
         &self.partitions
@@ -1069,137 +1086,6 @@ impl Sketches for LshEnsemble {
         let (slot, row) = self.ids.get(id)?;
         let part = self.partition_at(slot);
         Some((part.sizes[row as usize], part.forest.row(row as usize)))
-    }
-}
-
-/// The mutation surface (§6.2 dynamic data). Inserts stage into the delta
-/// — routed by size only when a later compaction folds them into the base,
-/// growing the boundary partitions conservatively (`u` only ever grows) —
-/// and are immediately queryable. Removing a staged id drops it from the
-/// delta physically; an id living in the base or in a sealed segment
-/// becomes a tombstone, filtered out of its tier's candidates until
-/// compaction erases the rows. Partition bounds are left as-is by a
-/// removal: a too-wide upper bound only makes threshold conversion *more*
-/// conservative, never less correct.
-impl MutableIndex for LshEnsemble {
-    fn insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        if size == 0 {
-            return Err(MutationError::Invalid(
-                "domain size must be positive".into(),
-            ));
-        }
-        if signature.len() != self.config.num_perm {
-            return Err(MutationError::Invalid(format!(
-                "signature width mismatch: domain has {}, index expects {}",
-                signature.len(),
-                self.config.num_perm
-            )));
-        }
-        if self.contains(id) {
-            return Err(MutationError::DuplicateId(id));
-        }
-        if self.staged.forest.is_empty() {
-            self.staged.lower = size;
-            self.staged.upper = size;
-        } else {
-            self.staged.lower = self.staged.lower.min(size);
-            self.staged.upper = self.staged.upper.max(size);
-        }
-        let row = self.staged.forest.len() as u32;
-        self.staged.push(id, size, signature);
-        self.ids.insert(id, (Slot::Staged, row));
-        self.len += 1;
-        Ok(())
-    }
-
-    fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        let Some((slot, row)) = self.ids.get(id) else {
-            return Err(MutationError::UnknownId(id));
-        };
-        match slot {
-            Slot::Staged => {
-                let removed = self.staged.forest.remove(id);
-                debug_assert!(removed, "id map pointed at a staged delta without the id");
-                self.staged.sizes.to_mut().remove(row as usize);
-                if self.staged.forest.is_empty() {
-                    // Drop the stale forest + bounds along with the last entry.
-                    self.staged = EnsemblePartition::empty(&self.config);
-                }
-                // Later staged rows moved up by one.
-                let moved = self.staged.forest.ids().iter().enumerate();
-                for (at, &later) in moved.skip(row as usize) {
-                    self.ids.insert(later, (Slot::Staged, at as u32));
-                }
-            }
-            Slot::Base(p) => self.bury(id, DeadSlot::Base(p)),
-            Slot::Seg(s, _) => self.bury(id, DeadSlot::Seg(s)),
-        }
-        self.ids.remove(id);
-        self.len -= 1;
-        Ok(())
-    }
-
-    fn commit(&mut self) -> CommitReport {
-        let merged = self.staged.forest.len();
-        let sealed = self.seal();
-        // No retained sketches → no rebalance; boundary growth stays
-        // conservative (§6.2) until a caller rebuilds from source data.
-        CommitReport {
-            merged,
-            rebalanced: false,
-            sealed,
-            segments: self.segments.len(),
-            tombstones: self.dead.len(),
-            entries_folded: 0,
-        }
-    }
-
-    fn compact(&mut self) -> CommitReport {
-        let report = self.commit();
-        let entries_folded = self.segments.iter().map(|s| s.len()).sum();
-        self.fold();
-        CommitReport {
-            segments: 0,
-            tombstones: 0,
-            entries_folded,
-            ..report
-        }
-    }
-
-    fn staged_len(&self) -> usize {
-        self.staged.forest.len()
-    }
-
-    fn segment_stats(&self) -> SegmentStats {
-        SegmentStats {
-            segments: self.segments.len(),
-            tombstones: self.dead.len(),
-        }
-    }
-
-    fn segment_layout(&self) -> crate::SegmentLayout {
-        crate::SegmentLayout {
-            segments: self.segments.iter().map(|s| s.len()).collect(),
-            tombstones: self.dead.len(),
-            len: self.len,
-        }
-    }
-
-    fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
-        let entries_folded = match task {
-            crate::MergeTask::Merge(idxs) => self.merge_segments(idxs),
-            crate::MergeTask::Full => self.compact().entries_folded,
-        };
-        crate::MergeOutcome {
-            entries_folded,
-            segments: self.segments.len(),
-            tombstones: self.dead.len(),
-        }
     }
 }
 
@@ -1458,17 +1344,21 @@ mod tests {
     }
 
     #[test]
-    fn mutable_index_trait_reports_commit() {
+    fn commit_reports_the_sealed_delta() {
         let (h, entries) = nested_corpus(256, 12);
         let mut ens = build_default(&entries, 3);
         let sig = h.signature(MinHasher::synthetic_values(9, 33));
-        MutableIndex::insert(&mut ens, 700, 33, &sig).expect("insert");
-        assert_eq!(MutableIndex::staged_len(&ens), 1);
-        let report = MutableIndex::commit(&mut ens);
-        assert_eq!(report.merged, 1);
-        assert!(!report.rebalanced, "plain ensemble cannot rebalance");
-        assert_eq!(MutableIndex::staged_len(&ens), 0);
+        ens.insert(700, 33, &sig).expect("insert");
+        assert_eq!(ens.staged_len(), 1);
+        let report = ens.commit();
+        assert_eq!(
+            (report.merged, report.sealed, report.segments),
+            (1, true, 1)
+        );
+        assert_eq!(ens.staged_len(), 0);
         assert!(ens.query_with_size(&sig, 33, 0.9).contains(&700));
+        // Nothing staged: nothing sealed.
+        assert!(!ens.commit().sealed);
     }
 
     #[test]
@@ -1502,7 +1392,7 @@ mod tests {
         copy.commit();
         copy.insert(501, 45, &fresh).expect("insert");
         copy.commit();
-        copy.apply_merge(&crate::MergeTask::Merge(vec![0, 1]));
+        copy.merge_segments(&[0, 1]);
         assert_eq!(
             copy.tuner.cache_len(),
             populated,
@@ -1518,10 +1408,9 @@ mod tests {
         assert!(grown.iter().filter(|&&id| id < 500).eq(answer.iter()));
         let after = ens.tuner.cache_len();
         assert!((populated..=populated + 1).contains(&after), "{after}");
-        // A full fold and a rebuild keep the memo too.
-        copy.compact();
+        // A rebuild keeps the memo too.
+        let copy = copy.rebuilt();
         assert!(Arc::ptr_eq(&ens.tuner, &copy.tuner));
-        assert!(Arc::ptr_eq(&ens.tuner, &copy.rebuilt().tuner));
         assert!(copy.tuner.cache_len() >= after);
     }
 
@@ -1577,12 +1466,12 @@ mod tests {
 
         // Folding the stale segment away changes nothing; nor does a
         // third generation folded together with the second.
-        ens.apply_merge(&crate::MergeTask::Merge(vec![0]));
+        ens.merge_segments(&[0]);
         check(&ens, first, second, "after merging the stale segment");
         ens.remove(3).expect("remove sealed");
         ens.insert(3, third.0, third.1).expect("re-insert");
         ens.commit();
-        ens.apply_merge(&crate::MergeTask::Merge(vec![0, 1]));
+        ens.merge_segments(&[0, 1]);
         check(&ens, second, third, "after merging both generations");
         check(&ens, built, third, "after merging both generations");
         assert_eq!(ens.len(), 12);

@@ -49,8 +49,13 @@
 //! assert!(hits.contains(&0));
 //! ```
 //!
-//! ## Baselines and deployment
+//! ## Dynamic data, baselines and deployment
 //!
+//! * [`ranked`] — [`RankedIndex`], the one mutable index (§6.2): `insert`
+//!   stages, `commit` seals the staged delta into a segment in O(delta),
+//!   `remove` tombstones, and `compact` rebuilds the equi-depth base from
+//!   the live rows; [`maintenance`] plans when segments merge. A plain
+//!   [`LshEnsemble`] is built, queried and persisted, never mutated.
 //! * [`baselines`] — the paper's comparison points under identical rules:
 //!   single-partition MinHash LSH and Asymmetric Minwise Hashing (global
 //!   and per-partition padding).
@@ -80,9 +85,8 @@ pub mod sharded;
 pub mod tuning;
 
 pub use api::{
-    CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, QueryMode,
-    QueryStats, SearchHit, SearchOutcome, SegmentStats, ShardedRanked, DEFAULT_REBALANCE_TRIGGER,
-    ESTIMATE_SLACK,
+    CommitReport, DomainIndex, MutationError, Query, QueryError, QueryMode, QueryStats, SearchHit,
+    SearchOutcome, ShardedRanked, ESTIMATE_SLACK,
 };
 pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex};
 pub use directory::position_of;

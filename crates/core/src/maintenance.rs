@@ -7,14 +7,12 @@
 //! holds segments of up to `level0_entries · fanout^L` entries); when a
 //! level holds `fanout` segments they are folded into one segment of the
 //! next level, so each entry is rewritten O(log corpus) times over its
-//! lifetime. Past [`MAX_TOMBSTONE_RATIO`] the plan is one full fold,
-//! the only way dead base rows are erased. Boundary partitions only grow
-//! (§6.2), so any fold schedule stays correct; this one keeps the stack
-//! short for little rewriting.
+//! lifetime. Past [`MAX_TOMBSTONE_RATIO`] the plan is one full
+//! compaction, the only way dead base rows are erased.
 //!
 //! The serving layer's maintenance thread observes the [`SegmentLayout`],
 //! plans with [`Leveled::plan`], executes each [`MergeTask`] via
-//! [`MutableIndex::apply_merge`](crate::MutableIndex::apply_merge), and
+//! [`RankedIndex::apply_merge`](crate::RankedIndex::apply_merge), and
 //! re-plans until quiescent.
 
 /// Hard ceiling on modelled levels — `level0_entries · fanout^32`
@@ -54,8 +52,8 @@ pub enum MergeTask {
     /// observed in the [`SegmentLayout`]) into one new sealed segment —
     /// O(folded entries), the base partitions are untouched.
     Merge(Vec<usize>),
-    /// Fold every segment and tombstone into the base partitioning — the
-    /// O(corpus) full compaction.
+    /// Rebuild the base partitioning from the live rows, segments and
+    /// tombstones included — the O(corpus) full compaction.
     Full,
 }
 

@@ -22,7 +22,7 @@
 //! itself mapped in place. The packed file is a library artifact that the
 //! conformance suite and the benchmark's `store.*` metrics open.
 
-use crate::api::{DomainIndex, MutableIndex, Query, QueryError, SearchOutcome};
+use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
 use crate::directory::Directory;
 use crate::ensemble::{segment_units, DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
 use crate::partition::PartitionStrategy;
@@ -524,12 +524,6 @@ impl MmapIndex {
         stats
     }
 
-    /// Outstanding segments/tombstones carried by the packed file.
-    #[must_use]
-    pub fn segment_stats(&self) -> crate::SegmentStats {
-        self.tail.segment_stats()
-    }
-
     /// Borrowed sketch columns, assembled fresh from the mapping.
     fn sketches(&self) -> SketchesView<'_> {
         let ids = self.store.u32s(SectionKind::SketchIds).expect("validated");
@@ -754,15 +748,15 @@ mod tests {
         }
         ranked.commit();
         ranked.remove(102).expect("remove sealed insert");
-        let stats = ranked.segment_stats();
-        assert_eq!(stats.segments, 2);
-        assert_eq!(stats.tombstones, 3);
+        let layout = ranked.segment_layout();
+        assert_eq!((layout.segments.len(), layout.tombstones), (2, 3));
 
         let path = tmp("segmented");
         pack_ranked_to(&ranked, &path).expect("pack");
         let mapped = MmapIndex::open_verified(&path).expect("open");
         assert_eq!(mapped.len(), ranked.len());
-        assert_eq!(mapped.segment_stats(), ranked.segment_stats());
+        let tail = mapped.tail.segment_layout();
+        assert_eq!((tail.segments, tail.tombstones), (layout.segments, 3));
         assert_eq!(
             mapped.partition_stats(),
             ranked.ensemble().partition_stats(),

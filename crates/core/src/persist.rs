@@ -61,7 +61,6 @@
 //! rebuilt lazily, and excluding it keeps the byte form canonical.
 //!
 //! [`build_segment`]: crate::ensemble
-use crate::api::MutableIndex;
 use crate::directory::Directory;
 use crate::ensemble::{DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
 use crate::partition::PartitionStrategy;
@@ -222,28 +221,23 @@ pub(crate) fn decode_strategy(dec: &mut Decoder<'_>) -> Result<PartitionStrategy
 }
 
 impl LshEnsemble {
-    /// Serialises the ensemble. Staged inserts are committed first (the
-    /// byte form is always the canonical committed state).
-    #[must_use]
-    pub fn to_bytes(&mut self) -> Vec<u8> {
-        self.commit();
-        self.to_bytes_committed()
-    }
-
-    /// Serialises a *committed* ensemble from a shared reference.
+    /// Serialises the ensemble: base, segment stack and tombstones.
     ///
     /// # Panics
-    /// Panics if staged inserts exist (they live outside the base forests
-    /// and the segment stack, so serialising them here would silently drop
-    /// them) — call [`commit`](Self::commit) or use
-    /// [`to_bytes`](Self::to_bytes).
+    /// As [`encode_into`](Self::encode_into).
     #[must_use]
-    pub fn to_bytes_committed(&self) -> Vec<u8> {
+    pub fn to_bytes(&self) -> Vec<u8> {
         Encoder::exactly(|enc| self.encode_into(enc))
     }
 
-    /// [`to_bytes_committed`](Self::to_bytes_committed) (and its panic) into
-    /// `enc`, every forest in place: no buffer per nesting level.
+    /// [`to_bytes`](Self::to_bytes) into `enc`, every forest in place: no
+    /// buffer per nesting level.
+    ///
+    /// # Panics
+    /// Panics if staged inserts exist — only the inner ensemble of a
+    /// [`crate::RankedIndex`] can hold them, and they live outside the base
+    /// forests and the segment stack, so serialising them here would
+    /// silently drop them: commit first.
     pub fn encode_into<W: Write>(&self, enc: &mut Encoder<W>) {
         assert_eq!(
             self.staged_len(),
@@ -298,7 +292,7 @@ impl LshEnsemble {
     /// [`decode`](Self::decode), reading each live base row's size of a
     /// version-7 payload from `size_of` — what its container's records say.
     /// A tombstoned row's size went with its record; it is written as 1,
-    /// and nothing reads it before a fold erases the row. A current payload
+    /// and nothing reads it before a compaction erases the row. A current payload
     /// carries its sizes and never asks.
     ///
     /// # Errors
@@ -418,7 +412,7 @@ impl LshEnsemble {
     ///
     /// # Errors
     /// Propagates I/O errors.
-    pub fn save_to(&mut self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+    pub fn save_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         std::fs::write(path, self.to_bytes())
     }
 
@@ -458,7 +452,7 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_queries() {
-        let (_, mut ens, entries) = sample_ensemble(40);
+        let (_, ens, entries) = sample_ensemble(40);
         let bytes = ens.to_bytes();
         let restored = LshEnsemble::from_bytes(&bytes).expect("decode");
         assert_eq!(restored.len(), ens.len());
@@ -477,21 +471,19 @@ mod tests {
 
     #[test]
     fn roundtrip_is_byte_identical() {
-        let (_, mut ens, _) = sample_ensemble(20);
+        let (_, ens, _) = sample_ensemble(20);
         let bytes = ens.to_bytes();
-        let mut restored = LshEnsemble::from_bytes(&bytes).expect("decode");
+        let restored = LshEnsemble::from_bytes(&bytes).expect("decode");
         assert_eq!(restored.to_bytes(), bytes);
     }
 
     #[test]
-    fn to_bytes_commits_staged_inserts() {
+    #[should_panic(expected = "commit staged inserts before serialising")]
+    fn serialising_staged_inserts_panics() {
         let (h, mut ens, _) = sample_ensemble(20);
-        let vals = MinHasher::synthetic_values(5_000, 64);
-        let sig = h.signature(vals.iter().copied());
+        let sig = h.signature(MinHasher::synthetic_values(5_000, 64));
         ens.insert(9_999, 64, &sig).expect("insert");
-        let bytes = ens.to_bytes(); // must not panic; commits internally
-        let restored = LshEnsemble::from_bytes(&bytes).expect("decode");
-        assert!(restored.query_with_size(&sig, 64, 0.9).contains(&9_999));
+        let _ = ens.to_bytes();
     }
 
     #[test]
@@ -503,6 +495,7 @@ mod tests {
         let vals = MinHasher::synthetic_values(321, 90);
         let sig = h.signature(vals.iter().copied());
         ens.insert(777, 90, &sig).expect("insert");
+        ens.commit();
         let bytes = ens.to_bytes();
         let mut restored = LshEnsemble::from_bytes(&bytes).expect("decode");
         assert_eq!(restored.len(), 23);
@@ -521,7 +514,7 @@ mod tests {
 
     #[test]
     fn fully_emptied_ensemble_roundtrips() {
-        let (_, mut ens, _) = sample_ensemble(6);
+        let (h, mut ens, entries) = sample_ensemble(6);
         for k in 0..6u32 {
             ens.remove(k).expect("remove");
         }
@@ -530,11 +523,29 @@ mod tests {
         let restored = LshEnsemble::from_bytes(&bytes).expect("decode empty");
         assert!(restored.is_empty());
         assert_eq!(restored.num_partitions(), ens.num_partitions());
+
+        // Rebuilt, it is a base of no partitions, and round-trips as one.
+        let mut empty = ens.rebuilt();
+        assert_eq!((empty.len(), empty.num_partitions()), (0, 0));
+        let bytes = empty.to_bytes();
+        let restored = LshEnsemble::from_bytes(&bytes).expect("decode no partitions");
+        assert_eq!((restored.len(), restored.num_partitions()), (0, 0));
+        assert_eq!(restored.to_bytes(), bytes);
+        let (_, size, sig) = &entries[2];
+        assert!(restored.query_with_size(sig, *size, 0.1).is_empty());
+        // It takes rows again: staged, sealed, then rebuilt into a base.
+        let fresh = h.signature(MinHasher::synthetic_values(8, 30));
+        empty.insert(40, 30, &fresh).expect("insert");
+        empty.commit();
+        assert!(empty.query_with_size(&fresh, 30, 1.0).contains(&40));
+        let rebuilt = empty.rebuilt();
+        assert_eq!((rebuilt.len(), rebuilt.num_partitions()), (1, 1));
+        assert!(rebuilt.query_with_size(&fresh, 30, 1.0).contains(&40));
     }
 
     #[test]
     fn save_load_file_roundtrip() {
-        let (_, mut ens, entries) = sample_ensemble(15);
+        let (_, ens, entries) = sample_ensemble(15);
         let path = std::env::temp_dir().join("lshe_persist_test.idx");
         ens.save_to(&path).expect("write");
         let restored = LshEnsemble::load_from(&path).expect("read");
@@ -557,7 +568,7 @@ mod tests {
 
     #[test]
     fn truncation_rejected() {
-        let (_, mut ens, _) = sample_ensemble(10);
+        let (_, ens, _) = sample_ensemble(10);
         let bytes = ens.to_bytes();
         for cut in [0usize, 4, 10, 30, bytes.len() / 2, bytes.len() - 1] {
             assert!(
@@ -586,7 +597,7 @@ mod tests {
 
     #[test]
     fn len_mismatch_rejected() {
-        let (_, mut ens, _) = sample_ensemble(10);
+        let (_, ens, _) = sample_ensemble(10);
         let mut bytes = ens.to_bytes();
         // len sits after the envelope (5) + three u32 (12) + strategy
         // (tag 1 + u64 8) = offset 26; bump it.

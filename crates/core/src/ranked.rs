@@ -19,38 +19,27 @@
 //! 2·(m − b_max)` bytes a domain) instead of holding the lanes again — and
 //! every partition of the [`LshEnsemble`] keeps its rows' cardinalities
 //! beside it, so ranking stores nothing of its own.
+//!
+//! [`RankedIndex`] is also the workspace's one mutable index (§6.2 dynamic
+//! data): inserts stage, [`commit`](RankedIndex::commit) seals the staged
+//! delta into a segment in O(delta), removes tombstone, and
+//! [`compact`](RankedIndex::compact) rebuilds the equi-depth base from the
+//! live rows — exactly the layout a fresh build of the corpus has.
 
-use crate::api::{
-    CommitReport, DomainIndex, MutableIndex, MutationError, Query, QueryError, SearchOutcome,
-    SegmentStats, DEFAULT_REBALANCE_TRIGGER,
-};
-use crate::ensemble::{
-    EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder, PartitionStats,
-};
+use crate::api::{CommitReport, DomainIndex, MutationError, Query, QueryError, SearchOutcome};
+use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder};
+use crate::maintenance::{MergeOutcome, MergeTask, SegmentLayout};
 use crate::pipeline::{ReadPath, Sketches, Tiers};
 use lshe_lsh::{DomainId, Row};
 use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::Signature;
 
-/// A containment-search index that can rank its answers: an
-/// [`LshEnsemble`] (whose every partition keeps its rows' cardinalities)
-/// plus the rebalance policy.
+/// A containment-search index that can rank its answers, and the one that
+/// mutates: an [`LshEnsemble`] (whose every partition keeps its rows'
+/// cardinalities) driven through its staging, sealing and merge steps.
 #[derive(Debug, Clone)]
 pub struct RankedIndex {
     ensemble: LshEnsemble,
-    /// Equi-depth skew multiple past which a commit rebuilds the
-    /// partitioning from the retained sketches.
-    rebalance_trigger: f64,
-}
-
-/// True when the fullest partition holds more than `trigger` times the
-/// mean partition population — the §6.2 drift point where a rebuild pays.
-pub(crate) fn skew_exceeds(stats: &[PartitionStats], len: usize, trigger: f64) -> bool {
-    if len == 0 || stats.is_empty() {
-        return false;
-    }
-    let max = stats.iter().map(|p| p.count).max().unwrap_or(0);
-    (max * stats.len()) as f64 > trigger * len as f64
 }
 
 /// Builder for [`RankedIndex`].
@@ -102,7 +91,6 @@ impl RankedIndexBuilder {
     pub fn build(self) -> RankedIndex {
         RankedIndex {
             ensemble: self.inner.build(),
-            rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
         }
     }
 }
@@ -180,25 +168,7 @@ impl RankedIndex {
     /// persistence and shard-split paths.
     #[must_use]
     pub fn from_ensemble(ensemble: LshEnsemble) -> Self {
-        Self {
-            ensemble,
-            rebalance_trigger: DEFAULT_REBALANCE_TRIGGER,
-        }
-    }
-
-    /// The configured equi-depth rebalance trigger (see
-    /// [`set_rebalance_trigger`](Self::set_rebalance_trigger)).
-    #[must_use]
-    pub fn rebalance_trigger(&self) -> f64 {
-        self.rebalance_trigger
-    }
-
-    /// Sets the skew multiple past which [`commit`](Self::commit) rebuilds
-    /// the equi-depth partitioning from the retained sketches. Values
-    /// ≤ 1.0 rebalance on every commit that follows a mutation; the
-    /// default is [`DEFAULT_REBALANCE_TRIGGER`].
-    pub fn set_rebalance_trigger(&mut self, trigger: f64) {
-        self.rebalance_trigger = trigger;
+        Self { ensemble }
     }
 
     /// True if `id` is currently indexed.
@@ -207,34 +177,80 @@ impl RankedIndex {
         self.ensemble.contains(id)
     }
 
-    /// Rebuilds the inner ensemble from the retained sketches when the
-    /// BASE partition-population skew exceeds the trigger. Segment and
-    /// staged tiers are excluded from the metric: they are transient by
-    /// design, and counting them would turn a routine stack of sealed
-    /// segments into fake drift — putting the O(corpus) rebuild back on
-    /// the commit path the tiering exists to protect.
-    fn maybe_rebalance(&mut self) -> bool {
-        if !skew_exceeds(
-            &self.ensemble.base_partition_stats(),
-            self.ensemble.len(),
-            self.rebalance_trigger,
-        ) {
-            return false;
-        }
-        self.rebuild_from_sketches()
+    /// Stages one new domain. Its row carries its size like every other, so
+    /// it is queryable at once, *with* an estimate.
+    ///
+    /// # Errors
+    /// [`MutationError::DuplicateId`] if the id is already indexed,
+    /// [`MutationError::Invalid`] on a zero size or a signature width
+    /// mismatch.
+    pub fn insert(
+        &mut self,
+        id: DomainId,
+        size: u64,
+        signature: &Signature,
+    ) -> Result<(), MutationError> {
+        self.ensemble.insert(id, size, signature)
     }
 
-    /// Rebuilds the inner ensemble from its live rows, restoring the exact
-    /// freshly-built layout. Returns `false` (doing nothing) when the index
-    /// is empty — a build needs at least one domain.
-    fn rebuild_from_sketches(&mut self) -> bool {
-        if self.ensemble.is_empty() {
-            return false;
-        }
+    /// Removes one domain. Takes effect at once (no commit needed): a
+    /// committed row becomes a tombstone until [`compact`](Self::compact).
+    ///
+    /// # Errors
+    /// [`MutationError::UnknownId`] if the id is not indexed.
+    pub fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
+        self.ensemble.remove(id)
+    }
+
+    /// Seals the staged delta into an immutable segment — O(staged delta),
+    /// never O(corpus): the base is not touched.
+    pub fn commit(&mut self) -> CommitReport {
+        self.ensemble.commit()
+    }
+
+    /// Number of staged (not yet committed) inserts.
+    #[must_use]
+    pub fn staged_len(&self) -> usize {
+        self.ensemble.staged_len()
+    }
+
+    /// Seals anything staged, then rebuilds the equi-depth base from the
+    /// live rows — segments folded in, tombstoned rows erased, the layout a
+    /// fresh build of the current corpus has — the one O(corpus) step, off
+    /// the commit path. Every live entry is rewritten.
+    pub fn compact(&mut self) -> CommitReport {
+        let report = self.ensemble.commit();
         // The rows are read out of the old ensemble until the new one is
         // whole; only then is it swapped in.
         self.ensemble = self.ensemble.rebuilt();
-        true
+        CommitReport {
+            segments: 0,
+            tombstones: 0,
+            entries_folded: self.ensemble.len(),
+            ..report
+        }
+    }
+
+    /// The tier layout [`crate::Leveled::plan`] plans against: per-segment
+    /// entry counts plus the tombstone backlog.
+    #[must_use]
+    pub fn segment_layout(&self) -> SegmentLayout {
+        self.ensemble.segment_layout()
+    }
+
+    /// Executes one planned [`MergeTask`]: [`MergeTask::Merge`] folds only
+    /// the listed segments into one new sealed segment (O(folded entries),
+    /// base untouched), [`MergeTask::Full`] is [`compact`](Self::compact).
+    pub fn apply_merge(&mut self, task: &MergeTask) -> MergeOutcome {
+        let entries_folded = match task {
+            MergeTask::Merge(segments) => self.ensemble.merge_segments(segments),
+            MergeTask::Full => self.compact().entries_folded,
+        };
+        MergeOutcome {
+            entries_folded,
+            segments: self.ensemble.raw_segments().len(),
+            tombstones: self.ensemble.raw_dead().len(),
+        }
     }
 
     /// Ranks arbitrary candidate ids by estimated containment (descending,
@@ -257,82 +273,6 @@ impl RankedIndex {
         ReadPath {
             source: self.ensemble.tiers(),
             sketches: Some(&self.ensemble),
-        }
-    }
-}
-
-/// Mutations go to the inner ensemble, whose staged rows carry their size
-/// like every other, so a staged insert is immediately queryable *with* an
-/// estimate. Because this index retains every sketch, `commit` additionally
-/// rebuilds the equi-depth partitioning from scratch when base-partition
-/// drift passed the configured trigger (§6.2's remedy, automated), and
-/// `compact` always does — both restore the exact freshly-built layout,
-/// folding outstanding segments and erasing tombstones, since they start
-/// from the live rows.
-impl MutableIndex for RankedIndex {
-    fn insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        self.ensemble.insert(id, size, signature)
-    }
-
-    fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.ensemble.remove(id)
-    }
-
-    fn commit(&mut self) -> CommitReport {
-        let report = self.ensemble.commit();
-        let rebalanced = self.maybe_rebalance();
-        let stats = self.ensemble.segment_stats();
-        CommitReport {
-            rebalanced,
-            segments: stats.segments,
-            tombstones: stats.tombstones,
-            entries_folded: if rebalanced { self.ensemble.len() } else { 0 },
-            ..report
-        }
-    }
-
-    fn staged_len(&self) -> usize {
-        self.ensemble.staged_len()
-    }
-
-    /// The fold rebuilds from the live rows, so every live entry is
-    /// rewritten.
-    fn compact(&mut self) -> CommitReport {
-        let report = self.ensemble.commit();
-        if !self.rebuild_from_sketches() {
-            // Degenerate corpus (emptied index): fold in place instead.
-            self.ensemble.compact();
-        }
-        CommitReport {
-            rebalanced: true,
-            segments: 0,
-            tombstones: 0,
-            entries_folded: self.ensemble.len(),
-            ..report
-        }
-    }
-
-    fn segment_stats(&self) -> SegmentStats {
-        self.ensemble.segment_stats()
-    }
-
-    fn segment_layout(&self) -> crate::SegmentLayout {
-        self.ensemble.segment_layout()
-    }
-
-    fn apply_merge(&mut self, task: &crate::MergeTask) -> crate::MergeOutcome {
-        match task {
-            crate::MergeTask::Merge(_) => self.ensemble.apply_merge(task),
-            crate::MergeTask::Full => crate::MergeOutcome {
-                entries_folded: self.compact().entries_folded,
-                segments: 0,
-                tombstones: 0,
-            },
         }
     }
 }
@@ -557,7 +497,6 @@ pub(crate) mod tests {
     /// build, and id 3's old sketch.
     pub(crate) fn reinserted() -> (RankedIndex, RankedIndex, Signature) {
         let (h, mut idx, values) = index(12);
-        idx.set_rebalance_trigger(f64::MAX);
         let size = values[3].len() as u64;
         let old = h.signature(values[3].iter().copied());
         let new = h.signature(MinHasher::synthetic_values(777, values[3].len()));
@@ -596,37 +535,34 @@ pub(crate) mod tests {
     #[test]
     fn commit_seals_and_compaction_rebalances() {
         let (h, mut idx, _) = index(16);
-        // Flood one size class. Under tiered commits the flood seals into
-        // a segment: the BASE layout — and with it the drift metric — is
-        // untouched, so commit stays O(staged delta) however large the
-        // flood. Only compaction pays the rebuild.
+        // Flood one size class. The flood seals into a segment: the base
+        // layout is untouched, so commit stays O(staged delta) however
+        // large the flood. Only compaction pays the rebuild.
         for i in 0..64u32 {
             let vals = MinHasher::synthetic_values(9_000 + u64::from(i), 10);
             idx.insert(1_000 + i, 10, &h.signature(vals.iter().copied()))
                 .expect("insert");
         }
-        idx.set_rebalance_trigger(1.0);
-        let counts = |idx: &RankedIndex| -> Vec<usize> {
-            idx.ensemble()
-                .base_partition_stats()
-                .iter()
-                .map(|p| p.count)
-                .collect()
+        // The base's partitions lead the stats; segment partitions follow.
+        let base = |idx: &RankedIndex| -> Vec<usize> {
+            let stats = idx.ensemble().partition_stats();
+            let base = &stats[..idx.ensemble().num_partitions()];
+            base.iter().map(|p| p.count).collect()
         };
-        let base_before = counts(&idx);
+        let base_before = base(&idx);
         let report = idx.commit();
         assert_eq!(report.merged, 64);
         assert!(report.sealed, "non-empty delta must seal");
-        assert!(!report.rebalanced, "sealed commit must not rebuild");
-        assert_eq!(report.segments, 1);
-        assert_eq!(counts(&idx), base_before, "seal touched the base");
+        assert_eq!((report.segments, report.entries_folded), (1, 0));
+        assert_eq!(base(&idx), base_before, "seal touched the base");
         assert_eq!(idx.staged_len(), 0);
         // Compaction folds the segment and rebuilds equi-depth from the
         // retained sketches: the flooded class spreads across the base.
         let folded = idx.compact();
-        assert!(folded.rebalanced, "compaction must rebuild the base");
+        assert_eq!(folded.entries_folded, 80, "compaction rewrites every entry");
         assert_eq!((folded.segments, folded.tombstones), (0, 0));
-        assert_eq!(counts(&idx).iter().sum::<usize>(), 80);
+        assert_eq!(base(&idx).iter().sum::<usize>(), 80);
+        assert_eq!(idx.ensemble().partition_stats().len(), 4);
         // Everything is still queryable after the fold.
         for i in [1_000u32, 1_031, 1_063] {
             let vals = MinHasher::synthetic_values(9_000 + u64::from(i - 1_000), 10);
@@ -638,18 +574,6 @@ pub(crate) mod tests {
                 "domain {i} lost in compaction"
             );
         }
-    }
-
-    #[test]
-    fn commit_below_trigger_keeps_layout() {
-        let (h, mut idx, _) = index(16);
-        let sig = h.signature(MinHasher::synthetic_values(1, 50));
-        idx.insert(999, 50, &sig).expect("insert");
-        idx.set_rebalance_trigger(1_000.0);
-        let before = idx.ensemble().partition_stats();
-        let report = idx.commit();
-        assert!(!report.rebalanced);
-        assert_eq!(idx.ensemble().partition_stats().len(), before.len());
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! it and keeps the mapping: every base partition's ids, rows, trees and
 //! sizes, the id → row directory and every record column stay in the file
 //! as views (`lshe_minhash::codec::Column`) — resident where queries
-//! reach, copied out only by a fold that edits a partition. What `load`
+//! reach, until a compaction builds a new base. What `load`
 //! builds on the heap is O(partitions + segments + tombstones), never
 //! O(domains); it still walks every column once to check it, then releases
 //! the pages it touched. A loaded container mutates like a built one: what
@@ -59,8 +59,8 @@
 use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
-    position_of, CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MutableIndex,
-    MutationError, PartitionStrategy, Query, RankedIndex, Row, ShardedRanked,
+    position_of, CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MutationError,
+    PartitionStrategy, Query, RankedIndex, Row, ShardedRanked,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
@@ -400,8 +400,7 @@ impl IndexContainer {
     /// the index (immediately queryable) and append provenance records;
     /// removes apply eagerly and drop their record. Stops at the first
     /// failing op — earlier ops in the batch stay applied. Call
-    /// [`commit_mutations`](Self::commit_mutations) afterwards to fold and
-    /// rebalance.
+    /// [`commit_mutations`](Self::commit_mutations) afterwards to seal them.
     ///
     /// # Errors
     /// [`MutationError`] from the failing op: duplicate id, unknown id, or
@@ -449,9 +448,9 @@ impl IndexContainer {
         self.index_mut().commit()
     }
 
-    /// Folds every sealed segment (and drops every tombstone) into the
-    /// base partitioning — the O(corpus) merge that segmented commits keep
-    /// off the commit path. Seals any still-staged delta first.
+    /// Rebuilds the base partitioning from the live rows, every sealed
+    /// segment and tombstone included — the O(corpus) step that segmented
+    /// commits keep off the commit path. Seals any still-staged delta first.
     pub fn compact_index(&mut self) -> CommitReport {
         let report = self.index_mut().compact();
         self.rebase();
@@ -482,23 +481,17 @@ impl IndexContainer {
         table.finish()
     }
 
-    /// Sealed-segment and tombstone counts of the stored index.
-    #[must_use]
-    pub fn segment_stats(&self) -> lshe_core::SegmentStats {
-        self.ensemble().segment_stats()
-    }
-
     /// The stored index's tier layout (per-segment entry counts plus
     /// tombstone backlog), for merge planning.
     #[must_use]
     pub fn segment_layout(&self) -> lshe_core::SegmentLayout {
-        self.ensemble().segment_layout()
+        self.index.segment_layout()
     }
 
     /// Executes one planned merge task on the stored index:
     /// [`lshe_core::MergeTask::Merge`] folds only the listed segments
-    /// (O(folded entries)), [`lshe_core::MergeTask::Full`] folds
-    /// everything like [`compact_index`](Self::compact_index).
+    /// (O(folded entries)), [`lshe_core::MergeTask::Full`] rebuilds the
+    /// base like [`compact_index`](Self::compact_index).
     pub fn apply_merge(&mut self, task: &lshe_core::MergeTask) -> lshe_core::MergeOutcome {
         let outcome = self.index_mut().apply_merge(task);
         if matches!(task, lshe_core::MergeTask::Full) {
@@ -510,7 +503,7 @@ impl IndexContainer {
     /// Number of staged (uncommitted) inserts in the stored index.
     #[must_use]
     pub fn staged_len(&self) -> usize {
-        self.ensemble().staged_len()
+        self.index.staged_len()
     }
 
     /// Number of size partitions in the ensemble.
@@ -1756,17 +1749,14 @@ mod tests {
             assert_eq!(sc.num_perm(), c.num_perm());
             assert!(sc.records().iter().all(|r| r.id as usize % n == s));
             assert_eq!(
-                sc.ensemble().to_bytes_committed(),
-                inproc.shards().shards()[s].to_bytes_committed(),
+                sc.ensemble().to_bytes(),
+                inproc.shards().shards()[s].to_bytes(),
                 "shard {s} ensemble drifted from the in-process build"
             );
             // And it survives a disk round-trip intact.
             let restored = IndexContainer::from_bytes(&sc.to_bytes()).expect("decode");
             assert_eq!(restored.len(), sc.len());
-            assert_eq!(
-                restored.ensemble().to_bytes_committed(),
-                sc.ensemble().to_bytes_committed()
-            );
+            assert_eq!(restored.ensemble().to_bytes(), sc.ensemble().to_bytes());
         }
 
         // Union of per-shard answers == the sharded in-process answer,

@@ -194,7 +194,8 @@ pub struct CommitOutcome {
     /// Ops applied into the new snapshot (0 = nothing was staged and no
     /// swap happened).
     pub applied: usize,
-    /// The index-level commit report (staged inserts folded, rebalanced?).
+    /// The index-level commit report (staged inserts sealed, entries a
+    /// compaction rewrote).
     pub report: CommitReport,
 }
 
@@ -753,14 +754,13 @@ impl Engine {
         task: &lshe_core::MergeTask,
     ) -> Result<(Arc<Snapshot>, lshe_core::MergeOutcome), EngineError> {
         if matches!(task, lshe_core::MergeTask::Full) {
-            let (snap, outcome) = self.compact()?;
-            let stats = snap.container().segment_stats();
+            let (snap, CommitOutcome { report, .. }) = self.compact()?;
             return Ok((
                 snap,
                 lshe_core::MergeOutcome {
-                    entries_folded: outcome.report.entries_folded,
-                    segments: stats.segments,
-                    tombstones: stats.tombstones,
+                    entries_folded: report.entries_folded,
+                    segments: report.segments,
+                    tombstones: report.tombstones,
                 },
             ));
         }
@@ -774,7 +774,7 @@ impl Engine {
         let mut container = snap.container().clone();
         let outcome = container.apply_merge(task);
         if outcome.entries_folded == 0
-            && container.segment_stats() == snap.container().segment_stats()
+            && container.segment_layout() == snap.container().segment_layout()
         {
             return Ok((snap, outcome));
         }
@@ -799,12 +799,6 @@ impl Engine {
         let snapshot = Arc::new(snapshot);
         *self.current.write().expect("engine lock poisoned") = Arc::clone(&snapshot);
         snapshot
-    }
-
-    /// Sealed-segment and tombstone counts of the live snapshot.
-    #[must_use]
-    pub fn segment_stats(&self) -> lshe_core::SegmentStats {
-        self.snapshot().container().segment_stats()
     }
 
     /// The live snapshot's tier layout, for merge planning.
@@ -887,6 +881,12 @@ mod tests {
             );
         }
         c
+    }
+
+    /// The snapshot's outstanding (segments, tombstones).
+    fn tiers(snap: &Snapshot) -> (usize, usize) {
+        let layout = snap.container().segment_layout();
+        (layout.segments.len(), layout.tombstones)
     }
 
     fn sig_for(cat: &Catalog, id: u32, num_perm: usize) -> (Signature, u64) {
@@ -1145,8 +1145,8 @@ mod tests {
         assert_eq!(fresh.snapshot().container().len(), 8);
         assert_eq!(fresh.staged_counts(), StagedCounts::default());
         assert_eq!(
-            fresh.snapshot().container().segment_stats(),
-            snap.container().segment_stats()
+            fresh.snapshot().container().segment_layout(),
+            snap.container().segment_layout()
         );
         assert!(fresh
             .snapshot()
@@ -1155,8 +1155,8 @@ mod tests {
             .any(|&(id, _)| id == 8));
         // Compaction folds the batch into the base and retires the log.
         let (folded, report) = fresh.compact().expect("compact");
-        assert!(report.report.rebalanced);
-        assert_eq!(folded.container().segment_stats(), Default::default());
+        assert_eq!(report.report.entries_folded, 8);
+        assert_eq!(tiers(&folded), (0, 0));
         assert!(!crate::container::DeltaLog::sidecar(&path).exists());
         assert_eq!(fresh.last_compaction(), folded.generation());
         let after = Engine::load(&path, 1).expect("load compacted");
@@ -1204,8 +1204,8 @@ mod tests {
         let snap = engine.snapshot();
         assert_eq!(snap.container().len(), 7); // 7 − 1 + 1
         assert_eq!(
-            snap.container().segment_stats(),
-            Default::default(),
+            tiers(&snap),
+            (0, 0),
             "embodied batches must not re-seal segments"
         );
         assert!(snap.search(&sig, q, 0.9).iter().any(|&(id, _)| id == 7));
@@ -1290,10 +1290,7 @@ mod tests {
             }
         );
         assert!(engine.snapshot().search(&sig, q, 0.9).is_empty());
-        assert_eq!(
-            engine.snapshot().container().segment_stats(),
-            Default::default()
-        );
+        assert_eq!(tiers(&engine.snapshot()), (0, 0));
         drop(engine);
 
         // (b) Crash right after the marker append: the commit was acked,
@@ -1301,8 +1298,7 @@ mod tests {
         std::fs::write(log.path(), &with_marker).expect("restore");
         let engine = Engine::load(&path, 1).expect("boot (b)");
         assert_eq!(engine.staged_counts(), StagedCounts::default());
-        let stats = engine.snapshot().container().segment_stats();
-        assert_eq!((stats.segments, stats.tombstones), (1, 1));
+        assert_eq!(tiers(&engine.snapshot()), (1, 1));
         assert!(engine
             .snapshot()
             .search(&sig, q, 0.9)

@@ -30,8 +30,8 @@ pub struct FullMergeSummary {
     pub applied: usize,
     /// Staged inserts folded in.
     pub merged: usize,
-    /// Whether the fold rebuilt partitions from retained sketches.
-    pub rebalanced: bool,
+    /// Live entries the rebuilt base was written from.
+    pub entries_folded: usize,
     /// Segments outstanding afterwards (0).
     pub segments: usize,
     /// Tombstones outstanding afterwards (0).
@@ -270,7 +270,7 @@ impl Maintainer {
                     state.last_full = Some(Ok(FullMergeSummary {
                         applied: outcome.applied,
                         merged: outcome.report.merged,
-                        rebalanced: outcome.report.rebalanced,
+                        entries_folded: outcome.report.entries_folded,
                         segments: outcome.report.segments,
                         tombstones: outcome.report.tombstones,
                         generation: snap.generation(),

@@ -408,7 +408,7 @@ fn handle_stats(shared: &Shared) -> Outcome {
     let maintenance = maintenance_json(shared);
     let snap = shared.engine.snapshot();
     let staged = shared.engine.staged_counts();
-    let segments = snap.container().segment_stats();
+    let layout = snap.container().segment_layout();
     let c = &shared.counters;
     let q = &shared.query_totals;
     let s = &shared.server_stats;
@@ -430,8 +430,8 @@ fn handle_stats(shared: &Shared) -> Outcome {
         // compaction, plus the generation the last in-process compaction
         // created (0 = none since boot). How an operator (or the bench
         // probe) tells "commits are sealing" from "the merger ran".
-        ("segments", Json::uint(segments.segments as u64)),
-        ("tombstones", Json::uint(segments.tombstones as u64)),
+        ("segments", Json::uint(layout.segments.len() as u64)),
+        ("tombstones", Json::uint(layout.tombstones as u64)),
         (
             "last_compaction",
             Json::uint(shared.engine.last_compaction()),
@@ -1264,7 +1264,10 @@ fn handle_commit(shared: &Shared) -> Outcome {
                 ),
                 ("applied", Json::uint(outcome.applied as u64)),
                 ("merged", Json::uint(outcome.report.merged as u64)),
-                ("rebalanced", Json::Bool(outcome.report.rebalanced)),
+                (
+                    "entries_folded",
+                    Json::uint(outcome.report.entries_folded as u64),
+                ),
                 ("sealed", Json::Bool(outcome.report.sealed)),
                 ("segments", Json::uint(outcome.report.segments as u64)),
                 ("tombstones", Json::uint(outcome.report.tombstones as u64)),
@@ -1310,7 +1313,7 @@ fn handle_compact(shared: &Shared, request: &Request) -> Outcome {
                 ("status", Json::str("compacted")),
                 ("applied", Json::uint(summary.applied as u64)),
                 ("merged", Json::uint(summary.merged as u64)),
-                ("rebalanced", Json::Bool(summary.rebalanced)),
+                ("entries_folded", Json::uint(summary.entries_folded as u64)),
                 ("segments", Json::uint(summary.segments as u64)),
                 ("tombstones", Json::uint(summary.tombstones as u64)),
                 ("generation", Json::uint(summary.generation)),

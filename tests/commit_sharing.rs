@@ -1,16 +1,13 @@
-//! What a commit, a segment merge and a fold copy — asserted by pointer
-//! identity, not by timing.
+//! What a commit, a segment merge and a compaction copy — asserted by
+//! pointer identity, not by timing.
 //!
 //! The base of an index (its partitions' row tables and trees, the base
 //! part of its id map, the provenance table) is built once and shared by
 //! every snapshot until compaction builds another. A commit seals a
-//! segment beside it, a segment merge rewrites segments only, and a fold
-//! copies exactly the partitions that gain or lose rows; the snapshot a
-//! reader still holds keeps answering as it did.
+//! segment beside it and a segment merge rewrites segments only; the
+//! snapshot a reader still holds keeps answering as it did.
 
-use lshe_core::{
-    EnsembleConfig, LshEnsemble, MergeTask, MutableIndex, PartitionStats, PartitionStrategy,
-};
+use lshe_core::MergeTask;
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::{MinHasher, Signature};
@@ -138,7 +135,7 @@ fn a_segment_merge_rewrites_segments_and_leaves_the_base_alone() {
         ids.extend(pair.iter().map(|d| stage(&engine, d, None)));
         engine.commit_staged().expect("commit");
     }
-    assert_eq!(engine.segment_stats().segments, 3);
+    assert_eq!(engine.segment_layout().segments.len(), 3);
     let (merged, outcome) = engine
         .apply_merge(&MergeTask::Merge(vec![0, 1, 2]))
         .expect("merge");
@@ -150,60 +147,6 @@ fn a_segment_merge_rewrites_segments_and_leaves_the_base_alone() {
     for (&id, pair) in ids.iter().zip(&fresh) {
         assert!(finds(&merged, &pair.0, id) && !finds(&built, &pair.0, id));
     }
-}
-
-#[test]
-fn a_fold_copies_exactly_the_partitions_that_gain_or_lose_rows() {
-    let base = corpus(BASE, 7);
-    let ids: Vec<u32> = (0..BASE as u32).collect();
-    let sizes: Vec<u64> = base.iter().map(|(d, _)| d.len() as u64).collect();
-    let sigs: Vec<Signature> = base.iter().map(|(d, _)| sketch(d).0).collect();
-    let config = EnsembleConfig {
-        strategy: PartitionStrategy::EquiDepth { n: PARTITIONS },
-        ..EnsembleConfig::default()
-    };
-    let built = LshEnsemble::build_from_parts(config, &ids, &sizes, &sigs);
-    let stats = built.base_partition_stats();
-    let last = PARTITIONS - 1;
-    // A fold routes a row to the first partition whose bound covers it.
-    let route = |stats: &[PartitionStats], size: u64| {
-        let covering = stats.iter().position(|p| size <= p.upper);
-        covering.unwrap_or(stats.len() - 1)
-    };
-
-    // The one largest domain can only be a row of the last partition.
-    let largest = (0..BASE).max_by_key(|&i| sizes[i]).expect("corpus");
-    assert!(stats[last - 1].upper < sizes[largest]);
-    // A new domain as large as the third partition's bound lands there (or
-    // in an earlier one with the same bound), not in the last.
-    let (new_sig, _) = sketch(&corpus(1, 9)[0].0);
-    let new_size = stats[2].upper;
-    let gains = route(&stats, new_size);
-    assert!(gains < last);
-
-    let mut folded = built.clone();
-    assert_eq!(folded.base_shared_with(&built), vec![true; PARTITIONS]);
-    folded.remove(largest as u32).expect("remove");
-    folded.insert(900, new_size, &new_sig).expect("insert");
-    folded.commit();
-    assert_eq!(
-        folded.base_shared_with(&built),
-        vec![true; PARTITIONS],
-        "a commit touched the base"
-    );
-    folded.compact();
-    let shared = folded.base_shared_with(&built);
-    for (p, &same) in shared.iter().enumerate() {
-        assert_eq!(same, p != gains && p != last, "partition {p}");
-    }
-    assert_eq!(folded.segment_stats().segments, 0);
-    assert!(folded.contains(900) && !folded.contains(largest as u32));
-    assert!(built.contains(largest as u32) && !built.contains(900));
-    let found = built.query_with_size(&sigs[largest], sizes[largest], 1.0);
-    assert!(found.contains(&(largest as u32)));
-    assert!(folded
-        .query_with_size(&new_sig, new_size, 1.0)
-        .contains(&900));
 }
 
 #[test]

@@ -17,8 +17,7 @@
 
 use lshe_core::{
     pack_ranked, AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, LshEnsemble,
-    MmapIndex, MutableIndex, PartitionStrategy, Query, QueryError, RankedIndex, ShardedEnsemble,
-    ShardedRanked,
+    MmapIndex, PartitionStrategy, Query, QueryError, RankedIndex, ShardedEnsemble, ShardedRanked,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta, ExactIndex};
 use lshe_lsh::DomainId;
@@ -471,31 +470,13 @@ fn malformed_queries_are_typed_errors_everywhere() {
 
 // ---------------------------------------------------------- mutation phase
 
-/// The two mutable backends, built over arbitrary entries behind the one
-/// mutation trait. The sketch-retaining one gets a zero rebalance trigger
-/// so every commit rebuilds from sketches — which must reproduce a fresh
-/// build on the final corpus exactly.
-fn mutable_backends(
-    entries: &[(DomainId, u64, Signature)],
-) -> Vec<(&'static str, Box<dyn MutableIndex>)> {
-    let mut ensemble = LshEnsemble::builder_with(config());
-    let mut ranked = RankedIndex::builder_with(config());
+/// The one mutable index, built over arbitrary entries.
+fn ranked(entries: &[(DomainId, u64, Signature)]) -> RankedIndex {
+    let mut builder = RankedIndex::builder_with(config());
     for (id, size, sig) in entries {
-        ensemble.add(*id, *size, sig.clone());
-        ranked.add(*id, *size, sig.clone());
+        builder.add(*id, *size, sig.clone());
     }
-    let mut ranked = ranked.build();
-    ranked.set_rebalance_trigger(0.0);
-    vec![
-        ("ensemble", Box::new(ensemble.build())),
-        ("ranked", Box::new(ranked)),
-    ]
-}
-
-/// Whether the backend retains sketches — it rebalances on commit, so
-/// after mutation it must equal a from-scratch rebuild bit-for-bit.
-fn rebalances(name: &str) -> bool {
-    name == "ranked"
+    builder.build()
 }
 
 /// The mutation plan: 8 new domains (nested among themselves, disjoint
@@ -535,16 +516,102 @@ fn final_corpus(w: &World, plan: &MutationPlan) -> Vec<(DomainId, u64, Signature
     out
 }
 
+/// The index over the original corpus with the plan applied — inserts
+/// staged, removals eager — and a fresh build of the final corpus.
+fn mutated_and_rebuilt(
+    w: &World,
+    plan: &MutationPlan,
+    finals: &[(DomainId, u64, Signature, Vec<u64>)],
+) -> (RankedIndex, RankedIndex) {
+    let mut mutated = ranked(&w.entries);
+    for (id, size, sig, _) in &plan.added {
+        let inserted = mutated.insert(*id, *size, sig);
+        inserted.unwrap_or_else(|e| panic!("insert {id}: {e}"));
+    }
+    assert_eq!(mutated.staged_len(), plan.added.len());
+    for id in &plan.removed {
+        mutated
+            .remove(*id)
+            .unwrap_or_else(|e| panic!("remove {id}: {e}"));
+    }
+    let entries: Vec<(DomainId, u64, Signature)> = finals
+        .iter()
+        .map(|(id, size, sig, _)| (*id, *size, sig.clone()))
+        .collect();
+    (mutated, ranked(&entries))
+}
+
+/// Every final-corpus domain as a threshold query: removed ids never
+/// resurface and the self match is found.
+fn assert_live_answers(
+    at: &str,
+    index: &RankedIndex,
+    plan: &MutationPlan,
+    finals: &[(DomainId, u64, Signature, Vec<u64>)],
+) {
+    for (qid, qsize, qsig, _) in finals {
+        for &t in &[0.5, 0.8] {
+            let found = index
+                .search(&Query::threshold(qsig, t).with_size(*qsize))
+                .unwrap_or_else(|e| panic!("{at}: {e}"));
+            for gone in &plan.removed {
+                assert!(
+                    !found.ids().contains(gone),
+                    "{at} q={qid} t={t}: removed id {gone} returned"
+                );
+            }
+            assert!(found.ids().contains(qid), "{at} q={qid} t={t}: self lost");
+            assert!(
+                found.stats.partitions_probed <= found.stats.partitions_total,
+                "{at} q={qid} t={t}: probe counters inconsistent"
+            );
+        }
+    }
+}
+
+/// Mutation ≡ rebuild: after `compact`, every final-corpus domain's
+/// threshold and top-k answers (ids, estimates, candidates and the other
+/// deterministic counters) and the serialised bytes are a fresh build's.
+fn assert_equals_rebuild(
+    mutated: &RankedIndex,
+    rebuilt: &RankedIndex,
+    finals: &[(DomainId, u64, Signature, Vec<u64>)],
+) {
+    for (qid, qsize, qsig, _) in finals {
+        let mut queries: Vec<Query<'_>> = [0.5, 0.8]
+            .iter()
+            .map(|&t| Query::threshold(qsig, t).with_size(*qsize))
+            .collect();
+        queries.push(Query::top_k(qsig, 6).with_size(*qsize));
+        for q in &queries {
+            let context = format!("q={qid} {:?}", q.mode());
+            assert_result_matches(&context, &mutated.search(q), &rebuilt.search(q));
+        }
+    }
+    assert!(
+        mutated.ensemble().to_bytes() == rebuilt.ensemble().to_bytes(),
+        "the compacted index serialises unlike a fresh build"
+    );
+}
+
 #[test]
 fn mutation_equals_rebuild_for_every_mutable_backend() {
     let w = world();
     let plan = mutation_plan();
     let finals = final_corpus(&w, &plan);
-    let final_entries: Vec<(DomainId, u64, Signature)> = finals
-        .iter()
-        .map(|(id, size, sig, _)| (*id, *size, sig.clone()))
-        .collect();
-    // Exact ground truth over the FINAL corpus, for the recall bar.
+    let (mut mutated, rebuilt) = mutated_and_rebuilt(&w, &plan, &finals);
+    let report = mutated.commit();
+    assert_eq!(report.merged, plan.added.len(), "merged count");
+    assert_eq!(mutated.staged_len(), 0, "staged after commit");
+    assert_eq!(mutated.len(), finals.len(), "len after commit");
+    assert_live_answers("sealed", &mutated, &plan, &finals);
+
+    // Sealed, the inserts sit in a segment the base's bounds do not
+    // describe; the sweep still finds them. Judged on mid/large queries,
+    // where LSH recall is reliable (small queries degrade for any layout;
+    // Figure 7), the sealed index and the fresh build both clear the same
+    // absolute recall bar against the exact ground truth of the final
+    // corpus.
     let mut final_catalog = Catalog::new();
     for (_, _, _, vals) in &finals {
         final_catalog.push(
@@ -553,146 +620,45 @@ fn mutation_equals_rebuild_for_every_mutable_backend() {
         );
     }
     let exact = ExactIndex::build(&final_catalog);
-    // Catalog ids are dense 0..; map a position back to the real id.
-    let pos_to_id: Vec<DomainId> = finals.iter().map(|&(id, _, _, _)| id).collect();
-
-    for ((name, mut mutated), (_, rebuilt)) in mutable_backends(&w.entries)
-        .into_iter()
-        .zip(mutable_backends(&final_entries))
-    {
-        // Mutate: stage the inserts, remove eagerly, then commit.
-        for (id, size, sig, _) in &plan.added {
-            mutated
-                .insert(*id, *size, sig)
-                .unwrap_or_else(|e| panic!("{name}: insert {id}: {e}"));
-        }
-        assert_eq!(mutated.staged_len(), plan.added.len(), "{name}");
-        for id in &plan.removed {
-            mutated
-                .remove(*id)
-                .unwrap_or_else(|e| panic!("{name}: remove {id}: {e}"));
-        }
-        let report = mutated.commit();
-        assert_eq!(report.merged, plan.added.len(), "{name}: merged count");
-        assert_eq!(report.rebalanced, rebalances(name), "{name}: rebalance");
-        assert_eq!(mutated.staged_len(), 0, "{name}: staged after commit");
-        assert_eq!(mutated.len(), finals.len(), "{name}: len after commit");
-
-        // Drive every final-corpus domain as a query through both.
-        for (qid, qsize, qsig, qvals) in &finals {
-            for &t in &[0.5, 0.8] {
-                let q = Query::threshold(qsig, t).with_size(*qsize);
-                let m = mutated.search(&q).unwrap_or_else(|e| panic!("{name}: {e}"));
-                let r = rebuilt.search(&q).unwrap_or_else(|e| panic!("{name}: {e}"));
-
-                // Removed ids must never resurface.
-                for gone in &plan.removed {
-                    assert!(
-                        !m.ids().contains(gone),
-                        "{name} q={qid} t={t}: removed id {gone} returned"
-                    );
-                }
-                // The self match is found by both.
-                assert!(m.ids().contains(qid), "{name} q={qid} t={t}: self lost");
-                assert!(r.ids().contains(qid), "{name} q={qid} t={t}: self lost");
-
-                if rebalances(name) {
-                    // Rebalanced commit ≡ rebuild: identical hits (ids AND
-                    // estimates) and identical post-commit partitioning.
-                    assert_eq!(m.hits, r.hits, "{name} q={qid} t={t}: hits diverge");
-                    assert_eq!(
-                        m.stats.partitions_total, r.stats.partitions_total,
-                        "{name} q={qid} t={t}: partitions_total diverges"
-                    );
-                } else if *qsize >= 150 {
-                    // No sketches → no rebalance: boundary growth keeps
-                    // threshold conversion conservative, but per-query
-                    // tuning under drifted upper bounds is allowed to
-                    // trade some recall (the paper's Figure 8 drift
-                    // effect). Both layouts must clear the same absolute
-                    // recall bar against the exact ground truth over the
-                    // final corpus — judged on mid/large queries, where
-                    // LSH recall is reliable (small queries degrade for
-                    // any layout; Figure 7).
-                    let truth =
-                        DomainIndex::search(&exact, &Query::threshold(qsig, t).with_hashes(qvals))
-                            .expect("exact")
-                            .ids();
-                    let comparable: Vec<DomainId> = truth
-                        .iter()
-                        .map(|&p| pos_to_id[p as usize])
-                        .filter(|&x| {
-                            let xlen = finals
-                                .iter()
-                                .find(|(id, _, _, _)| *id == x)
-                                .map(|(_, s, _, _)| *s)
-                                .expect("truth id in finals");
-                            xlen <= 3 * qsize
-                        })
-                        .collect();
-                    let found_m = comparable.iter().filter(|x| m.ids().contains(x)).count();
-                    let found_r = comparable.iter().filter(|x| r.ids().contains(x)).count();
-                    for (label, found) in [("mutated", found_m), ("rebuilt", found_r)] {
-                        assert!(
-                            found * 10 >= comparable.len() * 6,
-                            "{name} q={qid} t={t}: {label} recall {found}/{}",
-                            comparable.len()
-                        );
-                    }
-                }
+    for (qid, qsize, qsig, qvals) in finals.iter().filter(|f| f.1 >= 150) {
+        for &t in &[0.5, 0.8] {
+            let q = Query::threshold(qsig, t).with_size(*qsize);
+            let truth = DomainIndex::search(&exact, &Query::threshold(qsig, t).with_hashes(qvals))
+                .expect("exact")
+                .ids();
+            // Catalog ids are dense 0..: a position maps back to the real
+            // id; only size-comparable containers count.
+            let comparable: Vec<DomainId> = truth
+                .iter()
+                .map(|&p| &finals[p as usize])
+                .filter(|f| f.1 <= 3 * qsize)
+                .map(|f| f.0)
+                .collect();
+            for (label, index) in [("sealed", &mutated), ("rebuilt", &rebuilt)] {
+                let ids = index.search(&q).expect("search").ids();
+                let found = comparable.iter().filter(|x| ids.contains(x)).count();
                 assert!(
-                    m.stats.partitions_probed <= m.stats.partitions_total,
-                    "{name} q={qid} t={t}: probe counters inconsistent"
+                    found * 10 >= comparable.len() * 6,
+                    "q={qid} t={t}: {label} recall {found}/{}",
+                    comparable.len()
                 );
             }
         }
-
-        // Top-k after mutation matches the rebuild too (ranked backends).
-        if rebalances(name) {
-            let (qid, qsize, qsig, _) = &finals[10];
-            let m = mutated
-                .search(&Query::top_k(qsig, 6).with_size(*qsize))
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let r = rebuilt
-                .search(&Query::top_k(qsig, 6).with_size(*qsize))
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(m.hits, r.hits, "{name}: top-k diverges after mutation");
-            assert_eq!(m.hits[0].id, *qid, "{name}: self not first");
-        }
-
-        // Post-commit mutations still validate with typed errors.
-        let (id0, size0, sig0, _) = &finals[0];
-        assert_eq!(
-            mutated.insert(*id0, *size0, sig0),
-            Err(lshe_core::MutationError::DuplicateId(*id0)),
-            "{name}"
-        );
-        assert_eq!(
-            mutated.remove(9_999),
-            Err(lshe_core::MutationError::UnknownId(9_999)),
-            "{name}"
-        );
     }
-}
 
-/// The two mutable backends with rebalancing disabled (trigger = ∞), so
-/// a commit is guaranteed to SEAL — segments and tombstones persist until
-/// an explicit `compact()` — exercising the tiered lifecycle end to end.
-fn segmented_backends(
-    entries: &[(DomainId, u64, Signature)],
-) -> Vec<(&'static str, Box<dyn MutableIndex>)> {
-    let mut ensemble = LshEnsemble::builder_with(config());
-    let mut ranked = RankedIndex::builder_with(config());
-    for (id, size, sig) in entries {
-        ensemble.add(*id, *size, sig.clone());
-        ranked.add(*id, *size, sig.clone());
-    }
-    let mut ranked = ranked.build();
-    ranked.set_rebalance_trigger(f64::MAX);
-    vec![
-        ("ensemble", Box::new(ensemble.build())),
-        ("ranked", Box::new(ranked)),
-    ]
+    mutated.compact();
+    assert_equals_rebuild(&mutated, &rebuilt, &finals);
+
+    // Post-compaction mutations still validate with typed errors.
+    let (id0, size0, sig0, _) = &finals[0];
+    assert_eq!(
+        mutated.insert(*id0, *size0, sig0),
+        Err(lshe_core::MutationError::DuplicateId(*id0))
+    );
+    assert_eq!(
+        mutated.remove(9_999),
+        Err(lshe_core::MutationError::UnknownId(9_999))
+    );
 }
 
 #[test]
@@ -700,131 +666,53 @@ fn segmented_commit_then_compaction_conforms_on_every_mutable_backend() {
     let w = world();
     let plan = mutation_plan();
     let finals = final_corpus(&w, &plan);
-    let final_entries: Vec<(DomainId, u64, Signature)> = finals
-        .iter()
-        .map(|(id, size, sig, _)| (*id, *size, sig.clone()))
-        .collect();
+    let (mut mutated, rebuilt) = mutated_and_rebuilt(&w, &plan, &finals);
 
-    for ((name, mut mutated), (_, rebuilt)) in segmented_backends(&w.entries)
-        .into_iter()
-        .zip(mutable_backends(&final_entries))
-    {
-        for (id, size, sig, _) in &plan.added {
-            mutated
-                .insert(*id, *size, sig)
-                .unwrap_or_else(|e| panic!("{name}: insert {id}: {e}"));
-        }
-        for id in &plan.removed {
-            mutated
-                .remove(*id)
-                .unwrap_or_else(|e| panic!("{name}: remove {id}: {e}"));
-        }
+    // Commit seals — O(staged delta): the base partitioning is not
+    // rebuilt, the delta becomes an immutable segment, and the base
+    // removals become tombstones.
+    let report = mutated.commit();
+    assert!(report.sealed, "commit did not seal a segment");
+    assert_eq!(report.merged, plan.added.len(), "merged count");
+    assert_eq!(report.entries_folded, 0, "a commit rewrote the base");
+    assert!(report.segments >= 1, "no outstanding segment");
+    assert_eq!(report.tombstones, plan.removed.len(), "tombstone count");
+    assert_eq!(mutated.staged_len(), 0, "staged after seal");
+    assert_eq!(mutated.len(), finals.len(), "len after seal");
 
-        // Commit seals — O(staged delta): the base partitioning is not
-        // rebuilt, the delta becomes an immutable segment, and the base
-        // removals become tombstones.
-        let report = mutated.commit();
-        assert!(report.sealed, "{name}: commit did not seal a segment");
-        assert!(!report.rebalanced, "{name}: sealed commit must not rebuild");
-        assert_eq!(report.merged, plan.added.len(), "{name}: merged count");
-        assert!(report.segments >= 1, "{name}: no outstanding segment");
-        assert_eq!(
-            report.tombstones,
-            plan.removed.len(),
-            "{name}: tombstone count"
-        );
-        assert_eq!(mutated.staged_len(), 0, "{name}: staged after seal");
-        assert_eq!(mutated.len(), finals.len(), "{name}: len after seal");
+    // Segmented phase: queries sweep base + segments and filter the
+    // tombstones.
+    assert_live_answers("segmented", &mutated, &plan, &finals);
 
-        // Segmented phase: queries sweep base + segments. Tombstoned ids
-        // never resurface, every live domain still finds itself.
-        for (qid, qsize, qsig, _) in &finals {
-            for &t in &[0.5, 0.8] {
-                let q = Query::threshold(qsig, t).with_size(*qsize);
-                let m = mutated.search(&q).unwrap_or_else(|e| panic!("{name}: {e}"));
-                for gone in &plan.removed {
-                    assert!(
-                        !m.ids().contains(gone),
-                        "{name} q={qid} t={t}: tombstoned id {gone} returned"
-                    );
-                }
-                assert!(
-                    m.ids().contains(qid),
-                    "{name} q={qid} t={t}: self lost while segmented"
-                );
-                assert!(
-                    m.stats.partitions_probed <= m.stats.partitions_total,
-                    "{name} q={qid} t={t}: probe counters inconsistent"
-                );
-            }
-        }
-
-        // Compaction folds every segment and erases every tombstone — the
-        // one O(corpus) step, now off the commit path.
-        let folded = mutated.compact();
-        assert_eq!(folded.segments, 0, "{name}: segments after compaction");
-        assert_eq!(folded.tombstones, 0, "{name}: tombstones after compaction");
-        let stats = mutated.segment_stats();
-        assert_eq!(
-            (stats.segments, stats.tombstones),
-            (0, 0),
-            "{name}: stats after compaction"
-        );
-        assert_eq!(mutated.len(), finals.len(), "{name}: len after compaction");
-
-        // Post-compaction conformance: sketch-retaining backends rebuild
-        // from the live sketch set, so they must equal a fresh build on
-        // the final corpus exactly — identical hits (ids AND estimates)
-        // and identical partitioning. Sketch-free backends fold with
-        // conservative boundary growth (§6.2) and keep the invariants.
-        for (qid, qsize, qsig, _) in &finals {
-            for &t in &[0.5, 0.8] {
-                let q = Query::threshold(qsig, t).with_size(*qsize);
-                let m = mutated.search(&q).unwrap_or_else(|e| panic!("{name}: {e}"));
-                let r = rebuilt.search(&q).unwrap_or_else(|e| panic!("{name}: {e}"));
-                for gone in &plan.removed {
-                    assert!(
-                        !m.ids().contains(gone),
-                        "{name} q={qid} t={t}: removed id {gone} back after compaction"
-                    );
-                }
-                assert!(m.ids().contains(qid), "{name} q={qid} t={t}: self lost");
-                if rebalances(name) {
-                    assert_eq!(m.hits, r.hits, "{name} q={qid} t={t}: hits diverge");
-                    assert_eq!(
-                        m.stats.partitions_total, r.stats.partitions_total,
-                        "{name} q={qid} t={t}: partitions_total diverges"
-                    );
-                }
-            }
-        }
-    }
+    // Compaction rebuilds the base from the live rows: every segment
+    // folded in, every tombstone erased, every live entry rewritten.
+    let folded = mutated.compact();
+    assert_eq!((folded.segments, folded.tombstones), (0, 0));
+    assert_eq!(folded.entries_folded, finals.len(), "entries rewritten");
+    let layout = mutated.segment_layout();
+    assert!(layout.segments.is_empty() && layout.tombstones == 0);
+    assert_eq!(mutated.len(), finals.len(), "len after compaction");
+    assert_live_answers("compacted", &mutated, &plan, &finals);
+    assert_equals_rebuild(&mutated, &rebuilt, &finals);
 }
 
 #[test]
 fn staged_mutations_are_immediately_queryable() {
     let w = world();
     let plan = mutation_plan();
-    for (name, mut index) in mutable_backends(&w.entries) {
-        let (id, size, sig, _) = &plan.added[2];
-        index.insert(*id, *size, sig).expect("insert");
-        // Visible BEFORE commit, via the forests' staged tails.
-        let out = index
-            .search(&Query::threshold(sig, 0.9).with_size(*size))
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(out.ids().contains(id), "{name}: staged insert invisible");
-        assert_eq!(index.staged_len(), 1, "{name}");
-        // Eager removal takes it straight back out.
-        index.remove(*id).expect("remove staged");
-        let out = index
-            .search(&Query::threshold(sig, 0.9).with_size(*size))
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert!(
-            !out.ids().contains(id),
-            "{name}: removed-while-staged found"
-        );
-        assert_eq!(index.len(), N, "{name}");
-    }
+    let mut index = ranked(&w.entries);
+    let (id, size, sig, _) = &plan.added[2];
+    index.insert(*id, *size, sig).expect("insert");
+    // Visible BEFORE commit, via the staged tier.
+    let query = Query::threshold(sig, 0.9).with_size(*size);
+    let out = index.search(&query).expect("search");
+    assert!(out.ids().contains(id), "staged insert invisible");
+    assert_eq!(index.staged_len(), 1);
+    // Eager removal takes it straight back out.
+    index.remove(*id).expect("remove staged");
+    let out = index.search(&query).expect("search");
+    assert!(!out.ids().contains(id), "removed-while-staged found");
+    assert_eq!(index.len(), N);
 }
 
 #[test]

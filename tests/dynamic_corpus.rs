@@ -1,44 +1,47 @@
 //! Dynamic data (§6.2): domains added after construction must be
-//! immediately searchable, boundary growth must stay conservative, and a
-//! drifted corpus must keep answering correctly (if less precisely) until
-//! rebuilt.
+//! immediately searchable, partition bounds may only widen to cover them,
+//! a drifted corpus must keep answering correctly while its inserts sit in
+//! sealed segments, and compaction must restore the equi-depth layout a
+//! fresh build of the corpus has.
 
-use lshe_core::{EnsembleConfig, LshEnsemble, MutableIndex, PartitionStrategy};
+use lshe_core::{EnsembleConfig, PartitionStrategy, RankedIndex};
 use lshe_datagen::{generate_catalog, CorpusConfig};
 use lshe_minhash::{MinHasher, Signature};
 
-fn build_world(n: usize, seed: u64) -> (LshEnsemble, Vec<Signature>, Vec<u64>, MinHasher) {
+fn config() -> EnsembleConfig {
+    EnsembleConfig {
+        strategy: PartitionStrategy::EquiDepth { n: 8 },
+        ..EnsembleConfig::default()
+    }
+}
+
+fn build_world(n: usize, seed: u64) -> (RankedIndex, Vec<Signature>, Vec<u64>, MinHasher) {
     let catalog = generate_catalog(&CorpusConfig::tiny(n, seed));
     let hasher = MinHasher::new(256);
     let signatures: Vec<Signature> = catalog.iter().map(|(_, d)| d.signature(&hasher)).collect();
-    let ids: Vec<u32> = catalog.iter().map(|(id, _)| id).collect();
     let sizes: Vec<u64> = catalog.iter().map(|(_, d)| d.len() as u64).collect();
-    let refs: Vec<&Signature> = signatures.iter().collect();
-    let ens = LshEnsemble::build_from_parts(
-        EnsembleConfig {
-            strategy: PartitionStrategy::EquiDepth { n: 8 },
-            ..EnsembleConfig::default()
-        },
-        &ids,
-        &sizes,
-        &refs,
-    );
-    (ens, signatures, sizes, hasher)
+    let mut builder = RankedIndex::builder_with(config());
+    for ((id, _), (sig, &size)) in catalog.iter().zip(signatures.iter().zip(&sizes)) {
+        builder.add(id, size, sig.clone());
+    }
+    (builder.build(), signatures, sizes, hasher)
 }
 
 #[test]
 fn inserts_visible_before_and_after_commit() {
-    let (mut ens, _, _, hasher) = build_world(500, 1);
-    let base_len = ens.len();
+    let (mut index, _, _, hasher) = build_world(500, 1);
+    let base_len = index.len();
     let mut new_sigs = Vec::new();
     for i in 0..50u32 {
         let vals = MinHasher::synthetic_values(9_000 + u64::from(i), 40 + i as usize);
         let sig = hasher.signature(vals.iter().copied());
-        ens.insert(10_000 + i, vals.len() as u64, &sig)
+        index
+            .insert(10_000 + i, vals.len() as u64, &sig)
             .expect("fresh insert");
         new_sigs.push((10_000 + i, vals.len() as u64, sig));
     }
-    assert_eq!(ens.len(), base_len + 50);
+    assert_eq!(index.len(), base_len + 50);
+    let ens = index.ensemble();
     // Visible while staged.
     for (id, size, sig) in &new_sigs {
         assert!(
@@ -46,11 +49,14 @@ fn inserts_visible_before_and_after_commit() {
             "staged insert {id} not found"
         );
     }
-    ens.commit();
-    // Still visible after merge.
+    index.commit();
+    // Still visible after the seal.
     for (id, size, sig) in &new_sigs {
         assert!(
-            ens.query_with_size(sig, *size, 1.0).contains(id),
+            index
+                .ensemble()
+                .query_with_size(sig, *size, 1.0)
+                .contains(id),
             "committed insert {id} not found"
         );
     }
@@ -58,113 +64,104 @@ fn inserts_visible_before_and_after_commit() {
 
 #[test]
 fn original_domains_survive_heavy_insertion() {
-    let (mut ens, signatures, sizes, hasher) = build_world(500, 2);
+    let (mut index, signatures, sizes, hasher) = build_world(500, 2);
     for i in 0..500u32 {
         let vals = MinHasher::synthetic_values(50_000 + u64::from(i), 30);
-        ens.insert(20_000 + i, 30, &hasher.signature(vals.iter().copied()))
+        index
+            .insert(20_000 + i, 30, &hasher.signature(vals.iter().copied()))
             .expect("fresh insert");
     }
-    ens.commit();
+    index.commit();
     for q in (0..500u32).step_by(61) {
-        let hits = ens.query_with_size(&signatures[q as usize], sizes[q as usize], 1.0);
+        let hits =
+            index
+                .ensemble()
+                .query_with_size(&signatures[q as usize], sizes[q as usize], 1.0);
         assert!(hits.contains(&q), "original domain {q} lost after drift");
     }
 }
 
 #[test]
 fn oversized_insert_grows_boundary_conservatively() {
-    let (mut ens, _, _, hasher) = build_world(300, 3);
-    let before = ens.partition_stats();
+    let (mut index, _, _, hasher) = build_world(300, 3);
+    let before = index.ensemble().partition_stats();
     let old_max = before.last().expect("partitions").upper;
     // Insert a domain 10× larger than anything indexed.
     let huge = MinHasher::synthetic_values(777, (old_max * 10) as usize);
     let sig = hasher.signature(huge.iter().copied());
-    ens.insert(99_999, old_max * 10, &sig)
+    index
+        .insert(99_999, old_max * 10, &sig)
         .expect("fresh insert");
-    let after = ens.partition_stats();
-    assert_eq!(after.last().expect("partitions").upper, old_max * 10);
-    // Conservative conversion: the enlarged bound must still find the new
-    // domain (u only grew, so s* only shrank — no new false negatives).
-    assert!(ens
-        .query_with_size(&sig, old_max * 10, 0.9)
-        .contains(&99_999));
+    // Staged, it is a tier of its own whose bound is its size: the largest
+    // bound grew, so s* only shrank — no new false negatives.
+    let last = |index: &RankedIndex| index.ensemble().partition_stats().last().map(|p| p.upper);
+    assert_eq!(last(&index), Some(old_max * 10));
+    let found = |index: &RankedIndex| {
+        let hits = index.ensemble().query_with_size(&sig, old_max * 10, 0.9);
+        hits.contains(&99_999)
+    };
+    assert!(found(&index));
+    // Compacted, the base's last partition covers it.
+    index.compact();
+    assert_eq!(last(&index), Some(old_max * 10));
+    assert!(found(&index));
 }
 
 #[test]
 fn undersized_insert_extends_first_partition() {
-    let (mut ens, _, _, hasher) = build_world(300, 4);
-    let before_lower = ens.partition_stats()[0].lower;
+    let (mut index, _, _, hasher) = build_world(300, 4);
+    let before_lower = index.ensemble().partition_stats()[0].lower;
     assert!(before_lower > 1);
     let tiny = MinHasher::synthetic_values(88, 1);
     let sig = hasher.signature(tiny.iter().copied());
-    ens.insert(88_888, 1, &sig).expect("fresh insert");
+    index.insert(88_888, 1, &sig).expect("fresh insert");
+    let lowest = |index: &RankedIndex| index.ensemble().partition_stats()[0].lower;
+    let found = |index: &RankedIndex| {
+        let hits = index.ensemble().query_with_size(&sig, 1, 1.0);
+        hits.contains(&88_888)
+    };
     // While staged/sealed, the tiny domain is covered by its own tier…
-    assert_eq!(
-        ens.partition_stats()
-            .iter()
-            .map(|p| p.lower)
-            .min()
-            .expect("partitions"),
-        1
-    );
-    assert!(ens.query_with_size(&sig, 1, 1.0).contains(&88_888));
-    // …and compaction folds it into the base, extending the first
-    // partition's boundary downward (§6.2 conservative growth).
-    ens.commit();
-    ens.compact();
-    assert_eq!(ens.partition_stats()[0].lower, 1);
-    assert!(ens.query_with_size(&sig, 1, 1.0).contains(&88_888));
+    let stats = index.ensemble().partition_stats();
+    assert_eq!(stats.iter().map(|p| p.lower).min(), Some(1));
+    assert!(found(&index));
+    index.commit();
+    assert_eq!(lowest(&index), before_lower, "a commit moved the base");
+    assert!(found(&index));
+    // …and compaction rebuilds it into the base: the first partition now
+    // starts at its size.
+    index.compact();
+    assert_eq!(lowest(&index), 1);
+    assert!(found(&index));
 }
 
 #[test]
 fn rebuild_restores_balanced_partitions_after_drift() {
-    // After heavy drift, partition member counts diverge; a rebuild through
-    // a fresh builder restores equi-depth balance (the §6.2 remedy).
-    let (mut ens, signatures, sizes, hasher) = build_world(400, 5);
-    let mut all: Vec<(u32, u64, Signature)> = signatures
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (i as u32, sizes[i], s.clone()))
-        .collect();
+    // 400 inserts, each larger than most of the built corpus, sealed into a
+    // segment: the base no longer describes the corpus. Compaction rebuilds
+    // the equi-depth partitioning from the live rows (the §6.2 remedy): the
+    // layout a fresh build of the whole corpus has, counts balanced.
+    let (mut index, signatures, sizes, hasher) = build_world(400, 5);
+    let mut fresh = RankedIndex::builder_with(config());
+    for (i, sig) in signatures.iter().enumerate() {
+        fresh.add(i as u32, sizes[i], sig.clone());
+    }
     for i in 0..400u32 {
         let vals = MinHasher::synthetic_values(70_000 + u64::from(i), 500 + i as usize);
         let sig = hasher.signature(vals.iter().copied());
-        ens.insert(30_000 + i, vals.len() as u64, &sig)
+        index
+            .insert(30_000 + i, vals.len() as u64, &sig)
             .expect("fresh insert");
-        all.push((30_000 + i, vals.len() as u64, sig));
+        fresh.add(30_000 + i, vals.len() as u64, sig);
     }
-    ens.commit();
-    // Compaction folds the sealed segment into the base by size: every new
-    // domain routes to the boundary partition, skewing the counts — the
-    // drift that §6.2's rebuild remedies.
-    ens.compact();
-    let drifted_spread = spread(&ens);
+    index.commit();
+    let base = index.ensemble().num_partitions();
+    assert!(index.ensemble().partition_stats().len() > base, "sealed");
 
-    let ids: Vec<u32> = all.iter().map(|e| e.0).collect();
-    let szs: Vec<u64> = all.iter().map(|e| e.1).collect();
-    let refs: Vec<&Signature> = all.iter().map(|e| &e.2).collect();
-    let rebuilt = LshEnsemble::build_from_parts(
-        EnsembleConfig {
-            strategy: PartitionStrategy::EquiDepth { n: 8 },
-            ..EnsembleConfig::default()
-        },
-        &ids,
-        &szs,
-        &refs,
-    );
-    let rebuilt_spread = spread(&rebuilt);
-    assert!(
-        rebuilt_spread < drifted_spread,
-        "rebuild should rebalance: {rebuilt_spread} vs {drifted_spread}"
-    );
-}
-
-fn spread(ens: &LshEnsemble) -> f64 {
-    let counts: Vec<f64> = ens
-        .partition_stats()
-        .iter()
-        .map(|p| p.count as f64)
-        .collect();
-    let mean = counts.iter().sum::<f64>() / counts.len() as f64;
-    (counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / counts.len() as f64).sqrt()
+    let report = index.compact();
+    assert_eq!(report.entries_folded, 800);
+    let stats = index.ensemble().partition_stats();
+    assert_eq!(stats, fresh.build().ensemble().partition_stats());
+    let counts = stats.iter().map(|p| p.count);
+    let (min, max) = (counts.clone().min(), counts.max());
+    assert_eq!((min, max), (Some(100), Some(100)), "{stats:?}");
 }

@@ -170,8 +170,8 @@ fn v7_container(n: usize, parts: usize) -> IndexContainer {
     ])
     .expect("second batch");
     assert!(c.commit_mutations().sealed);
-    let stats = c.segment_stats();
-    assert_eq!((stats.segments, stats.tombstones), (2, 2));
+    let layout = c.segment_layout();
+    assert_eq!((layout.segments.len(), layout.tombstones), (2, 2));
     c
 }
 
@@ -240,7 +240,7 @@ fn v7_containers_answer_as_recorded_and_save_as_a_fresh_v8_build() {
         let fresh = v7_container(base_rows, parts);
         assert_eq!(loaded.records(), fresh.records(), "{name}");
         assert_eq!(loaded.next_id(), fresh.next_id(), "{name}");
-        assert_eq!(loaded.segment_stats(), fresh.segment_stats(), "{name}");
+        assert_eq!(loaded.segment_layout(), fresh.segment_layout(), "{name}");
 
         // Hits, estimates bit for bit, and probe counters: as the commit
         // that wrote the file answered them and as a fresh build does; any

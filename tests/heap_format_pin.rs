@@ -74,8 +74,8 @@ fn pinned_container() -> IndexContainer {
     c.apply(&ops[5..]).expect("second batch");
     c.apply(&[DeltaOp::Remove { id: 17 }]).expect("remove");
     assert!(c.commit_mutations().sealed);
-    let stats = c.segment_stats();
-    assert_eq!((stats.segments, stats.tombstones), (2, 1));
+    let layout = c.segment_layout();
+    assert_eq!((layout.segments.len(), layout.tombstones), (2, 1));
     c
 }
 
@@ -117,7 +117,7 @@ fn save_writes_the_same_bytes_and_load_answers_identically() {
     let loaded = IndexContainer::load(&path).expect("load");
     assert_eq!(loaded.records(), built.records());
     assert_eq!(loaded.next_id(), built.next_id());
-    assert_eq!(loaded.segment_stats(), built.segment_stats());
+    assert_eq!(loaded.segment_layout(), built.segment_layout());
     for (sig, size) in &query_sample() {
         for t in [0.5, 0.9] {
             // Hits with their estimates.

@@ -6,27 +6,20 @@
 //! rows' sizes), the id → row directory and every record column is a view
 //! into it, nothing is copied, and a container that was built holds none.
 //! The views answer bit for bit like the vectors they came from; a commit
-//! and a segment merge leave them alone; an ensemble's fold copies out
-//! exactly the partitions it edits, sizes included, and builds a directory
-//! of its own; a full fold through the engine ends on the file it wrote; a
-//! server keeps answering from the file it loaded once another is renamed
-//! over its path, or the path is gone; and every column, cut at either end
-//! or damaged where its check looks, is a typed decode error naming its
-//! section.
+//! and a segment merge leave them alone; a full fold through the engine
+//! ends on the file it wrote; a server keeps answering from the file it
+//! loaded once another is renamed over its path, or the path is gone; and
+//! every column, cut at either end or damaged where its check looks, is a
+//! typed decode error naming its section.
 
-use lshe_core::{
-    DomainIndex, EnsembleConfig, LshEnsemble, MergeTask, MutableIndex, PartitionStrategy, Query,
-    QueryStats, SearchOutcome,
-};
+use lshe_core::{DomainIndex, MergeTask, Query, QueryStats, SearchOutcome};
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
-use lshe_minhash::codec::{Decoder, Owner};
 use lshe_minhash::{MinHasher, Signature};
 use lshe_serve::container::LoadError;
 use lshe_serve::{Engine, IndexContainer, Snapshot};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 const BASE: usize = 400;
 const PARTITIONS: usize = 8;
@@ -93,9 +86,9 @@ fn answer(outcome: SearchOutcome) -> Answer {
     (hits.collect(), stats)
 }
 
-/// Threshold, top-k (where ranked) and one batch of both over a sample of
-/// the corpus, every answer without its wall time.
-fn answers(index: &dyn DomainIndex, ranked: bool) -> Vec<Answer> {
+/// Threshold, top-k and one batch of both over a sample of the corpus,
+/// every answer without its wall time.
+fn answers(index: &dyn DomainIndex) -> Vec<Answer> {
     let sample: Vec<(Signature, u64)> = corpus(BASE, 7)
         .iter()
         .step_by(7)
@@ -107,9 +100,7 @@ fn answers(index: &dyn DomainIndex, ranked: bool) -> Vec<Answer> {
         for t in [0.2, 0.5, 0.9] {
             queries.push(Query::threshold(sig, t).with_size(*size));
         }
-        if ranked {
-            queries.push(Query::top_k(sig, 4).with_size(*size));
-        }
+        queries.push(Query::top_k(sig, 4).with_size(*size));
     }
     let singly = queries.iter().map(|q| index.search(q).expect("search"));
     let mut out: Vec<_> = singly.map(answer).collect();
@@ -157,9 +148,9 @@ fn a_loaded_base_is_views_into_the_file_and_a_built_one_is_heap() {
     assert_eq!(copied.base_in_place(), all(false));
     assert!(!copied.directory_in_place() && !copied.records_in_place());
 
-    let want = answers(&*built.open_index(), true);
-    assert!(answers(&*loaded.open_index(), true) == want, "loaded");
-    assert!(answers(&*copied.open_index(), true) == want, "copied");
+    let want = answers(&*built.open_index());
+    assert!(answers(&*loaded.open_index()) == want, "loaded");
+    assert!(answers(&*copied.open_index()) == want, "copied");
     assert!(loaded.to_bytes() == file, "re-encoded through the views");
 }
 
@@ -177,7 +168,7 @@ fn a_commit_and_a_segment_merge_leave_every_base_column_a_view() {
         assert!(engine.commit_staged().expect("commit").1.report.sealed);
     }
     let committed = engine.snapshot();
-    assert_eq!(committed.container().segment_stats().segments, 2);
+    assert_eq!(committed.container().segment_layout().segments.len(), 2);
     let (merged, outcome) = engine
         .apply_merge(&MergeTask::Merge(vec![0, 1]))
         .expect("merge");
@@ -204,68 +195,7 @@ fn a_commit_and_a_segment_merge_leave_every_base_column_a_view() {
             .map(<[u8]>::as_ptr),
         merged.container().mapping().map(<[u8]>::as_ptr)
     );
-    assert!(answers(reloaded.snapshot().index(), true) == answers(merged.index(), true));
-}
-
-#[test]
-fn a_fold_copies_out_exactly_the_partitions_it_edits() {
-    // A container's fold rebuilds its index from the rows; the ensemble's
-    // own fold edits in place. It is held here on an ensemble decoded the
-    // way `load` decodes one, its columns views into a shared buffer.
-    let mut builder = LshEnsemble::builder_with(EnsembleConfig {
-        strategy: PartitionStrategy::EquiDepth { n: PARTITIONS },
-        ..EnsembleConfig::default()
-    });
-    for (id, (domain, _)) in (0u32..).zip(&corpus(BASE, 7)) {
-        let (sig, size) = sketch(domain);
-        builder.add(id, size, sig);
-    }
-    let built = builder.build();
-    let owner: Owner = Arc::new(built.to_bytes_committed());
-    let file: &[u8] = (*owner).as_ref();
-    let mut loaded = LshEnsemble::decode(Decoder::shared(&owner)).expect("decode");
-    assert_eq!(loaded.base_borrowed_from(file), all(true));
-    assert!(loaded.directory_borrowed_from(file));
-    let untouched = loaded.clone();
-    loaded.remove(33).expect("remove");
-    loaded.commit();
-    assert_eq!(
-        loaded.base_borrowed_from(file),
-        all(true),
-        "a tombstone edits nothing"
-    );
-    assert!(loaded.directory_borrowed_from(file));
-    loaded.compact();
-    // The partition that lost a row — its forest and its sizes — is
-    // copied out; the others stay views. The new base's directory is the
-    // fold's own.
-    let in_place = loaded.base_borrowed_from(file);
-    assert_eq!(in_place.iter().filter(|&&p| !p).count(), 1, "{in_place:?}");
-    assert_eq!(loaded.base_shared_with(&untouched), in_place);
-    assert!(!loaded.directory_borrowed_from(file));
-    assert!(untouched.directory_borrowed_from(file));
-    let row = 4 + 576 + 4 * 32 + 8;
-    assert!(loaded.mapped_bytes() < (BASE - 1) * row && loaded.mapped_bytes() > BASE / 2 * row);
-    assert_eq!(untouched.base_borrowed_from(file), all(true));
-
-    // An insert folded into another partition copies that one too; the
-    // edited index equals the same edits on the built one, byte for byte.
-    let fresh = corpus(40, 8);
-    let elsewhere = (1_000u32..).zip(&fresh).find_map(|(id, (domain, _))| {
-        let (sig, size) = sketch(domain);
-        let mut probe = loaded.clone();
-        probe.insert(id, size, &sig).expect("insert");
-        probe.compact();
-        let copied = probe.base_borrowed_from(file).into_iter().filter(|&p| !p);
-        (copied.count() == 2).then_some((id, sig, size, probe))
-    });
-    let (id, sig, size, twice) = elsewhere.expect("a domain sized for another partition");
-    let mut expect = built.clone();
-    expect.remove(33).expect("remove");
-    expect.insert(id, size, &sig).expect("insert");
-    expect.compact();
-    assert!(twice.to_bytes_committed() == expect.to_bytes_committed());
-    assert!(answers(&twice, false) == answers(&expect, false));
+    assert!(answers(reloaded.snapshot().index()) == answers(merged.index()));
 }
 
 fn mapped_at(snap: &Snapshot) -> *const u8 {
@@ -280,7 +210,7 @@ fn a_full_fold_through_the_engine_ends_on_the_file_it_wrote() {
     let (dir, _) = saved("compact");
     let engine = Engine::load(&dir.index(), 1).expect("engine");
     let loaded = engine.snapshot();
-    let before = answers(loaded.index(), true);
+    let before = answers(loaded.index());
     let fresh = corpus(4, 8);
     let ids: Vec<u32> = fresh.iter().map(|pair| stage(&engine, pair)).collect();
     engine.stage_remove(5).expect("stage remove");
@@ -293,16 +223,16 @@ fn a_full_fold_through_the_engine_ends_on_the_file_it_wrote() {
     let file = std::fs::read(dir.index()).expect("read");
     assert!(container.mapping() == Some(&file[..]), "the new file");
     assert_ne!(mapped_at(&compacted), mapped_at(&loaded));
-    assert_eq!(container.segment_stats().segments, 0);
+    assert!(container.segment_layout().segments.is_empty());
     assert_eq!(container.len(), BASE + 3);
     assert!(ids.iter().all(|&id| container.record(id).is_some()));
     assert!(container.record(5).is_none());
     // The snapshot a reader still holds is served from the old file.
-    assert!(answers(loaded.index(), true) == before);
+    assert!(answers(loaded.index()) == before);
     // And a restart finds what the engine is serving.
     let restarted = Engine::load(&dir.index(), 1).expect("restart");
-    let served = answers(compacted.index(), true);
-    assert!(answers(restarted.snapshot().index(), true) == served);
+    let served = answers(compacted.index());
+    assert!(answers(restarted.snapshot().index()) == served);
 }
 
 fn unlink(path: &Path) {
@@ -315,7 +245,7 @@ fn a_loaded_index_outlives_its_path_being_replaced_and_unlinked() {
     let (dir, _) = saved("replaced");
     let engine = Engine::load(&dir.index(), 1).expect("engine");
     let snap = engine.snapshot();
-    let want = answers(snap.index(), true);
+    let want = answers(snap.index());
     let file = std::fs::read(dir.index()).expect("read");
 
     // Another index saved over the path: tmp + rename, so the mapping
@@ -324,10 +254,10 @@ fn a_loaded_index_outlives_its_path_being_replaced_and_unlinked() {
     other.save(&dir.index()).expect("save over");
     assert_ne!(std::fs::read(dir.index()).expect("read").len(), file.len());
     assert!(snap.container().mapping() == Some(&file[..]));
-    assert!(answers(snap.index(), true) == want, "after a rename");
+    assert!(answers(snap.index()) == want, "after a rename");
 
     unlink(&dir.index());
-    assert!(answers(snap.index(), true) == want, "after an unlink");
+    assert!(answers(snap.index()) == want, "after an unlink");
     assert_eq!(snap.container().base_in_place(), all(true));
     // Mutations still land, beside the views, with nowhere to persist.
     stage(&engine, &corpus(1, 12)[0]);

@@ -1,9 +1,10 @@
 //! Property-based invariants for dynamic mutation (§6.2): arbitrary
-//! insert / remove / commit interleavings against a ground-truth model.
+//! insert / remove / commit / compact interleavings against a ground-truth
+//! model.
 //!
 //! For every generated script the suite maintains a plain `BTreeMap`
-//! model of the live corpus and checks, on the mutated `LshEnsemble` (and
-//! a `RankedIndex` driven by the same script, with rebalancing enabled):
+//! model of the live corpus and checks, on a `RankedIndex` driven by it,
+//! after every step:
 //!
 //! * partition boundaries stay monotone (`lower ≤ upper` everywhere;
 //!   ranges ordered and non-overlapping across the base partitions —
@@ -14,7 +15,9 @@
 //!   `t* = 1.0` returns it once; removed ids are never returned),
 //! * `len()` / `is_empty()` / `contains()` never disagree with the model,
 //!   and `memory_bytes()` stays positive while anything is indexed,
-//! * `staged_len()` tracks exactly the inserts since the last commit.
+//! * `staged_len()` tracks exactly the inserts since the last commit, and
+//! * a compaction serialises exactly like a fresh build of the model — a
+//!   base of no partitions once everything was removed.
 //!
 //! A container driven through insert / remove / commit / compact / save →
 //! load resolves, after every step, each live id through the index's
@@ -22,10 +25,11 @@
 //! and each removed id to none; the container loaded from its file answers
 //! like the one it was saved from, and the script goes on over the mapped
 //! base. Ids are inserted with holes, and the top id is removed, so the
-//! directory is searched off its dense path.
+//! directory is searched off its dense path. A container emptied, compacted,
+//! saved and loaded takes domains again.
 
 use lshe_core::{
-    EnsembleConfig, Leveled, LshEnsemble, MutableIndex, MutationError, PartitionStrategy, Query,
+    DomainIndex, EnsembleConfig, Leveled, LshEnsemble, MutationError, PartitionStrategy, Query,
     RankedIndex, RowBuf,
 };
 use lshe_corpus::{Domain, DomainMeta};
@@ -53,12 +57,33 @@ fn signature_for(id: DomainId, size: u64) -> Signature {
     hasher.signature(vals.iter().copied())
 }
 
-/// Checks the structural invariants of one mutated index against the
+/// Signatures by id, memoised — recomputing them per probe dominates the
+/// runtime otherwise. Removed ids keep theirs.
+type Sigs = BTreeMap<DomainId, Signature>;
+
+/// `model` (ids with their sizes) and the signature of each.
+fn sketched(model: &BTreeMap<DomainId, u64>) -> Sigs {
+    let sigs = model
+        .iter()
+        .map(|(&id, &size)| (id, signature_for(id, size)));
+    sigs.collect()
+}
+
+/// A fresh build of `model`, or `None` when it is empty — a build needs
+/// at least one domain.
+fn fresh_build(parts: usize, model: &BTreeMap<DomainId, u64>, sigs: &Sigs) -> Option<RankedIndex> {
+    let mut builder = RankedIndex::builder_with(config(parts));
+    for (&id, &size) in model {
+        builder.add(id, size, sigs[&id].clone());
+    }
+    (!builder.is_empty()).then(|| builder.build())
+}
+
+/// Checks the structural invariants of the mutated index against the
 /// model. `staged` is the insert count since the last commit.
 fn check_invariants(
     label: &str,
-    index: &dyn MutableIndex,
-    ens: &LshEnsemble,
+    index: &RankedIndex,
     model: &BTreeMap<DomainId, u64>,
     staged: usize,
 ) -> Result<(), TestCaseError> {
@@ -81,14 +106,15 @@ fn check_invariants(
         prop_assert!(index.memory_bytes() > 0, "{label}: no memory accounted");
     }
     for &id in model.keys() {
-        prop_assert!(ens.contains(id), "{label}: live id {id} not contained");
+        prop_assert!(index.contains(id), "{label}: live id {id} not contained");
     }
     // Partition boundaries monotone and well-formed. Counts are physical
     // rows, so tombstoned domains still occupy their partition until
-    // compaction folds them out.
+    // compaction erases them.
+    let ens = index.ensemble();
     let stats = ens.partition_stats();
     let members: usize = stats.iter().map(|p| p.count).sum();
-    let tombstones = ens.segment_stats().tombstones;
+    let tombstones = index.segment_layout().tombstones;
     prop_assert!(
         members == model.len() + tombstones,
         "{label}: partition members {members} vs model {} + {tombstones} tombstones",
@@ -99,8 +125,9 @@ fn check_invariants(
     }
     // Ordering is a per-tier property: each sealed segment (and the staged
     // pseudo-partition) restarts its own size range, so only the base
-    // partitioning promises ordered, non-overlapping ranges.
-    for w in ens.base_partition_stats().windows(2) {
+    // partitioning — the stats' first `num_partitions` — promises ordered,
+    // non-overlapping ranges.
+    for w in stats[..ens.num_partitions()].windows(2) {
         prop_assert!(
             w[0].upper <= w[1].lower,
             "{label}: overlapping partitions {w:?}"
@@ -109,25 +136,24 @@ fn check_invariants(
     Ok(())
 }
 
-/// Self-queries: every live id is returned exactly once at `t* = 1.0`;
-/// every removed id never (probed with its original signature). Checked
-/// on a sample to bound runtime.
+/// Self-queries: the first `sample` live ids are each returned exactly
+/// once at `t* = 1.0`; the first `sample` removed ids never (probed with
+/// their original signature).
 fn check_queryability(
     label: &str,
     ens: &LshEnsemble,
-    model: &BTreeMap<DomainId, u64>,
+    (model, sigs): (&BTreeMap<DomainId, u64>, &Sigs),
     dead: &[(DomainId, u64)],
+    sample: usize,
 ) -> Result<(), TestCaseError> {
-    for (&id, &size) in model.iter().take(25) {
-        let sig = signature_for(id, size);
-        let got = ens.query_with_size(&sig, size, 1.0);
+    for (&id, &size) in model.iter().take(sample) {
+        let got = ens.query_with_size(&sigs[&id], size, 1.0);
         let hits = got.iter().filter(|&&g| g == id).count();
         prop_assert!(hits == 1, "{label}: live id {id} found {hits} times");
     }
-    for &(id, size) in dead.iter().take(25) {
-        let sig = signature_for(id, size);
+    for &(id, size) in dead.iter().take(sample) {
         prop_assert!(
-            !ens.query_with_size(&sig, size, 1.0).contains(&id),
+            !ens.query_with_size(&sigs[&id], size, 1.0).contains(&id),
             "{label}: dead id {id} returned"
         );
         prop_assert!(!ens.contains(id), "{label}: dead id {id} contained");
@@ -135,135 +161,160 @@ fn check_queryability(
     Ok(())
 }
 
+/// A compacted index against the model: the bytes of a fresh build of it,
+/// or a base of no partitions when it is empty.
+fn check_compacted(
+    label: &str,
+    index: &RankedIndex,
+    parts: usize,
+    (model, sigs): (&BTreeMap<DomainId, u64>, &Sigs),
+) -> Result<(), TestCaseError> {
+    let ens = index.ensemble();
+    match fresh_build(parts, model, sigs) {
+        Some(fresh) => prop_assert!(
+            ens.to_bytes() == fresh.ensemble().to_bytes(),
+            "{label}: compaction serialises unlike a fresh build of the model"
+        ),
+        None => prop_assert!(
+            ens.num_partitions() == 0 && ens.partition_stats().is_empty(),
+            "{label}: an emptied index compacted to {} partitions",
+            ens.num_partitions()
+        ),
+    }
+    let round = LshEnsemble::from_bytes(&ens.to_bytes()).expect("roundtrip");
+    prop_assert!(round.len() == model.len(), "{label}: decoded len");
+    Ok(())
+}
+
 proptest! {
-    /// The headline property: arbitrary interleavings keep both the plain
-    /// ensemble and the rebalancing ranked index consistent with the
-    /// model, structurally sound, and exactly-once queryable.
+    /// The headline property: arbitrary interleavings — and then the
+    /// removal of everything — keep the index consistent with the model,
+    /// structurally sound and exactly-once queryable after every step, and
+    /// every compaction equal to a fresh build of the model.
     #[test]
     fn interleaved_mutations_preserve_equi_depth_invariants(
         initial_sizes in prop::collection::vec(1u64..1_500, 8..24),
         script in prop::collection::vec(0u32..1_000_000, 1..40),
         parts in 2usize..6,
-        trigger_choice in 0usize..3,
     ) {
         // Build the initial corpus (ids 0..n) and the model.
         let mut model: BTreeMap<DomainId, u64> = BTreeMap::new();
-        let mut ens_builder = LshEnsemble::builder_with(config(parts));
-        let mut ranked_builder = RankedIndex::builder_with(config(parts));
         for (i, &size) in initial_sizes.iter().enumerate() {
-            let id = i as DomainId;
-            let sig = signature_for(id, size);
-            ens_builder.add(id, size, sig.clone());
-            ranked_builder.add(id, size, sig);
-            model.insert(id, size);
+            model.insert(i as DomainId, size);
         }
-        let mut ens = ens_builder.build();
-        let mut ranked = ranked_builder.build();
-        // Sweep the trigger across "always", "default", and "never" so
-        // rebalancing and conservative growth are both exercised.
-        ranked.set_rebalance_trigger([0.5, 4.0, 1e12][trigger_choice]);
+        let mut sigs = sketched(&model);
+        let mut index = fresh_build(parts, &model, &sigs).expect("a non-empty corpus");
 
         let mut next_id = initial_sizes.len() as DomainId;
         let mut dead: Vec<(DomainId, u64)> = Vec::new();
         let mut staged = 0usize;
-        for word in script {
-            match word % 3 {
+        // The script, then a tail that removes every live domain (each
+        // removal takes the first one left) and compacts the emptied index.
+        let tail = (0..model.len() + script.len()).map(|_| (1, 0)).chain([(3, 0)]);
+        let steps = script.iter().map(|&w| (w % 4, w / 4)).chain(tail);
+        for (step, (op, word)) in steps.enumerate() {
+            let label = format!("step {step}: op {op}");
+            match op {
                 0 => {
-                    // Insert a fresh domain; duplicate inserts must fail
-                    // identically on both indexes.
+                    // Insert a fresh domain; a second insert of it fails.
                     let id = next_id;
                     next_id += 1;
-                    let size = 1 + u64::from(word / 3) % 3_000;
+                    let size = 1 + u64::from(word) % 3_000;
                     let sig = signature_for(id, size);
-                    ens.insert(id, size, &sig).expect("fresh insert");
-                    ranked.insert(id, size, &sig).expect("fresh insert");
+                    index.insert(id, size, &sig).expect("fresh insert");
                     prop_assert_eq!(
-                        ens.insert(id, size, &sig),
-                        Err(MutationError::DuplicateId(id))
-                    );
-                    prop_assert_eq!(
-                        ranked.insert(id, size, &sig),
+                        index.insert(id, size, &sig),
                         Err(MutationError::DuplicateId(id))
                     );
                     model.insert(id, size);
+                    sigs.insert(id, sig);
                     staged += 1;
                 }
                 1 => {
                     if model.is_empty() {
                         continue;
                     }
-                    // Remove a deterministic live id; double removal must
-                    // fail identically on both indexes.
+                    // Remove a deterministic live id; a second removal fails.
                     let live: Vec<DomainId> = model.keys().copied().collect();
-                    let id = live[(word as usize / 3) % live.len()];
+                    let id = live[word as usize % live.len()];
                     // Removing a still-staged insert shrinks the backlog.
-                    let was_staged = ens.staged_len();
-                    ens.remove(id).expect("live remove");
-                    ranked.remove(id).expect("live remove");
-                    staged -= was_staged - ens.staged_len();
-                    prop_assert_eq!(ens.remove(id), Err(MutationError::UnknownId(id)));
-                    prop_assert_eq!(ranked.remove(id), Err(MutationError::UnknownId(id)));
+                    let was_staged = index.staged_len();
+                    index.remove(id).expect("live remove");
+                    staged -= was_staged - index.staged_len();
+                    prop_assert_eq!(index.remove(id), Err(MutationError::UnknownId(id)));
                     let size = model.remove(&id).expect("modelled");
                     dead.push((id, size));
                 }
-                _ => {
-                    let report = MutableIndex::commit(&mut ens);
+                2 => {
+                    let report = index.commit();
                     prop_assert!(
-                        report.merged == staged,
-                        "ensemble commit merged {} vs staged {staged}",
+                        report.merged == staged && report.sealed == (staged > 0),
+                        "{label}: commit sealed {} vs staged {staged}",
                         report.merged
                     );
-                    prop_assert!(!report.rebalanced, "plain ensemble cannot rebalance");
-                    let _ = ranked.commit();
+                    prop_assert!(report.entries_folded == 0, "{label}: a commit rebuilt");
                     staged = 0;
                 }
+                _ => {
+                    let report = index.compact();
+                    prop_assert!(report.merged == staged, "{label}: compaction sealed");
+                    prop_assert!(
+                        (report.segments, report.tombstones, report.entries_folded)
+                            == (0, 0, model.len()),
+                        "{label}: compaction left {report:?}"
+                    );
+                    staged = 0;
+                    check_compacted(&label, &index, parts, (&model, &sigs))?;
+                }
             }
-            prop_assert_eq!(ranked.staged_len(), ens.staged_len());
+            check_invariants(&label, &index, &model, staged)?;
+            check_queryability(&label, index.ensemble(), (&model, &sigs), &dead, 4)?;
         }
+        prop_assert!(model.is_empty() && index.is_empty());
+        check_queryability("emptied", index.ensemble(), (&model, &sigs), &dead, 25)?;
 
-        check_invariants("ensemble", &ens, &ens, &model, staged)?;
-        check_invariants("ranked", &ranked, ranked.ensemble(), &model, staged)?;
-        check_queryability("ensemble", &ens, &model, &dead)?;
-        check_queryability("ranked", ranked.ensemble(), &model, &dead)?;
-
-        // A final commit folds everything and changes no answers.
-        let _ = MutableIndex::commit(&mut ens);
-        let _ = ranked.commit();
-        prop_assert_eq!(ens.staged_len(), 0);
-        check_queryability("ensemble/committed", &ens, &model, &dead)?;
-        check_queryability("ranked/committed", ranked.ensemble(), &model, &dead)?;
+        // The emptied index takes domains again, through every tier.
+        let id = next_id;
+        sigs.insert(id, signature_for(id, 40));
+        index.insert(id, 40, &sigs[&id]).expect("insert after emptying");
+        model.insert(id, 40);
+        check_queryability("refilled", index.ensemble(), (&model, &sigs), &dead, 25)?;
+        index.commit();
+        check_invariants("refilled/committed", &index, &model, 0)?;
+        index.compact();
+        check_compacted("refilled/compacted", &index, parts, (&model, &sigs))?;
+        check_queryability("refilled/compacted", index.ensemble(), (&model, &sigs), &dead, 25)?;
     }
 
-    /// Serialisation commutes with mutation: mutate → save → load lands on
-    /// an index that answers exactly like the in-memory original.
+    /// Serialisation commutes with mutation: mutate → commit → save → load
+    /// lands on an index that answers exactly like the in-memory original.
     #[test]
     fn mutated_ensemble_roundtrips_through_bytes(
         initial_sizes in prop::collection::vec(1u64..800, 4..16),
         script in prop::collection::vec(0u32..1_000_000, 1..25),
     ) {
         let mut model: BTreeMap<DomainId, u64> = BTreeMap::new();
-        let mut builder = LshEnsemble::builder_with(config(3));
         for (i, &size) in initial_sizes.iter().enumerate() {
-            let id = i as DomainId;
-            builder.add(id, size, signature_for(id, size));
-            model.insert(id, size);
+            model.insert(i as DomainId, size);
         }
-        let mut ens = builder.build();
+        let mut index = fresh_build(3, &model, &sketched(&model)).expect("a non-empty corpus");
         let mut next_id = initial_sizes.len() as DomainId;
         for word in script {
             if word % 2 == 0 {
                 let id = next_id;
                 next_id += 1;
                 let size = 1 + u64::from(word) % 900;
-                ens.insert(id, size, &signature_for(id, size)).expect("insert");
+                index.insert(id, size, &signature_for(id, size)).expect("insert");
                 model.insert(id, size);
             } else if !model.is_empty() {
                 let live: Vec<DomainId> = model.keys().copied().collect();
                 let id = live[(word as usize) % live.len()];
-                ens.remove(id).expect("remove");
+                index.remove(id).expect("remove");
                 model.remove(&id);
             }
         }
+        index.commit();
+        let ens = index.ensemble();
         let restored = LshEnsemble::from_bytes(&ens.to_bytes()).expect("roundtrip");
         prop_assert_eq!(restored.len(), model.len());
         for (&id, &size) in model.iter().take(20) {
@@ -280,14 +331,13 @@ proptest! {
     /// Background maintenance racing the mutation script: after every
     /// commit the leveled planner folds the sealed stack to quiescence
     /// through `apply_merge` — exactly the loop the serve maintainer
-    /// runs — and at each quiescent point every mutable backend must
-    /// agree with a fresh build of the live corpus: same `len`, every
-    /// live id self-queries to exactly one hit in both (and `contains`
-    /// agrees), every removed id to none, and the sealed stack sits
-    /// within the planner's segment bound. (Full hit *sets* can
-    /// legitimately differ — partition geometry depends on physical
-    /// layout — so the contract is exact self-recall, not candidate-set
-    /// equality.)
+    /// runs — and at each quiescent point the index must agree with a
+    /// fresh build of the live corpus: same `len`, every live id
+    /// self-queries to exactly one hit in both, every removed id to none,
+    /// and the sealed stack sits within the planner's segment bound. (Full
+    /// hit *sets* can legitimately differ — partition geometry depends on
+    /// physical layout — so the contract is exact self-recall, not
+    /// candidate-set equality.)
     #[test]
     fn background_merges_preserve_query_results(
         initial_sizes in prop::collection::vec(1u64..600, 5..12),
@@ -299,22 +349,11 @@ proptest! {
             fanout,
             level0_entries: [1, 4, 64][level0_choice],
         };
-        let entries: Vec<(DomainId, u64, Signature)> = initial_sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &size)| (i as DomainId, size, signature_for(i as DomainId, size)))
-            .collect();
-        let mut model: BTreeMap<DomainId, u64> =
-            entries.iter().map(|&(id, size, _)| (id, size)).collect();
-        // Signatures are memoised — recomputing them per probe dominates
-        // the runtime otherwise.
-        let mut sigs: BTreeMap<DomainId, Signature> = entries
-            .iter()
-            .map(|(id, _, sig)| (*id, sig.clone()))
-            .collect();
-        let mut backends = merge_backends(&entries);
+        let mut model: BTreeMap<DomainId, u64> = (0u32..).zip(initial_sizes).collect();
+        let mut sigs = sketched(&model);
+        let mut index = fresh_build(3, &model, &sigs).expect("a non-empty corpus");
 
-        let mut next_id = initial_sizes.len() as DomainId;
+        let mut next_id = model.len() as DomainId;
         let mut dead: Vec<(DomainId, u64)> = Vec::new();
         for word in script {
             match word % 3 {
@@ -323,11 +362,7 @@ proptest! {
                     next_id += 1;
                     let size = 1 + u64::from(word / 3) % 500;
                     let sig = signature_for(id, size);
-                    for (name, index) in &mut backends {
-                        index.insert(id, size, &sig).unwrap_or_else(|e| {
-                            panic!("{name}: fresh insert of {id} failed: {e:?}")
-                        });
-                    }
+                    index.insert(id, size, &sig).expect("fresh insert");
                     model.insert(id, size);
                     sigs.insert(id, sig);
                 }
@@ -337,30 +372,22 @@ proptest! {
                     }
                     let live: Vec<DomainId> = model.keys().copied().collect();
                     let id = live[(word as usize / 3) % live.len()];
-                    for (name, index) in &mut backends {
-                        index.remove(id).unwrap_or_else(|e| {
-                            panic!("{name}: live remove of {id} failed: {e:?}")
-                        });
-                    }
+                    index.remove(id).expect("live remove");
                     let size = model.remove(&id).expect("modelled");
                     dead.push((id, size));
                 }
                 _ => {
-                    for (_, index) in &mut backends {
-                        let _ = index.commit();
-                    }
+                    index.commit();
                     // Intermediate quiescent point: drain + the cheap
                     // checks (bound, self-recall on the merged index).
-                    drain_and_check(&planner, &mut backends, &model, &dead, &sigs, false)?;
+                    drain_and_check(&planner, &mut index, &model, &dead, &sigs, false)?;
                 }
             }
         }
         // Final quiescent point: commit whatever is staged, drain, and
         // additionally compare against a fresh build of the live corpus.
-        for (_, index) in &mut backends {
-            let _ = index.commit();
-        }
-        drain_and_check(&planner, &mut backends, &model, &dead, &sigs, true)?;
+        index.commit();
+        drain_and_check(&planner, &mut index, &model, &dead, &sigs, true)?;
     }
 
     /// The container's id → row directory under arbitrary mutation, saved
@@ -530,104 +557,131 @@ impl Drop for Scratch {
     }
 }
 
-/// Both mutable backends over the initial corpus, in a fixed order so
-/// merged and fresh instances can be zipped.
-fn merge_backends(
-    entries: &[(DomainId, u64, Signature)],
-) -> Vec<(&'static str, Box<dyn MutableIndex>)> {
-    let mut ensemble = LshEnsemble::builder_with(config(3));
-    let mut ranked = RankedIndex::builder_with(config(3));
-    for (id, size, sig) in entries {
-        ensemble.add(*id, *size, sig.clone());
-        ranked.add(*id, *size, sig.clone());
-    }
-    vec![
-        ("ensemble", Box::new(ensemble.build())),
-        ("ranked", Box::new(ranked.build())),
-    ]
-}
-
-/// Drains the planner's merge plan on every backend (the maintainer's
-/// loop) and checks the quiescent-point invariants. With `full`, also
-/// builds every backend fresh from the live corpus and checks self-recall
-/// agreement (the expensive comparison, run once per case).
+/// Drains the planner's merge plan (the maintainer's loop) and checks the
+/// quiescent-point invariants. With `full`, also builds the index fresh
+/// from the live corpus and checks self-recall agreement (the expensive
+/// comparison, run once per case).
 fn drain_and_check(
     planner: &Leveled,
-    backends: &mut [(&'static str, Box<dyn MutableIndex>)],
+    index: &mut RankedIndex,
     model: &BTreeMap<DomainId, u64>,
     dead: &[(DomainId, u64)],
-    sigs: &BTreeMap<DomainId, Signature>,
+    sigs: &Sigs,
     full: bool,
 ) -> Result<(), TestCaseError> {
     let sample = if full { 16 } else { 6 };
-    // A fresh build needs at least one domain.
-    let fresh = if full && !model.is_empty() {
-        let fresh_entries: Vec<(DomainId, u64, Signature)> = model
-            .iter()
-            .map(|(&id, &size)| (id, size, sigs[&id].clone()))
-            .collect();
-        merge_backends(&fresh_entries)
+    let fresh = if full {
+        fresh_build(3, model, sigs)
     } else {
-        Vec::new()
+        None
     };
-    for (i, (name, index)) in backends.iter_mut().enumerate() {
-        let name = *name;
-        let mut rounds = 0usize;
-        loop {
-            let tasks = planner.plan(&index.segment_layout());
-            if tasks.is_empty() {
-                break;
-            }
-            for task in &tasks {
-                index.apply_merge(task);
-            }
-            rounds += 1;
-            prop_assert!(rounds < 64, "{name}: merge plan never quiesced");
+    let mut rounds = 0usize;
+    loop {
+        let tasks = planner.plan(&index.segment_layout());
+        if tasks.is_empty() {
+            break;
         }
-        let layout = index.segment_layout();
-        // The bound is sized on physical entries: segments retain
-        // tombstoned rows until a fold erases them.
-        let bound = planner.segment_bound(layout.len + layout.tombstones);
-        prop_assert!(
-            layout.segments.len() <= bound,
-            "{name}: {} segments exceed the planner bound {bound} after drain",
-            layout.segments.len()
-        );
-        prop_assert!(
-            index.len() == model.len(),
-            "{name}: len {} diverges from model {}",
-            index.len(),
-            model.len()
-        );
-        for (&id, &size) in model.iter().take(sample) {
-            let sig = &sigs[&id];
-            let query = Query::threshold(sig, 1.0).with_size(size);
-            let mut probes: Vec<(&str, &dyn MutableIndex)> = vec![("merged", &**index)];
-            if let Some((_, fresh)) = fresh.get(i) {
-                probes.push(("fresh", &**fresh));
-            }
-            for (label, idx) in probes {
-                let outcome = idx.search(&query).unwrap_or_else(|e| {
-                    panic!("{name}/{label}: self-query for {id} failed: {e:?}")
-                });
-                let hits = outcome.hits.iter().filter(|h| h.id == id).count();
-                prop_assert!(
-                    hits == 1,
-                    "{name}/{label}: live id {id} found {hits} times after merge"
-                );
-            }
+        for task in &tasks {
+            index.apply_merge(task);
         }
-        for &(id, size) in dead.iter().take(sample) {
-            let sig = &sigs[&id];
-            let query = Query::threshold(sig, 1.0).with_size(size);
-            let outcome = index
+        rounds += 1;
+        prop_assert!(rounds < 64, "merge plan never quiesced");
+    }
+    let layout = index.segment_layout();
+    // The bound is sized on physical entries: segments retain tombstoned
+    // rows until a compaction erases them.
+    let bound = planner.segment_bound(layout.len + layout.tombstones);
+    prop_assert!(
+        layout.segments.len() <= bound,
+        "{} segments exceed the planner bound {bound} after drain",
+        layout.segments.len()
+    );
+    prop_assert!(
+        index.len() == model.len(),
+        "len {} diverges from model {}",
+        index.len(),
+        model.len()
+    );
+    for (&id, &size) in model.iter().take(sample) {
+        let query = Query::threshold(&sigs[&id], 1.0).with_size(size);
+        let probes = [("merged", Some(&*index)), ("fresh", fresh.as_ref())];
+        for (label, idx) in probes.into_iter().filter_map(|(l, i)| Some((l, i?))) {
+            let outcome = idx
                 .search(&query)
-                .unwrap_or_else(|e| panic!("{name}: dead-id query for {id} failed: {e:?}"));
+                .unwrap_or_else(|e| panic!("{label}: self-query for {id} failed: {e:?}"));
+            let hits = outcome.hits.iter().filter(|h| h.id == id).count();
             prop_assert!(
-                !outcome.hits.iter().any(|h| h.id == id),
-                "{name}: dead id {id} returned after merge"
+                hits == 1,
+                "{label}: live id {id} found {hits} times after merge"
             );
         }
     }
+    for &(id, size) in dead.iter().take(sample) {
+        let query = Query::threshold(&sigs[&id], 1.0).with_size(size);
+        let outcome = index
+            .search(&query)
+            .unwrap_or_else(|e| panic!("dead-id query for {id} failed: {e:?}"));
+        prop_assert!(
+            !outcome.hits.iter().any(|h| h.id == id),
+            "dead id {id} returned after merge"
+        );
+    }
     Ok(())
+}
+
+/// A container emptied, compacted (a base of no partitions), saved and
+/// loaded takes domains again through every tier: `len`, `staged_len` and
+/// self-queries are right at each step.
+#[test]
+fn an_emptied_container_compacts_saves_loads_and_takes_domains_again() {
+    let hasher = MinHasher::new(DEFAULT_NUM_PERM);
+    let size_of = |id: DomainId| 30 + u64::from(id);
+    let domains = (0u32..5).map(|id| {
+        let domain = Domain::from_hashes(values_for(id, size_of(id)));
+        (domain, DomainMeta::new("t", format!("c{id}")))
+    });
+    let mut container = IndexContainer::from_stream(domains, 2, true);
+    // Each step: (len, staged_len), every removed id unanswered, and the
+    // live ones found by a self-query.
+    let check = |at: &str, c: &IndexContainer, live: &[DomainId], staged: usize| {
+        assert_eq!((c.len(), c.staged_len()), (live.len(), staged), "{at}");
+        for id in 0..6 {
+            let size = size_of(id);
+            let found = c.search(&hasher.signature(values_for(id, size)), size, 1.0);
+            let hit = found.iter().any(|&(hit, _)| hit == id);
+            assert_eq!(hit, live.contains(&id), "{at}: id {id}");
+        }
+    };
+    let removes: Vec<DeltaOp> = (0..5).map(|id| DeltaOp::Remove { id }).collect();
+    container.apply(&removes).expect("remove every domain");
+    check("emptied", &container, &[], 0);
+    container.compact_index();
+    check("compacted", &container, &[], 0);
+    assert_eq!(container.partition_count(), 0);
+
+    let scratch = Scratch::new();
+    let path = scratch.next();
+    container.save(&path).expect("save");
+    let mut container = IndexContainer::load(&path).expect("load");
+    check("loaded", &container, &[], 0);
+    assert_eq!((container.partition_count(), container.next_id()), (0, 5));
+
+    let (id, size) = (5, size_of(5));
+    let record = DomainRecord {
+        id,
+        size,
+        table: "t".into(),
+        column: "c5".into(),
+    };
+    let signature = hasher.signature(values_for(id, size));
+    container
+        .apply(&[DeltaOp::Insert { record, signature }])
+        .expect("insert");
+    check("staged", &container, &[id], 1);
+    container.commit_mutations();
+    check("committed", &container, &[id], 0);
+    container.compact_index();
+    check("compacted again", &container, &[id], 0);
+    assert_eq!(container.partition_count(), 1);
+    assert_eq!(container.record(id).map(|r| r.column), Some("c5"));
 }

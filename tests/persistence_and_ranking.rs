@@ -22,7 +22,7 @@ fn persisted_index_answers_identically_on_generated_corpus() {
     let ids: Vec<u32> = catalog.iter().map(|(id, _)| id).collect();
     let sizes: Vec<u64> = catalog.iter().map(|(_, d)| d.len() as u64).collect();
     let refs: Vec<&Signature> = signatures.iter().collect();
-    let mut original = LshEnsemble::build_from_parts(
+    let original = LshEnsemble::build_from_parts(
         EnsembleConfig {
             strategy: PartitionStrategy::EquiDepth { n: 8 },
             ..EnsembleConfig::default()

@@ -6,18 +6,16 @@
 
 use lshe::{
     Catalog, CommitReport, DeltaLog, DeltaOp, Domain, DomainId, DomainIndex, EnsembleConfig,
-    ExactIndex, IndexContainer, LshEnsemble, LshForest, MinHasher, MutableIndex, MutationError,
+    ExactIndex, IndexContainer, LshEnsemble, LshForest, MinHasher, MutationError,
     PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit,
-    SearchOutcome, ServerConfig, ShardedEnsemble, ShardedRanked, Signature,
-    DEFAULT_REBALANCE_TRIGGER, ESTIMATE_SLACK,
+    SearchOutcome, ServerConfig, ShardedEnsemble, ShardedRanked, Signature, ESTIMATE_SLACK,
 };
 
-/// Compile-time assertions: the traits are object safe and the key types
-/// keep their auto traits (the server shares outcomes across threads).
+/// Compile-time assertions: the query trait is object safe and the key
+/// types keep their auto traits (the server shares outcomes across threads).
 #[allow(dead_code)]
 fn static_surface_assertions() {
     fn object_safe(_: &dyn DomainIndex) {}
-    fn mutable_object_safe(_: &mut dyn MutableIndex) {}
     fn send_sync<T: Send + Sync>() {}
     send_sync::<Box<dyn DomainIndex>>();
     send_sync::<SearchOutcome>();
@@ -77,7 +75,6 @@ fn facade_exposes_the_unified_query_surface() {
 
 #[test]
 fn facade_exposes_the_mutation_surface() {
-    const { assert!(DEFAULT_REBALANCE_TRIGGER > 1.0) };
     let hasher = MinHasher::new(256);
     let pool = MinHasher::synthetic_values(4, 200);
     let mut builder = RankedIndex::builder_with(EnsembleConfig {
@@ -88,20 +85,24 @@ fn facade_exposes_the_mutation_surface() {
         let vals = &pool[..20 * (k as usize + 1)];
         builder.add(k, vals.len() as u64, hasher.signature(vals.iter().copied()));
     }
-    let mut index = builder.build();
-    let mutable: &mut dyn MutableIndex = &mut index;
+    let mut index: RankedIndex = builder.build();
 
     let sig = hasher.signature(pool[..50].iter().copied());
-    mutable.insert(100, 50, &sig).expect("insert");
-    assert_eq!(mutable.staged_len(), 1);
+    index.insert(100, 50, &sig).expect("insert");
+    assert_eq!(index.staged_len(), 1);
     assert!(matches!(
-        mutable.insert(100, 50, &sig),
+        index.insert(100, 50, &sig),
         Err(MutationError::DuplicateId(100))
     ));
-    mutable.remove(3).expect("remove");
-    let report: CommitReport = mutable.commit();
+    index.remove(3).expect("remove");
+    let report: CommitReport = index.commit();
     assert_eq!(report.merged, 1);
-    assert_eq!(mutable.len(), 8);
+    assert_eq!(index.len(), 8);
+    let report: CommitReport = index.compact();
+    assert_eq!(
+        (report.segments, report.tombstones, report.entries_folded),
+        (0, 0, 8)
+    );
 
     // Delta-log types are reachable and round-trip through the facade.
     let dir = std::env::temp_dir().join(format!("lshe_public_api_{}", std::process::id()));

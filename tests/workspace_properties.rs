@@ -192,7 +192,7 @@ proptest! {
             let vals = MinHasher::synthetic_values(k as u64, 10 + k);
             builder.add(k as u32, vals.len() as u64, hasher.signature(vals));
         }
-        let mut ens = builder.build();
+        let ens = builder.build();
         let mut bytes = ens.to_bytes();
         let pos = flip_pos_seed % bytes.len();
         bytes[pos] ^= 0x5A;
