@@ -4,25 +4,28 @@
 //! Sketching cost is `O(n·m)` modular multiply-adds (Table 4 of the paper:
 //! indexing time is ~all sketching), so this loop dominates index
 //! construction. The kernel stores the family's coefficients
-//! structure-of-arrays (`a`, plus `a` pre-split into 32-bit halves for the
-//! vector path, and `b`) and folds one value into all `m` slots per call:
+//! structure-of-arrays (`a`, the high half of each `a`, and `b`) and folds
+//! one value into all `m` slots per step, on one of three arms picked once,
+//! at construction:
 //!
-//! * on x86-64 with AVX2 (detected once at construction), four lanes run
-//!   per instruction using `_mm256_mul_epu32` 32×32→64 partial products
-//!   and a shift-fold reduction modulo `p = 2^61 − 1`;
-//! * everywhere else, a portable unrolled loop keeps four independent
-//!   `u128` multiply chains in flight.
+//! * `avx512` and `avx2` (x86-64, detected at runtime) run one safe body,
+//!   `fold_split32`, in `u64` operations a vector unit has (32×32→64
+//!   products, shifts, compares), compiled twice under `#[target_feature]`
+//!   for the compiler to vectorise eight and four lanes to an instruction;
+//! * `portable`, everywhere else, is an unrolled loop that keeps four
+//!   independent `u128` multiply chains in flight.
 //!
-//! Both paths produce **bit-identical** slots to the scalar reference
+//! Every arm produces **bit-identical** slots to the scalar reference
 //! ([`AffinePermutation::apply`] folded lane by lane) — signatures are
 //! persisted and compared across machines, so the kernel must never let
 //! the instruction set leak into the sketch. The equivalence is enforced
-//! by unit tests here and a property test at the workspace root.
+//! by unit tests here, which run every arm the CPU has, and a property
+//! test at the workspace root.
 //!
 //! [`count_equal`] is the other inner loop: the equal-lane count between a
 //! query's signature and a candidate's, behind every Jaccard estimate. It
-//! takes the same two paths (eight 32-bit lanes per AVX2 compare, or the
-//! portable loop) under the same rule — one count on every machine.
+//! takes two paths (eight 32-bit lanes per AVX2 compare, or the portable
+//! loop) under the same rule — one count on every machine.
 //! [`count_equal_row`] is the same count between two rows as an index
 //! stores them — a few 32-bit lanes, then 16-bit ones, in one `u16` array —
 //! eight and sixteen lanes to a compare.
@@ -35,36 +38,49 @@ use crate::perm::{mersenne_mod, AffinePermutation, MERSENNE_PRIME};
 /// signature construction, streaming update, and bulk batch.
 #[derive(Debug, Clone, Default)]
 pub struct FoldKernel {
-    /// Full `a` coefficients, slot order (portable and tail lanes).
+    /// `a` coefficients, slot order.
     a: Vec<u64>,
-    /// Low 32 bits of each `a` (vector path operand).
-    a_lo: Vec<u64>,
-    /// High 29 bits of each `a` (`a < 2^61`), shifted down.
+    /// `a >> 32` of each `a` (below 2^29, as `a < 2^61`): the split-32
+    /// body reads it rather than spend a vector shift on it each value.
     a_hi: Vec<u64>,
     /// `b` coefficients, slot order.
     b: Vec<u64>,
-    /// AVX2 available at runtime (detected once, here).
-    use_avx2: bool,
+    /// The arm folds run on; only [`new`](Self::new) sets it, by detection.
+    arm: Arm,
+}
+
+/// The compilations of the fold: the split-32 body for AVX-512 and for
+/// AVX2, or the portable `u128` loop.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Arm {
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[default]
+    Portable,
 }
 
 impl FoldKernel {
-    /// Builds the kernel for `perms`, probing CPU features once.
+    /// Builds the kernel for `perms`, picking the widest arm the CPU has:
+    /// AVX-512, then AVX2, then the portable loop.
     #[must_use]
     pub fn new(perms: &[AffinePermutation]) -> Self {
-        let a: Vec<u64> = perms.iter().map(AffinePermutation::a).collect();
-        let b: Vec<u64> = perms.iter().map(AffinePermutation::b).collect();
-        let a_lo = a.iter().map(|&x| x & 0xffff_ffff).collect();
-        let a_hi = a.iter().map(|&x| x >> 32).collect();
         #[cfg(target_arch = "x86_64")]
-        let use_avx2 = std::arch::is_x86_feature_detected!("avx2");
+        let arm = if std::arch::is_x86_feature_detected!("avx512f") {
+            Arm::Avx512
+        } else if std::arch::is_x86_feature_detected!("avx2") {
+            Arm::Avx2
+        } else {
+            Arm::Portable
+        };
         #[cfg(not(target_arch = "x86_64"))]
-        let use_avx2 = false;
+        let arm = Arm::Portable;
         Self {
-            a,
-            a_lo,
-            a_hi,
-            b,
-            use_avx2,
+            a: perms.iter().map(AffinePermutation::a).collect(),
+            a_hi: perms.iter().map(|perm| perm.a() >> 32).collect(),
+            b: perms.iter().map(AffinePermutation::b).collect(),
+            arm,
         }
     }
 
@@ -80,15 +96,27 @@ impl FoldKernel {
         self.a.is_empty()
     }
 
-    /// Whether folds run on the AVX2 path (for diagnostics and benches).
+    /// Whether folds run on a vector arm (for diagnostics and benches).
     #[must_use]
     pub fn is_vectorised(&self) -> bool {
-        self.use_avx2
+        self.arm != Arm::Portable
+    }
+
+    /// The arm folds run on: `"avx512"`, `"avx2"` or `"portable"`.
+    #[must_use]
+    pub fn arm(&self) -> &'static str {
+        match self.arm {
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 => "avx512",
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => "avx2",
+            Arm::Portable => "portable",
+        }
     }
 
     /// Folds every value into `slots` by slot-wise minimum of the
     /// permuted hashes — bit-identical to applying each
-    /// [`AffinePermutation`] per lane, on every architecture.
+    /// [`AffinePermutation`] per lane, on every arm.
     ///
     /// # Panics
     /// Panics if `slots.len()` differs from the kernel width.
@@ -97,22 +125,114 @@ impl FoldKernel {
         I: IntoIterator<Item = u64>,
     {
         assert_eq!(slots.len(), self.len(), "slot width mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if self.use_avx2 {
-            for v in values {
-                let vr = mersenne_mod(u128::from(v));
-                // SAFETY: `use_avx2` was set by runtime feature detection
-                // in `new`, so the AVX2 instructions are available.
-                unsafe {
-                    avx2::fold_one(&self.a, &self.a_lo, &self.a_hi, &self.b, vr, slots);
+        match self.arm {
+            // SAFETY: `new` picks this arm only when it detected AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx512 => unsafe { fold_avx512(self, values, slots) },
+            // SAFETY: `new` picks this arm only when it detected AVX2.
+            #[cfg(target_arch = "x86_64")]
+            Arm::Avx2 => unsafe { fold_avx2(self, values, slots) },
+            Arm::Portable => {
+                for v in values {
+                    let vr = mersenne_mod(u128::from(v));
+                    fold_one_portable(&self.a, &self.b, vr, slots);
                 }
             }
-            return;
         }
-        for v in values {
-            let vr = mersenne_mod(u128::from(v));
-            fold_one_portable(&self.a, &self.b, vr, slots);
-        }
+    }
+}
+
+/// `fold_split32` over every value, eight lanes to an AVX-512 instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn fold_avx512(k: &FoldKernel, values: impl IntoIterator<Item = u64>, slots: &mut [u64]) {
+    for v in values {
+        fold_split32(k, mersenne_mod(u128::from(v)), slots);
+    }
+}
+
+/// `fold_split32` over every value, four lanes to an AVX2 instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn fold_avx2(k: &FoldKernel, values: impl IntoIterator<Item = u64>, slots: &mut [u64]) {
+    for v in values {
+        fold_split32(k, mersenne_mod(u128::from(v)), slots);
+    }
+}
+
+/// Folds one reduced value (`vr < p`) into every slot with `u64`
+/// operations only, the form a vector unit without a 64×64 multiply runs.
+/// Each product is assembled from 32×32→64 partials (`a = ah·2^32 + al`,
+/// `vr = vh·2^32 + vl`):
+///
+/// ```text
+/// a·vr = hh·2^64 + (hl + lh)·2^32 + ll
+/// ```
+///
+/// and reduced modulo `p = 2^61 − 1` with shifts only, using `2^61 ≡ 1`
+/// and `2^64 ≡ 8 (mod p)`:
+///
+/// ```text
+/// S = (hh<<3) + ((mid & 2^29−1)<<32) + (mid>>29)
+///   + (ll & p) + (ll>>61) + b            where mid = hl + lh
+/// ```
+///
+/// Term bounds: `a, vr < 2^61`, so `ah, vh < 2^29`; `hh < 2^58` so
+/// `hh<<3 < 2^61`; `mid < 2^62` so both mid terms are `< 2^61`; each
+/// remaining term is `< 2^61`, so `S < 2^63 + 2^34` — no `u64` wrap. One
+/// shift-fold brings `S` to at most `p + 4`, and one subtraction of `p`
+/// where it is reached leaves the canonical residue in `[0, p)`: the value
+/// `mersenne_mod` produces, so every arm's slots match bit for bit.
+#[inline(always)]
+fn fold_split32(k: &FoldKernel, vr: u64, slots: &mut [u64]) {
+    const P: u64 = MERSENNE_PRIME;
+    const LO32: u64 = 0xffff_ffff;
+    const LO29: u64 = (1 << 29) - 1;
+    let (vl, vh) = (vr & LO32, vr >> 32);
+    // `vh` and `ah` are below 2^29, so their masks change no bit: they show
+    // the compiler that every product, `hh << 3 = ah · (vh << 3)` too, is
+    // one 32×32 multiply.
+    let vh8 = (vh << 3) & LO32;
+    let lanes = slots.iter_mut().zip(&k.a).zip(&k.a_hi).zip(&k.b);
+    for (((slot, &a), &ah), &b) in lanes {
+        let (al, ah) = (a & LO32, ah & LO32);
+        let (ll, hh8, mid) = (al * vl, ah * vh8, ah * vl + al * vh);
+        let s = hh8 + ((mid & LO29) << 32) + (mid >> 29);
+        let s = s + (ll & P) + (ll >> 61) + b;
+        let s = (s & P) + (s >> 61);
+        *slot = (*slot).min(if s >= P { s - P } else { s });
+    }
+}
+
+/// One `(a·vr + b) mod p` lane in full-width scalar arithmetic.
+/// `vr` must already be reduced into the field.
+#[inline(always)]
+fn lane(a: u64, b: u64, vr: u64) -> u64 {
+    mersenne_mod(u128::from(a) * u128::from(vr) + u128::from(b))
+}
+
+/// Portable fold of one reduced value across all lanes, unrolled ×4 so
+/// four independent `u128` multiply chains are in flight per iteration
+/// (the scalar multiplier is the bottleneck, not the min/store).
+fn fold_one_portable(a: &[u64], b: &[u64], vr: u64, slots: &mut [u64]) {
+    let mut lanes = a
+        .chunks_exact(4)
+        .zip(b.chunks_exact(4))
+        .zip(slots.chunks_exact_mut(4));
+    for ((a4, b4), s4) in &mut lanes {
+        let h0 = lane(a4[0], b4[0], vr);
+        let h1 = lane(a4[1], b4[1], vr);
+        let h2 = lane(a4[2], b4[2], vr);
+        let h3 = lane(a4[3], b4[3], vr);
+        s4[0] = s4[0].min(h0);
+        s4[1] = s4[1].min(h1);
+        s4[2] = s4[2].min(h2);
+        s4[3] = s4[3].min(h3);
+    }
+    let tail = slots.len() & !3;
+    for i in tail..slots.len() {
+        let h = lane(a[i], b[i], vr);
+        slots[i] = slots[i].min(h);
     }
 }
 
@@ -184,139 +304,18 @@ pub fn count_equal_row_portable(a: &[u16], b: &[u16], wide: usize) -> usize {
     wide.filter(|(x, y)| x == y).count() + narrow.filter(|(x, y)| x == y).count()
 }
 
-/// One `(a·vr + b) mod p` lane in full-width scalar arithmetic.
-/// `vr` must already be reduced into the field.
-#[inline(always)]
-fn lane(a: u64, b: u64, vr: u64) -> u64 {
-    mersenne_mod(u128::from(a) * u128::from(vr) + u128::from(b))
-}
-
-/// Portable fold of one reduced value across all lanes, unrolled ×4 so
-/// four independent `u128` multiply chains are in flight per iteration
-/// (the scalar multiplier is the bottleneck, not the min/store).
-fn fold_one_portable(a: &[u64], b: &[u64], vr: u64, slots: &mut [u64]) {
-    let mut lanes = a
-        .chunks_exact(4)
-        .zip(b.chunks_exact(4))
-        .zip(slots.chunks_exact_mut(4));
-    for ((a4, b4), s4) in &mut lanes {
-        let h0 = lane(a4[0], b4[0], vr);
-        let h1 = lane(a4[1], b4[1], vr);
-        let h2 = lane(a4[2], b4[2], vr);
-        let h3 = lane(a4[3], b4[3], vr);
-        s4[0] = s4[0].min(h0);
-        s4[1] = s4[1].min(h1);
-        s4[2] = s4[2].min(h2);
-        s4[3] = s4[3].min(h3);
-    }
-    let tail = slots.len() & !3;
-    for i in tail..slots.len() {
-        let h = lane(a[i], b[i], vr);
-        slots[i] = slots[i].min(h);
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! AVX2 lanes: four 61-bit modular multiply-adds per instruction.
-    //!
-    //! There is no 64×64 vector multiply on AVX2, so each product is
-    //! assembled from 32×32→64 partials (`a = ah·2^32 + al`,
-    //! `v = vh·2^32 + vl`):
-    //!
-    //! ```text
-    //! a·v = hh·2^64 + (hl + lh)·2^32 + ll
-    //! ```
-    //!
-    //! and reduced modulo `p = 2^61 − 1` with shifts only, using
-    //! `2^61 ≡ 1` and `2^64 ≡ 8 (mod p)`:
-    //!
-    //! ```text
-    //! S = (hh<<3) + ((mid & 2^29−1)<<32) + (mid>>29)
-    //!   + (ll & p) + (ll>>61) + b            where mid = hl + lh
-    //! ```
-    //!
-    //! Term bounds: `hh < 2^58` so `hh<<3 < 2^61`; `mid < 2^62` so both
-    //! mid terms are `< 2^61`; each remaining term is `< 2^61`, so
-    //! `S < 2^63 + 2^34` — no u64 wrap. Two shift-folds bring `S` under
-    //! `2^61 + 7`, and the only non-canonical residue left is exactly
-    //! `p`, cleared by a compare-and-subtract. The result is the same
-    //! canonical value `mersenne_mod` produces, so vector and scalar
-    //! signatures match bit for bit.
+    //! AVX2 match counts: eight 32-bit or sixteen 16-bit lanes per compare.
 
-    use super::MERSENNE_PRIME;
     use core::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_and_si256, _mm256_blendv_epi8,
-        _mm256_cmpeq_epi16, _mm256_cmpeq_epi32, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64,
-        _mm256_loadu_si256, _mm256_madd_epi16, _mm256_mul_epu32, _mm256_set1_epi64x,
-        _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256,
-        _mm256_sub_epi32, _mm256_sub_epi64, _mm256_xor_si256,
+        __m256i, _mm256_add_epi32, _mm256_cmpeq_epi16, _mm256_cmpeq_epi32, _mm256_loadu_si256,
+        _mm256_madd_epi16, _mm256_setzero_si256, _mm256_storeu_si256, _mm256_sub_epi32,
     };
 
     #[inline]
     unsafe fn load(ptr: *const u64) -> __m256i {
         _mm256_loadu_si256(ptr.cast())
-    }
-
-    /// Folds one reduced value (`vr < p`) into all lanes.
-    ///
-    /// # Safety
-    /// The caller must have verified AVX2 support at runtime.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fold_one(
-        a: &[u64],
-        a_lo: &[u64],
-        a_hi: &[u64],
-        b: &[u64],
-        vr: u64,
-        slots: &mut [u64],
-    ) {
-        #[allow(clippy::cast_possible_wrap)]
-        let p = _mm256_set1_epi64x(MERSENNE_PRIME as i64);
-        let mask29 = _mm256_set1_epi64x(((1u64 << 29) - 1) as i64);
-        #[allow(clippy::cast_possible_wrap)]
-        let sign = _mm256_set1_epi64x(i64::MIN);
-        #[allow(clippy::cast_possible_wrap)]
-        let vl = _mm256_set1_epi64x((vr & 0xffff_ffff) as i64);
-        #[allow(clippy::cast_possible_wrap)]
-        let vh = _mm256_set1_epi64x((vr >> 32) as i64);
-
-        let full = slots.len() & !3;
-        for i in (0..full).step_by(4) {
-            let al = load(a_lo.as_ptr().add(i));
-            let ah = load(a_hi.as_ptr().add(i));
-            let bb = load(b.as_ptr().add(i));
-            // 32×32→64 partial products of a·vr.
-            let ll = _mm256_mul_epu32(al, vl);
-            let hl = _mm256_mul_epu32(ah, vl);
-            let lh = _mm256_mul_epu32(al, vh);
-            let hh = _mm256_mul_epu32(ah, vh);
-            let mid = _mm256_add_epi64(hl, lh);
-            // S ≡ a·vr + b (mod p); see module docs for the identity
-            // and the no-overflow bound.
-            let mut s = _mm256_slli_epi64::<3>(hh);
-            s = _mm256_add_epi64(s, _mm256_slli_epi64::<32>(_mm256_and_si256(mid, mask29)));
-            s = _mm256_add_epi64(s, _mm256_srli_epi64::<29>(mid));
-            s = _mm256_add_epi64(s, _mm256_and_si256(ll, p));
-            s = _mm256_add_epi64(s, _mm256_srli_epi64::<61>(ll));
-            s = _mm256_add_epi64(s, bb);
-            // Two shift-folds, then clear the lone residue S == p.
-            s = _mm256_add_epi64(_mm256_and_si256(s, p), _mm256_srli_epi64::<61>(s));
-            s = _mm256_add_epi64(_mm256_and_si256(s, p), _mm256_srli_epi64::<61>(s));
-            let is_p = _mm256_cmpeq_epi64(s, p);
-            s = _mm256_sub_epi64(s, _mm256_and_si256(is_p, p));
-            // Unsigned 64-bit min against the current slots: bias both
-            // sides by the sign bit so the signed compare orders
-            // correctly (slots may hold the EMPTY_SLOT sentinel u64::MAX).
-            let cur = load(slots.as_ptr().add(i));
-            let cur_gt = _mm256_cmpgt_epi64(_mm256_xor_si256(cur, sign), _mm256_xor_si256(s, sign));
-            let mn = _mm256_blendv_epi8(cur, s, cur_gt);
-            _mm256_storeu_si256(slots.as_mut_ptr().add(i).cast(), mn);
-        }
-        for i in full..slots.len() {
-            let h = super::lane(a[i], b[i], vr);
-            slots[i] = slots[i].min(h);
-        }
     }
 
     /// [`count_equal`](super::count_equal), eight lanes per compare; the
@@ -429,46 +428,100 @@ mod tests {
         check_widths(&[1, 2, 3, 4, 5, 7, 8, 64, 127, 128, 129, 256], 99, 200);
     }
 
+    /// Values at and around field and reduction boundaries.
+    const EDGE: [u64; 11] = [
+        0,
+        1,
+        MERSENNE_PRIME - 1,
+        MERSENNE_PRIME,
+        MERSENNE_PRIME + 1,
+        u64::MAX,
+        u64::MAX - 1,
+        1 << 61,
+        (1 << 61) | 1,
+        1 << 32,
+        u32::MAX as u64,
+    ];
+
     #[test]
     fn kernel_matches_reference_on_edge_values() {
         let family = PermutationFamily::new(7, 32);
         let kernel = FoldKernel::new(family.permutations());
-        // Values at and around field/reduction boundaries.
-        let edge = [
-            0u64,
-            1,
-            MERSENNE_PRIME - 1,
-            MERSENNE_PRIME,
-            MERSENNE_PRIME + 1,
-            u64::MAX,
-            u64::MAX - 1,
-            1 << 61,
-            (1 << 61) | 1,
-            1 << 32,
-            u64::from(u32::MAX),
-        ];
         let mut expect = vec![EMPTY_SLOT; 32];
-        reference_fold(family.permutations(), &edge, &mut expect);
+        reference_fold(family.permutations(), &EDGE, &mut expect);
         let mut got = vec![EMPTY_SLOT; 32];
-        kernel.fold(edge.iter().copied(), &mut got);
+        kernel.fold(EDGE.iter().copied(), &mut got);
         assert_eq!(got, expect);
     }
 
     #[test]
-    fn portable_path_matches_reference() {
-        // Exercise the non-vector code path explicitly (on AVX2 hosts the
-        // public fold would otherwise never reach it).
-        let family = PermutationFamily::new(21, 67);
-        let kernel = FoldKernel::new(family.permutations());
+    fn every_arm_the_cpu_has_matches_the_reference() {
+        // `new` runs one arm, and a debug build leaves the vector arms
+        // unvectorised, so each arm is forced here and `cargo test
+        // --release` checks the code that ships. An arm the CPU lacks is
+        // reported as skipped, never as passed.
+        let mut arms = vec![(Arm::Portable, true)];
+        #[cfg(target_arch = "x86_64")]
+        arms.extend([
+            (Arm::Avx512, std::arch::is_x86_feature_detected!("avx512f")),
+            (Arm::Avx2, std::arch::is_x86_feature_detected!("avx2")),
+        ]);
         let mut stream = SeedStream::new(5);
-        let values: Vec<u64> = (0..100).map(|_| stream.next_u64()).collect();
-        let mut expect = vec![EMPTY_SLOT; 67];
-        reference_fold(family.permutations(), &values, &mut expect);
-        let mut got = vec![EMPTY_SLOT; 67];
-        for &v in &values {
-            fold_one_portable(&kernel.a, &kernel.b, mersenne_mod(u128::from(v)), &mut got);
+        let values: Vec<u64> = EDGE
+            .into_iter()
+            .chain((0..100).map(|_| stream.next_u64()))
+            .collect();
+        // Extreme coefficients, at both ends of the row so that the vector
+        // body and the scalar tail each meet them; the `b = p − 1` lanes
+        // reach the residue `p` at `v = 1` or `v = p − 1`.
+        let extremes = [
+            AffinePermutation::new(1, MERSENNE_PRIME - 1),
+            AffinePermutation::new(MERSENNE_PRIME - 1, MERSENNE_PRIME - 1),
+            AffinePermutation::new(MERSENNE_PRIME - 1, 0),
+            AffinePermutation::new(u32::MAX.into(), MERSENNE_PRIME - 1),
+            AffinePermutation::new(1 << 32, 1),
+        ];
+        // Widths with every tail a vector of 8 or of 4 can leave.
+        let widths = (1..=17).chain(63..=65).chain(127..=129).chain(255..=257);
+        for (arm, on_cpu) in arms {
+            let name = FoldKernel {
+                arm,
+                ..FoldKernel::default()
+            }
+            .arm();
+            if !on_cpu {
+                println!("fold arm {name}: skipped, not on this CPU");
+                continue;
+            }
+            for m in widths.clone() {
+                let mut perms = PermutationFamily::new(21 ^ m as u64, m)
+                    .permutations()
+                    .to_vec();
+                for (i, &e) in extremes.iter().enumerate().take(m) {
+                    perms[i] = e;
+                    perms[m - 1 - i] = e;
+                }
+                let kernel = FoldKernel {
+                    arm,
+                    ..FoldKernel::new(&perms)
+                };
+                // Each value alone, so every lane's hash is compared, not
+                // only the minimum; then all of them into one row.
+                for &v in &values {
+                    let mut expect = vec![EMPTY_SLOT; m];
+                    reference_fold(&perms, &[v], &mut expect);
+                    let mut got = vec![EMPTY_SLOT; m];
+                    kernel.fold([v], &mut got);
+                    assert_eq!(got, expect, "arm {name}, m = {m}, v = {v}");
+                }
+                let mut expect = vec![EMPTY_SLOT; m];
+                reference_fold(&perms, &values, &mut expect);
+                let mut got = vec![EMPTY_SLOT; m];
+                kernel.fold(values.iter().copied(), &mut got);
+                assert_eq!(got, expect, "arm {name}, m = {m}");
+            }
+            println!("fold arm {name}: passed");
         }
-        assert_eq!(got, expect);
     }
 
     #[test]

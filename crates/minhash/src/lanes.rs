@@ -73,11 +73,35 @@ pub fn ideal_lanes(items: usize) -> usize {
 /// concatenates the per-chunk outputs in item order. `run` must be a pure
 /// function of its chunk, so the chunking can never change results.
 pub fn run_chunked<I: Sync, O: Send>(items: &[I], run: impl Fn(&[I]) -> Vec<O> + Sync) -> Vec<O> {
+    run_weighted(items, |_| 0, run)
+}
+
+/// [`run_chunked`] for items of unequal cost: an item costs one unit plus
+/// its `weight`, and the chunks split the summed cost evenly, not the item
+/// count, so one heavy run of items does not leave the other lanes idle.
+/// A chunk ends at the first item where it holds its share of what the
+/// lanes after it have not been given yet.
+pub(crate) fn run_weighted<I: Sync, O: Send>(
+    items: &[I],
+    weight: impl Fn(&I) -> usize,
+    run: impl Fn(&[I]) -> Vec<O> + Sync,
+) -> Vec<O> {
     let lanes = ideal_lanes(items.len());
     if lanes <= 1 {
         return run(items);
     }
-    let chunks: Vec<&[I]> = items.chunks(items.len().div_ceil(lanes)).collect();
+    let mut left: usize = items.iter().map(|item| 1 + weight(item)).sum();
+    let mut chunks = Vec::with_capacity(lanes);
+    let (mut start, mut sum) = (0, 0);
+    for (i, item) in items.iter().enumerate() {
+        sum += 1 + weight(item);
+        // With one lane left the chunk takes all that is left, so it ends
+        // at the last item: at most `lanes` chunks, and every item in one.
+        if sum * (lanes - chunks.len()) >= left {
+            chunks.push(&items[start..=i]);
+            (start, left, sum) = (i + 1, left - sum, 0);
+        }
+    }
     let outs = run_each(&chunks, |chunk| run(chunk));
     outs.into_iter().flatten().collect()
 }
@@ -192,6 +216,34 @@ mod tests {
         assert_eq!(squares, items.iter().map(|x| x * x).collect::<Vec<_>>());
         assert_eq!(run_each(&[3u64], |&x| x + 1), vec![4]);
         assert_eq!(run_each(&[], |x: &u64| *x), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn run_weighted_splits_by_cost_and_keeps_order() {
+        // One heavy item among light ones, each item its own index.
+        const HEAVY: usize = 50;
+        let items: Vec<usize> = (0..400).collect();
+        let weight = |&i: &usize| if i == HEAVY { 10_000 } else { 1 };
+        let chunks = std::sync::Mutex::new(Vec::new());
+        let out = run_weighted(&items, weight, |chunk| {
+            let cost: usize = chunk.iter().map(|i| 1 + weight(i)).sum();
+            let last = *chunk.last().expect("no empty chunk");
+            chunks.lock().expect("no lane panicked").push((last, cost));
+            chunk.to_vec()
+        });
+        assert_eq!(out, items);
+        let mut chunks = chunks.into_inner().expect("no lane panicked");
+        chunks.sort_unstable();
+        assert!(chunks.len() <= ideal_lanes(items.len()));
+        if chunks.len() > 1 {
+            // The heavy item closes its chunk, and the light ones after it
+            // share the other lanes evenly: within one item's cost.
+            let heavy = chunks.iter().position(|&(last, _)| last == HEAVY);
+            let rest = &chunks[heavy.expect("a chunk ends at the heavy item") + 1..];
+            let costs = rest.iter().map(|&(_, cost)| cost);
+            let (min, max) = (costs.clone().min(), costs.max());
+            assert!(max.unwrap_or(0) - min.unwrap_or(0) <= 2, "{chunks:?}");
+        }
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!   universe, plus the fast internal hasher used by indexes.
 //! * [`perm`] — the pairwise-independent affine permutation family over the
 //!   Mersenne prime `2^61 − 1`.
-//! * [`kernel`] — the [`FoldKernel`] min-fold inner loop and the
-//!   [`count_equal`] / [`count_equal_row`] match counts (runtime-detected
-//!   AVX2 lanes with a portable fallback, bit-identical results).
+//! * [`kernel`] — the [`FoldKernel`] min-fold inner loop (one split-32
+//!   body compiled for AVX-512 and for AVX2, or a portable `u128` loop,
+//!   the arm picked once by runtime detection) and the [`count_equal`] /
+//!   [`count_equal_row`] match counts (AVX2 compares or a portable loop);
+//!   every path gives bit-identical results.
 //! * [`signature`] — [`MinHasher`] / [`Signature`]: signature generation
 //!   (the 64-bit fold narrowed once to 32-bit lanes; an index stores the
 //!   lanes it only compares for equality through [`narrow_lane`], at 16),

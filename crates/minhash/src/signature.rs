@@ -262,9 +262,9 @@ impl MinHasher {
     /// The min-fold kernel: folds every value's permuted hashes into
     /// `slots` by slot-wise minimum. Single-signature construction,
     /// streaming updates, and the bulk path all run through
-    /// [`FoldKernel::fold`], which picks AVX2 lanes or the portable
-    /// unrolled loop at runtime — both bit-identical to the scalar
-    /// per-permutation reference.
+    /// [`FoldKernel::fold`], on the arm the kernel picked when it was
+    /// built ([`FoldKernel::arm`]: AVX-512, AVX2 or the portable loop) —
+    /// each bit-identical to the scalar per-permutation reference.
     fn fold_into<I>(&self, values: I, slots: &mut [u64])
     where
         I: IntoIterator<Item = u64>,
@@ -323,21 +323,26 @@ impl MinHasher {
     /// (spawned once per batch, floored at
     /// [`crate::lanes::MIN_ITEMS_PER_LANE`] sets per lane, budget-governed
     /// so concurrent bulk callers degrade gracefully instead of
-    /// oversubscribing the host).
+    /// oversubscribing the host). The lanes split the batch by values, not
+    /// by sets: the fold's cost is one step per value.
     #[must_use]
     pub fn bulk_signatures(&self, sets: &[&[u64]]) -> Vec<Signature> {
         let m = self.family.len();
-        crate::lanes::run_chunked(sets, |chunk| {
-            let mut scratch: Vec<u64> = vec![EMPTY_SLOT; m];
-            chunk
-                .iter()
-                .map(|values| {
-                    scratch.fill(EMPTY_SLOT);
-                    self.fold_into(values.iter().copied(), &mut scratch);
-                    Signature::from_wide(&scratch)
-                })
-                .collect()
-        })
+        crate::lanes::run_weighted(
+            sets,
+            |values| values.len(),
+            |chunk| {
+                let mut scratch: Vec<u64> = vec![EMPTY_SLOT; m];
+                chunk
+                    .iter()
+                    .map(|values| {
+                        scratch.fill(EMPTY_SLOT);
+                        self.fold_into(values.iter().copied(), &mut scratch);
+                        Signature::from_wide(&scratch)
+                    })
+                    .collect()
+            },
+        )
     }
 
     /// Folds one more value into an existing signature (streaming update).
@@ -548,6 +553,22 @@ mod tests {
         let with_empty = h.bulk_signatures(&[&[], &[1, 2, 3]]);
         assert!(with_empty[0].is_empty_domain());
         assert_eq!(with_empty[1], h.signature([1u64, 2, 3]));
+    }
+
+    #[test]
+    fn bulk_signatures_keep_order_when_one_set_outweighs_the_rest() {
+        // Split by values, the one heavy set is a chunk nearly on its own:
+        // the cut moves, the outputs and their order do not.
+        let h = MinHasher::new(64);
+        let heavy = MinHasher::synthetic_values(7, 16_384);
+        let singletons: Vec<[u64; 1]> = (0..600u64).map(|v| [v]).collect();
+        let mut sets: Vec<&[u64]> = singletons.iter().map(|s| s.as_slice()).collect();
+        sets.insert(150, &heavy);
+        let bulk = h.bulk_signatures(&sets);
+        assert_eq!(bulk.len(), sets.len());
+        for (set, sig) in sets.iter().zip(&bulk) {
+            assert_eq!(*sig, h.signature(set.iter().copied()), "bulk diverges");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Property tests: the [`FoldKernel`] (AVX2 or portable, whichever this
-//! host runs) is bit-identical to the scalar per-permutation reference.
+//! Property tests: the [`FoldKernel`] (the AVX-512, AVX2 or portable arm,
+//! whichever this host runs) is bit-identical to the scalar
+//! per-permutation reference.
 //!
 //! Signatures are persisted in index files and compared across machines,
 //! so the vectorised kernel must never change a single slot relative to

@@ -32,7 +32,7 @@ use crate::poller::Waker;
 use crate::pool::effective_threads;
 use lshe_core::{Query, QueryStats, SearchHit, SearchOutcome};
 use lshe_corpus::Domain;
-use lshe_minhash::Signature;
+use lshe_minhash::{FoldKernel, Signature};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -490,6 +490,12 @@ fn handle_stats(shared: &Shared) -> Outcome {
                 (
                     "write_buf_hwm_bytes",
                     Json::uint(s.write_buf_hwm.load(Ordering::Relaxed)),
+                ),
+                // Which compilation of the MinHash fold this CPU runs: a
+                // sketch-speed gap between two hosts reads off here.
+                (
+                    "sketch_kernel",
+                    Json::str(FoldKernel::new(snap.hasher().family().permutations()).arm()),
                 ),
             ]),
         ),
@@ -1433,6 +1439,11 @@ mod tests {
             .get("write_buf_hwm_bytes")
             .and_then(Json::as_u64)
             .is_some());
+        let kernel = srv.get("sketch_kernel").and_then(Json::as_str);
+        assert!(
+            matches!(kernel, Some("avx512" | "avx2" | "portable")),
+            "{srv}"
+        );
         server.shutdown();
     }
 
