@@ -117,9 +117,17 @@ impl Layout {
         2 * self.b_max + t * (self.r_max - 1)
     }
 
-    /// Writes `lanes` (`width` of them) into `row` (`words()` long): the
-    /// narrowing.
-    fn narrow_into(self, lanes: &[u32], row: &mut [u16]) {
+    /// Writes `lanes` into `row`, laid out as a forest stores them: the
+    /// narrowing, the one place it happens — into a table's row here, or
+    /// into a row a bulk build owns.
+    ///
+    /// # Panics
+    /// Panics unless there are `width` lanes and `row` is `words()` long.
+    pub fn narrow_into(self, lanes: &[u32], row: &mut [u16]) {
+        assert!(
+            lanes.len() == self.width && row.len() == self.words(),
+            "a row is `width` lanes into `words()` words"
+        );
         let (heads, tails) = row.split_at_mut(2 * self.b_max);
         let (keyed, unkeyed) = lanes.split_at(self.b_max * self.r_max);
         let depth = self.r_max - 1;

@@ -18,15 +18,22 @@
 //! batched layer already depends on.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
+
+/// The host parallelism, read once a process (4 where it cannot be read).
+/// `std::thread::available_parallelism` re-reads the cgroup quota on every
+/// call, microseconds each time, and every uncached query asks for lanes.
+#[must_use]
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get))
+}
 
 /// The pool of extra lanes, initialised to `cores − 1` on first use.
 fn pool() -> &'static AtomicUsize {
     static POOL: OnceLock<AtomicUsize> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let cores = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-        AtomicUsize::new(cores.saturating_sub(1))
-    })
+    POOL.get_or_init(|| AtomicUsize::new(cores().saturating_sub(1)))
 }
 
 /// Holds `taken` extra lanes; returned to the pool on drop.
@@ -64,8 +71,7 @@ pub const MIN_ITEMS_PER_LANE: usize = 8;
 /// to the process-wide budget.
 #[must_use]
 pub fn ideal_lanes(items: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
-    cores.min(items / MIN_ITEMS_PER_LANE).max(1)
+    cores().min(items / MIN_ITEMS_PER_LANE).max(1)
 }
 
 /// Runs `run` over contiguous chunks of `items` across budget-governed
@@ -73,22 +79,56 @@ pub fn ideal_lanes(items: usize) -> usize {
 /// concatenates the per-chunk outputs in item order. `run` must be a pure
 /// function of its chunk, so the chunking can never change results.
 pub fn run_chunked<I: Sync, O: Send>(items: &[I], run: impl Fn(&[I]) -> Vec<O> + Sync) -> Vec<O> {
-    run_weighted(items, |_| 0, run)
+    let chunks = weighted_chunks(items, |_| 0);
+    if let [chunk] = chunks[..] {
+        return run(chunk);
+    }
+    let outs = run_each(&chunks, |chunk| run(chunk));
+    outs.into_iter().flatten().collect()
 }
 
-/// [`run_chunked`] for items of unequal cost: an item costs one unit plus
-/// its `weight`, and the chunks split the summed cost evenly, not the item
+/// [`run_chunked`] for items of unequal cost that write their outputs in
+/// place: item `i` owns `out[i·stride..][..stride]`, and each lane is handed
+/// a run of items with the outputs they own. An item costs one unit plus
+/// its `weight`, and the runs split the summed cost evenly, not the item
 /// count, so one heavy run of items does not leave the other lanes idle.
-/// A chunk ends at the first item where it holds its share of what the
-/// lanes after it have not been given yet.
-pub(crate) fn run_weighted<I: Sync, O: Send>(
+///
+/// # Panics
+/// Panics unless `out` holds `stride` outputs an item.
+pub(crate) fn run_weighted_into<I: Sync, O: Send>(
     items: &[I],
     weight: impl Fn(&I) -> usize,
-    run: impl Fn(&[I]) -> Vec<O> + Sync,
-) -> Vec<O> {
+    out: &mut [O],
+    stride: usize,
+    run: impl Fn(&[I], &mut [O]) + Sync,
+) {
+    assert_eq!(out.len(), items.len() * stride, "`stride` outputs an item");
+    let mut rest = out;
+    let chunks: Vec<_> = weighted_chunks(items, weight)
+        .into_iter()
+        .map(|chunk| {
+            let (owned, after) = std::mem::take(&mut rest).split_at_mut(chunk.len() * stride);
+            rest = after;
+            // Locked once, by the one lane that takes the chunk.
+            (chunk, Mutex::new(owned))
+        })
+        .collect();
+    if let [(chunk, owned)] = &chunks[..] {
+        return run(chunk, &mut owned.lock().expect("no lane panicked"));
+    }
+    run_each(&chunks, |(chunk, owned)| {
+        run(chunk, &mut owned.lock().expect("no lane panicked"));
+    });
+}
+
+/// `items` cut into at most [`ideal_lanes`] contiguous chunks of about
+/// equal cost, an item costing one unit plus its `weight`: a chunk ends at
+/// the first item where it holds its share of what the lanes after it
+/// have not been given yet.
+fn weighted_chunks<I>(items: &[I], weight: impl Fn(&I) -> usize) -> Vec<&[I]> {
     let lanes = ideal_lanes(items.len());
     if lanes <= 1 {
-        return run(items);
+        return vec![items];
     }
     let mut left: usize = items.iter().map(|item| 1 + weight(item)).sum();
     let mut chunks = Vec::with_capacity(lanes);
@@ -102,8 +142,7 @@ pub(crate) fn run_weighted<I: Sync, O: Send>(
             (start, left, sum) = (i + 1, left - sum, 0);
         }
     }
-    let outs = run_each(&chunks, |chunk| run(chunk));
-    outs.into_iter().flatten().collect()
+    chunks
 }
 
 /// Runs `run` on every item across budget-governed lanes and returns the
@@ -167,7 +206,7 @@ mod tests {
         // than the host budget, never fewer than the inline lane, and
         // permits flow back (a drop-then-reacquire can never shrink the
         // pool).
-        let cores = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
+        let cores = cores();
         let first = acquire(usize::MAX);
         assert!(first.lanes() >= 1 && first.lanes() <= cores);
         let taken = first.lanes();
@@ -190,9 +229,8 @@ mod tests {
             1,
             "tiny batches stay inline"
         );
-        let cores = std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
         assert!(ideal_lanes(4 * MIN_ITEMS_PER_LANE) <= 4);
-        assert_eq!(ideal_lanes(1_000_000), cores);
+        assert_eq!(ideal_lanes(1_000_000), cores());
     }
 
     #[test]
@@ -220,18 +258,23 @@ mod tests {
 
     #[test]
     fn run_weighted_splits_by_cost_and_keeps_order() {
-        // One heavy item among light ones, each item its own index.
+        // One heavy item among light ones, each item writing its index and
+        // its double into the two outputs it owns.
         const HEAVY: usize = 50;
         let items: Vec<usize> = (0..400).collect();
         let weight = |&i: &usize| if i == HEAVY { 10_000 } else { 1 };
         let chunks = std::sync::Mutex::new(Vec::new());
-        let out = run_weighted(&items, weight, |chunk| {
+        let mut out = vec![0; 2 * items.len()];
+        run_weighted_into(&items, weight, &mut out, 2, |chunk, out| {
             let cost: usize = chunk.iter().map(|i| 1 + weight(i)).sum();
             let last = *chunk.last().expect("no empty chunk");
             chunks.lock().expect("no lane panicked").push((last, cost));
-            chunk.to_vec()
+            for (&i, pair) in chunk.iter().zip(out.chunks_exact_mut(2)) {
+                pair.copy_from_slice(&[i, 2 * i]);
+            }
         });
-        assert_eq!(out, items);
+        let want: Vec<usize> = items.iter().flat_map(|&i| [i, 2 * i]).collect();
+        assert_eq!(out, want);
         let mut chunks = chunks.into_inner().expect("no lane panicked");
         chunks.sort_unstable();
         assert!(chunks.len() <= ideal_lanes(items.len()));
@@ -244,6 +287,10 @@ mod tests {
             let (min, max) = (costs.clone().min(), costs.max());
             assert!(max.unwrap_or(0) - min.unwrap_or(0) <= 2, "{chunks:?}");
         }
+        // No items: one empty run, no outputs.
+        run_weighted_into(&[] as &[usize], weight, &mut [0u8; 0], 3, |chunk, out| {
+            assert!(chunk.is_empty() && out.is_empty());
+        });
     }
 
     #[test]

@@ -312,37 +312,69 @@ impl MinHasher {
     }
 
     /// Computes one signature per pre-hashed value set, in input order —
-    /// the batched construction path used by bulk index builds, CLI
-    /// ingest, and the server's `/batch` endpoint.
+    /// the batched construction path used by CLI ingest and the server's
+    /// `/batch` endpoint: [`sketch_into`](Self::sketch_into) with each
+    /// set's lanes moved into a [`Signature`] of its own.
     ///
     /// Semantically identical to mapping [`signature`](Self::signature)
-    /// over `sets`, but the per-item setup is paid once per batch: the
-    /// permutation family is fetched once, each worker lane fills a shared
-    /// min-slot scratch buffer instead of growing a fresh one per item,
-    /// and the lanes come from the process-wide [`crate::lanes`] harness
-    /// (spawned once per batch, floored at
+    /// over `sets`.
+    #[must_use]
+    pub fn bulk_signatures(&self, sets: &[&[u64]]) -> Vec<Signature> {
+        // Placeholders of no lanes allocate nothing; each is replaced once.
+        let mut out: Vec<Signature> = std::iter::repeat_with(|| Signature {
+            slots: Box::default(),
+        })
+        .take(sets.len())
+        .collect();
+        self.sketch_into(sets, &mut out, 1, |lanes, sig| {
+            sig[0] = Signature {
+                slots: lanes.into(),
+            };
+        });
+        out
+    }
+
+    /// The bulk loop under every batched sketch: folds each set of `sets`
+    /// into a min-slot scratch, narrows it ([`truncate_slot`]) into a lane
+    /// scratch, and hands those lanes to `write` with the `stride` outputs
+    /// of `out` that set owns (`out[i·stride..][..stride]` for set `i`) —
+    /// what a bulk index build narrows straight into a forest row, and
+    /// [`bulk_signatures`](Self::bulk_signatures) moves into a signature.
+    ///
+    /// The per-item setup is paid once per batch: each worker lane reuses
+    /// its two scratch buffers for every set it folds and allocates nothing
+    /// else, and the lanes come from the process-wide [`crate::lanes`]
+    /// harness (spawned once per batch, floored at
     /// [`crate::lanes::MIN_ITEMS_PER_LANE`] sets per lane, budget-governed
     /// so concurrent bulk callers degrade gracefully instead of
     /// oversubscribing the host). The lanes split the batch by values, not
-    /// by sets: the fold's cost is one step per value.
-    #[must_use]
-    pub fn bulk_signatures(&self, sets: &[&[u64]]) -> Vec<Signature> {
+    /// by sets: the fold's cost is one step per value. The lanes `write`
+    /// sees for a set are [`signature`](Self::signature)'s, bit for bit.
+    ///
+    /// # Panics
+    /// Panics if `stride == 0` or `out` does not hold `stride` outputs a
+    /// set.
+    pub fn sketch_into<O: Send>(
+        &self,
+        sets: &[&[u64]],
+        out: &mut [O],
+        stride: usize,
+        write: impl Fn(&[u32], &mut [O]) + Sync,
+    ) {
+        assert!(stride > 0, "every set needs an output");
         let m = self.family.len();
-        crate::lanes::run_weighted(
-            sets,
-            |values| values.len(),
-            |chunk| {
-                let mut scratch: Vec<u64> = vec![EMPTY_SLOT; m];
-                chunk
-                    .iter()
-                    .map(|values| {
-                        scratch.fill(EMPTY_SLOT);
-                        self.fold_into(values.iter().copied(), &mut scratch);
-                        Signature::from_wide(&scratch)
-                    })
-                    .collect()
-            },
-        )
+        let weight = |values: &&[u64]| values.len();
+        crate::lanes::run_weighted_into(sets, weight, out, stride, |chunk, out| {
+            let (mut wide, mut lanes) = (vec![EMPTY_SLOT; m], vec![EMPTY_LANE; m]);
+            for (values, out) in chunk.iter().zip(out.chunks_exact_mut(stride)) {
+                wide.fill(EMPTY_SLOT);
+                self.fold_into(values.iter().copied(), &mut wide);
+                for (lane, &slot) in lanes.iter_mut().zip(&wide) {
+                    *lane = truncate_slot(slot);
+                }
+                write(&lanes, out);
+            }
+        });
     }
 
     /// Folds one more value into an existing signature (streaming update).

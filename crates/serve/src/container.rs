@@ -59,7 +59,7 @@
 use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
-    position_of, CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MutationError,
+    position_of, CommitReport, DomainIndex, EnsembleConfig, Layout, LshEnsemble, MutationError,
     PartitionStrategy, Query, RankedIndex, Row, ShardedRanked,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
@@ -118,19 +118,31 @@ pub struct IndexContainer {
     mapping: Option<Arc<Mmap>>,
 }
 
-/// [`IndexContainer::from_stream`] sketches this many domains at a time,
-const SKETCH_CHUNK_DOMAINS: usize = 1024;
-/// or fewer once they hold this many values (8 MiB of raw hashes).
-const SKETCH_CHUNK_VALUES: usize = 1 << 20;
+/// How many domains [`IndexContainer::from_stream`] sketches at a time.
+#[derive(Debug, Clone, Copy)]
+struct SketchChunk {
+    /// At most this many domains,
+    domains: usize,
+    /// and fewer once they hold this many values or more.
+    values: usize,
+}
+
+/// 65 536 domains, or fewer once they hold 2²⁰ values (8 MiB of raw
+/// hashes); a domain larger than that is a chunk of its own.
+const SKETCH_CHUNK: SketchChunk = SketchChunk {
+    domains: 1 << 16,
+    values: 1 << 20,
+};
 
 impl IndexContainer {
     /// Builds a container from a catalog: sketches every domain, builds the
     /// ranked index, and records provenance.
     ///
     /// # Panics
-    /// Panics if the catalog is empty or `partitions == 0`, and with
-    /// "record names exceed 4 GiB" once the column names — or the distinct
-    /// table names — pass the 4 GiB their arena's `u32` ends address.
+    /// Panics if the catalog is empty or `partitions == 0`, on an empty
+    /// domain — naming its id, table and column — and with "record names
+    /// exceed 4 GiB" once the column names — or the distinct table names —
+    /// pass the 4 GiB their arena's `u32` ends address.
     #[must_use]
     pub fn build(catalog: &Catalog, partitions: usize) -> Self {
         assert!(!catalog.is_empty(), "catalog must not be empty");
@@ -139,7 +151,12 @@ impl IndexContainer {
         let domains = catalog
             .iter()
             .map(|(id, domain)| (domain, catalog.meta(id).clone()));
-        Self::sketch_and_build(domains, partitions, RecordTableBuilder::default())
+        Self::sketch_and_build(
+            domains,
+            partitions,
+            RecordTableBuilder::default(),
+            SKETCH_CHUNK,
+        )
     }
 
     /// A container over a new base; `next_id` is raised past the base's ids.
@@ -156,10 +173,13 @@ impl IndexContainer {
     }
 
     /// Builds a container from a stream of domains, sketching them a
-    /// bounded chunk at a time through `bulk_signatures`' lanes and
-    /// dropping each chunk once sketched: peak memory is the index under
-    /// construction (signatures and records), never the raw value sets.
-    /// This is the constructor for corpora that do not fit in RAM — e.g. a
+    /// bounded chunk at a time — at most 65 536 domains, fewer once they
+    /// hold 2²⁰ values (8 MiB of raw hashes), a larger domain alone — and
+    /// dropping each chunk once sketched. Each domain is narrowed straight
+    /// into its forest row (576 B at the default width), so peak memory is
+    /// the rows, the records and the index under construction, never the
+    /// raw value sets and never a signature a domain. This is the
+    /// constructor for corpora that do not fit in RAM — e.g. a
     /// `lshe_datagen::CorpusStream` scaled to multiple gigabytes.
     ///
     /// Value-identical to [`build`](Self::build) over a catalog containing
@@ -168,7 +188,8 @@ impl IndexContainer {
     ///
     /// # Panics
     /// As [`build`](Self::build): on an empty stream, `partitions == 0`,
-    /// or names past their arenas' 4 GiB.
+    /// an empty domain (named by its position in the stream, its table and
+    /// its column, as it arrives), or names past their arenas' 4 GiB.
     pub fn from_stream<I>(domains: I, partitions: usize, _ranked: bool) -> Self
     where
         I: IntoIterator<Item = (Domain, DomainMeta)>,
@@ -177,15 +198,19 @@ impl IndexContainer {
             domains.into_iter(),
             partitions,
             RecordTableBuilder::default(),
+            SKETCH_CHUNK,
         )
     }
 
     /// [`build`](Self::build) lends its domains, `from_stream` gives them up;
-    /// both record them into `records`.
+    /// both record them into `records`. Every chunk's domains are folded
+    /// across the sketch lanes, each into its row of one arena the chunk
+    /// owns; the forests copy the rows in as they are.
     fn sketch_and_build<D: Borrow<Domain>>(
         domains: impl Iterator<Item = (D, DomainMeta)>,
         partitions: usize,
         mut records: RecordTableBuilder,
+        cap: SketchChunk,
     ) -> Self {
         assert!(partitions > 0, "partitions must be positive");
         let hasher = MinHasher::new(lshe_minhash::DEFAULT_NUM_PERM);
@@ -193,17 +218,29 @@ impl IndexContainer {
             strategy: PartitionStrategy::EquiDepth { n: partitions },
             ..EnsembleConfig::default()
         };
+        let layout = Layout::new(config.b_max, config.r_max, config.num_perm);
+        let words = layout.words();
         let mut sizes = Vec::new();
-        let mut signatures = Vec::new();
+        let mut arenas: Vec<Vec<u16>> = Vec::new();
         let mut chunk: Vec<D> = Vec::new();
         let mut chunk_values = 0usize;
         let mut sketch = |chunk: &mut Vec<D>| {
             let sets: Vec<&[u64]> = chunk.iter().map(|d| d.borrow().hashes()).collect();
-            signatures.extend(hasher.bulk_signatures(&sets));
+            let mut arena = vec![0u16; sets.len() * words];
+            hasher.sketch_into(&sets, &mut arena, words, |lanes, row| {
+                layout.narrow_into(lanes, row);
+            });
+            arenas.push(arena);
             chunk.clear();
         };
         for (id, (domain, meta)) in (0u32..).zip(domains) {
             let size = domain.borrow().len();
+            assert!(
+                size > 0,
+                "domain at stream position {id} ({}.{}) has no values",
+                meta.table,
+                meta.column
+            );
             // The ids ascend, so what can go wrong is the names' 4 GiB.
             if let Err(detail) = records.push(id, &meta.table, &meta.column) {
                 panic!("{detail}");
@@ -211,7 +248,7 @@ impl IndexContainer {
             sizes.push(size as u64);
             chunk_values += size;
             chunk.push(domain);
-            if chunk.len() == SKETCH_CHUNK_DOMAINS || chunk_values >= SKETCH_CHUNK_VALUES {
+            if chunk.len() == cap.domains || chunk_values >= cap.values {
                 sketch(&mut chunk);
                 chunk_values = 0;
             }
@@ -219,12 +256,16 @@ impl IndexContainer {
         sketch(&mut chunk);
         let records = records.finish();
         assert!(!records.is_empty(), "stream must yield at least one domain");
-        // Each signature moves into the index: one owner, no copy.
-        let mut builder = RankedIndex::builder_with(config);
-        for ((id, size), sig) in (0u32..).zip(sizes).zip(signatures) {
-            builder.add(id, size, sig);
-        }
-        Self::over_base(records, builder.build(), hasher.num_perm(), 0)
+        // The ids are the stream positions: dense, so none repeats.
+        let ids: Vec<u32> = (0..).take(sizes.len()).collect();
+        let rows: Vec<Row<'_>> = arenas
+            .iter()
+            .flat_map(|arena| arena.chunks_exact(words))
+            .map(|row| Row::new(layout, row).expect("`words` words a row"))
+            .collect();
+        let ensemble = LshEnsemble::build_from_parts(config, &ids, &sizes, &rows);
+        let index = RankedIndex::from_ensemble(ensemble);
+        Self::over_base(records, index, hasher.num_perm(), 0)
     }
 
     /// Signature width the index was built with (clients must sketch
@@ -1389,35 +1430,80 @@ mod tests {
 
     #[test]
     fn chunked_sketching_is_value_identical_at_every_chunk_boundary() {
-        // Small domains, so only the per-chunk domain count cuts chunks.
-        let values = |k: u64| (k..k + 3 + k % 5).map(|v| v * 7).collect::<Vec<u64>>();
-        let hasher = MinHasher::new(256);
+        // Chunks of at most 16 domains or 64 values, so that every kind of
+        // cut is a small corpus. Each case lists its domains' sizes.
+        const CAP: SketchChunk = SketchChunk {
+            domains: 16,
+            values: 64,
+        };
+        // Domains of at most 3 values: only the domain count cuts.
+        let small = |k: usize| 1 + k % 3;
         let shorter_than_one_lane = lshe_minhash::lanes::MIN_ITEMS_PER_LANE - 1;
-        for n in [
-            1,
-            shorter_than_one_lane,
-            SKETCH_CHUNK_DOMAINS - 1,
-            SKETCH_CHUNK_DOMAINS,
-            SKETCH_CHUNK_DOMAINS + 1,
-        ] {
-            let stream = (0..n as u64).map(|k| {
+        let by_count = [1, shorter_than_one_lane, 15, 16, 17].map(|n| (0..n).map(small).collect());
+        let by_values: [Vec<usize>; 3] = [
+            // The second domain ends exactly at the cap.
+            vec![32, 32, 5],
+            // The second crosses it, and so does the fourth.
+            vec![40, 30, 5, 60, 4],
+            // One larger than the cap alone, one crossing it from 3 values
+            // in, then one exactly the cap alone.
+            vec![100, 3, 200, 64, 1],
+        ];
+        let hasher = MinHasher::new(256);
+        for sizes in by_count.iter().chain(&by_values) {
+            let values = |k: usize| (1000 * k..).take(sizes[k]).map(|v| 7 * v as u64);
+            let mut cat = Catalog::new();
+            for k in 0..sizes.len() {
                 let meta = DomainMeta::new(format!("t{k}"), "c");
-                (Domain::from_hashes(values(k)), meta)
-            });
-            let c = IndexContainer::from_stream(stream, 4, true);
-            assert_eq!(c.len(), n);
-            for k in 0..n as u64 {
+                cat.push(Domain::from_hashes(values(k).collect()), meta);
+            }
+            let stream = cat.iter().map(|(id, d)| (d.clone(), cat.meta(id).clone()));
+            let c = IndexContainer::sketch_and_build(stream, 4, RecordTableBuilder::default(), CAP);
+            assert_eq!(c.len(), sizes.len());
+            let built = IndexContainer::build(&cat, 4);
+            assert_eq!(c.to_bytes(), built.to_bytes(), "{sizes:?}");
+            for (k, &size) in sizes.iter().enumerate() {
                 // The serial path: one `signature` call per domain.
                 let want = hasher.signature(values(k));
-                let (size, got) = c.sketch(k as u32).expect("sketch retained");
+                let (got_size, got) = c.sketch(k as u32).expect("sketch retained");
                 let want = RowBuf::narrow(got.layout(), want.slots());
                 assert_eq!(
-                    (size, got),
-                    (values(k).len() as u64, want.as_row()),
-                    "{k} of {n}"
+                    (got_size, got),
+                    (size as u64, want.as_row()),
+                    "{k} of {sizes:?}"
                 );
             }
         }
+    }
+
+    /// Three domains, the middle one empty, in a stream that fails the test
+    /// if it is read past that domain.
+    fn stream_with_an_empty_domain() -> impl Iterator<Item = (Domain, DomainMeta)> {
+        (0..3u64).map(|k| {
+            assert!(k <= 1, "the stream was read past the empty domain");
+            let values = if k == 1 { vec![] } else { vec![k, k + 10] };
+            (
+                Domain::from_hashes(values),
+                DomainMeta::new(format!("t{k}"), "col"),
+            )
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "domain at stream position 1 (t1.col) has no values")]
+    fn from_stream_names_an_empty_domain_as_it_arrives() {
+        let _ = IndexContainer::from_stream(stream_with_an_empty_domain(), 2, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "domain at stream position 1 (t1.col) has no values")]
+    fn build_names_an_empty_domain() {
+        let mut cat = Catalog::new();
+        for (domain, meta) in stream_with_an_empty_domain().take(2) {
+            cat.push(domain, meta);
+        }
+        cat.push(Domain::from_hashes(vec![5]), DomainMeta::new("t2", "col"));
+        let _ = IndexContainer::build(&cat, 2);
     }
 
     #[test]
@@ -1683,7 +1769,7 @@ mod tests {
         let cat = catalog(3);
         let domains = cat.iter().map(|(id, d)| (d, cat.meta(id).clone()));
         let records = RecordTableBuilder::with_text_limit(8);
-        let _ = IndexContainer::sketch_and_build(domains, 2, records);
+        let _ = IndexContainer::sketch_and_build(domains, 2, records, SKETCH_CHUNK);
     }
 
     #[test]

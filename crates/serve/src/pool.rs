@@ -89,10 +89,7 @@ pub fn effective_threads(requested: usize) -> usize {
     if requested > 0 {
         return requested;
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(4)
-        .max(2)
+    lshe_minhash::lanes::cores().max(2)
 }
 
 #[cfg(test)]
