@@ -11,7 +11,7 @@
 //! document with a `metrics` object, read from the file's last line — to the
 //! two load-path bars, in perfbench's metric names.
 
-use lshe_serve::json::{Json, JsonError};
+use lshe_corpus::json::{Json, JsonError};
 use std::process::ExitCode;
 
 use Cmp::{Ge, Le};
@@ -143,7 +143,7 @@ mod tests {
             panic!("baseline has {section}");
         };
         fields.retain(|(k, _)| k != key);
-        fields.extend(value.map(|v| (key.to_owned(), Json::Num(v))));
+        fields.extend(value.map(|v| (key.to_owned(), Json::num(v))));
         Json::Obj(root).render()
     }
 
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn perfbench_result_line_is_held_to_the_load_path_bars() {
         let run = |ratio: f64, load_s: f64, open_us: f64| {
-            let metric = |v: f64| Json::obj(vec![("value", Json::Num(v)), ("unit", Json::str(""))]);
+            let metric = |v: f64| Json::obj(vec![("value", Json::num(v)), ("unit", Json::str(""))]);
             let metrics = Json::obj(vec![
                 ("store.mmap_query_ratio", metric(ratio)),
                 ("serve.container.load_s", metric(load_s)),

@@ -8,8 +8,8 @@
 //! the same signatures, the global order is exactly the merge of the
 //! per-shard orders. So the coordinator never recomputes an estimate:
 //! it concatenates the shard hit objects verbatim (estimates included,
-//! bit-for-bit — the JSON layer renders `f64` at shortest-round-trip
-//! precision) and re-sorts by the same key.
+//! byte for byte — a parsed JSON number keeps the text the shard wrote)
+//! and re-sorts by the same key.
 //!
 //! The id union runs through [`lshe_core::batch::merge_sorted_disjoint`]
 //! — the exact primitive the in-process sharded path unions candidates

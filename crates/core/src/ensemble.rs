@@ -418,7 +418,7 @@ pub struct PartitionStats {
 /// stage into a delta buffer, a commit seals the delta into an immutable
 /// sealed segment in O(delta), removes of committed rows become tombstones
 /// filtered out of every candidate union, and a compaction builds a new
-/// base from the live rows ([`rebuilt`](Self::rebuilt)). Those steps are
+/// base from the live rows (`rebuilt`). Those steps are
 /// crate-private: a plain ensemble is built, queried and persisted.
 ///
 /// The base partitions, the sealed segments, the base part of the id map

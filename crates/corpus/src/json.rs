@@ -1,181 +1,357 @@
-//! A minimal JSON parser and JSON-Lines ingestion.
+//! The workspace's one JSON value type, parser and renderer, and
+//! JSON-Lines ingestion.
 //!
 //! Open-data portals publish "a mixture of relational (CSV and
 //! spreadsheet), semi-structured (JSON and XML) … formats" (§1 of the
-//! paper). This module covers the JSON side: a small, dependency-free
-//! recursive-descent parser plus an ingestion path that turns a JSON-Lines
-//! document (one object per line — the common bulk-export format) into
-//! domains, one per top-level scalar field.
+//! paper). The build image has no crates.io access, so JSON is hand-rolled
+//! over `std`, once: the server's request bodies and responses, the
+//! coordinator's shard replies and [`Catalog::ingest_jsonl`] all go
+//! through [`Json`].
 //!
-//! The parser accepts the full JSON grammar (objects, arrays, strings with
-//! escapes, numbers, booleans, null) but the ingestion deliberately flattens
-//! only **top-level scalar fields** — nested structure rarely maps onto the
-//! "column = domain" model, and the paper's corpora are tabular.
+//! The parser reads exactly RFC 8259 — no leading zeros, no bare `1.`, four
+//! hex digits after `\u` — with arrays and objects nested at most 64 deep,
+//! so hostile input is a typed error, never a stack overflow. It runs in
+//! time linear in its input. A parsed number keeps its source text, so
+//! `12345678901234567890` and `1E+2` reach JSON-Lines ingest as written;
+//! [`Json::as_f64`] reads a finite value out of it.
+//!
+//! JSON-Lines ingestion flattens only **top-level scalar fields**: nested
+//! structure rarely maps onto the "column = domain" model, and the paper's
+//! corpora are tabular.
 
 use crate::catalog::{Catalog, DomainId, DomainMeta};
 use crate::domain::Domain;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`
+pub enum Json {
+    /// `null`.
     Null,
-    /// `true` / `false`
+    /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, kept as its source text (lossless, hashable).
-    Number(String),
+    /// A number, held as JSON number text.
+    Num(Number),
     /// A string.
-    String(String),
+    Str(String),
     /// An array.
-    Array(Vec<JsonValue>),
-    /// An object (field order preserved by sorted key).
-    Object(BTreeMap<String, JsonValue>),
+    Arr(Vec<Json>),
+    /// An object; insertion order (and any repeated key) is preserved.
+    Obj(Vec<(String, Json)>),
 }
 
-impl JsonValue {
-    /// The canonical byte representation of a *scalar* used for domain
-    /// hashing, or `None` for null / arrays / objects.
-    #[must_use]
-    pub fn scalar_bytes(&self) -> Option<Vec<u8>> {
-        match self {
-            Self::Bool(b) => Some(if *b {
-                b"true".to_vec()
-            } else {
-                b"false".to_vec()
-            }),
-            Self::Number(n) => Some(n.as_bytes().to_vec()),
-            Self::String(s) => Some(s.as_bytes().to_vec()),
-            Self::Null | Self::Array(_) | Self::Object(_) => None,
-        }
-    }
-}
+/// The text of a JSON number: as written in parsed input, or as
+/// [`Json::num`] / [`Json::uint`] format a value. Only those three make
+/// one, so it always renders as a valid JSON number.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Number(String);
 
-/// JSON parse errors with byte offsets.
+/// Parse failure: a message and the byte offset it occurred at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// What went wrong.
-    pub message: &'static str,
-    /// Byte offset in the input.
+    pub msg: String,
+    /// Byte offset into the input.
     pub at: usize,
 }
 
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} at byte {}", self.message, self.at)
+impl fmt::Display for JsonError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} at byte {}", self.msg, self.at)
     }
 }
 
 impl std::error::Error for JsonError {}
 
-/// Nesting depth cap, the same as `lshe-serve`'s request parser: one line
-/// of `[[[[…` from a file must be a skipped line, not a stack overflow.
+/// Nesting depth cap: protects the recursive-descent parser's stack from
+/// adversarial inputs like `[[[[…`.
 const MAX_DEPTH: usize = 64;
 
+impl Json {
+    /// Parses a complete JSON document (trailing whitespace allowed,
+    /// trailing garbage rejected).
+    ///
+    /// # Errors
+    /// [`JsonError`] with a byte offset on any syntax violation, and on
+    /// arrays or objects nested more than 64 deep.
+    pub fn parse(input: &str) -> Result<Self, JsonError> {
+        let mut p = Parser {
+            text: input,
+            pos: 0,
+        };
+        p.skip_ws();
+        let v = p.value(0)?;
+        p.skip_ws();
+        if p.pos != input.len() {
+            return Err(p.err("trailing characters after document"));
+        }
+        Ok(v)
+    }
+
+    /// Object field lookup (first match); `None` on non-objects.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Self::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string payload, if this is a string.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Self::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric value, if this is a number that is finite as an `f64`
+    /// (`1e999` is not).
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Self::Num(n) => n.0.parse().ok().filter(|n: &f64| n.is_finite()),
+            _ => None,
+        }
+    }
+
+    /// The numeric value as a non-negative integer no larger than 2⁵³,
+    /// the range an `f64` holds exactly.
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64()
+            .filter(|n| *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53))
+            .map(|n| n as u64)
+    }
+
+    /// The boolean payload, if this is a boolean.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Self::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The element list, if this is an array.
+    #[must_use]
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Self::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Convenience constructor for an object.
+    #[must_use]
+    pub fn obj(fields: Vec<(&str, Json)>) -> Self {
+        Self::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
+    /// Convenience constructor for a string value.
+    #[must_use]
+    pub fn str(s: impl Into<String>) -> Self {
+        Self::Str(s.into())
+    }
+
+    /// A number: integers below 2⁵³ without a fraction, others at
+    /// shortest round-trip precision. JSON cannot carry a non-finite
+    /// value, so that is `null`.
+    #[must_use]
+    pub fn num(n: impl Into<f64>) -> Self {
+        let n = n.into();
+        if !n.is_finite() {
+            return Self::Null;
+        }
+        let integral = n.fract() == 0.0 && n.abs() < 2f64.powi(53);
+        Self::Num(Number(if integral {
+            (n as i64).to_string()
+        } else {
+            n.to_string()
+        }))
+    }
+
+    /// A `u64` rendered as a JSON number. Values above 2⁵³ would lose
+    /// precision in a reader's `f64`, so they are rendered as strings —
+    /// the same convention big-integer-safe APIs use.
+    #[must_use]
+    pub fn uint(n: u64) -> Self {
+        if n <= (1u64 << 53) {
+            Self::Num(Number(n.to_string()))
+        } else {
+            Self::Str(n.to_string())
+        }
+    }
+
+    /// Serialises the value to compact JSON text.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Serialises the value to compact JSON text appended to `out`,
+    /// reusing the buffer's capacity — the server renders every response
+    /// body through this into per-connection write buffers, so a hot
+    /// keep-alive connection stops paying a fresh `String` per response.
+    /// [`render`](Self::render) is this into a fresh `String`.
+    pub fn render_into(&self, out: &mut String) {
+        match self {
+            Self::Null => out.push_str("null"),
+            Self::Bool(true) => out.push_str("true"),
+            Self::Bool(false) => out.push_str("false"),
+            Self::Num(n) => out.push_str(&n.0),
+            Self::Str(s) => write_escaped(s, out),
+            Self::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.render_into(out);
+                }
+                out.push(']');
+            }
+            Self::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_escaped(k, out);
+                    out.push(':');
+                    v.render_into(out);
+                }
+                out.push('}');
+            }
+        }
+    }
+}
+
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.render())
+    }
+}
+
+/// Writes `s` as a JSON string literal with all required escapes.
+fn write_escaped(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{08}' => out.push_str("\\b"),
+            '\u{0C}' => out.push_str("\\f"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, message: &'static str) -> JsonError {
+impl Parser<'_> {
+    fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError {
-            message,
+            msg: msg.into(),
             at: self.pos,
         }
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8, message: &'static str) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+    /// Steps over `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let next = self.peek() == Some(b);
+        self.pos += usize::from(next);
+        next
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+        if self.eat(b) {
             Ok(())
         } else {
-            Err(self.err(message))
+            Err(self.err(format!("expected {:?}", b as char)))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
-        self.skip_ws();
         match self.peek() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
-            Some(b't') => self.literal(b"true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal(b"false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal(b"null", JsonValue::Null),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
+            Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
+            None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn literal(&mut self, text: &'static [u8], value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(text) {
-            self.pos += text.len();
-            Ok(value)
+    fn literal(&mut self, word: &'static str, v: Json) -> Result<Json, JsonError> {
+        if self.text[self.pos..].starts_with(word) {
+            self.pos += word.len();
+            Ok(v)
         } else {
-            Err(self.err("invalid literal"))
+            Err(self.err(format!("invalid literal (expected {word})")))
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`, kept as text.
+    fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        self.eat(b'-');
+        if !self.eat(b'0') {
+            self.digits()?;
         }
-        let digits_start = self.pos;
+        if self.eat(b'.') {
+            self.digits()?;
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            let _sign = self.eat(b'+') || self.eat(b'-');
+            self.digits()?;
+        }
+        Ok(Json::Num(Number(self.text[start..self.pos].to_owned())))
+    }
+
+    /// One or more decimal digits.
+    fn digits(&mut self) -> Result<(), JsonError> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err("invalid number (expected a digit)"));
+        }
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        if self.pos == digits_start {
-            return Err(self.err("expected digits"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            let frac_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == frac_start {
-                return Err(self.err("expected fraction digits"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let exp_start = self.pos;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.pos == exp_start {
-                return Err(self.err("expected exponent digits"));
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid UTF-8 in number"))?;
-        Ok(JsonValue::Number(text.to_owned()))
+        Ok(())
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"', "expected opening quote")?;
+        self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
@@ -190,153 +366,140 @@ impl<'a> Parser<'a> {
                         Some(b'"') => out.push('"'),
                         Some(b'\\') => out.push('\\'),
                         Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
+                        Some(b'b') => out.push('\u{08}'),
+                        Some(b'f') => out.push('\u{0C}'),
                         Some(b'n') => out.push('\n'),
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by \u-escaped low surrogate.
-                            let ch = if (0xD800..0xDC00).contains(&cp) {
-                                self.expect(b'\\', "expected low surrogate")?;
-                                self.expect(b'u', "expected low surrogate")?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(c).ok_or_else(|| self.err("invalid code point"))?
-                            } else if (0xDC00..0xE000).contains(&cp) {
-                                return Err(self.err("unexpected low surrogate"));
-                            } else {
-                                char::from_u32(cp).ok_or_else(|| self.err("invalid code point"))?
-                            };
-                            out.push(ch);
-                            continue; // hex4 advanced past the escape
+                            let c = self.unicode_escape()?;
+                            out.push(c);
+                            continue;
                         }
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
                 }
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
+                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (1–4 bytes).
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s
+                    // Copy one scalar: `pos` only ever stops on a char boundary.
+                    let c = self.text[self.pos..]
                         .chars()
                         .next()
-                        .ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                        .expect("a byte is left");
+                    out.push(c);
+                    self.pos += c.len_utf8();
                 }
             }
         }
     }
 
+    /// Parses the 4 hex digits after `\u` (cursor already past the `u`),
+    /// combining surrogate pairs.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        let hi = self.hex4()?;
+        let cp = match hi {
+            // A high surrogate: a `\uXXXX` low surrogate must follow.
+            0xD800..=0xDBFF if self.text[self.pos..].starts_with("\\u") => {
+                self.pos += 2;
+                let lo = self.hex4()?;
+                if !(0xDC00..0xE000).contains(&lo) {
+                    return Err(self.err("invalid low surrogate"));
+                }
+                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+            }
+            0xD800..=0xDFFF => return Err(self.err("unpaired surrogate")),
+            _ => hi,
+        };
+        char::from_u32(cp).ok_or_else(|| self.err("invalid \\u escape"))
+    }
+
+    /// Exactly four hex digits (`from_str_radix` alone would also take a
+    /// sign, as in `\u+041`).
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        let mut cp = 0u32;
-        for _ in 0..4 {
-            let b = self
-                .peek()
-                .ok_or_else(|| self.err("truncated \\u escape"))?;
-            let d = match b {
-                b'0'..=b'9' => u32::from(b - b'0'),
-                b'a'..=b'f' => u32::from(b - b'a') + 10,
-                b'A'..=b'F' => u32::from(b - b'A') + 10,
-                _ => return Err(self.err("invalid hex digit")),
-            };
-            cp = cp * 16 + d;
-            self.pos += 1;
+        let chunk = self.text.as_bytes().get(self.pos..self.pos + 4);
+        let chunk = chunk.ok_or_else(|| self.err("truncated \\u escape"))?;
+        if !chunk.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
         }
-        Ok(cp)
+        let hex = &self.text[self.pos..self.pos + 4];
+        self.pos += 4;
+        Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
     }
 
-    fn array(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect(b'[', "expected '['")?;
-        let mut out = Vec::new();
+    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
+        let mut items = Vec::new();
+        self.items(b']', |p| {
+            items.push(p.value(depth + 1)?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
+    }
+
+    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
+        let mut fields = Vec::new();
+        self.items(b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            fields.push((key, p.value(depth + 1)?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(fields))
+    }
+
+    /// Steps over the opening bracket, then reads comma-separated `item`s
+    /// up to and including `close`.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(out));
+        if self.eat(close) {
+            return Ok(());
         }
         loop {
-            out.push(self.value(depth + 1)?);
             self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(out));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
+            item(self)?;
+            self.skip_ws();
+            if self.eat(close) {
+                return Ok(());
             }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<JsonValue, JsonError> {
-        self.expect(b'{', "expected '{'")?;
-        let mut out = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(out));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':', "expected ':'")?;
-            let value = self.value(depth + 1)?;
-            out.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(out));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
+            if !self.eat(b',') {
+                return Err(self.err(format!("expected ',' or '{}'", close as char)));
             }
         }
     }
 }
 
-/// Parses one JSON document.
-///
-/// # Errors
-/// [`JsonError`] with a byte offset on malformed input (including trailing
-/// non-whitespace, and arrays or objects nested more than 64 deep).
-pub fn parse_json(input: &[u8]) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: input,
-        pos: 0,
-    };
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != input.len() {
-        return Err(p.err("trailing characters after value"));
+/// The bytes a *scalar* is hashed by as a domain value — a number's
+/// source text, a string's content — or `None` for null, arrays and
+/// objects.
+fn scalar_bytes(value: Json) -> Option<Vec<u8>> {
+    match value {
+        Json::Bool(b) => Some(b.to_string().into_bytes()),
+        Json::Num(n) => Some(n.0.into_bytes()),
+        Json::Str(s) => Some(s.into_bytes()),
+        Json::Null | Json::Arr(_) | Json::Obj(_) => None,
     }
-    Ok(v)
 }
 
 impl Catalog {
     /// Ingests a JSON-Lines buffer (one object per non-empty line): every
     /// top-level scalar field becomes a domain named after the field, with
-    /// the field's distinct values across all lines. Fields with fewer than
-    /// `min_size` distinct values are skipped, mirroring
-    /// [`Catalog::ingest_csv`].
+    /// the field's distinct values across all lines. A number is hashed
+    /// by its source text, and a key repeated within a line keeps its last
+    /// value. Fields with fewer than `min_size` distinct values are
+    /// skipped, mirroring [`Catalog::ingest_csv`].
     ///
-    /// Lines that fail to parse or are not objects are counted, not fatal —
-    /// real open-data exports are messy, and a single bad record should not
-    /// abort a bulk ingest. Returns `(ids, skipped_lines)`.
+    /// Lines that are not UTF-8, fail to parse or are not objects are
+    /// counted, not fatal — real open-data exports are messy, and a single
+    /// bad record should not abort a bulk ingest. Returns
+    /// `(ids, skipped_lines)`.
     pub fn ingest_jsonl(
         &mut self,
         table_name: &str,
@@ -346,28 +509,22 @@ impl Catalog {
         let mut columns: BTreeMap<String, Vec<Vec<u8>>> = BTreeMap::new();
         let mut skipped = 0usize;
         for line in data.split(|&b| b == b'\n') {
-            let trimmed: &[u8] = {
-                let mut t = line;
-                while t.first().is_some_and(|b| b.is_ascii_whitespace()) {
-                    t = &t[1..];
-                }
-                while t.last().is_some_and(|b| b.is_ascii_whitespace()) {
-                    t = &t[..t.len() - 1];
-                }
-                t
-            };
-            if trimmed.is_empty() {
+            let line = line.trim_ascii();
+            if line.is_empty() {
                 continue;
             }
-            match parse_json(trimmed) {
-                Ok(JsonValue::Object(fields)) => {
-                    for (key, value) in fields {
-                        if let Some(bytes) = value.scalar_bytes() {
-                            columns.entry(key).or_default().push(bytes);
-                        }
-                    }
+            let parsed = std::str::from_utf8(line).ok().map(Json::parse);
+            let Some(Ok(Json::Obj(fields))) = parsed else {
+                skipped += 1;
+                continue;
+            };
+            // `extend` inserts in order, so a repeated key keeps its last value.
+            let mut last = BTreeMap::new();
+            last.extend(fields);
+            for (key, value) in last {
+                if let Some(bytes) = scalar_bytes(value) {
+                    columns.entry(key).or_default().push(bytes);
                 }
-                _ => skipped += 1,
             }
         }
         let mut ids = Vec::new();
@@ -385,92 +542,156 @@ impl Catalog {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> JsonValue {
-        parse_json(s.as_bytes()).expect("valid JSON")
+    fn parse(s: &str) -> Json {
+        Json::parse(s).expect("valid JSON")
     }
 
     #[test]
-    fn scalars() {
-        assert_eq!(parse("null"), JsonValue::Null);
-        assert_eq!(parse("true"), JsonValue::Bool(true));
-        assert_eq!(parse("false"), JsonValue::Bool(false));
-        assert_eq!(parse("42"), JsonValue::Number("42".into()));
-        assert_eq!(parse("-3.25e+2"), JsonValue::Number("-3.25e+2".into()));
-        assert_eq!(parse("\"hi\""), JsonValue::String("hi".into()));
+    fn scalars_roundtrip() {
+        for (text, v) in [("null", Json::Null), ("true", Json::Bool(true))] {
+            assert_eq!(parse(text), v, "{text}");
+        }
+        assert_eq!(parse("false").as_bool(), Some(false));
+        assert_eq!(parse("\"hi\"").as_str(), Some("hi"));
+        let numbers = [
+            ("0", 0.0),
+            ("-12", -12.0),
+            ("3.5", 3.5),
+            ("-3.25e+2", -325.0),
+        ];
+        for (text, v) in numbers {
+            assert_eq!(parse(text).as_f64(), Some(v), "{text}");
+            assert_eq!(parse(text).render(), text, "numbers keep their text");
+        }
+        assert_eq!(Json::num(42.0).render(), "42");
+        assert_eq!(Json::num(0.25).render(), "0.25");
+        assert_eq!(Json::num(-0.0).render(), "0");
+        assert_eq!(Json::num(f64::NAN), Json::Null);
+        assert_eq!(Json::num(f64::NEG_INFINITY).render(), "null");
     }
 
     #[test]
-    fn string_escapes() {
-        assert_eq!(
-            parse(r#""a\"b\\c\nd\tA""#),
-            JsonValue::String("a\"b\\c\nd\tA".into())
-        );
-        // Surrogate pair: U+1F600.
-        assert_eq!(parse(r#""😀""#), JsonValue::String("😀".into()));
+    fn strings_escape_and_unescape() {
+        let v = parse(r#""a\"b\\c\n\t\u0041\u00e9""#);
+        assert_eq!(v.as_str(), Some("a\"b\\c\n\tAé"));
+        // Raw and surrogate-pair-escaped astral chars.
+        assert_eq!(parse(r#""😀""#).as_str(), Some("😀"));
+        assert_eq!(parse(r#""\ud83d\ude00""#).as_str(), Some("😀"));
+        // Writer escapes everything the parser needs escaped.
+        let s = Json::str("x\"y\\z\n\u{01}");
+        assert_eq!(parse(&s.render()), s);
     }
 
     #[test]
-    fn nested_structures() {
-        let v = parse(r#"{"a": [1, 2, {"b": null}], "c": "x"}"#);
-        let JsonValue::Object(o) = v else {
+    fn structures_and_lookup() {
+        let v = parse(r#"{"a": [1, 2, {"b": "c"}], "d": null, "a": 0}"#);
+        let Json::Obj(fields) = &v else {
             panic!("expected object")
         };
-        assert_eq!(o.len(), 2);
-        let JsonValue::Array(a) = &o["a"] else {
-            panic!("expected array")
-        };
-        assert_eq!(a.len(), 3);
-        assert_eq!(o["c"], JsonValue::String("x".into()));
+        assert_eq!(fields.len(), 3, "a repeated key is kept, in order");
+        assert_eq!(fields[2], ("a".to_owned(), parse("0")));
+        let arr = v.get("a").and_then(Json::as_array).expect("first match");
+        assert_eq!(arr.len(), 3);
+        assert_eq!(arr[2].get("b").and_then(Json::as_str), Some("c"));
+        assert_eq!(v.get("d"), Some(&Json::Null));
+        assert_eq!(v.get("missing"), None);
     }
 
     #[test]
     fn whitespace_tolerated() {
         let v = parse(" \n\t{ \"k\" :\r[ ] } ");
-        assert_eq!(
-            v,
-            JsonValue::Object(BTreeMap::from([("k".into(), JsonValue::Array(vec![]))]))
-        );
+        assert_eq!(v, Json::obj(vec![("k", Json::Arr(vec![]))]));
+    }
+
+    #[test]
+    fn malformed_inputs_rejected() {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "[1 2]",
+            "{\"a\" 1}",
+            "{\"a\": }",
+            "tru",
+            "\"unterminated",
+            "\"\\q\"",
+            "\"\\u12\"",
+            "\"\\ud800\"",
+            ".5",
+            "-",
+            "1e",
+            "+1",
+            "01x",
+            "[1] garbage",
+            "nan",
+        ] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
     fn errors_have_offsets() {
-        let err = parse_json(b"{\"a\": }").unwrap_err();
-        assert_eq!(err.at, 6);
-        assert!(parse_json(b"[1, 2").is_err());
-        assert!(parse_json(b"12x").is_err()); // trailing garbage
-        assert!(parse_json(b"\"\\u12").is_err());
-        assert!(parse_json(b"\"\\ud800x\"").is_err()); // lone high surrogate
-        assert!(parse_json(b"01").is_err() || parse_json(b"01").is_ok()); // leading zeros tolerated
+        assert_eq!(Json::parse("{\"a\": }").unwrap_err().at, 6);
+        assert_eq!(Json::parse("01").unwrap_err().at, 1);
+        assert_eq!(Json::parse("[1.e5]").unwrap_err().at, 3);
+        assert_eq!(Json::parse("\"\\u+041\"").unwrap_err().at, 3);
+        assert!(Json::parse("\"\\ud800x\"").is_err()); // lone high surrogate
+    }
+
+    #[test]
+    fn deep_nesting_bounded() {
+        let deep = "[".repeat(1000) + &"]".repeat(1000);
+        assert!(Json::parse(&deep).is_err());
+        let ok = "[".repeat(50) + &"]".repeat(50);
+        assert!(Json::parse(&ok).is_ok());
     }
 
     #[test]
     fn deep_nesting_is_a_typed_error_and_a_skipped_line() {
-        let nested = |depth: usize| [b"[".repeat(depth), b"]".repeat(depth)].concat();
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
         // The outermost value is at depth 0.
-        assert!(parse_json(&nested(MAX_DEPTH + 1)).is_ok());
-        let err = parse_json(&nested(MAX_DEPTH + 2)).unwrap_err();
-        assert_eq!((err.message, err.at), ("nesting too deep", MAX_DEPTH + 1));
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 2)).unwrap_err();
+        assert_eq!(err.msg, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH + 1);
         // Deep enough to overflow a test thread's stack without the cap.
-        let hostile = b"[".repeat(200_000);
-        assert_eq!(parse_json(&hostile).unwrap_err(), err);
-        let objects = b"{\"k\":".repeat(200_000);
-        assert_eq!(
-            parse_json(&objects).unwrap_err().message,
-            "nesting too deep"
-        );
-        let lines = [b"{\"v\": 1}\n", &hostile[..], b"\n{\"v\": 2}\n"].concat();
+        let hostile = "[".repeat(200_000);
+        assert_eq!(Json::parse(&hostile).unwrap_err(), err);
+        let objects = "{\"k\":".repeat(200_000);
+        assert_eq!(Json::parse(&objects).unwrap_err().msg, "nesting too deep");
+        let lines = ["{\"v\": 1}\n", &hostile, "\n{\"v\": 2}\n"].concat();
         let mut catalog = Catalog::new();
-        let (ids, skipped) = catalog.ingest_jsonl("t", &lines, 2);
+        let (ids, skipped) = catalog.ingest_jsonl("t", lines.as_bytes(), 2);
         assert_eq!((ids.len(), skipped), (1, 1));
     }
 
     #[test]
+    fn uint_preserves_large_values() {
+        assert_eq!(Json::uint(7).render(), "7");
+        assert_eq!(Json::uint(1 << 53).render(), "9007199254740992");
+        let big = u64::MAX;
+        assert_eq!(Json::uint(big).render(), format!("\"{big}\""));
+    }
+
+    #[test]
+    fn as_u64_guards() {
+        assert_eq!(parse("5").as_u64(), Some(5));
+        assert_eq!(parse("5e0").as_u64(), Some(5));
+        assert_eq!(parse("-1").as_u64(), None);
+        assert_eq!(parse("1.5").as_u64(), None);
+        assert_eq!(parse("9007199254740994").as_u64(), None);
+        assert_eq!(parse("1e999").as_f64(), None);
+        assert_eq!(parse("1e999").as_u64(), None);
+    }
+
+    #[test]
     fn scalar_bytes_mapping() {
-        assert_eq!(parse("true").scalar_bytes(), Some(b"true".to_vec()));
-        assert_eq!(parse("1.5").scalar_bytes(), Some(b"1.5".to_vec()));
-        assert_eq!(parse("\"x\"").scalar_bytes(), Some(b"x".to_vec()));
-        assert_eq!(parse("null").scalar_bytes(), None);
-        assert_eq!(parse("[]").scalar_bytes(), None);
+        assert_eq!(scalar_bytes(parse("true")), Some(b"true".to_vec()));
+        assert_eq!(scalar_bytes(parse("1.5")), Some(b"1.5".to_vec()));
+        assert_eq!(scalar_bytes(parse("1E+2")), Some(b"1E+2".to_vec()));
+        assert_eq!(scalar_bytes(parse("\"x\"")), Some(b"x".to_vec()));
+        assert_eq!(scalar_bytes(parse("null")), None);
+        assert_eq!(scalar_bytes(parse("[]")), None);
     }
 
     #[test]
@@ -495,6 +716,21 @@ not json at all
         assert_eq!(names, vec!["capital", "city", "population"]);
         let city_id = ids[1];
         assert_eq!(catalog.domain(city_id).len(), 3);
+    }
+
+    #[test]
+    fn jsonl_ingest_is_linear() {
+        // A parser that re-validates the rest of the line for every string
+        // character needs far more than a second for either line.
+        let field = format!("{{\"s\": \"{}\"}}", "x".repeat(256 << 10));
+        let array = format!("{{\"a\": [{}]}}", vec!["\"xy\""; (256 << 10) / 5].join(","));
+        for line in [field, array] {
+            let started = std::time::Instant::now();
+            let (_, skipped) = Catalog::new().ingest_jsonl("t", line.as_bytes(), 1);
+            assert_eq!(skipped, 0);
+            let took = started.elapsed();
+            assert!(took.as_secs_f64() < 1.0, "{took:?} for {} B", line.len());
+        }
     }
 
     #[test]

@@ -26,4 +26,4 @@ pub use catalog::{Catalog, DomainId, DomainMeta};
 pub use csv::{CsvDocument, CsvError};
 pub use domain::Domain;
 pub use exact::ExactIndex;
-pub use json::{parse_json, JsonError, JsonValue};
+pub use json::{Json, JsonError};

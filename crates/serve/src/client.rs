@@ -14,7 +14,7 @@
 //!   examples, and CI smoke probes, where a broken exchange must fail
 //!   loudly rather than masquerade as a fast one.
 
-use crate::json::Json;
+use lshe_corpus::json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;

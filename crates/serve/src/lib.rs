@@ -15,7 +15,7 @@
 //! | [`cache`] | thread-safe LRU query cache with hit/miss counters |
 //! | [`pool`] | fixed thread pool (the reactor's compute lanes) with drain-on-drop graceful shutdown |
 //! | [`http`] | minimal HTTP/1.1 parsing — incremental/resumable over partial reads — and response writing |
-//! | [`json`] | strict-subset JSON reader/writer for the wire protocol, with render-into-buffer reuse |
+//! | [`json`] | the wire protocol's JSON: `lshe-corpus`'s one parser and renderer, re-exported |
 //! | [`maintenance`] | the background maintenance runtime: a parked thread executing leveled merge plans off the request path |
 //! | [`poller`] | readiness polling (epoll on Linux, `poll(2)` elsewhere) via std-linked libc symbols |
 //! | [`server`] | configuration, routing, endpoints |
@@ -61,13 +61,16 @@ pub mod client;
 pub mod container;
 pub mod engine;
 pub mod http;
-pub mod json;
 pub mod maintenance;
 pub mod poller;
 pub mod pool;
 mod reactor;
 mod records;
 pub mod server;
+
+/// The wire protocol's JSON, [`lshe_corpus::json`], under the name
+/// callers of the server have always used.
+pub use lshe_corpus::json;
 
 pub use cache::{CacheStats, LruCache, QueryKey};
 pub use container::{

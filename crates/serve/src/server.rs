@@ -26,11 +26,11 @@
 use crate::cache::{signature_digest, CacheStats, LruCache, QueryKey};
 use crate::engine::{Engine, EngineError, Snapshot};
 use crate::http::{write_head_with, Request};
-use crate::json::Json;
 use crate::maintenance::Maintainer;
 use crate::poller::Waker;
 use crate::pool::effective_threads;
 use lshe_core::{Query, QueryStats, SearchHit, SearchOutcome};
+use lshe_corpus::json::Json;
 use lshe_corpus::Domain;
 use lshe_minhash::{FoldKernel, Signature};
 use std::collections::HashMap;

@@ -12,10 +12,10 @@
 //! it with `lshe serve --index tables.lshe`; this example keeps everything
 //! in-process so it runs with no setup.
 
+use lshe::corpus::json::Json;
 use lshe::corpus::{Catalog, Domain, DomainMeta};
 use lshe::serve::client::HttpClient;
 use lshe::serve::engine::Engine;
-use lshe::serve::json::Json;
 use lshe::serve::server::{start, ServerConfig};
 use lshe::IndexContainer;
 use std::sync::Arc;

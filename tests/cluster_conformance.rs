@@ -11,11 +11,11 @@
 //! degraded responses from the survivors, never wrong answers.
 
 use lshe::cluster::{shard_of, ClusterConfig};
+use lshe::corpus::json::Json;
 use lshe::corpus::{Catalog, Domain, DomainMeta};
 use lshe::serve::client::HttpClient as Client;
 use lshe::serve::container::IndexContainer;
 use lshe::serve::engine::Engine;
-use lshe::serve::json::Json;
 use lshe::serve::server::{start as start_shard, ServerConfig, ServerHandle};
 use std::net::SocketAddr;
 use std::path::PathBuf;

@@ -5,7 +5,7 @@
 //! response shapes — including when the target buffer is reused dirty
 //! across renders, exactly as the reactor reuses its scratch string.
 
-use lshe_serve::json::Json;
+use lshe_corpus::json::Json;
 use proptest::prelude::*;
 
 /// Decodes a fuel script into an arbitrary JSON tree: every byte drives
@@ -31,7 +31,7 @@ fn decode(fuel: &[u64], depth: usize) -> (Json, usize) {
                 4 => f64::NAN,
                 _ => f64::INFINITY,
             };
-            (Json::Num(n), 1)
+            (Json::num(n), 1)
         }
         3 => {
             // Strings that exercise every escape class the writer has.
@@ -88,19 +88,19 @@ fn query_response(hits: usize, cached: bool) -> Json {
                 (0..hits)
                     .map(|i| {
                         Json::Obj(vec![
-                            ("id".to_owned(), Json::Num(i as f64)),
+                            ("id".to_owned(), Json::num(i as f64)),
                             ("table".to_owned(), Json::Str(format!("t{i}"))),
                             ("column".to_owned(), Json::Str("col \"x\"".to_owned())),
-                            ("estimate".to_owned(), Json::Num(0.7 + i as f64 / 100.0)),
+                            ("estimate".to_owned(), Json::num(0.7 + i as f64 / 100.0)),
                         ])
                     })
                     .collect(),
             ),
         ),
-        ("count".to_owned(), Json::Num(hits as f64)),
+        ("count".to_owned(), Json::num(hits as f64)),
         ("cached".to_owned(), Json::Bool(cached)),
-        ("generation".to_owned(), Json::Num(3.0)),
-        ("query_time_us".to_owned(), Json::Num(123.0)),
+        ("generation".to_owned(), Json::num(3.0)),
+        ("query_time_us".to_owned(), Json::num(123.0)),
     ])
 }
 
@@ -134,11 +134,13 @@ proptest! {
         prop_assert_eq!(&tail[.."prefix:".len()], "prefix:");
         prop_assert_eq!(&tail["prefix:".len()..], &allocating);
 
-        // Whatever we rendered must re-parse to a value that renders the
-        // same way (round-trip stability of the writer).
+        // Render → parse → render is the identity, and the parse gives
+        // back the tree itself: a number keeps the text it rendered as.
         let reparsed = Json::parse(&allocating);
         prop_assert!(reparsed.is_ok(), "unparseable output: {}", allocating);
-        prop_assert_eq!(reparsed.expect("parsed").render(), allocating);
+        let reparsed = reparsed.expect("parsed");
+        prop_assert_eq!(&reparsed, &value);
+        prop_assert_eq!(reparsed.render(), allocating);
     }
 }
 
@@ -152,7 +154,7 @@ fn server_response_corpus_is_identical_across_renderers() {
         .chain([
             Json::Obj(vec![
                 ("status".to_owned(), Json::Str("ok".to_owned())),
-                ("domains".to_owned(), Json::Num(6.0)),
+                ("domains".to_owned(), Json::num(6.0)),
             ]),
             Json::Obj(vec![(
                 "error".to_owned(),

@@ -10,6 +10,7 @@ use lshe_core::{
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_lsh::LshForest;
 use lshe_minhash::{MinHasher, Signature, DEFAULT_NUM_PERM};
+use lshe_serve::json::Json;
 use lshe_serve::{DeltaLog, DeltaOp, DomainRecord, Engine, IndexContainer};
 
 #[test]
@@ -61,7 +62,31 @@ fn every_item_perfbench_calls_still_type_checks() {
     let outcome: SearchOutcome = snapshot.query(&query).expect("query");
     let _: u64 = snapshot.generation();
     let hit = outcome.hits.first().expect("the query's own domain");
-    let (_table, _column, _size): (&str, &str, u64) = snapshot.container().provenance(hit.id);
+    let (table, column, size): (&str, &str, u64) = snapshot.container().provenance(hit.id);
+
+    // JSON: a hit list rendered as the server renders it, then read back
+    // the way perfbench reads replies, `/stats` and BENCHMARK.json.
+    let hits = Json::Arr(vec![Json::obj(vec![
+        ("id", Json::uint(u64::from(hit.id))),
+        ("table", Json::str(table)),
+        ("column", Json::str(column)),
+        ("size", Json::uint(size)),
+        ("estimate", hit.estimate.map_or(Json::Null, Json::num)),
+    ])]);
+    let mut body = String::new();
+    hits.render_into(&mut body);
+    assert_eq!(hits.render(), body);
+    assert_eq!(hits.to_string(), body);
+    let parsed = Json::parse(&body)
+        .map_err(|e| e.to_string())
+        .expect("reparse");
+    let first: &Json = &parsed.as_array().expect("array")[0];
+    let _: Option<f64> = first.get("estimate").and_then(Json::as_f64);
+    let _: Option<u64> = first.get("id").and_then(Json::as_u64);
+    let _: Option<&str> = first.get("table").and_then(Json::as_str);
+    let _: Option<bool> = first.get("cached").and_then(Json::as_bool);
+    let _: Option<String> = first.get("column").map(Json::render);
+    assert!(!matches!(first.get("size"), Some(Json::Null)));
 
     // Write path: log append, stage, commit, merge.
     let log = DeltaLog::at(dir.join("surface.append.delta"));

@@ -5,11 +5,11 @@
 //! cache hits, batched queries, a hot `/reload` mid-traffic, and graceful
 //! shutdown.
 
+use lshe_corpus::json::Json;
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_serve::client::HttpClient as Client;
 use lshe_serve::container::IndexContainer;
 use lshe_serve::engine::Engine;
-use lshe_serve::json::Json;
 use lshe_serve::server::{start, ServerConfig};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -908,4 +908,69 @@ fn high_concurrency_keepalive_connections() {
         "listener still accepting after drain"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Each edge input has one outcome wherever JSON enters: `Json::parse`
+/// and JSON-Lines ingest of `{"k": input}` (the parsed `k`; a skipped
+/// line, or the bytes hashed for field `k`), and the status of a `/query`
+/// body that embeds the input — as `threshold` when it is a number, as a
+/// value when a string.
+#[test]
+fn json_edge_inputs_have_one_outcome_everywhere() {
+    type Parsed = Option<(Option<f64>, Option<u64>)>;
+    let table: [(&str, Parsed, Option<&[u8]>, u16); 10] = [
+        ("01", None, None, 400),
+        ("1.", None, None, 400),
+        ("1.e5", None, None, 400),
+        ("-01", None, None, 400),
+        (r#""\u+041""#, None, None, 400),
+        ("1e999", Some((None, None)), Some(b"1e999"), 400),
+        // `{"k":1,"k":2}`: `get` reads the first value, ingest keeps the last.
+        (r#"1,"k":2"#, Some((Some(1.0), Some(1))), Some(b"2"), 200),
+        (
+            "12345678901234567890",
+            Some((Some(12_345_678_901_234_567_890.0), None)),
+            Some(b"12345678901234567890"),
+            400,
+        ),
+        ("1E+2", Some((Some(100.0), Some(100))), Some(b"1E+2"), 400),
+        ("\"a\u{7f}b\"", Some((None, None)), Some(b"a\x7fb"), 200),
+    ];
+    let engine =
+        Engine::from_container(IndexContainer::build(&build_catalog(4), 2), 1).expect("engine");
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        threads: 1,
+        ..ServerConfig::default()
+    };
+    let server = start(Arc::new(engine), &config).expect("bind");
+    let mut client = Client::connect(server.addr());
+    for (text, parsed, hashed, status) in table {
+        let line = format!("{{\"k\":{text}}}");
+        let got = Json::parse(&line).ok().map(|v| {
+            let k = v.get("k").expect("k");
+            (k.as_f64(), k.as_u64())
+        });
+        assert_eq!(got, parsed, "Json::parse({line})");
+
+        let mut catalog = Catalog::new();
+        let (ids, skipped) = catalog.ingest_jsonl("t", line.as_bytes(), 1);
+        match hashed {
+            None => assert_eq!((ids.len(), skipped), (0, 1), "ingest of {line}"),
+            Some(bytes) => {
+                assert_eq!((ids.len(), skipped), (1, 0), "ingest of {line}");
+                assert_eq!(catalog.domain(ids[0]), &Domain::from_bytes_values([bytes]));
+            }
+        }
+
+        let body = if text.starts_with('"') {
+            format!("{{\"values\":[{text}]}}")
+        } else {
+            let threshold = text.replace('k', "threshold");
+            format!("{{\"values\":[\"a\"],\"threshold\":{threshold}}}")
+        };
+        let (got, reply) = client.request("POST", "/query", Some(&body));
+        assert_eq!(got, status, "/query {body}: {reply}");
+    }
+    server.shutdown();
 }

@@ -1,7 +1,7 @@
 //! Property-based invariants spanning the workspace crates (proptest).
 
 use lshe_core::{convert, cost, Partitioning, Tuner};
-use lshe_corpus::Domain;
+use lshe_corpus::{Domain, Json};
 use lshe_minhash::{containment_from_jaccard, jaccard_from_containment, MinHasher};
 use proptest::prelude::*;
 
@@ -168,9 +168,14 @@ proptest! {
         let _ = lshe_minhash::codec::signature_wire::decode(&bytes);
         let _ = lshe_lsh::LshForest::from_bytes(&bytes);
         let _ = lshe_core::LshEnsemble::from_bytes(&bytes);
-        let _ = lshe_corpus::parse_json(&bytes);
-        // Nesting that would overrun the stack of a parser recursing freely.
-        let _ = lshe_corpus::parse_json(&[b"[".repeat(nesting), bytes].concat());
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = Json::parse(&text);
+        // Nesting that would overrun the stack of a parser recursing freely
+        // is an error past the 64-deep cap, through both entries.
+        let deep = "[".repeat(nesting) + &text;
+        prop_assert!(nesting <= 64 || Json::parse(&deep).is_err());
+        let lines = [&bytes[..], b"\n", deep.as_bytes()].concat();
+        let _ = lshe_corpus::Catalog::new().ingest_jsonl("t", &lines, 1);
     }
 
     /// Single-byte corruption of a valid index either still decodes (the
@@ -203,7 +208,7 @@ proptest! {
     #[test]
     fn json_scalar_roundtrip(s in "[a-zA-Z0-9 _.-]{0,40}") {
         let encoded = format!("\"{s}\"");
-        let parsed = lshe_corpus::parse_json(encoded.as_bytes()).expect("valid string literal");
-        prop_assert_eq!(parsed, lshe_corpus::JsonValue::String(s));
+        let parsed = Json::parse(&encoded).expect("valid string literal");
+        prop_assert_eq!(parsed, Json::Str(s));
     }
 }
