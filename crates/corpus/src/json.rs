@@ -547,6 +547,38 @@ mod tests {
     }
 
     #[test]
+    fn scalars() {
+        assert_eq!(parse("null"), Json::Null);
+        assert_eq!(parse("true"), Json::Bool(true));
+        assert_eq!(parse("false"), Json::Bool(false));
+        assert_eq!(parse("42").render(), "42");
+        assert_eq!(parse("-3.25e+2").render(), "-3.25e+2");
+        assert_eq!(parse("\"hi\""), Json::str("hi"));
+    }
+
+    #[test]
+    fn string_escapes() {
+        assert_eq!(parse(r#""a\"b\\c\nd\tA""#), Json::str("a\"b\\c\nd\tA"));
+        // A raw astral char: U+1F600.
+        assert_eq!(parse(r#""😀""#), Json::str("😀"));
+    }
+
+    #[test]
+    fn nested_structures() {
+        let v = parse(r#"{"a": [1, 2, {"b": null}], "c": "x"}"#);
+        let Json::Obj(o) = &v else {
+            panic!("expected object")
+        };
+        assert_eq!(o.len(), 2);
+        let Some(Json::Arr(a)) = v.get("a") else {
+            panic!("expected array")
+        };
+        assert_eq!(a.len(), 3);
+        assert_eq!(a[2].get("b"), Some(&Json::Null));
+        assert_eq!(v.get("c"), Some(&Json::str("x")));
+    }
+
+    #[test]
     fn scalars_roundtrip() {
         for (text, v) in [("null", Json::Null), ("true", Json::Bool(true))] {
             assert_eq!(parse(text), v, "{text}");
