@@ -192,7 +192,7 @@ fn main() {
 
         // Engine phase: the same delta staged on an engine serving the
         // container, timing the whole commit — clone, apply, seal, swap.
-        let engine = Engine::from_container(container, 1).expect("engine");
+        let engine = Engine::from_container(container);
         let mut engine_total = 0.0;
         for _ in 0..repeats {
             let (ops, live) = staged_batch(&hasher, engine.next_id(), batch, &previous);

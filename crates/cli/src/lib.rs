@@ -14,7 +14,7 @@
 //!            [--threshold 0.7] [--top-k 10]
 //! lshe stats --index tables.lshe
 //! lshe serve --index tables.lshe [--addr 127.0.0.1:7878] [--threads N]
-//!            [--cache 1024] [--shards 1] [--shard-id K]
+//!            [--cache 1024] [--shard-id K]
 //! lshe split --index tables.lshe --shards 4 [--out prefix]
 //! lshe cluster --shards 127.0.0.1:7878,127.0.0.1:7879 [--addr 127.0.0.1:7979]
 //! ```
@@ -117,31 +117,29 @@ COMMANDS
   lshe stats --index FILE
       Print configuration and per-partition statistics.
 
-  lshe serve --index FILE [--addr HOST:PORT] [--threads N] [--cache C] [--shards S]
-             [--shard-id K]
+  lshe serve --index FILE [--addr HOST:PORT] [--threads N] [--cache C] [--shard-id K]
       Serve the index over HTTP (default 127.0.0.1:7878) until /shutdown
-      or SIGKILL. N worker threads (default: available parallelism), an
-      LRU query cache of C entries (default 1024, 0 disables), and S
-      query shards fanned out per request (default 1; at most one per
-      domain). --shard-id marks this process as cluster shard K
-      (surfaced on /stats; the coordinator verifies it). The index file
-      is mapped, not copied: its base partitions are served from it,
-      resident where queries reach, and still take mutations (replace
-      a served file by rename only, never by writing into it).
-      Background maintenance: a
-      dedicated thread folds sealed segments off the request path in
-      size-exponential levels (only an overflowing level merges), and
-      runs a full fold once tombstones pass 25% of the live corpus;
-      its state is on /stats.maintenance. Endpoints: GET /health /stats,
-      POST /query /topk /batch /insert /remove /commit /compact
-      /reload /shutdown — see docs/API.md.
+      or SIGKILL. N worker threads (default: available parallelism) and
+      an LRU query cache of C entries (default 1024, 0 disables). To fan
+      queries out, split the index (`lshe split`) and front the shard
+      servers with `lshe cluster`. --shard-id marks this process as
+      cluster shard K (surfaced on /stats; the coordinator verifies it).
+      The index file is mapped, not copied: its base partitions are
+      served from it, resident where queries reach, and still take
+      mutations (replace a served file by rename only, never by writing
+      into it). Background maintenance: a dedicated thread folds sealed
+      segments off the request path in size-exponential levels (only an
+      overflowing level merges), and runs a full fold once tombstones
+      pass 25% of the live corpus; its state is on /stats.maintenance.
+      Endpoints: GET /health /stats, POST /query /topk /batch /insert
+      /remove /commit /compact /reload /shutdown — see docs/API.md.
 
   lshe split --index FILE --shards N [--out PREFIX]
       Split the index into N shard files PREFIX.shard0.lshe …
       PREFIX.shardN-1.lshe (default PREFIX: FILE minus .lshe), placing
-      each domain by id % N — the same routing the coordinator and
-      in-process sharding use, so a cluster serving the split answers
-      bit-identically to `lshe serve --shards N` over FILE.
+      each domain by id % N, the routing the coordinator uses for
+      /insert and /remove. A cluster over the files answers with the
+      union of their own answers, ranked by estimate.
 
   lshe cluster --shards ADDR,ADDR,... [--addr HOST:PORT] [--hedge-ms H]
                [--connect-timeout-ms C] [--read-timeout-ms R] [--probe-ms P]
@@ -185,6 +183,11 @@ impl Flags {
             pairs.push((key.to_owned(), value));
         }
         Ok(Self { pairs })
+    }
+
+    /// Whether the flag was given, with or without a value.
+    fn has(&self, key: &str) -> bool {
+        self.pairs.iter().any(|(k, _)| k == key)
     }
 
     /// The flag's value: `Ok(None)` when absent, an error when the flag
@@ -472,9 +475,12 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     let addr = flags.get("addr")?.unwrap_or("127.0.0.1:7878").to_owned();
     let threads: usize = flags.get_parsed("threads", 0)?;
     let cache_capacity: usize = flags.get_parsed("cache", 1024)?;
-    let shards: usize = flags.get_parsed("shards", 1)?;
-    if shards == 0 {
-        return Err(CliError::Usage("--shards must be positive".into()));
+    if flags.has("shards") {
+        return Err(CliError::Usage(
+            "serve takes no --shards: split the index with `lshe split` and serve each \
+             file, then front them with `lshe cluster`"
+                .into(),
+        ));
     }
     let shard_id: Option<u64> = match flags.get("shard-id")? {
         None => None,
@@ -483,7 +489,7 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
         })?),
     };
 
-    let engine = Engine::load(Path::new(&index_path), shards).map_err(engine_error)?;
+    let engine = Engine::load(Path::new(&index_path), 1).map_err(engine_error)?;
     // Copy out the banner datum rather than holding the snapshot Arc across
     // join(): a retained generation-1 snapshot would keep the whole initial
     // index resident even after hot reloads replace it.
@@ -497,10 +503,9 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     };
     let handle = start(Arc::new(engine), &config)?;
     println!(
-        "lshe-serve listening on http://{} ({} domains, {} shard(s), cache {}{})",
+        "lshe-serve listening on http://{} ({} domains, cache {}{})",
         handle.addr(),
         domains,
-        shards,
         if cache_capacity == 0 {
             "disabled".to_owned()
         } else {
@@ -512,11 +517,8 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     Ok("server stopped\n".to_owned())
 }
 
-/// Splits an index into per-shard container files by `id % N` —
-/// the exact placement the cluster coordinator routes by, and (for the
-/// dense ids a fresh build assigns) the exact distribution the
-/// in-process `--shards N` server uses, so the resulting cluster answers
-/// bit-identically to the unsplit server.
+/// Splits an index into per-shard container files by `id % N`, the
+/// placement the cluster coordinator routes `/insert` and `/remove` by.
 fn cmd_split(flags: &Flags) -> Result<String, CliError> {
     let index_path = flags.require("index")?.to_owned();
     let shards: usize = flags.get_parsed("shards", 0)?;
@@ -729,11 +731,15 @@ mod tests {
             run(&s(&["serve"])).unwrap_err(),
             CliError::Usage(_)
         ));
-        // Zero shards.
-        assert!(matches!(
-            run(&s(&["serve", "--index", "x.lshe", "--shards", "0"])).unwrap_err(),
-            CliError::Usage(_)
-        ));
+        // serve takes no --shards, whatever its value: the fan-out is
+        // `lshe split` + `lshe cluster`.
+        for shards in ["2", "1"] {
+            let err = run(&s(&["serve", "--index", "x.lshe", "--shards", shards])).unwrap_err();
+            assert!(
+                matches!(&err, CliError::Usage(msg) if msg.contains("lshe split") && msg.contains("lshe cluster")),
+                "{err}"
+            );
+        }
         // Nonexistent index fails fast with an I/O error (no server boot).
         assert!(matches!(
             run(&s(&["serve", "--index", "/nowhere/missing.lshe"])).unwrap_err(),

@@ -1,11 +1,11 @@
 //! # lshe-cluster
 //!
-//! The multi-**process** tier of the paper's §6.3 deployment story: where
-//! `lshe_core::ShardedRanked` fans a query out across in-process shards,
-//! this crate fans it out across N independent `lshe-serve` processes over
+//! The paper's §6.3 deployment: this crate fans a query out across N
+//! independent `lshe-serve` processes (one per `lshe split` file) over
 //! their existing HTTP/JSON protocol — a coordinator that speaks the same
 //! endpoint surface downstream clients already use, so moving from one
-//! process to a cluster changes a URL, not a client.
+//! process to a cluster changes a URL, not a client. It is the one
+//! fan-out: a single server always answers from one index.
 //!
 //! | module | role |
 //! |---|---|
@@ -13,18 +13,17 @@
 //! | [`pool`] | per-shard keep-alive connection pool with connect/read deadlines |
 //! | [`health`] | per-shard consecutive-failure state machine; degraded shards are skipped, probes re-admit them |
 //! | [`scatter`](mod@scatter) | lanes-budgeted parallel fan-out and hedged retries for straggler shards |
-//! | [`merge`] | union/rank merge of shard answers (estimate-descending, id-ascending — the global [`lshe_core::ShardedRanked`] order) |
+//! | [`merge`] | union/rank merge of shard answers (estimate descending, id ascending) |
 //! | [`frontend`] | the coordinator HTTP server: `/query` `/topk` `/batch` `/insert` `/remove` `/commit` `/reload` `/stats` `/health` `/shutdown` |
 //!
-//! ## Why the answers match the single process bit-for-bit
+//! ## Why the answers are the shards' own, bit for bit
 //!
-//! `IndexContainer::split_with` builds each shard file with the *same*
-//! per-shard ensemble construction `open_index_sharded` performs, and the
-//! server's JSON layer renders `f64` estimates at shortest-round-trip
-//! precision — so the coordinator can forward query bodies verbatim,
-//! merge the shard responses' already-ranked hit lists, and re-render,
-//! producing exactly the hits (ids, estimates, order) the one-process
-//! `--shards N` server would have produced.
+//! The server's JSON layer renders `f64` estimates at shortest-round-trip
+//! precision and a parsed number keeps its text, so the coordinator can
+//! forward query bodies verbatim, merge the shard responses'
+//! already-ranked hit lists, and re-render: the hits (ids, estimates,
+//! order) are exactly the union of what each split file answers on its
+//! own, ranked by estimate (`tests/cluster_conformance.rs`).
 //!
 //! ## Topology
 //!

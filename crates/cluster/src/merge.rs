@@ -2,22 +2,19 @@
 //!
 //! Each shard returns its hits already ranked the way `RankedIndex`
 //! ranks them: containment estimate descending, id ascending among
-//! ties. The single-process `ShardedRanked` produces the *global*
-//! version of that order by unioning per-shard candidate ids and
-//! ranking once — and because every shard applies the same estimator to
-//! the same signatures, the global order is exactly the merge of the
-//! per-shard orders. So the coordinator never recomputes an estimate:
+//! ties. Every shard applies the same estimator to the same signatures,
+//! so the global order is exactly the merge of the per-shard orders,
+//! and the coordinator never recomputes an estimate:
 //! it concatenates the shard hit objects verbatim (estimates included,
 //! byte for byte — a parsed JSON number keeps the text the shard wrote)
 //! and re-sorts by the same key.
 //!
 //! The id union runs through [`lshe_core::batch::merge_sorted_disjoint`]
-//! — the exact primitive the in-process sharded path unions candidates
-//! with — after an explicit disjointness check: a duplicate id across
-//! shards means two processes claim the same domain (a mis-placed
-//! split, or one shard file served twice) and the cluster's answers
-//! would silently diverge from the single-process truth, so the merge
-//! refuses rather than guessing.
+//! after an explicit disjointness check: a duplicate id across shards
+//! means two processes claim the same domain (a mis-placed split, or one
+//! shard file served twice) and the cluster's answers would silently
+//! diverge from the split files' own, so the merge refuses rather than
+//! guessing.
 
 use lshe_core::batch::merge_sorted_disjoint;
 use lshe_serve::json::Json;

@@ -4,12 +4,6 @@
 //! layer that must agree on where a domain lives: `lshe split` when it
 //! partitions a container into shard files, and the coordinator when it
 //! routes `/insert` and `/remove`.
-//!
-//! For the dense ids a fresh `IndexContainer::build` assigns (0..n), the
-//! modulus also coincides with the positional round-robin
-//! `ShardedEnsemble::build_from_parts` distributes sorted-by-id entries
-//! with — which is what makes a split-file cluster answer bit-identically
-//! to the one-process `--shards N` server over the same corpus.
 
 /// The shard that owns domain `id` in an `num_shards`-way cluster.
 ///

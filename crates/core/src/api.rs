@@ -35,11 +35,8 @@
 //! assert!(outcome.stats.partitions_probed <= outcome.stats.partitions_total);
 //! ```
 
-use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble};
-use crate::pipeline::{Fanout, ReadPath};
-use crate::ranked::{merge_unique, RankedIndex};
-use crate::sharded::ShardedEnsemble;
-use lshe_lsh::{DomainId, Row};
+use crate::ranked::merge_unique;
+use lshe_lsh::DomainId;
 use lshe_minhash::Signature;
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,7 +44,7 @@ use std::time::Instant;
 /// Slack applied when pruning candidates by *estimated* containment:
 /// estimates are noisy at roughly ±1/√m, so candidates whose estimate
 /// falls just below the threshold are kept rather than dropped. Shared by
-/// [`RankedIndex`], [`ShardedRanked`], and the serve layer.
+/// [`RankedIndex`](crate::RankedIndex) and the serve layer.
 pub const ESTIMATE_SLACK: f64 = 0.1;
 
 /// What a query asks for: everything past a containment threshold, or the
@@ -222,7 +219,8 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// What one [`RankedIndex::commit`] or [`RankedIndex::compact`] did.
+/// What one [`RankedIndex::commit`](crate::RankedIndex::commit) or
+/// [`RankedIndex::compact`](crate::RankedIndex::compact) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommitReport {
     /// Staged inserts sealed into a segment by this commit.
@@ -230,7 +228,7 @@ pub struct CommitReport {
     /// Whether a non-empty staged delta was sealed into a segment.
     pub sealed: bool,
     /// Sealed segments outstanding afterwards (0 right after
-    /// [`RankedIndex::compact`]).
+    /// [`RankedIndex::compact`](crate::RankedIndex::compact)).
     pub segments: usize,
     /// Tombstoned ids outstanding afterwards.
     pub tombstones: usize,
@@ -495,104 +493,11 @@ impl<T: DomainIndex + ?Sized> DomainIndex for Arc<T> {
     }
 }
 
-// ------------------------------------------------------------- ShardedRanked
-
-/// A [`ShardedEnsemble`] paired with the retained sketches of a
-/// [`RankedIndex`]: the paper's §6.3 fan-out/union topology *with*
-/// containment estimates and top-k — the backend the server uses for
-/// `--shards N`.
-///
-/// A build-once, read-only view: the server builds a fresh one over each
-/// snapshot's container. The ranked index is shared (`Arc`): the shards'
-/// forests copy their rows out of it at build time and the estimate pass
-/// looks each candidate up in it.
-#[derive(Debug)]
-pub struct ShardedRanked {
-    shards: ShardedEnsemble,
-    ranked: Arc<RankedIndex>,
-}
-
-impl ShardedRanked {
-    /// Splits the ranked index's domains round-robin across `num_shards`
-    /// freshly built shards (each row is read straight out of the ranked
-    /// index's forests into its shard's, as it is stored).
-    ///
-    /// # Panics
-    /// Panics if `num_shards == 0`, the ranked index holds fewer domains
-    /// than shards, or `config` has other forest dimensions (`num_perm`,
-    /// `b_max`, `r_max`) than the ranked index — a stored row is laid out
-    /// for them.
-    #[must_use]
-    pub fn build(ranked: Arc<RankedIndex>, num_shards: usize, config: EnsembleConfig) -> Self {
-        let entries = ranked.sketch_entries();
-        let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
-        let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let rows: Vec<Row<'_>> = entries.iter().map(|&(_, _, row)| row).collect();
-        let shards = ShardedEnsemble::build_from_parts(num_shards, config, &ids, &sizes, &rows);
-        Self { shards, ranked }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.num_shards()
-    }
-
-    /// The underlying shards.
-    #[must_use]
-    pub fn shards(&self) -> &ShardedEnsemble {
-        &self.shards
-    }
-
-    fn read_path(&self) -> ReadPath<'_, Fanout<'_, &EnsemblePartition>, LshEnsemble> {
-        ReadPath {
-            source: self.shards.fanout(),
-            sketches: Some(self.ranked.ensemble()),
-        }
-    }
-}
-
-impl DomainIndex for ShardedRanked {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        self.read_path().search(query)
-    }
-
-    fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        self.read_path().search_batch(queries)
-    }
-
-    fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        // The sketches are shared with the ranked index, but this backend
-        // keeps them alive, so count both the shards and the sketch heap.
-        self.shards.memory_bytes() + self.ranked.sketch_memory_bytes()
-    }
-
-    fn mapped_bytes(&self) -> usize {
-        // The shards were built; of the ranked index, the rows are counted.
-        self.ranked.ensemble().sketch_mapped_bytes()
-    }
-
-    fn id_map_bytes(&self) -> usize {
-        self.shards.id_map_bytes() + self.ranked.ensemble().id_map_bytes()
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "Sharded LSH Ensemble ({} shards, ranked)",
-            self.shards.num_shards()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ensemble::{EnsembleConfig, LshEnsemble};
     use crate::partition::PartitionStrategy;
-    use crate::ranked::RankedIndexBuilder;
     use lshe_minhash::MinHasher;
 
     fn nested(n: usize) -> (MinHasher, Vec<(DomainId, u64, Signature)>) {
@@ -712,39 +617,6 @@ mod tests {
             .expect("search");
         assert!(out.hits.is_empty());
         assert!(DomainIndex::is_empty(&idx));
-    }
-
-    #[test]
-    fn sharded_ranked_threshold_and_topk() {
-        let (_, entries) = nested(24);
-        let mut b = RankedIndexBuilder::new(config(4));
-        for (id, size, sig) in &entries {
-            b.add(*id, *size, sig.clone());
-        }
-        let ranked = Arc::new(b.build());
-        let idx = ShardedRanked::build(Arc::clone(&ranked), 3, config(2));
-        assert_eq!(idx.num_shards(), 3);
-        assert_eq!(DomainIndex::len(&idx), 24);
-
-        let (_, size, sig) = &entries[7];
-        let out = idx
-            .search(&Query::threshold(sig, 0.8).with_size(*size))
-            .expect("search");
-        assert!(out.hits.iter().any(|h| h.id == 7), "self hit missing");
-        for h in &out.hits {
-            let e = h.estimate.expect("sharded-ranked attaches estimates");
-            assert!((0.0..=1.0).contains(&e));
-        }
-        for w in out.hits.windows(2) {
-            assert!(w[0].estimate >= w[1].estimate, "not sorted by estimate");
-        }
-        assert!(out.stats.partitions_probed <= out.stats.partitions_total);
-
-        let top = idx
-            .search(&Query::top_k(sig, 5).with_size(*size))
-            .expect("topk");
-        assert_eq!(top.hits.len(), 5);
-        assert_eq!(top.hits[0].id, 7, "self match must rank first");
     }
 
     #[test]

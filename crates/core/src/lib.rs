@@ -86,7 +86,7 @@ pub mod tuning;
 
 pub use api::{
     CommitReport, DomainIndex, MutationError, Query, QueryError, QueryMode, QueryStats, SearchHit,
-    SearchOutcome, ShardedRanked, ESTIMATE_SLACK,
+    SearchOutcome, ESTIMATE_SLACK,
 };
 pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex};
 pub use directory::position_of;

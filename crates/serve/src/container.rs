@@ -60,7 +60,7 @@ use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
     position_of, CommitReport, DomainIndex, EnsembleConfig, Layout, LshEnsemble, MutationError,
-    PartitionStrategy, Query, RankedIndex, Row, ShardedRanked,
+    PartitionStrategy, Query, RankedIndex, Row,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
@@ -300,47 +300,8 @@ impl IndexContainer {
         Box::new(Arc::clone(&self.index))
     }
 
-    /// Whether this container's domains can be served across `shards`
-    /// query shards: `shards <= 1` always, more only with a domain for
-    /// each — what [`open_index_sharded`](Self::open_index_sharded) and
-    /// [`split_with`](Self::split_with) refuse otherwise.
-    ///
-    /// # Errors
-    /// A message when the container holds fewer domains than shards.
-    pub fn fits_shards(&self, shards: usize) -> Result<(), String> {
-        if shards > 1 && self.len() < shards {
-            return Err(format!(
-                "cannot split {} domains across {shards} shards",
-                self.len()
-            ));
-        }
-        Ok(())
-    }
-
-    /// Opens the stored index fanned out across `shards` query shards
-    /// (the paper's §6.3 topology). `shards <= 1` is the plain
-    /// [`open_index`](Self::open_index).
-    ///
-    /// # Errors
-    /// As [`fits_shards`](Self::fits_shards).
-    pub fn open_index_sharded(&self, shards: usize) -> Result<Box<dyn DomainIndex>, String> {
-        if shards <= 1 {
-            return Ok(self.open_index());
-        }
-        self.fits_shards(shards)?;
-        let config = self.shard_config(shards);
-        let sharded = ShardedRanked::build(Arc::clone(&self.index), shards, config);
-        if let Some(mapping) = &self.mapping {
-            // The shards copied every mapped row out: give the pages back.
-            release(mapping);
-        }
-        Ok(Box::new(sharded))
-    }
-
-    /// The per-shard ensemble configuration for an `N`-way split — shared
-    /// by [`open_index_sharded`](Self::open_index_sharded) and
-    /// [`split_with`](Self::split_with) so an in-process shard and a
-    /// split-out shard container are built identically.
+    /// The per-shard ensemble configuration of an `N`-way
+    /// [`split_with`](Self::split_with).
     fn shard_config(&self, shards: usize) -> EnsembleConfig {
         EnsembleConfig {
             strategy: PartitionStrategy::EquiDepth {
@@ -356,13 +317,10 @@ impl IndexContainer {
     /// containers, routing each domain with `place(id, num_shards)`.
     ///
     /// Each output holds the routed subset of records and sketches plus a
-    /// freshly built ensemble using the same per-shard configuration as
-    /// [`open_index_sharded`](Self::open_index_sharded). With the modular
-    /// placement the cluster coordinator uses (`id % num_shards`) and the
-    /// dense ids `build` assigns, every output ensemble is bit-identical
-    /// to the matching in-process shard of a `--shards num_shards` server
-    /// — so a process cluster over the split files answers exactly like
-    /// the single sharded process.
+    /// freshly built ensemble over the routed rows, each with
+    /// `ceil(partitions / num_shards)` partitions. A process cluster over
+    /// the split files answers with the union of the files' own answers,
+    /// ranked by estimate.
     ///
     /// # Errors
     /// A message when the container holds fewer domains than shards,
@@ -376,7 +334,12 @@ impl IndexContainer {
         if num_shards < 2 {
             return Err("split needs at least 2 shards".into());
         }
-        self.fits_shards(num_shards)?;
+        if self.len() < num_shards {
+            return Err(format!(
+                "cannot split {} domains across {num_shards} shards",
+                self.len()
+            ));
+        }
         let config = self.shard_config(num_shards);
         // Route every sketch entry; entries are sorted by id, so each
         // shard's parallel arrays stay id-sorted like a fresh build's.
@@ -1374,7 +1337,7 @@ impl DeltaLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lshe_core::RowBuf;
+    use lshe_core::{RowBuf, ShardedEnsemble};
     use lshe_corpus::{Domain, DomainMeta};
 
     fn catalog(n: usize) -> Catalog {
@@ -1513,7 +1476,7 @@ mod tests {
     }
 
     #[test]
-    fn open_index_shares_and_open_index_sharded_fans_out() {
+    fn open_index_shares_the_stored_index() {
         let cat = catalog(10);
         let ranked = IndexContainer::build(&cat, 2);
         let hasher = MinHasher::new(256);
@@ -1530,15 +1493,6 @@ mod tests {
         assert!(out.stats.partitions_probed <= out.stats.partitions_total);
         let top = idx.search(&Query::top_k(&sig, 2).with_size(60));
         assert_eq!(top.expect("top-k").hits.len(), 2);
-
-        // Sharded opening: refused with too few domains, works otherwise.
-        assert!(ranked.open_index_sharded(100).is_err(), "too few domains");
-        let sharded = ranked.open_index_sharded(2).expect("sharded");
-        let out = sharded
-            .search(&Query::threshold(&sig, 0.8).with_size(60))
-            .expect("search");
-        assert!(out.ids().contains(&2));
-        assert!(out.hits.iter().all(|h| h.estimate.is_some()));
     }
 
     #[test]
@@ -1826,17 +1780,20 @@ mod tests {
         assert_eq!(shards.len(), n);
         assert_eq!(shards.iter().map(IndexContainer::len).sum::<usize>(), 12);
 
-        // Each split shard's ensemble is byte-for-byte the corresponding
-        // in-process shard of open_index_sharded(n): with dense ids the
-        // modular placement coincides with the round-robin the sharded
-        // build uses.
-        let inproc = ShardedRanked::build(Arc::clone(&c.index), n, c.shard_config(n));
+        // Each split shard's ensemble is byte-for-byte the matching shard of
+        // an in-process ShardedEnsemble over the same stored rows: with
+        // dense ids the modular placement coincides with its round-robin.
+        let entries = c.index.sketch_entries();
+        let ids: Vec<u32> = entries.iter().map(|e| e.0).collect();
+        let sizes: Vec<u64> = entries.iter().map(|e| e.1).collect();
+        let rows: Vec<Row<'_>> = entries.iter().map(|e| e.2).collect();
+        let inproc = ShardedEnsemble::build_from_parts(n, c.shard_config(n), &ids, &sizes, &rows);
         for (s, sc) in shards.iter().enumerate() {
             assert_eq!(sc.num_perm(), c.num_perm());
             assert!(sc.records().iter().all(|r| r.id as usize % n == s));
             assert_eq!(
                 sc.ensemble().to_bytes(),
-                inproc.shards().shards()[s].to_bytes(),
+                inproc.shards()[s].to_bytes(),
                 "shard {s} ensemble drifted from the in-process build"
             );
             // And it survives a disk round-trip intact.
@@ -1845,25 +1802,37 @@ mod tests {
             assert_eq!(restored.ensemble().to_bytes(), sc.ensemble().to_bytes());
         }
 
-        // Union of per-shard answers == the sharded in-process answer,
-        // estimates and rank order included.
+        // The union of the split shards' answers equals the union of the
+        // in-process shards' answers, estimates included, both ranked by
+        // (estimate descending, id ascending).
+        let rank = |mut hits: Vec<(u32, Option<f64>)>| {
+            hits.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1)
+                    .expect("estimates are not NaN")
+                    .then(a.0.cmp(&b.0))
+            });
+            hits
+        };
         let hasher = MinHasher::new(c.num_perm());
         let q = cat.domain(5).signature(&hasher);
         let qsize = cat.domain(5).len() as u64;
-        let sharded = c.open_index_sharded(n).expect("sharded");
-        let want = sharded
-            .search(&Query::threshold(&q, 0.5).with_size(qsize))
-            .expect("search")
-            .into_pairs();
-        let mut got: Vec<(u32, Option<f64>)> = shards
-            .iter()
-            .flat_map(|sc| sc.search(&q, qsize, 0.5))
-            .collect();
-        got.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("estimates are not NaN")
-                .then(a.0.cmp(&b.0))
-        });
+        let query = Query::threshold(&q, 0.5).with_size(qsize);
+        let want = rank(
+            inproc
+                .shards()
+                .iter()
+                .flat_map(|shard| {
+                    let ranked = RankedIndex::from_ensemble(shard.clone());
+                    ranked.search(&query).expect("search").into_pairs()
+                })
+                .collect(),
+        );
+        let got = rank(
+            shards
+                .iter()
+                .flat_map(|sc| sc.search(&q, qsize, 0.5))
+                .collect(),
+        );
         assert_eq!(got, want);
         assert!(got.iter().any(|&(id, _)| id == 5));
     }

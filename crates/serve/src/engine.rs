@@ -8,11 +8,10 @@
 //! semantics a serving system wants.
 //!
 //! Every snapshot holds its backend as a `Box<dyn DomainIndex>` opened by
-//! [`IndexContainer::open_index_sharded`]: the container's ranked index,
-//! or a sharded fan-out over it (`--shards N`, the paper's §6.3 cluster
-//! topology — read-only, built afresh over each snapshot's container),
-//! both answering through the same trait. Mutations only ever reach the
-//! container's own index.
+//! [`IndexContainer::open_index`]: the container's own ranked index,
+//! shared, not copied, which is also the one mutations reach. An engine
+//! serves one shard; the paper's §6.3 fan-out runs across processes
+//! (`lshe split` writes the shard files, `lshe cluster` fronts them).
 
 use crate::container::{DeltaLog, DeltaOp, IndexContainer, LoadError};
 use lshe_core::{CommitReport, DomainIndex, Query, QueryError, SearchOutcome};
@@ -32,7 +31,8 @@ pub enum EngineError {
     Io(std::io::Error),
     /// Corrupt or incompatible index file.
     Index(String),
-    /// Invalid engine configuration (e.g. more shards than domains).
+    /// Invalid engine configuration (a shard count other than 1, or a
+    /// `/reload` with no path on record).
     Config(String),
     /// A staged mutation was rejected (duplicate insert, unknown or
     /// double removal, width mismatch).
@@ -77,26 +77,18 @@ pub struct Snapshot {
     index: Box<dyn DomainIndex>,
     hasher: MinHasher,
     generation: u64,
-    shards: usize,
 }
 
 impl Snapshot {
-    fn new(container: IndexContainer, shards: usize, generation: u64) -> Result<Self, EngineError> {
-        // The container owns backend selection: its index or a sharded
-        // fan-out come back as one trait object. Invalid shard
-        // configurations are rejected here, at load time, with a typed
-        // error — never a panic on the query path.
-        let index = container
-            .open_index_sharded(shards)
-            .map_err(EngineError::Config)?;
+    fn new(container: IndexContainer, generation: u64) -> Self {
+        let index = container.open_index();
         let hasher = MinHasher::new(container.num_perm());
-        Ok(Self {
+        Self {
             container,
             index,
             hasher,
             generation,
-            shards: shards.max(1),
-        })
+        }
     }
 
     /// The underlying container.
@@ -122,12 +114,6 @@ impl Snapshot {
     #[must_use]
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Shard count (1 = unsharded single ensemble).
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards
     }
 
     /// Answers one typed query through the snapshot's backend.
@@ -209,7 +195,6 @@ pub struct Engine {
     /// of generation order and leave the older snapshot live. Under it,
     /// the next generation is the live one's plus one.
     reload_lock: std::sync::Mutex<()>,
-    shards: usize,
     /// Generation produced by the last [`compact`](Self::compact) in this
     /// process (0 = no compaction since boot) — surfaced on `/stats`.
     last_compaction: AtomicU64,
@@ -226,10 +211,20 @@ impl Engine {
     /// the still-staged tail after the last marker is replayed into the
     /// staging area — a restart loses nothing.
     ///
+    /// `shards` must be 1: an engine serves one index, and a query fans
+    /// out across processes instead (`lshe split` + `lshe cluster`).
+    ///
     /// # Errors
-    /// [`EngineError`] on I/O failure, a corrupt file, an invalid shard
-    /// configuration, or a corrupt/torn delta log (typed, never a panic).
+    /// [`EngineError::Config`] for any other `shards`; otherwise
+    /// [`EngineError`] on I/O failure, a corrupt file, or a corrupt/torn
+    /// delta log (typed, never a panic).
     pub fn load(path: &Path, shards: usize) -> Result<Self, EngineError> {
+        if shards != 1 {
+            return Err(EngineError::Config(format!(
+                "an engine serves one shard, not {shards}: split the index with \
+                 `lshe split` and front the shards with `lshe cluster`"
+            )));
+        }
         let mut container = IndexContainer::load(path)?;
         let log = DeltaLog::sidecar(path);
         let (mark, ops) = log
@@ -248,15 +243,19 @@ impl Engine {
             // their only durable copy until the next compaction.)
             log.clear()?;
         }
-        let snapshot = Snapshot::new(container, shards, 1)?;
-        Ok(Self {
-            current: RwLock::new(Arc::new(snapshot)),
-            path: RwLock::new(Some(path.to_owned())),
+        Ok(Self::over(container, Some(path.to_owned()), pending))
+    }
+
+    /// Generation 1 over `container`, with `path` on record for `/reload`
+    /// and the delta log, and `pending` staged.
+    fn over(container: IndexContainer, path: Option<PathBuf>, pending: Pending) -> Self {
+        Self {
+            current: RwLock::new(Arc::new(Snapshot::new(container, 1))),
+            path: RwLock::new(path),
             reload_lock: std::sync::Mutex::new(()),
-            shards,
             last_compaction: AtomicU64::new(0),
             pending: Mutex::new(pending),
-        })
+        }
     }
 
     /// Splits replayed log ops at [`DeltaOp::Commit`] markers: the closed
@@ -332,23 +331,13 @@ impl Engine {
     /// Wraps an in-memory container (tests, examples, benches). `/reload`
     /// then requires an explicit path, and staged mutations live only in
     /// memory (no delta log to replay).
-    ///
-    /// # Errors
-    /// [`EngineError::Config`] on an invalid shard configuration.
-    pub fn from_container(container: IndexContainer, shards: usize) -> Result<Self, EngineError> {
-        let next_id = container.next_id();
-        let snapshot = Snapshot::new(container, shards, 1)?;
-        Ok(Self {
-            current: RwLock::new(Arc::new(snapshot)),
-            path: RwLock::new(None),
-            reload_lock: std::sync::Mutex::new(()),
-            shards,
-            last_compaction: AtomicU64::new(0),
-            pending: Mutex::new(Pending {
-                next_id,
-                ..Pending::default()
-            }),
-        })
+    #[must_use]
+    pub fn from_container(container: IndexContainer) -> Self {
+        let pending = Pending {
+            next_id: container.next_id(),
+            ..Pending::default()
+        };
+        Self::over(container, None, pending)
     }
 
     /// Rebuilds the staging bookkeeping from replayed delta-log ops,
@@ -428,12 +417,6 @@ impl Engine {
     #[must_use]
     pub fn snapshot(&self) -> Arc<Snapshot> {
         Arc::clone(&self.current.read().expect("engine lock poisoned"))
-    }
-
-    /// Configured shard count.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Stages one new domain for insertion: assigns it the next free id,
@@ -630,11 +613,7 @@ impl Engine {
     /// and retry; [`EngineError::Io`] when the marker cannot be appended —
     /// the commit is then abandoned whole: no snapshot swap, staged ops
     /// kept, retry on the next `/commit` (the marker append is the commit
-    /// point, so a re-issued commit is idempotent); [`EngineError::Config`]
-    /// when the engine could not serve the result (fewer domains than
-    /// shards) — refused before the marker, with staged ops kept and the
-    /// generation unchanged, so the log never holds a commit a restart
-    /// cannot load.
+    /// point, so a re-issued commit is idempotent).
     pub fn commit_staged(&self) -> Result<(Arc<Snapshot>, CommitOutcome), EngineError> {
         let _guard = self.reload_lock.lock().expect("reload lock poisoned");
         let mut pending = self.pending.lock().expect("pending lock poisoned");
@@ -649,7 +628,7 @@ impl Engine {
         let report = container.commit_mutations();
         container.reserve_next_id(pending.next_id);
         let applied = pending.ops.len();
-        let snapshot = Snapshot::new(container, self.shards, snap.generation() + 1)?;
+        let snapshot = Snapshot::new(container, snap.generation() + 1);
 
         // Durability: one marker closes the batch. Replaying the log at
         // boot re-seals the identical segment, so nothing else need touch
@@ -682,11 +661,9 @@ impl Engine {
     ///
     /// # Errors
     /// [`EngineError::Mutation`] when a staged op no longer applies (ops
-    /// kept, nothing swapped); [`EngineError::Config`] when the engine
-    /// could not serve the result, and [`EngineError::Io`] when the folded
-    /// base cannot be persisted — either way the compaction is abandoned
-    /// whole: no snapshot swap, delta log untouched, segments still
-    /// queryable.
+    /// kept, nothing swapped); [`EngineError::Io`] when the folded base
+    /// cannot be persisted — the compaction is then abandoned whole: no
+    /// snapshot swap, delta log untouched, segments still queryable.
     pub fn compact(&self) -> Result<(Arc<Snapshot>, CommitOutcome), EngineError> {
         let _guard = self.reload_lock.lock().expect("reload lock poisoned");
         let mut pending = self.pending.lock().expect("pending lock poisoned");
@@ -698,11 +675,6 @@ impl Engine {
         let applied = pending.ops.len();
         let report = container.compact_index();
         container.reserve_next_id(pending.next_id);
-        // Checked before anything is durable; the snapshot itself is built
-        // over the file the fold writes.
-        container
-            .fits_shards(self.shards)
-            .map_err(EngineError::Config)?;
 
         // Persist the folded base, then retire the delta log: the base
         // file now embodies every logged batch. Crash between the rename
@@ -720,7 +692,7 @@ impl Engine {
         }
 
         let generation = snap.generation() + 1;
-        let snapshot = self.swap_in(Snapshot::new(container, self.shards, generation)?);
+        let snapshot = self.swap_in(Snapshot::new(container, generation));
         *pending = Pending {
             next_id: pending.next_id,
             ..Pending::default()
@@ -745,10 +717,8 @@ impl Engine {
     /// A task that changes nothing returns the live snapshot unswapped.
     ///
     /// # Errors
-    /// [`EngineError::Io`] when the folded base cannot be persisted, and
-    /// [`EngineError::Config`] when the engine could not serve the result
-    /// (checked first) — the merge is abandoned whole: no snapshot swap,
-    /// delta log untouched.
+    /// [`EngineError::Io`] when the folded base cannot be persisted — the
+    /// merge is abandoned whole: no snapshot swap, delta log untouched.
     pub fn apply_merge(
         &self,
         task: &lshe_core::MergeTask,
@@ -779,7 +749,7 @@ impl Engine {
             return Ok((snap, outcome));
         }
         container.reserve_next_id(pending.next_id);
-        let snapshot = Snapshot::new(container, self.shards, snap.generation() + 1)?;
+        let snapshot = Snapshot::new(container, snap.generation() + 1);
 
         // Persist the merged base, then retire the committed log prefix.
         // Crash between the rename and the rewrite is safe: committed
@@ -819,9 +789,8 @@ impl Engine {
     /// keep their old snapshot; new queries see the new one.
     ///
     /// # Errors
-    /// [`EngineError`] on I/O failure, a corrupt file, a missing path, or
-    /// an invalid shard configuration — the old snapshot stays live in
-    /// every error case.
+    /// [`EngineError`] on I/O failure, a corrupt file or a missing path —
+    /// the old snapshot stays live in every error case.
     pub fn reload(&self, path: Option<&Path>) -> Result<Arc<Snapshot>, EngineError> {
         // One reload at a time: generation allocation, the path update, and
         // the snapshot swap must commit as a unit.
@@ -853,7 +822,7 @@ impl Engine {
         let (batches, _tail) = Self::split_batches(ops);
         Self::replay_committed(&mut container, batches)?;
         let generation = self.snapshot().generation() + 1;
-        let snapshot = Snapshot::new(container, self.shards, generation)?;
+        let snapshot = Snapshot::new(container, generation);
         *self.path.write().expect("engine lock poisoned") = Some(target);
         let snapshot = self.swap_in(snapshot);
         // Staged mutations survive a reload; keep the id allocator ahead
@@ -900,83 +869,26 @@ mod tests {
         let cat = catalog(12);
         let container = IndexContainer::build(&cat, 4);
         let reference = IndexContainer::build(&cat, 4);
-        let engine = Engine::from_container(container, 1).expect("engine");
+        let engine = Engine::from_container(container);
         let snap = engine.snapshot();
         let (sig, q) = sig_for(&cat, 5, snap.container().num_perm());
         assert_eq!(snap.search(&sig, q, 0.7), reference.search(&sig, q, 0.7));
-        assert_eq!(snap.num_shards(), 1);
     }
 
     #[test]
-    fn sharded_finds_self_and_estimates() {
-        let cat = catalog(24);
-        let container = IndexContainer::build(&cat, 4);
-        let engine = Engine::from_container(container, 3).expect("engine");
-        let snap = engine.snapshot();
-        assert_eq!(snap.num_shards(), 3);
-        let (sig, q) = sig_for(&cat, 7, snap.container().num_perm());
-        let hits = snap.search(&sig, q, 0.8);
-        assert!(hits.iter().any(|&(id, _)| id == 7), "self hit missing");
-        for (_, est) in &hits {
-            let e = est.expect("sharded search attaches estimates");
-            assert!((0.0..=1.0).contains(&e));
-        }
-        // Sorted by estimate, descending.
-        for w in hits.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
-    }
-
-    #[test]
-    fn sharding_requires_enough_domains() {
-        let cat = catalog(3);
-        let container = IndexContainer::build(&cat, 2);
-        let err = Engine::from_container(container, 8).unwrap_err();
-        assert!(matches!(err, EngineError::Config(_)), "{err}");
-    }
-
-    #[test]
-    fn a_commit_the_engine_cannot_serve_leaves_nothing_durable() {
-        // Five domains over four shards: removing two would leave fewer
-        // domains than shards. Commit and compaction are refused before
-        // anything reaches the disk, so the file still boots at 4 shards.
-        let dir = std::env::temp_dir().join(format!("lshe_engine_refused_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+    fn load_serves_one_shard_only() {
+        let dir = std::env::temp_dir().join(format!("lshe_engine_one_{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("idx.lshe");
-        IndexContainer::build(&catalog(5), 2)
-            .save(&path)
-            .expect("save");
-        let base = std::fs::read(&path).expect("base bytes");
-        let engine = Engine::load(&path, 4).expect("load");
-        engine.stage_remove(0).expect("stage");
-        engine.stage_remove(1).expect("stage");
-        let refused = [engine.commit_staged().err(), engine.compact().err()];
-        for err in refused {
-            assert!(matches!(err, Some(EngineError::Config(_))), "{err:?}");
+        let cat = catalog(6);
+        IndexContainer::build(&cat, 2).save(&path).expect("save");
+        for shards in [0, 2] {
+            let err = Engine::load(&path, shards).unwrap_err();
+            assert!(matches!(err, EngineError::Config(_)), "{shards}: {err}");
         }
-        let (_, ops) = DeltaLog::sidecar(&path).read_with_mark().expect("log");
-        assert_eq!(ops, [DeltaOp::Remove { id: 0 }, DeltaOp::Remove { id: 1 }]);
-        assert_eq!(std::fs::read(&path).expect("base bytes"), base);
-        assert_eq!(engine.snapshot().generation(), 1);
-        let staged = StagedCounts {
-            inserts: 0,
-            removes: 2,
-        };
-        assert_eq!(engine.staged_counts(), staged);
-        let rebooted = Engine::load(&path, 4).expect("boots at 4 shards");
-        assert_eq!(rebooted.staged_counts(), staged);
-        drop(rebooted);
-
-        // No generation was burned: the next commit it can serve takes 2.
-        let (sig, q) = sig_of(30_000..30_020, 256);
-        let insert = engine.stage_insert("back".into(), "col".into(), q, sig);
-        insert.expect("stage");
-        let (snap, _) = engine.commit_staged().expect("four domains, four shards");
-        assert_eq!((snap.generation(), snap.container().len()), (2, 4));
-        drop(engine);
-        let restarted = Engine::load(&path, 4).expect("boots after the commit");
-        assert_eq!(restarted.snapshot().container().len(), 4);
+        let snap = Engine::load(&path, 1).expect("one shard").snapshot();
+        let (sig, q) = sig_for(&cat, 3, snap.container().num_perm());
+        assert!(snap.search(&sig, q, 0.8).iter().any(|&(id, _)| id == 3));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1023,7 +935,7 @@ mod tests {
 
     #[test]
     fn staged_mutations_commit_into_a_new_generation() {
-        let engine = Engine::from_container(IndexContainer::build(&catalog(10), 2), 1).expect("ok");
+        let engine = Engine::from_container(IndexContainer::build(&catalog(10), 2));
         let old = engine.snapshot();
         let (sig, q) = sig_of(50_000..50_040, old.container().num_perm());
 
@@ -1366,7 +1278,7 @@ mod tests {
 
     #[test]
     fn reload_without_path_on_memory_engine_errors() {
-        let engine = Engine::from_container(IndexContainer::build(&catalog(5), 2), 1).expect("ok");
+        let engine = Engine::from_container(IndexContainer::build(&catalog(5), 2));
         assert!(matches!(
             engine.reload(None).unwrap_err(),
             EngineError::Config(_)

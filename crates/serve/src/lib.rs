@@ -11,7 +11,7 @@
 //! | module | role |
 //! |---|---|
 //! | [`container`] | the `.lshe` index-file format (moved here from `lshe-cli` so both the CLI and the server share it) |
-//! | [`engine`] | `Arc`-swapped snapshot reads + hot `/reload`, optional sharded fan-out |
+//! | [`engine`] | `Arc`-swapped snapshot reads + hot `/reload` over one index |
 //! | [`cache`] | thread-safe LRU query cache with hit/miss counters |
 //! | [`pool`] | fixed thread pool (the reactor's compute lanes) with drain-on-drop graceful shutdown |
 //! | [`http`] | minimal HTTP/1.1 parsing — incremental/resumable over partial reads — and response writing |
@@ -39,7 +39,7 @@
 //!         DomainMeta::new(format!("table{k}"), "col"),
 //!     );
 //! }
-//! let engine = Engine::from_container(IndexContainer::build(&catalog, 2), 1).unwrap();
+//! let engine = Engine::from_container(IndexContainer::build(&catalog, 2));
 //!
 //! // …serve it on an ephemeral port, then shut down gracefully.
 //! let config = ServerConfig {

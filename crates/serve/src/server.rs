@@ -387,7 +387,6 @@ fn handle_health(shared: &Shared) -> Outcome {
         ("status", Json::str("ok")),
         ("domains", Json::uint(snap.container().len() as u64)),
         ("generation", Json::uint(snap.generation())),
-        ("shards", Json::uint(snap.num_shards() as u64)),
         ("cache_enabled", Json::Bool(shared.cache.capacity() > 0)),
     ]))
 }
@@ -419,7 +418,6 @@ fn handle_stats(shared: &Shared) -> Outcome {
             "partitions",
             Json::uint(snap.container().partition_count() as u64),
         ),
-        ("shards", Json::uint(snap.num_shards() as u64)),
         // Cluster plumbing: which split this process serves (absent for
         // standalone servers) and the next id an insert would take — the
         // coordinator allocates cluster-wide ids as the max across shards.
@@ -1129,7 +1127,6 @@ fn handle_reload(shared: &Shared, request: &Request) -> Outcome {
                 ("status", Json::str("reloaded")),
                 ("generation", Json::uint(snap.generation())),
                 ("domains", Json::uint(snap.container().len() as u64)),
-                ("shards", Json::uint(snap.num_shards() as u64)),
             ]))
         }
         Err(EngineError::Io(e)) => Outcome::error(400, "Bad Request", format!("i/o error: {e}")),
@@ -1348,7 +1345,7 @@ mod tests {
                 DomainMeta::new(format!("t{k}"), "col"),
             );
         }
-        Arc::new(Engine::from_container(IndexContainer::build(&cat, 2), 1).expect("engine"))
+        Arc::new(Engine::from_container(IndexContainer::build(&cat, 2)))
     }
 
     fn boot_with(engine: Arc<Engine>, config: ServerConfig) -> ServerHandle {

@@ -62,7 +62,7 @@ fn main() {
     println!("indexed {} domains", container.len());
 
     // Boot the server: snapshot engine, 2 workers, a 64-entry query cache.
-    let engine = Engine::from_container(container, 1).expect("engine");
+    let engine = Engine::from_container(container);
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         threads: 2,

@@ -7,19 +7,18 @@
 //! errors in identical positions. `wall_micros` is the one field allowed
 //! to differ (it reports timing, not the answer).
 //!
-//! The corpus and the six sketch backends are built once (`OnceLock`)
+//! The corpus and the five sketch backends are built once (`OnceLock`)
 //! and shared across cases: the property is about query execution, not
 //! index construction.
 
 use lshe_core::{
     AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, LshEnsemble,
     PartitionStrategy, Query, QueryError, RankedIndex, SearchOutcome, ShardedEnsemble,
-    ShardedRanked,
 };
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
 use proptest::prelude::*;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 const N: usize = 16;
 const STEP: usize = 20;
@@ -64,13 +63,10 @@ fn world() -> &'static World {
             sharded.add(*id, *size, sig.clone());
             asym.add(*id, *size, sig.clone());
         }
-        let ranked = Arc::new(ranked.build());
-        let sharded_ranked = ShardedRanked::build(Arc::clone(&ranked), 3, config());
         let backends: Vec<(&'static str, Box<dyn DomainIndex>)> = vec![
             ("ensemble", Box::new(ensemble.build())),
-            ("ranked", Box::new(ranked)),
+            ("ranked", Box::new(ranked.build())),
             ("sharded", Box::new(sharded.build())),
-            ("sharded_ranked", Box::new(sharded_ranked)),
             ("asym", Box::new(asym.build())),
             (
                 "asym_partitioned",

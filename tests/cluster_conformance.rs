@@ -1,14 +1,15 @@
-//! Conformance of the multi-process cluster tier against the
-//! single-process sharded engine: a coordinator fronting four real
+//! Conformance of the multi-process cluster tier against its split
+//! shards queried in-process: a coordinator fronting four real
 //! `lshe-serve` processes (well, in-process servers on real TCP ports —
 //! the wire protocol is identical) must answer `/query`, `/topk`, and
-//! `/batch` **bit-identically** to one server running the in-process
-//! `ShardedRanked` over the same corpus: same hits, same estimates
-//! (f64s survive the JSON layer at shortest-round-trip precision), same
-//! order. Also covered: mutations routed through the coordinator
-//! (insert → commit → visible; remove → commit → gone), and the
-//! degraded-shard path — killing one shard mid-load yields typed
-//! degraded responses from the survivors, never wrong answers.
+//! `/batch` **bit-identically** to the `split_with` shard containers
+//! opened in this process, each queried directly, with the hits unioned
+//! and ranked here: same hits, same estimates (f64s survive the JSON
+//! layer at shortest-round-trip precision), same order. Also covered:
+//! mutations routed through the coordinator (insert → commit → visible;
+//! remove → commit → gone), and the degraded-shard path — killing one
+//! shard mid-load yields typed degraded responses from the survivors,
+//! never wrong answers.
 
 use lshe::cluster::{shard_of, ClusterConfig};
 use lshe::corpus::json::Json;
@@ -17,6 +18,7 @@ use lshe::serve::client::HttpClient as Client;
 use lshe::serve::container::IndexContainer;
 use lshe::serve::engine::Engine;
 use lshe::serve::server::{start as start_shard, ServerConfig, ServerHandle};
+use lshe::{MinHasher, QueryMode};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -33,13 +35,15 @@ const DOMAINS: usize = 32;
 fn build_catalog(n: usize) -> Catalog {
     let mut catalog = Catalog::new();
     for k in 0..n {
-        let values: Vec<String> = (0..20 + 5 * k).map(|i| format!("v{i}")).collect();
-        catalog.push(
-            Domain::from_strs(values.iter().map(String::as_str)),
-            DomainMeta::new(format!("t{k}"), "col"),
-        );
+        catalog.push(chain(k), DomainMeta::new(format!("t{k}"), "col"));
     }
     catalog
+}
+
+/// Domain `k` of the chain: `v0 … v{19 + 5k}`.
+fn chain(k: usize) -> Domain {
+    let values: Vec<String> = (0..20 + 5 * k).map(|i| format!("v{i}")).collect();
+    Domain::from_strs(values.iter().map(String::as_str))
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -72,44 +76,88 @@ fn hit_ids(response: &Json) -> Vec<u64> {
         .collect()
 }
 
-/// A running topology: the whole-index reference server (in-process
-/// `--shards 4`), four single-shard servers over the split files, and
-/// the coordinator fronting them.
+/// One hit as compared: id, table, column, size and the estimate's bits.
+type HitRow = (u64, String, String, u64, Option<u64>);
+
+fn hit_rows(response: &Json) -> Vec<HitRow> {
+    let hits = response.get("hits").and_then(Json::as_array);
+    hits.expect("hits array")
+        .iter()
+        .map(|h| {
+            let text = |key| h.get(key).and_then(Json::as_str).expect(key).to_owned();
+            (
+                h.get("id").and_then(Json::as_u64).expect("id"),
+                text("table"),
+                text("column"),
+                h.get("size").and_then(Json::as_u64).expect("size"),
+                h.get("estimate").and_then(Json::as_f64).map(f64::to_bits),
+            )
+        })
+        .collect()
+}
+
+/// The in-process reference for chain domain `k`: every split shard
+/// queried directly, the hits unioned and ranked by (estimate
+/// descending, id ascending) — written here, not taken from the
+/// coordinator's merge — and cut to `k` for a top-k query.
+fn reference_rows(parts: &[IndexContainer], k: usize, mode: QueryMode) -> Vec<HitRow> {
+    let domain = chain(k);
+    let size = domain.len() as u64;
+    let mut hits: Vec<(f64, u32, &IndexContainer)> = Vec::new();
+    for part in parts {
+        let sig = domain.signature(&MinHasher::new(part.num_perm()));
+        let answer = match mode {
+            QueryMode::Threshold(t) => part.search(&sig, size, t),
+            QueryMode::TopK(top) => part.top_k(&sig, size, top).expect("top-k"),
+        };
+        for (id, estimate) in answer {
+            hits.push((estimate.expect("ranked hits carry estimates"), id, part));
+        }
+    }
+    hits.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("not NaN").then(a.1.cmp(&b.1)));
+    if let QueryMode::TopK(top) = mode {
+        hits.truncate(top);
+    }
+    hits.into_iter()
+        .map(|(estimate, id, part)| {
+            let r = part.record(id).expect("every hit has a record");
+            let (table, column) = (r.table.to_owned(), r.column.to_owned());
+            (
+                u64::from(id),
+                table,
+                column,
+                r.size,
+                Some(estimate.to_bits()),
+            )
+        })
+        .collect()
+}
+
+/// A running topology: four single-shard servers over the split files,
+/// the coordinator fronting them, and the same files opened in-process
+/// as the reference.
 struct Topology {
     dir: PathBuf,
-    reference: ServerHandle,
+    reference: Vec<IndexContainer>,
     shards: Vec<ServerHandle>,
     cluster: lshe::cluster::ClusterHandle,
 }
 
 fn boot(name: &str) -> Topology {
     let dir = scratch(name);
-    let whole_path = dir.join("whole.lshe");
     let container = IndexContainer::build(&build_catalog(DOMAINS), SHARDS);
-    std::fs::write(&whole_path, container.to_bytes()).expect("write whole");
 
-    // The reference: ONE process, in-process sharding — the ground truth
-    // the cluster must reproduce bit-for-bit.
-    let reference = start_shard(
-        Arc::new(Engine::load(&whole_path, SHARDS).expect("reference engine")),
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            threads: 2,
-            cache_capacity: 64,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind reference");
-
-    // The cluster: the same index split with the same placement the
-    // in-process path uses, one real server per shard file.
+    // The cluster: the index split with the placement the coordinator
+    // routes by, one real server per shard file.
     let parts = container
         .split_with(SHARDS, shard_of)
         .expect("split whole index");
+    let mut reference = Vec::with_capacity(SHARDS);
     let mut shards = Vec::with_capacity(SHARDS);
     for (s, part) in parts.iter().enumerate() {
         let path = dir.join(format!("whole.shard{s}.lshe"));
-        std::fs::write(&path, part.to_bytes()).expect("write shard");
+        part.save(&path).expect("write shard");
+        reference.push(IndexContainer::load(&path).expect("open shard in-process"));
         shards.push(
             start_shard(
                 Arc::new(Engine::load(&path, 1).expect("shard engine")),
@@ -147,10 +195,10 @@ fn boot(name: &str) -> Topology {
 impl Topology {
     fn teardown(self) {
         self.cluster.shutdown();
-        self.reference.shutdown();
         for shard in self.shards {
             shard.shutdown();
         }
+        drop(self.reference);
         std::fs::remove_dir_all(&self.dir).ok();
     }
 }
@@ -158,12 +206,12 @@ impl Topology {
 // ------------------------------------------------------------------ tests
 
 /// The acceptance-criteria test: every read endpoint answers
-/// bit-identically to the single-process sharded engine.
+/// bit-identically to the split shards queried in-process.
 #[test]
 fn cluster_answers_match_single_process_sharded_bit_for_bit() {
     let topo = boot("conformance");
     let mut coord = Client::connect(topo.cluster.addr());
-    let mut single = Client::connect(topo.reference.addr());
+    let reference = |k, mode| reference_rows(&topo.reference, k, mode);
 
     // /health agrees on the corpus size.
     let (status, health) = coord.get("/health");
@@ -174,21 +222,21 @@ fn cluster_answers_match_single_process_sharded_bit_for_bit() {
         Some(DOMAINS as u64)
     );
 
-    // /query across a spread of query sizes and thresholds. The `hits`
-    // arrays must be equal as JSON values: same ids, same provenance,
-    // same estimates to the last bit, same order.
+    // /query across a spread of query sizes and thresholds: same ids,
+    // same provenance, same estimates to the last bit, same order.
     for (k, threshold) in [(0usize, 0.5), (5, 0.7), (13, 0.6), (27, 0.9), (31, 0.5)] {
-        let body = query_body(k, threshold);
-        let (cs, cr) = coord.post("/query", &body);
-        let (ss, sr) = single.post("/query", &body);
+        let (cs, cr) = coord.post("/query", &query_body(k, threshold));
         assert_eq!(cs, 200, "coordinator query {k}: {cr}");
-        assert_eq!(ss, 200, "reference query {k}: {sr}");
+        let want = reference(k, QueryMode::Threshold(threshold));
         assert_eq!(
-            cr.get("hits"),
-            sr.get("hits"),
-            "query k={k} t={threshold}: cluster diverged from single-process"
+            hit_rows(&cr),
+            want,
+            "query k={k} t={threshold}: cluster diverged from the shards"
         );
-        assert_eq!(cr.get("count"), sr.get("count"), "query k={k} count");
+        assert_eq!(
+            cr.get("count").and_then(Json::as_u64),
+            Some(want.len() as u64)
+        );
         assert!(
             !hit_ids(&cr).is_empty(),
             "query {k} must actually hit (its own domain at least)"
@@ -200,65 +248,40 @@ fn cluster_answers_match_single_process_sharded_bit_for_bit() {
         );
     }
 
-    // /topk is best-effort on BOTH sides — top-k is an LSH-guided
-    // best-first search whose candidate set depends on the partition
-    // layout, and the whole index (4 partitions) and the shard files
-    // (1 partition each) probe differently. So no bit-equality here;
-    // instead: exactly k hits, globally rank-ordered, and the top hit —
-    // the query's own domain at estimate 1.0 — agrees.
+    // /topk: each shard's own top k, unioned, ranked and cut to k.
     for (k, top) in [(3usize, 4usize), (10, 7), (31, 1)] {
-        let body = topk_body(k, top);
-        let (cs, cr) = coord.post("/topk", &body);
-        let (ss, sr) = single.post("/topk", &body);
+        let (cs, cr) = coord.post("/topk", &topk_body(k, top));
         assert_eq!(cs, 200, "coordinator topk {k}: {cr}");
-        assert_eq!(ss, 200, "reference topk {k}: {sr}");
         assert_eq!(hit_ids(&cr).len(), top, "topk returns exactly k: {cr}");
-        let coord_hits = cr.get("hits").and_then(Json::as_array).expect("hits");
-        let single_hits = sr.get("hits").and_then(Json::as_array).expect("hits");
+        assert_eq!(hit_ids(&cr)[0], k as u64, "topk k={k}: own domain first");
         assert_eq!(
-            coord_hits.first().and_then(|h| h.get("id")),
-            single_hits.first().and_then(|h| h.get("id")),
-            "topk k={k}: top hit disagrees"
-        );
-        let estimates: Vec<f64> = coord_hits
-            .iter()
-            .map(|h| h.get("estimate").and_then(Json::as_f64).expect("estimate"))
-            .collect();
-        for w in estimates.windows(2) {
-            assert!(w[0] >= w[1], "cluster topk not rank-ordered: {estimates:?}");
-        }
-        // The merged union of per-shard top-k can only improve on the
-        // single probe sequence: its weakest hit ranks at least as high.
-        let single_min = single_hits
-            .iter()
-            .map(|h| h.get("estimate").and_then(Json::as_f64).expect("estimate"))
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            estimates.last().copied().unwrap_or(f64::INFINITY) >= single_min - 1e-12,
-            "cluster topk k={k} worse than single-process: {cr} vs {sr}"
+            hit_rows(&cr),
+            reference(k, QueryMode::TopK(top)),
+            "topk k={k}"
         );
     }
 
     // /batch: element-wise identical, order preserved, mixed modes.
     let mut items: Vec<String> = (0..8).map(|k| query_body(2 * k, 0.8)).collect();
     items.push(topk_body(6, 3));
+    let mut modes: Vec<(usize, QueryMode)> =
+        (0..8).map(|k| (2 * k, QueryMode::Threshold(0.8))).collect();
+    modes.push((6, QueryMode::TopK(3)));
     let batch = format!("{{\"queries\": [{}]}}", items.join(","));
     let (cs, cr) = coord.post("/batch", &batch);
-    let (ss, sr) = single.post("/batch", &batch);
     assert_eq!(cs, 200, "coordinator batch: {cr}");
-    assert_eq!(ss, 200, "reference batch: {sr}");
     let coord_results = cr.get("results").and_then(Json::as_array).expect("results");
-    let single_results = sr.get("results").and_then(Json::as_array).expect("results");
-    assert_eq!(coord_results.len(), single_results.len());
-    for (i, (c, s)) in coord_results.iter().zip(single_results).enumerate() {
-        assert_eq!(c.get("hits"), s.get("hits"), "batch item {i} diverged");
+    assert_eq!(coord_results.len(), modes.len());
+    for (i, (c, &(k, mode))) in coord_results.iter().zip(&modes).enumerate() {
+        assert_eq!(hit_rows(c), reference(k, mode), "batch item {i} diverged");
     }
 
-    // Malformed queries are rejected identically (shard 4xx forwarded
-    // verbatim — every shard parses the same way).
+    // Malformed queries are rejected as a shard rejects them (shard 4xx
+    // forwarded verbatim — every shard parses the same way).
+    let mut shard = Client::connect(topo.shards[0].addr());
     for bad in ["{\"values\": []}", "{\"threshold\": 0.5}", "not json"] {
         let (cs, cr) = coord.post("/query", bad);
-        let (ss, sr) = single.post("/query", bad);
+        let (ss, sr) = shard.post("/query", bad);
         assert_eq!(cs, ss, "status for {bad}");
         assert_eq!(cr.get("error").is_some(), sr.get("error").is_some());
         assert_eq!(cs, 400);

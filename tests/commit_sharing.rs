@@ -55,7 +55,7 @@ fn a_commit_shares_the_whole_base_and_the_old_snapshot_answers_as_before() {
     let base = corpus(BASE, 7);
     let fresh = corpus(5, 8);
     let container = IndexContainer::from_stream(base.iter().cloned(), PARTITIONS, true);
-    let engine = Engine::from_container(container, 1).expect("engine");
+    let engine = Engine::from_container(container);
     let old = engine.snapshot();
     let ids: Vec<u32> = fresh.iter().map(|d| stage(&engine, d, None)).collect();
     engine.stage_remove(17).expect("stage remove");
@@ -93,7 +93,7 @@ fn a_reinserted_id_resolves_to_its_new_record_over_a_shared_base() {
     let base = corpus(BASE, 7);
     let again = &corpus(1, 9)[0];
     let container = IndexContainer::from_stream(base.iter().cloned(), PARTITIONS, true);
-    let engine = Engine::from_container(container, 1).expect("engine");
+    let engine = Engine::from_container(container);
     let built = engine.snapshot();
     engine.stage_remove(40).expect("stage remove");
     let (removed, _) = engine.commit_staged().expect("commit");
@@ -128,7 +128,7 @@ fn a_reinserted_id_resolves_to_its_new_record_over_a_shared_base() {
 fn a_segment_merge_rewrites_segments_and_leaves_the_base_alone() {
     let fresh = corpus(6, 8);
     let container = IndexContainer::from_stream(corpus(BASE, 7), PARTITIONS, true);
-    let engine = Engine::from_container(container, 1).expect("engine");
+    let engine = Engine::from_container(container);
     let built = engine.snapshot();
     let mut ids = Vec::new();
     for pair in fresh.chunks(2) {

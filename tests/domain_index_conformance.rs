@@ -17,14 +17,13 @@
 
 use lshe_core::{
     pack_ranked, AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, LshEnsemble,
-    MmapIndex, PartitionStrategy, Query, QueryError, RankedIndex, ShardedEnsemble, ShardedRanked,
+    MmapIndex, PartitionStrategy, Query, QueryError, RankedIndex, ShardedEnsemble,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta, ExactIndex};
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
 use lshe_store::Packer;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 const N: usize = 24;
 const STEP: usize = 25;
@@ -108,14 +107,12 @@ fn backends(w: &World) -> Vec<(&'static str, Box<dyn DomainIndex>)> {
         sharded.add(*id, *size, sig.clone());
         asym.add(*id, *size, sig.clone());
     }
-    let ranked = Arc::new(ranked.build());
-    let sharded_ranked = ShardedRanked::build(Arc::clone(&ranked), 3, config());
+    let ranked = ranked.build();
     let mapped = mmap_backend(&ranked);
     vec![
         ("ensemble", Box::new(ensemble.build())),
         ("ranked", Box::new(ranked)),
         ("sharded", Box::new(sharded.build())),
-        ("sharded_ranked", Box::new(sharded_ranked)),
         ("mmap", Box::new(mapped)),
         ("asym", Box::new(asym.build())),
         (
@@ -219,7 +216,7 @@ fn containment_estimates_agree_with_exact_scores() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let with_estimates = out.hits.iter().any(|h| h.estimate.is_some());
         // Ranked backends must estimate; unranked ones must not.
-        let should_estimate = matches!(name, "ranked" | "sharded_ranked" | "mmap");
+        let should_estimate = matches!(name, "ranked" | "mmap");
         assert_eq!(
             with_estimates, should_estimate,
             "{name}: estimate presence mismatch"
@@ -251,7 +248,7 @@ fn top_k_ranks_the_self_match_first() {
         let (_, size, sig) = &w.entries[q];
         let result = index.search(&Query::top_k(sig, 5).with_size(*size));
         match name {
-            "ranked" | "sharded_ranked" | "mmap" => {
+            "ranked" | "mmap" => {
                 let out = result.unwrap_or_else(|e| panic!("{name}: {e}"));
                 assert_eq!(out.hits.len(), 5, "{name}: wrong k");
                 assert_eq!(out.hits[0].id, q as DomainId, "{name}: self not first");
@@ -389,7 +386,7 @@ fn top_k_zero_and_oversized_k_are_normalized() {
         );
         let oversized = index.search(&Query::top_k(sig, 10 * N).with_size(*size));
         match name {
-            "ranked" | "sharded_ranked" | "mmap" => {
+            "ranked" | "mmap" => {
                 let out = oversized.unwrap_or_else(|e| panic!("{name}: oversized k errored: {e}"));
                 assert!(
                     !out.hits.is_empty() && out.hits.len() <= N,

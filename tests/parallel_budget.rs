@@ -2,20 +2,21 @@
 //!
 //! History: the original parallel probe spawned one thread per partition
 //! on every call, which benchmarked ~12× SLOWER than the sequential probe
-//! on a small host, and the sharded fan-out spawned one thread per shard
-//! per query outside any budget. Both now go through the
+//! on a small host, and the in-process sharded fan-out (`ShardedEnsemble`,
+//! which the Figure 9 / Table 4 harnesses run) spawned one thread per
+//! shard per query outside any budget. Both now go through the
 //! process-wide lane budget (`lshe_minhash::lanes`): with no spare lanes
 //! they must degrade to the inline sequential code path — same results,
 //! no thread spawned, and within noise of sequential latency instead of
 //! an order of magnitude behind it.
 
 use lshe_core::{
-    DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, RankedIndex, SearchOutcome,
-    ShardedEnsemble, ShardedRanked,
+    DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, SearchOutcome,
+    ShardedEnsemble,
 };
 use lshe_minhash::{MinHasher, Signature};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Every test here either drains the process-wide lane budget or counts
@@ -163,33 +164,16 @@ fn sharded_fan_out_spawns_nothing_when_budget_is_empty() {
         strategy: PartitionStrategy::EquiDepth { n: 4 },
         ..EnsembleConfig::default()
     };
-    let mut builder = RankedIndex::builder_with(config);
-    for (id, (size, sig)) in corpus.sizes.iter().zip(&corpus.signatures).enumerate() {
-        builder.add(id as u32, *size, sig.clone());
-    }
     let ids: Vec<u32> = (0..corpus.sizes.len() as u32).collect();
     let sig_refs: Vec<&Signature> = corpus.signatures.iter().collect();
-    let backends: [Box<dyn DomainIndex>; 2] = [
-        Box::new(ShardedRanked::build(
-            Arc::new(builder.build()),
-            SHARDS,
-            config,
-        )),
-        Box::new(ShardedEnsemble::build_from_parts(
-            SHARDS,
-            config,
-            &ids,
-            &corpus.sizes,
-            &sig_refs,
-        )),
-    ];
+    let index = ShardedEnsemble::build_from_parts(SHARDS, config, &ids, &corpus.sizes, &sig_refs);
     let queries: Vec<Query<'_>> = (0..40)
         .map(|i| {
             let q = i * 47;
             Query::threshold(&corpus.signatures[q], 0.5).with_size(corpus.sizes[q])
         })
         .collect();
-    let run = |index: &dyn DomainIndex| -> Vec<_> {
+    let run = || -> Vec<_> {
         let single = queries.iter().map(|q| index.search(q));
         let batched = index.search_batch(&queries);
         single
@@ -198,7 +182,7 @@ fn sharded_fan_out_spawns_nothing_when_budget_is_empty() {
             .collect()
     };
     // Whatever lanes this host offers.
-    let reference: Vec<_> = backends.iter().map(|index| run(index.as_ref())).collect();
+    let reference = run();
 
     let _hog = lshe_minhash::lanes::acquire(usize::MAX);
     assert_eq!(
@@ -217,13 +201,7 @@ fn sharded_fan_out_spawns_nothing_when_budget_is_empty() {
             peak
         });
         for _ in 0..20 {
-            for (index, expected) in backends.iter().zip(&reference) {
-                assert_eq!(
-                    &run(index.as_ref()),
-                    expected,
-                    "starved fan-out changed answers"
-                );
-            }
+            assert_eq!(run(), reference, "starved fan-out changed answers");
         }
         done.store(true, Ordering::Relaxed);
         census.join().expect("census thread")

@@ -8,7 +8,7 @@ use lshe::{
     Catalog, CommitReport, DeltaLog, DeltaOp, Domain, DomainId, DomainIndex, EnsembleConfig,
     ExactIndex, IndexContainer, LshEnsemble, LshForest, MinHasher, MutationError,
     PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit,
-    SearchOutcome, ServerConfig, ShardedEnsemble, ShardedRanked, Signature, ESTIMATE_SLACK,
+    SearchOutcome, ServerConfig, ShardedEnsemble, Signature, ESTIMATE_SLACK,
 };
 
 /// Compile-time assertions: the query trait is object safe and the key
@@ -120,8 +120,6 @@ fn facade_keeps_the_existing_types_reachable() {
     let _ = LshEnsemble::builder();
     let _ = ShardedEnsemble::builder(2, EnsembleConfig::default());
     let _ = LshForest::new(4, 4);
-    fn takes_sharded_ranked(_: Option<ShardedRanked>) {}
-    takes_sharded_ranked(None);
 
     // Corpus + container + server config.
     let mut catalog = Catalog::new();

@@ -542,53 +542,6 @@ fn live_ingestion_under_concurrent_query_load() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--shards N` wiring: the sharded engine answers over HTTP with the
-/// paper's fan-out/union topology and still finds the query's own domain.
-#[test]
-fn sharded_engine_serves_fanout_queries() {
-    let dir = scratch("sharded");
-    let index_path = dir.join("idx.lshe");
-    std::fs::write(
-        &index_path,
-        IndexContainer::build(&build_catalog(24), 4).to_bytes(),
-    )
-    .expect("write index");
-
-    let engine = Engine::load(&index_path, 3).expect("sharded engine");
-    let server = start(
-        Arc::new(engine),
-        &ServerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            threads: 2,
-            cache_capacity: 64,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind");
-    let mut client = Client::connect(server.addr());
-
-    let (status, health) = client.get("/health");
-    assert_eq!(status, 200);
-    assert_eq!(health.get("shards").and_then(Json::as_u64), Some(3));
-
-    for k in [0usize, 7, 17] {
-        let (status, response) = client.post("/query", &query_body(k, 0.8));
-        assert_eq!(status, 200, "{response}");
-        let ids = hit_ids(&response);
-        assert!(
-            ids.contains(&(k as u64)),
-            "shard fan-out missed query {k}'s own domain: {response}"
-        );
-        // Sharded results always carry estimates.
-        for h in response.get("hits").and_then(Json::as_array).expect("hits") {
-            assert!(h.get("estimate").and_then(Json::as_f64).is_some());
-        }
-    }
-
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// The CLI path: a default `lshe index` produces a file the serve engine
 /// loads directly, and its hits carry estimates.
 #[test]
@@ -936,8 +889,7 @@ fn json_edge_inputs_have_one_outcome_everywhere() {
         ("1E+2", Some((Some(100.0), Some(100))), Some(b"1E+2"), 400),
         ("\"a\u{7f}b\"", Some((None, None)), Some(b"a\x7fb"), 200),
     ];
-    let engine =
-        Engine::from_container(IndexContainer::build(&build_catalog(4), 2), 1).expect("engine");
+    let engine = Engine::from_container(IndexContainer::build(&build_catalog(4), 2));
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         threads: 1,
