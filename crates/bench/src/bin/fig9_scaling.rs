@@ -2,14 +2,16 @@
 //! domains, for LSH Ensemble with 8 / 16 / 32 partitions.
 //!
 //! The paper sweeps 52M → 262M domains on a 5-node cluster; this harness
-//! sweeps five equal steps up to `--domains` (default 200,000) on an
-//! in-process 5-shard deployment. Shapes to reproduce: indexing time is
-//! linear in the number of domains and independent of the partition count;
-//! query time grows with corpus size (more candidates) but grows *slower*
-//! with more partitions (better selectivity).
+//! sweeps five equal steps up to `--domains` (default 200,000) on one
+//! node: one `LshEnsemble` per configuration. The shapes to reproduce are
+//! per-node properties: indexing time is linear in the number of domains
+//! and independent of the partition count; query time grows with corpus
+//! size (more candidates) but grows *slower* with more partitions (better
+//! selectivity). The multi-node topology runs on real processes —
+//! `lshe split` + `lshe cluster`, checked by `tests/cluster_conformance.rs`.
 
 use lshe_bench::{report, workload, Args};
-use lshe_core::{DomainIndex, EnsembleConfig, PartitionStrategy, Query, ShardedEnsemble};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
 use rand::rngs::StdRng;
@@ -20,17 +22,15 @@ fn main() {
     let args = Args::from_env();
     let max_domains = args.get_usize("domains", 200_000);
     let num_queries = args.get_usize("queries", 100);
-    let num_shards = args.get_usize("shards", 5);
     let t_star = args.get_f64("t-star", 0.5);
     let seed = args.get_u64("seed", 42);
 
     report::banner(
         "fig9",
-        "indexing and mean query cost vs corpus size (Ensemble 8/16/32, sharded)",
+        "indexing and mean query cost vs corpus size (Ensemble 8/16/32, one node)",
         &[
             ("max_domains", max_domains.to_string()),
             ("queries", num_queries.to_string()),
-            ("shards", num_shards.to_string()),
             ("t_star", report::f4(t_star)),
             ("seed", seed.to_string()),
         ],
@@ -66,9 +66,8 @@ fn main() {
                 strategy: PartitionStrategy::EquiDepth { n: partitions },
                 ..EnsembleConfig::default()
             };
-            let (index, build_secs) = workload::timed(|| {
-                ShardedEnsemble::build_from_parts(num_shards, config, &ids, sizes, &sig_refs)
-            });
+            let (index, build_secs) =
+                workload::timed(|| LshEnsemble::build_from_parts(config, &ids, sizes, &sig_refs));
             let (total, query_secs) = workload::timed(|| {
                 let mut found = 0usize;
                 for &q in &queries {

@@ -1,7 +1,8 @@
 //! Table 4: indexing cost and mean query cost of the MinHash LSH baseline
 //! versus LSH Ensemble (8 / 16 / 32 partitions) on the full performance
-//! corpus, deployed across 5 in-process shards (the paper's 5-node
-//! cluster).
+//! corpus, on one node: one `LshEnsemble` per configuration. The paper ran
+//! a 5-node cluster; the multi-node topology runs on real processes —
+//! `lshe split` + `lshe cluster`, checked by `tests/cluster_conformance.rs`.
 //!
 //! Shapes to reproduce: indexing cost roughly equal for all four indexes
 //! (sketching dominates; partitions build in parallel); mean query cost
@@ -10,7 +11,7 @@
 //! at 262M domains, a ~6–15× speedup from partitioning + selectivity.
 
 use lshe_bench::{report, workload, Args};
-use lshe_core::{DomainIndex, EnsembleConfig, PartitionStrategy, Query, ShardedEnsemble};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
 use rand::rngs::StdRng;
@@ -21,17 +22,15 @@ fn main() {
     let args = Args::from_env();
     let num_domains = args.get_usize("domains", 500_000);
     let num_queries = args.get_usize("queries", 200);
-    let num_shards = args.get_usize("shards", 5);
     let t_star = args.get_f64("t-star", 0.5);
     let seed = args.get_u64("seed", 42);
 
     report::banner(
         "table4",
-        "indexing (s) and mean query (s): Baseline vs LSH Ensemble 8/16/32, 5 shards",
+        "indexing (s) and mean query (s): Baseline vs LSH Ensemble 8/16/32, one node",
         &[
             ("domains", num_domains.to_string()),
             ("queries", num_queries.to_string()),
-            ("shards", num_shards.to_string()),
             ("t_star", report::f4(t_star)),
             ("seed", seed.to_string()),
             (
@@ -82,7 +81,7 @@ fn main() {
             ..EnsembleConfig::default()
         };
         let (index, build_secs) = workload::timed(|| {
-            ShardedEnsemble::build_from_parts(num_shards, config, &ids, &corpus.sizes, &sig_refs)
+            LshEnsemble::build_from_parts(config, &ids, &corpus.sizes, &sig_refs)
         });
         let mut total_candidates = 0usize;
         let (_, query_secs) = workload::timed(|| {

@@ -196,7 +196,8 @@ pub fn build_asym_partitioned(
 /// A corpus reduced to what the performance experiments need: sizes and
 /// signatures (domain values are generated, sketched, and discarded on the
 /// fly — at WDC scale the raw sets would dominate memory for no benefit,
-/// since Figure 9 / Table 4 measure cost, not accuracy).
+/// since the one-node Figure 9 / Table 4 harnesses measure cost, not
+/// accuracy).
 pub struct PerfCorpus {
     /// Domain sizes by id.
     pub sizes: Vec<u64>,

@@ -33,7 +33,7 @@ use container::{IndexContainer, LoadError};
 use lshe_core::Query;
 use lshe_corpus::{Catalog, CsvDocument, Domain};
 use lshe_minhash::MinHasher;
-use lshe_serve::engine::{Engine, EngineError};
+use lshe_serve::engine::{Engine, EngineError, StagedCounts};
 use lshe_serve::server::{start, ServerConfig};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -81,6 +81,12 @@ fn load_container(path: &str) -> Result<IndexContainer, CliError> {
     })
 }
 
+/// Loads a `.lshe` index as a restarted server serves it: the base file
+/// with the committed batches of its delta log (FILE.delta) replayed.
+fn load_served(path: &str) -> Result<Engine, CliError> {
+    Engine::load(Path::new(path), 1).map_err(engine_error)
+}
+
 /// Usage text.
 pub const USAGE: &str = "\
 lshe — domain search over CSV files (LSH Ensemble, VLDB 2016)
@@ -115,7 +121,9 @@ COMMANDS
       serving — use its POST /compact endpoint instead.
 
   lshe stats --index FILE
-      Print configuration and per-partition statistics.
+      Print configuration and per-partition statistics of the index as
+      `lshe serve` would serve it: committed delta-log (FILE.delta)
+      batches included, as for query.
 
   lshe serve --index FILE [--addr HOST:PORT] [--threads N] [--cache C] [--shard-id K]
       Serve the index over HTTP (default 127.0.0.1:7878) until /shutdown
@@ -135,11 +143,14 @@ COMMANDS
       /remove /commit /compact /reload /shutdown — see docs/API.md.
 
   lshe split --index FILE --shards N [--out PREFIX]
-      Split the index into N shard files PREFIX.shard0.lshe …
-      PREFIX.shardN-1.lshe (default PREFIX: FILE minus .lshe), placing
-      each domain by id % N, the routing the coordinator uses for
-      /insert and /remove. A cluster over the files answers with the
-      union of their own answers, ranked by estimate.
+      Split the index as `lshe serve` would serve it — committed
+      delta-log (FILE.delta) batches included — into N shard files
+      PREFIX.shard0.lshe … PREFIX.shardN-1.lshe (default PREFIX: FILE
+      minus .lshe), placing each domain by id % N, the routing the
+      coordinator uses for /insert and /remove. Staged ops no commit
+      closed are refused: run `lshe compact` first. A cluster over the
+      files answers with the union of their own answers, ranked by
+      estimate.
 
   lshe cluster --shards ADDR,ADDR,... [--addr HOST:PORT] [--hedge-ms H]
                [--connect-timeout-ms C] [--read-timeout-ms R] [--probe-ms P]
@@ -365,7 +376,8 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
         return Err(CliError::Usage("--threshold must be in [0, 1]".into()));
     }
 
-    let container = load_container(&index_path)?;
+    let snapshot = load_served(&index_path)?.snapshot();
+    let container = snapshot.container();
 
     // Load the query domain from the CSV column.
     let data = std::fs::read(&csv_path)?;
@@ -424,8 +436,7 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
 
 fn cmd_stats(flags: &Flags) -> Result<String, CliError> {
     let index_path = flags.require("index")?.to_owned();
-    let container = load_container(&index_path)?;
-    Ok(container.describe())
+    Ok(load_served(&index_path)?.snapshot().container().describe())
 }
 
 fn engine_error(e: EngineError) -> CliError {
@@ -517,8 +528,9 @@ fn cmd_serve(flags: &Flags) -> Result<String, CliError> {
     Ok("server stopped\n".to_owned())
 }
 
-/// Splits an index into per-shard container files by `id % N`, the
-/// placement the cluster coordinator routes `/insert` and `/remove` by.
+/// Splits the served state of an index — committed delta-log batches
+/// replayed — into per-shard container files by `id % N`, the placement
+/// the cluster coordinator routes `/insert` and `/remove` by.
 fn cmd_split(flags: &Flags) -> Result<String, CliError> {
     let index_path = flags.require("index")?.to_owned();
     let shards: usize = flags.get_parsed("shards", 0)?;
@@ -533,8 +545,16 @@ fn cmd_split(flags: &Flags) -> Result<String, CliError> {
         .to_owned();
     let prefix = flags.get("out")?.unwrap_or(&default_prefix).to_owned();
 
-    let container = load_container(&index_path)?;
-    let parts = container
+    let engine = load_served(&index_path)?;
+    if engine.staged_counts() != StagedCounts::default() {
+        return Err(CliError::Usage(format!(
+            "{index_path}.delta holds staged ops no commit closed: fold them in with \
+             `lshe compact --index {index_path}` before splitting"
+        )));
+    }
+    let parts = engine
+        .snapshot()
+        .container()
         .split_with(shards, lshe_cluster::shard_of)
         .map_err(CliError::Index)?;
 
@@ -1086,6 +1106,68 @@ mod tests {
             }
         }
         assert_eq!(total, whole.len(), "split must partition every domain");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn split_stats_and_query_read_committed_delta_log_batches() {
+        let dir = tmp_dir("split_delta");
+        write_corpus(&dir);
+        let idx = dir.join("t.lshe");
+        let index_flag = idx.to_str().expect("utf8");
+        let built = ["index", "--dir", dir.to_str().expect("utf8"), "--out"];
+        run(&s(&[&built[..], &[index_flag, "--min-size", "5"]].concat())).expect("index");
+
+        // A stopped server left one committed insert in the delta log (the
+        // built corpus holds ids 0..=2, so it took id 3).
+        let values: Vec<String> = (0..12).map(|i| format!("committed{i}")).collect();
+        let domain = Domain::from_strs(values.iter().map(String::as_str));
+        let stage = |engine: &Engine| {
+            let sig = domain.signature(&MinHasher::new(256));
+            let size = domain.len() as u64;
+            engine.stage_insert("serverlog".into(), "v".into(), size, sig)
+        };
+        let engine = Engine::load(&idx, 1).expect("engine");
+        let (id, _) = stage(&engine).expect("stage");
+        engine.commit_staged().expect("commit");
+        drop(engine);
+        assert_eq!(id, 3);
+
+        let stats = run(&s(&["stats", "--index", index_flag])).expect("stats");
+        assert!(stats.contains("domains: 4"), "{stats}");
+        let csv = dir.join("q.csv");
+        std::fs::write(&csv, format!("v\n{}\n", values.join("\n"))).expect("write");
+        let query = [
+            "query",
+            "--index",
+            index_flag,
+            "--csv",
+            csv.to_str().expect("utf8"),
+        ];
+        let hits = run(&s(&[&query[..], &["--column", "v"]].concat())).expect("query");
+        assert!(hits.contains("serverlog.v"), "{hits}");
+
+        let n = 3;
+        let split = ["split", "--index", index_flag, "--shards", "3"];
+        run(&s(&split)).expect("split");
+        let mut total = 0;
+        for shard in 0..n {
+            let path = dir.join(format!("t.shard{shard}.lshe"));
+            let part = IndexContainer::load(&path).expect("shard container");
+            total += part.len();
+            assert_eq!(part.record(id).is_some(), id as usize % n == shard);
+        }
+        assert_eq!(total, 4, "the committed insert must land in a shard");
+
+        // Staged ops no commit closed are refused, not dropped.
+        let engine = Engine::load(&idx, 1).expect("engine");
+        stage(&engine).expect("stage");
+        drop(engine);
+        let err = run(&s(&split)).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Usage(msg) if msg.contains("lshe compact")),
+            "{err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -57,8 +57,8 @@ pub fn merge_hits(per_shard: Vec<Vec<Json>>) -> Result<Vec<Json>, String> {
         ids.sort_unstable();
         runs.push(ids);
     }
-    // The same union primitive the in-process sharded path uses; the
-    // disjointness pre-check above guarantees its contract holds.
+    // The disjointness pre-check above guarantees the union's contract
+    // holds.
     let union = merge_sorted_disjoint(runs);
     debug_assert_eq!(union.len(), total, "disjoint union keeps every id");
 

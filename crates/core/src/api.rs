@@ -6,8 +6,8 @@
 //! rules. This module gives the workspace the same shape: a typed
 //! [`Query`] (signature + size + [`QueryMode`]) goes in, a
 //! [`SearchOutcome`] (hits + optional containment estimates + per-query
-//! [`QueryStats`]) comes out, and every index — the ensemble, the ranked
-//! and sharded variants, the baselines, and the exact ground-truth engine
+//! [`QueryStats`]) comes out, and every index — the ensemble, its ranked
+//! and mapped variants, the baselines, and the exact ground-truth engine
 //! — answers through the same [`DomainIndex`] trait.
 //!
 //! Because the trait is object safe, callers that must pick a backend at
@@ -114,8 +114,8 @@ impl<'a> Query<'a> {
         self
     }
 
-    /// Parallelism hint: ask the backend to fan the query out across its
-    /// partitions/shards with one thread each. Backends without an
+    /// Parallelism hint: ask the backend to probe its partitions across
+    /// lanes drawn from the process-wide budget. Backends without an
     /// internal parallel path ignore the hint.
     #[must_use]
     pub fn with_parallel(mut self, parallel: bool) -> Self {
@@ -275,7 +275,7 @@ pub struct QueryStats {
     /// Partitions whose LSH was actually consulted (skip-pruned ones are
     /// excluded; for top-k the maximum over descent passes).
     pub partitions_probed: usize,
-    /// Total partitions across the index (summed over shards).
+    /// Total partitions across the index.
     pub partitions_total: usize,
     /// Raw candidates generated by the LSH before dedup/post-filtering.
     pub candidates: usize,
@@ -417,8 +417,8 @@ pub trait DomainIndex: std::fmt::Debug + Send + Sync {
     ///
     /// The default implementation is the plain loop over
     /// [`search`](Self::search). Backends with a real batched execution
-    /// path override it to amortize work across the batch: partitions and
-    /// shards are probed once per batch (while their forests are hot),
+    /// path override it to amortize work across the batch: partitions are
+    /// probed once per batch (while their forests are hot),
     /// dedup scratch is reused across queries, and thread fan-out happens
     /// once per batch instead of once per query.
     ///

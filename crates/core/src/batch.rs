@@ -8,8 +8,8 @@
 //! instead of once per query. This module holds the pieces around the
 //! sweep itself — the worker-lane chunking, the per-batch split of valid
 //! threshold items from top-k and malformed queries, and the disjoint
-//! sorted-run merge the sharded backends use; the partition-outer sweep
-//! is the `pipeline` module's.
+//! sorted-run merge the `lshe-cluster` coordinator unions shard answers
+//! with; the partition-outer sweep is the `pipeline` module's.
 //!
 //! Everything here is *semantics-preserving*: a batched execution must
 //! return, per query, exactly the hits and deterministic
@@ -83,8 +83,7 @@ pub(crate) fn split_and_run<'q>(
         }
     }
     // Skip the amortized dispatch entirely when nothing runs through it
-    // (an all-top-k or all-invalid batch): sharded backends would
-    // otherwise spawn their per-shard threads for an empty sweep.
+    // (an all-top-k or all-invalid batch).
     let outcomes = if items.is_empty() {
         Vec::new()
     } else {
@@ -101,10 +100,8 @@ pub(crate) fn split_and_run<'q>(
 }
 
 /// Merges per-shard sorted id runs into one sorted unique list. Shards
-/// hold disjoint id sets, so a pairwise sorted merge suffices — this is
-/// the exact merge the single-query sharded path performs, factored out
-/// so the batched path cannot drift from it. The `lshe-cluster`
-/// coordinator reuses it to union per-shard wire results, hence `pub`.
+/// hold disjoint id sets, so a pairwise sorted merge suffices. The
+/// `lshe-cluster` coordinator unions per-shard wire results with it.
 ///
 /// Inputs MUST be disjoint: a duplicate id across runs means two shards
 /// claim the same domain (a mis-placed split, or one container served

@@ -12,7 +12,7 @@ use crate::api::{CommitReport, DomainIndex, MutationError, Query, QueryError, Se
 use crate::batch::ThresholdItem;
 use crate::directory::Directory;
 use crate::partition::{Partition, PartitionStrategy};
-use crate::pipeline::{Candidates, Probe, ReadPath, Sketches, Tiers};
+use crate::pipeline::{Probe, ReadPath, Sketches, Tiers};
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest, Row, RowBuf, RowLanes};
 use lshe_minhash::codec::Column;
@@ -123,12 +123,6 @@ impl LshEnsembleBuilder {
     /// Panics if the builder is empty.
     #[must_use]
     pub fn build(self) -> LshEnsemble {
-        self.build_borrowed()
-    }
-
-    /// [`build`](Self::build) without consuming the builder (the index
-    /// only ever borrows the staged signatures).
-    pub(crate) fn build_borrowed(&self) -> LshEnsemble {
         LshEnsemble::build_from_parts(self.config, &self.ids, &self.sizes, &self.signatures)
     }
 }
@@ -744,9 +738,9 @@ impl LshEnsemble {
         }
     }
 
-    fn read_path(&self) -> ReadPath<'_, Tiers<'_, &EnsemblePartition>, ()> {
+    fn read_path(&self) -> ReadPath<'_, &EnsemblePartition, ()> {
         ReadPath {
-            source: self.tiers(),
+            tiers: self.tiers(),
             sketches: None,
         }
     }

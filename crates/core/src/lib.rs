@@ -59,9 +59,9 @@
 //! * [`baselines`] — the paper's comparison points under identical rules:
 //!   single-partition MinHash LSH and Asymmetric Minwise Hashing (global
 //!   and per-partition padding).
-//! * [`sharded`] — the in-process equivalent of the paper's 5-node cluster:
-//!   independent ensembles queried in parallel, answers unioned (a
-//!   build-once, read-only view).
+//! * The paper's 5-node cluster (§6.3) is not a type here: `lshe split`
+//!   writes one `.lshe` per node and `lshe cluster` fans queries out to
+//!   the shard servers and unions their answers (`lshe-cluster`).
 //! * [`cost`] — the false-positive cost model (Propositions 1–2) that backs
 //!   the optimal partitioner.
 
@@ -81,7 +81,6 @@ pub mod partition;
 pub mod persist;
 mod pipeline;
 pub mod ranked;
-pub mod sharded;
 pub mod tuning;
 
 pub use api::{
@@ -96,5 +95,4 @@ pub use maintenance::{Leveled, MergeOutcome, MergeTask, SegmentLayout, MAX_TOMBS
 pub use mmap::{pack_ranked, pack_ranked_to, pack_ranked_with, MmapIndex, MmapIndexError};
 pub use partition::{Partition, PartitionStrategy, Partitioning};
 pub use ranked::{RankedHit, RankedIndex, RankedIndexBuilder};
-pub use sharded::{ShardedEnsemble, ShardedEnsembleBuilder};
 pub use tuning::{TunedParams, Tuner};

@@ -604,7 +604,7 @@ impl MmapIndex {
     /// Runs `answer` over the shared read path of this file.
     fn with_read_path<R>(
         &self,
-        answer: impl FnOnce(ReadPath<'_, Tiers<'_, MappedPart<'_>>, MappedSketches<'_>>) -> R,
+        answer: impl FnOnce(ReadPath<'_, MappedPart<'_>, MappedSketches<'_>>) -> R,
     ) -> R {
         let base = self.sketches();
         let sketches = MappedSketches {
@@ -613,7 +613,7 @@ impl MmapIndex {
             layout: self.layout(),
         };
         answer(ReadPath {
-            source: self.tiers(&base),
+            tiers: self.tiers(&base),
             sketches: Some(&sketches),
         })
     }

@@ -10,17 +10,17 @@
 //! The pipeline is generic over the two things that genuinely differ
 //! between backends — *a partition that can be probed* ([`Probe`]: a heap
 //! forest or mapped tree columns) and *a sketch lookup* ([`Sketches`]: the
-//! heap ensemble's rows or mapped sketch columns) — and over where
-//! candidates come from ([`Candidates`]: one index's [`Tiers`], or a
-//! [`Fanout`] over shards). Everything is statically dispatched; no backend
-//! carries a second copy of any step, so heap ≡ mapped ≡ sharded holds by
-//! construction.
+//! heap ensemble's rows or mapped sketch columns). Candidates always come
+//! from one index's [`Tiers`]; the §6.3 fan-out across nodes is
+//! `lshe split` + `lshe cluster`, not a second candidate source here.
+//! Everything is statically dispatched; no backend carries a second copy
+//! of any step, so heap ≡ mapped holds by construction.
 
 use crate::api::{
     outcome, top_k_descend, unranked, ProbeCounts, Query, QueryError, QueryMode, SearchHit,
     SearchOutcome, ESTIMATE_SLACK,
 };
-use crate::batch::{chunked, merge_sorted_disjoint, split_and_run, ThresholdItem};
+use crate::batch::{chunked, split_and_run, ThresholdItem};
 use crate::ensemble::DeadSlot;
 use crate::ranked::RankedHit;
 use crate::tuning::Tuner;
@@ -68,31 +68,6 @@ fn sorted_unique(mut raw: Vec<DomainId>, set: &mut FastHashSet<DomainId>) -> Vec
     raw.extend(set.drain());
     raw.sort_unstable();
     raw
-}
-
-/// Where a query's candidates come from.
-pub(crate) trait Candidates: Sync {
-    /// The signature width every query must have.
-    fn num_perm(&self) -> usize;
-
-    /// One query: sorted-unique candidate ids plus probe counters.
-    /// `parallel` asks for the partitions to be probed across
-    /// budget-governed lanes; the answer is identical either way.
-    ///
-    /// # Panics
-    /// Panics on a zero size, an out-of-range threshold, or a signature
-    /// width mismatch.
-    fn sweep(&self, item: &ThresholdItem<'_>, parallel: bool) -> (Vec<DomainId>, ProbeCounts);
-
-    /// A batch of pre-validated queries, thread fan-out paid once: per
-    /// query exactly [`sweep`](Self::sweep)'s ids and counters plus the
-    /// execution time attributed to it in nanoseconds, each handed to
-    /// `post` on the worker that finished it.
-    fn sweep_batch<R: Send>(
-        &self,
-        items: &[ThresholdItem<'_>],
-        post: impl Fn(&ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
-    ) -> Vec<R>;
 }
 
 /// One index's sweepable partitions, in stats order: base, each sealed
@@ -193,14 +168,15 @@ impl<P: Probe> Tiers<'_, P> {
         }
         results
     }
-}
 
-impl<P: Probe> Candidates for Tiers<'_, P> {
-    fn num_perm(&self) -> usize {
-        self.num_perm
-    }
-
-    fn sweep(&self, item: &ThresholdItem<'_>, parallel: bool) -> (Vec<DomainId>, ProbeCounts) {
+    /// One query: sorted-unique candidate ids plus probe counters.
+    /// `parallel` asks for the partitions to be probed across
+    /// budget-governed lanes; the answer is identical either way.
+    ///
+    /// # Panics
+    /// Panics on a zero size, an out-of-range threshold, or a signature
+    /// width mismatch.
+    pub fn sweep(&self, item: &ThresholdItem<'_>, parallel: bool) -> (Vec<DomainId>, ProbeCounts) {
         check_query(self.num_perm, item);
         let mut probe = self.counts();
         let mut raw = Vec::new();
@@ -232,74 +208,16 @@ impl<P: Probe> Candidates for Tiers<'_, P> {
         (sorted_unique(raw, &mut FastHashSet::default()), probe)
     }
 
+    /// A batch of pre-validated queries, thread fan-out paid once: per
+    /// query exactly [`sweep`](Self::sweep)'s ids and counters plus the
+    /// execution time attributed to it in nanoseconds, each handed to
+    /// `post` on the worker that finished it.
     fn sweep_batch<R: Send>(
         &self,
         items: &[ThresholdItem<'_>],
         post: impl Fn(&ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
     ) -> Vec<R> {
         chunked(items, |chunk| self.sweep_chunk(chunk, &post))
-    }
-}
-
-/// The §6.3 topology: every shard sweeps the query, answers are unioned.
-/// Shards run on lanes from the process-wide budget (one item per shard),
-/// so concurrent callers degrade toward a sequential shard loop instead
-/// of multiplying `callers × shards` threads.
-pub(crate) struct Fanout<'a, P>(pub Vec<Tiers<'a, P>>);
-
-/// Unions per-shard answers: counters add up, and the sorted id runs merge
-/// without dedup because shards hold disjoint id sets.
-fn merge_shards(
-    parts: impl Iterator<Item = (Vec<DomainId>, ProbeCounts, u64)>,
-) -> (Vec<DomainId>, ProbeCounts, u64) {
-    let mut probe = ProbeCounts::default();
-    let mut nanos = 0;
-    let runs = parts
-        .map(|(ids, p, n)| {
-            probe.probed += p.probed;
-            probe.total += p.total;
-            probe.candidates += p.candidates;
-            nanos += n;
-            ids
-        })
-        .collect();
-    (merge_sorted_disjoint(runs), probe, nanos)
-}
-
-impl<P: Probe> Candidates for Fanout<'_, P> {
-    fn num_perm(&self) -> usize {
-        self.0[0].num_perm
-    }
-
-    fn sweep(&self, item: &ThresholdItem<'_>, _parallel: bool) -> (Vec<DomainId>, ProbeCounts) {
-        let per_shard = lanes::run_each(&self.0, |shard| shard.sweep(item, false));
-        let (ids, probe, _) = merge_shards(per_shard.into_iter().map(|(ids, p)| (ids, p, 0)));
-        (ids, probe)
-    }
-
-    fn sweep_batch<R: Send>(
-        &self,
-        items: &[ThresholdItem<'_>],
-        post: impl Fn(&ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
-    ) -> Vec<R> {
-        // Each shard sweeps the whole batch partition-outer with its own
-        // scratch; the per-shard columns are then merged query by query.
-        let mut columns: Vec<_> = lanes::run_each(&self.0, |shard| {
-            shard.sweep_chunk(items, &|_, ids, probe, nanos| (ids, probe, nanos))
-        })
-        .into_iter()
-        .map(Vec::into_iter)
-        .collect();
-        items
-            .iter()
-            .map(|item| {
-                let answers = columns
-                    .iter_mut()
-                    .map(|column| column.next().expect("each shard answers each query"));
-                let (ids, probe, nanos) = merge_shards(answers);
-                post(item, ids, probe, nanos)
-            })
-            .collect()
     }
 }
 
@@ -353,16 +271,16 @@ fn to_search_hits(hits: impl IntoIterator<Item = RankedHit>) -> Vec<SearchHit> {
 }
 
 /// A backend's whole answer to [`DomainIndex`](crate::DomainIndex)'s
-/// `search`/`search_batch`: its candidate source plus, when it retains
-/// sketches, the lookup that turns candidates into ranked hits.
-pub(crate) struct ReadPath<'a, C, S> {
-    pub source: C,
+/// `search`/`search_batch`: its partitions plus, when it retains sketches,
+/// the lookup that turns candidates into ranked hits.
+pub(crate) struct ReadPath<'a, P, S> {
+    pub tiers: Tiers<'a, P>,
     /// `None`: hits carry no estimate, stay in id order, and top-k is
     /// unsupported.
     pub sketches: Option<&'a S>,
 }
 
-impl<C: Candidates, S: Sketches> ReadPath<'_, C, S> {
+impl<P: Probe, S: Sketches> ReadPath<'_, P, S> {
     /// Candidates → hits for a threshold query: ranked, with candidates
     /// whose *estimate* falls below `t* − ESTIMATE_SLACK` pruned (the slack
     /// keeps borderline true positives; estimates are noisy at ±1/√m).
@@ -392,7 +310,7 @@ impl<C: Candidates, S: Sketches> ReadPath<'_, C, S> {
                 size,
                 t_star,
             };
-            self.source.sweep(&item, query.parallel())
+            self.tiers.sweep(&item, query.parallel())
         });
         let mut hits = to_search_hits(rank(sketches, seen, signature, size));
         hits.truncate(k);
@@ -400,7 +318,7 @@ impl<C: Candidates, S: Sketches> ReadPath<'_, C, S> {
     }
 
     pub fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.source.num_perm())?;
+        query.validate_for(self.tiers.num_perm)?;
         let t_star = match query.mode() {
             QueryMode::Threshold(t_star) => t_star,
             QueryMode::TopK(k) => return self.top_k(query, k),
@@ -411,7 +329,7 @@ impl<C: Candidates, S: Sketches> ReadPath<'_, C, S> {
             size: query.effective_size(),
             t_star,
         };
-        let (ids, probe) = self.source.sweep(&item, query.parallel());
+        let (ids, probe) = self.tiers.sweep(&item, query.parallel());
         let hits = self.finish(&item, ids);
         Ok(outcome(hits, probe, started.elapsed().as_nanos() as u64))
     }
@@ -419,9 +337,9 @@ impl<C: Candidates, S: Sketches> ReadPath<'_, C, S> {
     pub fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
         split_and_run(
             queries,
-            self.source.num_perm(),
+            self.tiers.num_perm,
             |items| {
-                self.source.sweep_batch(items, |item, ids, probe, nanos| {
+                self.tiers.sweep_batch(items, |item, ids, probe, nanos| {
                     let started = Instant::now();
                     let hits = self.finish(item, ids);
                     outcome(hits, probe, nanos + started.elapsed().as_nanos() as u64)

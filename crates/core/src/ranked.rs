@@ -29,7 +29,7 @@
 use crate::api::{CommitReport, DomainIndex, MutationError, Query, QueryError, SearchOutcome};
 use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder};
 use crate::maintenance::{MergeOutcome, MergeTask, SegmentLayout};
-use crate::pipeline::{ReadPath, Sketches, Tiers};
+use crate::pipeline::{ReadPath, Sketches};
 use lshe_lsh::{DomainId, Row};
 use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::Signature;
@@ -143,7 +143,7 @@ impl RankedIndex {
     }
 
     /// Every retained sketch as `(id, size, stored row)`, sorted by id —
-    /// the deterministic bulk view sharded rebuilds use.
+    /// the deterministic bulk view `split_with` builds shards from.
     #[must_use]
     pub fn sketch_entries(&self) -> Vec<(DomainId, u64, Row<'_>)> {
         self.ensemble.live_entries()
@@ -269,9 +269,9 @@ impl RankedIndex {
         crate::pipeline::rank(&self.ensemble, candidates, signature, query_size)
     }
 
-    fn read_path(&self) -> ReadPath<'_, Tiers<'_, &EnsemblePartition>, LshEnsemble> {
+    fn read_path(&self) -> ReadPath<'_, &EnsemblePartition, LshEnsemble> {
         ReadPath {
-            source: self.ensemble.tiers(),
+            tiers: self.ensemble.tiers(),
             sketches: Some(&self.ensemble),
         }
     }

@@ -68,7 +68,7 @@ pub use lshe_serve as serve;
 pub use lshe_core::{
     CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MutationError, PartitionStrategy,
     Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit, SearchOutcome,
-    ShardedEnsemble, ESTIMATE_SLACK,
+    ESTIMATE_SLACK,
 };
 pub use lshe_corpus::{Catalog, Domain, ExactIndex};
 pub use lshe_lsh::{DomainId, LshForest};

@@ -1337,7 +1337,7 @@ impl DeltaLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lshe_core::{RowBuf, ShardedEnsemble};
+    use lshe_core::RowBuf;
     use lshe_corpus::{Domain, DomainMeta};
 
     fn catalog(n: usize) -> Catalog {
@@ -1780,21 +1780,25 @@ mod tests {
         assert_eq!(shards.len(), n);
         assert_eq!(shards.iter().map(IndexContainer::len).sum::<usize>(), 12);
 
-        // Each split shard's ensemble is byte-for-byte the matching shard of
-        // an in-process ShardedEnsemble over the same stored rows: with
-        // dense ids the modular placement coincides with its round-robin.
+        // Each split shard's ensemble is byte-for-byte a per-shard build
+        // over that shard's `id % n` slice of the same stored rows.
         let entries = c.index.sketch_entries();
-        let ids: Vec<u32> = entries.iter().map(|e| e.0).collect();
-        let sizes: Vec<u64> = entries.iter().map(|e| e.1).collect();
-        let rows: Vec<Row<'_>> = entries.iter().map(|e| e.2).collect();
-        let inproc = ShardedEnsemble::build_from_parts(n, c.shard_config(n), &ids, &sizes, &rows);
+        let inproc: Vec<LshEnsemble> = (0..n)
+            .map(|s| {
+                let slice: Vec<_> = entries.iter().filter(|e| e.0 as usize % n == s).collect();
+                let ids: Vec<u32> = slice.iter().map(|e| e.0).collect();
+                let sizes: Vec<u64> = slice.iter().map(|e| e.1).collect();
+                let rows: Vec<Row<'_>> = slice.iter().map(|e| e.2).collect();
+                LshEnsemble::build_from_parts(c.shard_config(n), &ids, &sizes, &rows)
+            })
+            .collect();
         for (s, sc) in shards.iter().enumerate() {
             assert_eq!(sc.num_perm(), c.num_perm());
             assert!(sc.records().iter().all(|r| r.id as usize % n == s));
             assert_eq!(
                 sc.ensemble().to_bytes(),
-                inproc.shards()[s].to_bytes(),
-                "shard {s} ensemble drifted from the in-process build"
+                inproc[s].to_bytes(),
+                "shard {s} ensemble drifted from the per-shard build"
             );
             // And it survives a disk round-trip intact.
             let restored = IndexContainer::from_bytes(&sc.to_bytes()).expect("decode");
@@ -1803,7 +1807,7 @@ mod tests {
         }
 
         // The union of the split shards' answers equals the union of the
-        // in-process shards' answers, estimates included, both ranked by
+        // per-shard builds' answers, estimates included, both ranked by
         // (estimate descending, id ascending).
         let rank = |mut hits: Vec<(u32, Option<f64>)>| {
             hits.sort_by(|a, b| {
@@ -1819,7 +1823,6 @@ mod tests {
         let query = Query::threshold(&q, 0.5).with_size(qsize);
         let want = rank(
             inproc
-                .shards()
                 .iter()
                 .flat_map(|shard| {
                     let ranked = RankedIndex::from_ensemble(shard.clone());

@@ -1,11 +1,13 @@
-//! Internet-scale deployment in miniature: a WDC-Web-Tables-like corpus of
-//! 100,000 synthetic domains, sharded across 5 in-process "nodes" exactly
-//! like the paper's cluster (§6.3), with timed containment queries.
+//! Internet-scale search in miniature: a WDC-Web-Tables-like corpus of
+//! 100,000 synthetic domains in one index, with timed containment queries.
+//! The paper's cluster deployment (§6.3) splits such an index across nodes:
+//! `lshe split` writes one `.lshe` per shard and `lshe cluster` fans each
+//! query out to the shard servers and unions their answers.
 //!
 //! Run with:
 //! `cargo run --release -p lshe --example web_tables_at_scale -- [domains]`
 
-use lshe_core::{DomainIndex, EnsembleConfig, PartitionStrategy, Query, ShardedEnsemble};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
 use lshe_datagen::{generate_catalog, sample_queries, CorpusConfig, SizeBand};
 use lshe_minhash::MinHasher;
 use std::time::Instant;
@@ -26,7 +28,7 @@ fn main() {
         started.elapsed().as_secs_f64()
     );
 
-    // 2. Sketch everything (m = 256) and bulk-load 5 shards × 32 partitions.
+    // 2. Sketch everything (m = 256) and bulk-load 32 partitions.
     let hasher = MinHasher::new(256);
     let started = Instant::now();
     let signatures: Vec<_> = catalog.iter().map(|(_, d)| d.signature(&hasher)).collect();
@@ -36,8 +38,7 @@ fn main() {
     let sizes: Vec<u64> = catalog.iter().map(|(_, d)| d.len() as u64).collect();
     let sig_refs: Vec<&lshe_minhash::Signature> = signatures.iter().collect();
     let started = Instant::now();
-    let index = ShardedEnsemble::build_from_parts(
-        5,
+    let index = LshEnsemble::build_from_parts(
         EnsembleConfig {
             strategy: PartitionStrategy::EquiDepth { n: 32 },
             ..EnsembleConfig::default()
@@ -47,8 +48,8 @@ fn main() {
         &sig_refs,
     );
     println!(
-        "indexed across {} shards in {:.1}s",
-        index.num_shards(),
+        "indexed {} partitions in {:.1}s",
+        index.num_partitions(),
         started.elapsed().as_secs_f64()
     );
 

@@ -7,13 +7,13 @@
 //! errors in identical positions. `wall_micros` is the one field allowed
 //! to differ (it reports timing, not the answer).
 //!
-//! The corpus and the five sketch backends are built once (`OnceLock`)
+//! The corpus and the four sketch backends are built once (`OnceLock`)
 //! and shared across cases: the property is about query execution, not
 //! index construction.
 
 use lshe_core::{
     AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, LshEnsemble,
-    PartitionStrategy, Query, QueryError, RankedIndex, SearchOutcome, ShardedEnsemble,
+    PartitionStrategy, Query, QueryError, RankedIndex, SearchOutcome,
 };
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
@@ -55,18 +55,15 @@ fn world() -> &'static World {
             .collect();
         let mut ensemble = LshEnsemble::builder_with(config());
         let mut ranked = RankedIndex::builder_with(config());
-        let mut sharded = ShardedEnsemble::builder(3, config());
         let mut asym = AsymIndexBuilder::new(config());
         for (id, size, sig) in &entries {
             ensemble.add(*id, *size, sig.clone());
             ranked.add(*id, *size, sig.clone());
-            sharded.add(*id, *size, sig.clone());
             asym.add(*id, *size, sig.clone());
         }
         let backends: Vec<(&'static str, Box<dyn DomainIndex>)> = vec![
             ("ensemble", Box::new(ensemble.build())),
             ("ranked", Box::new(ranked.build())),
-            ("sharded", Box::new(sharded.build())),
             ("asym", Box::new(asym.build())),
             (
                 "asym_partitioned",

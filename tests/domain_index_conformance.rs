@@ -1,7 +1,7 @@
 //! Cross-backend conformance suite for the unified `DomainIndex` surface.
 //!
-//! Every index in the workspace — the LSH Ensemble, its ranked, sharded
-//! and memory-mapped variants, and the paper's §6.1 baselines (MinHash
+//! Every index in the workspace — the LSH Ensemble, its ranked and
+//! memory-mapped variants, and the paper's §6.1 baselines (MinHash
 //! LSH, Asym, Asym + partitioning) — is driven over
 //! ONE shared generated corpus through `Box<dyn DomainIndex>`, and the
 //! answers are checked against the exact (inverted-index) ground truth:
@@ -17,7 +17,7 @@
 
 use lshe_core::{
     pack_ranked, AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, LshEnsemble,
-    MmapIndex, PartitionStrategy, Query, QueryError, RankedIndex, ShardedEnsemble,
+    MmapIndex, PartitionStrategy, Query, QueryError, RankedIndex,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta, ExactIndex};
 use lshe_lsh::DomainId;
@@ -99,12 +99,10 @@ fn mmap_backend(ranked: &RankedIndex) -> MmapIndex {
 fn backends(w: &World) -> Vec<(&'static str, Box<dyn DomainIndex>)> {
     let mut ensemble = LshEnsemble::builder_with(config());
     let mut ranked = RankedIndex::builder_with(config());
-    let mut sharded = ShardedEnsemble::builder(3, config());
     let mut asym = AsymIndexBuilder::new(config());
     for (id, size, sig) in &w.entries {
         ensemble.add(*id, *size, sig.clone());
         ranked.add(*id, *size, sig.clone());
-        sharded.add(*id, *size, sig.clone());
         asym.add(*id, *size, sig.clone());
     }
     let ranked = ranked.build();
@@ -112,7 +110,6 @@ fn backends(w: &World) -> Vec<(&'static str, Box<dyn DomainIndex>)> {
     vec![
         ("ensemble", Box::new(ensemble.build())),
         ("ranked", Box::new(ranked)),
-        ("sharded", Box::new(sharded.build())),
         ("mmap", Box::new(mapped)),
         ("asym", Box::new(asym.build())),
         (

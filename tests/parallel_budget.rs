@@ -2,17 +2,15 @@
 //!
 //! History: the original parallel probe spawned one thread per partition
 //! on every call, which benchmarked ~12× SLOWER than the sequential probe
-//! on a small host, and the in-process sharded fan-out (`ShardedEnsemble`,
-//! which the Figure 9 / Table 4 harnesses run) spawned one thread per
-//! shard per query outside any budget. Both now go through the
-//! process-wide lane budget (`lshe_minhash::lanes`): with no spare lanes
-//! they must degrade to the inline sequential code path — same results,
-//! no thread spawned, and within noise of sequential latency instead of
-//! an order of magnitude behind it.
+//! on a small host. The parallel probe (`Query::with_parallel`) and the
+//! batched sweep (`search_batch`) now go through the process-wide lane
+//! budget (`lshe_minhash::lanes`): with no spare lanes they must degrade
+//! to the inline sequential code path — same results, no thread spawned,
+//! and within noise of sequential latency instead of an order of
+//! magnitude behind it.
 
 use lshe_core::{
-    DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, SearchOutcome,
-    ShardedEnsemble,
+    DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, RankedIndex, SearchOutcome,
 };
 use lshe_minhash::{MinHasher, Signature};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -135,12 +133,17 @@ fn parallel_path_matches_sequential_results_with_budget() {
     }
 }
 
-/// Threads alive in this process right now.
-fn live_threads() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    let line = status.lines().find(|l| l.starts_with("Threads:"));
-    let count = line.and_then(|l| l.split_whitespace().nth(1));
-    count.and_then(|n| n.parse().ok()).expect("Threads: line")
+/// Threads alive in this process that carry the calling thread's name.
+/// An unnamed thread inherits its creator's, so this counts the calling
+/// test's thread and every thread it spawned, and leaves out the threads
+/// the test harness starts or retires for other tests meanwhile.
+fn threads_named_like_this_one() -> usize {
+    let mine = std::fs::read_to_string("/proc/thread-self/comm").expect("procfs");
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|name| *name == mine)
+        .count()
 }
 
 fn answer(outcome: SearchOutcome) -> (Vec<(u32, Option<f64>)>, [usize; 4]) {
@@ -155,22 +158,18 @@ fn answer(outcome: SearchOutcome) -> (Vec<(u32, Option<f64>)>, [usize; 4]) {
 }
 
 #[test]
-fn sharded_fan_out_spawns_nothing_when_budget_is_empty() {
-    const SHARDS: usize = 8;
+fn parallel_search_and_batch_spawn_nothing_when_budget_is_empty() {
     let _serial = serial();
-    let hasher = MinHasher::new(256);
-    let corpus = lshe_bench::workload::build_perf_corpus(2_000, 9, &hasher);
-    let config = EnsembleConfig {
-        strategy: PartitionStrategy::EquiDepth { n: 4 },
-        ..EnsembleConfig::default()
-    };
-    let ids: Vec<u32> = (0..corpus.sizes.len() as u32).collect();
-    let sig_refs: Vec<&Signature> = corpus.signatures.iter().collect();
-    let index = ShardedEnsemble::build_from_parts(SHARDS, config, &ids, &corpus.sizes, &sig_refs);
+    let (ens, signatures, sizes) = build_32p(2_000);
+    let index = RankedIndex::from_ensemble(ens);
+    // 32 partitions and 40 queries: enough items for both paths to take
+    // extra lanes whenever the budget has any.
     let queries: Vec<Query<'_>> = (0..40)
         .map(|i| {
             let q = i * 47;
-            Query::threshold(&corpus.signatures[q], 0.5).with_size(corpus.sizes[q])
+            Query::threshold(&signatures[q], 0.5)
+                .with_size(sizes[q])
+                .with_parallel(true)
         })
         .collect();
     let run = || -> Vec<_> {
@@ -186,30 +185,29 @@ fn sharded_fan_out_spawns_nothing_when_budget_is_empty() {
 
     let _hog = lshe_minhash::lanes::acquire(usize::MAX);
     assert_eq!(
-        lshe_minhash::lanes::acquire(SHARDS).lanes(),
+        lshe_minhash::lanes::acquire(1).lanes(),
         1,
         "the budget must be exhausted for this test to mean anything"
     );
-    let before = live_threads();
+    let before = threads_named_like_this_one();
     let done = AtomicBool::new(false);
     let peak = std::thread::scope(|scope| {
         let census = scope.spawn(|| {
             let mut peak = 0;
             while !done.load(Ordering::Relaxed) {
-                peak = peak.max(live_threads());
+                peak = peak.max(threads_named_like_this_one());
             }
-            peak
+            // The census thread does not count itself.
+            peak - 1
         });
         for _ in 0..20 {
-            assert_eq!(run(), reference, "starved fan-out changed answers");
+            assert_eq!(run(), reference, "a starved lane budget changed answers");
         }
         done.store(true, Ordering::Relaxed);
         census.join().expect("census thread")
     });
-    // The census thread itself, plus one for a test-harness thread that
-    // may be starting or exiting; a thread per shard would add `SHARDS`.
-    assert!(
-        peak <= before + 2,
-        "{peak} threads alive during starved sharded queries, {before} before"
+    assert_eq!(
+        peak, before,
+        "{peak} threads alive during starved parallel queries, {before} before"
     );
 }

@@ -8,7 +8,7 @@ use lshe::{
     Catalog, CommitReport, DeltaLog, DeltaOp, Domain, DomainId, DomainIndex, EnsembleConfig,
     ExactIndex, IndexContainer, LshEnsemble, LshForest, MinHasher, MutationError,
     PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit,
-    SearchOutcome, ServerConfig, ShardedEnsemble, Signature, ESTIMATE_SLACK,
+    SearchOutcome, ServerConfig, Signature, ESTIMATE_SLACK,
 };
 
 /// Compile-time assertions: the query trait is object safe and the key
@@ -118,7 +118,6 @@ fn facade_exposes_the_mutation_surface() {
 fn facade_keeps_the_existing_types_reachable() {
     // Core index types.
     let _ = LshEnsemble::builder();
-    let _ = ShardedEnsemble::builder(2, EnsembleConfig::default());
     let _ = LshForest::new(4, 4);
 
     // Corpus + container + server config.
