@@ -2,6 +2,8 @@
 //!
 //! Kept dependency-free on purpose: harness binaries take a handful of
 //! numeric knobs (`--domains`, `--queries`, `--seed`, ...) and nothing else.
+//! Each binary names the flags it reads, so a mistyped one is an error
+//! rather than a silently applied default.
 
 use std::collections::BTreeMap;
 
@@ -12,27 +14,29 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses the process arguments (skipping `argv[0]`).
+    /// Parses the process arguments (skipping `argv[0]`), accepting only
+    /// the named `flags`.
     ///
     /// # Panics
     /// Panics with a usage hint on malformed input (a `--key` without a
-    /// value, or a stray positional argument).
+    /// value, a key not in `flags`, or a stray positional argument).
     #[must_use]
-    pub fn from_env() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+    pub fn from_env(flags: &[&str]) -> Self {
+        Self::parse_from(flags, std::env::args().skip(1))
     }
 
     /// Parses from an explicit iterator (testable entry point).
     ///
     /// # Panics
     /// As [`from_env`](Self::from_env).
-    pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Self {
+    pub fn parse_from<I: IntoIterator<Item = String>>(flags: &[&str], iter: I) -> Self {
         let mut values = BTreeMap::new();
         let mut iter = iter.into_iter();
         while let Some(key) = iter.next() {
             let stripped = key
                 .strip_prefix("--")
                 .unwrap_or_else(|| panic!("unexpected positional argument: {key}"));
+            assert!(flags.contains(&stripped), "unknown flag --{stripped}");
             let value = iter
                 .next()
                 .unwrap_or_else(|| panic!("--{stripped} requires a value"));
@@ -82,7 +86,8 @@ mod tests {
     use super::*;
 
     fn args(s: &[&str]) -> Args {
-        Args::parse_from(s.iter().map(|s| (*s).to_owned()))
+        let flags = ["domains", "queries", "alpha", "seed"];
+        Args::parse_from(&flags, s.iter().map(|s| (*s).to_owned()))
     }
 
     #[test]
@@ -109,6 +114,12 @@ mod tests {
     #[should_panic(expected = "unexpected positional")]
     fn positional_rejected() {
         let _ = args(&["oops"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --domain")]
+    fn unknown_flag_rejected() {
+        let _ = args(&["--domain", "20000"]);
     }
 
     #[test]

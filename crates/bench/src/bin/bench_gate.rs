@@ -2,14 +2,16 @@
 //! each violated bar and exiting non-zero.
 //!
 //! ```text
-//! cargo run --release -p lshe-bench --bin bench_gate -- BENCH_mutation.json [perfbench.out]
+//! cargo run --release -p lshe-bench --bin bench_gate -- BENCH_mutation.json [perfbench.out] [accuracy.out]
 //! ```
 //!
 //! Each argument is a file. `BENCH_mutation.json` (written from
 //! `mutation_path`'s output) is held to the commit-flatness and
 //! write-amplification bars; the output of a traced `perfbench run` — a
 //! document with a `metrics` object, read from the file's last line — to the
-//! two load-path bars, in perfbench's metric names.
+//! two load-path bars, in perfbench's metric names; the output of
+//! `accuracy` — a document with an `accuracy` object, on its last line — to
+//! the curve recorded in `BENCH_accuracy.json`, cell by cell.
 
 use lshe_corpus::json::{Json, JsonError};
 use std::process::ExitCode;
@@ -48,6 +50,10 @@ const LOAD_BARS: &[Bar] = &[
     Bar("serve.container.load_s", Ge, 100e-6, Some("store.open_us")),
 ];
 
+/// The recorded accuracy curve. Each cell holds its metrics and, per
+/// metric, a `tol`: the metric's spread over five other seeds.
+const ACCURACY: &str = include_str!("../../../../BENCH_accuracy.json");
+
 impl Bar {
     fn check(&self, number: impl Fn(&str) -> Option<f64>) -> Result<(), String> {
         let Self(lhs, cmp, factor, rhs) = self;
@@ -73,8 +79,48 @@ fn broken(bars: &[Bar], number: impl Fn(&str) -> Option<f64>) -> Vec<String> {
     failed.collect()
 }
 
+/// A `params` mismatch, or else each recorded cell `measured` lacks or
+/// holds more than the cell's `tol` below its recorded value.
+fn accuracy_violations(measured: &Json, recorded: &Json) -> Vec<String> {
+    let (got, want) = (measured.get("params"), recorded.get("params"));
+    if got != want {
+        let [got, want] = [got, want].map(|p| p.map(Json::render).unwrap_or_default());
+        return vec![format!("params: {got}, recorded {want}")];
+    }
+    let Some(Json::Obj(cells)) = recorded.get("cells") else {
+        return vec!["recorded cells: not an object".to_owned()];
+    };
+    let mut out = Vec::new();
+    for (key, want) in cells {
+        let Some(got) = measured.get("cells").and_then(|c| c.get(key)) else {
+            out.push(format!("{key}: missing"));
+            continue;
+        };
+        for metric in ["precision", "recall", "tail_recall"] {
+            let Some(recorded) = want.get(metric).and_then(Json::as_f64) else {
+                continue;
+            };
+            let tol = want.get("tol").and_then(|t| t.get(metric)?.as_f64());
+            let bar = recorded - tol.unwrap_or(0.0);
+            match got.get(metric).and_then(Json::as_f64) {
+                Some(value) if value >= bar => {}
+                Some(value) => out.push(format!(
+                    "{key}: {metric} = {value:.4}, bar is >= {bar:.4} = {recorded:.4} - tol"
+                )),
+                None => out.push(format!("{key}: {metric} missing or not a number")),
+            }
+        }
+    }
+    out
+}
+
 /// Every bar of its kind the document violates; empty when all hold.
 fn violations(doc: &Json) -> Vec<String> {
+    if let Some(measured) = doc.get("accuracy") {
+        let baseline = Json::parse(ACCURACY).expect("BENCH_accuracy.json parses");
+        let recorded = baseline.get("accuracy").expect("it holds the curve");
+        return accuracy_violations(measured, recorded);
+    }
     if let Some(metrics) = doc.get("metrics") {
         return broken(LOAD_BARS, |name| metrics.get(name)?.get("value")?.as_f64());
     }
@@ -106,7 +152,7 @@ fn gate(text: &str) -> Result<Vec<String>, JsonError> {
 fn main() -> ExitCode {
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
-        eprintln!("usage: bench_gate <BENCH_mutation.json | traced perfbench output>...");
+        eprintln!("usage: bench_gate <BENCH_mutation.json | traced perfbench output | accuracy output>...");
         return ExitCode::FAILURE;
     }
     let mut failed = false;
@@ -207,5 +253,85 @@ mod tests {
         assert!(slow_open[0].contains("serve.container.load_s"));
         let absent = gate("{\"metrics\": {}}").expect("parses");
         assert_eq!(absent.len(), 2);
+    }
+
+    /// `obj[key]`, which must be there.
+    fn field<'a>(obj: &'a mut Json, key: &str) -> &'a mut Json {
+        let Json::Obj(fields) = obj else {
+            panic!("{key}: parent is an object");
+        };
+        let found = fields.iter_mut().find(|(k, _)| k == key);
+        &mut found.unwrap_or_else(|| panic!("{key} is there")).1
+    }
+
+    /// The committed accuracy curve with `edit` applied to its `accuracy`.
+    fn accuracy_with(edit: impl FnOnce(&mut Json)) -> Vec<String> {
+        let mut doc = Json::parse(ACCURACY).expect("parses");
+        edit(field(&mut doc, "accuracy"));
+        gate(&format!("# accuracy\n{}\n", doc.render())).expect("parses")
+    }
+
+    /// The committed curve with `cells[key][metric]` lowered by `by(tol)`.
+    fn lowered(key: &str, metric: &str, by: impl Fn(f64) -> f64) -> Vec<String> {
+        accuracy_with(|acc| {
+            let cell = field(field(acc, "cells"), key);
+            let tol = field(field(cell, "tol"), metric).as_f64().expect("tol");
+            let value = field(cell, metric);
+            *value = Json::num(value.as_f64().expect("value") - by(tol));
+        })
+    }
+
+    const SHIPPED_ALL_05: &str = "threshold/shipped (built)/all/0.5";
+
+    #[test]
+    fn committed_accuracy_curve_holds() {
+        assert_eq!(gate(ACCURACY), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn an_accuracy_cell_lowered_past_its_tol_is_named_alone() {
+        let skew = "skew/LSH Ensemble (32)/subset 10/0.5";
+        assert_eq!(
+            lowered(skew, "recall", |tol| 0.99 * tol),
+            Vec::<String>::new()
+        );
+        for (key, metric) in [(skew, "recall"), (SHIPPED_ALL_05, "tail_recall")] {
+            let broken = lowered(key, metric, |tol| 1.01 * tol);
+            assert_eq!(broken.len(), 1, "{broken:?}");
+            assert!(
+                broken[0].starts_with(&format!("{key}: {metric} = ")),
+                "{broken:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_missing_accuracy_cell_is_named() {
+        let key = "num_perm/m=512/all/0.5";
+        let broken = accuracy_with(|acc| {
+            let Json::Obj(cells) = field(acc, "cells") else {
+                panic!("cells is an object");
+            };
+            cells.retain(|(k, _)| k != key);
+        });
+        assert_eq!(broken, [format!("{key}: missing")]);
+    }
+
+    #[test]
+    fn an_accuracy_params_mismatch_is_named() {
+        let broken =
+            accuracy_with(|acc| *field(field(acc, "params"), "domains") = Json::uint(2000));
+        let recorded = r#"{"domains":20000,"queries":300,"seed":42}"#;
+        let measured = recorded.replace("20000", "2000");
+        assert_eq!(broken, [format!("params: {measured}, recorded {recorded}")]);
+    }
+
+    #[test]
+    fn the_probes_shipped_precision_drop_fails_the_gate() {
+        // Widening ESTIMATE_SLACK from 0.1 to 0.3 took the shipped index's
+        // precision at t = 0.5 from 0.909 to 0.783.
+        let broken = lowered(SHIPPED_ALL_05, "precision", |_| 0.126);
+        assert_eq!(broken.len(), 1, "{broken:?}");
+        assert!(broken[0].starts_with(&format!("{SHIPPED_ALL_05}: precision = ")));
     }
 }

@@ -9,7 +9,7 @@ use lshe_asym::analysis::{min_hash_functions_for_recall, selection_probability_f
 use lshe_bench::{report, Args};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["q", "b", "max-m", "step", "p-target"]);
     let q = args.get_u64("q", 1);
     let b = args.get_usize("b", 256) as u32;
     let max_m = args.get_u64("max-m", 8_000);

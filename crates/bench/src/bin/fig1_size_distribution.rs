@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["cod-domains", "wdc-domains", "seed"]);
     let cod_n = args.get_usize("cod-domains", 65_533);
     let wdc_n = args.get_usize("wdc-domains", 1_000_000);
     let seed = args.get_u64("seed", 42);

@@ -8,7 +8,7 @@ use lshe_bench::{report, Args};
 use lshe_core::convert::{effective_threshold, jaccard_from_containment, jaccard_threshold};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["u", "x", "q", "t-star", "steps"]);
     let u = args.get_u64("u", 3);
     let x = args.get_u64("x", 1);
     let q = args.get_u64("q", 1);

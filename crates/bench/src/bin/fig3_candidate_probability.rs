@@ -9,7 +9,7 @@ use lshe_core::tuning::{
 };
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["x", "q", "b", "r", "t-star", "steps"]);
     let x = args.get_u64("x", 10);
     let q = args.get_u64("q", 5);
     let b = args.get_usize("b", 256) as u32;

@@ -14,7 +14,14 @@ use lshe_core::PartitionStrategy;
 use lshe_datagen::{sample_queries, SizeBand};
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&[
+        "domains",
+        "queries",
+        "partitions",
+        "t-star",
+        "steps",
+        "seed",
+    ]);
     let num_domains = args.get_usize("domains", 65_533);
     let num_queries = args.get_usize("queries", 300);
     let n_partitions = args.get_usize("partitions", 32);
@@ -55,21 +62,22 @@ fn main() {
         let partitioning = strategy.partition(&sizes);
         let std_dev = partitioning.member_count_std_dev();
         let ens = workload::build_ensemble(&world.catalog, &world.signatures, strategy);
-        let acc = workload::accuracy_sweep(
-            &ens,
-            &world.exact,
-            &world.catalog,
+        let sweep = workload::accuracy_sweep(
+            &[&ens],
+            &world,
             &world.signatures,
             &queries,
             &[t_star],
+            true,
         );
+        let acc = sweep[0][0].overall;
         report::row(&[
             report::f2(lambda),
             report::f2(std_dev),
-            report::f4(acc[0].precision),
-            report::f4(acc[0].recall),
-            report::f4(acc[0].f1),
-            report::f4(acc[0].f05),
+            report::f4(acc.precision),
+            report::f4(acc.recall),
+            report::f4(acc.f1),
+            report::f4(acc.f05),
         ]);
     }
 }

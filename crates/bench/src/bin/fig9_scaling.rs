@@ -19,7 +19,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&["domains", "queries", "t-star", "seed"]);
     let max_domains = args.get_usize("domains", 200_000);
     let num_queries = args.get_usize("queries", 100);
     let t_star = args.get_f64("t-star", 0.5);

@@ -120,7 +120,15 @@ fn churn_fold_entries(
 }
 
 fn main() {
-    let args = Args::from_env();
+    let args = Args::from_env(&[
+        "scale",
+        "domains",
+        "batch",
+        "repeats",
+        "partitions",
+        "seed",
+        "churn_commits",
+    ]);
     let scale = args.get_f64("scale", 1.0);
     let base = (args.get_usize("domains", 2_000) as f64 * scale).round() as usize;
     let batch = args.get_usize("batch", 64);

@@ -1,23 +1,23 @@
 //! # lshe-bench
 //!
-//! Experiment harness for the LSH Ensemble reproduction. Each `fig*`,
-//! `table4` and `ablation_*` binary in `src/bin/` regenerates one table or
-//! figure of the paper's evaluation section; this library holds the
-//! shared machinery so every experiment uses identical corpus handling,
-//! threading, and metric conventions.
+//! Experiment harness for the LSH Ensemble reproduction. `accuracy` measures
+//! the paper's accuracy claim (§6.1, Figures 4–7) as one table, and each
+//! `fig*` and `table4` binary in `src/bin/` regenerates one other table or
+//! figure; this library holds the shared machinery so every experiment
+//! uses identical corpus handling, threading, and metric conventions.
 //!
-//! Run any experiment with:
+//! Run an experiment with:
 //!
 //! ```text
-//! cargo run --release -p lshe-bench --bin fig4_accuracy_vs_threshold -- \
-//!     --domains 65533 --queries 3000
+//! cargo run --release -p lshe-bench --bin accuracy -- \
+//!     --domains 20000 --queries 300 --seed 42
 //! ```
 //!
-//! Two binaries are not figures: `mutation_path` times the commit, seal
-//! and rebuild paths (the numbers in `BENCH_mutation.json`), and
-//! `bench_gate` checks that file's bars — and, given a traced `perfbench`
-//! result, the load-path bars. End-to-end and per-layer serving numbers
-//! are `perfbench/`'s.
+//! `mutation_path` times the commit, seal and rebuild paths (the numbers in
+//! `BENCH_mutation.json`), and `bench_gate` checks that file's bars, the
+//! `accuracy` table against `BENCH_accuracy.json` and, given a traced
+//! `perfbench` result, the load-path bars. End-to-end and per-layer serving
+//! numbers are `perfbench/`'s.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -1,8 +1,8 @@
 //! Uniform TSV reporting for the experiment binaries.
 //!
 //! Every experiment prints `#`-prefixed metadata lines followed by a header
-//! row and tab-separated data rows — trivially greppable, plottable, and
-//! diffable against EXPERIMENTS.md.
+//! row and tab-separated data rows — trivially greppable, plottable, and,
+//! for `accuracy`, backed by the cells recorded in `BENCH_accuracy.json`.
 
 /// Prints the experiment banner: id, description, and workload parameters.
 pub fn banner(id: &str, description: &str, params: &[(&str, String)]) {

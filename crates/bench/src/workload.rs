@@ -12,8 +12,9 @@ use lshe_minhash::{MinHasher, Signature};
 use std::time::Instant;
 
 /// Computes MinHash signatures for every domain of the catalog, in id
-/// order, through the bulk sketching path index builds use.
-fn compute_signatures(catalog: &Catalog, hasher: &MinHasher) -> Vec<Signature> {
+/// order, through the bulk sketching path.
+#[must_use]
+pub fn compute_signatures(catalog: &Catalog, hasher: &MinHasher) -> Vec<Signature> {
     let sets: Vec<&[u64]> = catalog.iter().map(|(_, d)| d.hashes()).collect();
     hasher.bulk_signatures(&sets)
 }
@@ -63,77 +64,104 @@ fn ground_truth_sets(
         .collect()
 }
 
-/// Accuracy of one index over a query workload at several thresholds.
+/// Containment thresholds 0.1 to 0.9 in steps of 0.1 (§6.1). Each point is
+/// `i / 10`, the correctly rounded decimal: `i × 0.1` lands one ulp above
+/// 0.3, 0.6 and 0.7 and so drops a domain at exactly that containment from
+/// the truth.
+#[must_use]
+pub fn threshold_grid() -> Vec<f64> {
+    (1..=9).map(|i| f64::from(i) / 10.0).collect()
+}
+
+/// One index's accuracy at one threshold over a query workload.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Accuracy {
+    /// Over every answer and every true answer.
+    pub overall: WorkloadAccuracy,
+    /// Mean recall over the true answers among the largest 1 % of the
+    /// indexed domains, over the queries that have any (1.0 when none has).
+    pub tail_recall: f64,
+}
+
+/// Marks, by id, the largest 1 % of the catalog's domains (at least one).
+fn tail_domains(catalog: &Catalog) -> Vec<bool> {
+    let mut by_size: Vec<(usize, DomainId)> = catalog.iter().map(|(id, d)| (d.len(), id)).collect();
+    by_size.sort_unstable();
+    let mut tail = vec![false; catalog.len()];
+    for &(_, id) in &by_size[by_size.len() - (by_size.len() / 100).max(1)..] {
+        tail[id as usize] = true;
+    }
+    tail
+}
+
+/// Accuracy of several indexes over one query workload at several
+/// thresholds: `sweep[j][k]` is `indexes[j]` at `thresholds[k]`.
 ///
-/// Returns one [`WorkloadAccuracy`] per threshold. Queries run across the
-/// process's budgeted worker lanes; ground truth is computed once per query
-/// and reused across thresholds.
+/// Each query states its exact size when `exact_size`, and otherwise
+/// leaves the index to estimate it from the signature (§5.1). Queries run
+/// across the process's budgeted worker lanes; ground truth is computed
+/// once per query and reused across indexes and thresholds.
 #[must_use]
 pub fn accuracy_sweep(
-    index: &dyn DomainIndex,
-    exact: &ExactIndex,
-    catalog: &Catalog,
+    indexes: &[&dyn DomainIndex],
+    world: &AccuracyWorld,
     signatures: &[Signature],
     queries: &[DomainId],
     thresholds: &[f64],
-) -> Vec<WorkloadAccuracy> {
-    // per_query[i][k] = accuracy of query i at threshold k.
+    exact_size: bool,
+) -> Vec<Vec<Accuracy>> {
+    let tail = tail_domains(&world.catalog);
+    let in_tail = |ids: &[DomainId]| -> Vec<DomainId> {
+        ids.iter()
+            .copied()
+            .filter(|&id| tail[id as usize])
+            .collect()
+    };
+    // per_query[i][j][k] = (overall, tail) accuracy of query i on index j
+    // at threshold k.
     let per_query = lshe_minhash::lanes::run_chunked(queries, |qs| {
         qs.iter()
             .map(|&q| {
-                let truth = ground_truth_sets(exact, catalog, q, thresholds);
-                let q_size = catalog.domain(q).len() as u64;
+                let truth = ground_truth_sets(&world.exact, &world.catalog, q, thresholds);
+                let q_size = world.catalog.domain(q).len() as u64;
                 // One batched dispatch per query across the whole threshold
                 // grid: the index amortizes its partition probes over all
                 // thresholds at once.
                 let batch: Vec<Query<'_>> = thresholds
                     .iter()
-                    .map(|&t| Query::threshold(&signatures[q as usize], t).with_size(q_size))
-                    .collect();
-                let answers = index.search_batch(&batch).into_iter().zip(&truth);
-                answers
-                    .map(|(result, truth)| {
-                        query_accuracy(&result.expect("valid threshold query").ids(), truth)
+                    .map(|&t| {
+                        let query = Query::threshold(&signatures[q as usize], t);
+                        if exact_size {
+                            query.with_size(q_size)
+                        } else {
+                            query
+                        }
                     })
-                    .collect::<Vec<_>>()
+                    .collect();
+                let score = |index: &&dyn DomainIndex| {
+                    let answers = index.search_batch(&batch).into_iter().zip(&truth);
+                    answers
+                        .map(|(result, truth)| {
+                            let answer = result.expect("valid threshold query").ids();
+                            let tail = query_accuracy(&in_tail(&answer), &in_tail(truth));
+                            (query_accuracy(&answer, truth), tail)
+                        })
+                        .collect::<Vec<_>>()
+                };
+                indexes.iter().map(score).collect::<Vec<_>>()
             })
             .collect()
     });
-    (0..thresholds.len())
-        .map(|k| aggregate(&per_query.iter().map(|acc| acc[k]).collect::<Vec<_>>()))
-        .collect()
-}
-
-/// Wall-clock mean query latency of an index over a workload, in seconds.
-/// Queries run sequentially so the number reflects a single client
-/// (Table 4's "Mean Query" column).
-#[must_use]
-pub fn mean_query_seconds(
-    index: &dyn DomainIndex,
-    catalog: &Catalog,
-    signatures: &[Signature],
-    queries: &[DomainId],
-    t_star: f64,
-) -> f64 {
-    let started = Instant::now();
-    let mut sink = 0usize;
-    for &q in queries {
-        let q_size = catalog.domain(q).len() as u64;
-        let query = Query::threshold(&signatures[q as usize], t_star).with_size(q_size);
-        sink += index
-            .search(&query)
-            .expect("valid threshold query")
-            .hits
-            .len();
-    }
-    std::hint::black_box(sink);
-    started.elapsed().as_secs_f64() / queries.len().max(1) as f64
-}
-
-/// The paper's default threshold grid: 0.05 to 1.0 in steps of 0.05 (§6.1).
-#[must_use]
-pub fn paper_threshold_grid() -> Vec<f64> {
-    (1..=20).map(|i| f64::from(i) * 0.05).collect()
+    let cell = |j: usize, k: usize| {
+        let (overall, tail): (Vec<_>, Vec<_>) = per_query.iter().map(|acc| acc[j][k]).unzip();
+        let (overall, tail_recall) = (aggregate(&overall), aggregate(&tail).recall);
+        Accuracy {
+            overall,
+            tail_recall,
+        }
+    };
+    let index = |j| (0..thresholds.len()).map(|k| cell(j, k)).collect();
+    (0..indexes.len()).map(index).collect()
 }
 
 /// Everything the accuracy experiments share: the corpus, its signatures,
@@ -318,31 +346,27 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lshe_datagen::{generate_catalog, sample_queries, CorpusConfig, SizeBand};
+    use lshe_corpus::{Domain, DomainMeta};
+    use lshe_datagen::{sample_queries, SizeBand};
 
-    fn small_world() -> (Catalog, Vec<Signature>, ExactIndex) {
-        let catalog = generate_catalog(&CorpusConfig::tiny(300, 11));
-        let hasher = MinHasher::new(256);
-        let sigs = compute_signatures(&catalog, &hasher);
-        let exact = ExactIndex::build(&catalog);
-        (catalog, sigs, exact)
+    fn small_world() -> AccuracyWorld {
+        build_accuracy_world(300, 11)
     }
 
     #[test]
     fn signatures_match_sequential() {
-        let (catalog, sigs, _) = small_world();
-        let hasher = MinHasher::new(256);
-        for (id, domain) in catalog.iter().take(20) {
-            assert_eq!(sigs[id as usize], domain.signature(&hasher));
+        let w = small_world();
+        for (id, domain) in w.catalog.iter().take(20) {
+            assert_eq!(w.signatures[id as usize], domain.signature(&w.hasher));
         }
-        assert_eq!(sigs.len(), catalog.len());
+        assert_eq!(w.signatures.len(), w.catalog.len());
     }
 
     #[test]
     fn ground_truth_sets_are_nested_in_threshold() {
-        let (catalog, _, exact) = small_world();
+        let w = small_world();
         let thresholds = [0.2, 0.5, 0.8];
-        let truth = ground_truth_sets(&exact, &catalog, 0, &thresholds);
+        let truth = ground_truth_sets(&w.exact, &w.catalog, 0, &thresholds);
         assert!(truth[0].len() >= truth[1].len());
         assert!(truth[1].len() >= truth[2].len());
         // Self-containment: the query matches itself at every threshold.
@@ -353,16 +377,30 @@ mod tests {
 
     #[test]
     fn accuracy_sweep_shapes() {
-        let (catalog, sigs, exact) = small_world();
-        let ens = build_ensemble(&catalog, &sigs, PartitionStrategy::EquiDepth { n: 4 });
-        let queries = sample_queries(&catalog, 25, SizeBand::All, 3);
+        let w = small_world();
+        let ens = build_ensemble(
+            &w.catalog,
+            &w.signatures,
+            PartitionStrategy::EquiDepth { n: 4 },
+        );
+        let queries = sample_queries(&w.catalog, 25, SizeBand::All, 3);
         let thresholds = [0.3, 0.6, 0.9];
-        let acc = accuracy_sweep(&ens, &exact, &catalog, &sigs, &queries, &thresholds);
-        assert_eq!(acc.len(), 3);
-        for a in &acc {
-            assert_eq!(a.queries, 25);
-            assert!((0.0..=1.0).contains(&a.precision));
-            assert!((0.0..=1.0).contains(&a.recall));
+        let sweep = accuracy_sweep(
+            &[&ens, &ens],
+            &w,
+            &w.signatures,
+            &queries,
+            &thresholds,
+            true,
+        );
+        assert_eq!(sweep.len(), 2);
+        assert_eq!(sweep[0], sweep[1]);
+        assert_eq!(sweep[0].len(), 3);
+        for a in &sweep[0] {
+            assert_eq!(a.overall.queries, 25);
+            assert!((0.0..=1.0).contains(&a.overall.precision));
+            assert!((0.0..=1.0).contains(&a.overall.recall));
+            assert!((0.0..=1.0).contains(&a.tail_recall));
         }
     }
 
@@ -370,29 +408,31 @@ mod tests {
     fn accuracy_parallel_matches_single_thread_aggregate() {
         // The sweep must be a pure function of (index, workload): re-running
         // yields identical numbers (thread scheduling must not leak in).
-        let (catalog, sigs, exact) = small_world();
-        let ens = build_ensemble(&catalog, &sigs, PartitionStrategy::EquiDepth { n: 4 });
-        let queries = sample_queries(&catalog, 30, SizeBand::All, 5);
-        let a = accuracy_sweep(&ens, &exact, &catalog, &sigs, &queries, &[0.5]);
-        let b = accuracy_sweep(&ens, &exact, &catalog, &sigs, &queries, &[0.5]);
-        assert_eq!(a[0].precision.to_bits(), b[0].precision.to_bits());
-        assert_eq!(a[0].recall.to_bits(), b[0].recall.to_bits());
+        let w = small_world();
+        let ens = build_ensemble(
+            &w.catalog,
+            &w.signatures,
+            PartitionStrategy::EquiDepth { n: 4 },
+        );
+        let queries = sample_queries(&w.catalog, 30, SizeBand::All, 5);
+        let a = accuracy_sweep(&[&ens], &w, &w.signatures, &queries, &[0.5], true);
+        let b = accuracy_sweep(&[&ens], &w, &w.signatures, &queries, &[0.5], true);
+        assert_eq!(a, b);
     }
 
     #[test]
-    fn mean_query_seconds_positive() {
-        let (catalog, sigs, _) = small_world();
-        let ens = build_ensemble(&catalog, &sigs, PartitionStrategy::EquiDepth { n: 4 });
-        let queries = sample_queries(&catalog, 10, SizeBand::All, 7);
-        let t = mean_query_seconds(&ens, &catalog, &sigs, &queries, 0.5);
-        assert!(t > 0.0);
-    }
-
-    #[test]
-    fn paper_grid_is_twenty_points() {
-        let g = paper_threshold_grid();
-        assert_eq!(g.len(), 20);
-        assert!((g[0] - 0.05).abs() < 1e-12);
-        assert!((g[19] - 1.0).abs() < 1e-12);
+    fn threshold_grid_points_are_their_decimals() {
+        let grid = threshold_grid();
+        assert_eq!(grid, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]);
+        // A domain holding exactly 3 of a 10-value query's values is in
+        // the truth at t = 0.3.
+        let mut catalog = Catalog::new();
+        let meta = DomainMeta::default;
+        let query = catalog.push(Domain::from_hashes((0..10).collect()), meta());
+        let three = catalog.push(Domain::from_hashes((7..20).collect()), meta());
+        let exact = ExactIndex::build(&catalog);
+        let truth = ground_truth_sets(&exact, &catalog, query, &grid);
+        assert_eq!(truth[2], [query, three]);
+        assert_eq!(truth[3], [query]);
     }
 }
