@@ -2,10 +2,16 @@
 //!
 //! Serves the same endpoint surface as a single `lshe-serve` process —
 //! `/query`, `/topk`, `/batch`, `/insert`, `/remove`, `/commit`,
-//! `/reload`, `/stats`, `/health`, `/shutdown` — by scattering each
-//! request across the shard processes and merging their answers. A
-//! client moving from one process to a cluster changes a URL, nothing
-//! else.
+//! `/compact`, `/reload`, `/stats`, `/health`, `/shutdown` — by
+//! scattering each request across the shard processes and merging their
+//! answers. A client moving from one process to a cluster changes a URL,
+//! nothing else.
+//!
+//! The coordinator is a [`Service`] on `lshe-serve`'s reactor, the loop
+//! `lshe serve` runs on, so connection cap, request deadline, idle
+//! expiry, pipelining, protocol errors and the `/shutdown` drain are the
+//! server's. Every request is long work on the compute pool: at most
+//! `threads` (the machine's cores, at least 2) scatter at once.
 //!
 //! Request semantics:
 //!
@@ -20,7 +26,9 @@
 //! - **Mutations** (`/insert`, `/remove`) are routed to the single
 //!   owning shard by [`crate::placement::shard_of`] and never hedged (a
 //!   losing hedge may still have applied). `/commit`, `/compact`, and
-//!   `/reload` broadcast to every shard, unhedged, and aggregate.
+//!   `/reload` broadcast to every shard, unhedged, and aggregate; the
+//!   target is forwarded verbatim, so `/compact?async=1` schedules a
+//!   fold on every shard and answers `"scheduled"`.
 //!   `/commit` and `/compact` retry each failed shard exactly once —
 //!   safe because a shard commit is idempotent (re-committing an empty
 //!   stage is a no-op), and necessary because a lost response does not
@@ -38,26 +46,16 @@ use crate::placement::shard_of;
 use crate::pool::ConnPool;
 use crate::scatter::{call, hedged_call, scatter, CallOutcome};
 use lshe_serve::client::ClientError;
-use lshe_serve::http::{write_head, write_head_with, write_response, Request, RequestParser};
+use lshe_serve::http::Request;
 use lshe_serve::json::Json;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use lshe_serve::reactor::{self, Outcome, ReactorHandle, ReactorState, Service};
+use lshe_serve::ServerConfig;
+use std::convert::Infallible;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long a keep-alive connection may sit idle before the coordinator
-/// closes it.
-const IDLE_LIMIT: Duration = Duration::from_secs(60);
-/// Whole-request read bound once a request's first byte has arrived
-/// (slow-loris bound, mirroring `lshe-serve`).
-const REQUEST_TIMEOUT: Duration = Duration::from_secs(10);
-/// Socket-level read timeout for connection threads: the granularity at
-/// which idle connections notice a shutdown.
-const POLL_TICK: Duration = Duration::from_millis(250);
-/// `Retry-After` seconds advertised on drain-time 503s.
-const RETRY_AFTER_SECS: u64 = 1;
 
 /// Coordinator construction parameters. Construct with struct-update
 /// syntax so new knobs keep their defaults.
@@ -92,68 +90,12 @@ impl Default for ClusterConfig {
     }
 }
 
-/// One rendered coordinator response, ready for the connection loop.
-struct Response {
-    status: u16,
-    reason: &'static str,
-    body: String,
-    retry_after: Option<u64>,
-    close: bool,
-}
-
-impl Response {
-    fn ok(body: Json) -> Self {
-        Self {
-            status: 200,
-            reason: "OK",
-            body: body.render(),
-            retry_after: None,
-            close: false,
-        }
-    }
-
-    fn error(status: u16, msg: impl Into<String>) -> Self {
-        Self {
-            status,
-            reason: reason_for(status),
-            body: Json::obj(vec![("error", Json::str(msg.into()))]).render(),
-            retry_after: None,
-            close: false,
-        }
-    }
-
-    /// A shard response forwarded verbatim.
-    fn forwarded(outcome: CallOutcome) -> Self {
-        Self {
-            status: outcome.status,
-            reason: reason_for(outcome.status),
-            body: outcome.body,
-            retry_after: None,
-            close: false,
-        }
-    }
-}
-
-fn reason_for(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        500 => "Internal Server Error",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        _ => "Error",
-    }
-}
-
 /// Shared coordinator state: one pool and one health record per shard.
 struct Coordinator {
     config: ClusterConfig,
-    /// The coordinator's own bound address (the shutdown wake target).
-    self_addr: SocketAddr,
+    /// The reactor serving this coordinator; its shutdown flag stops the
+    /// prober.
+    reactor: Arc<ReactorState>,
     pools: Vec<ConnPool>,
     health: Vec<HealthState>,
     /// Cluster-wide id allocator for `/insert` without an explicit id;
@@ -165,7 +107,6 @@ struct Coordinator {
     /// shard whose state lags the cluster.
     last_commit_generation: Vec<AtomicU64>,
     hedges_fired: AtomicU64,
-    shutting_down: AtomicBool,
 }
 
 impl Coordinator {
@@ -183,15 +124,15 @@ impl Coordinator {
         }
     }
 
-    /// One hedged read call with health + hedge accounting.
-    fn read_call(
-        &self,
-        s: usize,
-        method: &str,
-        path: &str,
-        body: Option<&str>,
-    ) -> Result<CallOutcome, ClientError> {
-        let res = hedged_call(&self.pools[s], method, path, body, self.config.hedge_after);
+    /// One hedged read `POST` with health + hedge accounting.
+    fn read_call(&self, s: usize, path: &str, body: &str) -> Result<CallOutcome, ClientError> {
+        let res = hedged_call(
+            &self.pools[s],
+            "POST",
+            path,
+            Some(body),
+            self.config.hedge_after,
+        );
         if matches!(&res, Ok(out) if out.hedged) {
             self.hedges_fired.fetch_add(1, Ordering::AcqRel);
         }
@@ -249,18 +190,13 @@ impl Coordinator {
                     Some(_) => {}
                 }
             }
-            match stats.get("shard_id") {
-                Some(Json::Null) | None => {}
-                Some(sid) => {
-                    let sid = sid.as_u64();
-                    if sid != Some(s as u64) {
-                        return Err(format!(
-                            "shard at {} reports shard id {sid:?} but is listed at \
-                             position {s} — the shard list must follow split order",
-                            self.pools[s].addr()
-                        ));
-                    }
-                }
+            let sid = stats.get("shard_id").filter(|sid| **sid != Json::Null);
+            if let Some(sid) = sid.map(Json::as_u64).filter(|&sid| sid != Some(s as u64)) {
+                return Err(format!(
+                    "shard at {} reports shard id {sid:?} but is listed at \
+                     position {s} — the shard list must follow split order",
+                    self.pools[s].addr()
+                ));
             }
             if let Some(next) = stats.get("next_id").and_then(Json::as_u64) {
                 max_next = max_next.max(u32::try_from(next).unwrap_or(u32::MAX));
@@ -276,7 +212,7 @@ impl Coordinator {
         Ok(())
     }
 
-    fn handle(&self, request: &Request) -> Response {
+    fn route(&self, request: &Request) -> Outcome {
         match (request.method.as_str(), request.path()) {
             ("GET", "/health") => self.cluster_health(),
             ("GET", "/stats") => self.cluster_stats(),
@@ -285,25 +221,67 @@ impl Coordinator {
             ("POST", "/batch") => self.fanout_batch(request),
             ("POST", "/insert") => self.route_insert(request),
             ("POST", "/remove") => self.route_remove(request),
-            ("POST", "/commit") => self.broadcast(request, "/commit"),
-            ("POST", "/compact") => self.broadcast(request, "/compact"),
-            ("POST", "/reload") => self.broadcast(request, "/reload"),
-            ("POST", "/shutdown") => self.begin_shutdown(),
+            ("POST", "/commit" | "/compact" | "/reload") => self.broadcast(request),
             (
                 _,
                 "/health" | "/stats" | "/query" | "/topk" | "/batch" | "/insert" | "/remove"
-                | "/commit" | "/compact" | "/reload" | "/shutdown",
-            ) => Response::error(405, "wrong method for this path"),
-            (_, path) => Response::error(404, format!("no such endpoint: {path}")),
+                | "/commit" | "/compact" | "/reload",
+            ) => Outcome::error(405, "wrong method for this path"),
+            (_, path) => Outcome::error(404, format!("no such endpoint: {path}")),
         }
+    }
+
+    /// Scatters a read body verbatim to every non-degraded shard and
+    /// parses the `200` replies. A shard 4xx is a deterministic request
+    /// rejection (every shard parses the body identically), so the first
+    /// one answers for the cluster. Returns the replies in shard order,
+    /// the highest `generation` among them, and the skipped or failed
+    /// shards, sorted.
+    fn scatter_read(
+        &self,
+        path: &str,
+        body: &str,
+    ) -> Result<(Vec<Json>, u64, Vec<usize>), Outcome> {
+        let active = self.active_shards();
+        if active.is_empty() {
+            return Err(Outcome::error(503, "every shard is degraded"));
+        }
+        let mut failed: Vec<usize> = (0..self.n()).filter(|s| !active.contains(s)).collect();
+        let outcomes = scatter(active.len(), |i| self.read_call(active[i], path, body));
+        let mut replies = Vec::with_capacity(active.len());
+        let mut generation = 0u64;
+        for (&s, res) in active.iter().zip(outcomes) {
+            match res {
+                Ok(out) if out.status == 200 => {
+                    let Ok(reply) = Json::parse(&out.body) else {
+                        return Err(Outcome::error(
+                            502,
+                            format!("shard {s} returned invalid JSON"),
+                        ));
+                    };
+                    generation =
+                        generation.max(reply.get("generation").and_then(Json::as_u64).unwrap_or(0));
+                    replies.push(reply);
+                }
+                Ok(out) if (400..500).contains(&out.status) => {
+                    return Err(Outcome::raw(out.status, out.body))
+                }
+                Ok(_) | Err(_) => failed.push(s),
+            }
+        }
+        if replies.is_empty() {
+            return Err(Outcome::error(503, "no shard answered"));
+        }
+        failed.sort_unstable();
+        Ok((replies, generation, failed))
     }
 
     /// `/query` and `/topk`: scatter the body verbatim, merge ranked
     /// hits, truncate to `k` when the request asked for top-k.
-    fn fanout_query(&self, request: &Request, path: &str) -> Response {
+    fn fanout_query(&self, request: &Request, path: &str) -> Outcome {
         let started = Instant::now();
         let Ok(body) = std::str::from_utf8(&request.body) else {
-            return Response::error(400, "request body must be UTF-8");
+            return Outcome::error(400, "request body must be UTF-8");
         };
         // The shards validate the body; the coordinator only needs `k`
         // for the post-merge truncation.
@@ -311,51 +289,17 @@ impl Coordinator {
             .ok()
             .and_then(|j| j.get("k").and_then(Json::as_u64))
             .map(|k| k as usize);
-        let active = self.active_shards();
-        if active.is_empty() {
-            return Response::error(503, "every shard is degraded");
-        }
-        let skipped: Vec<usize> = (0..self.n()).filter(|s| !active.contains(s)).collect();
-        let outcomes = scatter(active.len(), |i| {
-            self.read_call(active[i], "POST", path, Some(body))
-        });
-
-        let mut failed = skipped;
-        let mut per_shard_hits: Vec<Vec<Json>> = Vec::new();
-        let mut generation = 0u64;
-        for (i, res) in outcomes.into_iter().enumerate() {
-            let s = active[i];
-            match res {
-                Ok(out) if out.status == 200 => {
-                    let Ok(parsed) = Json::parse(&out.body) else {
-                        return Response::error(502, format!("shard {s} returned invalid JSON"));
-                    };
-                    generation = generation
-                        .max(parsed.get("generation").and_then(Json::as_u64).unwrap_or(0));
-                    let hits = parsed
-                        .get("hits")
-                        .and_then(Json::as_array)
-                        .map(<[Json]>::to_vec)
-                        .unwrap_or_default();
-                    per_shard_hits.push(hits);
-                }
-                // Deterministic rejection — every shard parses the body
-                // identically, so the first 4xx speaks for the cluster.
-                Ok(out) if (400..500).contains(&out.status) => return Response::forwarded(out),
-                Ok(_) | Err(_) => failed.push(s),
-            }
-        }
-        if per_shard_hits.is_empty() {
-            return Response::error(503, "no shard answered");
-        }
-        let mut hits = match merge_hits(per_shard_hits) {
+        let (replies, generation, failed) = match self.scatter_read(path, body) {
+            Ok(scattered) => scattered,
+            Err(outcome) => return outcome,
+        };
+        let mut hits = match merge_hits(replies.iter().map(hits_of).collect()) {
             Ok(hits) => hits,
-            Err(msg) => return Response::error(500, msg),
+            Err(msg) => return Outcome::error(500, msg),
         };
         if let Some(k) = k.filter(|&k| k > 0) {
             hits.truncate(k);
         }
-        failed.sort_unstable();
         let mut fields = vec![
             ("count", Json::uint(hits.len() as u64)),
             ("cached", Json::Bool(false)),
@@ -367,15 +311,15 @@ impl Coordinator {
             ("hits", Json::Arr(hits)),
         ];
         push_degraded(&mut fields, &failed);
-        Response::ok(Json::obj(fields))
+        Outcome::ok(Json::obj(fields))
     }
 
     /// `/batch`: one pipelined wire call per shard for the WHOLE batch,
     /// then an element-wise merge of the per-item results.
-    fn fanout_batch(&self, request: &Request) -> Response {
+    fn fanout_batch(&self, request: &Request) -> Outcome {
         let started = Instant::now();
         let Ok(body) = std::str::from_utf8(&request.body) else {
-            return Response::error(400, "request body must be UTF-8");
+            return Outcome::error(400, "request body must be UTF-8");
         };
         // Per-item `k` for post-merge truncation; invalid bodies are
         // rejected by the shards (forwarded below), so a failed local
@@ -390,42 +334,20 @@ impl Coordinator {
                 })
             })
             .unwrap_or_default();
-        let active = self.active_shards();
-        if active.is_empty() {
-            return Response::error(503, "every shard is degraded");
-        }
-        let skipped: Vec<usize> = (0..self.n()).filter(|s| !active.contains(s)).collect();
-        let outcomes = scatter(active.len(), |i| {
-            self.read_call(active[i], "POST", "/batch", Some(body))
-        });
-
-        let mut failed = skipped;
-        let mut shard_results: Vec<Vec<Json>> = Vec::new();
-        let mut generation = 0u64;
-        for (i, res) in outcomes.into_iter().enumerate() {
-            let s = active[i];
-            match res {
-                Ok(out) if out.status == 200 => {
-                    let Ok(parsed) = Json::parse(&out.body) else {
-                        return Response::error(502, format!("shard {s} returned invalid JSON"));
-                    };
-                    generation = generation
-                        .max(parsed.get("generation").and_then(Json::as_u64).unwrap_or(0));
-                    let Some(results) = parsed.get("results").and_then(Json::as_array) else {
-                        return Response::error(502, format!("shard {s} /batch lost its results"));
-                    };
-                    shard_results.push(results.to_vec());
-                }
-                Ok(out) if (400..500).contains(&out.status) => return Response::forwarded(out),
-                Ok(_) | Err(_) => failed.push(s),
-            }
-        }
-        if shard_results.is_empty() {
-            return Response::error(503, "no shard answered");
+        let (replies, generation, failed) = match self.scatter_read("/batch", body) {
+            Ok(scattered) => scattered,
+            Err(outcome) => return outcome,
+        };
+        let mut shard_results: Vec<&[Json]> = Vec::with_capacity(replies.len());
+        for reply in &replies {
+            let Some(results) = reply.get("results").and_then(Json::as_array) else {
+                return Outcome::error(502, "a shard's /batch reply lost its results");
+            };
+            shard_results.push(results);
         }
         let items = shard_results[0].len();
         if shard_results.iter().any(|r| r.len() != items) {
-            return Response::error(502, "shards disagree on batch length");
+            return Outcome::error(502, "shards disagree on batch length");
         }
 
         let mut results = Vec::with_capacity(items);
@@ -440,18 +362,10 @@ impl Coordinator {
                 results.push(err.clone());
                 continue;
             }
-            let per_shard: Vec<Vec<Json>> = shard_results
-                .iter()
-                .map(|r| {
-                    r[j].get("hits")
-                        .and_then(Json::as_array)
-                        .map(<[Json]>::to_vec)
-                        .unwrap_or_default()
-                })
-                .collect();
-            let mut hits = match merge_hits(per_shard) {
+            let mut hits = match merge_hits(shard_results.iter().map(|r| hits_of(&r[j])).collect())
+            {
                 Ok(hits) => hits,
-                Err(msg) => return Response::error(500, msg),
+                Err(msg) => return Outcome::error(500, msg),
             };
             if let Some(k) = per_item_k.get(j).copied().flatten().filter(|&k| k > 0) {
                 hits.truncate(k as usize);
@@ -462,7 +376,6 @@ impl Coordinator {
                 ("hits", Json::Arr(hits)),
             ]));
         }
-        failed.sort_unstable();
         let mut fields = vec![
             ("count", Json::uint(items as u64)),
             ("generation", Json::uint(generation)),
@@ -473,74 +386,72 @@ impl Coordinator {
             ("results", Json::Arr(results)),
         ];
         push_degraded(&mut fields, &failed);
-        Response::ok(Json::obj(fields))
+        Outcome::ok(Json::obj(fields))
     }
 
     /// `/insert`: allocate (or honour) the id, route to the owning
     /// shard, forward its staging response verbatim. Never hedged.
-    fn route_insert(&self, request: &Request) -> Response {
+    fn route_insert(&self, request: &Request) -> Outcome {
         let Ok(body) = std::str::from_utf8(&request.body) else {
-            return Response::error(400, "request body must be UTF-8");
+            return Outcome::error(400, "request body must be UTF-8");
         };
         let Ok(parsed) = Json::parse(body) else {
-            return Response::error(400, "request body must be JSON");
+            return Outcome::error(400, "request body must be JSON");
         };
         let id = match parsed.get("id") {
             None => self.next_id.fetch_add(1, Ordering::AcqRel),
             Some(id) => {
                 let Some(id) = id.as_u64().and_then(|id| u32::try_from(id).ok()) else {
-                    return Response::error(400, "\"id\" must be an unsigned 32-bit integer");
+                    return Outcome::error(400, "\"id\" must be an unsigned 32-bit integer");
                 };
                 id
             }
         };
         let Json::Obj(mut fields) = parsed else {
-            return Response::error(400, "request body must be a JSON object");
+            return Outcome::error(400, "request body must be a JSON object");
         };
         fields.retain(|(key, _)| key != "id");
         fields.push(("id".to_owned(), Json::uint(u64::from(id))));
         let routed = Json::Obj(fields).render();
-
-        let s = shard_of(id, self.n());
-        if self.health[s].is_degraded() {
-            return Response::error(
-                503,
-                format!("shard {s} owning id {id} is degraded; retry when it recovers"),
-            );
-        }
-        match self.plain_call(s, "POST", "/insert", Some(&routed)) {
-            Ok(out) => {
-                if out.status == 200 {
-                    self.next_id.fetch_max(id + 1, Ordering::AcqRel);
-                }
-                Response::forwarded(out)
-            }
-            Err(e) => Response::error(502, format!("shard {s} failed: {e}")),
-        }
+        self.send_to_owner(id, "/insert", &routed, || {
+            self.next_id.fetch_max(id + 1, Ordering::AcqRel);
+        })
     }
 
     /// `/remove`: route by the (required) id, forward. Never hedged.
-    fn route_remove(&self, request: &Request) -> Response {
+    fn route_remove(&self, request: &Request) -> Outcome {
         let Ok(body) = std::str::from_utf8(&request.body) else {
-            return Response::error(400, "request body must be UTF-8");
+            return Outcome::error(400, "request body must be UTF-8");
         };
         let id = Json::parse(body)
             .ok()
             .and_then(|j| j.get("id").and_then(Json::as_u64))
             .and_then(|id| u32::try_from(id).ok());
         let Some(id) = id else {
-            return Response::error(400, "missing \"id\": expected an unsigned 32-bit integer");
+            return Outcome::error(400, "missing \"id\": expected an unsigned 32-bit integer");
         };
+        self.send_to_owner(id, "/remove", body, || {})
+    }
+
+    /// Sends a mutation to the shard owning `id`, unhedged, and forwards
+    /// its answer verbatim, calling `applied` first when it is a `200`.
+    /// A degraded owner refuses with 503, not a lost write.
+    fn send_to_owner(&self, id: u32, path: &str, body: &str, applied: impl FnOnce()) -> Outcome {
         let s = shard_of(id, self.n());
         if self.health[s].is_degraded() {
-            return Response::error(
+            return Outcome::error(
                 503,
                 format!("shard {s} owning id {id} is degraded; retry when it recovers"),
             );
         }
-        match self.plain_call(s, "POST", "/remove", Some(body)) {
-            Ok(out) => Response::forwarded(out),
-            Err(e) => Response::error(502, format!("shard {s} failed: {e}")),
+        match self.plain_call(s, "POST", path, Some(body)) {
+            Ok(out) => {
+                if out.status == 200 {
+                    applied();
+                }
+                Outcome::raw(out.status, out.body)
+            }
+            Err(e) => Outcome::error(502, format!("shard {s} failed: {e}")),
         }
     }
 
@@ -552,19 +463,21 @@ impl Coordinator {
     /// applied the op before the response was lost, and because a shard
     /// commit is idempotent (re-committing an empty stage is "nothing
     /// staged"), one retry converges either way instead of reporting a
-    /// divergence that may not exist.
-    fn broadcast(&self, request: &Request, path: &str) -> Response {
+    /// divergence that may not exist. The target goes to each shard
+    /// verbatim, query string included.
+    fn broadcast(&self, request: &Request) -> Outcome {
         let Ok(body) = std::str::from_utf8(&request.body) else {
-            return Response::error(400, "request body must be UTF-8");
+            return Outcome::error(400, "request body must be UTF-8");
         };
+        let (path, target) = (request.path(), request.target.as_str());
         let commit_class = path == "/commit" || path == "/compact";
         let outcomes = scatter(self.n(), |s| {
-            let first = self.plain_call(s, "POST", path, Some(body));
+            let first = self.plain_call(s, "POST", target, Some(body));
             let settled = matches!(&first, Ok(out) if out.status < 500);
             if settled || !commit_class {
                 first
             } else {
-                self.plain_call(s, "POST", path, Some(body))
+                self.plain_call(s, "POST", target, Some(body))
             }
         });
         let mut failed: Vec<usize> = Vec::new();
@@ -573,6 +486,8 @@ impl Coordinator {
             match res {
                 Ok(out) if out.status == 200 => match Json::parse(&out.body) {
                     Ok(json) => {
+                        // A scheduled `/compact?async=1` names no
+                        // generation, so it leaves the witness alone.
                         if commit_class {
                             if let Some(generation) = json.get("generation").and_then(Json::as_u64)
                             {
@@ -584,12 +499,14 @@ impl Coordinator {
                     }
                     Err(_) => failed.push(s),
                 },
-                Ok(out) if (400..500).contains(&out.status) => return Response::forwarded(out),
+                Ok(out) if (400..500).contains(&out.status) => {
+                    return Outcome::raw(out.status, out.body)
+                }
                 Ok(_) | Err(_) => failed.push(s),
             }
         }
         if !failed.is_empty() {
-            return Response::error(
+            return Outcome::error(
                 502,
                 format!(
                     "{path} failed on shard(s) {failed:?} — cluster state may be \
@@ -611,15 +528,24 @@ impl Coordinator {
                 .unwrap_or(0)
         };
         if path == "/reload" {
-            return Response::ok(Json::obj(vec![
+            return Outcome::ok(Json::obj(vec![
                 ("status", Json::str("reloaded")),
                 ("generation", Json::uint(max("generation"))),
                 ("domains", Json::uint(sum("domains"))),
                 ("shards", Json::uint(self.n() as u64)),
             ]));
         }
+        let scheduled = parsed
+            .iter()
+            .all(|j| j.get("status").and_then(Json::as_str) == Some("scheduled"));
+        if path == "/compact" && scheduled {
+            return Outcome::ok(Json::obj(vec![
+                ("status", Json::str("scheduled")),
+                ("shards", Json::uint(self.n() as u64)),
+            ]));
+        }
         if path == "/compact" {
-            return Response::ok(Json::obj(vec![
+            return Outcome::ok(Json::obj(vec![
                 ("status", Json::str("compacted")),
                 ("applied", Json::uint(sum("applied"))),
                 ("merged", Json::uint(sum("merged"))),
@@ -634,7 +560,7 @@ impl Coordinator {
         let sealed = parsed
             .iter()
             .any(|j| j.get("sealed").and_then(Json::as_bool) == Some(true));
-        Response::ok(Json::obj(vec![
+        Outcome::ok(Json::obj(vec![
             (
                 "status",
                 Json::str(if applied > 0 {
@@ -656,7 +582,7 @@ impl Coordinator {
 
     /// `/health`: live-probe every shard. Probing degraded shards too is
     /// the fast re-admission path — one success resets the streak.
-    fn cluster_health(&self) -> Response {
+    fn cluster_health(&self) -> Outcome {
         let outcomes = scatter(self.n(), |s| self.plain_call(s, "GET", "/health", None));
         let mut reports = Vec::with_capacity(self.n());
         let mut degraded_now: Vec<usize> = Vec::new();
@@ -695,7 +621,7 @@ impl Coordinator {
                 ),
             ]));
         }
-        Response::ok(Json::obj(vec![
+        Outcome::ok(Json::obj(vec![
             (
                 "status",
                 Json::str(if degraded_now.is_empty() {
@@ -716,7 +642,7 @@ impl Coordinator {
     }
 
     /// `/stats`: aggregate counts plus each shard's own stats verbatim.
-    fn cluster_stats(&self) -> Response {
+    fn cluster_stats(&self) -> Outcome {
         let outcomes = scatter(self.n(), |s| self.plain_call(s, "GET", "/stats", None));
         let mut per_shard = Vec::with_capacity(self.n());
         let mut domains = 0u64;
@@ -773,7 +699,7 @@ impl Coordinator {
                 ("stats", stats.unwrap_or(Json::Null)),
             ]));
         }
-        Response::ok(Json::obj(vec![
+        Outcome::ok(Json::obj(vec![
             ("cluster", Json::Bool(true)),
             ("shards", Json::uint(self.n() as u64)),
             ("domains", Json::uint(domains)),
@@ -808,21 +734,15 @@ impl Coordinator {
             ("per_shard", Json::Arr(per_shard)),
         ]))
     }
+}
 
-    /// `/shutdown`: drain the COORDINATOR. Shards are left running —
-    /// they are independent processes with their own `/shutdown`.
-    fn begin_shutdown(&self) -> Response {
-        self.shutting_down.store(true, Ordering::Release);
-        // Wake the blocking accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.self_addr);
-        Response {
-            status: 200,
-            reason: "OK",
-            body: Json::obj(vec![("status", Json::str("shutting down"))]).render(),
-            retry_after: None,
-            close: true,
-        }
-    }
+/// A reply's ranked `hits` (none when it has no such array).
+fn hits_of(reply: &Json) -> Vec<Json> {
+    reply
+        .get("hits")
+        .and_then(Json::as_array)
+        .map(<[Json]>::to_vec)
+        .unwrap_or_default()
 }
 
 /// Appends the degraded markers to a response under construction.
@@ -836,53 +756,44 @@ fn push_degraded(fields: &mut Vec<(&str, Json)>, failed: &[usize]) {
     }
 }
 
+impl Service for Coordinator {
+    type Miss = Infallible;
+
+    fn run(&self, request: Request) -> Outcome {
+        self.route(&request)
+    }
+
+    fn run_group(&self, group: Vec<Infallible>) -> Vec<Outcome> {
+        group.into_iter().map(|miss| match miss {}).collect()
+    }
+}
+
 /// A running coordinator. Obtain via [`start`]; stop via
 /// [`shutdown`](ClusterHandle::shutdown) or a `POST /shutdown` followed
 /// by [`join`](ClusterHandle::join).
+#[derive(Debug)]
 pub struct ClusterHandle {
-    addr: SocketAddr,
-    coordinator: Arc<Coordinator>,
-    accept: Option<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ClusterHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterHandle")
-            .field("addr", &self.addr)
-            .field("shards", &self.coordinator.n())
-            .finish_non_exhaustive()
-    }
+    reactor: ReactorHandle,
+    prober: JoinHandle<()>,
 }
 
 impl ClusterHandle {
     /// The coordinator's bound address.
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
-    /// Initiates shutdown and waits for the accept and prober threads.
-    pub fn shutdown(mut self) {
-        self.coordinator
-            .shutting_down
-            .store(true, Ordering::Release);
-        let _ = TcpStream::connect(self.addr);
-        self.join_threads();
+    /// Drains the coordinator and waits for its reactor and prober.
+    pub fn shutdown(self) {
+        self.reactor.shutdown();
+        let _ = self.prober.join();
     }
 
     /// Blocks until the coordinator shuts down (via `POST /shutdown`).
-    pub fn join(mut self) {
-        self.join_threads();
-    }
-
-    fn join_threads(&mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        if let Some(prober) = self.prober.take() {
-            let _ = prober.join();
-        }
+    pub fn join(self) {
+        self.reactor.join();
+        let _ = self.prober.join();
     }
 }
 
@@ -890,20 +801,31 @@ impl ClusterHandle {
 ///
 /// Validates the topology against the live shards first (signature
 /// widths must agree; reported shard ids must match list positions; at
-/// least one shard must be reachable), then binds and begins serving.
+/// least one shard must be reachable), then begins serving on the
+/// reactor with [`ServerConfig`]'s default connection cap, request
+/// deadline and pool size.
 ///
 /// # Errors
 /// A human-readable message when the bind fails or the topology is
 /// invalid.
 pub fn start(config: ClusterConfig) -> Result<ClusterHandle, String> {
+    start_on(config, ServerConfig::default())
+}
+
+/// [`start`] with the reactor limits of `server` (its address is
+/// `config.addr`).
+pub(crate) fn start_on(
+    config: ClusterConfig,
+    server: ServerConfig,
+) -> Result<ClusterHandle, String> {
     if config.shards.is_empty() {
         return Err("a cluster needs at least one shard address".to_owned());
     }
-    let listener =
-        TcpListener::bind(&config.addr).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("cannot resolve bound address: {e}"))?;
+    let bound = reactor::bind(&ServerConfig {
+        addr: config.addr.clone(),
+        ..server
+    })
+    .map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
     let pools = config
         .shards
         .iter()
@@ -913,207 +835,48 @@ pub fn start(config: ClusterConfig) -> Result<ClusterHandle, String> {
     let last_commit_generation = (0..pools.len()).map(|_| AtomicU64::new(0)).collect();
     let coordinator = Arc::new(Coordinator {
         config,
-        self_addr: addr,
+        reactor: Arc::clone(bound.state()),
         pools,
         health,
         next_id: AtomicU32::new(0),
         last_commit_generation,
         hedges_fired: AtomicU64::new(0),
-        shutting_down: AtomicBool::new(false),
     });
     coordinator.validate_topology()?;
 
-    let accept = {
-        let coordinator = Arc::clone(&coordinator);
-        std::thread::Builder::new()
-            .name("cluster-accept".to_owned())
-            .spawn(move || accept_loop(&listener, &coordinator))
-            .map_err(|e| format!("cannot spawn accept thread: {e}"))?
-    };
-    let prober = {
-        let coordinator = Arc::clone(&coordinator);
-        std::thread::Builder::new()
-            .name("cluster-prober".to_owned())
-            .spawn(move || prober_loop(&coordinator))
-            .map_err(|e| format!("cannot spawn prober thread: {e}"))?
-    };
-    Ok(ClusterHandle {
-        addr,
-        coordinator,
-        accept: Some(accept),
-        prober: Some(prober),
-    })
-}
-
-fn accept_loop(listener: &TcpListener, coordinator: &Arc<Coordinator>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if coordinator.shutting_down.load(Ordering::Acquire) {
-                    // The shutdown wake connection (or a too-late client).
-                    return;
-                }
-                let coordinator = Arc::clone(coordinator);
-                std::thread::spawn(move || handle_conn(&coordinator, stream));
-            }
-            Err(_) => {
-                if coordinator.shutting_down.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-        }
-    }
+    let reactor = bound
+        .serve(Arc::clone(&coordinator))
+        .map_err(|e| format!("cannot start the reactor: {e}"))?;
+    let prober = std::thread::Builder::new()
+        .name("cluster-prober".to_owned())
+        .spawn(move || prober_loop(&coordinator))
+        .map_err(|e| format!("cannot spawn prober thread: {e}"))?;
+    Ok(ClusterHandle { reactor, prober })
 }
 
 /// Background health prober: keeps degraded shards under observation so
-/// recovery does not depend on `/health` traffic.
+/// recovery does not depend on `/health` traffic. Stops once the reactor
+/// begins its drain.
 fn prober_loop(coordinator: &Coordinator) {
-    let done = |c: &Coordinator| c.shutting_down.load(Ordering::Acquire);
-    while !done(coordinator) {
-        for s in 0..coordinator.n() {
-            if done(coordinator) {
-                return;
-            }
+    let done = || coordinator.reactor.is_shutting_down();
+    while !done() {
+        for s in (0..coordinator.n()).take_while(|_| !done()) {
             let _ = coordinator.plain_call(s, "GET", "/health", None);
         }
         let wake = Instant::now() + coordinator.config.probe_interval;
-        while Instant::now() < wake {
-            if done(coordinator) {
-                return;
-            }
+        while Instant::now() < wake && !done() {
             std::thread::sleep(Duration::from_millis(100));
         }
     }
-}
-
-/// One keep-alive client connection: a persistent [`RequestParser`] fed
-/// from a short-timeout socket, so idle connections notice shutdown and
-/// idle limits at [`POLL_TICK`] granularity while pipelined requests
-/// drain back-to-back.
-fn handle_conn(coordinator: &Coordinator, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
-        return;
-    }
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    let mut parser = RequestParser::new();
-    let mut last_activity = Instant::now();
-    loop {
-        match parser.next_request() {
-            Ok(Some(request)) => {
-                last_activity = Instant::now();
-                let draining = coordinator.shutting_down.load(Ordering::Acquire);
-                let response = if draining && request.path() != "/shutdown" {
-                    // Drain-time refusal, mirroring `lshe-serve`: typed
-                    // 503 with Retry-After, then close.
-                    Response {
-                        status: 503,
-                        reason: "Service Unavailable",
-                        body: Json::obj(vec![("error", Json::str("shutting down"))]).render(),
-                        retry_after: Some(RETRY_AFTER_SECS),
-                        close: true,
-                    }
-                } else {
-                    coordinator.handle(&request)
-                };
-                let keep_alive = !request.wants_close() && !response.close;
-                if write_reply(&mut writer, &response, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-                continue;
-            }
-            Ok(None) => {}
-            Err(e) => {
-                let body = Json::obj(vec![("error", Json::str(e.to_string()))]).render();
-                let _ = write_response(
-                    &mut writer,
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    body.as_bytes(),
-                    false,
-                );
-                return;
-            }
-        }
-        if parser.is_idle() {
-            if coordinator.shutting_down.load(Ordering::Acquire)
-                || last_activity.elapsed() > IDLE_LIMIT
-            {
-                return;
-            }
-        } else if last_activity.elapsed() > REQUEST_TIMEOUT {
-            let body = Json::obj(vec![("error", Json::str("request read timed out"))]).render();
-            let _ = write_response(
-                &mut writer,
-                400,
-                "Bad Request",
-                "application/json",
-                body.as_bytes(),
-                false,
-            );
-            return;
-        }
-        match reader.fill_buf() {
-            Ok([]) => return,
-            Ok(chunk) => {
-                let n = chunk.len();
-                parser.feed(chunk);
-                reader.consume(n);
-                last_activity = Instant::now();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return,
-        }
-    }
-}
-
-fn write_reply(
-    writer: &mut TcpStream,
-    response: &Response,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let mut head = Vec::with_capacity(160);
-    if let Some(secs) = response.retry_after {
-        write_head_with(
-            &mut head,
-            response.status,
-            response.reason,
-            "application/json",
-            response.body.len(),
-            keep_alive,
-            &[("retry-after", &secs.to_string())],
-        );
-    } else {
-        write_head(
-            &mut head,
-            response.status,
-            response.reason,
-            "application/json",
-            response.body.len(),
-            keep_alive,
-        );
-    }
-    writer.write_all(&head)?;
-    writer.write_all(response.body.as_bytes())?;
-    writer.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lshe_serve::client::HttpClient;
-    use lshe_serve::http::read_request;
+    use lshe_serve::testkit::{self, read_resp, Served};
+    use std::io::{BufReader, Write as _};
+    use std::net::{TcpListener, TcpStream};
 
     fn hit(id: u32, estimate: f64) -> Json {
         Json::obj(vec![
@@ -1125,140 +888,110 @@ mod tests {
         ])
     }
 
-    /// A canned shard process: real HTTP over the real codec, scripted
-    /// answers. `shard_id` is what it reports on `/stats`; `hits` is its
-    /// ranked answer to every query (and every batch item).
-    fn fake_shard(shard_id: u64, hits: Vec<Json>) -> SocketAddr {
-        fake_shard_failing_commits(shard_id, hits, 0)
-    }
-
-    /// Like [`fake_shard`], but the first `fail_commits` `/commit`
-    /// attempts answer 500 — the wire shape of a shard killed (or
-    /// wedged) mid-commit, used to exercise the coordinator's
-    /// retry-once convergence.
-    fn fake_shard_failing_commits(shard_id: u64, hits: Vec<Json>, fail_commits: u64) -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let commits = Arc::new(AtomicU64::new(0));
-        std::thread::spawn(move || {
-            while let Ok((stream, _)) = listener.accept() {
-                let hits = hits.clone();
-                let commits = Arc::clone(&commits);
-                std::thread::spawn(move || {
-                    let Ok(read_half) = stream.try_clone() else {
-                        return;
-                    };
-                    let mut reader = BufReader::new(read_half);
-                    let mut writer = stream;
-                    while let Ok(Some(req)) = read_request(&mut reader, None) {
-                        let (status, body) = answer(&req, shard_id, &hits, &commits, fail_commits);
-                        let keep = !req.wants_close();
-                        if write_response(
-                            &mut writer,
-                            status,
-                            reason_for(status),
-                            "application/json",
-                            body.as_bytes(),
-                            keep,
-                        )
-                        .is_err()
-                            || !keep
-                        {
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-        addr
-    }
-
-    fn answer(
-        req: &Request,
+    /// A canned shard's script, served on the real reactor.
+    /// `shard_id` is what it reports on `/stats`; `hits` is its ranked
+    /// answer to every query (and every batch item); the first
+    /// `fail_commits` `/commit` attempts answer 500 — the wire shape of a
+    /// shard killed (or wedged) mid-commit.
+    struct Script {
         shard_id: u64,
-        hits: &[Json],
-        commits: &AtomicU64,
+        hits: Vec<Json>,
         fail_commits: u64,
-    ) -> (u16, String) {
-        let query_answer = || {
-            Json::obj(vec![
-                ("count", Json::uint(hits.len() as u64)),
-                ("cached", Json::Bool(false)),
-                ("hits", Json::Arr(hits.to_vec())),
-            ])
-        };
-        match (req.method.as_str(), req.path()) {
-            ("GET", "/stats") => (
-                200,
-                Json::obj(vec![
+        commits: AtomicU64,
+        /// Every `/compact` target received, query string included.
+        compact_targets: std::sync::Mutex<Vec<String>>,
+    }
+
+    impl Script {
+        fn answer(&self, req: &Request) -> Outcome {
+            let hits = &self.hits;
+            match (req.method.as_str(), req.path()) {
+                ("GET", "/stats") => Outcome::ok(Json::obj(vec![
                     ("domains", Json::uint(hits.len() as u64)),
                     ("num_perm", Json::uint(128)),
-                    ("shard_id", Json::uint(shard_id)),
+                    ("shard_id", Json::uint(self.shard_id)),
                     ("next_id", Json::uint(100)),
                     ("generation", Json::uint(1)),
-                ])
-                .render(),
-            ),
-            ("GET", "/health") => (
-                200,
-                Json::obj(vec![
+                ])),
+                ("GET", "/health") => Outcome::ok(Json::obj(vec![
                     ("status", Json::str("ok")),
                     ("domains", Json::uint(hits.len() as u64)),
                     ("generation", Json::uint(1)),
-                ])
-                .render(),
-            ),
-            ("POST", "/query") | ("POST", "/topk") => {
-                let mut fields = match query_answer() {
-                    Json::Obj(fields) => fields,
-                    _ => unreachable!(),
-                };
-                fields.insert(2, ("generation".to_owned(), Json::uint(1)));
-                fields.insert(3, ("query_time_us".to_owned(), Json::uint(5)));
-                (200, Json::Obj(fields).render())
-            }
-            ("POST", "/commit") => {
-                let attempt = commits.fetch_add(1, Ordering::SeqCst);
-                if attempt < fail_commits {
-                    (500, r#"{"error":"injected commit failure"}"#.to_owned())
-                } else {
-                    (
-                        200,
-                        Json::obj(vec![
-                            ("status", Json::str("committed")),
-                            ("applied", Json::uint(1)),
-                            ("merged", Json::uint(1)),
-                            ("entries_folded", Json::uint(0)),
-                            ("sealed", Json::Bool(true)),
-                            ("segments", Json::uint(1)),
-                            ("tombstones", Json::uint(0)),
-                            ("generation", Json::uint(2)),
-                            ("domains", Json::uint(hits.len() as u64)),
-                        ])
-                        .render(),
-                    )
+                ])),
+                ("POST", "/query" | "/topk") => Outcome::ok(Json::obj(vec![
+                    ("count", Json::uint(hits.len() as u64)),
+                    ("cached", Json::Bool(false)),
+                    ("generation", Json::uint(1)),
+                    ("query_time_us", Json::uint(5)),
+                    ("hits", Json::Arr(hits.clone())),
+                ])),
+                ("POST", "/commit")
+                    if self.commits.fetch_add(1, Ordering::SeqCst) < self.fail_commits =>
+                {
+                    Outcome::error(500, "injected commit failure")
                 }
-            }
-            ("POST", "/batch") => {
-                let items = std::str::from_utf8(&req.body)
-                    .ok()
-                    .and_then(|b| Json::parse(b).ok())
-                    .and_then(|j| j.get("queries").and_then(Json::as_array).map(<[Json]>::len))
-                    .unwrap_or(0);
-                let results: Vec<Json> = (0..items).map(|_| query_answer()).collect();
-                (
-                    200,
-                    Json::obj(vec![
+                ("POST", "/commit") => Outcome::ok(Json::obj(vec![
+                    ("status", Json::str("committed")),
+                    ("applied", Json::uint(1)),
+                    ("merged", Json::uint(1)),
+                    ("entries_folded", Json::uint(0)),
+                    ("sealed", Json::Bool(true)),
+                    ("segments", Json::uint(1)),
+                    ("tombstones", Json::uint(0)),
+                    ("generation", Json::uint(2)),
+                    ("domains", Json::uint(hits.len() as u64)),
+                ])),
+                ("POST", "/compact") => {
+                    let mut targets = self.compact_targets.lock().expect("targets");
+                    targets.push(req.target.clone());
+                    Outcome::ok(Json::obj(vec![
+                        ("status", Json::str("scheduled")),
+                        ("epoch", Json::uint(targets.len() as u64)),
+                    ]))
+                }
+                ("POST", "/batch") => {
+                    let items = std::str::from_utf8(&req.body)
+                        .ok()
+                        .and_then(|b| Json::parse(b).ok())
+                        .and_then(|j| j.get("queries").and_then(Json::as_array).map(<[Json]>::len))
+                        .unwrap_or(0);
+                    let answer = Json::obj(vec![
+                        ("count", Json::uint(hits.len() as u64)),
+                        ("cached", Json::Bool(false)),
+                        ("hits", Json::Arr(hits.clone())),
+                    ]);
+                    let results = vec![answer; items];
+                    Outcome::ok(Json::obj(vec![
                         ("count", Json::uint(items as u64)),
                         ("generation", Json::uint(1)),
                         ("batch_time_us", Json::uint(7)),
                         ("results", Json::Arr(results)),
-                    ])
-                    .render(),
-                )
+                    ]))
+                }
+                _ => Outcome::error(404, "no such endpoint"),
             }
-            _ => (404, r#"{"error":"no such endpoint"}"#.to_owned()),
         }
+    }
+
+    /// Serves a [`Script`] until the test process exits.
+    fn serve_script(
+        shard_id: u64,
+        hits: Vec<Json>,
+        fail_commits: u64,
+    ) -> (SocketAddr, Arc<Script>) {
+        let script = Arc::new(Script {
+            shard_id,
+            hits,
+            fail_commits,
+            commits: AtomicU64::new(0),
+            compact_targets: std::sync::Mutex::new(Vec::new()),
+        });
+        let served = Arc::clone(&script);
+        (testkit::serve_fn(move |req| served.answer(req)), script)
+    }
+
+    fn fake_shard(shard_id: u64, hits: Vec<Json>) -> SocketAddr {
+        serve_script(shard_id, hits, 0).0
     }
 
     /// An address that refuses connections for as long as the guard beside
@@ -1271,8 +1004,8 @@ mod tests {
         (held.local_addr().expect("addr"), (peer, held))
     }
 
-    fn boot(shards: Vec<SocketAddr>) -> ClusterHandle {
-        start(ClusterConfig {
+    fn cluster_config(shards: Vec<SocketAddr>) -> ClusterConfig {
+        ClusterConfig {
             addr: "127.0.0.1:0".to_owned(),
             shards,
             connect_timeout: Duration::from_millis(500),
@@ -1280,8 +1013,30 @@ mod tests {
             hedge_after: Duration::from_millis(300),
             // Long: these tests drive health via requests, not probes.
             probe_interval: Duration::from_secs(60),
-        })
-        .expect("cluster start")
+        }
+    }
+
+    fn boot(shards: Vec<SocketAddr>) -> ClusterHandle {
+        start(cluster_config(shards)).expect("cluster start")
+    }
+
+    /// A one-shard coordinator under `server`'s reactor limits: what the
+    /// reactor's hostile-client checks run against.
+    fn boot_one_shard(server: ServerConfig) -> ClusterHandle {
+        let shards = vec![fake_shard(0, vec![hit(0, 0.9)])];
+        start_on(cluster_config(shards), server).expect("cluster start")
+    }
+
+    impl Served for ClusterHandle {
+        fn addr(&self) -> SocketAddr {
+            ClusterHandle::addr(self)
+        }
+        fn shutdown(self) {
+            ClusterHandle::shutdown(self);
+        }
+        fn join(self) {
+            ClusterHandle::join(self);
+        }
     }
 
     fn hit_ids(body: &Json) -> Vec<u64> {
@@ -1418,7 +1173,7 @@ mod tests {
     fn commit_retries_once_and_converges_after_shard_failure() {
         let handle = boot(vec![
             fake_shard(0, vec![hit(0, 0.9)]),
-            fake_shard_failing_commits(1, vec![hit(1, 0.7)], 1),
+            serve_script(1, vec![hit(1, 0.7)], 1).0,
         ]);
         let mut client = HttpClient::connect(handle.addr());
         let (status, body) = client.post("/commit", "");
@@ -1452,7 +1207,7 @@ mod tests {
     fn exhausted_commit_retry_names_the_lagging_shard() {
         let handle = boot(vec![
             fake_shard(0, vec![hit(0, 0.9)]),
-            fake_shard_failing_commits(1, vec![hit(1, 0.7)], 10),
+            serve_script(1, vec![hit(1, 0.7)], 10).0,
         ]);
         let mut client = HttpClient::connect(handle.addr());
         let (status, body) = client.post("/commit", "");
@@ -1523,5 +1278,50 @@ mod tests {
             TcpStream::connect(addr).is_err(),
             "listener must be gone after shutdown"
         );
+    }
+
+    #[test]
+    fn compact_async_reaches_every_shard_and_answers_scheduled() {
+        let (a, script_a) = serve_script(0, vec![hit(0, 0.9)], 0);
+        let (b, script_b) = serve_script(1, vec![hit(1, 0.7)], 0);
+        let handle = boot(vec![a, b]);
+        let mut client = HttpClient::connect(handle.addr());
+        let (status, body) = client.post("/compact?async=1", "");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body.get("status").and_then(Json::as_str), Some("scheduled"));
+        assert_eq!(body.get("shards").and_then(Json::as_u64), Some(2));
+        for script in [script_a, script_b] {
+            let targets = script.compact_targets.lock().expect("targets").clone();
+            assert_eq!(targets, vec!["/compact?async=1".to_owned()]);
+        }
+        // A scheduled fold is not a commit: the witness stays at 0.
+        let (_, stats) = client.get("/stats");
+        let witness = stats
+            .render()
+            .matches("\"last_commit_generation\":0")
+            .count();
+        assert_eq!(witness, 2, "{stats}");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn oversized_body_gets_413_like_the_server() {
+        let handle = boot(vec![fake_shard(0, vec![hit(0, 0.9)])]);
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .write_all(b"POST /query HTTP/1.1\r\nhost: x\r\ncontent-length: 9000000\r\n\r\n")
+            .expect("send");
+        let (status, body) = read_resp(&mut BufReader::new(stream)).expect("response");
+        assert_eq!(status, 413, "{body}");
+        handle.shutdown();
+    }
+
+    /// The server's hostile-client checks, run on a coordinator.
+    #[test]
+    fn coordinator_survives_hostile_clients_like_the_server() {
+        testkit::connection_cap_closes_excess_connections(boot_one_shard);
+        testkit::slow_drip_body_hits_request_deadline(boot_one_shard);
+        testkit::drain_answers_pipelined_successors_with_503_retry_after(boot_one_shard);
+        testkit::malformed_mid_pipeline_answers_valid_prefix_then_closes(boot_one_shard);
     }
 }

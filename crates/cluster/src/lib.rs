@@ -14,7 +14,7 @@
 //! | [`health`] | per-shard consecutive-failure state machine; degraded shards are skipped, probes re-admit them |
 //! | [`scatter`](mod@scatter) | lanes-budgeted parallel fan-out and hedged retries for straggler shards |
 //! | [`merge`] | union/rank merge of shard answers (estimate descending, id ascending) |
-//! | [`frontend`] | the coordinator HTTP server: `/query` `/topk` `/batch` `/insert` `/remove` `/commit` `/reload` `/stats` `/health` `/shutdown` |
+//! | [`frontend`] | the coordinator, a `Service` on `lshe-serve`'s reactor: `/query` `/topk` `/batch` `/insert` `/remove` `/commit` `/compact` `/reload` `/stats` `/health` (`/shutdown` is the reactor's) |
 //!
 //! ## Why the answers are the shards' own, bit for bit
 //!

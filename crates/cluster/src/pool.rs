@@ -90,35 +90,19 @@ impl ConnPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read as _, Write as _};
+    use lshe_serve::json::Json;
+    use lshe_serve::reactor::Outcome;
+    use lshe_serve::testkit;
     use std::net::TcpListener;
 
-    /// A tiny single-thread HTTP responder: answers every request with an
-    /// empty 200 until dropped.
-    fn fake_shard() -> (SocketAddr, std::thread::JoinHandle<()>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let handle = std::thread::spawn(move || {
-            while let Ok((mut conn, _)) = listener.accept() {
-                let mut buf = [0u8; 4096];
-                loop {
-                    match conn.read(&mut buf) {
-                        Ok(0) | Err(_) => break,
-                        Ok(_) => {
-                            let _ = conn.write_all(
-                                b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 2\r\nconnection: keep-alive\r\n\r\n{}",
-                            );
-                        }
-                    }
-                }
-            }
-        });
-        (addr, handle)
+    /// A shard answering every request with an empty 200.
+    fn fake_shard() -> SocketAddr {
+        testkit::serve_fn(|_| Outcome::ok(Json::obj(vec![])))
     }
 
     #[test]
     fn checkout_reuses_checked_in_connections() {
-        let (addr, _srv) = fake_shard();
+        let addr = fake_shard();
         let pool = ConnPool::new(addr, Duration::from_secs(2), Duration::from_secs(2));
         let mut conn = pool.checkout().expect("connect");
         let (status, _) = conn.try_request("GET", "/health", None).expect("exchange");
@@ -135,7 +119,7 @@ mod tests {
 
     #[test]
     fn idle_list_is_bounded() {
-        let (addr, _srv) = fake_shard();
+        let addr = fake_shard();
         let pool = ConnPool::new(addr, Duration::from_secs(2), Duration::from_secs(2));
         let conns: Vec<HttpClient> = (0..MAX_IDLE + 3)
             .map(|_| pool.checkout().expect("connect"))

@@ -186,73 +186,25 @@ pub fn hedged_call(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use lshe_serve::reactor::Outcome;
+    use lshe_serve::testkit;
+    use std::net::{SocketAddr, TcpListener};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
     use std::time::Instant;
 
-    fn respond(conn: &mut TcpStream, body: &str) {
-        let head = format!(
-            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: keep-alive\r\n\r\n",
-            body.len()
-        );
-        let _ = conn.write_all(head.as_bytes());
-        let _ = conn.write_all(body.as_bytes());
-    }
-
-    /// Reads request head + body off a shard-side connection; true when a
-    /// full request arrived, false on EOF/error.
-    fn read_one_request(reader: &mut BufReader<TcpStream>) -> bool {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return false,
-            Ok(_) => {}
-        }
-        let mut content_length = 0usize;
-        loop {
-            let mut header = String::new();
-            if reader.read_line(&mut header).map_or(true, |n| n == 0) {
-                return false;
-            }
-            let header = header.trim_end().to_ascii_lowercase();
-            if header.is_empty() {
-                break;
-            }
-            if let Some(v) = header.strip_prefix("content-length:") {
-                content_length = v.trim().parse().unwrap_or(0);
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        std::io::Read::read_exact(reader, &mut body).is_ok()
-    }
-
-    /// A fake shard whose FIRST request (per server) stalls for `delay`
-    /// before answering `slow`; every other request answers `fast`
-    /// immediately. Handles each connection on its own thread, so a
-    /// hedge connection is served while the first one sleeps.
+    /// A fake shard whose FIRST request stalls for `delay` before
+    /// answering `slow`; every other request answers `fast` immediately.
+    /// Its two pool threads serve a hedge while the first one sleeps.
     fn slow_then_fast_shard(delay: Duration) -> SocketAddr {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let served = Arc::new(AtomicUsize::new(0));
-        std::thread::spawn(move || {
-            while let Ok((conn, _)) = listener.accept() {
-                let served = Arc::clone(&served);
-                std::thread::spawn(move || {
-                    let mut writer = conn.try_clone().expect("clone");
-                    let mut reader = BufReader::new(conn);
-                    while read_one_request(&mut reader) {
-                        if served.fetch_add(1, Ordering::AcqRel) == 0 {
-                            std::thread::sleep(delay);
-                            respond(&mut writer, r#"{"who":"slow"}"#);
-                        } else {
-                            respond(&mut writer, r#"{"who":"fast"}"#);
-                        }
-                    }
-                });
+        let served = AtomicUsize::new(0);
+        testkit::serve_fn(move |_| {
+            if served.fetch_add(1, Ordering::AcqRel) == 0 {
+                std::thread::sleep(delay);
+                Outcome::raw(200, r#"{"who":"slow"}"#.to_owned())
+            } else {
+                Outcome::raw(200, r#"{"who":"fast"}"#.to_owned())
             }
-        });
-        addr
+        })
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! A deliberately small HTTP/1.1 server-side codec over `std::io`.
+//! A deliberately small HTTP/1.1 server-side codec.
 //!
 //! No crates.io access, so — like the rest of the workspace — the wire
 //! protocol is implemented by hand. Supported: request line + headers +
 //! `Content-Length` bodies, keep-alive (HTTP/1.1 default, `Connection:
 //! close` honoured), and hard limits on line length, header count, and
-//! body size so a misbehaving client cannot exhaust the server.
+//! body size so a misbehaving client cannot exhaust the server. The
+//! reactor feeds socket bytes to [`RequestParser`] and renders response
+//! heads with [`write_head_with`]; there is no blocking reader or writer.
 
-use std::io::{self, BufRead, Write};
+use std::io::Write;
 
 /// Maximum accepted request-line or header-line length (bytes).
 pub const MAX_LINE: usize = 8 * 1024;
@@ -64,8 +66,6 @@ impl Request {
 /// Why a request could not be read.
 #[derive(Debug)]
 pub enum HttpError {
-    /// Transport failure mid-request.
-    Io(io::Error),
     /// Syntactically invalid request; the message is safe to echo to the
     /// client in a 400 response.
     Malformed(&'static str),
@@ -80,7 +80,6 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Io(e) => write!(f, "i/o error: {e}"),
             Self::Malformed(m) => write!(f, "malformed request: {m}"),
             Self::TooLarge(m) => write!(f, "request too large: {m}"),
             Self::Unsupported(m) => write!(f, "unsupported: {m}"),
@@ -89,29 +88,6 @@ impl std::fmt::Display for HttpError {
 }
 
 impl std::error::Error for HttpError {}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        Self::Io(e)
-    }
-}
-
-/// Maps a read error: timeout-ish kinds retry until `deadline` (callers
-/// pair a short socket read timeout with a hard whole-request deadline, so
-/// a client dripping one byte per read cannot pin a reader forever).
-fn check_deadline(e: &io::Error, deadline: Option<std::time::Instant>) -> Result<(), HttpError> {
-    match e.kind() {
-        io::ErrorKind::Interrupted => Ok(()),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
-            if deadline.is_some_and(|d| std::time::Instant::now() < d) {
-                Ok(())
-            } else {
-                Err(HttpError::Malformed("request read timed out"))
-            }
-        }
-        _ => Err(HttpError::Io(io::Error::new(e.kind(), e.to_string()))),
-    }
-}
 
 /// Incremental parser state: accumulating head bytes, or streaming a
 /// known-length body.
@@ -146,9 +122,7 @@ enum ParseState {
 /// the rest buffered.
 ///
 /// After an `Err` the parser is poisoned — request framing is lost, so
-/// the connection must be answered with an error and closed. The
-/// blocking [`read_request`] is a thin driver over this same parser;
-/// there is exactly one parsing codepath.
+/// the connection must be answered with an error and closed.
 pub struct RequestParser {
     buf: Vec<u8>,
     /// Bytes of `buf` already consumed by completed requests.
@@ -187,23 +161,6 @@ impl RequestParser {
     #[must_use]
     pub fn is_idle(&self) -> bool {
         matches!(self.state, ParseState::Head { .. }) && self.pos == self.buf.len()
-    }
-
-    /// Body bytes the current request still needs (0 outside a body) —
-    /// lets a blocking driver bulk-consume body bytes without stealing
-    /// the next pipelined request's.
-    #[must_use]
-    pub fn body_wanted(&self) -> usize {
-        match &self.state {
-            ParseState::Body { remaining, .. } => *remaining,
-            ParseState::Head { .. } => 0,
-        }
-    }
-
-    /// Bytes currently buffered and not yet consumed by a request.
-    #[must_use]
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
     }
 
     /// Tries to complete one request from the buffered bytes. `Ok(None)`
@@ -407,89 +364,30 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
     Ok((request, body_len))
 }
 
-/// Reads one request off the stream — a blocking driver over
-/// [`RequestParser`]. `Ok(None)` means the peer closed the connection
-/// cleanly between requests (normal keep-alive teardown).
-///
-/// `deadline`, when given, bounds the *whole* request read: reads that
-/// time out at the socket level are retried until the deadline passes,
-/// then rejected — pair it with a short socket read timeout.
-///
-/// # Errors
-/// [`HttpError`] on transport failure, malformed syntax, exceeded
-/// protocol limits, or a blown deadline.
-pub fn read_request<R: BufRead>(
-    reader: &mut R,
-    deadline: Option<std::time::Instant>,
-) -> Result<Option<Request>, HttpError> {
-    let mut parser = RequestParser::new();
-    loop {
-        if let Some(request) = parser.next_request()? {
-            return Ok(Some(request));
-        }
-        // Checked on the success path too: a client dripping bytes just
-        // under the socket timeout must still hit the whole-request bound.
-        if deadline.is_some_and(|d| std::time::Instant::now() >= d) && !parser.is_idle() {
-            return Err(HttpError::Malformed("request read timed out"));
-        }
-        let chunk = match reader.fill_buf() {
-            Ok([]) => {
-                if parser.is_idle() {
-                    return Ok(None);
-                }
-                if parser.body_wanted() > 0 {
-                    return Err(HttpError::Malformed("body shorter than content-length"));
-                }
-                return Err(HttpError::Malformed("unexpected EOF mid-request"));
-            }
-            Ok(chunk) => chunk,
-            Err(e) => {
-                check_deadline(&e, deadline)?;
-                continue;
-            }
-        };
-        // Consume only what this request can claim: head bytes one at a
-        // time (the terminator position isn't known yet), body bytes in
-        // bulk (the parser knows exactly how many remain). Pipelined
-        // bytes belonging to the NEXT request stay in the reader.
-        let take = match parser.body_wanted() {
-            0 => 1,
-            wanted => wanted.min(chunk.len()),
-        };
-        parser.feed(&chunk[..take]);
-        reader.consume(take);
+/// The reason phrase for `status`, as the status line carries it.
+#[must_use]
+pub fn reason(status: u16) -> &'static str {
+    match status {
+        200 => "OK",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        409 => "Conflict",
+        413 => "Payload Too Large",
+        500 => "Internal Server Error",
+        501 => "Not Implemented",
+        502 => "Bad Gateway",
+        503 => "Service Unavailable",
+        _ => "Error",
     }
 }
 
-/// Appends a response head (status line + standard headers + blank line)
-/// to `out`. The event loop renders heads with this straight into reused
-/// per-connection write buffers; [`write_response`] is the same head over
-/// a blocking writer.
-pub fn write_head(
-    out: &mut Vec<u8>,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    content_length: usize,
-    keep_alive: bool,
-) {
-    write_head_with(
-        out,
-        status,
-        reason,
-        content_type,
-        content_length,
-        keep_alive,
-        &[],
-    );
-}
-
-/// [`write_head`] plus extra header lines (name, value) before the blank
-/// terminator — e.g. `Retry-After` on a drain-time 503.
+/// Appends a response head (status line, standard headers, `extra` header
+/// lines such as `Retry-After` on a drain-time 503, blank line) to `out`:
+/// the reactor renders heads straight into reused write buffers.
 pub fn write_head_with(
     out: &mut Vec<u8>,
     status: u16,
-    reason: &str,
     content_type: &str,
     content_length: usize,
     keep_alive: bool,
@@ -498,7 +396,8 @@ pub fn write_head_with(
     // Writing into a Vec<u8> cannot fail.
     let _ = write!(
         out,
-        "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {content_length}\r\nconnection: {}\r\n",
+        "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {content_length}\r\nconnection: {}\r\n",
+        reason(status),
         if keep_alive { "keep-alive" } else { "close" },
     );
     for (name, value) in extra {
@@ -507,39 +406,19 @@ pub fn write_head_with(
     out.extend_from_slice(b"\r\n");
 }
 
-/// Writes a complete response with a body and standard headers.
-///
-/// # Errors
-/// Propagates transport errors.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> io::Result<()> {
-    let mut head = Vec::with_capacity(128);
-    write_head(
-        &mut head,
-        status,
-        reason,
-        content_type,
-        body.len(),
-        keep_alive,
-    );
-    writer.write_all(&head)?;
-    writer.write_all(body)?;
-    writer.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
+    /// Parses `raw` as everything a peer sent before closing: `Ok(None)`
+    /// for nothing, an error for a request the close cut short.
     fn parse(raw: &[u8]) -> Result<Option<Request>, HttpError> {
-        read_request(&mut BufReader::new(raw), None)
+        let mut parser = RequestParser::new();
+        parser.feed(raw);
+        match parser.next_request()? {
+            None if !parser.is_idle() => Err(HttpError::Malformed("unexpected EOF mid-request")),
+            request => Ok(request),
+        }
     }
 
     #[test]
@@ -674,69 +553,40 @@ mod tests {
         }
     }
 
-    /// A reader that yields one byte then times out forever — a
-    /// byte-dripping slow client.
-    struct Stall {
-        sent: bool,
-    }
-
-    impl std::io::Read for Stall {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.sent {
-                Err(std::io::Error::from(std::io::ErrorKind::WouldBlock))
-            } else {
-                self.sent = true;
-                buf[0] = b'G';
-                Ok(1)
-            }
-        }
-    }
-
-    #[test]
-    fn deadline_bounds_slow_requests() {
-        use std::time::{Duration, Instant};
-        // Expired deadline: the stalled read must fail, not spin forever.
-        let mut reader = BufReader::new(Stall { sent: false });
-        let past = Instant::now() - Duration::from_secs(1);
-        assert!(matches!(
-            read_request(&mut reader, Some(past)),
-            Err(HttpError::Malformed("request read timed out"))
-        ));
-        // With no deadline, socket timeouts surface unchanged (via the
-        // same path the connection handler retries on).
-        let mut reader = BufReader::new(Stall { sent: false });
-        assert!(read_request(&mut reader, None).is_err());
-    }
-
     #[test]
     fn keep_alive_sequencing() {
-        let raw = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(&raw[..]);
-        let a = read_request(&mut reader, None).expect("ok").expect("first");
-        let b = read_request(&mut reader, None)
-            .expect("ok")
-            .expect("second");
+        let mut parser = RequestParser::new();
+        parser.feed(b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\n\r\n");
+        let a = parser.next_request().expect("ok").expect("first");
+        let b = parser.next_request().expect("ok").expect("second");
         assert_eq!(a.target, "/a");
         assert_eq!(b.target, "/b");
-        assert!(read_request(&mut reader, None).expect("ok").is_none());
+        assert!(parser.next_request().expect("ok").is_none());
+        assert!(parser.is_idle());
     }
 
     #[test]
     fn response_writer_shapes_headers() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "OK", "application/json", b"{}", true).expect("write");
+        write_head_with(&mut out, 200, "application/json", 2, true, &[]);
         let text = String::from_utf8(out).expect("utf8");
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 2\r\n"));
         assert!(text.contains("connection: keep-alive\r\n"));
-        assert!(text.ends_with("\r\n\r\n{}"));
+        assert!(text.ends_with("\r\n\r\n"));
 
         let mut out = Vec::new();
-        write_response(&mut out, 400, "Bad Request", "application/json", b"", false)
-            .expect("write");
-        assert!(String::from_utf8(out)
-            .expect("utf8")
-            .contains("connection: close"));
+        write_head_with(
+            &mut out,
+            503,
+            "application/json",
+            0,
+            false,
+            &[("retry-after", "1")],
+        );
+        let text = String::from_utf8(out).expect("utf8");
+        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
+        assert!(text.contains("connection: close\r\nretry-after: 1\r\n\r\n"));
     }
 
     /// Reference parse of a byte stream containing exactly the given

@@ -14,12 +14,12 @@
 //! | [`engine`] | `Arc`-swapped snapshot reads + hot `/reload` over one index |
 //! | [`cache`] | thread-safe LRU query cache with hit/miss counters |
 //! | [`pool`] | fixed thread pool (the reactor's compute lanes) with drain-on-drop graceful shutdown |
-//! | [`http`] | minimal HTTP/1.1 parsing — incremental/resumable over partial reads — and response writing |
+//! | [`http`] | minimal HTTP/1.1 parsing — incremental/resumable over partial reads — and response heads |
 //! | [`json`] | the wire protocol's JSON: `lshe-corpus`'s one parser and renderer, re-exported |
 //! | [`maintenance`] | the background maintenance runtime: a parked thread executing leveled merge plans off the request path |
 //! | [`poller`] | readiness polling (epoll on Linux, `poll(2)` elsewhere) via std-linked libc symbols |
-//! | [`server`] | configuration, routing, endpoints |
-//! | `reactor` (internal) | the event loop: non-blocking listener + connections, pipelined in-order responses |
+//! | [`server`] | configuration, and the engine's routing and endpoints |
+//! | [`reactor`] | the one event loop: non-blocking listener + connections, pipelined in-order responses, drain; serves any [`reactor::Service`] (the engine, `lshe-cluster`'s coordinator) |
 //!
 //! ## Quick example
 //!
@@ -64,9 +64,12 @@ pub mod http;
 pub mod maintenance;
 pub mod poller;
 pub mod pool;
-mod reactor;
+pub mod reactor;
 mod records;
 pub mod server;
+#[cfg(any(test, feature = "testkit"))]
+#[doc(hidden)]
+pub mod testkit;
 
 /// The wire protocol's JSON, [`lshe_corpus::json`], under the name
 /// callers of the server have always used.

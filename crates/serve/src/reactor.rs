@@ -1,48 +1,52 @@
-//! The readiness-driven I/O core: one thread, every connection.
+//! The readiness-driven I/O core: one thread, every connection, any
+//! [`Service`].
 //!
 //! One reactor thread owns the listener and all connection sockets,
 //! multiplexed through [`crate::poller`] (epoll on Linux). Each
 //! connection is a small state machine — reading → parsing → executing →
 //! writing — fed by the resumable [`RequestParser`], with pipelined
 //! HTTP/1.1 requests answered strictly in arrival order through a
-//! per-connection completion ledger.
+//! per-connection completion ledger. `lshe serve` (the engine's route
+//! table) and `lshe cluster` (the coordinator's) are two [`Service`]s on
+//! this one loop.
 //!
-//! The reactor itself never searches. Cache hits, parse errors, and
-//! cheap control endpoints (`/health`, `/stats`, `/shutdown`, 404/405)
-//! answer inline — a cache probe and a JSON render, microseconds — while
-//! anything that must sketch, search, or mutate the engine is handed to
-//! the compute pool. Cache-missed `/query`/`/topk` requests decoded in
-//! the *same poller tick* are batched into ONE pool job that executes
-//! them through a single `search_batch` dispatch, so a burst of N
-//! concurrent single-query clients costs one fan-out, not N.
+//! The reactor itself never searches or scatters. It hands each request
+//! to [`Service::step`] on the loop thread, which answers at once
+//! ([`Step::Reply`]: a cache hit, a parse error, `/health`), marks it
+//! [`Step::Long`] for the compute pool, or defers it as a [`Step::Group`]:
+//! every group request decoded in the *same poller tick* goes to the pool
+//! as ONE [`Service::run_group`] call, so a burst of N concurrent
+//! cache-missed queries costs one batched search, not N. `POST /shutdown`
+//! never reaches a service: the reactor answers it and drains.
 //!
-//! Backpressure and hygiene: per-connection pipelines are capped at
-//! [`MAX_PIPELINE`] in-flight requests (read interest drops while full),
-//! reads are bounded per tick so one firehose client cannot starve the
-//! loop, write buffers are reused and shrunk after bursts, a
-//! whole-request deadline kills byte-dripping clients, and idle
-//! keep-alive connections expire after [`IDLE_TIMEOUT`].
+//! Backpressure and hygiene: per-connection pipelines are capped at 64
+//! in-flight requests (read interest drops while full), reads are
+//! bounded per tick so one firehose client cannot starve the loop, write
+//! buffers are reused and shrunk after bursts, open connections are
+//! capped, a whole-request deadline kills byte-dripping clients, and idle
+//! keep-alive connections expire after 60 s. Long work runs on a fixed
+//! pool of [`ServerConfig::threads`] workers, so at most that many run at
+//! once.
 
-use crate::http::{HttpError, Request, RequestParser};
+use crate::http::{self, HttpError, Request, RequestParser};
 use crate::poller::{Event, Poller, Waker, READ, WRITE};
-use crate::pool::ThreadPool;
-use crate::server::{self, MissQuery, Outcome, QueryStep, Shared};
+use crate::pool::{effective_threads, ThreadPool};
+use crate::server::ServerConfig;
+use lshe_corpus::json::Json;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// In-flight (unanswered) pipelined requests allowed per connection;
 /// beyond it the reactor stops reading from that socket until responses
 /// drain (TCP backpressure does the rest).
 const MAX_PIPELINE: usize = 64;
-/// `/query`/`/topk` bodies up to this size parse inline on the reactor;
-/// larger ones go to the compute pool like any heavy request.
-const INLINE_BODY_MAX: usize = 64 * 1024;
 /// Per-`read` chunk size.
 const READ_CHUNK: usize = 16 * 1024;
 /// Per-connection read budget within one tick — fairness bound so one
@@ -64,6 +68,282 @@ const DRAIN_GRACE: Duration = Duration::from_secs(5);
 /// partially-written buffer compacts once the consumed prefix passes it.
 const WRITE_COMPACT: usize = 64 * 1024;
 
+/// One routed response: a status and its body. The reason phrase is
+/// [`http::reason`]'s, and the reactor decides keep-alive.
+#[derive(Debug)]
+pub struct Outcome {
+    /// HTTP status code.
+    pub status: u16,
+    /// Response body, sent as `application/json`.
+    pub body: Body,
+}
+
+/// An [`Outcome`]'s body.
+#[derive(Debug)]
+pub enum Body {
+    /// A JSON value, rendered on the way out.
+    Json(Json),
+    /// JSON text already rendered elsewhere (a forwarded shard reply),
+    /// written byte for byte.
+    Raw(String),
+}
+
+impl Outcome {
+    /// `200` with a JSON body.
+    #[must_use]
+    pub fn ok(body: Json) -> Self {
+        Self {
+            status: 200,
+            body: Body::Json(body),
+        }
+    }
+
+    /// `status` with the body `{"error": msg}`.
+    #[must_use]
+    pub fn error(status: u16, msg: impl Into<String>) -> Self {
+        Self {
+            status,
+            body: Body::Json(Json::obj(vec![("error", Json::str(msg.into()))])),
+        }
+    }
+
+    /// `status` with an already-rendered body, forwarded verbatim.
+    #[must_use]
+    pub fn raw(status: u16, body: String) -> Self {
+        Self {
+            status,
+            body: Body::Raw(body),
+        }
+    }
+}
+
+/// What [`Service::step`] makes of a request on the reactor thread.
+#[derive(Debug)]
+pub enum Step<M> {
+    /// Answer now.
+    Reply(Outcome),
+    /// Blocking work: [`Service::run`] executes it on the compute pool.
+    Long(Request),
+    /// Work that this tick's other `Group` steps share one
+    /// [`Service::run_group`] call with, on the compute pool.
+    Group(M),
+}
+
+/// An endpoint table the reactor serves.
+pub trait Service: Send + Sync + 'static {
+    /// Deferred [`Step::Group`] work. A service that never groups uses
+    /// [`std::convert::Infallible`].
+    type Miss: Send + 'static;
+
+    /// Routes one request on the reactor thread. It must take
+    /// microseconds: anything that blocks is [`Step::Long`], which is
+    /// every request unless a service says otherwise.
+    fn step(&self, request: Request) -> Step<Self::Miss> {
+        Step::Long(request)
+    }
+
+    /// Runs a [`Step::Long`] request to completion. It may block; where it
+    /// runs is the reactor's choice.
+    fn run(&self, request: Request) -> Outcome;
+
+    /// Runs one tick's [`Step::Group`] work, answering each in order.
+    fn run_group(&self, group: Vec<Self::Miss>) -> Vec<Outcome>;
+}
+
+/// Event-loop observability counters, exposed as the `server` object on
+/// the engine's `/stats`.
+#[derive(Debug, Default)]
+pub(crate) struct ServerStats {
+    /// Connections currently open.
+    pub(crate) open: AtomicU64,
+    /// Highest number of in-flight pipelined requests seen on any one
+    /// connection.
+    pub(crate) pipeline_hwm: AtomicU64,
+    /// Event-loop wakeups (one per `epoll_wait` return).
+    pub(crate) wakeups: AtomicU64,
+    /// Largest per-connection write buffer observed, in bytes.
+    pub(crate) write_buf_hwm: AtomicU64,
+}
+
+/// The reactor's own state: the limits it enforces, its shutdown flag and
+/// its counters. A service holds it to report them on `/stats`.
+#[derive(Debug)]
+pub struct ReactorState {
+    shutdown: AtomicBool,
+    /// Connections accepted since start.
+    pub(crate) connections: AtomicU64,
+    /// Error responses (status ≥ 400) sent, parse failures, timeouts and
+    /// drain refusals included: counted once, where each is rendered.
+    pub(crate) errors: AtomicU64,
+    pub(crate) stats: ServerStats,
+    /// Open-connection cap (from [`ServerConfig::max_connections`]).
+    max_connections: usize,
+    /// Whole-request read deadline (from [`ServerConfig::request_timeout_ms`]).
+    request_timeout: Duration,
+    /// Compute-pool workers (from [`ServerConfig::threads`]).
+    pub(crate) threads: usize,
+}
+
+impl ReactorState {
+    /// True once a `POST /shutdown` or [`ReactorHandle::shutdown`] began
+    /// the drain.
+    #[must_use]
+    pub fn is_shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Renders `outcome` as response bytes (`extra` header lines before
+    /// the blank line), counting it when it is an error.
+    fn render(
+        &self,
+        outcome: &Outcome,
+        keep_alive: bool,
+        extra: &[(&str, &str)],
+        scratch: &mut String,
+    ) -> Rendered {
+        if outcome.status >= 400 {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        let body = match &outcome.body {
+            Body::Json(json) => {
+                scratch.clear();
+                json.render_into(scratch);
+                scratch.as_str()
+            }
+            Body::Raw(text) => text.as_str(),
+        };
+        let mut bytes = Vec::with_capacity(body.len() + 128);
+        http::write_head_with(
+            &mut bytes,
+            outcome.status,
+            "application/json",
+            body.len(),
+            keep_alive,
+            extra,
+        );
+        bytes.extend_from_slice(body.as_bytes());
+        Rendered {
+            bytes,
+            close: !keep_alive,
+        }
+    }
+}
+
+/// A bound listener and its [`ReactorState`], not serving yet: build the
+/// service around [`state`](Self::state), then [`serve`](Self::serve) it.
+#[derive(Debug)]
+pub struct Bound {
+    listener: TcpListener,
+    addr: SocketAddr,
+    state: Arc<ReactorState>,
+}
+
+/// Binds `config.addr` under `config`'s connection cap, request deadline
+/// and pool size (`threads`).
+///
+/// # Errors
+/// Propagates the bind failure.
+pub fn bind(config: &ServerConfig) -> io::Result<Bound> {
+    let listener = TcpListener::bind(&config.addr)?;
+    listener.set_nonblocking(true)?;
+    let addr = listener.local_addr()?;
+    let state = Arc::new(ReactorState {
+        shutdown: AtomicBool::new(false),
+        connections: AtomicU64::new(0),
+        errors: AtomicU64::new(0),
+        stats: ServerStats::default(),
+        max_connections: config.max_connections.max(1),
+        request_timeout: Duration::from_millis(config.request_timeout_ms.max(1)),
+        threads: effective_threads(config.threads),
+    });
+    Ok(Bound {
+        listener,
+        addr,
+        state,
+    })
+}
+
+impl Bound {
+    /// The bound address (useful with an ephemeral `:0` bind).
+    #[must_use]
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The state the reactor will run with.
+    #[must_use]
+    pub fn state(&self) -> &Arc<ReactorState> {
+        &self.state
+    }
+
+    /// Spawns the reactor thread serving `service`.
+    ///
+    /// # Errors
+    /// Propagates the poller, waker or thread-spawn failure.
+    pub fn serve<S: Service>(self, service: Arc<S>) -> io::Result<ReactorHandle> {
+        let waker = Arc::new(Waker::new()?);
+        let mut reactor = Reactor::new(
+            self.listener,
+            Arc::clone(&self.state),
+            service,
+            Arc::clone(&waker),
+        )?;
+        let thread = std::thread::Builder::new()
+            .name("lshe-serve-reactor".to_owned())
+            .spawn(move || reactor.run_loop())?;
+        Ok(ReactorHandle {
+            addr: self.addr,
+            state: self.state,
+            waker,
+            thread: Some(thread),
+        })
+    }
+}
+
+/// A running reactor. Dropping the handle leaves it serving.
+#[derive(Debug)]
+pub struct ReactorHandle {
+    addr: SocketAddr,
+    state: Arc<ReactorState>,
+    waker: Arc<Waker>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl ReactorHandle {
+    /// The bound address.
+    #[must_use]
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Begins the drain and waits for it: the listener closes, requests on
+    /// open connections get the 503 refusal, in-flight work completes.
+    pub fn shutdown(mut self) {
+        self.stop();
+    }
+
+    /// Blocks until the reactor stops on its own (`POST /shutdown`).
+    pub fn join(mut self) {
+        self.wait();
+    }
+
+    pub(crate) fn stop(&mut self) {
+        if self.thread.is_some() {
+            self.state.shutdown.store(true, Ordering::SeqCst);
+            // The reactor may be blocked in `wait`; the waker's fd is
+            // registered there, so one poke gets it to notice the flag.
+            self.waker.wake();
+        }
+        self.wait();
+    }
+
+    pub(crate) fn wait(&mut self) {
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
+
 /// One fully rendered HTTP response, ready for a connection's write
 /// buffer.
 struct Rendered {
@@ -72,23 +352,20 @@ struct Rendered {
     close: bool,
 }
 
-/// A response produced off-thread, routed back to its connection slot.
-struct Completion {
+/// Where a response goes: a connection's ledger slot.
+#[derive(Clone, Copy)]
+struct Slot {
     fd: RawFd,
     /// Guards against fd reuse: must match the connection's epoch.
     epoch: u64,
     seq: u64,
-    rendered: Rendered,
+    keep_alive: bool,
 }
 
-/// One same-tick cache-missed query awaiting the grouped dispatch.
-struct GroupJob {
-    fd: RawFd,
-    epoch: u64,
-    seq: u64,
-    keep_alive: bool,
-    started: Instant,
-    miss: Box<MissQuery>,
+/// A response produced off-thread, routed back to its connection slot.
+struct Completion {
+    slot: Slot,
+    rendered: Rendered,
 }
 
 /// Per-connection state machine.
@@ -150,22 +427,14 @@ impl Conn {
     }
 }
 
-/// Runs the event loop until shutdown completes. This is the body of the
-/// `lshe-serve-reactor` thread.
-pub(crate) fn run(listener: TcpListener, shared: &Arc<Shared>, waker: &Arc<Waker>) {
-    let Ok(mut reactor) = Reactor::new(listener, Arc::clone(shared), Arc::clone(waker)) else {
-        return; // no poller ⇒ no server; bind errors were already surfaced
-    };
-    reactor.run_loop();
-}
-
-struct Reactor {
+struct Reactor<S: Service> {
     poller: Poller,
     waker: Arc<Waker>,
     waker_fd: RawFd,
     listener: Option<TcpListener>,
     listener_fd: RawFd,
-    shared: Arc<Shared>,
+    state: Arc<ReactorState>,
+    service: Arc<S>,
     pool: ThreadPool,
     conns: HashMap<RawFd, Conn>,
     comp_tx: Sender<Completion>,
@@ -177,20 +446,25 @@ struct Reactor {
     drain_deadline: Option<Instant>,
     /// Reused JSON render buffer for inline responses.
     scratch: String,
-    /// Same-tick cache-missed queries, batched into one pool job.
-    tick_queries: Vec<GroupJob>,
+    /// Same-tick [`Step::Group`] work, run as one pool job.
+    tick_group: Vec<(Slot, S::Miss)>,
     next_sweep: Instant,
     events: Vec<Event>,
 }
 
-impl Reactor {
-    fn new(listener: TcpListener, shared: Arc<Shared>, waker: Arc<Waker>) -> io::Result<Self> {
+impl<S: Service> Reactor<S> {
+    fn new(
+        listener: TcpListener,
+        state: Arc<ReactorState>,
+        service: Arc<S>,
+        waker: Arc<Waker>,
+    ) -> io::Result<Self> {
         let poller = Poller::new()?;
         let waker_fd = waker.fd();
         let listener_fd = listener.as_raw_fd();
         poller.register(waker_fd, waker_fd as u64, READ)?;
         poller.register(listener_fd, listener_fd as u64, READ)?;
-        let pool = ThreadPool::new(shared.threads, "lshe-serve-worker");
+        let pool = ThreadPool::new(state.threads, "lshe-serve-worker");
         let (comp_tx, comp_rx) = std::sync::mpsc::channel();
         Ok(Self {
             poller,
@@ -198,7 +472,8 @@ impl Reactor {
             waker_fd,
             listener: Some(listener),
             listener_fd,
-            shared,
+            state,
+            service,
             pool,
             conns: HashMap::new(),
             comp_tx,
@@ -208,15 +483,17 @@ impl Reactor {
             draining: false,
             drain_deadline: None,
             scratch: String::new(),
-            tick_queries: Vec::new(),
+            tick_group: Vec::new(),
             next_sweep: Instant::now(),
             events: Vec::new(),
         })
     }
 
+    /// Runs the event loop until shutdown completes. This is the body of
+    /// the `lshe-serve-reactor` thread.
     fn run_loop(&mut self) {
         loop {
-            if !self.draining && self.shared.shutdown.load(Ordering::SeqCst) {
+            if !self.draining && self.state.is_shutting_down() {
                 self.begin_drain();
             }
             if self.draining && self.drain_complete() {
@@ -227,10 +504,7 @@ impl Reactor {
             if self.poller.wait(&mut self.events, Some(timeout)).is_err() {
                 break; // poller failure is unrecoverable
             }
-            self.shared
-                .server_stats
-                .wakeups
-                .fetch_add(1, Ordering::Relaxed);
+            self.state.stats.wakeups.fetch_add(1, Ordering::Relaxed);
             let events = std::mem::take(&mut self.events);
             for ev in &events {
                 #[allow(clippy::cast_possible_truncation)]
@@ -245,7 +519,7 @@ impl Reactor {
             }
             self.events = events;
             self.drain_completions();
-            self.dispatch_tick_queries();
+            self.dispatch_tick_group();
             self.sweep_deadlines();
         }
     }
@@ -258,7 +532,7 @@ impl Reactor {
             let accepted = self.listener.as_ref().expect("listener checked").accept();
             match accepted {
                 Ok((stream, _)) => {
-                    if self.conns.len() >= self.shared.max_connections {
+                    if self.conns.len() >= self.state.max_connections {
                         drop(stream);
                         continue;
                     }
@@ -271,13 +545,10 @@ impl Reactor {
                     let fd = stream.as_raw_fd();
                     self.epoch_counter += 1;
                     if self.poller.register(fd, fd as u64, READ).is_ok() {
-                        self.shared
-                            .counters
-                            .connections
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.state.connections.fetch_add(1, Ordering::Relaxed);
                         self.conns.insert(fd, Conn::new(stream, self.epoch_counter));
-                        self.shared
-                            .server_stats
+                        self.state
+                            .stats
                             .open
                             .store(self.conns.len() as u64, Ordering::Relaxed);
                     }
@@ -348,27 +619,30 @@ impl Reactor {
             match conn.parser.next_request() {
                 Ok(Some(request)) => {
                     conn.request_started = None;
-                    let seq = conn.next_seq;
+                    let slot = Slot {
+                        fd,
+                        epoch: conn.epoch,
+                        seq: conn.next_seq,
+                        keep_alive: !request.wants_close(),
+                    };
                     conn.next_seq += 1;
                     conn.pending.push_back(None);
-                    self.shared
-                        .server_stats
+                    self.state
+                        .stats
                         .pipeline_hwm
                         .fetch_max(conn.pending.len() as u64, Ordering::Relaxed);
-                    self.dispatch_request(fd, conn, seq, request);
+                    self.dispatch_request(conn, slot, request);
                 }
                 Ok(None) => break,
                 Err(e) => {
-                    self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    let (status, reason) = match &e {
-                        HttpError::TooLarge(_) => (413, "Payload Too Large"),
-                        HttpError::Unsupported(_) => (501, "Not Implemented"),
-                        _ => (400, "Bad Request"),
+                    let status = match &e {
+                        HttpError::TooLarge(_) => 413,
+                        HttpError::Unsupported(_) => 501,
+                        HttpError::Malformed(_) => 400,
                     };
-                    let outcome = Outcome::error(status, reason, e.to_string());
-                    let bytes = server::render_outcome(&outcome, false, &mut self.scratch);
-                    conn.pending
-                        .push_back(Some(Rendered { bytes, close: true }));
+                    let outcome = Outcome::error(status, e.to_string());
+                    let rendered = self.state.render(&outcome, false, &[], &mut self.scratch);
+                    conn.pending.push_back(Some(rendered));
                     conn.next_seq += 1;
                     conn.closing = true;
                     break;
@@ -385,158 +659,111 @@ impl Reactor {
         }
     }
 
-    /// Routes one request: cache-probe queries and cheap control
-    /// endpoints inline, heavy work to the compute pool, cache-missed
-    /// queries into the same-tick batch.
-    fn dispatch_request(&mut self, fd: RawFd, conn: &mut Conn, seq: u64, request: Request) {
-        let keep_alive = !request.wants_close();
+    /// Routes one request: the drain refusal and `/shutdown` here, the
+    /// rest through [`Service::step`] — inline, to the pool, or into this
+    /// tick's group.
+    fn dispatch_request(&mut self, conn: &mut Conn, slot: Slot, request: Request) {
         // Draining (or a /shutdown earlier in this very burst): refuse
         // with 503 + Retry-After so retry logic can tell drain from
         // failure. The close flag tears the connection down after it.
-        if self.draining || self.shared.shutdown.load(Ordering::SeqCst) {
-            self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            self.complete_local(conn, seq, &Outcome::draining(), keep_alive);
+        if self.draining || self.state.is_shutting_down() {
+            let outcome = Outcome::error(503, "server is draining");
+            let rendered =
+                self.state
+                    .render(&outcome, false, &[("retry-after", "1")], &mut self.scratch);
+            deliver(conn, slot.seq, rendered);
             return;
         }
-        let is_query = matches!(
-            (request.method.as_str(), request.path()),
-            ("POST", "/query" | "/topk")
-        );
-        if is_query && request.body.len() <= INLINE_BODY_MAX {
-            let require_k = request.path() == "/topk";
-            let started = Instant::now();
-            match server::query_step(&self.shared, &request.body, require_k, started) {
-                QueryStep::Reply(outcome) => {
-                    // Parse errors and cache hits answer without leaving
-                    // the reactor thread.
-                    if outcome.status >= 400 {
-                        self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.complete_local(conn, seq, &outcome, keep_alive);
-                }
-                QueryStep::Miss(miss) => self.tick_queries.push(GroupJob {
-                    fd,
-                    epoch: conn.epoch,
-                    seq,
-                    keep_alive,
-                    started,
-                    miss,
-                }),
-            }
+        if request.path() == "/shutdown" {
+            let outcome = if request.method == "POST" {
+                // The flag is stored now, so requests pipelined BEHIND
+                // /shutdown in the same burst already answer 503 (above);
+                // the drain begins on the next loop iteration, after this
+                // response is queued. Keep-alive on the wire: a
+                // close-flagged response would discard those queued 503s.
+                self.state.shutdown.store(true, Ordering::SeqCst);
+                Outcome::ok(Json::obj(vec![("status", Json::str("shutting down"))]))
+            } else {
+                Outcome::error(405, "wrong method for this path")
+            };
+            self.complete_local(conn, slot, &outcome);
             return;
         }
-        let heavy = matches!(
-            (request.method.as_str(), request.path()),
-            (
-                "POST",
-                "/query"
-                    | "/topk"
-                    | "/batch"
-                    | "/reload"
-                    | "/insert"
-                    | "/remove"
-                    | "/commit"
-                    | "/compact"
-            )
-        );
-        if heavy {
-            self.dispatch_pool(fd, conn.epoch, seq, keep_alive, request);
-        } else {
-            // /health, /stats, /shutdown, 404, 405: O(µs) inline.
-            let outcome = server::route(&self.shared, &request);
-            if outcome.status >= 400 {
-                self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+        match self.service.step(request) {
+            Step::Reply(outcome) => self.complete_local(conn, slot, &outcome),
+            Step::Long(request) => {
+                let (service, state) = (Arc::clone(&self.service), Arc::clone(&self.state));
+                self.on_pool(move || {
+                    let outcome = service.run(request);
+                    let rendered = state.render(&outcome, slot.keep_alive, &[], &mut String::new());
+                    vec![Completion { slot, rendered }]
+                });
             }
-            self.complete_local(conn, seq, &outcome, keep_alive);
+            Step::Group(miss) => self.tick_group.push((slot, miss)),
         }
     }
 
     /// Renders an inline outcome straight into the connection's ledger.
-    fn complete_local(&mut self, conn: &mut Conn, seq: u64, outcome: &Outcome, keep_alive: bool) {
-        let ka = keep_alive && !outcome.close_after;
-        let bytes = server::render_outcome(outcome, ka, &mut self.scratch);
-        deliver(conn, seq, Rendered { bytes, close: !ka });
+    fn complete_local(&mut self, conn: &mut Conn, slot: Slot, outcome: &Outcome) {
+        let rendered = self
+            .state
+            .render(outcome, slot.keep_alive, &[], &mut self.scratch);
+        deliver(conn, slot.seq, rendered);
     }
 
-    /// One generic pool job: route + render off-thread, completion back
-    /// through the channel, waker poke so the reactor picks it up.
-    fn dispatch_pool(&self, fd: RawFd, epoch: u64, seq: u64, keep_alive: bool, request: Request) {
-        let shared = Arc::clone(&self.shared);
+    /// Runs `job` on the compute pool; its completions come back through
+    /// the channel, and a waker poke makes the reactor pick them up.
+    fn on_pool(&self, job: impl FnOnce() -> Vec<Completion> + Send + 'static) {
         let tx = self.comp_tx.clone();
         let waker = Arc::clone(&self.waker);
         let outstanding = Arc::clone(&self.outstanding);
         outstanding.fetch_add(1, Ordering::SeqCst);
         self.pool.execute(move || {
-            let outcome = server::route(&shared, &request);
-            if outcome.status >= 400 {
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
+            for completion in job() {
+                let _ = tx.send(completion);
             }
-            let ka = keep_alive && !outcome.close_after;
-            let mut scratch = String::new();
-            let bytes = server::render_outcome(&outcome, ka, &mut scratch);
-            let _ = tx.send(Completion {
-                fd,
-                epoch,
-                seq,
-                rendered: Rendered { bytes, close: !ka },
-            });
             outstanding.fetch_sub(1, Ordering::SeqCst);
             waker.wake();
         });
     }
 
-    /// Ships every cache-missed query decoded this tick as ONE pool job
-    /// executing ONE batched dispatch — a burst of N concurrent clients
-    /// costs one `search_batch` fan-out instead of N searches.
-    fn dispatch_tick_queries(&mut self) {
-        if self.tick_queries.is_empty() {
+    /// Ships every [`Step::Group`] decoded this tick as ONE pool job and
+    /// ONE [`Service::run_group`] call.
+    fn dispatch_tick_group(&mut self) {
+        if self.tick_group.is_empty() {
             return;
         }
-        let jobs = std::mem::take(&mut self.tick_queries);
-        let shared = Arc::clone(&self.shared);
-        let tx = self.comp_tx.clone();
-        let waker = Arc::clone(&self.waker);
-        let outstanding = Arc::clone(&self.outstanding);
-        outstanding.fetch_add(1, Ordering::SeqCst);
-        self.pool.execute(move || {
-            let refs: Vec<(&MissQuery, Instant)> =
-                jobs.iter().map(|j| (&*j.miss, j.started)).collect();
-            let outcomes = server::execute_miss_group(&shared, &refs);
+        let (slots, group): (Vec<Slot>, Vec<S::Miss>) =
+            std::mem::take(&mut self.tick_group).into_iter().unzip();
+        let (service, state) = (Arc::clone(&self.service), Arc::clone(&self.state));
+        self.on_pool(move || {
             let mut scratch = String::new();
-            for (job, outcome) in jobs.iter().zip(outcomes) {
-                if outcome.status >= 400 {
-                    shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                }
-                let bytes = server::render_outcome(&outcome, job.keep_alive, &mut scratch);
-                let _ = tx.send(Completion {
-                    fd: job.fd,
-                    epoch: job.epoch,
-                    seq: job.seq,
-                    rendered: Rendered {
-                        bytes,
-                        close: !job.keep_alive,
-                    },
-                });
-            }
-            outstanding.fetch_sub(1, Ordering::SeqCst);
-            waker.wake();
+            let outcomes = service.run_group(group);
+            slots
+                .into_iter()
+                .zip(outcomes)
+                .map(|(slot, outcome)| Completion {
+                    slot,
+                    rendered: state.render(&outcome, slot.keep_alive, &[], &mut scratch),
+                })
+                .collect()
         });
     }
 
     /// Collects finished pool work into connection ledgers. A completion
     /// may free pipeline slots, so buffered bytes get another parse pass.
     fn drain_completions(&mut self) {
-        while let Ok(comp) = self.comp_rx.try_recv() {
-            let Some(mut conn) = self.conns.remove(&comp.fd) else {
+        while let Ok(Completion { slot, rendered }) = self.comp_rx.try_recv() {
+            let Some(mut conn) = self.conns.remove(&slot.fd) else {
                 continue; // connection died while the job ran
             };
-            if conn.epoch != comp.epoch {
+            if conn.epoch != slot.epoch {
                 // The fd was reused for a new connection: not ours.
-                self.conns.insert(comp.fd, conn);
+                self.conns.insert(slot.fd, conn);
                 continue;
             }
-            deliver(&mut conn, comp.seq, comp.rendered);
-            self.finish_event(comp.fd, conn);
+            deliver(&mut conn, slot.seq, rendered);
+            self.finish_event(slot.fd, conn);
         }
     }
 
@@ -599,8 +826,8 @@ impl Reactor {
                 break;
             }
         }
-        self.shared
-            .server_stats
+        self.state
+            .stats
             .write_buf_hwm
             .fetch_max(conn.outbuf.len() as u64, Ordering::Relaxed);
         while conn.out_pos < conn.outbuf.len() {
@@ -638,8 +865,8 @@ impl Reactor {
     fn close_conn(&mut self, fd: RawFd, conn: Conn) {
         self.poller.deregister(fd);
         drop(conn); // dropping the TcpStream closes the fd
-        self.shared
-            .server_stats
+        self.state
+            .stats
             .open
             .store(self.conns.len() as u64, Ordering::Relaxed);
     }
@@ -659,15 +886,13 @@ impl Reactor {
             };
             let timed_out = conn
                 .request_started
-                .is_some_and(|s| now.duration_since(s) >= self.shared.request_timeout);
+                .is_some_and(|s| now.duration_since(s) >= self.state.request_timeout);
             if timed_out && !conn.closing {
                 // A slow-dripping request hit the whole-request deadline:
                 // answer 400 (after any pipelined predecessors) and close.
-                self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                let outcome = Outcome::error(400, "Bad Request", "request read timed out");
-                let bytes = server::render_outcome(&outcome, false, &mut self.scratch);
-                conn.pending
-                    .push_back(Some(Rendered { bytes, close: true }));
+                let outcome = Outcome::error(400, "request read timed out");
+                let rendered = self.state.render(&outcome, false, &[], &mut self.scratch);
+                conn.pending.push_back(Some(rendered));
                 conn.next_seq += 1;
                 conn.closing = true;
                 conn.request_started = None;
@@ -703,7 +928,7 @@ impl Reactor {
             };
             // Complete buffered requests deserve an answer, not a silent
             // hangup: with `draining` set, each one routes to the 503 +
-            // Retry-After refusal (never to a handler).
+            // Retry-After refusal (never to a service).
             self.parse_and_execute(fd, &mut conn);
             conn.closing = true;
             conn.close_when_flushed = true;

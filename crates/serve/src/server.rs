@@ -16,30 +16,30 @@
 //! | POST   | `/reload`   | hot-swap the index snapshot                     |
 //! | POST   | `/shutdown` | graceful stop (drain in-flight, then exit)      |
 //!
-//! I/O runs on the readiness-driven reactor (the crate-private
-//! `reactor` module): one
-//! event-loop thread owns every connection, cache-hit queries and cheap
-//! control endpoints answer inline, and everything that must search hands
-//! off to a small compute pool. This module owns everything *above* the
-//! sockets: the shared state, the route table, and the handlers.
+//! I/O runs on the readiness-driven [`crate::reactor`], which
+//! also answers `/shutdown`. This module owns everything *above* the
+//! sockets: the engine's [`Service`] — shared state, route table and
+//! handlers. Cache-hit queries and cheap control endpoints answer on the
+//! reactor thread, cache-missed queries of one tick run as one batched
+//! search, and everything else that must search or mutate runs on the
+//! compute pool.
 
 use crate::cache::{signature_digest, CacheStats, LruCache, QueryKey};
 use crate::engine::{Engine, EngineError, Snapshot};
-use crate::http::{write_head_with, Request};
+use crate::http::Request;
 use crate::maintenance::Maintainer;
-use crate::poller::Waker;
-use crate::pool::effective_threads;
+use crate::reactor::{self, Outcome, ReactorHandle, ReactorState, Service, Step};
 use lshe_core::{Query, QueryStats, SearchHit, SearchOutcome};
 use lshe_corpus::json::Json;
 use lshe_corpus::Domain;
 use lshe_minhash::{FoldKernel, Signature};
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default containment threshold when a query omits one (matches the CLI).
 const DEFAULT_THRESHOLD: f64 = 0.7;
@@ -47,6 +47,9 @@ const DEFAULT_THRESHOLD: f64 = 0.7;
 const MAX_K: usize = 10_000;
 /// Upper bound on queries per `/batch` request.
 const MAX_BATCH: usize = 4_096;
+/// `/query`/`/topk` bodies up to this size parse inline on the reactor;
+/// larger ones go to the compute pool like any heavy request.
+const INLINE_BODY_MAX: usize = 64 * 1024;
 
 /// Server construction parameters.
 ///
@@ -92,7 +95,6 @@ impl Default for ServerConfig {
 /// Per-endpoint traffic counters.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
-    pub(crate) connections: AtomicU64,
     pub(crate) queries: AtomicU64,
     pub(crate) topk: AtomicU64,
     pub(crate) batches: AtomicU64,
@@ -102,22 +104,6 @@ pub(crate) struct Counters {
     pub(crate) removes: AtomicU64,
     pub(crate) commits: AtomicU64,
     pub(crate) compactions: AtomicU64,
-    pub(crate) errors: AtomicU64,
-}
-
-/// Event-loop observability counters, exposed as the `server` object on
-/// `/stats`.
-#[derive(Debug, Default)]
-pub(crate) struct ServerStats {
-    /// Connections currently open.
-    pub(crate) open: AtomicU64,
-    /// Highest number of in-flight pipelined requests seen on any one
-    /// connection.
-    pub(crate) pipeline_hwm: AtomicU64,
-    /// Event-loop wakeups (one per `epoll_wait` return).
-    pub(crate) wakeups: AtomicU64,
-    /// Largest per-connection write buffer observed, in bytes.
-    pub(crate) write_buf_hwm: AtomicU64,
 }
 
 /// Aggregated per-query execution counters ([`QueryStats`]) across every
@@ -146,20 +132,16 @@ impl QueryStatTotals {
     }
 }
 
-/// State shared by the reactor, the compute pool, and every handler.
+/// The engine's [`Service`]: state shared by the reactor, the compute
+/// pool, and every handler.
 pub(crate) struct Shared {
     pub(crate) engine: Arc<Engine>,
     pub(crate) cache: Arc<LruCache<QueryKey, Arc<SearchOutcome>>>,
     pub(crate) counters: Counters,
     query_totals: QueryStatTotals,
-    pub(crate) server_stats: ServerStats,
+    /// The reactor's connection counters and limits, for `/stats`.
+    reactor: Arc<ReactorState>,
     started: Instant,
-    pub(crate) shutdown: Arc<AtomicBool>,
-    pub(crate) threads: usize,
-    /// Whole-request read deadline (from [`ServerConfig::request_timeout_ms`]).
-    pub(crate) request_timeout: Duration,
-    /// Open-connection cap (from [`ServerConfig::max_connections`]).
-    pub(crate) max_connections: usize,
     /// Shard identity (from [`ServerConfig::shard_id`]), echoed on `/stats`.
     shard_id: Option<u64>,
     /// The background maintenance runtime: one parked thread that executes
@@ -171,13 +153,9 @@ pub(crate) struct Shared {
 /// A running server; dropping the handle shuts it down gracefully.
 #[derive(Debug)]
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    waker: Arc<Waker>,
-    reactor: Option<std::thread::JoinHandle<()>>,
-    /// Test hook: the server's maintenance runtime, so tests can stretch
-    /// merge windows deterministically.
-    #[cfg(test)]
+    reactor: ReactorHandle,
+    /// The server's maintenance runtime, stopped once the reactor has
+    /// drained (tests also use it to stretch merge windows).
     pub(crate) maintainer: Arc<Maintainer>,
 }
 
@@ -185,7 +163,7 @@ impl ServerHandle {
     /// The bound address (useful with an ephemeral `:0` bind).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.addr()
     }
 
     /// Requests a graceful stop and waits for it: the listener closes,
@@ -197,19 +175,16 @@ impl ServerHandle {
     /// Blocks until the server stops on its own (`/shutdown` endpoint or
     /// a reactor failure).
     pub fn join(mut self) {
-        if let Some(reactor) = self.reactor.take() {
-            let _ = reactor.join();
-        }
+        self.reactor.wait();
+        self.maintainer.shutdown();
     }
 
     fn stop(&mut self) {
-        if let Some(reactor) = self.reactor.take() {
-            self.shutdown.store(true, Ordering::SeqCst);
-            // The reactor may be blocked in `wait`; the waker's fd is
-            // registered there, so one poke gets it to notice the flag.
-            self.waker.wake();
-            let _ = reactor.join();
-        }
+        self.reactor.stop();
+        // The reactor has drained: no handler can enqueue more
+        // maintenance work, so stop the worker after its current task
+        // (clean shutdown even mid-merge).
+        self.maintainer.shutdown();
     }
 }
 
@@ -220,16 +195,12 @@ impl Drop for ServerHandle {
 }
 
 /// Binds `config.addr` and spawns the reactor thread (which owns the
-/// listener, every connection, and the compute pool).
+/// listener, every connection, and the compute pool) serving the engine.
 ///
 /// # Errors
 /// Propagates the bind / waker-creation / spawn failure.
 pub fn start(engine: Arc<Engine>, config: &ServerConfig) -> io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let threads = effective_threads(config.threads);
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let bound = reactor::bind(config)?;
     let cache = Arc::new(LruCache::new(config.cache_capacity));
     // The maintainer swaps snapshots from its own thread; its on-swap
     // callback drops the now-unreachable cache generation, exactly as the
@@ -243,114 +214,53 @@ pub fn start(engine: Arc<Engine>, config: &ServerConfig) -> io::Result<ServerHan
         cache,
         counters: Counters::default(),
         query_totals: QueryStatTotals::default(),
-        server_stats: ServerStats::default(),
+        reactor: Arc::clone(bound.state()),
         started: Instant::now(),
-        shutdown: Arc::clone(&shutdown),
-        threads,
-        request_timeout: Duration::from_millis(config.request_timeout_ms.max(1)),
-        max_connections: config.max_connections.max(1),
         shard_id: config.shard_id,
-        maintainer,
+        maintainer: Arc::clone(&maintainer),
     });
-    let waker = Arc::new(Waker::new()?);
-    let reactor = {
-        let shared = Arc::clone(&shared);
-        let waker = Arc::clone(&waker);
-        std::thread::Builder::new()
-            .name("lshe-serve-reactor".to_owned())
-            .spawn(move || {
-                crate::reactor::run(listener, &shared, &waker);
-                // The reactor has drained: no handler can enqueue more
-                // maintenance work, so stop the worker after its current
-                // task (clean shutdown even mid-merge).
-                shared.maintainer.shutdown();
-            })?
-    };
     Ok(ServerHandle {
-        addr,
-        shutdown,
-        waker,
-        #[cfg(test)]
-        maintainer: Arc::clone(&shared.maintainer),
-        reactor: Some(reactor),
+        reactor: bound.serve(shared)?,
+        maintainer,
     })
 }
 
-/// One routed response.
-pub(crate) struct Outcome {
-    pub(crate) status: u16,
-    pub(crate) reason: &'static str,
-    pub(crate) body: Json,
-    pub(crate) close_after: bool,
-    /// Emit a `Retry-After: <seconds>` header — how a draining server
-    /// tells retry logic "come back later" (vs a hard failure).
-    pub(crate) retry_after: Option<u64>,
-}
+impl Service for Shared {
+    type Miss = Box<MissQuery>;
 
-impl Outcome {
-    fn ok(body: Json) -> Self {
-        Self {
-            status: 200,
-            reason: "OK",
-            body,
-            close_after: false,
-            retry_after: None,
+    /// Cache probes for small `/query`/`/topk` bodies and the cheap
+    /// endpoints (`/health`, `/stats`, 404, 405) answer inline; a cache
+    /// miss joins the tick's batched search; the rest is long work.
+    fn step(&self, request: Request) -> Step<Box<MissQuery>> {
+        match (request.method.as_str(), request.path()) {
+            ("POST", path @ ("/query" | "/topk")) if request.body.len() <= INLINE_BODY_MAX => {
+                match query_step(self, &request.body, path == "/topk", Instant::now()) {
+                    QueryStep::Reply(outcome) => Step::Reply(outcome),
+                    QueryStep::Miss(miss) => Step::Group(miss),
+                }
+            }
+            (
+                "POST",
+                "/query" | "/topk" | "/batch" | "/reload" | "/insert" | "/remove" | "/commit"
+                | "/compact",
+            ) => Step::Long(request),
+            _ => Step::Reply(route(self, &request)),
         }
     }
 
-    pub(crate) fn error(status: u16, reason: &'static str, msg: impl Into<String>) -> Self {
-        Self {
-            status,
-            reason,
-            body: Json::obj(vec![("error", Json::str(msg.into()))]),
-            close_after: false,
-            retry_after: None,
-        }
+    fn run(&self, request: Request) -> Outcome {
+        route(self, &request)
     }
 
-    /// The drain-time refusal: a request arrived after `/shutdown` began
-    /// draining. `503` + `Retry-After` lets retry logic (the cluster
-    /// coordinator's, most importantly) distinguish "come back later /
-    /// elsewhere" from a hard failure.
-    pub(crate) fn draining() -> Self {
-        Self {
-            close_after: true,
-            retry_after: Some(1),
-            ..Self::error(503, "Service Unavailable", "server is draining")
-        }
+    fn run_group(&self, group: Vec<Box<MissQuery>>) -> Vec<Outcome> {
+        execute_miss_group(self, &group)
     }
-}
-
-/// Serialises `outcome` to raw HTTP response bytes, rendering the JSON
-/// body through `scratch` (reused across calls, so steady-state rendering
-/// allocates only the returned vector). Pure: counter bumps happen at the
-/// call sites that know whether this response ends a request or a parse.
-pub(crate) fn render_outcome(outcome: &Outcome, keep_alive: bool, scratch: &mut String) -> Vec<u8> {
-    scratch.clear();
-    outcome.body.render_into(scratch);
-    let mut bytes = Vec::with_capacity(scratch.len() + 128);
-    let retry_after = outcome.retry_after.map(|secs| secs.to_string());
-    let extra: &[(&str, &str)] = match &retry_after {
-        Some(secs) => &[("retry-after", secs.as_str())],
-        None => &[],
-    };
-    write_head_with(
-        &mut bytes,
-        outcome.status,
-        outcome.reason,
-        "application/json",
-        scratch.len(),
-        keep_alive,
-        extra,
-    );
-    bytes.extend_from_slice(scratch.as_bytes());
-    bytes
 }
 
 /// Routes one request to its handler. Counter discipline: this function
 /// does NOT bump `errors` — the reactor does, exactly once per rendered
 /// error response (routed 4xx/5xx, parse failures, and timeouts alike).
-pub(crate) fn route(shared: &Shared, request: &Request) -> Outcome {
+fn route(shared: &Shared, request: &Request) -> Outcome {
     match (request.method.as_str(), request.path()) {
         ("GET", "/health") => handle_health(shared),
         ("GET", "/stats") => handle_stats(shared),
@@ -362,22 +272,12 @@ pub(crate) fn route(shared: &Shared, request: &Request) -> Outcome {
         ("POST", "/remove") => handle_remove(shared, request),
         ("POST", "/commit") => handle_commit(shared),
         ("POST", "/compact") => handle_compact(shared, request),
-        ("POST", "/shutdown") => {
-            // The flag is stored at route time, so requests pipelined
-            // BEHIND /shutdown in the same burst already answer 503 +
-            // Retry-After (see the reactor's drain check); the reactor
-            // begins the drain on its next loop iteration, after this
-            // response is queued. Keep-alive on the wire: a close-flagged
-            // response would discard those queued 503s.
-            shared.shutdown.store(true, Ordering::SeqCst);
-            Outcome::ok(Json::obj(vec![("status", Json::str("shutting down"))]))
-        }
         (
             _,
             "/health" | "/stats" | "/query" | "/topk" | "/batch" | "/reload" | "/insert"
-            | "/remove" | "/commit" | "/compact" | "/shutdown",
-        ) => Outcome::error(405, "Method Not Allowed", "wrong method for this path"),
-        (_, path) => Outcome::error(404, "Not Found", format!("no such endpoint: {path}")),
+            | "/remove" | "/commit" | "/compact",
+        ) => Outcome::error(405, "wrong method for this path"),
+        (_, path) => Outcome::error(404, format!("no such endpoint: {path}")),
     }
 }
 
@@ -410,7 +310,8 @@ fn handle_stats(shared: &Shared) -> Outcome {
     let layout = snap.container().segment_layout();
     let c = &shared.counters;
     let q = &shared.query_totals;
-    let s = &shared.server_stats;
+    let r = &shared.reactor;
+    let s = &r.stats;
     Outcome::ok(Json::obj(vec![
         ("domains", Json::uint(snap.container().len() as u64)),
         ("num_perm", Json::uint(snap.container().num_perm() as u64)),
@@ -437,7 +338,7 @@ fn handle_stats(shared: &Shared) -> Outcome {
         // The background maintenance runtime: the live level layout and
         // what the worker has done / is doing.
         ("maintenance", maintenance),
-        ("threads", Json::uint(shared.threads as u64)),
+        ("threads", Json::uint(r.threads as u64)),
         (
             "uptime_ms",
             Json::uint(shared.started.elapsed().as_millis() as u64),
@@ -447,7 +348,7 @@ fn handle_stats(shared: &Shared) -> Outcome {
             Json::obj(vec![
                 (
                     "connections",
-                    Json::uint(c.connections.load(Ordering::Relaxed)),
+                    Json::uint(r.connections.load(Ordering::Relaxed)),
                 ),
                 ("query", Json::uint(c.queries.load(Ordering::Relaxed))),
                 ("topk", Json::uint(c.topk.load(Ordering::Relaxed))),
@@ -461,7 +362,7 @@ fn handle_stats(shared: &Shared) -> Outcome {
                 ("remove", Json::uint(c.removes.load(Ordering::Relaxed))),
                 ("commit", Json::uint(c.commits.load(Ordering::Relaxed))),
                 ("compact", Json::uint(c.compactions.load(Ordering::Relaxed))),
-                ("errors", Json::uint(c.errors.load(Ordering::Relaxed))),
+                ("errors", Json::uint(r.errors.load(Ordering::Relaxed))),
             ]),
         ),
         // Event-loop observability: how loaded the single reactor thread
@@ -475,7 +376,7 @@ fn handle_stats(shared: &Shared) -> Outcome {
                 ),
                 (
                     "accepted_total",
-                    Json::uint(c.connections.load(Ordering::Relaxed)),
+                    Json::uint(r.connections.load(Ordering::Relaxed)),
                 ),
                 (
                     "pipeline_depth_hwm",
@@ -821,34 +722,30 @@ pub(crate) struct MissQuery {
     item: ParsedItem,
     key: QueryKey,
     snap: Arc<Snapshot>,
+    started: Instant,
 }
 
 /// The first, non-blocking half of a `/query`/`/topk` request: parse, key
 /// the cache on the raw domain, and either answer immediately (parse
 /// error or cache hit — no sketching, no searching) or hand back the
 /// deferred [`MissQuery`].
-pub(crate) enum QueryStep {
+enum QueryStep {
     /// Answer now (error or cache hit).
     Reply(Outcome),
-    /// Cache miss: execute via [`finish_miss`] / [`execute_miss_group`].
+    /// Cache miss: execute via [`execute_miss_group`].
     Miss(Box<MissQuery>),
 }
 
 /// Runs the cheap half of a single query. Safe on the reactor thread: the
 /// worst case is a JSON parse + one cache probe.
-pub(crate) fn query_step(
-    shared: &Shared,
-    body: &[u8],
-    require_k: bool,
-    started: Instant,
-) -> QueryStep {
+fn query_step(shared: &Shared, body: &[u8], require_k: bool, started: Instant) -> QueryStep {
     let json = match parse_body_bytes(body) {
         Ok(json) => json,
-        Err(msg) => return QueryStep::Reply(Outcome::error(400, "Bad Request", msg)),
+        Err(msg) => return QueryStep::Reply(Outcome::error(400, msg)),
     };
     let item = match parse_item(&json, require_k) {
         Ok(item) => item,
-        Err(msg) => return QueryStep::Reply(Outcome::error(400, "Bad Request", msg)),
+        Err(msg) => return QueryStep::Reply(Outcome::error(400, msg)),
     };
     let snap = shared.engine.snapshot();
     let key = item_key(&item, snap.generation());
@@ -856,51 +753,42 @@ pub(crate) fn query_step(
         bump_query_counter(shared, item.k);
         return QueryStep::Reply(render_query_outcome(&snap, &item, &outcome, true, started));
     }
-    QueryStep::Miss(Box::new(MissQuery { item, key, snap }))
-}
-
-/// Executes one cache-missed query (the non-batched completion path).
-pub(crate) fn finish_miss(shared: &Shared, miss: &MissQuery, started: Instant) -> Outcome {
-    let result = run_uncached(shared, &miss.snap, &[(&miss.item, miss.key)])
-        .pop()
-        .expect("one result per item");
-    match result {
-        Ok((outcome, _)) => {
-            bump_query_counter(shared, miss.item.k);
-            render_query_outcome(&miss.snap, &miss.item, &outcome, false, started)
-        }
-        Err(msg) => Outcome::error(400, "Bad Request", msg),
-    }
+    QueryStep::Miss(Box::new(MissQuery {
+        item,
+        key,
+        snap,
+        started,
+    }))
 }
 
 /// Executes a group of same-tick cache misses in as few batched dispatches
 /// as possible (one per snapshot generation — normally exactly one), and
 /// returns the outcomes in input order. This is how the reactor converts
 /// N concurrent single-query requests into one `search_batch` call.
-pub(crate) fn execute_miss_group(shared: &Shared, jobs: &[(&MissQuery, Instant)]) -> Vec<Outcome> {
+fn execute_miss_group(shared: &Shared, jobs: &[Box<MissQuery>]) -> Vec<Outcome> {
     // Group by generation so every dispatch runs against one snapshot.
     let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, (miss, _)) in jobs.iter().enumerate() {
+    for (i, miss) in jobs.iter().enumerate() {
         groups.entry(miss.snap.generation()).or_default().push(i);
     }
     let mut out: Vec<Option<Outcome>> = (0..jobs.len()).map(|_| None).collect();
     for positions in groups.into_values() {
-        let snap = &jobs[positions[0]].0.snap;
+        let snap = &jobs[positions[0]].snap;
         let items: Vec<(&ParsedItem, QueryKey)> = positions
             .iter()
-            .map(|&i| (&jobs[i].0.item, jobs[i].0.key))
+            .map(|&i| (&jobs[i].item, jobs[i].key))
             .collect();
         for (&i, result) in positions.iter().zip(run_uncached(shared, snap, &items)) {
-            let (miss, started) = &jobs[i];
+            let miss = &jobs[i];
             out[i] = Some(match result {
                 Ok((outcome, aliased)) => {
                     bump_query_counter(shared, miss.item.k);
                     // An alias shares a neighbour's just-executed answer —
                     // reported `cached`, exactly as sequential arrival
                     // order would have produced.
-                    render_query_outcome(&miss.snap, &miss.item, &outcome, aliased, *started)
+                    render_query_outcome(&miss.snap, &miss.item, &outcome, aliased, miss.started)
                 }
-                Err(msg) => Outcome::error(400, "Bad Request", msg),
+                Err(msg) => Outcome::error(400, msg),
             });
         }
     }
@@ -964,10 +852,11 @@ fn parse_body(request: &Request) -> Result<Json, String> {
 /// half inline, then the miss executed immediately. The reactor uses the
 /// two halves separately so misses can batch across connections.
 fn handle_query(shared: &Shared, request: &Request, require_k: bool) -> Outcome {
-    let started = Instant::now();
-    match query_step(shared, &request.body, require_k, started) {
+    match query_step(shared, &request.body, require_k, Instant::now()) {
         QueryStep::Reply(outcome) => outcome,
-        QueryStep::Miss(miss) => finish_miss(shared, &miss, started),
+        QueryStep::Miss(miss) => execute_miss_group(shared, &[miss])
+            .pop()
+            .expect("one outcome per query"),
     }
 }
 
@@ -975,20 +864,16 @@ fn handle_batch(shared: &Shared, request: &Request) -> Outcome {
     let started = Instant::now();
     let body = match parse_body(request) {
         Ok(body) => body,
-        Err(msg) => return Outcome::error(400, "Bad Request", msg),
+        Err(msg) => return Outcome::error(400, msg),
     };
     let Some(queries) = body.get("queries").and_then(Json::as_array) else {
-        return Outcome::error(400, "Bad Request", "missing \"queries\": expected an array");
+        return Outcome::error(400, "missing \"queries\": expected an array");
     };
     if queries.is_empty() {
-        return Outcome::error(400, "Bad Request", "\"queries\" must not be empty");
+        return Outcome::error(400, "\"queries\" must not be empty");
     }
     if queries.len() > MAX_BATCH {
-        return Outcome::error(
-            400,
-            "Bad Request",
-            format!("at most {MAX_BATCH} queries per batch"),
-        );
+        return Outcome::error(400, format!("at most {MAX_BATCH} queries per batch"));
     }
     // Every query in the batch runs against ONE snapshot: a concurrent
     // reload cannot split the batch across index generations.
@@ -1114,7 +999,7 @@ fn handle_batch(shared: &Shared, request: &Request) -> Outcome {
 fn handle_reload(shared: &Shared, request: &Request) -> Outcome {
     let body = match parse_body(request) {
         Ok(body) => body,
-        Err(msg) => return Outcome::error(400, "Bad Request", msg),
+        Err(msg) => return Outcome::error(400, msg),
     };
     let path = body.get("path").and_then(Json::as_str).map(Path::new);
     match shared.engine.reload(path) {
@@ -1129,8 +1014,8 @@ fn handle_reload(shared: &Shared, request: &Request) -> Outcome {
                 ("domains", Json::uint(snap.container().len() as u64)),
             ]))
         }
-        Err(EngineError::Io(e)) => Outcome::error(400, "Bad Request", format!("i/o error: {e}")),
-        Err(e) => Outcome::error(400, "Bad Request", e.to_string()),
+        Err(EngineError::Io(e)) => Outcome::error(400, format!("i/o error: {e}")),
+        Err(e) => Outcome::error(400, e.to_string()),
     }
 }
 
@@ -1141,39 +1026,33 @@ fn handle_reload(shared: &Shared, request: &Request) -> Outcome {
 fn handle_insert(shared: &Shared, request: &Request) -> Outcome {
     let body = match parse_body(request) {
         Ok(body) => body,
-        Err(msg) => return Outcome::error(400, "Bad Request", msg),
+        Err(msg) => return Outcome::error(400, msg),
     };
     let Some(values) = body.get("values").and_then(Json::as_array) else {
-        return Outcome::error(
-            400,
-            "Bad Request",
-            "missing \"values\": expected an array of strings",
-        );
+        return Outcome::error(400, "missing \"values\": expected an array of strings");
     };
     if values.is_empty() {
-        return Outcome::error(400, "Bad Request", "\"values\" must not be empty");
+        return Outcome::error(400, "\"values\" must not be empty");
     }
     let mut strs = Vec::with_capacity(values.len());
     for v in values {
         match v.as_str() {
             Some(s) => strs.push(s),
-            None => {
-                return Outcome::error(400, "Bad Request", "\"values\" entries must all be strings")
-            }
+            None => return Outcome::error(400, "\"values\" entries must all be strings"),
         }
     }
     let table = match body.get("table") {
         None => "ingest".to_owned(),
         Some(t) => match t.as_str() {
             Some(t) => t.to_owned(),
-            None => return Outcome::error(400, "Bad Request", "\"table\" must be a string"),
+            None => return Outcome::error(400, "\"table\" must be a string"),
         },
     };
     let column = match body.get("column") {
         None => "col".to_owned(),
         Some(c) => match c.as_str() {
             Some(c) => c.to_owned(),
-            None => return Outcome::error(400, "Bad Request", "\"column\" must be a string"),
+            None => return Outcome::error(400, "\"column\" must be a string"),
         },
     };
     // Optional explicit id — the cluster path: the coordinator allocates
@@ -1182,7 +1061,7 @@ fn handle_insert(shared: &Shared, request: &Request) -> Outcome {
         None => None,
         Some(id) => match id.as_u64().and_then(|id| u32::try_from(id).ok()) {
             Some(id) => Some(id),
-            None => return Outcome::error(400, "Bad Request", "\"id\" out of range"),
+            None => return Outcome::error(400, "\"id\" out of range"),
         },
     };
     let domain = Domain::from_strs(strs.iter().copied());
@@ -1202,10 +1081,8 @@ fn handle_insert(shared: &Shared, request: &Request) -> Outcome {
                 ("staged_removes", Json::uint(staged.removes as u64)),
             ]))
         }
-        Err(EngineError::Io(e)) => {
-            Outcome::error(500, "Internal Server Error", format!("delta log: {e}"))
-        }
-        Err(e) => Outcome::error(400, "Bad Request", e.to_string()),
+        Err(EngineError::Io(e)) => Outcome::error(500, format!("delta log: {e}")),
+        Err(e) => Outcome::error(400, e.to_string()),
     }
 }
 
@@ -1214,13 +1091,13 @@ fn handle_insert(shared: &Shared, request: &Request) -> Outcome {
 fn handle_remove(shared: &Shared, request: &Request) -> Outcome {
     let body = match parse_body(request) {
         Ok(body) => body,
-        Err(msg) => return Outcome::error(400, "Bad Request", msg),
+        Err(msg) => return Outcome::error(400, msg),
     };
     let Some(id) = body.get("id").and_then(Json::as_u64) else {
-        return Outcome::error(400, "Bad Request", "missing \"id\": expected an integer");
+        return Outcome::error(400, "missing \"id\": expected an integer");
     };
     let Ok(id) = u32::try_from(id) else {
-        return Outcome::error(400, "Bad Request", "\"id\" out of range");
+        return Outcome::error(400, "\"id\" out of range");
     };
     match shared.engine.stage_remove(id) {
         Ok(staged) => {
@@ -1232,10 +1109,8 @@ fn handle_remove(shared: &Shared, request: &Request) -> Outcome {
                 ("staged_removes", Json::uint(staged.removes as u64)),
             ]))
         }
-        Err(EngineError::Io(e)) => {
-            Outcome::error(500, "Internal Server Error", format!("delta log: {e}"))
-        }
-        Err(e) => Outcome::error(400, "Bad Request", e.to_string()),
+        Err(EngineError::Io(e)) => Outcome::error(500, format!("delta log: {e}")),
+        Err(e) => Outcome::error(400, e.to_string()),
     }
 }
 
@@ -1278,10 +1153,8 @@ fn handle_commit(shared: &Shared) -> Outcome {
                 ("domains", Json::uint(snap.container().len() as u64)),
             ]))
         }
-        Err(EngineError::Io(e)) => {
-            Outcome::error(500, "Internal Server Error", format!("persist: {e}"))
-        }
-        Err(e) => Outcome::error(400, "Bad Request", e.to_string()),
+        Err(EngineError::Io(e)) => Outcome::error(500, format!("persist: {e}")),
+        Err(e) => Outcome::error(400, e.to_string()),
     }
 }
 
@@ -1323,7 +1196,7 @@ fn handle_compact(shared: &Shared, request: &Request) -> Outcome {
                 ("domains", Json::uint(summary.domains as u64)),
             ]))
         }
-        Err(msg) => Outcome::error(500, "Internal Server Error", msg),
+        Err(msg) => Outcome::error(500, msg),
     }
 }
 
@@ -1332,9 +1205,11 @@ mod tests {
     use super::*;
     use crate::client::HttpClient;
     use crate::container::IndexContainer;
+    use crate::testkit::{self, read_resp};
     use lshe_corpus::{Catalog, DomainMeta};
-    use std::io::{BufRead, BufReader, Read as _, Write as _};
+    use std::io::{BufReader, Write as _};
     use std::net::TcpStream;
+    use std::time::Duration;
 
     fn test_engine(n: usize) -> Arc<Engine> {
         let mut cat = Catalog::new();
@@ -1353,15 +1228,12 @@ mod tests {
     }
 
     fn boot(engine: Arc<Engine>) -> ServerHandle {
-        boot_with(
-            engine,
-            ServerConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                threads: 2,
-                cache_capacity: 16,
-                ..ServerConfig::default()
-            },
-        )
+        boot_with(engine, testkit::config())
+    }
+
+    /// The engine the reactor's hostile-client checks run against.
+    fn boot_engine(config: ServerConfig) -> ServerHandle {
+        boot_with(test_engine(4), config)
     }
 
     /// Fresh-connection request helpers over the shared loopback client.
@@ -1371,30 +1243,6 @@ mod tests {
 
     fn post(addr: SocketAddr, path: &str, body: &str) -> (u16, String) {
         HttpClient::connect(addr).request("POST", path, Some(body))
-    }
-
-    /// Reads one HTTP response off a raw socket reader; `None` on EOF.
-    fn read_resp<R: BufRead>(reader: &mut R) -> Option<(u16, String)> {
-        let mut status_line = String::new();
-        if reader.read_line(&mut status_line).ok()? == 0 {
-            return None;
-        }
-        let status: u16 = status_line.split(' ').nth(1)?.parse().ok()?;
-        let mut content_length = 0usize;
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).ok()?;
-            let line = line.trim_end();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-                content_length = v.trim().parse().ok()?;
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).ok()?;
-        Some((status, String::from_utf8(body).ok()?))
     }
 
     #[test]
@@ -2201,62 +2049,9 @@ mod tests {
         server.shutdown();
     }
 
-    /// Like [`read_resp`] but also surfaces the `Retry-After` header.
-    fn read_resp_retry<R: BufRead>(reader: &mut R) -> Option<(u16, Option<u64>, String)> {
-        let mut status_line = String::new();
-        if reader.read_line(&mut status_line).ok()? == 0 {
-            return None;
-        }
-        let status: u16 = status_line.split(' ').nth(1)?.parse().ok()?;
-        let mut content_length = 0usize;
-        let mut retry_after = None;
-        loop {
-            let mut line = String::new();
-            reader.read_line(&mut line).ok()?;
-            let line = line.trim_end().to_ascii_lowercase();
-            if line.is_empty() {
-                break;
-            }
-            if let Some(v) = line.strip_prefix("content-length:") {
-                content_length = v.trim().parse().ok()?;
-            } else if let Some(v) = line.strip_prefix("retry-after:") {
-                retry_after = v.trim().parse().ok();
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body).ok()?;
-        Some((status, retry_after, String::from_utf8(body).ok()?))
-    }
-
     #[test]
     fn drain_answers_pipelined_successors_with_503_retry_after() {
-        let server = boot(test_engine(4));
-        let addr = server.addr();
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        // One burst: /shutdown with a request pipelined behind it. The
-        // successor must get the typed drain refusal (503 + Retry-After,
-        // how a coordinator tells drain from failure) — not a silent
-        // hangup, and never a normal answer.
-        stream
-            .write_all(
-                b"POST /shutdown HTTP/1.1\r\nhost: x\r\ncontent-length: 0\r\n\r\n\
-                  GET /health HTTP/1.1\r\nhost: x\r\n\r\n",
-            )
-            .expect("send");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let (s1, retry1, b1) = read_resp_retry(&mut reader).expect("shutdown response");
-        assert_eq!(s1, 200, "{b1}");
-        assert_eq!(retry1, None);
-        let (s2, retry2, b2) = read_resp_retry(&mut reader).expect("drain refusal");
-        assert_eq!(s2, 503, "{b2}");
-        assert_eq!(retry2, Some(1), "Retry-After missing: {b2}");
-        assert!(b2.contains("draining"), "{b2}");
-        // After the refusal the connection closes, and the server drains.
-        assert!(read_resp_retry(&mut reader).is_none(), "must close");
-        server.join();
+        testkit::drain_answers_pipelined_successors_with_503_retry_after(boot_engine);
     }
 
     #[test]
@@ -2322,117 +2117,17 @@ mod tests {
 
     #[test]
     fn malformed_mid_pipeline_answers_valid_prefix_then_closes() {
-        let server = boot(test_engine(4));
-        let addr = server.addr();
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        // Two valid requests, then garbage that can never parse as HTTP.
-        let burst = b"GET /health HTTP/1.1\r\nhost: x\r\n\r\n\
-                      GET /health HTTP/1.1\r\nhost: x\r\n\r\n\
-                      NOT AN HTTP LINE AT ALL\r\n\r\n";
-        stream.write_all(burst).expect("send");
-        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        // The valid prefix answers normally…
-        let (s1, _) = read_resp(&mut reader).expect("first response");
-        assert_eq!(s1, 200);
-        let (s2, _) = read_resp(&mut reader).expect("second response");
-        assert_eq!(s2, 200);
-        // …the malformed request gets a 400, then the connection closes.
-        let (s3, b3) = read_resp(&mut reader).expect("error response");
-        assert_eq!(s3, 400, "{b3}");
-        assert!(read_resp(&mut reader).is_none(), "connection must close");
-        server.shutdown();
+        testkit::malformed_mid_pipeline_answers_valid_prefix_then_closes(boot_engine);
     }
 
     #[test]
     fn slow_drip_body_hits_request_deadline() {
-        let server = boot_with(
-            test_engine(4),
-            ServerConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                threads: 2,
-                cache_capacity: 16,
-                request_timeout_ms: 300,
-                ..ServerConfig::default()
-            },
-        );
-        let addr = server.addr();
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        // Head promises a 50-byte body; then drip one byte at a time so
-        // the request never completes. The whole-request deadline must
-        // answer 400 and close rather than pin the connection forever.
-        stream
-            .write_all(b"POST /query HTTP/1.1\r\nhost: x\r\ncontent-length: 50\r\n\r\n")
-            .expect("head");
-        let reader_stream = stream.try_clone().expect("clone");
-        let dripper = std::thread::spawn(move || {
-            let mut stream = stream;
-            for _ in 0..40 {
-                if stream.write_all(b"x").is_err() {
-                    return; // server closed on us: exactly what we expect
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        });
-        let mut reader = BufReader::new(reader_stream);
-        let (status, body) = read_resp(&mut reader).expect("deadline response");
-        assert_eq!(status, 400, "{body}");
-        assert!(body.contains("timed out"), "{body}");
-        assert!(read_resp(&mut reader).is_none(), "connection must close");
-        dripper.join().expect("dripper");
-        server.shutdown();
+        testkit::slow_drip_body_hits_request_deadline(boot_engine);
     }
 
     #[test]
     fn connection_cap_closes_excess_connections() {
-        let server = boot_with(
-            test_engine(4),
-            ServerConfig {
-                addr: "127.0.0.1:0".to_owned(),
-                threads: 2,
-                cache_capacity: 16,
-                max_connections: 2,
-                ..ServerConfig::default()
-            },
-        );
-        let addr = server.addr();
-        // Fill the cap with two live keep-alive connections (a request on
-        // each proves they are registered, not just queued in accept).
-        let mut c1 = HttpClient::connect(addr);
-        let mut c2 = HttpClient::connect(addr);
-        assert_eq!(c1.request("GET", "/health", None).0, 200);
-        assert_eq!(c2.request("GET", "/health", None).0, 200);
-        // The third connection is accepted by the kernel but closed by
-        // the server without an answer.
-        let mut excess = TcpStream::connect(addr).expect("connect");
-        excess
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .expect("timeout");
-        excess
-            .write_all(b"GET /health HTTP/1.1\r\nhost: x\r\n\r\n")
-            .expect("send");
-        // Clean FIN (EOF) and RST (reset: the server dropped the socket
-        // with our request bytes still unread) are both "closed
-        // unanswered"; a response is the only failure.
-        let mut buf = [0u8; 64];
-        match excess.read(&mut buf) {
-            Ok(0) => {}
-            Ok(n) => panic!(
-                "over-cap connection was answered: {:?}",
-                String::from_utf8_lossy(&buf[..n])
-            ),
-            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
-        }
-        // Capacity frees when a connection leaves.
-        drop(c1);
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(get(addr, "/health").0, 200);
-        server.shutdown();
+        testkit::connection_cap_closes_excess_connections(boot_engine);
     }
 
     #[test]
