@@ -123,14 +123,13 @@ fn shipped_forms(world: &AccuracyWorld) -> [(&'static str, IndexContainer); 4] {
         head.push(catalog.domain(id).clone(), catalog.meta(id).clone());
     }
     let mut sealed = IndexContainer::build(&head, SHIPPED);
-    let staged: Vec<DeltaOp> = (cut..n)
+    let tail: Vec<DeltaOp> = (cut..n)
         .map(|id| DeltaOp::Insert {
             record: built.record(id).expect("built over every id").to_record(),
             signature: world.signatures[id as usize].clone(),
         })
         .collect();
-    sealed.apply(&staged).expect("stage the last 10 % of ids");
-    sealed.commit_mutations();
+    sealed.commit(&tail).expect("commit the last 10 % of ids");
     let mut compacted = sealed.clone();
     compacted.compact_index();
     [

@@ -1,17 +1,18 @@
-//! Mutation-path benchmark: segmented commit (seal, O(staged delta))
-//! versus the stop-the-world rebuild (compact, O(corpus)) across a 10×
-//! corpus sweep — the numbers behind `BENCH_mutation.json`.
+//! Mutation-path benchmark: segmented commit (seal, O(batch)) versus the
+//! stop-the-world rebuild (compact, O(corpus)) across a 10× corpus sweep —
+//! the numbers behind `BENCH_mutation.json`.
 //!
 //! Each sweep point streams a WDC-like corpus into a ranked
-//! `IndexContainer`, stages one delta batch (inserts plus removals of
+//! `IndexContainer`, makes one delta batch (inserts plus removals of
 //! earlier live inserts), and times the paths that can absorb it:
 //!
-//! * `commit_seal` — `IndexContainer::commit_mutations`: the staged delta
-//!   becomes an immutable sealed segment; the base partitioning is not
-//!   touched. The index-level step alone, on a container nothing shares.
+//! * `commit_seal` — `IndexContainer::commit(&ops)`: the batch is
+//!   validated, its inserts sealed into an immutable segment and its
+//!   removes tombstoned; the base partitioning is not touched. The
+//!   index-level step alone, on a container nothing shares.
 //! * `engine_commit` — `Engine::commit_staged`: what `POST /commit` runs.
 //!   The live snapshot's container is cloned (pointers to the base, copies
-//!   of the overlays), the staged ops applied and sealed, and the new
+//!   of the overlays), the staged ops committed as one batch, and the new
 //!   snapshot swapped in.
 //! * `compact_rebuild` — `IndexContainer::compact_index`: segments and
 //!   tombstones fold into the base, which is rebuilt from the retained
@@ -37,7 +38,7 @@ use lshe_minhash::MinHasher;
 use lshe_serve::container::{DeltaOp, DomainRecord, IndexContainer};
 use lshe_serve::Engine;
 
-/// One staged delta batch: `batch` inserts of fresh synthetic domains and
+/// One delta batch: `batch` inserts of fresh synthetic domains and
 /// `batch / 4` removals of live ids from the previous round, so sealing
 /// covers both tombstone creation and segment build.
 fn staged_batch(
@@ -91,8 +92,7 @@ fn churn_fold_entries(
     let mut previous: Vec<u32> = Vec::new();
     for _ in 0..commits {
         let (ops, live) = staged_batch(&hasher, container.next_id(), batch, &previous);
-        container.apply(&ops).expect("stage delta");
-        let report = container.commit_mutations();
+        let report = container.commit(&ops).expect("commit delta");
         assert!(report.sealed, "commit must seal a non-empty delta");
         previous = live;
 
@@ -166,26 +166,26 @@ fn main() {
             IndexContainer::from_stream(CorpusStream::new(config), partitions, true);
         let hasher = MinHasher::new(container.num_perm());
 
-        // Seal phase: each repeat stages a fresh delta and times ONLY the
+        // Seal phase: each repeat makes a fresh delta and times ONLY the
         // commit — cost must track the delta, never the corpus.
         let mut previous: Vec<u32> = Vec::new();
         let mut seal_total = 0.0;
         for _ in 0..repeats {
             let (ops, live) = staged_batch(&hasher, container.next_id(), batch, &previous);
-            container.apply(&ops).expect("stage delta");
-            let (report, secs) = workload::timed(|| container.commit_mutations());
+            let (report, secs) = workload::timed(|| container.commit(&ops));
+            let report = report.expect("commit delta");
             assert!(report.sealed, "commit must seal a non-empty delta");
             seal_total += secs;
             previous = live;
         }
         let seal = seal_total / repeats as f64;
 
-        // Rebuild phase: stage another delta, then time the fold — the
+        // Rebuild phase: commit another delta, then time the fold — the
         // old commit path, expected to scale with the corpus.
         let mut rebuild_total = 0.0;
         for _ in 0..repeats {
             let (ops, live) = staged_batch(&hasher, container.next_id(), batch, &previous);
-            container.apply(&ops).expect("stage delta");
+            container.commit(&ops).expect("commit delta");
             let (_, secs) = workload::timed(|| container.compact_index());
             let layout = container.segment_layout();
             assert_eq!(

@@ -29,7 +29,7 @@
 pub use lshe_serve::container;
 
 use bytes::Bytes;
-use container::{IndexContainer, LoadError};
+use container::IndexContainer;
 use lshe_core::Query;
 use lshe_corpus::{Catalog, CsvDocument, Domain};
 use lshe_minhash::MinHasher;
@@ -69,16 +69,6 @@ impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
     }
-}
-
-/// Loads a `.lshe` index file, keeping plain filesystem failures in the
-/// `Io` lane and rendering decode failures — which carry the path and
-/// failing section — as `Index` errors.
-fn load_container(path: &str) -> Result<IndexContainer, CliError> {
-    IndexContainer::load(Path::new(path)).map_err(|e| match e {
-        LoadError::Io { source, .. } => CliError::Io(source),
-        other => CliError::Index(other.to_string()),
-    })
 }
 
 /// Loads a `.lshe` index as a restarted server serves it: the base file
@@ -275,10 +265,11 @@ fn cmd_index(flags: &Flags) -> Result<String, CliError> {
 }
 
 /// Bulk-appends a directory of CSV/JSONL domains to a stored index — the
-/// mutation lifecycle (stage → compact) driven from the CLI.
-/// Any staged server mutations sitting in the `FILE.delta` sidecar are
-/// folded in first (append order preserved), so an offline ingest never
-/// discards a stopped server's uncommitted work.
+/// mutation lifecycle (commit → compact) driven from the CLI. The index
+/// loads as a restarted server loads it (`Engine::load`): the committed
+/// batches of the `FILE.delta` sidecar replay — skipped whole where the
+/// base already embodies them — and its staged tail is committed first,
+/// so an offline ingest never discards a stopped server's uncommitted work.
 ///
 /// The index file must not be concurrently served: `ingest` and
 /// `lshe serve` do not coordinate, and a live server's next commit would
@@ -289,29 +280,17 @@ fn cmd_ingest(flags: &Flags) -> Result<String, CliError> {
     let dir = flags.require("dir")?.to_owned();
     let min_size: usize = flags.get_parsed("min-size", 10)?;
 
-    let mut container = load_container(&index_path)?;
-
-    // Fold any staged delta-log ops first. A torn or corrupt log is a
-    // typed error — never a panic, never silent data loss. The log
-    // header's allocator mark is honoured too, so ids the server burned
-    // on staged-then-removed inserts are never reissued here.
-    let log = container::DeltaLog::sidecar(Path::new(&index_path));
-    let (mark, replayed) = log
-        .read_with_mark()
-        .map_err(|e| CliError::Index(format!("{}: {e}", log.path().display())))?;
-    container.reserve_next_id(mark);
-    let replayed_count = replayed
-        .iter()
-        .filter(|op| !matches!(op, container::DeltaOp::Commit { .. }))
-        .count();
-    if !replayed.is_empty() {
-        container
-            .apply(&replayed)
-            .map_err(|e| CliError::Index(format!("replaying {}: {e}", log.path().display())))?;
-    }
+    // A torn or corrupt log is a typed error — never a panic, never silent
+    // data loss. The log header's allocator mark is honoured too, so ids
+    // the server burned on staged-then-removed inserts are never reissued.
+    let engine = load_served(&index_path)?;
+    let (snapshot, folded) = engine.commit_staged().map_err(engine_error)?;
+    let mut container = snapshot.container().clone();
+    let layout = container.segment_layout();
+    let changed = folded.applied > 0 || !layout.segments.is_empty() || layout.tombstones > 0;
 
     let catalog = ingest_dir(Path::new(&dir), min_size)?;
-    if catalog.is_empty() && replayed_count == 0 {
+    if catalog.is_empty() && !changed {
         return Err(CliError::Query(format!(
             "no domains with ≥ {min_size} distinct values found under {dir}"
         )));
@@ -337,17 +316,17 @@ fn cmd_ingest(flags: &Flags) -> Result<String, CliError> {
         });
     }
     let appended = ops.len();
-    container
-        .apply(&ops)
+    let sealed = container
+        .commit(&ops)
         .map_err(|e| CliError::Index(e.to_string()))?;
     // Bulk append pays the O(corpus) rewrite anyway, so fold everything —
-    // replayed ops, sealed segments, tombstones, the fresh appends — into
-    // one compacted base rather than persisting a segment stack.
+    // replayed batches, sealed segments, tombstones, the fresh appends —
+    // into one compacted base rather than persisting a segment stack.
     let report = container.compact_index();
 
     // Atomic rewrite, then retire the folded delta log.
     container.save(Path::new(&index_path))?;
-    log.clear()?;
+    container::DeltaLog::sidecar(Path::new(&index_path)).clear()?;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -355,13 +334,18 @@ fn cmd_ingest(flags: &Flags) -> Result<String, CliError> {
         "ingested {appended} domain(s) from {dir} into {index_path} ({} total)",
         container.len()
     );
-    if replayed_count > 0 {
-        let _ = writeln!(out, "folded {replayed_count} staged delta-log op(s) first");
+    if folded.applied > 0 {
+        let _ = writeln!(
+            out,
+            "folded {} staged delta-log op(s) first",
+            folded.applied
+        );
     }
     let _ = writeln!(
         out,
         "compacted: {} staged insert(s) merged, {} entr(y/ies) rebuilt",
-        report.merged, report.entries_folded
+        folded.report.merged + sealed.merged,
+        report.entries_folded
     );
     Ok(out)
 }
@@ -960,6 +944,57 @@ mod tests {
         assert!(
             stats.contains("domains: 6"),
             "3 built + 1 folded + 2 ingested:\n{stats}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ingest_takes_a_delta_log_the_base_already_embodies() {
+        // The crash window between a compaction's rename and its log
+        // clear: the base embodies a committed batch whose log is still
+        // beside it. `stats` and `serve` replay it as a no-op; so must
+        // `ingest`.
+        let dir = tmp_dir("ingest_embodied");
+        let idx = dir.join("x.lshe");
+        let domain = |prefix: &str| {
+            let values: Vec<String> = (0..12).map(|v| format!("{prefix}{v}")).collect();
+            Domain::from_strs(values.iter().map(String::as_str))
+        };
+        let mut catalog = Catalog::new();
+        for k in 0..24 {
+            let meta = lshe_corpus::DomainMeta::new("base", format!("c{k}"));
+            catalog.push(domain(&format!("d{k}v")), meta);
+        }
+        IndexContainer::build(&catalog, 4).save(&idx).expect("save");
+        let engine = Engine::load(&idx, 1).expect("load");
+        let late = domain("late");
+        let signature = late.signature(&MinHasher::new(256));
+        let size = late.len() as u64;
+        let (id, _) = engine
+            .stage_insert("late".into(), "v".into(), size, signature)
+            .expect("insert");
+        assert_eq!(id, 24);
+        engine.commit_staged().expect("commit");
+        let log = container::DeltaLog::sidecar(&idx);
+        let saved = std::fs::read(log.path()).expect("read the log");
+        engine.compact().expect("compact");
+        drop(engine);
+        assert!(!log.exists(), "compaction retires the log");
+        std::fs::write(log.path(), &saved).expect("put the log back");
+
+        let more = dir.join("more");
+        std::fs::create_dir_all(&more).expect("mkdir");
+        write_corpus(&more);
+        let (idx, more) = (idx.to_str().expect("utf8"), more.to_str().expect("utf8"));
+        let ingest = ["ingest", "--index", idx, "--dir", more, "--min-size", "5"];
+        let out = run(&s(&ingest)).expect("ingest over a log the base embodies");
+        assert!(out.contains("ingested 3 domain(s)"), "{out}");
+        assert!(!log.exists(), "delta log must be retired after ingest");
+        let stats = run(&s(&["stats", "--index", idx])).expect("stats");
+        let domains = "domains: 28";
+        assert!(
+            stats.contains(domains),
+            "24 built + 1 committed + 3 ingested:\n{stats}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -194,6 +194,20 @@ impl<'a> Query<'a> {
     }
 }
 
+/// One op of a batch [`RankedIndex::commit`](crate::RankedIndex::commit)
+/// applies: ops take effect in batch order, so a remove may cancel an
+/// insert earlier in the same batch, and an insert may re-use an id a
+/// remove earlier in it freed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Mutation<'a> {
+    /// Index a new domain: `(id, size, signature)` — an id no live domain
+    /// holds, its exact (positive) cardinality, and its MinHash signature,
+    /// as wide as the index's `num_perm`.
+    Insert(DomainId, u64, &'a Signature),
+    /// Drop a live domain.
+    Remove(DomainId),
+}
+
 /// Why a mutation could not be applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MutationError {
@@ -223,9 +237,10 @@ impl std::error::Error for MutationError {}
 /// [`RankedIndex::compact`](crate::RankedIndex::compact) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommitReport {
-    /// Staged inserts sealed into a segment by this commit.
+    /// Inserts this commit sealed into a segment: the batch's inserts
+    /// less those a later remove in it cancelled.
     pub merged: usize,
-    /// Whether a non-empty staged delta was sealed into a segment.
+    /// Whether the commit sealed a segment (`merged > 0`).
     pub sealed: bool,
     /// Sealed segments outstanding afterwards (0 right after
     /// [`RankedIndex::compact`](crate::RankedIndex::compact)).
@@ -608,9 +623,8 @@ mod tests {
     fn empty_forest_index_returns_nothing() {
         let (_, entries) = nested(3);
         let mut idx = single_forest(&entries);
-        for (id, _, _) in &entries {
-            idx.remove(*id).expect("remove");
-        }
+        let removes: Vec<Mutation<'_>> = entries.iter().map(|e| Mutation::Remove(e.0)).collect();
+        idx.commit(&removes).expect("remove");
         let (_, size, sig) = &entries[0];
         let out = idx
             .search(&Query::threshold(sig, 0.5).with_size(*size))

@@ -8,7 +8,9 @@
 //! FP+FN mass for the partition's upper bound — and the per-partition
 //! candidate sets are unioned (`Partitioned-Containment-Search`, §5.1).
 
-use crate::api::{CommitReport, DomainIndex, MutationError, Query, QueryError, SearchOutcome};
+use crate::api::{
+    CommitReport, DomainIndex, Mutation, MutationError, Query, QueryError, SearchOutcome,
+};
 use crate::batch::ThresholdItem;
 use crate::directory::Directory;
 use crate::partition::{Partition, PartitionStrategy};
@@ -140,21 +142,6 @@ pub(crate) struct EnsemblePartition {
 }
 
 impl EnsemblePartition {
-    fn empty(config: &EnsembleConfig) -> Self {
-        Self {
-            lower: 0,
-            upper: 0,
-            forest: LshForest::with_width(config.b_max, config.r_max, config.num_perm),
-            sizes: Column::default(),
-        }
-    }
-
-    /// Appends a row and its size.
-    fn push<L: RowLanes + ?Sized>(&mut self, id: DomainId, size: u64, lanes: &L) {
-        self.sizes.to_mut().push(size);
-        self.forest.insert(id, lanes);
-    }
-
     /// Row `i` as an entry triple.
     fn entry(&self, i: usize) -> Entry<'_> {
         (self.forest.ids()[i], self.sizes[i], self.forest.row(i))
@@ -199,8 +186,6 @@ enum Slot {
     Base(u32),
     /// Sealed segment `idx`, partition `part` within it.
     Seg(u32, u32),
-    /// The staged (uncommitted) delta.
-    Staged,
 }
 
 /// Which tier held a removed id's rows. Removal of committed rows is a
@@ -215,6 +200,14 @@ pub(crate) enum DeadSlot {
 }
 
 impl DeadSlot {
+    /// The tier a row in `slot` is tombstoned in.
+    fn of(slot: Slot) -> Self {
+        match slot {
+            Slot::Base(p) => Self::Base(p),
+            Slot::Seg(s, _) => Self::Seg(s),
+        }
+    }
+
     fn matches(self, slot: Slot) -> bool {
         match (self, slot) {
             (Self::Base(a), Slot::Base(b)) => a == b,
@@ -232,7 +225,7 @@ impl DeadSlot {
 struct IdMap {
     /// Every base row, as of the last build, load or fold.
     base: Arc<Directory>,
-    /// What changed since: where a segment or staged id lives, or `None`
+    /// What changed since: where a segment id lives, or `None`
     /// for a base id that was removed.
     overlay: FastHashMap<DomainId, Option<(Slot, u32)>>,
 }
@@ -300,7 +293,7 @@ impl IdMap {
     }
 }
 
-/// An immutable sub-index sealed from one committed delta: the delta's
+/// An immutable sub-index sealed from one committed batch: its inserted
 /// domains, equi-depth-partitioned (by the configured strategy) over just
 /// themselves, each partition carrying its own committed forest and its
 /// rows' sizes. `order` keeps the sealing order of the entries — it is the
@@ -340,9 +333,9 @@ impl SealedSegment {
 /// the tier a tombstone names it by.
 pub(crate) fn segment_units(
     segments: &[Arc<SealedSegment>],
-) -> impl Iterator<Item = (Option<DeadSlot>, &EnsemblePartition)> {
+) -> impl Iterator<Item = (DeadSlot, &EnsemblePartition)> {
     segments.iter().enumerate().flat_map(|(j, seg)| {
-        let tier = Some(DeadSlot::Seg(j as u32));
+        let tier = DeadSlot::Seg(j as u32);
         seg.partitions.iter().map(move |p| (tier, p))
     })
 }
@@ -365,16 +358,20 @@ fn build_partition<'a, L: RowLanes + ?Sized + 'a>(
     }
 }
 
-/// Builds one sealed segment from a committed delta: partition the entry
-/// sizes with the configured strategy, then build each partition's forest.
-/// Deterministic — the persistence decoder replays it to reconstruct a
-/// segment from its stored entries.
-pub(crate) fn build_segment(config: &EnsembleConfig, entries: &[Entry<'_>]) -> SealedSegment {
+/// Builds one sealed segment from `(id, size, lanes)` entries — a
+/// committed batch's signatures, or the stored rows of entries sealed
+/// before: partition the entry sizes with the configured strategy, then
+/// build each partition's forest. Deterministic — the persistence decoder
+/// replays it to reconstruct a segment from its stored entries.
+pub(crate) fn build_segment<L: RowLanes>(
+    config: &EnsembleConfig,
+    entries: &[(DomainId, u64, L)],
+) -> SealedSegment {
     let entry = |m: usize| {
-        let (id, size, row) = &entries[m];
-        (*id, *size, row)
+        let (id, size, lanes) = &entries[m];
+        (*id, *size, lanes)
     };
-    debug_assert!(!entries.is_empty(), "cannot seal an empty delta");
+    debug_assert!(!entries.is_empty(), "cannot seal an empty batch");
     let sizes: Vec<u64> = entries.iter().map(|e| e.1).collect();
     let partitioning = config.strategy.partition(&sizes);
     let mut order = vec![(0, 0); entries.len()];
@@ -408,16 +405,17 @@ pub struct PartitionStats {
 /// partition it lives in; the id map says which forest and row, so an index
 /// that ranks reads the candidate's lanes — and its size — from there.
 ///
-/// The tiers a [`crate::RankedIndex`] mutates through — LSM-style: inserts
-/// stage into a delta buffer, a commit seals the delta into an immutable
-/// sealed segment in O(delta), removes of committed rows become tombstones
-/// filtered out of every candidate union, and a compaction builds a new
-/// base from the live rows (`rebuilt`). Those steps are
-/// crate-private: a plain ensemble is built, queried and persisted.
+/// The tiers a [`crate::RankedIndex`] mutates through — LSM-style: a
+/// commit seals a batch's inserts into an immutable segment in O(batch)
+/// and turns its removes into tombstones filtered out of every candidate
+/// union, and a compaction builds a new base from the live rows
+/// (`rebuilt`). An index changes only there: nothing is staged in it.
+/// Those steps are crate-private: a plain ensemble is built, queried and
+/// persisted.
 ///
 /// The base partitions, the sealed segments, the base part of the id map
 /// and the tuner are immutable and shared: a clone copies pointers to them
-/// plus the staged delta, the tombstones and the id overlay, so a commit
+/// plus the tombstones and the id overlay, so a commit
 /// or a segment merge on the clone copies nothing of the base. A base
 /// partition decoded over a mapped index file ([`decode`](Self::decode)) is
 /// views into that file until a compaction replaces it.
@@ -425,12 +423,8 @@ pub struct PartitionStats {
 pub struct LshEnsemble {
     config: EnsembleConfig,
     partitions: Vec<Arc<EnsemblePartition>>,
-    /// Sealed deltas, oldest first; queries sweep them after the base.
+    /// Sealed batches, oldest first; queries sweep them after the base.
     segments: Vec<Arc<SealedSegment>>,
-    /// The staged (uncommitted) delta: one forest holding every staged
-    /// insert, swept as a pseudo-partition whose bounds track the staged
-    /// sizes. `commit` seals it into a [`SealedSegment`] in O(delta).
-    staged: EnsemblePartition,
     /// Tombstones, in removal order: ids whose rows are still physically
     /// present in a base or segment forest. Cleared by compaction.
     dead: Vec<(DomainId, DeadSlot)>,
@@ -498,8 +492,8 @@ impl LshEnsemble {
         Self::over_base(config, tuner, shells)
     }
 
-    /// An index whose every row is a row of `partitions`: no segment,
-    /// nothing staged, no tombstone.
+    /// An index whose every row is a row of `partitions`: no segment, no
+    /// tombstone.
     ///
     /// # Panics
     /// Panics if an id names two rows.
@@ -514,7 +508,6 @@ impl LshEnsemble {
             len: directory.len(),
             partitions,
             segments: Vec::new(),
-            staged: EnsemblePartition::empty(&config),
             dead: Vec::new(),
             dead_set: FastHashSet::default(),
             config,
@@ -598,17 +591,11 @@ impl LshEnsemble {
     }
 
     /// Per-partition summaries: base partitions first, then each sealed
-    /// segment's partitions (oldest segment first), then — when inserts
-    /// are staged — one pseudo-partition covering the staged delta.
-    /// Counts are physical rows, so tombstoned domains still count until
-    /// compaction.
+    /// segment's partitions (oldest segment first). Counts are physical
+    /// rows, so tombstoned domains still count until compaction.
     #[must_use]
     pub fn partition_stats(&self) -> Vec<PartitionStats> {
-        let base = self.partitions.iter().map(|p| &**p);
-        let segs = self.segments.iter().flat_map(|s| &s.partitions);
-        let staged = (!self.staged.forest.is_empty()).then_some(&self.staged);
-        base.chain(segs)
-            .chain(staged)
+        self.every_partition()
             .map(EnsemblePartition::stats)
             .collect()
     }
@@ -620,13 +607,13 @@ impl LshEnsemble {
     pub fn memory_bytes(&self) -> usize {
         let base: usize = self.partitions.iter().map(|p| p.memory_bytes()).sum();
         let segs: usize = self.segments.iter().map(|s| s.memory_bytes()).sum();
-        base + segs + self.staged.memory_bytes()
+        base + segs
     }
 
     /// The part of [`memory_bytes`](Self::memory_bytes) that is no heap:
     /// the columns of base partitions — forests and sizes — that are views
-    /// into the mapped file the index was decoded over. Segments and the
-    /// staged delta are always heap.
+    /// into the mapped file the index was decoded over. Segments are
+    /// always heap.
     #[must_use]
     pub fn mapped_bytes(&self) -> usize {
         self.partitions.iter().map(|p| p.mapped_bytes()).sum()
@@ -671,18 +658,17 @@ impl LshEnsemble {
         self.ids.memory_bytes()
     }
 
-    /// Base partitions, every sealed segment's, then the staged delta.
+    /// Base partitions, then every sealed segment's, oldest first.
     fn every_partition(&self) -> impl Iterator<Item = &EnsemblePartition> {
         let segs = self.segments.iter().flat_map(|s| &s.partitions);
         let base = self.partitions.iter().map(|p| &**p);
-        base.chain(segs).chain([&self.staged])
+        base.chain(segs)
     }
 
     fn partition_at(&self, slot: Slot) -> &EnsemblePartition {
         match slot {
             Slot::Base(p) => &self.partitions[p as usize],
             Slot::Seg(s, part) => &self.segments[s as usize].partitions[part as usize],
-            Slot::Staged => &self.staged,
         }
     }
 
@@ -718,22 +704,17 @@ impl LshEnsemble {
     }
 
     /// This index's sweepable partitions for the shared read path, in
-    /// stats order: base partitions, each sealed segment's, then — when
-    /// inserts are staged — the staged pseudo-partition.
+    /// stats order: base partitions, then each sealed segment's.
     pub(crate) fn tiers(&self) -> Tiers<'_, &EnsemblePartition> {
         let base = self
             .partitions
             .iter()
             .enumerate()
-            .map(|(i, p)| (Some(DeadSlot::Base(i as u32)), &**p));
-        let staged = (!self.staged.forest.is_empty()).then_some((None, &self.staged));
+            .map(|(i, p)| (DeadSlot::Base(i as u32), &**p));
         Tiers {
             num_perm: self.config.num_perm,
             tuner: &self.tuner,
-            units: base
-                .chain(segment_units(&self.segments))
-                .chain(staged)
-                .collect(),
+            units: base.chain(segment_units(&self.segments)).collect(),
             dead: self.dead_set(),
         }
     }
@@ -775,112 +756,79 @@ impl LshEnsemble {
         self.ids.get(id).is_some()
     }
 
-    /// Stages one new domain, queryable at once: routed by size only when
-    /// a compaction rebuilds the base.
-    ///
-    /// # Errors
-    /// [`MutationError::DuplicateId`] if the id is already indexed,
-    /// [`MutationError::Invalid`] on a zero size or a signature width
-    /// mismatch.
-    pub(crate) fn insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        if size == 0 {
-            return Err(MutationError::Invalid(
-                "domain size must be positive".into(),
-            ));
+    /// [`crate::RankedIndex::commit`]: the kept inserts are
+    /// equi-depth-partitioned on their own and sealed, in batch order, into
+    /// one new segment; each removed committed row becomes a tombstone,
+    /// filtered out of its tier's candidates until a compaction. Partition
+    /// bounds stay as they are: a too-wide upper bound only makes threshold
+    /// conversion more conservative, never less correct.
+    pub(crate) fn commit(&mut self, batch: &[Mutation<'_>]) -> Result<CommitReport, MutationError> {
+        let (inserts, removes) = self.net_effect(batch)?;
+        for &id in &removes {
+            let (slot, _) = self
+                .ids
+                .get(id)
+                .expect("a validated remove names a live id");
+            let tomb = (id, DeadSlot::of(slot));
+            self.dead.push(tomb);
+            self.dead_set.insert(tomb);
+            self.ids.remove(id);
         }
-        if signature.len() != self.config.num_perm {
-            return Err(MutationError::Invalid(format!(
-                "signature width mismatch: domain has {}, index expects {}",
-                signature.len(),
-                self.config.num_perm
-            )));
+        self.len = self.len + inserts.len() - removes.len();
+        if !inserts.is_empty() {
+            self.push_segment(build_segment(&self.config, &inserts));
         }
-        if self.contains(id) {
-            return Err(MutationError::DuplicateId(id));
-        }
-        if self.staged.forest.is_empty() {
-            self.staged.lower = size;
-            self.staged.upper = size;
-        } else {
-            self.staged.lower = self.staged.lower.min(size);
-            self.staged.upper = self.staged.upper.max(size);
-        }
-        let row = self.staged.forest.len() as u32;
-        self.staged.push(id, size, signature);
-        self.ids.insert(id, (Slot::Staged, row));
-        self.len += 1;
-        Ok(())
-    }
-
-    /// Removes one domain at once. A staged id leaves the delta physically;
-    /// an id living in the base or in a sealed segment becomes a tombstone:
-    /// its rows stay in their forest until a compaction, and queries filter
-    /// them out of that tier's candidates. Partition bounds stay as they
-    /// are: a too-wide upper bound only makes threshold conversion more
-    /// conservative, never less correct.
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if the id is not indexed.
-    pub(crate) fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        let Some((slot, row)) = self.ids.get(id) else {
-            return Err(MutationError::UnknownId(id));
-        };
-        let tomb = match slot {
-            Slot::Staged => {
-                let removed = self.staged.forest.remove(id);
-                debug_assert!(removed, "id map pointed at a staged delta without the id");
-                self.staged.sizes.to_mut().remove(row as usize);
-                if self.staged.forest.is_empty() {
-                    // Drop the stale forest + bounds along with the last entry.
-                    self.staged = EnsemblePartition::empty(&self.config);
-                }
-                // Later staged rows moved up by one.
-                let moved = self.staged.forest.ids().iter().enumerate();
-                for (at, &later) in moved.skip(row as usize) {
-                    self.ids.insert(later, (Slot::Staged, at as u32));
-                }
-                None
-            }
-            Slot::Base(p) => Some(DeadSlot::Base(p)),
-            Slot::Seg(s, _) => Some(DeadSlot::Seg(s)),
-        };
-        if let Some(tomb) = tomb {
-            self.dead.push((id, tomb));
-            self.dead_set.insert((id, tomb));
-        }
-        self.ids.remove(id);
-        self.len -= 1;
-        Ok(())
-    }
-
-    /// Seals the staged delta into an immutable segment (LSM-style tiering):
-    /// the delta is equi-depth-partitioned on its own and pushed onto the
-    /// segment stack, so the cost is O(staged delta), never O(corpus).
-    pub(crate) fn commit(&mut self) -> CommitReport {
-        let merged = self.staged.forest.len();
-        if merged > 0 {
-            let empty = EnsemblePartition::empty(&self.config);
-            let staged = std::mem::replace(&mut self.staged, empty);
-            let entries: Vec<Entry<'_>> = (0..merged).map(|i| staged.entry(i)).collect();
-            self.push_segment(build_segment(&self.config, &entries));
-        }
-        CommitReport {
-            merged,
-            sealed: merged > 0,
+        Ok(CommitReport {
+            merged: inserts.len(),
+            sealed: !inserts.is_empty(),
             segments: self.segments.len(),
             tombstones: self.dead.len(),
             entries_folded: 0,
-        }
+        })
     }
 
-    /// Number of staged (not yet committed) inserts.
-    pub(crate) fn staged_len(&self) -> usize {
-        self.staged.forest.len()
+    /// Validates `batch` against this index, op by op in order, and returns
+    /// its net effect: the inserts no later remove cancels, in batch order,
+    /// and the committed ids it removes, in batch order.
+    #[allow(clippy::type_complexity)]
+    fn net_effect<'b>(
+        &self,
+        batch: &[Mutation<'b>],
+    ) -> Result<(Vec<(DomainId, u64, &'b Signature)>, Vec<DomainId>), MutationError> {
+        let mut inserts: Vec<Option<(DomainId, u64, &'b Signature)>> = Vec::new();
+        let mut removes: Vec<DomainId> = Vec::new();
+        // What the batch so far did to each id it names: inserted it, at
+        // `inserts[k]`, or took it out.
+        let mut touched: FastHashMap<DomainId, Option<usize>> =
+            FastHashMap::with_capacity_and_hasher(batch.len(), Default::default());
+        for (at, op) in batch.iter().enumerate() {
+            match *op {
+                Mutation::Insert(id, size, signature) => {
+                    let invalid = |why: String| MutationError::Invalid(format!("op {at}: {why}"));
+                    if size == 0 {
+                        return Err(invalid("domain size must be positive".into()));
+                    }
+                    if signature.len() != self.config.num_perm {
+                        return Err(invalid(format!(
+                            "signature width mismatch: domain has {}, index expects {}",
+                            signature.len(),
+                            self.config.num_perm
+                        )));
+                    }
+                    if touched.get(&id).map_or(self.contains(id), Option::is_some) {
+                        return Err(MutationError::DuplicateId(id));
+                    }
+                    touched.insert(id, Some(inserts.len()));
+                    inserts.push(Some((id, size, signature)));
+                }
+                Mutation::Remove(id) => match touched.insert(id, None) {
+                    Some(Some(k)) => inserts[k] = None,
+                    None if self.contains(id) => removes.push(id),
+                    _ => return Err(MutationError::UnknownId(id)),
+                },
+            }
+        }
+        Ok((inserts.into_iter().flatten().collect(), removes))
     }
 
     /// The tier layout [`crate::Leveled::plan`] plans against.
@@ -1047,7 +995,6 @@ impl LshEnsemble {
         let mut ensemble = Self {
             tuner: Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32)),
             segments: Vec::new(),
-            staged: EnsemblePartition::empty(&config),
             dead_set: dead.iter().copied().collect(),
             dead,
             config,
@@ -1248,11 +1195,9 @@ mod tests {
         let mut ens = build_default(&entries, 4);
         let vals = MinHasher::synthetic_values(99, 64);
         let sig = h.signature(vals.iter().copied());
-        ens.insert(1000, 64, &sig).expect("insert");
+        ens.commit(&[Mutation::Insert(1000, 64, &sig)])
+            .expect("insert");
         assert_eq!(ens.len(), 21);
-        let got = ens.query_with_size(&sig, 64, 0.9);
-        assert!(got.contains(&1000));
-        ens.commit();
         let got = ens.query_with_size(&sig, 64, 0.9);
         assert!(got.contains(&1000));
     }
@@ -1264,7 +1209,8 @@ mod tests {
         let old_max = ens.partition_stats().last().expect("parts").upper;
         let vals = MinHasher::synthetic_values(5, 4000);
         let sig = h.signature(vals.iter().copied());
-        ens.insert(2000, 4000, &sig).expect("insert");
+        ens.commit(&[Mutation::Insert(2000, 4000, &sig)])
+            .expect("insert");
         let new_max = ens.partition_stats().last().expect("parts").upper;
         assert!(new_max > old_max);
         assert_eq!(new_max, 4000);
@@ -1303,33 +1249,27 @@ mod tests {
         let mut ens = build_default(&entries, 4);
         let vals = MinHasher::synthetic_values(123, 64);
         let sig = h.signature(vals.iter().copied());
-        ens.insert(500, 64, &sig).expect("insert");
+        let insert = Mutation::Insert(500, 64, &sig);
+        ens.commit(&[insert]).expect("insert");
         assert!(ens.contains(500));
-        assert_eq!(ens.staged_len(), 1);
         // Duplicate insert is a typed error, not a second copy.
-        assert_eq!(
-            ens.insert(500, 64, &sig),
-            Err(MutationError::DuplicateId(500))
-        );
+        let duplicate = Err(MutationError::DuplicateId(500));
+        assert_eq!(ens.commit(&[insert]), duplicate);
         // Invalid inputs are typed errors.
-        assert!(matches!(
-            ens.insert(501, 0, &sig),
-            Err(MutationError::Invalid(_))
-        ));
+        let zero = ens.commit(&[Mutation::Insert(501, 0, &sig)]);
+        assert!(matches!(zero, Err(MutationError::Invalid(_))));
         let narrow = MinHasher::new(64).signature([1u64, 2]);
-        assert!(matches!(
-            ens.insert(501, 2, &narrow),
-            Err(MutationError::Invalid(_))
-        ));
-        // Removal takes effect immediately, pre-commit.
-        ens.remove(500).expect("remove staged");
+        let wide = ens.commit(&[Mutation::Insert(501, 2, &narrow)]);
+        assert!(matches!(wide, Err(MutationError::Invalid(_))));
+        // Removal of a sealed insert, then of it again.
+        ens.commit(&[Mutation::Remove(500)]).expect("remove sealed");
         assert!(!ens.contains(500));
-        assert_eq!(ens.staged_len(), 0);
         assert!(!ens.query_with_size(&sig, 64, 0.9).contains(&500));
-        assert_eq!(ens.remove(500), Err(MutationError::UnknownId(500)));
+        let unknown = Err(MutationError::UnknownId(500));
+        assert_eq!(ens.commit(&[Mutation::Remove(500)]), unknown);
         // Removing a committed (built) domain works too.
         let (_, size, sig3, _) = &entries[3];
-        ens.remove(3).expect("remove built");
+        ens.commit(&[Mutation::Remove(3)]).expect("remove built");
         assert_eq!(ens.len(), 19);
         assert!(!ens.query_with_size(sig3, *size, 1.0).contains(&3));
         // Neighbours survive.
@@ -1342,17 +1282,21 @@ mod tests {
         let (h, entries) = nested_corpus(256, 12);
         let mut ens = build_default(&entries, 3);
         let sig = h.signature(MinHasher::synthetic_values(9, 33));
-        ens.insert(700, 33, &sig).expect("insert");
-        assert_eq!(ens.staged_len(), 1);
-        let report = ens.commit();
+        let report = ens
+            .commit(&[Mutation::Insert(700, 33, &sig)])
+            .expect("insert");
         assert_eq!(
             (report.merged, report.sealed, report.segments),
             (1, true, 1)
         );
-        assert_eq!(ens.staged_len(), 0);
         assert!(ens.query_with_size(&sig, 33, 0.9).contains(&700));
-        // Nothing staged: nothing sealed.
-        assert!(!ens.commit().sealed);
+        // No insert: nothing sealed.
+        assert!(!ens.commit(&[]).expect("empty batch").sealed);
+        let report = ens.commit(&[Mutation::Remove(2)]).expect("remove");
+        assert_eq!(
+            (report.sealed, report.segments, report.tombstones),
+            (false, 1, 1)
+        );
     }
 
     #[test]
@@ -1361,8 +1305,8 @@ mod tests {
         let ens = build_default(&entries, 2);
         let mut copy = ens.clone();
         let sig = h.signature(MinHasher::synthetic_values(77, 40));
-        copy.insert(900, 40, &sig).expect("insert");
-        copy.remove(0).expect("remove");
+        let batch = [Mutation::Insert(900, 40, &sig), Mutation::Remove(0)];
+        copy.commit(&batch).expect("commit");
         assert_eq!(copy.len(), 10);
         assert_eq!(ens.len(), 10);
         assert!(ens.contains(0), "original mutated through clone");
@@ -1382,10 +1326,10 @@ mod tests {
         assert!(Arc::ptr_eq(&ens.tuner, &copy.tuner));
         assert_eq!(copy.tuner.cache_len(), populated);
         let fresh = h.signature(MinHasher::synthetic_values(31, 45));
-        copy.insert(500, 45, &fresh).expect("insert");
-        copy.commit();
-        copy.insert(501, 45, &fresh).expect("insert");
-        copy.commit();
+        copy.commit(&[Mutation::Insert(500, 45, &fresh)])
+            .expect("insert");
+        copy.commit(&[Mutation::Insert(501, 45, &fresh)])
+            .expect("insert");
         copy.merge_segments(&[0, 1]);
         assert_eq!(
             copy.tuner.cache_len(),
@@ -1414,7 +1358,8 @@ mod tests {
         let (h, entries) = nested_corpus(256, 8);
         let mut ens = build_default(&entries, 2);
         let sig = h.signature(MinHasher::synthetic_values(5, 30));
-        ens.insert(2, 30, &sig).expect("id 2 is already indexed");
+        ens.commit(&[Mutation::Insert(2, 30, &sig)])
+            .expect("id 2 is already indexed");
     }
 
     #[test]
@@ -1443,18 +1388,16 @@ mod tests {
         let built = (entries[3].1, &entries[3].2);
         let [first, second, third] = [0, 1, 2].map(|i| (contents[i].0, &contents[i].1));
 
-        // Base row → tombstone, new content staged, then sealed.
-        ens.remove(3).expect("remove built");
-        ens.insert(3, first.0, first.1).expect("re-insert");
-        check(&ens, built, first, "staged over base");
-        ens.commit();
+        // Base row → tombstone, new content sealed, in one batch.
+        let reinsert = |ens: &mut LshEnsemble, (size, sig): (u64, &Signature)| {
+            let batch = [Mutation::Remove(3), Mutation::Insert(3, size, sig)];
+            ens.commit(&batch).expect("remove and re-insert");
+        };
+        reinsert(&mut ens, first);
         check(&ens, built, first, "sealed over base");
 
         // Segment entry → tombstone, newer content in a newer segment.
-        ens.remove(3).expect("remove sealed");
-        ens.insert(3, second.0, second.1).expect("re-insert");
-        check(&ens, first, second, "staged over segment");
-        ens.commit();
+        reinsert(&mut ens, second);
         check(&ens, first, second, "sealed over segment");
         check(&ens, built, second, "sealed over segment");
 
@@ -1462,9 +1405,7 @@ mod tests {
         // third generation folded together with the second.
         ens.merge_segments(&[0]);
         check(&ens, first, second, "after merging the stale segment");
-        ens.remove(3).expect("remove sealed");
-        ens.insert(3, third.0, third.1).expect("re-insert");
-        ens.commit();
+        reinsert(&mut ens, third);
         ens.merge_segments(&[0, 1]);
         check(&ens, second, third, "after merging both generations");
         check(&ens, built, third, "after merging both generations");
@@ -1475,9 +1416,8 @@ mod tests {
     fn remove_to_empty_is_legal() {
         let (_, entries) = nested_corpus(256, 6);
         let mut ens = build_default(&entries, 2);
-        for k in 0..6u32 {
-            ens.remove(k).expect("remove");
-        }
+        let removes: Vec<Mutation<'_>> = (0..6).map(Mutation::Remove).collect();
+        ens.commit(&removes).expect("remove");
         assert!(ens.is_empty());
         assert_eq!(ens.len(), 0);
         let (_, size, sig, _) = &entries[0];

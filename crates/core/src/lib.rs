@@ -51,11 +51,13 @@
 //!
 //! ## Dynamic data, baselines and deployment
 //!
-//! * [`ranked`] — [`RankedIndex`], the one mutable index (§6.2): `insert`
-//!   stages, `commit` seals the staged delta into a segment in O(delta),
-//!   `remove` tombstones, and `compact` rebuilds the equi-depth base from
-//!   the live rows; [`maintenance`] plans when segments merge. A plain
-//!   [`LshEnsemble`] is built, queried and persisted, never mutated.
+//! * [`ranked`] — [`RankedIndex`], the one mutable index (§6.2). It changes
+//!   only at `commit`, which takes one ordered batch of [`Mutation`]s and
+//!   applies it whole or not at all: the inserts sealed into a segment in
+//!   O(batch), the removes tombstoned. `compact` rebuilds the equi-depth
+//!   base from the live rows; [`maintenance`] plans when segments merge.
+//!   A plain [`LshEnsemble`] is built, queried and persisted, never
+//!   mutated.
 //! * [`baselines`] — the paper's comparison points under identical rules:
 //!   single-partition MinHash LSH and Asymmetric Minwise Hashing (global
 //!   and per-partition padding).
@@ -84,8 +86,8 @@ pub mod ranked;
 pub mod tuning;
 
 pub use api::{
-    CommitReport, DomainIndex, MutationError, Query, QueryError, QueryMode, QueryStats, SearchHit,
-    SearchOutcome, ESTIMATE_SLACK,
+    CommitReport, DomainIndex, Mutation, MutationError, Query, QueryError, QueryMode, QueryStats,
+    SearchHit, SearchOutcome, ESTIMATE_SLACK,
 };
 pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex};
 pub use directory::position_of;

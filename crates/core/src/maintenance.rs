@@ -1,8 +1,8 @@
 //! Maintenance planning: [`Leveled`] turns the segment/tombstone layout
 //! into typed merge tasks, scheduled off the commit path.
 //!
-//! Commits are O(staged delta) because they seal deltas into immutable
-//! segments; deciding *when* (and *what*) to fold back keeps the stack
+//! Commits are O(batch) because they seal each batch into an immutable
+//! segment; deciding *when* (and *what*) to fold back keeps the stack
 //! short. Segments are assigned to size-exponential levels (level `L`
 //! holds segments of up to `level0_entries · fanout^L` entries); when a
 //! level holds `fanout` segments they are folded into one segment of the

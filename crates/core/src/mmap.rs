@@ -80,17 +80,13 @@ impl From<StoreError> for MmapIndexError {
 
 // ----------------------------------------------------------------- packing
 
-/// Streams a committed [`RankedIndex`] into `packer` as the index
+/// Streams a [`RankedIndex`] into `packer` as the index
 /// sections of a v2 store (meta, partition bounds/lens, tree columns,
 /// sketches, segments). The caller owns the packer and calls
 /// [`Packer::finish`].
 ///
 /// # Errors
 /// Propagates write failure.
-///
-/// # Panics
-/// Panics if the index has staged (uncommitted) inserts — the byte form
-/// is always the canonical committed state, exactly as `.lshe` persistence.
 pub fn pack_ranked(index: &RankedIndex, packer: &mut Packer) -> std::io::Result<()> {
     pack_ranked_with(index, packer, index.ensemble().min_next_id())
 }
@@ -101,20 +97,12 @@ pub fn pack_ranked(index: &RankedIndex, packer: &mut Packer) -> std::io::Result<
 ///
 /// # Errors
 /// Propagates write failure.
-///
-/// # Panics
-/// As [`pack_ranked`].
 pub fn pack_ranked_with(
     index: &RankedIndex,
     packer: &mut Packer,
     next_id: u32,
 ) -> std::io::Result<()> {
     let ensemble = index.ensemble();
-    assert_eq!(
-        ensemble.staged_len(),
-        0,
-        "pack_ranked on an index with staged inserts; commit first"
-    );
     let config = *ensemble.config();
     let base = ensemble.base_partitions();
 
@@ -220,9 +208,6 @@ pub fn pack_ranked_with(
 ///
 /// # Errors
 /// Propagates file I/O failure.
-///
-/// # Panics
-/// As [`pack_ranked`].
 pub fn pack_ranked_to(index: &RankedIndex, path: impl AsRef<Path>) -> std::io::Result<()> {
     let mut packer = Packer::create(path)?;
     pack_ranked(index, &mut packer)?;
@@ -569,7 +554,7 @@ impl MmapIndex {
                 view,
                 rows,
             };
-            (Some(DeadSlot::Base(i as u32)), part)
+            (DeadSlot::Base(i as u32), part)
         });
         let segments =
             segment_units(self.tail.raw_segments()).map(|(tier, p)| (tier, MappedPart::Segment(p)));
@@ -729,25 +714,28 @@ mod tests {
         let (h, mut ranked, values) = sample(24);
         // Drift the corpus: remove a few built domains, add two batches of
         // fresh ones (two sealed segments), remove one sealed insert.
-        ranked.remove(3).expect("remove");
-        ranked.remove(17).expect("remove");
-        for k in 0..5u32 {
-            let vals = MinHasher::synthetic_values(900 + u64::from(k), 120 + 10 * k as usize);
-            let sig = h.signature(vals.iter().copied());
-            ranked
-                .insert(100 + k, vals.len() as u64, &sig)
-                .expect("insert");
-        }
-        ranked.commit();
-        for k in 5..8u32 {
-            let vals = MinHasher::synthetic_values(900 + u64::from(k), 120 + 10 * k as usize);
-            let sig = h.signature(vals.iter().copied());
-            ranked
-                .insert(100 + k, vals.len() as u64, &sig)
-                .expect("insert");
-        }
-        ranked.commit();
-        ranked.remove(102).expect("remove sealed insert");
+        let fresh: Vec<(u32, u64, Signature)> = (0..8u32)
+            .map(|k| {
+                let vals = MinHasher::synthetic_values(900 + u64::from(k), 120 + 10 * k as usize);
+                (
+                    100 + k,
+                    vals.len() as u64,
+                    h.signature(vals.iter().copied()),
+                )
+            })
+            .collect();
+        let inserts = |range: std::ops::Range<usize>| {
+            fresh[range]
+                .iter()
+                .map(|(id, size, signature)| crate::Mutation::Insert(*id, *size, signature))
+        };
+        let removes = [crate::Mutation::Remove(3), crate::Mutation::Remove(17)];
+        let first: Vec<_> = removes.into_iter().chain(inserts(0..5)).collect();
+        ranked.commit(&first).expect("first batch");
+        let second: Vec<_> = inserts(5..8).collect();
+        ranked.commit(&second).expect("second batch");
+        let gone = [crate::Mutation::Remove(102)];
+        ranked.commit(&gone).expect("remove sealed insert");
         let layout = ranked.segment_layout();
         assert_eq!((layout.segments.len(), layout.tombstones), (2, 3));
 
@@ -790,8 +778,7 @@ mod tests {
 
     #[test]
     fn reinserted_id_round_trips_without_its_stale_rows() {
-        let (mut ranked, fresh, old) = crate::ranked::tests::reinserted();
-        ranked.commit();
+        let (ranked, fresh, old) = crate::ranked::tests::reinserted();
         let path = tmp("reinserted");
         pack_ranked_to(&ranked, &path).expect("pack");
         let mapped = MmapIndex::open_verified(&path).expect("open");

@@ -222,9 +222,6 @@ pub(crate) fn decode_strategy(dec: &mut Decoder<'_>) -> Result<PartitionStrategy
 
 impl LshEnsemble {
     /// Serialises the ensemble: base, segment stack and tombstones.
-    ///
-    /// # Panics
-    /// As [`encode_into`](Self::encode_into).
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         Encoder::exactly(|enc| self.encode_into(enc))
@@ -232,18 +229,7 @@ impl LshEnsemble {
 
     /// [`to_bytes`](Self::to_bytes) into `enc`, every forest in place: no
     /// buffer per nesting level.
-    ///
-    /// # Panics
-    /// Panics if staged inserts exist — only the inner ensemble of a
-    /// [`crate::RankedIndex`] can hold them, and they live outside the base
-    /// forests and the segment stack, so serialising them here would
-    /// silently drop them: commit first.
     pub fn encode_into<W: Write>(&self, enc: &mut Encoder<W>) {
-        assert_eq!(
-            self.staged_len(),
-            0,
-            "commit staged inserts before serialising"
-        );
         let config = *self.config();
         enc.envelope(MAGIC, VERSION);
         enc.put_u32(config.num_perm as u32);
@@ -431,6 +417,7 @@ impl LshEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mutation;
     use lshe_minhash::{MinHasher, Signature};
 
     fn sample_ensemble(n: usize) -> (MinHasher, LshEnsemble, Vec<(u32, u64, Signature)>) {
@@ -478,24 +465,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "commit staged inserts before serialising")]
-    fn serialising_staged_inserts_panics() {
-        let (h, mut ens, _) = sample_ensemble(20);
-        let sig = h.signature(MinHasher::synthetic_values(5_000, 64));
-        ens.insert(9_999, 64, &sig).expect("insert");
-        let _ = ens.to_bytes();
-    }
-
-    #[test]
     fn mutated_ensemble_roundtrips_with_id_routing_intact() {
         let (h, mut ens, entries) = sample_ensemble(24);
         // Mutate: remove a few built domains, add a fresh one.
-        ens.remove(3).expect("remove");
-        ens.remove(17).expect("remove");
         let vals = MinHasher::synthetic_values(321, 90);
         let sig = h.signature(vals.iter().copied());
-        ens.insert(777, 90, &sig).expect("insert");
-        ens.commit();
+        let insert = Mutation::Insert(777, 90, &sig);
+        let batch = [Mutation::Remove(3), Mutation::Remove(17), insert];
+        ens.commit(&batch).expect("commit");
         let bytes = ens.to_bytes();
         let mut restored = LshEnsemble::from_bytes(&bytes).expect("decode");
         assert_eq!(restored.len(), 23);
@@ -503,10 +480,12 @@ mod tests {
         assert!(!restored.contains(3) && !restored.contains(17));
         assert!(restored.contains(777));
         assert_eq!(
-            restored.insert(777, 90, &sig),
+            restored.commit(&[insert]),
             Err(crate::MutationError::DuplicateId(777))
         );
-        restored.remove(777).expect("remove decoded insert");
+        restored
+            .commit(&[Mutation::Remove(777)])
+            .expect("remove decoded insert");
         assert!(!restored.query_with_size(&sig, 90, 0.9).contains(&777));
         let (_, size5, sig5) = &entries[5];
         assert!(restored.query_with_size(sig5, *size5, 1.0).contains(&5));
@@ -515,9 +494,8 @@ mod tests {
     #[test]
     fn fully_emptied_ensemble_roundtrips() {
         let (h, mut ens, entries) = sample_ensemble(6);
-        for k in 0..6u32 {
-            ens.remove(k).expect("remove");
-        }
+        let removes: Vec<Mutation<'_>> = (0..6).map(Mutation::Remove).collect();
+        ens.commit(&removes).expect("remove");
         assert!(ens.is_empty());
         let bytes = ens.to_bytes();
         let restored = LshEnsemble::from_bytes(&bytes).expect("decode empty");
@@ -533,10 +511,10 @@ mod tests {
         assert_eq!(restored.to_bytes(), bytes);
         let (_, size, sig) = &entries[2];
         assert!(restored.query_with_size(sig, *size, 0.1).is_empty());
-        // It takes rows again: staged, sealed, then rebuilt into a base.
+        // It takes rows again: sealed, then rebuilt into a base.
         let fresh = h.signature(MinHasher::synthetic_values(8, 30));
-        empty.insert(40, 30, &fresh).expect("insert");
-        empty.commit();
+        let insert = Mutation::Insert(40, 30, &fresh);
+        empty.commit(&[insert]).expect("insert");
         assert!(empty.query_with_size(&fresh, 30, 1.0).contains(&40));
         let rebuilt = empty.rebuilt();
         assert_eq!((rebuilt.len(), rebuilt.num_partitions()), (1, 1));

@@ -70,14 +70,13 @@ fn sorted_unique(mut raw: Vec<DomainId>, set: &mut FastHashSet<DomainId>) -> Vec
     raw
 }
 
-/// One index's sweepable partitions, in stats order: base, each sealed
-/// segment's, then the staged delta.
+/// One index's sweepable partitions, in stats order: base, then each
+/// sealed segment's.
 pub(crate) struct Tiers<'a, P> {
     pub num_perm: usize,
     pub tuner: &'a Tuner,
-    /// Each partition with the tier a tombstone would name it by (`None`
-    /// for the staged delta, whose removals are physical).
-    pub units: Vec<(Option<DeadSlot>, P)>,
+    /// Each partition with the tier a tombstone names it by.
+    pub units: Vec<(DeadSlot, P)>,
     /// Tombstones: rows still physically present in the named tier.
     pub dead: &'a FastHashSet<(DomainId, DeadSlot)>,
 }
@@ -92,7 +91,7 @@ impl<P: Probe> Tiers<'_, P> {
     /// consulted (false = skip-pruned).
     fn probe_unit(
         &self,
-        (tier, part): &(Option<DeadSlot>, P),
+        (tier, part): &(DeadSlot, P),
         item: &ThresholdItem<'_>,
         out: &mut Vec<DomainId>,
     ) -> bool {
@@ -104,13 +103,13 @@ impl<P: Probe> Tiers<'_, P> {
         let params = self.tuner.optimize(part.upper(), item.size, item.t_star);
         let before = out.len();
         part.probe(item.signature, params.b as usize, params.r as usize, out);
-        if let (false, Some(tier)) = (self.dead.is_empty(), *tier) {
+        if !self.dead.is_empty() {
             // Liveness is per tier: a row tombstoned here is dropped even
             // when its id was re-inserted and lives on in a newer tier —
             // that tier answers for the new content itself.
             let mut kept = before;
             for i in before..out.len() {
-                if !self.dead.contains(&(out[i], tier)) {
+                if !self.dead.contains(&(out[i], *tier)) {
                     out[kept] = out[i];
                     kept += 1;
                 }

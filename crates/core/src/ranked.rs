@@ -21,12 +21,17 @@
 //! beside it, so ranking stores nothing of its own.
 //!
 //! [`RankedIndex`] is also the workspace's one mutable index (§6.2 dynamic
-//! data): inserts stage, [`commit`](RankedIndex::commit) seals the staged
-//! delta into a segment in O(delta), removes tombstone, and
+//! data), and it changes only at [`commit`](RankedIndex::commit): one
+//! ordered batch of inserts and removes, validated whole and then applied
+//! whole — the inserts sealed into a segment in O(batch), the removes
+//! tombstoned — or, on any error, not at all. Nothing is staged in the
+//! index; batching ops up is its caller's business (the server's engine).
 //! [`compact`](RankedIndex::compact) rebuilds the equi-depth base from the
 //! live rows — exactly the layout a fresh build of the corpus has.
 
-use crate::api::{CommitReport, DomainIndex, MutationError, Query, QueryError, SearchOutcome};
+use crate::api::{
+    CommitReport, DomainIndex, Mutation, MutationError, Query, QueryError, SearchOutcome,
+};
 use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder};
 use crate::maintenance::{MergeOutcome, MergeTask, SegmentLayout};
 use crate::pipeline::{ReadPath, Sketches};
@@ -36,7 +41,7 @@ use lshe_minhash::Signature;
 
 /// A containment-search index that can rank its answers, and the one that
 /// mutates: an [`LshEnsemble`] (whose every partition keeps its rows'
-/// cardinalities) driven through its staging, sealing and merge steps.
+/// cardinalities) driven through its sealing and merge steps.
 #[derive(Debug, Clone)]
 pub struct RankedIndex {
     ensemble: LshEnsemble,
@@ -177,57 +182,35 @@ impl RankedIndex {
         self.ensemble.contains(id)
     }
 
-    /// Stages one new domain. Its row carries its size like every other, so
-    /// it is queryable at once, *with* an estimate.
+    /// Applies `batch` in order as one step: validates every op first —
+    /// a remove may cancel an insert earlier in the batch, and an insert
+    /// may re-use an id a remove earlier in it freed — then seals the
+    /// inserts left standing, in batch order, into one immutable segment
+    /// (O(batch), never O(corpus): the base is not touched) and tombstones
+    /// the removed domains until [`compact`](Self::compact). An empty batch
+    /// changes nothing.
     ///
     /// # Errors
-    /// [`MutationError::DuplicateId`] if the id is already indexed,
-    /// [`MutationError::Invalid`] on a zero size or a signature width
+    /// The first op that does not apply, and then the index is unchanged:
+    /// [`MutationError::DuplicateId`] for an insert of a live id,
+    /// [`MutationError::UnknownId`] for a remove of an id that is not live,
+    /// [`MutationError::Invalid`] for a zero size or a signature width
     /// mismatch.
-    pub fn insert(
-        &mut self,
-        id: DomainId,
-        size: u64,
-        signature: &Signature,
-    ) -> Result<(), MutationError> {
-        self.ensemble.insert(id, size, signature)
+    pub fn commit(&mut self, batch: &[Mutation<'_>]) -> Result<CommitReport, MutationError> {
+        self.ensemble.commit(batch)
     }
 
-    /// Removes one domain. Takes effect at once (no commit needed): a
-    /// committed row becomes a tombstone until [`compact`](Self::compact).
-    ///
-    /// # Errors
-    /// [`MutationError::UnknownId`] if the id is not indexed.
-    pub fn remove(&mut self, id: DomainId) -> Result<(), MutationError> {
-        self.ensemble.remove(id)
-    }
-
-    /// Seals the staged delta into an immutable segment — O(staged delta),
-    /// never O(corpus): the base is not touched.
-    pub fn commit(&mut self) -> CommitReport {
-        self.ensemble.commit()
-    }
-
-    /// Number of staged (not yet committed) inserts.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.ensemble.staged_len()
-    }
-
-    /// Seals anything staged, then rebuilds the equi-depth base from the
-    /// live rows — segments folded in, tombstoned rows erased, the layout a
-    /// fresh build of the current corpus has — the one O(corpus) step, off
-    /// the commit path. Every live entry is rewritten.
+    /// Rebuilds the equi-depth base from the live rows — segments folded
+    /// in, tombstoned rows erased, the layout a fresh build of the current
+    /// corpus has — the one O(corpus) step, off the commit path. Every
+    /// live entry is rewritten.
     pub fn compact(&mut self) -> CommitReport {
-        let report = self.ensemble.commit();
         // The rows are read out of the old ensemble until the new one is
         // whole; only then is it swapped in.
         self.ensemble = self.ensemble.rebuilt();
         CommitReport {
-            segments: 0,
-            tombstones: 0,
             entries_folded: self.ensemble.len(),
-            ..report
+            ..CommitReport::default()
         }
     }
 
@@ -463,24 +446,27 @@ pub(crate) mod tests {
         let (h, mut idx, values) = index(15);
         let vals = MinHasher::synthetic_values(444, 120);
         let sig = h.signature(vals.iter().copied());
-        idx.insert(600, 120, &sig).expect("insert");
+        idx.commit(&[Mutation::Insert(600, 120, &sig)])
+            .expect("insert");
         assert!(idx.contains(600));
-        assert_eq!(idx.staged_len(), 1);
-        // Staged insert is queryable WITH an estimate (self t̂ = 1).
+        // A committed insert is queryable WITH an estimate (self t̂ = 1).
         let hits = ranked_hits(&idx, Query::threshold(&sig, 0.9).with_size(120));
         let own = hits.iter().find(|hh| hh.id == 600).expect("self hit");
         assert!((own.estimated_containment - 1.0).abs() < 1e-9);
         // Duplicate → typed error; sketch map untouched.
         assert_eq!(
-            idx.insert(600, 120, &sig),
+            idx.commit(&[Mutation::Insert(600, 120, &sig)]),
             Err(MutationError::DuplicateId(600))
         );
         assert_eq!(idx.len(), 16);
         // Removal drops the sketch too.
-        idx.remove(600).expect("remove");
+        idx.commit(&[Mutation::Remove(600)]).expect("remove");
         assert!(!idx.contains(600));
         assert!(idx.sketch(600).is_none());
-        assert_eq!(idx.remove(600), Err(MutationError::UnknownId(600)));
+        assert_eq!(
+            idx.commit(&[Mutation::Remove(600)]),
+            Err(MutationError::UnknownId(600))
+        );
         // Existing domains unaffected.
         let q = h.signature(values[4].iter().copied());
         assert!(ranked_hits(
@@ -493,15 +479,15 @@ pub(crate) mod tests {
 
     /// Removes id 3 from `index(12)` and re-inserts it with disjoint
     /// content of the same size (so a fresh build of the final corpus
-    /// partitions identically). Returns the mutated index, that fresh
-    /// build, and id 3's old sketch.
+    /// partitions identically), in one committed batch. Returns the
+    /// mutated index, that fresh build, and id 3's old sketch.
     pub(crate) fn reinserted() -> (RankedIndex, RankedIndex, Signature) {
         let (h, mut idx, values) = index(12);
         let size = values[3].len() as u64;
         let old = h.signature(values[3].iter().copied());
         let new = h.signature(MinHasher::synthetic_values(777, values[3].len()));
-        idx.remove(3).expect("remove");
-        idx.insert(3, size, &new).expect("re-insert");
+        let batch = [Mutation::Remove(3), Mutation::Insert(3, size, &new)];
+        idx.commit(&batch).expect("remove and re-insert");
         let mut fresh = RankedIndex::builder_with(*idx.ensemble().config());
         for (k, vals) in values.iter().enumerate() {
             let sig = if k == 3 {
@@ -516,33 +502,93 @@ pub(crate) mod tests {
 
     #[test]
     fn reinserted_id_is_swept_and_scored_like_a_fresh_build() {
-        let (mut idx, fresh, old) = reinserted();
-        for at in ["staged", "sealed"] {
-            for t_star in [1.0, 0.5, 0.0] {
-                let query = Query::threshold(&old, t_star).with_size(120);
-                let mutated = idx.search(&query).expect("search");
-                let rebuilt = fresh.search(&query).expect("search");
-                assert_eq!(mutated.hits, rebuilt.hits, "{at}, t* = {t_star}");
-                assert_eq!(
-                    mutated.stats.candidates, rebuilt.stats.candidates,
-                    "{at}, t* = {t_star}: stale rows reached the rank step"
-                );
-            }
-            idx.commit();
+        let (idx, fresh, old) = reinserted();
+        for t_star in [1.0, 0.5, 0.0] {
+            let query = Query::threshold(&old, t_star).with_size(120);
+            let mutated = idx.search(&query).expect("search");
+            let rebuilt = fresh.search(&query).expect("search");
+            assert_eq!(mutated.hits, rebuilt.hits, "t* = {t_star}");
+            assert_eq!(
+                mutated.stats.candidates, rebuilt.stats.candidates,
+                "t* = {t_star}: stale rows reached the rank step"
+            );
         }
+    }
+
+    #[test]
+    fn a_batch_with_a_bad_last_op_names_it_and_changes_nothing() {
+        let (h, mut idx, _) = index(12);
+        let fresh = h.signature(MinHasher::synthetic_values(55, 40));
+        let narrow = MinHasher::new(64).signature([1u64, 2]);
+        let before = idx.ensemble().to_bytes();
+        // Each good op is one the index would take alone.
+        let good = [Mutation::Remove(2), Mutation::Insert(900, 40, &fresh)];
+        let width = "op 2: signature width mismatch: domain has 64, index expects 256";
+        for (bad, want) in [
+            (
+                Mutation::Insert(5, 40, &fresh),
+                MutationError::DuplicateId(5),
+            ),
+            (good[1], MutationError::DuplicateId(900)),
+            (good[0], MutationError::UnknownId(2)),
+            (
+                Mutation::Insert(901, 2, &narrow),
+                MutationError::Invalid(width.into()),
+            ),
+        ] {
+            assert_eq!(idx.commit(&[good[0], good[1], bad]), Err(want));
+            assert!(
+                idx.ensemble().to_bytes() == before,
+                "a refused batch left a trace"
+            );
+            assert!(idx.contains(2) && !idx.contains(900));
+        }
+        let report = idx.commit(&good).expect("the good ops alone");
+        assert_eq!((report.merged, report.tombstones), (1, 1));
+    }
+
+    #[test]
+    fn an_insert_removed_in_its_own_batch_seals_nothing() {
+        let (h, mut idx, _) = index(12);
+        let a = h.signature(MinHasher::synthetic_values(61, 40));
+        let b = h.signature(MinHasher::synthetic_values(62, 50));
+        let before = idx.ensemble().to_bytes();
+        let (insert, remove) = (Mutation::Insert(900, 40, &a), Mutation::Remove(900));
+        let report = idx.commit(&[insert, remove]).expect("insert then remove");
+        assert_eq!(
+            (report.merged, report.sealed, report.segments),
+            (0, false, 0)
+        );
+        assert!(
+            idx.ensemble().to_bytes() == before,
+            "a cancelled insert left a trace"
+        );
+        // Beside a kept insert, the cancelled one is not in the segment.
+        let batch = [insert, Mutation::Insert(901, 50, &b), remove];
+        let report = idx.commit(&batch).expect("one kept insert");
+        assert_eq!(
+            (report.merged, report.segments, report.tombstones),
+            (1, 1, 0)
+        );
+        let stats = idx.ensemble().partition_stats();
+        let sealed = &stats[idx.ensemble().num_partitions()..];
+        assert_eq!(sealed.iter().map(|p| p.count).sum::<usize>(), 1);
+        assert!(!idx.contains(900) && idx.contains(901));
     }
 
     #[test]
     fn commit_seals_and_compaction_rebalances() {
         let (h, mut idx, _) = index(16);
         // Flood one size class. The flood seals into a segment: the base
-        // layout is untouched, so commit stays O(staged delta) however
-        // large the flood. Only compaction pays the rebuild.
-        for i in 0..64u32 {
-            let vals = MinHasher::synthetic_values(9_000 + u64::from(i), 10);
-            idx.insert(1_000 + i, 10, &h.signature(vals.iter().copied()))
-                .expect("insert");
-        }
+        // layout is untouched, so commit stays O(batch) however large the
+        // flood. Only compaction pays the rebuild.
+        let sigs: Vec<Signature> = (0..64u64)
+            .map(|i| h.signature(MinHasher::synthetic_values(9_000 + i, 10)))
+            .collect();
+        let flood: Vec<Mutation<'_>> = (1_000..)
+            .zip(&sigs)
+            .map(|(id, sig)| Mutation::Insert(id, 10, sig))
+            .collect();
         // The base's partitions lead the stats; segment partitions follow.
         let base = |idx: &RankedIndex| -> Vec<usize> {
             let stats = idx.ensemble().partition_stats();
@@ -550,12 +596,11 @@ pub(crate) mod tests {
             base.iter().map(|p| p.count).collect()
         };
         let base_before = base(&idx);
-        let report = idx.commit();
+        let report = idx.commit(&flood).expect("flood");
         assert_eq!(report.merged, 64);
-        assert!(report.sealed, "non-empty delta must seal");
+        assert!(report.sealed, "non-empty batch must seal");
         assert_eq!((report.segments, report.entries_folded), (1, 0));
         assert_eq!(base(&idx), base_before, "seal touched the base");
-        assert_eq!(idx.staged_len(), 0);
         // Compaction folds the segment and rebuilds equi-depth from the
         // retained sketches: the flooded class spreads across the base.
         let folded = idx.compact();

@@ -764,55 +764,6 @@ impl LshForest {
         }
     }
 
-    /// Removes every row stored under `id` — committed and staged alike.
-    /// Returns `true` if the id was present. Queries reflect the removal
-    /// immediately; no commit needed.
-    ///
-    /// Domains inserted more than once under the same id lose *all* their
-    /// rows.
-    pub fn remove(&mut self, id: DomainId) -> bool {
-        self.contains(id) && self.retain(|row_id| row_id != id) > 0
-    }
-
-    /// Keeps only the rows whose id satisfies `keep`, preserving row order
-    /// (later rows move up). Returns the number of rows removed. When a
-    /// committed row goes, the trees are sorted again over the kept ones,
-    /// as [`commit`](Self::commit) sorts them: a kept row may have moved
-    /// into another block.
-    pub fn retain(&mut self, mut keep: impl FnMut(DomainId) -> bool) -> usize {
-        let (ids, table) = (self.ids.to_mut(), self.words.to_mut());
-        let n = ids.len();
-        let words = self.layout.words();
-        let (mut kept, mut kept_committed) = (0usize, 0usize);
-        for i in 0..n {
-            if !keep(ids[i]) {
-                continue;
-            }
-            if kept != i {
-                ids[kept] = ids[i];
-                table.copy_within(i * words..(i + 1) * words, kept * words);
-            }
-            kept += 1;
-            kept_committed += usize::from(i < self.committed);
-        }
-        if kept == n {
-            return 0;
-        }
-        ids.truncate(kept);
-        table.truncate(kept * words);
-        if kept_committed < self.committed {
-            self.committed = kept_committed;
-            self.sort_trees();
-        }
-        n - kept
-    }
-
-    /// True if `id` has at least one row in the forest.
-    #[must_use]
-    pub fn contains(&self, id: DomainId) -> bool {
-        self.ids.contains(&id)
-    }
-
     /// The id of every row (committed then staged), in row order. Ids
     /// inserted more than once repeat.
     #[must_use]
@@ -1158,57 +1109,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_drops_committed_and_staged_rows() {
-        let h = MinHasher::new(256);
-        let a = MinHasher::synthetic_values(1, 60);
-        let b = MinHasher::synthetic_values(2, 70);
-        let c = MinHasher::synthetic_values(3, 80);
-        let mut f = forest_with(&h, &[(1, a.clone()), (2, b.clone())], true);
-        f.insert(3, &h.signature(c.iter().copied())); // staged
-        assert_eq!(f.len(), 3);
-        assert!(f.contains(2) && f.contains(3));
-
-        // Remove a committed entry.
-        assert!(f.remove(2));
-        assert_eq!(f.len(), 2);
-        assert!(!f.contains(2));
-        assert!(f.query(&h.signature(b), 32, 8).is_empty());
-        // Remove a staged entry: staged count shrinks too.
-        assert_eq!(f.staged_len(), 1);
-        assert!(f.remove(3));
-        assert_eq!(f.staged_len(), 0);
-        assert!(f.query(&h.signature(c), 32, 8).is_empty());
-        // The survivor is untouched, before and after a commit.
-        assert!(f.query(&h.signature(a.clone()), 32, 8).contains(&1));
-        f.commit();
-        assert!(f.query(&h.signature(a), 32, 8).contains(&1));
-        // Removing an absent id reports false and changes nothing.
-        assert!(!f.remove(42));
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn remove_keeps_sorted_runs_queryable() {
-        let h = MinHasher::new(256);
-        let domains: Vec<(DomainId, Vec<u64>)> = (0..40)
-            .map(|i| (i, MinHasher::synthetic_values(500 + u64::from(i), 90)))
-            .collect();
-        let mut f = forest_with(&h, &domains, true);
-        for id in (0..40).step_by(3) {
-            assert!(f.remove(id));
-        }
-        for (id, vals) in &domains {
-            let got = f.query(&h.signature(vals.iter().copied()), 32, 8);
-            if id % 3 == 0 {
-                assert!(!got.contains(id), "removed {id} still found");
-            } else {
-                assert!(got.contains(id), "survivor {id} lost");
-            }
-        }
-        assert_eq!(f.len(), domains.len() - (0..40).step_by(3).count());
-    }
-
-    #[test]
     fn ids_iterates_committed_and_staged() {
         let h = MinHasher::new(256);
         let mut f = forest_with(
@@ -1286,8 +1186,8 @@ mod tests {
         /// differ only deeper in the key, plus exact duplicates; a quarter
         /// of them also carry a bit above the 16 a tail keeps, which tells
         /// heads apart and tails not. The forest must answer every `(b, r)`
-        /// like a filter over its rows — fresh, with a staged tail, and
-        /// through remove → commit cycles.
+        /// like a filter over its rows — fresh, and with a staged tail
+        /// before and after its commit.
         #[test]
         fn probe_equals_a_brute_force_filter_over_the_rows(
             b_max in 1usize..4,
@@ -1296,7 +1196,6 @@ mod tests {
             committed in 0usize..60,
             staged in 0usize..12,
             raw in proptest::collection::vec(0u32..3, 2_000..2_001),
-            removed in proptest::collection::vec(0u32..20, 0..6),
         ) {
             let width = b_max * r_max + extra;
             let lanes_of = |k: usize| -> Vec<u32> {
@@ -1308,7 +1207,7 @@ mod tests {
                     .collect()
             };
             // Ids from a small range: some rows share an id.
-            let mut model: Vec<(DomainId, Vec<u32>)> = (0..committed + staged)
+            let model: Vec<(DomainId, Vec<u32>)> = (0..committed + staged)
                 .map(|k| ((k as u32 * 7) % 20, lanes_of(k)))
                 .collect();
             let queries: Vec<Vec<u32>> = (0..6).map(|k| lanes_of(k * 5)).collect();
@@ -1330,21 +1229,12 @@ mod tests {
             prop_assert_eq!(forest.staged_len(), staged);
             assert_probes_match(&forest, &model, &queries)?;
 
-            for (step, id) in removed.into_iter().enumerate() {
-                let present = model.iter().any(|(row_id, _)| *row_id == id);
-                prop_assert_eq!(forest.remove(id), present);
-                model.retain(|(row_id, _)| *row_id != id);
-                assert_probes_match(&forest, &model, &queries)?;
-                if step % 2 == 1 {
-                    forest.commit();
-                    prop_assert_eq!(forest.staged_len(), 0);
-                    assert_probes_match(&forest, &model, &queries)?;
-                }
-            }
             forest.commit();
+            prop_assert_eq!(forest.staged_len(), 0);
+            assert_probes_match(&forest, &model, &queries)?;
             let rows: Vec<(DomainId, &[u32])> = model.iter().map(|(id, l)| (*id, &l[..])).collect();
             let rebuilt = LshForest::from_rows(b_max, r_max, width, &rows);
-            prop_assert!(forest.to_bytes() == rebuilt.to_bytes(), "mutated ≢ rebuilt from its rows");
+            prop_assert!(forest.to_bytes() == rebuilt.to_bytes(), "committed ≢ rebuilt from its rows");
         }
     }
 
@@ -1569,25 +1459,6 @@ mod tests {
             check(lo, &twice),
             Err("tree is not a permutation of its partition's rows")
         );
-    }
-
-    #[test]
-    fn retain_across_the_block_boundary_equals_a_build_of_the_kept_rows() {
-        let mut model = two_block_model();
-        let mut forest = forest_of(&model);
-        // Drop rows of the first block: a few thousand of the second's rows
-        // move into it.
-        let gone = |id: DomainId| id % 17 == 3 && id < 60_000;
-        let removed = forest.retain(|id| !gone(id));
-        model.retain(|(id, _)| !gone(*id));
-        assert_eq!(removed, TWO_BLOCKS - model.len());
-        assert_eq!(forest.staged_len(), 0);
-        assert!(forest.to_bytes() == forest_of(&model).to_bytes());
-        let sig = Signature::from_slots(model[BLOCK - 1].1.clone());
-        let mut got = Vec::new();
-        forest.query_into(&sig, 2, 2, &mut got);
-        got.sort_unstable();
-        assert!(got == brute_force(&model, sig.slots(), 2, (2, 2)));
     }
 
     /// The kernel before tree entries were 4 bytes: the full 32-bit head

@@ -485,18 +485,12 @@ mod tests {
         assert_eq!(copied.mapped_bytes(), 0);
         assert_eq!(copied.to_bytes(), bytes);
         // Writes copy out what they touch: an insert the row table, a
-        // commit (new trees) or a removal the rest.
+        // commit (new trees) the rest.
         viewed.insert(900, &sigs[0]);
         assert_eq!(viewed.mapped_bytes(), trees);
         assert!(!viewed.borrows_from(bytes));
         viewed.commit();
         assert_eq!(viewed.mapped_bytes(), 0);
-        let mut pruned = LshForest::decode(Decoder::shared(&owner)).expect("decode");
-        assert!(pruned.remove(3));
-        assert_eq!(pruned.mapped_bytes(), 0);
-        let mut expect = forest.clone();
-        assert!(expect.remove(3));
-        assert_eq!(pruned.to_bytes(), expect.to_bytes());
         // The views outlive every other handle to the owner.
         let kept = LshForest::decode(Decoder::shared(&owner)).expect("decode");
         drop(owner);

@@ -66,9 +66,9 @@ pub use lshe_minhash as minhash;
 pub use lshe_serve as serve;
 
 pub use lshe_core::{
-    CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, MutationError, PartitionStrategy,
-    Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit, SearchOutcome,
-    ESTIMATE_SLACK,
+    CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, Mutation, MutationError,
+    PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit,
+    SearchOutcome, ESTIMATE_SLACK,
 };
 pub use lshe_corpus::{Catalog, Domain, ExactIndex};
 pub use lshe_lsh::{DomainId, LshForest};

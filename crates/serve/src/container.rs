@@ -59,8 +59,8 @@
 use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
-    position_of, CommitReport, DomainIndex, EnsembleConfig, Layout, LshEnsemble, MutationError,
-    PartitionStrategy, Query, RankedIndex, Row,
+    position_of, CommitReport, DomainIndex, EnsembleConfig, Layout, LshEnsemble, Mutation,
+    MutationError, PartitionStrategy, Query, RankedIndex, Row,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
@@ -400,61 +400,49 @@ impl IndexContainer {
         self.next_id = self.next_id.max(next_id);
     }
 
-    /// Applies a batch of staged mutations in order: inserts stage into
-    /// the index (immediately queryable) and append provenance records;
-    /// removes apply eagerly and drop their record. Stops at the first
-    /// failing op — earlier ops in the batch stay applied. Call
-    /// [`commit_mutations`](Self::commit_mutations) afterwards to seal them.
+    /// Applies a batch of mutations in order as one step, as
+    /// [`RankedIndex::commit`] does — validated whole, then sealed into one
+    /// segment and tombstoned in O(batch) — and the provenance records
+    /// follow. On any error nothing changes. A [`DeltaOp::Commit`] marker
+    /// only raises the allocator mark.
     ///
     /// # Errors
-    /// [`MutationError`] from the failing op: duplicate id, unknown id, or
-    /// a signature whose width disagrees with the container.
-    pub fn apply(&mut self, ops: &[DeltaOp]) -> Result<usize, MutationError> {
-        for (applied, op) in ops.iter().enumerate() {
-            match op {
+    /// As [`RankedIndex::commit`]: an op is numbered among the batch's
+    /// inserts and removes.
+    pub fn commit(&mut self, ops: &[DeltaOp]) -> Result<CommitReport, MutationError> {
+        let batch: Vec<Mutation<'_>> = ops
+            .iter()
+            .filter_map(|op| match op {
                 DeltaOp::Insert { record, signature } => {
-                    if signature.len() != self.num_perm {
-                        return Err(MutationError::Invalid(format!(
-                            "signature width mismatch at op {applied}: domain has {}, container expects {}",
-                            signature.len(),
-                            self.num_perm
-                        )));
-                    }
-                    self.index_mut().insert(record.id, record.size, signature)?;
+                    Some(Mutation::Insert(record.id, record.size, signature))
+                }
+                DeltaOp::Remove { id } => Some(Mutation::Remove(*id)),
+                DeltaOp::Commit { .. } => None,
+            })
+            .collect();
+        let report = self.index_mut().commit(&batch)?;
+        for op in ops {
+            match op {
+                DeltaOp::Insert { record, .. } => {
                     self.overlay.insert(record.id, Some(record.clone()));
-                    self.len += 1;
                     self.next_id = self.next_id.max(record.id + 1);
                 }
+                DeltaOp::Remove { id } if self.base.get(*id).is_some() => {
+                    self.overlay.insert(*id, None);
+                }
                 DeltaOp::Remove { id } => {
-                    self.index_mut().remove(*id)?;
-                    if self.base.get(*id).is_some() {
-                        self.overlay.insert(*id, None);
-                    } else {
-                        self.overlay.remove(id);
-                    }
-                    self.len -= 1;
+                    self.overlay.remove(id);
                 }
-                DeltaOp::Commit { next_id } => {
-                    // Log-replay bookkeeping, not a mutation: the engine
-                    // splits batches at these markers, but a marker that
-                    // does reach a batch only raises the allocator mark.
-                    self.next_id = self.next_id.max(*next_id);
-                }
+                DeltaOp::Commit { next_id } => self.next_id = self.next_id.max(*next_id),
             }
         }
-        Ok(ops.len())
-    }
-
-    /// Seals the staged delta into an immutable segment — O(staged), never
-    /// O(corpus). Must run before [`to_bytes`](Self::to_bytes), whose byte
-    /// form is always the canonical committed state (base + segment stack).
-    pub fn commit_mutations(&mut self) -> CommitReport {
-        self.index_mut().commit()
+        self.len = self.index.len();
+        Ok(report)
     }
 
     /// Rebuilds the base partitioning from the live rows, every sealed
     /// segment and tombstone included — the O(corpus) step that segmented
-    /// commits keep off the commit path. Seals any still-staged delta first.
+    /// commits keep off the commit path.
     pub fn compact_index(&mut self) -> CommitReport {
         let report = self.index_mut().compact();
         self.rebase();
@@ -502,12 +490,6 @@ impl IndexContainer {
             self.rebase();
         }
         outcome
-    }
-
-    /// Number of staged (uncommitted) inserts in the stored index.
-    #[must_use]
-    pub fn staged_len(&self) -> usize {
-        self.index.staged_len()
     }
 
     /// Number of size partitions in the ensemble.
@@ -868,12 +850,8 @@ impl IndexContainer {
     /// is not served: [`load`](Self::load) refuses it.
     ///
     /// # Errors
-    /// A message when mutations are staged (commit first), or on I/O
-    /// failure.
+    /// A message on I/O failure.
     pub fn pack_v2(&self, path: &Path) -> Result<(), String> {
-        if self.staged_len() > 0 {
-            return Err("commit staged mutations before packing".into());
-        }
         let io = |e: std::io::Error| format!("{}: {e}", path.display());
         let mut packer = Packer::create(path).map_err(io)?;
         lshe_core::pack_ranked_with(&self.index, &mut packer, self.next_id).map_err(io)?;
@@ -1604,23 +1582,20 @@ mod tests {
             DeltaOp::Remove { id: 4 },
             insert_op(11, 33, c.num_perm()),
         ];
-        assert_eq!(c.apply(&ops).expect("apply"), 3);
+        let report = c.commit(&ops).expect("commit");
+        assert_eq!((report.merged, report.tombstones), (2, 1));
         assert_eq!(c.len(), 11);
-        assert_eq!(c.staged_len(), 2);
         assert_eq!(c.next_id(), 12);
         assert!(c.record(4).is_none());
         assert_eq!(c.record(10).expect("record").table, "live10");
 
-        // Staged inserts answer queries immediately.
+        // Committed inserts answer queries at once.
         let hasher = MinHasher::new(c.num_perm());
         let sig = hasher.signature((9_000..9_025).map(|v| v as u64));
         let hits = c.search(&sig, 25, 0.9);
         assert!(hits.iter().any(|&(id, _)| id == 10), "{hits:?}");
 
-        // Commit, persist, reload: everything survives.
-        let report = c.commit_mutations();
-        assert_eq!(report.merged, 2);
-        assert_eq!(c.staged_len(), 0);
+        // Persist, reload: everything survives.
         let restored = IndexContainer::from_bytes(&c.to_bytes()).expect("decode");
         assert_eq!(restored.len(), 11);
         assert!(restored.record(4).is_none());
@@ -1633,37 +1608,47 @@ mod tests {
 
     #[test]
     fn apply_rejects_bad_ops_with_typed_errors() {
+        use lshe_core::MutationError;
         let cat = catalog(6);
         let mut c = IndexContainer::build(&cat, 2);
-        // Duplicate id.
-        assert!(matches!(
-            c.apply(&[insert_op(3, 20, c.num_perm())]),
-            Err(lshe_core::MutationError::DuplicateId(3))
-        ));
-        // Unknown removal.
-        assert!(matches!(
-            c.apply(&[DeltaOp::Remove { id: 99 }]),
-            Err(lshe_core::MutationError::UnknownId(99))
-        ));
-        // Double remove: first applies, second fails typed.
-        let err = c
-            .apply(&[DeltaOp::Remove { id: 2 }, DeltaOp::Remove { id: 2 }])
-            .unwrap_err();
-        assert!(matches!(err, lshe_core::MutationError::UnknownId(2)));
-        assert_eq!(c.len(), 5, "first remove stays applied");
-        // Wrong signature width.
-        assert!(matches!(
-            c.apply(&[insert_op(40, 20, 64)]),
-            Err(lshe_core::MutationError::Invalid(_))
-        ));
-        // Insert-then-remove before commit cancels out cleanly.
-        c.apply(&[insert_op(50, 20, c.num_perm()), DeltaOp::Remove { id: 50 }])
+        let before = c.to_bytes();
+        // A batch of good ops, then a bad last one: the error names it, and
+        // the container is as it was, to the byte.
+        let good = [DeltaOp::Remove { id: 2 }, insert_op(40, 20, c.num_perm())];
+        let cases = [
+            (
+                insert_op(3, 20, c.num_perm()),
+                MutationError::DuplicateId(3),
+            ),
+            (
+                insert_op(40, 9, c.num_perm()),
+                MutationError::DuplicateId(40),
+            ),
+            (DeltaOp::Remove { id: 99 }, MutationError::UnknownId(99)),
+            (DeltaOp::Remove { id: 2 }, MutationError::UnknownId(2)),
+            (
+                insert_op(41, 20, 64),
+                MutationError::Invalid(
+                    "op 2: signature width mismatch: domain has 64, index expects 256".into(),
+                ),
+            ),
+        ];
+        for (bad, want) in cases {
+            let batch = [good[0].clone(), good[1].clone(), bad];
+            assert_eq!(c.commit(&batch).unwrap_err(), want);
+            assert!(c.to_bytes() == before, "a refused batch left a trace");
+            assert_eq!((c.len(), c.next_id()), (6, 6));
+            assert!(c.record(2).is_some() && c.record(40).is_none());
+        }
+        // Insert-then-remove in one batch cancels out cleanly.
+        let report = c
+            .commit(&[insert_op(50, 20, c.num_perm()), DeltaOp::Remove { id: 50 }])
             .expect("insert then remove");
-        assert_eq!(c.len(), 5);
+        assert!(!report.sealed);
+        assert_eq!(c.len(), 6);
         assert!(c.record(50).is_none());
-        let _ = c.commit_mutations();
         let restored = IndexContainer::from_bytes(&c.to_bytes()).expect("decode");
-        assert_eq!(restored.len(), 5);
+        assert_eq!(restored.len(), 6);
     }
 
     #[test]
@@ -1671,11 +1656,11 @@ mod tests {
         let cat = catalog(8);
         let original = IndexContainer::build(&cat, 2);
         let mut copy = original.clone();
-        copy.apply(&[
+        copy.commit(&[
             DeltaOp::Remove { id: 0 },
             insert_op(20, 30, copy.num_perm()),
         ])
-        .expect("apply");
+        .expect("commit");
         assert_eq!(copy.len(), 8);
         assert_eq!(original.len(), 8);
         assert!(original.record(0).is_some(), "original lost a record");
@@ -1733,7 +1718,7 @@ mod tests {
         // Remove a base record, put another under the same id, add two past
         // the end and take one of those back.
         let reinserted = insert_op(3, 21, c.num_perm());
-        c.apply(&[
+        c.commit(&[
             DeltaOp::Remove { id: 3 },
             DeltaOp::Remove { id: 6 },
             reinserted.clone(),
@@ -1741,8 +1726,7 @@ mod tests {
             insert_op(21, 31, c.num_perm()),
             DeltaOp::Remove { id: 21 },
         ])
-        .expect("apply");
-        c.commit_mutations();
+        .expect("commit");
         let ids = |c: &IndexContainer| c.records().iter().map(|r| r.id).collect::<Vec<_>>();
         assert_eq!(ids(&c), [0, 1, 2, 3, 4, 5, 7, 20]);
         assert_eq!(c.len(), 8);
@@ -2002,18 +1986,6 @@ mod tests {
         assert!(loaded.mapped_bytes() > 0);
         loaded.pack_v2(&repacked).expect("pack loaded");
         assert_eq!(std::fs::read(&repacked).ok(), std::fs::read(&path).ok());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn pack_v2_guards_staged() {
-        let dir = scratch_dir("guards");
-        let path = dir.join("idx.lshepk");
-        let mut staged = IndexContainer::build(&catalog(6), 2);
-        staged.apply(&[insert_op(99, 15, 256)]).expect("stage");
-        assert!(staged.pack_v2(&path).unwrap_err().contains("commit staged"));
-        staged.commit_mutations();
-        staged.pack_v2(&path).expect("pack after commit");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -165,6 +165,64 @@ struct Pending {
     next_id: u32,
 }
 
+impl Pending {
+    /// Nothing staged, the next insert to take `next_id`.
+    fn at(next_id: u32) -> Self {
+        Self {
+            next_id,
+            ..Self::default()
+        }
+    }
+
+    /// Why `op` cannot follow the staged ops over `container`, if it
+    /// cannot: an insert of an id committed or staged, a remove of an id
+    /// already staged for removal, or of one neither committed nor staged.
+    fn refusal(&self, container: &IndexContainer, op: &DeltaOp) -> Option<String> {
+        let committed = |id: &u32| container.record(*id).is_some();
+        match op {
+            DeltaOp::Insert { record, .. } => (committed(&record.id)
+                || self.staged_inserts.contains(&record.id))
+            .then(|| format!("domain id {} is already in use", record.id)),
+            DeltaOp::Remove { id } if self.staged_removes.contains(id) => {
+                Some(format!("domain id {id} is already staged for removal"))
+            }
+            DeltaOp::Remove { id } => (!committed(id) && !self.staged_inserts.contains(id))
+                .then(|| format!("unknown domain id {id}")),
+            DeltaOp::Commit { .. } => None,
+        }
+    }
+
+    /// Stages `op`, which [`refusal`](Self::refusal) accepted. A remove of
+    /// a staged insert cancels it at commit; both ops stay, so the commit
+    /// applies them in order. A commit marker only raises the allocator
+    /// mark.
+    fn push(&mut self, op: DeltaOp) {
+        match &op {
+            DeltaOp::Insert { record, .. } => {
+                self.staged_inserts.insert(record.id);
+                self.next_id = self.next_id.max(record.id + 1);
+            }
+            DeltaOp::Remove { id } => {
+                if !self.staged_inserts.remove(id) {
+                    self.staged_removes.insert(*id);
+                }
+            }
+            DeltaOp::Commit { next_id } => {
+                self.next_id = self.next_id.max(*next_id);
+                return;
+            }
+        }
+        self.ops.push(op);
+    }
+
+    fn counts(&self) -> StagedCounts {
+        StagedCounts {
+            inserts: self.staged_inserts.len(),
+            removes: self.staged_removes.len(),
+        }
+    }
+}
+
 /// Counts of currently staged mutations, as reported on `/stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StagedCounts {
@@ -276,51 +334,22 @@ impl Engine {
     /// Re-applies committed batches onto a freshly loaded base, sealing
     /// one segment per non-embodied batch — bit-identical to the segments
     /// the original commits built, because each batch replays the same ops
-    /// in the same order through the same seal. Replay is idempotent: a
-    /// compaction persists the folded base *before* clearing the log, so a
-    /// crash in between leaves batches the base already embodies — those
-    /// skip whole (an insert whose exact record is present, a removal
-    /// whose id is absent) and seal nothing. Returns how many ops actually
-    /// applied.
+    /// in the same order through the same seal. Replay is idempotent, as
+    /// [`replay_pending`](Self::replay_pending)'s: a compaction persists
+    /// the folded base *before* clearing the log, so a crash in between
+    /// leaves batches the base already embodies — those skip whole and
+    /// seal nothing. Returns how many ops actually applied.
     fn replay_committed(
         container: &mut IndexContainer,
         batches: Vec<(Vec<DeltaOp>, u32)>,
     ) -> Result<usize, EngineError> {
         let mut fresh = 0usize;
         for (ops, mark) in batches {
-            let mut batch: Vec<DeltaOp> = Vec::with_capacity(ops.len());
-            for op in ops {
-                match &op {
-                    DeltaOp::Insert { record, .. } => {
-                        if let Some(existing) = container.record(record.id) {
-                            if existing == record.view() {
-                                continue; // already embodied by a compaction
-                            }
-                            return Err(EngineError::Index(format!(
-                                "delta log replays committed insert of id {} with \
-                                 different provenance",
-                                record.id
-                            )));
-                        }
-                        batch.push(op);
-                    }
-                    DeltaOp::Remove { id } => {
-                        let staged_here = batch.iter().any(
-                            |b| matches!(b, DeltaOp::Insert { record, .. } if record.id == *id),
-                        );
-                        if container.record(*id).is_none() && !staged_here {
-                            continue; // already embodied by a compaction
-                        }
-                        batch.push(op);
-                    }
-                    DeltaOp::Commit { .. } => unreachable!("split_batches consumed markers"),
-                }
-            }
+            let batch = Self::replay_pending(container, ops)?.ops;
             if !batch.is_empty() {
                 container
-                    .apply(&batch)
+                    .commit(&batch)
                     .map_err(|e| EngineError::Index(format!("delta log replay: {e}")))?;
-                container.commit_mutations();
                 fresh += batch.len();
             }
             container.reserve_next_id(mark);
@@ -333,10 +362,7 @@ impl Engine {
     /// memory (no delta log to replay).
     #[must_use]
     pub fn from_container(container: IndexContainer) -> Self {
-        let pending = Pending {
-            next_id: container.next_id(),
-            ..Pending::default()
-        };
+        let pending = Pending::at(container.next_id());
         Self::over(container, None, pending)
     }
 
@@ -355,58 +381,34 @@ impl Engine {
         container: &IndexContainer,
         ops: Vec<DeltaOp>,
     ) -> Result<Pending, EngineError> {
-        let mut pending = Pending {
-            next_id: container.next_id(),
-            ..Pending::default()
-        };
+        let mut pending = Pending::at(container.next_id());
         for op in ops {
+            let refusal = pending.refusal(container, &op);
             match &op {
-                DeltaOp::Insert { record, .. } => {
-                    if let Some(existing) = container.record(record.id) {
-                        if existing == record.view() {
-                            // Already committed (crash after rename,
-                            // before log clear): ids stay allocated.
-                            pending.next_id = pending.next_id.max(record.id + 1);
-                            continue;
-                        }
+                DeltaOp::Insert { record, .. } => match container.record(record.id) {
+                    // Already committed (crash after rename, before log
+                    // clear): ids stay allocated.
+                    Some(existing) if existing == record.view() => {
+                        pending.next_id = pending.next_id.max(record.id + 1);
+                        continue;
+                    }
+                    Some(_) => {
                         return Err(EngineError::Index(format!(
                             "delta log replays insert of existing id {} with different provenance",
                             record.id
-                        )));
+                        )))
                     }
-                    if pending.staged_inserts.contains(&record.id) {
-                        return Err(EngineError::Index(format!(
-                            "delta log replays duplicate insert of id {}",
-                            record.id
-                        )));
-                    }
-                    pending.staged_inserts.insert(record.id);
-                    pending.next_id = pending.next_id.max(record.id + 1);
-                }
-                DeltaOp::Remove { id } => {
-                    if pending.staged_inserts.remove(id) {
-                        // insert-then-remove before commit: cancels out,
-                        // but both ops replay so the commit applies them
-                        // in order.
-                    } else if container.record(*id).is_some()
-                        && !pending.staged_removes.contains(id)
-                    {
-                        pending.staged_removes.insert(*id);
-                    } else {
-                        // Already committed (the id is gone from the
-                        // base): skip rather than wedge the boot.
-                        continue;
-                    }
-                }
-                DeltaOp::Commit { next_id } => {
-                    // Markers never reach the staged tail (split_batches
-                    // consumes them); tolerate one anyway by taking its
-                    // allocator mark and dropping it.
-                    pending.next_id = pending.next_id.max(*next_id);
-                    continue;
-                }
+                    None => {}
+                },
+                // Already committed (the id is gone from the base): skip
+                // rather than wedge the boot.
+                DeltaOp::Remove { .. } if refusal.is_some() => continue,
+                _ => {}
             }
-            pending.ops.push(op);
+            if let Some(why) = refusal {
+                return Err(EngineError::Index(format!("delta log replays: {why}")));
+            }
+            pending.push(op);
         }
         Ok(pending)
     }
@@ -474,17 +476,7 @@ impl Engine {
                 signature.len()
             )));
         }
-        let id = match explicit_id {
-            None => pending.next_id,
-            Some(id) => {
-                if snap.container().record(id).is_some() || pending.staged_inserts.contains(&id) {
-                    return Err(EngineError::Mutation(format!(
-                        "domain id {id} is already in use"
-                    )));
-                }
-                id
-            }
-        };
+        let id = explicit_id.unwrap_or(pending.next_id);
         let op = DeltaOp::Insert {
             record: crate::container::DomainRecord {
                 id,
@@ -494,11 +486,12 @@ impl Engine {
             },
             signature,
         };
+        if let Some(why) = pending.refusal(snap.container(), &op) {
+            return Err(EngineError::Mutation(why));
+        }
         self.log_op(&op, pending.next_id.max(id + 1))?;
-        pending.next_id = pending.next_id.max(id + 1);
-        pending.staged_inserts.insert(id);
-        pending.ops.push(op);
-        Ok((id, Self::counts(&pending)))
+        pending.push(op);
+        Ok((id, pending.counts()))
     }
 
     /// The id the next locally-allocated insert would take. Monotone
@@ -524,31 +517,19 @@ impl Engine {
         // (which could log an op that can never apply).
         let mut pending = self.pending.lock().expect("pending lock poisoned");
         let snap = self.snapshot();
-        let committed = snap.container().record(id).is_some();
-        let staged = pending.staged_inserts.contains(&id);
-        if pending.staged_removes.contains(&id) {
-            return Err(EngineError::Mutation(format!(
-                "domain id {id} is already staged for removal"
-            )));
-        }
-        if !committed && !staged {
-            return Err(EngineError::Mutation(format!("unknown domain id {id}")));
-        }
         let op = DeltaOp::Remove { id };
-        self.log_op(&op, pending.next_id)?;
-        if staged {
-            pending.staged_inserts.remove(&id);
-        } else {
-            pending.staged_removes.insert(id);
+        if let Some(why) = pending.refusal(snap.container(), &op) {
+            return Err(EngineError::Mutation(why));
         }
-        pending.ops.push(op);
-        Ok(Self::counts(&pending))
+        self.log_op(&op, pending.next_id)?;
+        pending.push(op);
+        Ok(pending.counts())
     }
 
     /// Currently staged mutation counts (for `/stats`).
     #[must_use]
     pub fn staged_counts(&self) -> StagedCounts {
-        Self::counts(&self.pending.lock().expect("pending lock poisoned"))
+        self.pending.lock().expect("pending lock poisoned").counts()
     }
 
     /// Approximate heap bytes held by the staged (uncommitted) mutation
@@ -572,13 +553,6 @@ impl Engine {
                 DeltaOp::Remove { .. } | DeltaOp::Commit { .. } => std::mem::size_of::<DeltaOp>(),
             })
             .sum()
-    }
-
-    fn counts(pending: &Pending) -> StagedCounts {
-        StagedCounts {
-            inserts: pending.staged_inserts.len(),
-            removes: pending.staged_removes.len(),
-        }
     }
 
     /// Appends one op to the delta log when the engine is file-backed.
@@ -622,10 +596,9 @@ impl Engine {
         }
         let snap = self.snapshot();
         let mut container = snap.container().clone();
-        container
-            .apply(&pending.ops)
+        let report = container
+            .commit(&pending.ops)
             .map_err(|e| EngineError::Mutation(e.to_string()))?;
-        let report = container.commit_mutations();
         container.reserve_next_id(pending.next_id);
         let applied = pending.ops.len();
         let snapshot = Snapshot::new(container, snap.generation() + 1);
@@ -643,10 +616,7 @@ impl Engine {
         )?;
 
         let snapshot = self.swap_in(snapshot);
-        *pending = Pending {
-            next_id: pending.next_id,
-            ..Pending::default()
-        };
+        *pending = Pending::at(pending.next_id);
         Ok((snapshot, CommitOutcome { applied, report }))
     }
 
@@ -669,11 +639,15 @@ impl Engine {
         let mut pending = self.pending.lock().expect("pending lock poisoned");
         let snap = self.snapshot();
         let mut container = snap.container().clone();
-        container
-            .apply(&pending.ops)
+        let sealed = container
+            .commit(&pending.ops)
             .map_err(|e| EngineError::Mutation(e.to_string()))?;
         let applied = pending.ops.len();
-        let report = container.compact_index();
+        let report = CommitReport {
+            merged: sealed.merged,
+            sealed: sealed.sealed,
+            ..container.compact_index()
+        };
         container.reserve_next_id(pending.next_id);
 
         // Persist the folded base, then retire the delta log: the base
@@ -693,10 +667,7 @@ impl Engine {
 
         let generation = snap.generation() + 1;
         let snapshot = self.swap_in(Snapshot::new(container, generation));
-        *pending = Pending {
-            next_id: pending.next_id,
-            ..Pending::default()
-        };
+        *pending = Pending::at(pending.next_id);
         self.last_compaction.store(generation, Ordering::SeqCst);
         Ok((snapshot, CommitOutcome { applied, report }))
     }

@@ -155,9 +155,8 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     let names = record.table.len() + record.column.len();
     let signature = hasher.signature(values);
     loaded
-        .apply(&[DeltaOp::Insert { record, signature }])
+        .commit(&[DeltaOp::Insert { record, signature }])
         .expect("insert");
-    loaded.commit_mutations();
     let index = loaded.open_index();
     assert!(index.memory_bytes() - index.mapped_bytes() > 0);
     assert!(index.id_map_bytes() > id_map_bytes);

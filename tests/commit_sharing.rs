@@ -169,17 +169,15 @@ fn commit_merge_compact_serialises_like_a_fresh_build_of_the_final_corpus() {
         })
         .collect();
     for batch in ops.chunks(4) {
-        c.apply(batch).expect("apply");
-        assert!(c.commit_mutations().sealed);
+        assert!(c.commit(batch).expect("commit").sealed);
     }
     // Take the last two back, so the ids that remain are dense.
     let last = (BASE + 10) as u32;
-    c.apply(&[
+    c.commit(&[
         DeltaOp::Remove { id: last },
         DeltaOp::Remove { id: last + 1 },
     ])
     .expect("remove");
-    c.commit_mutations();
     c.apply_merge(&MergeTask::Merge(vec![0, 1]));
     assert_eq!(c.base_shared_with(&built), all_shared());
     c.compact_index();

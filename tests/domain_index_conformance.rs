@@ -16,11 +16,13 @@
 //!   panics.
 
 use lshe_core::{
-    pack_ranked, AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, LshEnsemble,
-    MmapIndex, PartitionStrategy, Query, QueryError, RankedIndex,
+    pack_ranked, AsymIndexBuilder, AsymPartitionedIndex, CommitReport, DomainIndex, EnsembleConfig,
+    LshEnsemble, MmapIndex, Mutation, MutationError, PartitionStrategy, Query, QueryError,
+    RankedIndex,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta, ExactIndex};
 use lshe_lsh::DomainId;
+use lshe_minhash::hash::SeedStream;
 use lshe_minhash::{MinHasher, Signature};
 use lshe_store::Packer;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -474,10 +476,12 @@ fn ranked(entries: &[(DomainId, u64, Signature)]) -> RankedIndex {
 }
 
 /// The mutation plan: 8 new domains (nested among themselves, disjoint
-/// from the original pool) and 4 removals spread across size classes.
+/// from the original pool), 4 removals spread across size classes, and
+/// one more insert the same batch takes back.
 struct MutationPlan {
     added: Vec<(DomainId, u64, Signature, Vec<u64>)>,
     removed: Vec<DomainId>,
+    cancelled: DomainId,
 }
 
 fn mutation_plan() -> MutationPlan {
@@ -493,7 +497,31 @@ fn mutation_plan() -> MutationPlan {
     MutationPlan {
         added,
         removed: vec![1, 5, 9, 16],
+        cancelled: 999,
     }
+}
+
+/// The plan as one ordered batch, in an order the test seed draws: its
+/// inserts and removes interleaved, the cancelled insert first and its
+/// removal anywhere after it.
+fn plan_batch(plan: &MutationPlan) -> Vec<Mutation<'_>> {
+    let inserts = plan
+        .added
+        .iter()
+        .map(|(id, size, sig, _)| Mutation::Insert(*id, *size, sig));
+    let removes = plan.removed.iter().map(|&id| Mutation::Remove(id));
+    let mut batch: Vec<Mutation<'_>> = inserts.chain(removes).collect();
+    let mut stream = SeedStream::new(test_seed() ^ 0xBA7C);
+    let mut draw = |below: usize| (stream.next_u64() % below as u64) as usize;
+    for i in (1..batch.len()).rev() {
+        batch.swap(i, draw(i + 1));
+    }
+    let (_, size, sig, _) = &plan.added[7];
+    let cancel = Mutation::Insert(plan.cancelled, *size, sig);
+    batch.insert(0, cancel);
+    let at = 1 + draw(batch.len());
+    batch.insert(at, Mutation::Remove(plan.cancelled));
+    batch
 }
 
 /// The final corpus after the plan, id-sorted: original entries minus the
@@ -510,29 +538,22 @@ fn final_corpus(w: &World, plan: &MutationPlan) -> Vec<(DomainId, u64, Signature
     out
 }
 
-/// The index over the original corpus with the plan applied — inserts
-/// staged, removals eager — and a fresh build of the final corpus.
+/// The index over the original corpus with the plan committed as one
+/// batch, its report, and a fresh build of the final corpus.
 fn mutated_and_rebuilt(
     w: &World,
     plan: &MutationPlan,
     finals: &[(DomainId, u64, Signature, Vec<u64>)],
-) -> (RankedIndex, RankedIndex) {
+) -> (RankedIndex, CommitReport, RankedIndex) {
     let mut mutated = ranked(&w.entries);
-    for (id, size, sig, _) in &plan.added {
-        let inserted = mutated.insert(*id, *size, sig);
-        inserted.unwrap_or_else(|e| panic!("insert {id}: {e}"));
-    }
-    assert_eq!(mutated.staged_len(), plan.added.len());
-    for id in &plan.removed {
-        mutated
-            .remove(*id)
-            .unwrap_or_else(|e| panic!("remove {id}: {e}"));
-    }
+    let report = mutated
+        .commit(&plan_batch(plan))
+        .unwrap_or_else(|e| panic!("commit the plan: {e}"));
     let entries: Vec<(DomainId, u64, Signature)> = finals
         .iter()
         .map(|(id, size, sig, _)| (*id, *size, sig.clone()))
         .collect();
-    (mutated, ranked(&entries))
+    (mutated, report, ranked(&entries))
 }
 
 /// Every final-corpus domain as a threshold query: removed ids never
@@ -548,7 +569,7 @@ fn assert_live_answers(
             let found = index
                 .search(&Query::threshold(qsig, t).with_size(*qsize))
                 .unwrap_or_else(|e| panic!("{at}: {e}"));
-            for gone in &plan.removed {
+            for gone in plan.removed.iter().chain([&plan.cancelled]) {
                 assert!(
                     !found.ids().contains(gone),
                     "{at} q={qid} t={t}: removed id {gone} returned"
@@ -593,10 +614,8 @@ fn mutation_equals_rebuild_for_every_mutable_backend() {
     let w = world();
     let plan = mutation_plan();
     let finals = final_corpus(&w, &plan);
-    let (mut mutated, rebuilt) = mutated_and_rebuilt(&w, &plan, &finals);
-    let report = mutated.commit();
+    let (mut mutated, report, rebuilt) = mutated_and_rebuilt(&w, &plan, &finals);
     assert_eq!(report.merged, plan.added.len(), "merged count");
-    assert_eq!(mutated.staged_len(), 0, "staged after commit");
     assert_eq!(mutated.len(), finals.len(), "len after commit");
     assert_live_answers("sealed", &mutated, &plan, &finals);
 
@@ -645,13 +664,14 @@ fn mutation_equals_rebuild_for_every_mutable_backend() {
 
     // Post-compaction mutations still validate with typed errors.
     let (id0, size0, sig0, _) = &finals[0];
+    let insert = Mutation::Insert(*id0, *size0, sig0);
     assert_eq!(
-        mutated.insert(*id0, *size0, sig0),
-        Err(lshe_core::MutationError::DuplicateId(*id0))
+        mutated.commit(&[insert]),
+        Err(MutationError::DuplicateId(*id0))
     );
     assert_eq!(
-        mutated.remove(9_999),
-        Err(lshe_core::MutationError::UnknownId(9_999))
+        mutated.commit(&[Mutation::Remove(9_999)]),
+        Err(MutationError::UnknownId(9_999))
     );
 }
 
@@ -660,18 +680,16 @@ fn segmented_commit_then_compaction_conforms_on_every_mutable_backend() {
     let w = world();
     let plan = mutation_plan();
     let finals = final_corpus(&w, &plan);
-    let (mut mutated, rebuilt) = mutated_and_rebuilt(&w, &plan, &finals);
+    let (mut mutated, report, rebuilt) = mutated_and_rebuilt(&w, &plan, &finals);
 
-    // Commit seals — O(staged delta): the base partitioning is not
-    // rebuilt, the delta becomes an immutable segment, and the base
+    // Commit seals — O(batch): the base partitioning is not rebuilt, the
+    // inserts the batch kept become an immutable segment, and the base
     // removals become tombstones.
-    let report = mutated.commit();
     assert!(report.sealed, "commit did not seal a segment");
     assert_eq!(report.merged, plan.added.len(), "merged count");
     assert_eq!(report.entries_folded, 0, "a commit rewrote the base");
     assert!(report.segments >= 1, "no outstanding segment");
     assert_eq!(report.tombstones, plan.removed.len(), "tombstone count");
-    assert_eq!(mutated.staged_len(), 0, "staged after seal");
     assert_eq!(mutated.len(), finals.len(), "len after seal");
 
     // Segmented phase: queries sweep base + segments and filter the
@@ -688,25 +706,6 @@ fn segmented_commit_then_compaction_conforms_on_every_mutable_backend() {
     assert_eq!(mutated.len(), finals.len(), "len after compaction");
     assert_live_answers("compacted", &mutated, &plan, &finals);
     assert_equals_rebuild(&mutated, &rebuilt, &finals);
-}
-
-#[test]
-fn staged_mutations_are_immediately_queryable() {
-    let w = world();
-    let plan = mutation_plan();
-    let mut index = ranked(&w.entries);
-    let (id, size, sig, _) = &plan.added[2];
-    index.insert(*id, *size, sig).expect("insert");
-    // Visible BEFORE commit, via the staged tier.
-    let query = Query::threshold(sig, 0.9).with_size(*size);
-    let out = index.search(&query).expect("search");
-    assert!(out.ids().contains(id), "staged insert invisible");
-    assert_eq!(index.staged_len(), 1);
-    // Eager removal takes it straight back out.
-    index.remove(*id).expect("remove staged");
-    let out = index.search(&query).expect("search");
-    assert!(!out.ids().contains(id), "removed-while-staged found");
-    assert_eq!(index.len(), N);
 }
 
 #[test]

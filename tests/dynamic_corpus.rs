@@ -1,10 +1,11 @@
 //! Dynamic data (§6.2): domains added after construction must be
-//! immediately searchable, partition bounds may only widen to cover them,
+//! searchable from the commit that adds them, partition bounds may only
+//! widen to cover them,
 //! a drifted corpus must keep answering correctly while its inserts sit in
 //! sealed segments, and compaction must restore the equi-depth layout a
 //! fresh build of the corpus has.
 
-use lshe_core::{EnsembleConfig, PartitionStrategy, RankedIndex};
+use lshe_core::{EnsembleConfig, Mutation, PartitionStrategy, RankedIndex};
 use lshe_datagen::{generate_catalog, CorpusConfig};
 use lshe_minhash::{MinHasher, Signature};
 
@@ -27,30 +28,27 @@ fn build_world(n: usize, seed: u64) -> (RankedIndex, Vec<Signature>, Vec<u64>, M
     (builder.build(), signatures, sizes, hasher)
 }
 
+/// Commits one batch inserting every `(id, size, signature)` of `domains`.
+fn commit_inserts(index: &mut RankedIndex, domains: &[(u32, u64, Signature)]) {
+    let batch: Vec<Mutation<'_>> = domains
+        .iter()
+        .map(|(id, size, signature)| Mutation::Insert(*id, *size, signature))
+        .collect();
+    index.commit(&batch).expect("fresh inserts");
+}
+
 #[test]
-fn inserts_visible_before_and_after_commit() {
+fn inserts_visible_once_committed() {
     let (mut index, _, _, hasher) = build_world(500, 1);
     let base_len = index.len();
     let mut new_sigs = Vec::new();
     for i in 0..50u32 {
         let vals = MinHasher::synthetic_values(9_000 + u64::from(i), 40 + i as usize);
         let sig = hasher.signature(vals.iter().copied());
-        index
-            .insert(10_000 + i, vals.len() as u64, &sig)
-            .expect("fresh insert");
         new_sigs.push((10_000 + i, vals.len() as u64, sig));
     }
+    commit_inserts(&mut index, &new_sigs);
     assert_eq!(index.len(), base_len + 50);
-    let ens = index.ensemble();
-    // Visible while staged.
-    for (id, size, sig) in &new_sigs {
-        assert!(
-            ens.query_with_size(sig, *size, 1.0).contains(id),
-            "staged insert {id} not found"
-        );
-    }
-    index.commit();
-    // Still visible after the seal.
     for (id, size, sig) in &new_sigs {
         assert!(
             index
@@ -65,13 +63,13 @@ fn inserts_visible_before_and_after_commit() {
 #[test]
 fn original_domains_survive_heavy_insertion() {
     let (mut index, signatures, sizes, hasher) = build_world(500, 2);
-    for i in 0..500u32 {
-        let vals = MinHasher::synthetic_values(50_000 + u64::from(i), 30);
-        index
-            .insert(20_000 + i, 30, &hasher.signature(vals.iter().copied()))
-            .expect("fresh insert");
-    }
-    index.commit();
+    let drift: Vec<(u32, u64, Signature)> = (0..500u32)
+        .map(|i| {
+            let vals = MinHasher::synthetic_values(50_000 + u64::from(i), 30);
+            (20_000 + i, 30, hasher.signature(vals.iter().copied()))
+        })
+        .collect();
+    commit_inserts(&mut index, &drift);
     for q in (0..500u32).step_by(61) {
         let hits =
             index
@@ -89,10 +87,8 @@ fn oversized_insert_grows_boundary_conservatively() {
     // Insert a domain 10× larger than anything indexed.
     let huge = MinHasher::synthetic_values(777, (old_max * 10) as usize);
     let sig = hasher.signature(huge.iter().copied());
-    index
-        .insert(99_999, old_max * 10, &sig)
-        .expect("fresh insert");
-    // Staged, it is a tier of its own whose bound is its size: the largest
+    commit_inserts(&mut index, &[(99_999, old_max * 10, sig.clone())]);
+    // Sealed, it is a tier of its own whose bound is its size: the largest
     // bound grew, so s* only shrank — no new false negatives.
     let last = |index: &RankedIndex| index.ensemble().partition_stats().last().map(|p| p.upper);
     assert_eq!(last(&index), Some(old_max * 10));
@@ -114,17 +110,15 @@ fn undersized_insert_extends_first_partition() {
     assert!(before_lower > 1);
     let tiny = MinHasher::synthetic_values(88, 1);
     let sig = hasher.signature(tiny.iter().copied());
-    index.insert(88_888, 1, &sig).expect("fresh insert");
+    commit_inserts(&mut index, &[(88_888, 1, sig.clone())]);
     let lowest = |index: &RankedIndex| index.ensemble().partition_stats()[0].lower;
     let found = |index: &RankedIndex| {
         let hits = index.ensemble().query_with_size(&sig, 1, 1.0);
         hits.contains(&88_888)
     };
-    // While staged/sealed, the tiny domain is covered by its own tier…
+    // Sealed, the tiny domain is covered by its own tier…
     let stats = index.ensemble().partition_stats();
     assert_eq!(stats.iter().map(|p| p.lower).min(), Some(1));
-    assert!(found(&index));
-    index.commit();
     assert_eq!(lowest(&index), before_lower, "a commit moved the base");
     assert!(found(&index));
     // …and compaction rebuilds it into the base: the first partition now
@@ -145,15 +139,20 @@ fn rebuild_restores_balanced_partitions_after_drift() {
     for (i, sig) in signatures.iter().enumerate() {
         fresh.add(i as u32, sizes[i], sig.clone());
     }
-    for i in 0..400u32 {
-        let vals = MinHasher::synthetic_values(70_000 + u64::from(i), 500 + i as usize);
-        let sig = hasher.signature(vals.iter().copied());
-        index
-            .insert(30_000 + i, vals.len() as u64, &sig)
-            .expect("fresh insert");
-        fresh.add(30_000 + i, vals.len() as u64, sig);
+    let drift: Vec<(u32, u64, Signature)> = (0..400u32)
+        .map(|i| {
+            let vals = MinHasher::synthetic_values(70_000 + u64::from(i), 500 + i as usize);
+            (
+                30_000 + i,
+                vals.len() as u64,
+                hasher.signature(vals.iter().copied()),
+            )
+        })
+        .collect();
+    for (id, size, sig) in &drift {
+        fresh.add(*id, *size, sig.clone());
     }
-    index.commit();
+    commit_inserts(&mut index, &drift);
     let base = index.ensemble().num_partitions();
     assert!(index.ensemble().partition_stats().len() > base, "sealed");
 

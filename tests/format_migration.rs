@@ -157,19 +157,17 @@ fn v7_container(n: usize, parts: usize) -> IndexContainer {
     let hasher = MinHasher::new(c.num_perm());
     let fresh = corpus(3, 32);
     let base = n as u32;
-    c.apply(&[
+    let first = c.commit(&[
         insert(base, &fresh[0], &hasher),
         insert(base + 1, &fresh[1], &hasher),
         DeltaOp::Remove { id: 1 },
-    ])
-    .expect("first batch");
-    assert!(c.commit_mutations().sealed);
-    c.apply(&[
+    ]);
+    assert!(first.expect("first batch").sealed);
+    let second = c.commit(&[
         insert(base + 2, &fresh[2], &hasher),
         DeltaOp::Remove { id: base },
-    ])
-    .expect("second batch");
-    assert!(c.commit_mutations().sealed);
+    ]);
+    assert!(second.expect("second batch").sealed);
     let layout = c.segment_layout();
     assert_eq!((layout.segments.len(), layout.tombstones), (2, 2));
     c

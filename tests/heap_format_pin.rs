@@ -69,11 +69,9 @@ fn pinned_container() -> IndexContainer {
         .zip(&fresh)
         .map(|(id, pair)| insert(id, pair, &hasher))
         .collect();
-    c.apply(&ops[..5]).expect("first batch");
-    assert!(c.commit_mutations().sealed);
-    c.apply(&ops[5..]).expect("second batch");
-    c.apply(&[DeltaOp::Remove { id: 17 }]).expect("remove");
-    assert!(c.commit_mutations().sealed);
+    assert!(c.commit(&ops[..5]).expect("first batch").sealed);
+    let second = [&ops[5..], &[DeltaOp::Remove { id: 17 }]].concat();
+    assert!(c.commit(&second).expect("second batch").sealed);
     let layout = c.segment_layout();
     assert_eq!((layout.segments.len(), layout.tombstones), (2, 1));
     c

@@ -1,36 +1,42 @@
 //! Property-based invariants for dynamic mutation (§6.2): arbitrary
-//! insert / remove / commit / compact interleavings against a ground-truth
-//! model.
+//! ordered batches of inserts and removes — committed, then merged or
+//! compacted — against a ground-truth model.
 //!
-//! For every generated script the suite maintains a plain `BTreeMap`
-//! model of the live corpus and checks, on a `RankedIndex` driven by it,
-//! after every step:
+//! A script's insert and remove steps build a batch in order, as the
+//! server's engine stages ops: a remove may take back an insert earlier in
+//! the same batch, or a domain committed before it. A commit step hands
+//! the batch to the index in one call. For every generated script the
+//! suite maintains a plain `BTreeMap` model of the live corpus and checks,
+//! on a `RankedIndex` driven by it, after every commit and compaction:
 //!
+//! * the batch with a bad last op is refused whole — the typed error
+//!   names it and the index serialises as before,
+//! * the commit seals exactly the batch's inserts no later remove in it
+//!   cancelled, and tombstones exactly its removes of committed domains,
 //! * partition boundaries stay monotone (`lower ≤ upper` everywhere;
 //!   ranges ordered and non-overlapping across the base partitions —
-//!   sealed segments and the staged tier carry their own ranges),
+//!   sealed segments carry their own ranges),
 //! * physical partition rows account for every live domain plus every
 //!   tombstone awaiting compaction,
 //! * every stored id remains queryable **exactly once** (a self-query at
 //!   `t* = 1.0` returns it once; removed ids are never returned),
 //! * `len()` / `is_empty()` / `contains()` never disagree with the model,
-//!   and `memory_bytes()` stays positive while anything is indexed,
-//! * `staged_len()` tracks exactly the inserts since the last commit, and
+//!   and `memory_bytes()` stays positive while anything is indexed, and
 //! * a compaction serialises exactly like a fresh build of the model — a
 //!   base of no partitions once everything was removed.
 //!
-//! A container driven through insert / remove / commit / compact / save →
-//! load resolves, after every step, each live id through the index's
-//! directory (or its overlay) to the size and row a reference map holds,
-//! and each removed id to none; the container loaded from its file answers
-//! like the one it was saved from, and the script goes on over the mapped
-//! base. Ids are inserted with holes, and the top id is removed, so the
-//! directory is searched off its dense path. A container emptied, compacted,
-//! saved and loaded takes domains again.
+//! A container driven by batches through commit / compact / save → load
+//! resolves, after every step that changes it, each live id through the
+//! index's directory (or its overlay) to the size and row a reference map
+//! holds, and each removed id to none; the container loaded from its file
+//! answers like the one it was saved from, and the script goes on over the
+//! mapped base. Ids are inserted with holes, and the top id is removed, so
+//! the directory is searched off its dense path. A container emptied,
+//! compacted, saved and loaded takes domains again.
 
 use lshe_core::{
-    DomainIndex, EnsembleConfig, Leveled, LshEnsemble, MutationError, PartitionStrategy, Query,
-    RankedIndex, RowBuf,
+    DomainIndex, EnsembleConfig, Leveled, LshEnsemble, Mutation, MutationError, PartitionStrategy,
+    Query, RankedIndex, RowBuf,
 };
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_lsh::DomainId;
@@ -69,6 +75,119 @@ fn sketched(model: &BTreeMap<DomainId, u64>) -> Sigs {
     sigs.collect()
 }
 
+/// A script's batch under construction, as the server's engine stages
+/// one: the ops in order (an insert with its size, or a remove), the live
+/// corpus once they commit, every signature made (removed ids keep
+/// theirs), and every removed id with its size.
+struct Script {
+    batch: Vec<(DomainId, Option<u64>)>,
+    view: BTreeMap<DomainId, u64>,
+    sigs: Sigs,
+    dead: Vec<(DomainId, u64)>,
+}
+
+impl Script {
+    /// Domains `0..n` of the given sizes, and a fresh build of them in
+    /// `parts` partitions.
+    fn build(sizes: Vec<u64>, parts: usize) -> (Self, RankedIndex) {
+        let view: BTreeMap<DomainId, u64> = (0u32..).zip(sizes).collect();
+        let sigs = sketched(&view);
+        let index = fresh_build(parts, &view, &sigs).expect("a non-empty corpus");
+        let dead = Vec::new();
+        (
+            Self {
+                batch: Vec::new(),
+                view,
+                sigs,
+                dead,
+            },
+            index,
+        )
+    }
+
+    /// Inserts a domain of `size` values under a fresh id.
+    fn insert(&mut self, size: u64) {
+        let id = self.sigs.keys().next_back().map_or(0, |id| id + 1);
+        self.sigs.insert(id, signature_for(id, size));
+        self.view.insert(id, size);
+        self.batch.push((id, Some(size)));
+    }
+
+    /// Removes the live domain `word` picks — committed, or an insert
+    /// earlier in the batch — if any is live.
+    fn remove(&mut self, word: usize) {
+        let Some(&id) = self.view.keys().nth(word % self.view.len().max(1)) else {
+            return;
+        };
+        let size = self.view.remove(&id).expect("live");
+        self.dead.push((id, size));
+        self.batch.push((id, None));
+    }
+
+    /// The batch as the index takes it.
+    fn mutations(&self) -> Vec<Mutation<'_>> {
+        let op = |&(id, size): &(DomainId, Option<u64>)| match size {
+            Some(size) => Mutation::Insert(id, size, &self.sigs[&id]),
+            None => Mutation::Remove(id),
+        };
+        self.batch.iter().map(op).collect()
+    }
+
+    /// Commits the batch and empties it.
+    fn commit(&mut self, index: &mut RankedIndex) {
+        index.commit(&self.mutations()).expect("a valid batch");
+        self.batch.clear();
+    }
+}
+
+/// Commits the script's batch, which takes `model` to its view, and checks
+/// the report: first with the removal of an id no domain holds appended,
+/// which must be refused whole; then alone, sealing exactly the inserts it
+/// kept and tombstoning exactly the committed domains it removed.
+fn commit_checked(
+    label: &str,
+    index: &mut RankedIndex,
+    script: &mut Script,
+    model: &BTreeMap<DomainId, u64>,
+) -> Result<(), TestCaseError> {
+    let before = index.ensemble().to_bytes();
+    let mut ops = script.mutations();
+    ops.push(Mutation::Remove(DomainId::MAX));
+    let refused = index.commit(&ops);
+    prop_assert!(
+        refused == Err(MutationError::UnknownId(DomainId::MAX)),
+        "{label}"
+    );
+    prop_assert!(
+        index.ensemble().to_bytes() == before,
+        "{label}: a refused batch left a trace"
+    );
+    let tombstones = index.segment_layout().tombstones;
+    let report = index.commit(&ops[..ops.len() - 1]).expect("a valid batch");
+    script.batch.clear();
+    let kept = script
+        .view
+        .keys()
+        .filter(|id| !model.contains_key(id))
+        .count();
+    let removed = model
+        .keys()
+        .filter(|id| !script.view.contains_key(id))
+        .count();
+    prop_assert!(
+        report.merged == kept && report.sealed == (kept > 0),
+        "{label}: commit sealed {} vs {kept} kept inserts",
+        report.merged
+    );
+    prop_assert!(
+        report.tombstones == tombstones + removed,
+        "{label}: {} tombstones vs {tombstones} + {removed} removed",
+        report.tombstones
+    );
+    prop_assert!(report.entries_folded == 0, "{label}: a commit rebuilt");
+    Ok(())
+}
+
 /// A fresh build of `model`, or `None` when it is empty — a build needs
 /// at least one domain.
 fn fresh_build(parts: usize, model: &BTreeMap<DomainId, u64>, sigs: &Sigs) -> Option<RankedIndex> {
@@ -80,12 +199,11 @@ fn fresh_build(parts: usize, model: &BTreeMap<DomainId, u64>, sigs: &Sigs) -> Op
 }
 
 /// Checks the structural invariants of the mutated index against the
-/// model. `staged` is the insert count since the last commit.
+/// model.
 fn check_invariants(
     label: &str,
     index: &RankedIndex,
     model: &BTreeMap<DomainId, u64>,
-    staged: usize,
 ) -> Result<(), TestCaseError> {
     prop_assert!(
         index.len() == model.len(),
@@ -96,11 +214,6 @@ fn check_invariants(
     prop_assert!(
         index.is_empty() == model.is_empty(),
         "{label}: is_empty disagrees"
-    );
-    prop_assert!(
-        index.staged_len() == staged,
-        "{label}: staged_len {} vs {staged}",
-        index.staged_len()
     );
     if !model.is_empty() {
         prop_assert!(index.memory_bytes() > 0, "{label}: no memory accounted");
@@ -123,8 +236,8 @@ fn check_invariants(
     for p in &stats {
         prop_assert!(p.lower <= p.upper, "{label}: inverted bounds {p:?}");
     }
-    // Ordering is a per-tier property: each sealed segment (and the staged
-    // pseudo-partition) restarts its own size range, so only the base
+    // Ordering is a per-tier property: each sealed segment restarts its
+    // own size range, so only the base
     // partitioning — the stats' first `num_partitions` — promises ordered,
     // non-overlapping ranges.
     for w in stats[..ens.num_partitions()].windows(2) {
@@ -187,141 +300,92 @@ fn check_compacted(
 }
 
 proptest! {
-    /// The headline property: arbitrary interleavings — and then the
-    /// removal of everything — keep the index consistent with the model,
-    /// structurally sound and exactly-once queryable after every step, and
-    /// every compaction equal to a fresh build of the model.
+    /// The headline property: arbitrary batches — and then the removal of
+    /// everything — keep the index consistent with the model, structurally
+    /// sound and exactly-once queryable after every commit, and every
+    /// compaction equal to a fresh build of the model.
     #[test]
     fn interleaved_mutations_preserve_equi_depth_invariants(
         initial_sizes in prop::collection::vec(1u64..1_500, 8..24),
         script in prop::collection::vec(0u32..1_000_000, 1..40),
         parts in 2usize..6,
     ) {
-        // Build the initial corpus (ids 0..n) and the model.
-        let mut model: BTreeMap<DomainId, u64> = BTreeMap::new();
-        for (i, &size) in initial_sizes.iter().enumerate() {
-            model.insert(i as DomainId, size);
-        }
-        let mut sigs = sketched(&model);
-        let mut index = fresh_build(parts, &model, &sigs).expect("a non-empty corpus");
-
-        let mut next_id = initial_sizes.len() as DomainId;
-        let mut dead: Vec<(DomainId, u64)> = Vec::new();
-        let mut staged = 0usize;
-        // The script, then a tail that removes every live domain (each
-        // removal takes the first one left) and compacts the emptied index.
+        // `model` is what the index holds, `s.view` what it will hold once
+        // the batch commits.
+        let (mut s, mut index) = Script::build(initial_sizes, parts);
+        let mut model = s.view.clone();
+        // The script, then a tail that removes every domain left (each
+        // removal takes the first one) and compacts the emptied index.
         let tail = (0..model.len() + script.len()).map(|_| (1, 0)).chain([(3, 0)]);
         let steps = script.iter().map(|&w| (w % 4, w / 4)).chain(tail);
         for (step, (op, word)) in steps.enumerate() {
             let label = format!("step {step}: op {op}");
             match op {
                 0 => {
-                    // Insert a fresh domain; a second insert of it fails.
-                    let id = next_id;
-                    next_id += 1;
-                    let size = 1 + u64::from(word) % 3_000;
-                    let sig = signature_for(id, size);
-                    index.insert(id, size, &sig).expect("fresh insert");
-                    prop_assert_eq!(
-                        index.insert(id, size, &sig),
-                        Err(MutationError::DuplicateId(id))
-                    );
-                    model.insert(id, size);
-                    sigs.insert(id, sig);
-                    staged += 1;
+                    s.insert(1 + u64::from(word) % 3_000);
+                    continue;
                 }
                 1 => {
-                    if model.is_empty() {
-                        continue;
-                    }
-                    // Remove a deterministic live id; a second removal fails.
-                    let live: Vec<DomainId> = model.keys().copied().collect();
-                    let id = live[word as usize % live.len()];
-                    // Removing a still-staged insert shrinks the backlog.
-                    let was_staged = index.staged_len();
-                    index.remove(id).expect("live remove");
-                    staged -= was_staged - index.staged_len();
-                    prop_assert_eq!(index.remove(id), Err(MutationError::UnknownId(id)));
-                    let size = model.remove(&id).expect("modelled");
-                    dead.push((id, size));
+                    s.remove(word as usize);
+                    continue;
                 }
-                2 => {
-                    let report = index.commit();
-                    prop_assert!(
-                        report.merged == staged && report.sealed == (staged > 0),
-                        "{label}: commit sealed {} vs staged {staged}",
-                        report.merged
-                    );
-                    prop_assert!(report.entries_folded == 0, "{label}: a commit rebuilt");
-                    staged = 0;
-                }
+                2 => commit_checked(&label, &mut index, &mut s, &model)?,
                 _ => {
+                    // As the engine compacts: the batch commits, then the
+                    // base is rebuilt.
+                    commit_checked(&label, &mut index, &mut s, &model)?;
                     let report = index.compact();
-                    prop_assert!(report.merged == staged, "{label}: compaction sealed");
                     prop_assert!(
-                        (report.segments, report.tombstones, report.entries_folded)
-                            == (0, 0, model.len()),
+                        (report.merged, report.segments, report.tombstones, report.entries_folded)
+                            == (0, 0, 0, s.view.len()),
                         "{label}: compaction left {report:?}"
                     );
-                    staged = 0;
-                    check_compacted(&label, &index, parts, (&model, &sigs))?;
+                    check_compacted(&label, &index, parts, (&s.view, &s.sigs))?;
                 }
             }
-            check_invariants(&label, &index, &model, staged)?;
-            check_queryability(&label, index.ensemble(), (&model, &sigs), &dead, 4)?;
+            model.clone_from(&s.view);
+            check_invariants(&label, &index, &model)?;
+            check_queryability(&label, index.ensemble(), (&model, &s.sigs), &s.dead, 4)?;
         }
         prop_assert!(model.is_empty() && index.is_empty());
-        check_queryability("emptied", index.ensemble(), (&model, &sigs), &dead, 25)?;
+        check_queryability("emptied", index.ensemble(), (&model, &s.sigs), &s.dead, 25)?;
 
         // The emptied index takes domains again, through every tier.
-        let id = next_id;
-        sigs.insert(id, signature_for(id, 40));
-        index.insert(id, 40, &sigs[&id]).expect("insert after emptying");
-        model.insert(id, 40);
-        check_queryability("refilled", index.ensemble(), (&model, &sigs), &dead, 25)?;
-        index.commit();
-        check_invariants("refilled/committed", &index, &model, 0)?;
+        s.insert(40);
+        commit_checked("refilled", &mut index, &mut s, &model)?;
+        model.clone_from(&s.view);
+        check_invariants("refilled", &index, &model)?;
+        check_queryability("refilled", index.ensemble(), (&model, &s.sigs), &s.dead, 25)?;
         index.compact();
-        check_compacted("refilled/compacted", &index, parts, (&model, &sigs))?;
-        check_queryability("refilled/compacted", index.ensemble(), (&model, &sigs), &dead, 25)?;
+        check_compacted("refilled/compacted", &index, parts, (&model, &s.sigs))?;
+        check_queryability("refilled/compacted", index.ensemble(), (&model, &s.sigs), &s.dead, 25)?;
     }
 
-    /// Serialisation commutes with mutation: mutate → commit → save → load
-    /// lands on an index that answers exactly like the in-memory original.
+    /// Serialisation commutes with mutation: one arbitrary batch → commit
+    /// → save → load lands on an index that answers exactly like the
+    /// in-memory original.
     #[test]
     fn mutated_ensemble_roundtrips_through_bytes(
         initial_sizes in prop::collection::vec(1u64..800, 4..16),
         script in prop::collection::vec(0u32..1_000_000, 1..25),
     ) {
-        let mut model: BTreeMap<DomainId, u64> = BTreeMap::new();
-        for (i, &size) in initial_sizes.iter().enumerate() {
-            model.insert(i as DomainId, size);
-        }
-        let mut index = fresh_build(3, &model, &sketched(&model)).expect("a non-empty corpus");
-        let mut next_id = initial_sizes.len() as DomainId;
+        let (mut s, mut index) = Script::build(initial_sizes, 3);
         for word in script {
             if word % 2 == 0 {
-                let id = next_id;
-                next_id += 1;
-                let size = 1 + u64::from(word) % 900;
-                index.insert(id, size, &signature_for(id, size)).expect("insert");
-                model.insert(id, size);
-            } else if !model.is_empty() {
-                let live: Vec<DomainId> = model.keys().copied().collect();
-                let id = live[(word as usize) % live.len()];
-                index.remove(id).expect("remove");
-                model.remove(&id);
+                s.insert(1 + u64::from(word) % 900);
+            } else {
+                s.remove(word as usize);
             }
         }
-        index.commit();
+        s.commit(&mut index);
         let ens = index.ensemble();
         let restored = LshEnsemble::from_bytes(&ens.to_bytes()).expect("roundtrip");
-        prop_assert_eq!(restored.len(), model.len());
-        for (&id, &size) in model.iter().take(20) {
-            let sig = signature_for(id, size);
+        prop_assert_eq!(restored.len(), s.view.len());
+        for (&id, &size) in s.view.iter().take(20) {
+            let sig = &s.sigs[&id];
             prop_assert!(
-                ens.query_with_size(&sig, size, 1.0)
-                    == restored.query_with_size(&sig, size, 1.0),
+                ens.query_with_size(sig, size, 1.0)
+                    == restored.query_with_size(sig, size, 1.0),
                 "id {id} answers diverge after roundtrip"
             );
             prop_assert!(restored.contains(id));
@@ -349,48 +413,26 @@ proptest! {
             fanout,
             level0_entries: [1, 4, 64][level0_choice],
         };
-        let mut model: BTreeMap<DomainId, u64> = (0u32..).zip(initial_sizes).collect();
-        let mut sigs = sketched(&model);
-        let mut index = fresh_build(3, &model, &sigs).expect("a non-empty corpus");
-
-        let mut next_id = model.len() as DomainId;
-        let mut dead: Vec<(DomainId, u64)> = Vec::new();
+        let (mut s, mut index) = Script::build(initial_sizes, 3);
         for word in script {
             match word % 3 {
-                0 => {
-                    let id = next_id;
-                    next_id += 1;
-                    let size = 1 + u64::from(word / 3) % 500;
-                    let sig = signature_for(id, size);
-                    index.insert(id, size, &sig).expect("fresh insert");
-                    model.insert(id, size);
-                    sigs.insert(id, sig);
-                }
-                1 => {
-                    if model.is_empty() {
-                        continue;
-                    }
-                    let live: Vec<DomainId> = model.keys().copied().collect();
-                    let id = live[(word as usize / 3) % live.len()];
-                    index.remove(id).expect("live remove");
-                    let size = model.remove(&id).expect("modelled");
-                    dead.push((id, size));
-                }
+                0 => s.insert(1 + u64::from(word / 3) % 500),
+                1 => s.remove(word as usize / 3),
                 _ => {
-                    index.commit();
+                    s.commit(&mut index);
                     // Intermediate quiescent point: drain + the cheap
                     // checks (bound, self-recall on the merged index).
-                    drain_and_check(&planner, &mut index, &model, &dead, &sigs, false)?;
+                    drain_and_check(&planner, &mut index, &s, false)?;
                 }
             }
         }
-        // Final quiescent point: commit whatever is staged, drain, and
+        // Final quiescent point: commit what the script left, drain, and
         // additionally compare against a fresh build of the live corpus.
-        index.commit();
-        drain_and_check(&planner, &mut index, &model, &dead, &sigs, true)?;
+        s.commit(&mut index);
+        drain_and_check(&planner, &mut index, &s, true)?;
     }
 
-    /// The container's id → row directory under arbitrary mutation, saved
+    /// The container's id → row directory under arbitrary batches, saved
     /// and loaded mapped at arbitrary points (see the module doc).
     #[test]
     fn container_ids_resolve_like_a_reference_map_through_save_and_load(
@@ -409,9 +451,14 @@ proptest! {
             })
             .collect();
         let mut container = IndexContainer::from_stream(domains, 2, true);
+        // `committed` is what the container holds; `model` what it will
+        // hold once `batch` commits.
+        let mut committed = model.clone();
+        let mut batch: Vec<DeltaOp> = Vec::new();
+        let mut next_id = container.next_id();
         let mut removed: Vec<DomainId> = Vec::new();
         let scratch = Scratch::new();
-        check_directory("built", &container, &model, &removed)?;
+        check_directory("built", &container, &committed, &removed)?;
         for (step, word) in script.into_iter().enumerate() {
             let (op, word) = (word % 6, word / 6);
             let label = format!("step {step}: op {op}");
@@ -419,7 +466,8 @@ proptest! {
                 // An insert, one or two ids past the mark now and then: ids
                 // with holes.
                 0 | 1 => {
-                    let id = container.next_id() + word % 3;
+                    let id = next_id + word % 3;
+                    next_id = id + 1;
                     let size = 1 + u64::from(word) % 200;
                     let signature = hasher.signature(values_for(id, size));
                     let record = DomainRecord {
@@ -428,9 +476,9 @@ proptest! {
                         table: format!("t{}", id % 3),
                         column: format!("c{id}"),
                     };
-                    let insert = DeltaOp::Insert { record, signature: signature.clone() };
-                    container.apply(&[insert]).expect("fresh insert");
+                    batch.push(DeltaOp::Insert { record, signature: signature.clone() });
                     model.insert(id, (size, signature));
+                    continue;
                 }
                 // A removal: every fourth time the top id, else any.
                 2 if !model.is_empty() => {
@@ -440,22 +488,24 @@ proptest! {
                     } else {
                         live[word as usize % live.len()]
                     };
-                    container.apply(&[DeltaOp::Remove { id }]).expect("live remove");
+                    batch.push(DeltaOp::Remove { id });
                     model.remove(&id);
                     removed.push(id);
+                    continue;
                 }
                 2 => continue,
-                3 => {
-                    container.commit_mutations();
-                }
+                3 => {}
                 4 if !model.is_empty() => {
+                    container.commit(&batch).expect("commit");
                     container.compact_index();
+                    batch.clear();
                 }
                 4 => continue,
                 // Saved and loaded: the mapped container answers like the
                 // one it was saved from, and the script goes on over it.
                 _ => {
-                    container.commit_mutations();
+                    container.commit(&batch).expect("commit");
+                    batch.clear();
                     let path = scratch.next();
                     container.save(&path).expect("save");
                     let loaded = IndexContainer::load(&path).expect("load");
@@ -473,7 +523,19 @@ proptest! {
                     container = loaded;
                 }
             }
-            check_directory(&label, &container, &model, &removed)?;
+            if !batch.is_empty() {
+                // A commit step. With the removal of an id no domain holds
+                // after it, the batch is refused whole.
+                let before = container.to_bytes();
+                let stranger = next_id + 7;
+                let bad = [&batch[..], &[DeltaOp::Remove { id: stranger }]].concat();
+                prop_assert_eq!(container.commit(&bad), Err(MutationError::UnknownId(stranger)));
+                prop_assert!(container.to_bytes() == before, "{label}: a refused batch left a trace");
+                container.commit(&batch).expect("commit");
+                batch.clear();
+            }
+            committed.clone_from(&model);
+            check_directory(&label, &container, &committed, &removed)?;
         }
     }
 }
@@ -564,11 +626,10 @@ impl Drop for Scratch {
 fn drain_and_check(
     planner: &Leveled,
     index: &mut RankedIndex,
-    model: &BTreeMap<DomainId, u64>,
-    dead: &[(DomainId, u64)],
-    sigs: &Sigs,
+    script: &Script,
     full: bool,
 ) -> Result<(), TestCaseError> {
+    let (model, dead, sigs) = (&script.view, &script.dead, &script.sigs);
     let sample = if full { 16 } else { 6 };
     let fresh = if full {
         fresh_build(3, model, sigs)
@@ -630,8 +691,8 @@ fn drain_and_check(
 }
 
 /// A container emptied, compacted (a base of no partitions), saved and
-/// loaded takes domains again through every tier: `len`, `staged_len` and
-/// self-queries are right at each step.
+/// loaded takes domains again through every tier: `len` and self-queries
+/// are right at each step.
 #[test]
 fn an_emptied_container_compacts_saves_loads_and_takes_domains_again() {
     let hasher = MinHasher::new(DEFAULT_NUM_PERM);
@@ -641,10 +702,10 @@ fn an_emptied_container_compacts_saves_loads_and_takes_domains_again() {
         (domain, DomainMeta::new("t", format!("c{id}")))
     });
     let mut container = IndexContainer::from_stream(domains, 2, true);
-    // Each step: (len, staged_len), every removed id unanswered, and the
-    // live ones found by a self-query.
-    let check = |at: &str, c: &IndexContainer, live: &[DomainId], staged: usize| {
-        assert_eq!((c.len(), c.staged_len()), (live.len(), staged), "{at}");
+    // Each step: len, every removed id unanswered, and the live ones found
+    // by a self-query.
+    let check = |at: &str, c: &IndexContainer, live: &[DomainId]| {
+        assert_eq!(c.len(), live.len(), "{at}");
         for id in 0..6 {
             let size = size_of(id);
             let found = c.search(&hasher.signature(values_for(id, size)), size, 1.0);
@@ -653,17 +714,17 @@ fn an_emptied_container_compacts_saves_loads_and_takes_domains_again() {
         }
     };
     let removes: Vec<DeltaOp> = (0..5).map(|id| DeltaOp::Remove { id }).collect();
-    container.apply(&removes).expect("remove every domain");
-    check("emptied", &container, &[], 0);
+    container.commit(&removes).expect("remove every domain");
+    check("emptied", &container, &[]);
     container.compact_index();
-    check("compacted", &container, &[], 0);
+    check("compacted", &container, &[]);
     assert_eq!(container.partition_count(), 0);
 
     let scratch = Scratch::new();
     let path = scratch.next();
     container.save(&path).expect("save");
     let mut container = IndexContainer::load(&path).expect("load");
-    check("loaded", &container, &[], 0);
+    check("loaded", &container, &[]);
     assert_eq!((container.partition_count(), container.next_id()), (0, 5));
 
     let (id, size) = (5, size_of(5));
@@ -675,13 +736,11 @@ fn an_emptied_container_compacts_saves_loads_and_takes_domains_again() {
     };
     let signature = hasher.signature(values_for(id, size));
     container
-        .apply(&[DeltaOp::Insert { record, signature }])
+        .commit(&[DeltaOp::Insert { record, signature }])
         .expect("insert");
-    check("staged", &container, &[id], 1);
-    container.commit_mutations();
-    check("committed", &container, &[id], 0);
+    check("committed", &container, &[id]);
     container.compact_index();
-    check("compacted again", &container, &[id], 0);
+    check("compacted again", &container, &[id]);
     assert_eq!(container.partition_count(), 1);
     assert_eq!(container.record(id).map(|r| r.column), Some("c5"));
 }

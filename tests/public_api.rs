@@ -6,7 +6,7 @@
 
 use lshe::{
     Catalog, CommitReport, DeltaLog, DeltaOp, Domain, DomainId, DomainIndex, EnsembleConfig,
-    ExactIndex, IndexContainer, LshEnsemble, LshForest, MinHasher, MutationError,
+    ExactIndex, IndexContainer, LshEnsemble, LshForest, MinHasher, Mutation, MutationError,
     PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit,
     SearchOutcome, ServerConfig, Signature, ESTIMATE_SLACK,
 };
@@ -88,15 +88,15 @@ fn facade_exposes_the_mutation_surface() {
     let mut index: RankedIndex = builder.build();
 
     let sig = hasher.signature(pool[..50].iter().copied());
-    index.insert(100, 50, &sig).expect("insert");
-    assert_eq!(index.staged_len(), 1);
+    let insert = Mutation::Insert(100, 50, &sig);
+    let report: CommitReport = index
+        .commit(&[insert, Mutation::Remove(3)])
+        .expect("commit");
+    assert_eq!(report.merged, 1);
     assert!(matches!(
-        index.insert(100, 50, &sig),
+        index.commit(&[insert]),
         Err(MutationError::DuplicateId(100))
     ));
-    index.remove(3).expect("remove");
-    let report: CommitReport = index.commit();
-    assert_eq!(report.merged, 1);
     assert_eq!(index.len(), 8);
     let report: CommitReport = index.compact();
     assert_eq!(
