@@ -29,7 +29,7 @@
 
 use lshe_bench::workload::{self, Accuracy, AccuracyWorld};
 use lshe_bench::{report, Args};
-use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Unranked};
 use lshe_corpus::{Catalog, DomainId, Json};
 use lshe_datagen::{nested_size_subsets, sample_queries, skewness, SizeBand};
 use lshe_minhash::{MinHasher, Signature};
@@ -147,13 +147,14 @@ fn shipped_forms(world: &AccuracyWorld) -> [(&'static str, IndexContainer); 4] {
 /// built one.
 fn threshold_section(world: &AccuracyWorld, num_queries: usize, seed: u64, cells: &mut Cells) {
     let ensembles = ensembles(world, &ROWS);
+    let unranked: Vec<Unranked<'_>> = ensembles.iter().map(Unranked).collect();
     let asym = workload::build_asym(&world.catalog, &world.signatures);
     let asym_part = workload::build_asym_partitioned(&world.catalog, &world.signatures, SHIPPED);
     let shipped = shipped_forms(world);
     let opened: Vec<_> = shipped.iter().map(|(_, c)| c.open_index()).collect();
     let mut rows: Vec<(String, &dyn DomainIndex)> = Vec::new();
     rows.extend(
-        ensembles
+        unranked
             .iter()
             .map(|e| (e.describe(), e as &dyn DomainIndex)),
     );
@@ -227,9 +228,10 @@ fn skew_section(world: &AccuracyWorld, num_queries: usize, seed: u64, cells: &mu
         let skew = skewness(&sub.catalog.sizes());
         let queries = sample_queries(&sub.catalog, num_queries, SizeBand::All, seed + step as u64);
         let ensembles = ensembles(&sub, &ROWS[..4]);
+        let unranked: Vec<Unranked<'_>> = ensembles.iter().map(Unranked).collect();
         let asym = workload::build_asym(&sub.catalog, &sub.signatures);
-        let mut indexes: Vec<&dyn DomainIndex> = vec![&ensembles[0], &asym];
-        indexes.extend(ensembles[1..].iter().map(|e| e as &dyn DomainIndex));
+        let mut indexes: Vec<&dyn DomainIndex> = vec![&unranked[0], &asym];
+        indexes.extend(unranked[1..].iter().map(|e| e as &dyn DomainIndex));
         let sweep =
             workload::accuracy_sweep(&indexes, &sub, &sub.signatures, &queries, &[T_STAR], true);
         for (index, acc) in indexes.iter().zip(&sweep) {
@@ -263,8 +265,14 @@ fn num_perm_section(world: &AccuracyWorld, queries: &[DomainId], cells: &mut Cel
             },
         };
         let index = LshEnsemble::build_from_parts(config, &ids, &sizes, &refs);
-        let sweep =
-            workload::accuracy_sweep(&[&index], world, &signatures, queries, &[T_STAR], true);
+        let sweep = workload::accuracy_sweep(
+            &[&Unranked(&index)],
+            world,
+            &signatures,
+            queries,
+            &[T_STAR],
+            true,
+        );
         let key = format!("num_perm/m={m}/all/{T_STAR}");
         let lead = [m, b_max, r_max].map(|n| n.to_string());
         let lead = [&lead[..], &[report::secs(sketch_secs)]].concat();
@@ -291,7 +299,7 @@ fn size_estimate_section(world: &AccuracyWorld, queries: &[DomainId], cells: &mu
     let mean_rel_error = queries.iter().map(rel_error).sum::<f64>() / queries.len() as f64;
     for (source, exact_size) in [("exact", true), ("approx", false)] {
         let sweep = workload::accuracy_sweep(
-            &[index],
+            &[&Unranked(index)],
             world,
             &world.signatures,
             queries,

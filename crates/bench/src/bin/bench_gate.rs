@@ -2,16 +2,17 @@
 //! each violated bar and exiting non-zero.
 //!
 //! ```text
-//! cargo run --release -p lshe-bench --bin bench_gate -- BENCH_mutation.json [perfbench.out] [accuracy.out]
+//! cargo run --release -p lshe-bench --bin bench_gate -- mutation.out [perfbench.out] [accuracy.out]
 //! ```
 //!
-//! Each argument is a file. `BENCH_mutation.json` (written from
-//! `mutation_path`'s output) is held to the commit-flatness and
+//! Each argument is a file, whose document is the whole file or its last
+//! line. The output of `mutation_path` — a document with a `mutation`
+//! object, as is `BENCH_mutation.json` — is held to the commit-flatness and
 //! write-amplification bars; the output of a traced `perfbench run` — a
-//! document with a `metrics` object, read from the file's last line — to the
-//! two load-path bars, in perfbench's metric names; the output of
-//! `accuracy` — a document with an `accuracy` object, on its last line — to
-//! the curve recorded in `BENCH_accuracy.json`, cell by cell.
+//! document with a `metrics` object — to the two load-path bars, in
+//! perfbench's metric names; the output of `accuracy` — a document with an
+//! `accuracy` object — to the curve recorded in `BENCH_accuracy.json`, cell
+//! by cell.
 
 use lshe_corpus::json::{Json, JsonError};
 use std::process::ExitCode;
@@ -27,7 +28,7 @@ enum Cmp {
 /// numbers of the document, an absent `rhs` standing for 1.
 struct Bar(&'static str, Cmp, f64, Option<&'static str>);
 
-/// Over `speedups` of `BENCH_mutation.json`. A seal — and
+/// Over `mutation.metrics` of `mutation_path`'s output. A seal — and
 /// `Engine::commit_staged` around it, unless a commit copies the base —
 /// costs O(staged delta), so both stay flat across the 10x corpus sweep,
 /// while the rebuild they replaced grows with the corpus: the O(corpus)
@@ -124,21 +125,21 @@ fn violations(doc: &Json) -> Vec<String> {
     if let Some(metrics) = doc.get("metrics") {
         return broken(LOAD_BARS, |name| metrics.get(name)?.get("value")?.as_f64());
     }
-    let mut out = broken(MUTATION_BARS, |name| {
-        doc.get("speedups")?.get(name)?.as_f64()
-    });
-    for series in ["commit_seal", "compact_rebuild", "engine_commit"] {
-        for point in ["2k", "4k", "8k", "20k", "40k"] {
-            let key = format!("mutation_path/{series}_{point}");
-            if doc.get("benches").and_then(|b| b.get(&key)).is_none() {
-                out.push(format!("benches/{key}: missing"));
+    let metrics = doc.get("mutation").and_then(|m| m.get("metrics"));
+    let number = |name: &str| metrics?.get(name)?.as_f64();
+    let mut out = broken(MUTATION_BARS, number);
+    for series in ["commit_seal_us", "compact_rebuild_us", "engine_commit_us"] {
+        for point in ["1x", "2x", "4x", "10x", "20x"] {
+            let key = format!("{series}_{point}");
+            if number(&key).is_none() {
+                out.push(format!("{key}: missing or not a number"));
             }
         }
     }
     out
 }
 
-/// Parses `text` — or, perfbench printing its tables first, its last line —
+/// Parses `text` — or, a bin printing its tables first, its last line —
 /// and checks it.
 fn gate(text: &str) -> Result<Vec<String>, JsonError> {
     let text = text.trim_end();
@@ -152,7 +153,7 @@ fn gate(text: &str) -> Result<Vec<String>, JsonError> {
 fn main() -> ExitCode {
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
-        eprintln!("usage: bench_gate <BENCH_mutation.json | traced perfbench output | accuracy output>...");
+        eprintln!("usage: bench_gate <mutation_path output | traced perfbench output | accuracy output>...");
         return ExitCode::FAILURE;
     }
     let mut failed = false;
@@ -180,22 +181,31 @@ mod tests {
 
     const BASELINE: &str = include_str!("../../../../BENCH_mutation.json");
 
-    /// The committed baseline with `section[key]` replaced, or removed.
-    fn baseline_with(section: &str, key: &str, value: Option<f64>) -> String {
-        let Ok(Json::Obj(mut root)) = Json::parse(BASELINE) else {
-            panic!("baseline is an object");
+    /// The committed baseline's `mutation.metrics`, edited by `edit`, as
+    /// the last line of a `mutation_path` run would print it.
+    fn baseline_with(edit: impl FnOnce(&mut Vec<(String, Json)>)) -> Vec<String> {
+        let mut doc = Json::parse(BASELINE).expect("parses");
+        let mutation = field(&mut doc, "mutation");
+        let Json::Obj(metrics) = field(mutation, "metrics") else {
+            panic!("metrics is an object");
         };
-        let Some((_, Json::Obj(fields))) = root.iter_mut().find(|(k, _)| k == section) else {
-            panic!("baseline has {section}");
-        };
-        fields.retain(|(k, _)| k != key);
-        fields.extend(value.map(|v| (key.to_owned(), Json::num(v))));
-        Json::Obj(root).render()
+        edit(metrics);
+        let line = Json::obj(vec![("mutation", mutation.clone())]);
+        gate(&format!("domains\tcommit_seal_us\n{}\n", line.render())).expect("parses")
+    }
+
+    /// `metrics[key]` replaced, or removed.
+    fn set(key: &str, value: Option<f64>) -> impl FnOnce(&mut Vec<(String, Json)>) + '_ {
+        move |metrics| {
+            metrics.retain(|(k, _)| k != key);
+            metrics.extend(value.map(|v| (key.to_owned(), Json::num(v))));
+        }
     }
 
     #[test]
     fn committed_baseline_holds_every_bar() {
         assert_eq!(gate(BASELINE), Ok(Vec::new()));
+        assert_eq!(baseline_with(|_| {}), Vec::<String>::new());
     }
 
     #[test]
@@ -208,25 +218,41 @@ mod tests {
             ("rebuild_growth_10x", None),
             ("leveled_write_amp_20k", None),
         ] {
-            let broken = gate(&baseline_with("speedups", key, bad)).expect("parses");
+            let broken = baseline_with(set(key, bad));
             assert_eq!(broken.len(), 1, "{key}: {broken:?}");
             assert!(broken[0].contains(key), "{key}: {broken:?}");
         }
     }
 
     #[test]
+    fn an_o_corpus_seal_is_named() {
+        // A commit that rebuilds the base grows with the corpus as the
+        // rebuild does: seal_flatness_10x reads rebuild_growth_10x.
+        let doc = Json::parse(BASELINE).expect("parses");
+        let metrics = doc.get("mutation").and_then(|m| m.get("metrics"));
+        let growth = metrics.and_then(|m| m.get("rebuild_growth_10x")?.as_f64());
+        let broken = baseline_with(set("seal_flatness_10x", growth));
+        assert_eq!(broken.len(), 1, "{broken:?}");
+        assert!(broken[0].starts_with("seal_flatness_10x = "), "{broken:?}");
+    }
+
+    #[test]
     fn a_missing_sweep_point_is_named() {
-        let key = "mutation_path/engine_commit_8k";
-        let broken = gate(&baseline_with("benches", key, None)).expect("parses");
-        assert_eq!(broken, [format!("benches/{key}: missing")]);
+        let key = "engine_commit_us_4x";
+        let broken = baseline_with(set(key, None));
+        assert_eq!(broken, [format!("{key}: missing or not a number")]);
     }
 
     #[test]
     fn malformed_documents_are_typed_errors_and_wrong_shapes_fail_every_bar() {
-        for text in ["", "{\"speedups\": {", "not json\nnor this"] {
+        for text in ["", "{\"mutation\": {", "not json\nnor this"] {
             assert!(gate(text).is_err(), "{text:?}");
         }
-        for text in ["[]", "{\"speedups\": 3, \"benches\": []}"] {
+        for text in [
+            "[]",
+            "{\"mutation\": 3}",
+            "{\"speedups\": {}, \"benches\": {}}",
+        ] {
             assert_eq!(gate(text).expect("parses").len(), 4 + 15, "{text}");
         }
     }

@@ -10,7 +10,7 @@
 //! a drop in precision.
 
 use lshe_bench::{report, workload, Args};
-use lshe_core::PartitionStrategy;
+use lshe_core::{PartitionStrategy, Unranked};
 use lshe_datagen::{sample_queries, SizeBand};
 
 fn main() {
@@ -63,7 +63,7 @@ fn main() {
         let std_dev = partitioning.member_count_std_dev();
         let ens = workload::build_ensemble(&world.catalog, &world.signatures, strategy);
         let sweep = workload::accuracy_sweep(
-            &[&ens],
+            &[&Unranked(&ens)],
             &world,
             &world.signatures,
             &queries,

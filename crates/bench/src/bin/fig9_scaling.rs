@@ -11,7 +11,7 @@
 //! `lshe split` + `lshe cluster`, checked by `tests/cluster_conformance.rs`.
 
 use lshe_bench::{report, workload, Args};
-use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, Unranked};
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
 use rand::rngs::StdRng;
@@ -73,7 +73,7 @@ fn main() {
                 for &q in &queries {
                     let query =
                         Query::threshold(&corpus.signatures[q], t_star).with_size(corpus.sizes[q]);
-                    found += index
+                    found += Unranked(&index)
                         .search(&query)
                         .expect("valid threshold query")
                         .hits

@@ -2,6 +2,15 @@
 //! stop-the-world rebuild (compact, O(corpus)) across a 10× corpus sweep —
 //! the numbers behind `BENCH_mutation.json`.
 //!
+//! ```text
+//! cargo run --release -p lshe-bench --bin mutation_path > mutation.out
+//! cargo run --release -p lshe-bench --bin bench_gate -- mutation.out
+//! ```
+//!
+//! Two TSV tables, then one JSON document on the last line,
+//! `{"mutation": {"params", "metrics"}}`, that `bench_gate` holds to its
+//! mutation bars.
+//!
 //! Each sweep point streams a WDC-like corpus into a ranked
 //! `IndexContainer`, makes one delta batch (inserts plus removals of
 //! earlier live inserts), and times the paths that can absorb it:
@@ -19,7 +28,7 @@
 //!   sketches. This is exactly what every commit used to pay, now run off
 //!   the commit path (background merger, `lshe compact`).
 //!
-//! The bars `bench_gate` checks derive from the sweep: seal and
+//! The bars `bench_gate` checks are ratios over the sweep: seal and
 //! engine-commit latency must stay flat (≤2× from the smallest to the 10×
 //! corpus — they only depend on the delta), while the rebuild must grow
 //! with the corpus (≥4× across the sweep, i.e. visibly linear), proving the
@@ -33,10 +42,15 @@
 
 use lshe_bench::{report, workload, Args};
 use lshe_core::Leveled;
+use lshe_corpus::Json;
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::MinHasher;
 use lshe_serve::container::{DeltaOp, DomainRecord, IndexContainer};
 use lshe_serve::Engine;
+
+/// The sweep's corpus sizes, as multiples of `--domains`: the gated
+/// ratios are taken at 10×, and 20× extends the sweep past them.
+const SWEEP: [f64; 5] = [1.0, 2.0, 4.0, 10.0, 20.0];
 
 /// One delta batch: `batch` inserts of fresh synthetic domains and
 /// `batch / 4` removals of live ids from the previous round, so sealing
@@ -135,6 +149,7 @@ fn main() {
     let repeats = args.get_usize("repeats", 5);
     let partitions = args.get_usize("partitions", 16);
     let seed = args.get_u64("seed", 42);
+    let churn_commits = args.get_usize("churn_commits", 48);
 
     report::banner(
         "mutation_path",
@@ -158,7 +173,7 @@ fn main() {
     let mut seal_us = Vec::new();
     let mut rebuild_us = Vec::new();
     let mut engine_us = Vec::new();
-    for mult in [1.0f64, 2.0, 4.0, 10.0, 20.0] {
+    for mult in SWEEP {
         let domains = (base as f64 * mult).round() as usize;
         let mut config = CorpusConfig::wdc_web_tables_like(domains);
         config.seed = seed;
@@ -166,23 +181,24 @@ fn main() {
             IndexContainer::from_stream(CorpusStream::new(config), partitions, true);
         let hasher = MinHasher::new(container.num_perm());
 
+        // Each phase keeps its fastest repeat, the one the machine disturbed
+        // least: a preempted repeat moves the mean of five, not the minimum.
         // Seal phase: each repeat makes a fresh delta and times ONLY the
         // commit — cost must track the delta, never the corpus.
         let mut previous: Vec<u32> = Vec::new();
-        let mut seal_total = 0.0;
+        let mut seal = f64::INFINITY;
         for _ in 0..repeats {
             let (ops, live) = staged_batch(&hasher, container.next_id(), batch, &previous);
             let (report, secs) = workload::timed(|| container.commit(&ops));
             let report = report.expect("commit delta");
             assert!(report.sealed, "commit must seal a non-empty delta");
-            seal_total += secs;
+            seal = seal.min(secs);
             previous = live;
         }
-        let seal = seal_total / repeats as f64;
 
         // Rebuild phase: commit another delta, then time the fold — the
         // old commit path, expected to scale with the corpus.
-        let mut rebuild_total = 0.0;
+        let mut rebuild = f64::INFINITY;
         for _ in 0..repeats {
             let (ops, live) = staged_batch(&hasher, container.next_id(), batch, &previous);
             container.commit(&ops).expect("commit delta");
@@ -193,15 +209,14 @@ fn main() {
                 (0, 0),
                 "compaction must drain segments and tombstones"
             );
-            rebuild_total += secs;
+            rebuild = rebuild.min(secs);
             previous = live;
         }
-        let rebuild = rebuild_total / repeats as f64;
 
         // Engine phase: the same delta staged on an engine serving the
         // container, timing the whole commit — clone, apply, seal, swap.
         let engine = Engine::from_container(container);
-        let mut engine_total = 0.0;
+        let mut engine_commit = f64::INFINITY;
         for _ in 0..repeats {
             let (ops, live) = staged_batch(&hasher, engine.next_id(), batch, &previous);
             for op in ops {
@@ -222,10 +237,9 @@ fn main() {
             let ((_, outcome), secs) =
                 workload::timed(|| engine.commit_staged().expect("engine commit"));
             assert!(outcome.report.sealed, "commit must seal a non-empty delta");
-            engine_total += secs;
+            engine_commit = engine_commit.min(secs);
             previous = live;
         }
-        let engine_commit = engine_total / repeats as f64;
 
         let us = |s: f64| format!("{:.1}", s * 1e6);
         report::row(&[
@@ -239,43 +253,53 @@ fn main() {
         engine_us.push(engine_commit * 1e6);
     }
 
-    // The gated ratios stay anchored at the 10× point (index 3); the 20×
-    // point extends the sweep past the gated range and gets its own
-    // ungated ratios.
-    let seal_flatness = seal_us[3] / seal_us[0];
-    let rebuild_growth = rebuild_us[3] / rebuild_us[0];
-    let rebuild_over_seal = rebuild_us[3] / seal_us[3];
-    println!("# seal_flatness_10x = {}", report::f2(seal_flatness));
-    println!(
-        "# engine_commit_flatness_10x = {}",
-        report::f2(engine_us[3] / engine_us[0])
-    );
-    println!("# rebuild_growth_10x = {}", report::f2(rebuild_growth));
-    println!(
-        "# rebuild_over_seal_at_10x = {}",
-        report::f2(rebuild_over_seal)
-    );
-    println!(
-        "# seal_flatness_20x = {}",
-        report::f2(seal_us.last().expect("sweep") / seal_us[0])
-    );
-    println!(
-        "# rebuild_growth_20x = {}",
-        report::f2(rebuild_us.last().expect("sweep") / rebuild_us[0])
-    );
-
     // Write amplification at the 10× (20k-domain) sweep point: entries the
     // leveled merges rewrite per entry the churn inserted.
-    let churn_commits = args.get_usize("churn_commits", 48);
     let churn_domains = (base as f64 * 10.0).round() as usize;
     println!();
     report::header(&["merges", "entries_folded"]);
     let (folded, merges) =
         churn_fold_entries(churn_domains, partitions, seed, batch, churn_commits);
     report::row(&[merges.to_string(), folded.to_string()]);
-    println!("# leveled_fold_entries_20k = {folded}");
-    println!(
-        "# leveled_write_amp_20k = {}",
-        report::f2(folded as f64 / (churn_commits * batch) as f64)
-    );
+
+    // The gated ratios stay anchored at the 10× point (index 3); the 20×
+    // point extends the sweep past the gated range and gets its own
+    // ungated ratios.
+    let (writes, inserted) = (folded as f64, (churn_commits * batch) as f64);
+    let numbers = [
+        ("seal_flatness_10x", seal_us[3] / seal_us[0]),
+        ("engine_commit_flatness_10x", engine_us[3] / engine_us[0]),
+        ("rebuild_growth_10x", rebuild_us[3] / rebuild_us[0]),
+        ("rebuild_over_seal_at_10x", rebuild_us[3] / seal_us[3]),
+        ("seal_flatness_20x", seal_us[4] / seal_us[0]),
+        ("rebuild_growth_20x", rebuild_us[4] / rebuild_us[0]),
+        ("leveled_merges_20k", merges as f64),
+        ("leveled_fold_entries_20k", writes),
+        ("leveled_write_amp_20k", writes / inserted),
+    ];
+    let mut metrics: Vec<(String, Json)> = numbers
+        .iter()
+        .map(|&(name, value)| (name.to_owned(), Json::num(value)))
+        .collect();
+    let series = [
+        ("commit_seal_us", seal_us),
+        ("compact_rebuild_us", rebuild_us),
+        ("engine_commit_us", engine_us),
+    ];
+    for (name, us) in series {
+        for (mult, us) in SWEEP.iter().zip(us) {
+            let us = Json::num((us * 10.0).round() / 10.0);
+            metrics.push((format!("{name}_{mult}x"), us));
+        }
+    }
+    let params = Json::obj(vec![
+        ("base_domains", Json::uint(base as u64)),
+        ("batch", Json::uint(batch as u64)),
+        ("repeats", Json::uint(repeats as u64)),
+        ("partitions", Json::uint(partitions as u64)),
+        ("seed", Json::uint(seed)),
+        ("churn_commits", Json::uint(churn_commits as u64)),
+    ]);
+    let mutation = Json::obj(vec![("params", params), ("metrics", Json::Obj(metrics))]);
+    println!("{}", Json::obj(vec![("mutation", mutation)]));
 }

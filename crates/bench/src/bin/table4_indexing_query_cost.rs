@@ -11,7 +11,7 @@
 //! at 262M domains, a ~6–15× speedup from partitioning + selectivity.
 
 use lshe_bench::{report, workload, Args};
-use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, Unranked};
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
 use rand::rngs::StdRng;
@@ -88,7 +88,7 @@ fn main() {
             for &q in &queries {
                 let query =
                     Query::threshold(&corpus.signatures[q], t_star).with_size(corpus.sizes[q]);
-                total_candidates += index
+                total_candidates += Unranked(&index)
                     .search(&query)
                     .expect("valid threshold query")
                     .hits

@@ -1,6 +1,6 @@
 //! Union/rank merge of per-shard query answers.
 //!
-//! Each shard returns its hits already ranked the way `RankedIndex`
+//! Each shard returns its hits already ranked the way `LshEnsemble`
 //! ranks them: containment estimate descending, id ascending among
 //! ties. Every shard applies the same estimator to the same signatures,
 //! so the global order is exactly the merge of the per-shard orders,

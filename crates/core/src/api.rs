@@ -6,9 +6,9 @@
 //! rules. This module gives the workspace the same shape: a typed
 //! [`Query`] (signature + size + [`QueryMode`]) goes in, a
 //! [`SearchOutcome`] (hits + optional containment estimates + per-query
-//! [`QueryStats`]) comes out, and every index — the ensemble, its ranked
-//! and mapped variants, the baselines, and the exact ground-truth engine
-//! — answers through the same [`DomainIndex`] trait.
+//! [`QueryStats`]) comes out, and every index — the ensemble, its mapped
+//! variant, its unranked view and the other baselines, and the exact
+//! ground-truth engine — answers through the same [`DomainIndex`] trait.
 //!
 //! Because the trait is object safe, callers that must pick a backend at
 //! runtime (the server's snapshot engine, the CLI, the experiment
@@ -44,7 +44,7 @@ use std::time::Instant;
 /// Slack applied when pruning candidates by *estimated* containment:
 /// estimates are noisy at roughly ±1/√m, so candidates whose estimate
 /// falls just below the threshold are kept rather than dropped. Shared by
-/// [`RankedIndex`](crate::RankedIndex) and the serve layer.
+/// [`LshEnsemble`](crate::LshEnsemble)'s search and the serve layer.
 pub const ESTIMATE_SLACK: f64 = 0.1;
 
 /// What a query asks for: everything past a containment threshold, or the
@@ -194,7 +194,7 @@ impl<'a> Query<'a> {
     }
 }
 
-/// One op of a batch [`RankedIndex::commit`](crate::RankedIndex::commit)
+/// One op of a batch [`LshEnsemble::commit`](crate::LshEnsemble::commit)
 /// applies: ops take effect in batch order, so a remove may cancel an
 /// insert earlier in the same batch, and an insert may re-use an id a
 /// remove earlier in it freed.
@@ -233,8 +233,8 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// What one [`RankedIndex::commit`](crate::RankedIndex::commit) or
-/// [`RankedIndex::compact`](crate::RankedIndex::compact) did.
+/// What one [`LshEnsemble::commit`](crate::LshEnsemble::commit) or
+/// [`LshEnsemble::compact`](crate::LshEnsemble::compact) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommitReport {
     /// Inserts this commit sealed into a segment: the batch's inserts
@@ -243,7 +243,7 @@ pub struct CommitReport {
     /// Whether the commit sealed a segment (`merged > 0`).
     pub sealed: bool,
     /// Sealed segments outstanding afterwards (0 right after
-    /// [`RankedIndex::compact`](crate::RankedIndex::compact)).
+    /// [`LshEnsemble::compact`](crate::LshEnsemble::compact)).
     pub segments: usize,
     /// Tombstoned ids outstanding afterwards.
     pub tombstones: usize,
@@ -612,9 +612,9 @@ mod tests {
         assert_eq!(out.stats.partitions_probed, 1);
         assert!(out.stats.candidates >= out.stats.survivors);
         assert_eq!(out.stats.survivors, out.hits.len());
-        // Top-k is unsupported without sketches.
+        // Top-k is unsupported on the unranked view.
         assert!(matches!(
-            idx.search(&Query::top_k(sig, 3).with_size(*size)),
+            crate::Unranked(&idx).search(&Query::top_k(sig, 3).with_size(*size)),
             Err(QueryError::Unsupported(_))
         ));
     }

@@ -7,6 +7,8 @@
 //! > is used to convert containment threshold to Jaccard similarity
 //! > threshold as described in Section 5.1."
 //!
+//! * [`Unranked`] — an ensemble's raw candidate set (Algorithm 1), neither
+//!   ranked nor pruned: the form the paper measures every index in.
 //! * [`baseline_minhash_lsh`] — the *MinHash LSH baseline*: exactly an LSH
 //!   Ensemble with a single partition (global upper bound, dynamic tuning).
 //! * [`AsymIndex`] — *Asymmetric Minwise Hashing*: signatures padded to the
@@ -17,13 +19,61 @@
 use crate::api::{
     outcome, unranked, DomainIndex, ProbeCounts, Query, QueryError, QueryMode, SearchOutcome,
 };
-use crate::ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder};
+use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder};
 use crate::partition::{PartitionStrategy, Partitioning};
+use crate::pipeline::ReadPath;
 use crate::tuning::Tuner;
 use lshe_asym::{pad_signature, PaddingSampler};
 use lshe_lsh::{DomainId, LshForest};
 use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::Signature;
+
+/// An ensemble's answers as the paper measures them (Algorithm 1): the
+/// sorted candidate set of [`LshEnsemble::query_with_size`], with no
+/// estimate, no rank and no prune. The ensemble's own [`DomainIndex`] impl
+/// ranks and prunes; this view is how the §6.1 accuracy rows and the
+/// candidate-recall tests read the raw set. Top-k is unsupported.
+#[derive(Debug, Clone, Copy)]
+pub struct Unranked<'a>(pub &'a LshEnsemble);
+
+impl Unranked<'_> {
+    fn read_path(&self) -> ReadPath<'_, &EnsemblePartition, ()> {
+        ReadPath {
+            tiers: self.0.tiers(),
+            sketches: None,
+        }
+    }
+}
+
+impl DomainIndex for Unranked<'_> {
+    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
+        self.read_path().search(query)
+    }
+
+    fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
+        self.read_path().search_batch(queries)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.0.memory_bytes()
+    }
+
+    fn mapped_bytes(&self) -> usize {
+        self.0.mapped_bytes()
+    }
+
+    fn id_map_bytes(&self) -> usize {
+        self.0.id_map_bytes()
+    }
+
+    fn describe(&self) -> String {
+        self.0.describe()
+    }
+}
 
 /// Builds the paper's MinHash LSH baseline: a single-partition ensemble.
 /// The only difference from a partitioned ensemble is that the threshold
@@ -195,7 +245,7 @@ impl DomainIndex for AsymIndex {
         query.validate_for(self.num_perm)?;
         let QueryMode::Threshold(t_star) = query.mode() else {
             return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use a RankedIndex".into(),
+                "top-k needs retained sketches; use an LshEnsemble".into(),
             ));
         };
         let started = std::time::Instant::now();
@@ -352,7 +402,7 @@ impl DomainIndex for AsymPartitionedIndex {
         query.validate_for(self.num_perm)?;
         let QueryMode::Threshold(t_star) = query.mode() else {
             return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use a RankedIndex".into(),
+                "top-k needs retained sketches; use an LshEnsemble".into(),
             ));
         };
         let started = std::time::Instant::now();

@@ -8,13 +8,12 @@
 //! FP+FN mass for the partition's upper bound — and the per-partition
 //! candidate sets are unioned (`Partitioned-Containment-Search`, §5.1).
 
-use crate::api::{
-    CommitReport, DomainIndex, Mutation, MutationError, Query, QueryError, SearchOutcome,
-};
+use crate::api::{CommitReport, Mutation, MutationError};
 use crate::batch::ThresholdItem;
 use crate::directory::Directory;
+use crate::maintenance::{MergeOutcome, MergeTask, SegmentLayout};
 use crate::partition::{Partition, PartitionStrategy};
-use crate::pipeline::{Probe, ReadPath, Sketches, Tiers};
+use crate::pipeline::{Probe, Sketches, Tiers};
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest, Row, RowBuf, RowLanes};
 use lshe_minhash::codec::Column;
@@ -122,7 +121,7 @@ impl LshEnsembleBuilder {
     /// partition, in parallel (at most one lane per core).
     ///
     /// # Panics
-    /// Panics if the builder is empty.
+    /// Panics if the builder is empty or an id was staged twice.
     #[must_use]
     pub fn build(self) -> LshEnsemble {
         LshEnsemble::build_from_parts(self.config, &self.ids, &self.sizes, &self.signatures)
@@ -399,19 +398,21 @@ pub struct PartitionStats {
     pub count: usize,
 }
 
-/// The LSH Ensemble index.
+/// The LSH Ensemble index: threshold and top-k search, ranked by
+/// estimated containment ([`crate::ranked`]), and the workspace's one
+/// mutable index (§6.2 dynamic data).
 ///
 /// Each domain's signature is resident once, as a row of the forest of the
-/// partition it lives in; the id map says which forest and row, so an index
-/// that ranks reads the candidate's lanes — and its size — from there.
+/// partition it lives in; the id map says which forest and row, so a
+/// ranked search reads the candidate's lanes — and its size — from there.
 ///
-/// The tiers a [`crate::RankedIndex`] mutates through — LSM-style: a
-/// commit seals a batch's inserts into an immutable segment in O(batch)
-/// and turns its removes into tombstones filtered out of every candidate
-/// union, and a compaction builds a new base from the live rows
-/// (`rebuilt`). An index changes only there: nothing is staged in it.
-/// Those steps are crate-private: a plain ensemble is built, queried and
-/// persisted.
+/// It mutates LSM-style, and only at [`commit`](Self::commit): a commit
+/// seals a batch's inserts into an immutable segment in O(batch) and turns
+/// its removes into tombstones filtered out of every candidate union;
+/// [`apply_merge`](Self::apply_merge) folds segments together, and
+/// [`compact`](Self::compact) builds a new base from the live rows. Nothing
+/// is staged in the index; batching ops up is its caller's business (the
+/// server's engine).
 ///
 /// The base partitions, the sealed segments, the base part of the id map
 /// and the tuner are immutable and shared: a clone copies pointers to them
@@ -462,7 +463,7 @@ impl LshEnsemble {
     ///
     /// # Panics
     /// Panics if the arrays are empty or their lengths differ, on invalid
-    /// configuration, or on zero sizes / width mismatches.
+    /// configuration, on zero sizes / width mismatches, or on a repeated id.
     #[must_use]
     pub fn build_from_parts<S: RowLanes + Sync>(
         config: EnsembleConfig,
@@ -619,17 +620,6 @@ impl LshEnsemble {
         self.partitions.iter().map(|p| p.mapped_bytes()).sum()
     }
 
-    /// The rows' share of [`mapped_bytes`](Self::mapped_bytes) — of
-    /// [`sketch_memory_bytes`](Self::sketch_memory_bytes), that is: ids,
-    /// lanes and sizes.
-    #[must_use]
-    pub fn sketch_mapped_bytes(&self) -> usize {
-        let parts = self.partitions.iter();
-        parts
-            .map(|p| p.forest.mapped_table_bytes() + p.sizes.mapped_bytes())
-            .sum()
-    }
-
     /// The part of [`memory_bytes`](Self::memory_bytes) that is rows: every
     /// row's id, lanes and size, without the tree columns.
     #[must_use]
@@ -672,9 +662,10 @@ impl LshEnsemble {
         }
     }
 
-    /// Every live domain as an entry triple, sorted by id — the
-    /// deterministic bulk view rebuilds and shard splits start from.
-    pub(crate) fn live_entries(&self) -> Vec<Entry<'_>> {
+    /// Every retained sketch as `(id, size, stored row)`, sorted by id —
+    /// the deterministic bulk view rebuilds and shard splits start from.
+    #[must_use]
+    pub fn sketch_entries(&self) -> Vec<Entry<'_>> {
         let mut out: Vec<Entry<'_>> = self
             .ids
             .iter()
@@ -682,25 +673,6 @@ impl LshEnsemble {
             .collect();
         out.sort_unstable_by_key(|&(id, _, _)| id);
         out
-    }
-
-    /// A fresh build over the live rows, sharing this index's tuner — the
-    /// one compaction: segments folded in, tombstoned rows gone, the
-    /// equi-depth layout of a build of the live corpus. An empty index
-    /// rebuilds to a base of no partitions.
-    pub(crate) fn rebuilt(&self) -> Self {
-        let entries = self.live_entries();
-        let tuner = Arc::clone(&self.tuner);
-        if entries.is_empty() {
-            return Self::over_base(self.config, tuner, Vec::new());
-        }
-        let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
-        let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-        let rows: Vec<Row<'_>> = entries.iter().map(|&(_, _, row)| row).collect();
-        Self {
-            tuner,
-            ..Self::build_from_parts(self.config, &ids, &sizes, &rows)
-        }
     }
 
     /// This index's sweepable partitions for the shared read path, in
@@ -719,18 +691,12 @@ impl LshEnsemble {
         }
     }
 
-    fn read_path(&self) -> ReadPath<'_, &EnsemblePartition, ()> {
-        ReadPath {
-            tiers: self.tiers(),
-            sketches: None,
-        }
-    }
-
     /// Containment search (Algorithm 1 + `Partitioned-Containment-Search`)
     /// with a caller-supplied exact query size: the sorted ids of candidate
-    /// domains `X` with `t(Q, X) ⪆ t_star`. The panicking convenience over
-    /// [`DomainIndex::search`], which reports the same conditions as typed
-    /// errors and also returns the probe counters.
+    /// domains `X` with `t(Q, X) ⪆ t_star`, unranked and unpruned. The
+    /// panicking convenience over [`Unranked`](crate::baselines::Unranked)'s
+    /// search, which reports the same conditions as typed errors and also
+    /// returns the probe counters.
     ///
     /// # Panics
     /// Panics if `query_size == 0`, the threshold is out of range, or the
@@ -756,13 +722,33 @@ impl LshEnsemble {
         self.ids.get(id).is_some()
     }
 
-    /// [`crate::RankedIndex::commit`]: the kept inserts are
-    /// equi-depth-partitioned on their own and sealed, in batch order, into
-    /// one new segment; each removed committed row becomes a tombstone,
-    /// filtered out of its tier's candidates until a compaction. Partition
-    /// bounds stay as they are: a too-wide upper bound only makes threshold
-    /// conversion more conservative, never less correct.
-    pub(crate) fn commit(&mut self, batch: &[Mutation<'_>]) -> Result<CommitReport, MutationError> {
+    /// The retained sketch of a domain, if indexed: its cardinality and
+    /// its signature as the forest row that indexes it.
+    #[must_use]
+    pub fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)> {
+        let (slot, row) = self.ids.get(id)?;
+        let part = self.partition_at(slot);
+        Some((part.sizes[row as usize], part.forest.row(row as usize)))
+    }
+
+    /// Applies `batch` in order as one step: validates every op first —
+    /// a remove may cancel an insert earlier in the batch, and an insert
+    /// may re-use an id a remove earlier in it freed — then seals the
+    /// inserts left standing, in batch order, into one immutable segment
+    /// (O(batch), never O(corpus): the base is not touched; the segment is
+    /// partitioned on its own) and tombstones the removed domains, filtered
+    /// out of their tier's candidates until [`compact`](Self::compact). An
+    /// empty batch changes nothing. Partition bounds stay as they are: a
+    /// too-wide upper bound only makes threshold conversion more
+    /// conservative, never less correct.
+    ///
+    /// # Errors
+    /// The first op that does not apply, and then the index is unchanged:
+    /// [`MutationError::DuplicateId`] for an insert of a live id,
+    /// [`MutationError::UnknownId`] for a remove of an id that is not live,
+    /// [`MutationError::Invalid`] for a zero size or a signature width
+    /// mismatch.
+    pub fn commit(&mut self, batch: &[Mutation<'_>]) -> Result<CommitReport, MutationError> {
         let (inserts, removes) = self.net_effect(batch)?;
         for &id in &removes {
             let (slot, _) = self
@@ -831,9 +817,51 @@ impl LshEnsemble {
         Ok((inserts.into_iter().flatten().collect(), removes))
     }
 
-    /// The tier layout [`crate::Leveled::plan`] plans against.
-    pub(crate) fn segment_layout(&self) -> crate::SegmentLayout {
-        crate::SegmentLayout {
+    /// Rebuilds the equi-depth base from the live rows — segments folded
+    /// in, tombstoned rows erased, the layout a fresh build of the current
+    /// corpus has, sharing this index's tuner — the one O(corpus) step, off
+    /// the commit path. Every live entry is rewritten; an emptied index
+    /// becomes a base of no partitions.
+    pub fn compact(&mut self) -> CommitReport {
+        // The rows are read out of the old index until the new one is
+        // whole; only then is it swapped in.
+        let entries = self.sketch_entries();
+        let tuner = Arc::clone(&self.tuner);
+        *self = if entries.is_empty() {
+            Self::over_base(self.config, tuner, Vec::new())
+        } else {
+            let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
+            let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
+            let rows: Vec<Row<'_>> = entries.iter().map(|&(_, _, row)| row).collect();
+            let rebuilt = Self::build_from_parts(self.config, &ids, &sizes, &rows);
+            Self { tuner, ..rebuilt }
+        };
+        CommitReport {
+            entries_folded: self.len,
+            ..CommitReport::default()
+        }
+    }
+
+    /// Executes one planned [`MergeTask`]: [`MergeTask::Merge`] folds only
+    /// the listed segments into one new sealed segment (O(folded entries),
+    /// base untouched), [`MergeTask::Full`] is [`compact`](Self::compact).
+    pub fn apply_merge(&mut self, task: &MergeTask) -> MergeOutcome {
+        let entries_folded = match task {
+            MergeTask::Merge(segments) => self.merge_segments(segments),
+            MergeTask::Full => self.compact().entries_folded,
+        };
+        MergeOutcome {
+            entries_folded,
+            segments: self.segments.len(),
+            tombstones: self.dead.len(),
+        }
+    }
+
+    /// The tier layout [`crate::Leveled::plan`] plans against: per-segment
+    /// entry counts plus the tombstone backlog.
+    #[must_use]
+    pub fn segment_layout(&self) -> SegmentLayout {
+        SegmentLayout {
             segments: self.segments.iter().map(|s| s.len()).collect(),
             tombstones: self.dead.len(),
             len: self.len,
@@ -1024,53 +1052,15 @@ impl LshEnsemble {
 
 impl Sketches for LshEnsemble {
     fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)> {
-        let (slot, row) = self.ids.get(id)?;
-        let part = self.partition_at(slot);
-        Some((part.sizes[row as usize], part.forest.row(row as usize)))
-    }
-}
-
-impl DomainIndex for LshEnsemble {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        self.read_path().search(query)
-    }
-
-    fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        self.read_path().search_batch(queries)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn memory_bytes(&self) -> usize {
-        LshEnsemble::memory_bytes(self)
-    }
-
-    fn mapped_bytes(&self) -> usize {
-        LshEnsemble::mapped_bytes(self)
-    }
-
-    fn id_map_bytes(&self) -> usize {
-        LshEnsemble::id_map_bytes(self)
-    }
-
-    fn describe(&self) -> String {
-        match self.config.strategy {
-            PartitionStrategy::Single => "MinHash LSH (baseline)".to_owned(),
-            PartitionStrategy::EquiDepth { n } => format!("LSH Ensemble ({n})"),
-            PartitionStrategy::EquiWidth { n } => format!("LSH Ensemble equi-width ({n})"),
-            PartitionStrategy::Morph { n, lambda } => {
-                format!("LSH Ensemble morph ({n}, λ={lambda:.2})")
-            }
-            PartitionStrategy::EquiFp { n } => format!("LSH Ensemble equi-FP ({n})"),
-        }
+        LshEnsemble::sketch(self, id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{DomainIndex, Query};
+    use crate::baselines::Unranked;
     use lshe_minhash::MinHasher;
 
     /// Builds a small corpus of nested domains: domain k holds the first
@@ -1151,7 +1141,8 @@ mod tests {
             let (_, size, sig, _) = &entries[k];
             for t in [0.1, 0.5, 0.9] {
                 let query = Query::threshold(sig, t).with_size(*size);
-                let par = ens.search(&query.with_parallel(true)).expect("search");
+                let par = Unranked(&ens).search(&query.with_parallel(true));
+                let par = par.expect("search");
                 assert_eq!(ens.query_with_size(sig, *size, t), par.ids(), "k={k} t={t}");
             }
         }
@@ -1162,7 +1153,7 @@ mod tests {
         let (_, entries) = nested_corpus(256, 30);
         let ens = build_default(&entries, 8);
         let (_, size, sig, _) = &entries[10];
-        let est = ens
+        let est = Unranked(&ens)
             .search(&Query::threshold(sig, 0.8))
             .expect("search")
             .ids();
@@ -1347,7 +1338,7 @@ mod tests {
         let after = ens.tuner.cache_len();
         assert!((populated..=populated + 1).contains(&after), "{after}");
         // A rebuild keeps the memo too.
-        let copy = copy.rebuilt();
+        copy.compact();
         assert!(Arc::ptr_eq(&ens.tuner, &copy.tuner));
         assert!(copy.tuner.cache_len() >= after);
     }
@@ -1439,6 +1430,17 @@ mod tests {
     #[should_panic(expected = "cannot build an empty ensemble")]
     fn empty_build_rejected() {
         let _ = LshEnsemble::builder().build();
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate domain id")]
+    fn duplicate_id_rejected() {
+        let h = MinHasher::new(256);
+        let mut b = LshEnsemble::builder();
+        let sig = h.signature(MinHasher::synthetic_values(1, 10));
+        b.add(1, 10, sig.clone());
+        b.add(1, 10, sig);
+        let _ = b.build();
     }
 
     #[test]

@@ -51,16 +51,18 @@
 //!
 //! ## Dynamic data, baselines and deployment
 //!
-//! * [`ranked`] — [`RankedIndex`], the one mutable index (§6.2). It changes
-//!   only at `commit`, which takes one ordered batch of [`Mutation`]s and
-//!   applies it whole or not at all: the inserts sealed into a segment in
-//!   O(batch), the removes tombstoned. `compact` rebuilds the equi-depth
-//!   base from the live rows; [`maintenance`] plans when segments merge.
-//!   A plain [`LshEnsemble`] is built, queried and persisted, never
-//!   mutated.
+//! * [`ranked`] — [`LshEnsemble`]'s [`DomainIndex`] impl: candidates
+//!   ranked by estimated containment and pruned, and top-k search (§2).
+//! * One index type, also the one mutable index (§6.2): an
+//!   [`LshEnsemble`] changes only at [`LshEnsemble::commit`], which takes
+//!   one ordered batch of [`Mutation`]s and applies it whole or not at
+//!   all: the inserts sealed into a segment in O(batch), the removes
+//!   tombstoned. [`LshEnsemble::compact`] rebuilds the equi-depth base
+//!   from the live rows; [`maintenance`] plans when segments merge.
 //! * [`baselines`] — the paper's comparison points under identical rules:
-//!   single-partition MinHash LSH and Asymmetric Minwise Hashing (global
-//!   and per-partition padding).
+//!   the unranked candidate set ([`Unranked`]), single-partition MinHash
+//!   LSH and Asymmetric Minwise Hashing (global and per-partition
+//!   padding).
 //! * The paper's 5-node cluster (§6.3) is not a type here: `lshe split`
 //!   writes one `.lshe` per node and `lshe cluster` fans queries out to
 //!   the shard servers and unions their answers (`lshe-cluster`).
@@ -89,12 +91,14 @@ pub use api::{
     CommitReport, DomainIndex, Mutation, MutationError, Query, QueryError, QueryMode, QueryStats,
     SearchHit, SearchOutcome, ESTIMATE_SLACK,
 };
-pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex};
+pub use baselines::{
+    baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex, Unranked,
+};
 pub use directory::position_of;
 pub use ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
 pub use lshe_lsh::{Layout, Row, RowBuf};
 pub use maintenance::{Leveled, MergeOutcome, MergeTask, SegmentLayout, MAX_TOMBSTONE_RATIO};
-pub use mmap::{pack_ranked, pack_ranked_to, pack_ranked_with, MmapIndex, MmapIndexError};
+pub use mmap::{pack_ranked_to, pack_ranked_with, MmapIndex, MmapIndexError};
 pub use partition::{Partition, PartitionStrategy, Partitioning};
-pub use ranked::{RankedHit, RankedIndex, RankedIndexBuilder};
+pub use ranked::{RankedHit, RankedIndex};
 pub use tuning::{TunedParams, Tuner};

@@ -12,7 +12,7 @@
 //!
 //! The serving layer's maintenance thread observes the [`SegmentLayout`],
 //! plans with [`Leveled::plan`], executes each [`MergeTask`] via
-//! [`RankedIndex::apply_merge`](crate::RankedIndex::apply_merge), and
+//! [`LshEnsemble::apply_merge`](crate::LshEnsemble::apply_merge), and
 //! re-plans until quiescent.
 
 /// Hard ceiling on modelled levels — `level0_entries · fanout^32`

@@ -1,6 +1,6 @@
 //! The memory-mapped index backend: `DomainIndex` over a v2 store file.
 //!
-//! [`pack_ranked`] streams a committed [`RankedIndex`] into an
+//! [`pack_ranked_with`] streams an [`LshEnsemble`] into an
 //! `lshe-store` v2 container — partition bounds, the base rows' sketches
 //! (one table, ascending id: 32-bit heads and 16-bit tails as the forests
 //! hold them) and the forest tree columns that index it (the low 16 bits
@@ -15,8 +15,8 @@
 //!
 //! The backend answers through the same `pipeline` module as the heap
 //! indexes — it only supplies the mapped partition and sketch views — so
-//! candidate sets, probe counters, estimates, and ordering match a
-//! `RankedIndex` over the same corpus by construction.
+//! candidate sets, probe counters, estimates, and ordering match the
+//! [`LshEnsemble`] it was packed from by construction.
 //!
 //! No server opens this format: `lshe serve` serves the `.lshe` container,
 //! itself mapped in place. The packed file is a library artifact that the
@@ -25,9 +25,7 @@
 use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
 use crate::directory::Directory;
 use crate::ensemble::{segment_units, DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
-use crate::partition::PartitionStrategy;
 use crate::pipeline::{Probe, ReadPath, Sketches, Tiers};
-use crate::ranked::RankedIndex;
 use crate::tuning::Tuner;
 use lshe_lsh::forest::{check_tree, probe_trees, Rows, BLOCK};
 use lshe_lsh::{DomainId, Layout, Row};
@@ -80,29 +78,19 @@ impl From<StoreError> for MmapIndexError {
 
 // ----------------------------------------------------------------- packing
 
-/// Streams a [`RankedIndex`] into `packer` as the index
-/// sections of a v2 store (meta, partition bounds/lens, tree columns,
-/// sketches, segments). The caller owns the packer and calls
+/// Streams an [`LshEnsemble`] into `packer` as the index sections of a v2
+/// store (meta, partition bounds/lens, tree columns, sketches, segments),
+/// with an id-allocator high-water mark recorded at the end of the
+/// `Segments` section. The caller owns the packer and calls
 /// [`Packer::finish`].
 ///
 /// # Errors
 /// Propagates write failure.
-pub fn pack_ranked(index: &RankedIndex, packer: &mut Packer) -> std::io::Result<()> {
-    pack_ranked_with(index, packer, index.ensemble().min_next_id())
-}
-
-/// [`pack_ranked`] with an explicit id-allocator high-water mark, recorded
-/// at the end of the `Segments` section. Layers that own an allocator
-/// pass their mark; [`pack_ranked`] falls back to the ensemble's own floor.
-///
-/// # Errors
-/// Propagates write failure.
 pub fn pack_ranked_with(
-    index: &RankedIndex,
+    ensemble: &LshEnsemble,
     packer: &mut Packer,
     next_id: u32,
 ) -> std::io::Result<()> {
-    let ensemble = index.ensemble();
     let config = *ensemble.config();
     let base = ensemble.base_partitions();
 
@@ -203,14 +191,15 @@ pub fn pack_ranked_with(
     Ok(())
 }
 
-/// Packs a [`RankedIndex`] into a standalone v2 store file (index
-/// sections only — no domain records) and finishes it.
+/// Packs an [`LshEnsemble`] into a standalone v2 store file (index
+/// sections only — no domain records, the ensemble's own id floor as the
+/// allocator mark) and finishes it.
 ///
 /// # Errors
 /// Propagates file I/O failure.
-pub fn pack_ranked_to(index: &RankedIndex, path: impl AsRef<Path>) -> std::io::Result<()> {
+pub fn pack_ranked_to(index: &LshEnsemble, path: impl AsRef<Path>) -> std::io::Result<()> {
     let mut packer = Packer::create(path)?;
-    pack_ranked(index, &mut packer)?;
+    pack_ranked_with(index, &mut packer, index.min_next_id())?;
     packer.finish()
 }
 
@@ -630,15 +619,7 @@ impl DomainIndex for MmapIndex {
     }
 
     fn describe(&self) -> String {
-        let base = match self.config.strategy {
-            PartitionStrategy::Single => "MinHash LSH (baseline)".to_owned(),
-            PartitionStrategy::EquiDepth { n } => format!("LSH Ensemble ({n})"),
-            PartitionStrategy::EquiWidth { n } => format!("LSH Ensemble equi-width ({n})"),
-            PartitionStrategy::Morph { n, lambda } => {
-                format!("LSH Ensemble morph ({n}, λ={lambda:.2})")
-            }
-            PartitionStrategy::EquiFp { n } => format!("LSH Ensemble equi-FP ({n})"),
-        };
+        let base = crate::ranked::describe_strategy(self.config.strategy);
         format!("Mmap Ranked {base}")
     }
 }
@@ -647,31 +628,12 @@ impl DomainIndex for MmapIndex {
 mod tests {
     use super::*;
     use crate::api::{QueryStats, SearchHit};
+    use crate::partition::PartitionStrategy;
+    use crate::ranked::tests::index as sample;
     use lshe_minhash::MinHasher;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("lshe_mmap_idx_{name}_{}.v2", std::process::id()))
-    }
-
-    /// Nested pool corpus mirroring the ranked tests.
-    fn sample(n: usize) -> (MinHasher, RankedIndex, Vec<Vec<u64>>) {
-        let h = MinHasher::new(256);
-        let pool = MinHasher::synthetic_values(3, 30 * n);
-        let mut b = RankedIndex::builder_with(EnsembleConfig {
-            strategy: PartitionStrategy::EquiDepth { n: 4 },
-            ..EnsembleConfig::default()
-        });
-        let mut values = Vec::new();
-        for k in 0..n {
-            let vals: Vec<u64> = pool[..30 * (k + 1)].to_vec();
-            b.add(
-                k as u32,
-                vals.len() as u64,
-                h.signature(vals.iter().copied()),
-            );
-            values.push(vals);
-        }
-        (h, b.build(), values)
     }
 
     fn strip_wall(mut o: SearchOutcome) -> (Vec<SearchHit>, QueryStats) {
@@ -686,10 +648,7 @@ mod tests {
         pack_ranked_to(&ranked, &path).expect("pack");
         let mapped = MmapIndex::open_verified(&path).expect("open");
         assert_eq!(mapped.len(), ranked.len());
-        assert_eq!(
-            mapped.partition_stats(),
-            ranked.ensemble().partition_stats()
-        );
+        assert_eq!(mapped.partition_stats(), ranked.partition_stats());
         for k in [0usize, 5, 11, 23] {
             let sig = h.signature(values[k].iter().copied());
             let size = values[k].len() as u64;
@@ -747,7 +706,7 @@ mod tests {
         assert_eq!((tail.segments, tail.tombstones), (layout.segments, 3));
         assert_eq!(
             mapped.partition_stats(),
-            ranked.ensemble().partition_stats(),
+            ranked.partition_stats(),
             "overlay partitions must replay bit-identically"
         );
         for k in [0usize, 5, 11, 23] {
@@ -879,7 +838,7 @@ mod tests {
         let clean = tmp("structure_clean");
         pack_ranked_to(&ranked, &clean).expect("pack");
         // Partition 0's first tree is entries `0..6`.
-        assert_eq!(ranked.ensemble().partition_stats()[0].count, 6);
+        assert_eq!(ranked.partition_stats()[0].count, 6);
         type Damage = fn(&mut [u16], &mut [u32]);
         let cases: [(&str, Damage, &str); 3] = [
             (
@@ -927,7 +886,7 @@ mod tests {
         // equal, so only the permutation check can tell the trees from
         // the rows they should index.
         let sig = h.signature(values[0].iter().copied());
-        let mut twins = RankedIndex::builder_with(EnsembleConfig {
+        let mut twins = LshEnsemble::builder_with(EnsembleConfig {
             strategy: PartitionStrategy::EquiDepth { n: 2 },
             ..EnsembleConfig::default()
         });
@@ -993,9 +952,9 @@ mod tests {
         // The heap backend retains a sketch and its forest rows per domain;
         // the mapped backend must be orders of magnitude below that.
         assert!(
-            heap * 10 < RankedIndex::memory_bytes(&ranked),
+            heap * 10 < LshEnsemble::memory_bytes(&ranked),
             "mapped heap {heap} not small vs {}",
-            RankedIndex::memory_bytes(&ranked)
+            LshEnsemble::memory_bytes(&ranked)
         );
         std::fs::remove_file(&path).ok();
     }

@@ -393,25 +393,6 @@ impl LshEnsemble {
         }
         Ok(ensemble)
     }
-
-    /// Writes the serialised ensemble to a file.
-    ///
-    /// # Errors
-    /// Propagates I/O errors.
-    pub fn save_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Reads an ensemble from a file written by [`save_to`](Self::save_to).
-    ///
-    /// # Errors
-    /// I/O errors, or [`CodecError`] (wrapped as `InvalidData`) on corrupt
-    /// content.
-    pub fn load_from(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-    }
 }
 
 #[cfg(test)]
@@ -503,7 +484,8 @@ mod tests {
         assert_eq!(restored.num_partitions(), ens.num_partitions());
 
         // Rebuilt, it is a base of no partitions, and round-trips as one.
-        let mut empty = ens.rebuilt();
+        let mut empty = ens.clone();
+        empty.compact();
         assert_eq!((empty.len(), empty.num_partitions()), (0, 0));
         let bytes = empty.to_bytes();
         let restored = LshEnsemble::from_bytes(&bytes).expect("decode no partitions");
@@ -516,32 +498,9 @@ mod tests {
         let insert = Mutation::Insert(40, 30, &fresh);
         empty.commit(&[insert]).expect("insert");
         assert!(empty.query_with_size(&fresh, 30, 1.0).contains(&40));
-        let rebuilt = empty.rebuilt();
-        assert_eq!((rebuilt.len(), rebuilt.num_partitions()), (1, 1));
-        assert!(rebuilt.query_with_size(&fresh, 30, 1.0).contains(&40));
-    }
-
-    #[test]
-    fn save_load_file_roundtrip() {
-        let (_, ens, entries) = sample_ensemble(15);
-        let path = std::env::temp_dir().join("lshe_persist_test.idx");
-        ens.save_to(&path).expect("write");
-        let restored = LshEnsemble::load_from(&path).expect("read");
-        let (_, size, sig) = &entries[3];
-        assert_eq!(
-            ens.query_with_size(sig, *size, 0.5),
-            restored.query_with_size(sig, *size, 0.5)
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn corrupt_file_is_invalid_data() {
-        let path = std::env::temp_dir().join("lshe_persist_corrupt.idx");
-        std::fs::write(&path, b"not an index").expect("write");
-        let err = LshEnsemble::load_from(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).ok();
+        empty.compact();
+        assert_eq!((empty.len(), empty.num_partitions()), (1, 1));
+        assert!(empty.query_with_size(&fresh, 30, 1.0).contains(&40));
     }
 
     #[test]

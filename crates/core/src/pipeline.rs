@@ -298,7 +298,7 @@ impl<P: Probe, S: Sketches> ReadPath<'_, P, S> {
     fn top_k(&self, query: &Query<'_>, k: usize) -> Result<SearchOutcome, QueryError> {
         let Some(sketches) = self.sketches else {
             return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use a RankedIndex".into(),
+                "top-k needs ranked search; query the LshEnsemble itself".into(),
             ));
         };
         let started = Instant::now();

@@ -3,13 +3,14 @@
 //! §2 of the paper notes that the threshold and top-k formulations of
 //! domain search are "closely related and complementary": thresholds suit
 //! join discovery, but exploratory users often want *the k best domains*
-//! regardless of score. [`RankedIndex`] layers both over the ensemble by
-//! reading each candidate's signature and cardinality back out of the
+//! regardless of score. [`LshEnsemble`]'s [`DomainIndex`] impl answers both
+//! by reading each candidate's signature and cardinality back out of the
 //! forest row that indexes it, which lets it
 //!
 //! * rank candidates by their **estimated containment**
-//!   (`t̂ = (x/q + 1)·ŝ/(1 + ŝ)`, Eq. 6) instead of returning an unordered
-//!   candidate set, and
+//!   (`t̂ = (x/q + 1)·ŝ/(1 + ŝ)`, Eq. 6) and prune those below
+//!   `t* − ESTIMATE_SLACK`, instead of returning an unordered candidate
+//!   set, and
 //! * answer top-k queries by descending through thresholds until enough
 //!   candidates accumulate — reusing the tuned threshold machinery instead
 //!   of scanning the corpus.
@@ -17,88 +18,22 @@
 //! The signature is resident once — the forests index a row table (each
 //! tree's first key lane at 32 bits, the others at 16: `4·b_max +
 //! 2·(m − b_max)` bytes a domain) instead of holding the lanes again — and
-//! every partition of the [`LshEnsemble`] keeps its rows' cardinalities
-//! beside it, so ranking stores nothing of its own.
-//!
-//! [`RankedIndex`] is also the workspace's one mutable index (§6.2 dynamic
-//! data), and it changes only at [`commit`](RankedIndex::commit): one
-//! ordered batch of inserts and removes, validated whole and then applied
-//! whole — the inserts sealed into a segment in O(batch), the removes
-//! tombstoned — or, on any error, not at all. Nothing is staged in the
-//! index; batching ops up is its caller's business (the server's engine).
-//! [`compact`](RankedIndex::compact) rebuilds the equi-depth base from the
-//! live rows — exactly the layout a fresh build of the corpus has.
+//! every partition keeps its rows' cardinalities beside it, so ranking
+//! stores nothing of its own. The paper's unranked candidate set
+//! (Algorithm 1) stays [`LshEnsemble::query_with_size`], and
+//! [`Unranked`](crate::baselines::Unranked) serves it through the trait.
 
-use crate::api::{
-    CommitReport, DomainIndex, Mutation, MutationError, Query, QueryError, SearchOutcome,
-};
-use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder};
-use crate::maintenance::{MergeOutcome, MergeTask, SegmentLayout};
-use crate::pipeline::{ReadPath, Sketches};
-use lshe_lsh::{DomainId, Row};
-use lshe_minhash::hash::FastHashSet;
+use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
+use crate::ensemble::{EnsemblePartition, LshEnsemble};
+use crate::partition::PartitionStrategy;
+use crate::pipeline::ReadPath;
+use lshe_lsh::DomainId;
 use lshe_minhash::Signature;
 
-/// A containment-search index that can rank its answers, and the one that
-/// mutates: an [`LshEnsemble`] (whose every partition keeps its rows'
-/// cardinalities) driven through its sealing and merge steps.
-#[derive(Debug, Clone)]
-pub struct RankedIndex {
-    ensemble: LshEnsemble,
-}
-
-/// Builder for [`RankedIndex`].
-#[derive(Debug)]
-pub struct RankedIndexBuilder {
-    /// The one owner of every staged signature until `build` copies them
-    /// into the forests' rows.
-    inner: LshEnsembleBuilder,
-    seen: FastHashSet<DomainId>,
-}
-
-impl RankedIndexBuilder {
-    /// Creates a builder with the given ensemble configuration.
-    #[must_use]
-    pub fn new(config: EnsembleConfig) -> Self {
-        Self {
-            inner: LshEnsembleBuilder::new(config),
-            seen: FastHashSet::default(),
-        }
-    }
-
-    /// Stages a domain.
-    ///
-    /// # Panics
-    /// Panics on zero size, width mismatch, or a duplicate id (ranking
-    /// requires ids to be unique).
-    pub fn add(&mut self, id: DomainId, size: u64, signature: Signature) {
-        assert!(self.seen.insert(id), "duplicate domain id {id}");
-        self.inner.add(id, size, signature);
-    }
-
-    /// Number of staged domains.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// True if nothing is staged.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
-    /// Builds the index.
-    ///
-    /// # Panics
-    /// Panics if the builder is empty.
-    #[must_use]
-    pub fn build(self) -> RankedIndex {
-        RankedIndex {
-            ensemble: self.inner.build(),
-        }
-    }
-}
+/// The ensemble under its old ranked-wrapper name, which `perfbench` still
+/// uses. ROADMAP item 2, the benchmark change, deletes it.
+#[doc(hidden)]
+pub type RankedIndex = LshEnsemble;
 
 /// One ranked answer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,131 +44,13 @@ pub struct RankedHit {
     pub estimated_containment: f64,
 }
 
-impl RankedIndex {
-    /// A builder with the default configuration.
+impl LshEnsemble {
+    /// The index itself, which `perfbench` still asks for. ROADMAP item 2,
+    /// the benchmark change, deletes it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn builder() -> RankedIndexBuilder {
-        RankedIndexBuilder::new(EnsembleConfig::default())
-    }
-
-    /// A builder with an explicit configuration.
-    #[must_use]
-    pub fn builder_with(config: EnsembleConfig) -> RankedIndexBuilder {
-        RankedIndexBuilder::new(config)
-    }
-
-    /// Number of indexed domains.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ensemble.len()
-    }
-
-    /// True if nothing is indexed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.ensemble.is_empty()
-    }
-
-    /// The underlying ensemble (for stats and unranked queries).
-    #[must_use]
-    pub fn ensemble(&self) -> &LshEnsemble {
-        &self.ensemble
-    }
-
-    /// The retained sketch of a domain, if indexed: its cardinality and
-    /// its signature as the forest row that indexes it.
-    #[must_use]
-    pub fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)> {
-        self.ensemble.sketch(id)
-    }
-
-    /// Every retained sketch as `(id, size, stored row)`, sorted by id —
-    /// the deterministic bulk view `split_with` builds shards from.
-    #[must_use]
-    pub fn sketch_entries(&self) -> Vec<(DomainId, u64, Row<'_>)> {
-        self.ensemble.live_entries()
-    }
-
-    /// Approximate heap memory of the retained sketches alone (each row's
-    /// id, lanes and size), in bytes — a part of
-    /// [`memory_bytes`](Self::memory_bytes), not an addition to it.
-    #[must_use]
-    pub fn sketch_memory_bytes(&self) -> usize {
-        self.ensemble.sketch_memory_bytes()
-    }
-
-    /// Approximate heap memory of the whole index: the ensemble, whose row
-    /// tables *are* the sketches.
-    #[must_use]
-    pub fn memory_bytes(&self) -> usize {
-        self.ensemble.memory_bytes()
-    }
-
-    /// Makes a ranked index of an ensemble, decoded or built — the
-    /// persistence and shard-split paths.
-    #[must_use]
-    pub fn from_ensemble(ensemble: LshEnsemble) -> Self {
-        Self { ensemble }
-    }
-
-    /// True if `id` is currently indexed.
-    #[must_use]
-    pub fn contains(&self, id: DomainId) -> bool {
-        self.ensemble.contains(id)
-    }
-
-    /// Applies `batch` in order as one step: validates every op first —
-    /// a remove may cancel an insert earlier in the batch, and an insert
-    /// may re-use an id a remove earlier in it freed — then seals the
-    /// inserts left standing, in batch order, into one immutable segment
-    /// (O(batch), never O(corpus): the base is not touched) and tombstones
-    /// the removed domains until [`compact`](Self::compact). An empty batch
-    /// changes nothing.
-    ///
-    /// # Errors
-    /// The first op that does not apply, and then the index is unchanged:
-    /// [`MutationError::DuplicateId`] for an insert of a live id,
-    /// [`MutationError::UnknownId`] for a remove of an id that is not live,
-    /// [`MutationError::Invalid`] for a zero size or a signature width
-    /// mismatch.
-    pub fn commit(&mut self, batch: &[Mutation<'_>]) -> Result<CommitReport, MutationError> {
-        self.ensemble.commit(batch)
-    }
-
-    /// Rebuilds the equi-depth base from the live rows — segments folded
-    /// in, tombstoned rows erased, the layout a fresh build of the current
-    /// corpus has — the one O(corpus) step, off the commit path. Every
-    /// live entry is rewritten.
-    pub fn compact(&mut self) -> CommitReport {
-        // The rows are read out of the old ensemble until the new one is
-        // whole; only then is it swapped in.
-        self.ensemble = self.ensemble.rebuilt();
-        CommitReport {
-            entries_folded: self.ensemble.len(),
-            ..CommitReport::default()
-        }
-    }
-
-    /// The tier layout [`crate::Leveled::plan`] plans against: per-segment
-    /// entry counts plus the tombstone backlog.
-    #[must_use]
-    pub fn segment_layout(&self) -> SegmentLayout {
-        self.ensemble.segment_layout()
-    }
-
-    /// Executes one planned [`MergeTask`]: [`MergeTask::Merge`] folds only
-    /// the listed segments into one new sealed segment (O(folded entries),
-    /// base untouched), [`MergeTask::Full`] is [`compact`](Self::compact).
-    pub fn apply_merge(&mut self, task: &MergeTask) -> MergeOutcome {
-        let entries_folded = match task {
-            MergeTask::Merge(segments) => self.ensemble.merge_segments(segments),
-            MergeTask::Full => self.compact().entries_folded,
-        };
-        MergeOutcome {
-            entries_folded,
-            segments: self.ensemble.raw_segments().len(),
-            tombstones: self.ensemble.raw_dead().len(),
-        }
+    pub fn ensemble(&self) -> &Self {
+        self
     }
 
     /// Ranks arbitrary candidate ids by estimated containment (descending,
@@ -249,18 +66,18 @@ impl RankedIndex {
         signature: &Signature,
         query_size: u64,
     ) -> Vec<RankedHit> {
-        crate::pipeline::rank(&self.ensemble, candidates, signature, query_size)
+        crate::pipeline::rank(self, candidates, signature, query_size)
     }
 
-    fn read_path(&self) -> ReadPath<'_, &EnsemblePartition, LshEnsemble> {
+    fn read_path(&self) -> ReadPath<'_, &EnsemblePartition, Self> {
         ReadPath {
-            tiers: self.ensemble.tiers(),
-            sketches: Some(&self.ensemble),
+            tiers: self.tiers(),
+            sketches: Some(self),
         }
     }
 }
 
-impl DomainIndex for RankedIndex {
+impl DomainIndex for LshEnsemble {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
         self.read_path().search(query)
     }
@@ -270,23 +87,36 @@ impl DomainIndex for RankedIndex {
     }
 
     fn len(&self) -> usize {
-        self.ensemble.len()
+        LshEnsemble::len(self)
     }
 
     fn memory_bytes(&self) -> usize {
-        RankedIndex::memory_bytes(self)
+        LshEnsemble::memory_bytes(self)
     }
 
     fn mapped_bytes(&self) -> usize {
-        self.ensemble.mapped_bytes()
+        LshEnsemble::mapped_bytes(self)
     }
 
     fn id_map_bytes(&self) -> usize {
-        self.ensemble.id_map_bytes()
+        LshEnsemble::id_map_bytes(self)
     }
 
     fn describe(&self) -> String {
-        format!("Ranked {}", DomainIndex::describe(&self.ensemble))
+        describe_strategy(self.config().strategy)
+    }
+}
+
+/// The series label of an ensemble partitioned by `strategy`.
+pub(crate) fn describe_strategy(strategy: PartitionStrategy) -> String {
+    match strategy {
+        PartitionStrategy::Single => "MinHash LSH (baseline)".to_owned(),
+        PartitionStrategy::EquiDepth { n } => format!("LSH Ensemble ({n})"),
+        PartitionStrategy::EquiWidth { n } => format!("LSH Ensemble equi-width ({n})"),
+        PartitionStrategy::Morph { n, lambda } => {
+            format!("LSH Ensemble morph ({n}, λ={lambda:.2})")
+        }
+        PartitionStrategy::EquiFp { n } => format!("LSH Ensemble equi-FP ({n})"),
     }
 }
 
@@ -319,14 +149,15 @@ pub(crate) fn merge_unique(a: &[DomainId], b: &[DomainId]) -> Vec<DomainId> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::partition::PartitionStrategy;
+    use crate::api::{Mutation, MutationError};
+    use crate::ensemble::EnsembleConfig;
     use lshe_minhash::MinHasher;
 
     /// Nested pool corpus: domain k holds the first 30·(k+1) pool values.
-    fn index(n: usize) -> (MinHasher, RankedIndex, Vec<Vec<u64>>) {
+    pub(crate) fn index(n: usize) -> (MinHasher, LshEnsemble, Vec<Vec<u64>>) {
         let h = MinHasher::new(256);
         let pool = MinHasher::synthetic_values(3, 30 * n);
-        let mut b = RankedIndex::builder_with(EnsembleConfig {
+        let mut b = LshEnsemble::builder_with(EnsembleConfig {
             strategy: PartitionStrategy::EquiDepth { n: 4 },
             ..EnsembleConfig::default()
         });
@@ -344,7 +175,7 @@ pub(crate) mod tests {
     }
 
     /// The ranked hits of one search.
-    fn ranked_hits(idx: &RankedIndex, query: Query<'_>) -> Vec<RankedHit> {
+    fn ranked_hits(idx: &LshEnsemble, query: Query<'_>) -> Vec<RankedHit> {
         let outcome = idx.search(&query).expect("search");
         let ranked = |h: &crate::SearchHit| RankedHit {
             id: h.id,
@@ -481,14 +312,14 @@ pub(crate) mod tests {
     /// content of the same size (so a fresh build of the final corpus
     /// partitions identically), in one committed batch. Returns the
     /// mutated index, that fresh build, and id 3's old sketch.
-    pub(crate) fn reinserted() -> (RankedIndex, RankedIndex, Signature) {
+    pub(crate) fn reinserted() -> (LshEnsemble, LshEnsemble, Signature) {
         let (h, mut idx, values) = index(12);
         let size = values[3].len() as u64;
         let old = h.signature(values[3].iter().copied());
         let new = h.signature(MinHasher::synthetic_values(777, values[3].len()));
         let batch = [Mutation::Remove(3), Mutation::Insert(3, size, &new)];
         idx.commit(&batch).expect("remove and re-insert");
-        let mut fresh = RankedIndex::builder_with(*idx.ensemble().config());
+        let mut fresh = LshEnsemble::builder_with(*idx.config());
         for (k, vals) in values.iter().enumerate() {
             let sig = if k == 3 {
                 new.clone()
@@ -520,7 +351,7 @@ pub(crate) mod tests {
         let (h, mut idx, _) = index(12);
         let fresh = h.signature(MinHasher::synthetic_values(55, 40));
         let narrow = MinHasher::new(64).signature([1u64, 2]);
-        let before = idx.ensemble().to_bytes();
+        let before = idx.to_bytes();
         // Each good op is one the index would take alone.
         let good = [Mutation::Remove(2), Mutation::Insert(900, 40, &fresh)];
         let width = "op 2: signature width mismatch: domain has 64, index expects 256";
@@ -537,10 +368,7 @@ pub(crate) mod tests {
             ),
         ] {
             assert_eq!(idx.commit(&[good[0], good[1], bad]), Err(want));
-            assert!(
-                idx.ensemble().to_bytes() == before,
-                "a refused batch left a trace"
-            );
+            assert!(idx.to_bytes() == before, "a refused batch left a trace");
             assert!(idx.contains(2) && !idx.contains(900));
         }
         let report = idx.commit(&good).expect("the good ops alone");
@@ -552,17 +380,14 @@ pub(crate) mod tests {
         let (h, mut idx, _) = index(12);
         let a = h.signature(MinHasher::synthetic_values(61, 40));
         let b = h.signature(MinHasher::synthetic_values(62, 50));
-        let before = idx.ensemble().to_bytes();
+        let before = idx.to_bytes();
         let (insert, remove) = (Mutation::Insert(900, 40, &a), Mutation::Remove(900));
         let report = idx.commit(&[insert, remove]).expect("insert then remove");
         assert_eq!(
             (report.merged, report.sealed, report.segments),
             (0, false, 0)
         );
-        assert!(
-            idx.ensemble().to_bytes() == before,
-            "a cancelled insert left a trace"
-        );
+        assert!(idx.to_bytes() == before, "a cancelled insert left a trace");
         // Beside a kept insert, the cancelled one is not in the segment.
         let batch = [insert, Mutation::Insert(901, 50, &b), remove];
         let report = idx.commit(&batch).expect("one kept insert");
@@ -570,8 +395,8 @@ pub(crate) mod tests {
             (report.merged, report.segments, report.tombstones),
             (1, 1, 0)
         );
-        let stats = idx.ensemble().partition_stats();
-        let sealed = &stats[idx.ensemble().num_partitions()..];
+        let stats = idx.partition_stats();
+        let sealed = &stats[idx.num_partitions()..];
         assert_eq!(sealed.iter().map(|p| p.count).sum::<usize>(), 1);
         assert!(!idx.contains(900) && idx.contains(901));
     }
@@ -590,9 +415,9 @@ pub(crate) mod tests {
             .map(|(id, sig)| Mutation::Insert(id, 10, sig))
             .collect();
         // The base's partitions lead the stats; segment partitions follow.
-        let base = |idx: &RankedIndex| -> Vec<usize> {
-            let stats = idx.ensemble().partition_stats();
-            let base = &stats[..idx.ensemble().num_partitions()];
+        let base = |idx: &LshEnsemble| -> Vec<usize> {
+            let stats = idx.partition_stats();
+            let base = &stats[..idx.num_partitions()];
             base.iter().map(|p| p.count).collect()
         };
         let base_before = base(&idx);
@@ -607,7 +432,7 @@ pub(crate) mod tests {
         assert_eq!(folded.entries_folded, 80, "compaction rewrites every entry");
         assert_eq!((folded.segments, folded.tombstones), (0, 0));
         assert_eq!(base(&idx).iter().sum::<usize>(), 80);
-        assert_eq!(idx.ensemble().partition_stats().len(), 4);
+        assert_eq!(idx.partition_stats().len(), 4);
         // Everything is still queryable after the fold.
         for i in [1_000u32, 1_031, 1_063] {
             let vals = MinHasher::synthetic_values(9_000 + u64::from(i - 1_000), 10);
@@ -619,16 +444,6 @@ pub(crate) mod tests {
                 "domain {i} lost in compaction"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate domain id")]
-    fn duplicate_id_rejected() {
-        let h = MinHasher::new(256);
-        let mut b = RankedIndex::builder();
-        let sig = h.signature(MinHasher::synthetic_values(1, 10));
-        b.add(1, 10, sig.clone());
-        b.add(1, 10, sig);
     }
 
     #[test]

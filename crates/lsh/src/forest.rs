@@ -906,14 +906,7 @@ impl LshForest {
     pub fn mapped_bytes(&self) -> usize {
         let trees = self.trees.iter();
         let trees = trees.map(|t| t.entries.mapped_bytes());
-        self.mapped_table_bytes() + trees.sum::<usize>()
-    }
-
-    /// The row table's share of [`mapped_bytes`](Self::mapped_bytes): ids
-    /// and lanes, without the tree columns.
-    #[must_use]
-    pub fn mapped_table_bytes(&self) -> usize {
-        self.ids.mapped_bytes() + self.words.mapped_bytes()
+        self.ids.mapped_bytes() + self.words.mapped_bytes() + trees.sum::<usize>()
     }
 
     /// True if every bulk column — ids, rows, both of each tree — is a view
@@ -1053,26 +1046,85 @@ mod tests {
     }
 
     #[test]
-    fn forest_matches_static_lsh_at_full_params() {
-        // At (b, r) = (b_max, r_max) the forest answers the same buckets as
-        // a static banded LSH over the same lanes.
+    fn forest_matches_banded_lsh_at_full_params() {
+        // At (b, r) = (b_max, r_max) a domain is a candidate iff some band
+        // of r lanes — tree t's, [t·r, (t+1)·r) — equals the query's: the
+        // banded definition (§3.2), written out here as the oracle. A row
+        // keeps each head at 32 bits and narrows its tails, so the forest
+        // answers exactly the oracle over stored lanes, and every id the
+        // oracle over whole lanes names.
         let h = MinHasher::new(256);
-        let domains: Vec<(DomainId, Vec<u64>)> = (0..80)
-            .map(|i| (i, MinHasher::synthetic_values(3000 + u64::from(i), 120)))
+        let base = MinHasher::synthetic_values(3000, 200);
+        let domains: Vec<(DomainId, Vec<u64>)> = (0..80u32)
+            .map(|i| {
+                let mut v = base[..5 * (i as usize / 2)].to_vec();
+                v.extend(MinHasher::synthetic_values(
+                    4000 + u64::from(i),
+                    200 - v.len(),
+                ));
+                (i, v)
+            })
             .collect();
         let f = forest_with(&h, &domains, true);
-        let mut s = crate::MinHashLsh::new(32, 8);
-        for (id, vals) in &domains {
-            s.insert(*id, &h.signature(vals.iter().copied()));
+        let sigs: Vec<Signature> = domains
+            .iter()
+            .map(|(_, v)| h.signature(v.clone()))
+            .collect();
+        let stored = |i: usize, lane: u32| match i % 8 {
+            0 => lane,
+            _ => u32::from(lshe_minhash::narrow_lane(lane)),
+        };
+        let banded = |q: &Signature, lane: &dyn Fn(usize, u32) -> u32| -> Vec<DomainId> {
+            let equal = |x: &Signature, i: usize| lane(i, q.slots()[i]) == lane(i, x.slots()[i]);
+            let hit = |x: &Signature| (0..32).any(|t| (t * 8..t * 8 + 8).all(|i| equal(x, i)));
+            (0..)
+                .zip(&sigs)
+                .filter(|(_, x)| hit(x))
+                .map(|(id, _)| id)
+                .collect()
+        };
+        let queries = sigs.iter().step_by(8).cloned();
+        for q in queries.chain([h.signature(base.iter().copied())]) {
+            let from_forest = f.query(&q, 32, 8);
+            assert_eq!(from_forest, banded(&q, &stored));
+            let from_whole = banded(&q, &|_, lane| lane);
+            assert!(from_whole.iter().all(|id| from_forest.contains(id)));
         }
-        for (_, vals) in domains.iter().take(10) {
-            let sig = h.signature(vals.iter().copied());
-            let from_forest = f.query(&sig, 32, 8);
-            let from_static = s.query(&sig);
-            for id in from_static {
-                assert!(from_forest.contains(&id));
+        let q = h.signature(base.iter().copied());
+        assert!(banded(&q, &|_, lane| lane).len() > 10, "too few collisions");
+    }
+
+    #[test]
+    fn empirical_collision_curve_matches_eq5() {
+        // Many (query, domain) pairs at a controlled Jaccard: the measured
+        // candidate rate at full (b, r) matches Eq. 5 within noise.
+        let (b, r) = (16, 8);
+        let h = MinHasher::new(b * r);
+        let target_s = 0.7f64;
+        let n_pairs = 300;
+        let mut hits = 0usize;
+        for i in 0..n_pairs {
+            // |A| = |B| = 400, overlap o chosen so o/(800-o) = s ⇒
+            // o = 800·s/(1+s); each side adds 400 − o private values.
+            let o = (800.0 * target_s / (1.0 + target_s)).round() as usize;
+            let shared = MinHasher::synthetic_values(1000 + i, o);
+            let ax = MinHasher::synthetic_values(5000 + i, 400 - o);
+            let bx = MinHasher::synthetic_values(9000 + i, 400 - o);
+            let a: Vec<u64> = shared.iter().chain(ax.iter()).copied().collect();
+            let bvals: Vec<u64> = shared.iter().chain(bx.iter()).copied().collect();
+            let mut f = LshForest::new(b, r);
+            f.insert(0, &h.signature(a));
+            f.commit();
+            if f.query(&h.signature(bvals), b, r).contains(&0) {
+                hits += 1;
             }
         }
+        let measured = hits as f64 / n_pairs as f64;
+        let expected = crate::candidate_probability(target_s, b as u32, r as u32);
+        assert!(
+            (measured - expected).abs() < 0.12,
+            "measured {measured}, Eq.5 predicts {expected}"
+        );
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! # lshe-lsh
 //!
-//! Locality Sensitive Hashing indexes over MinHash signatures, the substrate
+//! Locality Sensitive Hashing over MinHash signatures, the substrate
 //! beneath the LSH Ensemble (§3.2 and §5.5 of the paper):
 //!
-//! * [`static_lsh::MinHashLsh`] — the classic banded index with a fixed
-//!   `(b, r)` configuration and therefore a fixed implicit Jaccard threshold
-//!   `s* ≈ (1/b)^(1/r)` (Eq. 21). Used by ablations and as a reference in
-//!   tests.
+//! * [`candidate_probability`] and [`implicit_threshold`] — the classic
+//!   banded scheme's collision curve `P(s) = 1 − (1 − s^r)^b` (Eq. 5) and
+//!   the implicit Jaccard threshold `s* ≈ (1/b)^(1/r)` of a fixed `(b, r)`
+//!   (Eq. 21).
 //! * [`forest::LshForest`] — the dynamic index (LSH Forest, Bawa et al.):
 //!   `b_max` prefix trees of depth `r_max`, with the *effective* `(b, r)`
-//!   chosen per query. This is what each LSH Ensemble partition uses so the
-//!   Jaccard threshold can vary with the query (§5.5).
+//!   chosen per query. At `(b_max, r_max)` it answers exactly as a banded
+//!   index of `b_max` bands of `r_max` lanes. This is what each LSH
+//!   Ensemble partition uses so the Jaccard threshold can vary with the
+//!   query (§5.5).
 //!
-//! Both indexes return **candidate sets**: supersets-with-errors of the true
+//! The forest returns **candidate sets**: supersets-with-errors of the true
 //! similarity neighbourhood, to be post-filtered or consumed as-is depending
 //! on the application (the paper's evaluation consumes them as-is).
 
@@ -21,10 +23,8 @@
 
 pub mod forest;
 pub mod persist;
-pub mod static_lsh;
 
 pub use forest::{Layout, LshForest, Row, RowBuf, RowLanes};
-pub use static_lsh::MinHashLsh;
 
 /// Identifier of an indexed domain.
 ///

@@ -8,7 +8,7 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`minhash`] | `lshe-minhash` | hashing, permutations, MinHash signatures |
-//! | [`lsh`] | `lshe-lsh` | static banded LSH and dynamic LSH Forest |
+//! | [`lsh`] | `lshe-lsh` | the banding curve (Eq. 5) and dynamic LSH Forest |
 //! | [`asym`] | `lshe-asym` | asymmetric minwise-hashing baseline (§6.1) |
 //! | [`core`] | `lshe-core` | the ensemble: partitioning, tuning, querying |
 //! | [`corpus`] | `lshe-corpus` | CSV/JSONL ingestion, catalogs, exact baselines |
@@ -24,13 +24,13 @@
 //! ## Quick example
 //!
 //! ```
-//! use lshe::{DomainIndex, MinHasher, Query, RankedIndex};
+//! use lshe::{DomainIndex, LshEnsemble, MinHasher, Query};
 //!
-//! // Index three nested domains (id, exact size, MinHash signature),
-//! // retaining sketches so estimates and top-k work.
+//! // Index three nested domains (id, exact size, MinHash signature). The
+//! // forest rows are the retained sketches, so estimates and top-k work.
 //! let hasher = MinHasher::new(256);
 //! let pool = MinHasher::synthetic_values(1, 300);
-//! let mut builder = RankedIndex::builder();
+//! let mut builder = LshEnsemble::builder();
 //! for (id, n) in [(0u32, 100usize), (1, 200), (2, 300)] {
 //!     builder.add(id, n as u64, hasher.signature(pool[..n].iter().copied()));
 //! }
@@ -67,7 +67,7 @@ pub use lshe_serve as serve;
 
 pub use lshe_core::{
     CommitReport, DomainIndex, EnsembleConfig, LshEnsemble, Mutation, MutationError,
-    PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit,
+    PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, SearchHit,
     SearchOutcome, ESTIMATE_SLACK,
 };
 pub use lshe_corpus::{Catalog, Domain, ExactIndex};

@@ -24,7 +24,7 @@
 //! file written in one go, so the columns read together are stored
 //! together, in front of the partitions few queries reach.
 //!
-//! Every container stores and serves a [`RankedIndex`], which needs nothing
+//! Every container stores and serves an [`LshEnsemble`], which needs nothing
 //! beyond the ensemble and the records: every signature is in the ensemble
 //! once, as the forest row that indexes it — each tree's first key lane at
 //! 32 bits, the other lanes at 16 — with its cardinality beside it in its
@@ -60,7 +60,7 @@ use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
     position_of, CommitReport, DomainIndex, EnsembleConfig, Layout, LshEnsemble, Mutation,
-    MutationError, PartitionStrategy, Query, RankedIndex, Row,
+    MutationError, PartitionStrategy, Query, Row,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
@@ -106,7 +106,7 @@ pub struct IndexContainer {
     len: usize,
     /// Shared behind an `Arc`, so [`open_index`](Self::open_index) hands
     /// out trait objects without cloning forests or sketches.
-    index: Arc<RankedIndex>,
+    index: Arc<LshEnsemble>,
     num_perm: usize,
     /// Id allocator high-water mark: one past the largest id ever issued,
     /// monotone across removals (a removed id is never re-issued, so a
@@ -160,7 +160,7 @@ impl IndexContainer {
     }
 
     /// A container over a new base; `next_id` is raised past the base's ids.
-    fn over_base(base: RecordTable, index: RankedIndex, num_perm: usize, next_id: u32) -> Self {
+    fn over_base(base: RecordTable, index: LshEnsemble, num_perm: usize, next_id: u32) -> Self {
         Self {
             len: base.len(),
             next_id: next_id.max(base.high_water()),
@@ -263,8 +263,7 @@ impl IndexContainer {
             .flat_map(|arena| arena.chunks_exact(words))
             .map(|row| Row::new(layout, row).expect("`words` words a row"))
             .collect();
-        let ensemble = LshEnsemble::build_from_parts(config, &ids, &sizes, &rows);
-        let index = RankedIndex::from_ensemble(ensemble);
+        let index = LshEnsemble::build_from_parts(config, &ids, &sizes, &rows);
         Self::over_base(records, index, hasher.num_perm(), 0)
     }
 
@@ -287,11 +286,6 @@ impl IndexContainer {
         self.len == 0
     }
 
-    /// The ensemble inside the ranked index.
-    fn ensemble(&self) -> &LshEnsemble {
-        self.index.ensemble()
-    }
-
     /// Opens the stored index behind the unified query surface. Cheap
     /// (clones an `Arc`): the returned handle shares the container's
     /// forests and sketches.
@@ -309,7 +303,7 @@ impl IndexContainer {
             },
             // A shard's forests take the stored rows as they are, so they
             // keep the dimensions the rows were laid out for.
-            ..*self.ensemble().config()
+            ..*self.index.config()
         }
     }
 
@@ -371,15 +365,14 @@ impl IndexContainer {
                     let pushed = records.push(id, record.table, record.column);
                     pushed.expect("the sketch ids ascend, their names fit the parent's");
                 }
-                let ranked = RankedIndex::from_ensemble(ensemble);
-                Self::over_base(records.finish(), ranked, self.num_perm, self.next_id)
+                Self::over_base(records.finish(), ensemble, self.num_perm, self.next_id)
             })
             .collect())
     }
 
     /// The stored index as its mutation surface (a shared index is cloned
     /// on first mutation, which copies none of its base).
-    fn index_mut(&mut self) -> &mut RankedIndex {
+    fn index_mut(&mut self) -> &mut LshEnsemble {
         Arc::make_mut(&mut self.index)
     }
 
@@ -401,13 +394,13 @@ impl IndexContainer {
     }
 
     /// Applies a batch of mutations in order as one step, as
-    /// [`RankedIndex::commit`] does — validated whole, then sealed into one
+    /// [`LshEnsemble::commit`] does — validated whole, then sealed into one
     /// segment and tombstoned in O(batch) — and the provenance records
     /// follow. On any error nothing changes. A [`DeltaOp::Commit`] marker
     /// only raises the allocator mark.
     ///
     /// # Errors
-    /// As [`RankedIndex::commit`]: an op is numbered among the batch's
+    /// As [`LshEnsemble::commit`]: an op is numbered among the batch's
     /// inserts and removes.
     pub fn commit(&mut self, ops: &[DeltaOp]) -> Result<CommitReport, MutationError> {
         let batch: Vec<Mutation<'_>> = ops
@@ -495,7 +488,7 @@ impl IndexContainer {
     /// Number of size partitions in the ensemble.
     #[must_use]
     pub fn partition_count(&self) -> usize {
-        self.ensemble().partition_stats().len()
+        self.index.partition_stats().len()
     }
 
     /// Provenance records for every indexed domain, in ascending id order.
@@ -562,7 +555,7 @@ impl IndexContainer {
     /// [`mapping`](Self::mapping), none copied.
     #[must_use]
     pub fn base_in_place(&self) -> Vec<bool> {
-        self.ensemble()
+        self.index
             .base_borrowed_from(self.mapping().unwrap_or_default())
     }
 
@@ -570,7 +563,7 @@ impl IndexContainer {
     /// columns views into [`mapping`](Self::mapping).
     #[must_use]
     pub fn directory_in_place(&self) -> bool {
-        self.ensemble()
+        self.index
             .directory_borrowed_from(self.mapping().unwrap_or_default())
     }
 
@@ -610,7 +603,7 @@ impl IndexContainer {
     /// provenance table.
     #[must_use]
     pub fn base_shared_with(&self, other: &Self) -> (Vec<bool>, bool) {
-        let partitions = self.ensemble().base_shared_with(other.ensemble());
+        let partitions = self.index.base_shared_with(&other.index);
         (partitions, Arc::ptr_eq(&self.base, &other.base))
     }
 
@@ -671,7 +664,7 @@ impl IndexContainer {
     pub fn describe(&self) -> String {
         let index = self.open_index();
         let mut out = String::new();
-        let config = *self.ensemble().config();
+        let config = *self.index.config();
         let _ = writeln!(out, "index: {}", index.describe());
         let _ = writeln!(out, "domains: {}", self.len());
         let _ = writeln!(out, "num_perm: {}", config.num_perm);
@@ -684,9 +677,8 @@ impl IndexContainer {
         let (index_bytes, mapped) = (index.memory_bytes(), index.mapped_bytes());
         // Rows: each domain's id, lanes and size; trees: their columns, 4
         // bytes an entry.
-        let ensemble = self.ensemble();
-        let rows = ensemble.sketch_memory_bytes();
-        let trees = ensemble.tree_memory_bytes();
+        let rows = self.index.sketch_memory_bytes();
+        let trees = self.index.tree_memory_bytes();
         let _ = writeln!(
             out,
             "  index_bytes: {index_bytes} (rows {rows}, trees {trees})"
@@ -695,7 +687,7 @@ impl IndexContainer {
         let _ = writeln!(out, "    heap_bytes: {}", index_bytes - mapped);
         let _ = writeln!(out, "  provenance_bytes: {}", self.provenance_bytes());
         let _ = writeln!(out, "  id_map_bytes: {}", index.id_map_bytes());
-        let stats = self.ensemble().partition_stats();
+        let stats = self.index.partition_stats();
         let _ = writeln!(out, "partitions: {}", stats.len());
         let _ = writeln!(out, "  #\tsize_range\tdomains");
         for (i, p) in stats.iter().enumerate() {
@@ -726,7 +718,7 @@ impl IndexContainer {
         enc.put_u8(1);
         enc.put_u32(self.num_perm as u32);
         records.encode_into(enc);
-        enc.put_nested(|enc| self.ensemble().encode_into(enc));
+        enc.put_nested(|enc| self.index.encode_into(enc));
         // Trailer: the allocator high-water mark survives restarts.
         enc.put_u32(self.next_id);
     }
@@ -804,8 +796,7 @@ impl IndexContainer {
         if !dec.is_exhausted() {
             return Err(mark(CodecError::Corrupt("trailing bytes after container")));
         }
-        let index = RankedIndex::from_ensemble(ensemble);
-        Ok(Self::over_base(records, index, num_perm, next_id))
+        Ok(Self::over_base(records, ensemble, num_perm, next_id))
     }
 
     /// Loads a `.lshe` file, mapped and served in place. Every check of the
@@ -1780,14 +1771,14 @@ mod tests {
             assert_eq!(sc.num_perm(), c.num_perm());
             assert!(sc.records().iter().all(|r| r.id as usize % n == s));
             assert_eq!(
-                sc.ensemble().to_bytes(),
+                sc.index.to_bytes(),
                 inproc[s].to_bytes(),
                 "shard {s} ensemble drifted from the per-shard build"
             );
             // And it survives a disk round-trip intact.
             let restored = IndexContainer::from_bytes(&sc.to_bytes()).expect("decode");
             assert_eq!(restored.len(), sc.len());
-            assert_eq!(restored.ensemble().to_bytes(), sc.ensemble().to_bytes());
+            assert_eq!(restored.index.to_bytes(), sc.index.to_bytes());
         }
 
         // The union of the split shards' answers equals the union of the
@@ -1808,10 +1799,7 @@ mod tests {
         let want = rank(
             inproc
                 .iter()
-                .flat_map(|shard| {
-                    let ranked = RankedIndex::from_ensemble(shard.clone());
-                    ranked.search(&query).expect("search").into_pairs()
-                })
+                .flat_map(|shard| shard.search(&query).expect("search").into_pairs())
                 .collect(),
         );
         let got = rank(
@@ -1957,10 +1945,7 @@ mod tests {
         ranked.pack_v2(&path).expect("pack");
         let mapped = lshe_core::MmapIndex::open_verified(&path).expect("open packed");
         assert_eq!(mapped.len(), ranked.len());
-        assert_eq!(
-            mapped.partition_stats(),
-            ranked.ensemble().partition_stats()
-        );
+        assert_eq!(mapped.partition_stats(), ranked.index.partition_stats());
 
         // Every query answers identically to the container it was packed from.
         let hasher = MinHasher::new(256);

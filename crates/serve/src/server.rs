@@ -325,7 +325,7 @@ fn handle_stats(shared: &Shared) -> Outcome {
         ("shard_id", shared.shard_id.map_or(Json::Null, Json::uint)),
         ("next_id", Json::uint(u64::from(shared.engine.next_id()))),
         ("generation", Json::uint(snap.generation())),
-        // Tiered-mutation drift: sealed segments and tombstones awaiting
+        // Segmented-mutation drift: sealed segments and tombstones awaiting
         // compaction, plus the generation the last in-process compaction
         // created (0 = none since boot). How an operator (or the bench
         // probe) tells "commits are sealing" from "the merger ran".

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release -p lshe --example quickstart`
 
-use lshe_core::{DomainIndex, EnsembleConfig, PartitionStrategy, Query, RankedIndex};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::MinHasher;
 
@@ -42,7 +42,7 @@ fn main() {
     //    behind the unified `DomainIndex` surface — the same trait the
     //    CLI, the HTTP server, and the benches dispatch through.
     let hasher = MinHasher::new(256);
-    let mut builder = RankedIndex::builder_with(EnsembleConfig {
+    let mut builder = LshEnsemble::builder_with(EnsembleConfig {
         strategy: PartitionStrategy::EquiDepth { n: 4 },
         ..EnsembleConfig::default()
     });

@@ -61,16 +61,16 @@ fn main() {
             .with_size(catalog.domain(q).len() as u64);
         index.search(&query).expect("valid query").hits
     };
-    let mut total_candidates = 0usize;
+    let mut total_hits = 0usize;
     for &q in &queries {
-        total_candidates += search(q, 0.5).len();
+        total_hits += search(q, 0.5).len();
     }
     let elapsed = started.elapsed().as_secs_f64();
     println!(
-        "\n{} queries at t* = 0.5: mean latency {:.2} ms, mean candidates {:.1}",
+        "\n{} queries at t* = 0.5: mean latency {:.2} ms, mean hits {:.1}",
         queries.len(),
         1000.0 * elapsed / queries.len() as f64,
-        total_candidates as f64 / queries.len() as f64
+        total_hits as f64 / queries.len() as f64
     );
 
     // 4. Every query must at least find itself (exact duplicate).

@@ -2,7 +2,9 @@
 //! the MinHash LSH baseline on precision and Asymmetric Minwise Hashing on
 //! recall — the paper's central experimental claim (§6.1).
 
-use lshe_core::{AsymIndex, DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
+use lshe_core::{
+    AsymIndex, DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, Unranked,
+};
 use lshe_corpus::{Catalog, ExactIndex};
 use lshe_datagen::{
     aggregate, generate_catalog, query_accuracy, sample_queries, CorpusConfig, SizeBand,
@@ -70,6 +72,7 @@ fn ensemble_beats_baseline_on_precision() {
         &refs,
     );
 
+    let (baseline, ensemble) = (Unranked(&baseline), Unranked(&ensemble));
     let (pb, rb, _) = accuracy(&baseline, &catalog, &signatures, &exact, &queries, 0.5);
     let (pe, re, _) = accuracy(&ensemble, &catalog, &signatures, &exact, &queries, 0.5);
     assert!(pe > pb + 0.05, "precision: ensemble {pe} vs baseline {pb}");
@@ -100,7 +103,14 @@ fn asym_recall_collapses_under_skew_but_ensemble_does_not() {
     );
 
     let (_, r_asym, empty_asym) = accuracy(&asym, &catalog, &signatures, &exact, &queries, 0.8);
-    let (_, r_ens, empty_ens) = accuracy(&ensemble, &catalog, &signatures, &exact, &queries, 0.8);
+    let (_, r_ens, empty_ens) = accuracy(
+        &Unranked(&ensemble),
+        &catalog,
+        &signatures,
+        &exact,
+        &queries,
+        0.8,
+    );
 
     assert!(
         r_ens > r_asym + 0.3,

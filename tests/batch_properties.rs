@@ -13,7 +13,7 @@
 
 use lshe_core::{
     AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, LshEnsemble,
-    PartitionStrategy, Query, QueryError, RankedIndex, SearchOutcome,
+    PartitionStrategy, Query, QueryError, SearchOutcome, Unranked,
 };
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
@@ -54,16 +54,17 @@ fn world() -> &'static World {
             })
             .collect();
         let mut ensemble = LshEnsemble::builder_with(config());
-        let mut ranked = RankedIndex::builder_with(config());
         let mut asym = AsymIndexBuilder::new(config());
         for (id, size, sig) in &entries {
             ensemble.add(*id, *size, sig.clone());
-            ranked.add(*id, *size, sig.clone());
             asym.add(*id, *size, sig.clone());
         }
+        // The world lives as long as the process, so the unranked view may
+        // borrow its ensemble for as long.
+        let ensemble: &'static LshEnsemble = Box::leak(Box::new(ensemble.build()));
         let backends: Vec<(&'static str, Box<dyn DomainIndex>)> = vec![
-            ("ensemble", Box::new(ensemble.build())),
-            ("ranked", Box::new(ranked.build())),
+            ("ensemble", Box::new(ensemble.clone())),
+            ("unranked", Box::new(Unranked(ensemble))),
             ("asym", Box::new(asym.build())),
             (
                 "asym_partitioned",

@@ -1,8 +1,8 @@
 //! Cross-backend conformance suite for the unified `DomainIndex` surface.
 //!
-//! Every index in the workspace — the LSH Ensemble, its ranked and
-//! memory-mapped variants, and the paper's §6.1 baselines (MinHash
-//! LSH, Asym, Asym + partitioning) — is driven over
+//! Every index in the workspace — the LSH Ensemble, its memory-mapped
+//! variant, and the paper's §6.1 baselines (Asym, Asym + partitioning) —
+//! is driven over
 //! ONE shared generated corpus through `Box<dyn DomainIndex>`, and the
 //! answers are checked against the exact (inverted-index) ground truth:
 //!
@@ -16,15 +16,14 @@
 //!   panics.
 
 use lshe_core::{
-    pack_ranked, AsymIndexBuilder, AsymPartitionedIndex, CommitReport, DomainIndex, EnsembleConfig,
-    LshEnsemble, MmapIndex, Mutation, MutationError, PartitionStrategy, Query, QueryError,
-    RankedIndex,
+    pack_ranked_to, AsymIndexBuilder, AsymPartitionedIndex, CommitReport, DomainIndex,
+    EnsembleConfig, LshEnsemble, MmapIndex, Mutation, MutationError, PartitionStrategy, Query,
+    QueryError,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta, ExactIndex};
 use lshe_lsh::DomainId;
 use lshe_minhash::hash::SeedStream;
 use lshe_minhash::{MinHasher, Signature};
-use lshe_store::Packer;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const N: usize = 24;
@@ -79,19 +78,17 @@ fn config() -> EnsembleConfig {
     }
 }
 
-/// Packs `ranked` into a scratch v2 file and opens it through `mmap(2)`;
+/// Packs `ensemble` into a scratch v2 file and opens it through `mmap(2)`;
 /// the file is unlinked immediately (the mapping keeps it alive), so the
 /// backend really does answer from borrowed page-cache memory.
-fn mmap_backend(ranked: &RankedIndex) -> MmapIndex {
+fn mmap_backend(ensemble: &LshEnsemble) -> MmapIndex {
     static UNIQUE: AtomicU64 = AtomicU64::new(0);
     let path = std::env::temp_dir().join(format!(
         "lshe_conformance_{}_{}.lshepk",
         std::process::id(),
         UNIQUE.fetch_add(1, Ordering::Relaxed)
     ));
-    let mut packer = Packer::create(&path).expect("create packer");
-    pack_ranked(ranked, &mut packer).expect("pack ranked sections");
-    packer.finish().expect("finish pack");
+    pack_ranked_to(ensemble, &path).expect("pack ranked sections");
     let mapped = MmapIndex::open_verified(&path).expect("open packed file");
     let _ = std::fs::remove_file(&path);
     mapped
@@ -100,18 +97,15 @@ fn mmap_backend(ranked: &RankedIndex) -> MmapIndex {
 /// Every sketch-based backend, boxed behind the one trait.
 fn backends(w: &World) -> Vec<(&'static str, Box<dyn DomainIndex>)> {
     let mut ensemble = LshEnsemble::builder_with(config());
-    let mut ranked = RankedIndex::builder_with(config());
     let mut asym = AsymIndexBuilder::new(config());
     for (id, size, sig) in &w.entries {
         ensemble.add(*id, *size, sig.clone());
-        ranked.add(*id, *size, sig.clone());
         asym.add(*id, *size, sig.clone());
     }
-    let ranked = ranked.build();
-    let mapped = mmap_backend(&ranked);
+    let ensemble = ensemble.build();
+    let mapped = mmap_backend(&ensemble);
     vec![
-        ("ensemble", Box::new(ensemble.build())),
-        ("ranked", Box::new(ranked)),
+        ("ensemble", Box::new(ensemble)),
         ("mmap", Box::new(mapped)),
         ("asym", Box::new(asym.build())),
         (
@@ -215,7 +209,7 @@ fn containment_estimates_agree_with_exact_scores() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let with_estimates = out.hits.iter().any(|h| h.estimate.is_some());
         // Ranked backends must estimate; unranked ones must not.
-        let should_estimate = matches!(name, "ranked" | "mmap");
+        let should_estimate = matches!(name, "ensemble" | "mmap");
         assert_eq!(
             with_estimates, should_estimate,
             "{name}: estimate presence mismatch"
@@ -247,7 +241,7 @@ fn top_k_ranks_the_self_match_first() {
         let (_, size, sig) = &w.entries[q];
         let result = index.search(&Query::top_k(sig, 5).with_size(*size));
         match name {
-            "ranked" | "mmap" => {
+            "ensemble" | "mmap" => {
                 let out = result.unwrap_or_else(|e| panic!("{name}: {e}"));
                 assert_eq!(out.hits.len(), 5, "{name}: wrong k");
                 assert_eq!(out.hits[0].id, q as DomainId, "{name}: self not first");
@@ -385,7 +379,7 @@ fn top_k_zero_and_oversized_k_are_normalized() {
         );
         let oversized = index.search(&Query::top_k(sig, 10 * N).with_size(*size));
         match name {
-            "ranked" | "mmap" => {
+            "ensemble" | "mmap" => {
                 let out = oversized.unwrap_or_else(|e| panic!("{name}: oversized k errored: {e}"));
                 assert!(
                     !out.hits.is_empty() && out.hits.len() <= N,
@@ -467,8 +461,8 @@ fn malformed_queries_are_typed_errors_everywhere() {
 // ---------------------------------------------------------- mutation phase
 
 /// The one mutable index, built over arbitrary entries.
-fn ranked(entries: &[(DomainId, u64, Signature)]) -> RankedIndex {
-    let mut builder = RankedIndex::builder_with(config());
+fn build(entries: &[(DomainId, u64, Signature)]) -> LshEnsemble {
+    let mut builder = LshEnsemble::builder_with(config());
     for (id, size, sig) in entries {
         builder.add(*id, *size, sig.clone());
     }
@@ -544,8 +538,8 @@ fn mutated_and_rebuilt(
     w: &World,
     plan: &MutationPlan,
     finals: &[(DomainId, u64, Signature, Vec<u64>)],
-) -> (RankedIndex, CommitReport, RankedIndex) {
-    let mut mutated = ranked(&w.entries);
+) -> (LshEnsemble, CommitReport, LshEnsemble) {
+    let mut mutated = build(&w.entries);
     let report = mutated
         .commit(&plan_batch(plan))
         .unwrap_or_else(|e| panic!("commit the plan: {e}"));
@@ -553,14 +547,14 @@ fn mutated_and_rebuilt(
         .iter()
         .map(|(id, size, sig, _)| (*id, *size, sig.clone()))
         .collect();
-    (mutated, report, ranked(&entries))
+    (mutated, report, build(&entries))
 }
 
 /// Every final-corpus domain as a threshold query: removed ids never
 /// resurface and the self match is found.
 fn assert_live_answers(
     at: &str,
-    index: &RankedIndex,
+    index: &LshEnsemble,
     plan: &MutationPlan,
     finals: &[(DomainId, u64, Signature, Vec<u64>)],
 ) {
@@ -588,8 +582,8 @@ fn assert_live_answers(
 /// threshold and top-k answers (ids, estimates, candidates and the other
 /// deterministic counters) and the serialised bytes are a fresh build's.
 fn assert_equals_rebuild(
-    mutated: &RankedIndex,
-    rebuilt: &RankedIndex,
+    mutated: &LshEnsemble,
+    rebuilt: &LshEnsemble,
     finals: &[(DomainId, u64, Signature, Vec<u64>)],
 ) {
     for (qid, qsize, qsig, _) in finals {
@@ -604,7 +598,7 @@ fn assert_equals_rebuild(
         }
     }
     assert!(
-        mutated.ensemble().to_bytes() == rebuilt.ensemble().to_bytes(),
+        mutated.to_bytes() == rebuilt.to_bytes(),
         "the compacted index serialises unlike a fresh build"
     );
 }

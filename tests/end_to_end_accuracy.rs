@@ -3,7 +3,7 @@
 //! claims at test scale: partitioning buys precision, recall stays high,
 //! and the effect strengthens with the partition count.
 
-use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, Unranked};
 use lshe_corpus::{Catalog, ExactIndex};
 use lshe_datagen::{
     aggregate, generate_catalog, query_accuracy, sample_queries, CorpusConfig, QueryAccuracy,
@@ -47,7 +47,8 @@ fn build(world: &World, strategy: PartitionStrategy) -> LshEnsemble {
     )
 }
 
-fn measure(world: &World, index: &dyn DomainIndex, t_star: f64) -> (f64, f64) {
+/// Precision and recall of the index's raw candidate set (Algorithm 1).
+fn measure(world: &World, index: &LshEnsemble, t_star: f64) -> (f64, f64) {
     let per_query: Vec<QueryAccuracy> = world
         .queries
         .iter()
@@ -55,7 +56,7 @@ fn measure(world: &World, index: &dyn DomainIndex, t_star: f64) -> (f64, f64) {
             let truth = world.exact.search(world.catalog.domain(q), t_star);
             let query = Query::threshold(&world.signatures[q as usize], t_star)
                 .with_size(world.catalog.domain(q).len() as u64);
-            let answer = index.search(&query).expect("valid query").ids();
+            let answer = Unranked(index).search(&query).expect("valid query").ids();
             query_accuracy(&answer, &truth)
         })
         .collect();
@@ -158,7 +159,6 @@ fn answers_are_sorted_and_unique() {
 /// `(b, r) = (32, 1)` collides with probability ≈ 32·q/x.
 #[test]
 fn small_subsets_of_16k_value_domains_are_found_no_less_often_than_recorded() {
-    use lshe_core::RankedIndex;
     use lshe_datagen::CorpusStream;
     const RECORDED_PROBED: usize = 23;
     const RECORDED_ANSWERED: usize = 23;
@@ -178,7 +178,7 @@ fn small_subsets_of_16k_value_domains_are_found_no_less_often_than_recorded() {
         seed: 24,
         ..CorpusConfig::wdc_web_tables_like(8)
     });
-    let mut builder = RankedIndex::builder_with(EnsembleConfig::default());
+    let mut builder = LshEnsemble::builder_with(EnsembleConfig::default());
     let mut parents = Vec::new();
     for (id, (domain, _)) in (0u32..).zip(background.chain(giants)) {
         builder.add(id, domain.len() as u64, domain.signature(&hasher));
@@ -201,7 +201,7 @@ fn small_subsets_of_16k_value_domains_are_found_no_less_often_than_recorded() {
             let subset: Vec<u64> = values.step_by(stride).take(*size).copied().collect();
             assert_eq!(subset.len(), *size);
             let sig = hasher.signature(subset.iter().copied());
-            let candidates = index.ensemble().query_with_size(&sig, *size as u64, 0.5);
+            let candidates = index.query_with_size(&sig, *size as u64, 0.5);
             let query = Query::threshold(&sig, 0.5).with_size(*size as u64);
             let answer = index.search(&query).expect("valid query").ids();
             queries += 1;

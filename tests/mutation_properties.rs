@@ -7,7 +7,7 @@
 //! the same batch, or a domain committed before it. A commit step hands
 //! the batch to the index in one call. For every generated script the
 //! suite maintains a plain `BTreeMap` model of the live corpus and checks,
-//! on a `RankedIndex` driven by it, after every commit and compaction:
+//! on an `LshEnsemble` driven by it, after every commit and compaction:
 //!
 //! * the batch with a bad last op is refused whole — the typed error
 //!   names it and the index serialises as before,
@@ -36,7 +36,7 @@
 
 use lshe_core::{
     DomainIndex, EnsembleConfig, Leveled, LshEnsemble, Mutation, MutationError, PartitionStrategy,
-    Query, RankedIndex, RowBuf,
+    Query, RowBuf,
 };
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_lsh::DomainId;
@@ -89,7 +89,7 @@ struct Script {
 impl Script {
     /// Domains `0..n` of the given sizes, and a fresh build of them in
     /// `parts` partitions.
-    fn build(sizes: Vec<u64>, parts: usize) -> (Self, RankedIndex) {
+    fn build(sizes: Vec<u64>, parts: usize) -> (Self, LshEnsemble) {
         let view: BTreeMap<DomainId, u64> = (0u32..).zip(sizes).collect();
         let sigs = sketched(&view);
         let index = fresh_build(parts, &view, &sigs).expect("a non-empty corpus");
@@ -134,7 +134,7 @@ impl Script {
     }
 
     /// Commits the batch and empties it.
-    fn commit(&mut self, index: &mut RankedIndex) {
+    fn commit(&mut self, index: &mut LshEnsemble) {
         index.commit(&self.mutations()).expect("a valid batch");
         self.batch.clear();
     }
@@ -146,11 +146,11 @@ impl Script {
 /// kept and tombstoning exactly the committed domains it removed.
 fn commit_checked(
     label: &str,
-    index: &mut RankedIndex,
+    index: &mut LshEnsemble,
     script: &mut Script,
     model: &BTreeMap<DomainId, u64>,
 ) -> Result<(), TestCaseError> {
-    let before = index.ensemble().to_bytes();
+    let before = index.to_bytes();
     let mut ops = script.mutations();
     ops.push(Mutation::Remove(DomainId::MAX));
     let refused = index.commit(&ops);
@@ -159,7 +159,7 @@ fn commit_checked(
         "{label}"
     );
     prop_assert!(
-        index.ensemble().to_bytes() == before,
+        index.to_bytes() == before,
         "{label}: a refused batch left a trace"
     );
     let tombstones = index.segment_layout().tombstones;
@@ -190,8 +190,8 @@ fn commit_checked(
 
 /// A fresh build of `model`, or `None` when it is empty — a build needs
 /// at least one domain.
-fn fresh_build(parts: usize, model: &BTreeMap<DomainId, u64>, sigs: &Sigs) -> Option<RankedIndex> {
-    let mut builder = RankedIndex::builder_with(config(parts));
+fn fresh_build(parts: usize, model: &BTreeMap<DomainId, u64>, sigs: &Sigs) -> Option<LshEnsemble> {
+    let mut builder = LshEnsemble::builder_with(config(parts));
     for (&id, &size) in model {
         builder.add(id, size, sigs[&id].clone());
     }
@@ -202,7 +202,7 @@ fn fresh_build(parts: usize, model: &BTreeMap<DomainId, u64>, sigs: &Sigs) -> Op
 /// model.
 fn check_invariants(
     label: &str,
-    index: &RankedIndex,
+    index: &LshEnsemble,
     model: &BTreeMap<DomainId, u64>,
 ) -> Result<(), TestCaseError> {
     prop_assert!(
@@ -224,8 +224,7 @@ fn check_invariants(
     // Partition boundaries monotone and well-formed. Counts are physical
     // rows, so tombstoned domains still occupy their partition until
     // compaction erases them.
-    let ens = index.ensemble();
-    let stats = ens.partition_stats();
+    let stats = index.partition_stats();
     let members: usize = stats.iter().map(|p| p.count).sum();
     let tombstones = index.segment_layout().tombstones;
     prop_assert!(
@@ -240,7 +239,7 @@ fn check_invariants(
     // own size range, so only the base
     // partitioning — the stats' first `num_partitions` — promises ordered,
     // non-overlapping ranges.
-    for w in stats[..ens.num_partitions()].windows(2) {
+    for w in stats[..index.num_partitions()].windows(2) {
         prop_assert!(
             w[0].upper <= w[1].lower,
             "{label}: overlapping partitions {w:?}"
@@ -278,14 +277,13 @@ fn check_queryability(
 /// or a base of no partitions when it is empty.
 fn check_compacted(
     label: &str,
-    index: &RankedIndex,
+    ens: &LshEnsemble,
     parts: usize,
     (model, sigs): (&BTreeMap<DomainId, u64>, &Sigs),
 ) -> Result<(), TestCaseError> {
-    let ens = index.ensemble();
     match fresh_build(parts, model, sigs) {
         Some(fresh) => prop_assert!(
-            ens.to_bytes() == fresh.ensemble().to_bytes(),
+            ens.to_bytes() == fresh.to_bytes(),
             "{label}: compaction serialises unlike a fresh build of the model"
         ),
         None => prop_assert!(
@@ -345,20 +343,20 @@ proptest! {
             }
             model.clone_from(&s.view);
             check_invariants(&label, &index, &model)?;
-            check_queryability(&label, index.ensemble(), (&model, &s.sigs), &s.dead, 4)?;
+            check_queryability(&label, &index, (&model, &s.sigs), &s.dead, 4)?;
         }
         prop_assert!(model.is_empty() && index.is_empty());
-        check_queryability("emptied", index.ensemble(), (&model, &s.sigs), &s.dead, 25)?;
+        check_queryability("emptied", &index, (&model, &s.sigs), &s.dead, 25)?;
 
         // The emptied index takes domains again, through every tier.
         s.insert(40);
         commit_checked("refilled", &mut index, &mut s, &model)?;
         model.clone_from(&s.view);
         check_invariants("refilled", &index, &model)?;
-        check_queryability("refilled", index.ensemble(), (&model, &s.sigs), &s.dead, 25)?;
+        check_queryability("refilled", &index, (&model, &s.sigs), &s.dead, 25)?;
         index.compact();
         check_compacted("refilled/compacted", &index, parts, (&model, &s.sigs))?;
-        check_queryability("refilled/compacted", index.ensemble(), (&model, &s.sigs), &s.dead, 25)?;
+        check_queryability("refilled/compacted", &index, (&model, &s.sigs), &s.dead, 25)?;
     }
 
     /// Serialisation commutes with mutation: one arbitrary batch → commit
@@ -378,13 +376,12 @@ proptest! {
             }
         }
         s.commit(&mut index);
-        let ens = index.ensemble();
-        let restored = LshEnsemble::from_bytes(&ens.to_bytes()).expect("roundtrip");
+        let restored = LshEnsemble::from_bytes(&index.to_bytes()).expect("roundtrip");
         prop_assert_eq!(restored.len(), s.view.len());
         for (&id, &size) in s.view.iter().take(20) {
             let sig = &s.sigs[&id];
             prop_assert!(
-                ens.query_with_size(sig, size, 1.0)
+                index.query_with_size(sig, size, 1.0)
                     == restored.query_with_size(sig, size, 1.0),
                 "id {id} answers diverge after roundtrip"
             );
@@ -625,7 +622,7 @@ impl Drop for Scratch {
 /// comparison, run once per case).
 fn drain_and_check(
     planner: &Leveled,
-    index: &mut RankedIndex,
+    index: &mut LshEnsemble,
     script: &Script,
     full: bool,
 ) -> Result<(), TestCaseError> {

@@ -15,7 +15,7 @@
 //! that rows equal on every tail are still told apart by their heads.
 
 use lshe_core::{
-    DomainIndex, EnsembleConfig, PartitionStrategy, Query, RankedIndex, RowBuf, Tuner,
+    DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, RowBuf, Tuner,
 };
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_lsh::LshForest;
@@ -40,7 +40,7 @@ fn narrowed_match_counts_equal_the_64_bit_ones() {
     });
     let mut wide: Vec<Vec<u64>> = Vec::new();
     let mut sketches: Vec<(u64, Signature)> = Vec::new();
-    let mut builder = RankedIndex::builder_with(config);
+    let mut builder = LshEnsemble::builder_with(config);
     for (id, (domain, _)) in corpus.enumerate() {
         let mut minima = vec![EMPTY_SLOT; m];
         kernel.fold(domain.hashes().iter().copied(), &mut minima);
@@ -63,7 +63,7 @@ fn narrowed_match_counts_equal_the_64_bit_ones() {
     for q in 0..sketches.len() {
         let (q_size, q_sig) = &sketches[q];
         let query = RowBuf::narrow(layout, q_sig.slots());
-        for x in index.ensemble().query_with_size(q_sig, *q_size, T_STAR) {
+        for x in index.query_with_size(q_sig, *q_size, T_STAR) {
             let (x_size, x_sig) = &sketches[x as usize];
             let (_, stored) = index.sketch(x).expect("candidate is indexed");
             let stored = query.as_row().count_equal(&stored);
@@ -141,7 +141,7 @@ fn narrowed_match_counts_equal_the_64_bit_ones() {
             reference.extend(members.filter(|&x| shares_a_prefix(sketches[x as usize].1.slots())));
         }
         reference.sort_unstable();
-        let candidates = index.ensemble().query_with_size(q_sig, *q_size, T_STAR);
+        let candidates = index.query_with_size(q_sig, *q_size, T_STAR);
         let lost = reference.iter().filter(|x| !candidates.contains(x)).count();
         assert_eq!(lost, 0, "query {q}: a 32-bit candidate is no 16-bit one");
         let answer = index

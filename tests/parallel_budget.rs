@@ -10,7 +10,7 @@
 //! magnitude behind it.
 
 use lshe_core::{
-    DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, RankedIndex, SearchOutcome,
+    DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, SearchOutcome, Unranked,
 };
 use lshe_minhash::{MinHasher, Signature};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,13 +26,13 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The probe with the parallel hint set: partitions fan out across
-/// whatever lanes the budget yields.
+/// The raw candidate set with the parallel hint set: partitions fan out
+/// across whatever lanes the budget yields.
 fn parallel_probe(ens: &LshEnsemble, sig: &Signature, size: u64, t_star: f64) -> Vec<u32> {
     let query = Query::threshold(sig, t_star)
         .with_size(size)
         .with_parallel(true);
-    ens.search(&query).expect("valid query").ids()
+    Unranked(ens).search(&query).expect("valid query").ids()
 }
 
 fn build_32p(num_domains: usize) -> (LshEnsemble, Vec<lshe_minhash::Signature>, Vec<u64>) {
@@ -160,8 +160,7 @@ fn answer(outcome: SearchOutcome) -> (Vec<(u32, Option<f64>)>, [usize; 4]) {
 #[test]
 fn parallel_search_and_batch_spawn_nothing_when_budget_is_empty() {
     let _serial = serial();
-    let (ens, signatures, sizes) = build_32p(2_000);
-    let index = RankedIndex::from_ensemble(ens);
+    let (index, signatures, sizes) = build_32p(2_000);
     // 32 partitions and 40 queries: enough items for both paths to take
     // extra lanes whenever the budget has any.
     let queries: Vec<Query<'_>> = (0..40)

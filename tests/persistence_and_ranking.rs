@@ -2,7 +2,7 @@
 //! index without changing any answer, and ranked / top-k search agrees
 //! with exact ground truth.
 
-use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query, RankedIndex};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Query};
 use lshe_corpus::ExactIndex;
 use lshe_datagen::{generate_catalog, sample_queries, CorpusConfig, SizeBand};
 use lshe_minhash::{codec::signature_wire, MinHasher, Signature};
@@ -74,7 +74,7 @@ fn signature_wire_format_survives_client_server_exchange() {
 #[test]
 fn top_k_hits_are_the_exact_top_k_within_estimation_noise() {
     let (catalog, signatures, exact, queries) = world(600, 103);
-    let mut builder = RankedIndex::builder_with(EnsembleConfig {
+    let mut builder = LshEnsemble::builder_with(EnsembleConfig {
         strategy: PartitionStrategy::EquiDepth { n: 8 },
         ..EnsembleConfig::default()
     });
@@ -117,7 +117,7 @@ fn top_k_hits_are_the_exact_top_k_within_estimation_noise() {
 fn ranked_estimates_close_to_exact_scores() {
     let (catalog, signatures, exact, queries) = world(500, 104);
     let m = signatures[0].len() as f64; // actual signature width
-    let mut builder = RankedIndex::builder();
+    let mut builder = LshEnsemble::builder();
     for (id, d) in catalog.iter() {
         builder.add(id, d.len() as u64, signatures[id as usize].clone());
     }

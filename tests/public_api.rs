@@ -7,7 +7,7 @@
 use lshe::{
     Catalog, CommitReport, DeltaLog, DeltaOp, Domain, DomainId, DomainIndex, EnsembleConfig,
     ExactIndex, IndexContainer, LshEnsemble, LshForest, MinHasher, Mutation, MutationError,
-    PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, RankedIndex, SearchHit,
+    PartitionStrategy, Query, QueryError, QueryMode, QueryStats, RankedHit, SearchHit,
     SearchOutcome, ServerConfig, Signature, ESTIMATE_SLACK,
 };
 
@@ -29,10 +29,10 @@ fn static_surface_assertions() {
 fn facade_exposes_the_unified_query_surface() {
     const { assert!(ESTIMATE_SLACK > 0.0 && ESTIMATE_SLACK < 1.0) };
 
-    // Build a small ranked index purely through facade names.
+    // Build a small index purely through facade names.
     let hasher: MinHasher = MinHasher::new(256);
     let pool = MinHasher::synthetic_values(9, 200);
-    let mut builder = RankedIndex::builder_with(EnsembleConfig {
+    let mut builder = LshEnsemble::builder_with(EnsembleConfig {
         strategy: PartitionStrategy::EquiDepth { n: 2 },
         ..EnsembleConfig::default()
     });
@@ -69,7 +69,7 @@ fn facade_exposes_the_unified_query_surface() {
     assert_eq!(results[0].as_ref().expect("valid").hits, outcome.hits);
     assert!(matches!(results[1], Err(QueryError::Invalid(_))));
 
-    // RankedHit is what `RankedIndex::rank_candidates` returns.
+    // RankedHit is what `LshEnsemble::rank_candidates` returns.
     let _: Vec<RankedHit>;
 }
 
@@ -77,7 +77,7 @@ fn facade_exposes_the_unified_query_surface() {
 fn facade_exposes_the_mutation_surface() {
     let hasher = MinHasher::new(256);
     let pool = MinHasher::synthetic_values(4, 200);
-    let mut builder = RankedIndex::builder_with(EnsembleConfig {
+    let mut builder = LshEnsemble::builder_with(EnsembleConfig {
         strategy: PartitionStrategy::EquiDepth { n: 2 },
         ..EnsembleConfig::default()
     });
@@ -85,7 +85,7 @@ fn facade_exposes_the_mutation_surface() {
         let vals = &pool[..20 * (k as usize + 1)];
         builder.add(k, vals.len() as u64, hasher.signature(vals.iter().copied()));
     }
-    let mut index: RankedIndex = builder.build();
+    let mut index: LshEnsemble = builder.build();
 
     let sig = hasher.signature(pool[..50].iter().copied());
     let insert = Mutation::Insert(100, 50, &sig);
