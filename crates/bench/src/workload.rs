@@ -213,12 +213,12 @@ pub fn build_asym_partitioned(
     catalog: &Catalog,
     signatures: &[Signature],
     n: usize,
-) -> lshe_core::AsymPartitionedIndex {
+) -> lshe_core::AsymIndex {
     let entries: Vec<(DomainId, u64, Signature)> = catalog
         .iter()
         .map(|(id, d)| (id, d.len() as u64, signatures[id as usize].clone()))
         .collect();
-    lshe_core::AsymPartitionedIndex::build(&EnsembleConfig::default(), n, &entries)
+    lshe_core::AsymIndex::build(&EnsembleConfig::default(), n, &entries)
 }
 
 /// A corpus reduced to what the performance experiments need: sizes and

@@ -39,7 +39,6 @@ use crate::ranked::merge_unique;
 use lshe_lsh::DomainId;
 use lshe_minhash::Signature;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Slack applied when pruning candidates by *estimated* containment:
 /// estimates are noisy at roughly ±1/√m, so candidates whose estimate
@@ -61,12 +60,13 @@ pub enum QueryMode {
 /// A typed domain-search query, built in builder style:
 ///
 /// ```
-/// # use lshe_core::Query;
+/// # use lshe_core::{Query, QueryMode};
 /// # use lshe_minhash::MinHasher;
 /// let hasher = MinHasher::new(256);
 /// let sig = hasher.signature(MinHasher::synthetic_values(1, 50));
-/// let q = Query::threshold(&sig, 0.7).with_size(50).with_parallel(true);
+/// let q = Query::threshold(&sig, 0.7).with_size(50);
 /// assert_eq!(q.size(), Some(50));
+/// assert_eq!(q.mode(), QueryMode::Threshold(0.7));
 /// ```
 ///
 /// The signature is borrowed, so building a query never copies sketch
@@ -77,7 +77,6 @@ pub struct Query<'a> {
     signature: &'a Signature,
     size: Option<u64>,
     mode: QueryMode,
-    parallel: bool,
     hashes: Option<&'a [u64]>,
 }
 
@@ -89,7 +88,6 @@ impl<'a> Query<'a> {
             signature,
             size: None,
             mode: QueryMode::Threshold(t_star),
-            parallel: false,
             hashes: None,
         }
     }
@@ -101,7 +99,6 @@ impl<'a> Query<'a> {
             signature,
             size: None,
             mode: QueryMode::TopK(k),
-            parallel: false,
             hashes: None,
         }
     }
@@ -111,15 +108,6 @@ impl<'a> Query<'a> {
     #[must_use]
     pub fn with_size(mut self, size: u64) -> Self {
         self.size = Some(size);
-        self
-    }
-
-    /// Parallelism hint: ask the backend to probe its partitions across
-    /// lanes drawn from the process-wide budget. Backends without an
-    /// internal parallel path ignore the hint.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -147,12 +135,6 @@ impl<'a> Query<'a> {
     #[must_use]
     pub fn mode(&self) -> QueryMode {
         self.mode
-    }
-
-    /// The parallelism hint.
-    #[must_use]
-    pub fn parallel(&self) -> bool {
-        self.parallel
     }
 
     /// The raw universe hashes, if attached.
@@ -315,26 +297,22 @@ pub struct SearchOutcome {
 }
 
 impl SearchOutcome {
-    /// Assembles an outcome from finished hits and probe counters, by the
-    /// shared convention: `survivors = hits.len()`, wall time measured
-    /// from `started`. Every backend builds its outcome through here.
+    /// Assembles an outcome from finished hits, probe counters and the
+    /// execution time in nanoseconds, by the shared convention: `survivors
+    /// = hits.len()`. Every backend builds its outcome through here (the
+    /// batched paths pass the time attributed to one query across the
+    /// partition-outer sweep instead of bracketing one `Instant`).
     #[must_use]
-    pub fn new(
-        hits: Vec<SearchHit>,
-        partitions_probed: usize,
-        partitions_total: usize,
-        candidates: usize,
-        started: Instant,
-    ) -> Self {
+    pub fn new(hits: Vec<SearchHit>, probe: ProbeCounts, nanos: u64) -> Self {
         let survivors = hits.len();
         Self {
             hits,
             stats: QueryStats {
-                partitions_probed,
-                partitions_total,
-                candidates,
+                partitions_probed: probe.probed,
+                partitions_total: probe.total,
+                candidates: probe.candidates,
                 survivors,
-                wall_micros: started.elapsed().as_micros() as u64,
+                wall_micros: nanos / 1_000,
             },
         }
     }
@@ -352,9 +330,9 @@ impl SearchOutcome {
     }
 }
 
-/// Internal probe counters threaded out of the instrumented query paths.
+/// The probe counters a search threads into its [`SearchOutcome`].
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ProbeCounts {
+pub struct ProbeCounts {
     /// Partitions consulted.
     pub probed: usize,
     /// Partitions in the index.
@@ -368,24 +346,6 @@ pub(crate) fn unranked(ids: Vec<DomainId>) -> Vec<SearchHit> {
     ids.into_iter()
         .map(|id| SearchHit { id, estimate: None })
         .collect()
-}
-
-/// Builds a [`SearchOutcome`] from finished hits, probe counters, and the
-/// execution time in nanoseconds (the batched paths accumulate per-query
-/// time across the partition-outer sweep instead of bracketing one
-/// `Instant`).
-pub(crate) fn outcome(hits: Vec<SearchHit>, probe: ProbeCounts, nanos: u64) -> SearchOutcome {
-    let survivors = hits.len();
-    SearchOutcome {
-        hits,
-        stats: QueryStats {
-            partitions_probed: probe.probed,
-            partitions_total: probe.total,
-            candidates: probe.candidates,
-            survivors,
-            wall_micros: nanos / 1_000,
-        },
-    }
 }
 
 /// The shared top-k strategy: descend through containment thresholds
@@ -545,11 +505,9 @@ mod tests {
         let hashes = [1u64, 2, 3];
         let q = Query::threshold(&sig, 0.7)
             .with_size(40)
-            .with_parallel(true)
             .with_hashes(&hashes);
         assert_eq!(q.size(), Some(40));
         assert_eq!(q.effective_size(), 40);
-        assert!(q.parallel());
         assert_eq!(q.hashes(), Some(&hashes[..]));
         assert_eq!(q.mode(), QueryMode::Threshold(0.7));
         assert!(q.validate_for(256).is_ok());

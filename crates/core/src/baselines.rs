@@ -13,15 +13,19 @@
 //!   Ensemble with a single partition (global upper bound, dynamic tuning).
 //! * [`AsymIndex`] — *Asymmetric Minwise Hashing*: signatures padded to the
 //!   corpus maximum `M`, one dynamic LSH, conversion through `M` (Eq. 31).
-//! * [`AsymPartitionedIndex`] — the §6.1 ablation: Asymmetric Minwise
-//!   Hashing *inside each partition* (padding to the partition bound).
+//!   The §6.1 ablation, Asym *inside each partition* (padding to the
+//!   partition bound), is the same type built with `n` partitions; the
+//!   baseline is its one-partition case.
+//!
+//! Each answers through the crate's one read path (the `pipeline`
+//! module), as the fair-comparison rule asks.
 
-use crate::api::{
-    outcome, unranked, DomainIndex, ProbeCounts, Query, QueryError, QueryMode, SearchOutcome,
+use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
+use crate::ensemble::{
+    DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder,
 };
-use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder};
 use crate::partition::{PartitionStrategy, Partitioning};
-use crate::pipeline::ReadPath;
+use crate::pipeline::{Probe, ReadPath, Tiers};
 use crate::tuning::Tuner;
 use lshe_asym::{pad_signature, PaddingSampler};
 use lshe_lsh::{DomainId, LshForest};
@@ -86,22 +90,44 @@ pub fn baseline_minhash_lsh(config: &EnsembleConfig) -> LshEnsembleBuilder {
     })
 }
 
-/// Asymmetric Minwise Hashing over one dynamic LSH (padding to the global
-/// maximum domain size).
+/// Asymmetric Minwise Hashing (§6.1): each domain's signature is padded
+/// to its partition's upper bound, and the *unpadded* query signature is
+/// answered through the shared read path, so skip, tuning and threshold
+/// conversion all use that bound (Eq. 31). With one partition — what
+/// [`AsymIndexBuilder`] builds — the bound is the corpus maximum `M`: the
+/// paper's Asym baseline. With `n` equi-depth partitions it is the ablation
+/// §6.1 reports as giving "a slight improvement in precision" but "no
+/// significant improvements in recall". Top-k is unsupported.
 #[derive(Debug)]
 pub struct AsymIndex {
-    forest: LshForest,
+    partitions: Vec<AsymPartition>,
     tuner: Tuner,
-    max_size: u64,
     num_perm: usize,
     len: usize,
+    /// Always empty: an Asym index is never mutated.
+    dead: FastHashSet<(DomainId, DeadSlot)>,
 }
 
-/// Builder for [`AsymIndex`].
+#[derive(Debug)]
+struct AsymPartition {
+    upper: u64,
+    forest: LshForest,
+}
+
+impl Probe for &AsymPartition {
+    fn upper(&self) -> u64 {
+        self.upper
+    }
+
+    fn probe(&self, signature: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
+        self.forest.query_into(signature, b, r, out);
+    }
+}
+
+/// Builder for the unpartitioned [`AsymIndex`].
 #[derive(Debug)]
 pub struct AsymIndexBuilder {
     config: EnsembleConfig,
-    sampler: PaddingSampler,
     entries: Vec<(DomainId, u64, Signature)>,
 }
 
@@ -111,7 +137,6 @@ impl AsymIndexBuilder {
     pub fn new(config: EnsembleConfig) -> Self {
         Self {
             config,
-            sampler: PaddingSampler::with_seed(PaddingSampler::DEFAULT_SEED),
             entries: Vec::new(),
         }
     }
@@ -130,44 +155,13 @@ impl AsymIndexBuilder {
         self.entries.push((id, size, signature));
     }
 
-    /// Number of staged domains.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is staged.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Pads every signature to the corpus maximum and builds the index.
     ///
     /// # Panics
     /// Panics if the builder is empty.
     #[must_use]
     pub fn build(self) -> AsymIndex {
-        assert!(!self.entries.is_empty(), "cannot build an empty index");
-        let max_size = self
-            .entries
-            .iter()
-            .map(|&(_, s, _)| s)
-            .max()
-            .expect("non-empty");
-        let mut forest = LshForest::new(self.config.b_max, self.config.r_max);
-        for (id, size, sig) in &self.entries {
-            let padded = pad_signature(sig, u64::from(*id), *size, max_size, &self.sampler);
-            forest.insert(*id, &padded);
-        }
-        forest.commit();
-        AsymIndex {
-            forest,
-            tuner: Tuner::new(self.config.b_max as u32, self.config.r_max as u32),
-            max_size,
-            num_perm: self.config.num_perm,
-            len: self.entries.len(),
-        }
+        AsymIndex::build(&self.config, 1, &self.entries)
     }
 }
 
@@ -178,113 +172,6 @@ impl AsymIndex {
         AsymIndexBuilder::new(EnsembleConfig::default())
     }
 
-    /// The padding target `M` (corpus maximum size).
-    #[must_use]
-    pub fn max_size(&self) -> u64 {
-        self.max_size
-    }
-
-    /// Number of indexed domains.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing is indexed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Containment query: the *unpadded* query signature against padded
-    /// domains; tuning and threshold conversion use `M` (Eq. 31).
-    ///
-    /// # Panics
-    /// Panics on zero query size, out-of-range threshold, or width mismatch.
-    #[must_use]
-    pub fn query_with_size(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> Vec<DomainId> {
-        assert!(query_size > 0, "query size must be positive");
-        assert!((0.0..=1.0).contains(&t_star), "threshold must be in [0, 1]");
-        assert_eq!(signature.len(), self.num_perm, "signature width mismatch");
-        self.query_counted(signature, query_size, t_star).0
-    }
-
-    /// Instrumented query: sorted-unique ids plus probe counters. Both the
-    /// inherent path and the [`DomainIndex`] impl funnel through here.
-    fn query_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> (Vec<DomainId>, ProbeCounts) {
-        let params = self.tuner.optimize(self.max_size, query_size, t_star);
-        let mut buf = Vec::new();
-        self.forest
-            .query_into(signature, params.b as usize, params.r as usize, &mut buf);
-        let candidates = buf.len();
-        buf.sort_unstable();
-        buf.dedup();
-        (
-            buf,
-            ProbeCounts {
-                probed: 1,
-                total: 1,
-                candidates,
-            },
-        )
-    }
-}
-
-impl DomainIndex for AsymIndex {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.num_perm)?;
-        let QueryMode::Threshold(t_star) = query.mode() else {
-            return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use an LshEnsemble".into(),
-            ));
-        };
-        let started = std::time::Instant::now();
-        let (ids, probe) = self.query_counted(query.signature(), query.effective_size(), t_star);
-        let nanos = started.elapsed().as_nanos() as u64;
-        Ok(outcome(unranked(ids), probe, nanos))
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.forest.memory_bytes()
-    }
-
-    fn describe(&self) -> String {
-        "Asym".to_owned()
-    }
-}
-
-/// Asymmetric Minwise Hashing combined with equi-depth partitioning — the
-/// variant §6.1 reports as giving "a slight improvement in precision" but
-/// "no significant improvements in recall".
-#[derive(Debug)]
-pub struct AsymPartitionedIndex {
-    partitions: Vec<AsymPartition>,
-    tuner: Tuner,
-    num_perm: usize,
-    len: usize,
-}
-
-#[derive(Debug)]
-struct AsymPartition {
-    upper: u64,
-    forest: LshForest,
-}
-
-impl AsymPartitionedIndex {
     /// Builds from staged `(id, size, signature)` entries with `n`
     /// equi-depth partitions; each partition pads to its own upper bound.
     ///
@@ -299,8 +186,7 @@ impl AsymPartitionedIndex {
         assert!(!entries.is_empty(), "cannot build an empty index");
         let sampler = PaddingSampler::with_seed(PaddingSampler::DEFAULT_SEED);
         let sizes: Vec<u64> = entries.iter().map(|&(_, s, _)| s).collect();
-        let partitioning = Partitioning::equi_depth(&sizes, n);
-        let partitions = partitioning
+        let partitions = Partitioning::equi_depth(&sizes, n)
             .parts()
             .iter()
             .map(|p| {
@@ -322,93 +208,37 @@ impl AsymPartitionedIndex {
             tuner: Tuner::new(config.b_max as u32, config.r_max as u32),
             num_perm: config.num_perm,
             len: entries.len(),
+            dead: FastHashSet::default(),
         }
     }
 
-    /// Number of indexed domains.
+    /// The padding target of the largest partition: the corpus maximum `M`.
     #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
+    pub fn max_size(&self) -> u64 {
+        self.partitions.iter().map(|p| p.upper).max().unwrap_or(0)
     }
 
-    /// True if nothing is indexed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Containment query across all partitions (padding-aware conversion
-    /// with each partition's upper bound).
-    ///
-    /// # Panics
-    /// Panics on invalid query inputs, as the other indexes.
-    #[must_use]
-    pub fn query_with_size(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> Vec<DomainId> {
-        assert!(query_size > 0, "query size must be positive");
-        assert!((0.0..=1.0).contains(&t_star), "threshold must be in [0, 1]");
-        assert_eq!(signature.len(), self.num_perm, "signature width mismatch");
-        self.query_counted(signature, query_size, t_star).0
-    }
-
-    /// Instrumented query: sorted-unique ids plus probe counters.
-    fn query_counted(
-        &self,
-        signature: &Signature,
-        query_size: u64,
-        t_star: f64,
-    ) -> (Vec<DomainId>, ProbeCounts) {
-        let mut probe = ProbeCounts {
-            probed: 0,
-            total: self.partitions.len(),
-            candidates: 0,
-        };
-        let mut set = FastHashSet::default();
-        let mut buf = Vec::new();
-        for p in &self.partitions {
-            if (p.upper as f64) < t_star * query_size as f64 {
-                continue;
-            }
-            let params = self.tuner.optimize(p.upper, query_size, t_star);
-            buf.clear();
-            self.forest_query(p, signature, params.b as usize, params.r as usize, &mut buf);
-            probe.probed += 1;
-            probe.candidates += buf.len();
-            set.extend(buf.iter().copied());
+    fn read_path(&self) -> ReadPath<'_, &AsymPartition, ()> {
+        let units = self.partitions.iter().enumerate();
+        ReadPath {
+            tiers: Tiers {
+                num_perm: self.num_perm,
+                tuner: &self.tuner,
+                units: units.map(|(i, p)| (DeadSlot::Base(i as u32), p)).collect(),
+                dead: &self.dead,
+            },
+            sketches: None,
         }
-        let mut v: Vec<DomainId> = set.into_iter().collect();
-        v.sort_unstable();
-        (v, probe)
-    }
-
-    fn forest_query(
-        &self,
-        p: &AsymPartition,
-        sig: &Signature,
-        b: usize,
-        r: usize,
-        out: &mut Vec<DomainId>,
-    ) {
-        p.forest.query_into(sig, b, r, out);
     }
 }
 
-impl DomainIndex for AsymPartitionedIndex {
+impl DomainIndex for AsymIndex {
     fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.num_perm)?;
-        let QueryMode::Threshold(t_star) = query.mode() else {
-            return Err(QueryError::Unsupported(
-                "top-k needs retained sketches; use an LshEnsemble".into(),
-            ));
-        };
-        let started = std::time::Instant::now();
-        let (ids, probe) = self.query_counted(query.signature(), query.effective_size(), t_star);
-        let nanos = started.elapsed().as_nanos() as u64;
-        Ok(outcome(unranked(ids), probe, nanos))
+        self.read_path().search(query)
+    }
+
+    fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
+        self.read_path().search_batch(queries)
     }
 
     fn len(&self) -> usize {
@@ -423,7 +253,10 @@ impl DomainIndex for AsymPartitionedIndex {
     }
 
     fn describe(&self) -> String {
-        format!("Asym + partitioning ({})", self.partitions.len())
+        match self.partitions.len() {
+            1 => "Asym".to_owned(),
+            n => format!("Asym + partitioning ({n})"),
+        }
     }
 }
 
@@ -448,6 +281,11 @@ mod tests {
             values.push(vals);
         }
         (h, entries, values)
+    }
+
+    fn asym_ids(idx: &AsymIndex, sig: &Signature, size: u64, t_star: f64) -> Vec<DomainId> {
+        let query = Query::threshold(sig, t_star).with_size(size);
+        idx.search(&query).expect("valid query").ids()
     }
 
     #[test]
@@ -476,7 +314,7 @@ mod tests {
         assert_eq!(idx.max_size(), 100);
         // Query = first 20 values: contained in all five domains.
         let q = h.signature(pool[..20].iter().copied());
-        let got = idx.query_with_size(&q, 20, 0.5);
+        let got = asym_ids(&idx, &q, 20, 0.5);
         assert!(got.contains(&0), "got {got:?}");
         assert!(got.len() >= 3, "low-skew recall too low: {got:?}");
     }
@@ -500,7 +338,7 @@ mod tests {
         b.add(999, 60_000, h.signature(pool.iter().copied()));
         let idx = b.build();
         let q = h.signature(query_vals.iter().copied());
-        let got = idx.query_with_size(&q, 40, 0.9);
+        let got = asym_ids(&idx, &q, 40, 0.9);
         // t(Q, X_k) = 40/40... wait: every X_k fully contains Q, so all 30
         // qualify; padded similarity is 40/60000 ≈ 0.0007 → recall ~ 0.
         assert!(
@@ -524,9 +362,9 @@ mod tests {
             entries.push((k, vals.len() as u64, h.signature(vals.iter().copied())));
         }
         entries.push((999, 60_000, h.signature(pool.iter().copied())));
-        let idx = AsymPartitionedIndex::build(&EnsembleConfig::default(), 8, &entries);
+        let idx = AsymIndex::build(&EnsembleConfig::default(), 8, &entries);
         let q = h.signature(query_vals.iter().copied());
-        let got = idx.query_with_size(&q, 40, 0.9);
+        let got = asym_ids(&idx, &q, 40, 0.9);
         // The contrast with `asym_recall_collapses_at_high_skew` (≤ 3 hits)
         // is the point: per-partition padding restores a solid majority of
         // the 30 qualifying domains even though per-domain recall stays
@@ -546,7 +384,7 @@ mod tests {
             ab.add(*id, *size, sig.clone());
         }
         let asym = ab.build();
-        let part = AsymPartitionedIndex::build(&EnsembleConfig::default(), 4, &entries);
+        let part = AsymIndex::build(&EnsembleConfig::default(), 4, &entries);
         assert_eq!(asym.describe(), "Asym");
         assert!(part.describe().starts_with("Asym + partitioning"));
     }

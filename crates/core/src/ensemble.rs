@@ -713,7 +713,7 @@ impl LshEnsemble {
             size: query_size,
             t_star,
         };
-        self.tiers().sweep(&item, false).0
+        self.tiers().sweep(&item).0
     }
 
     /// True if `id` is currently indexed.
@@ -1130,21 +1130,6 @@ mod tests {
         // High threshold keeps the perfect containers.
         for k in 19..30u32 {
             assert!(high.contains(&k));
-        }
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let (_, entries) = nested_corpus(256, 40);
-        let ens = build_default(&entries, 8);
-        for k in [0usize, 7, 20, 39] {
-            let (_, size, sig, _) = &entries[k];
-            for t in [0.1, 0.5, 0.9] {
-                let query = Query::threshold(sig, t).with_size(*size);
-                let par = Unranked(&ens).search(&query.with_parallel(true));
-                let par = par.expect("search");
-                assert_eq!(ens.query_with_size(sig, *size, t), par.ids(), "k={k} t={t}");
-            }
         }
     }
 

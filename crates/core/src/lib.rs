@@ -88,12 +88,10 @@ pub mod ranked;
 pub mod tuning;
 
 pub use api::{
-    CommitReport, DomainIndex, Mutation, MutationError, Query, QueryError, QueryMode, QueryStats,
-    SearchHit, SearchOutcome, ESTIMATE_SLACK,
+    CommitReport, DomainIndex, Mutation, MutationError, ProbeCounts, Query, QueryError, QueryMode,
+    QueryStats, SearchHit, SearchOutcome, ESTIMATE_SLACK,
 };
-pub use baselines::{
-    baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, AsymPartitionedIndex, Unranked,
-};
+pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, Unranked};
 pub use directory::position_of;
 pub use ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
 pub use lshe_lsh::{Layout, Row, RowBuf};

@@ -1,5 +1,9 @@
 //! The one containment read path: `Partitioned-Containment-Search`
-//! (§5.4–§5.5) written once, for every index that answers it.
+//! (§5.4–§5.5) written once, for every index that answers it — the
+//! ensemble, mapped or on the heap, its [`Unranked`](crate::Unranked) view,
+//! and the Asym baselines ([`AsymIndex`](crate::AsymIndex)), which §6.1's
+//! fair-comparison rule runs through the same dynamic LSH algorithm and
+//! upper-bound conversion.
 //!
 //! precondition check → partition sweep (skip-prune, per-query `(b, r)`
 //! tuning, probe, liveness filter, dedup + sort, [`ProbeCounts`]) →
@@ -9,16 +13,17 @@
 //!
 //! The pipeline is generic over the two things that genuinely differ
 //! between backends — *a partition that can be probed* ([`Probe`]: a heap
-//! forest or mapped tree columns) and *a sketch lookup* ([`Sketches`]: the
-//! heap ensemble's rows or mapped sketch columns). Candidates always come
-//! from one index's [`Tiers`]; the §6.3 fan-out across nodes is
+//! forest, mapped tree columns, or an Asym partition's padded forest) and
+//! *a sketch lookup* ([`Sketches`]: the heap ensemble's rows or mapped
+//! sketch columns; an index without one answers unranked). Candidates
+//! always come from one index's [`Tiers`]; the §6.3 fan-out across nodes is
 //! `lshe split` + `lshe cluster`, not a second candidate source here.
 //! Everything is statically dispatched; no backend carries a second copy
 //! of any step, so heap ≡ mapped holds by construction.
 
 use crate::api::{
-    outcome, top_k_descend, unranked, ProbeCounts, Query, QueryError, QueryMode, SearchHit,
-    SearchOutcome, ESTIMATE_SLACK,
+    top_k_descend, unranked, ProbeCounts, Query, QueryError, QueryMode, SearchHit, SearchOutcome,
+    ESTIMATE_SLACK,
 };
 use crate::batch::{chunked, split_and_run, ThresholdItem};
 use crate::ensemble::DeadSlot;
@@ -26,7 +31,7 @@ use crate::ranked::RankedHit;
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, Row, RowBuf};
 use lshe_minhash::hash::FastHashSet;
-use lshe_minhash::{containment_from_jaccard, lanes, Signature};
+use lshe_minhash::{containment_from_jaccard, Signature};
 use std::time::Instant;
 
 /// A size partition that can be probed at any `(b ≤ b_max, r ≤ r_max)`.
@@ -169,39 +174,16 @@ impl<P: Probe> Tiers<'_, P> {
     }
 
     /// One query: sorted-unique candidate ids plus probe counters.
-    /// `parallel` asks for the partitions to be probed across
-    /// budget-governed lanes; the answer is identical either way.
     ///
     /// # Panics
     /// Panics on a zero size, an out-of-range threshold, or a signature
     /// width mismatch.
-    pub fn sweep(&self, item: &ThresholdItem<'_>, parallel: bool) -> (Vec<DomainId>, ProbeCounts) {
+    pub fn sweep(&self, item: &ThresholdItem<'_>) -> (Vec<DomainId>, ProbeCounts) {
         check_query(self.num_perm, item);
         let mut probe = self.counts();
         let mut raw = Vec::new();
-        if parallel {
-            // Partitions are chunked across lanes drawn from the
-            // process-wide budget, not one thread per partition: on a
-            // single-core or saturated host the budget yields zero extras
-            // and the probe runs inline, identical to the sequential path.
-            let buffers: Vec<(Vec<DomainId>, bool)> = lanes::run_chunked(&self.units, |chunk| {
-                chunk
-                    .iter()
-                    .map(|unit| {
-                        let mut buf = Vec::new();
-                        let probed = self.probe_unit(unit, item, &mut buf);
-                        (buf, probed)
-                    })
-                    .collect()
-            });
-            for (buf, probed) in buffers {
-                probe.probed += usize::from(probed);
-                raw.extend(buf);
-            }
-        } else {
-            for unit in &self.units {
-                probe.probed += usize::from(self.probe_unit(unit, item, &mut raw));
-            }
+        for unit in &self.units {
+            probe.probed += usize::from(self.probe_unit(unit, item, &mut raw));
         }
         probe.candidates = raw.len();
         (sorted_unique(raw, &mut FastHashSet::default()), probe)
@@ -298,7 +280,7 @@ impl<P: Probe, S: Sketches> ReadPath<'_, P, S> {
     fn top_k(&self, query: &Query<'_>, k: usize) -> Result<SearchOutcome, QueryError> {
         let Some(sketches) = self.sketches else {
             return Err(QueryError::Unsupported(
-                "top-k needs ranked search; query the LshEnsemble itself".into(),
+                "top-k needs retained sketches; query an LshEnsemble".into(),
             ));
         };
         let started = Instant::now();
@@ -309,11 +291,15 @@ impl<P: Probe, S: Sketches> ReadPath<'_, P, S> {
                 size,
                 t_star,
             };
-            self.tiers.sweep(&item, query.parallel())
+            self.tiers.sweep(&item)
         });
         let mut hits = to_search_hits(rank(sketches, seen, signature, size));
         hits.truncate(k);
-        Ok(outcome(hits, probe, started.elapsed().as_nanos() as u64))
+        Ok(SearchOutcome::new(
+            hits,
+            probe,
+            started.elapsed().as_nanos() as u64,
+        ))
     }
 
     pub fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
@@ -328,9 +314,13 @@ impl<P: Probe, S: Sketches> ReadPath<'_, P, S> {
             size: query.effective_size(),
             t_star,
         };
-        let (ids, probe) = self.tiers.sweep(&item, query.parallel());
+        let (ids, probe) = self.tiers.sweep(&item);
         let hits = self.finish(&item, ids);
-        Ok(outcome(hits, probe, started.elapsed().as_nanos() as u64))
+        Ok(SearchOutcome::new(
+            hits,
+            probe,
+            started.elapsed().as_nanos() as u64,
+        ))
     }
 
     pub fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
@@ -341,7 +331,7 @@ impl<P: Probe, S: Sketches> ReadPath<'_, P, S> {
                 self.tiers.sweep_batch(items, |item, ids, probe, nanos| {
                     let started = Instant::now();
                     let hits = self.finish(item, ids);
-                    outcome(hits, probe, nanos + started.elapsed().as_nanos() as u64)
+                    SearchOutcome::new(hits, probe, nanos + started.elapsed().as_nanos() as u64)
                 })
             },
             |query, k| self.top_k(query, k),

@@ -8,7 +8,7 @@
 
 use crate::catalog::{Catalog, DomainId};
 use crate::domain::Domain;
-use lshe_core::{DomainIndex, Query, QueryError, QueryMode, SearchHit, SearchOutcome};
+use lshe_core::{DomainIndex, ProbeCounts, Query, QueryError, QueryMode, SearchHit, SearchOutcome};
 use lshe_minhash::hash::FastHashMap;
 
 /// Inverted index over a catalog for exact containment queries.
@@ -153,7 +153,13 @@ impl DomainIndex for ExactIndex {
                 })
                 .collect(),
         };
-        Ok(SearchOutcome::new(hits, 1, 1, candidates, started))
+        let probe = ProbeCounts {
+            probed: 1,
+            total: 1,
+            candidates,
+        };
+        let nanos = started.elapsed().as_nanos() as u64;
+        Ok(SearchOutcome::new(hits, probe, nanos))
     }
 
     fn len(&self) -> usize {

@@ -60,7 +60,7 @@ use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
     position_of, CommitReport, DomainIndex, EnsembleConfig, Layout, LshEnsemble, Mutation,
-    MutationError, PartitionStrategy, Query, Row,
+    MutationError, PartitionStrategy, Row,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
@@ -621,40 +621,6 @@ impl IndexContainer {
     pub fn provenance(&self, id: u32) -> (&str, &str, u64) {
         let rec = self.record(id).expect("id was indexed");
         (rec.table, rec.column, rec.size)
-    }
-
-    /// Threshold search, each hit with its estimate. Thin wrapper over the
-    /// [`DomainIndex`] surface.
-    ///
-    /// # Panics
-    /// Panics on malformed query inputs (width mismatch, zero size,
-    /// out-of-range threshold) — use [`open_index`](Self::open_index) for
-    /// typed errors.
-    #[must_use]
-    pub fn search(&self, sig: &Signature, q: u64, t_star: f64) -> Vec<(u32, Option<f64>)> {
-        let query = Query::threshold(sig, t_star).with_size(q);
-        self.open_index()
-            .search(&query)
-            .expect("valid threshold query")
-            .into_pairs()
-    }
-
-    /// Top-k search. Thin wrapper over the [`DomainIndex`] surface.
-    ///
-    /// # Errors
-    /// Returns a message for a malformed query (`k == 0`, zero size, width
-    /// mismatch).
-    pub fn top_k(
-        &self,
-        sig: &Signature,
-        q: u64,
-        k: usize,
-    ) -> Result<Vec<(u32, Option<f64>)>, String> {
-        let query = Query::top_k(sig, k).with_size(q);
-        self.open_index()
-            .search(&query)
-            .map(lshe_core::SearchOutcome::into_pairs)
-            .map_err(|e| e.to_string())
     }
 
     /// Human-readable description (the `stats` subcommand). The index
@@ -1306,8 +1272,19 @@ impl DeltaLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lshe_core::RowBuf;
+    use lshe_core::{Query, RowBuf, SearchOutcome};
     use lshe_corpus::{Domain, DomainMeta};
+
+    /// Answers `query` at exact size `q` as `(id, estimate)` pairs.
+    fn answer(c: &IndexContainer, query: Query<'_>, q: u64) -> Vec<(u32, Option<f64>)> {
+        let outcome = c.open_index().search(&query.with_size(q));
+        outcome.map(SearchOutcome::into_pairs).expect("valid query")
+    }
+
+    /// Threshold hits as `(id, estimate)` pairs.
+    fn hits(c: &IndexContainer, sig: &Signature, q: u64, t: f64) -> Vec<(u32, Option<f64>)> {
+        answer(c, Query::threshold(sig, t), q)
+    }
 
     fn catalog(n: usize) -> Catalog {
         let mut c = Catalog::new();
@@ -1333,11 +1310,11 @@ mod tests {
         let hasher = MinHasher::new(256);
         // Query equivalence, estimates included.
         let q = cat.domain(2).signature(&hasher);
-        let a = built.search(&q, 60, 0.8);
-        assert_eq!(a, restored.search(&q, 60, 0.8));
+        let a = hits(&built, &q, 60, 0.8);
+        assert_eq!(a, hits(&restored, &q, 60, 0.8));
         assert!(a.iter().any(|&(id, est)| id == 2 && est.is_some()));
         let q = cat.domain(1).signature(&hasher);
-        let top = restored.top_k(&q, 40, 3).expect("ranked");
+        let top = answer(&restored, Query::top_k(&q, 3), 40);
         assert_eq!(top.len(), 3);
         assert!(top[0].1.expect("estimate") > 0.9);
     }
@@ -1583,15 +1560,14 @@ mod tests {
         // Committed inserts answer queries at once.
         let hasher = MinHasher::new(c.num_perm());
         let sig = hasher.signature((9_000..9_025).map(|v| v as u64));
-        let hits = c.search(&sig, 25, 0.9);
-        assert!(hits.iter().any(|&(id, _)| id == 10), "{hits:?}");
+        let found = hits(&c, &sig, 25, 0.9);
+        assert!(found.iter().any(|&(id, _)| id == 10), "{found:?}");
 
         // Persist, reload: everything survives.
         let restored = IndexContainer::from_bytes(&c.to_bytes()).expect("decode");
         assert_eq!(restored.len(), 11);
         assert!(restored.record(4).is_none());
-        assert!(restored
-            .search(&sig, 25, 0.9)
+        assert!(hits(&restored, &sig, 25, 0.9)
             .iter()
             .any(|&(id, _)| id == 10));
         assert_eq!(restored.provenance(11).0, "live11");
@@ -1658,8 +1634,7 @@ mod tests {
         assert!(original.sketch(20).is_none(), "original gained a sketch");
         let hasher = MinHasher::new(original.num_perm());
         let sig = cat.domain(0).signature(&hasher);
-        assert!(original
-            .search(&sig, cat.domain(0).len() as u64, 1.0)
+        assert!(hits(&original, &sig, cat.domain(0).len() as u64, 1.0)
             .iter()
             .any(|&(id, _)| id == 0));
     }
@@ -1805,7 +1780,7 @@ mod tests {
         let got = rank(
             shards
                 .iter()
-                .flat_map(|sc| sc.search(&q, qsize, 0.5))
+                .flat_map(|sc| hits(sc, &q, qsize, 0.5))
                 .collect(),
         );
         assert_eq!(got, want);

@@ -21,9 +21,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// One hit: domain id plus its estimated containment.
-pub type Hit = (u32, Option<f64>);
-
 /// Engine failures.
 #[derive(Debug)]
 pub enum EngineError {
@@ -124,30 +121,6 @@ impl Snapshot {
     pub fn query(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
         self.index.search(query)
     }
-
-    /// Threshold search; thin wrapper over [`query`](Self::query) kept for
-    /// direct-embedding callers and benches.
-    ///
-    /// # Panics
-    /// Panics on malformed query inputs; use [`query`](Self::query) for
-    /// typed errors.
-    #[must_use]
-    pub fn search(&self, sig: &Signature, query_size: u64, threshold: f64) -> Vec<Hit> {
-        self.query(&Query::threshold(sig, threshold).with_size(query_size))
-            .expect("valid threshold query")
-            .into_pairs()
-    }
-
-    /// Top-k search; thin wrapper over [`query`](Self::query).
-    ///
-    /// # Errors
-    /// A message for a malformed query (`k == 0`, zero size, width
-    /// mismatch).
-    pub fn top_k(&self, sig: &Signature, query_size: u64, k: usize) -> Result<Vec<Hit>, String> {
-        self.query(&Query::top_k(sig, k).with_size(query_size))
-            .map(SearchOutcome::into_pairs)
-            .map_err(|e| e.to_string())
-    }
 }
 
 /// Staged (uncommitted) mutations: the ops in arrival order plus the
@@ -175,11 +148,15 @@ impl Pending {
     }
 
     /// Why `op` cannot follow the staged ops over `container`, if it
-    /// cannot: an insert of an id committed or staged, a remove of an id
+    /// cannot: an insert of an id committed or staged, or of `u32::MAX`
+    /// (the allocator mark past it would overflow), a remove of an id
     /// already staged for removal, or of one neither committed nor staged.
     fn refusal(&self, container: &IndexContainer, op: &DeltaOp) -> Option<String> {
         let committed = |id: &u32| container.record(*id).is_some();
         match op {
+            DeltaOp::Insert { record, .. } if record.id == u32::MAX => {
+                Some(format!("domain id {} is out of range", record.id))
+            }
             DeltaOp::Insert { record, .. } => (committed(&record.id)
                 || self.staged_inserts.contains(&record.id))
             .then(|| format!("domain id {} is already in use", record.id)),
@@ -835,6 +812,12 @@ mod tests {
         (d.signature(&hasher), d.len() as u64)
     }
 
+    /// Threshold hits as `(id, estimate)` pairs.
+    fn hits(index: &dyn DomainIndex, sig: &Signature, q: u64, t: f64) -> Vec<(u32, Option<f64>)> {
+        let query = Query::threshold(sig, t).with_size(q);
+        index.search(&query).expect("valid query").into_pairs()
+    }
+
     #[test]
     fn unsharded_matches_container() {
         let cat = catalog(12);
@@ -843,7 +826,10 @@ mod tests {
         let engine = Engine::from_container(container);
         let snap = engine.snapshot();
         let (sig, q) = sig_for(&cat, 5, snap.container().num_perm());
-        assert_eq!(snap.search(&sig, q, 0.7), reference.search(&sig, q, 0.7));
+        assert_eq!(
+            hits(snap.index(), &sig, q, 0.7),
+            hits(&*reference.open_index(), &sig, q, 0.7)
+        );
     }
 
     #[test]
@@ -859,7 +845,9 @@ mod tests {
         }
         let snap = Engine::load(&path, 1).expect("one shard").snapshot();
         let (sig, q) = sig_for(&cat, 3, snap.container().num_perm());
-        assert!(snap.search(&sig, q, 0.8).iter().any(|&(id, _)| id == 3));
+        assert!(hits(snap.index(), &sig, q, 0.8)
+            .iter()
+            .any(|&(id, _)| id == 3));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -886,7 +874,7 @@ mod tests {
         // The old snapshot is still fully usable (in-flight queries).
         assert_eq!(old.container().len(), 6);
         let (sig, size) = sig_for(&catalog(6), 2, old.container().num_perm());
-        assert!(old.search(&sig, size, 0.9).iter().any(|h| h.0 == 2));
+        assert!(hits(old.index(), &sig, size, 0.9).iter().any(|h| h.0 == 2));
         assert_eq!(engine.snapshot().generation(), 2);
 
         // A failed reload leaves the current snapshot untouched.
@@ -940,7 +928,7 @@ mod tests {
             Err(EngineError::Mutation(_))
         ));
         // Nothing visible pre-commit.
-        assert!(engine.snapshot().search(&sig, q, 0.9).is_empty());
+        assert!(hits(engine.snapshot().index(), &sig, q, 0.9).is_empty());
         assert_eq!(engine.snapshot().generation(), 1);
 
         let (snap, outcome) = engine.commit_staged().expect("commit");
@@ -948,11 +936,13 @@ mod tests {
         assert_eq!(outcome.report.merged, 1);
         assert_eq!(snap.generation(), 2);
         assert_eq!(snap.container().len(), 10); // 10 − 1 + 1
-        assert!(snap.search(&sig, q, 0.9).iter().any(|&(hit, _)| hit == id));
+        assert!(hits(snap.index(), &sig, q, 0.9)
+            .iter()
+            .any(|&(hit, _)| hit == id));
         assert!(snap.container().record(3).is_none());
         // Pre-commit snapshot is untouched (in-flight queries).
         assert!(old.container().record(3).is_some());
-        assert!(old.search(&sig, q, 0.9).is_empty());
+        assert!(hits(old.index(), &sig, q, 0.9).is_empty());
         assert_eq!(engine.staged_counts(), StagedCounts::default());
 
         // Empty commit: no-op, same generation.
@@ -1005,7 +995,7 @@ mod tests {
                 removes: 1
             }
         );
-        assert!(engine.snapshot().search(&sig, q, 0.9).is_empty());
+        assert!(hits(engine.snapshot().index(), &sig, q, 0.9).is_empty());
         // …and commit exactly as they would have pre-restart. The commit
         // is marker-only: the base file on disk is untouched.
         let base_before = std::fs::read(&path).expect("base bytes");
@@ -1014,7 +1004,9 @@ mod tests {
         assert!(outcome.report.sealed);
         assert_eq!(outcome.report.segments, 1);
         assert_eq!(outcome.report.tombstones, 1);
-        assert!(snap.search(&sig, q, 0.9).iter().any(|&(id, _)| id == 8));
+        assert!(hits(snap.index(), &sig, q, 0.9)
+            .iter()
+            .any(|&(id, _)| id == 8));
         assert!(snap.container().record(2).is_none());
         assert_eq!(
             std::fs::read(&path).expect("base bytes"),
@@ -1031,9 +1023,7 @@ mod tests {
             fresh.snapshot().container().segment_layout(),
             snap.container().segment_layout()
         );
-        assert!(fresh
-            .snapshot()
-            .search(&sig, q, 0.9)
+        assert!(hits(fresh.snapshot().index(), &sig, q, 0.9)
             .iter()
             .any(|&(id, _)| id == 8));
         // Compaction folds the batch into the base and retires the log.
@@ -1044,9 +1034,7 @@ mod tests {
         assert_eq!(fresh.last_compaction(), folded.generation());
         let after = Engine::load(&path, 1).expect("load compacted");
         assert_eq!(after.snapshot().container().len(), 8);
-        assert!(after
-            .snapshot()
-            .search(&sig, q, 0.9)
+        assert!(hits(after.snapshot().index(), &sig, q, 0.9)
             .iter()
             .any(|&(id, _)| id == 8));
         std::fs::remove_dir_all(&dir).ok();
@@ -1091,7 +1079,9 @@ mod tests {
             (0, 0),
             "embodied batches must not re-seal segments"
         );
-        assert!(snap.search(&sig, q, 0.9).iter().any(|&(id, _)| id == 7));
+        assert!(hits(snap.index(), &sig, q, 0.9)
+            .iter()
+            .any(|&(id, _)| id == 7));
         assert!(snap.container().record(2).is_none());
         // The id allocator stays past the replayed insert's id.
         let (next, _) = engine
@@ -1172,7 +1162,7 @@ mod tests {
                 removes: 1
             }
         );
-        assert!(engine.snapshot().search(&sig, q, 0.9).is_empty());
+        assert!(hits(engine.snapshot().index(), &sig, q, 0.9).is_empty());
         assert_eq!(tiers(&engine.snapshot()), (0, 0));
         drop(engine);
 
@@ -1182,9 +1172,7 @@ mod tests {
         let engine = Engine::load(&path, 1).expect("boot (b)");
         assert_eq!(engine.staged_counts(), StagedCounts::default());
         assert_eq!(tiers(&engine.snapshot()), (1, 1));
-        assert!(engine
-            .snapshot()
-            .search(&sig, q, 0.9)
+        assert!(hits(engine.snapshot().index(), &sig, q, 0.9)
             .iter()
             .any(|&(id, _)| id == 6));
         assert!(engine.snapshot().container().record(1).is_none());
@@ -1243,7 +1231,9 @@ mod tests {
         let (snap, outcome) = engine.commit_staged().expect("commit after reload");
         assert_eq!(outcome.applied, 1);
         assert_eq!(snap.generation(), 3);
-        assert!(snap.search(&sig, q, 0.9).iter().any(|&(hit, _)| hit == id));
+        assert!(hits(snap.index(), &sig, q, 0.9)
+            .iter()
+            .any(|&(hit, _)| hit == id));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1281,13 +1271,13 @@ mod tests {
         source.save(&path).expect("save");
         let engine = Engine::load(&path, 1).expect("load");
         let sig = cat.domain(3).signature(&MinHasher::new(source.num_perm()));
-        let before = engine.snapshot().search(&sig, 80, 0.7);
+        let before = hits(engine.snapshot().index(), &sig, 80, 0.7);
         assert!(before.iter().any(|&(id, _)| id == 3));
         let err = engine.reload(Some(&packed)).unwrap_err();
         assert!(named(&err), "got {err}");
         let snap = engine.snapshot();
         assert_eq!(snap.generation(), 1);
-        assert_eq!(snap.search(&sig, 80, 0.7), before);
+        assert_eq!(hits(snap.index(), &sig, 80, 0.7), before);
         // The path on record is still the `.lshe`: a bare reload takes it.
         assert_eq!(engine.reload(None).expect("reload").generation(), 2);
         std::fs::remove_dir_all(&dir).ok();

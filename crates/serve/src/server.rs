@@ -1631,6 +1631,23 @@ mod tests {
     }
 
     #[test]
+    fn insert_at_the_last_id_is_refused_and_the_server_answers_on() {
+        let server = boot(test_engine(4));
+        let addr = server.addr();
+        let insert = r#"{"values": ["a", "b"], "id": 4294967295}"#;
+        let (status, body) = post(addr, "/insert", insert);
+        assert_eq!(status, 400, "{body}");
+        assert!(
+            body.contains("domain id 4294967295 is out of range"),
+            "{body}"
+        );
+        let query = r#"{"values": ["v0", "v1", "v2", "v3"], "threshold": 0.5}"#;
+        let (status, body) = post(addr, "/query", query);
+        assert_eq!(status, 200, "{body}");
+        server.shutdown();
+    }
+
+    #[test]
     fn insert_remove_commit_endpoints() {
         let server = boot(test_engine(6));
         let addr = server.addr();

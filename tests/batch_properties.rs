@@ -12,8 +12,8 @@
 //! index construction.
 
 use lshe_core::{
-    AsymIndexBuilder, AsymPartitionedIndex, DomainIndex, EnsembleConfig, LshEnsemble,
-    PartitionStrategy, Query, QueryError, SearchOutcome, Unranked,
+    AsymIndex, AsymIndexBuilder, DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy,
+    Query, QueryError, SearchOutcome, Unranked,
 };
 use lshe_lsh::DomainId;
 use lshe_minhash::{MinHasher, Signature};
@@ -68,7 +68,7 @@ fn world() -> &'static World {
             ("asym", Box::new(asym.build())),
             (
                 "asym_partitioned",
-                Box::new(AsymPartitionedIndex::build(&config(), 4, &entries)),
+                Box::new(AsymIndex::build(&config(), 4, &entries)),
             ),
         ];
         World { entries, backends }

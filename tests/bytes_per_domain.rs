@@ -26,6 +26,7 @@
 //! columns — 12 bytes a record, beside the text of each column name and of
 //! each *distinct* table name — not a struct and two heap strings a record.
 
+use lshe_core::Query;
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::MinHasher;
 use lshe_serve::{DeltaOp, DomainRecord, IndexContainer};
@@ -132,7 +133,9 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
         let corpus = CorpusStream::new(CorpusConfig::wdc_web_tables_like(DOMAINS));
         let (largest, _) = corpus.max_by_key(|(d, _)| d.len()).expect("a domain");
         let sig = hasher.signature(largest.hashes().iter().copied());
-        assert!(!loaded.search(&sig, largest.len() as u64, 1.0).is_empty());
+        let query = Query::threshold(&sig, 1.0).with_size(largest.len() as u64);
+        let outcome = loaded.open_index().search(&query).expect("valid query");
+        assert!(!outcome.hits.is_empty());
         let resident = loaded.mapped_resident_bytes().expect("still readable");
         assert!(
             resident > 0 && resident <= loaded.mapped_bytes(),

@@ -18,7 +18,7 @@ use lshe::serve::client::HttpClient as Client;
 use lshe::serve::container::IndexContainer;
 use lshe::serve::engine::Engine;
 use lshe::serve::server::{start as start_shard, ServerConfig, ServerHandle};
-use lshe::{MinHasher, QueryMode};
+use lshe::{MinHasher, Query, QueryMode};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -106,11 +106,12 @@ fn reference_rows(parts: &[IndexContainer], k: usize, mode: QueryMode) -> Vec<Hi
     let mut hits: Vec<(f64, u32, &IndexContainer)> = Vec::new();
     for part in parts {
         let sig = domain.signature(&MinHasher::new(part.num_perm()));
-        let answer = match mode {
-            QueryMode::Threshold(t) => part.search(&sig, size, t),
-            QueryMode::TopK(top) => part.top_k(&sig, size, top).expect("top-k"),
+        let query = match mode {
+            QueryMode::Threshold(t) => Query::threshold(&sig, t),
+            QueryMode::TopK(top) => Query::top_k(&sig, top),
         };
-        for (id, estimate) in answer {
+        let answer = part.open_index().search(&query.with_size(size));
+        for (id, estimate) in answer.expect("valid query").into_pairs() {
             hits.push((estimate.expect("ranked hits carry estimates"), id, part));
         }
     }

@@ -7,7 +7,7 @@
 //! segment beside it and a segment merge rewrites segments only; the
 //! snapshot a reader still holds keeps answering as it did.
 
-use lshe_core::MergeTask;
+use lshe_core::{MergeTask, Query};
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::{MinHasher, Signature};
@@ -39,10 +39,13 @@ fn stage(engine: &Engine, (domain, meta): &(Domain, DomainMeta), id: Option<u32>
 
 fn finds(snap: &Snapshot, domain: &Domain, id: u32) -> bool {
     let (sig, size) = sketch(domain);
-    let by_threshold = snap.search(&sig, size, 1.0).iter().any(|h| h.0 == id);
+    let hit = |query: Query<'_>| {
+        let outcome = snap.query(&query.with_size(size)).expect("valid query");
+        outcome.ids().contains(&id)
+    };
+    let by_threshold = hit(Query::threshold(&sig, 1.0));
     // The index must agree with itself through the top-k path.
-    let top = snap.top_k(&sig, size, 3).expect("top-k");
-    assert_eq!(top.iter().any(|h| h.0 == id), by_threshold, "id {id}");
+    assert_eq!(hit(Query::top_k(&sig, 3)), by_threshold, "id {id}");
     by_threshold
 }
 

@@ -16,9 +16,8 @@
 //!   panics.
 
 use lshe_core::{
-    pack_ranked_to, AsymIndexBuilder, AsymPartitionedIndex, CommitReport, DomainIndex,
-    EnsembleConfig, LshEnsemble, MmapIndex, Mutation, MutationError, PartitionStrategy, Query,
-    QueryError,
+    pack_ranked_to, AsymIndex, AsymIndexBuilder, CommitReport, DomainIndex, EnsembleConfig,
+    LshEnsemble, MmapIndex, Mutation, MutationError, PartitionStrategy, Query, QueryError,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta, ExactIndex};
 use lshe_lsh::DomainId;
@@ -110,7 +109,7 @@ fn backends(w: &World) -> Vec<(&'static str, Box<dyn DomainIndex>)> {
         ("asym", Box::new(asym.build())),
         (
             "asym_partitioned",
-            Box::new(AsymPartitionedIndex::build(&config(), PARTS, &w.entries)),
+            Box::new(AsymIndex::build(&config(), PARTS, &w.entries)),
         ),
     ]
 }
@@ -307,8 +306,8 @@ fn assert_result_matches(
 fn search_batch_equals_looped_search_on_every_backend() {
     let w = world();
     // A mixed batch: thresholds across the grid, top-k, estimated sizes,
-    // the parallel hint, and malformed queries that must error in
-    // position without affecting their neighbours.
+    // and malformed queries that must error in position without affecting
+    // their neighbours.
     let narrow = MinHasher::new(64).signature([1u64, 2, 3]);
     let mut queries: Vec<Query<'_>> = Vec::new();
     for &(q, t) in &[(3usize, 0.3), (7, 0.5), (13, 0.8), (19, 0.5), (23, 1.0)] {
@@ -317,11 +316,7 @@ fn search_batch_equals_looped_search_on_every_backend() {
     }
     let (_, size5, sig5) = &w.entries[5];
     queries.push(Query::threshold(sig5, 0.5)); // size estimated from the sketch
-    queries.push(
-        Query::threshold(sig5, 0.6)
-            .with_size(*size5)
-            .with_parallel(true),
-    );
+    queries.push(Query::threshold(sig5, 0.6).with_size(*size5));
     queries.push(Query::top_k(sig5, 4).with_size(*size5));
     queries.push(Query::top_k(sig5, 500).with_size(*size5)); // k > corpus
     queries.push(Query::threshold(&narrow, 0.5).with_size(3)); // width mismatch
@@ -700,25 +695,4 @@ fn segmented_commit_then_compaction_conforms_on_every_mutable_backend() {
     assert_eq!(mutated.len(), finals.len(), "len after compaction");
     assert_live_answers("compacted", &mutated, &plan, &finals);
     assert_equals_rebuild(&mutated, &rebuilt, &finals);
-}
-
-#[test]
-fn parallel_hint_does_not_change_answers() {
-    let w = world();
-    for (name, index) in backends(&w) {
-        let (_, size, sig) = &w.entries[15];
-        let seq = index
-            .search(&Query::threshold(sig, 0.6).with_size(*size))
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
-            .ids();
-        let par = index
-            .search(
-                &Query::threshold(sig, 0.6)
-                    .with_size(*size)
-                    .with_parallel(true),
-            )
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
-            .ids();
-        assert_eq!(seq, par, "{name}: parallel hint changed the answer");
-    }
 }

@@ -25,6 +25,7 @@
 //!
 //! 462 469 − 20 441 + 4 812 + 4 928 + 1 = 451 769 B.
 
+use lshe_core::{Query, SearchOutcome};
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::{MinHasher, Signature};
@@ -116,13 +117,18 @@ fn save_writes_the_same_bytes_and_load_answers_identically() {
     assert_eq!(loaded.records(), built.records());
     assert_eq!(loaded.next_id(), built.next_id());
     assert_eq!(loaded.segment_layout(), built.segment_layout());
+    let answer = |c: &IndexContainer, query: &Query<'_>| {
+        let outcome = c.open_index().search(query);
+        outcome.map(SearchOutcome::into_pairs)
+    };
     for (sig, size) in &query_sample() {
-        for t in [0.5, 0.9] {
-            // Hits with their estimates.
-            let hits = loaded.search(sig, *size, t);
-            assert_eq!(hits, built.search(sig, *size, t), "t={t}");
+        // Hits with their estimates.
+        for query in [0.5, 0.9].map(|t| Query::threshold(sig, t)) {
+            let query = query.with_size(*size);
+            assert_eq!(answer(&loaded, &query), answer(&built, &query), "{query:?}");
         }
-        assert_eq!(loaded.top_k(sig, *size, 5), built.top_k(sig, *size, 5));
+        let top = Query::top_k(sig, 5).with_size(*size);
+        assert_eq!(answer(&loaded, &top), answer(&built, &top));
     }
     // The removed domain stays gone, the inserted ones stay found.
     assert!(loaded.record(17).is_none() && loaded.record(608).is_some());

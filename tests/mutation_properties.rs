@@ -36,7 +36,7 @@
 
 use lshe_core::{
     DomainIndex, EnsembleConfig, Leveled, LshEnsemble, Mutation, MutationError, PartitionStrategy,
-    Query, RowBuf,
+    Query, QueryError, RowBuf, SearchOutcome,
 };
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_lsh::DomainId;
@@ -54,6 +54,14 @@ fn config(parts: usize) -> EnsembleConfig {
         r_max: 8,
         strategy: PartitionStrategy::EquiDepth { n: parts },
     }
+}
+
+/// A container's answer to `query`, as `(id, estimate)` pairs.
+fn answer(
+    c: &IndexContainer,
+    query: &Query<'_>,
+) -> Result<Vec<(DomainId, Option<f64>)>, QueryError> {
+    c.open_index().search(query).map(SearchOutcome::into_pairs)
 }
 
 /// Deterministic per-id domain: `size` distinct synthetic values.
@@ -511,10 +519,12 @@ proptest! {
                     prop_assert!(loaded.records() == container.records(), "{label}");
                     for (&id, (size, sig)) in model.iter().take(6) {
                         for t in [0.5, 1.0] {
-                            let (want, got) = (container.search(sig, *size, t), loaded.search(sig, *size, t));
+                            let query = Query::threshold(sig, t).with_size(*size);
+                            let (want, got) = (answer(&container, &query), answer(&loaded, &query));
                             prop_assert!(want == got, "{label}: id {id} at t* = {t}");
                         }
-                        let top = (container.top_k(sig, *size, 3), loaded.top_k(sig, *size, 3));
+                        let query = Query::top_k(sig, 3).with_size(*size);
+                        let top = (answer(&container, &query), answer(&loaded, &query));
                         prop_assert!(top.0 == top.1, "{label}: id {id} top-3");
                     }
                     container = loaded;
@@ -705,7 +715,9 @@ fn an_emptied_container_compacts_saves_loads_and_takes_domains_again() {
         assert_eq!(c.len(), live.len(), "{at}");
         for id in 0..6 {
             let size = size_of(id);
-            let found = c.search(&hasher.signature(values_for(id, size)), size, 1.0);
+            let sig = hasher.signature(values_for(id, size));
+            let query = Query::threshold(&sig, 1.0).with_size(size);
+            let found = answer(c, &query).expect("valid query");
             let hit = found.iter().any(|&(hit, _)| hit == id);
             assert_eq!(hit, live.contains(&id), "{at}: id {id}");
         }

@@ -63,18 +63,16 @@ fn hit_ids(response: &Json) -> Vec<u64> {
         .collect()
 }
 
-/// The direct-search reference: ids from `IndexContainer::search` for the
+/// The direct-search reference: ids from the container's index for the
 /// same values/threshold, order-insensitive.
 fn expected_ids(container: &IndexContainer, k: usize, threshold: f64) -> Vec<u64> {
     let values = query_values(k);
     let domain = Domain::from_strs(values.iter().map(String::as_str));
     let hasher = lshe_minhash::MinHasher::new(container.num_perm());
     let sig = domain.signature(&hasher);
-    let mut ids: Vec<u64> = container
-        .search(&sig, domain.len() as u64, threshold)
-        .into_iter()
-        .map(|(id, _)| u64::from(id))
-        .collect();
+    let query = lshe_core::Query::threshold(&sig, threshold).with_size(domain.len() as u64);
+    let outcome = container.open_index().search(&query).expect("valid query");
+    let mut ids: Vec<u64> = outcome.hits.iter().map(|h| u64::from(h.id)).collect();
     ids.sort_unstable();
     ids
 }

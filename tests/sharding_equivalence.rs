@@ -5,7 +5,7 @@
 
 use lshe::cluster::shard_of;
 use lshe::serve::container::IndexContainer;
-use lshe::Catalog;
+use lshe::{Catalog, Query};
 use lshe_datagen::{generate_catalog, sample_queries, CorpusConfig, SizeBand};
 use lshe_minhash::{MinHasher, Signature};
 
@@ -23,12 +23,21 @@ fn query_of(catalog: &Catalog, id: u32) -> (Signature, u64) {
     (domain.signature(&MinHasher::new(256)), domain.len() as u64)
 }
 
+/// One index's answer ids at threshold `t_star`.
+fn search(index: &IndexContainer, sig: &Signature, size: u64, t_star: f64) -> Vec<u32> {
+    let query = Query::threshold(sig, t_star).with_size(size);
+    index
+        .open_index()
+        .search(&query)
+        .expect("valid query")
+        .ids()
+}
+
 /// The union of every shard's answer ids, sorted.
 fn fan_out(shards: &[IndexContainer], sig: &Signature, size: u64, t_star: f64) -> Vec<u32> {
     let mut ids: Vec<u32> = shards
         .iter()
-        .flat_map(|shard| shard.search(sig, size, t_star))
-        .map(|(id, _)| id)
+        .flat_map(|shard| search(shard, sig, size, t_star))
         .collect();
     ids.sort_unstable();
     ids
@@ -63,7 +72,7 @@ fn sharded_recall_matches_single_index() {
     for q in sample_queries(&catalog, 50, SizeBand::All, 9) {
         let (sig, size) = query_of(&catalog, q);
         total_sharded += fan_out(&shards, &sig, size, 0.5).len();
-        total_single += container.search(&sig, size, 0.5).len();
+        total_single += search(&container, &sig, size, 0.5).len();
     }
     let ratio = total_sharded as f64 / total_single.max(1) as f64;
     assert!(
