@@ -276,64 +276,37 @@ impl Coordinator {
         Ok((replies, generation, failed))
     }
 
-    /// `/query` and `/topk`: scatter the body verbatim, merge ranked
-    /// hits, truncate to `k` when the request asked for top-k.
+    /// `/query` and `/topk`: scatter the body verbatim and answer with
+    /// [`merge_item`]'s item, with `generation` and `query_time_us` in it
+    /// and the degraded markers after it.
     fn fanout_query(&self, request: &Request, path: &str) -> Outcome {
         let started = Instant::now();
         let Ok(body) = std::str::from_utf8(&request.body) else {
             return Outcome::error(400, "request body must be UTF-8");
         };
-        // The shards validate the body; the coordinator only needs `k`
-        // for the post-merge truncation.
-        let k = Json::parse(body)
-            .ok()
-            .and_then(|j| j.get("k").and_then(Json::as_u64))
-            .map(|k| k as usize);
         let (replies, generation, failed) = match self.scatter_read(path, body) {
             Ok(scattered) => scattered,
             Err(outcome) => return outcome,
         };
-        let mut hits = match merge_hits(replies.iter().map(hits_of).collect()) {
-            Ok(hits) => hits,
-            Err(msg) => return Outcome::error(500, msg),
-        };
-        if let Some(k) = k.filter(|&k| k > 0) {
-            hits.truncate(k);
-        }
-        let mut fields = vec![
-            ("count", Json::uint(hits.len() as u64)),
-            ("cached", Json::Bool(false)),
+        let envelope = vec![
             ("generation", Json::uint(generation)),
-            (
-                "query_time_us",
-                Json::uint(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)),
-            ),
-            ("hits", Json::Arr(hits)),
+            ("query_time_us", Json::uint(micros_since(started))),
         ];
-        push_degraded(&mut fields, &failed);
-        Outcome::ok(Json::obj(fields))
+        let query = Json::parse(body).ok();
+        let answers: Vec<&Json> = replies.iter().collect();
+        match merge_item(query.as_ref(), &answers, envelope) {
+            Ok(item) => Outcome::ok(with_degraded(item, &failed)),
+            Err(msg) => Outcome::error(500, msg),
+        }
     }
 
     /// `/batch`: one pipelined wire call per shard for the WHOLE batch,
-    /// then an element-wise merge of the per-item results.
+    /// then [`merge_item`] per item.
     fn fanout_batch(&self, request: &Request) -> Outcome {
         let started = Instant::now();
         let Ok(body) = std::str::from_utf8(&request.body) else {
             return Outcome::error(400, "request body must be UTF-8");
         };
-        // Per-item `k` for post-merge truncation; invalid bodies are
-        // rejected by the shards (forwarded below), so a failed local
-        // parse just means no truncation data is needed.
-        let per_item_k: Vec<Option<u64>> = Json::parse(body)
-            .ok()
-            .and_then(|j| {
-                j.get("queries").and_then(Json::as_array).map(|qs| {
-                    qs.iter()
-                        .map(|q| q.get("k").and_then(Json::as_u64))
-                        .collect()
-                })
-            })
-            .unwrap_or_default();
         let (replies, generation, failed) = match self.scatter_read("/batch", body) {
             Ok(scattered) => scattered,
             Err(outcome) => return outcome,
@@ -349,44 +322,30 @@ impl Coordinator {
         if shard_results.iter().any(|r| r.len() != items) {
             return Outcome::error(502, "shards disagree on batch length");
         }
-
+        // The shards validated the body (a 4xx was forwarded above), so a
+        // failed local parse only means there is no `k` to truncate to.
+        let parsed = Json::parse(body).ok();
+        let queries = parsed
+            .as_ref()
+            .and_then(|j| j.get("queries").and_then(Json::as_array))
+            .unwrap_or_default();
         let mut results = Vec::with_capacity(items);
         for j in 0..items {
-            // Per-item validation errors are deterministic and pinned to
-            // their position on every shard; forward the first.
-            if let Some(err) = shard_results
-                .iter()
-                .map(|r| &r[j])
-                .find(|r| r.get("error").is_some())
-            {
-                results.push(err.clone());
-                continue;
-            }
-            let mut hits = match merge_hits(shard_results.iter().map(|r| hits_of(&r[j])).collect())
-            {
-                Ok(hits) => hits,
+            let answers: Vec<&Json> = shard_results.iter().map(|r| &r[j]).collect();
+            match merge_item(queries.get(j), &answers, Vec::new()) {
+                Ok(item) => results.push(item),
                 Err(msg) => return Outcome::error(500, msg),
-            };
-            if let Some(k) = per_item_k.get(j).copied().flatten().filter(|&k| k > 0) {
-                hits.truncate(k as usize);
             }
-            results.push(Json::obj(vec![
-                ("count", Json::uint(hits.len() as u64)),
-                ("cached", Json::Bool(false)),
-                ("hits", Json::Arr(hits)),
-            ]));
         }
-        let mut fields = vec![
-            ("count", Json::uint(items as u64)),
-            ("generation", Json::uint(generation)),
-            (
-                "batch_time_us",
-                Json::uint(u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)),
-            ),
-            ("results", Json::Arr(results)),
-        ];
-        push_degraded(&mut fields, &failed);
-        Outcome::ok(Json::obj(fields))
+        Outcome::ok(with_degraded(
+            Json::obj(vec![
+                ("count", Json::uint(items as u64)),
+                ("generation", Json::uint(generation)),
+                ("batch_time_us", Json::uint(micros_since(started))),
+                ("results", Json::Arr(results)),
+            ]),
+            &failed,
+        ))
     }
 
     /// `/insert`: allocate (or honour) the id, route to the owning
@@ -736,24 +695,58 @@ impl Coordinator {
     }
 }
 
-/// A reply's ranked `hits` (none when it has no such array).
-fn hits_of(reply: &Json) -> Vec<Json> {
-    reply
-        .get("hits")
-        .and_then(Json::as_array)
-        .map(<[Json]>::to_vec)
-        .unwrap_or_default()
+/// Merges one query's per-shard answers into the cluster's. A shard's
+/// error item is deterministic (every shard parses alike), so the first
+/// is the answer. Otherwise the shards' hits merge through
+/// [`merge_hits`] and truncate to the query's `k`, and the item reads
+/// `count`, `cached`, the `envelope` fields, then `hits`.
+///
+/// # Errors
+/// [`merge_hits`]'s refusal.
+fn merge_item(
+    query: Option<&Json>,
+    answers: &[&Json],
+    envelope: Vec<(&str, Json)>,
+) -> Result<Json, String> {
+    if let Some(&error) = answers.iter().find(|a| a.get("error").is_some()) {
+        return Ok(error.clone());
+    }
+    let hits_of = |answer: &Json| {
+        let hits = answer.get("hits").and_then(Json::as_array);
+        hits.map(<[Json]>::to_vec).unwrap_or_default()
+    };
+    let mut hits = merge_hits(answers.iter().map(|a| hits_of(a)).collect())?;
+    let k = query.and_then(|q| q.get("k")).and_then(Json::as_u64);
+    if let Some(k) = k.filter(|&k| k > 0) {
+        hits.truncate(usize::try_from(k).unwrap_or(usize::MAX));
+    }
+    let mut fields = vec![
+        ("count", Json::uint(hits.len() as u64)),
+        ("cached", Json::Bool(false)),
+    ];
+    fields.extend(envelope);
+    fields.push(("hits", Json::Arr(hits)));
+    Ok(Json::obj(fields))
 }
 
-/// Appends the degraded markers to a response under construction.
-fn push_degraded(fields: &mut Vec<(&str, Json)>, failed: &[usize]) {
-    if !failed.is_empty() {
-        fields.push(("degraded", Json::Bool(true)));
+/// Microseconds since `started`, for the `*_time_us` fields.
+fn micros_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Appends the degraded markers to a response object.
+fn with_degraded(mut response: Json, failed: &[usize]) -> Json {
+    if failed.is_empty() {
+        return response;
+    }
+    if let Json::Obj(fields) = &mut response {
+        fields.push(("degraded".to_owned(), Json::Bool(true)));
         fields.push((
-            "degraded_shards",
+            "degraded_shards".to_owned(),
             Json::Arr(failed.iter().map(|&s| Json::uint(s as u64)).collect()),
         ));
     }
+    response
 }
 
 impl Service for Coordinator {
@@ -1119,6 +1112,46 @@ mod tests {
             vec![0, 1],
             "item k truncates its merge"
         );
+        handle.shutdown();
+    }
+
+    /// `/query` and a `/batch` item merge through one function: the same
+    /// body with `k` gives the same hits on both, and a shard hit without
+    /// a valid id is a 500 on both.
+    #[test]
+    fn query_and_batch_item_share_one_merge() {
+        let handle = boot(vec![
+            fake_shard(0, vec![hit(0, 0.9), hit(2, 0.4)]),
+            fake_shard(1, vec![hit(1, 0.7), hit(3, 0.2)]),
+        ]);
+        let mut client = HttpClient::connect(handle.addr());
+        let body = r#"{"values": ["a"], "threshold": 0.1, "k": 3}"#;
+        let (status, query) = client.post("/query", body);
+        assert_eq!(status, 200, "{query}");
+        let (status, batch) = client.post("/batch", &format!(r#"{{"queries": [{body}]}}"#));
+        assert_eq!(status, 200, "{batch}");
+        let item = &batch
+            .get("results")
+            .and_then(Json::as_array)
+            .expect("results")[0];
+        assert_eq!(hit_ids(&query), vec![0, 1, 2], "top-3 of the merged order");
+        assert_eq!(item.get("hits"), query.get("hits"));
+        assert_eq!(item.get("count"), query.get("count"));
+        handle.shutdown();
+
+        let no_id = Json::obj(vec![("estimate", Json::num(0.5))]);
+        let handle = boot(vec![
+            fake_shard(0, vec![hit(0, 0.9)]),
+            fake_shard(1, vec![no_id]),
+        ]);
+        let mut client = HttpClient::connect(handle.addr());
+        let batch = format!(r#"{{"queries": [{QUERY}]}}"#);
+        for (path, body) in [("/query", QUERY), ("/batch", batch.as_str())] {
+            let (status, answer) = client.post(path, body);
+            assert_eq!(status, 500, "{path}: {answer}");
+            let msg = answer.get("error").and_then(Json::as_str).unwrap_or("");
+            assert!(msg.contains("without a valid id"), "{path}: {msg}");
+        }
         handle.shutdown();
     }
 

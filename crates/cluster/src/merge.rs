@@ -9,14 +9,11 @@
 //! byte for byte — a parsed JSON number keeps the text the shard wrote)
 //! and re-sorts by the same key.
 //!
-//! The id union runs through [`lshe_core::batch::merge_sorted_disjoint`]
-//! after an explicit disjointness check: a duplicate id across shards
-//! means two processes claim the same domain (a mis-placed split, or one
-//! shard file served twice) and the cluster's answers would silently
-//! diverge from the split files' own, so the merge refuses rather than
-//! guessing.
+//! A duplicate id across shards means two processes claim the same
+//! domain (a mis-placed split, or one shard file served twice) and the
+//! cluster's answers would silently diverge from the split files' own, so
+//! the merge refuses rather than guessing.
 
-use lshe_core::batch::merge_sorted_disjoint;
 use lshe_serve::json::Json;
 use std::collections::HashSet;
 
@@ -33,11 +30,9 @@ use std::collections::HashSet;
 /// shards answer with the same id (overlapping shard contents — a
 /// misconfigured cluster).
 pub fn merge_hits(per_shard: Vec<Vec<Json>>) -> Result<Vec<Json>, String> {
-    let mut runs: Vec<Vec<u32>> = Vec::with_capacity(per_shard.len());
     let mut seen: HashSet<u32> = HashSet::new();
-    let mut total = 0usize;
-    for (shard, hits) in per_shard.iter().enumerate() {
-        let mut ids = Vec::with_capacity(hits.len());
+    let mut keyed: Vec<(f64, u32, Json)> = Vec::with_capacity(per_shard.iter().map(Vec::len).sum());
+    for (shard, hits) in per_shard.into_iter().enumerate() {
         for hit in hits {
             let id = hit
                 .get("id")
@@ -51,33 +46,13 @@ pub fn merge_hits(per_shard: Vec<Vec<Json>>) -> Result<Vec<Json>, String> {
                      shard file served more than once?"
                 ));
             }
-            ids.push(id);
-        }
-        total += ids.len();
-        ids.sort_unstable();
-        runs.push(ids);
-    }
-    // The disjointness pre-check above guarantees the union's contract
-    // holds.
-    let union = merge_sorted_disjoint(runs);
-    debug_assert_eq!(union.len(), total, "disjoint union keeps every id");
-
-    let mut keyed: Vec<(f64, u32, Json)> = per_shard
-        .into_iter()
-        .flatten()
-        .map(|hit| {
             let estimate = hit
                 .get("estimate")
                 .and_then(Json::as_f64)
                 .unwrap_or(f64::NEG_INFINITY);
-            let id = hit
-                .get("id")
-                .and_then(Json::as_u64)
-                .and_then(|id| u32::try_from(id).ok())
-                .expect("validated above");
-            (estimate, id, hit)
-        })
-        .collect();
+            keyed.push((estimate, id, hit));
+        }
+    }
     keyed.sort_by(|a, b| {
         b.0.partial_cmp(&a.0)
             .unwrap_or(std::cmp::Ordering::Equal)

@@ -6,10 +6,9 @@
 //! partition once per *batch* while its forest is hot, reuse the dedup
 //! scratch across queries, and pay the thread fan-out once per batch
 //! instead of once per query. This module holds the pieces around the
-//! sweep itself — the worker-lane chunking, the per-batch split of valid
-//! threshold items from top-k and malformed queries, and the disjoint
-//! sorted-run merge the `lshe-cluster` coordinator unions shard answers
-//! with; the partition-outer sweep is the `pipeline` module's.
+//! sweep itself — the worker-lane chunking and the per-batch split of
+//! valid threshold items from top-k and malformed queries; the
+//! partition-outer sweep is the `pipeline` module's.
 //!
 //! Everything here is *semantics-preserving*: a batched execution must
 //! return, per query, exactly the hits and deterministic
@@ -20,7 +19,6 @@
 //! this equivalence for every backend.
 
 use crate::api::{Query, QueryError, QueryMode, SearchOutcome};
-use lshe_lsh::DomainId;
 use lshe_minhash::Signature;
 
 /// Runs `run` over contiguous chunks of `items` across worker lanes
@@ -97,97 +95,4 @@ pub(crate) fn split_and_run<'q>(
         .into_iter()
         .map(|r| r.expect("every batch slot filled"))
         .collect()
-}
-
-/// Merges per-shard sorted id runs into one sorted unique list. Shards
-/// hold disjoint id sets, so a pairwise sorted merge suffices. The
-/// `lshe-cluster` coordinator unions per-shard wire results with it.
-///
-/// Inputs MUST be disjoint: a duplicate id across runs means two shards
-/// claim the same domain (a mis-placed split, or one container served
-/// twice), and the union would silently under-count. Debug builds assert
-/// on it; release builds keep the id once, matching the historical
-/// behaviour.
-#[must_use]
-pub fn merge_sorted_disjoint(mut runs: Vec<Vec<DomainId>>) -> Vec<DomainId> {
-    let mut merged = if runs.is_empty() {
-        Vec::new()
-    } else {
-        runs.swap_remove(0)
-    };
-    for r in runs {
-        let mut out = Vec::with_capacity(merged.len() + r.len());
-        let (mut i, mut j) = (0, 0);
-        while i < merged.len() && j < r.len() {
-            match merged[i].cmp(&r[j]) {
-                std::cmp::Ordering::Less => {
-                    out.push(merged[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    out.push(r[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    debug_assert!(
-                        false,
-                        "merge_sorted_disjoint: id {} appears in two runs — shard inputs must be disjoint",
-                        merged[i]
-                    );
-                    out.push(merged[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        out.extend_from_slice(&merged[i..]);
-        out.extend_from_slice(&r[j..]);
-        merged = out;
-    }
-    merged
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_matches_manual_union() {
-        let merged = merge_sorted_disjoint(vec![vec![1, 4, 9], vec![2, 5], vec![3, 8, 10]]);
-        assert_eq!(merged, vec![1, 2, 3, 4, 5, 8, 9, 10]);
-        assert_eq!(merge_sorted_disjoint(Vec::new()), Vec::<DomainId>::new());
-        assert_eq!(merge_sorted_disjoint(vec![vec![], vec![2]]), vec![2]);
-    }
-
-    #[test]
-    fn merge_empty_shard_result_is_transparent() {
-        // One shard answered nothing (e.g. no candidates): the union is
-        // exactly the other shards' ids, in order.
-        assert_eq!(
-            merge_sorted_disjoint(vec![vec![3, 7], vec![], vec![1, 5]]),
-            vec![1, 3, 5, 7]
-        );
-    }
-
-    #[test]
-    fn merge_single_shard_is_identity() {
-        assert_eq!(merge_sorted_disjoint(vec![vec![2, 4, 6]]), vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn merge_all_empty_yields_empty() {
-        assert_eq!(
-            merge_sorted_disjoint(vec![vec![], vec![], vec![]]),
-            Vec::<DomainId>::new()
-        );
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "shard inputs must be disjoint")]
-    fn merge_rejects_duplicate_ids_across_runs() {
-        // Id 4 claimed by two runs: a mis-placed split. Debug builds must
-        // refuse rather than silently under-count the union.
-        let _ = merge_sorted_disjoint(vec![vec![1, 4], vec![4, 9]]);
-    }
 }

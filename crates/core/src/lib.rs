@@ -74,7 +74,7 @@
 
 pub mod api;
 pub mod baselines;
-pub mod batch;
+mod batch;
 pub mod convert;
 pub mod cost;
 pub mod directory;

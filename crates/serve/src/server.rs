@@ -201,28 +201,37 @@ impl Drop for ServerHandle {
 /// Propagates the bind / waker-creation / spawn failure.
 pub fn start(engine: Arc<Engine>, config: &ServerConfig) -> io::Result<ServerHandle> {
     let bound = reactor::bind(config)?;
-    let cache = Arc::new(LruCache::new(config.cache_capacity));
-    // The maintainer swaps snapshots from its own thread; its on-swap
-    // callback drops the now-unreachable cache generation, exactly as the
-    // request-path handlers do after their own swaps.
-    let maintainer = Maintainer::spawn(Arc::clone(&engine), {
-        let cache = Arc::clone(&cache);
-        Box::new(move || cache.clear())
-    });
-    let shared = Arc::new(Shared {
-        engine,
-        cache,
-        counters: Counters::default(),
-        query_totals: QueryStatTotals::default(),
-        reactor: Arc::clone(bound.state()),
-        started: Instant::now(),
-        shard_id: config.shard_id,
-        maintainer: Arc::clone(&maintainer),
-    });
+    let shared = Arc::new(Shared::new(engine, config, Arc::clone(bound.state())));
+    let maintainer = Arc::clone(&shared.maintainer);
     Ok(ServerHandle {
         reactor: bound.serve(shared)?,
         maintainer,
     })
+}
+
+impl Shared {
+    /// The service state for `engine` under `config`, with its cache and
+    /// its maintenance thread.
+    fn new(engine: Arc<Engine>, config: &ServerConfig, reactor: Arc<ReactorState>) -> Self {
+        let cache = Arc::new(LruCache::new(config.cache_capacity));
+        // The maintainer swaps snapshots from its own thread; its on-swap
+        // callback drops the now-unreachable cache generation, exactly as
+        // the request-path handlers do after their own swaps.
+        let maintainer = Maintainer::spawn(Arc::clone(&engine), {
+            let cache = Arc::clone(&cache);
+            Box::new(move || cache.clear())
+        });
+        Self {
+            engine,
+            cache,
+            counters: Counters::default(),
+            query_totals: QueryStatTotals::default(),
+            reactor,
+            started: Instant::now(),
+            shard_id: config.shard_id,
+            maintainer,
+        }
+    }
 }
 
 impl Service for Shared {
@@ -234,10 +243,7 @@ impl Service for Shared {
     fn step(&self, request: Request) -> Step<Box<MissQuery>> {
         match (request.method.as_str(), request.path()) {
             ("POST", path @ ("/query" | "/topk")) if request.body.len() <= INLINE_BODY_MAX => {
-                match query_step(self, &request.body, path == "/topk", Instant::now()) {
-                    QueryStep::Reply(outcome) => Step::Reply(outcome),
-                    QueryStep::Miss(miss) => Step::Group(miss),
-                }
+                query_step(self, &request.body, path == "/topk", Instant::now())
             }
             (
                 "POST",
@@ -495,27 +501,6 @@ fn maintenance_json(shared: &Shared) -> Json {
     ])
 }
 
-/// One parsed query after sketching: sketch, cardinality, threshold, and
-/// optional k. (The `debug` response flag stays on [`ParsedItem`] — it
-/// shapes rendering, not execution.)
-struct QuerySpec {
-    signature: Signature,
-    size: u64,
-    threshold: f64,
-    k: usize,
-}
-
-impl QuerySpec {
-    /// The typed [`Query`] this spec describes.
-    fn query(&self) -> Query<'_> {
-        if self.k > 0 {
-            Query::top_k(&self.signature, self.k).with_size(self.size)
-        } else {
-            Query::threshold(&self.signature, self.threshold).with_size(self.size)
-        }
-    }
-}
-
 /// One request object parsed up to (but not including) sketching: the
 /// query domain plus its options. Both the single-query and batch paths
 /// stop here first — the cache is keyed on the *raw domain* (see
@@ -530,12 +515,13 @@ pub(crate) struct ParsedItem {
 }
 
 impl ParsedItem {
-    fn spec(&self, signature: Signature) -> QuerySpec {
-        QuerySpec {
-            size: self.domain.len() as u64,
-            signature,
-            threshold: self.threshold,
-            k: self.k,
+    /// The typed [`Query`] this item asks, over its `signature`.
+    fn query<'a>(&self, signature: &'a Signature) -> Query<'a> {
+        let size = self.domain.len() as u64;
+        if self.k > 0 {
+            Query::top_k(signature, self.k).with_size(size)
+        } else {
+            Query::threshold(signature, self.threshold).with_size(size)
         }
     }
 }
@@ -546,18 +532,7 @@ impl ParsedItem {
 /// `/query`, `/topk`, and `/batch` entries alike; `require_k` only makes
 /// it mandatory (`/topk`).
 fn parse_item(body: &Json, require_k: bool) -> Result<ParsedItem, String> {
-    let values = body
-        .get("values")
-        .and_then(Json::as_array)
-        .ok_or("missing \"values\": expected an array of strings")?;
-    if values.is_empty() {
-        return Err("\"values\" must not be empty".to_owned());
-    }
-    let mut strs = Vec::with_capacity(values.len());
-    for v in values {
-        strs.push(v.as_str().ok_or("\"values\" entries must all be strings")?);
-    }
-    let domain = Domain::from_strs(strs.iter().copied());
+    let domain = parse_values(body)?;
     let threshold = match body.get("threshold") {
         None => DEFAULT_THRESHOLD,
         Some(t) => t
@@ -586,6 +561,23 @@ fn parse_item(body: &Json, require_k: bool) -> Result<ParsedItem, String> {
     })
 }
 
+/// Parses `values`, a required non-empty array of strings, into the domain
+/// it names: a query's and an `/insert`'s alike.
+fn parse_values(body: &Json) -> Result<Domain, String> {
+    let values = body
+        .get("values")
+        .and_then(Json::as_array)
+        .ok_or("missing \"values\": expected an array of strings")?;
+    if values.is_empty() {
+        return Err("\"values\" must not be empty".to_owned());
+    }
+    let strs = values
+        .iter()
+        .map(|v| v.as_str().ok_or("\"values\" entries must all be strings"))
+        .collect::<Result<Vec<&str>, _>>()?;
+    Ok(Domain::from_strs(strs))
+}
+
 /// The cache key for a parsed item against one snapshot generation: a
 /// digest of the raw (pre-sketch) domain hashes plus the full
 /// response-shaping tuple (size, mode, `debug`). Keying on the raw domain
@@ -609,115 +601,106 @@ fn item_key(item: &ParsedItem, generation: u64) -> QueryKey {
     }
 }
 
-/// Sketches and searches cache-missed items in ONE batched dispatch:
-/// first-occurrence duplicates collapse (later copies alias the first
-/// answer, reported `cached` exactly as sequential execution would),
-/// unique items sketch in one `bulk_signatures` pass and search in one
-/// `search_batch` call, and every executed outcome lands in the cache.
-/// Returns, per input item, `Ok((outcome, aliased))` or the per-item
-/// error.
-#[allow(clippy::type_complexity)]
-fn run_uncached(
+/// One answer per item, in input order: its outcome and whether it is
+/// reported `cached`, or its error.
+type Answer = Result<(Arc<SearchOutcome>, bool), String>;
+
+/// Answers `items` against one snapshot: the one routine behind `/query`,
+/// `/topk` and `/batch`. An item whose key an earlier item has is a
+/// duplicate: it reads the earlier answer back through the cache, which
+/// counts one hit, and reports `cached`, as it would arriving just after.
+/// Every other item probes the cache unless `probed` says the reactor
+/// already did; the misses sketch in one `bulk_signatures` pass, search in
+/// one `search_batch` call, and enter the cache.
+fn answer(
     shared: &Shared,
     snap: &Snapshot,
     items: &[(&ParsedItem, QueryKey)],
-) -> Vec<Result<(Arc<SearchOutcome>, bool), String>> {
-    // Collapse duplicates (same key ⇒ same answer) before paying for
-    // sketching: `alias_of[i]` points at the unique slot answering item i.
-    let mut unique_positions: Vec<usize> = Vec::with_capacity(items.len());
-    let mut first_seen: HashMap<QueryKey, usize> = HashMap::with_capacity(items.len());
-    let mut alias_of: Vec<usize> = Vec::with_capacity(items.len());
+    probed: bool,
+) -> Vec<Answer> {
+    let mut answers: Vec<Option<Answer>> = vec![None; items.len()];
+    let mut first: HashMap<QueryKey, usize> = HashMap::with_capacity(items.len());
+    let mut duplicates: Vec<(usize, usize)> = Vec::new();
+    let mut misses: Vec<usize> = Vec::new();
     for (i, (_, key)) in items.iter().enumerate() {
-        match first_seen.entry(*key) {
-            std::collections::hash_map::Entry::Occupied(e) => alias_of.push(*e.get()),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(unique_positions.len());
-                alias_of.push(unique_positions.len());
-                unique_positions.push(i);
-            }
+        if let Some(&earlier) = first.get(key) {
+            duplicates.push((i, earlier));
+            continue;
+        }
+        first.insert(*key, i);
+        let hit = if probed { None } else { shared.cache.get(key) };
+        match hit {
+            Some(outcome) => answers[i] = Some(Ok((outcome, true))),
+            None => misses.push(i),
         }
     }
-    // Sketch every unique item in one bulk pass (shared hash scratch,
-    // worker lanes spawned once), then search them in one batch so the
-    // backend amortizes partition/shard probing across the lot.
-    let sets: Vec<&[u64]> = unique_positions
-        .iter()
-        .map(|&i| items[i].0.domain.hashes())
-        .collect();
+    // Sketch every miss in one bulk pass (shared hash scratch, worker
+    // lanes spawned once), then search them in one batch so the backend
+    // amortizes partition probing across the lot.
+    let sets: Vec<&[u64]> = misses.iter().map(|&i| items[i].0.domain.hashes()).collect();
     let signatures = snap.hasher().bulk_signatures(&sets);
-    let specs: Vec<QuerySpec> = unique_positions
+    let queries: Vec<Query<'_>> = misses
         .iter()
-        .zip(signatures)
-        .map(|(&i, sig)| items[i].0.spec(sig))
+        .zip(&signatures)
+        .map(|(&i, signature)| items[i].0.query(signature))
         .collect();
-    let queries: Vec<Query<'_>> = specs.iter().map(QuerySpec::query).collect();
-    let outcomes = snap.index().search_batch(&queries);
-    let unique_results: Vec<Result<Arc<SearchOutcome>, String>> = unique_positions
-        .iter()
-        .zip(outcomes)
-        .map(|(&i, result)| match result {
+    for (&i, result) in misses.iter().zip(snap.index().search_batch(&queries)) {
+        answers[i] = Some(match result {
             Ok(outcome) => {
                 shared.query_totals.record(&outcome.stats);
                 let outcome = Arc::new(outcome);
                 shared.cache.insert(items[i].1, Arc::clone(&outcome));
-                Ok(outcome)
+                Ok((outcome, false))
             }
             Err(e) => Err(e.to_string()),
-        })
-        .collect();
-    alias_of
+        });
+    }
+    // The earlier answer, read back through the cache (or shared as is
+    // when an eviction already raced it out).
+    for (i, earlier) in duplicates {
+        let earlier = answers[earlier].clone().expect("answered above");
+        answers[i] = Some(
+            earlier.map(|(outcome, _)| (shared.cache.get(&items[i].1).unwrap_or(outcome), true)),
+        );
+    }
+    answers
         .into_iter()
-        .enumerate()
-        .map(|(i, slot)| {
-            let aliased = unique_positions[slot] != i;
-            match &unique_results[slot] {
-                Ok(outcome) => Ok((Arc::clone(outcome), aliased)),
-                Err(msg) => Err(msg.clone()),
-            }
-        })
+        .map(|a| a.expect("every item answered"))
         .collect()
 }
 
-/// Bumps the per-endpoint counter for one answered query.
-fn bump_query_counter(shared: &Shared, k: usize) {
-    if k > 0 {
-        shared.counters.topk.fetch_add(1, Ordering::Relaxed);
-    } else {
-        shared.counters.queries.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// Renders one answered query in the `/query`/`/topk` response shape.
-fn render_query_outcome(
+/// Renders one answered query: `count`, `cached`, `hits`, and `debug` when
+/// the item asked for it. A `/query`/`/topk` answer, which has `started`,
+/// also carries `generation` and `query_time_us` before `hits`; a `/batch`
+/// item does not.
+fn item_json(
     snap: &Snapshot,
     item: &ParsedItem,
     outcome: &SearchOutcome,
     cached: bool,
-    started: Instant,
-) -> Outcome {
+    started: Option<Instant>,
+) -> Json {
     let mut fields = vec![
         ("count", Json::uint(outcome.hits.len() as u64)),
         ("cached", Json::Bool(cached)),
-        ("generation", Json::uint(snap.generation())),
-        (
+    ];
+    if let Some(started) = started {
+        fields.push(("generation", Json::uint(snap.generation())));
+        fields.push((
             "query_time_us",
             Json::uint(started.elapsed().as_micros() as u64),
-        ),
-        ("hits", hits_json(snap, &outcome.hits)),
-    ];
+        ));
+    }
+    fields.push(("hits", hits_json(snap, &outcome.hits)));
     if item.debug {
         fields.push(("debug", debug_json(&outcome.stats)));
     }
-    Outcome::ok(fields_obj(fields))
-}
-
-fn fields_obj(fields: Vec<(&str, Json)>) -> Json {
     Json::obj(fields)
 }
 
-/// A `/query`/`/topk` request that missed the cache: everything needed to
-/// execute it later (possibly batched with other same-tick misses), off
-/// the reactor thread.
+/// A parsed `/query`/`/topk` request against its snapshot. One that missed
+/// the cache waits in this form to execute later (possibly batched with
+/// other same-tick misses), off the reactor thread.
 pub(crate) struct MissQuery {
     item: ParsedItem,
     key: QueryKey,
@@ -725,46 +708,54 @@ pub(crate) struct MissQuery {
     started: Instant,
 }
 
-/// The first, non-blocking half of a `/query`/`/topk` request: parse, key
-/// the cache on the raw domain, and either answer immediately (parse
-/// error or cache hit — no sketching, no searching) or hand back the
-/// deferred [`MissQuery`].
-enum QueryStep {
-    /// Answer now (error or cache hit).
-    Reply(Outcome),
-    /// Cache miss: execute via [`execute_miss_group`].
-    Miss(Box<MissQuery>),
+impl MissQuery {
+    /// The answer: the item with `generation` and `query_time_us`, counted
+    /// on its endpoint.
+    fn reply(&self, shared: &Shared, outcome: &SearchOutcome, cached: bool) -> Outcome {
+        let c = &shared.counters;
+        let endpoint = if self.item.k > 0 { &c.topk } else { &c.queries };
+        endpoint.fetch_add(1, Ordering::Relaxed);
+        let started = Some(self.started);
+        Outcome::ok(item_json(&self.snap, &self.item, outcome, cached, started))
+    }
 }
 
-/// Runs the cheap half of a single query. Safe on the reactor thread: the
-/// worst case is a JSON parse + one cache probe.
-fn query_step(shared: &Shared, body: &[u8], require_k: bool, started: Instant) -> QueryStep {
+/// The first, non-blocking half of a `/query`/`/topk` request: parse, key
+/// the cache on the raw domain, and either reply now (parse error or cache
+/// hit — no sketching, no searching) or hand back the deferred
+/// [`MissQuery`] as a group step. Safe on the reactor thread: the worst
+/// case is a JSON parse + one cache probe.
+fn query_step(
+    shared: &Shared,
+    body: &[u8],
+    require_k: bool,
+    started: Instant,
+) -> Step<Box<MissQuery>> {
     let json = match parse_body_bytes(body) {
         Ok(json) => json,
-        Err(msg) => return QueryStep::Reply(Outcome::error(400, msg)),
+        Err(msg) => return Step::Reply(Outcome::error(400, msg)),
     };
     let item = match parse_item(&json, require_k) {
         Ok(item) => item,
-        Err(msg) => return QueryStep::Reply(Outcome::error(400, msg)),
+        Err(msg) => return Step::Reply(Outcome::error(400, msg)),
     };
     let snap = shared.engine.snapshot();
-    let key = item_key(&item, snap.generation());
-    if let Some(outcome) = shared.cache.get(&key) {
-        bump_query_counter(shared, item.k);
-        return QueryStep::Reply(render_query_outcome(&snap, &item, &outcome, true, started));
-    }
-    QueryStep::Miss(Box::new(MissQuery {
+    let query = MissQuery {
+        key: item_key(&item, snap.generation()),
         item,
-        key,
         snap,
         started,
-    }))
+    };
+    match shared.cache.get(&query.key) {
+        Some(outcome) => Step::Reply(query.reply(shared, &outcome, true)),
+        None => Step::Group(Box::new(query)),
+    }
 }
 
-/// Executes a group of same-tick cache misses in as few batched dispatches
-/// as possible (one per snapshot generation — normally exactly one), and
-/// returns the outcomes in input order. This is how the reactor converts
-/// N concurrent single-query requests into one `search_batch` call.
+/// Executes a group of same-tick cache misses through [`answer`], once per
+/// snapshot generation (normally exactly once), and returns the outcomes in
+/// input order. This is how the reactor converts N concurrent
+/// single-query requests into one `search_batch` call.
 fn execute_miss_group(shared: &Shared, jobs: &[Box<MissQuery>]) -> Vec<Outcome> {
     // Group by generation so every dispatch runs against one snapshot.
     let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -778,16 +769,9 @@ fn execute_miss_group(shared: &Shared, jobs: &[Box<MissQuery>]) -> Vec<Outcome> 
             .iter()
             .map(|&i| (&jobs[i].item, jobs[i].key))
             .collect();
-        for (&i, result) in positions.iter().zip(run_uncached(shared, snap, &items)) {
-            let miss = &jobs[i];
+        for (&i, result) in positions.iter().zip(answer(shared, snap, &items, true)) {
             out[i] = Some(match result {
-                Ok((outcome, aliased)) => {
-                    bump_query_counter(shared, miss.item.k);
-                    // An alias shares a neighbour's just-executed answer —
-                    // reported `cached`, exactly as sequential arrival
-                    // order would have produced.
-                    render_query_outcome(&miss.snap, &miss.item, &outcome, aliased, miss.started)
-                }
+                Ok((outcome, cached)) => jobs[i].reply(shared, &outcome, cached),
                 Err(msg) => Outcome::error(400, msg),
             });
         }
@@ -844,25 +828,22 @@ fn parse_body_bytes(body: &[u8]) -> Result<Json, String> {
     Json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))
 }
 
-fn parse_body(request: &Request) -> Result<Json, String> {
-    parse_body_bytes(&request.body)
-}
-
 /// `/query` and `/topk` via the generic (blocking) route path: the cheap
 /// half inline, then the miss executed immediately. The reactor uses the
 /// two halves separately so misses can batch across connections.
 fn handle_query(shared: &Shared, request: &Request, require_k: bool) -> Outcome {
     match query_step(shared, &request.body, require_k, Instant::now()) {
-        QueryStep::Reply(outcome) => outcome,
-        QueryStep::Miss(miss) => execute_miss_group(shared, &[miss])
+        Step::Reply(outcome) => outcome,
+        Step::Group(miss) => execute_miss_group(shared, &[miss])
             .pop()
             .expect("one outcome per query"),
+        Step::Long(_) => unreachable!("a query step is a reply or a miss"),
     }
 }
 
 fn handle_batch(shared: &Shared, request: &Request) -> Outcome {
     let started = Instant::now();
-    let body = match parse_body(request) {
+    let body = match parse_body_bytes(&request.body) {
         Ok(body) => body,
         Err(msg) => return Outcome::error(400, msg),
     };
@@ -878,106 +859,24 @@ fn handle_batch(shared: &Shared, request: &Request) -> Outcome {
     // Every query in the batch runs against ONE snapshot: a concurrent
     // reload cannot split the batch across index generations.
     let snap = shared.engine.snapshot();
-
-    // Phase 1 — parse every item. A malformed item becomes a typed error
-    // pinned to its position; it can never fail the batch or shift the
-    // answers of its neighbours.
+    // A malformed item becomes a typed error pinned to its position; it
+    // can never fail the batch or shift the answers of its neighbours.
     let parsed: Vec<Result<ParsedItem, String>> =
         queries.iter().map(|q| parse_item(q, false)).collect();
-
-    // Phase 2 — consult the cache per item (keyed on the raw domain, so
-    // hits skip sketching). Identical uncached entries within one batch
-    // dispatch ONCE: later duplicates borrow the first occurrence's
-    // answer (and report `cached`, exactly as they would have under
-    // sequential execution). The duplicate check comes FIRST so a
-    // duplicate never counts a cache miss it did not cause: its hit is
-    // recorded when it reads the freshly inserted entry below.
-    let keys: Vec<Option<QueryKey>> = parsed
+    let items: Vec<(&ParsedItem, QueryKey)> = parsed
+        .iter()
+        .filter_map(|p| p.as_ref().ok())
+        .map(|item| (item, item_key(item, snap.generation())))
+        .collect();
+    let mut answers = answer(shared, &snap, &items, false).into_iter();
+    let rendered: Vec<Json> = parsed
         .iter()
         .map(|p| {
-            p.as_ref()
-                .ok()
-                .map(|item| item_key(item, snap.generation()))
-        })
-        .collect();
-    let mut slots: Vec<Option<(Arc<SearchOutcome>, bool)>> = vec![None; parsed.len()];
-    let mut errors: Vec<Option<String>> =
-        parsed.iter().map(|p| p.as_ref().err().cloned()).collect();
-    let mut miss_positions: Vec<usize> = Vec::new();
-    let mut first_miss: HashMap<QueryKey, usize> = HashMap::new();
-    let mut duplicate_of: Vec<Option<usize>> = vec![None; parsed.len()];
-    for (i, key) in keys.iter().enumerate() {
-        let Some(key) = key else { continue };
-        if let Some(&first) = first_miss.get(key) {
-            duplicate_of[i] = Some(first);
-        } else if let Some(outcome) = shared.cache.get(key) {
-            slots[i] = Some((outcome, true));
-        } else {
-            first_miss.insert(*key, i);
-            miss_positions.push(i);
-        }
-    }
-
-    // Phase 3 — sketch + search every miss in one batched dispatch.
-    let miss_items: Vec<(&ParsedItem, QueryKey)> = miss_positions
-        .iter()
-        .map(|&i| {
-            (
-                parsed[i].as_ref().expect("miss positions are valid"),
-                keys[i].expect("miss positions are keyed"),
-            )
-        })
-        .collect();
-    for (&i, result) in miss_positions
-        .iter()
-        .zip(run_uncached(shared, &snap, &miss_items))
-    {
-        match result {
-            Ok((outcome, _)) => slots[i] = Some((outcome, false)),
-            // Per-item query errors stay in position, exactly like parse
-            // errors.
-            Err(e) => errors[i] = Some(e),
-        }
-    }
-    // Duplicates of a dispatched miss share its answer (or its error),
-    // flagged `cached` as they would be under sequential execution. The
-    // answer is read back through the cache so the hit counters reflect
-    // it (falling back to the first slot's Arc if an eviction already
-    // raced it out).
-    for (i, first) in duplicate_of.into_iter().enumerate() {
-        let Some(first) = first else { continue };
-        if let Some((outcome, _)) = &slots[first] {
-            let key = keys[i].expect("duplicates parsed");
-            let replay = shared
-                .cache
-                .get(&key)
-                .unwrap_or_else(|| Arc::clone(outcome));
-            slots[i] = Some((replay, true));
-        } else {
-            errors[i] = errors[first].clone();
-        }
-    }
-
-    // Phase 4 — render in request order.
-    let rendered: Vec<Json> = slots
-        .into_iter()
-        .zip(errors)
-        .zip(&parsed)
-        .map(|((slot, error), item)| match (slot, error) {
-            (_, Some(msg)) => Json::obj(vec![("error", Json::str(msg))]),
-            (Some((outcome, cached)), None) => {
-                let item = item.as_ref().expect("answered items parsed");
-                let mut fields = vec![
-                    ("count", Json::uint(outcome.hits.len() as u64)),
-                    ("cached", Json::Bool(cached)),
-                    ("hits", hits_json(&snap, &outcome.hits)),
-                ];
-                if item.debug {
-                    fields.push(("debug", debug_json(&outcome.stats)));
-                }
-                Json::obj(fields)
-            }
-            (None, None) => unreachable!("every item is answered or errored"),
+            let answered = p.as_ref().map_err(String::clone).and_then(|item| {
+                let (outcome, cached) = answers.next().expect("one answer per parsed item")?;
+                Ok(item_json(&snap, item, &outcome, cached, None))
+            });
+            answered.unwrap_or_else(|msg| Json::obj(vec![("error", Json::str(msg))]))
         })
         .collect();
     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
@@ -997,7 +896,7 @@ fn handle_batch(shared: &Shared, request: &Request) -> Outcome {
 }
 
 fn handle_reload(shared: &Shared, request: &Request) -> Outcome {
-    let body = match parse_body(request) {
+    let body = match parse_body_bytes(&request.body) {
         Ok(body) => body,
         Err(msg) => return Outcome::error(400, msg),
     };
@@ -1024,23 +923,14 @@ fn handle_reload(shared: &Shared, request: &Request) -> Outcome {
 /// optional `table`/`column` provenance. The domain becomes queryable on
 /// the next `/commit`; until then `/stats` reports it under `staged`.
 fn handle_insert(shared: &Shared, request: &Request) -> Outcome {
-    let body = match parse_body(request) {
+    let body = match parse_body_bytes(&request.body) {
         Ok(body) => body,
         Err(msg) => return Outcome::error(400, msg),
     };
-    let Some(values) = body.get("values").and_then(Json::as_array) else {
-        return Outcome::error(400, "missing \"values\": expected an array of strings");
+    let domain = match parse_values(&body) {
+        Ok(domain) => domain,
+        Err(msg) => return Outcome::error(400, msg),
     };
-    if values.is_empty() {
-        return Outcome::error(400, "\"values\" must not be empty");
-    }
-    let mut strs = Vec::with_capacity(values.len());
-    for v in values {
-        match v.as_str() {
-            Some(s) => strs.push(s),
-            None => return Outcome::error(400, "\"values\" entries must all be strings"),
-        }
-    }
     let table = match body.get("table") {
         None => "ingest".to_owned(),
         Some(t) => match t.as_str() {
@@ -1064,7 +954,6 @@ fn handle_insert(shared: &Shared, request: &Request) -> Outcome {
             None => return Outcome::error(400, "\"id\" out of range"),
         },
     };
-    let domain = Domain::from_strs(strs.iter().copied());
     let snap = shared.engine.snapshot();
     let signature = domain.signature(snap.hasher());
     match shared
@@ -1089,7 +978,7 @@ fn handle_insert(shared: &Shared, request: &Request) -> Outcome {
 /// `POST /remove`: stage the removal of a domain by id. Takes effect on
 /// the next `/commit`; double-removal and unknown ids are 400s.
 fn handle_remove(shared: &Shared, request: &Request) -> Outcome {
-    let body = match parse_body(request) {
+    let body = match parse_body_bytes(&request.body) {
         Ok(body) => body,
         Err(msg) => return Outcome::error(400, msg),
     };
@@ -1205,6 +1094,7 @@ mod tests {
     use super::*;
     use crate::client::HttpClient;
     use crate::container::IndexContainer;
+    use crate::reactor::Body;
     use crate::testkit::{self, read_resp};
     use lshe_corpus::{Catalog, DomainMeta};
     use std::io::{BufReader, Write as _};
@@ -1514,6 +1404,80 @@ mod tests {
             assert!(results[i].get("hits").is_none(), "item {i} answered anyway");
         }
         server.shutdown();
+    }
+
+    /// The service state of a server that is never served: the query
+    /// handlers run on it in-process.
+    fn in_process(engine: Arc<Engine>) -> Shared {
+        let config = testkit::config();
+        let bound = reactor::bind(&config).expect("bind");
+        Shared::new(engine, &config, Arc::clone(bound.state()))
+    }
+
+    fn json_of(outcome: Outcome) -> Json {
+        let Body::Json(json) = outcome.body else {
+            panic!("query answers are JSON values")
+        };
+        json
+    }
+
+    /// Cache hits and misses so far, and searches executed.
+    fn counts(shared: &Shared) -> (u64, u64, u64) {
+        let cache = shared.cache.stats();
+        let executed = shared.query_totals.executed.load(Ordering::Relaxed);
+        (cache.hits, cache.misses, executed)
+    }
+
+    /// One duplicate rule on both entry points: the first occurrence
+    /// misses and runs, a later copy reads its answer back through the
+    /// cache, which counts one hit, and reports `"cached": true`.
+    #[test]
+    fn duplicates_read_back_through_the_cache_on_batch_and_grouped_misses() {
+        let a = r#"{"values": ["v0","v1","v2","v3","v4"], "threshold": 0.5}"#;
+        let b = r#"{"values": ["v0","v1","v2"], "k": 2}"#;
+        let cached = |answer: &Json| answer.get("cached").and_then(Json::as_bool);
+
+        // A `/batch` of [A, A, B]: A and B miss and run; the second A hits.
+        let batch = in_process(test_engine(6));
+        let request = Request {
+            method: "POST".to_owned(),
+            target: "/batch".to_owned(),
+            http10: false,
+            headers: Vec::new(),
+            body: format!(r#"{{"queries": [{a}, {a}, {b}]}}"#).into_bytes(),
+        };
+        let body = json_of(handle_batch(&batch, &request));
+        let results = body
+            .get("results")
+            .and_then(Json::as_array)
+            .expect("results");
+        let flags: Vec<Option<bool>> = results.iter().map(cached).collect();
+        assert_eq!(flags, [Some(false), Some(true), Some(false)], "{body}");
+        assert_eq!(results[0].get("hits"), results[1].get("hits"));
+        assert_eq!(counts(&batch), (1, 2, 2), "(hits, misses, executed)");
+        batch.maintainer.shutdown();
+
+        // Two identical misses of one reactor tick: each missed when the
+        // reactor probed; A runs once and the copy hits.
+        let grouped = in_process(test_engine(6));
+        let misses: Vec<Box<MissQuery>> = (0..2)
+            .map(
+                |_| match query_step(&grouped, a.as_bytes(), false, Instant::now()) {
+                    Step::Group(miss) => miss,
+                    _ => panic!("an empty cache answers nothing"),
+                },
+            )
+            .collect();
+        let answers: Vec<Json> = execute_miss_group(&grouped, &misses)
+            .into_iter()
+            .map(json_of)
+            .collect();
+        let flags: Vec<Option<bool>> = answers.iter().map(cached).collect();
+        assert_eq!(flags, [Some(false), Some(true)], "{answers:?}");
+        assert_eq!(answers[0].get("hits"), answers[1].get("hits"));
+        assert_eq!(answers[0].get("hits"), results[0].get("hits"));
+        assert_eq!(counts(&grouped), (1, 2, 1), "(hits, misses, executed)");
+        grouped.maintainer.shutdown();
     }
 
     #[test]
