@@ -29,7 +29,7 @@
 
 use lshe_bench::workload::{self, Accuracy, AccuracyWorld};
 use lshe_bench::{report, Args};
-use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, PartitionStrategy, Unranked};
+use lshe_core::{DomainIndex, EnsembleConfig, LshEnsemble, MergeTask, PartitionStrategy, Unranked};
 use lshe_corpus::{Catalog, DomainId, Json};
 use lshe_datagen::{nested_size_subsets, sample_queries, skewness, SizeBand};
 use lshe_minhash::{MinHasher, Signature};
@@ -131,7 +131,7 @@ fn shipped_forms(world: &AccuracyWorld) -> [(&'static str, IndexContainer); 4] {
         .collect();
     sealed.commit(&tail).expect("commit the last 10 % of ids");
     let mut compacted = sealed.clone();
-    compacted.compact_index();
+    compacted.apply_merge(&MergeTask::Full);
     [
         ("shipped (built)", built),
         ("shipped (loaded)", loaded),

@@ -23,10 +23,11 @@
 //!   The live snapshot's container is cloned (pointers to the base, copies
 //!   of the overlays), the staged ops committed as one batch, and the new
 //!   snapshot swapped in.
-//! * `compact_rebuild` — `IndexContainer::compact_index`: segments and
-//!   tombstones fold into the base, which is rebuilt from the retained
-//!   sketches. This is exactly what every commit used to pay, now run off
-//!   the commit path (background merger, `lshe compact`).
+//! * `compact_rebuild` — `IndexContainer::apply_merge(&MergeTask::Full)`:
+//!   segments and tombstones fold into the base, which is rebuilt from
+//!   the retained sketches. This is exactly what every commit used to
+//!   pay, now run off the commit path (background merger, `lshe
+//!   compact`).
 //!
 //! The bars `bench_gate` checks are ratios over the sweep: seal and
 //! engine-commit latency must stay flat (≤2× from the smallest to the 10×
@@ -41,7 +42,7 @@
 //! folds rewrite each entry about once per level it climbs.
 
 use lshe_bench::{report, workload, Args};
-use lshe_core::Leveled;
+use lshe_core::{Leveled, MergeTask};
 use lshe_corpus::Json;
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::MinHasher;
@@ -202,7 +203,7 @@ fn main() {
         for _ in 0..repeats {
             let (ops, live) = staged_batch(&hasher, container.next_id(), batch, &previous);
             container.commit(&ops).expect("commit delta");
-            let (_, secs) = workload::timed(|| container.compact_index());
+            let (_, secs) = workload::timed(|| container.apply_merge(&MergeTask::Full));
             let layout = container.segment_layout();
             assert_eq!(
                 (layout.segments.len(), layout.tombstones),
@@ -236,7 +237,7 @@ fn main() {
             }
             let ((_, outcome), secs) =
                 workload::timed(|| engine.commit_staged().expect("engine commit"));
-            assert!(outcome.report.sealed, "commit must seal a non-empty delta");
+            assert!(outcome.sealed, "commit must seal a non-empty delta");
             engine_commit = engine_commit.min(secs);
             previous = live;
         }

@@ -30,7 +30,7 @@ pub use lshe_serve::container;
 
 use bytes::Bytes;
 use container::IndexContainer;
-use lshe_core::Query;
+use lshe_core::{MergeTask, Query};
 use lshe_corpus::{Catalog, CsvDocument, Domain};
 use lshe_minhash::MinHasher;
 use lshe_serve::engine::{Engine, EngineError, StagedCounts};
@@ -322,7 +322,7 @@ fn cmd_ingest(flags: &Flags) -> Result<String, CliError> {
     // Bulk append pays the O(corpus) rewrite anyway, so fold everything —
     // replayed batches, sealed segments, tombstones, the fresh appends —
     // into one compacted base rather than persisting a segment stack.
-    let report = container.compact_index();
+    let report = container.apply_merge(&MergeTask::Full);
 
     // Atomic rewrite, then retire the folded delta log.
     container.save(Path::new(&index_path))?;
@@ -344,7 +344,7 @@ fn cmd_ingest(flags: &Flags) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "compacted: {} staged insert(s) merged, {} entr(y/ies) rebuilt",
-        folded.report.merged + sealed.merged,
+        folded.merged + sealed.merged,
         report.entries_folded
     );
     Ok(out)
@@ -455,8 +455,8 @@ fn cmd_compact(flags: &Flags) -> Result<String, CliError> {
         report,
         "{} domain(s), {} entr(y/ies) merged, {} rebuilt",
         snap.container().len(),
-        outcome.report.merged,
-        outcome.report.entries_folded
+        outcome.merged,
+        outcome.entries_folded
     );
     Ok(report)
 }

@@ -416,14 +416,14 @@ impl Coordinator {
 
     /// `/commit`, `/compact`, and `/reload`: broadcast to EVERY shard
     /// (degraded ones included — skipping a shard would fork cluster
-    /// state), aggregate on full success, 502 naming the failed shards
-    /// otherwise. Commit-class paths retry each failed shard exactly
-    /// once: a transport failure or 5xx does not say whether the shard
-    /// applied the op before the response was lost, and because a shard
-    /// commit is idempotent (re-committing an empty stage is "nothing
-    /// staged"), one retry converges either way instead of reporting a
-    /// divergence that may not exist. The target goes to each shard
-    /// verbatim, query string included.
+    /// state), aggregate on full success by [`aggregate_reports`], 502
+    /// naming the failed shards otherwise. Commit-class paths retry each
+    /// failed shard exactly once: a transport failure or 5xx does not say
+    /// whether the shard applied the op before the response was lost, and
+    /// because a shard commit is idempotent (re-committing an empty stage
+    /// is "nothing staged"), one retry converges either way instead of
+    /// reporting a divergence that may not exist. The target goes to each
+    /// shard verbatim, query string included.
     fn broadcast(&self, request: &Request) -> Outcome {
         let Ok(body) = std::str::from_utf8(&request.body) else {
             return Outcome::error(400, "request body must be UTF-8");
@@ -473,70 +473,15 @@ impl Coordinator {
                 ),
             );
         }
-        let sum = |key: &str| -> u64 {
-            parsed
-                .iter()
-                .filter_map(|j| j.get(key).and_then(Json::as_u64))
-                .sum()
-        };
-        let max = |key: &str| -> u64 {
-            parsed
-                .iter()
-                .filter_map(|j| j.get(key).and_then(Json::as_u64))
-                .max()
-                .unwrap_or(0)
-        };
-        if path == "/reload" {
-            return Outcome::ok(Json::obj(vec![
-                ("status", Json::str("reloaded")),
-                ("generation", Json::uint(max("generation"))),
-                ("domains", Json::uint(sum("domains"))),
-                ("shards", Json::uint(self.n() as u64)),
-            ]));
+        // A shard's `/reload` names no fleet size and its scheduled
+        // `/compact?async=1` its own epoch; the fleet's names its shards.
+        let mut fields = aggregate_reports(&parsed);
+        let scheduled = fields.first().and_then(|(_, status)| status.as_str()) == Some("scheduled");
+        if path == "/reload" || scheduled {
+            fields.retain(|(key, _)| key != "epoch");
+            fields.push(("shards".to_owned(), Json::uint(self.n() as u64)));
         }
-        let scheduled = parsed
-            .iter()
-            .all(|j| j.get("status").and_then(Json::as_str) == Some("scheduled"));
-        if path == "/compact" && scheduled {
-            return Outcome::ok(Json::obj(vec![
-                ("status", Json::str("scheduled")),
-                ("shards", Json::uint(self.n() as u64)),
-            ]));
-        }
-        if path == "/compact" {
-            return Outcome::ok(Json::obj(vec![
-                ("status", Json::str("compacted")),
-                ("applied", Json::uint(sum("applied"))),
-                ("merged", Json::uint(sum("merged"))),
-                ("entries_folded", Json::uint(sum("entries_folded"))),
-                ("segments", Json::uint(sum("segments"))),
-                ("tombstones", Json::uint(sum("tombstones"))),
-                ("generation", Json::uint(max("generation"))),
-                ("domains", Json::uint(sum("domains"))),
-            ]));
-        }
-        let applied = sum("applied");
-        let sealed = parsed
-            .iter()
-            .any(|j| j.get("sealed").and_then(Json::as_bool) == Some(true));
-        Outcome::ok(Json::obj(vec![
-            (
-                "status",
-                Json::str(if applied > 0 {
-                    "committed"
-                } else {
-                    "nothing staged"
-                }),
-            ),
-            ("applied", Json::uint(applied)),
-            ("merged", Json::uint(sum("merged"))),
-            ("entries_folded", Json::uint(sum("entries_folded"))),
-            ("sealed", Json::Bool(sealed)),
-            ("segments", Json::uint(sum("segments"))),
-            ("tombstones", Json::uint(sum("tombstones"))),
-            ("generation", Json::uint(max("generation"))),
-            ("domains", Json::uint(sum("domains"))),
-        ]))
+        Outcome::ok(Json::Obj(fields))
     }
 
     /// `/health`: live-probe every shard. Probing degraded shards too is
@@ -861,6 +806,31 @@ fn prober_loop(coordinator: &Coordinator) {
             std::thread::sleep(Duration::from_millis(100));
         }
     }
+}
+
+/// One broadcast body from every shard's, by one rule: the first shard's
+/// keys in its order; numbers summed, except `generation`, the newest;
+/// booleans true if any shard's is; strings (the `status`) from the first
+/// shard that applied an op, else from the first shard.
+fn aggregate_reports(shards: &[Json]) -> Vec<(String, Json)> {
+    let Some(Json::Obj(first)) = shards.first() else {
+        return Vec::new();
+    };
+    let applied = |j: &&Json| j.get("applied").and_then(Json::as_u64).unwrap_or(0) > 0;
+    let lead = shards.iter().find(applied).unwrap_or(&shards[0]);
+    let fields = first.iter().map(|(key, value)| {
+        let mut values = shards.iter().filter_map(|j| j.get(key));
+        let merged = match value {
+            Json::Num(_) if key == "generation" => {
+                Json::uint(values.filter_map(Json::as_u64).max().unwrap_or(0))
+            }
+            Json::Num(_) => Json::uint(values.filter_map(Json::as_u64).sum()),
+            Json::Bool(_) => Json::Bool(values.any(|v| v.as_bool() == Some(true))),
+            _ => lead.get(key).unwrap_or(value).clone(),
+        };
+        (key.clone(), merged)
+    });
+    fields.collect()
 }
 
 #[cfg(test)]

@@ -215,10 +215,14 @@ impl std::fmt::Display for MutationError {
 
 impl std::error::Error for MutationError {}
 
-/// What one [`LshEnsemble::commit`](crate::LshEnsemble::commit) or
-/// [`LshEnsemble::compact`](crate::LshEnsemble::compact) did.
+/// What one [`LshEnsemble::commit`](crate::LshEnsemble::commit),
+/// [`LshEnsemble::compact`](crate::LshEnsemble::compact) or
+/// [`LshEnsemble::apply_merge`](crate::LshEnsemble::apply_merge) did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CommitReport {
+    /// Ops this commit applied: the batch's inserts and removes (0 for a
+    /// fold).
+    pub applied: usize,
     /// Inserts this commit sealed into a segment: the batch's inserts
     /// less those a later remove in it cancelled.
     pub merged: usize,
@@ -229,8 +233,10 @@ pub struct CommitReport {
     pub segments: usize,
     /// Tombstoned ids outstanding afterwards.
     pub tombstones: usize,
-    /// Entries rewritten into the base: every live entry when a compaction
-    /// rebuilt it, 0 when a commit only sealed.
+    /// Live entries a fold rewrote: every one when a compaction rebuilt
+    /// the base, those of the folded segments for a partial merge, 0 when a
+    /// commit only sealed (the fold cost; multiply by the per-entry byte
+    /// width for fold bytes).
     pub entries_folded: usize,
 }
 

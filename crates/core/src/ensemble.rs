@@ -11,7 +11,7 @@
 use crate::api::{CommitReport, Mutation, MutationError};
 use crate::batch::ThresholdItem;
 use crate::directory::Directory;
-use crate::maintenance::{MergeOutcome, MergeTask, SegmentLayout};
+use crate::maintenance::{MergeTask, SegmentLayout};
 use crate::partition::{Partition, PartitionStrategy};
 use crate::pipeline::{Probe, Sketches, Tiers};
 use crate::tuning::Tuner;
@@ -765,6 +765,7 @@ impl LshEnsemble {
             self.push_segment(build_segment(&self.config, &inserts));
         }
         Ok(CommitReport {
+            applied: batch.len(),
             merged: inserts.len(),
             sealed: !inserts.is_empty(),
             segments: self.segments.len(),
@@ -845,15 +846,16 @@ impl LshEnsemble {
     /// Executes one planned [`MergeTask`]: [`MergeTask::Merge`] folds only
     /// the listed segments into one new sealed segment (O(folded entries),
     /// base untouched), [`MergeTask::Full`] is [`compact`](Self::compact).
-    pub fn apply_merge(&mut self, task: &MergeTask) -> MergeOutcome {
-        let entries_folded = match task {
-            MergeTask::Merge(segments) => self.merge_segments(segments),
-            MergeTask::Full => self.compact().entries_folded,
-        };
-        MergeOutcome {
-            entries_folded,
-            segments: self.segments.len(),
-            tombstones: self.dead.len(),
+    /// The report names the entries rewritten and the stack left behind.
+    pub fn apply_merge(&mut self, task: &MergeTask) -> CommitReport {
+        match task {
+            MergeTask::Merge(segments) => CommitReport {
+                entries_folded: self.merge_segments(segments),
+                segments: self.segments.len(),
+                tombstones: self.dead.len(),
+                ..CommitReport::default()
+            },
+            MergeTask::Full => self.compact(),
         }
     }
 

@@ -58,7 +58,9 @@
 //!   one ordered batch of [`Mutation`]s and applies it whole or not at
 //!   all: the inserts sealed into a segment in O(batch), the removes
 //!   tombstoned. [`LshEnsemble::compact`] rebuilds the equi-depth base
-//!   from the live rows; [`maintenance`] plans when segments merge.
+//!   from the live rows; [`maintenance`] plans when segments merge, and
+//!   [`LshEnsemble::apply_merge`] runs a planned task. Each reports one
+//!   [`CommitReport`].
 //! * [`baselines`] — the paper's comparison points under identical rules:
 //!   the unranked candidate set ([`Unranked`]), single-partition MinHash
 //!   LSH and Asymmetric Minwise Hashing (global and per-partition
@@ -95,7 +97,7 @@ pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, Unranked}
 pub use directory::position_of;
 pub use ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
 pub use lshe_lsh::{Layout, Row, RowBuf};
-pub use maintenance::{Leveled, MergeOutcome, MergeTask, SegmentLayout, MAX_TOMBSTONE_RATIO};
+pub use maintenance::{Leveled, MergeTask, SegmentLayout, MAX_TOMBSTONE_RATIO};
 pub use mmap::{pack_ranked_to, pack_ranked_with, MmapIndex, MmapIndexError};
 pub use partition::{Partition, PartitionStrategy, Partitioning};
 pub use ranked::{RankedHit, RankedIndex};

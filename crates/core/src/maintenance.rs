@@ -57,19 +57,6 @@ pub enum MergeTask {
     Full,
 }
 
-/// What one executed [`MergeTask`] did, for write-amplification
-/// accounting and `/stats` reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MergeOutcome {
-    /// Live entries rewritten by this merge (the fold cost; multiply by
-    /// the per-entry byte width for fold bytes).
-    pub entries_folded: usize,
-    /// Sealed segments outstanding after the merge.
-    pub segments: usize,
-    /// Tombstones outstanding after the merge.
-    pub tombstones: usize,
-}
-
 /// Size-exponential leveling: level `L` holds segments of up to
 /// `level0_entries · fanout^L` entries; when a level accumulates
 /// `fanout` segments they fold into one segment of the next level. Write

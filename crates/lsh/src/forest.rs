@@ -56,9 +56,9 @@
 //! correctness never requires a rebuild; [`LshForest::commit`] sorts the
 //! tail into the trees for query speed. This gives the "single pass to
 //! build, incremental additions afterwards" behaviour the paper requires of
-//! an open-world index. A removal moves later rows up and sorts the trees
-//! again the same way, so kept rows that cross a block boundary land in
-//! the right run.
+//! an open-world index. A forest has no removal: the index above it
+//! tombstones a removed id, filters it out of the candidates, and erases
+//! its row when a full fold builds the forests again.
 
 use crate::DomainId;
 use lshe_minhash::codec::Column;

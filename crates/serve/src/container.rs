@@ -59,8 +59,8 @@
 use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
-    position_of, CommitReport, DomainIndex, EnsembleConfig, Layout, LshEnsemble, Mutation,
-    MutationError, PartitionStrategy, Row,
+    position_of, CommitReport, DomainIndex, EnsembleConfig, Layout, LshEnsemble, MergeTask,
+    Mutation, MutationError, PartitionStrategy, Row,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
@@ -433,28 +433,6 @@ impl IndexContainer {
         Ok(report)
     }
 
-    /// Rebuilds the base partitioning from the live rows, every sealed
-    /// segment and tombstone included — the O(corpus) step that segmented
-    /// commits keep off the commit path.
-    pub fn compact_index(&mut self) -> CommitReport {
-        let report = self.index_mut().compact();
-        self.rebase();
-        report
-    }
-
-    /// After compaction built a new base: makes the live records the base
-    /// table, folding the overlay in, and lets go of the mapped file once
-    /// no column is a view into it any more.
-    fn rebase(&mut self) {
-        if !self.overlay.is_empty() {
-            self.base = Arc::new(self.live_records());
-            self.overlay.clear();
-        }
-        if self.mapped_bytes() == 0 && !self.base.is_borrowed() {
-            self.mapping = None;
-        }
-    }
-
     /// The live records — the base table's, less those the overlay removed
     /// or replaced, merged with the overlay's — as a table of their own.
     fn live_records(&self) -> RecordTable {
@@ -473,16 +451,27 @@ impl IndexContainer {
         self.index.segment_layout()
     }
 
-    /// Executes one planned merge task on the stored index:
-    /// [`lshe_core::MergeTask::Merge`] folds only the listed segments
-    /// (O(folded entries)), [`lshe_core::MergeTask::Full`] rebuilds the
-    /// base like [`compact_index`](Self::compact_index).
-    pub fn apply_merge(&mut self, task: &lshe_core::MergeTask) -> lshe_core::MergeOutcome {
-        let outcome = self.index_mut().apply_merge(task);
-        if matches!(task, lshe_core::MergeTask::Full) {
-            self.rebase();
+    /// Executes one merge task on the stored index, as
+    /// [`LshEnsemble::apply_merge`] does: [`MergeTask::Merge`] folds only
+    /// the listed segments (O(folded entries)); [`MergeTask::Full`]
+    /// rebuilds the base partitioning from the live rows, every sealed
+    /// segment and tombstone included — the O(corpus) step that segmented
+    /// commits keep off the commit path — makes the live records the base
+    /// table, folding the overlay in, and lets go of the mapped file once
+    /// no column is a view into it any more.
+    pub fn apply_merge(&mut self, task: &MergeTask) -> CommitReport {
+        let report = self.index_mut().apply_merge(task);
+        if *task != MergeTask::Full {
+            return report;
         }
-        outcome
+        if !self.overlay.is_empty() {
+            self.base = Arc::new(self.live_records());
+            self.overlay.clear();
+        }
+        if self.mapped_bytes() == 0 && !self.base.is_borrowed() {
+            self.mapping = None;
+        }
+        report
     }
 
     /// Number of size partitions in the ensemble.
@@ -1100,8 +1089,10 @@ fn decode_op(payload: &[u8]) -> Result<DeltaOp, CodecError> {
 /// before it is acknowledged, and replayed on the next load, so a server
 /// restart loses no staged mutation. [`DeltaOp::Commit`] markers split the
 /// log into committed batches (each batch = one sealed segment) followed
-/// by a still-staged tail; the log is retired only by compaction, which
-/// folds every batch into the base file.
+/// by a still-staged tail. Every fold the engine persists retires the
+/// committed prefix — the base file it wrote embodies every batch — and
+/// [`rewrite`](Self::rewrite)s the log to the staged tail alone, removing
+/// it when nothing is staged.
 ///
 /// ```text
 /// "LSHD" version:u8 next_id:u32
@@ -1712,7 +1703,7 @@ mod tests {
         let before = c.to_bytes();
         let restored = IndexContainer::from_bytes(&before).expect("decode");
         assert_eq!(restored.records(), c.records());
-        c.compact_index();
+        c.apply_merge(&MergeTask::Full);
         assert!(!c.base_shared_with(&built).1);
         assert_eq!(c.records(), restored.records());
         assert_eq!(c.record(3), Some(record.view()));

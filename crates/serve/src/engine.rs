@@ -14,7 +14,7 @@
 //! (`lshe split` writes the shard files, `lshe cluster` fronts them).
 
 use crate::container::{DeltaLog, DeltaOp, IndexContainer, LoadError};
-use lshe_core::{CommitReport, DomainIndex, Query, QueryError, SearchOutcome};
+use lshe_core::{CommitReport, DomainIndex, MergeTask, Query, QueryError, SearchOutcome};
 use lshe_minhash::{MinHasher, Signature};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -209,17 +209,6 @@ pub struct StagedCounts {
     pub removes: usize,
 }
 
-/// What one [`Engine::commit_staged`] or [`Engine::compact`] did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CommitOutcome {
-    /// Ops applied into the new snapshot (0 = nothing was staged and no
-    /// swap happened).
-    pub applied: usize,
-    /// The index-level commit report (staged inserts sealed, entries a
-    /// compaction rewrote).
-    pub report: CommitReport,
-}
-
 /// The hot-reloadable engine: an atomic pointer to the current snapshot.
 #[derive(Debug)]
 pub struct Engine {
@@ -230,8 +219,8 @@ pub struct Engine {
     /// of generation order and leave the older snapshot live. Under it,
     /// the next generation is the live one's plus one.
     reload_lock: std::sync::Mutex<()>,
-    /// Generation produced by the last [`compact`](Self::compact) in this
-    /// process (0 = no compaction since boot) — surfaced on `/stats`.
+    /// Generation produced by the last full fold in this process (0 = no
+    /// compaction since boot) — surfaced on `/stats`.
     last_compaction: AtomicU64,
     /// Staged live mutations, guarded separately from the snapshot so
     /// staging never blocks queries.
@@ -260,25 +249,30 @@ impl Engine {
                  `lshe split` and front the shards with `lshe cluster`"
             )));
         }
+        let (container, tail, embodied) = Self::open_logged(path)?;
+        let pending = Self::replay_pending(&container, tail)?;
+        if embodied && pending.ops.is_empty() {
+            // Every logged op is already embodied in the base file — the
+            // crash window between a fold's atomic rename and its log
+            // rewrite. Retire the log now instead of re-skipping it on
+            // every boot. (A log that materialised segments stays: it is
+            // their only durable copy until the next fold.)
+            DeltaLog::sidecar(path).clear()?;
+        }
+        Ok(Self::over(container, Some(path.to_owned()), pending))
+    }
+
+    /// Loads the index at `path` and replays the committed batches of its
+    /// delta log onto it; returns it, the still-staged tail, and whether
+    /// the log held ops of which none sealed anything.
+    fn open_logged(path: &Path) -> Result<(IndexContainer, Vec<DeltaOp>, bool), EngineError> {
         let mut container = IndexContainer::load(path)?;
-        let log = DeltaLog::sidecar(path);
-        let (mark, ops) = log
-            .read_with_mark()
-            .map_err(|e| EngineError::Index(format!("{}: {e}", log.path().display())))?;
+        let (mark, ops) = Self::read_log(&DeltaLog::sidecar(path))?;
         let had_ops = !ops.is_empty();
         container.reserve_next_id(mark);
         let (batches, tail) = Self::split_batches(ops);
         let fresh = Self::replay_committed(&mut container, batches)?;
-        let pending = Self::replay_pending(&container, tail)?;
-        if had_ops && fresh == 0 && pending.ops.is_empty() {
-            // Every logged op is already embodied in the base file — the
-            // crash window between a compaction's atomic rename and its
-            // log clear. Retire the log now instead of re-skipping it on
-            // every boot. (A log that materialised segments stays: it is
-            // their only durable copy until the next compaction.)
-            log.clear()?;
-        }
-        Ok(Self::over(container, Some(path.to_owned()), pending))
+        Ok((container, tail, had_ops && fresh == 0))
     }
 
     /// Generation 1 over `container`, with `path` on record for `/reload`
@@ -291,6 +285,13 @@ impl Engine {
             last_compaction: AtomicU64::new(0),
             pending: Mutex::new(pending),
         }
+    }
+
+    /// The log's allocator mark and ops; a torn or corrupt log is
+    /// [`EngineError::Index`], naming the file.
+    fn read_log(log: &DeltaLog) -> Result<(u32, Vec<DeltaOp>), EngineError> {
+        log.read_with_mark()
+            .map_err(|e| EngineError::Index(format!("{}: {e}", log.path().display())))
     }
 
     /// Splits replayed log ops at [`DeltaOp::Commit`] markers: the closed
@@ -312,8 +313,8 @@ impl Engine {
     /// one segment per non-embodied batch — bit-identical to the segments
     /// the original commits built, because each batch replays the same ops
     /// in the same order through the same seal. Replay is idempotent, as
-    /// [`replay_pending`](Self::replay_pending)'s: a compaction persists
-    /// the folded base *before* clearing the log, so a crash in between
+    /// [`replay_pending`](Self::replay_pending)'s: a fold persists the
+    /// folded base *before* rewriting the log, so a crash in between
     /// leaves batches the base already embodies — those skip whole and
     /// seal nothing. Returns how many ops actually applied.
     fn replay_committed(
@@ -346,12 +347,12 @@ impl Engine {
     /// Rebuilds the staging bookkeeping from replayed delta-log ops,
     /// validating each against the container + the net staged effect.
     ///
-    /// Replay is **idempotent**: a commit persists the base file (atomic
-    /// rename) *before* clearing the log, so a crash in between leaves a
-    /// log whose ops the base already embodies. Such ops — an insert
+    /// Replay is **idempotent**: a fold persists the base file (atomic
+    /// rename) *before* rewriting the log, so a crash in between leaves
+    /// committed batches the base already embodies. Such ops — an insert
     /// whose exact record is present, a removal whose id is absent — are
     /// skipped rather than re-staged, and since a commit applies its
-    /// whole batch atomically the log replays either entirely as staged
+    /// whole batch atomically a batch replays either entirely as staged
     /// or entirely as already-applied. An id collision with a *different*
     /// record is a genuine conflict and stays a typed error.
     fn replay_pending(
@@ -364,7 +365,7 @@ impl Engine {
             match &op {
                 DeltaOp::Insert { record, .. } => match container.record(record.id) {
                     // Already committed (crash after rename, before log
-                    // clear): ids stay allocated.
+                    // rewrite): ids stay allocated.
                     Some(existing) if existing == record.view() => {
                         pending.next_id = pending.next_id.max(record.id + 1);
                         continue;
@@ -551,11 +552,12 @@ impl Engine {
     /// work is O(staged delta + changes since the base was built), never
     /// O(corpus), and the durability step is a single appended
     /// [`DeltaOp::Commit`] marker — the base file is **not** rewritten;
-    /// it catches up at the next [`compact`](Self::compact). In-flight
-    /// queries keep their pre-commit snapshot; the query cache invalidates
-    /// by generation.
+    /// it catches up at the next fold ([`apply_merge`](Self::apply_merge)).
+    /// In-flight queries keep their pre-commit snapshot; the query cache
+    /// invalidates by generation.
     ///
-    /// With nothing staged this is a no-op returning the live snapshot.
+    /// With nothing staged this is a no-op returning the live snapshot
+    /// and a report of `applied == 0`.
     ///
     /// # Errors
     /// [`EngineError::Mutation`] when an op no longer applies (e.g. the
@@ -565,11 +567,11 @@ impl Engine {
     /// the commit is then abandoned whole: no snapshot swap, staged ops
     /// kept, retry on the next `/commit` (the marker append is the commit
     /// point, so a re-issued commit is idempotent).
-    pub fn commit_staged(&self) -> Result<(Arc<Snapshot>, CommitOutcome), EngineError> {
+    pub fn commit_staged(&self) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
         let _guard = self.reload_lock.lock().expect("reload lock poisoned");
         let mut pending = self.pending.lock().expect("pending lock poisoned");
         if pending.ops.is_empty() {
-            return Ok((self.snapshot(), CommitOutcome::default()));
+            return Ok((self.snapshot(), CommitReport::default()));
         }
         let snap = self.snapshot();
         let mut container = snap.container().clone();
@@ -577,7 +579,6 @@ impl Engine {
             .commit(&pending.ops)
             .map_err(|e| EngineError::Mutation(e.to_string()))?;
         container.reserve_next_id(pending.next_id);
-        let applied = pending.ops.len();
         let snapshot = Snapshot::new(container, snap.generation() + 1);
 
         // Durability: one marker closes the batch. Replaying the log at
@@ -594,121 +595,102 @@ impl Engine {
 
         let snapshot = self.swap_in(snapshot);
         *pending = Pending::at(pending.next_id);
-        Ok((snapshot, CommitOutcome { applied, report }))
+        Ok((snapshot, report))
     }
 
-    /// Compacts the index: seals anything still staged, folds every
-    /// segment and tombstone into the base partitioning, persists the
-    /// folded base (atomic tmp + rename), retires the delta log, and swaps
-    /// in the file it wrote, re-opened and served in place. This
-    /// is the only O(corpus) step in the mutation lifecycle, and it runs
-    /// here — off the commit path — either on demand (`POST /compact`,
-    /// `lshe compact`) or from the background merger once the tombstone
-    /// backlog passes [`lshe_core::MAX_TOMBSTONE_RATIO`].
+    /// Compacts the index on demand (`POST /compact`, `lshe compact`):
+    /// seals anything still staged with [`commit_staged`](Self::commit_staged),
+    /// then runs the full fold, [`apply_merge`](Self::apply_merge) of
+    /// [`MergeTask::Full`]. The report counts the ops the commit applied
+    /// and the inserts it sealed beside what the fold rewrote.
     ///
     /// # Errors
-    /// [`EngineError::Mutation`] when a staged op no longer applies (ops
-    /// kept, nothing swapped); [`EngineError::Io`] when the folded base
-    /// cannot be persisted — the compaction is then abandoned whole: no
-    /// snapshot swap, delta log untouched, segments still queryable.
-    pub fn compact(&self) -> Result<(Arc<Snapshot>, CommitOutcome), EngineError> {
-        let _guard = self.reload_lock.lock().expect("reload lock poisoned");
-        let mut pending = self.pending.lock().expect("pending lock poisoned");
-        let snap = self.snapshot();
-        let mut container = snap.container().clone();
-        let sealed = container
-            .commit(&pending.ops)
-            .map_err(|e| EngineError::Mutation(e.to_string()))?;
-        let applied = pending.ops.len();
+    /// As [`commit_staged`](Self::commit_staged), then as
+    /// [`apply_merge`](Self::apply_merge): a fold that cannot be persisted
+    /// leaves the commit standing and the segments queryable.
+    pub fn compact(&self) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
+        let (_, sealed) = self.commit_staged()?;
+        let (snapshot, folded) = self.apply_merge(&MergeTask::Full)?;
         let report = CommitReport {
+            applied: sealed.applied,
             merged: sealed.merged,
             sealed: sealed.sealed,
-            ..container.compact_index()
+            ..folded
         };
-        container.reserve_next_id(pending.next_id);
+        Ok((snapshot, report))
+    }
 
-        // Persist the folded base, then retire the delta log: the base
-        // file now embodies every logged batch. Crash between the rename
-        // and the clear is safe — the stale log replays as a no-op.
+    /// Executes one fold as a new snapshot generation — every fold, the
+    /// maintenance thread's planned ones and [`compact`](Self::compact)'s:
+    /// clones the live container (COW — readers keep their snapshot),
+    /// folds what the task names ([`MergeTask::Merge`]: the listed
+    /// segments, O(folded entries); [`MergeTask::Full`]: every segment and
+    /// tombstone into a rebuilt base, O(corpus)), persists the folded base
+    /// (atomic tmp-then-rename), and rewrites the delta log to what is
+    /// still staged — the base now embodies every committed batch — or
+    /// removes it when nothing is. A full fold then serves the file it
+    /// wrote, re-opened in place as a restart would, and is recorded as
+    /// [`last_compaction`](Self::last_compaction).
+    ///
+    /// A fold never commits: staged ops stay staged, answer no query, and
+    /// replay as staged after a restart. A partial merge that changes
+    /// nothing returns the live snapshot unswapped.
+    ///
+    /// # Errors
+    /// [`EngineError::Index`] when the delta log cannot be read, and
+    /// [`EngineError::Io`] when the folded base cannot be persisted — the
+    /// fold is abandoned whole: no snapshot swap, delta log untouched.
+    pub fn apply_merge(
+        &self,
+        task: &MergeTask,
+    ) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
+        let full = *task == MergeTask::Full;
+        let _guard = self.reload_lock.lock().expect("reload lock poisoned");
+        // The pending lock is held across the log rewrite AND the swap: a
+        // racing stage_insert appends to the same log under this lock, so
+        // holding it is what makes "persist base, drop committed prefix,
+        // keep staged tail" atomic against new appends. Of the staging
+        // area the fold reads only the allocator mark.
+        let staging = self.pending.lock().expect("pending lock poisoned");
+        let snap = self.snapshot();
+        let mut container = snap.container().clone();
+        let report = container.apply_merge(task);
+        if !full
+            && report.entries_folded == 0
+            && container.segment_layout() == snap.container().segment_layout()
+        {
+            return Ok((snap, report));
+        }
+        container.reserve_next_id(staging.next_id);
+
+        // Persist the folded base, then retire the committed log prefix:
+        // what is still staged is the log's tail after its last commit
+        // marker, read before anything is written. Crash between the
+        // rename and the rewrite is safe: committed batches are embodied
+        // in the base, so replaying the stale log skips them (see
+        // `replay_committed`).
         let path = self.path.read().expect("engine lock poisoned").clone();
         if let Some(path) = &path {
+            let log = DeltaLog::sidecar(path);
+            let (_, staged) = Self::split_batches(Self::read_log(&log)?.1);
             container.save(path)?;
-            DeltaLog::sidecar(path).clear()?;
-            // Serve the folded base from the file just written, as a restart
-            // would, not from the heap copy the fold built. The compaction
-            // is durable by now, so a failed re-open keeps that copy.
-            if let Ok(reopened) = IndexContainer::load(path) {
-                container = reopened;
+            log.rewrite(&staged, staging.next_id)?;
+            // Serve the rebuilt base from the file just written, not from
+            // the heap copy the fold built. The fold is durable by now, so
+            // a failed re-open keeps that copy.
+            if full {
+                if let Ok(reopened) = IndexContainer::load(path) {
+                    container = reopened;
+                }
             }
         }
 
         let generation = snap.generation() + 1;
         let snapshot = self.swap_in(Snapshot::new(container, generation));
-        *pending = Pending::at(pending.next_id);
-        self.last_compaction.store(generation, Ordering::SeqCst);
-        Ok((snapshot, CommitOutcome { applied, report }))
-    }
-
-    /// Executes one *partial* merge as a new snapshot generation: clones
-    /// the live container (COW — readers keep their snapshot), folds
-    /// only the segments the task names, persists the folded base
-    /// (atomic tmp-then-rename), and retires the committed log prefix —
-    /// the base now embodies every committed batch, so only the
-    /// still-staged tail is rewritten back into the delta log. This is
-    /// the maintenance thread's workhorse: O(folded entries) index work,
-    /// concurrent with reads and staged mutations.
-    ///
-    /// [`MergeTask::Full`](lshe_core::MergeTask::Full) is routed to
-    /// [`compact`](Self::compact) (which additionally folds staged ops)
-    /// and reports the entries the container's fold rewrote, as
-    /// [`IndexContainer::apply_merge`] counts them.
-    /// A task that changes nothing returns the live snapshot unswapped.
-    ///
-    /// # Errors
-    /// [`EngineError::Io`] when the folded base cannot be persisted — the
-    /// merge is abandoned whole: no snapshot swap, delta log untouched.
-    pub fn apply_merge(
-        &self,
-        task: &lshe_core::MergeTask,
-    ) -> Result<(Arc<Snapshot>, lshe_core::MergeOutcome), EngineError> {
-        if matches!(task, lshe_core::MergeTask::Full) {
-            let (snap, CommitOutcome { report, .. }) = self.compact()?;
-            return Ok((
-                snap,
-                lshe_core::MergeOutcome {
-                    entries_folded: report.entries_folded,
-                    segments: report.segments,
-                    tombstones: report.tombstones,
-                },
-            ));
+        if full {
+            self.last_compaction.store(generation, Ordering::SeqCst);
         }
-        let _guard = self.reload_lock.lock().expect("reload lock poisoned");
-        // The pending lock is held across the log rewrite AND the swap: a
-        // racing stage_insert appends to the same log under this lock, so
-        // holding it is what makes "persist base, drop committed prefix,
-        // keep staged tail" atomic against new appends.
-        let pending = self.pending.lock().expect("pending lock poisoned");
-        let snap = self.snapshot();
-        let mut container = snap.container().clone();
-        let outcome = container.apply_merge(task);
-        if outcome.entries_folded == 0
-            && container.segment_layout() == snap.container().segment_layout()
-        {
-            return Ok((snap, outcome));
-        }
-        container.reserve_next_id(pending.next_id);
-        let snapshot = Snapshot::new(container, snap.generation() + 1);
-
-        // Persist the merged base, then retire the committed log prefix.
-        // Crash between the rename and the rewrite is safe: committed
-        // batches are embodied in the base, so replaying the stale log is
-        // a no-op, exactly like the compact() crash window.
-        let path = self.path.read().expect("engine lock poisoned").clone();
-        if let Some(path) = &path {
-            snapshot.container.save(path)?;
-            DeltaLog::sidecar(path).rewrite(&pending.ops, pending.next_id)?;
-        }
-        Ok((self.swap_in(snapshot), outcome))
+        Ok((snapshot, report))
     }
 
     /// Makes `snapshot` the live one. Callers hold `reload_lock`, and build
@@ -725,8 +707,9 @@ impl Engine {
         self.snapshot().container().segment_layout()
     }
 
-    /// Generation created by the last [`compact`](Self::compact) in this
-    /// process; 0 when none has run since boot.
+    /// Generation created by the last full fold in this process (a
+    /// [`compact`](Self::compact) or a planned [`MergeTask::Full`]); 0 when
+    /// none has run since boot.
     #[must_use]
     pub fn last_compaction(&self) -> u64 {
         self.last_compaction.load(Ordering::SeqCst)
@@ -756,19 +739,12 @@ impl Engine {
                     )
                 })?,
         };
-        let mut container = IndexContainer::load(&target)?;
-        // The base file alone is the post-compaction state; committed
+        // The base file alone is the state of the last fold; committed
         // batches still live in the delta log and must replay too, or a
         // reload would silently roll back acknowledged commits. The tail
         // after the last marker stays in the log — the in-memory staging
         // area (which survives the reload below) is authoritative for it.
-        let log = DeltaLog::sidecar(&target);
-        let (mark, ops) = log
-            .read_with_mark()
-            .map_err(|e| EngineError::Index(format!("{}: {e}", log.path().display())))?;
-        container.reserve_next_id(mark);
-        let (batches, _tail) = Self::split_batches(ops);
-        Self::replay_committed(&mut container, batches)?;
+        let (container, _tail, _) = Self::open_logged(&target)?;
         let generation = self.snapshot().generation() + 1;
         let snapshot = Snapshot::new(container, generation);
         *self.path.write().expect("engine lock poisoned") = Some(target);
@@ -933,7 +909,7 @@ mod tests {
 
         let (snap, outcome) = engine.commit_staged().expect("commit");
         assert_eq!(outcome.applied, 2);
-        assert_eq!(outcome.report.merged, 1);
+        assert_eq!(outcome.merged, 1);
         assert_eq!(snap.generation(), 2);
         assert_eq!(snap.container().len(), 10); // 10 − 1 + 1
         assert!(hits(snap.index(), &sig, q, 0.9)
@@ -1001,9 +977,9 @@ mod tests {
         let base_before = std::fs::read(&path).expect("base bytes");
         let (snap, outcome) = engine.commit_staged().expect("commit");
         assert_eq!(outcome.applied, 2);
-        assert!(outcome.report.sealed);
-        assert_eq!(outcome.report.segments, 1);
-        assert_eq!(outcome.report.tombstones, 1);
+        assert!(outcome.sealed);
+        assert_eq!(outcome.segments, 1);
+        assert_eq!(outcome.tombstones, 1);
         assert!(hits(snap.index(), &sig, q, 0.9)
             .iter()
             .any(|&(id, _)| id == 8));
@@ -1028,7 +1004,7 @@ mod tests {
             .any(|&(id, _)| id == 8));
         // Compaction folds the batch into the base and retires the log.
         let (folded, report) = fresh.compact().expect("compact");
-        assert_eq!(report.report.entries_folded, 8);
+        assert_eq!(report.entries_folded, 8);
         assert_eq!(tiers(&folded), (0, 0));
         assert!(!crate::container::DeltaLog::sidecar(&path).exists());
         assert_eq!(fresh.last_compaction(), folded.generation());
@@ -1088,6 +1064,50 @@ mod tests {
             .stage_insert("after".into(), "col".into(), q, sig)
             .expect("stage");
         assert_eq!(next, 8);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_planned_full_fold_never_commits_staged_ops() {
+        let dir = std::env::temp_dir().join(format!("lshe_engine_fold_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("idx.lshe");
+        IndexContainer::build(&catalog(8), 2)
+            .save(&path)
+            .expect("save");
+
+        // Three tombstones over five live domains: past the ratio.
+        let engine = Engine::load(&path, 1).expect("load");
+        for id in 0..3 {
+            engine.stage_remove(id).expect("stage remove");
+        }
+        engine.commit_staged().expect("commit removes");
+        let (sig, q) = sig_of(80_000..80_030, engine.snapshot().container().num_perm());
+        let (id, _) = engine
+            .stage_insert("staged".into(), "col".into(), q, sig.clone())
+            .expect("stage");
+        let tasks = lshe_core::Leveled::default().plan(&engine.segment_layout());
+        assert_eq!(tasks, [MergeTask::Full]);
+
+        let (folded, report) = engine.apply_merge(&tasks[0]).expect("full fold");
+        assert_eq!(tiers(&folded), (0, 0));
+        assert_eq!((report.applied, report.entries_folded), (0, 5));
+        let answers = |snap: &Snapshot| hits(snap.index(), &sig, q, 0.5);
+        assert!(answers(&engine.snapshot())
+            .iter()
+            .all(|&(hit, _)| hit != id));
+        assert_eq!(engine.staged_counts().inserts, 1);
+        let restarted = Engine::load(&path, 1).expect("restart after the fold");
+        assert_eq!(restarted.staged_counts().inserts, 1);
+        assert!(answers(&restarted.snapshot())
+            .iter()
+            .all(|&(hit, _)| hit != id));
+        drop(restarted);
+
+        let (committed, report) = engine.commit_staged().expect("commit the insert");
+        assert_eq!(report.applied, 1);
+        assert!(answers(&committed).iter().any(|&(hit, _)| hit == id));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -79,6 +79,6 @@ pub use cache::{CacheStats, LruCache, QueryKey};
 pub use container::{
     DeltaError, DeltaLog, DeltaOp, DomainRecord, IndexContainer, RecordRef, RecordTable,
 };
-pub use engine::{CommitOutcome, Engine, EngineError, Snapshot, StagedCounts};
-pub use maintenance::{FullMergeSummary, Maintainer, MaintenanceStats};
+pub use engine::{Engine, EngineError, Snapshot, StagedCounts};
+pub use maintenance::{Maintainer, MaintenanceStats};
 pub use server::{start, ServerConfig, ServerHandle};

@@ -12,35 +12,18 @@
 //! and executes the tasks through [`Engine::apply_merge`] — copy-on-write
 //! folds that swap the snapshot atomically, persist the merged base, and
 //! retire committed delta-log prefixes, all concurrent with reads and
-//! staged mutations. Nothing here is configurable.
+//! staged mutations, which they leave staged. Nothing here is
+//! configurable.
 //!
-//! `POST /compact` no longer runs the fold on the caller's thread
-//! either: it enqueues a full-merge epoch here and (unless `?async=1`)
+//! `POST /compact` does not run the fold on the caller's thread either:
+//! it enqueues a full-merge epoch here, run as [`Engine::compact`] (the
+//! one fold that commits staged ops first), and (unless `?async=1`)
 //! blocks its compute-pool lane until the epoch completes.
 
 use crate::engine::Engine;
-use lshe_core::{Leveled, MergeTask};
+use lshe_core::{CommitReport, Leveled, MergeTask};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Summary of one finished full compaction, rendered by `/compact`.
-#[derive(Debug, Clone)]
-pub struct FullMergeSummary {
-    /// Staged ops applied by the compaction.
-    pub applied: usize,
-    /// Staged inserts folded in.
-    pub merged: usize,
-    /// Live entries the rebuilt base was written from.
-    pub entries_folded: usize,
-    /// Segments outstanding afterwards (0).
-    pub segments: usize,
-    /// Tombstones outstanding afterwards (0).
-    pub tombstones: usize,
-    /// The generation the compaction created.
-    pub generation: u64,
-    /// Live domains afterwards.
-    pub domains: usize,
-}
 
 /// Point-in-time maintenance state for `/stats.maintenance`.
 #[derive(Debug, Clone)]
@@ -72,10 +55,11 @@ struct State {
     /// A commit landed since the worker last drained.
     dirty: bool,
     /// Highest full-merge epoch requested / completed. A single fold
-    /// satisfies every epoch requested before it started.
+    /// satisfies every epoch requested before it started; `last_full` is
+    /// its report, generation and domain count, or its failure.
     full_requested: u64,
     full_completed: u64,
-    last_full: Option<Result<FullMergeSummary, String>>,
+    last_full: Option<Result<(CommitReport, u64, usize), String>>,
     shutdown: bool,
     running: Option<&'static str>,
     merges: u64,
@@ -160,12 +144,12 @@ impl Maintainer {
     }
 
     /// Blocks until the full merge of `epoch` completed, returning its
-    /// summary (or the failure message).
+    /// report, generation and domain count (or the failure message).
     ///
     /// # Errors
     /// The engine's error message when the compaction failed, or a
     /// shutdown notice when the server stopped before serving the epoch.
-    pub fn wait_full(&self, epoch: u64) -> Result<FullMergeSummary, String> {
+    pub fn wait_full(&self, epoch: u64) -> Result<(CommitReport, u64, usize), String> {
         let mut state = self.state.lock().expect("maint state poisoned");
         while state.full_completed < epoch && !state.shutdown {
             state = self.done.wait(state).expect("maint state poisoned");
@@ -173,11 +157,10 @@ impl Maintainer {
         if state.full_completed < epoch {
             return Err("server shut down before the compaction ran".to_owned());
         }
-        match &state.last_full {
-            Some(Ok(summary)) => Ok(summary.clone()),
-            Some(Err(msg)) => Err(msg.clone()),
-            None => Err("no compaction outcome recorded".to_owned()),
-        }
+        state
+            .last_full
+            .clone()
+            .unwrap_or_else(|| Err("no compaction outcome recorded".to_owned()))
     }
 
     /// Stops the worker after its current task and joins it. Idempotent;
@@ -214,7 +197,7 @@ impl Maintainer {
         }
     }
 
-    /// Test hook: every full merge sleeps this long before folding, so
+    /// Test hook: every full fold sleeps this long before folding, so
     /// overlap tests get a deterministic window.
     #[cfg(test)]
     pub(crate) fn set_full_delay_for_tests(&self, delay: Duration) {
@@ -241,59 +224,23 @@ impl Maintainer {
     fn run(&self) {
         while let Some(job) = self.next_job() {
             match job {
-                Job::Full(epoch) => self.run_full(epoch),
-                Job::Drain => self.run_drain(),
-            }
-        }
-    }
-
-    /// One full compaction serving every epoch requested up to `epoch`.
-    fn run_full(&self, epoch: u64) {
-        let delay = *self.full_delay.lock().expect("maint delay lock");
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        self.state.lock().expect("maint state poisoned").running = Some("full");
-        let started = Instant::now();
-        let result = self.engine.compact();
-        let elapsed = started.elapsed().as_micros() as u64;
-        let swapped = result.is_ok();
-        {
-            let mut state = self.state.lock().expect("maint state poisoned");
-            state.running = None;
-            state.last_merge_micros = elapsed;
-            match result {
-                Ok((snap, outcome)) => {
-                    state.full_merges += 1;
-                    state.entries_folded += outcome.report.entries_folded as u64;
-                    state.last_error = None;
-                    state.last_full = Some(Ok(FullMergeSummary {
-                        applied: outcome.applied,
-                        merged: outcome.report.merged,
-                        entries_folded: outcome.report.entries_folded,
-                        segments: outcome.report.segments,
-                        tombstones: outcome.report.tombstones,
-                        generation: snap.generation(),
-                        domains: snap.container().len(),
-                    }));
+                Job::Full(epoch) => {
+                    // One compaction serves every epoch requested up to
+                    // `epoch`.
+                    let outcome = self.execute(None);
+                    let mut state = self.state.lock().expect("maint state poisoned");
+                    state.last_full = Some(outcome);
+                    state.full_completed = epoch;
+                    self.done.notify_all();
                 }
-                Err(e) => {
-                    let msg = e.to_string();
-                    state.last_error = Some(msg.clone());
-                    state.last_full = Some(Err(msg));
-                }
+                Job::Drain => self.drain(),
             }
-            state.full_completed = epoch;
-            self.done.notify_all();
-        }
-        if swapped {
-            (self.on_swap)();
         }
     }
 
     /// Folds until the plan comes back empty. Full requests and
     /// shutdown preempt between tasks.
-    fn run_drain(&self) {
+    fn drain(&self) {
         loop {
             {
                 let state = self.state.lock().expect("maint state poisoned");
@@ -301,42 +248,62 @@ impl Maintainer {
                     return;
                 }
             }
-            let layout = self.engine.segment_layout();
-            let tasks = self.planner.plan(&layout);
+            let tasks = self.planner.plan(&self.engine.segment_layout());
             if tasks.is_empty() {
                 return;
             }
-            for task in tasks {
-                let full = task == MergeTask::Full;
-                let label = if full { "full" } else { "merge" };
-                self.state.lock().expect("maint state poisoned").running = Some(label);
-                let started = Instant::now();
-                let result = self.engine.apply_merge(&task);
-                let elapsed = started.elapsed().as_micros() as u64;
-                let mut state = self.state.lock().expect("maint state poisoned");
-                state.running = None;
-                state.last_merge_micros = elapsed;
-                match result {
-                    Ok((_, outcome)) => {
-                        if full {
-                            state.full_merges += 1;
-                        } else {
-                            state.merges += 1;
-                        }
-                        state.entries_folded += outcome.entries_folded as u64;
-                        state.last_error = None;
-                        drop(state);
-                        (self.on_swap)();
-                    }
-                    Err(e) => {
-                        // A failed fold (e.g. the folded base could not
-                        // be persisted) leaves the stack for the next
-                        // trigger instead of hot-looping on the error.
-                        state.last_error = Some(e.to_string());
-                        return;
-                    }
+            for task in &tasks {
+                // A failed fold (e.g. the folded base could not be
+                // persisted) leaves the stack for the next trigger instead
+                // of hot-looping on the error.
+                if self.execute(Some(task)).is_err() {
+                    return;
                 }
             }
         }
+    }
+
+    /// Runs one fold: a `/compact` epoch (`None`: [`Engine::compact`],
+    /// which seals what is staged first) or a planned task
+    /// ([`Engine::apply_merge`], which never does). Labels it running,
+    /// times it, counts it, records or clears `last_error`, and calls
+    /// `on_swap` after a fold that landed.
+    fn execute(&self, task: Option<&MergeTask>) -> Result<(CommitReport, u64, usize), String> {
+        let full = task.is_none_or(|task| *task == MergeTask::Full);
+        if full {
+            std::thread::sleep(*self.full_delay.lock().expect("maint delay lock"));
+        }
+        self.state.lock().expect("maint state poisoned").running =
+            Some(if full { "full" } else { "merge" });
+        let started = Instant::now();
+        let result = match task {
+            None => self.engine.compact(),
+            Some(task) => self.engine.apply_merge(task),
+        };
+        let elapsed = started.elapsed().as_micros() as u64;
+        let mut state = self.state.lock().expect("maint state poisoned");
+        state.running = None;
+        state.last_merge_micros = elapsed;
+        let outcome = match result {
+            Ok((snap, report)) => {
+                if full {
+                    state.full_merges += 1;
+                } else {
+                    state.merges += 1;
+                }
+                state.entries_folded += report.entries_folded as u64;
+                state.last_error = None;
+                Ok((report, snap.generation(), snap.container().len()))
+            }
+            Err(e) => {
+                state.last_error = Some(e.to_string());
+                Err(e.to_string())
+            }
+        };
+        drop(state);
+        if outcome.is_ok() {
+            (self.on_swap)();
+        }
+        outcome
     }
 }

@@ -29,7 +29,7 @@ use crate::engine::{Engine, EngineError, Snapshot};
 use crate::http::Request;
 use crate::maintenance::Maintainer;
 use crate::reactor::{self, Outcome, ReactorHandle, ReactorState, Service, Step};
-use lshe_core::{Query, QueryStats, SearchHit, SearchOutcome};
+use lshe_core::{CommitReport, Query, QueryStats, SearchHit, SearchOutcome};
 use lshe_corpus::json::Json;
 use lshe_corpus::Domain;
 use lshe_minhash::{FoldKernel, Signature};
@@ -1012,39 +1012,42 @@ fn handle_remove(shared: &Shared, request: &Request) -> Outcome {
 /// plans and executes merges off the request path.
 fn handle_commit(shared: &Shared) -> Outcome {
     match shared.engine.commit_staged() {
-        Ok((snap, outcome)) => {
-            if outcome.applied > 0 {
+        Ok((snap, report)) => {
+            if report.applied > 0 {
                 // Entries are generation-keyed (never stale), but the old
                 // generation is unreachable now: drop the dead weight.
                 shared.cache.clear();
                 shared.counters.commits.fetch_add(1, Ordering::Relaxed);
                 shared.maintainer.notify_commit();
             }
-            Outcome::ok(Json::obj(vec![
-                (
-                    "status",
-                    Json::str(if outcome.applied > 0 {
-                        "committed"
-                    } else {
-                        "nothing staged"
-                    }),
-                ),
-                ("applied", Json::uint(outcome.applied as u64)),
-                ("merged", Json::uint(outcome.report.merged as u64)),
-                (
-                    "entries_folded",
-                    Json::uint(outcome.report.entries_folded as u64),
-                ),
-                ("sealed", Json::Bool(outcome.report.sealed)),
-                ("segments", Json::uint(outcome.report.segments as u64)),
-                ("tombstones", Json::uint(outcome.report.tombstones as u64)),
-                ("generation", Json::uint(snap.generation())),
-                ("domains", Json::uint(snap.container().len() as u64)),
-            ]))
+            let status = if report.applied > 0 {
+                "committed"
+            } else {
+                "nothing staged"
+            };
+            let domains = snap.container().len();
+            Outcome::ok(report_json(status, &report, snap.generation(), domains))
         }
         Err(EngineError::Io(e)) => Outcome::error(500, format!("persist: {e}")),
         Err(e) => Outcome::error(400, e.to_string()),
     }
+}
+
+/// A fold's [`CommitReport`] as `/commit` answers it, with the generation
+/// it left live and the domain count (`/compact` names no `sealed`).
+fn report_json(status: &str, report: &CommitReport, generation: u64, domains: usize) -> Json {
+    let count = |n: usize| Json::uint(n as u64);
+    Json::obj(vec![
+        ("status", Json::str(status)),
+        ("applied", count(report.applied)),
+        ("merged", count(report.merged)),
+        ("entries_folded", count(report.entries_folded)),
+        ("sealed", Json::Bool(report.sealed)),
+        ("segments", count(report.segments)),
+        ("tombstones", count(report.tombstones)),
+        ("generation", Json::uint(generation)),
+        ("domains", count(domains)),
+    ])
 }
 
 /// `POST /compact`: enqueue a full merge — fold every sealed segment and
@@ -1071,19 +1074,14 @@ fn handle_compact(shared: &Shared, request: &Request) -> Outcome {
         ]));
     }
     match shared.maintainer.wait_full(epoch) {
-        Ok(summary) => {
+        Ok((report, generation, domains)) => {
             // The maintainer already cleared the cache via its swap hook.
             shared.counters.compactions.fetch_add(1, Ordering::Relaxed);
-            Outcome::ok(Json::obj(vec![
-                ("status", Json::str("compacted")),
-                ("applied", Json::uint(summary.applied as u64)),
-                ("merged", Json::uint(summary.merged as u64)),
-                ("entries_folded", Json::uint(summary.entries_folded as u64)),
-                ("segments", Json::uint(summary.segments as u64)),
-                ("tombstones", Json::uint(summary.tombstones as u64)),
-                ("generation", Json::uint(summary.generation)),
-                ("domains", Json::uint(summary.domains as u64)),
-            ]))
+            let mut body = report_json("compacted", &report, generation, domains);
+            if let Json::Obj(fields) = &mut body {
+                fields.retain(|(key, _)| key != "sealed");
+            }
+            Outcome::ok(body)
         }
         Err(msg) => Outcome::error(500, msg),
     }

@@ -7,7 +7,8 @@
 //! and ranked here: same hits, same estimates (f64s survive the JSON
 //! layer at shortest-round-trip precision), same order. Also covered:
 //! mutations routed through the coordinator (insert → commit → visible;
-//! remove → commit → gone), and the degraded-shard path — killing one
+//! remove → commit → gone), the keys and key order of the `/commit` and
+//! `/compact` bodies, and the degraded-shard path — killing one
 //! shard mid-load yields typed degraded responses from the survivors,
 //! never wrong answers.
 
@@ -144,17 +145,17 @@ struct Topology {
     cluster: lshe::cluster::ClusterHandle,
 }
 
-fn boot(name: &str) -> Topology {
+fn boot(name: &str, n: usize) -> Topology {
     let dir = scratch(name);
-    let container = IndexContainer::build(&build_catalog(DOMAINS), SHARDS);
+    let container = IndexContainer::build(&build_catalog(DOMAINS), n);
 
     // The cluster: the index split with the placement the coordinator
     // routes by, one real server per shard file.
     let parts = container
-        .split_with(SHARDS, shard_of)
+        .split_with(n, shard_of)
         .expect("split whole index");
-    let mut reference = Vec::with_capacity(SHARDS);
-    let mut shards = Vec::with_capacity(SHARDS);
+    let mut reference = Vec::with_capacity(n);
+    let mut shards = Vec::with_capacity(n);
     for (s, part) in parts.iter().enumerate() {
         let path = dir.join(format!("whole.shard{s}.lshe"));
         part.save(&path).expect("write shard");
@@ -210,7 +211,7 @@ impl Topology {
 /// bit-identically to the split shards queried in-process.
 #[test]
 fn cluster_answers_match_single_process_sharded_bit_for_bit() {
-    let topo = boot("conformance");
+    let topo = boot("conformance", SHARDS);
     let mut coord = Client::connect(topo.cluster.addr());
     let reference = |k, mode| reference_rows(&topo.reference, k, mode);
 
@@ -309,7 +310,7 @@ fn cluster_answers_match_single_process_sharded_bit_for_bit() {
 /// domain answers its own query; remove → commit → it is gone again.
 #[test]
 fn mutations_route_commit_and_become_visible() {
-    let topo = boot("mutations");
+    let topo = boot("mutations", SHARDS);
     let mut coord = Client::connect(topo.cluster.addr());
 
     // A value namespace disjoint from the corpus ("m…").
@@ -371,13 +372,66 @@ fn mutations_route_commit_and_become_visible() {
     topo.teardown();
 }
 
+/// An object body's keys in order, then the values of `fields`, all
+/// space-separated.
+fn shape(body: &Json, fields: &[&str]) -> String {
+    let Json::Obj(pairs) = body else {
+        return body.render();
+    };
+    let keys = pairs.iter().map(|(key, _)| key.clone());
+    let values = fields.iter().filter_map(|&field| body.get(field));
+    let words: Vec<String> = keys.chain(values.map(Json::render)).collect();
+    words.join(" ")
+}
+
+/// `/commit`, `/compact` and `/compact?async=1` answer with the same keys
+/// in the same order on a shard and through the coordinator, which folds
+/// the shards' reports by one generic rule: this pins the wire it keeps.
+#[test]
+fn commit_and_compact_bodies_keep_their_keys_through_the_coordinator() {
+    const COMMIT: &str =
+        "status applied merged entries_folded sealed segments tombstones generation domains";
+    const COMPACT: &str =
+        "status applied merged entries_folded segments tombstones generation domains";
+    let topo = boot("wire_keys", 2);
+    let mut coord = Client::connect(topo.cluster.addr());
+    let mut shard = Client::connect(topo.shards[0].addr());
+
+    // Ids 32 and 33 place on shards 0 and 1: the second commit is applied
+    // by shard 1 alone, and the fleet's status still reads "committed".
+    for k in 0..2u64 {
+        let values: Vec<String> = (0..30).map(|i| format!("\"w{k}_{i}\"")).collect();
+        let (_, inserted) = coord.post(
+            "/insert",
+            &format!("{{\"values\": [{}]}}", values.join(",")),
+        );
+        assert_eq!(inserted.get("id").and_then(Json::as_u64), Some(32 + k));
+        let (_, committed) = coord.post("/commit", "");
+        let want = format!("{COMMIT} \"committed\" 1 true");
+        assert_eq!(shape(&committed, &["status", "applied", "sealed"]), want);
+    }
+    for client in [&mut shard, &mut coord] {
+        let (_, idle) = client.post("/commit", "");
+        let want = format!("{COMMIT} \"nothing staged\" 0 false");
+        assert_eq!(shape(&idle, &["status", "applied", "sealed"]), want);
+        let (_, compacted) = client.post("/compact", "");
+        assert_eq!(shape(&compacted, &["segments"]), format!("{COMPACT} 0"));
+    }
+    let (_, scheduled) = shard.post("/compact?async=1", "");
+    assert_eq!(shape(&scheduled, &[]), "status epoch");
+    let (_, scheduled) = coord.post("/compact?async=1", "");
+    assert_eq!(shape(&scheduled, &["shards"]), "status shards 2");
+
+    topo.teardown();
+}
+
 /// Kill one shard mid-load: reads keep answering from the survivors with
 /// a typed `degraded` marker (never silently-wrong full answers), the
 /// coordinator's /health turns degraded and names the dead shard, and a
 /// mutation owned by the dead shard is refused with 503.
 #[test]
 fn killing_one_shard_degrades_gracefully() {
-    let mut topo = boot("degraded");
+    let mut topo = boot("degraded", SHARDS);
     let mut coord = Client::connect(topo.cluster.addr());
 
     // Healthy first: the full answer includes hits from every shard.

@@ -63,7 +63,7 @@ fn a_commit_shares_the_whole_base_and_the_old_snapshot_answers_as_before() {
     let ids: Vec<u32> = fresh.iter().map(|d| stage(&engine, d, None)).collect();
     engine.stage_remove(17).expect("stage remove");
     let (new, outcome) = engine.commit_staged().expect("commit");
-    assert!(outcome.report.sealed);
+    assert!(outcome.sealed);
     assert_eq!(
         new.container().base_shared_with(old.container()),
         all_shared()
@@ -183,7 +183,7 @@ fn commit_merge_compact_serialises_like_a_fresh_build_of_the_final_corpus() {
     .expect("remove");
     c.apply_merge(&MergeTask::Merge(vec![0, 1]));
     assert_eq!(c.base_shared_with(&built), all_shared());
-    c.compact_index();
+    c.apply_merge(&MergeTask::Full);
     assert_eq!(c.base_shared_with(&built), (vec![false; PARTITIONS], false));
 
     let survivors = base.iter().chain(&fresh[..10]).cloned();

@@ -18,7 +18,7 @@
 //! held their lanes as tree keys, the 64-bit-slot generations — is refused
 //! on its version byte.
 
-use lshe_core::Query;
+use lshe_core::{MergeTask, Query};
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::codec::{CodecError, Encoder};
@@ -284,8 +284,8 @@ fn v7_containers_answer_as_recorded_and_save_as_a_fresh_v8_build() {
             "{name}"
         );
         let (mut compacted, mut rebuilt) = (loaded.clone(), fresh.clone());
-        compacted.compact_index();
-        rebuilt.compact_index();
+        compacted.apply_merge(&MergeTask::Full);
+        rebuilt.apply_merge(&MergeTask::Full);
         assert!(
             compacted.to_bytes() == rebuilt.to_bytes(),
             "{name} compacted"

@@ -165,7 +165,7 @@ fn a_commit_and_a_segment_merge_leave_every_base_column_a_view() {
             stage(&engine, pair);
         });
         engine.stage_remove(20 + k as u32).expect("stage remove");
-        assert!(engine.commit_staged().expect("commit").1.report.sealed);
+        assert!(engine.commit_staged().expect("commit").1.sealed);
     }
     let committed = engine.snapshot();
     assert_eq!(committed.container().segment_layout().segments.len(), 2);

@@ -35,8 +35,8 @@
 //! compacted, saved and loaded takes domains again.
 
 use lshe_core::{
-    DomainIndex, EnsembleConfig, Leveled, LshEnsemble, Mutation, MutationError, PartitionStrategy,
-    Query, QueryError, RowBuf, SearchOutcome,
+    DomainIndex, EnsembleConfig, Leveled, LshEnsemble, MergeTask, Mutation, MutationError,
+    PartitionStrategy, Query, QueryError, RowBuf, SearchOutcome,
 };
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_lsh::DomainId;
@@ -502,7 +502,7 @@ proptest! {
                 3 => {}
                 4 if !model.is_empty() => {
                     container.commit(&batch).expect("commit");
-                    container.compact_index();
+                    container.apply_merge(&MergeTask::Full);
                     batch.clear();
                 }
                 4 => continue,
@@ -725,7 +725,7 @@ fn an_emptied_container_compacts_saves_loads_and_takes_domains_again() {
     let removes: Vec<DeltaOp> = (0..5).map(|id| DeltaOp::Remove { id }).collect();
     container.commit(&removes).expect("remove every domain");
     check("emptied", &container, &[]);
-    container.compact_index();
+    container.apply_merge(&MergeTask::Full);
     check("compacted", &container, &[]);
     assert_eq!(container.partition_count(), 0);
 
@@ -748,7 +748,7 @@ fn an_emptied_container_compacts_saves_loads_and_takes_domains_again() {
         .commit(&[DeltaOp::Insert { record, signature }])
         .expect("insert");
     check("committed", &container, &[id]);
-    container.compact_index();
+    container.apply_merge(&MergeTask::Full);
     check("compacted again", &container, &[id]);
     assert_eq!(container.partition_count(), 1);
     assert_eq!(container.record(id).map(|r| r.column), Some("c5"));
