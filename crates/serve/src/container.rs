@@ -294,6 +294,11 @@ impl IndexContainer {
         Box::new(Arc::clone(&self.index))
     }
 
+    /// The stored index, borrowed: what a snapshot answers through.
+    pub(crate) fn ensemble(&self) -> &LshEnsemble {
+        &self.index
+    }
+
     /// The per-shard ensemble configuration of an `N`-way
     /// [`split_with`](Self::split_with).
     fn shard_config(&self, shards: usize) -> EnsembleConfig {

@@ -7,9 +7,10 @@
 //! they finish against the snapshot they started with, exactly the
 //! semantics a serving system wants.
 //!
-//! Every snapshot holds its backend as a `Box<dyn DomainIndex>` opened by
-//! [`IndexContainer::open_index`]: the container's own ranked index,
-//! shared, not copied, which is also the one mutations reach. An engine
+//! Every snapshot answers through its container's own ranked index,
+//! borrowed, not copied, which is also the one mutations reach. Writes —
+//! staging, commits, folds and reloads — hold one lock, which owns the
+//! path served, the staging area and every snapshot swap. An engine
 //! serves one shard; the paper's §6.3 fan-out runs across processes
 //! (`lshe split` writes the shard files, `lshe cluster` fronts them).
 
@@ -19,7 +20,7 @@ use lshe_minhash::{MinHasher, Signature};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Engine failures.
 #[derive(Debug)]
@@ -71,18 +72,15 @@ impl From<LoadError> for EngineError {
 #[derive(Debug)]
 pub struct Snapshot {
     container: IndexContainer,
-    index: Box<dyn DomainIndex>,
     hasher: MinHasher,
     generation: u64,
 }
 
 impl Snapshot {
     fn new(container: IndexContainer, generation: u64) -> Self {
-        let index = container.open_index();
         let hasher = MinHasher::new(container.num_perm());
         Self {
             container,
-            index,
             hasher,
             generation,
         }
@@ -94,10 +92,10 @@ impl Snapshot {
         &self.container
     }
 
-    /// The query backend for this snapshot.
+    /// The query backend for this snapshot: the container's own index.
     #[must_use]
     pub fn index(&self) -> &dyn DomainIndex {
-        &*self.index
+        self.container.ensemble()
     }
 
     /// The hasher queries must be sketched with (same permutation family
@@ -119,7 +117,7 @@ impl Snapshot {
     /// [`QueryError`] for malformed or unsupported queries (the server
     /// maps these to HTTP 400).
     pub fn query(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        self.index.search(query)
+        self.container.ensemble().search(query)
     }
 }
 
@@ -133,8 +131,8 @@ struct Pending {
     staged_inserts: HashSet<u32>,
     /// Committed ids removed in this batch.
     staged_removes: HashSet<u32>,
-    /// Next id to hand out. Monotone across commits and reloads, so a
-    /// staged insert can never collide with an id that later appears.
+    /// Next id to hand out. Monotone across commits, so a staged insert
+    /// can never collide with an id that later appears.
     next_id: u32,
 }
 
@@ -209,22 +207,40 @@ pub struct StagedCounts {
     pub removes: usize,
 }
 
+/// The engine's write state: the file served (`None` for an in-memory
+/// engine) and the ops staged against it, whose log is that file's.
+#[derive(Debug)]
+struct Writer {
+    path: Option<PathBuf>,
+    pending: Pending,
+}
+
+impl Writer {
+    /// Appends one op to the delta log when the engine is file-backed.
+    /// `next_id` is the allocator mark after the op — pinned into the log
+    /// header if this append creates the file.
+    fn log(&self, op: &DeltaOp, next_id: u32) -> Result<(), EngineError> {
+        if let Some(path) = &self.path {
+            DeltaLog::sidecar(path).append(op, next_id)?;
+        }
+        Ok(())
+    }
+}
+
 /// The hot-reloadable engine: an atomic pointer to the current snapshot.
 #[derive(Debug)]
 pub struct Engine {
+    /// The live snapshot. Readers copy the `Arc`; only a holder of
+    /// `writer` replaces it, with the live generation plus one.
     current: RwLock<Arc<Snapshot>>,
-    path: RwLock<Option<PathBuf>>,
-    /// Serialises every snapshot swap (read → build → swap: reloads,
-    /// commits, merges); without it two concurrent swaps could commit out
-    /// of generation order and leave the older snapshot live. Under it,
-    /// the next generation is the live one's plus one.
-    reload_lock: std::sync::Mutex<()>,
+    /// Held by every staging call, commit, fold and reload for its whole
+    /// run, so validation, the log append and the snapshot swap see one
+    /// state, and the path, the staging area and the live snapshot change
+    /// as one unit. Queries never take it.
+    writer: Mutex<Writer>,
     /// Generation produced by the last full fold in this process (0 = no
     /// compaction since boot) — surfaced on `/stats`.
     last_compaction: AtomicU64,
-    /// Staged live mutations, guarded separately from the snapshot so
-    /// staging never blocks queries.
-    pending: Mutex<Pending>,
 }
 
 impl Engine {
@@ -249,30 +265,28 @@ impl Engine {
                  `lshe split` and front the shards with `lshe cluster`"
             )));
         }
-        let (container, tail, embodied) = Self::open_logged(path)?;
-        let pending = Self::replay_pending(&container, tail)?;
-        if embodied && pending.ops.is_empty() {
-            // Every logged op is already embodied in the base file — the
-            // crash window between a fold's atomic rename and its log
-            // rewrite. Retire the log now instead of re-skipping it on
-            // every boot. (A log that materialised segments stays: it is
-            // their only durable copy until the next fold.)
-            DeltaLog::sidecar(path).clear()?;
-        }
+        let (container, pending) = Self::open(path)?;
         Ok(Self::over(container, Some(path.to_owned()), pending))
     }
 
-    /// Loads the index at `path` and replays the committed batches of its
-    /// delta log onto it; returns it, the still-staged tail, and whether
-    /// the log held ops of which none sealed anything.
-    fn open_logged(path: &Path) -> Result<(IndexContainer, Vec<DeltaOp>, bool), EngineError> {
+    /// Opens `path` as [`load`](Self::load) describes, for it and for
+    /// [`reload`](Self::reload) alike. A log whose every op the base
+    /// already embodies (the crash window between a fold's rename and its
+    /// log rewrite) is retired instead of re-skipped on every boot; a log
+    /// that sealed segments stays, their only durable copy until a fold.
+    fn open(path: &Path) -> Result<(IndexContainer, Pending), EngineError> {
         let mut container = IndexContainer::load(path)?;
-        let (mark, ops) = Self::read_log(&DeltaLog::sidecar(path))?;
+        let log = DeltaLog::sidecar(path);
+        let (mark, ops) = Self::read_log(&log)?;
         let had_ops = !ops.is_empty();
         container.reserve_next_id(mark);
         let (batches, tail) = Self::split_batches(ops);
         let fresh = Self::replay_committed(&mut container, batches)?;
-        Ok((container, tail, had_ops && fresh == 0))
+        let pending = Self::replay_pending(&container, tail)?;
+        if had_ops && fresh == 0 && pending.ops.is_empty() {
+            log.clear()?;
+        }
+        Ok((container, pending))
     }
 
     /// Generation 1 over `container`, with `path` on record for `/reload`
@@ -280,10 +294,8 @@ impl Engine {
     fn over(container: IndexContainer, path: Option<PathBuf>, pending: Pending) -> Self {
         Self {
             current: RwLock::new(Arc::new(Snapshot::new(container, 1))),
-            path: RwLock::new(path),
-            reload_lock: std::sync::Mutex::new(()),
+            writer: Mutex::new(Writer { path, pending }),
             last_compaction: AtomicU64::new(0),
-            pending: Mutex::new(pending),
         }
     }
 
@@ -399,6 +411,11 @@ impl Engine {
         Arc::clone(&self.current.read().expect("engine lock poisoned"))
     }
 
+    /// The write state, locked.
+    fn writer(&self) -> MutexGuard<'_, Writer> {
+        self.writer.lock().expect("engine writer lock poisoned")
+    }
+
     /// Stages one new domain for insertion: assigns it the next free id,
     /// appends the op to the delta log (when the engine is file-backed),
     /// and records it for the next [`commit_staged`](Self::commit_staged).
@@ -440,12 +457,7 @@ impl Engine {
         if size == 0 {
             return Err(EngineError::Mutation("domain size must be positive".into()));
         }
-        // Pending lock FIRST, snapshot second: commit_staged swaps the
-        // snapshot while holding the pending lock, so this order makes
-        // validation and staging atomic with respect to commits — a
-        // snapshot read before the lock could validate against a state a
-        // concurrent commit already replaced.
-        let mut pending = self.pending.lock().expect("pending lock poisoned");
+        let mut writer = self.writer();
         let snap = self.snapshot();
         let num_perm = snap.container().num_perm();
         if signature.len() != num_perm {
@@ -454,7 +466,7 @@ impl Engine {
                 signature.len()
             )));
         }
-        let id = explicit_id.unwrap_or(pending.next_id);
+        let id = explicit_id.unwrap_or(writer.pending.next_id);
         let op = DeltaOp::Insert {
             record: crate::container::DomainRecord {
                 id,
@@ -464,20 +476,21 @@ impl Engine {
             },
             signature,
         };
-        if let Some(why) = pending.refusal(snap.container(), &op) {
+        if let Some(why) = writer.pending.refusal(snap.container(), &op) {
             return Err(EngineError::Mutation(why));
         }
-        self.log_op(&op, pending.next_id.max(id + 1))?;
-        pending.push(op);
-        Ok((id, pending.counts()))
+        writer.log(&op, writer.pending.next_id.max(id + 1))?;
+        writer.pending.push(op);
+        Ok((id, writer.pending.counts()))
     }
 
     /// The id the next locally-allocated insert would take. Monotone
-    /// across commits and reloads; a cluster coordinator reads this from
-    /// every shard (via `/stats`) and allocates from the maximum.
+    /// across commits; a reload takes the target file's, as a restart
+    /// does. A cluster coordinator reads this from every shard (via
+    /// `/stats`) and allocates from the maximum.
     #[must_use]
     pub fn next_id(&self) -> u32 {
-        self.pending.lock().expect("pending lock poisoned").next_id
+        self.writer().pending.next_id
     }
 
     /// Stages the removal of a domain. Valid targets are committed ids
@@ -489,25 +502,20 @@ impl Engine {
     /// [`EngineError::Mutation`] for an unknown or already-removed id,
     /// [`EngineError::Io`] if the delta log cannot be appended.
     pub fn stage_remove(&self, id: u32) -> Result<StagedCounts, EngineError> {
-        // Pending lock before the snapshot read — see stage_insert: a
-        // concurrent commit swaps the snapshot under the pending lock, so
-        // this order prevents validating against a replaced generation
-        // (which could log an op that can never apply).
-        let mut pending = self.pending.lock().expect("pending lock poisoned");
-        let snap = self.snapshot();
+        let mut writer = self.writer();
         let op = DeltaOp::Remove { id };
-        if let Some(why) = pending.refusal(snap.container(), &op) {
+        if let Some(why) = writer.pending.refusal(self.snapshot().container(), &op) {
             return Err(EngineError::Mutation(why));
         }
-        self.log_op(&op, pending.next_id)?;
-        pending.push(op);
-        Ok(pending.counts())
+        writer.log(&op, writer.pending.next_id)?;
+        writer.pending.push(op);
+        Ok(writer.pending.counts())
     }
 
     /// Currently staged mutation counts (for `/stats`).
     #[must_use]
     pub fn staged_counts(&self) -> StagedCounts {
-        self.pending.lock().expect("pending lock poisoned").counts()
+        self.writer().pending.counts()
     }
 
     /// Approximate heap bytes held by the staged (uncommitted) mutation
@@ -517,8 +525,8 @@ impl Engine {
     /// would under-count under live ingestion — `/stats` adds this in.
     #[must_use]
     pub fn staged_memory_bytes(&self) -> usize {
-        let pending = self.pending.lock().expect("pending lock poisoned");
-        pending
+        self.writer()
+            .pending
             .ops
             .iter()
             .map(|op| match op {
@@ -531,17 +539,6 @@ impl Engine {
                 DeltaOp::Remove { .. } | DeltaOp::Commit { .. } => std::mem::size_of::<DeltaOp>(),
             })
             .sum()
-    }
-
-    /// Appends one op to the delta log when the engine is file-backed.
-    /// `next_id` is the allocator mark after the op — pinned into the log
-    /// header if this append creates the file.
-    fn log_op(&self, op: &DeltaOp, next_id: u32) -> Result<(), EngineError> {
-        let path = self.path.read().expect("engine lock poisoned").clone();
-        if let Some(path) = path {
-            DeltaLog::sidecar(&path).append(op, next_id)?;
-        }
-        Ok(())
     }
 
     /// Commits every staged mutation as one new snapshot generation: the
@@ -560,57 +557,59 @@ impl Engine {
     /// and a report of `applied == 0`.
     ///
     /// # Errors
-    /// [`EngineError::Mutation`] when an op no longer applies (e.g. the
-    /// index was hot-reloaded to a file that already uses a staged id) —
-    /// staged ops are kept so the operator can reload the original file
-    /// and retry; [`EngineError::Io`] when the marker cannot be appended —
-    /// the commit is then abandoned whole: no snapshot swap, staged ops
-    /// kept, retry on the next `/commit` (the marker append is the commit
+    /// [`EngineError::Mutation`] when an op does not apply — staged ops
+    /// are kept. Every op was validated against the live container under
+    /// the lock the commit holds, and a reload replaces the staging area
+    /// with the target file's, so a file whose log stages an id it
+    /// already uses is refused at [`reload`](Self::reload), not here.
+    /// [`EngineError::Io`] when the marker cannot be appended — the
+    /// commit is then abandoned whole: no snapshot swap, staged ops kept,
+    /// retry on the next `/commit` (the marker append is the commit
     /// point, so a re-issued commit is idempotent).
     pub fn commit_staged(&self) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
-        let _guard = self.reload_lock.lock().expect("reload lock poisoned");
-        let mut pending = self.pending.lock().expect("pending lock poisoned");
-        if pending.ops.is_empty() {
-            return Ok((self.snapshot(), CommitReport::default()));
-        }
+        self.commit(&mut self.writer())
+    }
+
+    /// [`commit_staged`](Self::commit_staged) under the held write lock.
+    fn commit(&self, writer: &mut Writer) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
         let snap = self.snapshot();
+        if writer.pending.ops.is_empty() {
+            return Ok((snap, CommitReport::default()));
+        }
         let mut container = snap.container().clone();
         let report = container
-            .commit(&pending.ops)
+            .commit(&writer.pending.ops)
             .map_err(|e| EngineError::Mutation(e.to_string()))?;
-        container.reserve_next_id(pending.next_id);
-        let snapshot = Snapshot::new(container, snap.generation() + 1);
+        let next_id = writer.pending.next_id;
+        container.reserve_next_id(next_id);
 
         // Durability: one marker closes the batch. Replaying the log at
         // boot re-seals the identical segment, so nothing else need touch
         // disk here. With the clone above copying no base row, tree or
         // record, commit latency stays flat as the corpus grows (the
         // `engine_commit_*` series of `mutation_path` times this function).
-        self.log_op(
-            &DeltaOp::Commit {
-                next_id: pending.next_id,
-            },
-            pending.next_id,
-        )?;
+        writer.log(&DeltaOp::Commit { next_id }, next_id)?;
 
-        let snapshot = self.swap_in(snapshot);
-        *pending = Pending::at(pending.next_id);
+        let snapshot = self.swap_in(Snapshot::new(container, snap.generation() + 1));
+        writer.pending = Pending::at(next_id);
         Ok((snapshot, report))
     }
 
     /// Compacts the index on demand (`POST /compact`, `lshe compact`):
-    /// seals anything still staged with [`commit_staged`](Self::commit_staged),
-    /// then runs the full fold, [`apply_merge`](Self::apply_merge) of
-    /// [`MergeTask::Full`]. The report counts the ops the commit applied
-    /// and the inserts it sealed beside what the fold rewrote.
+    /// seals anything still staged as [`commit_staged`](Self::commit_staged)
+    /// does, then runs the full fold, [`apply_merge`](Self::apply_merge) of
+    /// [`MergeTask::Full`], both under one hold of the write lock. The
+    /// report counts the ops the commit applied and the inserts it sealed
+    /// beside what the fold rewrote.
     ///
     /// # Errors
     /// As [`commit_staged`](Self::commit_staged), then as
     /// [`apply_merge`](Self::apply_merge): a fold that cannot be persisted
     /// leaves the commit standing and the segments queryable.
     pub fn compact(&self) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
-        let (_, sealed) = self.commit_staged()?;
-        let (snapshot, folded) = self.apply_merge(&MergeTask::Full)?;
+        let mut writer = self.writer();
+        let (_, sealed) = self.commit(&mut writer)?;
+        let (snapshot, folded) = self.fold(&writer, &MergeTask::Full)?;
         let report = CommitReport {
             applied: sealed.applied,
             merged: sealed.merged,
@@ -644,14 +643,18 @@ impl Engine {
         &self,
         task: &MergeTask,
     ) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
+        self.fold(&self.writer(), task)
+    }
+
+    /// [`apply_merge`](Self::apply_merge) under the held write lock, which
+    /// keeps stagings from appending to the log while it is rewritten. Of
+    /// the staging area the fold reads only the allocator mark.
+    fn fold(
+        &self,
+        writer: &Writer,
+        task: &MergeTask,
+    ) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
         let full = *task == MergeTask::Full;
-        let _guard = self.reload_lock.lock().expect("reload lock poisoned");
-        // The pending lock is held across the log rewrite AND the swap: a
-        // racing stage_insert appends to the same log under this lock, so
-        // holding it is what makes "persist base, drop committed prefix,
-        // keep staged tail" atomic against new appends. Of the staging
-        // area the fold reads only the allocator mark.
-        let staging = self.pending.lock().expect("pending lock poisoned");
         let snap = self.snapshot();
         let mut container = snap.container().clone();
         let report = container.apply_merge(task);
@@ -661,7 +664,8 @@ impl Engine {
         {
             return Ok((snap, report));
         }
-        container.reserve_next_id(staging.next_id);
+        let next_id = writer.pending.next_id;
+        container.reserve_next_id(next_id);
 
         // Persist the folded base, then retire the committed log prefix:
         // what is still staged is the log's tail after its last commit
@@ -669,12 +673,11 @@ impl Engine {
         // rename and the rewrite is safe: committed batches are embodied
         // in the base, so replaying the stale log skips them (see
         // `replay_committed`).
-        let path = self.path.read().expect("engine lock poisoned").clone();
-        if let Some(path) = &path {
+        if let Some(path) = &writer.path {
             let log = DeltaLog::sidecar(path);
             let (_, staged) = Self::split_batches(Self::read_log(&log)?.1);
             container.save(path)?;
-            log.rewrite(&staged, staging.next_id)?;
+            log.rewrite(&staged, next_id)?;
             // Serve the rebuilt base from the file just written, not from
             // the heap copy the fold built. The fold is durable by now, so
             // a failed re-open keeps that copy.
@@ -693,8 +696,8 @@ impl Engine {
         Ok((snapshot, report))
     }
 
-    /// Makes `snapshot` the live one. Callers hold `reload_lock`, and build
-    /// it at the live generation plus one.
+    /// Makes `snapshot` the live one. Callers hold the write lock, and
+    /// build it at the live generation plus one.
     fn swap_in(&self, snapshot: Snapshot) -> Arc<Snapshot> {
         let snapshot = Arc::new(snapshot);
         *self.current.write().expect("engine lock poisoned") = Arc::clone(&snapshot);
@@ -715,46 +718,36 @@ impl Engine {
         self.last_compaction.load(Ordering::SeqCst)
     }
 
-    /// Reloads the index from `path` (or the path of the previous load)
-    /// and atomically swaps it in as a new generation. In-flight queries
-    /// keep their old snapshot; new queries see the new one.
+    /// Reloads the index from `path` (or the path on record) and swaps it
+    /// in as a new generation, opening it exactly as a restart would (see
+    /// [`load`](Self::load)): its log's committed batches replay as
+    /// segments, and its staged tail becomes the staging area. The
+    /// snapshot, the path on record and the staging area change as one
+    /// unit. Ops staged against the previous file stay in that file's
+    /// log, to replay when it is opened again; a memory engine's staged
+    /// ops are dropped. In-flight queries keep their old snapshot; new
+    /// queries see the new one.
     ///
     /// # Errors
-    /// [`EngineError`] on I/O failure, a corrupt file or a missing path —
-    /// the old snapshot stays live in every error case.
+    /// [`EngineError`] on I/O failure, a corrupt file or delta log, a
+    /// missing path, or a staged log tail that does not apply to its base
+    /// (such as an insert of an id the file already uses) — the old
+    /// snapshot, path and staging area stay live in every error case.
     pub fn reload(&self, path: Option<&Path>) -> Result<Arc<Snapshot>, EngineError> {
-        // One reload at a time: generation allocation, the path update, and
-        // the snapshot swap must commit as a unit.
-        let _guard = self.reload_lock.lock().expect("reload lock poisoned");
+        let mut writer = self.writer();
         let target = match path {
             Some(p) => p.to_owned(),
-            None => self
-                .path
-                .read()
-                .expect("engine lock poisoned")
-                .clone()
-                .ok_or_else(|| {
-                    EngineError::Config(
-                        "no index path on record; pass {\"path\": …} to /reload".into(),
-                    )
-                })?,
+            None => writer.path.clone().ok_or_else(|| {
+                EngineError::Config("no index path on record; pass {\"path\": …} to /reload".into())
+            })?,
         };
-        // The base file alone is the state of the last fold; committed
-        // batches still live in the delta log and must replay too, or a
-        // reload would silently roll back acknowledged commits. The tail
-        // after the last marker stays in the log — the in-memory staging
-        // area (which survives the reload below) is authoritative for it.
-        let (container, _tail, _) = Self::open_logged(&target)?;
+        let (container, pending) = Self::open(&target)?;
         let generation = self.snapshot().generation() + 1;
-        let snapshot = Snapshot::new(container, generation);
-        *self.path.write().expect("engine lock poisoned") = Some(target);
-        let snapshot = self.swap_in(snapshot);
-        // Staged mutations survive a reload; keep the id allocator ahead
-        // of whatever the reloaded file uses so staged inserts can only
-        // conflict if the new file already claimed their exact ids (a
-        // typed commit error, never a corruption).
-        let mut pending = self.pending.lock().expect("pending lock poisoned");
-        pending.next_id = pending.next_id.max(snapshot.container().next_id());
+        let snapshot = self.swap_in(Snapshot::new(container, generation));
+        *writer = Writer {
+            path: Some(target),
+            pending,
+        };
         Ok(snapshot)
     }
 }
@@ -1264,6 +1257,73 @@ mod tests {
             engine.reload(None).unwrap_err(),
             EngineError::Config(_)
         ));
+    }
+
+    /// Ops staged against one file stay in that file's log across a
+    /// reload onto another, whose staged tail becomes the staging area:
+    /// what the engine then serves is what a restart from either file
+    /// recovers.
+    #[test]
+    fn reload_onto_another_file_leaves_staged_ops_in_the_old_log() {
+        let dir = std::env::temp_dir().join(format!("lshe_engine_other_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let (a, b) = (dir.join("a.lshe"), dir.join("b.lshe"));
+        let built = IndexContainer::build(&catalog(6), 2);
+        built.save(&a).expect("save a");
+        built.save(&b).expect("save b");
+        let engine = Engine::load(&a, 1).expect("load a");
+        let (sig, q) = sig_of(95_000..95_030, built.num_perm());
+        let (id, _) = engine
+            .stage_insert("moved".into(), "col".into(), q, sig)
+            .expect("stage on a");
+        engine.reload(Some(&b)).expect("reload onto b");
+        assert_eq!(engine.staged_counts(), StagedCounts::default());
+        let (snap, report) = engine.commit_staged().expect("commit on b");
+        assert_eq!(report.applied, 0);
+        assert!(snap.container().record(id).is_none());
+        drop(engine);
+
+        let restarted = Engine::load(&b, 1).expect("restart from b");
+        assert!(restarted.snapshot().container().record(id).is_none());
+        assert_eq!(restarted.staged_counts(), StagedCounts::default());
+        let original = Engine::load(&a, 1).expect("restart from a");
+        assert_eq!(original.staged_counts().inserts, 1);
+        let (snap, report) = original.commit_staged().expect("commit on a");
+        assert_eq!(report.applied, 1);
+        assert!(snap.container().record(id).is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A reload stages what the target's log stages, as a restart does,
+    /// so a later commit applies it and a restart agrees.
+    #[test]
+    fn reload_stages_the_target_logs_staged_tail() {
+        let dir = std::env::temp_dir().join(format!("lshe_engine_tail_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let (c, d) = (dir.join("c.lshe"), dir.join("d.lshe"));
+        let built = IndexContainer::build(&catalog(6), 2);
+        built.save(&c).expect("save c");
+        built.save(&d).expect("save d");
+        Engine::load(&d, 1)
+            .expect("load d")
+            .stage_remove(3)
+            .expect("stage remove on d");
+
+        let engine = Engine::load(&c, 1).expect("load c");
+        engine.reload(Some(&d)).expect("reload onto d");
+        assert_eq!(engine.staged_counts().removes, 1);
+        let (snap, report) = engine.commit_staged().expect("commit on d");
+        assert_eq!(report.applied, 1);
+        assert!(snap.container().record(3).is_none());
+        let restarted = Engine::load(&d, 1).expect("restart from d");
+        assert_eq!(
+            restarted.snapshot().container().record(3).is_some(),
+            snap.container().record(3).is_some()
+        );
+        assert_eq!(restarted.staged_counts(), StagedCounts::default());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! The engine's commit path seals staged deltas in O(staged delta); what
 //! it must never do is fold the segment stack — that cost is O(folded
 //! entries) and belongs here. The [`Maintainer`] owns one parked thread
-//! (`lshe-maint`) woken by commit markers: on each wake it observes the
-//! live snapshot's [`SegmentLayout`](lshe_core::SegmentLayout), plans
-//! with the default [`Leveled`] geometry (partial folds of overflowing
-//! levels, a full fold past
-//! [`MAX_TOMBSTONE_RATIO`](lshe_core::MAX_TOMBSTONE_RATIO) tombstones),
+//! (`lshe-maint`) woken at boot, by commit markers and by reloads (a
+//! stack replayed from a delta log folds without waiting for a commit):
+//! on each wake it observes the live snapshot's
+//! [`SegmentLayout`](lshe_core::SegmentLayout), plans with the default
+//! [`Leveled`] geometry (partial folds of overflowing levels, a full fold
+//! past [`MAX_TOMBSTONE_RATIO`](lshe_core::MAX_TOMBSTONE_RATIO) tombstones),
 //! and executes the tasks through [`Engine::apply_merge`] — copy-on-write
 //! folds that swap the snapshot atomically, persist the merged base, and
 //! retire committed delta-log prefixes, all concurrent with reads and
@@ -52,7 +53,8 @@ pub struct MaintenanceStats {
 
 #[derive(Default)]
 struct State {
-    /// A commit landed since the worker last drained.
+    /// The layout may need folding: the worker started, or a commit or a
+    /// reload landed, since it last drained.
     dirty: bool,
     /// Highest full-merge epoch requested / completed. A single fold
     /// satisfies every epoch requested before it started; `last_full` is
@@ -108,7 +110,11 @@ impl Maintainer {
         let maintainer = Arc::new(Self {
             engine,
             planner: Leveled::default(),
-            state: Mutex::new(State::default()),
+            // Plan once at boot: the engine may open a replayed stack.
+            state: Mutex::new(State {
+                dirty: true,
+                ..State::default()
+            }),
             work: Condvar::new(),
             done: Condvar::new(),
             thread: Mutex::new(None),
@@ -124,8 +130,8 @@ impl Maintainer {
         maintainer
     }
 
-    /// Wakes the worker after a commit: it re-plans against the new
-    /// layout and folds until the plan is empty. O(1), lock + one
+    /// Wakes the worker after a commit or a reload: it re-plans against
+    /// the new layout and folds until the plan is empty. O(1), lock + one
     /// notify — safe on every commit.
     pub fn notify_commit(&self) {
         let mut state = self.state.lock().expect("maint state poisoned");

@@ -907,6 +907,8 @@ fn handle_reload(shared: &Shared, request: &Request) -> Outcome {
             // the old generation unreachable: drop the dead weight.
             shared.cache.clear();
             shared.counters.reloads.fetch_add(1, Ordering::Relaxed);
+            // The file's log may replay a stack the planner would fold.
+            shared.maintainer.notify_commit();
             Outcome::ok(Json::obj(vec![
                 ("status", Json::str("reloaded")),
                 ("generation", Json::uint(snap.generation())),
@@ -1873,6 +1875,45 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         server.shutdown();
+    }
+
+    /// The maintenance thread plans once when it starts: a segment stack
+    /// the engine replayed from its delta log folds with no `/commit` to
+    /// wake it.
+    #[test]
+    fn a_replayed_segment_stack_folds_at_boot() {
+        let dir = std::env::temp_dir().join(format!("lshe_server_boot_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("idx.lshe");
+        test_engine(6)
+            .snapshot()
+            .container()
+            .save(&path)
+            .expect("save");
+        let engine = Engine::load(&path, 1).expect("load");
+        for k in 0..5 {
+            let values: Vec<String> = (0..20).map(|i| format!("b{k}x{i}")).collect();
+            let domain = Domain::from_strs(values.iter().map(String::as_str));
+            let signature = domain.signature(engine.snapshot().hasher());
+            engine
+                .stage_insert("batch".into(), "col".into(), domain.len() as u64, signature)
+                .expect("stage");
+            engine.commit_staged().expect("commit");
+        }
+        drop(engine);
+
+        let engine = Arc::new(Engine::load(&path, 1).expect("restart"));
+        assert_eq!(engine.segment_layout().segments.len(), 5);
+        let server = boot(Arc::clone(&engine));
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while engine.segment_layout().segments.len() >= 5 {
+            assert!(Instant::now() < deadline, "the replayed stack never folded");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(engine.snapshot().container().len(), 11);
+        server.shutdown();
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Past [`lshe_core::MAX_TOMBSTONE_RATIO`] the maintenance thread
