@@ -267,8 +267,9 @@ fn cmd_index(flags: &Flags) -> Result<String, CliError> {
 /// Bulk-appends a directory of CSV/JSONL domains to a stored index — the
 /// mutation lifecycle (commit → compact) driven from the CLI. The index
 /// loads as a restarted server loads it (`Engine::load`): the committed
-/// batches of the `FILE.delta` sidecar replay — skipped whole where the
-/// base already embodies them — and its staged tail is committed first,
+/// batches of the `FILE.delta` sidecar replay exactly — or, when the base
+/// already holds them all, the interrupted fold's log rewrite is
+/// finished — and its staged tail is committed first,
 /// so an offline ingest never discards a stopped server's uncommitted work.
 ///
 /// The index file must not be concurrently served: `ingest` and
@@ -951,9 +952,9 @@ mod tests {
     #[test]
     fn ingest_takes_a_delta_log_the_base_already_embodies() {
         // The crash window between a compaction's rename and its log
-        // clear: the base embodies a committed batch whose log is still
-        // beside it. `stats` and `serve` replay it as a no-op; so must
-        // `ingest`.
+        // clear: the base holds a committed batch whose log is still
+        // beside it. `stats` and `serve` serve the base and retire the
+        // log; so must `ingest`.
         let dir = tmp_dir("ingest_embodied");
         let idx = dir.join("x.lshe");
         let domain = |prefix: &str| {

@@ -292,6 +292,115 @@ impl IdMap {
     }
 }
 
+/// The one rule a batch of mutations keeps, checked one op at a time
+/// against the index the batch commits to: [`LshEnsemble::commit`]
+/// validates a batch with it, and a staging area checks each new op with
+/// it before logging it. An op is checked against the index with every op
+/// recorded before it applied: an insert must name an id no live domain
+/// holds, other than `DomainId::MAX` (no id follows it), with a positive
+/// size and a signature as wide as the index's; a remove must name a live
+/// id. So a remove cancels an insert earlier in the batch, and an insert
+/// may re-use an id a remove earlier in it freed.
+#[derive(Debug, Clone, Default)]
+pub struct BatchRule {
+    /// What the recorded ops did to each id they name: inserted it, as
+    /// the batch's `k`-th insert, or took it out.
+    touched: FastHashMap<DomainId, Option<usize>>,
+    /// Inserts recorded, cancelled ones included.
+    inserts: usize,
+    /// Recorded inserts a later remove cancelled.
+    cancelled: usize,
+    /// Live ids the recorded ops remove.
+    removes: usize,
+}
+
+/// What one op [`BatchRule::check`] accepted does to the batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchStep {
+    /// Inserts the id.
+    Insert(DomainId),
+    /// Removes the id, cancelling the batch's `k`-th insert.
+    Cancel(DomainId, usize),
+    /// Removes the id from the index.
+    Remove(DomainId),
+}
+
+impl BatchRule {
+    /// What `op` does if it follows the recorded ops over `index`. Changes
+    /// nothing: [`record`](Self::record) the step to stage the op.
+    ///
+    /// # Errors
+    /// [`MutationError::DuplicateId`] for an insert of a live id,
+    /// [`MutationError::UnknownId`] for a remove of an id that is not live,
+    /// [`MutationError::Invalid`] for an insert of `DomainId::MAX`, a zero
+    /// size or a signature width mismatch, naming the op by its position.
+    pub fn check(
+        &self,
+        index: &LshEnsemble,
+        op: &Mutation<'_>,
+    ) -> Result<BatchStep, MutationError> {
+        let at = self.inserts + self.cancelled + self.removes;
+        let invalid = |why: String| MutationError::Invalid(format!("op {at}: {why}"));
+        match *op {
+            Mutation::Insert(id, size, signature) => {
+                if id == DomainId::MAX {
+                    return Err(invalid(format!("domain id {id} is out of range")));
+                }
+                if size == 0 {
+                    return Err(invalid("domain size must be positive".into()));
+                }
+                let num_perm = index.config.num_perm;
+                if signature.len() != num_perm {
+                    return Err(invalid(format!(
+                        "signature width mismatch: domain has {}, index expects {num_perm}",
+                        signature.len()
+                    )));
+                }
+                let touched = self.touched.get(&id);
+                if touched.map_or_else(|| index.contains(id), Option::is_some) {
+                    return Err(MutationError::DuplicateId(id));
+                }
+                Ok(BatchStep::Insert(id))
+            }
+            Mutation::Remove(id) => match self.touched.get(&id) {
+                Some(&Some(k)) => Ok(BatchStep::Cancel(id, k)),
+                None if index.contains(id) => Ok(BatchStep::Remove(id)),
+                _ => Err(MutationError::UnknownId(id)),
+            },
+        }
+    }
+
+    /// Records a step [`check`](Self::check) accepted.
+    pub fn record(&mut self, step: BatchStep) {
+        match step {
+            BatchStep::Insert(id) => {
+                self.touched.insert(id, Some(self.inserts));
+                self.inserts += 1;
+            }
+            BatchStep::Cancel(id, _) => {
+                self.touched.insert(id, None);
+                self.cancelled += 1;
+            }
+            BatchStep::Remove(id) => {
+                self.touched.insert(id, None);
+                self.removes += 1;
+            }
+        }
+    }
+
+    /// Recorded inserts no later remove cancelled.
+    #[must_use]
+    pub fn inserts(&self) -> usize {
+        self.inserts - self.cancelled
+    }
+
+    /// Live ids the recorded ops remove.
+    #[must_use]
+    pub fn removes(&self) -> usize {
+        self.removes
+    }
+}
+
 /// An immutable sub-index sealed from one committed batch: its inserted
 /// domains, equi-depth-partitioned (by the configured strategy) over just
 /// themselves, each partition carrying its own committed forest and its
@@ -731,23 +840,23 @@ impl LshEnsemble {
         Some((part.sizes[row as usize], part.forest.row(row as usize)))
     }
 
-    /// Applies `batch` in order as one step: validates every op first —
-    /// a remove may cancel an insert earlier in the batch, and an insert
-    /// may re-use an id a remove earlier in it freed — then seals the
-    /// inserts left standing, in batch order, into one immutable segment
-    /// (O(batch), never O(corpus): the base is not touched; the segment is
-    /// partitioned on its own) and tombstones the removed domains, filtered
-    /// out of their tier's candidates until [`compact`](Self::compact). An
-    /// empty batch changes nothing. Partition bounds stay as they are: a
-    /// too-wide upper bound only makes threshold conversion more
-    /// conservative, never less correct.
+    /// Applies `batch` in order as one step: validates every op first by
+    /// the one [`BatchRule`] — a remove may cancel an insert earlier in the
+    /// batch, and an insert may re-use an id a remove earlier in it freed —
+    /// then seals the inserts left standing, in batch order, into one
+    /// immutable segment (O(batch), never O(corpus): the base is not
+    /// touched; the segment is partitioned on its own) and tombstones the
+    /// removed domains, filtered out of their tier's candidates until
+    /// [`compact`](Self::compact). An empty batch changes nothing.
+    /// Partition bounds stay as they are: a too-wide upper bound only makes
+    /// threshold conversion more conservative, never less correct.
     ///
     /// # Errors
     /// The first op that does not apply, and then the index is unchanged:
     /// [`MutationError::DuplicateId`] for an insert of a live id,
     /// [`MutationError::UnknownId`] for a remove of an id that is not live,
-    /// [`MutationError::Invalid`] for a zero size or a signature width
-    /// mismatch.
+    /// [`MutationError::Invalid`] for an insert of `DomainId::MAX`, a zero
+    /// size or a signature width mismatch.
     pub fn commit(&mut self, batch: &[Mutation<'_>]) -> Result<CommitReport, MutationError> {
         let (inserts, removes) = self.net_effect(batch)?;
         for &id in &removes {
@@ -774,45 +883,27 @@ impl LshEnsemble {
         })
     }
 
-    /// Validates `batch` against this index, op by op in order, and returns
-    /// its net effect: the inserts no later remove cancels, in batch order,
-    /// and the committed ids it removes, in batch order.
+    /// Validates `batch` against this index through one [`BatchRule`], op
+    /// by op in order, and returns its net effect: the inserts no later
+    /// remove cancels, in batch order, and the committed ids it removes,
+    /// in batch order.
     #[allow(clippy::type_complexity)]
     fn net_effect<'b>(
         &self,
         batch: &[Mutation<'b>],
     ) -> Result<(Vec<(DomainId, u64, &'b Signature)>, Vec<DomainId>), MutationError> {
+        let mut rule = BatchRule::default();
         let mut inserts: Vec<Option<(DomainId, u64, &'b Signature)>> = Vec::new();
         let mut removes: Vec<DomainId> = Vec::new();
-        // What the batch so far did to each id it names: inserted it, at
-        // `inserts[k]`, or took it out.
-        let mut touched: FastHashMap<DomainId, Option<usize>> =
-            FastHashMap::with_capacity_and_hasher(batch.len(), Default::default());
-        for (at, op) in batch.iter().enumerate() {
-            match *op {
-                Mutation::Insert(id, size, signature) => {
-                    let invalid = |why: String| MutationError::Invalid(format!("op {at}: {why}"));
-                    if size == 0 {
-                        return Err(invalid("domain size must be positive".into()));
-                    }
-                    if signature.len() != self.config.num_perm {
-                        return Err(invalid(format!(
-                            "signature width mismatch: domain has {}, index expects {}",
-                            signature.len(),
-                            self.config.num_perm
-                        )));
-                    }
-                    if touched.get(&id).map_or(self.contains(id), Option::is_some) {
-                        return Err(MutationError::DuplicateId(id));
-                    }
-                    touched.insert(id, Some(inserts.len()));
+        for op in batch {
+            let step = rule.check(self, op)?;
+            rule.record(step);
+            match (*op, step) {
+                (Mutation::Insert(id, size, signature), _) => {
                     inserts.push(Some((id, size, signature)));
                 }
-                Mutation::Remove(id) => match touched.insert(id, None) {
-                    Some(Some(k)) => inserts[k] = None,
-                    None if self.contains(id) => removes.push(id),
-                    _ => return Err(MutationError::UnknownId(id)),
-                },
+                (Mutation::Remove(_), BatchStep::Cancel(_, k)) => inserts[k] = None,
+                (Mutation::Remove(id), _) => removes.push(id),
             }
         }
         Ok((inserts.into_iter().flatten().collect(), removes))
@@ -1253,6 +1344,35 @@ mod tests {
         // Neighbours survive.
         let (_, size4, sig4, _) = &entries[4];
         assert!(ens.query_with_size(sig4, *size4, 1.0).contains(&4));
+    }
+
+    #[test]
+    fn the_batch_rule_checks_each_op_against_the_ops_recorded_before_it() {
+        let (h, entries) = nested_corpus(256, 6);
+        let ens = build_default(&entries, 2);
+        let sig = h.signature(MinHasher::synthetic_values(7, 32).iter().copied());
+        let mut rule = BatchRule::default();
+        let mut take = |op: Mutation<'_>| {
+            let step = rule.check(&ens, &op)?;
+            rule.record(step);
+            Ok::<_, MutationError>(step)
+        };
+        // A committed id removed, then inserted again; a second remove of
+        // it cancels that insert, and a third is unknown.
+        assert_eq!(take(Mutation::Remove(3)), Ok(BatchStep::Remove(3)));
+        assert_eq!(
+            take(Mutation::Insert(3, 32, &sig)),
+            Ok(BatchStep::Insert(3))
+        );
+        let again = Err(MutationError::DuplicateId(3));
+        assert_eq!(take(Mutation::Insert(3, 32, &sig)), again);
+        assert_eq!(take(Mutation::Remove(3)), Ok(BatchStep::Cancel(3, 0)));
+        assert_eq!(take(Mutation::Remove(3)), Err(MutationError::UnknownId(3)));
+        // No id follows the last one, so it is never inserted.
+        let last = take(Mutation::Insert(DomainId::MAX, 32, &sig));
+        let out_of_range = "op 3: domain id 4294967295 is out of range";
+        assert_eq!(last, Err(MutationError::Invalid(out_of_range.into())));
+        assert_eq!((rule.inserts(), rule.removes()), (0, 1));
     }
 
     #[test]

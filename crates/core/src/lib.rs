@@ -95,7 +95,9 @@ pub use api::{
 };
 pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, Unranked};
 pub use directory::position_of;
-pub use ensemble::{EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats};
+pub use ensemble::{
+    BatchRule, BatchStep, EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats,
+};
 pub use lshe_lsh::{Layout, Row, RowBuf};
 pub use maintenance::{Leveled, MergeTask, SegmentLayout, MAX_TOMBSTONE_RATIO};
 pub use mmap::{pack_ranked_to, pack_ranked_with, MmapIndex, MmapIndexError};

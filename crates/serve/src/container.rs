@@ -399,25 +399,20 @@ impl IndexContainer {
     }
 
     /// Applies a batch of mutations in order as one step, as
-    /// [`LshEnsemble::commit`] does — validated whole, then sealed into one
-    /// segment and tombstoned in O(batch) — and the provenance records
-    /// follow. On any error nothing changes. A [`DeltaOp::Commit`] marker
-    /// only raises the allocator mark.
+    /// [`LshEnsemble::commit`] does — validated whole by the one
+    /// [`BatchRule`](lshe_core::BatchRule) a staging area also checks each
+    /// op with, then sealed into one segment and tombstoned in O(batch) —
+    /// and the provenance records follow. On any error nothing changes. A
+    /// [`DeltaOp::Commit`] marker only raises the allocator mark. Replaying
+    /// a delta log at open is this call per committed batch, strictly: an
+    /// op the base already holds is an error, never skipped.
     ///
     /// # Errors
     /// As [`LshEnsemble::commit`]: an op is numbered among the batch's
-    /// inserts and removes.
+    /// inserts and removes, and an insert of `u32::MAX` is
+    /// [`MutationError::Invalid`].
     pub fn commit(&mut self, ops: &[DeltaOp]) -> Result<CommitReport, MutationError> {
-        let batch: Vec<Mutation<'_>> = ops
-            .iter()
-            .filter_map(|op| match op {
-                DeltaOp::Insert { record, signature } => {
-                    Some(Mutation::Insert(record.id, record.size, signature))
-                }
-                DeltaOp::Remove { id } => Some(Mutation::Remove(*id)),
-                DeltaOp::Commit { .. } => None,
-            })
-            .collect();
+        let batch: Vec<Mutation<'_>> = ops.iter().filter_map(DeltaOp::mutation).collect();
         let report = self.index_mut().commit(&batch)?;
         for op in ops {
             match op {
@@ -985,6 +980,20 @@ pub enum DeltaOp {
         /// The allocator high-water mark at commit time.
         next_id: u32,
     },
+}
+
+impl DeltaOp {
+    /// The index mutation this op stages; `None` for a commit marker.
+    #[must_use]
+    pub fn mutation(&self) -> Option<Mutation<'_>> {
+        match self {
+            Self::Insert { record, signature } => {
+                Some(Mutation::Insert(record.id, record.size, signature))
+            }
+            Self::Remove { id } => Some(Mutation::Remove(*id)),
+            Self::Commit { .. } => None,
+        }
+    }
 }
 
 /// Why a delta log could not be read back.
@@ -1612,6 +1621,23 @@ mod tests {
         assert!(c.record(50).is_none());
         let restored = IndexContainer::from_bytes(&c.to_bytes()).expect("decode");
         assert_eq!(restored.len(), 6);
+    }
+
+    /// No id follows `u32::MAX`, so the allocator mark past it would
+    /// overflow: the batch rule refuses the insert before anything moves.
+    #[test]
+    fn an_insert_at_the_last_id_is_invalid() {
+        let mut c = IndexContainer::build(&catalog(4), 2);
+        let before = c.to_bytes();
+        let err = c
+            .commit(&[insert_op(u32::MAX, 20, c.num_perm())])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            lshe_core::MutationError::Invalid("op 0: domain id 4294967295 is out of range".into())
+        );
+        assert!(c.to_bytes() == before, "a refused batch left a trace");
+        assert_eq!((c.len(), c.next_id()), (4, 4));
     }
 
     #[test]

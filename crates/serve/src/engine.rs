@@ -10,16 +10,20 @@
 //! Every snapshot answers through its container's own ranked index,
 //! borrowed, not copied, which is also the one mutations reach. Writes —
 //! staging, commits, folds and reloads — hold one lock, which owns the
-//! path served, the staging area and every snapshot swap. An engine
-//! serves one shard; the paper's §6.3 fan-out runs across processes
-//! (`lshe split` writes the shard files, `lshe cluster` fronts them).
+//! path served, the staging area and every snapshot swap; what `/stats`
+//! reads of the staging area is published beside the snapshot, so no
+//! reader waits on a write. An engine serves one shard; the paper's §6.3
+//! fan-out runs across processes (`lshe split` writes the shard files,
+//! `lshe cluster` fronts them).
 
-use crate::container::{DeltaLog, DeltaOp, IndexContainer, LoadError};
-use lshe_core::{CommitReport, DomainIndex, MergeTask, Query, QueryError, SearchOutcome};
+use crate::container::{DeltaLog, DeltaOp, DomainRecord, IndexContainer, LoadError};
+use lshe_core::{
+    BatchRule, BatchStep, CommitReport, DomainIndex, MergeTask, MutationError, Query, QueryError,
+    SearchOutcome,
+};
 use lshe_minhash::{MinHasher, Signature};
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// Engine failures.
@@ -121,16 +125,17 @@ impl Snapshot {
     }
 }
 
-/// Staged (uncommitted) mutations: the ops in arrival order plus the
-/// bookkeeping that validates new stagings against the net effect so far.
+/// Staged (uncommitted) mutations: the ops in arrival order, checked one
+/// at a time by the core's one [`BatchRule`] — the rule the commit applies
+/// them by.
 #[derive(Debug, Default)]
 struct Pending {
     /// Every staged op, in arrival order (replayed verbatim on commit).
     ops: Vec<DeltaOp>,
-    /// Ids inserted in this batch and not since removed.
-    staged_inserts: HashSet<u32>,
-    /// Committed ids removed in this batch.
-    staged_removes: HashSet<u32>,
+    /// What the staged ops do to the live index, so far.
+    rule: BatchRule,
+    /// Heap bytes the staged ops hold.
+    bytes: usize,
     /// Next id to hand out. Monotone across commits, so a staged insert
     /// can never collide with an id that later appears.
     next_id: u32,
@@ -145,56 +150,27 @@ impl Pending {
         }
     }
 
-    /// Why `op` cannot follow the staged ops over `container`, if it
-    /// cannot: an insert of an id committed or staged, or of `u32::MAX`
-    /// (the allocator mark past it would overflow), a remove of an id
-    /// already staged for removal, or of one neither committed nor staged.
-    fn refusal(&self, container: &IndexContainer, op: &DeltaOp) -> Option<String> {
-        let committed = |id: &u32| container.record(*id).is_some();
-        match op {
-            DeltaOp::Insert { record, .. } if record.id == u32::MAX => {
-                Some(format!("domain id {} is out of range", record.id))
-            }
-            DeltaOp::Insert { record, .. } => (committed(&record.id)
-                || self.staged_inserts.contains(&record.id))
-            .then(|| format!("domain id {} is already in use", record.id)),
-            DeltaOp::Remove { id } if self.staged_removes.contains(id) => {
-                Some(format!("domain id {id} is already staged for removal"))
-            }
-            DeltaOp::Remove { id } => (!committed(id) && !self.staged_inserts.contains(id))
-                .then(|| format!("unknown domain id {id}")),
-            DeltaOp::Commit { .. } => None,
-        }
+    /// What `op`, an insert or a remove, does if it follows the staged ops
+    /// over `container`; changes nothing.
+    fn check(&self, container: &IndexContainer, op: &DeltaOp) -> Result<BatchStep, MutationError> {
+        let mutation = op.mutation().expect("a staged op is an insert or a remove");
+        self.rule.check(container.ensemble(), &mutation)
     }
 
-    /// Stages `op`, which [`refusal`](Self::refusal) accepted. A remove of
-    /// a staged insert cancels it at commit; both ops stay, so the commit
-    /// applies them in order. A commit marker only raises the allocator
-    /// mark.
-    fn push(&mut self, op: DeltaOp) {
-        match &op {
-            DeltaOp::Insert { record, .. } => {
-                self.staged_inserts.insert(record.id);
+    /// Stages `op`, which [`check`](Self::check) accepted as `step`.
+    fn push(&mut self, op: DeltaOp, step: BatchStep) {
+        self.rule.record(step);
+        self.bytes += match &op {
+            DeltaOp::Insert { record, signature } => {
                 self.next_id = self.next_id.max(record.id + 1);
+                signature.len() * Signature::LANE_BYTES
+                    + record.table.capacity()
+                    + record.column.capacity()
+                    + std::mem::size_of::<DomainRecord>()
             }
-            DeltaOp::Remove { id } => {
-                if !self.staged_inserts.remove(id) {
-                    self.staged_removes.insert(*id);
-                }
-            }
-            DeltaOp::Commit { next_id } => {
-                self.next_id = self.next_id.max(*next_id);
-                return;
-            }
-        }
+            DeltaOp::Remove { .. } | DeltaOp::Commit { .. } => std::mem::size_of::<DeltaOp>(),
+        };
         self.ops.push(op);
-    }
-
-    fn counts(&self) -> StagedCounts {
-        StagedCounts {
-            inserts: self.staged_inserts.len(),
-            removes: self.staged_removes.len(),
-        }
     }
 }
 
@@ -210,21 +186,31 @@ pub struct StagedCounts {
 /// The engine's write state: the file served (`None` for an in-memory
 /// engine) and the ops staged against it, whose log is that file's.
 #[derive(Debug)]
-struct Writer {
+pub(crate) struct Writer {
     path: Option<PathBuf>,
     pending: Pending,
 }
 
 impl Writer {
-    /// Appends one op to the delta log when the engine is file-backed.
-    /// `next_id` is the allocator mark after the op — pinned into the log
-    /// header if this append creates the file.
-    fn log(&self, op: &DeltaOp, next_id: u32) -> Result<(), EngineError> {
+    /// Appends one op to the delta log when the engine is file-backed,
+    /// pinning the allocator mark into the log header if this append
+    /// creates the file.
+    fn log(&self, op: &DeltaOp) -> Result<(), EngineError> {
         if let Some(path) = &self.path {
-            DeltaLog::sidecar(path).append(op, next_id)?;
+            DeltaLog::sidecar(path).append(op, self.pending.next_id)?;
         }
         Ok(())
     }
+}
+
+/// What `/stats` reads of the staging area. The writer stores it after
+/// every change, under its lock, so a reader takes no lock a fold holds.
+#[derive(Debug, Default)]
+struct Published {
+    inserts: AtomicUsize,
+    removes: AtomicUsize,
+    bytes: AtomicUsize,
+    next_id: AtomicU32,
 }
 
 /// The hot-reloadable engine: an atomic pointer to the current snapshot.
@@ -233,10 +219,13 @@ pub struct Engine {
     /// The live snapshot. Readers copy the `Arc`; only a holder of
     /// `writer` replaces it, with the live generation plus one.
     current: RwLock<Arc<Snapshot>>,
+    /// The staging area's counts, bytes and allocator mark, as the writer
+    /// last published them.
+    staged: Published,
     /// Held by every staging call, commit, fold and reload for its whole
     /// run, so validation, the log append and the snapshot swap see one
     /// state, and the path, the staging area and the live snapshot change
-    /// as one unit. Queries never take it.
+    /// as one unit. Queries and `/stats` never take it.
     writer: Mutex<Writer>,
     /// Generation produced by the last full fold in this process (0 = no
     /// compaction since boot) — surfaced on `/stats`.
@@ -246,18 +235,32 @@ pub struct Engine {
 impl Engine {
     /// Loads an index file and builds generation 1. When a `<path>.delta`
     /// sidecar exists, its committed batches (the runs of ops closed by a
-    /// [`DeltaOp::Commit`] marker) are replayed and re-sealed into the
-    /// exact segment stack that was acknowledged before the restart, and
-    /// the still-staged tail after the last marker is replayed into the
-    /// staging area — a restart loses nothing.
+    /// [`DeltaOp::Commit`] marker) are replayed through
+    /// [`IndexContainer::commit`] and re-sealed into the exact segment
+    /// stack that was acknowledged before the restart, and the still-staged
+    /// tail after the last marker is replayed into the staging area — a
+    /// restart loses nothing.
+    ///
+    /// Replay is exact: it never guesses which logged ops the base already
+    /// holds. A fold persists every committed batch together, so the base
+    /// holds either none of the log's batches or all of them. The batches
+    /// apply strictly to a copy-on-write clone of the base; if all apply,
+    /// that is the acknowledged state, since strict replay passes only
+    /// when every id the log touches is as present in the base as it was
+    /// before the log. If one fails and the base's allocator mark has
+    /// reached the log's last commit mark, the base already holds every
+    /// batch — a fold renamed it in and stopped before its log rewrite —
+    /// so the base is served and that rewrite is finished here. The
+    /// staged tail then applies strictly to the staging area.
     ///
     /// `shards` must be 1: an engine serves one index, and a query fans
     /// out across processes instead (`lshe split` + `lshe cluster`).
     ///
     /// # Errors
     /// [`EngineError::Config`] for any other `shards`; otherwise
-    /// [`EngineError`] on I/O failure, a corrupt file, or a corrupt/torn
-    /// delta log (typed, never a panic).
+    /// [`EngineError`] on I/O failure, a corrupt file, a corrupt/torn
+    /// delta log, or a log whose ops do not apply to its base (typed,
+    /// never a panic).
     pub fn load(path: &Path, shards: usize) -> Result<Self, EngineError> {
         if shards != 1 {
             return Err(EngineError::Config(format!(
@@ -270,33 +273,39 @@ impl Engine {
     }
 
     /// Opens `path` as [`load`](Self::load) describes, for it and for
-    /// [`reload`](Self::reload) alike. A log whose every op the base
-    /// already embodies (the crash window between a fold's rename and its
-    /// log rewrite) is retired instead of re-skipped on every boot; a log
-    /// that sealed segments stays, their only durable copy until a fold.
+    /// [`reload`](Self::reload) alike: strict replay, or the base and the
+    /// interrupted fold's log rewrite finished.
     fn open(path: &Path) -> Result<(IndexContainer, Pending), EngineError> {
-        let mut container = IndexContainer::load(path)?;
+        let base = IndexContainer::load(path)?;
         let log = DeltaLog::sidecar(path);
         let (mark, ops) = Self::read_log(&log)?;
-        let had_ops = !ops.is_empty();
-        container.reserve_next_id(mark);
         let (batches, tail) = Self::split_batches(ops);
-        let fresh = Self::replay_committed(&mut container, batches)?;
-        let pending = Self::replay_pending(&container, tail)?;
-        if had_ops && fresh == 0 && pending.ops.is_empty() {
-            log.clear()?;
+        let last_mark = batches.last().map(|&(_, next_id)| next_id);
+        match Self::replay_committed(&base, mark, batches) {
+            Ok(container) => {
+                let pending = Self::replay_pending(&container, tail)?;
+                Ok((container, pending))
+            }
+            Err(_) if last_mark.is_some_and(|last| base.next_id() >= last) => {
+                let pending = Self::replay_pending(&base, tail)?;
+                log.rewrite(&pending.ops, pending.next_id)?;
+                Ok((base, pending))
+            }
+            Err(e) => Err(e),
         }
-        Ok((container, pending))
     }
 
     /// Generation 1 over `container`, with `path` on record for `/reload`
     /// and the delta log, and `pending` staged.
     fn over(container: IndexContainer, path: Option<PathBuf>, pending: Pending) -> Self {
-        Self {
+        let engine = Self {
             current: RwLock::new(Arc::new(Snapshot::new(container, 1))),
+            staged: Published::default(),
             writer: Mutex::new(Writer { path, pending }),
             last_compaction: AtomicU64::new(0),
-        }
+        };
+        engine.publish(&engine.writer().pending);
+        engine
     }
 
     /// The log's allocator mark and ops; a torn or corrupt log is
@@ -321,30 +330,25 @@ impl Engine {
         (batches, run)
     }
 
-    /// Re-applies committed batches onto a freshly loaded base, sealing
-    /// one segment per non-embodied batch — bit-identical to the segments
-    /// the original commits built, because each batch replays the same ops
-    /// in the same order through the same seal. Replay is idempotent, as
-    /// [`replay_pending`](Self::replay_pending)'s: a fold persists the
-    /// folded base *before* rewriting the log, so a crash in between
-    /// leaves batches the base already embodies — those skip whole and
-    /// seal nothing. Returns how many ops actually applied.
+    /// Commits each batch in turn to a copy-on-write clone of `base`, its
+    /// allocator raised to the log header's `mark` and then to each
+    /// batch's, sealing one segment per batch — bit-identical to the
+    /// segments the original commits built, because each batch replays
+    /// the same ops in the same order through the same seal.
     fn replay_committed(
-        container: &mut IndexContainer,
+        base: &IndexContainer,
+        mark: u32,
         batches: Vec<(Vec<DeltaOp>, u32)>,
-    ) -> Result<usize, EngineError> {
-        let mut fresh = 0usize;
-        for (ops, mark) in batches {
-            let batch = Self::replay_pending(container, ops)?.ops;
-            if !batch.is_empty() {
-                container
-                    .commit(&batch)
-                    .map_err(|e| EngineError::Index(format!("delta log replay: {e}")))?;
-                fresh += batch.len();
-            }
-            container.reserve_next_id(mark);
+    ) -> Result<IndexContainer, EngineError> {
+        let mut container = base.clone();
+        container.reserve_next_id(mark);
+        for (ops, next_id) in batches {
+            container
+                .commit(&ops)
+                .map_err(|e| EngineError::Index(format!("delta log replay: {e}")))?;
+            container.reserve_next_id(next_id);
         }
-        Ok(fresh)
+        Ok(container)
     }
 
     /// Wraps an in-memory container (tests, examples, benches). `/reload`
@@ -356,49 +360,18 @@ impl Engine {
         Self::over(container, None, pending)
     }
 
-    /// Rebuilds the staging bookkeeping from replayed delta-log ops,
-    /// validating each against the container + the net staged effect.
-    ///
-    /// Replay is **idempotent**: a fold persists the base file (atomic
-    /// rename) *before* rewriting the log, so a crash in between leaves
-    /// committed batches the base already embodies. Such ops — an insert
-    /// whose exact record is present, a removal whose id is absent — are
-    /// skipped rather than re-staged, and since a commit applies its
-    /// whole batch atomically a batch replays either entirely as staged
-    /// or entirely as already-applied. An id collision with a *different*
-    /// record is a genuine conflict and stays a typed error.
+    /// Stages the log's staged tail over `container`, each op checked as a
+    /// staging call checks it.
     fn replay_pending(
         container: &IndexContainer,
         ops: Vec<DeltaOp>,
     ) -> Result<Pending, EngineError> {
         let mut pending = Pending::at(container.next_id());
         for op in ops {
-            let refusal = pending.refusal(container, &op);
-            match &op {
-                DeltaOp::Insert { record, .. } => match container.record(record.id) {
-                    // Already committed (crash after rename, before log
-                    // rewrite): ids stay allocated.
-                    Some(existing) if existing == record.view() => {
-                        pending.next_id = pending.next_id.max(record.id + 1);
-                        continue;
-                    }
-                    Some(_) => {
-                        return Err(EngineError::Index(format!(
-                            "delta log replays insert of existing id {} with different provenance",
-                            record.id
-                        )))
-                    }
-                    None => {}
-                },
-                // Already committed (the id is gone from the base): skip
-                // rather than wedge the boot.
-                DeltaOp::Remove { .. } if refusal.is_some() => continue,
-                _ => {}
-            }
-            if let Some(why) = refusal {
-                return Err(EngineError::Index(format!("delta log replays: {why}")));
-            }
-            pending.push(op);
+            let step = pending
+                .check(container, &op)
+                .map_err(|e| EngineError::Index(format!("delta log replays: {e}")))?;
+            pending.push(op, step);
         }
         Ok(pending)
     }
@@ -412,8 +385,22 @@ impl Engine {
     }
 
     /// The write state, locked.
-    fn writer(&self) -> MutexGuard<'_, Writer> {
+    pub(crate) fn writer(&self) -> MutexGuard<'_, Writer> {
         self.writer.lock().expect("engine writer lock poisoned")
+    }
+
+    /// Publishes what `/stats` reads of `pending`, the staging area the
+    /// held write lock now guards.
+    fn publish(&self, pending: &Pending) {
+        let staged = &self.staged;
+        staged
+            .inserts
+            .store(pending.rule.inserts(), Ordering::SeqCst);
+        staged
+            .removes
+            .store(pending.rule.removes(), Ordering::SeqCst);
+        staged.bytes.store(pending.bytes, Ordering::SeqCst);
+        staged.next_id.store(pending.next_id, Ordering::SeqCst);
     }
 
     /// Stages one new domain for insertion: assigns it the next free id,
@@ -423,9 +410,9 @@ impl Engine {
     /// pre-commit queries keep a consistent snapshot.
     ///
     /// # Errors
-    /// [`EngineError::Mutation`] on a signature width mismatch,
-    /// [`EngineError::Io`] if the delta log cannot be appended (the op is
-    /// then *not* staged).
+    /// [`EngineError::Mutation`] on a zero size or a signature width
+    /// mismatch, [`EngineError::Io`] if the delta log cannot be appended
+    /// (the op is then *not* staged).
     pub fn stage_insert(
         &self,
         table: String,
@@ -439,13 +426,15 @@ impl Engine {
     /// [`stage_insert`](Self::stage_insert) with an optional explicit id —
     /// the cluster path: the coordinator allocates cluster-wide ids (so
     /// shards cannot collide) and routes each insert to the shard the id
-    /// places on. `None` keeps local allocation; an explicit id must be
-    /// free (not committed, not staged), and the local allocator jumps
+    /// places on. `None` keeps local allocation; an explicit id must not
+    /// be live once the staged ops apply (a committed id removed earlier
+    /// in the batch may be inserted again), and the local allocator jumps
     /// past it so later local inserts cannot collide either.
     ///
     /// # Errors
     /// As [`stage_insert`](Self::stage_insert), plus
-    /// [`EngineError::Mutation`] for an explicit id that is already in use.
+    /// [`EngineError::Mutation`] for an explicit id that is in use or is
+    /// `u32::MAX`.
     pub fn stage_insert_as(
         &self,
         table: String,
@@ -454,68 +443,61 @@ impl Engine {
         signature: Signature,
         explicit_id: Option<u32>,
     ) -> Result<(u32, StagedCounts), EngineError> {
-        if size == 0 {
-            return Err(EngineError::Mutation("domain size must be positive".into()));
-        }
         let mut writer = self.writer();
-        let snap = self.snapshot();
-        let num_perm = snap.container().num_perm();
-        if signature.len() != num_perm {
-            return Err(EngineError::Mutation(format!(
-                "signature width mismatch: domain has {}, index expects {num_perm}",
-                signature.len()
-            )));
-        }
         let id = explicit_id.unwrap_or(writer.pending.next_id);
-        let op = DeltaOp::Insert {
-            record: crate::container::DomainRecord {
-                id,
-                size,
-                table,
-                column,
-            },
-            signature,
+        let record = DomainRecord {
+            id,
+            size,
+            table,
+            column,
         };
-        if let Some(why) = writer.pending.refusal(snap.container(), &op) {
-            return Err(EngineError::Mutation(why));
-        }
-        writer.log(&op, writer.pending.next_id.max(id + 1))?;
-        writer.pending.push(op);
-        Ok((id, writer.pending.counts()))
+        let counts = self.stage(&mut writer, DeltaOp::Insert { record, signature })?;
+        Ok((id, counts))
     }
 
     /// The id the next locally-allocated insert would take. Monotone
     /// across commits; a reload takes the target file's, as a restart
     /// does. A cluster coordinator reads this from every shard (via
-    /// `/stats`) and allocates from the maximum.
+    /// `/stats`) and allocates from the maximum. Takes no lock.
     #[must_use]
     pub fn next_id(&self) -> u32 {
-        self.writer().pending.next_id
+        self.staged.next_id.load(Ordering::SeqCst)
     }
 
-    /// Stages the removal of a domain. Valid targets are committed ids
-    /// (not yet staged for removal) and ids staged for insertion in this
-    /// batch (insert-then-remove cancels out at commit). Double removal
-    /// of the same id is a typed error.
+    /// Stages the removal of a domain. Valid targets are ids live once
+    /// the staged ops apply: committed ids not yet staged for removal, and
+    /// ids staged for insertion in this batch (insert-then-remove cancels
+    /// out at commit). Double removal of the same id is a typed error.
     ///
     /// # Errors
     /// [`EngineError::Mutation`] for an unknown or already-removed id,
     /// [`EngineError::Io`] if the delta log cannot be appended.
     pub fn stage_remove(&self, id: u32) -> Result<StagedCounts, EngineError> {
-        let mut writer = self.writer();
-        let op = DeltaOp::Remove { id };
-        if let Some(why) = writer.pending.refusal(self.snapshot().container(), &op) {
-            return Err(EngineError::Mutation(why));
-        }
-        writer.log(&op, writer.pending.next_id)?;
-        writer.pending.push(op);
-        Ok(writer.pending.counts())
+        self.stage(&mut self.writer(), DeltaOp::Remove { id })
     }
 
-    /// Currently staged mutation counts (for `/stats`).
+    /// Stages `op` under the held write lock: checks it by the core's
+    /// batch rule against the live index with the staged ops applied,
+    /// logs it, and publishes the staging area it leaves.
+    fn stage(&self, writer: &mut Writer, op: DeltaOp) -> Result<StagedCounts, EngineError> {
+        let step = writer
+            .pending
+            .check(self.snapshot().container(), &op)
+            .map_err(|e| EngineError::Mutation(e.to_string()))?;
+        writer.log(&op)?;
+        writer.pending.push(op, step);
+        self.publish(&writer.pending);
+        Ok(self.staged_counts())
+    }
+
+    /// Currently staged mutation counts (for `/stats`), as the writer last
+    /// published them. Takes no lock.
     #[must_use]
     pub fn staged_counts(&self) -> StagedCounts {
-        self.writer().pending.counts()
+        StagedCounts {
+            inserts: self.staged.inserts.load(Ordering::SeqCst),
+            removes: self.staged.removes.load(Ordering::SeqCst),
+        }
     }
 
     /// Approximate heap bytes held by the staged (uncommitted) mutation
@@ -523,22 +505,10 @@ impl Engine {
     /// provenance until the next commit. Staged ops are not part of any
     /// snapshot index yet, so a memory report that only asked the index
     /// would under-count under live ingestion — `/stats` adds this in.
+    /// Takes no lock.
     #[must_use]
     pub fn staged_memory_bytes(&self) -> usize {
-        self.writer()
-            .pending
-            .ops
-            .iter()
-            .map(|op| match op {
-                DeltaOp::Insert { record, signature } => {
-                    signature.len() * Signature::LANE_BYTES
-                        + record.table.capacity()
-                        + record.column.capacity()
-                        + std::mem::size_of::<crate::container::DomainRecord>()
-                }
-                DeltaOp::Remove { .. } | DeltaOp::Commit { .. } => std::mem::size_of::<DeltaOp>(),
-            })
-            .sum()
+        self.staged.bytes.load(Ordering::SeqCst)
     }
 
     /// Commits every staged mutation as one new snapshot generation: the
@@ -588,10 +558,11 @@ impl Engine {
         // disk here. With the clone above copying no base row, tree or
         // record, commit latency stays flat as the corpus grows (the
         // `engine_commit_*` series of `mutation_path` times this function).
-        writer.log(&DeltaOp::Commit { next_id }, next_id)?;
+        writer.log(&DeltaOp::Commit { next_id })?;
 
         let snapshot = self.swap_in(Snapshot::new(container, snap.generation() + 1));
         writer.pending = Pending::at(next_id);
+        self.publish(&writer.pending);
         Ok((snapshot, report))
     }
 
@@ -669,10 +640,9 @@ impl Engine {
 
         // Persist the folded base, then retire the committed log prefix:
         // what is still staged is the log's tail after its last commit
-        // marker, read before anything is written. Crash between the
-        // rename and the rewrite is safe: committed batches are embodied
-        // in the base, so replaying the stale log skips them (see
-        // `replay_committed`).
+        // marker, read before anything is written. A crash between the
+        // rename and the rewrite leaves a base that holds every batch,
+        // which `open` tells by the allocator mark and finishes.
         if let Some(path) = &writer.path {
             let log = DeltaLog::sidecar(path);
             let (_, staged) = Self::split_batches(Self::read_log(&log)?.1);
@@ -748,6 +718,7 @@ impl Engine {
             path: Some(target),
             pending,
         };
+        self.publish(&writer.pending);
         Ok(snapshot)
     }
 }
@@ -1057,6 +1028,124 @@ mod tests {
             .stage_insert("after".into(), "col".into(), q, sig)
             .expect("stage");
         assert_eq!(next, 8);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Compacts, then puts the log back as it stood before the fold: the
+    /// state a crash after the fold's rename and before its log rewrite
+    /// leaves.
+    fn compact_then_crash_before_the_log_rewrite(engine: Engine, path: &Path) {
+        let log = crate::container::DeltaLog::sidecar(path);
+        let before = std::fs::read(log.path()).expect("log bytes");
+        engine.compact().expect("compact");
+        drop(engine);
+        std::fs::write(log.path(), before).expect("put the pre-fold log back");
+    }
+
+    /// An explicit id inserted, removed and inserted again in one batch:
+    /// after a fold crash, the base holds the second insert, and replay
+    /// must not read the log's first insert as that one.
+    #[test]
+    fn a_fold_crash_keeps_an_id_reinserted_in_one_batch() {
+        let dir = std::env::temp_dir().join(format!("lshe_engine_p1_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("idx.lshe");
+        IndexContainer::build(&catalog(6), 2)
+            .save(&path)
+            .expect("save");
+        let engine = Engine::load(&path, 1).expect("load");
+        let num_perm = engine.snapshot().container().num_perm();
+        let (first, q) = sig_of(10_000..10_030, num_perm);
+        let (second, _) = sig_of(20_000..20_030, num_perm);
+        let insert = |sig: &Signature| {
+            engine
+                .stage_insert_as("t".into(), "c".into(), q, sig.clone(), Some(50))
+                .expect("stage insert 50")
+        };
+        insert(&first);
+        engine.stage_remove(50).expect("stage remove 50");
+        insert(&second);
+        engine.commit_staged().expect("commit");
+        compact_then_crash_before_the_log_rewrite(engine, &path);
+
+        let engine = Engine::load(&path, 1).expect("restart after the fold crash");
+        let snap = engine.snapshot();
+        assert!(snap.container().record(50).is_some(), "id 50 was lost");
+        assert!(hits(snap.index(), &second, q, 0.9)
+            .iter()
+            .any(|&(id, _)| id == 50));
+        assert!(hits(snap.index(), &first, q, 0.9).is_empty());
+        assert_eq!(engine.next_id(), 51);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The same id inserted, removed and inserted again across three
+    /// commits, with other provenance the second time: a fold crash must
+    /// leave a restart serving what the clean restart serves.
+    #[test]
+    fn a_fold_crash_keeps_an_id_reinserted_across_batches() {
+        let dir = std::env::temp_dir().join(format!("lshe_engine_p2_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("idx.lshe");
+        IndexContainer::build(&catalog(6), 2)
+            .save(&path)
+            .expect("save");
+        let engine = Engine::load(&path, 1).expect("load");
+        let (sig, q) = sig_of(30_000..30_030, engine.snapshot().container().num_perm());
+        let insert = |table: &str| {
+            engine
+                .stage_insert_as(table.into(), "c".into(), q, sig.clone(), Some(50))
+                .expect("stage insert 50");
+            engine.commit_staged().expect("commit");
+        };
+        insert("t1");
+        engine.stage_remove(50).expect("stage remove 50");
+        engine.commit_staged().expect("commit");
+        insert("t2");
+        compact_then_crash_before_the_log_rewrite(engine, &path);
+
+        let engine = Engine::load(&path, 1).expect("restart after the fold crash");
+        let snap = engine.snapshot();
+        assert_eq!(snap.container().record(50).expect("id 50").table, "t2");
+        assert!(hits(snap.index(), &sig, q, 0.9)
+            .iter()
+            .any(|&(id, _)| id == 50));
+        // The fold's log rewrite is finished: nothing is left to replay.
+        assert!(!crate::container::DeltaLog::sidecar(&path).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One batch rule, the core's: a committed id removed earlier in the
+    /// batch may be inserted again, and a restart agrees.
+    #[test]
+    fn a_committed_id_removed_then_reinserted_in_one_batch_is_accepted() {
+        let dir = std::env::temp_dir().join(format!("lshe_engine_again_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("idx.lshe");
+        IndexContainer::build(&catalog(6), 2)
+            .save(&path)
+            .expect("save");
+        let engine = Engine::load(&path, 1).expect("load");
+        let (sig, q) = sig_of(35_000..35_030, engine.snapshot().container().num_perm());
+        let insert = || engine.stage_insert_as("new".into(), "c".into(), q, sig.clone(), Some(3));
+        assert!(matches!(insert(), Err(EngineError::Mutation(_))));
+        engine.stage_remove(3).expect("stage remove 3");
+        let (id, counts) = insert().expect("re-insert 3 after its remove");
+        assert_eq!((id, counts.inserts, counts.removes), (3, 1, 1));
+        assert!(matches!(insert(), Err(EngineError::Mutation(_))));
+        let (snap, report) = engine.commit_staged().expect("commit");
+        assert_eq!((report.applied, snap.container().len()), (2, 6));
+        assert_eq!(snap.container().record(3).expect("id 3").table, "new");
+        drop(engine);
+        let restarted = Engine::load(&path, 1).expect("restart");
+        let snap = restarted.snapshot();
+        assert_eq!(snap.container().record(3).expect("id 3").table, "new");
+        assert!(hits(snap.index(), &sig, q, 0.9)
+            .iter()
+            .any(|&(id, _)| id == 3));
         std::fs::remove_dir_all(&dir).ok();
     }
 

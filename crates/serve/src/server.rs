@@ -1594,6 +1594,58 @@ mod tests {
         server.shutdown();
     }
 
+    /// `/health` and `/stats` are answered on the reactor thread, so
+    /// neither may wait on the engine's write lock, which a fold holds for
+    /// its whole run; the staged counts they read stay exact.
+    #[test]
+    fn health_and_stats_never_wait_on_the_writer() {
+        let engine = test_engine(6);
+        let server = boot(Arc::clone(&engine));
+        let addr = server.addr();
+        let staged = || {
+            let (status, body) = get(addr, "/stats");
+            assert_eq!(status, 200, "{body}");
+            let stats = Json::parse(&body).expect("json");
+            let s = stats.get("staged").expect("staged");
+            let count = |key: &str| s.get(key).and_then(Json::as_u64).expect(key);
+            let next_id = stats
+                .get("next_id")
+                .and_then(Json::as_u64)
+                .expect("next_id");
+            (count("inserts"), count("removes"), next_id)
+        };
+        assert_eq!(staged(), (0, 0, 6));
+        let insert = r#"{"values": ["x0", "x1", "x2", "x3"]}"#;
+        assert_eq!(post(addr, "/insert", insert).0, 200);
+        assert_eq!(staged(), (1, 0, 7));
+        assert_eq!(post(addr, "/remove", r#"{"id": 2}"#).0, 200);
+        assert_eq!(staged(), (1, 1, 7));
+
+        let (held, hold) = std::sync::mpsc::channel();
+        let holder = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let _writer = engine.writer();
+                held.send(()).expect("signal");
+                std::thread::sleep(Duration::from_millis(500));
+            })
+        };
+        hold.recv().expect("the writer is held");
+        for path in ["/health", "/stats"] {
+            let started = Instant::now();
+            let (status, body) = get(addr, path);
+            let waited = started.elapsed();
+            assert_eq!(status, 200, "{path}: {body}");
+            assert!(waited < Duration::from_millis(50), "{path} took {waited:?}");
+        }
+        assert_eq!(staged(), (1, 1, 7));
+        holder.join().expect("holder");
+
+        assert_eq!(post(addr, "/commit", "").0, 200);
+        assert_eq!(staged(), (0, 0, 7));
+        server.shutdown();
+    }
+
     #[test]
     fn insert_at_the_last_id_is_refused_and_the_server_answers_on() {
         let server = boot(test_engine(4));
