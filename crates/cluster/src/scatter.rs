@@ -4,11 +4,12 @@
 //! process-wide [`lshe_minhash::lanes`] pool — the same governor every
 //! batched layer in the workspace draws worker threads from, so a
 //! coordinator colocated with other work degrades toward sequential
-//! fan-out instead of oversubscribing the host. It deliberately does NOT
-//! go through `lanes::run_chunked`: that helper keeps batches of fewer
-//! than `MIN_ITEMS_PER_LANE` items inline because its callers are
-//! CPU-bound, whereas a shard call is IO-bound — four shards at 5 ms
-//! each are worth four lanes even though four is a "tiny" batch.
+//! fan-out instead of oversubscribing the host. It runs on
+//! [`lanes::run_each`], which offers every item a lane of its own, and not
+//! on `lanes::run_chunked`: that helper keeps batches of fewer than
+//! `MIN_ITEMS_PER_LANE` items inline because its callers are CPU-bound,
+//! whereas a shard call is IO-bound — four shards at 5 ms each are worth
+//! four lanes even though four is a "tiny" batch.
 //!
 //! [`hedged_call`] is the straggler defence: send on a pooled
 //! connection, and if no response arrives within the hedge deadline,
@@ -36,46 +37,13 @@ pub struct CallOutcome {
     pub hedged: bool,
 }
 
-/// Runs `f(0..n)` concurrently across budget-governed lanes and returns
-/// the outputs in index order. The calling thread is always a lane of
-/// its own (it works the first chunk while spawned lanes work the
-/// rest), so with an exhausted budget the fan-out degrades to a plain
-/// sequential loop rather than blocking.
+/// Runs `f(0..n)` concurrently across budget-governed lanes
+/// ([`lanes::run_each`]) and returns the outputs in index order. The
+/// calling thread is always a lane of its own, so with an exhausted budget
+/// the fan-out degrades to a plain sequential loop rather than blocking.
 pub fn scatter<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let guard = lanes::acquire(n - 1);
-    let lanes_held = guard.lanes().min(n);
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    if lanes_held <= 1 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(f(i));
-        }
-    } else {
-        let chunk = n.div_ceil(lanes_held);
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut chunks = slots.chunks_mut(chunk).enumerate();
-            let first = chunks.next();
-            for (ci, chunk_slots) in chunks {
-                scope.spawn(move || {
-                    for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                        *slot = Some(f(ci * chunk + j));
-                    }
-                });
-            }
-            if let Some((_, chunk_slots)) = first {
-                for (j, slot) in chunk_slots.iter_mut().enumerate() {
-                    *slot = Some(f(j));
-                }
-            }
-        });
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("scatter filled every slot"))
-        .collect()
+    let shards: Vec<usize> = (0..n).collect();
+    lanes::run_each(&shards, |&i| f(i))
 }
 
 /// One unhedged exchange over a pooled connection. Healthy connections

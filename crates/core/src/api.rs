@@ -284,11 +284,10 @@ pub struct QueryStats {
     pub candidates: usize,
     /// Hits surviving dedup and any estimate post-filter (= `hits.len()`).
     pub survivors: usize,
-    /// Execution time of the search, in microseconds. For a single
-    /// [`DomainIndex::search`] this is plain wall time; under
-    /// [`DomainIndex::search_batch`] it is the execution time *attributed
-    /// to this query* within the batch (its probes, dedup, and ranking),
-    /// so per-query cost stays meaningful when many queries interleave.
+    /// Execution time of the search, in microseconds: the time *attributed
+    /// to this query* within its batch (its probes, dedup, and ranking; a
+    /// single [`DomainIndex::search`] is a batch of one), so per-query
+    /// cost stays meaningful when many queries interleave.
     pub wall_micros: u64,
 }
 
@@ -386,31 +385,30 @@ pub(crate) fn top_k_descend(
 /// the CLI, and the benches hold their backend) and `Send + Sync`, so a
 /// boxed index can be shared across worker threads behind an `Arc`.
 pub trait DomainIndex: std::fmt::Debug + Send + Sync {
-    /// Answers one query.
+    /// Answers a batch of queries, one result per query in request order:
+    /// the one search method a backend implements.
+    ///
+    /// A sketch-based backend runs every threshold query of the batch
+    /// through one partition-outer sweep: each partition is probed once per
+    /// group of queries (while its forest is hot), dedup scratch is reused
+    /// across queries, and thread fan-out happens once per batch. That
+    /// sweep is the only one, so each query yields exactly the hits and
+    /// deterministic [`QueryStats`] fields it would in a batch of one
+    /// (`wall_micros` reports the execution time attributed to that
+    /// query). A malformed or unsupported query yields its [`QueryError`]
+    /// in position without affecting the other queries — never a panic,
+    /// never a whole-batch failure.
+    fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>>;
+
+    /// Answers one query: a batch of one.
     ///
     /// # Errors
     /// [`QueryError::Invalid`] for malformed queries and
     /// [`QueryError::Unsupported`] for query shapes the backend cannot
     /// answer — never a panic.
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError>;
-
-    /// Answers a batch of queries, one result per query in request order.
-    ///
-    /// The default implementation is the plain loop over
-    /// [`search`](Self::search). Backends with a real batched execution
-    /// path override it to amortize work across the batch: partitions are
-    /// probed once per batch (while their forests are hot),
-    /// dedup scratch is reused across queries, and thread fan-out happens
-    /// once per batch instead of once per query.
-    ///
-    /// Overrides are *semantically identical* to the loop: each query
-    /// yields exactly the hits and deterministic [`QueryStats`] fields the
-    /// single-query path would (`wall_micros` reports the execution time
-    /// attributed to that query). A malformed or unsupported query yields
-    /// its [`QueryError`] in position without affecting the other queries
-    /// — never a panic, never a whole-batch failure.
-    fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        queries.iter().map(|q| self.search(q)).collect()
+    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
+        let mut one = self.search_batch(std::slice::from_ref(query));
+        one.pop().expect("one result per query")
     }
 
     /// Number of indexed domains.
@@ -445,10 +443,6 @@ pub trait DomainIndex: std::fmt::Debug + Send + Sync {
 }
 
 impl<T: DomainIndex + ?Sized> DomainIndex for Arc<T> {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        (**self).search(query)
-    }
-
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
         (**self).search_batch(queries)
     }

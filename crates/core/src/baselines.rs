@@ -50,10 +50,6 @@ impl Unranked<'_> {
 }
 
 impl DomainIndex for Unranked<'_> {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        self.read_path().search(query)
-    }
-
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
         self.read_path().search_batch(queries)
     }
@@ -233,10 +229,6 @@ impl AsymIndex {
 }
 
 impl DomainIndex for AsymIndex {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        self.read_path().search(query)
-    }
-
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
         self.read_path().search_batch(queries)
     }

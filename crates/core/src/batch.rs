@@ -5,31 +5,21 @@
 //! the standard lever at that scale is amortization: probe each
 //! partition once per *batch* while its forest is hot, reuse the dedup
 //! scratch across queries, and pay the thread fan-out once per batch
-//! instead of once per query. This module holds the pieces around the
-//! sweep itself — the worker-lane chunking and the per-batch split of
+//! instead of once per query. This module holds the per-batch split of
 //! valid threshold items from top-k and malformed queries; the
-//! partition-outer sweep is the `pipeline` module's.
+//! partition-outer sweep is the `pipeline` module's, and the worker lanes
+//! are [`lshe_minhash::lanes::run_chunked`]'s.
 //!
-//! Everything here is *semantics-preserving*: a batched execution must
-//! return, per query, exactly the hits and deterministic
-//! [`QueryStats`](crate::QueryStats) fields the looped single-query path
-//! would (`wall_micros` is the one field that reports timing rather than
-//! the answer, and under batching it carries the execution time
-//! attributed to that query). The conformance and property suites pin
-//! this equivalence for every backend.
+//! Batching never changes an answer: the sweep is the same code over a
+//! chunk of any size, and a single [`DomainIndex::search`](crate::DomainIndex::search)
+//! is a batch of one, so a query yields exactly the hits and deterministic
+//! [`QueryStats`](crate::QueryStats) fields in any batch (`wall_micros` is
+//! the one field that reports timing rather than the answer: the execution
+//! time attributed to that query). The conformance and property suites
+//! check this shape-independence for every backend.
 
 use crate::api::{Query, QueryError, QueryMode, SearchOutcome};
 use lshe_minhash::Signature;
-
-/// Runs `run` over contiguous chunks of `items` across worker lanes
-/// spawned once per batch — the process-wide
-/// [`lshe_minhash::lanes`] harness, which floors tiny batches to inline
-/// execution, runs the first chunk on the calling thread, and draws
-/// extra lanes from one shared budget so concurrent batches degrade
-/// gracefully instead of multiplying threads across callers. `run` must
-/// be a pure function of its chunk, so the chunking can never change
-/// results.
-pub(crate) use lshe_minhash::lanes::run_chunked as chunked;
 
 /// One pre-validated threshold query of a batch: the borrowed signature,
 /// the effective query cardinality, and the containment threshold.
@@ -37,7 +27,7 @@ pub(crate) use lshe_minhash::lanes::run_chunked as chunked;
 pub(crate) struct ThresholdItem<'a> {
     /// The query signature (borrowed from the caller's [`Query`]).
     pub signature: &'a Signature,
-    /// `|Q|` — supplied or estimated, exactly as the single path sees it.
+    /// `|Q|`: supplied, or estimated by [`Query::effective_size`].
     pub size: u64,
     /// The containment threshold `t*`.
     pub t_star: f64,

@@ -594,10 +594,6 @@ impl MmapIndex {
 }
 
 impl DomainIndex for MmapIndex {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        self.with_read_path(|path| path.search(query))
-    }
-
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
         self.with_read_path(|path| path.search_batch(queries))
     }

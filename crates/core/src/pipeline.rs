@@ -8,8 +8,15 @@
 //! precondition check → partition sweep (skip-prune, per-query `(b, r)`
 //! tuning, probe, liveness filter, dedup + sort, [`ProbeCounts`]) →
 //! [`rank`] by estimated containment → `t* − ESTIMATE_SLACK` prune, or the
-//! top-k threshold descent + truncate → [`SearchOutcome`] assembly, for
-//! `search` and `search_batch` alike.
+//! top-k threshold descent + truncate → [`SearchOutcome`] assembly.
+//!
+//! There is one sweep: [`Tiers::sweep_chunk`], partition-outer over a chunk
+//! of queries, is the only loop over an index's partitions. A batch runs it
+//! over each worker lane's chunk; a single `search` is a batch of one; each
+//! top-k pass and each
+//! [`query_with_size`](crate::LshEnsemble::query_with_size) is a chunk of
+//! one ([`Tiers::sweep`]). So a query's answer cannot depend on what it was
+//! batched with, and a change to the sweep is written once.
 //!
 //! The pipeline is generic over the two things that genuinely differ
 //! between backends — *a partition that can be probed* ([`Probe`]: a heap
@@ -22,15 +29,16 @@
 //! of any step, so heap ≡ mapped holds by construction.
 
 use crate::api::{
-    top_k_descend, unranked, ProbeCounts, Query, QueryError, QueryMode, SearchHit, SearchOutcome,
+    top_k_descend, unranked, ProbeCounts, Query, QueryError, SearchHit, SearchOutcome,
     ESTIMATE_SLACK,
 };
-use crate::batch::{chunked, split_and_run, ThresholdItem};
+use crate::batch::{split_and_run, ThresholdItem};
 use crate::ensemble::DeadSlot;
 use crate::ranked::RankedHit;
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, Row, RowBuf};
 use lshe_minhash::hash::FastHashSet;
+use lshe_minhash::lanes::run_chunked;
 use lshe_minhash::{containment_from_jaccard, Signature};
 use std::time::Instant;
 
@@ -173,32 +181,18 @@ impl<P: Probe> Tiers<'_, P> {
         results
     }
 
-    /// One query: sorted-unique candidate ids plus probe counters.
+    /// One query, as a chunk of one: sorted-unique candidate ids plus
+    /// probe counters — top-k passes and
+    /// [`LshEnsemble::query_with_size`](crate::LshEnsemble::query_with_size).
     ///
     /// # Panics
     /// Panics on a zero size, an out-of-range threshold, or a signature
     /// width mismatch.
     pub fn sweep(&self, item: &ThresholdItem<'_>) -> (Vec<DomainId>, ProbeCounts) {
         check_query(self.num_perm, item);
-        let mut probe = self.counts();
-        let mut raw = Vec::new();
-        for unit in &self.units {
-            probe.probed += usize::from(self.probe_unit(unit, item, &mut raw));
-        }
-        probe.candidates = raw.len();
-        (sorted_unique(raw, &mut FastHashSet::default()), probe)
-    }
-
-    /// A batch of pre-validated queries, thread fan-out paid once: per
-    /// query exactly [`sweep`](Self::sweep)'s ids and counters plus the
-    /// execution time attributed to it in nanoseconds, each handed to
-    /// `post` on the worker that finished it.
-    fn sweep_batch<R: Send>(
-        &self,
-        items: &[ThresholdItem<'_>],
-        post: impl Fn(&ThresholdItem<'_>, Vec<DomainId>, ProbeCounts, u64) -> R + Sync,
-    ) -> Vec<R> {
-        chunked(items, |chunk| self.sweep_chunk(chunk, &post))
+        let mut one =
+            self.sweep_chunk(std::slice::from_ref(item), &|_, ids, probe, _| (ids, probe));
+        one.pop().expect("one result per item")
     }
 }
 
@@ -251,9 +245,10 @@ fn to_search_hits(hits: impl IntoIterator<Item = RankedHit>) -> Vec<SearchHit> {
         .collect()
 }
 
-/// A backend's whole answer to [`DomainIndex`](crate::DomainIndex)'s
-/// `search`/`search_batch`: its partitions plus, when it retains sketches,
-/// the lookup that turns candidates into ranked hits.
+/// A backend's whole answer to
+/// [`DomainIndex::search_batch`](crate::DomainIndex::search_batch): its
+/// partitions plus, when it retains sketches, the lookup that turns
+/// candidates into ranked hits.
 pub(crate) struct ReadPath<'a, P, S> {
     pub tiers: Tiers<'a, P>,
     /// `None`: hits carry no estimate, stay in id order, and top-k is
@@ -302,37 +297,17 @@ impl<P: Probe, S: Sketches> ReadPath<'_, P, S> {
         ))
     }
 
-    pub fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        query.validate_for(self.tiers.num_perm)?;
-        let t_star = match query.mode() {
-            QueryMode::Threshold(t_star) => t_star,
-            QueryMode::TopK(k) => return self.top_k(query, k),
-        };
-        let started = Instant::now();
-        let item = ThresholdItem {
-            signature: query.signature(),
-            size: query.effective_size(),
-            t_star,
-        };
-        let (ids, probe) = self.tiers.sweep(&item);
-        let hits = self.finish(&item, ids);
-        Ok(SearchOutcome::new(
-            hits,
-            probe,
-            started.elapsed().as_nanos() as u64,
-        ))
-    }
-
     pub fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
         split_and_run(
             queries,
             self.tiers.num_perm,
             |items| {
-                self.tiers.sweep_batch(items, |item, ids, probe, nanos| {
+                let post = |item: &ThresholdItem<'_>, ids, probe, nanos| {
                     let started = Instant::now();
                     let hits = self.finish(item, ids);
                     SearchOutcome::new(hits, probe, nanos + started.elapsed().as_nanos() as u64)
-                })
+                };
+                run_chunked(items, |chunk| self.tiers.sweep_chunk(chunk, &post))
             },
             |query, k| self.top_k(query, k),
         )

@@ -78,10 +78,6 @@ impl LshEnsemble {
 }
 
 impl DomainIndex for LshEnsemble {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
-        self.read_path().search(query)
-    }
-
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
         self.read_path().search_batch(queries)
     }

@@ -108,12 +108,9 @@ impl ExactIndex {
     }
 }
 
-/// The exact engine behind the unified query surface: queries must carry
-/// their raw universe hashes ([`Query::with_hashes`]); the signature is
-/// ignored and every estimate is the *true* containment — which is what
-/// makes this the conformance reference for every sketch-based backend.
-impl DomainIndex for ExactIndex {
-    fn search(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
+impl ExactIndex {
+    /// One query of [`DomainIndex::search_batch`].
+    fn answer(&self, query: &Query<'_>) -> Result<SearchOutcome, QueryError> {
         // Exact search never reads the signature, so don't reject on
         // width; validate only the mode/size fields.
         query.validate_for(query.signature().len())?;
@@ -160,6 +157,16 @@ impl DomainIndex for ExactIndex {
         };
         let nanos = started.elapsed().as_nanos() as u64;
         Ok(SearchOutcome::new(hits, probe, nanos))
+    }
+}
+
+/// The exact engine behind the unified query surface: queries must carry
+/// their raw universe hashes ([`Query::with_hashes`]); the signature is
+/// ignored and every estimate is the *true* containment — which is what
+/// makes this the conformance reference for every sketch-based backend.
+impl DomainIndex for ExactIndex {
+    fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
+        queries.iter().map(|query| self.answer(query)).collect()
     }
 
     fn len(&self) -> usize {

@@ -52,13 +52,17 @@
 //! ## Mutability
 //!
 //! Inserts append rows to the table; rows past the committed count are the
-//! staged tail, in no tree yet. Queries scan the tail linearly, so
-//! correctness never requires a rebuild; [`LshForest::commit`] sorts the
-//! tail into the trees for query speed. This gives the "single pass to
-//! build, incremental additions afterwards" behaviour the paper requires of
-//! an open-world index. A forest has no removal: the index above it
-//! tombstones a removed id, filters it out of the candidates, and erases
-//! its row when a full fold builds the forests again.
+//! staged tail, in no tree yet. A forest answers only the rows it has
+//! committed: [`LshForest::commit`] sorts the tail into the trees, and a
+//! query — like [`LshForest::committed_trees`] and
+//! [`LshForest::to_bytes`] — panics while a tail is staged. The index
+//! above builds each forest whole ([`LshForest::from_rows`]) or commits it
+//! before anything queries it, so no query path scans rows linearly. This
+//! gives the "single pass to build, incremental additions afterwards"
+//! behaviour the paper requires of an open-world index. A forest has no
+//! removal: the index above it tombstones a removed id, filters it out of
+//! the candidates, and erases its row when a full fold builds the forests
+//! again.
 
 use crate::DomainId;
 use lshe_minhash::codec::Column;
@@ -732,8 +736,8 @@ impl LshForest {
     /// 32-bit lanes), narrowed into the row table here, or a [`Row`] read
     /// out of a forest of the same layout.
     ///
-    /// The entry is immediately visible to queries (via the staged tail);
-    /// call [`commit`](Self::commit) to sort it into the trees.
+    /// The row is staged, in no tree: the forest refuses queries until
+    /// [`commit`](Self::commit) sorts it in.
     ///
     /// # Panics
     /// Panics if the signature has fewer slots than the forest keeps per
@@ -797,9 +801,15 @@ impl LshForest {
     /// callers dedup, typically into a hash set).
     ///
     /// # Panics
-    /// Panics if `b`/`r` are zero or exceed the forest dimensions, or the
-    /// signature is too short.
+    /// Panics if staged inserts exist (the trees answer only committed
+    /// rows: [`commit`](Self::commit) first), if `b`/`r` are zero or exceed
+    /// the forest dimensions, or if the signature is too short.
     pub fn query_into(&self, sig: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
+        assert_eq!(
+            self.staged_len(),
+            0,
+            "query on a forest with staged inserts; commit first"
+        );
         let Layout { b_max, r_max, .. } = self.layout;
         assert!(b >= 1 && b <= b_max, "b = {b} out of range");
         assert!(r >= 1 && r <= r_max, "r = {r} out of range");
@@ -809,25 +819,10 @@ impl LshForest {
             sig.len(),
             b_max * r_max
         );
-        let slots = sig.slots();
         // The columns are looked at once, not per tree: a `Column` is a
         // vector or a view, and telling which is a branch.
-        let rows = self.rows();
         let trees = self.trees[..b].iter().map(PrefixTree::columns);
-        probe_trees(rows, trees, slots, r, out);
-        // Linear scan of the staged tail.
-        let staged = self.committed..rows.ids.len();
-        for t in 0..b {
-            let prefix = &slots[t * r_max..t * r_max + r];
-            for i in staged.clone() {
-                let tails = rows.tail_key(i, t, r - 1).expect("a staged row");
-                if rows.head(i, t) == Some(prefix[0])
-                    && cmp_tails(tails, &prefix[1..]) == Ordering::Equal
-                {
-                    out.push(rows.ids[i]);
-                }
-            }
-        }
+        probe_trees(self.rows(), trees, sig.slots(), r, out);
     }
 
     /// Deduplicated candidate set for `sig` at `(b, r)`.
@@ -949,28 +944,34 @@ mod tests {
     }
 
     #[test]
-    fn staged_entries_visible_before_commit() {
+    #[should_panic(expected = "staged inserts; commit first")]
+    fn a_forest_with_staged_rows_refuses_queries_until_commit() {
         let h = MinHasher::new(256);
         let vals = MinHasher::synthetic_values(2, 100);
         let f = forest_with(&h, &[(1, vals.clone())], false);
         assert_eq!(f.staged_len(), 1);
-        assert!(f.query(&h.signature(vals), 32, 8).contains(&1));
+        let _ = f.query(&h.signature(vals), 32, 8);
     }
 
     #[test]
     fn commit_is_query_transparent() {
+        // Committing in two batches answers exactly as committing once.
         let h = MinHasher::new(256);
         let domains: Vec<(DomainId, Vec<u64>)> = (0..50)
             .map(|i| (i, MinHasher::synthetic_values(u64::from(i) + 10, 150)))
             .collect();
-        let staged = forest_with(&h, &domains, false);
-        let committed = forest_with(&h, &domains, true);
-        assert_eq!(committed.staged_len(), 0);
+        let mut twice = forest_with(&h, &domains[..20], true);
+        for (id, vals) in &domains[20..] {
+            twice.insert(*id, &h.signature(vals.iter().copied()));
+        }
+        twice.commit();
+        let once = forest_with(&h, &domains, true);
+        assert_eq!(twice.staged_len(), 0);
         for (id, vals) in &domains {
             let sig = h.signature(vals.iter().copied());
             for &(b, r) in &[(8usize, 4usize), (32, 8), (16, 2)] {
-                let a = staged.query(&sig, b, r);
-                let c = committed.query(&sig, b, r);
+                let a = twice.query(&sig, b, r);
+                let c = once.query(&sig, b, r);
                 assert_eq!(a, c, "id={id} b={b} r={r}");
             }
         }
@@ -982,9 +983,6 @@ mod tests {
         let mut f = forest_with(&h, &[(1, MinHasher::synthetic_values(100, 80))], true);
         let late = MinHasher::synthetic_values(200, 80);
         f.insert(2, &h.signature(late.iter().copied()));
-        assert!(f
-            .query(&h.signature(late.iter().copied()), 32, 8)
-            .contains(&2));
         f.commit();
         assert!(f.query(&h.signature(late), 32, 8).contains(&2));
         assert_eq!(f.len(), 2);
@@ -1238,8 +1236,8 @@ mod tests {
         /// differ only deeper in the key, plus exact duplicates; a quarter
         /// of them also carry a bit above the 16 a tail keeps, which tells
         /// heads apart and tails not. The forest must answer every `(b, r)`
-        /// like a filter over its rows — fresh, and with a staged tail
-        /// before and after its commit.
+        /// like a filter over its rows — fresh, and after a staged tail is
+        /// committed.
         #[test]
         fn probe_equals_a_brute_force_filter_over_the_rows(
             b_max in 1usize..4,
@@ -1279,8 +1277,6 @@ mod tests {
                 forest.insert(*id, &lanes[..]);
             }
             prop_assert_eq!(forest.staged_len(), staged);
-            assert_probes_match(&forest, &model, &queries)?;
-
             forest.commit();
             prop_assert_eq!(forest.staged_len(), 0);
             assert_probes_match(&forest, &model, &queries)?;
@@ -1341,6 +1337,7 @@ mod tests {
         to.insert(4, &from.row(0));
         assert_eq!(to.row(0), from.row(0));
         assert_eq!(to.row(0), RowBuf::narrow(to.layout(), sig.slots()).as_row());
+        to.commit();
         assert_eq!(to.query(&sig, 32, 8), vec![4]);
         let other = std::panic::catch_unwind(|| {
             let mut shallow = LshForest::with_width(32, 4, 256);

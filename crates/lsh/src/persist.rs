@@ -270,7 +270,6 @@ mod tests {
         let vals = MinHasher::synthetic_values(999, 40);
         let sig = h.signature(vals.iter().copied());
         restored.insert(777, &sig);
-        assert!(restored.query(&sig, 32, 8).contains(&777));
         restored.commit();
         assert!(restored.query(&sig, 32, 8).contains(&777));
     }

@@ -384,8 +384,14 @@ impl Engine {
         Arc::clone(&self.current.read().expect("engine lock poisoned"))
     }
 
-    /// The write state, locked.
+    /// The write state, locked. Never on a reactor thread: a fold holds
+    /// the lock for its whole run, and every connection of that reactor
+    /// would wait on it.
     pub(crate) fn writer(&self) -> MutexGuard<'_, Writer> {
+        debug_assert!(
+            !crate::reactor::on_reactor_thread(),
+            "Engine::writer on a reactor thread: run the route on the pool"
+        );
         self.writer.lock().expect("engine writer lock poisoned")
     }
 
@@ -1337,6 +1343,23 @@ mod tests {
             .iter()
             .any(|&(hit, _)| hit == id));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A route answered inline on the reactor thread that took the writer
+    /// would stall every connection behind a fold: a debug build refuses it.
+    #[test]
+    fn the_writer_refuses_a_reactor_thread_in_a_debug_build() {
+        let engine = Engine::from_container(IndexContainer::build(&catalog(5), 2));
+        let taken = std::thread::scope(|scope| {
+            let on_reactor = scope.spawn(|| {
+                crate::reactor::mark_reactor_thread();
+                drop(engine.writer());
+            });
+            on_reactor.join()
+        });
+        assert_eq!(taken.is_err(), cfg!(debug_assertions));
+        // The refusal came before the lock: other threads still take it.
+        drop(engine.writer());
     }
 
     #[test]

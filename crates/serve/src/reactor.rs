@@ -33,6 +33,7 @@ use crate::poller::{Event, Poller, Waker, READ, WRITE};
 use crate::pool::{effective_threads, ThreadPool};
 use crate::server::ServerConfig;
 use lshe_corpus::json::Json;
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,6 +43,23 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+thread_local! {
+    /// Set on a reactor loop's thread by [`mark_reactor_thread`].
+    static REACTOR_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the calling thread as a reactor loop's: work answered inline there
+/// must never wait on the engine's write lock, which a fold holds for its
+/// whole run (`Engine::writer` checks the mark in a debug build).
+pub(crate) fn mark_reactor_thread() {
+    REACTOR_THREAD.with(|mark| mark.set(true));
+}
+
+/// True on a thread [`mark_reactor_thread`] marked.
+pub(crate) fn on_reactor_thread() -> bool {
+    REACTOR_THREAD.with(Cell::get)
+}
 
 /// In-flight (unanswered) pipelined requests allowed per connection;
 /// beyond it the reactor stops reading from that socket until responses
@@ -492,6 +510,7 @@ impl<S: Service> Reactor<S> {
     /// Runs the event loop until shutdown completes. This is the body of
     /// the `lshe-serve-reactor` thread.
     fn run_loop(&mut self) {
+        mark_reactor_thread();
         loop {
             if !self.draining && self.state.is_shutting_down() {
                 self.begin_drain();

@@ -1,8 +1,9 @@
 //! Property-based equivalence of batched and looped query execution:
 //! for ARBITRARY query mixes — threshold and top-k interleaved, explicit
 //! and estimated sizes, plus deliberately malformed queries — every
-//! backend's `search_batch` must agree with mapping `search` over the
-//! same queries, item by item: identical hits (ids and estimates),
+//! backend's `search_batch` must agree with mapping `search` (a batch of
+//! one) over the same queries, item by item — a check that an answer does
+//! not depend on the batch's shape: identical hits (ids and estimates),
 //! identical deterministic `QueryStats` fields, and identical typed
 //! errors in identical positions. `wall_micros` is the one field allowed
 //! to differ (it reports timing, not the answer).

@@ -331,7 +331,7 @@ fn search_batch_equals_looped_search_on_every_backend() {
             assert_result_matches(&format!("{name} query {i}"), b, &looped);
         }
     }
-    // The exact engine answers through the default loop impl; raw hashes
+    // The exact engine loops its exact routine over the batch; raw hashes
     // attached per query.
     let exact_queries: Vec<Query<'_>> = w
         .entries
