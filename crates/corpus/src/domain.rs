@@ -39,9 +39,17 @@ impl Domain {
         Self::from_hashes(
             values
                 .into_iter()
-                .map(|v| hash_bytes(DEFAULT_VALUE_SEED, v.as_ref()))
+                .map(|v| Self::hash_value(v.as_ref()))
                 .collect(),
         )
+    }
+
+    /// The universe hash of one raw value: what
+    /// [`from_bytes_values`](Self::from_bytes_values) stores for it, so
+    /// [`from_hashes`](Self::from_hashes) over these makes the same domain.
+    #[must_use]
+    pub fn hash_value(value: &[u8]) -> u64 {
+        hash_bytes(DEFAULT_VALUE_SEED, value)
     }
 
     /// Creates a domain by hashing string values.

@@ -6,7 +6,15 @@
 //! paper). The build image has no crates.io access, so JSON is hand-rolled
 //! over `std`, once: the server's request bodies and responses, the
 //! coordinator's shard replies and [`Catalog::ingest_jsonl`] all go
-//! through [`Json`].
+//! through the one [`Parser`].
+//!
+//! [`Json::parse`] reads a document into a [`Json`] tree. The server reads
+//! its request bodies with the parser's object reader instead
+//! ([`Parser::object`]): it walks the body's fields in order, parses every
+//! field but `values` into a [`Json`] as `Json::parse` would, and hands
+//! each string of `values` over as bytes — borrowed from the body, or
+//! unescaped into one reused buffer — so the values are hashed where they
+//! lie, with no tree and no `String` per value.
 //!
 //! The parser reads exactly RFC 8259 — no leading zeros, no bare `1.`, four
 //! hex digits after `\u` — with arrays and objects nested at most 64 deep,
@@ -76,16 +84,9 @@ impl Json {
     /// [`JsonError`] with a byte offset on any syntax violation, and on
     /// arrays or objects nested more than 64 deep.
     pub fn parse(input: &str) -> Result<Self, JsonError> {
-        let mut p = Parser {
-            text: input,
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != input.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut p = Parser::new(input);
+        let v = p.value()?;
+        p.finish()?;
         Ok(v)
     }
 
@@ -258,12 +259,170 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
+/// The workspace's one recursive-descent JSON reader, over one document.
+///
+/// [`value`](Self::value) reads a tree, as [`Json::parse`] does. The
+/// object reader, [`object`](Self::object), hands each field to the
+/// caller with the cursor on its value, which the caller reads with these
+/// same methods: [`array`](Self::array) walks an array's elements and
+/// [`string`](Self::string) hands a string's content over as bytes. Every
+/// route reads the same grammar, with the same depth cap, error texts and
+/// byte offsets.
+///
+/// ```
+/// use lshe_corpus::json::{Json, Parser};
+///
+/// let mut p = Parser::new(r#"{"values": ["a", "b\u00e9"], "k": 2}"#);
+/// let (mut values, mut k) = (Vec::new(), None);
+/// let is_object = p.object(|p, key| {
+///     match key {
+///         "values" => {
+///             p.array(|p| p.string(|v| values.push(v.to_vec())).map(drop))?;
+///         }
+///         _ => k = Some(p.value()?),
+///     }
+///     Ok(())
+/// })?;
+/// p.finish()?;
+/// assert!(is_object);
+/// assert_eq!(values, [b"a".to_vec(), "bé".as_bytes().to_vec()]);
+/// assert_eq!(k.as_ref().and_then(Json::as_u64), Some(2));
+/// # Ok::<(), lshe_corpus::json::JsonError>(())
+/// ```
+#[derive(Debug)]
+pub struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Nesting depth of the value under the cursor (the document is 0).
+    depth: usize,
+    /// The buffer [`string`](Self::string) unescapes into, reused.
+    scratch: String,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// A reader over `input`, its cursor on the document's first value.
+    #[must_use]
+    pub fn new(input: &'a str) -> Self {
+        let mut p = Self {
+            text: input,
+            pos: 0,
+            depth: 0,
+            scratch: String::new(),
+        };
+        p.skip_ws();
+        p
+    }
+
+    /// Ends the document: only whitespace may follow its value.
+    ///
+    /// # Errors
+    /// [`JsonError`] on trailing characters.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after document"))
+        }
+    }
+
+    /// Reads the value under the cursor into a tree.
+    ///
+    /// # Errors
+    /// [`JsonError`] on any syntax violation, and on arrays or objects
+    /// nested more than 64 deep.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        match self.peek() {
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.fields(|p, key| {
+                    fields.push((key.to_owned(), p.value()?));
+                    Ok(())
+                })?;
+                Ok(Json::Obj(fields))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.items(b']', |p| {
+                    items.push(p.value()?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => {
+                let mut out = String::new();
+                Ok(Json::Str(match self.string_in(&mut out)? {
+                    Some(s) => s.to_owned(),
+                    None => out,
+                }))
+            }
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    /// The object reader. When the value under the cursor is an object,
+    /// calls `field` with each key (unescaped), in order, the cursor on
+    /// that field's value, which `field` must read through the parser it
+    /// is given; then returns `true`. Any other value is read as
+    /// [`value`](Self::value) reads it, dropped, and `false` returned.
+    ///
+    /// # Errors
+    /// The first [`JsonError`] the walk or `field` meets.
+    pub fn object(
+        &mut self,
+        field: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        if self.depth > MAX_DEPTH || self.peek() != Some(b'{') {
+            return self.value().map(|_| false);
+        }
+        self.fields(field).map(|()| true)
+    }
+
+    /// When the value under the cursor is an array, calls `element` once
+    /// per element, the cursor on it, and returns `true`; any other value
+    /// is read, dropped, and `false` returned.
+    ///
+    /// # Errors
+    /// The first [`JsonError`] the walk or `element` meets.
+    pub fn array(
+        &mut self,
+        element: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<bool, JsonError> {
+        if self.depth > MAX_DEPTH || self.peek() != Some(b'[') {
+            return self.value().map(|_| false);
+        }
+        self.items(b']', element).map(|()| true)
+    }
+
+    /// When the value under the cursor is a string, hands its content —
+    /// the unescaped UTF-8 bytes — to `f` and returns `true`. The bytes
+    /// are borrowed from the input, or, when the string holds an escape,
+    /// from one buffer the parser reuses. Any other value is read,
+    /// dropped, and `false` returned.
+    ///
+    /// # Errors
+    /// The first [`JsonError`] in the value.
+    pub fn string(&mut self, f: impl FnOnce(&[u8])) -> Result<bool, JsonError> {
+        if self.depth > MAX_DEPTH || self.peek() != Some(b'"') {
+            return self.value().map(|_| false);
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let read = self.string_in(&mut scratch);
+        if let Ok(content) = &read {
+            f(content.unwrap_or(&scratch).as_bytes());
+        }
+        self.scratch = scratch;
+        read.map(|_| true)
+    }
+
     fn err(&self, msg: impl Into<String>) -> JsonError {
         JsonError {
             msg: msg.into(),
@@ -293,23 +452,6 @@ impl Parser<'_> {
             Ok(())
         } else {
             Err(self.err(format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
-            None => Err(self.err("unexpected end of input")),
         }
     }
 
@@ -350,17 +492,38 @@ impl Parser<'_> {
         Ok(())
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string literal. Content without an escape is borrowed from
+    /// the input (`Some`); content with one is unescaped into `out`,
+    /// cleared first, and `None` returned.
+    fn string_in(&mut self, out: &mut String) -> Result<Option<&'a str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut escaped = false;
         loop {
+            // A run of plain bytes; it ends on an ASCII byte, so `pos`
+            // stays on a char boundary.
+            let run = self.pos;
+            let rest = &self.text.as_bytes()[run..];
+            self.pos += rest
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(rest.len());
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    if !escaped {
+                        return Ok(Some(&self.text[start..self.pos - 1]));
+                    }
+                    out.push_str(&self.text[run..self.pos - 1]);
+                    return Ok(None);
                 }
                 Some(b'\\') => {
+                    if !escaped {
+                        out.clear();
+                        escaped = true;
+                    }
+                    out.push_str(&self.text[run..self.pos]);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -381,16 +544,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy one scalar: `pos` only ever stops on a char boundary.
-                    let c = self.text[self.pos..]
-                        .chars()
-                        .next()
-                        .expect("a byte is left");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -428,51 +582,48 @@ impl Parser<'_> {
         Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        let mut items = Vec::new();
-        self.items(b']', |p| {
-            items.push(p.value(depth + 1)?);
-            Ok(())
-        })?;
-        Ok(Json::Arr(items))
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        let mut fields = Vec::new();
+    /// Steps over an object's `{`, then hands each field's key and the
+    /// parser, its cursor on the field's value, to `field`, up to and
+    /// including the `}`.
+    fn fields(
+        &mut self,
+        mut field: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        let mut escaped_key = String::new();
         self.items(b'}', |p| {
-            let key = p.string()?;
+            let key = p.string_in(&mut escaped_key)?;
             p.skip_ws();
             p.expect(b':')?;
             p.skip_ws();
-            fields.push((key, p.value(depth + 1)?));
-            Ok(())
-        })?;
-        Ok(Json::Obj(fields))
+            field(p, key.unwrap_or(&escaped_key))
+        })
     }
 
-    /// Steps over the opening bracket, then reads comma-separated `item`s
-    /// up to and including `close`.
+    /// Steps over the opening bracket, then reads comma-separated `item`s,
+    /// one level deeper, up to and including `close`.
     fn items(
         &mut self,
         close: u8,
         mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
         self.pos += 1;
+        self.depth += 1;
         self.skip_ws();
-        if self.eat(close) {
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            item(self)?;
-            self.skip_ws();
-            if self.eat(close) {
-                return Ok(());
+        if !self.eat(close) {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                if self.eat(close) {
+                    break;
+                }
+                if !self.eat(b',') {
+                    return Err(self.err(format!("expected ',' or '{}'", close as char)));
+                }
             }
-            if !self.eat(b',') {
-                return Err(self.err(format!("expected ',' or '{}'", close as char)));
-            }
         }
+        self.depth -= 1;
+        Ok(())
     }
 }
 

@@ -181,6 +181,9 @@ pub(crate) struct ServerStats {
     pub(crate) wakeups: AtomicU64,
     /// Largest per-connection write buffer observed, in bytes.
     pub(crate) write_buf_hwm: AtomicU64,
+    /// Longest tick since start, in microseconds: from a wakeup to the
+    /// next wait, the time every other connection on the loop waited.
+    pub(crate) longest_tick_us: AtomicU64,
 }
 
 /// The reactor's own state: the limits it enforces, its shutdown flag and
@@ -523,6 +526,7 @@ impl<S: Service> Reactor<S> {
             if self.poller.wait(&mut self.events, Some(timeout)).is_err() {
                 break; // poller failure is unrecoverable
             }
+            let tick = Instant::now();
             self.state.stats.wakeups.fetch_add(1, Ordering::Relaxed);
             let events = std::mem::take(&mut self.events);
             for ev in &events {
@@ -540,6 +544,11 @@ impl<S: Service> Reactor<S> {
             self.drain_completions();
             self.dispatch_tick_group();
             self.sweep_deadlines();
+            let tick_us = u64::try_from(tick.elapsed().as_micros()).unwrap_or(u64::MAX);
+            self.state
+                .stats
+                .longest_tick_us
+                .fetch_max(tick_us, Ordering::Relaxed);
         }
     }
 

@@ -30,7 +30,7 @@ use crate::http::Request;
 use crate::maintenance::Maintainer;
 use crate::reactor::{self, Outcome, ReactorHandle, ReactorState, Service, Step};
 use lshe_core::{CommitReport, Query, QueryStats, SearchHit, SearchOutcome};
-use lshe_corpus::json::Json;
+use lshe_corpus::json::{Json, JsonError, Parser};
 use lshe_corpus::Domain;
 use lshe_minhash::{FoldKernel, Signature};
 use std::collections::HashMap;
@@ -47,7 +47,10 @@ const DEFAULT_THRESHOLD: f64 = 0.7;
 const MAX_K: usize = 10_000;
 /// Upper bound on queries per `/batch` request.
 const MAX_BATCH: usize = 4_096;
-/// `/query`/`/topk` bodies up to this size parse inline on the reactor;
+/// The answer to a body with no `values` array.
+const MISSING_VALUES: &str = "missing \"values\": expected an array of strings";
+/// `/query`/`/topk` bodies up to this size are read inline on the reactor
+/// — one pass of the object reader, each value hashed where it lies —
 /// larger ones go to the compute pool like any heavy request.
 const INLINE_BODY_MAX: usize = 64 * 1024;
 
@@ -396,6 +399,12 @@ fn handle_stats(shared: &Shared) -> Outcome {
                     "write_buf_hwm_bytes",
                     Json::uint(s.write_buf_hwm.load(Ordering::Relaxed)),
                 ),
+                // How long the loop has blocked its connections at worst:
+                // an inline body parse or a render shows here.
+                (
+                    "longest_tick_us",
+                    Json::uint(s.longest_tick_us.load(Ordering::Relaxed)),
+                ),
                 // Which compilation of the MinHash fold this CPU runs: a
                 // sketch-speed gap between two hosts reads off here.
                 (
@@ -507,6 +516,7 @@ fn maintenance_json(shared: &Shared) -> Json {
 /// [`item_key`]), so a hit never pays for sketching at all; only misses
 /// go on to one bulk [`bulk_signatures`](lshe_minhash::MinHasher::bulk_signatures)
 /// pass.
+#[derive(Debug, PartialEq)]
 pub(crate) struct ParsedItem {
     domain: Domain,
     threshold: f64,
@@ -526,21 +536,101 @@ impl ParsedItem {
     }
 }
 
-/// Parses a request object: `values` (required string array, hashed
+/// Reads a request body through `read`, in one pass: a body that is not
+/// UTF-8 is refused, one of only whitespace reads as `{}`, and a syntax
+/// error anywhere in it is refused before any field fault `read` found.
+fn read_body<T>(
+    body: &[u8],
+    read: impl FnOnce(&mut Parser<'_>) -> Result<T, JsonError>,
+) -> Result<T, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
+    let text = if text.trim().is_empty() { "{}" } else { text };
+    let mut parser = Parser::new(text);
+    read(&mut parser)
+        .and_then(|read| parser.finish().map(|()| read))
+        .map_err(|e| format!("invalid JSON body: {e}"))
+}
+
+/// A body read whole into a tree, for the endpoints that carry no `values`.
+fn parse_body_bytes(body: &[u8]) -> Result<Json, String> {
+    read_body(body, |p| p.value())
+}
+
+/// A request object as [`read_request`] found it: the domain its `values`
+/// name (or that field's fault), and the first field of each name asked
+/// for.
+type RequestObject<const N: usize> = (Result<Domain, String>, [Option<Json>; N]);
+
+/// Reads one request object: its first `values` array, whose strings are
+/// hashed where they lie into the domain they name, and the first field
+/// of each of `names`, parsed. Every other field is read and dropped. The
+/// error is a syntax error.
+fn read_request<const N: usize>(
+    p: &mut Parser<'_>,
+    names: [&str; N],
+) -> Result<RequestObject<N>, JsonError> {
+    let mut values = None;
+    let mut fields: [Option<Json>; N] = std::array::from_fn(|_| None);
+    p.object(|p, key| {
+        if key == "values" && values.is_none() {
+            values = Some(read_values(p)?);
+            return Ok(());
+        }
+        match names.iter().position(|&name| name == key) {
+            Some(i) if fields[i].is_none() => fields[i] = Some(p.value()?),
+            _ => drop(p.value()?),
+        }
+        Ok(())
+    })?;
+    let domain = values
+        .unwrap_or(Err(MISSING_VALUES))
+        .map(Domain::from_hashes)
+        .map_err(str::to_owned);
+    Ok((domain, fields))
+}
+
+/// Reads `values`, a required non-empty array of strings — a query's and
+/// an `/insert`'s alike — hashing each string's unescaped UTF-8 bytes
+/// ([`Domain::hash_value`]) as it is read.
+fn read_values(p: &mut Parser<'_>) -> Result<Result<Vec<u64>, &'static str>, JsonError> {
+    let mut hashes = Vec::new();
+    let mut strings = true;
+    let array = p.array(|p| {
+        strings &= p.string(|value| hashes.push(Domain::hash_value(value)))?;
+        Ok(())
+    })?;
+    Ok(match (array, strings) {
+        (false, _) => Err(MISSING_VALUES),
+        (true, false) => Err("\"values\" entries must all be strings"),
+        (true, true) if hashes.is_empty() => Err("\"values\" must not be empty"),
+        (true, true) => Ok(hashes),
+    })
+}
+
+/// Reads a request object: `values` (required string array, hashed
 /// server-side into the index's hash universe), plus optional
 /// `threshold`, `k`, and `debug`. A present `k` always means top-k — on
 /// `/query`, `/topk`, and `/batch` entries alike; `require_k` only makes
 /// it mandatory (`/topk`).
-fn parse_item(body: &Json, require_k: bool) -> Result<ParsedItem, String> {
-    let domain = parse_values(body)?;
-    let threshold = match body.get("threshold") {
+fn read_item(p: &mut Parser<'_>, require_k: bool) -> Result<Result<ParsedItem, String>, JsonError> {
+    let (domain, options) = read_request(p, ["threshold", "k", "debug"])?;
+    Ok(domain.and_then(|domain| parse_item(domain, options, require_k)))
+}
+
+/// Checks an item's options, as [`read_item`] found them.
+fn parse_item(
+    domain: Domain,
+    [threshold, k, debug]: [Option<Json>; 3],
+    require_k: bool,
+) -> Result<ParsedItem, String> {
+    let threshold = match threshold {
         None => DEFAULT_THRESHOLD,
         Some(t) => t
             .as_f64()
             .filter(|t| (0.0..=1.0).contains(t))
             .ok_or("\"threshold\" must be a number in [0, 1]")?,
     };
-    let k = match body.get("k") {
+    let k = match k {
         None if require_k => return Err("missing \"k\": top-k needs a positive integer".to_owned()),
         None => 0,
         Some(k) => k
@@ -549,7 +639,7 @@ fn parse_item(body: &Json, require_k: bool) -> Result<ParsedItem, String> {
             .ok_or_else(|| format!("\"k\" must be an integer in [1, {MAX_K}]"))?
             as usize,
     };
-    let debug = match body.get("debug") {
+    let debug = match debug {
         None => false,
         Some(d) => d.as_bool().ok_or("\"debug\" must be a boolean")?,
     };
@@ -561,21 +651,85 @@ fn parse_item(body: &Json, require_k: bool) -> Result<ParsedItem, String> {
     })
 }
 
-/// Parses `values`, a required non-empty array of strings, into the domain
-/// it names: a query's and an `/insert`'s alike.
-fn parse_values(body: &Json) -> Result<Domain, String> {
-    let values = body
-        .get("values")
-        .and_then(Json::as_array)
-        .ok_or("missing \"values\": expected an array of strings")?;
-    if values.is_empty() {
-        return Err("\"values\" must not be empty".to_owned());
+/// Reads a `/query` or `/topk` body.
+fn parse_query(body: &[u8], require_k: bool) -> Result<ParsedItem, String> {
+    read_body(body, |p| read_item(p, require_k))?
+}
+
+/// Reads a `/batch` body: its first `queries` array, each entry read as a
+/// `/query` body is, and a faulty entry kept in its position.
+fn parse_batch(body: &[u8]) -> Result<Vec<Result<ParsedItem, String>>, String> {
+    let (queries, over) = read_body(body, |p| {
+        let (mut queries, mut seen, mut over) = (None, false, false);
+        p.object(|p, key| {
+            if key != "queries" || seen {
+                return p.value().map(drop);
+            }
+            seen = true;
+            let mut items = Vec::new();
+            let array = p.array(|p| {
+                if items.len() < MAX_BATCH {
+                    items.push(read_item(p, false)?);
+                } else {
+                    over = true;
+                    p.value()?;
+                }
+                Ok(())
+            })?;
+            queries = array.then_some(items);
+            Ok(())
+        })?;
+        Ok((queries, over))
+    })?;
+    let queries = queries.ok_or("missing \"queries\": expected an array")?;
+    if queries.is_empty() {
+        return Err("\"queries\" must not be empty".to_owned());
     }
-    let strs = values
-        .iter()
-        .map(|v| v.as_str().ok_or("\"values\" entries must all be strings"))
-        .collect::<Result<Vec<&str>, _>>()?;
-    Ok(Domain::from_strs(strs))
+    if over {
+        return Err(format!("at most {MAX_BATCH} queries per batch"));
+    }
+    Ok(queries)
+}
+
+/// A `/insert` body: the domain, its provenance and an optional explicit
+/// id.
+#[derive(Debug, PartialEq)]
+struct InsertBody {
+    domain: Domain,
+    table: String,
+    column: String,
+    id: Option<u32>,
+}
+
+/// Reads a `/insert` body: `values` as a query's, plus optional string
+/// `table` and `column` and an integer `id`.
+fn parse_insert(body: &[u8]) -> Result<InsertBody, String> {
+    let (domain, [table, column, id]) =
+        read_body(body, |p| read_request(p, ["table", "column", "id"]))?;
+    let domain = domain?;
+    let text = |field: Option<Json>, name: &str, default: &str| match field {
+        None => Ok(default.to_owned()),
+        Some(Json::Str(s)) => Ok(s),
+        Some(_) => Err(format!("\"{name}\" must be a string")),
+    };
+    let table = text(table, "table", "ingest")?;
+    let column = text(column, "column", "col")?;
+    // Optional explicit id — the cluster path: the coordinator allocates
+    // cluster-wide ids and routes each insert to the shard it places on.
+    let id = match id {
+        None => None,
+        Some(id) => Some(
+            id.as_u64()
+                .and_then(|id| u32::try_from(id).ok())
+                .ok_or("\"id\" out of range")?,
+        ),
+    };
+    Ok(InsertBody {
+        domain,
+        table,
+        column,
+        id,
+    })
 }
 
 /// The cache key for a parsed item against one snapshot generation: a
@@ -731,11 +885,7 @@ fn query_step(
     require_k: bool,
     started: Instant,
 ) -> Step<Box<MissQuery>> {
-    let json = match parse_body_bytes(body) {
-        Ok(json) => json,
-        Err(msg) => return Step::Reply(Outcome::error(400, msg)),
-    };
-    let item = match parse_item(&json, require_k) {
+    let item = match parse_query(body, require_k) {
         Ok(item) => item,
         Err(msg) => return Step::Reply(Outcome::error(400, msg)),
     };
@@ -820,14 +970,6 @@ fn debug_json(stats: &QueryStats) -> Json {
     ])
 }
 
-fn parse_body_bytes(body: &[u8]) -> Result<Json, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    if text.trim().is_empty() {
-        return Ok(Json::Obj(Vec::new()));
-    }
-    Json::parse(text).map_err(|e| format!("invalid JSON body: {e}"))
-}
-
 /// `/query` and `/topk` via the generic (blocking) route path: the cheap
 /// half inline, then the miss executed immediately. The reactor uses the
 /// two halves separately so misses can batch across connections.
@@ -843,26 +985,15 @@ fn handle_query(shared: &Shared, request: &Request, require_k: bool) -> Outcome 
 
 fn handle_batch(shared: &Shared, request: &Request) -> Outcome {
     let started = Instant::now();
-    let body = match parse_body_bytes(&request.body) {
-        Ok(body) => body,
+    // A malformed item becomes a typed error pinned to its position; it
+    // can never fail the batch or shift the answers of its neighbours.
+    let parsed = match parse_batch(&request.body) {
+        Ok(parsed) => parsed,
         Err(msg) => return Outcome::error(400, msg),
     };
-    let Some(queries) = body.get("queries").and_then(Json::as_array) else {
-        return Outcome::error(400, "missing \"queries\": expected an array");
-    };
-    if queries.is_empty() {
-        return Outcome::error(400, "\"queries\" must not be empty");
-    }
-    if queries.len() > MAX_BATCH {
-        return Outcome::error(400, format!("at most {MAX_BATCH} queries per batch"));
-    }
     // Every query in the batch runs against ONE snapshot: a concurrent
     // reload cannot split the batch across index generations.
     let snap = shared.engine.snapshot();
-    // A malformed item becomes a typed error pinned to its position; it
-    // can never fail the batch or shift the answers of its neighbours.
-    let parsed: Vec<Result<ParsedItem, String>> =
-        queries.iter().map(|q| parse_item(q, false)).collect();
     let items: Vec<(&ParsedItem, QueryKey)> = parsed
         .iter()
         .filter_map(|p| p.as_ref().ok())
@@ -925,42 +1056,20 @@ fn handle_reload(shared: &Shared, request: &Request) -> Outcome {
 /// optional `table`/`column` provenance. The domain becomes queryable on
 /// the next `/commit`; until then `/stats` reports it under `staged`.
 fn handle_insert(shared: &Shared, request: &Request) -> Outcome {
-    let body = match parse_body_bytes(&request.body) {
-        Ok(body) => body,
+    let InsertBody {
+        domain,
+        table,
+        column,
+        id,
+    } = match parse_insert(&request.body) {
+        Ok(insert) => insert,
         Err(msg) => return Outcome::error(400, msg),
-    };
-    let domain = match parse_values(&body) {
-        Ok(domain) => domain,
-        Err(msg) => return Outcome::error(400, msg),
-    };
-    let table = match body.get("table") {
-        None => "ingest".to_owned(),
-        Some(t) => match t.as_str() {
-            Some(t) => t.to_owned(),
-            None => return Outcome::error(400, "\"table\" must be a string"),
-        },
-    };
-    let column = match body.get("column") {
-        None => "col".to_owned(),
-        Some(c) => match c.as_str() {
-            Some(c) => c.to_owned(),
-            None => return Outcome::error(400, "\"column\" must be a string"),
-        },
-    };
-    // Optional explicit id — the cluster path: the coordinator allocates
-    // cluster-wide ids and routes each insert to the shard it places on.
-    let explicit_id = match body.get("id") {
-        None => None,
-        Some(id) => match id.as_u64().and_then(|id| u32::try_from(id).ok()) {
-            Some(id) => Some(id),
-            None => return Outcome::error(400, "\"id\" out of range"),
-        },
     };
     let snap = shared.engine.snapshot();
     let signature = domain.signature(snap.hasher());
     match shared
         .engine
-        .stage_insert_as(table, column, domain.len() as u64, signature, explicit_id)
+        .stage_insert_as(table, column, domain.len() as u64, signature, id)
     {
         Ok((id, staged)) => {
             shared.counters.inserts.fetch_add(1, Ordering::Relaxed);
@@ -1090,6 +1199,9 @@ fn handle_compact(shared: &Shared, request: &Request) -> Outcome {
 }
 
 #[cfg(test)]
+mod request_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::HttpClient;
@@ -1179,6 +1291,29 @@ mod tests {
             matches!(kernel, Some("avx512" | "avx2" | "portable")),
             "{srv}"
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn an_inline_body_parse_shows_in_the_longest_tick() {
+        let server = boot(test_engine(4));
+        let values: Vec<String> = (0..6_600).map(|i| format!("\"v{i:05}\"")).collect();
+        let body = format!("{{\"values\": [{}]}}", values.join(","));
+        assert!(
+            (55_000..=INLINE_BODY_MAX).contains(&body.len()),
+            "{}",
+            body.len()
+        );
+        let (status, answer) = post(server.addr(), "/query", &body);
+        assert_eq!(status, 200, "{answer}");
+        let (_, stats) = get(server.addr(), "/stats");
+        let stats = Json::parse(&stats).expect("json");
+        let longest = stats
+            .get("server")
+            .and_then(|s| s.get("longest_tick_us"))
+            .and_then(Json::as_u64)
+            .expect("longest_tick_us");
+        assert!(longest > 0, "{stats}");
         server.shutdown();
     }
 
