@@ -30,7 +30,7 @@ pub use lshe_serve::container;
 
 use bytes::Bytes;
 use container::IndexContainer;
-use lshe_core::{MergeTask, Query};
+use lshe_core::Query;
 use lshe_corpus::{Catalog, CsvDocument, Domain};
 use lshe_minhash::MinHasher;
 use lshe_serve::engine::{Engine, EngineError, StagedCounts};
@@ -85,9 +85,11 @@ COMMANDS
   lshe index --dir DIR --out FILE [--partitions N] [--min-size M]
       Ingest every *.csv and *.jsonl under DIR (one domain per column/field
       with ≥ M distinct values, default 10), build an N-way equi-depth LSH
-      Ensemble (default 32), and write it to FILE. Each domain's row is
-      its sketch and its cardinality is kept beside it, so every index
-      ranks its hits by estimated containment.
+      Ensemble (default 32), and write it to FILE as a new index: a delta
+      log left at FILE.delta is discarded, so never index onto a FILE a
+      live server is serving. Each domain's row is its sketch and its
+      cardinality is kept beside it, so every index ranks its hits by
+      estimated containment.
 
   lshe query --index FILE --csv FILE --column NAME [--threshold T] [--top-k K]
       Search the index with the named column of the given CSV as the query
@@ -96,11 +98,11 @@ COMMANDS
 
   lshe ingest --index FILE --dir DIR [--min-size M]
       Bulk-append every *.csv / *.jsonl domain under DIR (≥ M distinct
-      values, default 10) to an existing index: new domains get fresh ids,
-      staged mutations from a stopped server's delta log (FILE.delta) are
-      folded in first, the index is compacted (its base rebuilt from the
-      live domains) and rewritten in place. Do NOT run against an index a live
-      server is serving — they do not coordinate; use POST /insert there.
+      values, default 10) to an existing index with fresh ids, in one
+      compaction: a stopped server's staged delta-log ops (FILE.delta) are
+      committed first, then the file and its log are rewritten, all or
+      nothing. Do NOT run against an index a live server is serving —
+      they do not coordinate; use POST /insert there.
 
   lshe compact --index FILE
       Fold every sealed segment and tombstone into the base index — the
@@ -138,9 +140,10 @@ COMMANDS
       PREFIX.shard0.lshe … PREFIX.shardN-1.lshe (default PREFIX: FILE
       minus .lshe), placing each domain by id % N, the routing the
       coordinator uses for /insert and /remove. Staged ops no commit
-      closed are refused: run `lshe compact` first. A cluster over the
-      files answers with the union of their own answers, ranked by
-      estimate.
+      closed are refused: run `lshe compact` first. Each shard file is a
+      new index (a log left beside it is discarded), so never split onto
+      a file a live server is serving. A cluster over the files answers
+      with the union of their own answers, ranked by estimate.
 
   lshe cluster --shards ADDR,ADDR,... [--addr HOST:PORT] [--hedge-ms H]
                [--connect-timeout-ms C] [--read-timeout-ms R] [--probe-ms P]
@@ -264,13 +267,10 @@ fn cmd_index(flags: &Flags) -> Result<String, CliError> {
     Ok(report)
 }
 
-/// Bulk-appends a directory of CSV/JSONL domains to a stored index — the
-/// mutation lifecycle (commit → compact) driven from the CLI. The index
-/// loads as a restarted server loads it (`Engine::load`): the committed
-/// batches of the `FILE.delta` sidecar replay exactly — or, when the base
-/// already holds them all, the interrupted fold's log rewrite is
-/// finished — and its staged tail is committed first,
-/// so an offline ingest never discards a stopped server's uncommitted work.
+/// Bulk-appends a directory of CSV/JSONL domains to a stored index in one
+/// engine call, [`Engine::ingest`], over the index as a restarted server
+/// loads it: what its `FILE.delta` log stages is committed first, and the
+/// new domains land in one full fold, all of them or none.
 ///
 /// The index file must not be concurrently served: `ingest` and
 /// `lshe serve` do not coordinate, and a live server's next commit would
@@ -281,72 +281,26 @@ fn cmd_ingest(flags: &Flags) -> Result<String, CliError> {
     let dir = flags.require("dir")?.to_owned();
     let min_size: usize = flags.get_parsed("min-size", 10)?;
 
-    // A torn or corrupt log is a typed error — never a panic, never silent
-    // data loss. The log header's allocator mark is honoured too, so ids
-    // the server burned on staged-then-removed inserts are never reissued.
     let engine = load_served(&index_path)?;
-    let (snapshot, folded) = engine.commit_staged().map_err(engine_error)?;
-    let mut container = snapshot.container().clone();
-    let layout = container.segment_layout();
-    let changed = folded.applied > 0 || !layout.segments.is_empty() || layout.tombstones > 0;
-
     let catalog = ingest_dir(Path::new(&dir), min_size)?;
-    if catalog.is_empty() && !changed {
+    let layout = engine.segment_layout();
+    let staged = engine.staged_counts() != StagedCounts::default();
+    if catalog.is_empty() && !staged && layout.segments.is_empty() && layout.tombstones == 0 {
         return Err(CliError::Query(format!(
             "no domains with ≥ {min_size} distinct values found under {dir}"
         )));
     }
-    let hasher = MinHasher::new(container.num_perm());
-    // Sketch every appended domain through the batched constructor (one
-    // shared hash scratch, worker lanes spawned once for the directory).
-    let sets: Vec<&[u64]> = catalog.iter().map(|(_, d)| d.hashes()).collect();
-    let signatures = hasher.bulk_signatures(&sets);
-    let mut ops = Vec::with_capacity(catalog.len());
-    for ((next_id, (id, domain)), signature) in
-        (container.next_id()..).zip(catalog.iter()).zip(signatures)
-    {
-        let meta = catalog.meta(id);
-        ops.push(container::DeltaOp::Insert {
-            record: container::DomainRecord {
-                id: next_id,
-                size: domain.len() as u64,
-                table: meta.table.clone(),
-                column: meta.column.clone(),
-            },
-            signature,
-        });
-    }
-    let appended = ops.len();
-    let sealed = container
-        .commit(&ops)
-        .map_err(|e| CliError::Index(e.to_string()))?;
-    // Bulk append pays the O(corpus) rewrite anyway, so fold everything —
-    // replayed batches, sealed segments, tombstones, the fresh appends —
-    // into one compacted base rather than persisting a segment stack.
-    let report = container.apply_merge(&MergeTask::Full);
-
-    // Atomic rewrite, then retire the folded delta log.
-    container.save(Path::new(&index_path))?;
-    container::DeltaLog::sidecar(Path::new(&index_path)).clear()?;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "ingested {appended} domain(s) from {dir} into {index_path} ({} total)",
-        container.len()
-    );
-    if folded.applied > 0 {
-        let _ = writeln!(
-            out,
-            "folded {} staged delta-log op(s) first",
-            folded.applied
-        );
+    let (snapshot, report) = engine.ingest(&catalog).map_err(engine_error)?;
+    let (added, total) = (catalog.len(), snapshot.container().len());
+    let mut out =
+        format!("ingested {added} domain(s) from {dir} into {index_path} ({total} total)\n");
+    let (applied, merged, rebuilt) = (report.applied, report.merged, report.entries_folded);
+    if applied > 0 {
+        let _ = writeln!(out, "folded {applied} staged delta-log op(s) first");
     }
     let _ = writeln!(
         out,
-        "compacted: {} staged insert(s) merged, {} entr(y/ies) rebuilt",
-        folded.merged + sealed.merged,
-        report.entries_folded
+        "compacted: {merged} staged insert(s) merged, {rebuilt} entr(y/ies) rebuilt"
     );
     Ok(out)
 }
@@ -1203,6 +1157,115 @@ mod tests {
         assert!(
             matches!(&err, CliError::Usage(msg) if msg.contains("lshe compact")),
             "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a killed server leaves beside `path`: a committed insert of a
+    /// `stale.c` domain, and one more staged. Returns the domain's values.
+    fn leave_a_log(path: &Path) -> Vec<String> {
+        let values: Vec<String> = (0..12).map(|i| format!("stale{i}")).collect();
+        let domain = Domain::from_strs(values.iter().map(String::as_str));
+        let engine = Engine::load(path, 1).expect("load");
+        let stage = || {
+            let sig = domain.signature(&MinHasher::new(256));
+            let size = domain.len() as u64;
+            engine.stage_insert("stale".into(), "c".into(), size, sig)
+        };
+        stage().expect("stage");
+        engine.commit_staged().expect("commit");
+        stage().expect("stage");
+        assert!(container::DeltaLog::sidecar(path).exists());
+        values
+    }
+
+    /// `path` serves `domains` domains, none of them `stale.c`, and stages
+    /// nothing, as `lshe stats`, `lshe query` and a restart see it.
+    fn serves_only_the_new_corpus(path: &Path, domains: usize, stale: &[String]) {
+        let index = path.to_str().expect("utf8");
+        let stats = run(&s(&["stats", "--index", index])).expect("stats");
+        assert!(stats.contains(&format!("domains: {domains}\n")), "{stats}");
+        let csv = path.with_extension("query.csv");
+        std::fs::write(&csv, format!("v\n{}\n", stale.join("\n"))).expect("write");
+        let csv = csv.to_str().expect("utf8");
+        let query = ["query", "--index", index, "--csv", csv, "--column", "v"];
+        let hits = run(&s(&[&query[..], &["--threshold", "0.5"]].concat())).expect("query");
+        assert!(!hits.contains("stale."), "{hits}");
+        let engine = Engine::load(path, 1).expect("restart");
+        assert_eq!(engine.staged_counts(), StagedCounts::default());
+        assert!(!container::DeltaLog::sidecar(path).exists());
+    }
+
+    #[test]
+    fn index_onto_a_path_with_a_log_starts_a_new_index() {
+        let dir = tmp_dir("index_over_log");
+        write_corpus(&dir);
+        let idx = dir.join("t.lshe");
+        let index = ["index", "--dir", dir.to_str().expect("utf8"), "--out"];
+        let index = [
+            &index[..],
+            &[idx.to_str().expect("utf8"), "--min-size", "5"],
+        ]
+        .concat();
+        run(&s(&index)).expect("index");
+        let stale = leave_a_log(&idx);
+        run(&s(&index)).expect("index again");
+        serves_only_the_new_corpus(&idx, 3, &stale);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn split_onto_paths_with_logs_starts_new_shard_indexes() {
+        let dir = tmp_dir("split_over_log");
+        write_corpus(&dir);
+        let idx = dir.join("t.lshe");
+        let index = ["index", "--dir", dir.to_str().expect("utf8"), "--out"];
+        run(&s(&[
+            &index[..],
+            &[idx.to_str().expect("utf8"), "--min-size", "5"],
+        ]
+        .concat()))
+        .expect("index");
+        let split = [
+            "split",
+            "--index",
+            idx.to_str().expect("utf8"),
+            "--shards",
+            "2",
+        ];
+        run(&s(&split)).expect("split");
+        let shards = [dir.join("t.shard0.lshe"), dir.join("t.shard1.lshe")];
+        let stale = leave_a_log(&shards[0]);
+        leave_a_log(&shards[1]);
+        run(&s(&split)).expect("split again");
+        // Ids 0..=2 by id % 2: two on shard 0, one on shard 1.
+        serves_only_the_new_corpus(&shards[0], 2, &stale);
+        serves_only_the_new_corpus(&shards[1], 1, &stale);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_index_write_leaves_the_file_and_its_log() {
+        let dir = tmp_dir("index_write_fails");
+        write_corpus(&dir);
+        let idx = dir.join("t.lshe");
+        let index = ["index", "--dir", dir.to_str().expect("utf8"), "--out"];
+        let index = [
+            &index[..],
+            &[idx.to_str().expect("utf8"), "--min-size", "5"],
+        ]
+        .concat();
+        run(&s(&index)).expect("index");
+        leave_a_log(&idx);
+        let log = container::DeltaLog::sidecar(&idx);
+        let before = (std::fs::read(&idx), std::fs::read(log.path()));
+        std::fs::create_dir_all(dir.join("t.lshe.tmp")).expect("mkdir");
+        let err = run(&s(&index)).unwrap_err();
+        assert!(matches!(err, CliError::Io(_)), "{err}");
+        let after = (std::fs::read(&idx), std::fs::read(log.path()));
+        assert_eq!(
+            (after.0.expect("index"), after.1.expect("log")),
+            (before.0.expect("index"), before.1.expect("log"))
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -666,7 +666,7 @@ impl IndexContainer {
         (!self.overlay.is_empty()).then(|| self.live_records())
     }
 
-    /// The encoder behind [`to_bytes`](Self::to_bytes) and [`save`](Self::save),
+    /// The encoder behind [`to_bytes`](Self::to_bytes) and [`write`](Self::write),
     /// over the live `records`.
     fn encode_into<W: Write>(&self, enc: &mut Encoder<W>, records: &RecordTable) {
         enc.envelope(MAGIC, VERSION);
@@ -678,16 +678,37 @@ impl IndexContainer {
         enc.put_u32(self.next_id);
     }
 
-    /// Streams the bytes of [`to_bytes`](Self::to_bytes) (and its panic)
-    /// through a buffered writer into `<path>.tmp`, synced and renamed over
-    /// `path`, without holding them all.
+    /// Starts a new index at `path`: writes and syncs `<path>.tmp` with
+    /// the bytes of [`to_bytes`](Self::to_bytes) (and its panic), removes
+    /// the old index's delta log (`<path>.delta`) and syncs the directory,
+    /// then renames. No log of a replaced index replays onto the new one.
+    /// A crash between the removal and the rename leaves the old file
+    /// without its log: run the command again. Never save to a path a live
+    /// engine serves: its folds persist through the engine.
     ///
     /// # Errors
-    /// Propagates I/O errors; `path` is untouched on failure.
+    /// Propagates I/O errors; one while writing leaves `path` and its log
+    /// untouched.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        self.write(path, || {
+            DeltaLog::sidecar(path).clear()?;
+            let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+            std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
+        })
+    }
+
+    /// [`save`](Self::save)'s write, streamed through a buffered writer
+    /// without holding the bytes all at once, with `before_rename` run
+    /// between the sync and the rename. A fold passes a no-op: it keeps
+    /// the log and rewrites it itself.
+    pub(crate) fn write(
+        &self,
+        path: &Path,
+        before_rename: impl FnOnce() -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         let merged = self.merged_records();
         let records = merged.as_ref().unwrap_or(&self.base);
-        let saved = replace_file(path, |file| {
+        let saved = replace_file(path, before_rename, |file| {
             let mut enc = Encoder::over(std::io::BufWriter::with_capacity(1 << 20, file));
             self.encode_into(&mut enc, records);
             Ok(enc.into_sink()?.into_inner()?)
@@ -871,15 +892,18 @@ fn release(mapping: &Mmap) {
     mapping.advise(lshe_store::Advice::Random);
 }
 
-/// Replaces `path` atomically: `write` fills `<path>.tmp`, which is synced
-/// and renamed over `path`, so readers and crashes never see a mixture.
+/// Replaces `path` atomically: `write` fills `<path>.tmp`, which is synced,
+/// then `before_rename` runs, and the file is renamed over `path`, so
+/// readers and crashes never see a mixture.
 fn replace_file(
     path: &Path,
+    before_rename: impl FnOnce() -> std::io::Result<()>,
     write: impl FnOnce(std::fs::File) -> std::io::Result<std::fs::File>,
 ) -> std::io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     write(std::fs::File::create(&tmp)?)?.sync_all()?;
+    before_rename()?;
     std::fs::rename(&tmp, path)
 }
 
@@ -1255,10 +1279,8 @@ impl DeltaLog {
         for op in ops {
             encode_entry(&mut bytes, op);
         }
-        replace_file(&self.path, |mut file| {
-            file.write_all(&bytes)?;
-            Ok(file)
-        })
+        let write = |mut file: std::fs::File| file.write_all(&bytes).map(|()| file);
+        replace_file(&self.path, || Ok(()), write)
     }
 
     /// Deletes the log (after its ops were committed into the base file).

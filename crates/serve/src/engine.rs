@@ -21,6 +21,7 @@ use lshe_core::{
     BatchRule, BatchStep, CommitReport, DomainIndex, MergeTask, MutationError, Query, QueryError,
     SearchOutcome,
 };
+use lshe_corpus::Catalog;
 use lshe_minhash::{MinHasher, Signature};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -278,7 +279,9 @@ impl Engine {
     fn open(path: &Path) -> Result<(IndexContainer, Pending), EngineError> {
         let base = IndexContainer::load(path)?;
         let log = DeltaLog::sidecar(path);
-        let (mark, ops) = Self::read_log(&log)?;
+        let (mark, ops) = log
+            .read_with_mark()
+            .map_err(|e| EngineError::Index(format!("{}: {e}", log.path().display())))?;
         let (batches, tail) = Self::split_batches(ops);
         let last_mark = batches.last().map(|&(_, next_id)| next_id);
         match Self::replay_committed(&base, mark, batches) {
@@ -306,13 +309,6 @@ impl Engine {
         };
         engine.publish(&engine.writer().pending);
         engine
-    }
-
-    /// The log's allocator mark and ops; a torn or corrupt log is
-    /// [`EngineError::Index`], naming the file.
-    fn read_log(log: &DeltaLog) -> Result<(u32, Vec<DeltaOp>), EngineError> {
-        log.read_with_mark()
-            .map_err(|e| EngineError::Index(format!("{}: {e}", log.path().display())))
     }
 
     /// Splits replayed log ops at [`DeltaOp::Commit`] markers: the closed
@@ -573,24 +569,52 @@ impl Engine {
     }
 
     /// Compacts the index on demand (`POST /compact`, `lshe compact`):
-    /// seals anything still staged as [`commit_staged`](Self::commit_staged)
-    /// does, then runs the full fold, [`apply_merge`](Self::apply_merge) of
-    /// [`MergeTask::Full`], both under one hold of the write lock. The
-    /// report counts the ops the commit applied and the inserts it sealed
-    /// beside what the fold rewrote.
+    /// [`ingest`](Self::ingest) of no domains.
+    ///
+    /// # Errors
+    /// As [`ingest`](Self::ingest).
+    pub fn compact(&self) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
+        self.ingest(&Catalog::new())
+    }
+
+    /// Bulk-appends `catalog`'s domains (`lshe ingest`) under one hold of
+    /// the write lock: seals what is staged as
+    /// [`commit_staged`](Self::commit_staged) does, then commits the
+    /// domains, at the next free ids, as one batch into the full fold,
+    /// [`apply_merge`](Self::apply_merge) of [`MergeTask::Full`]. No domain
+    /// is logged: the fold's write persists all of them or none. The
+    /// report counts the staged ops applied and every insert sealed.
     ///
     /// # Errors
     /// As [`commit_staged`](Self::commit_staged), then as
     /// [`apply_merge`](Self::apply_merge): a fold that cannot be persisted
-    /// leaves the commit standing and the segments queryable.
-    pub fn compact(&self) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
+    /// adds no domain and leaves the commit standing.
+    pub fn ingest(&self, catalog: &Catalog) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
         let mut writer = self.writer();
-        let (_, sealed) = self.commit(&mut writer)?;
-        let (snapshot, folded) = self.fold(&writer, &MergeTask::Full)?;
+        let (snap, sealed) = self.commit(&mut writer)?;
+        let sets: Vec<&[u64]> = catalog.iter().map(|(_, d)| d.hashes()).collect();
+        let signatures = snap.hasher().bulk_signatures(&sets);
+        let added: Vec<DeltaOp> = (catalog.iter().zip(signatures).zip(writer.pending.next_id..))
+            .map(|(((k, domain), signature), id)| {
+                let meta = catalog.meta(k);
+                let (table, column) = (meta.table.clone(), meta.column.clone());
+                let size = domain.len() as u64;
+                let record = DomainRecord {
+                    id,
+                    size,
+                    table,
+                    column,
+                };
+                DeltaOp::Insert { record, signature }
+            })
+            .collect();
+        let (snapshot, folded) = self.fold(&writer, &MergeTask::Full, &added)?;
+        writer.pending.next_id = snapshot.container().next_id();
+        self.publish(&writer.pending);
         let report = CommitReport {
             applied: sealed.applied,
-            merged: sealed.merged,
-            sealed: sealed.sealed,
+            merged: sealed.merged + added.len(),
+            sealed: sealed.sealed || !added.is_empty(),
             ..folded
         };
         Ok((snapshot, report))
@@ -613,27 +637,32 @@ impl Engine {
     /// nothing returns the live snapshot unswapped.
     ///
     /// # Errors
-    /// [`EngineError::Index`] when the delta log cannot be read, and
     /// [`EngineError::Io`] when the folded base cannot be persisted — the
     /// fold is abandoned whole: no snapshot swap, delta log untouched.
     pub fn apply_merge(
         &self,
         task: &MergeTask,
     ) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
-        self.fold(&self.writer(), task)
+        self.fold(&self.writer(), task, &[])
     }
 
-    /// [`apply_merge`](Self::apply_merge) under the held write lock, which
-    /// keeps stagings from appending to the log while it is rewritten. Of
-    /// the staging area the fold reads only the allocator mark.
+    /// [`apply_merge`](Self::apply_merge) under the held write lock, with
+    /// `added` committed first. The log is rewritten from the staging area,
+    /// never read: each staged op is logged before it is staged, and a
+    /// commit marker, `open` and `reload` reset both, so the staged ops are
+    /// the log's tail after its last marker.
     fn fold(
         &self,
         writer: &Writer,
         task: &MergeTask,
+        added: &[DeltaOp],
     ) -> Result<(Arc<Snapshot>, CommitReport), EngineError> {
         let full = *task == MergeTask::Full;
         let snap = self.snapshot();
         let mut container = snap.container().clone();
+        container
+            .commit(added)
+            .map_err(|e| EngineError::Mutation(e.to_string()))?;
         let report = container.apply_merge(task);
         if !full
             && report.entries_folded == 0
@@ -641,19 +670,12 @@ impl Engine {
         {
             return Ok((snap, report));
         }
-        let next_id = writer.pending.next_id;
-        container.reserve_next_id(next_id);
+        container.reserve_next_id(writer.pending.next_id);
 
-        // Persist the folded base, then retire the committed log prefix:
-        // what is still staged is the log's tail after its last commit
-        // marker, read before anything is written. A crash between the
-        // rename and the rewrite leaves a base that holds every batch,
-        // which `open` tells by the allocator mark and finishes.
+        // Persist the folded base, then retire the committed log prefix.
         if let Some(path) = &writer.path {
-            let log = DeltaLog::sidecar(path);
-            let (_, staged) = Self::split_batches(Self::read_log(&log)?.1);
-            container.save(path)?;
-            log.rewrite(&staged, next_id)?;
+            container.write(path, || Ok(()))?;
+            DeltaLog::sidecar(path).rewrite(&writer.pending.ops, container.next_id())?;
             // Serve the rebuilt base from the file just written, not from
             // the heap copy the fold built. The fold is durable by now, so
             // a failed re-open keeps that copy.
@@ -1196,6 +1218,64 @@ mod tests {
         let (committed, report) = engine.commit_staged().expect("commit the insert");
         assert_eq!(report.applied, 1);
         assert!(answers(&committed).iter().any(|&(hit, _)| hit == id));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A fold rewrites the log from the staging area, never from the file:
+    /// bytes no op owns after the last acknowledged op are dropped, and a
+    /// restart serves exactly what was acknowledged.
+    #[test]
+    fn a_fold_trusts_the_staging_area_over_the_log_file() {
+        let dir = std::env::temp_dir().join(format!("lshe_engine_trust_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("idx.lshe");
+        IndexContainer::build(&catalog(6), 2)
+            .save(&path)
+            .expect("save");
+        let log = crate::container::DeltaLog::sidecar(&path);
+        let litter = || {
+            use std::io::Write as _;
+            let file = std::fs::OpenOptions::new().append(true).open(log.path());
+            let junk = [7, 0, 0, 0, b'j', b'u', b'n', b'k'];
+            file.expect("open the log")
+                .write_all(&junk)
+                .expect("append");
+        };
+        let engine = Engine::load(&path, 1).expect("load");
+        let num_perm = engine.snapshot().container().num_perm();
+        let (first, q) = sig_of(12_000..12_030, num_perm);
+        let (second, _) = sig_of(13_000..13_030, num_perm);
+        let stage = |sig: &Signature| engine.stage_insert("t".into(), "c".into(), q, sig.clone());
+        let (a, _) = stage(&first).expect("stage");
+        engine.commit_staged().expect("commit");
+        let (b, _) = stage(&second).expect("stage");
+        engine.stage_remove(1).expect("stage remove");
+
+        // A full fold keeps what is staged staged, and only that.
+        litter();
+        engine.apply_merge(&MergeTask::Full).expect("fold");
+        let restarted = Engine::load(&path, 1).expect("restart after the fold");
+        let staged = StagedCounts {
+            inserts: 1,
+            removes: 1,
+        };
+        assert_eq!(restarted.staged_counts(), staged);
+        assert_eq!(restarted.snapshot().container().len(), 7);
+        drop(restarted);
+
+        // A compaction commits it, and retires the log.
+        litter();
+        engine.compact().expect("compact");
+        assert!(!log.exists());
+        let restarted = Engine::load(&path, 1).expect("restart after the compaction");
+        assert_eq!(restarted.staged_counts(), StagedCounts::default());
+        let snap = restarted.snapshot();
+        assert_eq!(snap.container().len(), 7); // 6 + 2 − 1
+        assert!(snap.container().record(1).is_none());
+        for (id, sig) in [(a, &first), (b, &second)] {
+            assert!(hits(snap.index(), sig, q, 0.9).iter().any(|h| h.0 == id));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

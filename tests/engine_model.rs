@@ -5,12 +5,12 @@
 //! (local and explicit ids, valid and refused ops), commits, planned
 //! merges, compactions, reloads of the same file and of the other one,
 //! restarts, a fold that crashes between its rename and its log rewrite,
-//! and a torn delta log. The model holds, per file, the committed records
-//! (id → size, table, column), the staged ops and the next id. After every
-//! step the served records, the answers to a fixed probe set, the staged
-//! counts and the next id must equal the model's, and a refused op must
-//! leave the log as it was. A failure prints the seed and every step up
-//! to it.
+//! a torn delta log, and a new index saved over either file (`lshe
+//! index`). The model holds, per file, the committed records (id → size,
+//! table, column), the staged ops and the next id. After every step the
+//! served records, the answers to a fixed probe set, the staged counts and
+//! the next id must equal the model's, and a refused op must leave the log
+//! as it was. A failure prints the seed and every step up to it.
 //!
 //! Each domain holds one of a few disjoint value sets, and each value set
 //! is also a probe: a threshold query with a domain's own values finds it
@@ -288,7 +288,7 @@ impl Walk {
     fn run(&mut self, steps: usize) {
         self.check();
         for _ in 0..steps {
-            match self.rng.below(100) {
+            match self.rng.below(103) {
                 0..=27 => self.stage_insert(),
                 28..=41 => self.stage_remove(),
                 42..=55 => self.commit(),
@@ -298,7 +298,8 @@ impl Walk {
                 78..=82 => self.reload(1 - self.at),
                 83..=87 => self.restart(),
                 88..=93 => self.fold_crash(),
-                _ => self.torn_log(),
+                94..=99 => self.torn_log(),
+                _ => self.new_index(),
             }
             self.check();
         }
@@ -539,6 +540,46 @@ impl Walk {
         self.model().recover(mark, ops);
         self.restart();
     }
+
+    /// `lshe index` onto either file: a new index of a few domains saved
+    /// over it, the engine stopped first when it serves that file, as a
+    /// live server must be. The file's log went with its old index, so the
+    /// model's state for the file starts again from the new base.
+    fn new_index(&mut self) {
+        let to = self.rng.below(2);
+        let count = 1 + self.rng.below(BASE);
+        let contents: Vec<usize> = (0..count).map(|_| self.rng.below(CONTENTS)).collect();
+        self.steps
+            .push(format!("new index at file {to}: contents {contents:?}"));
+        let mut catalog = Catalog::new();
+        let mut base = BTreeMap::new();
+        for (id, &content) in contents.iter().enumerate() {
+            catalog.push(domain(content), DomainMeta::new("new", column(content)));
+            let table = "new".into();
+            base.insert(id as u32, Rec { content, table });
+        }
+        let served = to == self.at;
+        if served {
+            self.engine = None;
+        }
+        let path = self.files[to].path.clone();
+        IndexContainer::build(&catalog, 2)
+            .save(&path)
+            .expect("save a new index");
+        let next_id = count as u32;
+        self.known.extend(0..next_id);
+        self.files[to] = FileModel {
+            path,
+            base: base.clone(),
+            base_next_id: next_id,
+            committed: base,
+            staged: Vec::new(),
+            next_id,
+        };
+        if served {
+            self.restart();
+        }
+    }
 }
 
 /// Runs `steps` random steps from each seed, naming the seed and its
@@ -562,11 +603,11 @@ fn sweep(seeds: std::ops::Range<u64>, steps: usize) {
 
 #[test]
 fn the_engine_serves_and_recovers_what_the_model_acknowledged() {
-    sweep(1..7, 70);
+    sweep(1..7, 73);
 }
 
 #[test]
 #[ignore = "a longer seed sweep: cargo test --release -p lshe --test engine_model -- --ignored"]
 fn a_long_sweep_serves_and_recovers_what_the_model_acknowledged() {
-    sweep(1_000..1_030, 150);
+    sweep(1_000..1_030, 155);
 }
