@@ -19,10 +19,12 @@
 //!   validated, its inserts sealed into an immutable segment and its
 //!   removes tombstoned; the base partitioning is not touched. The
 //!   index-level step alone, on a container nothing shares.
-//! * `engine_commit` — `Engine::commit_staged`: what `POST /commit` runs.
-//!   The live snapshot's container is cloned (pointers to the base, copies
-//!   of the overlays), the staged ops committed as one batch, and the new
-//!   snapshot swapped in.
+//! * `engine_commit` — `Engine::commit_staged` on an engine serving the
+//!   container saved to a file and loaded back, as `lshe serve` serves it:
+//!   what `POST /commit` runs. The live snapshot's container is cloned
+//!   (pointers to the mapped base, copies of the overlays), the staged ops
+//!   committed as one batch, the commit marker appended to the delta log
+//!   and synced, and the new snapshot swapped in.
 //! * `compact_rebuild` — `IndexContainer::apply_merge(&MergeTask::Full)`:
 //!   segments and tombstones fold into the base, which is rebuilt from
 //!   the retained sketches. This is exactly what every commit used to
@@ -36,10 +38,18 @@
 //! O(corpus) work really left the commit path. The sweep continues to a
 //! 20× point so the flatness claim is also observed past the gated range.
 //!
-//! A second section replays a churn of sealed deltas, drains the
-//! [`Leveled`] plans after each commit, and accumulates the entries the
-//! merges rewrite — the write amplification `bench_gate` bounds: leveled
-//! folds rewrite each entry about once per level it climbs.
+//! A second section replays a churn of sealed deltas through a saved
+//! file, as a server runs it: `Engine::commit_staged`, then the
+//! [`Leveled`] plans drained through `Engine::apply_merge`, each fold
+//! persisting the `.lshe` and rewriting its delta log. It accumulates the
+//! entries the merges rewrite — the write amplification `bench_gate`
+//! bounds: leveled folds rewrite each entry about once per level it
+//! climbs. With no bar, it also records the merges' median time and the
+//! bytes the process wrote per inserted entry (Linux `/proc/self/io`
+//! `wchar`): every fold, a partial merge too, rewrites the whole `.lshe`.
+//!
+//! The index files live in a directory under the system temp dir
+//! (`TMPDIR`), removed when the run ends.
 
 use lshe_bench::{report, workload, Args};
 use lshe_core::{Leveled, MergeTask};
@@ -48,6 +58,7 @@ use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::MinHasher;
 use lshe_serve::container::{DeltaOp, DomainRecord, IndexContainer};
 use lshe_serve::Engine;
+use std::path::Path;
 
 /// The sweep's corpus sizes, as multiples of `--domains`: the gated
 /// ratios are taken at 10×, and 20× extends the sweep past them.
@@ -84,54 +95,107 @@ fn staged_batch(
     (ops, live)
 }
 
-/// Replays `commits` rounds of staged-delta churn against a fresh
-/// `domains`-sized corpus, draining the leveled merge plans after every
-/// commit exactly like the maintenance thread does (re-plan after each
-/// executed round until quiescent). Returns the total entries rewritten
-/// by those merges and the merge count.
-fn churn_fold_entries(
+/// A `domains`-sized WDC-like corpus streamed into a ranked container.
+fn corpus(domains: usize, partitions: usize, seed: u64) -> IndexContainer {
+    let mut config = CorpusConfig::wdc_web_tables_like(domains);
+    config.seed = seed;
+    IndexContainer::from_stream(CorpusStream::new(config), partitions, true)
+}
+
+/// `container` saved to `path` and served from it, as `lshe serve` does.
+fn served(container: &IndexContainer, path: &Path) -> Engine {
+    container.save(path).expect("save the index");
+    Engine::load(path, 1).expect("load the saved index")
+}
+
+/// Stages `ops` on `engine` at their own ids, each appended to the log.
+fn stage_all(engine: &Engine, ops: Vec<DeltaOp>) {
+    for op in ops {
+        match op {
+            DeltaOp::Insert { record, signature } => {
+                let DomainRecord { table, column, .. } = record;
+                let id = Some(record.id);
+                let staged = engine.stage_insert_as(table, column, record.size, signature, id);
+                staged.expect("stage insert");
+            }
+            DeltaOp::Remove { id } => {
+                engine.stage_remove(id).expect("stage remove");
+            }
+            DeltaOp::Commit { .. } => unreachable!("staged_batch emits no markers"),
+        }
+    }
+}
+
+/// Bytes this process has passed to `write(2)` so far (Linux
+/// `/proc/self/io` `wchar`); `None` where the kernel does not say.
+fn bytes_written() -> Option<u64> {
+    let io = std::fs::read_to_string("/proc/self/io").ok()?;
+    let wchar = io.lines().find_map(|line| line.strip_prefix("wchar:"))?;
+    wchar.trim().parse().ok()
+}
+
+/// What the churn cost.
+struct Churn {
+    entries_folded: usize,
+    merge_us: Vec<f64>,
+    bytes_written: Option<u64>,
+}
+
+/// Replays `commits` rounds of staged-delta churn on an engine serving a
+/// fresh `domains`-sized corpus saved at `path`: each batch staged (log
+/// appends) and committed (commit marker), then the leveled merge plans
+/// drained through `Engine::apply_merge` exactly like the maintenance
+/// thread does (re-plan after each executed round until quiescent), each
+/// fold persisting the `.lshe` and rewriting the log. Times each merge,
+/// counts the entries the merges rewrite, and counts the bytes written
+/// from the first stage to the last fold.
+fn churn(
+    path: &Path,
     domains: usize,
     partitions: usize,
     seed: u64,
     batch: usize,
     commits: usize,
-) -> (usize, usize) {
-    let mut config = CorpusConfig::wdc_web_tables_like(domains);
-    config.seed = seed;
-    let mut container = IndexContainer::from_stream(CorpusStream::new(config), partitions, true);
-    let hasher = MinHasher::new(container.num_perm());
+) -> Churn {
+    let engine = served(&corpus(domains, partitions, seed), path);
+    let hasher = MinHasher::new(engine.snapshot().container().num_perm());
     let planner = Leveled::default();
-
-    let mut folded = 0usize;
-    let mut merges = 0usize;
+    let mut churn = Churn {
+        entries_folded: 0,
+        merge_us: Vec::new(),
+        bytes_written: None,
+    };
     let mut previous: Vec<u32> = Vec::new();
+    let written_before = bytes_written();
     for _ in 0..commits {
-        let (ops, live) = staged_batch(&hasher, container.next_id(), batch, &previous);
-        let report = container.commit(&ops).expect("commit delta");
+        let (ops, live) = staged_batch(&hasher, engine.next_id(), batch, &previous);
+        stage_all(&engine, ops);
+        let (_, report) = engine.commit_staged().expect("engine commit");
         assert!(report.sealed, "commit must seal a non-empty delta");
         previous = live;
 
         let mut rounds = 0;
         loop {
-            let tasks = planner.plan(&container.segment_layout());
+            let tasks = planner.plan(&engine.segment_layout());
             if tasks.is_empty() {
                 break;
             }
             rounds += 1;
             assert!(rounds < 64, "merge plans must converge");
             for task in &tasks {
-                let outcome = container.apply_merge(task);
-                folded += outcome.entries_folded;
-                merges += 1;
+                let (merged, secs) = workload::timed(|| engine.apply_merge(task));
+                churn.entries_folded += merged.expect("fold").1.entries_folded;
+                churn.merge_us.push(secs * 1e6);
             }
         }
-        let layout = container.segment_layout();
+        let layout = engine.segment_layout();
         assert!(
             layout.segments.len() <= planner.segment_bound(layout.len + layout.tombstones),
             "drained layout must respect the planner's segment bound"
         );
     }
-    (folded, merges)
+    churn.bytes_written = written_before.zip(bytes_written()).map(|(a, b)| b - a);
+    churn
 }
 
 fn main() {
@@ -151,6 +215,8 @@ fn main() {
     let partitions = args.get_usize("partitions", 16);
     let seed = args.get_u64("seed", 42);
     let churn_commits = args.get_usize("churn_commits", 48);
+    let dir = std::env::temp_dir().join(format!("lshe_mutation_path_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create the index directory");
 
     report::banner(
         "mutation_path",
@@ -176,10 +242,7 @@ fn main() {
     let mut engine_us = Vec::new();
     for mult in SWEEP {
         let domains = (base as f64 * mult).round() as usize;
-        let mut config = CorpusConfig::wdc_web_tables_like(domains);
-        config.seed = seed;
-        let mut container =
-            IndexContainer::from_stream(CorpusStream::new(config), partitions, true);
+        let mut container = corpus(domains, partitions, seed);
         let hasher = MinHasher::new(container.num_perm());
 
         // Each phase keeps its fastest repeat, the one the machine disturbed
@@ -215,26 +278,14 @@ fn main() {
         }
 
         // Engine phase: the same delta staged on an engine serving the
-        // container, timing the whole commit — clone, apply, seal, swap.
-        let engine = Engine::from_container(container);
+        // container from a file, timing the whole commit — clone, apply,
+        // seal, the marker's append and sync, swap.
+        let engine = served(&container, &dir.join(format!("sweep_{domains}.lshe")));
+        drop(container);
         let mut engine_commit = f64::INFINITY;
         for _ in 0..repeats {
             let (ops, live) = staged_batch(&hasher, engine.next_id(), batch, &previous);
-            for op in ops {
-                match op {
-                    DeltaOp::Insert { record, signature } => {
-                        let DomainRecord { table, column, .. } = record;
-                        let id = Some(record.id);
-                        let staged =
-                            engine.stage_insert_as(table, column, record.size, signature, id);
-                        staged.expect("stage insert");
-                    }
-                    DeltaOp::Remove { id } => {
-                        engine.stage_remove(id).expect("stage remove");
-                    }
-                    DeltaOp::Commit { .. } => unreachable!("staged_batch emits no markers"),
-                }
-            }
+            stage_all(&engine, ops);
             let ((_, outcome), secs) =
                 workload::timed(|| engine.commit_staged().expect("engine commit"));
             assert!(outcome.sealed, "commit must seal a non-empty delta");
@@ -255,18 +306,37 @@ fn main() {
     }
 
     // Write amplification at the 10× (20k-domain) sweep point: entries the
-    // leveled merges rewrite per entry the churn inserted.
+    // leveled merges rewrite per entry the churn inserted, and what the
+    // churn wrote to the `.lshe` and its log, each fold rewriting the file.
     let churn_domains = (base as f64 * 10.0).round() as usize;
     println!();
-    report::header(&["merges", "entries_folded"]);
-    let (folded, merges) =
-        churn_fold_entries(churn_domains, partitions, seed, batch, churn_commits);
-    report::row(&[merges.to_string(), folded.to_string()]);
+    report::header(&[
+        "merges",
+        "entries_folded",
+        "merge_median_us",
+        "bytes_per_inserted_entry",
+    ]);
+    let path = dir.join("churn.lshe");
+    let mut churned = churn(&path, churn_domains, partitions, seed, batch, churn_commits);
+    std::fs::remove_dir_all(&dir).expect("remove the index directory");
+    let merges = churned.merge_us.len();
+    churned.merge_us.sort_by(f64::total_cmp);
+    let merge_median_us = churned.merge_us.get(merges / 2).copied().unwrap_or(0.0);
+    let (writes, inserted) = (
+        churned.entries_folded as f64,
+        (churn_commits * batch) as f64,
+    );
+    let per_entry = churned.bytes_written.map(|b| (b as f64 / inserted).round());
+    report::row(&[
+        merges.to_string(),
+        churned.entries_folded.to_string(),
+        format!("{merge_median_us:.1}"),
+        per_entry.map_or_else(|| "-".to_owned(), |b| b.to_string()),
+    ]);
 
     // The gated ratios stay anchored at the 10× point (index 3); the 20×
     // point extends the sweep past the gated range and gets its own
     // ungated ratios.
-    let (writes, inserted) = (folded as f64, (churn_commits * batch) as f64);
     let numbers = [
         ("seal_flatness_10x", seal_us[3] / seal_us[0]),
         ("engine_commit_flatness_10x", engine_us[3] / engine_us[0]),
@@ -277,11 +347,16 @@ fn main() {
         ("leveled_merges_20k", merges as f64),
         ("leveled_fold_entries_20k", writes),
         ("leveled_write_amp_20k", writes / inserted),
+        ("file_churn_merge_median_us_20k", merge_median_us),
     ];
     let mut metrics: Vec<(String, Json)> = numbers
         .iter()
         .map(|&(name, value)| (name.to_owned(), Json::num(value)))
         .collect();
+    if let Some(per_entry) = per_entry {
+        let name = "file_churn_bytes_per_inserted_entry_20k";
+        metrics.push((name.to_owned(), Json::num(per_entry)));
+    }
     let series = [
         ("commit_seal_us", seal_us),
         ("compact_rebuild_us", rebuild_us),

@@ -80,8 +80,9 @@ impl ConnPool {
         }
     }
 
-    /// Number of idle pooled connections (observability / tests).
+    /// Number of idle pooled connections.
     #[must_use]
+    #[cfg(test)]
     pub fn idle_len(&self) -> usize {
         self.idle.lock().expect("pool lock poisoned").len()
     }

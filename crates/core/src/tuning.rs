@@ -132,6 +132,7 @@ impl Tuner {
 
     /// Number of memoised optima so far.
     #[must_use]
+    #[cfg(test)]
     pub fn cache_len(&self) -> usize {
         self.cache.read().len()
     }

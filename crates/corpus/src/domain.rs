@@ -81,6 +81,7 @@ impl Domain {
 
     /// Membership test for a universe hash (binary search).
     #[must_use]
+    #[cfg(test)]
     pub fn contains_hash(&self, h: u64) -> bool {
         self.values.binary_search(&h).is_ok()
     }

@@ -50,6 +50,7 @@ impl ExactIndex {
 
     /// Number of distinct values across the corpus.
     #[must_use]
+    #[cfg(test)]
     pub fn distinct_values(&self) -> usize {
         self.postings.len()
     }

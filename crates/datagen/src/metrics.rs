@@ -23,6 +23,7 @@ impl QueryAccuracy {
     /// Fβ score (Eq. 28). β = 1 weighs precision and recall equally;
     /// β = 0.5 biases toward precision as in the paper's F0.5 plots.
     #[must_use]
+    #[cfg(test)]
     pub fn f_beta(&self, beta: f64) -> f64 {
         let b2 = beta * beta;
         let denom = b2 * self.precision + self.recall;

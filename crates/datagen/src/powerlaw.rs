@@ -76,8 +76,9 @@ impl PowerLawSizes {
     }
 
     /// Theoretical complementary CDF `P(X ≥ x)` of the continuous
-    /// truncation — used by tests to validate the sampler.
+    /// truncation, which the tests validate the sampler against.
     #[must_use]
+    #[cfg(test)]
     pub fn ccdf(&self, x: f64) -> f64 {
         let l = self.min_size as f64;
         let u = (self.max_size + 1) as f64;

@@ -591,6 +591,7 @@ impl<'a> Decoder<'a> {
     ///
     /// # Errors
     /// [`CodecError`] variants on truncation or corruption.
+    #[cfg(test)]
     pub fn get_u32_vec(&mut self, reading: &'static str) -> Result<Vec<u32>, CodecError> {
         Ok(le_vec(self.counted(4, reading)?, u32::from_le_bytes))
     }

@@ -98,6 +98,7 @@ pub fn hash_str(s: &str) -> u64 {
 /// inputs under a fixed seed.
 #[inline]
 #[must_use]
+#[cfg(test)]
 pub fn hash_u64(v: u64) -> u64 {
     splitmix64(v ^ splitmix64(DEFAULT_VALUE_SEED))
 }

@@ -46,7 +46,6 @@ pub fn mersenne_mod(x: u128) -> u64 {
 
 /// One member of the affine permutation family `v ↦ (a·v + b) mod p`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AffinePermutation {
     a: u64,
     b: u64,
@@ -116,7 +115,6 @@ impl AffinePermutation {
 /// created on different machines (or different runs) are comparable — the
 /// property the paper relies on when sketching queries client-side.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PermutationFamily {
     seed: u64,
     perms: Vec<AffinePermutation>,

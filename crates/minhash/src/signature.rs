@@ -59,7 +59,6 @@ pub fn narrow_lane(lane: u32) -> u16 {
 /// ([`truncate_slot`] of the 64-bit fold). The signature of the empty set
 /// is all [`EMPTY_LANE`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Signature {
     slots: Box<[u32]>,
 }
@@ -214,12 +213,10 @@ impl AsRef<[u32]> for Signature {
 /// comparable, and two hashers with the same `(seed, m)` produce identical
 /// signatures for identical input sets.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MinHasher {
     family: PermutationFamily,
     /// Derived fold kernel (structure-of-arrays coefficients plus the CPU
-    /// feature probe). Rebuilt from the family on deserialisation.
-    #[cfg_attr(feature = "serde", serde(skip))]
+    /// feature probe).
     kernel: FoldKernel,
 }
 
@@ -269,22 +266,7 @@ impl MinHasher {
     where
         I: IntoIterator<Item = u64>,
     {
-        if self.kernel.len() == slots.len() {
-            self.kernel.fold(values, slots);
-            return;
-        }
-        // The kernel is serde-skipped, so a hasher that arrived through
-        // deserialisation without reconstruction has an empty kernel —
-        // fall back to the per-permutation scalar reference.
-        let perms = self.family.permutations();
-        for v in values {
-            for (slot, perm) in slots.iter_mut().zip(perms.iter()) {
-                let h = perm.apply(v);
-                if h < *slot {
-                    *slot = h;
-                }
-            }
-        }
+        self.kernel.fold(values, slots);
     }
 
     /// Computes the signature of a set of pre-hashed 64-bit values.

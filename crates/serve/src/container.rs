@@ -1269,8 +1269,13 @@ impl DeltaLog {
     /// the file (the steady state of a fully-persisted index).
     ///
     /// # Errors
-    /// Propagates I/O errors; the previous log survives intact on failure
-    /// (a stale prefix merely replays as a no-op).
+    /// Propagates I/O errors; the previous log survives intact on failure.
+    /// Its committed prefix is then stale: the base beside it already
+    /// holds those batches. Strict replay applies them only where that
+    /// changes nothing; otherwise it fails, and a restart
+    /// ([`Engine::load`](crate::Engine::load)), seeing that the base's
+    /// `next_id` has reached the log's last commit mark, serves the base
+    /// and finishes this rewrite.
     pub fn rewrite(&self, ops: &[DeltaOp], next_id: u32) -> std::io::Result<()> {
         if ops.is_empty() {
             return self.clear();

@@ -34,8 +34,7 @@ pub enum EngineError {
     Io(std::io::Error),
     /// Corrupt or incompatible index file.
     Index(String),
-    /// Invalid engine configuration (a shard count other than 1, or a
-    /// `/reload` with no path on record).
+    /// Invalid engine configuration: a shard count other than 1.
     Config(String),
     /// A staged mutation was rejected (duplicate insert, unknown or
     /// double removal, width mismatch).
@@ -184,22 +183,19 @@ pub struct StagedCounts {
     pub removes: usize,
 }
 
-/// The engine's write state: the file served (`None` for an in-memory
-/// engine) and the ops staged against it, whose log is that file's.
+/// The engine's write state: the file served and the ops staged against
+/// it, whose log is that file's.
 #[derive(Debug)]
 pub(crate) struct Writer {
-    path: Option<PathBuf>,
+    path: PathBuf,
     pending: Pending,
 }
 
 impl Writer {
-    /// Appends one op to the delta log when the engine is file-backed,
-    /// pinning the allocator mark into the log header if this append
-    /// creates the file.
+    /// Appends one op to the file's delta log, pinning the allocator mark
+    /// into the log header if this append creates the log.
     fn log(&self, op: &DeltaOp) -> Result<(), EngineError> {
-        if let Some(path) = &self.path {
-            DeltaLog::sidecar(path).append(op, self.pending.next_id)?;
-        }
+        DeltaLog::sidecar(&self.path).append(op, self.pending.next_id)?;
         Ok(())
     }
 }
@@ -270,7 +266,7 @@ impl Engine {
             )));
         }
         let (container, pending) = Self::open(path)?;
-        Ok(Self::over(container, Some(path.to_owned()), pending))
+        Ok(Self::over(container, path.to_owned(), pending))
     }
 
     /// Opens `path` as [`load`](Self::load) describes, for it and for
@@ -300,7 +296,7 @@ impl Engine {
 
     /// Generation 1 over `container`, with `path` on record for `/reload`
     /// and the delta log, and `pending` staged.
-    fn over(container: IndexContainer, path: Option<PathBuf>, pending: Pending) -> Self {
+    fn over(container: IndexContainer, path: PathBuf, pending: Pending) -> Self {
         let engine = Self {
             current: RwLock::new(Arc::new(Snapshot::new(container, 1))),
             staged: Published::default(),
@@ -345,15 +341,6 @@ impl Engine {
             container.reserve_next_id(next_id);
         }
         Ok(container)
-    }
-
-    /// Wraps an in-memory container (tests, examples, benches). `/reload`
-    /// then requires an explicit path, and staged mutations live only in
-    /// memory (no delta log to replay).
-    #[must_use]
-    pub fn from_container(container: IndexContainer) -> Self {
-        let pending = Pending::at(container.next_id());
-        Self::over(container, None, pending)
     }
 
     /// Stages the log's staged tail over `container`, each op checked as a
@@ -406,10 +393,10 @@ impl Engine {
     }
 
     /// Stages one new domain for insertion: assigns it the next free id,
-    /// appends the op to the delta log (when the engine is file-backed),
-    /// and records it for the next [`commit_staged`](Self::commit_staged).
-    /// The domain becomes queryable at commit, not before — in-flight and
-    /// pre-commit queries keep a consistent snapshot.
+    /// appends the op to the delta log, and records it for the next
+    /// [`commit_staged`](Self::commit_staged). The domain becomes
+    /// queryable at commit, not before — in-flight and pre-commit queries
+    /// keep a consistent snapshot.
     ///
     /// # Errors
     /// [`EngineError::Mutation`] on a zero size or a signature width
@@ -673,16 +660,14 @@ impl Engine {
         container.reserve_next_id(writer.pending.next_id);
 
         // Persist the folded base, then retire the committed log prefix.
-        if let Some(path) = &writer.path {
-            container.write(path, || Ok(()))?;
-            DeltaLog::sidecar(path).rewrite(&writer.pending.ops, container.next_id())?;
-            // Serve the rebuilt base from the file just written, not from
-            // the heap copy the fold built. The fold is durable by now, so
-            // a failed re-open keeps that copy.
-            if full {
-                if let Ok(reopened) = IndexContainer::load(path) {
-                    container = reopened;
-                }
+        container.write(&writer.path, || Ok(()))?;
+        DeltaLog::sidecar(&writer.path).rewrite(&writer.pending.ops, container.next_id())?;
+        // Serve the rebuilt base from the file just written, not from the
+        // heap copy the fold built. The fold is durable by now, so a failed
+        // re-open keeps that copy.
+        if full {
+            if let Ok(reopened) = IndexContainer::load(&writer.path) {
+                container = reopened;
             }
         }
 
@@ -722,28 +707,22 @@ impl Engine {
     /// segments, and its staged tail becomes the staging area. The
     /// snapshot, the path on record and the staging area change as one
     /// unit. Ops staged against the previous file stay in that file's
-    /// log, to replay when it is opened again; a memory engine's staged
-    /// ops are dropped. In-flight queries keep their old snapshot; new
-    /// queries see the new one.
+    /// log, to replay when it is opened again. In-flight queries keep
+    /// their old snapshot; new queries see the new one.
     ///
     /// # Errors
     /// [`EngineError`] on I/O failure, a corrupt file or delta log, a
-    /// missing path, or a staged log tail that does not apply to its base
+    /// missing file, or a staged log tail that does not apply to its base
     /// (such as an insert of an id the file already uses) — the old
     /// snapshot, path and staging area stay live in every error case.
     pub fn reload(&self, path: Option<&Path>) -> Result<Arc<Snapshot>, EngineError> {
         let mut writer = self.writer();
-        let target = match path {
-            Some(p) => p.to_owned(),
-            None => writer.path.clone().ok_or_else(|| {
-                EngineError::Config("no index path on record; pass {\"path\": …} to /reload".into())
-            })?,
-        };
+        let target = path.map_or_else(|| writer.path.clone(), Path::to_owned);
         let (container, pending) = Self::open(&target)?;
         let generation = self.snapshot().generation() + 1;
         let snapshot = self.swap_in(Snapshot::new(container, generation));
         *writer = Writer {
-            path: Some(target),
+            path: target,
             pending,
         };
         self.publish(&writer.pending);
@@ -789,9 +768,8 @@ mod tests {
     #[test]
     fn unsharded_matches_container() {
         let cat = catalog(12);
-        let container = IndexContainer::build(&cat, 4);
         let reference = IndexContainer::build(&cat, 4);
-        let engine = Engine::from_container(container);
+        let (engine, _dir) = crate::testkit::file_engine(&reference, "engine");
         let snap = engine.snapshot();
         let (sig, q) = sig_for(&cat, 5, snap.container().num_perm());
         assert_eq!(
@@ -862,7 +840,8 @@ mod tests {
 
     #[test]
     fn staged_mutations_commit_into_a_new_generation() {
-        let engine = Engine::from_container(IndexContainer::build(&catalog(10), 2));
+        let built = IndexContainer::build(&catalog(10), 2);
+        let (engine, _dir) = crate::testkit::file_engine(&built, "engine");
         let old = engine.snapshot();
         let (sig, q) = sig_of(50_000..50_040, old.container().num_perm());
 
@@ -1429,7 +1408,8 @@ mod tests {
     /// would stall every connection behind a fold: a debug build refuses it.
     #[test]
     fn the_writer_refuses_a_reactor_thread_in_a_debug_build() {
-        let engine = Engine::from_container(IndexContainer::build(&catalog(5), 2));
+        let built = IndexContainer::build(&catalog(5), 2);
+        let (engine, _dir) = crate::testkit::file_engine(&built, "engine");
         let taken = std::thread::scope(|scope| {
             let on_reactor = scope.spawn(|| {
                 crate::reactor::mark_reactor_thread();
@@ -1440,15 +1420,6 @@ mod tests {
         assert_eq!(taken.is_err(), cfg!(debug_assertions));
         // The refusal came before the lock: other threads still take it.
         drop(engine.writer());
-    }
-
-    #[test]
-    fn reload_without_path_on_memory_engine_errors() {
-        let engine = Engine::from_container(IndexContainer::build(&catalog(5), 2));
-        assert!(matches!(
-            engine.reload(None).unwrap_err(),
-            EngineError::Config(_)
-        ));
     }
 
     /// Ops staged against one file stay in that file's log across a

@@ -30,7 +30,7 @@
 //! use lshe_corpus::{Catalog, Domain, DomainMeta};
 //! use std::sync::Arc;
 //!
-//! // Build a tiny in-memory index…
+//! // Build a tiny index and save it…
 //! let mut catalog = Catalog::new();
 //! for k in 0..4 {
 //!     let values: Vec<String> = (0..=20 + 10 * k).map(|i| format!("v{i}")).collect();
@@ -39,9 +39,14 @@
 //!         DomainMeta::new(format!("table{k}"), "col"),
 //!     );
 //! }
-//! let engine = Engine::from_container(IndexContainer::build(&catalog, 2));
+//! let dir = std::env::temp_dir().join(format!("lshe_doc_{}", std::process::id()));
+//! std::fs::create_dir_all(&dir).unwrap();
+//! let path = dir.join("tables.lshe");
+//! IndexContainer::build(&catalog, 2).save(&path).unwrap();
 //!
-//! // …serve it on an ephemeral port, then shut down gracefully.
+//! // …serve the file as `lshe serve --index` does: its mapped base, and
+//! // a delta log beside it for live inserts. Then shut down gracefully.
+//! let engine = Engine::load(&path, 1).unwrap();
 //! let config = ServerConfig {
 //!     addr: "127.0.0.1:0".into(),
 //!     threads: 2,
@@ -51,6 +56,7 @@
 //! let handle = start(Arc::new(engine), &config).unwrap();
 //! assert_ne!(handle.addr().port(), 0);
 //! handle.shutdown();
+//! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 #![warn(missing_docs)]

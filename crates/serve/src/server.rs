@@ -1207,13 +1207,13 @@ mod tests {
     use crate::client::HttpClient;
     use crate::container::IndexContainer;
     use crate::reactor::Body;
-    use crate::testkit::{self, read_resp};
+    use crate::testkit::{self, read_resp, Scratch};
     use lshe_corpus::{Catalog, DomainMeta};
     use std::io::{BufReader, Write as _};
     use std::net::TcpStream;
     use std::time::Duration;
 
-    fn test_engine(n: usize) -> Arc<Engine> {
+    fn test_container(n: usize) -> IndexContainer {
         let mut cat = Catalog::new();
         for k in 0..n {
             let values: Vec<String> = (0..20 + 5 * k).map(|i| format!("v{i}")).collect();
@@ -1222,7 +1222,14 @@ mod tests {
                 DomainMeta::new(format!("t{k}"), "col"),
             );
         }
-        Arc::new(Engine::from_container(IndexContainer::build(&cat, 2)))
+        IndexContainer::build(&cat, 2)
+    }
+
+    /// An engine over `test_container(n)` saved to a file; keep the
+    /// directory while it serves.
+    fn test_engine(n: usize) -> (Arc<Engine>, Scratch) {
+        let (engine, dir) = testkit::file_engine(&test_container(n), "server");
+        (Arc::new(engine), dir)
     }
 
     fn boot_with(engine: Arc<Engine>, config: ServerConfig) -> ServerHandle {
@@ -1234,8 +1241,9 @@ mod tests {
     }
 
     /// The engine the reactor's hostile-client checks run against.
-    fn boot_engine(config: ServerConfig) -> ServerHandle {
-        boot_with(test_engine(4), config)
+    fn boot_engine(config: ServerConfig) -> (ServerHandle, Scratch) {
+        let (engine, dir) = test_engine(4);
+        (boot_with(engine, config), dir)
     }
 
     /// Fresh-connection request helpers over the shared loopback client.
@@ -1249,7 +1257,8 @@ mod tests {
 
     #[test]
     fn health_and_stats_shape() {
-        let server = boot(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let server = boot(engine);
         let (status, body) = get(server.addr(), "/health");
         assert_eq!(status, 200, "{body}");
         let health = Json::parse(&body).expect("json");
@@ -1296,7 +1305,8 @@ mod tests {
 
     #[test]
     fn an_inline_body_parse_shows_in_the_longest_tick() {
-        let server = boot(test_engine(4));
+        let (engine, _dir) = test_engine(4);
+        let server = boot(engine);
         let values: Vec<String> = (0..6_600).map(|i| format!("\"v{i:05}\"")).collect();
         let body = format!("{{\"values\": [{}]}}", values.join(","));
         assert!(
@@ -1319,7 +1329,8 @@ mod tests {
 
     #[test]
     fn query_topk_and_cache_flow() {
-        let server = boot(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let server = boot(engine);
         let q = r#"{"values": ["v0","v1","v2","v3","v4","v5","v6","v7","v8","v9","v10","v11","v12","v13","v14","v15","v16","v17","v18","v19"], "threshold": 0.6}"#;
         let (status, body) = post(server.addr(), "/query", q);
         assert_eq!(status, 200, "{body}");
@@ -1358,7 +1369,8 @@ mod tests {
 
     #[test]
     fn bad_requests_are_4xx_not_disconnects() {
-        let server = boot(test_engine(4));
+        let (engine, _dir) = test_engine(4);
+        let server = boot(engine);
         let addr = server.addr();
         for (path, body) in [
             ("/query", "not json"),
@@ -1382,7 +1394,8 @@ mod tests {
 
     #[test]
     fn debug_field_and_query_stat_aggregation() {
-        let server = boot(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let server = boot(engine);
         let addr = server.addr();
         let q = r#"{"values": ["v0","v1","v2","v3","v4","v5","v6","v7","v8","v9"], "threshold": 0.5, "debug": true}"#;
         let (status, body) = post(addr, "/query", q);
@@ -1446,7 +1459,8 @@ mod tests {
 
     #[test]
     fn batch_fans_out_and_keeps_order() {
-        let server = boot(test_engine(8));
+        let (engine, _dir) = test_engine(8);
+        let server = boot(engine);
         let queries: Vec<String> = (0..8)
             .map(|k| {
                 let values: Vec<String> = (0..20 + 5 * k).map(|i| format!("\"v{i}\"")).collect();
@@ -1478,7 +1492,8 @@ mod tests {
         // Hostile input: one malformed item must neither fail the batch
         // nor shift its neighbours — every item answers (or errors) in
         // its own position, with a typed message.
-        let server = boot(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let server = boot(engine);
         let body = r#"{"queries": [
             {"values": ["v0","v1","v2","v3","v4"], "threshold": 0.5},
             {"values": []},
@@ -1573,7 +1588,8 @@ mod tests {
         let cached = |answer: &Json| answer.get("cached").and_then(Json::as_bool);
 
         // A `/batch` of [A, A, B]: A and B miss and run; the second A hits.
-        let batch = in_process(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let batch = in_process(engine);
         let request = Request {
             method: "POST".to_owned(),
             target: "/batch".to_owned(),
@@ -1594,7 +1610,8 @@ mod tests {
 
         // Two identical misses of one reactor tick: each missed when the
         // reactor probed; A runs once and the copy hits.
-        let grouped = in_process(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let grouped = in_process(engine);
         let misses: Vec<Box<MissQuery>> = (0..2)
             .map(
                 |_| match query_step(&grouped, a.as_bytes(), false, Instant::now()) {
@@ -1619,7 +1636,8 @@ mod tests {
     fn cache_key_includes_debug_flag() {
         // A cached non-debug response must never answer a debug request,
         // and vice versa — the flag is part of the cache key.
-        let server = boot(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let server = boot(engine);
         let addr = server.addr();
         let plain = r#"{"values": ["v0","v1","v2","v3","v4","v5"], "threshold": 0.5}"#;
         let debug =
@@ -1651,7 +1669,7 @@ mod tests {
 
     #[test]
     fn stats_memory_covers_staged_backlog() {
-        let engine = test_engine(6);
+        let (engine, dir) = test_engine(6);
         let server = boot(Arc::clone(&engine));
         let addr = server.addr();
         let memory = |addr| {
@@ -1722,10 +1740,17 @@ mod tests {
             reported("index_bytes")
         );
         assert!(reported("id_map_bytes") > 0);
-        // A built index maps no file: nothing of one is resident, on the
-        // one kernel that says.
+        // The base is served from the file the engine loaded: a mapping,
+        // of which what was read is resident, on the one kernel that says.
+        assert!(reported("mapped_bytes") > 0);
+        let file = std::fs::metadata(dir.path().join("index.lshe")).expect("index file");
         let resident = memory.get("mapped_resident_bytes").and_then(Json::as_u64);
-        assert_eq!(resident, cfg!(target_os = "linux").then_some(0));
+        if cfg!(target_os = "linux") {
+            let resident = resident.expect("mapped_resident_bytes on Linux");
+            assert!(resident > 0 && resident <= file.len().next_multiple_of(1 << 16));
+        } else {
+            assert_eq!(resident, None);
+        }
         server.shutdown();
     }
 
@@ -1734,7 +1759,7 @@ mod tests {
     /// its whole run; the staged counts they read stay exact.
     #[test]
     fn health_and_stats_never_wait_on_the_writer() {
-        let engine = test_engine(6);
+        let (engine, _dir) = test_engine(6);
         let server = boot(Arc::clone(&engine));
         let addr = server.addr();
         let staged = || {
@@ -1783,7 +1808,8 @@ mod tests {
 
     #[test]
     fn insert_at_the_last_id_is_refused_and_the_server_answers_on() {
-        let server = boot(test_engine(4));
+        let (engine, _dir) = test_engine(4);
+        let server = boot(engine);
         let addr = server.addr();
         let insert = r#"{"values": ["a", "b"], "id": 4294967295}"#;
         let (status, body) = post(addr, "/insert", insert);
@@ -1800,7 +1826,8 @@ mod tests {
 
     #[test]
     fn insert_remove_commit_endpoints() {
-        let server = boot(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let server = boot(engine);
         let addr = server.addr();
 
         // Stage an insert; not yet visible.
@@ -1884,7 +1911,8 @@ mod tests {
     /// record, and the post-compaction replay must still answer fresh.
     #[test]
     fn cache_never_serves_pre_commit_hits_after_commit_or_compaction() {
-        let server = boot(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let server = boot(engine);
         let addr = server.addr();
         let values: Vec<String> = (0..25).map(|i| format!("\"g{i}\"")).collect();
         let query_body = format!("{{\"values\": [{}], \"threshold\": 0.9}}", values.join(","));
@@ -1940,7 +1968,7 @@ mod tests {
 
     #[test]
     fn compact_endpoint_folds_segments_and_stats_track_drift() {
-        let engine = test_engine(6);
+        let (engine, _dir) = test_engine(6);
         let server = boot(Arc::clone(&engine));
         let addr = server.addr();
         let seg_stats = |addr| {
@@ -2018,7 +2046,8 @@ mod tests {
     /// segment bound.
     #[test]
     fn background_maintenance_bounds_the_segment_stack() {
-        let server = boot(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let server = boot(engine);
         let addr = server.addr();
         let commits = 16u64;
         for k in 0..commits {
@@ -2073,11 +2102,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join("idx.lshe");
-        test_engine(6)
-            .snapshot()
-            .container()
-            .save(&path)
-            .expect("save");
+        test_container(6).save(&path).expect("save");
         let engine = Engine::load(&path, 1).expect("load");
         for k in 0..5 {
             let values: Vec<String> = (0..20).map(|i| format!("b{k}x{i}")).collect();
@@ -2110,7 +2135,8 @@ mod tests {
     /// answers its own query.
     #[test]
     fn tombstone_backlog_drives_a_background_full_fold() {
-        let server = boot(test_engine(8));
+        let (engine, _dir) = test_engine(8);
+        let server = boot(engine);
         let addr = server.addr();
         let inserted: Vec<Vec<String>> = (0..2)
             .map(|k| (0..20).map(|i| format!("\"b{k}x{i}\"")).collect())
@@ -2175,7 +2201,8 @@ mod tests {
     /// and `?async=1` acknowledges without waiting for the fold at all.
     #[test]
     fn queries_stay_fast_while_compaction_runs() {
-        let server = boot(test_engine(8));
+        let (engine, _dir) = test_engine(8);
+        let server = boot(engine);
         let addr = server.addr();
         // Seal one segment so the fold has work to do.
         let (status, _) = post(
@@ -2263,7 +2290,8 @@ mod tests {
 
     #[test]
     fn shutdown_endpoint_stops_server() {
-        let server = boot(test_engine(4));
+        let (engine, _dir) = test_engine(4);
+        let server = boot(engine);
         let addr = server.addr();
         let (status, body) = post(addr, "/shutdown", "");
         assert_eq!(status, 200, "{body}");
@@ -2276,7 +2304,8 @@ mod tests {
 
     #[test]
     fn pipelined_requests_answer_in_order() {
-        let server = boot(test_engine(6));
+        let (engine, _dir) = test_engine(6);
+        let server = boot(engine);
         let addr = server.addr();
         // Mixed pipelined burst on one connection, sent before any
         // response is read: a cache-missing query (slow, goes through the
@@ -2341,7 +2370,8 @@ mod tests {
     fn byte_dripped_request_head_still_parses() {
         // The resumable parser must assemble a request that arrives one
         // byte at a time (within the deadline) exactly like one burst.
-        let server = boot(test_engine(4));
+        let (engine, _dir) = test_engine(4);
+        let server = boot(engine);
         let addr = server.addr();
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream

@@ -5,15 +5,20 @@
 //! panics on the first broken expectation.
 //!
 //! Also here: [`serve_fn`], the scripted fake server other crates' tests
-//! stand in for a shard with.
+//! stand in for a shard with, and [`file_engine`], an engine over a saved
+//! file as `lshe serve` runs one.
 
 use crate::client::HttpClient;
+use crate::container::IndexContainer;
+use crate::engine::Engine;
 use crate::http::Request;
 use crate::reactor::{self, Outcome, Service};
 use crate::server::{ServerConfig, ServerHandle};
 use std::convert::Infallible;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,6 +42,64 @@ impl Served for ServerHandle {
     fn join(self) {
         ServerHandle::join(self);
     }
+}
+
+/// A server and the directory its index lives in, which goes when it
+/// stops.
+impl<H: Served> Served for (H, Scratch) {
+    fn addr(&self) -> SocketAddr {
+        self.0.addr()
+    }
+    fn shutdown(self) {
+        self.0.shutdown();
+    }
+    fn join(self) {
+        self.0.join();
+    }
+}
+
+/// A directory of its own under the system temp dir, removed with what
+/// it holds on drop.
+#[derive(Debug)]
+pub struct Scratch(PathBuf);
+
+impl Scratch {
+    /// A fresh, empty directory named after `tag`, the process and a
+    /// per-process counter.
+    #[must_use]
+    pub fn new(tag: &str) -> Self {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("lshe_{tag}_{}_{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create a scratch directory");
+        Self(dir)
+    }
+
+    /// The directory.
+    #[must_use]
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `container` served as `lshe serve` serves an index: saved to
+/// `index.lshe` in a fresh [`Scratch`] and loaded back by
+/// [`Engine::load`], so every stage, commit and fold goes through that
+/// file and its delta log. Keep the directory as long as the engine.
+#[must_use]
+pub fn file_engine(container: &IndexContainer, tag: &str) -> (Engine, Scratch) {
+    let dir = Scratch::new(tag);
+    let path = dir.path().join("index.lshe");
+    container.save(&path).expect("save the index");
+    let engine = Engine::load(&path, 1).expect("load the saved index");
+    (engine, dir)
 }
 
 /// The configuration every check starts from: an ephemeral port, two

@@ -70,9 +70,9 @@ impl<'a> SketchesView<'a> {
     }
 
     /// True when the id column is strictly ascending — the invariant
-    /// [`lookup`](SketchesView::lookup) depends on. O(n); called from the
-    /// full-verification path, not per query.
+    /// [`lookup`](SketchesView::lookup) depends on. O(n).
     #[must_use]
+    #[cfg(test)]
     pub fn ids_sorted(&self) -> bool {
         self.ids.windows(2).all(|w| w[0] < w[1])
     }

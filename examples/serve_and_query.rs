@@ -1,7 +1,7 @@
-//! Serving walkthrough: build a small ranked index, boot the `lshe-serve`
-//! HTTP server on an ephemeral port, and talk to it over real TCP — one
-//! query twice (the second is a cache hit), a top-k query, and a batch —
-//! then shut down gracefully.
+//! Serving walkthrough: build a small ranked index, save it, boot the
+//! `lshe-serve` HTTP server over the file on an ephemeral port, and talk
+//! to it over real TCP — one query twice (the second is a cache hit), a
+//! top-k query, and a batch — then shut down gracefully.
 //!
 //! Run with:
 //! ```text
@@ -9,8 +9,8 @@
 //! ```
 //!
 //! In production you would persist the index with `lshe index` and serve
-//! it with `lshe serve --index tables.lshe`; this example keeps everything
-//! in-process so it runs with no setup.
+//! it with `lshe serve --index tables.lshe`; this example does both steps
+//! in-process, in a temporary directory, so it runs with no setup.
 
 use lshe::corpus::json::Json;
 use lshe::corpus::{Catalog, Domain, DomainMeta};
@@ -60,9 +60,14 @@ fn main() {
     }
     let container = IndexContainer::build(&catalog, 4);
     println!("indexed {} domains", container.len());
+    let dir = std::env::temp_dir().join(format!("lshe_serve_and_query_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("cities.lshe");
+    container.save(&path).expect("save");
 
-    // Boot the server: snapshot engine, 2 workers, a 64-entry query cache.
-    let engine = Engine::from_container(container);
+    // Boot the server over the file: snapshot engine, 2 workers, a
+    // 64-entry query cache.
+    let engine = Engine::load(&path, 1).expect("load");
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         threads: 2,
@@ -138,4 +143,5 @@ fn main() {
 
     server.shutdown();
     println!("server stopped");
+    std::fs::remove_dir_all(&dir).expect("remove the index");
 }

@@ -7,8 +7,8 @@ use lshe::cluster::ClusterConfig;
 use lshe::corpus::{Catalog, Domain, DomainMeta};
 use lshe::serve::client::HttpClient;
 use lshe::serve::container::IndexContainer;
-use lshe::serve::engine::Engine;
 use lshe::serve::server::{start, ServerConfig};
+use lshe_serve::testkit::file_engine;
 use std::net::TcpStream;
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ fn idle_keep_alive_flood_adds_no_threads() {
             DomainMeta::new(format!("t{k}"), "col"),
         );
     }
-    let engine = Engine::from_container(IndexContainer::build(&catalog, 2));
+    let (engine, _dir) = file_engine(&IndexContainer::build(&catalog, 2), "cluster_flood");
     let shard = start(
         Arc::new(engine),
         &ServerConfig {

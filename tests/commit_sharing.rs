@@ -11,6 +11,7 @@ use lshe_core::{MergeTask, Query};
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
 use lshe_minhash::{MinHasher, Signature};
+use lshe_serve::testkit::file_engine;
 use lshe_serve::{DeltaOp, DomainRecord, Engine, IndexContainer, Snapshot};
 
 const BASE: usize = 300;
@@ -58,7 +59,7 @@ fn a_commit_shares_the_whole_base_and_the_old_snapshot_answers_as_before() {
     let base = corpus(BASE, 7);
     let fresh = corpus(5, 8);
     let container = IndexContainer::from_stream(base.iter().cloned(), PARTITIONS, true);
-    let engine = Engine::from_container(container);
+    let (engine, _dir) = file_engine(&container, "commit_sharing");
     let old = engine.snapshot();
     let ids: Vec<u32> = fresh.iter().map(|d| stage(&engine, d, None)).collect();
     engine.stage_remove(17).expect("stage remove");
@@ -96,7 +97,7 @@ fn a_reinserted_id_resolves_to_its_new_record_over_a_shared_base() {
     let base = corpus(BASE, 7);
     let again = &corpus(1, 9)[0];
     let container = IndexContainer::from_stream(base.iter().cloned(), PARTITIONS, true);
-    let engine = Engine::from_container(container);
+    let (engine, _dir) = file_engine(&container, "commit_sharing");
     let built = engine.snapshot();
     engine.stage_remove(40).expect("stage remove");
     let (removed, _) = engine.commit_staged().expect("commit");
@@ -131,7 +132,7 @@ fn a_reinserted_id_resolves_to_its_new_record_over_a_shared_base() {
 fn a_segment_merge_rewrites_segments_and_leaves_the_base_alone() {
     let fresh = corpus(6, 8);
     let container = IndexContainer::from_stream(corpus(BASE, 7), PARTITIONS, true);
-    let engine = Engine::from_container(container);
+    let (engine, _dir) = file_engine(&container, "commit_sharing");
     let built = engine.snapshot();
     let mut ids = Vec::new();
     for pair in fresh.chunks(2) {

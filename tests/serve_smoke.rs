@@ -887,7 +887,8 @@ fn json_edge_inputs_have_one_outcome_everywhere() {
         ("1E+2", Some((Some(100.0), Some(100))), Some(b"1E+2"), 400),
         ("\"a\u{7f}b\"", Some((None, None)), Some(b"a\x7fb"), 200),
     ];
-    let engine = Engine::from_container(IndexContainer::build(&build_catalog(4), 2));
+    let built = IndexContainer::build(&build_catalog(4), 2);
+    let (engine, _dir) = lshe_serve::testkit::file_engine(&built, "serve_smoke");
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         threads: 1,
