@@ -39,9 +39,9 @@
 //! every ranked candidate is looked up in, then the partitions from the
 //! largest domains down — a query probes every partition whose largest
 //! domain can reach `t*·q`, so the partitions of the largest domains are
-//! probed by every query and those of the smallest by few. A mapped file
-//! is resident by whole page-cache folios (up to 2 MiB for a file written
-//! in one go), so what is read together is stored together. In memory, and
+//! probed by every query and those of the smallest by few. A fault on the
+//! mapped file makes a 64 KiB window around the page read resident, so
+//! what is read together is stored together. In memory, and
 //! in every index a tombstone or `at` uses, the partitions stay smallest
 //! first.
 //!

@@ -19,10 +19,10 @@
 //!
 //! The file leads with what every query with a hit reads: the records,
 //! then — the ensemble's first columns — the id → row directory and the
-//! partitions of the largest domains, which every query probes. A mapped
-//! file is resident by whole page-cache folios, up to 2 MiB each for a
-//! file written in one go, so the columns read together are stored
-//! together, in front of the partitions few queries reach.
+//! partitions of the largest domains, which every query probes. A fault
+//! on the mapped file makes the fault-around window (64 KiB) around the
+//! page read resident, so the columns read together are stored together,
+//! in front of the partitions few queries reach.
 //!
 //! Every container stores and serves an [`LshEnsemble`], which needs nothing
 //! beyond the ensemble and the records: every signature is in the ensemble
@@ -697,10 +697,17 @@ impl IndexContainer {
         })
     }
 
-    /// [`save`](Self::save)'s write, streamed through a buffered writer
-    /// without holding the bytes all at once, with `before_rename` run
-    /// between the sync and the rename. A fold passes a no-op: it keeps
-    /// the log and rewrites it itself.
+    /// [`save`](Self::save)'s write, streamed without holding the bytes
+    /// all at once, with `before_rename` run between the sync and the
+    /// rename. A fold passes a no-op: it keeps the log and rewrites it
+    /// itself.
+    ///
+    /// No `write(2)` is longer than [`WRITE_CHUNK`] (64 KiB). The page
+    /// cache holds a file in folios no larger than the writes that filled
+    /// it, and a fault on a mapping maps a whole folio where one fits, so
+    /// an index written in larger pieces would fault in that much of itself
+    /// for every page a query reads. In 64 KiB pieces, a folio is at most
+    /// the kernel's fault-around window, which a fault maps anyway.
     pub(crate) fn write(
         &self,
         path: &Path,
@@ -709,9 +716,10 @@ impl IndexContainer {
         let merged = self.merged_records();
         let records = merged.as_ref().unwrap_or(&self.base);
         let saved = replace_file(path, before_rename, |file| {
-            let mut enc = Encoder::over(std::io::BufWriter::with_capacity(1 << 20, file));
+            let chunked = std::io::BufWriter::with_capacity(WRITE_CHUNK, Chunked(file));
+            let mut enc = Encoder::over(chunked);
             self.encode_into(&mut enc, records);
-            Ok(enc.into_sink()?.into_inner()?)
+            Ok(enc.into_sink()?.into_inner()?.0)
         });
         if let Some(mapping) = &self.mapping {
             // Writing read every mapped column: give the pages back.
@@ -890,6 +898,24 @@ fn decode_v7_records(dec: &mut Decoder<'_>) -> Result<(RecordTable, Vec<u64>), C
 fn release(mapping: &Mmap) {
     mapping.advise(lshe_store::Advice::DontNeed);
     mapping.advise(lshe_store::Advice::Random);
+}
+
+/// The longest `write(2)` an index file is made with: the kernel's
+/// fault-around window ([`IndexContainer::write`] says why).
+const WRITE_CHUNK: usize = 1 << 16;
+
+/// A file no `write` to which passes [`WRITE_CHUNK`] bytes; `write_all`
+/// splits a longer slice, such as a record table's text arena.
+struct Chunked(std::fs::File);
+
+impl Write for Chunked {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.write(&buf[..buf.len().min(WRITE_CHUNK)])
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.flush()
+    }
 }
 
 /// Replaces `path` atomically: `write` fills `<path>.tmp`, which is synced,

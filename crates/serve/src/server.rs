@@ -452,7 +452,8 @@ fn handle_stats(shared: &Shared) -> Outcome {
 /// heap; beside it, the heap the provenance records and the id → row map
 /// hold — each only what changed since the base when that base is served
 /// from its file — and the staged backlog; and, on Linux, how much of the
-/// mapping is resident.
+/// mapping is resident and the process's resident set split into
+/// anonymous and file pages.
 fn memory_json(shared: &Shared, snap: &Snapshot) -> Json {
     let index_bytes = snap.index().memory_bytes() as u64;
     let mapped_bytes = snap.index().mapped_bytes() as u64;
@@ -477,7 +478,27 @@ fn memory_json(shared: &Shared, snap: &Snapshot) -> Json {
     if let Some(resident) = container.mapped_resident_bytes() {
         memory.push(("mapped_resident_bytes", Json::uint(resident as u64)));
     }
+    if let Some((anon, file)) = rss_split() {
+        memory.push(("rss_anon_bytes", Json::uint(anon)));
+        memory.push(("rss_file_bytes", Json::uint(file)));
+    }
     Json::obj(memory)
+}
+
+/// This process's resident set as `/proc/self/status` splits it:
+/// `RssAnon` (heap, stacks) and `RssFile` (mapped files — the index among
+/// them — and code), in bytes. `None` off Linux.
+fn rss_split() -> Option<(u64, u64)> {
+    if !cfg!(target_os = "linux") {
+        return None;
+    }
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let bytes = |key: &str| {
+        let kb = status.lines().find_map(|line| line.strip_prefix(key))?;
+        let kb: u64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+        Some(kb << 10)
+    };
+    Some((bytes("RssAnon:")?, bytes("RssFile:")?))
 }
 
 /// Renders `/stats.maintenance`: the live segment layout bucketed into
@@ -1748,8 +1769,13 @@ mod tests {
         if cfg!(target_os = "linux") {
             let resident = resident.expect("mapped_resident_bytes on Linux");
             assert!(resident > 0 && resident <= file.len().next_multiple_of(1 << 16));
+            // The process's file pages hold the mapping's, and its code.
+            let (anon, file) = (reported("rss_anon_bytes"), reported("rss_file_bytes"));
+            assert!(anon > 0 && file >= resident, "{anon} anon, {file} file");
         } else {
             assert_eq!(resident, None);
+            assert_eq!(memory.get("rss_anon_bytes"), None);
+            assert_eq!(memory.get("rss_file_bytes"), None);
         }
         server.shutdown();
     }

@@ -12,6 +12,16 @@
 //! file from feeding writes back. A mapping outlives the [`std::fs::File`]
 //! it was created from (the kernel keeps the inode pinned), so callers can
 //! drop the file handle immediately after mapping.
+//!
+//! On Linux every mapping is placed so that file offset 0 lies one page
+//! past a 2 MiB boundary. A page-cache folio covers a naturally aligned
+//! run of the file, and the kernel maps a whole folio on a fault only when
+//! it fits inside one page table (2 MiB of address space); one page off the
+//! grid, no 2 MiB folio ever does, so a fault maps the fault-around window
+//! (64 KiB) and the resident set follows the pages a query reads rather
+//! than every 2 MiB folio it touches. The placement costs a `PROT_NONE`
+//! reservation 2 MiB longer than the file, of which all but the mapping is
+//! given back at once. Elsewhere the kernel picks the address.
 
 pub use sys::Mmap;
 
@@ -49,6 +59,19 @@ mod sys {
 
     const PROT_READ: c_int = 1;
     const MAP_PRIVATE: c_int = 2;
+    #[cfg(target_os = "linux")]
+    const PROT_NONE: c_int = 0;
+    #[cfg(target_os = "linux")]
+    const MAP_FIXED: c_int = 0x10;
+    #[cfg(target_os = "linux")]
+    const MAP_ANONYMOUS: c_int = 0x20;
+    #[cfg(target_os = "linux")]
+    const SC_PAGESIZE: c_int = 30;
+    /// The span of address space one page table maps — a PMD on x86-64 and
+    /// on 4 KiB-page arm64 — which a whole folio must fit inside to be
+    /// mapped on one fault.
+    #[cfg(target_os = "linux")]
+    const FOLIO_GRID: usize = 2 << 20;
     const MADV_RANDOM: c_int = 1;
     const MADV_SEQUENTIAL: c_int = 2;
     const MADV_WILLNEED: c_int = 3;
@@ -65,6 +88,8 @@ mod sys {
         ) -> *mut c_void;
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
         fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        #[cfg(target_os = "linux")]
+        fn sysconf(name: c_int) -> std::os::raw::c_long;
     }
 
     /// `MAP_FAILED`: mmap's error sentinel is all-ones, not null.
@@ -101,21 +126,7 @@ mod sys {
                     len: 0,
                 });
             }
-            // SAFETY: fd is a live file descriptor and len matches the file
-            // size; the kernel validates everything else.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr == MAP_FAILED {
-                return Err(io::Error::last_os_error());
-            }
+            let ptr = place(file.as_raw_fd(), len)?;
             Ok(Self { ptr, len })
         }
 
@@ -172,6 +183,84 @@ mod sys {
             let start = self.ptr as usize;
             super::rss_within(io::BufReader::new(smaps), start..start + self.len)
         }
+    }
+
+    /// Maps `len` bytes of `fd` read-only with file offset 0 one page past
+    /// a [`FOLIO_GRID`] boundary (the module doc says why): reserves
+    /// `PROT_NONE` address space a grid longer than the mapping, maps the
+    /// file over it at the placed address, and unmaps the rest.
+    #[cfg(target_os = "linux")]
+    fn place(fd: c_int, len: usize) -> io::Result<*mut c_void> {
+        // SAFETY: sysconf reads a constant of the running system.
+        let page = usize::try_from(unsafe { sysconf(SC_PAGESIZE) }).unwrap_or(4096);
+        let span = len.next_multiple_of(page);
+        let reserved_len = span.checked_add(FOLIO_GRID).ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "file exceeds address space")
+        })?;
+        // SAFETY: an anonymous PROT_NONE mapping at an address the kernel
+        // picks overlaps no existing mapping and gives access to nothing.
+        let reserved = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                reserved_len,
+                PROT_NONE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        if reserved == MAP_FAILED {
+            return Err(io::Error::last_os_error());
+        }
+        let start = reserved as usize;
+        // At most a grid past `start`, so `at + span` ends inside the
+        // reservation; at least a page past it, so the head is never empty.
+        let at = start.next_multiple_of(FOLIO_GRID) + page;
+        // SAFETY: [at, at + span) lies inside the reservation, which this
+        // function alone refers to, so MAP_FIXED replaces only its pages;
+        // fd is a live descriptor and len its file's size.
+        let ptr = unsafe {
+            mmap(
+                at as *mut c_void,
+                len,
+                PROT_READ,
+                MAP_PRIVATE | MAP_FIXED,
+                fd,
+                0,
+            )
+        };
+        let (head, tail) = (at - start, start + reserved_len - (at + span));
+        let unmap = |from: usize, len: usize| {
+            if len > 0 {
+                // SAFETY: [from, from + len) lies in the reservation and
+                // holds none of the file's mapping: its head or tail, or,
+                // after a failed MAP_FIXED, all of it, which the kernel
+                // leaves reserved (a bad descriptor or file is refused
+                // before the range is touched, and since Linux 6.12 a
+                // later failure restores it). Each part is unmapped once.
+                unsafe { munmap(from as *mut c_void, len) };
+            }
+        };
+        if ptr == MAP_FAILED {
+            let error = io::Error::last_os_error();
+            unmap(start, reserved_len);
+            return Err(error);
+        }
+        unmap(start, head);
+        unmap(at + span, tail);
+        Ok(ptr)
+    }
+
+    /// Maps `len` bytes of `fd` read-only wherever the kernel picks.
+    #[cfg(not(target_os = "linux"))]
+    fn place(fd: c_int, len: usize) -> io::Result<*mut c_void> {
+        // SAFETY: fd is a live file descriptor and len matches the file
+        // size; the kernel validates everything else.
+        let ptr = unsafe { mmap(std::ptr::null_mut(), len, PROT_READ, MAP_PRIVATE, fd, 0) };
+        if ptr == MAP_FAILED {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(ptr)
     }
 
     impl AsRef<[u8]> for Mmap {
@@ -317,23 +406,66 @@ Rss:                   4 kB
         std::fs::remove_file(&path).ok();
     }
 
+    /// File sizes the placement is checked at: empty, a byte, a page and
+    /// either side of it, the 2 MiB grid and either side of it, and four
+    /// grids.
+    const SIZES: [usize; 8] = [
+        0,
+        1,
+        4095,
+        4096,
+        (2 << 20) - 1,
+        2 << 20,
+        (2 << 20) + 1,
+        8 << 20,
+    ];
+
+    /// `len` bytes in which every offset's neighbourhood differs, so a
+    /// mapping shifted by a page or more reads otherwise.
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i ^ (i >> 12) ^ (i >> 21)) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn placement_keeps_the_bytes_and_leaves_the_grid() {
+        for len in SIZES {
+            let path = tmp(&format!("placed_{len}"), &patterned(len));
+            let map = Mmap::map_file(&std::fs::File::open(&path).expect("open")).expect("map");
+            assert_eq!(map.len(), len);
+            assert!(
+                map.as_slice() == std::fs::read(&path).expect("read"),
+                "{len} B"
+            );
+            let start = map.as_slice().as_ptr() as usize;
+            if len > 0 {
+                assert_eq!(start % 4096, 0, "{len} B at {start:#x}");
+            }
+            if len > 0 && cfg!(target_os = "linux") {
+                assert_ne!(start % (2 << 20), 0, "{len} B at {start:#x}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     #[test]
     fn mapping_shared_across_threads() {
-        let body: Vec<u8> = (0..8192u32).flat_map(u32::to_le_bytes).collect();
-        let path = tmp("threads", &body);
-        let file = std::fs::File::open(&path).expect("open");
-        let map = std::sync::Arc::new(Mmap::map_file(&file).expect("map"));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let m = std::sync::Arc::clone(&map);
-                std::thread::spawn(move || m.as_slice().iter().map(|&b| b as u64).sum::<u64>())
-            })
-            .collect();
-        let sums: Vec<u64> = handles
-            .into_iter()
-            .map(|h| h.join().expect("join"))
-            .collect();
-        assert!(sums.windows(2).all(|w| w[0] == w[1]));
-        std::fs::remove_file(&path).ok();
+        for len in SIZES {
+            let body = std::sync::Arc::new(patterned(len));
+            let path = tmp(&format!("threads_{len}"), &body);
+            let file = std::fs::File::open(&path).expect("open");
+            let map = std::sync::Arc::new(Mmap::map_file(&file).expect("map"));
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let (m, body) = (std::sync::Arc::clone(&map), std::sync::Arc::clone(&body));
+                    std::thread::spawn(move || m.as_slice() == body.as_slice())
+                })
+                .collect();
+            for handle in handles {
+                assert!(handle.join().expect("join"), "{len} B");
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 }
