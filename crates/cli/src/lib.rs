@@ -358,7 +358,8 @@ fn cmd_query(flags: &Flags) -> Result<String, CliError> {
         outcome.hits.len()
     );
     for hit in &outcome.hits {
-        let (table, col, size) = container.provenance(hit.id);
+        let (table, col) = container.names(hit.id).expect("every hit has a record");
+        let size = hit.size;
         let estimate = hit
             .estimate
             .map_or(String::new(), |e| format!("t̂ = {e:.2}  "));

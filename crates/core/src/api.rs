@@ -262,12 +262,14 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// One answer: the domain id, plus the estimated containment `t̂(Q, X)`
-/// when the backend retains enough state to compute one.
+/// One answer: the domain id and size, plus the estimated containment
+/// `t̂(Q, X)` when the backend retains enough state to compute one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchHit {
     /// The candidate domain.
     pub id: DomainId,
+    /// The domain's cardinality, as the index holds it.
+    pub size: u64,
     /// Estimated (or, for exact backends, true) containment, when known.
     pub estimate: Option<f64>,
 }
@@ -346,23 +348,16 @@ pub struct ProbeCounts {
     pub candidates: usize,
 }
 
-/// Plain (unestimated) candidate ids as hits.
-pub(crate) fn unranked(ids: Vec<DomainId>) -> Vec<SearchHit> {
-    ids.into_iter()
-        .map(|id| SearchHit { id, estimate: None })
-        .collect()
-}
-
 /// The shared top-k strategy: descend through containment thresholds
 /// (1.0, 0.9, …, 0.0), querying the backend via `query_at`, until at
 /// least `k` distinct candidates accumulate. Probe counters follow the
 /// top-k convention — candidates sum across passes, partitions probed is
 /// the per-pass maximum (so it stays ≤ total).
-pub(crate) fn top_k_descend(
+pub(crate) fn top_k_descend<C: Ord + Copy>(
     k: usize,
-    mut query_at: impl FnMut(f64) -> (Vec<DomainId>, ProbeCounts),
-) -> (Vec<DomainId>, ProbeCounts) {
-    let mut seen: Vec<DomainId> = Vec::new();
+    mut query_at: impl FnMut(f64) -> (Vec<C>, ProbeCounts),
+) -> (Vec<C>, ProbeCounts) {
+    let mut seen: Vec<C> = Vec::new();
     let mut probe = ProbeCounts::default();
     for step in (0..=10u32).rev() {
         let t = f64::from(step) / 10.0;

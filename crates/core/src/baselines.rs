@@ -28,7 +28,7 @@ use crate::partition::{PartitionStrategy, Partitioning};
 use crate::pipeline::{Probe, ReadPath, Tiers};
 use crate::tuning::Tuner;
 use lshe_asym::{pad_signature, PaddingSampler};
-use lshe_lsh::{DomainId, LshForest};
+use lshe_lsh::{DomainId, LshForest, Row};
 use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::Signature;
 
@@ -41,10 +41,10 @@ use lshe_minhash::Signature;
 pub struct Unranked<'a>(pub &'a LshEnsemble);
 
 impl Unranked<'_> {
-    fn read_path(&self) -> ReadPath<'_, &EnsemblePartition, ()> {
+    fn read_path(&self) -> ReadPath<'_, &EnsemblePartition> {
         ReadPath {
             tiers: self.0.tiers(),
-            sketches: None,
+            ranked: false,
         }
     }
 }
@@ -107,7 +107,10 @@ pub struct AsymIndex {
 #[derive(Debug)]
 struct AsymPartition {
     upper: u64,
+    /// Padded rows: a probe's, never a sketch of the domain to rank by.
     forest: LshForest,
+    /// The cardinality of each forest row.
+    sizes: Vec<u64>,
 }
 
 impl Probe for &AsymPartition {
@@ -115,8 +118,19 @@ impl Probe for &AsymPartition {
         self.upper
     }
 
-    fn probe(&self, signature: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
-        self.forest.query_into(signature, b, r, out);
+    fn probe(
+        &self,
+        signature: &Signature,
+        b: usize,
+        r: usize,
+        found: &mut impl FnMut(DomainId, usize),
+    ) {
+        self.forest.probe_into(signature, b, r, found);
+    }
+
+    fn sketch(&self, row: u32) -> (u64, Row<'_>) {
+        let row = row as usize;
+        (self.sizes[row], self.forest.row(row))
     }
 }
 
@@ -187,15 +201,18 @@ impl AsymIndex {
             .iter()
             .map(|p| {
                 let mut forest = LshForest::new(config.b_max, config.r_max);
+                let mut sizes = Vec::with_capacity(p.members.len());
                 for &idx in &p.members {
                     let (id, size, ref sig) = entries[idx as usize];
                     let padded = pad_signature(sig, u64::from(id), size, p.upper, &sampler);
                     forest.insert(id, &padded);
+                    sizes.push(size);
                 }
                 forest.commit();
                 AsymPartition {
                     upper: p.upper,
                     forest,
+                    sizes,
                 }
             })
             .collect();
@@ -214,7 +231,7 @@ impl AsymIndex {
         self.partitions.iter().map(|p| p.upper).max().unwrap_or(0)
     }
 
-    fn read_path(&self) -> ReadPath<'_, &AsymPartition, ()> {
+    fn read_path(&self) -> ReadPath<'_, &AsymPartition> {
         let units = self.partitions.iter().enumerate();
         ReadPath {
             tiers: Tiers {
@@ -223,7 +240,7 @@ impl AsymIndex {
                 units: units.map(|(i, p)| (DeadSlot::Base(i as u32), p)).collect(),
                 dead: &self.dead,
             },
-            sketches: None,
+            ranked: false,
         }
     }
 }
@@ -238,10 +255,8 @@ impl DomainIndex for AsymIndex {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.forest.memory_bytes())
-            .sum()
+        let part = |p: &AsymPartition| p.forest.memory_bytes() + p.sizes.capacity() * 8;
+        self.partitions.iter().map(part).sum()
     }
 
     fn describe(&self) -> String {

@@ -13,7 +13,7 @@ use crate::batch::ThresholdItem;
 use crate::directory::Directory;
 use crate::maintenance::{MergeTask, SegmentLayout};
 use crate::partition::{Partition, PartitionStrategy};
-use crate::pipeline::{Probe, Sketches, Tiers};
+use crate::pipeline::{Probe, Tiers};
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest, Row, RowBuf, RowLanes};
 use lshe_minhash::codec::Column;
@@ -173,8 +173,19 @@ impl Probe for &EnsemblePartition {
         self.upper
     }
 
-    fn probe(&self, signature: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
-        self.forest.query_into(signature, b, r, out);
+    fn probe(
+        &self,
+        signature: &Signature,
+        b: usize,
+        r: usize,
+        found: &mut impl FnMut(DomainId, usize),
+    ) {
+        self.forest.probe_into(signature, b, r, found);
+    }
+
+    fn sketch(&self, row: u32) -> (u64, Row<'_>) {
+        let row = row as usize;
+        (self.sizes[row], self.forest.row(row))
     }
 }
 
@@ -216,10 +227,13 @@ impl DeadSlot {
     }
 }
 
-/// id → (forest, row) of every live domain: duplicate detection, removal
-/// routing, and the sketch lookup of a ranked search. The base rows' part
-/// is the base's [`Directory`] — columns of the file in a loaded index,
-/// shared by every clone either way; what a clone copies is the overlay.
+/// id → (forest, row) of every live domain, for the work that starts from
+/// an id: duplicate detection when a batch is checked, removal routing,
+/// [`LshEnsemble::contains`] and [`LshEnsemble::sketch`], and the checks a
+/// decoder runs. A search never consults it: a candidate is verified in
+/// the row its probe found. The base rows' part is the base's
+/// [`Directory`] — columns of the file in a loaded index, shared by every
+/// clone either way; what a clone copies is the overlay.
 #[derive(Debug, Clone)]
 struct IdMap {
     /// Every base row, as of the last build, load or fold.
@@ -512,8 +526,9 @@ pub struct PartitionStats {
 /// mutable index (§6.2 dynamic data).
 ///
 /// Each domain's signature is resident once, as a row of the forest of the
-/// partition it lives in; the id map says which forest and row, so a
-/// ranked search reads the candidate's lanes — and its size — from there.
+/// partition it lives in, its size beside it; a ranked search reads a
+/// candidate's lanes and size in the row its probe found, and the id map
+/// says which forest and row an id is for the work that starts from one.
 ///
 /// It mutates LSM-style, and only at [`commit`](Self::commit): a commit
 /// seals a batch's inserts into an immutable segment in O(batch) and turns
@@ -646,6 +661,31 @@ impl LshEnsemble {
     /// Live entries in the id → slot map (decoder cross-check).
     pub(crate) fn id_count(&self) -> usize {
         self.ids.len()
+    }
+
+    /// Physical rows no tombstone hides (decoder cross-check): equal to
+    /// [`id_count`](Self::id_count) exactly when every live id is one row
+    /// of one tier — what lets a search verify a candidate in the row its
+    /// probe found. O(tombstones + segment entries).
+    pub(crate) fn live_rows(&self) -> usize {
+        let dead = &self.dead_set;
+        let base = self
+            .partitions
+            .iter()
+            .map(|p| p.forest.len())
+            .sum::<usize>();
+        let buried = dead.iter().filter(|&&(id, tier)| {
+            let at = self.ids.base.get(id);
+            matches!((tier, at), (DeadSlot::Base(p), Some((q, _))) if p == q)
+        });
+        let segments = self.segments.iter().enumerate().map(|(j, seg)| {
+            let tier = DeadSlot::Seg(j as u32);
+            let live = seg
+                .located()
+                .filter(|(_, (id, _, _))| !dead.contains(&(*id, tier)));
+            live.count()
+        });
+        base - buried.count() + segments.sum::<usize>()
     }
 
     /// Smallest id that is safely allocatable from this ensemble's view:
@@ -822,7 +862,8 @@ impl LshEnsemble {
             size: query_size,
             t_star,
         };
-        self.tiers().sweep(&item).0
+        let (candidates, _) = self.tiers().sweep(&item);
+        candidates.into_iter().map(|c| c.id).collect()
     }
 
     /// True if `id` is currently indexed.
@@ -1140,12 +1181,6 @@ impl LshEnsemble {
             }
         }
         ensemble
-    }
-}
-
-impl Sketches for LshEnsemble {
-    fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)> {
-        LshEnsemble::sketch(self, id)
     }
 }
 

@@ -25,7 +25,7 @@
 use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
 use crate::directory::Directory;
 use crate::ensemble::{segment_units, DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
-use crate::pipeline::{Probe, ReadPath, Sketches, Tiers};
+use crate::pipeline::{Probe, ReadPath, Tiers};
 use crate::tuning::Tuner;
 use lshe_lsh::forest::{check_tree, probe_trees, Rows, BLOCK};
 use lshe_lsh::{DomainId, Layout, Row};
@@ -225,6 +225,8 @@ enum MappedPart<'a> {
         view: PartitionView<'a>,
         /// The sketch table the tree entries point into.
         rows: Rows<'a>,
+        /// The table's sizes, position for position.
+        sizes: &'a [u64],
     },
     Segment(&'a EnsemblePartition),
 }
@@ -237,16 +239,32 @@ impl Probe for MappedPart<'_> {
         }
     }
 
-    fn probe(&self, signature: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
+    fn probe(
+        &self,
+        signature: &Signature,
+        b: usize,
+        r: usize,
+        found: &mut impl FnMut(DomainId, usize),
+    ) {
         match self {
             // `LshForest::query_into` over the mapped columns: tree `t`
             // is keyed by lanes `t·r_max ..`, probed at prefix length `r`
             // by the forest's own kernel.
             Self::Base { view, rows, .. } => {
                 let trees = (0..b).map(|t| (view.lo(t), view.rows(t)));
-                probe_trees(*rows, trees, signature.slots(), r, out);
+                probe_trees(*rows, trees, signature.slots(), r, found);
             }
-            Self::Segment(p) => p.probe(signature, b, r, out),
+            Self::Segment(p) => p.probe(signature, b, r, found),
+        }
+    }
+
+    fn sketch(&self, row: u32) -> (u64, Row<'_>) {
+        match self {
+            Self::Base { rows, sizes, .. } => {
+                let row = row as usize;
+                (sizes[row], rows.row(row).expect("a probed row"))
+            }
+            Self::Segment(p) => p.sketch(row),
         }
     }
 }
@@ -267,8 +285,8 @@ pub struct MmapIndex {
     /// The `Segments` section replayed onto the heap as an ensemble with no
     /// base partitions: the sealed segments (deterministic rebuild from the
     /// stored entry triples — identical forests to the heap index that was
-    /// packed), the tombstones of every tier, and the id map that says
-    /// which segment row is a live id's sketch. Small by construction:
+    /// packed), the tombstones of every tier, and the id map of the
+    /// segments' live ids. Small by construction:
     /// segments hold recent deltas, the mapped base holds the corpus.
     tail: LshEnsemble,
 }
@@ -542,6 +560,7 @@ impl MmapIndex {
                 upper: pm.upper,
                 view,
                 rows,
+                sizes: sketches.sizes(),
             };
             (DeadSlot::Base(i as u32), part)
         });
@@ -556,46 +575,14 @@ impl MmapIndex {
     }
 }
 
-/// A mapped index's sketch lookup: a live segment entry from its
-/// heap-replayed forest row, any other id from the mapped table (an id in
-/// both is a re-insert over a tombstoned base row).
-struct MappedSketches<'a> {
-    tail: &'a LshEnsemble,
-    base: SketchesView<'a>,
-    layout: Layout,
-}
-
-impl Sketches for MappedSketches<'_> {
-    fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)> {
-        self.tail.sketch(id).or_else(|| {
-            let (size, words) = self.base.lookup(id)?;
-            Some((size, Row::new(self.layout, words)?))
-        })
-    }
-}
-
-impl MmapIndex {
-    /// Runs `answer` over the shared read path of this file.
-    fn with_read_path<R>(
-        &self,
-        answer: impl FnOnce(ReadPath<'_, MappedPart<'_>, MappedSketches<'_>>) -> R,
-    ) -> R {
-        let base = self.sketches();
-        let sketches = MappedSketches {
-            tail: &self.tail,
-            base,
-            layout: self.layout(),
-        };
-        answer(ReadPath {
-            tiers: self.tiers(&base),
-            sketches: Some(&sketches),
-        })
-    }
-}
-
 impl DomainIndex for MmapIndex {
     fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        self.with_read_path(|path| path.search_batch(queries))
+        let sketches = self.sketches();
+        let path = ReadPath {
+            tiers: self.tiers(&sketches),
+            ranked: true,
+        };
+        path.search_batch(queries)
     }
 
     fn len(&self) -> usize {
@@ -609,8 +596,9 @@ impl DomainIndex for MmapIndex {
     }
 
     fn id_map_bytes(&self) -> usize {
-        // The base is found by binary search of the mapped sketch ids; the
-        // heap map covers the segments replayed from the file.
+        // The base needs no map: a search reads a candidate at the table
+        // position its tree entry names. The heap map covers the segments
+        // replayed from the file.
         self.tail.id_map_bytes()
     }
 

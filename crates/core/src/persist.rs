@@ -387,9 +387,12 @@ impl LshEnsemble {
         let ensemble =
             Self::from_raw_partitions(config, partitions, directory, len, segment_entries, dead);
         // Live ids (base rows, plus segment entries, minus tombstones) must
-        // agree with the recorded length.
+        // agree with the recorded length, and each be one live row.
         if ensemble.id_count() != len {
             return Err(CodecError::Corrupt("partition sizes do not sum to len"));
+        }
+        if ensemble.live_rows() != len {
+            return Err(CodecError::Corrupt("an id is live in two rows"));
         }
         Ok(ensemble)
     }
@@ -543,5 +546,27 @@ mod tests {
             LshEnsemble::from_bytes(&bytes).unwrap_err(),
             CodecError::Corrupt(_)
         ));
+    }
+
+    /// A segment entry that names a base id no tombstone buries, with the
+    /// length that counts the id once, is refused: a search verifies a
+    /// candidate in the row its probe found, so an id is one live row.
+    #[test]
+    fn an_id_live_in_two_rows_is_rejected() {
+        let (h, mut ens, _) = sample_ensemble(10);
+        let sig = h.signature(MinHasher::synthetic_values(5, 30));
+        ens.commit(&[Mutation::Insert(700, 30, &sig)])
+            .expect("insert");
+        let mut bytes = ens.to_bytes();
+        let entry: Vec<u8> = [&700u32.to_le_bytes()[..], &30u64.to_le_bytes()].concat();
+        let at = (0..bytes.len() - entry.len())
+            .rfind(|&i| bytes[i..].starts_with(&entry))
+            .expect("the segment entry");
+        bytes[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        bytes[26..34].copy_from_slice(&10u64.to_le_bytes());
+        assert_eq!(
+            LshEnsemble::from_bytes(&bytes).unwrap_err(),
+            CodecError::Corrupt("an id is live in two rows")
+        );
     }
 }

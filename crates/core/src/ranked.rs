@@ -40,6 +40,8 @@ pub type RankedIndex = LshEnsemble;
 pub struct RankedHit {
     /// The candidate domain.
     pub id: DomainId,
+    /// The domain's cardinality, read beside its sketch.
+    pub size: u64,
     /// Estimated containment `t̂(Q, X)` from the retained sketches.
     pub estimated_containment: f64,
 }
@@ -54,8 +56,9 @@ impl LshEnsemble {
     }
 
     /// Ranks arbitrary candidate ids by estimated containment (descending,
-    /// ties by id) — the rank step of every ranked search. Candidates must
-    /// all be indexed.
+    /// ties by id) through the rank step of every ranked search, each id's
+    /// sketch looked up by [`sketch`](Self::sketch) — where a search reads
+    /// it in the row its probe found. Candidates must all be indexed.
     ///
     /// # Panics
     /// Panics if a candidate id was never indexed.
@@ -66,13 +69,17 @@ impl LshEnsemble {
         signature: &Signature,
         query_size: u64,
     ) -> Vec<RankedHit> {
-        crate::pipeline::rank(self, candidates, signature, query_size)
+        let entry = |id| {
+            let (size, row) = self.sketch(id).expect("candidate id was never indexed");
+            (id, size, row)
+        };
+        crate::pipeline::rank(candidates, entry, signature, query_size)
     }
 
-    fn read_path(&self) -> ReadPath<'_, &EnsemblePartition, Self> {
+    fn read_path(&self) -> ReadPath<'_, &EnsemblePartition> {
         ReadPath {
             tiers: self.tiers(),
-            sketches: Some(self),
+            ranked: true,
         }
     }
 }
@@ -116,8 +123,8 @@ pub(crate) fn describe_strategy(strategy: PartitionStrategy) -> String {
     }
 }
 
-/// Merges two sorted unique id lists into one sorted unique list.
-pub(crate) fn merge_unique(a: &[DomainId], b: &[DomainId]) -> Vec<DomainId> {
+/// Merges two sorted unique lists into one sorted unique list.
+pub(crate) fn merge_unique<T: Ord + Copy>(a: &[T], b: &[T]) -> Vec<T> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
@@ -175,6 +182,7 @@ pub(crate) mod tests {
         let outcome = idx.search(&query).expect("search");
         let ranked = |h: &crate::SearchHit| RankedHit {
             id: h.id,
+            size: h.size,
             estimated_containment: h.estimate.expect("ranked index attaches estimates"),
         };
         outcome.hits.iter().map(ranked).collect()

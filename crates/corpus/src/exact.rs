@@ -16,8 +16,7 @@ use lshe_minhash::hash::FastHashMap;
 pub struct ExactIndex {
     /// value hash → sorted ids of domains containing the value.
     postings: FastHashMap<u64, Vec<DomainId>>,
-    /// Domain sizes by id (for containment normalisation of *indexed*
-    /// domains if needed by callers).
+    /// Domain sizes by id: each hit's size.
     sizes: Vec<u32>,
 }
 
@@ -133,23 +132,17 @@ impl ExactIndex {
             .collect();
         let candidates = scored.len();
         scored.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN").then(a.0.cmp(&b.0)));
+        let hit = |(id, t): (DomainId, f64)| SearchHit {
+            id,
+            size: u64::from(self.sizes[id as usize]),
+            estimate: Some(t),
+        };
         let hits: Vec<SearchHit> = match query.mode() {
-            QueryMode::Threshold(t_star) => scored
-                .into_iter()
-                .filter(|&(_, t)| t >= t_star)
-                .map(|(id, t)| SearchHit {
-                    id,
-                    estimate: Some(t),
-                })
-                .collect(),
-            QueryMode::TopK(k) => scored
-                .into_iter()
-                .take(k)
-                .map(|(id, t)| SearchHit {
-                    id,
-                    estimate: Some(t),
-                })
-                .collect(),
+            QueryMode::Threshold(t_star) => {
+                let kept = scored.into_iter().filter(|&(_, t)| t >= t_star);
+                kept.map(hit).collect()
+            }
+            QueryMode::TopK(k) => scored.into_iter().take(k).map(hit).collect(),
         };
         let probe = ProbeCounts {
             probed: 1,

@@ -397,11 +397,13 @@ fn blocks<'a, R>(lo: &'a [u16], row: &'a [R]) -> impl Iterator<Item = (usize, &'
         .map(|(block, (lo, row))| (block, lo, row))
 }
 
-/// Probes prefix trees `0, 1, …` of one table at depth `r`: appends to
-/// `out`, tree by tree, the id of every tree entry whose row's key starts
-/// with the tree's prefix — `query`'s lanes `t·r_max .. t·r_max + r`, 32
-/// bits wide; the first is matched whole against the head, the others
-/// through [`narrow_lane`] against the stored tails.
+/// Probes prefix trees `0, 1, …` of one table at depth `r`: calls
+/// `matched`, tree by tree, with the id and table row of every tree entry
+/// whose row's key starts with the tree's prefix — `query`'s lanes
+/// `t·r_max .. t·r_max + r`, 32 bits wide; the first is matched whole
+/// against the head, the others through [`narrow_lane`] against the stored
+/// tails. The row lets a caller read a match back where the probe found
+/// it, without looking its id up.
 ///
 /// Each of `trees` is a tree's `(lo, row)` columns: one run per [`BLOCK`]
 /// of entries, each sorted by (the row's key in that tree — its head low
@@ -416,7 +418,7 @@ pub fn probe_trees<'a, R: TreeRow + 'a>(
     trees: impl IntoIterator<Item = (&'a [u16], &'a [R])>,
     query: &[u32],
     r: usize,
-    out: &mut Vec<DomainId>,
+    matched: &mut impl FnMut(DomainId, usize),
 ) {
     let r_max = rows.layout.r_max;
     let mut units = trees.into_iter().enumerate().flat_map(|(t, (lo, row))| {
@@ -438,7 +440,7 @@ pub fn probe_trees<'a, R: TreeRow + 'a>(
         }
         for &(t, block, run, len) in &runs[..found] {
             if let Some(prefix) = query.get(t * r_max..t * r_max + r) {
-                walk_run(rows, t, prefix, (block, len), run, out);
+                walk_run(rows, t, prefix, (block, len), run, matched);
             }
         }
         if taken < AHEAD {
@@ -464,16 +466,16 @@ fn equal_run(lo: &[u16], want: u16) -> (usize, usize) {
     (from, len)
 }
 
-/// Appends the ids of the entries of `run` — tree `t`'s entries in block
-/// `block`, `len` entries long, sharing the low half of `prefix[0]` — whose
-/// rows' keys start with `prefix`.
+/// Calls `found` with the id and table row of each entry of `run` — tree
+/// `t`'s entries in block `block`, `len` entries long, sharing the low half
+/// of `prefix[0]` — whose row's key starts with `prefix`.
 fn walk_run<R: TreeRow>(
     rows: Rows<'_>,
     t: usize,
     prefix: &[u32],
     (block, len): (usize, usize),
     run: &[R],
-    out: &mut Vec<DomainId>,
+    found: &mut impl FnMut(DomainId, usize),
 ) {
     let Some((&first, rest)) = prefix.split_first() else {
         return;
@@ -502,7 +504,11 @@ fn walk_run<R: TreeRow>(
     };
     for &i in &run[skip..] {
         match key(i) {
-            Some((i, Ordering::Equal)) => out.extend(rows.ids.get(i)),
+            Some((i, Ordering::Equal)) => {
+                if let Some(&id) = rows.ids.get(i) {
+                    found(id, i);
+                }
+            }
             _ if linear => {}
             _ => break,
         }
@@ -801,10 +807,25 @@ impl LshForest {
     /// callers dedup, typically into a hash set).
     ///
     /// # Panics
+    /// As [`probe_into`](Self::probe_into).
+    pub fn query_into(&self, sig: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
+        self.probe_into(sig, b, r, &mut |id, _| out.push(id));
+    }
+
+    /// [`query_into`](Self::query_into), calling `found` with each
+    /// candidate's id and row.
+    ///
+    /// # Panics
     /// Panics if staged inserts exist (the trees answer only committed
     /// rows: [`commit`](Self::commit) first), if `b`/`r` are zero or exceed
     /// the forest dimensions, or if the signature is too short.
-    pub fn query_into(&self, sig: &Signature, b: usize, r: usize, out: &mut Vec<DomainId>) {
+    pub fn probe_into(
+        &self,
+        sig: &Signature,
+        b: usize,
+        r: usize,
+        found: &mut impl FnMut(DomainId, usize),
+    ) {
         assert_eq!(
             self.staged_len(),
             0,
@@ -822,7 +843,7 @@ impl LshForest {
         // The columns are looked at once, not per tree: a `Column` is a
         // vector or a view, and telling which is a branch.
         let trees = self.trees[..b].iter().map(PrefixTree::columns);
-        probe_trees(self.rows(), trees, sig.slots(), r, out);
+        probe_trees(self.rows(), trees, sig.slots(), r, found);
     }
 
     /// Deduplicated candidate set for `sig` at `(b, r)`.
@@ -1313,7 +1334,13 @@ mod tests {
         );
         let probe = |prefix: &[u32]| {
             let mut out = Vec::new();
-            probe_trees(rows, [(&lo[..], &row[..])], prefix, prefix.len(), &mut out);
+            probe_trees(
+                rows,
+                [(&lo[..], &row[..])],
+                prefix,
+                prefix.len(),
+                &mut |id, _| out.push(id),
+            );
             out
         };
         assert_eq!(probe(&[1, 2]), vec![12, 11]);
@@ -1361,14 +1388,24 @@ mod tests {
         let mut out = Vec::new();
         // Row 9 lies outside the block (and the table); row 1 does not.
         let lo = [1u16, 1];
-        probe_trees(rows, [(&lo[..], &[9u16, 1][..])], &[1], 1, &mut out);
+        probe_trees(rows, [(&lo[..], &[9u16, 1][..])], &[1], 1, &mut |id, _| {
+            out.push(id)
+        });
         assert_eq!(out, vec![8]);
         out.clear();
-        probe_trees(rows, [(&lo[..], &[9u16, 1][..])], &[1, 3], 2, &mut out);
+        probe_trees(
+            rows,
+            [(&lo[..], &[9u16, 1][..])],
+            &[1, 3],
+            2,
+            &mut |id, _| out.push(id),
+        );
         assert!(out.is_empty() || out == vec![8]);
         // A packed file's global positions, checked against the table.
         out.clear();
-        probe_trees(rows, [(&lo[..], &[9u32, 1][..])], &[1], 1, &mut out);
+        probe_trees(rows, [(&lo[..], &[9u32, 1][..])], &[1], 1, &mut |id, _| {
+            out.push(id)
+        });
         assert_eq!(out, vec![8]);
         for err in [
             check_tree(rows, (&[1, 1], &[9u16, 1]), 0, &mut [0; 2], (0, 1)),
@@ -1570,7 +1607,7 @@ mod tests {
                 for r in 1..=r_max {
                     let mut got = Vec::new();
                     let trees = forest.trees.iter().map(PrefixTree::columns);
-                    probe_trees(forest.rows(), trees, &query, r, &mut got);
+                    probe_trees(forest.rows(), trees, &query, r, &mut |id, _| got.push(id));
                     let want = (0..b_max).flat_map(|t| {
                         full_head_probe(&forest, t, &query[t * r_max..t * r_max + r])
                     });

@@ -17,12 +17,14 @@
 //! next_id:u32
 //! ```
 //!
-//! The file leads with what every query with a hit reads: the records,
-//! then — the ensemble's first columns — the id → row directory and the
-//! partitions of the largest domains, which every query probes. A fault
-//! on the mapped file makes the fault-around window (64 KiB) around the
-//! page read resident, so the columns read together are stored together,
-//! in front of the partitions few queries reach.
+//! The file leads with what every query with a hit reads: the records
+//! (a hit's names), then — the ensemble's first columns — the id → row
+//! directory, which no query reads (a candidate is verified in the row
+//! its probe found, and a hit carries its size), and the partitions of
+//! the largest domains, which every query probes. A fault on the mapped
+//! file makes the fault-around window (64 KiB) around the page read
+//! resident, so the columns read together are stored together, in front
+//! of the partitions few queries reach.
 //!
 //! Every container stores and serves an [`LshEnsemble`], which needs nothing
 //! beyond the ensemble and the records: every signature is in the ensemble
@@ -496,6 +498,17 @@ impl IndexContainer {
                 let (table, column) = self.base.get(id)?;
                 Some(self.base_record(id, table, column))
             }
+        }
+    }
+
+    /// The `(table, column)` names of a domain's record, read from the
+    /// records alone: what a hit renders beside the size its search
+    /// carries.
+    #[must_use]
+    pub fn names(&self, id: u32) -> Option<(&str, &str)> {
+        match self.overlay.get(&id) {
+            Some(changed) => changed.as_ref().map(|r| (&*r.table, &*r.column)),
+            None => self.base.get(id),
         }
     }
 

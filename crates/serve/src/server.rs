@@ -952,16 +952,14 @@ fn execute_miss_group(shared: &Shared, jobs: &[Box<MissQuery>]) -> Vec<Outcome> 
         .collect()
 }
 
-/// Renders a hit list with provenance.
+/// Renders a hit list: each hit's id, size and estimate, and the names
+/// its record gives it.
 fn hits_json(snap: &Snapshot, hits: &[SearchHit]) -> Json {
     Json::Arr(
         hits.iter()
-            .map(|&SearchHit { id, estimate }| {
-                let (table, column, size) = snap
-                    .container()
-                    .record(id)
-                    .map(|r| (r.table, r.column, r.size))
-                    .unwrap_or(("?", "?", 0));
+            .map(|&SearchHit { id, size, estimate }| {
+                let names = snap.container().names(id);
+                let (table, column) = names.unwrap_or(("?", "?"));
                 Json::obj(vec![
                     ("id", Json::uint(u64::from(id))),
                     ("table", Json::str(table)),

@@ -2,8 +2,8 @@
 //!
 //! These types carry no data of their own: each borrows plain slices out
 //! of a [`Store`](crate::format::Store) mapping and layers just enough
-//! structure on top to answer queries — sketch lookup by domain id, and
-//! the prefix-tree columns of a partition. The higher layers (the
+//! structure on top to answer queries — the sketch table the trees point
+//! into, and the prefix-tree columns of a partition. The higher layers (the
 //! `lshe-core` mmap backend) own the index semantics; the views own the
 //! layout.
 
@@ -13,8 +13,7 @@
 /// Layout: `ids[i]` owns `sizes[i]` and
 /// `rows[i * row_words .. (i + 1) * row_words]` — the domain's signature as
 /// `u16` words, laid out as the index layer stores a row. Ids are strictly
-/// ascending, which is what makes [`lookup`](SketchesView::lookup) a
-/// binary search.
+/// ascending.
 #[derive(Debug, Clone, Copy)]
 pub struct SketchesView<'a> {
     ids: &'a [u32],
@@ -69,23 +68,11 @@ impl<'a> SketchesView<'a> {
         self.row_words
     }
 
-    /// True when the id column is strictly ascending — the invariant
-    /// [`lookup`](SketchesView::lookup) depends on. O(n).
+    /// True when the id column is strictly ascending. O(n).
     #[must_use]
     #[cfg(test)]
     pub fn ids_sorted(&self) -> bool {
         self.ids.windows(2).all(|w| w[0] < w[1])
-    }
-
-    /// The domain's `(cardinality, stored row)`, or `None` if the id is
-    /// not sketched.
-    #[must_use]
-    pub fn lookup(&self, id: u32) -> Option<(u64, &'a [u16])> {
-        let i = self.ids.binary_search(&id).ok()?;
-        Some((
-            self.sizes[i],
-            &self.rows[i * self.row_words..(i + 1) * self.row_words],
-        ))
     }
 
     /// The id and row columns whole: the row table a partition's tree
@@ -94,6 +81,12 @@ impl<'a> SketchesView<'a> {
     #[must_use]
     pub fn columns(&self) -> (&'a [u32], &'a [u16]) {
         (self.ids, self.rows)
+    }
+
+    /// The cardinality column: `sizes[i]` is position `i`'s.
+    #[must_use]
+    pub fn sizes(&self) -> &'a [u64] {
+        self.sizes
     }
 
     /// Iterates `(id, cardinality, stored row)` in ascending-id order.
@@ -180,9 +173,8 @@ mod tests {
         let v = SketchesView::new(&ids, &sizes, &rows, 2).expect("view");
         assert_eq!((v.len(), v.row_words()), (3, 2));
         assert!(v.ids_sorted());
-        assert_eq!(v.lookup(5), Some((50, &[3u16, 4][..])));
-        assert_eq!(v.lookup(9), Some((90, &[5u16, 6][..])));
-        assert_eq!(v.lookup(7), None);
+        assert_eq!(v.columns(), (&ids[..], &rows[..]));
+        assert_eq!(v.sizes(), &sizes[..]);
         let collected: Vec<u32> = v.iter().map(|(id, _, _)| id).collect();
         assert_eq!(collected, vec![2, 5, 9]);
     }
