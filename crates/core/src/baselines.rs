@@ -232,12 +232,12 @@ impl AsymIndex {
     }
 
     fn read_path(&self) -> ReadPath<'_, &AsymPartition> {
-        let units = self.partitions.iter().enumerate();
+        let units = self.partitions.iter().map(|p| (DeadSlot::Base, p));
         ReadPath {
             tiers: Tiers {
                 num_perm: self.num_perm,
                 tuner: &self.tuner,
-                units: units.map(|(i, p)| (DeadSlot::Base(i as u32), p)).collect(),
+                units: units.collect(),
                 dead: &self.dead,
             },
             ranked: false,

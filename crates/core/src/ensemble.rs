@@ -10,7 +10,6 @@
 
 use crate::api::{CommitReport, Mutation, MutationError};
 use crate::batch::ThresholdItem;
-use crate::directory::Directory;
 use crate::maintenance::{MergeTask, SegmentLayout};
 use crate::partition::{Partition, PartitionStrategy};
 use crate::pipeline::{Probe, Tiers};
@@ -19,6 +18,8 @@ use lshe_lsh::{DomainId, LshForest, Row, RowBuf, RowLanes};
 use lshe_minhash::codec::Column;
 use lshe_minhash::hash::{FastHashMap, FastHashSet};
 use lshe_minhash::Signature;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Configuration of an [`LshEnsemble`].
@@ -200,11 +201,12 @@ enum Slot {
 
 /// Which tier held a removed id's rows. Removal of committed rows is a
 /// tombstone: the rows stay in their forest until compaction, and queries
-/// filter them out of the candidate union.
+/// filter them out of the candidate union. An id has at most one base
+/// row, so a base tombstone names no partition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum DeadSlot {
-    /// The id's rows live in base partition `idx`.
-    Base(u32),
+    /// The id's row lives in a base partition.
+    Base,
     /// The id's entry lives in sealed segment `idx`.
     Seg(u32),
 }
@@ -213,97 +215,107 @@ impl DeadSlot {
     /// The tier a row in `slot` is tombstoned in.
     fn of(slot: Slot) -> Self {
         match slot {
-            Slot::Base(p) => Self::Base(p),
+            Slot::Base(_) => Self::Base,
             Slot::Seg(s, _) => Self::Seg(s),
         }
     }
 
     fn matches(self, slot: Slot) -> bool {
         match (self, slot) {
-            (Self::Base(a), Slot::Base(b)) => a == b,
+            (Self::Base, Slot::Base(_)) => true,
             (Self::Seg(a), Slot::Seg(b, _)) => a == b,
             _ => false,
         }
     }
 }
 
-/// id → (forest, row) of every live domain, for the work that starts from
-/// an id: duplicate detection when a batch is checked, removal routing,
-/// [`LshEnsemble::contains`] and [`LshEnsemble::sketch`], and the checks a
-/// decoder runs. A search never consults it: a candidate is verified in
-/// the row its probe found. The base rows' part is the base's
-/// [`Directory`] — columns of the file in a loaded index, shared by every
-/// clone either way; what a clone copies is the overlay.
-#[derive(Debug, Clone)]
-struct IdMap {
-    /// Every base row, as of the last build, load or fold.
-    base: Arc<Directory>,
-    /// What changed since: where a segment id lives, or `None`
-    /// for a base id that was removed.
-    overlay: FastHashMap<DomainId, Option<(Slot, u32)>>,
+/// The position of `id` in `ids`, which strictly ascend, or `None`.
+///
+/// Strictly ascending ids satisfy `ids[i] ≥ ids[0] + i`, so `id` lies no
+/// further in than `id − ids[0]`: the search looks there first — on a dense
+/// run of ids, the one probe it needs — then gallops back towards the
+/// start in doubling steps and binary-searches the last step. Holes cost
+/// O(log holes), not O(log len).
+#[must_use]
+pub fn position_of(ids: &[DomainId], id: DomainId) -> Option<usize> {
+    let first = *ids.first()?;
+    let mut hi = usize::try_from(id.checked_sub(first)?)
+        .ok()?
+        .min(ids.len() - 1);
+    if ids[hi] <= id {
+        // Past the end of a run shorter than `id − ids[0]`, or found.
+        return (ids[hi] == id).then_some(hi);
+    }
+    let mut step = 1;
+    loop {
+        // `ids[0] ≤ id`, so this stops at the start at the latest.
+        let lo = hi.saturating_sub(step);
+        if ids[lo] <= id {
+            return ids[lo..hi].binary_search(&id).ok().map(|i| lo + i);
+        }
+        (hi, step) = (lo, step * 2);
+    }
 }
 
-impl IdMap {
-    /// The map of an index whose every live row is a row of the base
-    /// `base` describes.
-    fn over(base: Directory) -> Self {
-        Self {
-            base: Arc::new(base),
-            overlay: FastHashMap::default(),
+/// The (partition, row) of `id`'s base row — live or tombstoned — if it
+/// has one: a search of each partition's ids, which ascend.
+pub(crate) fn base_row(partitions: &[Arc<EnsemblePartition>], id: DomainId) -> Option<(u32, u32)> {
+    #[cfg(test)]
+    tests::BASE_ROW_LOOKUPS.with(|n| n.set(n.get() + 1));
+    let mut rows = (0u32..).zip(partitions);
+    rows.find_map(|(p, part)| Some((p, position_of(part.forest.ids(), id)? as u32)))
+}
+
+/// Rows of `partitions`, tombstoned ones too.
+fn base_rows(partitions: &[Arc<EnsemblePartition>]) -> usize {
+    partitions.iter().map(|p| p.forest.len()).sum()
+}
+
+/// Every row of `partitions`, whose ids each ascend, as `(id, partition,
+/// row)` in ascending id order: a merge holding a cursor a partition. An id
+/// in two partitions comes out twice in a row.
+fn rows_by_id(
+    partitions: &[Arc<EnsemblePartition>],
+) -> impl Iterator<Item = (DomainId, u32, u32)> + '_ {
+    let at = |p: u32, row: u32| {
+        let id = *partitions[p as usize].forest.ids().get(row as usize)?;
+        Some(Reverse((id, p, row)))
+    };
+    let mut heads: BinaryHeap<_> = (0..partitions.len() as u32)
+        .filter_map(|p| at(p, 0))
+        .collect();
+    std::iter::from_fn(move || {
+        let mut head = heads.peek_mut()?;
+        let Reverse(row) = *head;
+        match at(row.1, row.2 + 1) {
+            Some(next) => *head = next,
+            None => drop(std::collections::binary_heap::PeekMut::pop(head)),
         }
-    }
+        Some(row)
+    })
+}
 
-    #[inline]
-    fn get(&self, id: DomainId) -> Option<(Slot, u32)> {
-        // An empty overlay — a base nobody has changed — is not hashed.
-        if !self.overlay.is_empty() {
-            if let Some(&at) = self.overlay.get(&id) {
-                return at;
-            }
+/// What every base keeps, which an id's base row is found by: each
+/// partition's ids strictly ascend, and no id is in two partitions.
+///
+/// # Errors
+/// Which of the two does not hold.
+pub(crate) fn check_base_ids(partitions: &[Arc<EnsemblePartition>]) -> Result<(), &'static str> {
+    if !partitions
+        .iter()
+        .all(|p| p.forest.ids().is_sorted_by(|a, b| a < b))
+    {
+        return Err("base partition ids do not ascend");
+    }
+    let mut ids = rows_by_id(partitions).map(|(id, _, _)| id);
+    let mut last = ids.next();
+    for id in ids {
+        if last == Some(id) {
+            return Err("an id is in two base partitions");
         }
-        let (p, row) = self.base.get(id)?;
-        Some((Slot::Base(p), row))
+        last = Some(id);
     }
-
-    fn insert(&mut self, id: DomainId, at: (Slot, u32)) {
-        self.overlay.insert(id, Some(at));
-    }
-
-    fn remove(&mut self, id: DomainId) {
-        if self.base.get(id).is_some() {
-            self.overlay.insert(id, None);
-        } else {
-            self.overlay.remove(&id);
-        }
-    }
-
-    /// Every live id with where it lives: base rows in id order, then the
-    /// overlay's in no particular order.
-    fn iter(&self) -> impl Iterator<Item = (DomainId, (Slot, u32))> + '_ {
-        let base = self.base.iter();
-        let base = base.filter(|(id, _)| !self.overlay.contains_key(id));
-        base.map(|(id, (p, row))| (id, (Slot::Base(p), row)))
-            .chain(self.overlay.iter().filter_map(|(&id, &at)| Some((id, at?))))
-    }
-
-    /// Number of live ids, counted in O(overlay): the base rows, less
-    /// those the overlay names, plus the overlay's live ones.
-    fn len(&self) -> usize {
-        let (mut replaced, mut live) = (0, 0);
-        for (&id, at) in &self.overlay {
-            replaced += usize::from(self.base.get(id).is_some());
-            live += usize::from(at.is_some());
-        }
-        self.base.len() - replaced + live
-    }
-
-    /// Approximate heap bytes: the directory's, and a slot and a control
-    /// byte per entry the overlay can hold. The shared base is counted by
-    /// every holder.
-    fn memory_bytes(&self) -> usize {
-        let entry = std::mem::size_of::<(DomainId, Option<(Slot, u32)>)>() + 1;
-        self.base.heap_bytes() + self.overlay.capacity() * entry
-    }
+    Ok(())
 }
 
 /// The one rule a batch of mutations keeps, checked one op at a time
@@ -527,8 +539,10 @@ pub struct PartitionStats {
 ///
 /// Each domain's signature is resident once, as a row of the forest of the
 /// partition it lives in, its size beside it; a ranked search reads a
-/// candidate's lanes and size in the row its probe found, and the id map
-/// says which forest and row an id is for the work that starts from one.
+/// candidate's lanes and size in the row its probe found. The work that
+/// starts from an id — a batch's checks, a remove, [`sketch`](Self::sketch)
+/// — finds its row in the id overlay, or else by a search of each base
+/// partition's ids, which ascend in every base.
 ///
 /// It mutates LSM-style, and only at [`commit`](Self::commit): a commit
 /// seals a batch's inserts into an immutable segment in O(batch) and turns
@@ -538,10 +552,10 @@ pub struct PartitionStats {
 /// is staged in the index; batching ops up is its caller's business (the
 /// server's engine).
 ///
-/// The base partitions, the sealed segments, the base part of the id map
-/// and the tuner are immutable and shared: a clone copies pointers to them
-/// plus the tombstones and the id overlay, so a commit
-/// or a segment merge on the clone copies nothing of the base. A base
+/// The base partitions, the sealed segments and the tuner are immutable
+/// and shared: a clone copies pointers to them plus the tombstones and the
+/// id overlay, so a commit or a segment merge on the clone copies nothing
+/// of the base. A base
 /// partition decoded over a mapped index file ([`decode`](Self::decode)) is
 /// views into that file until a compaction replaces it.
 #[derive(Debug, Clone)]
@@ -559,7 +573,10 @@ pub struct LshEnsemble {
     /// clone keeps filling and reading the same one.
     tuner: Arc<Tuner>,
     len: usize,
-    ids: IdMap,
+    /// What changed since the base was built, loaded or folded, by id:
+    /// where a segment id lives, or `None` for an id whose base row is
+    /// tombstoned. An id it does not name is where its base row is.
+    overlay: FastHashMap<DomainId, Option<(Slot, u32)>>,
 }
 
 impl LshEnsemble {
@@ -585,6 +602,10 @@ impl LshEnsemble {
     /// into its forest's row table: 32-bit lanes are narrowed there, stored
     /// rows go in as they are.
     ///
+    /// The domains are partitioned in id order and each partition's rows
+    /// ascend by id — what an id's base row is found by — so the order the
+    /// arrays list them in changes nothing.
+    ///
     /// # Panics
     /// Panics if the arrays are empty or their lengths differ, on invalid
     /// configuration, on zero sizes / width mismatches, or on a repeated id.
@@ -605,38 +626,43 @@ impl LshEnsemble {
             assert!(*size > 0, "domain size must be positive");
             assert_eq!(sig.lanes(), config.num_perm, "signature width mismatch");
         }
-        let partitioning = config.strategy.partition(sizes);
+        // The identity where the ids already ascend, as every build from
+        // a stream, a split or a compaction gives them.
+        let mut order: Vec<usize> = (0..ids.len()).collect();
+        order.sort_unstable_by_key(|&i| ids[i]);
+        let repeated = order.windows(2).any(|w| ids[w[0]] == ids[w[1]]);
+        assert!(!repeated, "duplicate domain id");
+        let sizes_by_id: Vec<u64> = order.iter().map(|&i| sizes[i]).collect();
+        let partitioning = config.strategy.partition(&sizes_by_id);
         // One lane per core at most, each taking the next partition when it
         // is free: a thread per partition only adds stacks and scheduling.
         let shells = lshe_minhash::lanes::run_each(partitioning.parts(), |p| {
             Arc::new(build_partition(&config, p, |m| {
-                (ids[m], sizes[m], &signatures[m])
+                let i = order[m];
+                (ids[i], sizes[i], &signatures[i])
             }))
         });
         let tuner = Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32));
         Self::over_base(config, tuner, shells)
     }
 
-    /// An index whose every row is a row of `partitions`: no segment, no
-    /// tombstone.
-    ///
-    /// # Panics
-    /// Panics if an id names two rows.
+    /// An index whose every row is a row of `partitions`, whose ids
+    /// ascend in each and repeat in none: no segment, no tombstone.
     fn over_base(
         config: EnsembleConfig,
         tuner: Arc<Tuner>,
         partitions: Vec<Arc<EnsemblePartition>>,
     ) -> Self {
-        let directory = Directory::over(&partitions).unwrap_or_else(|e| panic!("{e}"));
+        debug_assert_eq!(check_base_ids(&partitions), Ok(()));
         Self {
             tuner,
-            len: directory.len(),
+            len: base_rows(&partitions),
             partitions,
             segments: Vec::new(),
             dead: Vec::new(),
             dead_set: FastHashSet::default(),
             config,
-            ids: IdMap::over(directory),
+            overlay: FastHashMap::default(),
         }
     }
 
@@ -658,9 +684,39 @@ impl LshEnsemble {
         self.len == 0
     }
 
-    /// Live entries in the id → slot map (decoder cross-check).
+    /// Live ids (decoder cross-check), counted in O(overlay): the base
+    /// rows, less those the overlay names, plus the overlay's live ones.
     pub(crate) fn id_count(&self) -> usize {
-        self.ids.len()
+        let (mut replaced, mut live) = (0, 0);
+        for (&id, at) in &self.overlay {
+            replaced += usize::from(base_row(&self.partitions, id).is_some());
+            live += usize::from(at.is_some());
+        }
+        base_rows(&self.partitions) - replaced + live
+    }
+
+    /// Where the live domain `id` is: the overlay's word if it has one,
+    /// else its base row.
+    #[inline]
+    fn locate(&self, id: DomainId) -> Option<(Slot, u32)> {
+        // An empty overlay — a base nobody has changed — is not hashed.
+        if !self.overlay.is_empty() {
+            if let Some(&at) = self.overlay.get(&id) {
+                return at;
+            }
+        }
+        let (p, row) = base_row(&self.partitions, id)?;
+        Some((Slot::Base(p), row))
+    }
+
+    /// Takes `id` out of the id map: an id with a base row is hidden until
+    /// a compaction erases the row, any other is forgotten.
+    fn unmap(&mut self, id: DomainId) {
+        if base_row(&self.partitions, id).is_some() {
+            self.overlay.insert(id, None);
+        } else {
+            self.overlay.remove(&id);
+        }
     }
 
     /// Physical rows no tombstone hides (decoder cross-check): equal to
@@ -669,14 +725,9 @@ impl LshEnsemble {
     /// probe found. O(tombstones + segment entries).
     pub(crate) fn live_rows(&self) -> usize {
         let dead = &self.dead_set;
-        let base = self
-            .partitions
-            .iter()
-            .map(|p| p.forest.len())
-            .sum::<usize>();
+        let base = base_rows(&self.partitions);
         let buried = dead.iter().filter(|&&(id, tier)| {
-            let at = self.ids.base.get(id);
-            matches!((tier, at), (DeadSlot::Base(p), Some((q, _))) if p == q)
+            tier == DeadSlot::Base && base_row(&self.partitions, id).is_some()
         });
         let segments = self.segments.iter().enumerate().map(|(j, seg)| {
             let tier = DeadSlot::Seg(j as u32);
@@ -696,13 +747,12 @@ impl LshEnsemble {
     /// floor can shrink afterwards.
     #[must_use]
     pub fn min_next_id(&self) -> u32 {
-        let live = self.ids.iter().map(|(id, _)| id).max();
-        let dead = self.dead.iter().map(|&(id, _)| id).max();
-        match (live, dead) {
-            (Some(a), Some(b)) => a.max(b) + 1,
-            (Some(a), None) | (None, Some(a)) => a + 1,
-            (None, None) => 0,
-        }
+        // Every base row's id is live or tombstoned, and each partition's
+        // largest is its last.
+        let base = self.partitions.iter().filter_map(|p| p.forest.ids().last());
+        let live = self.overlay.iter().filter_map(|(id, at)| at.and(Some(id)));
+        let dead = self.dead.iter().map(|(id, _)| id);
+        base.chain(live).chain(dead).max().map_or(0, |&id| id + 1)
     }
 
     /// Number of base partitions (sealed segments carry their own).
@@ -730,14 +780,6 @@ impl LshEnsemble {
         parts
             .map(|p| p.forest.borrows_from(bytes) && p.sizes.is_view_into(bytes))
             .collect()
-    }
-
-    /// Whether both columns of the base's id → row directory are views
-    /// lying inside `bytes`: true for an index decoded over that file until
-    /// a compaction builds its base anew.
-    #[must_use]
-    pub fn directory_borrowed_from(&self, bytes: &[u8]) -> bool {
-        self.ids.base.borrows_from(bytes)
     }
 
     /// Per-partition summaries: base partitions first, then each sealed
@@ -788,13 +830,14 @@ impl LshEnsemble {
         trees.sum()
     }
 
-    /// Approximate heap bytes of the id → (forest, row) map, beside
-    /// [`memory_bytes`](Self::memory_bytes) and not part of it: the base's
-    /// directory (nothing but the partition starts once it is views into a
-    /// file) and the overlay of what changed since.
+    /// Approximate heap bytes of the id overlay, beside
+    /// [`memory_bytes`](Self::memory_bytes) and not part of it: a slot and
+    /// a control byte per entry it can hold, 0 until something changes the
+    /// base. A base row needs no map: its partition's ids ascend.
     #[must_use]
     pub fn id_map_bytes(&self) -> usize {
-        self.ids.memory_bytes()
+        let entry = std::mem::size_of::<(DomainId, Option<(Slot, u32)>)>() + 1;
+        self.overlay.capacity() * entry
     }
 
     /// Base partitions, then every sealed segment's, oldest first.
@@ -811,27 +854,33 @@ impl LshEnsemble {
         }
     }
 
-    /// Every retained sketch as `(id, size, stored row)`, sorted by id —
-    /// the deterministic bulk view rebuilds and shard splits start from.
-    #[must_use]
-    pub fn sketch_entries(&self) -> Vec<Entry<'_>> {
-        let mut out: Vec<Entry<'_>> = self
-            .ids
-            .iter()
-            .map(|(_, (slot, row))| self.partition_at(slot).entry(row as usize))
+    /// Every live domain's sketch as `(id, size, stored row)`, in
+    /// ascending id order — the deterministic bulk view rebuilds, shard
+    /// splits and record walks start from — with no lookup by id: the base
+    /// rows the overlay leaves alone, merged by id across the partitions,
+    /// and the overlay's live entries.
+    pub fn live_entries(&self) -> impl Iterator<Item = Entry<'_>> {
+        let overlay = &self.overlay;
+        let base = rows_by_id(&self.partitions)
+            .filter(move |(id, _, _)| overlay.is_empty() || !overlay.contains_key(id))
+            .map(|(_, p, row)| self.partitions[p as usize].entry(row as usize));
+        let added = overlay.values().flatten();
+        let mut added: Vec<Entry<'_>> = added
+            .map(|&(slot, row)| self.partition_at(slot).entry(row as usize))
             .collect();
-        out.sort_unstable_by_key(|&(id, _, _)| id);
-        out
+        added.sort_unstable_by_key(|&(id, _, _)| id);
+        let (mut base, mut added) = (base.peekable(), added.into_iter().peekable());
+        std::iter::from_fn(move || match (base.peek(), added.peek()) {
+            (Some(b), Some(a)) if a.0 < b.0 => added.next(),
+            (Some(_), _) => base.next(),
+            (None, _) => added.next(),
+        })
     }
 
     /// This index's sweepable partitions for the shared read path, in
     /// stats order: base partitions, then each sealed segment's.
     pub(crate) fn tiers(&self) -> Tiers<'_, &EnsemblePartition> {
-        let base = self
-            .partitions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (DeadSlot::Base(i as u32), &**p));
+        let base = self.partitions.iter().map(|p| (DeadSlot::Base, &**p));
         Tiers {
             num_perm: self.config.num_perm,
             tuner: &self.tuner,
@@ -869,14 +918,14 @@ impl LshEnsemble {
     /// True if `id` is currently indexed.
     #[must_use]
     pub fn contains(&self, id: DomainId) -> bool {
-        self.ids.get(id).is_some()
+        self.locate(id).is_some()
     }
 
     /// The retained sketch of a domain, if indexed: its cardinality and
     /// its signature as the forest row that indexes it.
     #[must_use]
     pub fn sketch(&self, id: DomainId) -> Option<(u64, Row<'_>)> {
-        let (slot, row) = self.ids.get(id)?;
+        let (slot, row) = self.locate(id)?;
         let part = self.partition_at(slot);
         Some((part.sizes[row as usize], part.forest.row(row as usize)))
     }
@@ -901,14 +950,11 @@ impl LshEnsemble {
     pub fn commit(&mut self, batch: &[Mutation<'_>]) -> Result<CommitReport, MutationError> {
         let (inserts, removes) = self.net_effect(batch)?;
         for &id in &removes {
-            let (slot, _) = self
-                .ids
-                .get(id)
-                .expect("a validated remove names a live id");
+            let (slot, _) = self.locate(id).expect("a validated remove names a live id");
             let tomb = (id, DeadSlot::of(slot));
             self.dead.push(tomb);
             self.dead_set.insert(tomb);
-            self.ids.remove(id);
+            self.unmap(id);
         }
         self.len = self.len + inserts.len() - removes.len();
         if !inserts.is_empty() {
@@ -958,7 +1004,7 @@ impl LshEnsemble {
     pub fn compact(&mut self) -> CommitReport {
         // The rows are read out of the old index until the new one is
         // whole; only then is it swapped in.
-        let entries = self.sketch_entries();
+        let entries: Vec<Entry<'_>> = self.live_entries().collect();
         let tuner = Arc::clone(&self.tuner);
         *self = if entries.is_empty() {
             Self::over_base(self.config, tuner, Vec::new())
@@ -1007,7 +1053,7 @@ impl LshEnsemble {
     fn push_segment(&mut self, segment: SealedSegment) {
         let seg = self.segments.len() as u32;
         for ((part, row), (id, _, _)) in segment.located() {
-            self.ids.insert(id, (Slot::Seg(seg, part), row));
+            self.overlay.insert(id, Some((Slot::Seg(seg, part), row)));
         }
         self.segments.push(Arc::new(segment));
     }
@@ -1065,10 +1111,11 @@ impl LshEnsemble {
                 continue; // kept where it is: nothing moves
             }
             for ((part, row), entry) in seg.located() {
-                // Sealed entries are live only while the id map still
+                // Sealed entries are live only while the overlay still
                 // points here — removed or re-inserted ids moved on, and
                 // their stale rows are dropped when their segment folds.
-                if self.ids.get(entry.0) != Some((Slot::Seg(j as u32, part), row)) {
+                let here = Some((Slot::Seg(j as u32, part), row));
+                if self.overlay.get(&entry.0) != Some(&here) {
                     continue;
                 }
                 if merged[j] {
@@ -1079,7 +1126,7 @@ impl LshEnsemble {
             }
         }
         for (id, at) in moves {
-            self.ids.insert(id, at);
+            self.overlay.insert(id, Some(at));
         }
         let folded = live.len();
         let merged_segment = (!live.is_empty()).then(|| build_segment(&self.config, &live));
@@ -1095,7 +1142,7 @@ impl LshEnsemble {
                     true
                 }
             }
-            DeadSlot::Base(_) => true,
+            DeadSlot::Base => true,
         });
         self.dead_set = self.dead.iter().copied().collect();
         self.segments = old
@@ -1116,11 +1163,6 @@ impl LshEnsemble {
         &self.partitions
     }
 
-    /// The base partitions' id → row directory, for persistence.
-    pub(crate) fn directory(&self) -> &Directory {
-        &self.ids.base
-    }
-
     /// Sealed segments, for persistence (their entry triples, in sealing
     /// order, are the canonical byte-level form; partitions are replayed
     /// from them).
@@ -1139,17 +1181,15 @@ impl LshEnsemble {
     }
 
     /// Rebuilds an ensemble from persisted parts. The decoder is
-    /// responsible for structural validation, `directory` naming every row
-    /// of `partitions` included; the id → (forest, row) map is that
-    /// directory, overridden by segment entries (later segments win — a
-    /// re-inserted id lives in the newest one), and finally tombstones
-    /// erase the ids whose slot they still match. A mapped index, whose
-    /// base stays in its file, passes no partitions and keeps the result as
-    /// its heap tail.
+    /// responsible for structural validation, [`check_base_ids`] over
+    /// `partitions` included; an id is where its base row is, unless a
+    /// segment entry overrides it (later segments win — a re-inserted id
+    /// lives in the newest one), and finally tombstones erase the ids whose
+    /// slot they still match. A mapped index, whose base stays in its file,
+    /// passes no partitions and keeps the result as its heap tail.
     pub(crate) fn from_raw_partitions(
         config: EnsembleConfig,
         partitions: Vec<Arc<EnsemblePartition>>,
-        directory: Directory,
         len: usize,
         segment_entries: Vec<Vec<(DomainId, u64, RowBuf)>>,
         dead: Vec<(DomainId, DeadSlot)>,
@@ -1161,7 +1201,7 @@ impl LshEnsemble {
             dead,
             config,
             len,
-            ids: IdMap::over(directory),
+            overlay: FastHashMap::default(),
             partitions,
         };
         for entries in segment_entries {
@@ -1171,14 +1211,18 @@ impl LshEnsemble {
                 .collect();
             ensemble.push_segment(build_segment(&config, &entries));
         }
-        for &(id, dslot) in &ensemble.dead {
-            if ensemble
-                .ids
-                .get(id)
-                .is_some_and(|(slot, _)| dslot.matches(slot))
-            {
-                ensemble.ids.remove(id);
-            }
+        let buried: Vec<DomainId> = ensemble
+            .dead
+            .iter()
+            .filter(|&&(id, tier)| {
+                ensemble
+                    .locate(id)
+                    .is_some_and(|(slot, _)| tier.matches(slot))
+            })
+            .map(|&(id, _)| id)
+            .collect();
+        for id in buried {
+            ensemble.unmap(id);
         }
         ensemble
     }
@@ -1187,9 +1231,15 @@ impl LshEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{DomainIndex, Query};
+    use crate::api::{DomainIndex, Query, SearchOutcome};
     use crate::baselines::Unranked;
     use lshe_minhash::MinHasher;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of [`base_row`] on this thread.
+        pub(super) static BASE_ROW_LOOKUPS: Cell<usize> = const { Cell::new(0) };
+    }
 
     /// Builds a small corpus of nested domains: domain k holds the first
     /// 10·(k+1) values of a shared pool, so containment relations are known
@@ -1591,5 +1641,107 @@ mod tests {
         let h = MinHasher::new(64);
         let mut b = LshEnsemble::builder();
         b.add(1, 10, h.signature([1u64, 2]));
+    }
+
+    /// `position_of` against a linear scan, for every id of `ids`, its
+    /// neighbours, the extremes and the first 200.
+    fn agrees(ids: &[u32]) {
+        let near = ids
+            .iter()
+            .flat_map(|&id| [id.wrapping_sub(1), id, id.wrapping_add(1)]);
+        for id in near.chain([u32::MAX]).chain(0..200) {
+            let want = ids.iter().position(|&x| x == id);
+            assert_eq!(position_of(ids, id), want, "{id} in {ids:?}");
+        }
+    }
+
+    #[test]
+    fn position_of_finds_every_id_dense_or_with_holes() {
+        agrees(&[]);
+        agrees(&[0]);
+        agrees(&[7]);
+        agrees(&(0..100).collect::<Vec<_>>());
+        agrees(&(5..40).collect::<Vec<_>>());
+        // Holes near the start, near the end, everywhere, and one so wide
+        // the gallop runs back to the first id.
+        agrees(&[0, 1, 5, 6, 7, 8, 9, 10, 11]);
+        agrees(&[0, 1, 2, 3, 4, 5, 6, 90]);
+        agrees(&(0..60).map(|k| k * 3 + k % 2).collect::<Vec<_>>());
+        agrees(&[2, 1_000, 1_001, 1_002]);
+        agrees(&[0, u32::MAX - 1, u32::MAX]);
+    }
+
+    /// Domains staged in any order build the index an in-order build does:
+    /// the same bytes, so the same answers. Sizes tie across partition
+    /// boundaries, which the partitioning breaks by id.
+    #[test]
+    fn out_of_order_adds_answer_like_in_order_ones() {
+        let (_, corpus) = nested_corpus(256, 60);
+        let config = EnsembleConfig {
+            strategy: PartitionStrategy::EquiDepth { n: 7 },
+            ..EnsembleConfig::default()
+        };
+        // Ids with holes, and every size twice.
+        let id = |k: usize| (k * 5 + k % 3) as DomainId;
+        let size = |k: usize| corpus[k / 2].1;
+        let build = |order: &[usize]| {
+            let mut b = LshEnsemble::builder_with(config);
+            for &k in order {
+                b.add(id(k), size(k), corpus[k].2.clone());
+            }
+            b.build()
+        };
+        let ascending: Vec<usize> = (0..corpus.len()).collect();
+        let want = build(&ascending);
+        assert_eq!(check_base_ids(want.base_partitions()), Ok(()));
+        let reversed: Vec<usize> = ascending.iter().rev().copied().collect();
+        let strided: Vec<usize> = (0..corpus.len()).map(|k| k * 17 % corpus.len()).collect();
+        for order in [reversed, strided] {
+            let got = build(&order);
+            assert!(got.to_bytes() == want.to_bytes(), "{order:?}");
+            for (k, (_, _, sig, values)) in corpus.iter().enumerate().step_by(7) {
+                for t in [0.3, 0.8] {
+                    let query = Query::threshold(sig, t).with_size(values.len() as u64);
+                    let answer =
+                        |index: &LshEnsemble| index.search(&query).map(SearchOutcome::into_pairs);
+                    assert_eq!(answer(&got), answer(&want), "domain {k} at {t}");
+                }
+            }
+        }
+    }
+
+    /// The walks — every live entry in id order, and the id floor — make
+    /// no lookup by id, over a base with tombstones, re-inserts and
+    /// segments; and they agree with the lookups they replace.
+    #[test]
+    fn walks_make_no_lookup_by_id() {
+        let (h, corpus) = nested_corpus(256, 40);
+        let mut index = build_default(&corpus, 4);
+        let fresh = h.signature([7u64, 8, 9]);
+        let removed = &corpus[3].2;
+        index
+            .commit(&[
+                Mutation::Remove(3),
+                Mutation::Remove(11),
+                Mutation::Insert(3, 20, removed),
+                Mutation::Insert(90, 3, &fresh),
+            ])
+            .expect("commit");
+        index.commit(&[Mutation::Remove(90)]).expect("commit");
+        let lookups = || BASE_ROW_LOOKUPS.with(Cell::get);
+        let before = lookups();
+        let entries: Vec<(DomainId, u64)> = index
+            .live_entries()
+            .map(|(id, size, _)| (id, size))
+            .collect();
+        let floor = index.min_next_id();
+        assert_eq!(lookups(), before, "a walk looked an id up");
+        assert_eq!(floor, 91);
+        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(entries.len(), index.len());
+        for &(id, size) in &entries {
+            assert_eq!(index.sketch(id).map(|(size, _)| size), Some(size), "{id}");
+        }
+        assert!(!entries.iter().any(|&(id, _)| id == 11 || id == 90));
     }
 }

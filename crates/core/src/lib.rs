@@ -79,7 +79,6 @@ pub mod baselines;
 mod batch;
 pub mod convert;
 pub mod cost;
-pub mod directory;
 pub mod ensemble;
 pub mod maintenance;
 pub mod mmap;
@@ -94,9 +93,9 @@ pub use api::{
     QueryStats, SearchHit, SearchOutcome, ESTIMATE_SLACK,
 };
 pub use baselines::{baseline_minhash_lsh, AsymIndex, AsymIndexBuilder, Unranked};
-pub use directory::position_of;
 pub use ensemble::{
-    BatchRule, BatchStep, EnsembleConfig, LshEnsemble, LshEnsembleBuilder, PartitionStats,
+    position_of, BatchRule, BatchStep, EnsembleConfig, LshEnsemble, LshEnsembleBuilder,
+    PartitionStats,
 };
 pub use lshe_lsh::{Layout, Row, RowBuf};
 pub use maintenance::{Leveled, MergeTask, SegmentLayout, MAX_TOMBSTONE_RATIO};

@@ -23,7 +23,6 @@
 //! conformance suite and the benchmark's `store.*` metrics open.
 
 use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
-use crate::directory::Directory;
 use crate::ensemble::{segment_units, DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
 use crate::pipeline::{Probe, ReadPath, Tiers};
 use crate::tuning::Tuner;
@@ -183,7 +182,7 @@ pub fn pack_ranked_with(
     // entry triples + tombstones), plus the id-allocator high-water mark.
     // Additive section — pre-segment readers skip it.
     let mut enc = Encoder::default();
-    crate::persist::encode_segments(&mut enc, ensemble.raw_segments(), ensemble.raw_dead());
+    crate::persist::encode_segments(&mut enc, ensemble);
     enc.put_u32(next_id);
     packer.begin_section(SectionKind::Segments)?;
     packer.write(&enc.finish())?;
@@ -409,8 +408,9 @@ impl MmapIndex {
                 source,
             };
             let layout = Layout::new(b_max, r_max, num_perm);
+            let in_base = |_, p: u32| (p as usize) < part_count;
             let (entries, dead) =
-                crate::persist::decode_segments(&mut sdec, layout, part_count).map_err(scodec)?;
+                crate::persist::decode_segments(&mut sdec, layout, in_base).map_err(scodec)?;
             // The packing layer's allocator mark ends the section; a
             // read-only index has no allocator to restore.
             sdec.get_u32("next id").map_err(scodec)?;
@@ -480,14 +480,7 @@ impl MmapIndex {
         // Replay each segment's deterministic seal — identical partitions
         // and forests to the heap index that was packed — and resolve ids
         // against segments and tombstones as that index does.
-        let tail = LshEnsemble::from_raw_partitions(
-            config,
-            Vec::new(),
-            Directory::default(),
-            len,
-            segment_entries,
-            dead,
-        );
+        let tail = LshEnsemble::from_raw_partitions(config, Vec::new(), len, segment_entries, dead);
         Ok(Self {
             store,
             config,
@@ -547,7 +540,7 @@ impl MmapIndex {
             words,
             layout: self.layout(),
         };
-        let base = self.parts.iter().enumerate().map(|(i, pm)| {
+        let base = self.parts.iter().map(|pm| {
             let columns = pm.off..pm.off + pm.rows * b_max;
             let view = PartitionView::new(
                 &tree_keys[columns.clone()],
@@ -562,7 +555,7 @@ impl MmapIndex {
                 rows,
                 sizes: sketches.sizes(),
             };
-            (DeadSlot::Base(i as u32), part)
+            (DeadSlot::Base, part)
         });
         let segments =
             segment_units(self.tail.raw_segments()).map(|(tier, p)| (tier, MappedPart::Segment(p)));

@@ -3,10 +3,9 @@
 //! Format (little-endian, primitives from `lshe_minhash::codec`):
 //!
 //! ```text
-//! "LSHE" version:u8 (8)
+//! "LSHE" version:u8 (9)
 //! num_perm:u32 b_max:u32 r_max:u32 strategy_tag:u8 strategy_args…
 //! len:u64 partition_count:u64
-//! directory: rows:u64 pad (to 4) ids:u32×rows at:u32×rows
 //! per partition, largest first:
 //!     lower:u64 upper:u64 forest_len:u64 forest_bytes ("LSHF" v5)
 //!     rows:u64 pad (to 8) sizes:u64×rows   each row's cardinality
@@ -25,35 +24,34 @@
 //!
 //! Everything a base holds per domain is a column that starts on a boundary
 //! of its element type in the file — the forests' by their own pad, the
-//! sizes and the directory by the pads above (a pad is one byte saying how
-//! many zeros follow, counted from the start of the file) — so
-//! [`LshEnsemble::decode`] over a mapped file leaves each base partition,
-//! its sizes and the id → row directory views into it: a loaded base keeps
-//! nothing per domain on the heap. The directory names every physical base
-//! row — tombstoned ones too — once: `ids` strictly ascend, and `at[i]` is
-//! the global row of `ids[i]` (its partition's first row, counting the
-//! partitions smallest first, plus its row there). The decoder checks all
-//! of that, and that every size is positive.
+//! sizes by the pad above (a pad is one byte saying how many zeros follow,
+//! counted from the start of the file) — so [`LshEnsemble::decode`] over a
+//! mapped file leaves each base partition and its sizes views into it: a
+//! loaded base keeps nothing per domain on the heap. Each base partition's
+//! ids strictly ascend and no id is in two of them, so an id's base row is
+//! a search of each partition's ids. The decoder checks both — the second
+//! by merging the ascending columns — and that every size is positive. A
+//! base tombstone's index is the partition its id's row is in, which the
+//! decoder checks too; a segment tombstone's is its segment.
 //!
-//! The file is laid out in the order queries read it: the directory, which
-//! every ranked candidate is looked up in, then the partitions from the
-//! largest domains down — a query probes every partition whose largest
-//! domain can reach `t*·q`, so the partitions of the largest domains are
-//! probed by every query and those of the smallest by few. A fault on the
-//! mapped file makes a 64 KiB window around the page read resident, so
-//! what is read together is stored together. In memory, and
-//! in every index a tombstone or `at` uses, the partitions stay smallest
-//! first.
+//! The partitions are stored from the largest domains down — a query
+//! probes every partition whose largest domain can reach `t*·q`, so the
+//! partitions of the largest domains are probed by every query and those
+//! of the smallest by few. A fault on the mapped file makes a 64 KiB
+//! window around the page read resident, so what is read together is
+//! stored together. In memory, and in every index a tombstone uses, the
+//! partitions stay smallest first.
 //!
-//! Version 7, the one generation before, has no directory and no
-//! `rows`/sizes behind a forest, and its partitions run smallest first: its
-//! sizes lived in the records of the container around it, which
-//! [`LshEnsemble::decode_with`] reads them from, and its directory is built
-//! on the heap. The next save writes version 8. Anything older — 8-byte
-//! tree entries, unpadded forests, rows of 32-bit lanes throughout, forests
-//! that held the lanes as tree keys, `u64` slots, no segment stack — is
-//! refused with [`CodecError::UnsupportedVersion`]. Sealed segments persist
-//! as their entry triples in sealing order — partitioning a segment is
+//! Version 8, the one generation before, stored an id → row directory in
+//! front of the partitions — `rows:u64 pad (to 4) ids:u32×rows
+//! at:u32×rows` — which the decoder skips: every writer of version 8 gave
+//! each partition ascending ids, which the decoder checks as it does for
+//! version 9. The next save writes version 9. Anything older — no sizes
+//! behind the forests, 8-byte tree entries, unpadded forests, rows of
+//! 32-bit lanes throughout, forests that held the lanes as tree keys, `u64`
+//! slots, no segment stack — is refused with
+//! [`CodecError::UnsupportedVersion`]. Sealed segments persist as their
+//! entry triples in sealing order — partitioning a segment is
 //! deterministic, so the decoder replays [`build_segment`] and reconstructs
 //! bit-identical forests, which keeps the byte form canonical.
 //!
@@ -61,23 +59,22 @@
 //! rebuilt lazily, and excluding it keeps the byte form canonical.
 //!
 //! [`build_segment`]: crate::ensemble
-use crate::directory::Directory;
-use crate::ensemble::{DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
+use crate::ensemble::LshEnsemble;
+use crate::ensemble::{base_row, check_base_ids, DeadSlot, EnsembleConfig, EnsemblePartition};
 use crate::partition::PartitionStrategy;
 use lshe_lsh::{DomainId, Layout, LshForest, RowBuf};
 use lshe_minhash::codec::{CodecError, Column, Decoder, Encoder};
-use lshe_minhash::hash::FastHashSet;
 use std::io::Write;
 use std::sync::Arc;
 
 /// Envelope tag for ensemble payloads.
 pub const MAGIC: [u8; 4] = *b"LSHE";
-/// Current format version: base sizes and the id → row directory are
-/// columns of the payload.
-pub const VERSION: u8 = 8;
+/// Current format version: base sizes are columns of the payload, and
+/// each base partition's ids ascend, so no id → row directory is stored.
+pub const VERSION: u8 = 9;
 /// The oldest version still decoded: the generation before [`VERSION`],
-/// whose sizes the container's records carried.
-const OLDEST_READ: u8 = 7;
+/// whose id → row directory the decoder skips.
+const OLDEST_READ: u8 = 8;
 
 pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: PartitionStrategy) {
     match strategy {
@@ -102,14 +99,12 @@ pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: Partitio
     }
 }
 
-/// Appends the tiered-mutation tail (segment stack + tombstone list) —
-/// shared between ensemble payloads and the packed store's `Segments`
-/// section.
-pub(crate) fn encode_segments<W: Write>(
-    enc: &mut Encoder<W>,
-    segments: &[std::sync::Arc<crate::ensemble::SealedSegment>],
-    dead: &[(DomainId, DeadSlot)],
-) {
+/// Appends the tiered-mutation tail (segment stack + tombstone list) of
+/// `ensemble` — shared between ensemble payloads and the packed store's
+/// `Segments` section. A base tombstone's index is the partition its id's
+/// row is in.
+pub(crate) fn encode_segments<W: Write>(enc: &mut Encoder<W>, ensemble: &LshEnsemble) {
+    let (segments, dead) = (ensemble.raw_segments(), ensemble.raw_dead());
     enc.put_u64(segments.len() as u64);
     for seg in segments {
         enc.put_u64(seg.len() as u64);
@@ -121,22 +116,23 @@ pub(crate) fn encode_segments<W: Write>(
     }
     enc.put_u64(dead.len() as u64);
     for &(id, slot) in dead {
+        let (tier, index) = match slot {
+            DeadSlot::Base => {
+                let row = base_row(ensemble.base_partitions(), id);
+                let (p, _) = row.expect("a tombstoned base row stays until a compaction");
+                (0, p)
+            }
+            DeadSlot::Seg(s) => (1, s),
+        };
         enc.put_u32(id);
-        match slot {
-            DeadSlot::Base(p) => {
-                enc.put_u8(0);
-                enc.put_u32(p);
-            }
-            DeadSlot::Seg(s) => {
-                enc.put_u8(1);
-                enc.put_u32(s);
-            }
-        }
+        enc.put_u8(tier);
+        enc.put_u32(index);
     }
 }
 
 /// Decodes [`encode_segments`]' output: per-segment raw entry triples plus
-/// the tombstone list, validated against the owning index's shape.
+/// the tombstone list, validated against the owning index's shape — a base
+/// tombstone `(id, p)` by `in_base(id, p)`.
 ///
 /// # Errors
 /// [`CodecError`] on truncation or structural inconsistency.
@@ -144,7 +140,7 @@ pub(crate) fn encode_segments<W: Write>(
 pub(crate) fn decode_segments(
     dec: &mut Decoder<'_>,
     layout: Layout,
-    part_count: usize,
+    in_base: impl Fn(DomainId, u32) -> bool,
 ) -> Result<(Vec<Vec<(DomainId, u64, RowBuf)>>, Vec<(DomainId, DeadSlot)>), CodecError> {
     let seg_count = dec.get_u64("segment count")? as usize;
     let mut segment_entries = Vec::new();
@@ -179,9 +175,10 @@ pub(crate) fn decode_segments(
         let tier = dec.get_u8("tombstone tier")?;
         let idx = dec.get_u32("tombstone index")?;
         let slot = match tier {
-            0 if (idx as usize) < part_count => DeadSlot::Base(idx),
+            0 if in_base(id, idx) => DeadSlot::Base,
             1 if (idx as usize) < seg_count => DeadSlot::Seg(idx),
-            0 | 1 => return Err(CodecError::Corrupt("tombstone index out of range")),
+            0 => return Err(CodecError::Corrupt("base tombstone names no row of its id")),
+            1 => return Err(CodecError::Corrupt("tombstone index out of range")),
             _ => return Err(CodecError::Corrupt("unknown tombstone tier")),
         };
         dead.push((id, slot));
@@ -239,7 +236,6 @@ impl LshEnsemble {
         enc.put_u64(self.len() as u64);
         let parts = self.base_partitions();
         enc.put_u64(parts.len() as u64);
-        self.directory().encode_into(enc);
         // Largest first: the partitions every query probes lead the file.
         for part in parts.iter().rev() {
             enc.put_u64(part.lower);
@@ -250,7 +246,7 @@ impl LshEnsemble {
             enc.pad_to(8);
             enc.put_u64s(&part.sizes);
         }
-        encode_segments(enc, self.raw_segments(), self.raw_dead());
+        encode_segments(enc, self);
     }
 
     /// Deserialises an ensemble, copying everything out of `bytes`.
@@ -263,31 +259,14 @@ impl LshEnsemble {
 
     /// Deserialises an ensemble from all that is left of `dec`. Over a
     /// decoder that runs on a shared owner (a mapped index file) the base
-    /// partitions' columns, their sizes and the directory are views into
-    /// it (`LshForest::decode`); segments and tombstones are rebuilt on the
-    /// heap. A version-7 payload, which keeps no sizes, decodes only through
-    /// [`decode_with`](Self::decode_with).
+    /// partitions' columns and their sizes are views into it
+    /// (`LshForest::decode`); segments and tombstones are rebuilt on the
+    /// heap.
     ///
     /// # Errors
     /// [`CodecError`] on truncation, tag/version mismatch, or structural
     /// inconsistencies.
-    pub fn decode(dec: Decoder<'_>) -> Result<Self, CodecError> {
-        Self::decode_with(dec, |_| None)
-    }
-
-    /// [`decode`](Self::decode), reading each live base row's size of a
-    /// version-7 payload from `size_of` — what its container's records say.
-    /// A tombstoned row's size went with its record; it is written as 1,
-    /// and nothing reads it before a compaction erases the row. A current payload
-    /// carries its sizes and never asks.
-    ///
-    /// # Errors
-    /// As [`decode`](Self::decode), and a live version-7 base row
-    /// `size_of` has no positive size for.
-    pub fn decode_with(
-        mut dec: Decoder<'_>,
-        size_of: impl Fn(DomainId) -> Option<u64>,
-    ) -> Result<Self, CodecError> {
+    pub fn decode(mut dec: Decoder<'_>) -> Result<Self, CodecError> {
         let version = dec.envelope(MAGIC)?;
         if !(OLDEST_READ..=VERSION).contains(&version) {
             return Err(CodecError::UnsupportedVersion {
@@ -304,8 +283,17 @@ impl LshEnsemble {
         if num_perm == 0 || b_max == 0 || r_max == 0 || b_max * r_max > num_perm {
             return Err(CodecError::Corrupt("inconsistent configuration"));
         }
-        let sized = version == VERSION;
-        let directory = sized.then(|| Directory::read(&mut dec)).transpose()?;
+        if version < VERSION {
+            // Version 8's directory: two `u32` columns behind a count and
+            // a pad.
+            let rows = dec.get_u64("directory rows")?;
+            dec.get_pad("directory pad")?;
+            let bytes = usize::try_from(rows)
+                .ok()
+                .and_then(|rows| rows.checked_mul(8));
+            let bytes = bytes.ok_or(CodecError::Corrupt("announced length exceeds input"))?;
+            dec.skip(bytes, "directory")?;
+        }
         // A partition is at least its bounds and a length: 24 bytes.
         let mut shells = Vec::with_capacity(part_count.min(dec.remaining() / 24));
         for _ in 0..part_count {
@@ -315,57 +303,28 @@ impl LshEnsemble {
                 return Err(CodecError::Corrupt("inverted partition bounds"));
             }
             let forest = dec.nested("forest bytes")?;
-            let sizes = sized.then(|| decode_sizes(&mut dec)).transpose()?;
-            shells.push((lower, upper, forest, sizes));
+            shells.push((lower, upper, forest, decode_sizes(&mut dec)?));
         }
-        if sized {
-            // Written largest first; held smallest first.
-            shells.reverse();
-        }
+        // Written largest first; held smallest first.
+        shells.reverse();
         // Each forest is decoded, and its trees checked against its rows,
         // on a lane of its own — as it was built.
         let forests = lshe_minhash::lanes::run_each(&shells, |(_, _, forest, _)| {
             LshForest::decode(forest.clone())
         });
         let layout = Layout::new(b_max, r_max, num_perm);
-        let (segment_entries, dead) = decode_segments(&mut dec, layout, part_count)?;
-        if !dec.is_exhausted() {
-            return Err(CodecError::Corrupt("trailing bytes after ensemble"));
-        }
-        // A version-7 base row is live unless a tombstone names it.
-        let buried: FastHashSet<(DomainId, u32)> = dead
-            .iter()
-            .filter_map(|&(id, slot)| match slot {
-                DeadSlot::Base(p) => Some((id, p)),
-                DeadSlot::Seg(_) => None,
-            })
-            .collect();
         let mut partitions = Vec::with_capacity(shells.len());
-        for (p, ((lower, upper, _, sizes), forest)) in shells.into_iter().zip(forests).enumerate() {
+        for ((lower, upper, _, sizes), forest) in shells.into_iter().zip(forests) {
             let forest = forest?;
             if forest.layout() != layout {
                 return Err(CodecError::Corrupt("forest dims disagree with config"));
             }
-            let sizes = match sizes {
-                Some(sizes) if sizes.len() != forest.len() => {
-                    return Err(CodecError::Corrupt("sizes disagree with forest rows"));
-                }
-                Some(sizes) if sizes.contains(&0) => {
-                    return Err(CodecError::Corrupt("zero base size"));
-                }
-                Some(sizes) => sizes,
-                None => {
-                    let size = |&id: &DomainId| {
-                        if buried.contains(&(id, p as u32)) {
-                            return Ok(1);
-                        }
-                        let size = size_of(id).filter(|&size| size > 0);
-                        size.ok_or(CodecError::Corrupt("live domain has no positive size"))
-                    };
-                    let sizes: Result<Vec<u64>, _> = forest.ids().iter().map(size).collect();
-                    sizes?.into()
-                }
-            };
+            if sizes.len() != forest.len() {
+                return Err(CodecError::Corrupt("sizes disagree with forest rows"));
+            }
+            if sizes.contains(&0) {
+                return Err(CodecError::Corrupt("zero base size"));
+            }
             partitions.push(Arc::new(EnsemblePartition {
                 lower,
                 upper,
@@ -373,19 +332,19 @@ impl LshEnsemble {
                 sizes,
             }));
         }
-        let directory = match directory {
-            Some(read) => read.check(&partitions),
-            None => Directory::over(&partitions),
-        };
-        let directory = directory.map_err(CodecError::Corrupt)?;
+        check_base_ids(&partitions).map_err(CodecError::Corrupt)?;
+        let in_base = |id, p| base_row(&partitions, id).is_some_and(|(q, _)| q == p);
+        let (segment_entries, dead) = decode_segments(&mut dec, layout, in_base)?;
+        if !dec.is_exhausted() {
+            return Err(CodecError::Corrupt("trailing bytes after ensemble"));
+        }
         let config = EnsembleConfig {
             num_perm,
             b_max,
             r_max,
             strategy,
         };
-        let ensemble =
-            Self::from_raw_partitions(config, partitions, directory, len, segment_entries, dead);
+        let ensemble = Self::from_raw_partitions(config, partitions, len, segment_entries, dead);
         // Live ids (base rows, plus segment entries, minus tombstones) must
         // agree with the recorded length, and each be one live row.
         if ensemble.id_count() != len {

@@ -2,8 +2,7 @@
 //! self-describing file.
 //!
 //! ```text
-//! "LSHX" version:u8 (8)
-//! flags:u8                      (written 1; ignored on read)
+//! "LSHX" version:u8 (9)
 //! num_perm:u32
 //! records: record_count:u64 table_count:u64 column_text:u64 table_text:u64
 //!          pad (to 4)
@@ -13,34 +12,31 @@
 //!          table_ends:u32×table_count    where each table name ends in its text
 //!          column names:u8×column_text   UTF-8, end to end
 //!          table names:u8×table_text     each distinct table name once
-//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v8)
+//! ensemble: u64 length + LshEnsemble bytes ("LSHE" v9)
 //! next_id:u32
 //! ```
 //!
 //! The file leads with what every query with a hit reads: the records
-//! (a hit's names), then — the ensemble's first columns — the id → row
-//! directory, which no query reads (a candidate is verified in the row
-//! its probe found, and a hit carries its size), and the partitions of
-//! the largest domains, which every query probes. A fault on the mapped
-//! file makes the fault-around window (64 KiB) around the page read
-//! resident, so the columns read together are stored together, in front
-//! of the partitions few queries reach.
+//! (a hit's names; a candidate is verified in the row its probe found,
+//! and a hit carries its size), then the partitions of the largest
+//! domains, which every query probes. A fault on the mapped file makes the
+//! fault-around window (64 KiB) around the page read resident, so the
+//! columns read together are stored together, in front of the partitions
+//! few queries reach.
 //!
 //! Every container stores and serves an [`LshEnsemble`], which needs nothing
 //! beyond the ensemble and the records: every signature is in the ensemble
 //! once, as the forest row that indexes it — each tree's first key lane at
 //! 32 bits, the other lanes at 16 — with its cardinality beside it in its
-//! partition's sizes, and the ensemble's directory says which row an id
-//! is. The records carry names only. The flag byte once told a ranked file
-//! from a plain one; a file with either flag loads ranked.
+//! partition's sizes. Each base partition's ids ascend, so an id's row is
+//! a search of them. The records carry names only.
 //!
 //! The file is **served in place** by [`IndexContainer::load`], which maps
 //! it and keeps the mapping: every base partition's ids, rows, trees and
-//! sizes, the id → row directory and every record column stay in the file
-//! as views (`lshe_minhash::codec::Column`) — resident where queries
-//! reach, until a compaction builds a new base. What `load`
-//! builds on the heap is O(partitions + segments + tombstones), never
-//! O(domains); it still walks every column once to check it, then releases
+//! sizes and every record column stay in the file as views
+//! (`lshe_minhash::codec::Column`) — resident where queries reach, until a
+//! compaction builds a new base. What `load` builds on the heap is
+//! O(partitions + segments + tombstones), never O(domains); it still walks every column once to check it, then releases
 //! the pages it touched. A loaded container mutates like a built one: what
 //! changes lands in the heap overlays (records here, ids in the index)
 //! until a compaction writes a new base. `LSHX` is the only format `load`
@@ -49,20 +45,20 @@
 //! `lshe_core::MmapIndex`, and is refused in the header like any other
 //! file.
 //!
-//! Version 7, the one generation before, held a record a domain — `id:u32
-//! size:u64 table:str column:str` with `u64` length prefixes — around an
-//! `LSHE` v7 ensemble that keeps no sizes and no directory. It still loads:
-//! its records are decoded onto the heap, their sizes handed to the
-//! ensemble, and its directory built; the next save writes version 8.
-//! Anything older (8-byte tree entries, unpadded forests, rows of 32-bit
+//! Version 8, the one generation before, had a flag byte behind the
+//! version — written 1, once telling a ranked file from a plain one — and
+//! an `LSHE` v8 ensemble with an id → row directory. It still loads, in
+//! place: the flag is read and ignored, the directory skipped; the next
+//! save writes version 9. Anything older (a record a domain with its size
+//! among its fields, 8-byte tree entries, unpadded forests, rows of 32-bit
 //! lanes throughout, a sketch section after the ensemble, `u64` slots, no
 //! allocator mark) is refused with [`CodecError::UnsupportedVersion`].
 
 use crate::records::RecordTableBuilder;
 pub use crate::records::{DomainRecord, RecordRef, RecordTable};
 use lshe_core::{
-    position_of, CommitReport, DomainIndex, EnsembleConfig, Layout, LshEnsemble, MergeTask,
-    Mutation, MutationError, PartitionStrategy, Row,
+    CommitReport, DomainIndex, EnsembleConfig, Layout, LshEnsemble, MergeTask, Mutation,
+    MutationError, PartitionStrategy, Row,
 };
 use lshe_corpus::{Catalog, Domain, DomainMeta};
 use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
@@ -78,16 +74,15 @@ use std::sync::Arc;
 /// Envelope tag for `.lshe` files.
 pub const MAGIC: [u8; 4] = *b"LSHX";
 /// Current container version: the records are columns, and the nested
-/// `LSHE` v8 ensemble holds each signature once, as a forest row of 32-bit
-/// heads and 16-bit tails, trees of 4-byte entries over the rows, each
-/// row's size, and the id → row directory — all in columns padded so that
-/// a mapped file serves them in place. The payload ends with the id
-/// allocator's high-water mark, so a restart never re-issues a removed
-/// domain's id.
-pub const VERSION: u8 = 8;
+/// `LSHE` v9 ensemble holds each signature once, as a forest row of 32-bit
+/// heads and 16-bit tails, trees of 4-byte entries over the rows, and each
+/// row's size — all in columns padded so that a mapped file serves them in
+/// place. The payload ends with the id allocator's high-water mark, so a
+/// restart never re-issues a removed domain's id.
+pub const VERSION: u8 = 9;
 /// The oldest version still decoded — the generation before [`VERSION`],
-/// a record a domain with its size among its fields.
-const OLDEST_READ: u8 = 7;
+/// with a flag byte and an ensemble that stored an id → row directory.
+const OLDEST_READ: u8 = 8;
 
 /// A loaded (or freshly built) index file.
 ///
@@ -342,36 +337,35 @@ impl IndexContainer {
             ));
         }
         let config = self.shard_config(num_shards);
-        // Route every sketch entry; entries are sorted by id, so each
-        // shard's parallel arrays stay id-sorted like a fresh build's.
+        // Route every live entry with its record; both walks run in id
+        // order, so each shard's arrays and records ascend like a fresh
+        // build's.
         let mut parts: Vec<Vec<(u32, u64, Row<'_>)>> = vec![Vec::new(); num_shards];
-        for entry in self.index.sketch_entries() {
-            let s = place(entry.0, num_shards);
+        let mut records: Vec<RecordTableBuilder> =
+            (0..num_shards).map(|_| Default::default()).collect();
+        for (entry, (id, table, column)) in self.index.live_entries().zip(self.live_names()) {
+            debug_assert_eq!(entry.0, id, "one record a live domain");
+            let s = place(id, num_shards);
             if s >= num_shards {
                 return Err(format!(
-                    "placement routed id {} to shard {s} of {num_shards}",
-                    entry.0
+                    "placement routed id {id} to shard {s} of {num_shards}"
                 ));
             }
             parts[s].push(entry);
+            let pushed = records[s].push(id, table, column);
+            pushed.expect("the ids ascend, their names fit the parent's");
         }
         if let Some(empty) = parts.iter().position(Vec::is_empty) {
             return Err(format!("placement leaves shard {empty} empty"));
         }
         Ok(parts
             .iter()
-            .map(|entries| {
+            .zip(records)
+            .map(|(entries, records)| {
                 let ids: Vec<u32> = entries.iter().map(|e| e.0).collect();
                 let sizes: Vec<u64> = entries.iter().map(|e| e.1).collect();
                 let rows: Vec<Row<'_>> = entries.iter().map(|e| e.2).collect();
                 let ensemble = LshEnsemble::build_from_parts(config, &ids, &sizes, &rows);
-                let mut records = RecordTableBuilder::with_capacity(ids.len());
-                for &id in &ids {
-                    let record = self.record(id);
-                    let record = record.expect("every sketch id has a provenance record");
-                    let pushed = records.push(id, record.table, record.column);
-                    pushed.expect("the sketch ids ascend, their names fit the parent's");
-                }
                 Self::over_base(records.finish(), ensemble, self.num_perm, self.next_id)
             })
             .collect())
@@ -438,12 +432,33 @@ impl IndexContainer {
     /// The live records — the base table's, less those the overlay removed
     /// or replaced, merged with the overlay's — as a table of their own.
     fn live_records(&self) -> RecordTable {
-        let mut table = RecordTableBuilder::with_capacity(self.len);
-        for record in self.records().iter() {
-            let pushed = table.push(record.id, record.table, record.column);
+        let mut records = RecordTableBuilder::with_capacity(self.len);
+        for (id, table, column) in self.live_names() {
+            let pushed = records.push(id, table, column);
             pushed.expect("the live records ascend, and fitted their tables");
         }
-        table.finish()
+        records.finish()
+    }
+
+    /// Every live record's `(id, table, column)` in ascending id order: the
+    /// base table's, less those the overlay removed or replaced, merged
+    /// with the overlay's. Reads nothing of the index.
+    fn live_names(&self) -> impl Iterator<Item = (u32, &str, &str)> {
+        let overlay = &self.overlay;
+        let base = self.base.iter();
+        let mut base = base
+            .filter(|(id, _, _)| !overlay.contains_key(id))
+            .peekable();
+        let added = overlay.iter().filter_map(|(&id, record)| {
+            let record = record.as_ref()?;
+            Some((id, &*record.table, &*record.column))
+        });
+        let mut added = added.peekable();
+        std::iter::from_fn(move || match (base.peek(), added.peek()) {
+            (Some(b), Some(a)) if a.0 < b.0 => added.next(),
+            (Some(_), _) => base.next(),
+            (None, _) => added.next(),
+        })
     }
 
     /// The stored index's tier layout (per-segment entry counts plus
@@ -496,7 +511,13 @@ impl IndexContainer {
             Some(changed) => changed.as_ref().map(DomainRecord::view),
             None => {
                 let (table, column) = self.base.get(id)?;
-                Some(self.base_record(id, table, column))
+                let (size, _) = self.sketch(id).expect("a base record names a live domain");
+                Some(RecordRef {
+                    id,
+                    size,
+                    table,
+                    column,
+                })
             }
         }
     }
@@ -509,21 +530,6 @@ impl IndexContainer {
         match self.overlay.get(&id) {
             Some(changed) => changed.as_ref().map(|r| (&*r.table, &*r.column)),
             None => self.base.get(id),
-        }
-    }
-
-    /// A base record, its size read from the index: every base record
-    /// the overlay leaves alone names a live domain.
-    fn base_record<'a>(&'a self, id: u32, table: &'a str, column: &'a str) -> RecordRef<'a> {
-        let (size, _) = self
-            .index
-            .sketch(id)
-            .expect("a base record names a live domain");
-        RecordRef {
-            id,
-            size,
-            table,
-            column,
         }
     }
 
@@ -559,14 +565,6 @@ impl IndexContainer {
     pub fn base_in_place(&self) -> Vec<bool> {
         self.index
             .base_borrowed_from(self.mapping().unwrap_or_default())
-    }
-
-    /// Whether the index's id → row directory is served in place: both its
-    /// columns views into [`mapping`](Self::mapping).
-    #[must_use]
-    pub fn directory_in_place(&self) -> bool {
-        self.index
-            .directory_borrowed_from(self.mapping().unwrap_or_default())
     }
 
     /// Whether the base record table is served in place: every column of
@@ -609,9 +607,12 @@ impl IndexContainer {
         (partitions, Arc::ptr_eq(&self.base, &other.base))
     }
 
-    /// The stored (size, signature row) of a domain, if indexed.
+    /// The stored (size, signature row) of a domain, if indexed: the one
+    /// lookup by id this container makes in its index.
     #[must_use]
     pub fn sketch(&self, id: u32) -> Option<(u64, Row<'_>)> {
+        #[cfg(test)]
+        tests::SKETCH_LOOKUPS.with(|n| n.set(n.get() + 1));
         self.index.sketch(id)
     }
 
@@ -683,7 +684,6 @@ impl IndexContainer {
     /// over the live `records`.
     fn encode_into<W: Write>(&self, enc: &mut Encoder<W>, records: &RecordTable) {
         enc.envelope(MAGIC, VERSION);
-        enc.put_u8(1);
         enc.put_u32(self.num_perm as u32);
         records.encode_into(enc);
         enc.put_nested(|enc| self.index.encode_into(enc));
@@ -763,29 +763,24 @@ impl IndexContainer {
                 supported: VERSION,
             }));
         }
-        // The flag byte is read and ignored: a plain file loads ranked.
-        dec.get_u8("flags").map_err(hdr)?;
+        if version < VERSION {
+            // Version 8's flag byte, written 1 and never read.
+            dec.get_u8("flags").map_err(hdr)?;
+        }
         let num_perm = dec.get_u32("num_perm").map_err(hdr)? as usize;
         let rcs = |e| ("domain records", e);
         let ens = |e| ("ensemble", e);
-        let (records, ensemble) = if version == VERSION {
-            let records = RecordTable::decode(&mut dec).map_err(rcs)?;
-            let nested = dec.nested("ensemble bytes").map_err(ens)?;
-            (records, LshEnsemble::decode(nested).map_err(ens)?)
-        } else {
-            let (records, sizes) = decode_v7_records(&mut dec).map_err(rcs)?;
-            let nested = dec.nested("ensemble bytes").map_err(ens)?;
-            let size_of = |id| Some(sizes[position_of(records.ids(), id)?]);
-            let ensemble = LshEnsemble::decode_with(nested, size_of).map_err(ens)?;
-            (records, ensemble)
-        };
+        let records = RecordTable::decode(&mut dec).map_err(rcs)?;
+        let nested = dec.nested("ensemble bytes").map_err(ens)?;
+        let ensemble = LshEnsemble::decode(nested).map_err(ens)?;
         if ensemble.len() != records.len() {
             return Err(ens(CodecError::Corrupt(
                 "record count disagrees with ensemble",
             )));
         }
-        // As many records as live domains, so this is one record a domain.
-        if !records.ids().iter().all(|&id| ensemble.contains(id)) {
+        // Both in id order, a walk each: one record a live domain.
+        let live = ensemble.live_entries().map(|(id, _, _)| id);
+        if !live.eq(records.ids().iter().copied()) {
             return Err(rcs(CodecError::Corrupt("a record names no live domain")));
         }
         let mark = |e| ("allocator mark", e);
@@ -798,7 +793,7 @@ impl IndexContainer {
 
     /// Loads a `.lshe` file, mapped and served in place. Every check of the
     /// decoder runs over the mapping; the base partitions' columns and
-    /// sizes, the directory and the record columns stay views into it,
+    /// sizes and the record columns stay views into it,
     /// which the container keeps; the segments and tombstones are decoded
     /// onto the heap; and the pages the checks touched are released before
     /// returning — afterwards the file is resident where queries reach. Any
@@ -854,24 +849,20 @@ impl IndexContainer {
 pub struct Records<'a>(&'a IndexContainer);
 
 impl<'a> Records<'a> {
-    /// The records, in ascending id order.
+    /// The records, in ascending id order, each size read beside it in a
+    /// walk of the index's live entries: no lookup by id.
     pub fn iter(self) -> impl Iterator<Item = RecordRef<'a>> {
         let container = self.0;
-        let overlay = &container.overlay;
-        let base = container.base.iter();
-        let base = base.filter(|(id, _, _)| !overlay.contains_key(id));
-        let mut base = base
-            .map(|(id, table, column)| container.base_record(id, table, column))
-            .peekable();
-        let mut added = overlay
-            .values()
-            .flatten()
-            .map(DomainRecord::view)
-            .peekable();
-        std::iter::from_fn(move || match (base.peek(), added.peek()) {
-            (Some(b), Some(a)) if a.id < b.id => added.next(),
-            (Some(_), _) => base.next(),
-            (None, _) => added.next(),
+        let entries = container.index.live_entries();
+        let records = container.live_names().zip(entries);
+        records.map(|((id, table, column), (live, size, _))| {
+            debug_assert_eq!(id, live, "one record a live domain");
+            RecordRef {
+                id,
+                size,
+                table,
+                column,
+            }
         })
     }
 }
@@ -886,23 +877,6 @@ impl std::fmt::Debug for Records<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
-}
-
-/// A version-7 container's records, a record a domain — `id:u32 size:u64
-/// table:str column:str` — as a table, and their sizes in the same order.
-fn decode_v7_records(dec: &mut Decoder<'_>) -> Result<(RecordTable, Vec<u64>), CodecError> {
-    let count = dec.get_u64("meta count")? as usize;
-    // A record is at least 28 bytes: its id, its size and two lengths.
-    let capacity = count.min(dec.remaining() / 28);
-    let (mut records, mut sizes) = (RecordTableBuilder::with_capacity(capacity), Vec::new());
-    sizes.reserve_exact(capacity);
-    for _ in 0..count {
-        let record = RecordRef::decode(dec)?;
-        let pushed = records.push(record.id, record.table, record.column);
-        pushed.map_err(CodecError::Corrupt)?;
-        sizes.push(record.size);
-    }
-    Ok((records.finish(), sizes))
 }
 
 /// Drops the pages of `mapping` this process has touched from its resident
@@ -1345,6 +1319,12 @@ mod tests {
     use super::*;
     use lshe_core::{Query, RowBuf, SearchOutcome};
     use lshe_corpus::{Domain, DomainMeta};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of [`IndexContainer::sketch`] on this thread.
+        pub(super) static SKETCH_LOOKUPS: Cell<usize> = const { Cell::new(0) };
+    }
 
     /// Answers `query` at exact size `q` as `(id, estimate)` pairs.
     fn answer(c: &IndexContainer, query: Query<'_>, q: u64) -> Vec<(u32, Option<f64>)> {
@@ -1809,6 +1789,38 @@ mod tests {
         assert_eq!(provenance, c.base.heap_bytes());
     }
 
+    /// Walking the records — with their sizes, or their names alone, as a
+    /// save and a fold do — looks no id up in the index, over a base with
+    /// records in segments and an overlay of inserts and removes; and it
+    /// agrees with the lookups by id.
+    #[test]
+    fn record_walks_look_no_id_up() {
+        let mut c = IndexContainer::build(&catalog(12), 3);
+        let num_perm = c.num_perm();
+        let batch = [DeltaOp::Remove { id: 4 }, insert_op(30, 25, num_perm)];
+        c.commit(&batch).expect("commit");
+        // Decoded, id 30's record is a base record whose domain lives in a
+        // segment.
+        let mut c = IndexContainer::from_bytes(&c.to_bytes()).expect("decode");
+        let batch = [DeltaOp::Remove { id: 7 }, insert_op(31, 26, num_perm)];
+        c.commit(&batch).expect("commit");
+        let lookups = || SKETCH_LOOKUPS.with(Cell::get);
+        let before = lookups();
+        let walked: Vec<DomainRecord> = c.records().iter().map(RecordRef::to_record).collect();
+        let live = c.live_records();
+        let saved = c.to_bytes();
+        assert_eq!(lookups(), before, "a walk looked an id up");
+        assert_eq!(live.len(), walked.len());
+        let ids: Vec<u32> = walked.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [0, 1, 2, 3, 5, 6, 8, 9, 10, 11, 30, 31]);
+        for record in &walked {
+            assert_eq!(c.record(record.id), Some(record.view()));
+        }
+        assert!(lookups() > before);
+        let reloaded = IndexContainer::from_bytes(&saved).expect("decode");
+        assert_eq!(reloaded.records(), c.records());
+    }
+
     #[test]
     fn split_shards_are_bit_identical_to_in_process_shards() {
         let cat = catalog(12);
@@ -1820,7 +1832,7 @@ mod tests {
 
         // Each split shard's ensemble is byte-for-byte a per-shard build
         // over that shard's `id % n` slice of the same stored rows.
-        let entries = c.index.sketch_entries();
+        let entries: Vec<_> = c.index.live_entries().collect();
         let inproc: Vec<LshEnsemble> = (0..n)
             .map(|s| {
                 let slice: Vec<_> = entries.iter().filter(|e| e.0 as usize % n == s).collect();

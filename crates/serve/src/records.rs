@@ -184,8 +184,8 @@ impl RecordTable {
         (self.ids[i], table, self.columns.get(i))
     }
 
-    /// The (table, column) of `id`'s record, found as the index's
-    /// directory finds a row: one probe where the ids run dense.
+    /// The (table, column) of `id`'s record, found as the index finds an
+    /// id's base row: one probe where the ids run dense.
     #[must_use]
     pub fn get(&self, id: u32) -> Option<(&str, &str)> {
         let (_, table, column) = self.at(position_of(&self.ids, id)?);

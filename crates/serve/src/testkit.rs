@@ -5,9 +5,8 @@
 //! panics on the first broken expectation.
 //!
 //! Also here: [`serve_fn`], the scripted fake server other crates' tests
-//! stand in for a shard with, [`file_engine`], an engine over a saved
-//! file as `lshe serve` runs one, and [`directory_range`], where a served
-//! file holds its id → row directory.
+//! stand in for a shard with, and [`file_engine`], an engine over a saved
+//! file as `lshe serve` runs one.
 
 use crate::client::HttpClient;
 use crate::container::IndexContainer;
@@ -18,7 +17,6 @@ use crate::server::{ServerConfig, ServerHandle};
 use std::convert::Infallible;
 use std::io::{BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -102,43 +100,6 @@ pub fn file_engine(container: &IndexContainer, tag: &str) -> (Engine, Scratch) {
     container.save(&path).expect("save the index");
     let engine = Engine::load(&path, 1).expect("load the saved index");
     (engine, dir)
-}
-
-/// The bytes of `container`'s [mapping](IndexContainer::mapping) its
-/// index's id → row directory lies in — both columns, ids then rows — or
-/// `None` when the container is not served from a file or its directory
-/// is not in it. Found by bisection on
-/// [`directory_borrowed_from`](lshe_core::LshEnsemble::directory_borrowed_from):
-/// the last start and the first end whose slice still holds both columns.
-#[must_use]
-pub fn directory_range(container: &IndexContainer) -> Option<Range<usize>> {
-    let bytes = container.mapping()?;
-    let holds = |range: Range<usize>| {
-        let index = container.ensemble();
-        index.directory_borrowed_from(&bytes[range])
-    };
-    let len = bytes.len();
-    if !holds(0..len) {
-        return None;
-    }
-    let start = first(0..len + 1, |at| !holds(at..len)) - 1;
-    let end = first(0..len + 1, |at| holds(0..at));
-    Some(start..end)
-}
-
-/// The first value of `range` at which `reached` holds, where it holds
-/// from some value on; `range.end` if it never does.
-fn first(range: Range<usize>, reached: impl Fn(usize) -> bool) -> usize {
-    let (mut lo, mut hi) = (range.start, range.end);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if reached(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo
 }
 
 /// The configuration every check starts from: an ephemeral port, two

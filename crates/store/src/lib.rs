@@ -2,8 +2,7 @@
 //! (v2) for LSH Ensemble indexes.
 //!
 //! The `.lshe` format is decoded on every load: its bulk stays in the
-//! mapped file, but the walk that checks it, and the records and id map it
-//! rebuilds, scale with corpus size. This crate defines a format that is
+//! mapped file, but the walks that check it scale with corpus size. This crate defines a format that is
 //! *opened* in place: a packed file is `mmap(2)`-ed, structurally
 //! validated in microseconds, and queried through zero-copy views while
 //! the kernel's page cache holds the hot set. No server opens it — the

@@ -4,11 +4,11 @@
 //! first key lane at 32 bits, the other lanes at 16: `4·b_max +
 //! 2·(m − b_max)` bytes, 576 by default — and one 4-byte `(lo, row)` entry
 //! per prefix tree (`4·b_max`: the head's low 16 bits and a block-local
-//! `u16` row), plus its id, its cardinality (8) and its directory entry (an
-//! id and a global row, 8). The `.lshe` beyond its provenance records, and
-//! the resident index `/stats` reports as `index_bytes`, must stay within
-//! `4·b_max + 2·(m − b_max) + 4·b_max + 24` bytes per domain (728 by
-//! default); the packed file, which holds no records and whose trees keep
+//! `u16` row), plus its id (4) and its cardinality (8). The `.lshe` beyond
+//! its provenance records, and the resident index `/stats` reports as
+//! `index_bytes`, must stay within `4·b_max + 2·(m − b_max) + 4·b_max + 16`
+//! bytes per domain (720 by default: 716, and 4 for the headers, counts and
+//! pads); the packed file, which holds no records and whose trees keep
 //! a `u32` table position, not a `u16` row, gets `2·b_max` more for the
 //! whole file — so a later change cannot quietly store the lanes a second
 //! time (as tree keys, or as a sketch section beside the forests), or
@@ -16,11 +16,10 @@
 //! those entries exactly.
 //!
 //! Loaded from its file, a container keeps nothing per domain on the heap:
-//! rows, trees, sizes, the id → row directory and the record columns are
-//! all views into the mapping, so `heap_bytes + id_map_bytes +
-//! provenance_bytes` is a few bytes a partition, under 64 KiB whatever the
-//! domain count — and after an insert and a commit, it is what they
-//! changed.
+//! rows, trees, sizes and the record columns are all views into the
+//! mapping, and an id's row is found by a search of its partition's ids, so
+//! `heap_bytes + id_map_bytes + provenance_bytes` is 0 whatever the domain
+//! count — and after an insert and a commit, it is what they changed.
 //!
 //! Resident provenance of a built container has a bound of its own: it is
 //! columns — 12 bytes a record, beside the text of each column name and of
@@ -42,18 +41,18 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     assert_eq!(container.len(), DOMAINS);
     let row = 4 * B_MAX + 2 * (container.num_perm() - B_MAX);
     assert_eq!(row, 576);
-    let bound = row + 4 * B_MAX + 24;
-    assert_eq!(bound, 728);
+    let bound = row + 4 * B_MAX + 16;
+    assert_eq!(bound, 720);
 
     // Heap form, less the record columns: they run from behind the
-    // header (envelope, flags, num_perm: 10 bytes) to the ensemble's
-    // length prefix.
+    // header (envelope and num_perm: 9 bytes) to the ensemble's length
+    // prefix.
     let file = container.to_bytes();
     let ensemble_at = file
         .windows(4)
         .position(|w| w == lshe_core::persist::MAGIC)
         .expect("nested ensemble");
-    let heap = file.len() - (ensemble_at - 8 - 10);
+    let heap = file.len() - (ensemble_at - 8 - 9);
     assert!(
         heap <= bound * DOMAINS,
         "heap container: {} B per domain beyond its records, bound {bound}",
@@ -75,7 +74,7 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
         packed as f64 / DOMAINS as f64
     );
     // Resident: what `/stats` and `lshe stats` call `index_bytes` — rows,
-    // trees and sizes (the id → row directory is not part of it).
+    // trees and sizes.
     let index_bytes = container.open_index().memory_bytes();
     assert!(
         index_bytes <= bound * DOMAINS,
@@ -93,8 +92,8 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     // `index_bytes` is `mapped_bytes + heap_bytes`. A built container holds
     // all of it on the heap; loaded from its file, none of it — the rows,
     // trees and sizes are views into the mapping, and the same
-    // `index_bytes` is reported over them. Nor are the directory or the
-    // records heap: what is left is each partition's first row.
+    // `index_bytes` is reported over them. Nor are the records heap, and
+    // the id map is empty.
     assert_eq!(container.mapped_bytes(), 0);
     let saved = dir.join("index.lshe");
     container.save(&saved).expect("save");
@@ -105,9 +104,9 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     let id_map_bytes = loaded.open_index().id_map_bytes();
     assert_eq!(heap_bytes, 0);
     assert_eq!(loaded.provenance_bytes(), 0);
-    assert_eq!(id_map_bytes, 4 * loaded.partition_count());
+    assert_eq!(id_map_bytes, 0);
     assert!(heap_bytes + id_map_bytes + loaded.provenance_bytes() <= 64 << 10);
-    assert!(loaded.directory_in_place() && loaded.records_in_place());
+    assert!(loaded.records_in_place());
 
     // `lshe stats` sums the trees from their columns — 4 bytes an entry,
     // a tree per band — and reports the id map beside them.
@@ -165,7 +164,7 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
     assert!(index.id_map_bytes() > id_map_bytes);
     assert_eq!(loaded.provenance_bytes(), entry + names);
     assert!(loaded.base_in_place().iter().all(|&p| p));
-    assert!(loaded.directory_in_place() && loaded.records_in_place());
+    assert!(loaded.records_in_place());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,22 +1,20 @@
 //! One-way migration from the generation before the current writer.
 //!
-//! `tests/fixtures/v7_two_partitions.lshe` and `v7_three_partitions.lshe`
-//! (`LSHX` v7 around `LSHE` v7: a record a domain with its size among its
-//! fields, an ensemble without sizes or a directory; two sealed segments, a
-//! base and a segment tombstone) were written by the commit before records,
-//! sizes and the id → row directory became columns of the file, from the
-//! domains [`v7_container`] rebuilds, with their answers recorded in
-//! `v7_expected.txt`. Both must load — from a slice, and mapped, where the
-//! forests are views into the file and the records, sizes and directory
-//! are built on the heap — equal a fresh build of their domains, answer as
-//! recorded and like it, and save as the current version: the bytes of a
-//! fresh build, but for the size of the one tombstoned base row, which a
-//! version-7 file lost with its record and which is written as 1 — until a
-//! compaction erases the row, after which the two are the same bytes.
-//! Saved again, the file loads all views. Anything older — 8-byte tree
-//! entries, unpadded forests, rows of 32-bit lanes throughout, forests that
-//! held their lanes as tree keys, the 64-bit-slot generations — is refused
-//! on its version byte.
+//! `tests/fixtures/v8_two_partitions.lshe` and `v8_three_partitions.lshe`
+//! (`LSHX` v8 around `LSHE` v8: a flag byte behind the version, and an id
+//! → row directory in front of the partitions; two sealed segments, a
+//! base and a segment tombstone) were written by the commit before the
+//! directory left the file, from the domains [`v8_container`] rebuilds,
+//! with their answers recorded in `v8_expected.txt`. Both must load — from
+//! a slice, and mapped, where every base column and the records are views
+//! into the file and the directory is skipped — equal a fresh build of
+//! their domains, answer as recorded and like it, and save as the current
+//! version: the bytes of a fresh build. Saved again, the file loads all
+//! views. Anything older — a record a domain with its size among its
+//! fields and an ensemble without sizes (version 7), 8-byte tree entries,
+//! unpadded forests, rows of 32-bit lanes throughout, forests that held
+//! their lanes as tree keys, the 64-bit-slot generations — is refused on
+//! its version byte.
 
 use lshe_core::{MergeTask, Query};
 use lshe_corpus::{Domain, DomainMeta};
@@ -69,7 +67,7 @@ fn nested_version(bytes: &[u8]) -> u8 {
 #[test]
 fn older_generations_are_refused_on_their_version_byte() {
     let refused = |found, supported| CodecError::UnsupportedVersion { found, supported };
-    let current = v7_container(8, 2).to_bytes();
+    let current = v8_container(8, 2).to_bytes();
     let nested = nested_at(&current);
     // The first forest of the nested ensemble.
     let forest = nested
@@ -77,23 +75,23 @@ fn older_generations_are_refused_on_their_version_byte() {
             .windows(4)
             .position(|w| w == lshe_lsh::persist::MAGIC)
             .expect("nested forest");
-    for old in 1u8..=6 {
+    for old in 1u8..=7 {
         // The container's own version byte, then its ensemble's.
         let mut bytes = current.clone();
         bytes[4] = old;
         assert_eq!(
             IndexContainer::from_bytes(&bytes).err(),
-            Some(refused(old, 8))
+            Some(refused(old, 9))
         );
         let mut bytes = current.clone();
         bytes[nested + 4] = old;
         assert_eq!(
             IndexContainer::from_bytes(&bytes).err(),
-            Some(refused(old, 8))
+            Some(refused(old, 9))
         );
         // The ensemble runs up to the container's 4-byte allocator mark.
         let ensemble = lshe_core::LshEnsemble::from_bytes(&bytes[nested..bytes.len() - 4]);
-        assert_eq!(ensemble.err(), Some(refused(old, 8)));
+        assert_eq!(ensemble.err(), Some(refused(old, 9)));
     }
     // Version-6 ensemble and version-4 forest headers (8-byte tree
     // entries), built in memory: refused before anything behind the
@@ -102,7 +100,7 @@ fn older_generations_are_refused_on_their_version_byte() {
     v6.envelope(lshe_core::persist::MAGIC, 6);
     assert_eq!(
         lshe_core::LshEnsemble::from_bytes(&v6.finish()).err(),
-        Some(refused(6, 8))
+        Some(refused(6, 9))
     );
     let mut v4 = Encoder::default();
     v4.envelope(lshe_lsh::persist::MAGIC, 4);
@@ -125,34 +123,34 @@ fn older_generations_are_refused_on_their_version_byte() {
     // decoded from a slice and loaded from a file alike.
     let dir = std::env::temp_dir().join(format!("lshe_migration_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
-    for old in [1u8, 6] {
+    for old in [1u8, 6, 7] {
         let mut bare = Encoder::default();
         bare.envelope(lshe_serve::container::MAGIC, old);
         let bare = bare.finish();
         assert_eq!(
             IndexContainer::from_bytes(&bare).err(),
-            Some(refused(old, 8))
+            Some(refused(old, 9))
         );
         let path = dir.join(format!("v{old}.lshe"));
         std::fs::write(&path, &bare).expect("write");
         match IndexContainer::load(&path) {
             Err(LoadError::Decode {
                 section, source, ..
-            }) => assert_eq!((section, source), ("header", refused(old, 8))),
+            }) => assert_eq!((section, source), ("header", refused(old, 9))),
             other => panic!("version {old}: {other:?}"),
         }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Each v7 fixture: its name, base domains and partitions.
-const V7_FIXTURES: [(&str, usize, usize); 2] =
-    [("v7_two_partitions", 8, 2), ("v7_three_partitions", 18, 3)];
+/// Each v8 fixture: its name, base domains and partitions.
+const V8_FIXTURES: [(&str, usize, usize); 2] =
+    [("v8_two_partitions", 8, 2), ("v8_three_partitions", 18, 3)];
 
-/// The v7 fixtures' corpus: `n` base domains in `parts` partitions, then
+/// The v8 fixtures' corpus: `n` base domains in `parts` partitions, then
 /// two commits — two inserts and the removal of base domain 1; one insert
 /// and the removal of the first sealed insert.
-fn v7_container(n: usize, parts: usize) -> IndexContainer {
+fn v8_container(n: usize, parts: usize) -> IndexContainer {
     let mut c = IndexContainer::from_stream(corpus(n, 31), parts, true);
     let hasher = MinHasher::new(c.num_perm());
     let fresh = corpus(3, 32);
@@ -174,10 +172,10 @@ fn v7_container(n: usize, parts: usize) -> IndexContainer {
 }
 
 /// One line per fixture query — every one of the `n` base and the fresh
-/// domains at three thresholds and top-3 — in `v7_expected.txt`'s form: the
+/// domains at three thresholds and top-3 — in `v8_expected.txt`'s form: the
 /// fixture's name, the probe counters, then each hit with its estimate's
 /// bits.
-fn v7_answers(c: &IndexContainer, name: &str, n: usize) -> String {
+fn v8_answers(c: &IndexContainer, name: &str, n: usize) -> String {
     use std::fmt::Write as _;
     let hasher = MinHasher::new(c.num_perm());
     let index = c.open_index();
@@ -217,25 +215,31 @@ fn moved<'a>(got: &'a str, want: &'a str) -> Vec<(&'a str, &'a str)> {
 }
 
 #[test]
-fn v7_containers_answer_as_recorded_and_save_as_a_fresh_v8_build() {
-    let recorded = std::fs::read_to_string(fixture("v7_expected.txt")).expect("fixture");
-    for (name, base_rows, parts) in V7_FIXTURES {
+fn v8_containers_answer_as_recorded_and_save_as_a_fresh_v9_build() {
+    let recorded = std::fs::read_to_string(fixture("v8_expected.txt")).expect("fixture");
+    for (name, base_rows, parts) in V8_FIXTURES {
         let file = fixture(&format!("{name}.lshe"));
         let old = std::fs::read(&file).expect("fixture");
         assert_eq!(
-            (&old[..4], old[4], old[5]),
-            (&b"LSHX"[..], 7, 1),
-            "{name} is LSHX v7"
+            (&old[..4], old[4], old[5], nested_version(&old)),
+            (&b"LSHX"[..], 8, 1, 8),
+            "{name} is LSHX v8, flag 1, around LSHE v8"
         );
         assert!(old.len() <= 30 * 1024, "{name} is small");
-        // Mapped (forests viewed in place; records, sizes and directory
-        // built) and copied out of a slice: one decoder, one answer.
-        let loaded = IndexContainer::load(&file).expect("v7 loads");
-        let copied = IndexContainer::from_bytes(&old).expect("v7 decodes");
+        // Mapped (every base column and the records viewed in place, the
+        // directory skipped) and copied out of a slice: one decoder, one
+        // answer.
+        let loaded = IndexContainer::load(&file).expect("v8 loads");
+        let copied = IndexContainer::from_bytes(&old).expect("v8 decodes");
         assert_eq!(copied.mapped_bytes(), 0);
-        assert_eq!(loaded.mapped_bytes(), base_rows * (4 + 576 + 128), "{name}");
-        assert!(!loaded.directory_in_place() && !loaded.records_in_place());
-        let fresh = v7_container(base_rows, parts);
+        assert_eq!(
+            loaded.mapped_bytes(),
+            base_rows * (4 + 576 + 128 + 8),
+            "{name}"
+        );
+        assert!(loaded.base_in_place().iter().all(|&part| part), "{name}");
+        assert!(loaded.records_in_place(), "{name}");
+        let fresh = v8_container(base_rows, parts);
         assert_eq!(loaded.records(), fresh.records(), "{name}");
         assert_eq!(loaded.next_id(), fresh.next_id(), "{name}");
         assert_eq!(loaded.segment_layout(), fresh.segment_layout(), "{name}");
@@ -243,7 +247,7 @@ fn v7_containers_answer_as_recorded_and_save_as_a_fresh_v8_build() {
         // Hits, estimates bit for bit, and probe counters: as the commit
         // that wrote the file answered them and as a fresh build does; any
         // line that moved is listed by the failure.
-        let migrated = v7_answers(&loaded, name, base_rows);
+        let migrated = v8_answers(&loaded, name, base_rows);
         let want: String = recorded
             .lines()
             .filter(|line| line.split(' ').next() == Some(name))
@@ -254,35 +258,25 @@ fn v7_containers_answer_as_recorded_and_save_as_a_fresh_v8_build() {
             differing.is_empty(),
             "{name}: (migrated, as its writer answered) {differing:#?}"
         );
-        let copied_answers = v7_answers(&copied, name, base_rows);
+        let copied_answers = v8_answers(&copied, name, base_rows);
         assert_eq!(copied_answers, migrated, "{name} from a slice");
-        let fresh_answers = v7_answers(&fresh, name, base_rows);
+        let fresh_answers = v8_answers(&fresh, name, base_rows);
         assert_eq!(fresh_answers, migrated, "fresh build vs migrated {name}");
 
-        // Saved as version 8: a fresh build's bytes but for the removed
-        // base domain 1's size, an 8-byte-aligned `u64` in its partition's
-        // sizes — 1 where the fresh build keeps the domain's cardinality.
+        // Saved as version 9: a fresh build's bytes — the file's, less the
+        // flag byte and the directory (8 B a base row, its count and pad),
+        // the pads behind them moved (8 010 → 7 938 B and 15 482 → 15 330 B).
         let resaved = loaded.to_bytes();
-        assert_eq!((resaved[4], resaved[5]), (8, 1), "saved as LSHX v8, flag 1");
-        assert_eq!((nested_version(&old), nested_version(&resaved)), (7, 8));
+        assert_eq!((resaved[4], nested_version(&resaved)), (9, 9), "{name}");
         assert!(
             resaved == copied.to_bytes(),
             "{name}: mapped and copied differ"
         );
-        let built = fresh.to_bytes();
-        assert_eq!(resaved.len(), built.len(), "{name}");
-        let differ: Vec<usize> = (0..built.len())
-            .filter(|&i| built[i] != resaved[i])
-            .collect();
-        let at = differ[0] & !7;
-        assert!(differ.iter().all(|&i| i < at + 8), "{name}: {differ:?}");
-        let size = |bytes: &[u8]| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8"));
-        assert_eq!(size(&resaved), 1, "{name}");
-        assert_eq!(
-            size(&built),
-            corpus(base_rows, 31)[1].0.len() as u64,
-            "{name}"
+        assert!(
+            resaved == fresh.to_bytes(),
+            "{name}: not a fresh build's bytes"
         );
+        assert!(old.len() > resaved.len() + 8 * base_rows, "{name}");
         let (mut compacted, mut rebuilt) = (loaded.clone(), fresh.clone());
         compacted.apply_merge(&MergeTask::Full);
         rebuilt.apply_merge(&MergeTask::Full);
@@ -296,13 +290,10 @@ fn v7_containers_answer_as_recorded_and_save_as_a_fresh_v8_build() {
         std::fs::create_dir_all(&dir).expect("mkdir");
         let path = dir.join(format!("{name}.lshe"));
         loaded.save(&path).expect("save");
-        let reloaded = IndexContainer::load(&path).expect("v8 loads");
+        let reloaded = IndexContainer::load(&path).expect("v9 loads");
         assert!(reloaded.base_in_place().iter().all(|&part| part), "{name}");
-        assert!(
-            reloaded.directory_in_place() && reloaded.records_in_place(),
-            "{name}"
-        );
-        let reloaded_answers = v7_answers(&reloaded, name, base_rows);
+        assert!(reloaded.records_in_place(), "{name}");
+        let reloaded_answers = v8_answers(&reloaded, name, base_rows);
         assert_eq!(reloaded_answers, migrated, "{name} after a save");
         std::fs::remove_dir_all(&dir).ok();
     }

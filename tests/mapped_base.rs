@@ -3,18 +3,20 @@
 //!
 //! `IndexContainer::load` maps a heap `.lshe` file and keeps the mapping:
 //! every bulk column of every base partition (ids, rows, each tree, the
-//! rows' sizes), the id → row directory and every record column is a view
-//! into it, nothing is copied, and a container that was built holds none.
+//! rows' sizes) and every record column is a view into it, nothing is
+//! copied, and a container that was built holds none.
 //! The views answer bit for bit like the vectors they came from; a commit
 //! and a segment merge leave them alone; a full fold through the engine
 //! ends on the file it wrote; a server keeps answering from the file it
-//! loaded once another is renamed over its path, or the path is gone; and
+//! loaded once another is renamed over its path, or the path is gone;
 //! every column, cut at either end or damaged where its check looks, is a
-//! typed decode error naming its section.
+//! typed decode error naming its section; and so are a partition's ids that
+//! do not ascend, and an id in two partitions.
 
-use lshe_core::{DomainIndex, MergeTask, Query, QueryStats, SearchOutcome};
+use lshe_core::{DomainIndex, LshEnsemble, MergeTask, Query, QueryStats, SearchOutcome};
 use lshe_corpus::{Domain, DomainMeta};
 use lshe_datagen::{CorpusConfig, CorpusStream};
+use lshe_minhash::codec::CodecError;
 use lshe_minhash::{MinHasher, Signature};
 use lshe_serve::container::LoadError;
 use lshe_serve::{Engine, IndexContainer, Snapshot};
@@ -120,33 +122,33 @@ fn a_loaded_base_is_views_into_the_file_and_a_built_one_is_heap() {
     assert_eq!(built.mapped_bytes(), 0);
     assert!(built.mapping().is_none());
 
-    assert!(!built.directory_in_place() && !built.records_in_place());
+    assert!(!built.records_in_place());
 
     let loaded = IndexContainer::load(&dir.index()).expect("load");
     assert_eq!(loaded.base_in_place(), all(true));
-    assert!(loaded.directory_in_place() && loaded.records_in_place());
+    assert!(loaded.records_in_place());
     let file = std::fs::read(dir.index()).expect("read");
     assert!(
         loaded.mapping() == Some(&file[..]),
         "the mapping is the file"
     );
     // What is mapped is every row (id, lanes and size) and tree column;
-    // nothing of the index is left on the heap, nor of the directory but
-    // each partition's first row, nor of the records.
+    // nothing of the index is left on the heap, nor of the records, and the
+    // id map is empty.
     assert_eq!(loaded.mapped_bytes(), BASE * (4 + 576 + 4 * 32 + 8));
     let heap = loaded.open_index().memory_bytes() - loaded.mapped_bytes();
     assert_eq!(heap, 0, "{heap} B of heap");
-    assert_eq!(loaded.open_index().id_map_bytes(), 4 * PARTITIONS);
+    assert_eq!(loaded.open_index().id_map_bytes(), 0);
     assert_eq!(loaded.provenance_bytes(), 0);
     // A clone is more views, not a copy; the bytes decoded from a slice are
     // one.
     let clone = loaded.clone();
     assert_eq!(clone.base_in_place(), all(true));
-    assert!(clone.directory_in_place() && clone.records_in_place());
+    assert!(clone.records_in_place());
     let copied = IndexContainer::from_bytes(&file).expect("decode");
     assert_eq!(copied.mapped_bytes(), 0);
     assert_eq!(copied.base_in_place(), all(false));
-    assert!(!copied.directory_in_place() && !copied.records_in_place());
+    assert!(!copied.records_in_place());
 
     let want = answers(&*built.open_index());
     assert!(answers(&*loaded.open_index()) == want, "loaded");
@@ -175,7 +177,7 @@ fn a_commit_and_a_segment_merge_leave_every_base_column_a_view() {
     assert_eq!(outcome.entries_folded, 6);
     for snap in [&committed, &merged] {
         assert_eq!(snap.container().base_in_place(), all(true));
-        assert!(snap.container().directory_in_place() && snap.container().records_in_place());
+        assert!(snap.container().records_in_place());
         let shared = snap.container().base_shared_with(loaded.container());
         assert_eq!(shared, (all(true), true));
         assert_eq!(
@@ -281,11 +283,11 @@ fn u64_at(file: &[u8], at: usize) -> usize {
 /// Reads the layout `IndexContainer::to_bytes` writes (`docs/FORMAT.md`).
 fn columns(file: &[u8]) -> Columns {
     let (mut columns, mut pads) = (Vec::new(), Vec::new());
-    // Behind the envelope (5), flags (1) and num_perm (4): four counts, a
-    // pad, the record columns.
-    let [records, tables, column_text, table_text] = [10, 18, 26, 34].map(|at| u64_at(file, at));
-    pads.push(42);
-    let mut at = 43 + usize::from(file[42]);
+    // Behind the envelope (5) and num_perm (4): four counts, a pad, the
+    // record columns.
+    let [records, tables, column_text, table_text] = [9, 17, 25, 33].map(|at| u64_at(file, at));
+    pads.push(41);
+    let mut at = 42 + usize::from(file[41]);
     for (name, len) in [
         ("record ids", 4 * records),
         ("record tables", 4 * records),
@@ -298,18 +300,11 @@ fn columns(file: &[u8]) -> Columns {
         at += len;
     }
     // The ensemble's length, envelope (5), dims (12), strategy (a tag and
-    // an equi-depth count), `len`, then the partition count, the
-    // directory, and the partitions, each with its sizes.
+    // an equi-depth count), `len`, then the partition count and the
+    // partitions, each with its sizes.
     at += 8 + 5 + 12 + 9 + 8;
     let parts = u64_at(file, at);
     at += 8;
-    let rows = u64_at(file, at);
-    at += 8;
-    pads.push(at);
-    at += 1 + usize::from(file[at]);
-    columns.push(("ensemble", "directory ids", at..at + 4 * rows));
-    columns.push(("ensemble", "directory rows", at + 4 * rows..at + 8 * rows));
-    at += 8 * rows;
     for _ in 0..parts {
         at += 24 + u64_at(file, at + 16);
         let rows = u64_at(file, at);
@@ -334,9 +329,8 @@ fn load_error_section(path: &Path, bytes: &[u8]) -> Option<&'static str> {
 fn a_file_cut_at_any_page_or_inside_any_pad_is_a_typed_decode_error() {
     let (dir, built) = saved("cut");
     let file = built.to_bytes();
-    // Every 4 KiB boundary; both ends of every record column, every
-    // partition's sizes and both directory columns; and every byte of
-    // every pad: a forest's is `n` and `n` zeros behind its 25-byte
+    // Every 4 KiB boundary; both ends of every record column and every
+    // partition's sizes; and every byte of every pad: a forest's is `n` and `n` zeros behind its 25-byte
     // header, and so are the others.
     let mut cuts: Vec<usize> = (0..file.len()).step_by(4096).collect();
     let forests = file.windows(4).enumerate();
@@ -351,7 +345,7 @@ fn a_file_cut_at_any_page_or_inside_any_pad_is_a_typed_decode_error() {
         cuts.extend(pad..=pad + file[pad] as usize);
     }
     let layout = columns(&file);
-    assert_eq!(layout.columns.len(), 6 + PARTITIONS + 2);
+    assert_eq!(layout.columns.len(), 6 + PARTITIONS);
     for (_, _, range) in &layout.columns {
         cuts.extend([range.start, range.end]);
     }
@@ -387,9 +381,9 @@ fn each_column_served_in_place_refuses_damage_its_check_covers() {
     let path = dir.0.join("damaged.lshe");
     assert!(load_error_section(&path, &file).is_none(), "the file loads");
     // The top bit of a column's first value flipped: an id above the next
-    // one in either ids column, a table index, a name end or a global row
-    // past what there is, a text byte no longer UTF-8 where it was ASCII
-    // (or a lead byte turned ASCII before its continuation).
+    // one, a table index or a name end past what there is, a text byte no
+    // longer UTF-8 where it was ASCII (or a lead byte turned ASCII before
+    // its continuation).
     let flip_top = |range: &Range<usize>, width: usize| {
         let mut bad = file.clone();
         bad[range.start + width - 1] ^= 0x80;
@@ -397,7 +391,7 @@ fn each_column_served_in_place_refuses_damage_its_check_covers() {
     };
     let layout = columns(&file);
     // Each partition's sizes: its count, then its pad.
-    let mut size_pads = layout.pads[2..].iter();
+    let mut size_pads = layout.pads[1..].iter();
     for (section, name, range) in layout.columns {
         let damaged = match name {
             "column names" | "table names" => flip_top(&range, 1),
@@ -423,5 +417,71 @@ fn each_column_served_in_place_refuses_damage_its_check_covers() {
             Some(section),
             "{name} at {range:?}"
         );
+    }
+}
+
+/// What an id's base row is found by — each partition's ids strictly
+/// ascend, and no id is in two partitions — is checked where it is read:
+/// two neighbouring ids of a partition swapped, or one overwritten by an
+/// id another partition holds (its own neighbours still around it), is a
+/// typed error of the ensemble's, from a slice or a file, in its container
+/// or alone.
+#[test]
+fn base_ids_that_do_not_ascend_or_repeat_are_refused() {
+    let (dir, built) = saved("ids");
+    let file = built.to_bytes();
+    let path = dir.0.join("ids.lshe");
+    // Each forest's ids column, behind its 25-byte header (its row count
+    // at 17) and its pad.
+    let forests = file.windows(4).enumerate();
+    let ids: Vec<Range<usize>> = forests
+        .filter(|(_, tag)| tag == &lshe_lsh::persist::MAGIC)
+        .map(|(at, _)| {
+            let start = at + 26 + usize::from(file[at + 25]);
+            start..start + 4 * u64_at(&file, at + 17)
+        })
+        .collect();
+    assert_eq!(ids.len(), PARTITIONS);
+    let column = |range: &Range<usize>| -> Vec<u32> {
+        let words = file[range.clone()].chunks_exact(4);
+        words
+            .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+            .collect()
+    };
+    let (first, second) = (column(&ids[0]), column(&ids[1]));
+
+    let mut swapped = file.clone();
+    let at = ids[0].start;
+    swapped[at..at + 8].copy_from_slice(&[&file[at + 4..at + 8], &file[at..at + 4]].concat());
+
+    let (row, other) = (1..first.len() - 1)
+        .find_map(|row| {
+            let between = |&id: &u32| first[row - 1] < id && id < first[row + 1];
+            Some((row, *second.iter().find(|id| between(id))?))
+        })
+        .expect("ids of the two partitions interleave");
+    let mut repeated = file.clone();
+    let at = ids[0].start + 4 * row;
+    repeated[at..at + 4].copy_from_slice(&other.to_le_bytes());
+
+    let nested = file
+        .windows(4)
+        .position(|w| w == lshe_core::persist::MAGIC)
+        .expect("nested ensemble");
+    for (bytes, why) in [
+        (swapped, "base partition ids do not ascend"),
+        (repeated, "an id is in two base partitions"),
+    ] {
+        let refused = Some(CodecError::Corrupt(why));
+        assert_eq!(IndexContainer::from_bytes(&bytes).err(), refused, "{why}");
+        let ensemble = LshEnsemble::from_bytes(&bytes[nested..bytes.len() - 4]);
+        assert_eq!(ensemble.err(), refused, "{why}");
+        std::fs::write(&path, &bytes).expect("write");
+        match IndexContainer::load(&path) {
+            Err(LoadError::Decode {
+                section, source, ..
+            }) => assert_eq!((section, Some(source)), ("ensemble", refused), "{why}"),
+            other => panic!("{why}: {other:?}"),
+        }
     }
 }
