@@ -424,8 +424,8 @@ pub trait DomainIndex: std::fmt::Debug + Send + Sync {
         0
     }
 
-    /// Approximate heap bytes of the id → row map the index resolves a
-    /// removal, a duplicate insert or a candidate's sketch through — beside
+    /// Approximate heap bytes of the id overlay — where each id a mutation
+    /// changed lives, which a search keeps live rows by — beside
     /// [`memory_bytes`](Self::memory_bytes), not part of it: 0 for a backend
     /// that keeps none.
     fn id_map_bytes(&self) -> usize {

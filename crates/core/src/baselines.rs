@@ -22,14 +22,13 @@
 
 use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
 use crate::ensemble::{
-    DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder,
+    EnsembleConfig, EnsemblePartition, LshEnsemble, LshEnsembleBuilder, Slot, UNCHANGED,
 };
 use crate::partition::{PartitionStrategy, Partitioning};
 use crate::pipeline::{Probe, ReadPath, Tiers};
 use crate::tuning::Tuner;
 use lshe_asym::{pad_signature, PaddingSampler};
 use lshe_lsh::{DomainId, LshForest, Row};
-use lshe_minhash::hash::FastHashSet;
 use lshe_minhash::Signature;
 
 /// An ensemble's answers as the paper measures them (Algorithm 1): the
@@ -100,8 +99,6 @@ pub struct AsymIndex {
     tuner: Tuner,
     num_perm: usize,
     len: usize,
-    /// Always empty: an Asym index is never mutated.
-    dead: FastHashSet<(DomainId, DeadSlot)>,
 }
 
 #[derive(Debug)]
@@ -221,7 +218,6 @@ impl AsymIndex {
             tuner: Tuner::new(config.b_max as u32, config.r_max as u32),
             num_perm: config.num_perm,
             len: entries.len(),
-            dead: FastHashSet::default(),
         }
     }
 
@@ -232,13 +228,16 @@ impl AsymIndex {
     }
 
     fn read_path(&self) -> ReadPath<'_, &AsymPartition> {
-        let units = self.partitions.iter().map(|p| (DeadSlot::Base, p));
+        let units = (0..)
+            .zip(&self.partitions)
+            .map(|(p, part)| (Slot::Base(p), part));
         ReadPath {
             tiers: Tiers {
                 num_perm: self.num_perm,
                 tuner: &self.tuner,
                 units: units.collect(),
-                dead: &self.dead,
+                // An Asym index is never mutated.
+                overlay: &UNCHANGED,
             },
             ranked: false,
         }

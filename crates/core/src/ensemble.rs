@@ -16,7 +16,7 @@ use crate::pipeline::{Probe, Tiers};
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, LshForest, Row, RowBuf, RowLanes};
 use lshe_minhash::codec::Column;
-use lshe_minhash::hash::{FastHashMap, FastHashSet};
+use lshe_minhash::hash::{FastBuildHasher, FastHashMap};
 use lshe_minhash::Signature;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -190,44 +190,38 @@ impl Probe for &EnsemblePartition {
     }
 }
 
-/// The forest a live domain id currently resides in.
+/// Where a row is: its base partition, or its sealed segment and the
+/// partition in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
+pub(crate) enum Slot {
     /// Base partition `idx`.
     Base(u32),
     /// Sealed segment `idx`, partition `part` within it.
     Seg(u32, u32),
 }
 
-/// Which tier held a removed id's rows. Removal of committed rows is a
-/// tombstone: the rows stay in their forest until compaction, and queries
-/// filter them out of the candidate union. An id has at most one base
-/// row, so a base tombstone names no partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum DeadSlot {
-    /// The id's row lives in a base partition.
-    Base,
-    /// The id's entry lives in sealed segment `idx`.
-    Seg(u32),
-}
+/// The one record of what changed since a base was built, loaded or
+/// folded, by id: where a segment id lives, or `None` for an id whose base
+/// row is removed. An id it does not name is where its base row is.
+pub(crate) type Overlay = FastHashMap<DomainId, Option<(Slot, u32)>>;
 
-impl DeadSlot {
-    /// The tier a row in `slot` is tombstoned in.
-    fn of(slot: Slot) -> Self {
-        match slot {
-            Slot::Base(_) => Self::Base,
-            Slot::Seg(s, _) => Self::Seg(s),
-        }
-    }
+/// The overlay of an index that never changes: it names no id.
+pub(crate) static UNCHANGED: Overlay = Overlay::with_hasher(FastBuildHasher);
 
-    fn matches(self, slot: Slot) -> bool {
-        match (self, slot) {
-            (Self::Base, Slot::Base(_)) => true,
-            (Self::Seg(a), Slot::Seg(b, _)) => a == b,
-            _ => false,
-        }
+/// Whether row `row` of the partition at `slot`, which holds `id`, is
+/// live: a base row is, unless the overlay names its id; any other row is,
+/// if it is the row the overlay names.
+#[inline]
+pub(crate) fn is_live(overlay: &Overlay, slot: Slot, id: DomainId, row: u32) -> bool {
+    match slot {
+        Slot::Base(_) => !overlay.contains_key(&id),
+        Slot::Seg(..) => overlay.get(&id) == Some(&Some((slot, row))),
     }
 }
+
+/// A dead row as a file names it: its id, and `None` for its base row or
+/// `Some(j)` for its entry in sealed segment `j`.
+pub(crate) type Tombstone = (DomainId, Option<u32>);
 
 /// The position of `id` in `ids`, which strictly ascend, or `None`.
 ///
@@ -264,11 +258,6 @@ pub(crate) fn base_row(partitions: &[Arc<EnsemblePartition>], id: DomainId) -> O
     tests::BASE_ROW_LOOKUPS.with(|n| n.set(n.get() + 1));
     let mut rows = (0u32..).zip(partitions);
     rows.find_map(|(p, part)| Some((p, position_of(part.forest.ids(), id)? as u32)))
-}
-
-/// Rows of `partitions`, tombstoned ones too.
-fn base_rows(partitions: &[Arc<EnsemblePartition>]) -> usize {
-    partitions.iter().map(|p| p.forest.len()).sum()
 }
 
 /// Every row of `partitions`, whose ids each ascend, as `(id, partition,
@@ -464,13 +453,13 @@ impl SealedSegment {
 }
 
 /// Every partition of a segment stack, oldest segment first, each with
-/// the tier a tombstone names it by.
+/// where it is.
 pub(crate) fn segment_units(
     segments: &[Arc<SealedSegment>],
-) -> impl Iterator<Item = (DeadSlot, &EnsemblePartition)> {
-    segments.iter().enumerate().flat_map(|(j, seg)| {
-        let tier = DeadSlot::Seg(j as u32);
-        seg.partitions.iter().map(move |p| (tier, p))
+) -> impl Iterator<Item = (Slot, &EnsemblePartition)> {
+    (0..).zip(segments).flat_map(|(j, seg)| {
+        let parts = (0..).zip(&seg.partitions);
+        parts.map(move |(k, p)| (Slot::Seg(j, k), p))
     })
 }
 
@@ -545,38 +534,38 @@ pub struct PartitionStats {
 /// partition's ids, which ascend in every base.
 ///
 /// It mutates LSM-style, and only at [`commit`](Self::commit): a commit
-/// seals a batch's inserts into an immutable segment in O(batch) and turns
-/// its removes into tombstones filtered out of every candidate union;
+/// seals a batch's inserts into an immutable segment in O(batch) and points
+/// the id overlay at their rows, and a remove takes its id out of the
+/// overlay. The overlay is the one record of liveness: a base row is live
+/// unless it names the row's id, any other row only if it is the row it
+/// names, and every candidate union is filtered by that. A row no id lives
+/// in — a removed domain's, or the old row of a re-inserted one — is dead;
+/// it is a tombstone in the file and in
+/// [`segment_layout`](Self::segment_layout) until a fold drops it:
 /// [`apply_merge`](Self::apply_merge) folds segments together, and
 /// [`compact`](Self::compact) builds a new base from the live rows. Nothing
 /// is staged in the index; batching ops up is its caller's business (the
 /// server's engine).
 ///
 /// The base partitions, the sealed segments and the tuner are immutable
-/// and shared: a clone copies pointers to them plus the tombstones and the
-/// id overlay, so a commit or a segment merge on the clone copies nothing
-/// of the base. A base
-/// partition decoded over a mapped index file ([`decode`](Self::decode)) is
-/// views into that file until a compaction replaces it.
+/// and shared: a clone copies pointers to them plus the id overlay, so a
+/// commit or a segment merge on the clone copies nothing of the base. A
+/// base partition decoded over a mapped index file ([`decode`](Self::decode))
+/// is views into that file until a compaction replaces it.
 #[derive(Debug, Clone)]
 pub struct LshEnsemble {
     config: EnsembleConfig,
     partitions: Vec<Arc<EnsemblePartition>>,
     /// Sealed batches, oldest first; queries sweep them after the base.
     segments: Vec<Arc<SealedSegment>>,
-    /// Tombstones, in removal order: ids whose rows are still physically
-    /// present in a base or segment forest. Cleared by compaction.
-    dead: Vec<(DomainId, DeadSlot)>,
-    /// `dead` as a set: the query sweep's per-tier liveness lookup.
-    dead_set: FastHashSet<(DomainId, DeadSlot)>,
     /// The `(b, r)` memo: keyed by size ratio and threshold alone, so every
     /// clone keeps filling and reading the same one.
     tuner: Arc<Tuner>,
     len: usize,
-    /// What changed since the base was built, loaded or folded, by id:
-    /// where a segment id lives, or `None` for an id whose base row is
-    /// tombstoned. An id it does not name is where its base row is.
-    overlay: FastHashMap<DomainId, Option<(Slot, u32)>>,
+    /// Rows of the base, dead ones included: its partitions', or the
+    /// mapped file's for the heap tail of a [`crate::MmapIndex`].
+    base_rows: usize,
+    overlay: Overlay,
 }
 
 impl LshEnsemble {
@@ -646,23 +635,23 @@ impl LshEnsemble {
         Self::over_base(config, tuner, shells)
     }
 
-    /// An index whose every row is a row of `partitions`, whose ids
-    /// ascend in each and repeat in none: no segment, no tombstone.
+    /// An index whose every row is a live row of `partitions`, whose ids
+    /// ascend in each and repeat in none: no segment, no dead row.
     fn over_base(
         config: EnsembleConfig,
         tuner: Arc<Tuner>,
         partitions: Vec<Arc<EnsemblePartition>>,
     ) -> Self {
         debug_assert_eq!(check_base_ids(&partitions), Ok(()));
+        let rows = partitions.iter().map(|p| p.forest.len()).sum();
         Self {
             tuner,
-            len: base_rows(&partitions),
+            len: rows,
+            base_rows: rows,
             partitions,
             segments: Vec::new(),
-            dead: Vec::new(),
-            dead_set: FastHashSet::default(),
             config,
-            overlay: FastHashMap::default(),
+            overlay: Overlay::default(),
         }
     }
 
@@ -684,17 +673,6 @@ impl LshEnsemble {
         self.len == 0
     }
 
-    /// Live ids (decoder cross-check), counted in O(overlay): the base
-    /// rows, less those the overlay names, plus the overlay's live ones.
-    pub(crate) fn id_count(&self) -> usize {
-        let (mut replaced, mut live) = (0, 0);
-        for (&id, at) in &self.overlay {
-            replaced += usize::from(base_row(&self.partitions, id).is_some());
-            live += usize::from(at.is_some());
-        }
-        base_rows(&self.partitions) - replaced + live
-    }
-
     /// Where the live domain `id` is: the overlay's word if it has one,
     /// else its base row.
     #[inline]
@@ -709,8 +687,8 @@ impl LshEnsemble {
         Some((Slot::Base(p), row))
     }
 
-    /// Takes `id` out of the id map: an id with a base row is hidden until
-    /// a compaction erases the row, any other is forgotten.
+    /// Takes `id` out of the id map: an id with a base row is named
+    /// removed until a compaction erases the row, any other is forgotten.
     fn unmap(&mut self, id: DomainId) {
         if base_row(&self.partitions, id).is_some() {
             self.overlay.insert(id, None);
@@ -719,40 +697,54 @@ impl LshEnsemble {
         }
     }
 
-    /// Physical rows no tombstone hides (decoder cross-check): equal to
-    /// [`id_count`](Self::id_count) exactly when every live id is one row
-    /// of one tier — what lets a search verify a candidate in the row its
-    /// probe found. O(tombstones + segment entries).
-    pub(crate) fn live_rows(&self) -> usize {
-        let dead = &self.dead_set;
-        let base = base_rows(&self.partitions);
-        let buried = dead.iter().filter(|&&(id, tier)| {
-            tier == DeadSlot::Base && base_row(&self.partitions, id).is_some()
-        });
-        let segments = self.segments.iter().enumerate().map(|(j, seg)| {
-            let tier = DeadSlot::Seg(j as u32);
-            let live = seg
-                .located()
-                .filter(|(_, (id, _, _))| !dead.contains(&(*id, tier)));
-            live.count()
-        });
-        base - buried.count() + segments.sum::<usize>()
-    }
-
     /// Smallest id that is safely allocatable from this ensemble's view:
-    /// one past the largest id it still knows about, *including*
-    /// tombstoned ids (whose rows persist until compaction). Callers that
-    /// track an allocator high-water mark across compactions should prefer
-    /// their own persisted mark — compaction erases tombstones, so this
-    /// floor can shrink afterwards.
+    /// one past the largest id any row holds, dead rows included (they
+    /// persist until a fold drops them). Callers that track an allocator
+    /// high-water mark across compactions should prefer their own persisted
+    /// mark — compaction drops dead rows, so this floor can shrink
+    /// afterwards.
     #[must_use]
     pub fn min_next_id(&self) -> u32 {
-        // Every base row's id is live or tombstoned, and each partition's
-        // largest is its last.
+        self.last_id().map_or(0, |id| id + 1)
+    }
+
+    /// The largest id any row holds.
+    pub(crate) fn last_id(&self) -> Option<DomainId> {
+        // Each base partition's largest id is its last.
         let base = self.partitions.iter().filter_map(|p| p.forest.ids().last());
-        let live = self.overlay.iter().filter_map(|(id, at)| at.and(Some(id)));
-        let dead = self.dead.iter().map(|(id, _)| id);
-        base.chain(live).chain(dead).max().map_or(0, |&id| id + 1)
+        let segments = self.segments.iter().flat_map(|s| &s.partitions);
+        let sealed = segments.flat_map(|p| p.forest.ids());
+        base.chain(sealed).max().copied()
+    }
+
+    /// Rows no id lives in: every row less the live ones, since a live id
+    /// is one row. O(segments).
+    fn dead_rows(&self) -> usize {
+        let sealed: usize = self.segments.iter().map(|s| s.len()).sum();
+        self.base_rows + sealed - self.len
+    }
+
+    /// The dead rows as tombstones, in the one order a state is saved in:
+    /// the base rows of the ids the overlay names, by ascending id, then
+    /// each segment's rows the overlay does not point at, oldest segment
+    /// first, in sealing order.
+    pub(crate) fn tombstones(&self) -> Vec<Tombstone> {
+        let overlay = &self.overlay;
+        let in_base = |id: &DomainId| base_row(&self.partitions, *id).is_some();
+        let mut dead: Vec<Tombstone> = overlay
+            .keys()
+            .filter(|id| in_base(id))
+            .map(|&id| (id, None))
+            .collect();
+        dead.sort_unstable();
+        for (j, seg) in (0..).zip(&self.segments) {
+            let rows = seg.located();
+            let gone = rows.filter(|&((part, row), (id, _, _))| {
+                !is_live(overlay, Slot::Seg(j, part), id, row)
+            });
+            dead.extend(gone.map(|(_, (id, _, _))| (id, Some(j))));
+        }
+        dead
     }
 
     /// Number of base partitions (sealed segments carry their own).
@@ -880,12 +872,14 @@ impl LshEnsemble {
     /// This index's sweepable partitions for the shared read path, in
     /// stats order: base partitions, then each sealed segment's.
     pub(crate) fn tiers(&self) -> Tiers<'_, &EnsemblePartition> {
-        let base = self.partitions.iter().map(|p| (DeadSlot::Base, &**p));
+        let base = (0..)
+            .zip(&self.partitions)
+            .map(|(p, part)| (Slot::Base(p), &**part));
         Tiers {
             num_perm: self.config.num_perm,
             tuner: &self.tuner,
             units: base.chain(segment_units(&self.segments)).collect(),
-            dead: self.dead_set(),
+            overlay: &self.overlay,
         }
     }
 
@@ -935,9 +929,10 @@ impl LshEnsemble {
     /// batch, and an insert may re-use an id a remove earlier in it freed —
     /// then seals the inserts left standing, in batch order, into one
     /// immutable segment (O(batch), never O(corpus): the base is not
-    /// touched; the segment is partitioned on its own) and tombstones the
-    /// removed domains, filtered out of their tier's candidates until
-    /// [`compact`](Self::compact). An empty batch changes nothing.
+    /// touched; the segment is partitioned on its own) and takes the removed
+    /// ids out of the overlay, so their rows are dead — filtered out of
+    /// every candidate union until a fold drops them. An empty batch
+    /// changes nothing.
     /// Partition bounds stay as they are: a too-wide upper bound only makes
     /// threshold conversion more conservative, never less correct.
     ///
@@ -950,10 +945,6 @@ impl LshEnsemble {
     pub fn commit(&mut self, batch: &[Mutation<'_>]) -> Result<CommitReport, MutationError> {
         let (inserts, removes) = self.net_effect(batch)?;
         for &id in &removes {
-            let (slot, _) = self.locate(id).expect("a validated remove names a live id");
-            let tomb = (id, DeadSlot::of(slot));
-            self.dead.push(tomb);
-            self.dead_set.insert(tomb);
             self.unmap(id);
         }
         self.len = self.len + inserts.len() - removes.len();
@@ -965,7 +956,7 @@ impl LshEnsemble {
             merged: inserts.len(),
             sealed: !inserts.is_empty(),
             segments: self.segments.len(),
-            tombstones: self.dead.len(),
+            tombstones: self.dead_rows(),
             entries_folded: 0,
         })
     }
@@ -1030,7 +1021,7 @@ impl LshEnsemble {
             MergeTask::Merge(segments) => CommitReport {
                 entries_folded: self.merge_segments(segments),
                 segments: self.segments.len(),
-                tombstones: self.dead.len(),
+                tombstones: self.dead_rows(),
                 ..CommitReport::default()
             },
             MergeTask::Full => self.compact(),
@@ -1038,12 +1029,12 @@ impl LshEnsemble {
     }
 
     /// The tier layout [`crate::Leveled::plan`] plans against: per-segment
-    /// entry counts plus the tombstone backlog.
+    /// entry counts plus the tombstone backlog: the dead rows.
     #[must_use]
     pub fn segment_layout(&self) -> SegmentLayout {
         SegmentLayout {
             segments: self.segments.iter().map(|s| s.len()).collect(),
-            tombstones: self.dead.len(),
+            tombstones: self.dead_rows(),
             len: self.len,
         }
     }
@@ -1062,9 +1053,9 @@ impl LshEnsemble {
     /// into one new segment pushed at the top — the leveled-merge
     /// primitive. Only live entries of the folded segments are rewritten,
     /// so the cost is O(folded entries), never O(corpus): the base
-    /// partitions and every other segment are untouched. Tombstones whose
-    /// rows lived in a folded segment are purged along with the rows.
-    /// Returns the number of live entries folded.
+    /// partitions and every other segment are untouched. The dead rows of
+    /// a folded segment go with it. Returns the number of live entries
+    /// folded.
     ///
     /// The merged segment lands at the *top* of the stack. That ordering
     /// is load-bearing for persistence: the decoder resolves an id that
@@ -1096,7 +1087,6 @@ impl LshEnsemble {
         // the end — an in-place update could alias a slot another
         // segment's pass is still matching against.
         let mut live: Vec<Entry<'_>> = Vec::new();
-        let mut remap: Vec<u32> = Vec::with_capacity(old.len());
         let mut moves: Vec<(DomainId, (Slot, u32))> = Vec::new();
         let mut next_new = 0u32;
         for (j, seg) in old.iter().enumerate() {
@@ -1105,7 +1095,6 @@ impl LshEnsemble {
             } else {
                 next_new
             };
-            remap.push(to);
             next_new += u32::from(!merged[j]);
             if !merged[j] && to as usize == j {
                 continue; // kept where it is: nothing moves
@@ -1131,20 +1120,6 @@ impl LshEnsemble {
         let folded = live.len();
         let merged_segment = (!live.is_empty()).then(|| build_segment(&self.config, &live));
         drop(live);
-        // Tombstones into folded segments are purged with their rows;
-        // tombstones into kept segments follow the renumbering.
-        self.dead.retain_mut(|(_, slot)| match slot {
-            DeadSlot::Seg(j) => {
-                if merged[*j as usize] {
-                    false
-                } else {
-                    *slot = DeadSlot::Seg(remap[*j as usize]);
-                    true
-                }
-            }
-            DeadSlot::Base => true,
-        });
-        self.dead_set = self.dead.iter().copied().collect();
         self.segments = old
             .into_iter()
             .enumerate()
@@ -1170,38 +1145,36 @@ impl LshEnsemble {
         &self.segments
     }
 
-    /// Tombstones in insertion order, for persistence.
-    pub(crate) fn raw_dead(&self) -> &[(DomainId, DeadSlot)] {
-        &self.dead
-    }
-
-    /// The tombstones as the read path's per-tier liveness set.
-    pub(crate) fn dead_set(&self) -> &FastHashSet<(DomainId, DeadSlot)> {
-        &self.dead_set
+    /// The overlay, for the read path of an index this one is the heap
+    /// tail of.
+    pub(crate) fn overlay(&self) -> &Overlay {
+        &self.overlay
     }
 
     /// Rebuilds an ensemble from persisted parts. The decoder is
     /// responsible for structural validation, [`check_base_ids`] over
-    /// `partitions` included; an id is where its base row is, unless a
-    /// segment entry overrides it (later segments win — a re-inserted id
-    /// lives in the newest one), and finally tombstones erase the ids whose
-    /// slot they still match. A mapped index, whose base stays in its file,
-    /// passes no partitions and keeps the result as its heap tail.
+    /// `partitions` included. The overlay is built from the segments — an
+    /// id lives in the newest one that holds it — and then from the
+    /// tombstones: one naming the segment an id lives in removes the id,
+    /// and one naming a base row marks its id removed unless the id lives
+    /// in a segment. A mapped index, whose base stays in its file, passes
+    /// no partitions, but its file's `base_rows`, and keeps the result as
+    /// its heap tail.
     pub(crate) fn from_raw_partitions(
         config: EnsembleConfig,
         partitions: Vec<Arc<EnsemblePartition>>,
+        base_rows: usize,
         len: usize,
         segment_entries: Vec<Vec<(DomainId, u64, RowBuf)>>,
-        dead: Vec<(DomainId, DeadSlot)>,
+        dead: &[Tombstone],
     ) -> Self {
         let mut ensemble = Self {
             tuner: Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32)),
             segments: Vec::new(),
-            dead_set: dead.iter().copied().collect(),
-            dead,
             config,
             len,
-            overlay: FastHashMap::default(),
+            base_rows,
+            overlay: Overlay::default(),
             partitions,
         };
         for entries in segment_entries {
@@ -1211,18 +1184,16 @@ impl LshEnsemble {
                 .collect();
             ensemble.push_segment(build_segment(&config, &entries));
         }
-        let buried: Vec<DomainId> = ensemble
-            .dead
-            .iter()
-            .filter(|&&(id, tier)| {
-                ensemble
-                    .locate(id)
-                    .is_some_and(|(slot, _)| tier.matches(slot))
-            })
-            .map(|&(id, _)| id)
-            .collect();
-        for id in buried {
-            ensemble.unmap(id);
+        for &(id, tier) in dead {
+            let here = ensemble.overlay.get(&id);
+            if matches!((tier, here), (Some(j), Some(Some((Slot::Seg(s, _), _)))) if j == *s) {
+                ensemble.unmap(id);
+            }
+        }
+        // Base tombstones last, as `None`s: a heap tail has no base row to
+        // `unmap` by.
+        for &(id, _) in dead.iter().filter(|(_, tier)| tier.is_none()) {
+            ensemble.overlay.entry(id).or_insert(None);
         }
         ensemble
     }
@@ -1708,6 +1679,29 @@ mod tests {
                 }
             }
         }
+        // One state, one byte form: the same committed ids — base rows and
+        // a segment entry — removed in two orders, in one batch and in one
+        // batch a remove, save the same bytes.
+        let fresh = &corpus[0].2;
+        let mut sealed = want.clone();
+        let inserts = [
+            Mutation::Insert(1_000, 9, fresh),
+            Mutation::Insert(1_001, 9, fresh),
+        ];
+        sealed.commit(&inserts).expect("inserts");
+        let gone = [id(40), 1_001, id(3), id(17)];
+        let mut batched = sealed.clone();
+        batched
+            .commit(&gone.map(Mutation::Remove))
+            .expect("removes");
+        let mut one_by_one = sealed;
+        for &id in gone.iter().rev() {
+            one_by_one.commit(&[Mutation::Remove(id)]).expect("remove");
+        }
+        assert!(
+            batched.to_bytes() == one_by_one.to_bytes(),
+            "the removal order was saved"
+        );
     }
 
     /// The walks — every live entry in id order, and the id floor — make

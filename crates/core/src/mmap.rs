@@ -23,7 +23,7 @@
 //! conformance suite and the benchmark's `store.*` metrics open.
 
 use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
-use crate::ensemble::{segment_units, DeadSlot, EnsembleConfig, EnsemblePartition, LshEnsemble};
+use crate::ensemble::{segment_units, EnsembleConfig, EnsemblePartition, LshEnsemble, Slot};
 use crate::pipeline::{Probe, ReadPath, Tiers};
 use crate::tuning::Tuner;
 use lshe_lsh::forest::{check_tree, probe_trees, Rows, BLOCK};
@@ -284,9 +284,9 @@ pub struct MmapIndex {
     /// The `Segments` section replayed onto the heap as an ensemble with no
     /// base partitions: the sealed segments (deterministic rebuild from the
     /// stored entry triples — identical forests to the heap index that was
-    /// packed), the tombstones of every tier, and the id map of the
-    /// segments' live ids. Small by construction:
-    /// segments hold recent deltas, the mapped base holds the corpus.
+    /// packed) and the id overlay: where each segment id lives, and a
+    /// `None` for each removed base id. Small by construction: segments
+    /// hold recent deltas, the mapped base holds the corpus.
     tail: LshEnsemble,
 }
 
@@ -422,10 +422,7 @@ impl MmapIndex {
             (Vec::new(), Vec::new())
         };
         let seg_entry_total: usize = segment_entries.iter().map(Vec::len).sum();
-        let dead_seg = dead
-            .iter()
-            .filter(|(_, s)| matches!(s, DeadSlot::Seg(_)))
-            .count();
+        let dead_seg = dead.iter().filter(|(_, s)| s.is_some()).count();
         let dead_base = dead.len() - dead_seg;
         // Base rows are physical: live base domains plus tombstoned rows
         // not yet compacted away. Live segment entries (total minus their
@@ -480,7 +477,14 @@ impl MmapIndex {
         // Replay each segment's deterministic seal — identical partitions
         // and forests to the heap index that was packed — and resolve ids
         // against segments and tombstones as that index does.
-        let tail = LshEnsemble::from_raw_partitions(config, Vec::new(), len, segment_entries, dead);
+        let tail = LshEnsemble::from_raw_partitions(
+            config,
+            Vec::new(),
+            total,
+            len,
+            segment_entries,
+            &dead,
+        );
         Ok(Self {
             store,
             config,
@@ -540,7 +544,7 @@ impl MmapIndex {
             words,
             layout: self.layout(),
         };
-        let base = self.parts.iter().map(|pm| {
+        let base = (0..).zip(&self.parts).map(|(p, pm)| {
             let columns = pm.off..pm.off + pm.rows * b_max;
             let view = PartitionView::new(
                 &tree_keys[columns.clone()],
@@ -555,15 +559,15 @@ impl MmapIndex {
                 rows,
                 sizes: sketches.sizes(),
             };
-            (DeadSlot::Base, part)
+            (Slot::Base(p), part)
         });
         let segments =
-            segment_units(self.tail.raw_segments()).map(|(tier, p)| (tier, MappedPart::Segment(p)));
+            segment_units(self.tail.raw_segments()).map(|(slot, p)| (slot, MappedPart::Segment(p)));
         Tiers {
             num_perm: self.config.num_perm,
             tuner: &self.tuner,
             units: base.chain(segments).collect(),
-            dead: self.tail.dead_set(),
+            overlay: self.tail.overlay(),
         }
     }
 }
@@ -642,6 +646,29 @@ mod tests {
                 assert_eq!(a, b, "top-k parity k={k} kk={kk}");
             }
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The heap tail holds no base rows, yet counts the dead one a removed
+    /// and re-inserted base id leaves, as the heap index does.
+    #[test]
+    fn a_reinserted_base_id_leaves_a_dead_row_in_the_tail() {
+        let (h, mut ranked, values) = sample(24);
+        let sig = h.signature(values[3].iter().copied());
+        let size = values[3].len() as u64;
+        ranked
+            .commit(&[crate::Mutation::Remove(3)])
+            .expect("remove");
+        let again = [crate::Mutation::Insert(3, size, &sig)];
+        ranked.commit(&again).expect("re-insert");
+        assert_eq!(ranked.segment_layout().tombstones, 1);
+        let path = tmp("reinserted");
+        pack_ranked_to(&ranked, &path).expect("pack");
+        let mapped = MmapIndex::open_verified(&path).expect("open");
+        assert_eq!(mapped.tail.segment_layout().tombstones, 1);
+        let q = Query::top_k(&sig, 3).with_size(size);
+        let (a, b) = (ranked.search(&q), mapped.search(&q));
+        assert_eq!(strip_wall(a.expect("heap")), strip_wall(b.expect("mmap")));
         std::fs::remove_file(&path).ok();
     }
 

@@ -30,9 +30,11 @@
 //! loaded base keeps nothing per domain on the heap. Each base partition's
 //! ids strictly ascend and no id is in two of them, so an id's base row is
 //! a search of each partition's ids. The decoder checks both — the second
-//! by merging the ascending columns — and that every size is positive. A
-//! base tombstone's index is the partition its id's row is in, which the
-//! decoder checks too; a segment tombstone's is its segment.
+//! by merging the ascending columns — that every size is positive, and
+//! that no id is `DomainId::MAX`. The tombstones are the dead rows, which
+//! the writer derives from the id overlay in one order (base rows by id,
+//! then each segment's, oldest first) and the decoder checks are exactly
+//! the rows no id lives in; a base tombstone's index is its row's partition.
 //!
 //! The partitions are stored from the largest domains down — a query
 //! probes every partition whose largest domain can reach `t*·q`, so the
@@ -60,7 +62,7 @@
 //!
 //! [`build_segment`]: crate::ensemble
 use crate::ensemble::LshEnsemble;
-use crate::ensemble::{base_row, check_base_ids, DeadSlot, EnsembleConfig, EnsemblePartition};
+use crate::ensemble::{base_row, check_base_ids, EnsembleConfig, EnsemblePartition, Tombstone};
 use crate::partition::PartitionStrategy;
 use lshe_lsh::{DomainId, Layout, LshForest, RowBuf};
 use lshe_minhash::codec::{CodecError, Column, Decoder, Encoder};
@@ -101,10 +103,10 @@ pub(crate) fn encode_strategy<W: Write>(enc: &mut Encoder<W>, strategy: Partitio
 
 /// Appends the tiered-mutation tail (segment stack + tombstone list) of
 /// `ensemble` — shared between ensemble payloads and the packed store's
-/// `Segments` section. A base tombstone's index is the partition its id's
-/// row is in.
+/// `Segments` section. The tombstones are the dead rows, in their one
+/// order; a base tombstone's index is the partition its id's row is in.
 pub(crate) fn encode_segments<W: Write>(enc: &mut Encoder<W>, ensemble: &LshEnsemble) {
-    let (segments, dead) = (ensemble.raw_segments(), ensemble.raw_dead());
+    let segments = ensemble.raw_segments();
     enc.put_u64(segments.len() as u64);
     for seg in segments {
         enc.put_u64(seg.len() as u64);
@@ -114,15 +116,15 @@ pub(crate) fn encode_segments<W: Write>(enc: &mut Encoder<W>, ensemble: &LshEnse
             enc.put_u16s(row.words());
         }
     }
+    let dead = ensemble.tombstones();
     enc.put_u64(dead.len() as u64);
-    for &(id, slot) in dead {
-        let (tier, index) = match slot {
-            DeadSlot::Base => {
+    for (id, tier) in dead {
+        let (tier, index) = match tier {
+            None => {
                 let row = base_row(ensemble.base_partitions(), id);
-                let (p, _) = row.expect("a tombstoned base row stays until a compaction");
-                (0, p)
+                (0, row.expect("a dead base row stays until a compaction").0)
             }
-            DeadSlot::Seg(s) => (1, s),
+            Some(s) => (1, s),
         };
         enc.put_u32(id);
         enc.put_u8(tier);
@@ -141,7 +143,7 @@ pub(crate) fn decode_segments(
     dec: &mut Decoder<'_>,
     layout: Layout,
     in_base: impl Fn(DomainId, u32) -> bool,
-) -> Result<(Vec<Vec<(DomainId, u64, RowBuf)>>, Vec<(DomainId, DeadSlot)>), CodecError> {
+) -> Result<(Vec<Vec<(DomainId, u64, RowBuf)>>, Vec<Tombstone>), CodecError> {
     let seg_count = dec.get_u64("segment count")? as usize;
     let mut segment_entries = Vec::new();
     for _ in 0..seg_count {
@@ -174,14 +176,14 @@ pub(crate) fn decode_segments(
         let id = dec.get_u32("tombstone id")?;
         let tier = dec.get_u8("tombstone tier")?;
         let idx = dec.get_u32("tombstone index")?;
-        let slot = match tier {
-            0 if in_base(id, idx) => DeadSlot::Base,
-            1 if (idx as usize) < seg_count => DeadSlot::Seg(idx),
+        let tier = match tier {
+            0 if in_base(id, idx) => None,
+            1 if (idx as usize) < seg_count => Some(idx),
             0 => return Err(CodecError::Corrupt("base tombstone names no row of its id")),
             1 => return Err(CodecError::Corrupt("tombstone index out of range")),
             _ => return Err(CodecError::Corrupt("unknown tombstone tier")),
         };
-        dead.push((id, slot));
+        dead.push((id, tier));
     }
     Ok((segment_entries, dead))
 }
@@ -334,7 +336,7 @@ impl LshEnsemble {
         }
         check_base_ids(&partitions).map_err(CodecError::Corrupt)?;
         let in_base = |id, p| base_row(&partitions, id).is_some_and(|(q, _)| q == p);
-        let (segment_entries, dead) = decode_segments(&mut dec, layout, in_base)?;
+        let (segment_entries, mut stored) = decode_segments(&mut dec, layout, in_base)?;
         if !dec.is_exhausted() {
             return Err(CodecError::Corrupt("trailing bytes after ensemble"));
         }
@@ -344,14 +346,29 @@ impl LshEnsemble {
             r_max,
             strategy,
         };
-        let ensemble = Self::from_raw_partitions(config, partitions, len, segment_entries, dead);
-        // Live ids (base rows, plus segment entries, minus tombstones) must
-        // agree with the recorded length, and each be one live row.
-        if ensemble.id_count() != len {
+        let base: usize = partitions.iter().map(|p| p.forest.len()).sum();
+        let rows = base + segment_entries.iter().map(Vec::len).sum::<usize>();
+        let ensemble =
+            Self::from_raw_partitions(config, partitions, base, len, segment_entries, &stored);
+        // The tombstones are the dead rows, each once: a dead row with none
+        // is a second row its id is live in.
+        let mut derived = ensemble.tombstones();
+        if derived.len() > stored.len() {
+            return Err(CodecError::Corrupt("an id is live in two rows"));
+        }
+        stored.sort_unstable();
+        derived.sort_unstable();
+        if stored != derived {
+            return Err(CodecError::Corrupt("tombstones are not the dead rows"));
+        }
+        // Every other row is one live id.
+        if rows - derived.len() != len {
             return Err(CodecError::Corrupt("partition sizes do not sum to len"));
         }
-        if ensemble.live_rows() != len {
-            return Err(CodecError::Corrupt("an id is live in two rows"));
+        // No id follows `DomainId::MAX`, so no row (and no tombstone, which
+        // names a row) holds it: an allocator mark past it would overflow.
+        if ensemble.last_id() == Some(DomainId::MAX) {
+            return Err(CodecError::Corrupt("domain id out of range"));
         }
         Ok(ensemble)
     }
@@ -526,6 +543,65 @@ mod tests {
         assert_eq!(
             LshEnsemble::from_bytes(&bytes).unwrap_err(),
             CodecError::Corrupt("an id is live in two rows")
+        );
+    }
+
+    /// Tombstones that are not exactly the dead rows, and ids no file
+    /// holds, are typed errors.
+    #[test]
+    fn tombstones_must_be_the_dead_rows() {
+        let (h, mut ens, _) = sample_ensemble(10);
+        let sig = h.signature(MinHasher::synthetic_values(5, 30));
+        ens.commit(&[Mutation::Insert(700, 30, &sig)])
+            .expect("insert");
+        ens.commit(&[Mutation::Insert(701, 31, &sig)])
+            .expect("insert");
+        ens.commit(&[Mutation::Remove(701), Mutation::Remove(3)])
+            .expect("removes");
+        let bytes = ens.to_bytes();
+        // The canonical list ends the payload: base rows first, then
+        // segment 1's entry.
+        let tomb = |id: u32, tier: u8, index: u32| -> Vec<u8> {
+            [&id.to_le_bytes()[..], &[tier], &index.to_le_bytes()].concat()
+        };
+        let (p, _) = base_row(ens.base_partitions(), 3).expect("a base row");
+        let tail = [2u64.to_le_bytes().to_vec(), tomb(3, 0, p), tomb(701, 1, 1)].concat();
+        assert!(bytes.ends_with(&tail));
+        let at = bytes.len() - 18;
+        let mut elsewhere = bytes.clone();
+        elsewhere[at + 14..].copy_from_slice(&0u32.to_le_bytes());
+        let mut twice = bytes.clone();
+        twice[at - 8..at].copy_from_slice(&3u64.to_le_bytes());
+        twice.extend(tomb(3, 0, p));
+        // `DomainId::MAX` as a live segment entry's id, and as a dead one's
+        // with its tombstone's.
+        let entry = |id: u32, size: u64| {
+            let entry: Vec<u8> = [&id.to_le_bytes()[..], &size.to_le_bytes()].concat();
+            let at = (0..at).rfind(|&i| bytes[i..].starts_with(&entry));
+            at.expect("the segment entry")
+        };
+        let top = u32::MAX.to_le_bytes();
+        let mut last_entry = bytes.clone();
+        let e = entry(700, 30);
+        last_entry[e..e + 4].copy_from_slice(&top);
+        let mut last_tomb = bytes.clone();
+        let e = entry(701, 31);
+        last_tomb[e..e + 4].copy_from_slice(&top);
+        last_tomb[at + 9..at + 13].copy_from_slice(&top);
+        for (bad, why) in [
+            (elsewhere, "tombstones are not the dead rows"),
+            (twice, "tombstones are not the dead rows"),
+            (last_entry, "domain id out of range"),
+            (last_tomb, "domain id out of range"),
+        ] {
+            assert_eq!(
+                LshEnsemble::from_bytes(&bad).err(),
+                Some(CodecError::Corrupt(why))
+            );
+        }
+        assert_eq!(
+            LshEnsemble::from_bytes(&bytes).expect("decode").to_bytes(),
+            bytes
         );
     }
 }

@@ -35,7 +35,7 @@ use crate::api::{
     top_k_descend, ProbeCounts, Query, QueryError, SearchHit, SearchOutcome, ESTIMATE_SLACK,
 };
 use crate::batch::{split_and_run, ThresholdItem};
-use crate::ensemble::{DeadSlot, Entry};
+use crate::ensemble::{is_live, Entry, Overlay, Slot};
 use crate::ranked::RankedHit;
 use crate::tuning::Tuner;
 use lshe_lsh::{DomainId, Row, RowBuf};
@@ -67,9 +67,9 @@ pub(crate) trait Probe: Sync {
 
 /// A candidate as the probe found it: its id, the sweep unit (the index
 /// of its partition in [`Tiers::units`]) and its row there, where its size
-/// and stored lanes are read back. After the liveness filter an id is live
-/// in one row of one tier, so the id alone tells candidates apart: equal
-/// ids hash alike, and the derived order is the id's.
+/// and stored lanes are read back. After the liveness filter a candidate
+/// is the one row its id lives in, so the id alone tells candidates apart:
+/// equal ids hash alike, and the derived order is the id's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Candidate {
     pub id: DomainId,
@@ -109,10 +109,10 @@ fn sorted_unique(mut raw: Vec<Candidate>, set: &mut FastHashSet<Candidate>) -> V
 pub(crate) struct Tiers<'a, P> {
     pub num_perm: usize,
     pub tuner: &'a Tuner,
-    /// Each partition with the tier a tombstone names it by.
-    pub units: Vec<(DeadSlot, P)>,
-    /// Tombstones: rows still physically present in the named tier.
-    pub dead: &'a FastHashSet<(DomainId, DeadSlot)>,
+    /// Each partition with where it is.
+    pub units: Vec<(Slot, P)>,
+    /// Where each changed id lives: the liveness filter.
+    pub overlay: &'a Overlay,
 }
 
 /// Queries swept together per partition-outer pass: large enough to
@@ -124,7 +124,7 @@ impl<P: Probe> Tiers<'_, P> {
     /// Probes one partition into `out`; returns whether it was actually
     /// consulted (false = skip-pruned).
     fn probe_unit(&self, unit: usize, item: &ThresholdItem<'_>, out: &mut Vec<Candidate>) -> bool {
-        let (tier, part) = &self.units[unit];
+        let (slot, part) = &self.units[unit];
         // A domain's containment cannot exceed x/q ≤ upper/q: partitions
         // that cannot reach the threshold are skipped outright.
         if (part.upper() as f64) < item.t_star * item.size as f64 {
@@ -141,13 +141,12 @@ impl<P: Probe> Tiers<'_, P> {
                 row: row as u32,
             });
         });
-        if !self.dead.is_empty() {
-            // Liveness is per tier: a row tombstoned here is dropped even
-            // when its id was re-inserted and lives on in a newer tier —
-            // that tier answers for the new content itself.
+        // A row is live where the overlay puts its id — every base row
+        // while it is empty; a re-inserted id's new row answers for it.
+        if !(self.overlay.is_empty() && matches!(slot, Slot::Base(_))) {
             let mut kept = before;
             for i in before..out.len() {
-                if !self.dead.contains(&(out[i].id, *tier)) {
+                if is_live(self.overlay, *slot, out[i].id, out[i].row) {
                     out[kept] = out[i];
                     kept += 1;
                 }
@@ -397,11 +396,6 @@ mod tests {
     /// as [`LshEnsemble::sketch`] finds it by id; and a ranked search
     /// answers exactly what ranking its candidate ids by id lookup does.
     fn check(index: &LshEnsemble, (size, signature): &(u64, Signature), step: &str) {
-        assert_eq!(
-            index.live_rows(),
-            index.len(),
-            "{step}: an id lives in two rows"
-        );
         let tiers = index.tiers();
         let item = |t_star| ThresholdItem {
             signature,
@@ -426,6 +420,40 @@ mod tests {
             search.expect("search").hits,
             to_search_hits(by_id),
             "{step}"
+        );
+    }
+
+    /// Liveness is location: every row of `index` is live exactly when it
+    /// is the row [`LshEnsemble::sketch`] finds its id in, the live rows are
+    /// its ids, the layout counts the others as its tombstones, and the
+    /// state loads from the bytes it saves as and saves as them again.
+    fn check_rows(index: &LshEnsemble, step: &str) {
+        let tiers = index.tiers();
+        let (mut rows, mut dead) = (0, 0);
+        for (slot, part) in &tiers.units {
+            for (row, &id) in (0..).zip(part.forest.ids()) {
+                let live = is_live(tiers.overlay, *slot, id, row);
+                let here = part.forest.row(row as usize).words();
+                let found = index.sketch(id).map(|(_, at)| at.words());
+                assert_eq!(
+                    live,
+                    found.is_some_and(|at| std::ptr::eq(at, here)),
+                    "{step}: id {id} at {slot:?} row {row}"
+                );
+                (rows, dead) = (rows + 1, dead + usize::from(!live));
+            }
+        }
+        assert_eq!(rows - dead, index.len(), "{step}: live rows");
+        assert_eq!(
+            index.segment_layout().tombstones,
+            dead,
+            "{step}: tombstones"
+        );
+        let bytes = index.to_bytes();
+        let again = LshEnsemble::from_bytes(&bytes).expect("a saved state loads");
+        assert!(
+            again.to_bytes() == bytes,
+            "{step}: a reload saves other bytes"
         );
     }
 
@@ -505,6 +533,7 @@ mod tests {
             };
             assert_eq!(index.len(), live.len());
             let step = format!("step {step} ({what})");
+            check_rows(&index, &step);
             for _ in 0..4 {
                 let id = pick(&mut walk, &live);
                 check(&index, &live[&id], &step);

@@ -36,14 +36,14 @@
 //! sizes and every record column stay in the file as views
 //! (`lshe_minhash::codec::Column`) — resident where queries reach, until a
 //! compaction builds a new base. What `load` builds on the heap is
-//! O(partitions + segments + tombstones), never O(domains); it still walks every column once to check it, then releases
-//! the pages it touched. A loaded container mutates like a built one: what
-//! changes lands in the heap overlays (records here, ids in the index)
-//! until a compaction writes a new base. `LSHX` is the only format `load`
-//! reads; the packed `lshe-store` file that [`IndexContainer::pack_v2`]
-//! writes is a library and benchmark artifact, opened through
-//! `lshe_core::MmapIndex`, and is refused in the header like any other
-//! file.
+//! O(partitions + segments + tombstones), never O(domains); it still walks
+//! every column once to check it, then releases the pages it touched. A
+//! loaded container mutates like a built one: what changes lands in the
+//! heap overlays (records here, ids in the index) until a compaction
+//! writes a new base. `LSHX` is the only format `load` reads; the packed
+//! `lshe-store` file that [`IndexContainer::pack_v2`] writes is a library
+//! and benchmark artifact, opened through `lshe_core::MmapIndex`, and is
+//! refused in the header like any other file.
 //!
 //! Version 8, the one generation before, had a flag byte behind the
 //! version — written 1, once telling a ranked file from a plain one — and
@@ -1684,6 +1684,41 @@ mod tests {
         );
         assert!(c.to_bytes() == before, "a refused batch left a trace");
         assert_eq!((c.len(), c.next_id()), (4, 4));
+    }
+
+    /// No id follows `u32::MAX`, so no file holds it: a base row of it is
+    /// refused in the ensemble, before the allocator mark past it would
+    /// overflow.
+    #[test]
+    fn a_file_holding_the_last_id_is_refused() {
+        let mut c = IndexContainer::build(&catalog(4), 2);
+        let top = 0x7FFF_FFF0u32;
+        let mut ops: Vec<DeltaOp> = (0..3).map(|id| DeltaOp::Remove { id }).collect();
+        ops.push(insert_op(top, 20, c.num_perm()));
+        c.commit(&ops).expect("commit");
+        c.apply_merge(&MergeTask::Full);
+        let bytes = c.to_bytes();
+        let at: Vec<usize> = (0..bytes.len() - 3)
+            .filter(|&i| bytes[i..i + 4] == top.to_le_bytes())
+            .collect();
+        assert_eq!(at.len(), 2, "the record's id and the base row's");
+        let mut patched = bytes.clone();
+        for i in at {
+            patched[i..i + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        }
+        let refused = Some(CodecError::Corrupt("domain id out of range"));
+        assert_eq!(IndexContainer::from_bytes(&patched).err(), refused);
+        let dir = scratch_dir("lastid");
+        let path = dir.join("last.lshe");
+        std::fs::write(&path, &patched).expect("write");
+        match IndexContainer::load(&path) {
+            Err(LoadError::Decode {
+                section, source, ..
+            }) => assert_eq!((section, Some(source)), ("ensemble", refused)),
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+        assert!(IndexContainer::from_bytes(&bytes).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
