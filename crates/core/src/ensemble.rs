@@ -14,7 +14,7 @@ use crate::maintenance::{MergeTask, SegmentLayout};
 use crate::partition::{Partition, PartitionStrategy};
 use crate::pipeline::{Probe, Tiers};
 use crate::tuning::Tuner;
-use lshe_lsh::{DomainId, LshForest, Row, RowBuf, RowLanes};
+use lshe_lsh::{DomainId, LshForest, Row, RowBytes, RowLanes};
 use lshe_minhash::codec::Column;
 use lshe_minhash::hash::{FastBuildHasher, FastHashMap};
 use lshe_minhash::Signature;
@@ -284,27 +284,47 @@ fn rows_by_id(
     })
 }
 
+/// Each base partition's ids strictly ascend: what an id's base row is
+/// searched by.
+///
+/// # Errors
+/// When a partition's do not.
+pub(crate) fn check_ascending(partitions: &[Arc<EnsemblePartition>]) -> Result<(), &'static str> {
+    let mut ids = partitions.iter().map(|p| p.forest.ids());
+    if ids.all(|ids| ids.is_sorted_by(|a, b| a < b)) {
+        Ok(())
+    } else {
+        Err("base partition ids do not ascend")
+    }
+}
+
+/// What a merge of ascending partitions yields when an id is in two.
+const REPEATED: &str = "an id is in two base partitions";
+
+/// `rows` — [`rows_by_id`]'s — setting `twice` when an id comes out of
+/// two partitions, so one walk both checks the base and serves the rows.
+fn flag_repeats<'a>(
+    rows: impl Iterator<Item = (DomainId, u32, u32)> + 'a,
+    twice: &'a mut bool,
+) -> impl Iterator<Item = (DomainId, u32, u32)> + 'a {
+    let mut last = None;
+    rows.inspect(move |&(id, _, _)| *twice |= last.replace(id) == Some(id))
+}
+
 /// What every base keeps, which an id's base row is found by: each
 /// partition's ids strictly ascend, and no id is in two partitions.
 ///
 /// # Errors
 /// Which of the two does not hold.
 pub(crate) fn check_base_ids(partitions: &[Arc<EnsemblePartition>]) -> Result<(), &'static str> {
-    if !partitions
-        .iter()
-        .all(|p| p.forest.ids().is_sorted_by(|a, b| a < b))
-    {
-        return Err("base partition ids do not ascend");
+    check_ascending(partitions)?;
+    let mut twice = false;
+    flag_repeats(rows_by_id(partitions), &mut twice).for_each(drop);
+    if twice {
+        Err(REPEATED)
+    } else {
+        Ok(())
     }
-    let mut ids = rows_by_id(partitions).map(|(id, _, _)| id);
-    let mut last = ids.next();
-    for id in ids {
-        if last == Some(id) {
-            return Err("an id is in two base partitions");
-        }
-        last = Some(id);
-    }
-    Ok(())
 }
 
 /// The one rule a batch of mutations keeps, checked one op at a time
@@ -852,8 +872,34 @@ impl LshEnsemble {
     /// rows the overlay leaves alone, merged by id across the partitions,
     /// and the overlay's live entries.
     pub fn live_entries(&self) -> impl Iterator<Item = Entry<'_>> {
+        self.live_of(rows_by_id(&self.partitions))
+    }
+
+    /// Calls `live` with every live id, ascending, in the one walk of the
+    /// base by id that also checks no id is in two base partitions — a
+    /// decoder's, which checks the ids against its own table as it goes.
+    ///
+    /// # Errors
+    /// [`REPEATED`], once the walk is done.
+    pub(crate) fn walk_live(&self, mut live: impl FnMut(DomainId)) -> Result<(), &'static str> {
+        let mut twice = false;
+        let base = flag_repeats(rows_by_id(&self.partitions), &mut twice);
+        self.live_of(base).for_each(|(id, _, _)| live(id));
+        if twice {
+            Err(REPEATED)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// [`live_entries`](Self::live_entries) over `base`, every base row in
+    /// ascending id order.
+    fn live_of<'a>(
+        &'a self,
+        base: impl Iterator<Item = (DomainId, u32, u32)> + 'a,
+    ) -> impl Iterator<Item = Entry<'a>> {
         let overlay = &self.overlay;
-        let base = rows_by_id(&self.partitions)
+        let base = base
             .filter(move |(id, _, _)| overlay.is_empty() || !overlay.contains_key(id))
             .map(|(_, p, row)| self.partitions[p as usize].entry(row as usize));
         let added = overlay.values().flatten();
@@ -1153,19 +1199,21 @@ impl LshEnsemble {
 
     /// Rebuilds an ensemble from persisted parts. The decoder is
     /// responsible for structural validation, [`check_base_ids`] over
-    /// `partitions` included. The overlay is built from the segments — an
-    /// id lives in the newest one that holds it — and then from the
-    /// tombstones: one naming the segment an id lives in removes the id,
-    /// and one naming a base row marks its id removed unless the id lives
-    /// in a segment. A mapped index, whose base stays in its file, passes
-    /// no partitions, but its file's `base_rows`, and keeps the result as
-    /// its heap tail.
+    /// `partitions` included, which it may run on the result instead
+    /// ([`walk_live`](Self::walk_live)). The overlay is built from the
+    /// segments — an id lives in the newest one that holds it — and then
+    /// from the tombstones: one naming the segment an id lives in removes
+    /// the id, and one naming a base row marks its id removed unless the
+    /// id lives in a segment. A mapped index, whose base stays in its
+    /// file, passes no partitions, but its file's `base_rows`, and keeps
+    /// the result as its heap tail. Each segment is sealed from its
+    /// stored rows where they lie: its forests' tables are the one copy.
     pub(crate) fn from_raw_partitions(
         config: EnsembleConfig,
         partitions: Vec<Arc<EnsemblePartition>>,
         base_rows: usize,
         len: usize,
-        segment_entries: Vec<Vec<(DomainId, u64, RowBuf)>>,
+        segment_entries: Vec<Vec<(DomainId, u64, RowBytes<'_>)>>,
         dead: &[Tombstone],
     ) -> Self {
         let mut ensemble = Self {
@@ -1178,10 +1226,6 @@ impl LshEnsemble {
             partitions,
         };
         for entries in segment_entries {
-            let entries: Vec<Entry<'_>> = entries
-                .iter()
-                .map(|(id, size, row)| (*id, *size, row.as_row()))
-                .collect();
             ensemble.push_segment(build_segment(&config, &entries));
         }
         for &(id, tier) in dead {

@@ -339,7 +339,8 @@ impl MmapIndex {
             for t in 0..view.trees() {
                 let turn = (if t == 0 { 0 } else { stamp }, stamp + 1);
                 let columns = (view.lo(t), view.rows(t));
-                check_tree(*rows, columns, t, &mut seen, turn)
+                let head = |i| rows.row(i).map(|row| row.head(t));
+                check_tree(*rows, columns, t, head, &mut seen, turn)
                     .map_err(|detail| corrupt("tree ids", detail))?;
                 stamp += 1;
             }

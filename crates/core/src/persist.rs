@@ -55,16 +55,19 @@
 //! [`CodecError::UnsupportedVersion`]. Sealed segments persist as their
 //! entry triples in sealing order — partitioning a segment is
 //! deterministic, so the decoder replays [`build_segment`] and reconstructs
-//! bit-identical forests, which keeps the byte form canonical.
+//! bit-identical forests, which keeps the byte form canonical. It replays
+//! it over the stored rows where they lie, at any alignment: the forests'
+//! tables are the one copy of them a load makes.
 //!
 //! The tuner's memo table is deliberately *not* persisted — it is a cache,
 //! rebuilt lazily, and excluding it keeps the byte form canonical.
 //!
 //! [`build_segment`]: crate::ensemble
 use crate::ensemble::LshEnsemble;
-use crate::ensemble::{base_row, check_base_ids, EnsembleConfig, EnsemblePartition, Tombstone};
+use crate::ensemble::{base_row, check_ascending, check_base_ids, position_of};
+use crate::ensemble::{EnsembleConfig, EnsemblePartition, Tombstone};
 use crate::partition::PartitionStrategy;
-use lshe_lsh::{DomainId, Layout, LshForest, RowBuf};
+use lshe_lsh::{DomainId, Layout, LshForest, RowBytes};
 use lshe_minhash::codec::{CodecError, Column, Decoder, Encoder};
 use std::io::Write;
 use std::sync::Arc;
@@ -132,18 +135,20 @@ pub(crate) fn encode_segments<W: Write>(enc: &mut Encoder<W>, ensemble: &LshEnse
     }
 }
 
-/// Decodes [`encode_segments`]' output: per-segment raw entry triples plus
+/// Decodes [`encode_segments`]' output: per-segment entry triples plus
 /// the tombstone list, validated against the owning index's shape — a base
-/// tombstone `(id, p)` by `in_base(id, p)`.
+/// tombstone `(id, p)` by `in_base(id, p)`. Each entry's row is read where
+/// it lies in `dec`'s bytes, at whatever alignment: sealing it copies it
+/// once, into the forest that keeps it.
 ///
 /// # Errors
 /// [`CodecError`] on truncation or structural inconsistency.
 #[allow(clippy::type_complexity)]
-pub(crate) fn decode_segments(
-    dec: &mut Decoder<'_>,
+pub(crate) fn decode_segments<'a>(
+    dec: &mut Decoder<'a>,
     layout: Layout,
     in_base: impl Fn(DomainId, u32) -> bool,
-) -> Result<(Vec<Vec<(DomainId, u64, RowBuf)>>, Vec<Tombstone>), CodecError> {
+) -> Result<(Vec<Vec<(DomainId, u64, RowBytes<'a>)>>, Vec<Tombstone>), CodecError> {
     let seg_count = dec.get_u64("segment count")? as usize;
     let mut segment_entries = Vec::new();
     for _ in 0..seg_count {
@@ -161,8 +166,8 @@ pub(crate) fn decode_segments(
             if size == 0 {
                 return Err(CodecError::Corrupt("zero-size segment entry"));
             }
-            let words = dec.get_u16s(layout.words(), "segment entry row")?;
-            let row = RowBuf::from_words(layout, words).expect("read to the layout's length");
+            let bytes = dec.get_bytes(layout.row_bytes(), "segment entry row")?;
+            let row = RowBytes::new(layout, bytes).expect("read to the layout's length");
             entries.push((id, size, row));
         }
         segment_entries.push(entries);
@@ -268,7 +273,24 @@ impl LshEnsemble {
     /// # Errors
     /// [`CodecError`] on truncation, tag/version mismatch, or structural
     /// inconsistencies.
-    pub fn decode(mut dec: Decoder<'_>) -> Result<Self, CodecError> {
+    pub fn decode(dec: Decoder<'_>) -> Result<Self, CodecError> {
+        Self::decode_with(dec, |_| {})
+    }
+
+    /// [`decode`](Self::decode), calling `live` with every live id in
+    /// ascending order from the one walk of the base by id the decoder
+    /// makes — the one that checks no id is in two base partitions — so a
+    /// caller that checks the ids against a table of its own (a
+    /// container's records) walks the base once, not twice. What `live`
+    /// saw stands only if this returns `Ok`: the checks after the walk may
+    /// still refuse the file.
+    ///
+    /// # Errors
+    /// As [`decode`](Self::decode).
+    pub fn decode_with(
+        mut dec: Decoder<'_>,
+        live: impl FnMut(DomainId),
+    ) -> Result<Self, CodecError> {
         let version = dec.envelope(MAGIC)?;
         if !(OLDEST_READ..=VERSION).contains(&version) {
             return Err(CodecError::UnsupportedVersion {
@@ -334,12 +356,21 @@ impl LshEnsemble {
                 sizes,
             }));
         }
-        check_base_ids(&partitions).map_err(CodecError::Corrupt)?;
-        let in_base = |id, p| base_row(&partitions, id).is_some_and(|(q, _)| q == p);
-        let (segment_entries, mut stored) = decode_segments(&mut dec, layout, in_base)?;
-        if !dec.is_exhausted() {
-            return Err(CodecError::Corrupt("trailing bytes after ensemble"));
-        }
+        check_ascending(&partitions).map_err(CodecError::Corrupt)?;
+        // No id in two partitions is checked by the walk below; until then
+        // a base tombstone names a partition holding its id.
+        let in_base = |id, p: u32| {
+            let part = partitions.get(p as usize);
+            part.is_some_and(|part| position_of(part.forest.ids(), id).is_some())
+        };
+        let tail = decode_segments(&mut dec, layout, in_base).and_then(|tail| {
+            let trailing = CodecError::Corrupt("trailing bytes after ensemble");
+            dec.is_exhausted().then_some(tail).ok_or(trailing)
+        });
+        // A base with an id in two partitions is refused as that, whatever
+        // is wrong behind it.
+        let repeated = |e| check_base_ids(&partitions).map_or_else(CodecError::Corrupt, |()| e);
+        let (segment_entries, mut stored) = tail.map_err(repeated)?;
         let config = EnsembleConfig {
             num_perm,
             b_max,
@@ -350,6 +381,7 @@ impl LshEnsemble {
         let rows = base + segment_entries.iter().map(Vec::len).sum::<usize>();
         let ensemble =
             Self::from_raw_partitions(config, partitions, base, len, segment_entries, &stored);
+        ensemble.walk_live(live).map_err(CodecError::Corrupt)?;
         // The tombstones are the dead rows, each once: a dead row with none
         // is a second row its id is live in.
         let mut derived = ensemble.tombstones();

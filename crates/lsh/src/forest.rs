@@ -210,8 +210,7 @@ impl<'a> Row<'a> {
     }
 }
 
-/// An owned [`Row`]: a query's signature narrowed once for a whole search,
-/// or a row decoded from a file.
+/// An owned [`Row`]: a query's signature narrowed once for a whole search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RowBuf {
     words: Vec<u16>,
@@ -231,13 +230,6 @@ impl RowBuf {
         Self { words, layout }
     }
 
-    /// A row from its stored words, or `None` if they are not one row of
-    /// `layout`.
-    #[must_use]
-    pub fn from_words(layout: Layout, words: Vec<u16>) -> Option<Self> {
-        (words.len() == layout.words()).then_some(Self { words, layout })
-    }
-
     /// The row, borrowed.
     #[inline]
     #[must_use]
@@ -249,10 +241,29 @@ impl RowBuf {
     }
 }
 
+/// A row as a file stores it: its words' little-endian bytes, borrowed
+/// where they lie — at any alignment, so a decoder reads a stored row in
+/// place whatever offset its section starts at. What enters a forest from
+/// a file: the forest's table is the one copy made.
+#[derive(Debug, Clone, Copy)]
+pub struct RowBytes<'a> {
+    /// `layout.row_bytes()` of them.
+    bytes: &'a [u8],
+    layout: Layout,
+}
+
+impl<'a> RowBytes<'a> {
+    /// `bytes` as a stored row of `layout`, or `None` if they are not one.
+    #[must_use]
+    pub fn new(layout: Layout, bytes: &'a [u8]) -> Option<Self> {
+        (bytes.len() == layout.row_bytes()).then_some(Self { bytes, layout })
+    }
+}
+
 /// What a forest takes for a row: 32-bit lanes — a [`Signature`], a
 /// `[u32]` — which are narrowed here, the one place that happens; or a
-/// [`Row`] another forest of the same layout already holds, copied as it
-/// is.
+/// row of the same layout already narrowed — a [`Row`] another forest
+/// holds, a [`RowBytes`] a file holds — copied as it is.
 pub trait RowLanes {
     /// Lanes this row carries, at whichever width.
     fn lanes(&self) -> usize;
@@ -295,6 +306,18 @@ impl RowLanes for Row<'_> {
     }
 }
 
+impl RowLanes for RowBytes<'_> {
+    fn lanes(&self) -> usize {
+        self.layout.width
+    }
+
+    fn append_to(&self, layout: Layout, table: &mut Vec<u16>) {
+        assert_eq!(self.layout, layout, "row laid out for another forest");
+        let words = self.bytes.chunks_exact(2);
+        table.extend(words.map(|w| u16::from_le_bytes([w[0], w[1]])));
+    }
+}
+
 /// A borrowed row table: row `i` is `ids[i]` with words
 /// `words[i·layout.words() ..][.. layout.words()]`.
 #[derive(Debug, Clone, Copy)]
@@ -333,6 +356,18 @@ impl<'a> Rows<'a> {
         let at = row.checked_mul(self.layout.words())?.checked_add(2 * t)?;
         let halves = self.words.get(at..at.checked_add(2)?)?;
         Some(u32::from(halves[0]) | u32::from(halves[1]) << 16)
+    }
+
+    /// Tree `t`'s head of every whole row, in row order, into `heads`
+    /// (emptied first): one pass down the table.
+    ///
+    /// # Panics
+    /// Panics if `t ≥ b_max`.
+    pub(crate) fn heads_into(&self, t: usize, heads: &mut Vec<u32>) {
+        assert!(t < self.layout.b_max, "tree {t} out of range");
+        heads.clear();
+        let rows = self.words.chunks_exact(self.layout.words());
+        heads.extend(rows.map(|w| u32::from(w[2 * t]) | u32::from(w[2 * t + 1]) << 16));
     }
 }
 
@@ -525,6 +560,12 @@ const LINEAR_RUN: usize = 4;
 /// What a decoder verifies before it trusts [`probe_trees`]' binary
 /// searches to find every match.
 ///
+/// `head(i)` is row `i`'s head in tree `t`, `None` outside the table:
+/// read from the row, or from the tree's heads gathered in one pass over
+/// the rows (a forest's decoder does), so the entries, which visit rows in
+/// key order, read a dense column instead of a row each. A row's tails are
+/// read only where its head ties with the entry's before it.
+///
 /// `seen` (a mark per table row, zeroed by the caller) makes the trees of
 /// one partition agree on their rows: every row this tree indexes must
 /// carry the mark `after` and leaves with `stamp`. The first tree passes
@@ -538,35 +579,42 @@ pub fn check_tree<R: TreeRow>(
     rows: Rows<'_>,
     (lo, row): (&[u16], &[R]),
     t: usize,
+    head: impl Fn(usize) -> Option<u32>,
     seen: &mut [u32],
     (after, stamp): (u32, u32),
 ) -> Result<(), &'static str> {
     if lo.len() != row.len() {
         return Err("tree columns differ in length");
     }
+    const OUT_OF_RANGE: &str = "tree row index out of range";
     let depth = rows.layout.r_max - 1;
+    let tails = |i| rows.tail_key(i, t, depth).ok_or(OUT_OF_RANGE);
     for (block, lo, row) in blocks(lo, row) {
-        let mut prev: Option<(u32, &[u16])> = None;
+        let mut prev: Option<(u32, usize)> = None;
         for (&low, &i) in lo.iter().zip(row) {
             let i = i.row_in(block, row.len());
-            let (Some(head), Some(tails), Some(mark)) = (
-                i.and_then(|i| rows.head(i, t)),
-                i.and_then(|i| rows.tail_key(i, t, depth)),
-                i.and_then(|i| seen.get_mut(i)),
-            ) else {
-                return Err("tree row index out of range");
+            let (Some(i), Some(head)) = (i, i.and_then(&head)) else {
+                return Err(OUT_OF_RANGE);
+            };
+            let Some(mark) = seen.get_mut(i) else {
+                return Err(OUT_OF_RANGE);
             };
             if head_lo(head) != low {
                 return Err("tree head bits disagree with its row");
             }
-            let key = (tree_order(head), tails);
-            if prev.is_some_and(|p| p > key) {
+            let key = tree_order(head);
+            let order = match prev {
+                Some((before, j)) if before == key => tails(j)?.cmp(tails(i)?),
+                Some((before, _)) => before.cmp(&key),
+                None => Ordering::Less,
+            };
+            if order == Ordering::Greater {
                 return Err("tree keys out of order");
             }
             if std::mem::replace(mark, stamp) != after {
                 return Err("tree is not a permutation of its partition's rows");
             }
-            prev = Some(key);
+            prev = Some((key, i));
         }
     }
     Ok(())
@@ -1328,8 +1376,9 @@ mod tests {
             layout: Layout::new(1, 2, 2),
         };
         let (lo, row) = ([0u16, 1, 1, 1, 2], [4u16, 1, 0, 3, 2]);
+        let head = |i| rows.head(i, 0);
         assert_eq!(
-            check_tree(rows, (&lo, &row), 0, &mut [0; 5], (0, 1)),
+            check_tree(rows, (&lo, &row), 0, head, &mut [0; 5], (0, 1)),
             Ok(())
         );
         let probe = |prefix: &[u32]| {
@@ -1407,9 +1456,10 @@ mod tests {
             out.push(id)
         });
         assert_eq!(out, vec![8]);
+        let head = |i| rows.head(i, 0);
         for err in [
-            check_tree(rows, (&[1, 1], &[9u16, 1]), 0, &mut [0; 2], (0, 1)),
-            check_tree(rows, (&[1, 1], &[9u32, 1]), 0, &mut [0; 2], (0, 1)),
+            check_tree(rows, (&[1, 1], &[9u16, 1]), 0, head, &mut [0; 2], (0, 1)),
+            check_tree(rows, (&[1, 1], &[9u32, 1]), 0, head, &mut [0; 2], (0, 1)),
         ] {
             assert_eq!(err, Err("tree row index out of range"));
         }
@@ -1498,7 +1548,14 @@ mod tests {
         let rows = forest.rows();
         let (lo, row) = forest.trees[1].columns();
         let check = |lo: &[u16], row: &[u16]| {
-            check_tree(rows, (lo, row), 1, &mut vec![0; TWO_BLOCKS], (0, 1))
+            check_tree(
+                rows,
+                (lo, row),
+                1,
+                |i| rows.head(i, 1),
+                &mut vec![0; TWO_BLOCKS],
+                (0, 1),
+            )
         };
         assert_eq!(check(lo, row), Ok(()));
         // The first block's last key is above the second's first: blocks
@@ -1614,6 +1671,90 @@ mod tests {
                     prop_assert_eq!(got, want.collect::<Vec<_>>());
                 }
             }
+        }
+    }
+
+    /// `check_tree` as it read every entry's whole key from its row, in
+    /// tree order: the reference the row-order check must agree with.
+    fn check_tree_by_rows(
+        rows: Rows<'_>,
+        (lo, row): (&[u16], &[u16]),
+        t: usize,
+        seen: &mut [u32],
+    ) -> Result<(), &'static str> {
+        if lo.len() != row.len() {
+            return Err("tree columns differ in length");
+        }
+        let depth = rows.layout.r_max - 1;
+        for (block, lo, row) in blocks(lo, row) {
+            let mut prev: Option<(u32, &[u16])> = None;
+            for (&low, &i) in lo.iter().zip(row) {
+                let i = i.row_in(block, row.len());
+                let (Some(head), Some(tails), Some(mark)) = (
+                    i.and_then(|i| rows.head(i, t)),
+                    i.and_then(|i| rows.tail_key(i, t, depth)),
+                    i.and_then(|i| seen.get_mut(i)),
+                ) else {
+                    return Err("tree row index out of range");
+                };
+                if head_lo(head) != low {
+                    return Err("tree head bits disagree with its row");
+                }
+                let key = (tree_order(head), tails);
+                if prev.is_some_and(|p| p > key) {
+                    return Err("tree keys out of order");
+                }
+                if std::mem::replace(mark, 1) != 0 {
+                    return Err("tree is not a permutation of its partition's rows");
+                }
+                prev = Some(key);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Colliding rows, so heads tie and tails decide, and a tree's
+        /// columns damaged at up to three places — an entry moved, a `lo`
+        /// or a `row` overwritten: the check that reads heads in row order
+        /// and tails only on a tie, with the heads gathered or read from
+        /// the rows, returns what the check that read each entry's whole
+        /// key returned — the same first error, or none.
+        #[test]
+        fn a_tree_check_by_gathered_heads_agrees_with_one_by_rows(
+            n in 1usize..90,
+            t in 0usize..2,
+            kinds in proptest::collection::vec(0u8..4, 0..4),
+            ats in proptest::collection::vec(0usize..100, 3..4),
+            values in proptest::collection::vec(0u16..100, 3..4),
+        ) {
+            let model: Vec<(DomainId, Vec<u32>)> =
+                (0..n as u32).map(|k| (k, colliding_lanes(u64::from(k) * 7))).collect();
+            let forest = forest_of(&model);
+            let rows = forest.rows();
+            let (lo, row) = forest.trees[t].columns();
+            let (mut lo, mut row) = (lo.to_vec(), row.to_vec());
+            for ((&kind, &at), &value) in kinds.iter().zip(&ats).zip(&values) {
+                let (at, to) = (at % n, usize::from(value) % n);
+                match kind {
+                    0 => {
+                        lo.swap(at, to);
+                        row.swap(at, to);
+                    }
+                    1 => row.swap(at, to),
+                    2 => lo[at] = value,
+                    _ => row[at] = value,
+                }
+            }
+            let want = check_tree_by_rows(rows, (&lo, &row), t, &mut vec![0; n]);
+            let by_row = |i| rows.head(i, t);
+            let got = check_tree(rows, (&lo, &row), t, by_row, &mut vec![0; n], (0, 1));
+            prop_assert_eq!(got, want);
+            let mut heads = Vec::new();
+            rows.heads_into(t, &mut heads);
+            let gathered = |i: usize| heads.get(i).copied();
+            let got = check_tree(rows, (&lo, &row), t, gathered, &mut vec![0; n], (0, 1));
+            prop_assert_eq!(got, want);
         }
     }
 

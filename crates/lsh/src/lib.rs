@@ -24,7 +24,7 @@
 pub mod forest;
 pub mod persist;
 
-pub use forest::{Layout, LshForest, Row, RowBuf, RowLanes};
+pub use forest::{Layout, LshForest, Row, RowBuf, RowBytes, RowLanes};
 
 /// Identifier of an indexed domain.
 ///

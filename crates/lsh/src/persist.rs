@@ -154,12 +154,14 @@ impl LshForest {
             layout,
         };
         let mut trees = Vec::with_capacity(layout.b_max);
-        let mut seen = vec![0; len];
+        let (mut seen, mut heads) = (vec![0; len], Vec::with_capacity(len));
         for t in 0..layout.b_max {
             // `lo`, then `row`.
             let entries: Column<u16> = dec.get_column(len.saturating_mul(2), "tree columns")?;
             let turn = (t as u32, t as u32 + 1);
-            check_tree(rows, entries.split_at(len), t, &mut seen, turn)
+            rows.heads_into(t, &mut heads);
+            let head = |i: usize| heads.get(i).copied();
+            check_tree(rows, entries.split_at(len), t, head, &mut seen, turn)
                 .map_err(CodecError::Corrupt)?;
             trees.push(entries);
         }

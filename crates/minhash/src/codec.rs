@@ -578,13 +578,12 @@ impl<'a> Decoder<'a> {
         Ok(view.unwrap_or_else(|| T::vec_from_le(bytes).into()))
     }
 
-    /// Reads `n` little-endian `u16`s, no length prefix (capacity = `n`).
+    /// Borrows the next `n` bytes, uncopied, no length prefix.
     ///
     /// # Errors
-    /// [`CodecError::UnexpectedEof`] when fewer than `2 · n` bytes remain.
-    pub fn get_u16s(&mut self, n: usize, reading: &'static str) -> Result<Vec<u16>, CodecError> {
-        let bytes = self.take(n.saturating_mul(2), reading)?;
-        Ok(le_vec(bytes, u16::from_le_bytes))
+    /// [`CodecError::UnexpectedEof`] when fewer remain.
+    pub fn get_bytes(&mut self, n: usize, reading: &'static str) -> Result<&'a [u8], CodecError> {
+        self.take(n, reading)
     }
 
     /// Reads a length-prefixed `u32` vector (capacity = length).

@@ -772,15 +772,17 @@ impl IndexContainer {
         let ens = |e| ("ensemble", e);
         let records = RecordTable::decode(&mut dec).map_err(rcs)?;
         let nested = dec.nested("ensemble bytes").map_err(ens)?;
-        let ensemble = LshEnsemble::decode(nested).map_err(ens)?;
+        // Both in id order, checked in the decoder's one walk of the base
+        // by id: one record a live domain.
+        let (mut ids, mut same) = (records.ids().iter(), true);
+        let record_each = |live| same &= ids.next() == Some(&live);
+        let ensemble = LshEnsemble::decode_with(nested, record_each).map_err(ens)?;
         if ensemble.len() != records.len() {
             return Err(ens(CodecError::Corrupt(
                 "record count disagrees with ensemble",
             )));
         }
-        // Both in id order, a walk each: one record a live domain.
-        let live = ensemble.live_entries().map(|(id, _, _)| id);
-        if !live.eq(records.ids().iter().copied()) {
+        if !same || ids.next().is_some() {
             return Err(rcs(CodecError::Corrupt("a record names no live domain")));
         }
         let mark = |e| ("allocator mark", e);
