@@ -119,10 +119,11 @@ impl LshEnsembleBuilder {
     }
 
     /// Partitions the staged domains and builds one committed LSH Forest per
-    /// partition, in parallel (at most one lane per core).
+    /// partition, in parallel (at most one lane per core). Nothing staged
+    /// builds an index of no partitions.
     ///
     /// # Panics
-    /// Panics if the builder is empty or an id was staged twice.
+    /// Panics if an id was staged twice.
     #[must_use]
     pub fn build(self) -> LshEnsemble {
         LshEnsemble::build_from_parts(self.config, &self.ids, &self.sizes, &self.signatures)
@@ -466,21 +467,10 @@ impl SealedSegment {
         })
     }
 
-    fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         let parts = self.partitions.iter().map(EnsemblePartition::memory_bytes);
         parts.sum::<usize>() + self.order.capacity() * std::mem::size_of::<(u32, u32)>()
     }
-}
-
-/// Every partition of a segment stack, oldest segment first, each with
-/// where it is.
-pub(crate) fn segment_units(
-    segments: &[Arc<SealedSegment>],
-) -> impl Iterator<Item = (Slot, &EnsemblePartition)> {
-    (0..).zip(segments).flat_map(|(j, seg)| {
-        let parts = (0..).zip(&seg.partitions);
-        parts.map(move |(k, p)| (Slot::Seg(j, k), p))
-    })
 }
 
 /// One partition with its committed forest over `entry(member)` per
@@ -570,8 +560,9 @@ pub struct PartitionStats {
 /// The base partitions, the sealed segments and the tuner are immutable
 /// and shared: a clone copies pointers to them plus the id overlay, so a
 /// commit or a segment merge on the clone copies nothing of the base. A
-/// base partition decoded over a mapped index file ([`decode`](Self::decode))
-/// is views into that file until a compaction replaces it.
+/// base partition decoded over a mapped index file ([`decode`](Self::decode)),
+/// or opened from a packed one ([`open`](Self::open)), is views into that
+/// file until a compaction replaces it.
 #[derive(Debug, Clone)]
 pub struct LshEnsemble {
     config: EnsembleConfig,
@@ -582,9 +573,6 @@ pub struct LshEnsemble {
     /// clone keeps filling and reading the same one.
     tuner: Arc<Tuner>,
     len: usize,
-    /// Rows of the base, dead ones included: its partitions', or the
-    /// mapped file's for the heap tail of a [`crate::MmapIndex`].
-    base_rows: usize,
     overlay: Overlay,
 }
 
@@ -613,11 +601,12 @@ impl LshEnsemble {
     ///
     /// The domains are partitioned in id order and each partition's rows
     /// ascend by id — what an id's base row is found by — so the order the
-    /// arrays list them in changes nothing.
+    /// arrays list them in changes nothing. No domains build the base of no
+    /// partitions.
     ///
     /// # Panics
-    /// Panics if the arrays are empty or their lengths differ, on invalid
-    /// configuration, on zero sizes / width mismatches, or on a repeated id.
+    /// Panics if the arrays' lengths differ, on invalid configuration, on
+    /// zero sizes / width mismatches, or on a repeated id.
     #[must_use]
     pub fn build_from_parts<S: RowLanes + Sync>(
         config: EnsembleConfig,
@@ -626,7 +615,6 @@ impl LshEnsemble {
         signatures: &[S],
     ) -> Self {
         config.validate();
-        assert!(!ids.is_empty(), "cannot build an empty ensemble");
         assert!(
             ids.len() == sizes.len() && ids.len() == signatures.len(),
             "parallel arrays must have equal lengths"
@@ -641,6 +629,10 @@ impl LshEnsemble {
         order.sort_unstable_by_key(|&i| ids[i]);
         let repeated = order.windows(2).any(|w| ids[w[0]] == ids[w[1]]);
         assert!(!repeated, "duplicate domain id");
+        let tuner = Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32));
+        if ids.is_empty() {
+            return Self::over_base(config, tuner, Vec::new());
+        }
         let sizes_by_id: Vec<u64> = order.iter().map(|&i| sizes[i]).collect();
         let partitioning = config.strategy.partition(&sizes_by_id);
         // One lane per core at most, each taking the next partition when it
@@ -651,7 +643,6 @@ impl LshEnsemble {
                 (ids[i], sizes[i], &signatures[i])
             }))
         });
-        let tuner = Arc::new(Tuner::new(config.b_max as u32, config.r_max as u32));
         Self::over_base(config, tuner, shells)
     }
 
@@ -663,11 +654,9 @@ impl LshEnsemble {
         partitions: Vec<Arc<EnsemblePartition>>,
     ) -> Self {
         debug_assert_eq!(check_base_ids(&partitions), Ok(()));
-        let rows = partitions.iter().map(|p| p.forest.len()).sum();
         Self {
             tuner,
-            len: rows,
-            base_rows: rows,
+            len: partitions.iter().map(|p| p.forest.len()).sum(),
             partitions,
             segments: Vec::new(),
             config,
@@ -687,7 +676,7 @@ impl LshEnsemble {
         self.len
     }
 
-    /// True if the ensemble indexes nothing (cannot occur via `build`).
+    /// True if the ensemble indexes nothing.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -737,11 +726,16 @@ impl LshEnsemble {
         base.chain(sealed).max().copied()
     }
 
+    /// Every row, dead ones included. O(partitions + segments).
+    pub(crate) fn rows(&self) -> usize {
+        let base: usize = self.partitions.iter().map(|p| p.forest.len()).sum();
+        base + self.segments.iter().map(|s| s.len()).sum::<usize>()
+    }
+
     /// Rows no id lives in: every row less the live ones, since a live id
-    /// is one row. O(segments).
+    /// is one row.
     fn dead_rows(&self) -> usize {
-        let sealed: usize = self.segments.iter().map(|s| s.len()).sum();
-        self.base_rows + sealed - self.len
+        self.rows() - self.len
     }
 
     /// The dead rows as tombstones, in the one order a state is saved in:
@@ -921,10 +915,14 @@ impl LshEnsemble {
         let base = (0..)
             .zip(&self.partitions)
             .map(|(p, part)| (Slot::Base(p), &**part));
+        let segments = (0..).zip(&self.segments).flat_map(|(j, seg)| {
+            let parts = (0..).zip(&seg.partitions);
+            parts.map(move |(k, p)| (Slot::Seg(j, k), p))
+        });
         Tiers {
             num_perm: self.config.num_perm,
             tuner: &self.tuner,
-            units: base.chain(segment_units(&self.segments)).collect(),
+            units: base.chain(segments).collect(),
             overlay: &self.overlay,
         }
     }
@@ -1042,15 +1040,13 @@ impl LshEnsemble {
         // The rows are read out of the old index until the new one is
         // whole; only then is it swapped in.
         let entries: Vec<Entry<'_>> = self.live_entries().collect();
-        let tuner = Arc::clone(&self.tuner);
-        *self = if entries.is_empty() {
-            Self::over_base(self.config, tuner, Vec::new())
-        } else {
-            let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
-            let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
-            let rows: Vec<Row<'_>> = entries.iter().map(|&(_, _, row)| row).collect();
-            let rebuilt = Self::build_from_parts(self.config, &ids, &sizes, &rows);
-            Self { tuner, ..rebuilt }
+        let ids: Vec<DomainId> = entries.iter().map(|&(id, _, _)| id).collect();
+        let sizes: Vec<u64> = entries.iter().map(|&(_, size, _)| size).collect();
+        let rows: Vec<Row<'_>> = entries.iter().map(|&(_, _, row)| row).collect();
+        let rebuilt = Self::build_from_parts(self.config, &ids, &sizes, &rows);
+        *self = Self {
+            tuner: Arc::clone(&self.tuner),
+            ..rebuilt
         };
         CommitReport {
             entries_folded: self.len,
@@ -1191,27 +1187,19 @@ impl LshEnsemble {
         &self.segments
     }
 
-    /// The overlay, for the read path of an index this one is the heap
-    /// tail of.
-    pub(crate) fn overlay(&self) -> &Overlay {
-        &self.overlay
-    }
-
-    /// Rebuilds an ensemble from persisted parts. The decoder is
-    /// responsible for structural validation, [`check_base_ids`] over
-    /// `partitions` included, which it may run on the result instead
-    /// ([`walk_live`](Self::walk_live)). The overlay is built from the
-    /// segments — an id lives in the newest one that holds it — and then
-    /// from the tombstones: one naming the segment an id lives in removes
-    /// the id, and one naming a base row marks its id removed unless the
-    /// id lives in a segment. A mapped index, whose base stays in its
-    /// file, passes no partitions, but its file's `base_rows`, and keeps
-    /// the result as its heap tail. Each segment is sealed from its
-    /// stored rows where they lie: its forests' tables are the one copy.
+    /// Rebuilds an ensemble from persisted parts — a `.lshe`'s decoded
+    /// partitions, or a packed file's views. The reader is responsible for
+    /// structural validation, [`check_base_ids`] over `partitions` and
+    /// [`check_stored`](Self::check_stored) on the result included. The
+    /// overlay is built from the segments — an id lives in the newest one
+    /// that holds it — and then from the tombstones: one naming the segment
+    /// an id lives in removes the id, and one naming a base row marks its
+    /// id removed unless the id lives in a segment. Each segment is sealed
+    /// from its stored rows where they lie: its forests' tables are the one
+    /// copy.
     pub(crate) fn from_raw_partitions(
         config: EnsembleConfig,
         partitions: Vec<Arc<EnsemblePartition>>,
-        base_rows: usize,
         len: usize,
         segment_entries: Vec<Vec<(DomainId, u64, RowBytes<'_>)>>,
         dead: &[Tombstone],
@@ -1221,7 +1209,6 @@ impl LshEnsemble {
             segments: Vec::new(),
             config,
             len,
-            base_rows,
             overlay: Overlay::default(),
             partitions,
         };
@@ -1234,8 +1221,7 @@ impl LshEnsemble {
                 ensemble.unmap(id);
             }
         }
-        // Base tombstones last, as `None`s: a heap tail has no base row to
-        // `unmap` by.
+        // Base tombstones last, each a `None` unless a segment holds its id.
         for &(id, _) in dead.iter().filter(|(_, tier)| tier.is_none()) {
             ensemble.overlay.entry(id).or_insert(None);
         }
@@ -1633,10 +1619,34 @@ mod tests {
         });
     }
 
+    /// Nothing staged builds the base of no partitions — what a compaction
+    /// of an emptied index gives — which answers nothing, round-trips, packs
+    /// and takes a commit.
     #[test]
-    #[should_panic(expected = "cannot build an empty ensemble")]
-    fn empty_build_rejected() {
-        let _ = LshEnsemble::builder().build();
+    fn an_empty_build_is_a_base_of_no_partitions() {
+        let empty = LshEnsemble::builder().build();
+        assert_eq!((empty.len(), empty.num_partitions()), (0, 0));
+        let (h, entries) = nested_corpus(256, 4);
+        let (_, size, sig, _) = &entries[2];
+        let query = Query::threshold(sig, 0.0).with_size(*size);
+        assert!(empty.search(&query).expect("search").hits.is_empty());
+        let bytes = empty.to_bytes();
+        let decoded = LshEnsemble::from_bytes(&bytes).expect("decode");
+        assert_eq!(decoded.to_bytes(), bytes);
+        let path =
+            std::env::temp_dir().join(format!("lshe_empty_build_{}.lshepk", std::process::id()));
+        crate::pack_ranked_to(&empty, &path).expect("pack");
+        let packed = LshEnsemble::open_verified(&path).expect("open");
+        std::fs::remove_file(&path).ok();
+        assert_eq!((packed.len(), packed.num_partitions()), (0, 0));
+        assert!(packed.search(&query).expect("search").hits.is_empty());
+        for mut index in [empty, decoded, packed] {
+            let fresh = h.signature(MinHasher::synthetic_values(8, 30));
+            index
+                .commit(&[Mutation::Insert(40, 30, &fresh)])
+                .expect("insert");
+            assert_eq!(index.query_with_size(&fresh, 30, 1.0), vec![40]);
+        }
     }
 
     #[test]

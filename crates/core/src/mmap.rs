@@ -1,37 +1,33 @@
-//! The memory-mapped index backend: `DomainIndex` over a v2 store file.
+//! The packed file: an [`LshEnsemble`] in an `lshe-store` v2 container,
+//! opened as the same index a `.lshe` decodes to.
 //!
-//! [`pack_ranked_with`] streams an [`LshEnsemble`] into an
-//! `lshe-store` v2 container — partition bounds, the base rows' sketches
-//! (one table, ascending id: 32-bit heads and 16-bit tails as the forests
-//! hold them) and the forest tree columns that index it (the low 16 bits
-//! of each entry's head, and its position in the table), each in its own
-//! checksummed 64-byte-aligned section. [`MmapIndex`] opens such a file
-//! and answers [`search`](crate::DomainIndex::search)/
-//! [`search_batch`](crate::DomainIndex::search_batch) *in place*: the
-//! partition skip-prune, per-query `(b, r)` tuning, prefix-tree probing,
-//! and containment ranking all run against borrowed mapped memory, so
-//! opening a multi-gigabyte corpus costs milliseconds and no decode-time
-//! heap.
-//!
-//! The backend answers through the same `pipeline` module as the heap
-//! indexes — it only supplies the mapped partition and sketch views — so
-//! candidate sets, probe counters, estimates, and ordering match the
-//! [`LshEnsemble`] it was packed from by construction.
+//! [`pack_ranked_with`] streams the index into checksummed 64-byte-aligned
+//! sections: each base partition's forest as the columns it holds — row
+//! ids, rows, and per tree its `lo` column, then its block-local `row`
+//! column — and its sizes, each column kind concatenated across the
+//! partitions in a section of its own, beside the partitions' bounds and
+//! lengths and the segment stack. [`LshEnsemble::open`] hands each column
+//! to its partition's forest as a view into the mapping, so a packed file
+//! answers through the ensemble's own read path — hit for hit what the
+//! index it was packed from answers — and opening it checks the columns'
+//! lengths and each partition's ids, never a forest's trees.
 //!
 //! No server opens this format: `lshe serve` serves the `.lshe` container,
 //! itself mapped in place. The packed file is a library artifact that the
 //! conformance suite and the benchmark's `store.*` metrics open.
 
-use crate::api::{DomainIndex, Query, QueryError, SearchOutcome};
-use crate::ensemble::{segment_units, EnsembleConfig, EnsemblePartition, LshEnsemble, Slot};
-use crate::pipeline::{Probe, ReadPath, Tiers};
-use crate::tuning::Tuner;
-use lshe_lsh::forest::{check_tree, probe_trees, Rows, BLOCK};
-use lshe_lsh::{DomainId, Layout, Row};
-use lshe_minhash::codec::{CodecError, Decoder, Encoder};
-use lshe_minhash::Signature;
-use lshe_store::{Packer, PartitionView, SectionKind, SketchesView, Store, StoreError};
+use crate::ensemble::{check_ascending, check_base_ids};
+use crate::ensemble::{EnsembleConfig, EnsemblePartition, LshEnsemble};
+use lshe_lsh::{Layout, LshForest};
+use lshe_minhash::codec::{CodecError, Decoder, Encoder, Owner};
+use lshe_store::{Packer, SectionKind, Store, StoreError};
 use std::path::Path;
+use std::sync::Arc;
+
+/// The ensemble under the name the packed file's reader had when it had a
+/// read path of its own, which `perfbench` still uses.
+#[doc(hidden)]
+pub type MmapIndex = LshEnsemble;
 
 // ------------------------------------------------------------------ errors
 
@@ -78,10 +74,10 @@ impl From<StoreError> for MmapIndexError {
 // ----------------------------------------------------------------- packing
 
 /// Streams an [`LshEnsemble`] into `packer` as the index sections of a v2
-/// store (meta, partition bounds/lens, tree columns, sketches, segments),
-/// with an id-allocator high-water mark recorded at the end of the
-/// `Segments` section. The caller owns the packer and calls
-/// [`Packer::finish`].
+/// store (meta, partition bounds/lens, the base partitions' row ids, rows,
+/// trees and sizes, segments), with an id-allocator high-water mark
+/// recorded at the end of the `Segments` section. The caller owns the
+/// packer and calls [`Packer::finish`].
 ///
 /// # Errors
 /// Propagates write failure.
@@ -116,65 +112,33 @@ pub fn pack_ranked_with(
     }
     packer.end_section();
 
-    // The sketch table: every base row (tombstoned ones too — the trees
-    // index them), in ascending id order so a sketch is found by binary
-    // search. `at[p][row]` is where partition `p`'s row went.
-    let mut table: Vec<(DomainId, usize, usize)> = Vec::new();
-    for (p, part) in base.iter().enumerate() {
-        table.extend(
-            part.forest
-                .ids()
-                .iter()
-                .enumerate()
-                .map(|(row, &id)| (id, p, row)),
-        );
-    }
-    table.sort_unstable();
-    let mut at: Vec<Vec<u32>> = base.iter().map(|p| vec![0; p.forest.len()]).collect();
-    for (position, &(_, p, row)) in table.iter().enumerate() {
-        at[p][row] = position as u32;
-    }
-
-    packer.begin_section(SectionKind::TreeKeys)?;
+    // Each forest's columns as it holds them, one section a column kind.
+    packer.begin_section(SectionKind::RowIds)?;
     for part in base {
-        for (lo, _) in part.forest.committed_trees() {
+        packer.write_u32s(part.forest.ids())?;
+    }
+    packer.end_section();
+
+    packer.begin_section(SectionKind::Rows)?;
+    for part in base {
+        for row in 0..part.forest.len() {
+            packer.write_u16s(part.forest.row(row).words())?;
+        }
+    }
+    packer.end_section();
+
+    packer.begin_section(SectionKind::Trees)?;
+    for part in base {
+        for (lo, rows) in part.forest.committed_trees() {
             packer.write_u16s(lo)?;
+            packer.write_u16s(rows)?;
         }
     }
     packer.end_section();
 
-    // A forest's tree names a row within its block; the file, the row's
-    // position in the table. The entries stay where they are, so each
-    // block of a tree is still a sorted run of its own.
-    packer.begin_section(SectionKind::TreeIds)?;
-    let mut positions: Vec<u32> = Vec::new();
-    for (part, at) in base.iter().zip(&at) {
-        for (_, rows) in part.forest.committed_trees() {
-            positions.clear();
-            for (block, rows) in rows.chunks(BLOCK).enumerate() {
-                let at = &at[block * BLOCK..];
-                positions.extend(rows.iter().map(|&row| at[usize::from(row)]));
-            }
-            packer.write_u32s(&positions)?;
-        }
-    }
-    packer.end_section();
-
-    packer.begin_section(SectionKind::SketchIds)?;
-    for &(id, _, _) in &table {
-        packer.write_u32s(&[id])?;
-    }
-    packer.end_section();
-
-    packer.begin_section(SectionKind::SketchSizes)?;
-    for &(_, p, row) in &table {
-        packer.write_u64s(&[base[p].sizes[row]])?;
-    }
-    packer.end_section();
-
-    packer.begin_section(SectionKind::SketchSlots)?;
-    for &(_, p, row) in &table {
-        packer.write_u16s(base[p].forest.row(row).words())?;
+    packer.begin_section(SectionKind::Sizes)?;
+    for part in base {
+        packer.write_u64s(&part.sizes)?;
     }
     packer.end_section();
 
@@ -202,174 +166,84 @@ pub fn pack_ranked_to(index: &LshEnsemble, path: impl AsRef<Path>) -> std::io::R
     packer.finish()
 }
 
-// ----------------------------------------------------------------- backend
-
-/// One partition's shape and element offset into the tree sections.
-#[derive(Debug, Clone, Copy)]
-struct PartMeta {
-    lower: u64,
-    upper: u64,
-    /// Domains in this partition (rows per tree).
-    rows: usize,
-    /// Element offset of this partition's columns in the TreeKeys and
-    /// TreeIds sections (entry for entry the same shape).
-    off: usize,
-}
-
-/// One sweepable partition of a mapped index: a base partition's tree
-/// columns in the mapping, or a heap-replayed segment partition.
-enum MappedPart<'a> {
-    Base {
-        upper: u64,
-        view: PartitionView<'a>,
-        /// The sketch table the tree entries point into.
-        rows: Rows<'a>,
-        /// The table's sizes, position for position.
-        sizes: &'a [u64],
-    },
-    Segment(&'a EnsemblePartition),
-}
-
-impl Probe for MappedPart<'_> {
-    fn upper(&self) -> u64 {
-        match self {
-            Self::Base { upper, .. } => *upper,
-            Self::Segment(p) => p.upper(),
-        }
-    }
-
-    fn probe(
-        &self,
-        signature: &Signature,
-        b: usize,
-        r: usize,
-        found: &mut impl FnMut(DomainId, usize),
-    ) {
-        match self {
-            // `LshForest::query_into` over the mapped columns: tree `t`
-            // is keyed by lanes `t·r_max ..`, probed at prefix length `r`
-            // by the forest's own kernel.
-            Self::Base { view, rows, .. } => {
-                let trees = (0..b).map(|t| (view.lo(t), view.rows(t)));
-                probe_trees(*rows, trees, signature.slots(), r, found);
-            }
-            Self::Segment(p) => p.probe(signature, b, r, found),
-        }
-    }
-
-    fn sketch(&self, row: u32) -> (u64, Row<'_>) {
-        match self {
-            Self::Base { rows, sizes, .. } => {
-                let row = row as usize;
-                (sizes[row], rows.row(row).expect("a probed row"))
-            }
-            Self::Segment(p) => p.sketch(row),
-        }
-    }
-}
-
-/// A read-only [`DomainIndex`] answered directly from a mapped v2 store.
-///
-/// Holds only metadata on the heap (a few dozen bytes per partition);
-/// every tree column and sketch lane stays in the mapping. Queries run the
-/// shared read path (see the `pipeline` module) over borrowed views of
-/// the mapped tree columns and sketches.
-#[derive(Debug)]
-pub struct MmapIndex {
-    store: Store,
-    config: EnsembleConfig,
-    tuner: Tuner,
-    len: usize,
-    parts: Vec<PartMeta>,
-    /// The `Segments` section replayed onto the heap as an ensemble with no
-    /// base partitions: the sealed segments (deterministic rebuild from the
-    /// stored entry triples — identical forests to the heap index that was
-    /// packed) and the id overlay: where each segment id lives, and a
-    /// `None` for each removed base id. Small by construction: segments
-    /// hold recent deltas, the mapped base holds the corpus.
-    tail: LshEnsemble,
-}
+// ----------------------------------------------------------------- opening
 
 fn corrupt(section: &'static str, detail: &'static str) -> MmapIndexError {
     MmapIndexError::Store(StoreError::Corrupt { section, detail })
 }
 
-impl MmapIndex {
-    /// Opens a packed index file with structural validation only (headers,
-    /// table, bounds, cross-section counts) — O(sections + partitions),
-    /// not O(file). Use [`open_verified`](Self::open_verified) to also
-    /// checksum every payload.
+impl LshEnsemble {
+    /// Opens a packed index file with structural validation only: the
+    /// store's header and section table, the meta, every column's length
+    /// against the partition lengths, each partition's ids ascending, and
+    /// the segments and tombstones against the base — O(sections +
+    /// partitions) and one pass over the row ids, never a forest's trees.
+    /// Every base column is a view into the mapping. Use
+    /// [`open_verified`](Self::open_verified) to also check every payload:
+    /// only it refuses damage these checks cannot see, such as an id in two
+    /// partitions, which a search would then meet in two live rows.
     ///
     /// # Errors
     /// [`MmapIndexError`] on I/O, structural, or consistency failure.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, MmapIndexError> {
-        Self::from_store(Store::open(path)?)
+        Self::from_store(&Store::open(path)?)
     }
 
     /// [`open`](Self::open) behind every check a reader wants before it
-    /// answers from the file: each section's checksum, then each prefix
-    /// tree against the sketch table — a permutation of its partition's
-    /// rows, each head's low half as the rows have it, keys in order inside
-    /// each block. A checksum only says the bytes are the ones written; a
-    /// probe's binary searches silently drop candidates from a file written
-    /// wrong.
+    /// answers from the file: each section's checksum, then each forest's
+    /// trees against its rows ([`LshForest::check`]), every size positive,
+    /// and no id in two base partitions. A checksum only says the bytes are
+    /// the ones written; a probe's binary searches silently drop candidates
+    /// from a file written wrong.
     ///
     /// # Errors
     /// As [`open`](Self::open), plus [`StoreError::SectionChecksum`]
-    /// naming any damaged section and the tree sections' corruption.
+    /// naming any damaged section, and the column checks' corruption.
     pub fn open_verified(path: impl AsRef<Path>) -> Result<Self, MmapIndexError> {
         let store = Store::open(path)?;
         store.verify()?;
-        let index = Self::from_store(store)?;
-        index.check_trees()?;
+        let index = Self::from_store(&store)?;
+        let base = index.base_partitions();
+        for part in base {
+            part.forest
+                .check()
+                .map_err(|detail| corrupt("trees", detail))?;
+            if part.sizes.contains(&0) {
+                return Err(corrupt("sizes", "zero base size"));
+            }
+        }
+        check_base_ids(base).map_err(|detail| corrupt("row ids", detail))?;
         Ok(index)
     }
 
-    /// The O(file) structural pass of [`open_verified`](Self::open_verified).
-    fn check_trees(&self) -> Result<(), MmapIndexError> {
-        let sketches = self.sketches();
-        // Every base row is in the trees of exactly one partition: the
-        // partitions' lengths sum to the table's, so none is left over.
-        let mut seen = vec![0; sketches.len()];
-        let mut stamp = 0;
-        for (_, part) in &self.tiers(&sketches).units {
-            let MappedPart::Base { view, rows, .. } = part else {
-                break;
-            };
-            for t in 0..view.trees() {
-                let turn = (if t == 0 { 0 } else { stamp }, stamp + 1);
-                let columns = (view.lo(t), view.rows(t));
-                let head = |i| rows.row(i).map(|row| row.head(t));
-                check_tree(*rows, columns, t, head, &mut seen, turn)
-                    .map_err(|detail| corrupt("tree ids", detail))?;
-                stamp += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Builds the backend over an opened [`Store`], validating
-    /// cross-section consistency: sections missing, failing to decode, or
-    /// disagreeing with each other are an [`MmapIndexError`].
-    fn from_store(store: Store) -> Result<Self, MmapIndexError> {
-        let meta = store.bytes(SectionKind::Meta)?;
-        let mut dec = Decoder::new(meta);
-        let codec = |source: CodecError| MmapIndexError::Codec {
-            section: "meta",
-            source,
+    /// Builds the index over an opened [`Store`]: its base partitions from
+    /// views of the column sections, its segments and overlay as a
+    /// `.lshe`'s decoder builds them.
+    fn from_store(store: &Store) -> Result<Self, MmapIndexError> {
+        let codec = |section: &'static str| {
+            move |source: CodecError| MmapIndexError::Codec { section, source }
         };
-        let num_perm = dec.get_u32("num_perm").map_err(codec)? as usize;
-        let b_max = dec.get_u32("b_max").map_err(codec)? as usize;
-        let r_max = dec.get_u32("r_max").map_err(codec)? as usize;
-        let strategy = crate::persist::decode_strategy(&mut dec).map_err(codec)?;
-        let len = dec.get_u64("len").map_err(codec)? as usize;
-        let part_count = dec.get_u64("partition count").map_err(codec)? as usize;
+        let mut dec = Decoder::new(store.bytes(SectionKind::Meta)?);
+        let meta = codec("meta");
+        let num_perm = dec.get_u32("num_perm").map_err(meta)? as usize;
+        let b_max = dec.get_u32("b_max").map_err(meta)? as usize;
+        let r_max = dec.get_u32("r_max").map_err(meta)? as usize;
+        let strategy = crate::persist::decode_strategy(&mut dec).map_err(meta)?;
+        let len = dec.get_u64("len").map_err(meta)? as usize;
+        let part_count = dec.get_u64("partition count").map_err(meta)? as usize;
         if !dec.is_exhausted() {
             return Err(corrupt("meta", "trailing bytes after metadata"));
         }
         if num_perm == 0 || b_max == 0 || r_max == 0 || b_max * r_max > num_perm {
             return Err(corrupt("meta", "inconsistent configuration"));
         }
+        let config = EnsembleConfig {
+            num_perm,
+            b_max,
+            r_max,
+            strategy,
+        };
+        let layout = Layout::new(b_max, r_max, num_perm);
 
         let bounds = store.u64s(SectionKind::PartitionBounds)?;
         if bounds.len() != part_count * 2 {
@@ -379,240 +253,92 @@ impl MmapIndex {
         if lens.len() != part_count {
             return Err(corrupt("partition lens", "count disagrees with meta"));
         }
-        let mut parts = Vec::with_capacity(part_count);
-        let (mut off, mut total) = (0usize, 0usize);
-        for (i, &rows64) in lens.iter().enumerate() {
-            let (lower, upper) = (bounds[i * 2], bounds[i * 2 + 1]);
+        let lens: Vec<usize> = lens
+            .iter()
+            .map(|&rows| usize::try_from(rows).ok())
+            .collect::<Option<_>>()
+            .ok_or_else(|| corrupt("partition lens", "partition length exceeds address space"))?;
+        let total = lens
+            .iter()
+            .try_fold(0usize, |sum, &rows| sum.checked_add(rows));
+        let total = total.ok_or_else(|| corrupt("partition lens", "partition lengths overflow"))?;
+
+        // Each column section holds exactly what the lengths say, read
+        // front to back, partition by partition, as views of the mapping.
+        let owner: Owner = store.mapping().clone();
+        let column = |kind: SectionKind, per_row: usize| {
+            let range = store.range(kind)?;
+            if Some(range.len()) != total.checked_mul(per_row) {
+                let detail = "length disagrees with partition lens";
+                return Err(corrupt(kind.name(), detail));
+            }
+            let mut dec = Decoder::shared(&owner);
+            dec.skip(range.start, "section start")
+                .map_err(codec(kind.name()))?;
+            Ok(dec)
+        };
+        let mut ids = column(SectionKind::RowIds, 4)?;
+        let mut rows = column(SectionKind::Rows, layout.row_bytes())?;
+        let mut trees = column(SectionKind::Trees, 4 * b_max)?;
+        let mut sizes = column(SectionKind::Sizes, 8)?;
+        let mut partitions = Vec::with_capacity(part_count);
+        for (bounds, &n) in bounds.chunks_exact(2).zip(&lens) {
+            let (lower, upper) = (bounds[0], bounds[1]);
             if lower > upper {
                 return Err(corrupt("partition bounds", "inverted partition bounds"));
             }
-            let rows = usize::try_from(rows64)
-                .map_err(|_| corrupt("partition lens", "partition length exceeds address space"))?;
-            parts.push(PartMeta {
+            let forest = LshForest::from_columns(
+                layout,
+                ids.get_column(n, "row ids").map_err(codec("row ids"))?,
+                rows.get_column(n * layout.words(), "rows")
+                    .map_err(codec("rows"))?,
+                (0..b_max)
+                    .map(|_| trees.get_column(2 * n, "trees"))
+                    .collect::<Result<_, _>>()
+                    .map_err(codec("trees"))?,
+            )
+            .map_err(|detail| corrupt("trees", detail))?;
+            let sizes = sizes.get_column(n, "sizes").map_err(codec("sizes"))?;
+            partitions.push(Arc::new(EnsemblePartition {
                 lower,
                 upper,
-                rows,
-                off,
-            });
-            off = rows
-                .checked_mul(b_max)
-                .and_then(|columns| columns.checked_add(off))
-                .ok_or_else(|| corrupt("partition lens", "partition lengths overflow"))?;
-            total += rows;
+                forest,
+                sizes,
+            }));
         }
-        // Tiered-mutation tail (absent on pre-segment files → compacted).
-        let (segment_entries, dead) = if store.has(SectionKind::Segments) {
-            let blob = store.bytes(SectionKind::Segments)?;
-            let mut sdec = Decoder::new(blob);
-            let scodec = |source: CodecError| MmapIndexError::Codec {
-                section: "segments",
-                source,
-            };
-            let layout = Layout::new(b_max, r_max, num_perm);
-            let in_base = |_, p: u32| (p as usize) < part_count;
-            let (entries, dead) =
-                crate::persist::decode_segments(&mut sdec, layout, in_base).map_err(scodec)?;
-            // The packing layer's allocator mark ends the section; a
-            // read-only index has no allocator to restore.
-            sdec.get_u32("next id").map_err(scodec)?;
-            if !sdec.is_exhausted() {
+        check_ascending(&partitions).map_err(|detail| corrupt("row ids", detail))?;
+
+        // The segment stack, as a `.lshe`'s decoder reads it.
+        let (segment_entries, stored) = if store.has(SectionKind::Segments) {
+            let mut dec = Decoder::new(store.bytes(SectionKind::Segments)?);
+            let segments = codec("segments");
+            let tail = crate::persist::decode_segments(&mut dec, layout, &partitions);
+            let tail = tail.map_err(segments)?;
+            // The packing layer's allocator mark ends the section; an
+            // ensemble has no allocator to restore.
+            dec.get_u32("next id").map_err(segments)?;
+            if !dec.is_exhausted() {
                 return Err(corrupt("segments", "trailing bytes after segments"));
             }
-            (entries, dead)
+            tail
         } else {
             (Vec::new(), Vec::new())
         };
-        let seg_entry_total: usize = segment_entries.iter().map(Vec::len).sum();
-        let dead_seg = dead.iter().filter(|(_, s)| s.is_some()).count();
-        let dead_base = dead.len() - dead_seg;
-        // Base rows are physical: live base domains plus tombstoned rows
-        // not yet compacted away. Live segment entries (total minus their
-        // tombstones) make up the rest of `len`.
-        let seg_live = seg_entry_total
-            .checked_sub(dead_seg)
-            .ok_or_else(|| corrupt("segments", "more segment tombstones than entries"))?;
-        if total + seg_live != len + dead_base {
-            return Err(corrupt(
-                "partition lens",
-                "partition sizes do not sum to len",
-            ));
-        }
-        let tree_keys = store.u16s(SectionKind::TreeKeys)?;
-        if tree_keys.len() != off {
-            return Err(corrupt("tree keys", "length disagrees with partition lens"));
-        }
-        let tree_ids = store.u32s(SectionKind::TreeIds)?;
-        if tree_ids.len() != off {
-            return Err(corrupt("tree ids", "length disagrees with partition lens"));
-        }
-
-        // One sketch per base row: the table the tree entries point into.
-        let sketch_ids = store.u32s(SectionKind::SketchIds)?;
-        if sketch_ids.len() != total {
-            return Err(corrupt("sketch ids", "count disagrees with partition lens"));
-        }
-        if !sketch_ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(corrupt("sketch ids", "ids are not strictly ascending"));
-        }
-        let sketch_sizes = store.u64s(SectionKind::SketchSizes)?;
-        if sketch_sizes.len() != total {
-            return Err(corrupt(
-                "sketch sizes",
-                "count disagrees with partition lens",
-            ));
-        }
-        let sketch_slots = store.u16s(SectionKind::SketchSlots)?;
-        if Some(sketch_slots.len()) != total.checked_mul(b_max + num_perm) {
-            return Err(corrupt(
-                "sketch slots",
-                "length disagrees with partition lens",
-            ));
-        }
-
-        let config = EnsembleConfig {
-            num_perm,
-            b_max,
-            r_max,
-            strategy,
-        };
-        // Replay each segment's deterministic seal — identical partitions
-        // and forests to the heap index that was packed — and resolve ids
-        // against segments and tombstones as that index does.
-        let tail = LshEnsemble::from_raw_partitions(
-            config,
-            Vec::new(),
-            total,
-            len,
-            segment_entries,
-            &dead,
-        );
-        Ok(Self {
-            store,
-            config,
-            tuner: Tuner::new(b_max as u32, r_max as u32),
-            len,
-            parts,
-            tail,
-        })
-    }
-
-    /// Per-partition summaries, matching
-    /// [`LshEnsemble::partition_stats`](crate::LshEnsemble::partition_stats)
-    /// for the packed corpus.
-    #[must_use]
-    pub fn partition_stats(&self) -> Vec<crate::PartitionStats> {
-        let mut stats: Vec<crate::PartitionStats> = self
-            .parts
-            .iter()
-            .map(|p| crate::PartitionStats {
-                lower: p.lower,
-                upper: p.upper,
-                count: p.rows,
-            })
-            .collect();
-        stats.extend(self.tail.partition_stats());
-        stats
-    }
-
-    /// Borrowed sketch columns, assembled fresh from the mapping.
-    fn sketches(&self) -> SketchesView<'_> {
-        let ids = self.store.u32s(SectionKind::SketchIds).expect("validated");
-        let sizes = self
-            .store
-            .u64s(SectionKind::SketchSizes)
-            .expect("validated");
-        let rows = self
-            .store
-            .u16s(SectionKind::SketchSlots)
-            .expect("validated");
-        SketchesView::new(ids, sizes, rows, self.layout().words()).expect("validated at open")
-    }
-
-    /// How the file's rows are laid out.
-    fn layout(&self) -> Layout {
-        Layout::new(self.config.b_max, self.config.r_max, self.config.num_perm)
-    }
-
-    /// This file's sweepable partitions: mapped base partitions, then the
-    /// heap-replayed segment partitions.
-    fn tiers<'a>(&'a self, sketches: &SketchesView<'a>) -> Tiers<'a, MappedPart<'a>> {
-        let tree_keys = self.store.u16s(SectionKind::TreeKeys).expect("validated");
-        let tree_ids = self.store.u32s(SectionKind::TreeIds).expect("validated");
-        let b_max = self.config.b_max;
-        let (ids, words) = sketches.columns();
-        let rows = Rows {
-            ids,
-            words,
-            layout: self.layout(),
-        };
-        let base = (0..).zip(&self.parts).map(|(p, pm)| {
-            let columns = pm.off..pm.off + pm.rows * b_max;
-            let view = PartitionView::new(
-                &tree_keys[columns.clone()],
-                &tree_ids[columns],
-                b_max,
-                pm.rows,
-            )
-            .expect("validated at open");
-            let part = MappedPart::Base {
-                upper: pm.upper,
-                view,
-                rows,
-                sizes: sketches.sizes(),
-            };
-            (Slot::Base(p), part)
-        });
-        let segments =
-            segment_units(self.tail.raw_segments()).map(|(slot, p)| (slot, MappedPart::Segment(p)));
-        Tiers {
-            num_perm: self.config.num_perm,
-            tuner: &self.tuner,
-            units: base.chain(segments).collect(),
-            overlay: self.tail.overlay(),
-        }
-    }
-}
-
-impl DomainIndex for MmapIndex {
-    fn search_batch(&self, queries: &[Query<'_>]) -> Vec<Result<SearchOutcome, QueryError>> {
-        let sketches = self.sketches();
-        let path = ReadPath {
-            tiers: self.tiers(&sketches),
-            ranked: true,
-        };
-        path.search_batch(queries)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn memory_bytes(&self) -> usize {
-        // Heap footprint is metadata only — the corpus lives in the
-        // mapping (page cache), which is the whole point.
-        std::mem::size_of::<Self>() + self.parts.len() * std::mem::size_of::<PartMeta>()
-    }
-
-    fn id_map_bytes(&self) -> usize {
-        // The base needs no map: a search reads a candidate at the table
-        // position its tree entry names. The heap map covers the segments
-        // replayed from the file.
-        self.tail.id_map_bytes()
-    }
-
-    fn describe(&self) -> String {
-        let base = crate::ranked::describe_strategy(self.config.strategy);
-        format!("Mmap Ranked {base}")
+        let index = Self::from_raw_partitions(config, partitions, len, segment_entries, &stored);
+        index
+            .check_stored(stored)
+            .map_err(|detail| corrupt("segments", detail))?;
+        Ok(index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{QueryStats, SearchHit};
+    use crate::api::{DomainIndex, Query, QueryStats, SearchHit, SearchOutcome};
     use crate::partition::PartitionStrategy;
     use crate::ranked::tests::index as sample;
-    use lshe_minhash::MinHasher;
+    use lshe_minhash::{MinHasher, Signature};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("lshe_mmap_idx_{name}_{}.v2", std::process::id()))
@@ -650,10 +376,10 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The heap tail holds no base rows, yet counts the dead one a removed
-    /// and re-inserted base id leaves, as the heap index does.
+    /// A removed and re-inserted base id leaves a dead row in the packed
+    /// file's base, counted as the heap index counts it.
     #[test]
-    fn a_reinserted_base_id_leaves_a_dead_row_in_the_tail() {
+    fn a_reinserted_base_id_leaves_a_dead_base_row() {
         let (h, mut ranked, values) = sample(24);
         let sig = h.signature(values[3].iter().copied());
         let size = values[3].len() as u64;
@@ -666,7 +392,7 @@ mod tests {
         let path = tmp("reinserted");
         pack_ranked_to(&ranked, &path).expect("pack");
         let mapped = MmapIndex::open_verified(&path).expect("open");
-        assert_eq!(mapped.tail.segment_layout().tombstones, 1);
+        assert_eq!(mapped.segment_layout(), ranked.segment_layout());
         let q = Query::top_k(&sig, 3).with_size(size);
         let (a, b) = (ranked.search(&q), mapped.search(&q));
         assert_eq!(strip_wall(a.expect("heap")), strip_wall(b.expect("mmap")));
@@ -707,8 +433,7 @@ mod tests {
         pack_ranked_to(&ranked, &path).expect("pack");
         let mapped = MmapIndex::open_verified(&path).expect("open");
         assert_eq!(mapped.len(), ranked.len());
-        let tail = mapped.tail.segment_layout();
-        assert_eq!((tail.segments, tail.tombstones), (layout.segments, 3));
+        assert_eq!(mapped.segment_layout(), layout);
         assert_eq!(
             mapped.partition_stats(),
             ranked.partition_stats(),
@@ -793,42 +518,34 @@ mod tests {
         let path = tmp("damage");
         pack_ranked_to(&ranked, &path).expect("pack");
         let store = Store::open(&path).expect("open store");
-        let keys_off = store
-            .sections()
-            .iter()
-            .find(|s| s.kind == SectionKind::TreeKeys)
-            .expect("keys section")
-            .offset as usize;
+        let trees_at = store.range(SectionKind::Trees).expect("trees").start;
         drop(store);
         let mut bytes = std::fs::read(&path).expect("read");
-        bytes[keys_off + 2] ^= 0x04;
+        bytes[trees_at + 2] ^= 0x04;
         std::fs::write(&path, &bytes).expect("write");
         // Structural open succeeds (counts are intact)…
         assert!(MmapIndex::open(&path).is_ok());
         // …but the verified open names the damaged section.
         match MmapIndex::open_verified(&path).unwrap_err() {
             MmapIndexError::Store(StoreError::SectionChecksum { section, .. }) => {
-                assert_eq!(section, "tree keys");
+                assert_eq!(section, "trees");
             }
             other => panic!("wrong error: {other}"),
         }
         std::fs::remove_file(&path).ok();
     }
 
-    /// Re-packs `from` into `to` with the two tree sections rewritten by
-    /// `damage(lo, rows)` — every checksum valid, so only structure can
-    /// object.
-    fn repack_damaged(from: &Path, to: &Path, damage: impl Fn(&mut [u16], &mut [u32])) {
+    /// Re-packs `from` into `to` with the trees section rewritten by
+    /// `damage` — every checksum valid, so only structure can object.
+    fn repack_damaged(from: &Path, to: &Path, damage: impl Fn(&mut [u16])) {
         let store = Store::open(from).expect("open store");
-        let mut lo = store.u16s(SectionKind::TreeKeys).expect("keys").to_vec();
-        let mut rows = store.u32s(SectionKind::TreeIds).expect("ids").to_vec();
-        damage(&mut lo, &mut rows);
+        let mut trees = store.u16s(SectionKind::Trees).expect("trees").to_vec();
+        damage(&mut trees);
         let mut packer = Packer::create(to).expect("create");
         for section in store.sections() {
             packer.begin_section(section.kind).expect("begin");
             match section.kind {
-                SectionKind::TreeKeys => packer.write_u16s(&lo),
-                SectionKind::TreeIds => packer.write_u32s(&rows),
+                SectionKind::Trees => packer.write_u16s(&trees),
                 kind => packer.write(store.bytes(kind).expect("bytes")),
             }
             .expect("write");
@@ -842,27 +559,28 @@ mod tests {
         let (h, ranked, values) = sample(24);
         let clean = tmp("structure_clean");
         pack_ranked_to(&ranked, &clean).expect("pack");
-        // Partition 0's first tree is entries `0..6`.
+        // Partition 0's first tree is its `lo` column, entries `0..6`, then
+        // its `row` column, `6..12`.
         assert_eq!(ranked.partition_stats()[0].count, 6);
-        type Damage = fn(&mut [u16], &mut [u32]);
+        type Damage = fn(&mut [u16]);
         let cases: [(&str, Damage, &str); 3] = [
             (
                 "two entries with different keys trading places",
-                |lo, rows| {
-                    let at = (0..5).find(|&i| lo[i] != lo[i + 1]).expect("two keys");
-                    lo.swap(at, at + 1);
-                    rows.swap(at, at + 1);
+                |tree| {
+                    let at = (0..5).find(|&i| tree[i] != tree[i + 1]).expect("two keys");
+                    tree.swap(at, at + 1);
+                    tree.swap(6 + at, 6 + at + 1);
                 },
                 "tree keys out of order",
             ),
             (
                 "head bits that are not its row's",
-                |lo, _| lo[0] ^= 1,
+                |tree| tree[0] ^= 1,
                 "tree head bits disagree with its row",
             ),
             (
-                "a row index outside the table",
-                |_, rows| rows[0] = u32::MAX,
+                "a row index outside the partition",
+                |tree| tree[6] = 6,
                 "tree row index out of range",
             ),
         ];
@@ -871,7 +589,7 @@ mod tests {
             repack_damaged(&clean, &path, damage);
             match MmapIndex::open_verified(&path) {
                 Err(MmapIndexError::Store(StoreError::Corrupt { section, detail: d })) => {
-                    assert_eq!((section, d), ("tree ids", detail), "{what}");
+                    assert_eq!((section, d), ("trees", detail), "{what}");
                 }
                 other => panic!("{what}: expected a corrupt tree, got {other:?}"),
             }
@@ -887,9 +605,9 @@ mod tests {
         }
         std::fs::remove_file(&clean).ok();
 
-        // Four copies of one signature in two partitions: every key is
-        // equal, so only the permutation check can tell the trees from
-        // the rows they should index.
+        // Four copies of one signature in two partitions of two rows: every
+        // key is equal, so only the permutation check can tell the trees
+        // from the rows they should index.
         let sig = h.signature(values[0].iter().copied());
         let mut twins = LshEnsemble::builder_with(EnsembleConfig {
             strategy: PartitionStrategy::EquiDepth { n: 2 },
@@ -901,12 +619,12 @@ mod tests {
         pack_ranked_to(&twins.build(), &clean).expect("pack");
         assert!(MmapIndex::open_verified(&clean).is_ok());
         let cases: [(&str, Damage); 2] = [
-            ("a tree that indexes a row twice", |_, rows| {
-                rows[2] = rows[3];
+            ("a tree that indexes a row twice", |trees| {
+                trees[2] = trees[3]
             }),
-            ("a tree that indexes another partition's row", |_, rows| {
-                let last = rows.len() - 1;
-                rows.swap(2, last);
+            ("a later tree that indexes a row twice", |trees| {
+                let last = trees.len() - 1;
+                trees[last - 1] = trees[last];
             }),
         ];
         for (what, damage) in cases {
@@ -946,21 +664,70 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// An opened packed file's base is views into the file: what it holds
+    /// beyond them is its sealed segments, as a `.lshe` decoded over a
+    /// mapping holds them — and the overlay, counted apart.
     #[test]
-    fn memory_footprint_is_metadata_sized() {
-        let (_, ranked, _) = sample(24);
-        let path = tmp("memory");
+    fn a_packed_base_is_views_into_its_file() {
+        let (h, mut ranked, _) = sample(24);
+        let path = tmp("views");
+        let heap = |index: &LshEnsemble| index.memory_bytes() - index.mapped_bytes();
         pack_ranked_to(&ranked, &path).expect("pack");
         let mapped = MmapIndex::open(&path).expect("open");
-        let heap = DomainIndex::memory_bytes(&mapped);
-        assert!(heap > 0);
-        // The heap backend retains a sketch and its forest rows per domain;
-        // the mapped backend must be orders of magnitude below that.
-        assert!(
-            heap * 10 < LshEnsemble::memory_bytes(&ranked),
-            "mapped heap {heap} not small vs {}",
-            LshEnsemble::memory_bytes(&ranked)
-        );
+        assert!(mapped.mapped_bytes() >= 24 * (4 + 576 + 4 * 32 + 8));
+        assert_eq!((heap(&mapped), mapped.id_map_bytes()), (0, 0));
+
+        let sig = h.signature(MinHasher::synthetic_values(5, 30));
+        let batch = [
+            crate::Mutation::Remove(3),
+            crate::Mutation::Insert(700, 30, &sig),
+        ];
+        ranked.commit(&batch).expect("commit");
+        let changed = tmp("views_changed");
+        pack_ranked_to(&ranked, &changed).expect("pack");
+        let mapped = MmapIndex::open(&changed).expect("open");
+        let segments = mapped.raw_segments().iter().map(|s| s.memory_bytes());
+        assert_eq!(heap(&mapped), segments.sum::<usize>());
+        assert!(heap(&mapped) > 0);
+        let owner: Owner = Arc::new(ranked.to_bytes());
+        let decoded = LshEnsemble::decode(Decoder::shared(&owner)).expect("decode");
+        assert_eq!(heap(&mapped), heap(&decoded));
+        assert_eq!(mapped.id_map_bytes(), decoded.id_map_bytes());
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&changed).ok();
+    }
+
+    /// A segment entry re-labelled to a live base id, the length counting
+    /// its row once, as every other: the id is live in two rows, and the
+    /// plain open refuses the file as a `.lshe`'s decoder does, since a
+    /// search verifies a candidate in the one row it lives in.
+    #[test]
+    fn an_id_live_in_two_rows_is_rejected() {
+        let (h, mut ranked, _) = sample(24);
+        let sig = h.signature(MinHasher::synthetic_values(5, 30));
+        ranked
+            .commit(&[crate::Mutation::Insert(700, 30, &sig)])
+            .expect("insert");
+        let path = tmp("live_twice");
+        pack_ranked_to(&ranked, &path).expect("pack");
+        let store = Store::open(&path).expect("open store");
+        let segments = store.range(SectionKind::Segments).expect("segments");
+        drop(store);
+        let mut bytes = std::fs::read(&path).expect("read");
+        let entry: Vec<u8> = [&700u32.to_le_bytes()[..], &30u64.to_le_bytes()].concat();
+        let at = segments.start
+            + bytes[segments.clone()]
+                .windows(entry.len())
+                .position(|w| w == entry)
+                .expect("the segment entry");
+        bytes[at..at + 4].copy_from_slice(&3u32.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        match MmapIndex::open(&path) {
+            Err(MmapIndexError::Store(StoreError::Corrupt { section, detail })) => {
+                assert_eq!((section, detail), ("segments", "an id is live in two rows"));
+            }
+            other => panic!("expected an id live in two rows, got {other:?}"),
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -137,9 +137,10 @@ pub(crate) fn encode_segments<W: Write>(enc: &mut Encoder<W>, ensemble: &LshEnse
 
 /// Decodes [`encode_segments`]' output: per-segment entry triples plus
 /// the tombstone list, validated against the owning index's shape — a base
-/// tombstone `(id, p)` by `in_base(id, p)`. Each entry's row is read where
-/// it lies in `dec`'s bytes, at whatever alignment: sealing it copies it
-/// once, into the forest that keeps it.
+/// tombstone `(id, p)` names base partition `p`, which holds a row of
+/// `id`. Each entry's row is read where it lies in `dec`'s bytes, at
+/// whatever alignment: sealing it copies it once, into the forest that
+/// keeps it.
 ///
 /// # Errors
 /// [`CodecError`] on truncation or structural inconsistency.
@@ -147,7 +148,7 @@ pub(crate) fn encode_segments<W: Write>(enc: &mut Encoder<W>, ensemble: &LshEnse
 pub(crate) fn decode_segments<'a>(
     dec: &mut Decoder<'a>,
     layout: Layout,
-    in_base: impl Fn(DomainId, u32) -> bool,
+    base: &[Arc<EnsemblePartition>],
 ) -> Result<(Vec<Vec<(DomainId, u64, RowBytes<'a>)>>, Vec<Tombstone>), CodecError> {
     let seg_count = dec.get_u64("segment count")? as usize;
     let mut segment_entries = Vec::new();
@@ -176,6 +177,10 @@ pub(crate) fn decode_segments<'a>(
     if dead_count.saturating_mul(9) > dec.remaining() {
         return Err(CodecError::Corrupt("tombstone payload exceeds input"));
     }
+    let in_base = |id, p: u32| {
+        let part = base.get(p as usize);
+        part.is_some_and(|part| position_of(part.forest.ids(), id).is_some())
+    };
     let mut dead = Vec::with_capacity(dead_count);
     for _ in 0..dead_count {
         let id = dec.get_u32("tombstone id")?;
@@ -359,50 +364,53 @@ impl LshEnsemble {
         check_ascending(&partitions).map_err(CodecError::Corrupt)?;
         // No id in two partitions is checked by the walk below; until then
         // a base tombstone names a partition holding its id.
-        let in_base = |id, p: u32| {
-            let part = partitions.get(p as usize);
-            part.is_some_and(|part| position_of(part.forest.ids(), id).is_some())
-        };
-        let tail = decode_segments(&mut dec, layout, in_base).and_then(|tail| {
+        let tail = decode_segments(&mut dec, layout, &partitions).and_then(|tail| {
             let trailing = CodecError::Corrupt("trailing bytes after ensemble");
             dec.is_exhausted().then_some(tail).ok_or(trailing)
         });
         // A base with an id in two partitions is refused as that, whatever
         // is wrong behind it.
         let repeated = |e| check_base_ids(&partitions).map_or_else(CodecError::Corrupt, |()| e);
-        let (segment_entries, mut stored) = tail.map_err(repeated)?;
+        let (segment_entries, stored) = tail.map_err(repeated)?;
         let config = EnsembleConfig {
             num_perm,
             b_max,
             r_max,
             strategy,
         };
-        let base: usize = partitions.iter().map(|p| p.forest.len()).sum();
-        let rows = base + segment_entries.iter().map(Vec::len).sum::<usize>();
-        let ensemble =
-            Self::from_raw_partitions(config, partitions, base, len, segment_entries, &stored);
+        let ensemble = Self::from_raw_partitions(config, partitions, len, segment_entries, &stored);
         ensemble.walk_live(live).map_err(CodecError::Corrupt)?;
-        // The tombstones are the dead rows, each once: a dead row with none
-        // is a second row its id is live in.
-        let mut derived = ensemble.tombstones();
+        ensemble.check_stored(stored).map_err(CodecError::Corrupt)?;
+        Ok(ensemble)
+    }
+
+    /// The checks every reader — a `.lshe`'s decoder, a packed file's open —
+    /// runs on the index [`from_raw_partitions`](Self::from_raw_partitions)
+    /// assembled from its file's `stored` tombstones.
+    ///
+    /// # Errors
+    /// The first that fails: the tombstones are the dead rows, each once —
+    /// a dead row with none is a second row its id is live in — every other
+    /// row is one live id, and no row holds `DomainId::MAX`.
+    pub(crate) fn check_stored(&self, mut stored: Vec<Tombstone>) -> Result<(), &'static str> {
+        let mut derived = self.tombstones();
         if derived.len() > stored.len() {
-            return Err(CodecError::Corrupt("an id is live in two rows"));
+            return Err("an id is live in two rows");
         }
         stored.sort_unstable();
         derived.sort_unstable();
         if stored != derived {
-            return Err(CodecError::Corrupt("tombstones are not the dead rows"));
+            return Err("tombstones are not the dead rows");
         }
-        // Every other row is one live id.
-        if rows - derived.len() != len {
-            return Err(CodecError::Corrupt("partition sizes do not sum to len"));
+        if self.rows() - derived.len() != self.len() {
+            return Err("partition sizes do not sum to len");
         }
         // No id follows `DomainId::MAX`, so no row (and no tombstone, which
         // names a row) holds it: an allocator mark past it would overflow.
-        if ensemble.last_id() == Some(DomainId::MAX) {
-            return Err(CodecError::Corrupt("domain id out of range"));
+        if self.last_id() == Some(DomainId::MAX) {
+            return Err("domain id out of range");
         }
-        Ok(ensemble)
+        Ok(())
     }
 }
 

@@ -19,8 +19,9 @@
 //! batched with, and a change to the sweep is written once.
 //!
 //! The pipeline is generic over the one thing that genuinely differs
-//! between backends: *a partition that can be probed* ([`Probe`]: a heap
-//! forest, mapped tree columns, or an Asym partition's padded forest),
+//! between backends: *a partition that can be probed* ([`Probe`]: an
+//! ensemble partition's forest, on the heap or viewed in a mapped file, or
+//! an Asym partition's padded forest),
 //! which hands back each match with its row and reads that row's size and
 //! stored lanes. A candidate is a [`Candidate`] — its id, the partition
 //! that holds it and its row there — from the probe to the rank, so a

@@ -24,7 +24,7 @@
 //! the halves of one allocation, 4 bytes an entry: `lo[i]`, the low 16
 //! bits of the row's head in that tree, inline so the binary search runs
 //! over a dense 16-bit array, and `row[i]`, the row's index within its
-//! **block**. A block is [`BLOCK`] = 65 536 consecutive rows, as many as a
+//! **block**. A block is `BLOCK` = 65 536 consecutive rows, as many as a
 //! `u16` names; a tree is one run per block, in block order, each sorted by
 //! (the row's key in that tree: its head — low half first — then its
 //! `r_max − 1` tail lanes; row index). A forest of up to 65 536 rows is one
@@ -32,9 +32,8 @@
 //! `lo` for the run sharing the head's low half, then a second binary
 //! search *inside the run* on the rest of the key — the head's high half,
 //! then `r − 1` tail lanes — read through `row[i]`, then a walk
-//! ([`probe_trees`], the one probe kernel: the mapped backend runs it over a
-//! packed file's columns, whose `row` column holds global `u32` positions
-//! instead). The row keeps the head at 32 bits, so the tree need not:
+//! (`probe_trees`, the one probe kernel). The row keeps the head at 32
+//! bits, so the tree need not:
 //! entries sharing `lo` but not the head are rare — about n/2¹⁶ extra row
 //! reads a probe — and the row tells them apart. The low half is the one
 //! kept because a lane is the top of a MinHash minimum: over a large domain
@@ -323,11 +322,11 @@ impl RowLanes for RowBytes<'_> {
 #[derive(Debug, Clone, Copy)]
 pub struct Rows<'a> {
     /// Domain id of each row.
-    pub ids: &'a [DomainId],
+    pub(crate) ids: &'a [DomainId],
     /// Row-major rows, `layout.words()` words each.
-    pub words: &'a [u16],
+    pub(crate) words: &'a [u16],
     /// How each row is laid out.
-    pub layout: Layout,
+    pub(crate) layout: Layout,
 }
 
 impl<'a> Rows<'a> {
@@ -363,7 +362,7 @@ impl<'a> Rows<'a> {
     ///
     /// # Panics
     /// Panics if `t ≥ b_max`.
-    pub(crate) fn heads_into(&self, t: usize, heads: &mut Vec<u32>) {
+    fn heads_into(&self, t: usize, heads: &mut Vec<u32>) {
         assert!(t < self.layout.b_max, "tree {t} out of range");
         heads.clear();
         let rows = self.words.chunks_exact(self.layout.words());
@@ -382,7 +381,7 @@ fn cmp_tails(stored: &[u16], query: &[u32]) -> Ordering {
 
 /// Rows a tree names with one `u16` — the run a tree sorts at a time. Not
 /// a setting: the width of the `row` column fixes it.
-pub const BLOCK: usize = 1 << 16;
+const BLOCK: usize = 1 << 16;
 
 /// The half of a head a tree entry keeps inline: its low 16 bits. A lane
 /// is the top of a MinHash minimum, and the minimum over a large domain is
@@ -400,32 +399,19 @@ fn tree_order(head: u32) -> u32 {
     head.rotate_right(16)
 }
 
-/// What a tree's `row` column holds: a row's index within its block
-/// (`u16`, a forest's own trees), or a position in the whole table (`u32`,
-/// a packed file's, where every partition's rows share one table).
-pub trait TreeRow: Copy {
-    /// The table row this entry of block `block` names, or `None` when it
-    /// lies outside the block, which is `len` entries long.
-    fn row_in(self, block: usize, len: usize) -> Option<usize>;
-}
-
-impl TreeRow for u16 {
-    #[inline]
-    fn row_in(self, block: usize, len: usize) -> Option<usize> {
-        let local = usize::from(self);
-        (local < len).then_some(block * BLOCK + local)
-    }
-}
-
-impl TreeRow for u32 {
-    #[inline]
-    fn row_in(self, _: usize, _: usize) -> Option<usize> {
-        Some(self as usize)
-    }
+/// The table row that entry `local` of block `block` names, or `None` when
+/// it lies outside the block, which is `len` entries long.
+#[inline]
+fn row_in(local: u16, block: usize, len: usize) -> Option<usize> {
+    let local = usize::from(local);
+    (local < len).then_some(block * BLOCK + local)
 }
 
 /// A tree's columns cut into its blocks' runs: `(block, lo, row)`.
-fn blocks<'a, R>(lo: &'a [u16], row: &'a [R]) -> impl Iterator<Item = (usize, &'a [u16], &'a [R])> {
+fn blocks<'a>(
+    lo: &'a [u16],
+    row: &'a [u16],
+) -> impl Iterator<Item = (usize, &'a [u16], &'a [u16])> {
     lo.chunks(BLOCK)
         .zip(row.chunks(BLOCK))
         .enumerate()
@@ -448,9 +434,9 @@ fn blocks<'a, R>(lo: &'a [u16], row: &'a [R]) -> impl Iterator<Item = (usize, &'
 /// the row reads of neighbouring trees overlap instead of queueing behind
 /// one another's searches. Row access is checked: an entry whose row lies
 /// outside its block or `rows` matches nothing, it never panics.
-pub fn probe_trees<'a, R: TreeRow + 'a>(
+fn probe_trees<'a>(
     rows: Rows<'_>,
-    trees: impl IntoIterator<Item = (&'a [u16], &'a [R])>,
+    trees: impl IntoIterator<Item = (&'a [u16], &'a [u16])>,
     query: &[u32],
     r: usize,
     matched: &mut impl FnMut(DomainId, usize),
@@ -459,7 +445,7 @@ pub fn probe_trees<'a, R: TreeRow + 'a>(
     let mut units = trees.into_iter().enumerate().flat_map(|(t, (lo, row))| {
         blocks(lo, row).map(move |(block, lo, row)| (t, block, lo, row))
     });
-    let mut runs: [(usize, usize, &[R], usize); AHEAD] = [(0, 0, &[], 0); AHEAD];
+    let mut runs: [(usize, usize, &[u16], usize); AHEAD] = [(0, 0, &[], 0); AHEAD];
     loop {
         let (mut taken, mut found) = (0, 0);
         for (t, block, lo, row) in units.by_ref().take(AHEAD) {
@@ -504,12 +490,12 @@ fn equal_run(lo: &[u16], want: u16) -> (usize, usize) {
 /// Calls `found` with the id and table row of each entry of `run` — tree
 /// `t`'s entries in block `block`, `len` entries long, sharing the low half
 /// of `prefix[0]` — whose row's key starts with `prefix`.
-fn walk_run<R: TreeRow>(
+fn walk_run(
     rows: Rows<'_>,
     t: usize,
     prefix: &[u32],
     (block, len): (usize, usize),
-    run: &[R],
+    run: &[u16],
     found: &mut impl FnMut(DomainId, usize),
 ) {
     let Some((&first, rest)) = prefix.split_first() else {
@@ -520,8 +506,8 @@ fn walk_run<R: TreeRow>(
     // Inside the run the heads' low halves are equal, so rows ascend by the
     // high half (the head's second word in the row), then the tails: one
     // checked slice of the row, and the entry's table row.
-    let key = |i: R| {
-        let i = i.row_in(block, len)?;
+    let key = |i: u16| {
+        let i = row_in(i, block, len)?;
         let start = i.checked_mul(words)?;
         let stored = rows.words.get(start..start.checked_add(words)?)?;
         let (head, tails) = (
@@ -557,12 +543,12 @@ const LINEAR_RUN: usize = 4;
 /// `row[i]` is in range — inside its block, inside the table — `lo[i]` is
 /// the low half of that row's head in the tree, and inside each block the
 /// rows' keys (head in tree order, then `r_max − 1` tails) never descend.
-/// What a decoder verifies before it trusts [`probe_trees`]' binary
-/// searches to find every match.
+/// What [`LshForest::check`] verifies of each tree before a probe's binary
+/// searches are trusted to find every match.
 ///
 /// `head(i)` is row `i`'s head in tree `t`, `None` outside the table:
 /// read from the row, or from the tree's heads gathered in one pass over
-/// the rows (a forest's decoder does), so the entries, which visit rows in
+/// the rows ([`LshForest::check`] does), so the entries, which visit rows in
 /// key order, read a dense column instead of a row each. A row's tails are
 /// read only where its head ties with the entry's before it.
 ///
@@ -570,14 +556,13 @@ const LINEAR_RUN: usize = 4;
 /// one partition agree on their rows: every row this tree indexes must
 /// carry the mark `after` and leaves with `stamp`. The first tree passes
 /// `after = 0` (no tree has the row yet), each later one its predecessor's
-/// `stamp` — equally long trees then index the same rows, each once, and
-/// partitions sharing a table share no row.
+/// `stamp` — equally long trees then index the same rows, each once.
 ///
 /// # Errors
 /// What is wrong with the columns.
-pub fn check_tree<R: TreeRow>(
+fn check_tree(
     rows: Rows<'_>,
-    (lo, row): (&[u16], &[R]),
+    (lo, row): (&[u16], &[u16]),
     t: usize,
     head: impl Fn(usize) -> Option<u32>,
     seen: &mut [u32],
@@ -592,7 +577,7 @@ pub fn check_tree<R: TreeRow>(
     for (block, lo, row) in blocks(lo, row) {
         let mut prev: Option<(u32, usize)> = None;
         for (&low, &i) in lo.iter().zip(row) {
-            let i = i.row_in(block, row.len());
+            let i = row_in(i, block, row.len());
             let (Some(i), Some(head)) = (i, i.and_then(&head)) else {
                 return Err(OUT_OF_RANGE);
             };
@@ -905,7 +890,7 @@ impl LshForest {
     }
 
     /// The (lo, row) columns of every tree, in tree order: one run per
-    /// [`BLOCK`] of entries, `row` naming a row of that block. With
+    /// block of 65 536 entries, `row` naming a row of that block. With
     /// [`rows`](Self::rows), the canonical sorted form serialisers (the
     /// forest's own and the store packer) copy out.
     ///
@@ -921,9 +906,58 @@ impl LshForest {
         self.trees.iter().map(PrefixTree::columns)
     }
 
-    /// Reassembles a forest from decoded parts. The decoder has validated
-    /// them: `trees` — each a `lo` column, then a `row` column — index
-    /// exactly the rows of the table, in key order.
+    /// A committed forest over stored columns: each row's id, the rows as
+    /// `layout` lays them out, and per tree its `lo` column, then its `row`
+    /// column — a forest's own byte form, column for column. Only the
+    /// lengths are checked: [`check`](Self::check) checks the trees against
+    /// the rows, and a probe of a forest that fails it stays inside its
+    /// columns but may miss matches.
+    ///
+    /// # Errors
+    /// Which length disagrees with the row ids'.
+    pub fn from_columns(
+        layout: Layout,
+        ids: Column<DomainId>,
+        words: Column<u16>,
+        trees: Vec<Column<u16>>,
+    ) -> Result<Self, &'static str> {
+        let len = ids.len();
+        if Some(words.len()) != len.checked_mul(layout.words()) {
+            return Err("rows disagree with the row ids");
+        }
+        if trees.len() != layout.b_max {
+            return Err("tree count disagrees with b_max");
+        }
+        if trees.iter().any(|t| Some(t.len()) != len.checked_mul(2)) {
+            return Err("tree columns disagree with the row ids");
+        }
+        Ok(Self::from_raw(layout, ids, words, trees))
+    }
+
+    /// Checks every tree against the row table, tree by tree: each block's
+    /// `row` names rows of that block, every row exactly once, `lo` is the
+    /// low half of that row's head, and keys never descend inside a block.
+    /// What a reader of stored columns verifies before it trusts a probe's
+    /// binary searches to find every match.
+    ///
+    /// # Errors
+    /// The first fault, tree by tree, as the decoder reports it.
+    pub fn check(&self) -> Result<(), &'static str> {
+        let rows = self.rows();
+        let len = self.len();
+        let (mut seen, mut heads) = (vec![0; len], Vec::with_capacity(len));
+        for (t, tree) in (0u32..).zip(&self.trees) {
+            let i = t as usize;
+            rows.heads_into(i, &mut heads);
+            let head = |row: usize| heads.get(row).copied();
+            check_tree(rows, tree.columns(), i, head, &mut seen, (t, t + 1))?;
+        }
+        Ok(())
+    }
+
+    /// Reassembles a forest from decoded parts, as many trees as were read:
+    /// [`check`](Self::check) says whether they index exactly the rows of
+    /// the table, in key order.
     pub(crate) fn from_raw(
         layout: Layout,
         ids: Column<DomainId>,
@@ -1450,19 +1484,11 @@ mod tests {
             &mut |id, _| out.push(id),
         );
         assert!(out.is_empty() || out == vec![8]);
-        // A packed file's global positions, checked against the table.
-        out.clear();
-        probe_trees(rows, [(&lo[..], &[9u32, 1][..])], &[1], 1, &mut |id, _| {
-            out.push(id)
-        });
-        assert_eq!(out, vec![8]);
         let head = |i| rows.head(i, 0);
-        for err in [
-            check_tree(rows, (&[1, 1], &[9u16, 1]), 0, head, &mut [0; 2], (0, 1)),
-            check_tree(rows, (&[1, 1], &[9u32, 1]), 0, head, &mut [0; 2], (0, 1)),
-        ] {
-            assert_eq!(err, Err("tree row index out of range"));
-        }
+        assert_eq!(
+            check_tree(rows, (&[1, 1], &[9, 1]), 0, head, &mut [0; 2], (0, 1)),
+            Err("tree row index out of range")
+        );
     }
 
     fn mix(x: u64) -> u64 {
@@ -1689,7 +1715,7 @@ mod tests {
         for (block, lo, row) in blocks(lo, row) {
             let mut prev: Option<(u32, &[u16])> = None;
             for (&low, &i) in lo.iter().zip(row) {
-                let i = i.row_in(block, row.len());
+                let i = row_in(i, block, row.len());
                 let (Some(head), Some(tails), Some(mark)) = (
                     i.and_then(|i| rows.head(i, t)),
                     i.and_then(|i| rows.tail_key(i, t, depth)),
@@ -1755,6 +1781,40 @@ mod tests {
             let gathered = |i: usize| heads.get(i).copied();
             let got = check_tree(rows, (&lo, &row), t, gathered, &mut vec![0; n], (0, 1));
             prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn from_columns_takes_a_forests_own_columns_and_checks_their_lengths() {
+        let model: Vec<(DomainId, Vec<u32>)> = (0..40)
+            .map(|k| (k, colliding_lanes(u64::from(k))))
+            .collect();
+        let forest = forest_of(&model);
+        let layout = forest.layout();
+        let (ids, words) = (forest.ids.clone(), forest.words.clone());
+        let trees: Vec<Column<u16>> = forest.trees.iter().map(|t| t.entries.clone()).collect();
+        let rebuilt = LshForest::from_columns(layout, ids.clone(), words.clone(), trees.clone());
+        let rebuilt = rebuilt.expect("a forest's own columns");
+        assert_eq!(rebuilt.check(), Ok(()));
+        assert!(rebuilt.to_bytes() == forest.to_bytes());
+        let short = |c: &Column<u16>| Column::from(c[..c.len() - 1].to_vec());
+        let mut cut = trees.clone();
+        cut[1] = short(&cut[1]);
+        for (words, trees, why) in [
+            (
+                short(&words),
+                trees.clone(),
+                "rows disagree with the row ids",
+            ),
+            (
+                words.clone(),
+                trees[..1].to_vec(),
+                "tree count disagrees with b_max",
+            ),
+            (words.clone(), cut, "tree columns disagree with the row ids"),
+        ] {
+            let got = LshForest::from_columns(layout, ids.clone(), words, trees);
+            assert_eq!(got.err(), Some(why));
         }
     }
 

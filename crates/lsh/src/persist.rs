@@ -21,15 +21,15 @@
 //! Every column's length follows from `len`, so none carries a prefix. A
 //! row's lanes are stored once, laid out as [`Layout`] says; tree `t` is
 //! keyed by head `t` and tails `t·(r_max − 1) ..` of the rows it points at.
-//! Rows go in blocks of [`BLOCK`](crate::forest::BLOCK) = 65 536: entry
+//! Rows go in blocks of 65 536, as many as a `u16` names: entry
 //! `k·65 536 + j` of a tree belongs to block `k`, names row `k·65 536 +
 //! row[…]`, and each block's entries are sorted by (key, row) on their own
 //! — a forest of up to 65 536 rows is one sorted run. A key is the row's
-//! head, low half first, then its tails. The decoder checks every tree —
-//! each block's `row` names rows of that block, every row exactly once,
-//! `lo[i]` is the low half of that row's head, keys never descend inside a
-//! block — because a forest file carries no checksum and
-//! a probe trusts the order. A domain costs `4 + 2·(b_max + width) +
+//! head, low half first, then its tails. The decoder checks every tree
+//! ([`LshForest::check`]: each block's `row` names rows of that block,
+//! every row exactly once, `lo[i]` is the low half of that row's head, keys
+//! never descend inside a block) because a forest file carries no checksum
+//! and a probe trusts the order. A domain costs `4 + 2·(b_max + width) +
 //! 4·b_max` bytes: 708 at the defaults (32 trees, 256 lanes).
 //!
 //! The pad exists for [`LshForest::decode`] over a decoder that runs on a
@@ -52,7 +52,7 @@
 //! the format canonical — two forests with the same contents serialise to
 //! identical bytes at the same place in a file.
 
-use crate::forest::{check_tree, Layout, LshForest, Rows};
+use crate::forest::{Layout, LshForest};
 use crate::DomainId;
 use lshe_minhash::codec::{CodecError, Column, Decoder, Encoder};
 
@@ -148,27 +148,20 @@ impl LshForest {
         dec.get_pad("column pad")?;
         let ids: Column<DomainId> = dec.get_column(len, "row ids")?;
         let words: Column<u16> = dec.get_column(len * layout.words(), "rows")?;
-        let rows = Rows {
-            ids: &ids,
-            words: &words,
-            layout,
-        };
+        // Each tree `lo`, then `row`. Input that ends inside a tree is
+        // reported once the whole trees before it are checked.
         let mut trees = Vec::with_capacity(layout.b_max);
-        let (mut seen, mut heads) = (vec![0; len], Vec::with_capacity(len));
-        for t in 0..layout.b_max {
-            // `lo`, then `row`.
-            let entries: Column<u16> = dec.get_column(len.saturating_mul(2), "tree columns")?;
-            let turn = (t as u32, t as u32 + 1);
-            rows.heads_into(t, &mut heads);
-            let head = |i: usize| heads.get(i).copied();
-            check_tree(rows, entries.split_at(len), t, head, &mut seen, turn)
-                .map_err(CodecError::Corrupt)?;
-            trees.push(entries);
-        }
+        let short = (0..layout.b_max).try_for_each(|_| {
+            trees.push(dec.get_column(len.saturating_mul(2), "tree columns")?);
+            Ok(())
+        });
+        let forest = Self::from_raw(layout, ids, words, trees);
+        forest.check().map_err(CodecError::Corrupt)?;
+        short?;
         if !dec.is_exhausted() {
             return Err(CodecError::Corrupt("trailing bytes after forest"));
         }
-        Ok(Self::from_raw(layout, ids, words, trees))
+        Ok(forest)
     }
 }
 

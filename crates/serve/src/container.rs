@@ -42,7 +42,7 @@
 //! heap overlays (records here, ids in the index) until a compaction
 //! writes a new base. `LSHX` is the only format `load` reads; the packed
 //! `lshe-store` file that [`IndexContainer::pack_v2`] writes is a library
-//! and benchmark artifact, opened through `lshe_core::MmapIndex`, and is
+//! and benchmark artifact, opened by `LshEnsemble::open` as the index, and is
 //! refused in the header like any other file.
 //!
 //! Version 8, the one generation before, had a flag byte behind the
@@ -133,16 +133,15 @@ const SKETCH_CHUNK: SketchChunk = SketchChunk {
 
 impl IndexContainer {
     /// Builds a container from a catalog: sketches every domain, builds the
-    /// ranked index, and records provenance.
+    /// ranked index, and records provenance. An empty catalog builds an
+    /// empty container, with an index of no partitions.
     ///
     /// # Panics
-    /// Panics if the catalog is empty or `partitions == 0`, on an empty
-    /// domain — naming its id, table and column — and with "record names
+    /// Panics if `partitions == 0`, on an empty domain — naming its id, table and column — and with "record names
     /// exceed 4 GiB" once the column names — or the distinct table names —
     /// pass the 4 GiB their arena's `u32` ends address.
     #[must_use]
     pub fn build(catalog: &Catalog, partitions: usize) -> Self {
-        assert!(!catalog.is_empty(), "catalog must not be empty");
         // Catalog ids are dense, so the stream assigns the same ones; the
         // domains are sketched where they lie, uncopied.
         let domains = catalog
@@ -184,8 +183,7 @@ impl IndexContainer {
     /// container ranks — and stays only so existing callers compile.
     ///
     /// # Panics
-    /// As [`build`](Self::build): on an empty stream, `partitions == 0`,
-    /// an empty domain (named by its position in the stream, its table and
+    /// As [`build`](Self::build): on `partitions == 0`, an empty domain (named by its position in the stream, its table and
     /// its column, as it arrives), or names past their arenas' 4 GiB.
     pub fn from_stream<I>(domains: I, partitions: usize, _ranked: bool) -> Self
     where
@@ -252,7 +250,6 @@ impl IndexContainer {
         }
         sketch(&mut chunk);
         let records = records.finish();
-        assert!(!records.is_empty(), "stream must yield at least one domain");
         // The ids are the stream positions: dense, so none repeats.
         let ids: Vec<u32> = (0..).take(sizes.len()).collect();
         let rows: Vec<Row<'_>> = arenas
@@ -277,7 +274,7 @@ impl IndexContainer {
         self.len
     }
 
-    /// True if the container holds no domains (cannot occur via `build`).
+    /// True if the container holds no domains.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -831,7 +828,7 @@ impl IndexContainer {
     /// Packs this container's index into a file at `path` in the
     /// checksummed, 64-byte-aligned `lshe-store` format (see
     /// `docs/FORMAT.md`), written by [`lshe_core::pack_ranked_with`] and
-    /// opened by `lshe_core::MmapIndex`. It holds no provenance records and
+    /// opened by [`LshEnsemble::open`]. It holds no provenance records and
     /// is not served: [`load`](Self::load) refuses it.
     ///
     /// # Errors
@@ -1468,10 +1465,39 @@ mod tests {
         let _ = IndexContainer::build(&cat, 2);
     }
 
+    /// An empty stream builds the container removing every domain and
+    /// folding reaches: it answers nothing, saves, loads, packs and takes a
+    /// commit.
     #[test]
-    #[should_panic(expected = "at least one domain")]
-    fn from_stream_rejects_empty_stream() {
-        let _ = IndexContainer::from_stream(std::iter::empty(), 2, true);
+    fn an_empty_stream_builds_an_empty_index() {
+        let empty = IndexContainer::from_stream(std::iter::empty(), 2, true);
+        assert!(empty.is_empty());
+        assert_eq!(
+            empty.to_bytes(),
+            IndexContainer::build(&Catalog::new(), 2).to_bytes()
+        );
+        let hasher = MinHasher::new(256);
+        let sig = hasher.signature(9_000..9_010);
+        let query = Query::threshold(&sig, 0.0).with_size(10);
+        let answer = |index: &dyn DomainIndex| index.search(&query).expect("search").hits;
+        assert!(answer(&*empty.open_index()).is_empty());
+
+        let dir = scratch_dir("empty_stream");
+        let path = dir.join("empty.lshe");
+        empty.save(&path).expect("save");
+        let mut loaded = IndexContainer::load(&path).expect("load");
+        assert!(loaded.to_bytes() == empty.to_bytes());
+        assert!(answer(&*loaded.open_index()).is_empty());
+        let packed = dir.join("empty.lshepk");
+        empty.pack_v2(&packed).expect("pack");
+        let mapped = LshEnsemble::open_verified(&packed).expect("open packed");
+        assert!(mapped.is_empty() && answer(&mapped).is_empty());
+
+        loaded.commit(&[insert_op(0, 10, 256)]).expect("commit");
+        assert_eq!(loaded.len(), 1);
+        let hits = answer(&*loaded.open_index());
+        assert_eq!(hits.iter().map(|h| h.id).collect::<Vec<_>>(), [0]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::fmt;
 /// Why a store file could not be opened, verified, or viewed.
 ///
 /// Every variant that concerns a section names it, so a corrupt file
-/// reports *where* it is corrupt — `section "sketch slots": checksum
+/// reports *where* it is corrupt — `section "rows": checksum
 /// mismatch` — rather than a bare decode error.
 #[derive(Debug)]
 pub enum StoreError {

@@ -29,15 +29,13 @@ use std::sync::Arc;
 
 /// File magic: the first eight bytes of every v2 store.
 pub const MAGIC: [u8; 8] = *b"LSHEIDX2";
-/// The one format version this build writes and reads. Version 6 keeps
-/// [`SectionKind::TreeKeys`] as `u16`s — the low 16 bits of each tree
-/// entry's head, the whole head being in its row — where version 5 held
-/// the head there at 32 bits. Since version 5 each base row is stored in
-/// [`SectionKind::SketchSlots`] as the forest lays it out: its `b_max`
-/// 32-bit heads (each prefix tree's first key lane), then its other lanes'
-/// low 16 bits. An older file is refused, not migrated — a packed file is
-/// derived from a `.lshe` index, so it is packed again.
-pub const VERSION: u32 = 6;
+/// The one format version this build writes and reads. Version 7 stores
+/// each base partition as the columns its forest holds — row ids, rows,
+/// each tree's `lo` then block-local `u16` `row` column, sizes — where
+/// version 6 kept one id-sorted sketch table for the whole file and trees
+/// of `u32` positions into it. An older file is refused, not migrated — a
+/// packed file is derived from a `.lshe` index, so it is packed again.
+pub const VERSION: u32 = 7;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 64;
 /// Section payload alignment, in bytes.
@@ -61,30 +59,28 @@ pub enum SectionKind {
     PartitionBounds = 2,
     /// `u64` per partition: its domain count.
     PartitionLens = 3,
-    /// `u16` array: every prefix tree's head-bits column (the low 16 bits
-    /// of each entry's first key lane, ascending within each block of
-    /// 65 536 entries of a tree), concatenated.
-    TreeKeys = 4,
-    /// `u32` array: every prefix tree's row column (each entry's position
-    /// in the sketch columns), concatenated.
-    TreeIds = 5,
-    /// `u32` array: the domain id of every base row, ascending — the
-    /// sketch id map, and the row table the trees point into.
-    SketchIds = 6,
-    /// `u64` per base row: its cardinality, in sketch-id order.
-    SketchSizes = 7,
-    /// `u16` array: `b_max + num_perm` words per base row, in sketch-id
-    /// order — the one stored copy of each signature: lane `t·r_max` for
-    /// each tree `t` at 32 bits (two words, low half first), then the low
-    /// 16 bits of every other lane.
-    SketchSlots = 8,
-    // Kinds 9 and 10 are retired, never to be reused: files written before
-    // may hold them (provenance records), and readers skip them.
+    // Kinds 4 to 10 are retired, never to be reused: 4 to 8 held version
+    // 6's sketch table and its trees, 9 and 10 provenance records.
     /// Opaque tiered-mutation state, codec-encoded by the packing layer:
     /// sealed segment entry triples, the tombstone list, and the id
     /// allocator's high-water mark. Absent on a fully compacted index;
     /// pre-segment readers skip it (additive section).
     Segments = 11,
+    /// `u32` array: each base partition's row ids, ascending within the
+    /// partition, partitions concatenated.
+    RowIds = 12,
+    /// `u16` array: each base partition's rows, `b_max + num_perm` words
+    /// each — lane `t·r_max` for each tree `t` at 32 bits (two words, low
+    /// half first), then the low 16 bits of every other lane — partitions
+    /// concatenated.
+    Rows = 13,
+    /// `u16` array: per base partition, per prefix tree, its `lo` column
+    /// (each entry's head, its low 16 bits) then its `row` column (each
+    /// entry's row within its block of 65 536), partitions concatenated.
+    Trees = 14,
+    /// `u64` array: each base partition's row cardinalities, partitions
+    /// concatenated.
+    Sizes = 15,
 }
 
 impl SectionKind {
@@ -95,12 +91,11 @@ impl SectionKind {
             Self::Meta => "meta",
             Self::PartitionBounds => "partition bounds",
             Self::PartitionLens => "partition lens",
-            Self::TreeKeys => "tree keys",
-            Self::TreeIds => "tree ids",
-            Self::SketchIds => "sketch ids",
-            Self::SketchSizes => "sketch sizes",
-            Self::SketchSlots => "sketch slots",
             Self::Segments => "segments",
+            Self::RowIds => "row ids",
+            Self::Rows => "rows",
+            Self::Trees => "trees",
+            Self::Sizes => "sizes",
         }
     }
 
@@ -109,12 +104,11 @@ impl SectionKind {
             1 => Self::Meta,
             2 => Self::PartitionBounds,
             3 => Self::PartitionLens,
-            4 => Self::TreeKeys,
-            5 => Self::TreeIds,
-            6 => Self::SketchIds,
-            7 => Self::SketchSizes,
-            8 => Self::SketchSlots,
             11 => Self::Segments,
+            12 => Self::RowIds,
+            13 => Self::Rows,
+            14 => Self::Trees,
+            15 => Self::Sizes,
             _ => return None,
         })
     }
@@ -466,6 +460,13 @@ impl Store {
         &self.sections
     }
 
+    /// The mapping every section lies in, for a reader that keeps views
+    /// into it beyond the borrow of this store.
+    #[must_use]
+    pub fn mapping(&self) -> &Arc<Mmap> {
+        &self.mmap
+    }
+
     fn section(&self, kind: SectionKind) -> Option<&Section> {
         self.sections.iter().find(|s| s.kind == kind)
     }
@@ -476,15 +477,23 @@ impl Store {
         self.section(kind).is_some()
     }
 
+    /// Where a section's payload lies in the [`mapping`](Self::mapping).
+    ///
+    /// # Errors
+    /// [`StoreError::MissingSection`] if absent.
+    pub fn range(&self, kind: SectionKind) -> Result<std::ops::Range<usize>, StoreError> {
+        let s = self.section(kind).ok_or(StoreError::MissingSection {
+            section: kind.name(),
+        })?;
+        Ok(s.offset as usize..(s.offset + s.len) as usize)
+    }
+
     /// The raw payload bytes of a section.
     ///
     /// # Errors
     /// [`StoreError::MissingSection`] if absent.
     pub fn bytes(&self, kind: SectionKind) -> Result<&[u8], StoreError> {
-        let s = self.section(kind).ok_or(StoreError::MissingSection {
-            section: kind.name(),
-        })?;
-        Ok(&self.mmap.as_slice()[s.offset as usize..(s.offset + s.len) as usize])
+        Ok(&self.mmap.as_slice()[self.range(kind)?])
     }
 
     /// Views a section's payload as a `u16` array, in place.
@@ -565,13 +574,13 @@ mod tests {
         p.begin_section(SectionKind::Meta).expect("begin");
         p.write(b"opaque metadata").expect("write");
         p.end_section();
-        p.begin_section(SectionKind::SketchIds).expect("begin");
+        p.begin_section(SectionKind::RowIds).expect("begin");
         p.write_u32s(&[1, 2, 3, 5, 8]).expect("write");
         p.end_section();
-        p.begin_section(SectionKind::SketchSizes).expect("begin");
+        p.begin_section(SectionKind::Sizes).expect("begin");
         p.write_u64s(&[10, 20, 30, 50, 80]).expect("write");
         p.end_section();
-        p.begin_section(SectionKind::SketchSlots).expect("begin");
+        p.begin_section(SectionKind::Rows).expect("begin");
         p.write_u16s(&[7, 0xffff, 9]).expect("write");
         p.end_section();
         p.finish().expect("finish");
@@ -588,22 +597,22 @@ mod tests {
             b"opaque metadata"
         );
         assert_eq!(
-            store.u32s(SectionKind::SketchIds).expect("ids"),
+            store.u32s(SectionKind::RowIds).expect("ids"),
             &[1, 2, 3, 5, 8]
         );
         assert_eq!(
-            store.u64s(SectionKind::SketchSizes).expect("sizes"),
+            store.u64s(SectionKind::Sizes).expect("sizes"),
             &[10, 20, 30, 50, 80]
         );
         assert_eq!(
-            store.u16s(SectionKind::SketchSlots).expect("rows"),
+            store.u16s(SectionKind::Rows).expect("rows"),
             &[7, 0xffff, 9]
         );
         // Three `u16`s are no whole number of `u32`s.
         assert!(matches!(
-            store.u32s(SectionKind::SketchSlots),
+            store.u32s(SectionKind::Rows),
             Err(StoreError::Corrupt {
-                section: "sketch slots",
+                section: "rows",
                 ..
             })
         ));
@@ -707,7 +716,7 @@ mod tests {
         let ids_off = store
             .sections()
             .iter()
-            .find(|s| s.kind == SectionKind::SketchIds)
+            .find(|s| s.kind == SectionKind::RowIds)
             .expect("ids section")
             .offset as usize;
         drop(store);
@@ -717,7 +726,7 @@ mod tests {
         // Structural open still succeeds — payloads are lazy.
         let store = Store::open(&path).expect("open");
         match store.verify().unwrap_err() {
-            StoreError::SectionChecksum { section, .. } => assert_eq!(section, "sketch ids"),
+            StoreError::SectionChecksum { section, .. } => assert_eq!(section, "row ids"),
             other => panic!("wrong error: {other}"),
         }
         std::fs::remove_file(&path).ok();
@@ -726,11 +735,11 @@ mod tests {
     #[test]
     fn error_display_names_sections() {
         let e = StoreError::SectionChecksum {
-            section: "tree keys",
+            section: "trees",
             stored: 1,
             computed: 2,
         };
-        assert!(e.to_string().contains("tree keys"));
-        assert_eq!(e.section(), Some("tree keys"));
+        assert!(e.to_string().contains("trees"));
+        assert_eq!(e.section(), Some("trees"));
     }
 }

@@ -8,11 +8,10 @@
 //! its provenance records, and the resident index `/stats` reports as
 //! `index_bytes`, must stay within `4·b_max + 2·(m − b_max) + 4·b_max + 16`
 //! bytes per domain (720 by default: 716, and 4 for the headers, counts and
-//! pads); the packed file, which holds no records and whose trees keep
-//! a `u32` table position, not a `u16` row, gets `2·b_max` more for the
-//! whole file — so a later change cannot quietly store the lanes a second
-//! time (as tree keys, or as a sketch section beside the forests), or
-//! wider, without this failing. What `lshe stats` reports as `trees` is
+//! pads), and so must the whole packed file, which holds no records and
+//! stores each forest's own columns — so a later change cannot quietly
+//! store the lanes a second time (as tree keys, or as a sketch section
+//! beside the forests), or wider, without this failing. What `lshe stats` reports as `trees` is
 //! those entries exactly.
 //!
 //! Loaded from its file, a container keeps nothing per domain on the heap:
@@ -59,18 +58,16 @@ fn ranked_container_and_packed_file_hold_each_signature_once() {
         heap as f64 / DOMAINS as f64
     );
 
-    // Packed form, the whole file: no records, and a tree entry keeps a
-    // global `u32` position in the one sketch table of the file, not a
-    // block-local `u16` row — 2 more bytes an entry.
-    let packed_bound = bound + 2 * B_MAX;
+    // Packed form, the whole file: no records, and the forests' columns as
+    // the `.lshe` holds them — 4-byte `(lo, row)` tree entries.
     let dir = std::env::temp_dir().join(format!("lshe_bytes_per_domain_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("index.lshepk");
     container.pack_v2(&path).expect("pack");
     let packed = std::fs::metadata(&path).expect("stat").len() as usize;
     assert!(
-        packed <= packed_bound * DOMAINS,
-        "packed file: {} B per domain, bound {packed_bound}",
+        packed <= bound * DOMAINS,
+        "packed file: {} B per domain, bound {bound}",
         packed as f64 / DOMAINS as f64
     );
     // Resident: what `/stats` and `lshe stats` call `index_bytes` — rows,

@@ -61,12 +61,12 @@ fn bit_flip_in_every_section_is_a_typed_checksum_error() {
     drop(store);
     assert_eq!(
         sections.len(),
-        9,
+        8,
         "fixture should populate every section kind, got {sections:?}"
     );
-    // The `u16` sections — every base row, 576 bytes each; every tree
-    // entry's head bits, 2 bytes each, 32 trees a row — are swept like
-    // the rest.
+    // The column sections — every base row's id, its 576 bytes of lanes,
+    // its 4-byte `(lo, row)` entry in each of 32 trees, its size — are
+    // swept like the rest.
     let len = |want: &str| {
         sections
             .iter()
@@ -74,9 +74,10 @@ fn bit_flip_in_every_section_is_a_typed_checksum_error() {
             .map(|s| s.2)
     };
     let rows = container.len() as u64;
-    assert_eq!(len("sketch slots"), Some(576 * rows));
-    assert_eq!(len("tree keys"), Some(2 * 32 * rows));
-    assert_eq!(len("tree ids"), Some(4 * 32 * rows));
+    assert_eq!(len("row ids"), Some(4 * rows));
+    assert_eq!(len("rows"), Some(576 * rows));
+    assert_eq!(len("trees"), Some(4 * 32 * rows));
+    assert_eq!(len("sizes"), Some(8 * rows));
 
     for (name, offset, len) in sections {
         assert!(len > 0, "section {name} is empty");
@@ -322,11 +323,12 @@ fn a_section_of_unknown_kind_is_skipped() {
 fn any_other_version_is_refused() {
     let dir = scratch("version");
     let (clean, _) = packed_fixture(&dir);
-    // From the future, and version 5 — the one before, whose tree keys held
+    // From the future, version 6 — the one before, whose trees named rows
+    // of one id-sorted sketch table — and version 5, whose tree keys held
     // each head at 32 bits: a packed file is derived, so an old one is
     // packed again, not read.
-    const { assert!(lshe_store::VERSION > 5) };
-    for other in [99u32, 5] {
+    const { assert!(lshe_store::VERSION > 6) };
+    for other in [99u32, 6, 5] {
         let mut bytes = clean.clone();
         // Change the version field and re-seal the header checksum so ONLY
         // the version differs — refused on version, not checksum.
